@@ -9,23 +9,39 @@ These adapters are those wrappers: they map the generic
 * a replicated :class:`~repro.coordination.zookeeper.ZooKeeperLike` tree
   (crash fault-tolerant, 2f+1 replicas).
 
-Each adapter call translates to one (occasionally two) replicated commands,
-each charging a coordination-service access latency of roughly 60–100 ms to
-the simulated clock, the figure the paper measured (§4.2).
+Every intent is **one** replicated command, charging one coordination-service
+access of roughly 60–100 ms to the simulated clock (the figure the paper
+measured, §4.2).  What decides the outcome — create-vs-update, the entry ACL,
+``expected_version`` — is checked by the replicas
+(:mod:`repro.coordination.entries`), never by this client-side code:
+
+==================================  =========================================
+adapter call                        replicated command
+==================================  =========================================
+``put`` (plain, CAS, insert-only)   ``entry_put``
+``get``                             ``entry_get``
+``delete``                          ``entry_delete``
+``list_entries`` / ``list_prefix``  ``entry_list``
+``set_entry_acl``                   ``entry_set_acl``
+``move``                            ``entry_move``
+``try_lock``                        ``cas`` (DepSpace) / ``create`` (ZooKeeper)
+``unlock``                          ``inp`` (DepSpace) / ``delete`` (ZooKeeper)
+``close_session``                   one ``inp`` per held lock + 1 / ``close_session``
+``renew_session``                   none / ``register_session`` (uncharged)
+``open_session``                    none
+==================================  =========================================
 """
 
 from __future__ import annotations
 
-import base64
-import json
 import itertools
 
 from repro.common.errors import ConflictError, TupleNotFoundError
 from repro.common.types import Permission, Principal
-from repro.coordination.base import CoordinationService, Entry, EntryACL, Session
+from repro.coordination.base import CoordinationService, Entry, Session
 from repro.coordination.replication import FaultModel, ReplicatedStateMachine
-from repro.coordination.tuplespace import ANY, make_depspace_with_triggers
-from repro.coordination.zookeeper import ZooKeeperLike
+from repro.coordination.tuplespace import ANY, DepSpace
+from repro.coordination.zookeeper import LOCK_ROOT, ZooKeeperLike, child_path, make_scfs_tree
 from repro.simenv.environment import Simulation
 from repro.simenv.latency import LatencyModel
 
@@ -36,59 +52,73 @@ _session_counter = itertools.count()
 #: its locks quickly.
 DEFAULT_LEASE = 30.0
 
+#: DepSpace lock tuples: ``("lock", name, session_id)``, timed by the session lease.
+_LOCK = "lock"
 
-def _new_session_id(principal: Principal) -> str:
-    return f"session-{principal.name}-{next(_session_counter):06d}"
 
+class _ReplicatedCoordination(CoordinationService):
+    """Sessions and entries, identical for both services; locks differ per service."""
 
-class _AdapterBase(CoordinationService):
-    """Shared session bookkeeping for both adapters."""
+    rsm: ReplicatedStateMachine
 
     def __init__(self, sim: Simulation):
         self.sim = sim
-        self._sessions: dict[str, Session] = {}
 
     # -- sessions -----------------------------------------------------------
 
     def open_session(self, principal: Principal, lease_seconds: float = DEFAULT_LEASE) -> Session:
-        session = Session(
-            session_id=_new_session_id(principal),
+        return Session(
+            session_id=f"session-{principal.name}-{next(_session_counter):06d}",
             principal=principal,
             lease_seconds=lease_seconds,
             last_renewal=self.sim.now(),
         )
-        self._sessions[session.session_id] = session
-        self._register_session(session)
-        return session
 
     def renew_session(self, session: Session) -> None:
         session.last_renewal = self.sim.now()
-        self._register_session(session)
 
-    def close_session(self, session: Session) -> None:
-        self._sessions.pop(session.session_id, None)
-        self._drop_session(session)
+    # -- entries ------------------------------------------------------------
 
-    def _register_session(self, session: Session) -> None:  # pragma: no cover - overridden
-        raise NotImplementedError
+    def put(self, key: str, value: bytes, session: Session,
+            expected_version: int | None = None) -> Entry:
+        return self.rsm.invoke("entry_put", key, value, session.principal.name, self.sim.now(),
+                               expected_version=expected_version)
 
-    def _drop_session(self, session: Session) -> None:  # pragma: no cover - overridden
-        raise NotImplementedError
+    def get(self, key: str, session: Session) -> Entry:
+        return self.rsm.invoke("entry_get", key, session.principal.name, self.sim.now())
+
+    def delete(self, key: str, session: Session) -> None:
+        self.rsm.invoke("entry_delete", key, session.principal.name, self.sim.now())
+
+    def list_entries(self, prefix: str, session: Session) -> list[Entry]:
+        return self.rsm.invoke("entry_list", prefix, session.principal.name, self.sim.now())
+
+    def set_entry_acl(self, key: str, user: str, permission: Permission,
+                      session: Session) -> None:
+        self.rsm.invoke("entry_set_acl", key, session.principal.name, user, permission,
+                        self.sim.now())
+
+    def move(self, key: str, new_key: str, value: bytes, session: Session,
+             expected_version: int | None = None, target_version: int = 0) -> Entry:
+        return self.rsm.invoke("entry_move", key, new_key, value, session.principal.name,
+                               self.sim.now(), expected_version=expected_version,
+                               target_version=target_version)
+
+    # -- introspection ------------------------------------------------------
+
+    def entry_count(self) -> int:
+        return self.rsm.reference_replica().entry_count(self.sim.now())
+
+    def stored_bytes(self) -> int:
+        return self.rsm.reference_replica().stored_bytes(self.sim.now())
 
 
-# ---------------------------------------------------------------------------
-# DepSpace adapter
-# ---------------------------------------------------------------------------
+class DepSpaceCoordination(_ReplicatedCoordination):
+    """Coordination service backed by a (replicated) DepSpace tuple space.
 
-# Tuple layouts used in the space:
-#   ("entry", key, owner, version, value_bytes, acl_json)
-#   ("lock",  name, session_id)
-_ENTRY = "entry"
-_LOCK = "lock"
-
-
-class DepSpaceCoordination(_AdapterBase):
-    """Coordination service backed by a (replicated) DepSpace tuple space."""
+    Locks are timed tuples: the lease lives on each lock tuple, so there is no
+    session object to register with the service.
+    """
 
     def __init__(
         self,
@@ -100,150 +130,16 @@ class DepSpaceCoordination(_AdapterBase):
         super().__init__(sim)
         self.rsm = ReplicatedStateMachine(
             sim,
-            factory=make_depspace_with_triggers,
+            factory=DepSpace,
             fault_model=fault_model,
             f=f,
             latency=latency,
         )
 
-    # -- helpers --------------------------------------------------------------
-
-    @staticmethod
-    def _acl_dump(acl: EntryACL) -> str:
-        return json.dumps(
-            {"owner": acl.owner, "grants": {u: p.value for u, p in acl.grants.items()}},
-            sort_keys=True,
-        )
-
-    @staticmethod
-    def _acl_load(blob: str) -> EntryACL:
-        raw = json.loads(blob)
-        return EntryACL(
-            owner=raw["owner"],
-            grants={u: Permission(v) for u, v in raw.get("grants", {}).items()},
-        )
-
-    def _raw_get(self, key: str) -> tuple | None:
-        return self.rsm.invoke("rdp", (_ENTRY, key, ANY, ANY, ANY, ANY), self.sim.now())
-
-    def _register_session(self, session: Session) -> None:
-        # DepSpace locks are timed tuples; there is no separate session object
-        # to register, the lease lives on each lock tuple.
-        return None
-
-    def _drop_session(self, session: Session) -> None:
+    def close_session(self, session: Session) -> None:
         # Remove every lock held by the session.
         while self.rsm.invoke("inp", (_LOCK, ANY, session.session_id), self.sim.now()) is not None:
             pass
-
-    # -- entries --------------------------------------------------------------
-
-    def put(self, key: str, value: bytes, session: Session,
-            expected_version: int | None = None) -> Entry:
-        # An unconditional put is a read-modify-write; if another writer (or a
-        # background upload of this very client) slips in between, re-read and
-        # retry.  Conditional puts surface the conflict to the caller instead.
-        attempts = 5 if expected_version is None else 1
-        last_error: ConflictError | None = None
-        for _ in range(attempts):
-            try:
-                return self._put_once(key, value, session, expected_version)
-            except ConflictError as exc:
-                last_error = exc
-                if expected_version is not None:
-                    raise
-        raise last_error  # pragma: no cover - requires pathological contention
-
-    def _put_once(self, key: str, value: bytes, session: Session,
-                  expected_version: int | None) -> Entry:
-        now = self.sim.now()
-        user = session.principal.name
-        current = self._raw_get(key)
-        if current is None:
-            if expected_version is not None:
-                raise ConflictError(f"entry {key!r} does not exist (expected version "
-                                    f"{expected_version})")
-            acl = EntryACL(owner=user)
-            fields = (_ENTRY, key, user, 1, value, self._acl_dump(acl))
-            inserted = self.rsm.invoke(
-                "cas", (_ENTRY, key, ANY, ANY, ANY, ANY), fields, now, owner=user
-            )
-            if not inserted:
-                raise ConflictError(f"concurrent creation of entry {key!r}")
-            return Entry(key=key, value=value, version=1, owner=user)
-        _, _, owner, version, _old_value, acl_blob = current
-        acl = self._acl_load(acl_blob)
-        if not acl.allows(user, Permission.WRITE):
-            raise ConflictError(f"{user} may not update entry {key!r}")
-        if expected_version is not None and version != expected_version:
-            raise ConflictError(
-                f"version mismatch on {key!r}: expected {expected_version}, found {version}"
-            )
-        new_fields = (_ENTRY, key, owner, version + 1, value, acl_blob)
-        replaced = self.rsm.invoke(
-            "replace", (_ENTRY, key, ANY, version, ANY, ANY), new_fields, self.sim.now(),
-            owner=owner,
-        )
-        if not replaced:
-            raise ConflictError(f"concurrent update of entry {key!r}")
-        return Entry(key=key, value=value, version=version + 1, owner=owner)
-
-    def get(self, key: str, session: Session) -> Entry:
-        fields = self._raw_get(key)
-        if fields is None:
-            raise TupleNotFoundError(f"no entry under key {key!r}")
-        _, _, owner, version, value, acl_blob = fields
-        acl = self._acl_load(acl_blob)
-        if not acl.allows(session.principal.name, Permission.READ):
-            raise ConflictError(f"{session.principal.name} may not read entry {key!r}")
-        return Entry(key=key, value=value, version=version, owner=owner)
-
-    def delete(self, key: str, session: Session) -> None:
-        fields = self._raw_get(key)
-        if fields is None:
-            return
-        acl = self._acl_load(fields[5])
-        if not acl.allows(session.principal.name, Permission.WRITE):
-            raise ConflictError(f"{session.principal.name} may not delete entry {key!r}")
-        self.rsm.invoke("inp", (_ENTRY, key, ANY, ANY, ANY, ANY), self.sim.now())
-
-    def list_prefix(self, prefix: str, session: Session) -> list[str]:
-        rows = self.rsm.invoke("rdp_all", (_ENTRY, ANY, ANY, ANY, ANY, ANY), self.sim.now())
-        user = session.principal.name
-        keys = []
-        for fields in rows:
-            if not fields[1].startswith(prefix):
-                continue
-            if self._acl_load(fields[5]).allows(user, Permission.READ):
-                keys.append(fields[1])
-        return sorted(keys)
-
-    def set_entry_acl(self, key: str, user: str, permission: Permission,
-                      session: Session) -> None:
-        # Read-modify-write with retry: a concurrent (background) update of the
-        # entry's value must not silently discard the ACL change.
-        for _ in range(5):
-            fields = self._raw_get(key)
-            if fields is None:
-                raise TupleNotFoundError(f"no entry under key {key!r}")
-            _, _, owner, version, value, acl_blob = fields
-            if owner != session.principal.name:
-                raise ConflictError(f"only the owner may change the ACL of {key!r}")
-            acl = self._acl_load(acl_blob)
-            if permission is Permission.NONE:
-                acl.grants.pop(user, None)
-            else:
-                acl.grants[user] = permission
-            new_fields = (_ENTRY, key, owner, version + 1, value, self._acl_dump(acl))
-            replaced = self.rsm.invoke(
-                "replace", (_ENTRY, key, ANY, version, ANY, ANY), new_fields, self.sim.now(),
-                owner=owner,
-            )
-            if replaced:
-                return
-        raise ConflictError(f"could not update the ACL of {key!r} (persistent contention)")
-
-    # -- locks ----------------------------------------------------------------
 
     def try_lock(self, name: str, session: Session) -> bool:
         return self.rsm.invoke(
@@ -256,55 +152,22 @@ class DepSpaceCoordination(_AdapterBase):
         )
 
     def unlock(self, name: str, session: Session) -> None:
-        removed = self.rsm.invoke("inp", (_LOCK, name, session.session_id), self.sim.now())
-        if removed is None:
-            # Either the lock expired (client was considered crashed) or it is
-            # held by someone else; both are benign for an unlock.
-            return
+        # No match means the lock expired (the client was considered crashed)
+        # or someone else holds it; both are benign for an unlock.
+        self.rsm.invoke("inp", (_LOCK, name, session.session_id), self.sim.now())
 
     def lock_holder(self, name: str) -> str | None:
-        space = self.rsm.reference_replica()
+        space: DepSpace = self.rsm.reference_replica()
         fields = space.rdp((_LOCK, name, ANY), self.sim.now())
         return fields[2] if fields else None
 
-    # -- triggers (DepSpace extension used for rename, §3.2) -------------------
 
-    def rename_prefix(self, old_prefix: str, new_prefix: str, session: Session) -> int:
-        """Rewrite the parent path of every entry under ``old_prefix`` (one round trip)."""
-        return self.rsm.invoke(
-            "fire_trigger", "rename_prefix", (_ENTRY, ANY, ANY, ANY, ANY, ANY),
-            (old_prefix, new_prefix), self.sim.now(),
-        )
+class ZooKeeperCoordination(_ReplicatedCoordination):
+    """Coordination service backed by a (replicated) ZooKeeper-like znode tree.
 
-    # -- introspection ---------------------------------------------------------
-
-    def entry_count(self) -> int:
-        space = self.rsm.reference_replica()
-        return space.count((_ENTRY, ANY, ANY, ANY, ANY, ANY), self.sim.now())
-
-    def stored_bytes(self) -> int:
-        space = self.rsm.reference_replica()
-        return space.stored_bytes(self.sim.now())
-
-
-# ---------------------------------------------------------------------------
-# ZooKeeper adapter
-# ---------------------------------------------------------------------------
-
-_ENTRY_ROOT = "/scfs/entries"
-_LOCK_ROOT = "/scfs/locks"
-
-
-def _escape(key: str) -> str:
-    return key.replace("%", "%25").replace("/", "%2F")
-
-
-def _unescape(component: str) -> str:
-    return component.replace("%2F", "/").replace("%25", "%")
-
-
-class ZooKeeperCoordination(_AdapterBase):
-    """Coordination service backed by a (replicated) ZooKeeper-like znode tree."""
+    Locks are ephemeral znodes owned by the session, which the tree expires
+    ``lease_seconds`` after the session's last heartbeat.
+    """
 
     def __init__(
         self,
@@ -315,194 +178,51 @@ class ZooKeeperCoordination(_AdapterBase):
         super().__init__(sim)
         self.rsm = ReplicatedStateMachine(
             sim,
-            factory=ZooKeeperLike,
+            factory=make_scfs_tree,
             fault_model=FaultModel.CRASH,
             f=f,
             latency=latency,
         )
-        # Bootstrap the fixed part of the tree without charging client latency.
-        self.rsm.charge_latency = False
-        self.rsm.invoke("create", "/scfs", b"", 0.0)
-        self.rsm.invoke("create", _ENTRY_ROOT, b"", 0.0)
-        self.rsm.invoke("create", _LOCK_ROOT, b"", 0.0)
-        self.rsm.charge_latency = True
-
-    # -- payload serialisation -------------------------------------------------
 
     @staticmethod
-    def _dump(value: bytes, owner: str, grants: dict[str, Permission]) -> bytes:
-        return json.dumps(
-            {
-                "owner": owner,
-                "grants": {u: p.value for u, p in grants.items()},
-                "value": base64.b64encode(value).decode("ascii"),
-            },
-            sort_keys=True,
-        ).encode()
+    def _deadline(session: Session) -> float:
+        return session.last_renewal + session.lease_seconds
 
-    @staticmethod
-    def _load(blob: bytes) -> tuple[bytes, str, dict[str, Permission]]:
-        raw = json.loads(blob.decode())
-        return (
-            base64.b64decode(raw["value"]),
-            raw["owner"],
-            {u: Permission(v) for u, v in raw.get("grants", {}).items()},
-        )
-
-    def _entry_path(self, key: str) -> str:
-        return f"{_ENTRY_ROOT}/{_escape(key)}"
-
-    def _lock_path(self, name: str) -> str:
-        return f"{_LOCK_ROOT}/{_escape(name)}"
-
-    def _register_session(self, session: Session) -> None:
-        deadline = session.last_renewal + session.lease_seconds
+    def renew_session(self, session: Session) -> None:
+        # The tree learns of a session with its first lock (``try_lock``); a
+        # heartbeat must reach it so that locks already held live on.
+        super().renew_session(session)
         self.rsm.charge_latency = False
         try:
-            self.rsm.invoke("register_session", session.session_id, deadline)
+            self.rsm.invoke("register_session", session.session_id, self._deadline(session))
         finally:
             self.rsm.charge_latency = True
 
-    def _drop_session(self, session: Session) -> None:
+    def close_session(self, session: Session) -> None:
         self.rsm.invoke("close_session", session.session_id, self.sim.now())
 
-    # -- entries ----------------------------------------------------------------
-
-    def put(self, key: str, value: bytes, session: Session,
-            expected_version: int | None = None) -> Entry:
-        # See DepSpaceCoordination.put: unconditional puts retry on interleaved
-        # version bumps, conditional puts surface the conflict.
-        attempts = 5 if expected_version is None else 1
-        last_error: ConflictError | None = None
-        for _ in range(attempts):
-            try:
-                return self._put_once(key, value, session, expected_version)
-            except ConflictError as exc:
-                last_error = exc
-                if expected_version is not None:
-                    raise
-        raise last_error  # pragma: no cover - requires pathological contention
-
-    def _put_once(self, key: str, value: bytes, session: Session,
-                  expected_version: int | None) -> Entry:
-        path = self._entry_path(key)
-        user = session.principal.name
-        now = self.sim.now()
-        try:
-            blob, version = self.rsm.invoke("get", path, now)
-        except TupleNotFoundError as exc:
-            if expected_version is not None:
-                raise ConflictError(
-                    f"entry {key!r} does not exist (expected version {expected_version})"
-                ) from exc
-            payload = self._dump(value, user, {})
-            self.rsm.invoke("create", path, payload, self.sim.now())
-            return Entry(key=key, value=value, version=1, owner=user)
-        old_value, owner, grants = self._load(blob)
-        acl = EntryACL(owner=owner, grants=grants)
-        if not acl.allows(user, Permission.WRITE):
-            raise ConflictError(f"{user} may not update entry {key!r}")
-        # Znode versions start at 0; the public Entry version starts at 1.
-        if expected_version is not None and version + 1 != expected_version:
-            raise ConflictError(
-                f"version mismatch on {key!r}: expected {expected_version}, found {version + 1}"
-            )
-        payload = self._dump(value, owner, grants)
-        new_version = self.rsm.invoke("set", path, payload, self.sim.now(), expected_version=version)
-        return Entry(key=key, value=value, version=new_version + 1, owner=owner)
-
-    def get(self, key: str, session: Session) -> Entry:
-        path = self._entry_path(key)
-        blob, version = self.rsm.invoke("get", path, self.sim.now())
-        value, owner, grants = self._load(blob)
-        acl = EntryACL(owner=owner, grants=grants)
-        if not acl.allows(session.principal.name, Permission.READ):
-            raise ConflictError(f"{session.principal.name} may not read entry {key!r}")
-        return Entry(key=key, value=value, version=version + 1, owner=owner)
-
-    def delete(self, key: str, session: Session) -> None:
-        path = self._entry_path(key)
-        try:
-            blob, _version = self.rsm.invoke("get", path, self.sim.now())
-        except TupleNotFoundError:
-            return
-        _value, owner, grants = self._load(blob)
-        acl = EntryACL(owner=owner, grants=grants)
-        if not acl.allows(session.principal.name, Permission.WRITE):
-            raise ConflictError(f"{session.principal.name} may not delete entry {key!r}")
-        self.rsm.invoke("delete", path, self.sim.now())
-
-    def list_prefix(self, prefix: str, session: Session) -> list[str]:
-        children = self.rsm.invoke("get_children", _ENTRY_ROOT, self.sim.now())
-        keys = []
-        for child in children:
-            key = _unescape(child.rsplit("/", 1)[1])
-            if key.startswith(prefix):
-                keys.append(key)
-        return sorted(keys)
-
-    def set_entry_acl(self, key: str, user: str, permission: Permission,
-                      session: Session) -> None:
-        path = self._entry_path(key)
-        # Read-modify-write with retry, as in the DepSpace adapter.
-        last_error: ConflictError | None = None
-        for _ in range(5):
-            blob, version = self.rsm.invoke("get", path, self.sim.now())
-            value, owner, grants = self._load(blob)
-            if owner != session.principal.name:
-                raise ConflictError(f"only the owner may change the ACL of {key!r}")
-            if permission is Permission.NONE:
-                grants.pop(user, None)
-            else:
-                grants[user] = permission
-            payload = self._dump(value, owner, grants)
-            try:
-                self.rsm.invoke("set", path, payload, self.sim.now(), expected_version=version)
-                return
-            except ConflictError as exc:
-                last_error = exc
-        raise last_error  # pragma: no cover - requires pathological contention
-
-    # -- locks --------------------------------------------------------------------
-
     def try_lock(self, name: str, session: Session) -> bool:
-        self._register_session(session)
         try:
             self.rsm.invoke(
-                "create", self._lock_path(name), session.session_id.encode(),
+                "create", child_path(LOCK_ROOT, name), session.session_id.encode(),
                 self.sim.now(), ephemeral_owner=session.session_id,
+                session_deadline=self._deadline(session),
             )
             return True
         except ConflictError:
             return False
 
     def unlock(self, name: str, session: Session) -> None:
-        path = self._lock_path(name)
-        try:
-            blob, _ = self.rsm.invoke("get", path, self.sim.now())
-        except TupleNotFoundError:
-            return
-        if blob.decode() != session.session_id:
-            return
-        self.rsm.invoke("delete", path, self.sim.now())
+        self.rsm.invoke("delete", child_path(LOCK_ROOT, name), self.sim.now(),
+                        ephemeral_owner=session.session_id)
 
     def lock_holder(self, name: str) -> str | None:
         tree: ZooKeeperLike = self.rsm.reference_replica()
         try:
-            blob, _ = tree.get(self._lock_path(name), self.sim.now())
+            blob, _ = tree.get(child_path(LOCK_ROOT, name), self.sim.now())
         except TupleNotFoundError:
             return None
         return blob.decode()
-
-    # -- introspection ---------------------------------------------------------
-
-    def entry_count(self) -> int:
-        tree: ZooKeeperLike = self.rsm.reference_replica()
-        return len(tree.get_children(_ENTRY_ROOT, self.sim.now()))
-
-    def stored_bytes(self) -> int:
-        tree: ZooKeeperLike = self.rsm.reference_replica()
-        return tree.stored_bytes(self.sim.now())
 
 
 def make_coordination_service(

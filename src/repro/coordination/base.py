@@ -30,7 +30,6 @@ class Entry:
     value: bytes
     version: int
     owner: str
-    ephemeral_session: str | None = None
 
 
 @dataclass
@@ -41,10 +40,6 @@ class Session:
     principal: Principal
     lease_seconds: float
     last_renewal: float
-
-    def expired(self, now: float) -> bool:
-        """True once the lease has elapsed without a renewal."""
-        return now > self.last_renewal + self.lease_seconds
 
 
 @dataclass
@@ -89,11 +84,13 @@ class CoordinationService(abc.ABC):
     @abc.abstractmethod
     def put(self, key: str, value: bytes, session: Session,
             expected_version: int | None = None) -> Entry:
-        """Create or update the entry under ``key``.
+        """Create or update the entry under ``key`` (one replicated command).
 
         When ``expected_version`` is given the update only succeeds if the
-        current version matches (compare-and-swap);
-        :class:`~repro.common.errors.ConflictError` is raised otherwise.
+        current version matches (compare-and-swap) — ``0`` meaning "the entry
+        must not exist" (insert-if-absent);
+        :class:`~repro.common.errors.ConflictError` is raised otherwise, and
+        when the entry's ACL denies the session's principal WRITE.
         """
 
     @abc.abstractmethod
@@ -105,8 +102,24 @@ class CoordinationService(abc.ABC):
         """Remove the entry under ``key`` (idempotent)."""
 
     @abc.abstractmethod
+    def list_entries(self, prefix: str, session: Session) -> list[Entry]:
+        """Entries under ``prefix`` the session principal may read, whole, sorted by key."""
+
     def list_prefix(self, prefix: str, session: Session) -> list[str]:
         """List keys starting with ``prefix`` readable by the session principal."""
+        return [entry.key for entry in self.list_entries(prefix, session)]
+
+    @abc.abstractmethod
+    def move(self, key: str, new_key: str, value: bytes, session: Session,
+             expected_version: int | None = None, target_version: int = 0) -> Entry:
+        """Move the entry under ``key`` to ``new_key``, storing ``value`` there.
+
+        One replicated command when one service holds both keys; owner and ACL
+        travel with the entry.  ``expected_version`` guards the source,
+        ``target_version`` says what ``new_key`` must hold (0: nothing).  Raises
+        ``TupleNotFoundError`` without a source, ``ConflictError`` on a version
+        mismatch or when WRITE is denied on either key.
+        """
 
     @abc.abstractmethod
     def set_entry_acl(self, key: str, user: str, permission: Permission,

@@ -12,7 +12,7 @@ Because the SCFS Agent's metadata keys embed the file path, partitioning by
 the top-level directory (the default) spreads different users' or projects'
 subtrees across independent replicated services, multiplying the metadata
 capacity and halving (or better) the load per service.  Operations that span
-partitions (``list_prefix`` with a short prefix) simply fan out.
+partitions (``list_entries`` with a short prefix) simply fan out.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from __future__ import annotations
 import hashlib
 from typing import Callable, Sequence
 
+from repro.common.errors import ConflictError
 from repro.common.types import Permission, Principal
 from repro.coordination.base import CoordinationService, Entry, Session
 
@@ -76,6 +77,8 @@ class PartitionedCoordination(CoordinationService):
         self.partition_function = partition_function
         #: Latency-charging proxy spanning every partition (see _ChargeProxy).
         self.rsm = _ChargeProxy(self.services)
+        #: Per-partition session id -> id of the façade session it belongs to.
+        self._facade_ids: dict[str, str] = {}
 
     # -- routing ----------------------------------------------------------------
 
@@ -102,6 +105,8 @@ class PartitionedCoordination(CoordinationService):
         )
         # Stash the per-partition sessions on the façade session object.
         session.partitions = sub_sessions  # type: ignore[attr-defined]
+        for sub in sub_sessions:
+            self._facade_ids[sub.session_id] = session.session_id
         return session
 
     def _sub_session(self, session: Session, service: CoordinationService) -> Session:
@@ -119,6 +124,7 @@ class PartitionedCoordination(CoordinationService):
     def close_session(self, session: Session) -> None:
         for service, sub in zip(self.services, getattr(session, "partitions", []), strict=False):
             service.close_session(sub)
+            self._facade_ids.pop(sub.session_id, None)
 
     # -- entries ------------------------------------------------------------------
 
@@ -135,11 +141,29 @@ class PartitionedCoordination(CoordinationService):
         service = self._service_for(key)
         service.delete(key, self._sub_session(session, service))
 
-    def list_prefix(self, prefix: str, session: Session) -> list[str]:
-        keys: set[str] = set()
+    def list_entries(self, prefix: str, session: Session) -> list[Entry]:
+        entries: list[Entry] = []
         for service in self.services:
-            keys.update(service.list_prefix(prefix, self._sub_session(session, service)))
-        return sorted(keys)
+            entries += service.list_entries(prefix, self._sub_session(session, service))
+        return sorted(entries, key=lambda entry: entry.key)
+
+    def move(self, key: str, new_key: str, value: bytes, session: Session,
+             expected_version: int | None = None, target_version: int = 0) -> Entry:
+        source, target = self._service_for(key), self._service_for(new_key)
+        if source is target:
+            return source.move(key, new_key, value, self._sub_session(session, source),
+                               expected_version, target_version)
+        # No atomicity across partitions: write the new entry, then drop the old
+        # one (a crash in between leaves both; never neither).  The new entry
+        # belongs to the mover and starts with an empty ACL.
+        if expected_version is not None:
+            found = source.get(key, self._sub_session(session, source)).version
+            if found != expected_version:
+                raise ConflictError(
+                    f"version mismatch on {key!r}: expected {expected_version}, found {found}")
+        moved = target.put(new_key, value, self._sub_session(session, target), target_version)
+        source.delete(key, self._sub_session(session, source))
+        return moved
 
     def set_entry_acl(self, key: str, user: str, permission: Permission,
                       session: Session) -> None:
@@ -157,7 +181,9 @@ class PartitionedCoordination(CoordinationService):
         service.unlock(name, self._sub_session(session, service))
 
     def lock_holder(self, name: str) -> str | None:
-        return self._service_for(name).lock_holder(name)
+        # Callers compare against the façade session they were given.
+        holder = self._service_for(name).lock_holder(name)
+        return self._facade_ids.get(holder, holder)
 
     # -- introspection ----------------------------------------------------------------
 

@@ -176,8 +176,10 @@ class ReplicatedStateMachine:
         if self.charge_latency:
             self.sim.advance(self.latency.sample(0, self.sim.rng))
         command = (operation, args, kwargs)
-        results = [self.replicas[i].apply(command) for i in correct]
+        # Counted before it is applied: a command the replicas reject (a failed
+        # CAS, a denied write) made the round trip all the same.
         self.commands_executed += 1
+        results = [self.replicas[i].apply(command) for i in correct]
         # All correct replicas are deterministic, so their results agree; we
         # return the first one.  Byzantine replicas never receive the command
         # (their state is considered corrupted), matching the voting filter a

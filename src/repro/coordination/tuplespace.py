@@ -40,6 +40,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterable
 
 from repro.common.errors import ConflictError, TupleNotFoundError
+from repro.coordination.entries import EntryCommands, Stored
 
 
 class _AnyField:
@@ -54,6 +55,10 @@ ANY = _AnyField()
 
 Tuple = tuple
 Template = tuple
+
+#: First field of the tuples holding coordination entries:
+#: ``("entry", key, owner, version, value, acl_json)``.
+ENTRY = "entry"
 
 
 def matches(template: Template, fields: Tuple) -> bool:
@@ -78,11 +83,13 @@ class TupleEntry:
         return self.expires_at is not None and now >= self.expires_at
 
 
-class DepSpace:
+class DepSpace(EntryCommands):
     """Deterministic DepSpace state machine (single logical space).
 
     All mutating operations receive the current simulated time ``now`` so that
-    replicated copies expire timed tuples identically.
+    replicated copies expire timed tuples identically.  The ``entry_*``
+    commands of :class:`~repro.coordination.entries.EntryCommands` run over
+    ``ENTRY`` tuples.
     """
 
     def __init__(self) -> None:
@@ -259,9 +266,9 @@ class DepSpace:
     def fire_trigger(self, name: str, template: Template, argument: Any, now: float) -> int:
         """Apply the registered trigger ``name`` to every tuple matching ``template``.
 
-        Returns the number of rewritten tuples.  Used by SCFS to implement
-        ``rename`` of a directory as one round trip instead of one ``replace``
-        per descendant.
+        Returns the number of rewritten tuples.  No trigger is registered on
+        the replicas SCFS deploys: renames go through ``entry_move``, which
+        also carries the owner, the ACL and the version.
         """
         self.operations_applied += 1
         if name not in self.triggers:
@@ -284,16 +291,11 @@ class DepSpace:
                         touched_pairs.add((new_fields[0], new_fields[1]))
         # Moved entries land at the end of their new bucket; restore sequence
         # order so future scans keep returning the oldest match first.
-        # repro: allow[DET003] -- order-insensitive: each pass rewrites an existing dict key in place
-        for head in touched_heads:
-            bucket = self._by_head.get(head)
-            if bucket is not None and len(bucket) > 1:
-                self._by_head[head] = dict(sorted(bucket.items()))
-        # repro: allow[DET003] -- order-insensitive: each pass rewrites an existing dict key in place
-        for pair in touched_pairs:
-            pair_bucket = self._by_pair.get(pair)
-            if pair_bucket is not None and len(pair_bucket) > 1:
-                self._by_pair[pair] = dict(sorted(pair_bucket.items()))
+        for index, touched in ((self._by_head, touched_heads), (self._by_pair, touched_pairs)):
+            for key in sorted(touched, key=repr):
+                bucket = index.get(key)
+                if bucket is not None and len(bucket) > 1:
+                    index[key] = dict(sorted(bucket.items()))
         return len(matched)
 
     def count(self, template: Template, now: float) -> int:
@@ -320,6 +322,30 @@ class DepSpace:
                     total += 8
         return total
 
+    # ---------------------------------------------------------- entry storage
+
+    def _entry_tuples(self, key: str) -> list[TupleEntry]:
+        # Entry tuples carry no lease, so (unlike ``_find``) nothing to sweep.
+        bucket = self._by_pair.get((ENTRY, key), {})
+        return [entry for entry in bucket.values() if len(entry.fields) == 6]
+
+    def _entry_read(self, key: str, now: float) -> Stored | None:
+        found = self._entry_tuples(key)
+        return Stored(*found[0].fields[2:]) if found else None
+
+    def _entry_write(self, key: str, stored: Stored, now: float) -> None:
+        self._entry_erase(key)
+        self.out((ENTRY, key, *stored), now, owner=stored.owner)
+
+    def _entry_erase(self, key: str) -> None:
+        for entry in self._entry_tuples(key):
+            self._remove(entry)
+
+    def _entry_scan(self, prefix: str, now: float) -> Iterable[tuple[str, Stored]]:
+        for fields in self.rdp_all((ENTRY, ANY, ANY, ANY, ANY, ANY), now):
+            if fields[1].startswith(prefix):
+                yield fields[1], Stored(*fields[2:])
+
     # ------------------------------------------------------------ replication
 
     def apply(self, command: tuple[str, tuple, dict]) -> Any:
@@ -329,24 +355,3 @@ class DepSpace:
         if handler is None or not callable(handler) or operation.startswith("_"):
             raise ConflictError(f"unknown DepSpace operation {operation!r}")
         return handler(*args, **kwargs)
-
-
-def make_depspace_with_triggers(extra: Iterable[tuple[str, Callable[[Tuple, Any], Tuple]]] = ()) -> DepSpace:
-    """Build a DepSpace instance with SCFS's standard triggers registered.
-
-    The standard ``rename_prefix`` trigger rewrites the *parent path* field
-    (index 2) of metadata tuples whose parent lies under the old prefix.
-    """
-    space = DepSpace()
-
-    def rename_prefix(fields: Tuple, argument: Any) -> Tuple:
-        old_prefix, new_prefix = argument
-        updated = list(fields)
-        if isinstance(updated[2], str) and updated[2].startswith(old_prefix):
-            updated[2] = new_prefix + updated[2][len(old_prefix):]
-        return tuple(updated)
-
-    space.register_trigger("rename_prefix", rename_prefix)
-    for name, func in extra:
-        space.register_trigger(name, func)
-    return space

@@ -9,7 +9,10 @@ SCFS relies on:
   version number, checked by conditional ``set``/``delete``;
 * **ephemeral** znodes owned by a session and removed when it expires — the
   building block of the lock recipe;
-* **sequential** znodes whose names get a unique increasing suffix.
+* **sequential** znodes whose names get a unique increasing suffix;
+* a per-znode owner and ACL (ZooKeeper znodes carry ACLs), used by the
+  ``entry_*`` commands of :class:`~repro.coordination.entries.EntryCommands`,
+  which keep SCFS entries as children of ``/scfs/entries``.
 
 Like :class:`~repro.coordination.tuplespace.DepSpace`, the class is a
 deterministic state machine suitable for replication via
@@ -20,9 +23,28 @@ a crash-fault-tolerant protocol, hence ``FaultModel.CRASH`` with 2f+1 replicas).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Iterable
 
 from repro.common.errors import ConflictError, TupleNotFoundError
+from repro.coordination.entries import EntryCommands, Stored
+
+#: Parents of the entry znodes and of the (ephemeral) lock znodes.
+ENTRY_ROOT = "/scfs/entries"
+LOCK_ROOT = "/scfs/locks"
+
+
+def child_path(root: str, name: str) -> str:
+    """Znode path of the child ``name`` (an arbitrary key) under ``root``."""
+    return f"{root}/{name.replace('%', '%25').replace('/', '%2F')}"
+
+
+def _child_name(path: str) -> str:
+    return path.rsplit("/", 1)[1].replace("%2F", "/").replace("%25", "%")
+
+
+def _stored(node: "ZNode") -> Stored:
+    # Znode versions start at 0; public entry versions start at 1.
+    return Stored(node.owner, node.version + 1, node.data, node.acl)
 
 
 @dataclass
@@ -35,9 +57,11 @@ class ZNode:
     ephemeral_owner: str | None = None
     children: set[str] = field(default_factory=set)
     created_at: float = 0.0
+    owner: str = ""
+    acl: str = ""
 
 
-class ZooKeeperLike:
+class ZooKeeperLike(EntryCommands):
     """Deterministic znode tree with ephemeral and sequential nodes."""
 
     def __init__(self):
@@ -91,13 +115,17 @@ class ZooKeeperLike:
         self._sweep_sessions(now)
 
     def create(self, path: str, data: bytes, now: float, ephemeral_owner: str | None = None,
-               sequential: bool = False) -> str:
+               sequential: bool = False, session_deadline: float | None = None) -> str:
         """Create a znode; returns its (possibly sequence-suffixed) path.
 
-        Raises :class:`ConflictError` if the node exists or the parent is missing.
+        ``session_deadline`` piggybacks the heartbeat of the ``ephemeral_owner``
+        session on the create, so the lock recipe is one command.  Raises
+        :class:`ConflictError` if the node exists or the parent is missing.
         """
         self.operations_applied += 1
         self._validate(path)
+        if ephemeral_owner is not None and session_deadline is not None:
+            self._session_expiry[ephemeral_owner] = session_deadline
         self._sweep_sessions(now)
         if sequential:
             self._sequence += 1
@@ -142,12 +170,18 @@ class ZooKeeperLike:
         node.version += 1
         return node.version
 
-    def delete(self, path: str, now: float, expected_version: int | None = None) -> None:
-        """Delete a leaf znode (optionally only at the expected version)."""
+    def delete(self, path: str, now: float, expected_version: int | None = None,
+               ephemeral_owner: str | None = None) -> None:
+        """Delete a leaf znode (optionally only at the expected version).
+
+        With ``ephemeral_owner`` the delete is a no-op unless that session owns
+        the node: unlocking a lock someone else holds by now changes nothing.
+        """
         self.operations_applied += 1
         self._sweep_sessions(now)
         node = self._nodes.get(path)
-        if node is None:
+        if node is None or (ephemeral_owner is not None
+                            and node.ephemeral_owner != ephemeral_owner):
             return
         if expected_version is not None and node.version != expected_version:
             raise ConflictError(
@@ -180,7 +214,33 @@ class ZooKeeperLike:
     def stored_bytes(self, now: float) -> int:
         """Approximate memory footprint of all znode payloads."""
         self._sweep_sessions(now)
-        return sum(len(n.data) + len(n.path) for n in self._nodes.values())
+        return sum(len(n.data) + len(n.path) + len(n.acl) for n in self._nodes.values())
+
+    # ---------------------------------------------------------- entry storage
+
+    def _entry_read(self, key: str, now: float) -> Stored | None:
+        self._sweep_sessions(now)
+        node = self._nodes.get(child_path(ENTRY_ROOT, key))
+        return None if node is None else _stored(node)
+
+    def _entry_write(self, key: str, stored: Stored, now: float) -> None:
+        path = child_path(ENTRY_ROOT, key)
+        node = self._nodes.get(path)
+        if node is None:
+            node = self._nodes[path] = ZNode(path=path, created_at=now)
+            self._nodes[ENTRY_ROOT].children.add(path)
+        node.owner, node.data, node.acl = stored.owner, stored.value, stored.acl
+        node.version = stored.version - 1
+
+    def _entry_erase(self, key: str) -> None:
+        self._remove(child_path(ENTRY_ROOT, key))
+
+    def _entry_scan(self, prefix: str, now: float) -> Iterable[tuple[str, Stored]]:
+        self._sweep_sessions(now)
+        for path in sorted(self._nodes[ENTRY_ROOT].children):
+            key = _child_name(path)
+            if key.startswith(prefix):
+                yield key, _stored(self._nodes[path])
 
     # ------------------------------------------------------------ replication
 
@@ -191,3 +251,11 @@ class ZooKeeperLike:
         if handler is None or operation.startswith("_"):
             raise ConflictError(f"unknown ZooKeeper operation {operation!r}")
         return handler(*args, **kwargs)
+
+
+def make_scfs_tree() -> ZooKeeperLike:
+    """A znode tree with the fixed parents SCFS keeps its entries and locks under."""
+    tree = ZooKeeperLike()
+    for path in ("/scfs", ENTRY_ROOT, LOCK_ROOT):
+        tree.create(path, b"", 0.0)
+    return tree

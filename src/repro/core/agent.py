@@ -785,8 +785,11 @@ class SCFSAgent:
     def rename(self, old_path: str, new_path: str) -> None:
         """Rename a file or directory."""
         self._syscall()
-        self._check_parent(new_path)
         old_path, new_path = normalize_path(old_path), normalize_path(new_path)
+        if parent_path(new_path) != parent_path(old_path):
+            # Within one directory the source's own existence (checked by the
+            # metadata service) already proves the parent exists.
+            self._check_parent(new_path)
         self.metadata.rename(old_path, new_path)
         # Redirect in-flight background commits so they land on the new path
         # instead of resurrecting the old one.

@@ -17,6 +17,8 @@ file data (§2.4).
 
 from __future__ import annotations
 
+from typing import Callable
+
 from repro.common.errors import (
     ConflictError,
     FileExistsErrorFS,
@@ -25,7 +27,7 @@ from repro.common.errors import (
     TupleNotFoundError,
 )
 from repro.common.types import Permission, Principal
-from repro.coordination.base import CoordinationService, Session
+from repro.coordination.base import CoordinationService, Entry, Session
 from repro.core.cache import MetadataCache
 from repro.core.metadata import FileMetadata, FileType, normalize_path, parent_path
 from repro.core.pns import PrivateNameSpace
@@ -92,22 +94,25 @@ class MetadataService:
             # miss in the PNS means the object does not exist — no need to ask
             # the coordination service (§2.7).
             return None
+        found = self._fetch(path)
+        return found[0] if found is not None else None
+
+    def _fetch(self, path: str) -> tuple[FileMetadata, int] | None:
+        """One coordination read of ``path``: ``(metadata, entry_version)`` or None."""
         if self.coordination is None:
             return None
+        self.coordination_reads += 1
         try:
             entry = self.coordination.get(self.entry_key(path), self.session)
-            self.coordination_reads += 1
         except TupleNotFoundError:
-            self.coordination_reads += 1
             return None
         except ConflictError as exc:
             # The entry exists but its ACL does not allow this principal to
             # read it: surface the POSIX-flavoured error (EACCES).
-            self.coordination_reads += 1
             raise PermissionDeniedError(str(exc)) from exc
         meta = FileMetadata.from_bytes(entry.value)
         self.cache.put(path, meta.copy())
-        return meta
+        return meta, entry.version
 
     def _under_private_directory(self, path: str) -> bool:
         """True when the nearest existing ancestor of ``path`` is in the PNS."""
@@ -125,20 +130,9 @@ class MetadataService:
         entries return ``None`` (transactions require the anchor).
         """
         path = normalize_path(path)
-        if self.coordination is None or (self.pns is not None and self.pns.contains(path)):
+        if self.pns is not None and self.pns.contains(path):
             return None
-        try:
-            entry = self.coordination.get(self.entry_key(path), self.session)
-            self.coordination_reads += 1
-        except TupleNotFoundError:
-            self.coordination_reads += 1
-            return None
-        except ConflictError as exc:
-            self.coordination_reads += 1
-            raise PermissionDeniedError(str(exc)) from exc
-        meta = FileMetadata.from_bytes(entry.value)
-        self.cache.put(path, meta.copy())
-        return meta, entry.version
+        return self._fetch(path)
 
     def get(self, path: str, use_cache: bool = True) -> FileMetadata:
         """Like :meth:`lookup` but raises ``FileNotFoundErrorFS`` when absent."""
@@ -187,16 +181,43 @@ class MetadataService:
         private = self.pns is not None and not shared and not metadata.grants
         if self.coordination is None:
             private = True
-        if private:
-            # Private files live in the user's own name space: the existence
-            # check does not need to consult the coordination service (§2.7).
-            existing = self.pns.get(path) if self.pns is not None else None
-        else:
-            existing = self.lookup(path, use_cache=False)
-        if existing is not None and not existing.deleted:
+        if self._taken_privately(path):
             raise FileExistsErrorFS(f"file exists: {path}")
-        self._store(metadata, private)
+        if private:
+            self._store(metadata, private=True)
+            return metadata
+        key, blob = self.entry_key(path), metadata.to_bytes()
+        try:
+            self._claim(path, lambda version: self.coordination.put(
+                key, blob, self.session, expected_version=version))
+        except ConflictError as exc:
+            # A concurrent creator replaced the tombstone first.
+            raise FileExistsErrorFS(f"file exists: {path}") from exc
+        self.cache.put(path, metadata.copy())
         return metadata
+
+    def _taken_privately(self, path: str) -> bool:
+        """True when the (local, free to consult) PNS holds a live object at ``path``."""
+        existing = self.pns.get(path) if self.pns is not None else None
+        return existing is not None and not existing.deleted
+
+    def _claim(self, path: str, attempt: Callable[[int], object]) -> None:
+        """Take the entry of ``path`` with ``attempt(version_it_must_hold)``.
+
+        The service's insert-if-absent is the existence check: ``attempt(0)``
+        succeeds in one command when nothing is there.  Only when the key is
+        taken is it read: a live object is EEXIST, a ``deleted`` tombstone
+        awaiting the garbage collector is replaced at exactly the version read.
+        """
+        self.coordination_writes += 1
+        try:
+            attempt(0)
+        except ConflictError as exc:
+            found = self.lookup_versioned(path)
+            if found is not None and not found[0].deleted:
+                raise FileExistsErrorFS(f"file exists: {path}") from exc
+            self.coordination_writes += 1
+            attempt(found[1] if found is not None else 0)
 
     def update(self, metadata: FileMetadata) -> None:
         """Persist an updated metadata tuple (same placement as it currently has)."""
@@ -251,20 +272,26 @@ class MetadataService:
         directory = normalize_path(directory)
         children: dict[str, FileMetadata] = {}
         if self.coordination is not None:
-            prefix = self.entry_key(directory if directory.endswith("/") else directory + "/")
-            for key in self.coordination.list_prefix(prefix, self.session):
-                path = key[len(META_PREFIX):]
+            for entry in self._entries_under(directory):
+                path = entry.key[len(META_PREFIX):]
                 if parent_path(path) != directory:
                     continue
-                meta = self.lookup(path)
-                if meta is not None and not meta.deleted:
+                meta = FileMetadata.from_bytes(entry.value)
+                if not meta.deleted:
                     children[path] = meta
-            self.coordination_reads += 1
         if self.pns is not None:
             for meta in self.pns.children_of(directory):
                 if not meta.deleted:
                     children.setdefault(meta.path, meta)
         return [children[p] for p in sorted(children)]
+
+    def _entries_under(self, directory: str) -> list[Entry]:
+        """One listing of every shared entry strictly below ``directory``."""
+        # The prefix keeps its trailing slash (``entry_key`` would normalise it
+        # away): without it, ``/a/b`` would also match its sibling ``/a/b2``.
+        prefix = META_PREFIX + (directory if directory.endswith("/") else directory + "/")
+        self.coordination_reads += 1
+        return self.coordination.list_entries(prefix, self.session)
 
     # ------------------------------------------------------------------ rename
 
@@ -274,16 +301,31 @@ class MetadataService:
         meta = self.get(old_path)
         if not meta.allows(self.principal.name, Permission.WRITE):
             raise PermissionDeniedError(f"{self.principal.name} may not rename {old_path}")
-        if self.exists(new_path):
+        private = self.is_private(meta)
+        # A shared target is checked by the move itself (see ``_claim``).
+        if self._taken_privately(new_path) or (private and self.exists(new_path)):
             raise FileExistsErrorFS(f"file exists: {new_path}")
         renamed = meta.renamed(new_path)
-        private = self.is_private(meta)
-        # Move descendants first (directories only).
+        # The object's own entry goes before a directory's descendants: a
+        # taken target fails the rename before anything has moved.
+        if private:
+            self.remove(old_path)
+            self._store(renamed, private=True)
+        else:
+            self._move(old_path, renamed)
         if meta.is_directory:
             self._rename_descendants(old_path, new_path)
-        self.remove(old_path)
-        self._store(renamed, private)
         return renamed
+
+    def _move(self, old_path: str, renamed: FileMetadata,
+              expected_version: int | None = None) -> None:
+        """Move one shared entry to ``renamed.path`` (owner, ACL and version travel)."""
+        old_key, new_key = self.entry_key(old_path), self.entry_key(renamed.path)
+        blob = renamed.to_bytes()
+        self._claim(renamed.path, lambda version: self.coordination.move(
+            old_key, new_key, blob, self.session, expected_version, target_version=version))
+        self.cache.invalidate(old_path)
+        self.cache.put(renamed.path, renamed.copy())
 
     def _rename_descendants(self, old_dir: str, new_dir: str) -> None:
         old_prefix = old_dir if old_dir.endswith("/") else old_dir + "/"
@@ -296,34 +338,13 @@ class MetadataService:
                 self.cache.invalidate(path)
         if self.coordination is None:
             return
-        # DepSpace exposes the rename trigger (one round trip); other services
-        # fall back to a read-rewrite loop.
-        rename_trigger = getattr(self.coordination, "rename_prefix", None)
-        keys = self.coordination.list_prefix(self.entry_key(old_prefix), self.session)
-        self.coordination_reads += 1
-        if not keys:
-            return
-        if rename_trigger is not None:
-            # The trigger rewrites the key embedded in each tuple; here keys are
-            # separate from values, so we still rewrite entries client-side but
-            # in a single batch whose latency matches one coordination access.
-            for key in keys:
-                old_entry_path = key[len(META_PREFIX):]
-                entry_meta = self.get(old_entry_path, use_cache=False)
-                moved = entry_meta.renamed(new_prefix + old_entry_path[len(old_prefix):])
-                self.coordination.delete(key, self.session)
-                self.coordination.put(self.entry_key(moved.path), moved.to_bytes(), self.session)
-                self.cache.invalidate(old_entry_path)
-            self.coordination_writes += 1
-        else:
-            for key in keys:
-                old_entry_path = key[len(META_PREFIX):]
-                entry_meta = self.get(old_entry_path, use_cache=False)
-                moved = entry_meta.renamed(new_prefix + old_entry_path[len(old_prefix):])
-                self.coordination.delete(key, self.session)
-                self.coordination.put(self.entry_key(moved.path), moved.to_bytes(), self.session)
-                self.coordination_writes += 2
-                self.cache.invalidate(old_entry_path)
+        # One listing, then one conditional move per descendant: each is moved
+        # at exactly the version listed, so a concurrent update is not lost.
+        for entry in self._entries_under(old_dir):
+            path = entry.key[len(META_PREFIX):]
+            moved = FileMetadata.from_bytes(entry.value).renamed(
+                new_prefix + path[len(old_prefix):])
+            self._move(path, moved, expected_version=entry.version)
 
     # --------------------------------------------------------------------- ACLs
 
@@ -365,10 +386,8 @@ class MetadataService:
         if self.pns is not None:
             paths.update(self.pns.paths())
         if self.coordination is not None:
-            for key in self.coordination.list_prefix(META_PREFIX, self.session):
-                path = key[len(META_PREFIX):]
-                meta = self.lookup(path)
-                if meta is not None and meta.owner == self.principal.name:
-                    paths.add(path)
             self.coordination_reads += 1
+            for entry in self.coordination.list_entries(META_PREFIX, self.session):
+                if FileMetadata.from_bytes(entry.value).owner == self.principal.name:
+                    paths.add(entry.key[len(META_PREFIX):])
         return sorted(paths)

@@ -27,9 +27,11 @@ from __future__ import annotations
 from repro.common.types import Permission
 from repro.clouds.access_control import ObjectACL
 from repro.clouds.eventual import EventuallyConsistentStore, _StoredObject
-from repro.coordination.adapters import _ENTRY, DepSpaceCoordination
+from repro.coordination.adapters import DepSpaceCoordination
 from repro.coordination.base import CoordinationService, EntryACL
+from repro.coordination.entries import dump_acl
 from repro.coordination.partitioned import PartitionedCoordination
+from repro.coordination.tuplespace import ENTRY
 from repro.core.metadata import FileMetadata, FileType
 from repro.core.metadata_service import MetadataService
 from repro.crypto.erasure import ErasureCoder
@@ -79,10 +81,10 @@ def _prime_entry(coordination: CoordinationService, key: str, value: bytes,
     """Install one metadata tuple on every replica of the owning partition.
 
     All replicas receive the *same* fields tuple (tuples are immutable, so
-    sharing is safe) — exactly the state a replicated ``cas`` would have
+    sharing is safe) — exactly the state a replicated ``entry_put`` would have
     produced, minus the latency charge.
     """
-    fields = (_ENTRY, key, POOL_OWNER, 1, value, acl_json)
+    fields = (ENTRY, key, POOL_OWNER, 1, value, acl_json)
     for space in _depspace_replicas(coordination, key):
         space.out(fields, now)
 
@@ -134,7 +136,7 @@ def prime_pool(deployment, spec, recorder=None) -> dict[str, int]:
         grants={"*": Permission.READ_WRITE},
     )
     file_meta_template = proto.to_bytes()
-    acl_json = DepSpaceCoordination._acl_dump(
+    acl_json = dump_acl(
         EntryACL(owner=POOL_OWNER, grants={"*": Permission.READ_WRITE})
     )
     # One shared per-cloud object ACL: never mutated (``set_acl`` is

@@ -53,7 +53,7 @@ from repro.common.errors import (
     TransactionConflictError,
     TransactionError,
 )
-from repro.core.metadata import FileMetadata, normalize_path
+from repro.core.metadata import FileMetadata, FileType, normalize_path
 from repro.crypto.hashing import content_digest
 
 if TYPE_CHECKING:
@@ -236,15 +236,23 @@ class TransactionManager:
         paths = sorted(set(txn._reads) | set(txn._writes))
         for path in paths:
             agent.flush_pending(path)
-        current = self._resolve(txn, paths)
+        # A lock is named by the file id, which the read set already holds;
+        # only write-only paths need a look at the anchor before locking.  (A
+        # path recreated since the read has a new id: validation, below and
+        # under the locks, then aborts the attempt.)
+        targets = {path: FileMetadata(path=path, file_type=FileType.FILE, owner="",
+                                      file_id=record.file_id)
+                   for path, record in txn._reads.items()}
+        unread = self._resolve(txn, [p for p in paths if p not in targets])
+        targets.update((path, meta) for path, (meta, _version) in unread.items())
         # Strict two-phase locking over the read∪write union, in global
         # lock-name order (the names are stable across renames, so every
         # committer sorts identically — no deadlock).
         locked: list[FileMetadata] = []
         try:
-            for path in sorted(paths, key=lambda p: agent.locks.lock_name(current[p][0])):
-                agent.locks.acquire(current[path][0])
-                locked.append(current[path][0])
+            for meta in sorted(targets.values(), key=agent.locks.lock_name):
+                agent.locks.acquire(meta)
+                locked.append(meta)
             # Validation runs under the locks: competing writers are now
             # excluded, so what we re-read here is what the CAS will see.
             current = self._resolve(txn, paths)
@@ -379,8 +387,8 @@ class TransactionManager:
 
         Every *file* under the tree is locked first (lock names are keyed by
         file id, so they survive the rename), an intent record marks the
-        operation, and the namespace move itself is the coordination
-        service's one-round-trip prefix rewrite.  Concurrent closes of the
+        operation, and the namespace move itself is one listing plus one
+        conditional move per entry.  Concurrent closes of the
         moved files are excluded by the locks, so no background commit can
         resurrect the old path half-way through.
         """

@@ -5,6 +5,8 @@
   write, for arbitrary interleavings of writes and reads of many objects;
 * the DepSpace tuple space behaves like a simple model (a multiset of tuples)
   under arbitrary operation sequences;
+* two sessions' interleaved conditional and unconditional puts on one entry
+  never lose an update and never skip a version, on either service;
 * the SCFS file system agrees with a plain in-memory dictionary model under
   arbitrary sequences of whole-file operations.
 """
@@ -13,8 +15,9 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
 from repro.clouds.providers import make_provider
-from repro.common.errors import FileExistsErrorFS, FileNotFoundErrorFS
-from repro.common.types import Principal
+from repro.common.errors import ConflictError, FileExistsErrorFS, FileNotFoundErrorFS
+from repro.common.types import Permission, Principal
+from repro.coordination.adapters import make_coordination_service
 from repro.core.backend import SingleCloudBackend
 from repro.core.cache import LRUByteCache
 from repro.core.consistency import AnchoredStorage, DictConsistencyAnchor
@@ -113,6 +116,35 @@ class TestDepSpaceModelProperties:
                 if removed is not None:
                     model.remove(removed)
         assert space.total_tuples(now=0.0) == len(model)
+
+
+class TestEntryVersionProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kind=st.sampled_from(("depspace", "zookeeper")),
+        steps=st.lists(st.tuples(st.integers(0, 1),
+                                 st.sampled_from(("put", "cas", "stale-cas", "insert"))),
+                       max_size=30),
+    )
+    def test_interleaved_puts_lose_nothing_and_skip_no_version(self, kind, steps):
+        coordination = make_coordination_service(Simulation(seed=1), kind, f=1)
+        sessions = [coordination.open_session(Principal(name=name)) for name in ("ann", "ben")]
+        coordination.put("k", b"seed", sessions[0])
+        coordination.set_entry_acl("k", "ben", Permission.READ_WRITE, sessions[0])
+        version, value = 2, b"seed"  # the model: what the entry must hold
+        for number, (who, how) in enumerate(steps):
+            payload = f"{who}:{number}".encode()
+            expected = {"put": None, "cas": version, "stale-cas": version - 1, "insert": 0}[how]
+            try:
+                entry = coordination.put("k", payload, sessions[who], expected_version=expected)
+            except ConflictError:
+                assert how in ("stale-cas", "insert")
+            else:
+                assert how in ("put", "cas")
+                version, value = version + 1, payload
+                assert entry.version == version
+            stored = coordination.get("k", sessions[1 - who])
+            assert (stored.version, stored.value) == (version, value)
 
 
 class SCFSFileSystemModel(RuleBasedStateMachine):

@@ -15,20 +15,21 @@ import pytest
 from repro.scenarios import FAULT_MIXES, ScenarioSpec, run_scenario
 from repro.scenarios.runner import ScenarioRunner
 
-#: Trace fingerprints of the seed-101 lockstep sweep (3 agents x 10 ops),
-#: recorded at PR 4.  A change here means existing replay commands no longer
-#: reproduce their traces — that is a breaking change, not a refactor.
+#: Trace fingerprints of the seed-101 lockstep sweep (3 agents x 10 ops).
+#: A change here means existing replay commands no longer reproduce their
+#: traces — that is a breaking change, not a refactor.  Fingerprint epoch 2,
+#: recorded at PR 12 (coordination commands per intent changed: one replicated
+#: command, hence one latency draw, per put/delete/ACL change/move); epoch 1
+#: held from PR 4 to PR 11.  See docs/determinism-contract.md.
 GOLDEN_LOCKSTEP = {
-    "fault-free": "a18a14e6ca22872bd2c5a13d35db8c420fb829d9b5ec714c42948071b37bc0d1",
-    "crash-hang": "fda090321762f2602bda5a7d7a5a17027c64096861b364090f34ddbe10fedae6",
-    "corrupt-byzantine": "17fce7b259e95635df43352455bf11c56be2d8ff112e0176f45cd422c3b387b8",
-    "degraded-outage": "86299db26465e31ba786ee51b536ed18e98ada47c901eecb49a79a35430e971a",
-    # Recorded at PR 8 together with the weighted-quorum mix itself.
-    "weighted-byzantine": "acc0ae4d0ad0f353da3874040c787b7d0623f52d4f8e1c959fbc9acbc66d8de3",
-    # Recorded at PR 9 together with the transactional mixes themselves.
-    "txn": "8e4724dc4705bc5d476e8777445db5309318a1714efa06ece41ccbf4e9c9bf63",
-    "txn-crash-restart": "b86da0ec3e0dc4be904bb5e86e2e2a3a143f39f1ae83672039b2591d87537cee",
-    "txn-partition": "cc7b0d05fd604cb3ad9f997fa9313f5223f248da0b53353dcde4dd6cb7be7e99",
+    "fault-free": "2ca8ec26ca63c98b8c3765fe7022f58038525472d6e519e5413b9368cc67e4d4",
+    "crash-hang": "fd2056a17c139474733f6cb88b086e4d012e20c1b3f38ef5c777a95706ca2ab9",
+    "corrupt-byzantine": "2433461fc3bf3dbd36b78d2a9f415c839ca0e305a7ad6f2a5b90c67392761ef0",
+    "degraded-outage": "3ce1f4006845af52fa2fc10905357a89aee3d3ceb5efb73446177a071017763d",
+    "weighted-byzantine": "b15257ea02764420048a89c71f30c4d8f67d3405115cf7605962df43d5febb63",
+    "txn": "955c34c9cd697e049210c094aaa7319bf7445fab5795421e2d77fd22c89e81da",
+    "txn-crash-restart": "eb8402df7bd3e4e4e4b7576b5ed35b54882c6a43808fe7424599f5b069b11a92",
+    "txn-partition": "6c268d08a40b190ad0272b3158dc9f91b89a28e555e4dc72f634fcb05a09c07d",
 }
 
 

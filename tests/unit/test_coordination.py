@@ -12,7 +12,7 @@ from repro.coordination.adapters import (
 )
 from repro.coordination.locks import LockManager
 from repro.coordination.replication import FaultModel, ReplicatedStateMachine, replicas_required
-from repro.coordination.tuplespace import ANY, DepSpace, make_depspace_with_triggers, matches
+from repro.coordination.tuplespace import ANY, DepSpace, matches
 from repro.coordination.zookeeper import ZooKeeperLike
 
 
@@ -86,7 +86,14 @@ class TestDepSpace:
         assert space.total_tuples(now=0.0) == 3
 
     def test_trigger_rewrites_matching_tuples(self):
-        space = make_depspace_with_triggers()
+        def rename_prefix(fields, argument):
+            old, new = argument
+            parent = fields[2]
+            return (*fields[:2], new + parent[len(old):] if parent.startswith(old) else parent,
+                    *fields[3:])
+
+        space = DepSpace()
+        space.register_trigger("rename_prefix", rename_prefix)
         space.out(("entry", "/a/f1", "/a", 1), now=0.0)
         space.out(("entry", "/b/f2", "/b", 1), now=0.0)
         count = space.fire_trigger("rename_prefix", ("entry", ANY, ANY, ANY), ("/a", "/z"), now=0.0)

@@ -7,7 +7,7 @@
 
 import pytest
 
-from repro.common.errors import ConfigurationError, TupleNotFoundError
+from repro.common.errors import ConfigurationError, ConflictError, TupleNotFoundError
 from repro.common.types import Permission
 from repro.coordination.adapters import make_coordination_service
 from repro.coordination.partitioned import (
@@ -78,6 +78,30 @@ class TestPartitionedCoordination:
         assert coordination.lock_holder("filelock:file-1") is not None
         coordination.close_session(s1)
         assert coordination.try_lock("filelock:file-1", s2)
+
+    def test_lock_holder_names_the_facade_session_on_every_partition(self, sim, alice):
+        """``LockManager.still_held`` compares the holder with the session it was given."""
+        coordination = _partitioned(sim, partitions=3)
+        session = coordination.open_session(alice)
+        names = [f"filelock:file-{i}" for i in range(12)]
+        assert len({coordination.partition_of(name) for name in names}) > 1
+        for name in names:
+            assert coordination.try_lock(name, session)
+            assert coordination.lock_holder(name) == session.session_id
+
+    def test_move_within_and_across_partitions(self, sim, alice):
+        coordination = _partitioned(sim, partitions=4)
+        session = coordination.open_session(alice)
+        coordination.put("meta:/a/1", b"old", session)
+        other = next(f"meta:/t{i}/1" for i in range(64)
+                     if coordination.partition_of(f"meta:/t{i}/1")
+                     != coordination.partition_of("meta:/a/1"))
+        assert coordination.move("meta:/a/1", "meta:/a/2", b"new", session).version == 2
+        with pytest.raises(ConflictError):
+            coordination.move("meta:/a/2", other, b"far", session, expected_version=1)
+        assert coordination.move("meta:/a/2", other, b"far", session, expected_version=2).version == 1
+        assert [e.key for e in coordination.list_entries("meta:/", session)] == [other]
+        assert coordination.get(other, session).value == b"far"
 
     def test_entry_acl_applies_on_the_owning_partition(self, sim, alice, bob):
         coordination = _partitioned(sim)
