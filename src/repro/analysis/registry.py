@@ -22,8 +22,9 @@ RULE_DOCS: dict[str, str] = {
               "sim-visible code; object addresses vary between runs",
     "LCK001": "every lock acquire in a function that also releases must reach a "
               "release on all exit paths (try/finally-aware CFG walk)",
-    "LCK002": "a loop that acquires locks must iterate a sorted(...) sequence "
-              "(global acquisition order prevents deadlock)",
+    "LCK002": "a loop that acquires locks must iterate a sorted(...) sequence, and "
+              "acquire_set(...) must be given one (global acquisition order "
+              "prevents deadlock)",
     "TRC001": "every emitted trace event uses a literal kind declared in "
               "repro.scenarios.trace.TRACE_SCHEMA",
     "TRC002": "every emitted trace event's fields are declared for its kind in "

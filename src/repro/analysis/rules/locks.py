@@ -12,6 +12,10 @@ exactly the leak this rule exists for.
 ``LCK002`` enforces the global acquisition order that makes the sorted-order
 strict-2PL commit deadlock-free: any loop whose body acquires locks must
 iterate a ``sorted(...)`` expression (or a name assigned from one).
+
+The lock-set calls count like their one-lock forms: ``acquire_set(locks)``
+acquires (and ``LCK002`` wants ``locks`` sorted — a partitioned service takes
+the set partition by partition), ``release_set(locks)`` releases.
 """
 
 from __future__ import annotations
@@ -23,7 +27,8 @@ from repro.analysis.core import ModuleContext
 from repro.analysis.findings import Finding
 
 #: Method names treated as lock operations (on any receiver).
-_ACQUIRE, _RELEASE, _RELEASE_ALL = "acquire", "release", "release_all"
+_ACQUIRE_SET = "acquire_set"
+_ACQUIRE, _RELEASE, _RELEASE_ALL = ("acquire", _ACQUIRE_SET), ("release", "release_set"), "release_all"
 
 
 def _receiver_key(func: ast.Attribute) -> str:
@@ -35,9 +40,9 @@ def _classify(call: ast.Call) -> tuple[str, str] | None:
     if not isinstance(call.func, ast.Attribute):
         return None
     attr = call.func.attr
-    if attr == _ACQUIRE:
+    if attr in _ACQUIRE:
         return "acquire", _receiver_key(call.func)
-    if attr == _RELEASE:
+    if attr in _RELEASE:
         return "release", _receiver_key(call.func)
     if attr == _RELEASE_ALL:
         return "release_all", _receiver_key(call.func)
@@ -49,6 +54,7 @@ def check(ctx: ModuleContext) -> list[Finding]:
     for function in ctx.functions():
         findings.extend(_check_pairing(ctx, function))
         findings.extend(_check_sorted_loops(ctx, function))
+        findings.extend(_check_sorted_sets(ctx, function))
     return findings
 
 
@@ -125,6 +131,25 @@ def _is_sorted_call(node: ast.expr) -> bool:
             and node.func.id == "sorted")
 
 
+def _is_sorted(node: ast.expr, sorted_locals: set[str]) -> bool:
+    return _is_sorted_call(node) or (isinstance(node, ast.Name) and node.id in sorted_locals)
+
+
+def _check_sorted_sets(ctx: ModuleContext,
+                       function: ast.FunctionDef | ast.AsyncFunctionDef) -> list[Finding]:
+    sorted_locals = _sorted_names(function)
+    return [
+        ctx.finding(
+            "LCK002", node,
+            "lock set acquired from a sequence that is not sorted(...); "
+            "a global acquisition order is required to stay deadlock-free")
+        for node in ast.walk(function)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr == _ACQUIRE_SET
+        and not (len(node.args) == 1 and _is_sorted(node.args[0], sorted_locals))
+    ]
+
+
 def _check_sorted_loops(ctx: ModuleContext,
                         function: ast.FunctionDef | ast.AsyncFunctionDef) -> list[Finding]:
     findings: list[Finding] = []
@@ -139,10 +164,7 @@ def _check_sorted_loops(ctx: ModuleContext,
         )
         if not body_acquires:
             continue
-        iterable = node.iter
-        if _is_sorted_call(iterable):
-            continue
-        if isinstance(iterable, ast.Name) and iterable.id in sorted_locals:
+        if _is_sorted(node.iter, sorted_locals):
             continue
         findings.append(ctx.finding(
             "LCK002", node,

@@ -75,7 +75,15 @@ class ConflictError(CoordinationError):
 
 
 class LockHeldError(CoordinationError):
-    """The lock is already held by another session."""
+    """The lock is already held by another session.
+
+    ``lock`` is the contended lock's name when the raiser knows it (a refused
+    lock set names the one lock that was taken), else empty.
+    """
+
+    def __init__(self, message: str, lock: str = ""):
+        super().__init__(message)
+        self.lock = lock
 
 
 class NotLockOwnerError(CoordinationError):

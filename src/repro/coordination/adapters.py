@@ -24,23 +24,32 @@ adapter call                        replicated command
 ``list_entries`` / ``list_prefix``  ``entry_list``
 ``set_entry_acl``                   ``entry_set_acl``
 ``move``                            ``entry_move``
+``multi``                           ``entry_multi``
 ``try_lock``                        ``cas`` (DepSpace) / ``create`` (ZooKeeper)
 ``unlock``                          ``inp`` (DepSpace) / ``delete`` (ZooKeeper)
 ``close_session``                   one ``inp`` per held lock + 1 / ``close_session``
 ``renew_session``                   none / ``register_session`` (uncharged)
 ``open_session``                    none
 ==================================  =========================================
+
+``multi`` is one command whatever its number of steps, all or nothing: a lock
+set taken or returned, a set of entries read, a set of entries conditionally
+replaced.  A transaction commit is five commands for any number of files: the
+lock set, the validating reads, the intent ``put``, ``{version CAS of every
+written entry, intent flip}`` and the lock set's release.
 """
 
 from __future__ import annotations
 
 import itertools
+from typing import Sequence
 
 from repro.common.errors import ConflictError, TupleNotFoundError
 from repro.common.types import Permission, Principal
-from repro.coordination.base import CoordinationService, Entry, Session
+from repro.coordination.base import CoordinationService, Entry, Op, Session
+from repro.coordination.entries import Holder
 from repro.coordination.replication import FaultModel, ReplicatedStateMachine
-from repro.coordination.tuplespace import ANY, DepSpace
+from repro.coordination.tuplespace import ANY, LOCK, DepSpace
 from repro.coordination.zookeeper import LOCK_ROOT, ZooKeeperLike, child_path, make_scfs_tree
 from repro.simenv.environment import Simulation
 from repro.simenv.latency import LatencyModel
@@ -51,9 +60,6 @@ _session_counter = itertools.count()
 #: single file-system operation, short enough that a crashed client releases
 #: its locks quickly.
 DEFAULT_LEASE = 30.0
-
-#: DepSpace lock tuples: ``("lock", name, session_id)``, timed by the session lease.
-_LOCK = "lock"
 
 
 class _ReplicatedCoordination(CoordinationService):
@@ -104,6 +110,12 @@ class _ReplicatedCoordination(CoordinationService):
                                self.sim.now(), expected_version=expected_version,
                                target_version=target_version)
 
+    def multi(self, ops: Sequence[Op], session: Session) -> list[Entry | None]:
+        holder = Holder(session.session_id, session.lease_seconds,
+                        session.last_renewal + session.lease_seconds)
+        return self.rsm.invoke("entry_multi", tuple(ops), session.principal.name,
+                               self.sim.now(), holder=holder)
+
     # -- introspection ------------------------------------------------------
 
     def entry_count(self) -> int:
@@ -138,14 +150,14 @@ class DepSpaceCoordination(_ReplicatedCoordination):
 
     def close_session(self, session: Session) -> None:
         # Remove every lock held by the session.
-        while self.rsm.invoke("inp", (_LOCK, ANY, session.session_id), self.sim.now()) is not None:
+        while self.rsm.invoke("inp", (LOCK, ANY, session.session_id), self.sim.now()) is not None:
             pass
 
     def try_lock(self, name: str, session: Session) -> bool:
         return self.rsm.invoke(
             "cas",
-            (_LOCK, name, ANY),
-            (_LOCK, name, session.session_id),
+            (LOCK, name, ANY),
+            (LOCK, name, session.session_id),
             self.sim.now(),
             lease=session.lease_seconds,
             owner=session.principal.name,
@@ -154,11 +166,11 @@ class DepSpaceCoordination(_ReplicatedCoordination):
     def unlock(self, name: str, session: Session) -> None:
         # No match means the lock expired (the client was considered crashed)
         # or someone else holds it; both are benign for an unlock.
-        self.rsm.invoke("inp", (_LOCK, name, session.session_id), self.sim.now())
+        self.rsm.invoke("inp", (LOCK, name, session.session_id), self.sim.now())
 
     def lock_holder(self, name: str) -> str | None:
         space: DepSpace = self.rsm.reference_replica()
-        fields = space.rdp((_LOCK, name, ANY), self.sim.now())
+        fields = space.rdp((LOCK, name, ANY), self.sim.now())
         return fields[2] if fields else None
 
 
@@ -192,11 +204,12 @@ class ZooKeeperCoordination(_ReplicatedCoordination):
         # The tree learns of a session with its first lock (``try_lock``); a
         # heartbeat must reach it so that locks already held live on.
         super().renew_session(session)
+        previous = self.rsm.charge_latency
         self.rsm.charge_latency = False
         try:
             self.rsm.invoke("register_session", session.session_id, self._deadline(session))
         finally:
-            self.rsm.charge_latency = True
+            self.rsm.charge_latency = previous
 
     def close_session(self, session: Session) -> None:
         self.rsm.invoke("close_session", session.session_id, self.sim.now())

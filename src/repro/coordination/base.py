@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
+from typing import NamedTuple, Sequence, Union
 
 from repro.common.types import Permission, Principal
 
@@ -60,6 +61,37 @@ class EntryACL:
             return True
         granted = self.grants.get(user, Permission.NONE) | self.grants.get("*", Permission.NONE)
         return (granted & permission) == permission
+
+
+class Lock(NamedTuple):
+    """Multi-command step: take the ephemeral lock ``name`` for the session."""
+
+    name: str
+
+
+class Unlock(NamedTuple):
+    """Multi-command step: return ``name`` if the session holds it (else nothing)."""
+
+    name: str
+
+
+class Get(NamedTuple):
+    """Multi-command step: read the entry under ``key`` (``None`` when absent)."""
+
+    key: str
+
+
+class Put(NamedTuple):
+    """Multi-command step: create or update ``key`` (``expected_version`` as in ``put``)."""
+
+    key: str
+    value: bytes
+    expected_version: int | None = None
+
+
+#: One step of :meth:`CoordinationService.multi`.  The first field of every
+#: step is the lock name or entry key it is routed by.
+Op = Union[Lock, Unlock, Get, Put]
 
 
 class CoordinationService(abc.ABC):
@@ -125,6 +157,22 @@ class CoordinationService(abc.ABC):
     def set_entry_acl(self, key: str, user: str, permission: Permission,
                       session: Session) -> None:
         """Grant ``permission`` on ``key`` to ``user`` (owner only)."""
+
+    # -- several steps, one round trip -----------------------------------------
+
+    @abc.abstractmethod
+    def multi(self, ops: Sequence[Op], session: Session) -> list[Entry | None]:
+        """Apply ``ops`` all or nothing, as one replicated command.
+
+        Every step is checked before any is applied: a :class:`Lock` whose name
+        is held raises :class:`~repro.common.errors.LockHeldError` (its
+        ``lock`` attribute names it), a :class:`Put` whose ``expected_version``
+        mismatches or whose entry denies WRITE raises ``ConflictError``, a
+        :class:`Get` that is denied READ raises ``ConflictError`` — and then
+        nothing has changed.  Returns one result per step: the entry for a
+        ``Get`` (``None`` when absent) and for a ``Put``, ``None`` for lock
+        steps.  A command may change each key and each lock at most once.
+        """
 
     # -- locking ------------------------------------------------------------
 

@@ -5,8 +5,14 @@ entry may change — create-vs-update, the ACL check, the ``expected_version``
 comparison, the version bump — runs *inside* the replicated state machine, as
 one command per intent.  :class:`EntryCommands` holds those commands; the
 DepSpace-like tuple space and the ZooKeeper-like znode tree mix it in and only
-supply the four storage primitives that say where a record lives
-(``_entry_read`` / ``_entry_write`` / ``_entry_erase`` / ``_entry_scan``).
+supply the storage primitives that say where a record lives
+(``_entry_read`` / ``_entry_write`` / ``_entry_erase`` / ``_entry_scan``) and
+where an ephemeral lock lives (``_lock_read`` / ``_lock_write`` /
+``_lock_erase``).
+
+An intent may span several entries and locks: ``entry_multi`` takes a lock
+set, reads a set of entries, conditionally replaces a set of entries or returns
+a lock set — all or nothing, in one command whatever the size of the set.
 
 Every check precedes every mutation, so a command that raises leaves the
 replica untouched and all correct replicas stay identical.
@@ -16,11 +22,11 @@ from __future__ import annotations
 
 import functools
 import json
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
-from repro.common.errors import ConflictError, TupleNotFoundError
+from repro.common.errors import ConflictError, LockHeldError, TupleNotFoundError
 from repro.common.types import Permission
-from repro.coordination.base import Entry, EntryACL
+from repro.coordination.base import Entry, EntryACL, Get, Lock, Op, Put
 
 
 class Stored(NamedTuple):
@@ -30,6 +36,19 @@ class Stored(NamedTuple):
     version: int
     value: bytes
     acl: str
+
+
+class Holder(NamedTuple):
+    """The session on whose behalf a multi-command takes and returns locks.
+
+    The tuple space times each lock tuple ``lease_seconds`` from the take; the
+    znode tree expires the session, and with it every lock it holds, at
+    ``deadline`` (its last heartbeat plus the lease).
+    """
+
+    session_id: str
+    lease_seconds: float
+    deadline: float
 
 
 def dump_acl(acl: EntryACL) -> str:
@@ -60,6 +79,10 @@ def _allows(stored: Stored, user: str, permission: Permission) -> bool:
     return user == stored.owner or _granted(stored.acl, user, permission)
 
 
+def _entry(key: str, stored: Stored) -> Entry:
+    return Entry(key=key, value=stored.value, version=stored.version, owner=stored.owner)
+
+
 class EntryCommands:
     """The entry commands of a coordination replica (mixin for state machines).
 
@@ -81,6 +104,16 @@ class EntryCommands:
     def _entry_scan(self, prefix: str, now: float) -> Iterable[tuple[str, Stored]]:
         raise NotImplementedError
 
+    def _lock_read(self, name: str, now: float) -> str | None:
+        """Session id holding the unexpired lock ``name`` (None: free)."""
+        raise NotImplementedError
+
+    def _lock_write(self, name: str, holder: Holder, user: str, now: float) -> None:
+        raise NotImplementedError
+
+    def _lock_erase(self, name: str) -> None:
+        raise NotImplementedError
+
     # -- commands -------------------------------------------------------------
 
     def _writable(self, key: str, user: str, now: float,
@@ -95,24 +128,79 @@ class EntryCommands:
             raise ConflictError(f"{user} may not change entry {key!r}")
         return stored
 
-    def entry_put(self, key: str, value: bytes, user: str, now: float,
-                  expected_version: int | None = None) -> Entry:
-        """Create or update ``key``; ``expected_version`` 0 means "must be absent"."""
+    def _successor(self, key: str, value: bytes, user: str, now: float,
+                   expected_version: int | None) -> Stored:
+        """The record a put of ``value`` would leave under ``key`` (checked, not written)."""
         stored = self._writable(key, user, now, expected_version)
         if stored is None:
             stored = Stored(user, 0, value, dump_acl(EntryACL(owner=user)))
-        stored = stored._replace(version=stored.version + 1, value=value)
+        return stored._replace(version=stored.version + 1, value=value)
+
+    def _readable(self, key: str, user: str, now: float) -> Stored | None:
+        """The record under ``key`` once ``user`` may read it (None: absent)."""
+        stored = self._entry_read(key, now)
+        if stored is not None and not _allows(stored, user, Permission.READ):
+            raise ConflictError(f"{user} may not read entry {key!r}")
+        return stored
+
+    def entry_put(self, key: str, value: bytes, user: str, now: float,
+                  expected_version: int | None = None) -> Entry:
+        """Create or update ``key``; ``expected_version`` 0 means "must be absent"."""
+        stored = self._successor(key, value, user, now, expected_version)
         self._entry_write(key, stored, now)
-        return Entry(key=key, value=value, version=stored.version, owner=stored.owner)
+        return _entry(key, stored)
 
     def entry_get(self, key: str, user: str, now: float) -> Entry:
         """Read ``key`` (``TupleNotFoundError`` when absent, READ permission required)."""
-        stored = self._entry_read(key, now)
+        stored = self._readable(key, user, now)
         if stored is None:
             raise TupleNotFoundError(f"no entry under key {key!r}")
-        if not _allows(stored, user, Permission.READ):
-            raise ConflictError(f"{user} may not read entry {key!r}")
-        return Entry(key=key, value=stored.value, version=stored.version, owner=stored.owner)
+        return _entry(key, stored)
+
+    def entry_multi(self, ops: Sequence[Op], user: str, now: float,
+                    holder: Holder) -> list[Entry | None]:
+        """Apply ``ops`` all or nothing; one result per step (see ``CoordinationService.multi``).
+
+        ``holder`` is the session lock steps act for.  A :class:`Lock` on a
+        name anyone holds refuses the whole command with ``LockHeldError``; an
+        :class:`Unlock` of a name the session does not hold (expired, taken
+        over) changes nothing, which is benign for a release.
+        """
+        # Checks run against the state before the command, so a second change
+        # of one key (or one lock) would pass a check the first invalidates.
+        changed = [(isinstance(op, Put), op[0]) for op in ops if not isinstance(op, Get)]
+        if len(set(changed)) != len(changed):
+            raise ConflictError("a multi-command may change each key and each lock only once")
+        results: list[Entry | None] = []
+        writes: list[tuple[str, Stored]] = []
+        takes: list[str] = []
+        drops: list[str] = []
+        for op in ops:
+            if isinstance(op, Get):
+                found = self._readable(op.key, user, now)
+                results.append(None if found is None else _entry(op.key, found))
+                continue
+            if isinstance(op, Put):
+                stored = self._successor(op.key, op.value, user, now, op.expected_version)
+                writes.append((op.key, stored))
+                results.append(_entry(op.key, stored))
+                continue
+            held_by = self._lock_read(op.name, now)
+            if isinstance(op, Lock):
+                if held_by is not None:
+                    raise LockHeldError(f"lock {op.name!r} is held by another client",
+                                        lock=op.name)
+                takes.append(op.name)
+            elif held_by == holder.session_id:
+                drops.append(op.name)
+            results.append(None)
+        for key, stored in writes:
+            self._entry_write(key, stored, now)
+        for name in takes:
+            self._lock_write(name, holder, user, now)
+        for name in drops:
+            self._lock_erase(name)
+        return results
 
     def entry_delete(self, key: str, user: str, now: float) -> None:
         """Remove ``key`` (idempotent; WRITE permission required)."""
@@ -122,7 +210,7 @@ class EntryCommands:
     def entry_list(self, prefix: str, user: str, now: float) -> list[Entry]:
         """Every entry under ``prefix`` that ``user`` may read, sorted by key."""
         return sorted(
-            (Entry(key=key, value=s.value, version=s.version, owner=s.owner)
+            (_entry(key, s)
              for key, s in self._entry_scan(prefix, now) if _allows(s, user, Permission.READ)),
             key=lambda entry: entry.key)
 
@@ -156,9 +244,10 @@ class EntryCommands:
             raise TupleNotFoundError(f"no entry under key {key!r}")
         self._writable(new_key, user, now, target_version)
         version = max(stored.version, target_version) + 1
+        moved = stored._replace(version=version, value=value)
         self._entry_erase(key)
-        self._entry_write(new_key, stored._replace(version=version, value=value), now)
-        return Entry(key=new_key, value=value, version=version, owner=stored.owner)
+        self._entry_write(new_key, moved, now)
+        return _entry(new_key, moved)
 
     def entry_count(self, now: float) -> int:
         """Number of stored entries (introspection, not a replicated command)."""

@@ -12,9 +12,10 @@ recipe here only adds retry/timeout policy and bookkeeping on top of
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from repro.common.errors import LockHeldError, NotLockOwnerError
-from repro.coordination.base import CoordinationService, Session
+from repro.coordination.base import CoordinationService, Lock, Session, Unlock
 from repro.simenv.environment import Simulation
 
 
@@ -88,6 +89,39 @@ class LockManager:
         del self.held[name]
         self.service.unlock(name, self.session)
         return True
+
+    def acquire_set(self, names: Sequence[str]) -> list[str]:
+        """Acquire every name or none, in one coordination command.
+
+        Names this session already holds gain a re-entrant count without a
+        round trip; the rest are taken together.  Returns the names actually
+        taken from the service.  Raises :class:`LockHeldError` (its ``lock``
+        names the contended one) with no name taken and no count changed.
+        """
+        fresh = [name for name in dict.fromkeys(names) if name not in self.held]
+        if fresh:
+            self.service.multi([Lock(name) for name in fresh], self.session)
+        for name in names:
+            self.held[name] = self.held.get(name, 0) + 1
+        return fresh
+
+    def release_set(self, names: Sequence[str]) -> list[str]:
+        """Release one acquisition of each held name in ``names``, in one command.
+
+        Returns the names whose last acquisition this was: those are handed
+        back to the coordination service together.
+        """
+        returned: list[str] = []
+        for name in names:
+            if name not in self.held:
+                continue
+            self.held[name] -= 1
+            if self.held[name] == 0:
+                del self.held[name]
+                returned.append(name)
+        if returned:
+            self.service.multi([Unlock(name) for name in returned], self.session)
+        return returned
 
     def release_all(self) -> None:
         """Release every lock held by this manager (used on unmount/crash cleanup).

@@ -20,9 +20,9 @@ from __future__ import annotations
 import hashlib
 from typing import Callable, Sequence
 
-from repro.common.errors import ConflictError
+from repro.common.errors import ConflictError, ReproError
 from repro.common.types import Permission, Principal
-from repro.coordination.base import CoordinationService, Entry, Session
+from repro.coordination.base import CoordinationService, Entry, Lock, Op, Session, Unlock
 
 
 def partition_by_top_level_directory(key: str, partitions: int) -> int:
@@ -169,6 +169,36 @@ class PartitionedCoordination(CoordinationService):
                       session: Session) -> None:
         service = self._service_for(key)
         service.set_entry_acl(key, user, permission, self._sub_session(session, service))
+
+    def multi(self, ops: Sequence[Op], session: Session) -> list[Entry | None]:
+        """One command per partition touched, in partition-index order.
+
+        Atomic per partition only (the caveat ``move`` has): when a later
+        partition refuses its steps, entries an earlier partition already
+        replaced stay replaced.  Locks are handed back — a refused lock set
+        leaves nothing held on any partition.
+        """
+        positions: dict[int, list[int]] = {}
+        for position, op in enumerate(ops):
+            positions.setdefault(self.partition_of(op[0]), []).append(position)
+        results: list[Entry | None] = [None] * len(ops)
+        granted: list[tuple[CoordinationService, Session, list[Op]]] = []
+        for index in sorted(positions):
+            service = self.services[index]
+            sub = self._sub_session(session, service)
+            steps = [ops[position] for position in positions[index]]
+            try:
+                answers = service.multi(steps, sub)
+            except ReproError:
+                for earlier, earlier_session, unlocks in granted:
+                    earlier.multi(unlocks, earlier_session)
+                raise
+            for position, answer in zip(positions[index], answers, strict=True):
+                results[position] = answer
+            unlocks: list[Op] = [Unlock(op.name) for op in steps if isinstance(op, Lock)]
+            if unlocks:
+                granted.append((service, sub, unlocks))
+        return results
 
     # -- locking --------------------------------------------------------------------
 

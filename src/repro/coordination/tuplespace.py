@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterable
 
 from repro.common.errors import ConflictError, TupleNotFoundError
-from repro.coordination.entries import EntryCommands, Stored
+from repro.coordination.entries import EntryCommands, Holder, Stored
 
 
 class _AnyField:
@@ -59,6 +59,10 @@ Template = tuple
 #: First field of the tuples holding coordination entries:
 #: ``("entry", key, owner, version, value, acl_json)``.
 ENTRY = "entry"
+
+#: First field of the lock tuples: ``("lock", name, session_id)``, timed by the
+#: session lease.
+LOCK = "lock"
 
 
 def matches(template: Template, fields: Tuple) -> bool:
@@ -345,6 +349,19 @@ class DepSpace(EntryCommands):
         for fields in self.rdp_all((ENTRY, ANY, ANY, ANY, ANY, ANY), now):
             if fields[1].startswith(prefix):
                 yield fields[1], Stored(*fields[2:])
+
+    # ----------------------------------------------------------- lock storage
+
+    def _lock_read(self, name: str, now: float) -> str | None:
+        entry = self._find((LOCK, name, ANY), now)
+        return None if entry is None else entry.fields[2]
+
+    def _lock_write(self, name: str, holder: Holder, user: str, now: float) -> None:
+        self.out((LOCK, name, holder.session_id), now, lease=holder.lease_seconds, owner=user)
+
+    def _lock_erase(self, name: str) -> None:
+        for entry in list(self._by_pair.get((LOCK, name), {}).values()):
+            self._remove(entry)
 
     # ------------------------------------------------------------ replication
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable
 
 from repro.common.errors import ConflictError, TupleNotFoundError
-from repro.coordination.entries import EntryCommands, Stored
+from repro.coordination.entries import EntryCommands, Holder, Stored
 
 #: Parents of the entry znodes and of the (ephemeral) lock znodes.
 ENTRY_ROOT = "/scfs/entries"
@@ -241,6 +241,24 @@ class ZooKeeperLike(EntryCommands):
             key = _child_name(path)
             if key.startswith(prefix):
                 yield key, _stored(self._nodes[path])
+
+    # ----------------------------------------------------------- lock storage
+
+    def _lock_read(self, name: str, now: float) -> str | None:
+        self._sweep_sessions(now)
+        node = self._nodes.get(child_path(LOCK_ROOT, name))
+        return None if node is None else node.ephemeral_owner
+
+    def _lock_write(self, name: str, holder: Holder, user: str, now: float) -> None:
+        # As ``create`` does for one lock: the take is also the session's heartbeat.
+        self._session_expiry[holder.session_id] = holder.deadline
+        path = child_path(LOCK_ROOT, name)
+        self._nodes[path] = ZNode(path=path, data=holder.session_id.encode(),
+                                  ephemeral_owner=holder.session_id, created_at=now)
+        self._nodes[LOCK_ROOT].children.add(path)
+
+    def _lock_erase(self, name: str) -> None:
+        self._remove(child_path(LOCK_ROOT, name))
 
     # ------------------------------------------------------------ replication
 

@@ -366,7 +366,7 @@ class SCFSAgent:
         handle = next(self._next_handle)
         self._handles[handle] = OpenFile(
             handle=handle, metadata=meta, flags=flags, buffer=buffer,
-            dirty=dirty or (created and False), locked=locked, private=private,
+            dirty=dirty, locked=locked, private=private,
         )
         # ``served`` marks opens whose buffer was loaded from the anchored
         # version (the digest below) — the events the consistency-on-close

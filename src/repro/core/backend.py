@@ -21,7 +21,7 @@ from __future__ import annotations
 import abc
 import contextlib
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from repro.common.errors import CloudError, ObjectNotFoundError
 from repro.common.types import ObjectRef, Permission, Principal
@@ -104,6 +104,27 @@ class StorageBackend(abc.ABC):
         number, supplied by callers that hold a strongly consistent version
         counter (the agent passes the anchored ``data_version``); backends
         without version counters ignore it.
+        """
+
+    def write_versions(
+            self, items: Sequence[tuple[str, bytes, int | None]]) -> list[ObjectRef]:
+        """Store one new version of several files: ``(file_id, data, min_version)`` each.
+
+        This default — what :class:`SingleCloudBackend` keeps — is a plain loop
+        over :meth:`write_version`, one upload after the other; a backend that
+        can overlap the uploads overrides it.
+        """
+        return [self.write_version(file_id, data, min_version=min_version)
+                for file_id, data, min_version in items]
+
+    @abc.abstractmethod
+    def readable_at(self) -> float:
+        """Simulated time from which every version written so far can be fetched.
+
+        The clouds acknowledge a put before readers can see it (eventual
+        consistency); this is when the last write's propagation is expected to
+        be over.  A writer that anchors a version only from then on spares
+        every reader the polling loop of Figure 3 (step r2).
         """
 
     @abc.abstractmethod
@@ -190,6 +211,7 @@ class SingleCloudBackend(StorageBackend):
             dispatch.make_tracker() if dispatch is not None else None
         )
         self._ewma_estimates = bool(getattr(dispatch, "ewma_estimates", False))
+        self._readable_at = 0.0
 
     def _observed(self, operation):
         """Run one store operation, feeding its outcome to the health tracker.
@@ -230,7 +252,11 @@ class SingleCloudBackend(StorageBackend):
         # object, so concurrent writers cannot clobber one another's versions.
         digest = content_digest(data)
         self._observed(lambda: self.store.put(self._key(file_id, digest), data, self.principal))
+        self._readable_at = self.sim.now() + self.store.profile.propagation_delay
         return ObjectRef(key=file_id, digest=digest, size=len(data))
+
+    def readable_at(self) -> float:
+        return self._readable_at
 
     def read_version(self, file_id: str, digest: str) -> bytes:
         data = self._observed(lambda: self.store.get(self._key(file_id, digest), self.principal))
@@ -368,6 +394,16 @@ class CloudOfCloudsBackend(StorageBackend):
                       min_version: int | None = None) -> ObjectRef:
         record = self.client.write(file_id, data, min_version=min_version)
         return ObjectRef(key=file_id, digest=record.data_digest, size=record.size)
+
+    def write_versions(
+            self, items: Sequence[tuple[str, bytes, int | None]]) -> list[ObjectRef]:
+        """All of ``items`` through the three DepSky phases together (``write_many``)."""
+        records = self.client.write_many(items)
+        return [ObjectRef(key=file_id, digest=record.data_digest, size=record.size)
+                for (file_id, _data, _min_version), record in zip(items, records, strict=True)]
+
+    def readable_at(self) -> float:
+        return self.client.readable_at
 
     def read_version(self, file_id: str, digest: str) -> bytes:
         result = self.client.read_matching(file_id, digest)

@@ -14,7 +14,7 @@ definition cannot conflict with itself across agents sharing nothing).
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Sequence
 
 from repro.common.errors import LockHeldError
 from repro.coordination.base import CoordinationService, Session
@@ -86,6 +86,36 @@ class LockService:
         if self._manager.holds(name):
             released = self._manager.release(name)
             if released and self.on_transition is not None:
+                self.on_transition("unlock", name)
+
+    def acquire_set(self, metadatas: Sequence[FileMetadata]) -> None:
+        """Lock every file of ``metadatas`` or none, in one coordination command.
+
+        The transactional commit takes its whole (sorted) lock set this way.
+        On a refused set nothing stays held and :class:`LockHeldError` names
+        the contended file.  One ``lock`` transition fires per name actually
+        taken (re-entrant names only gain a count).
+        """
+        if self._manager is None:
+            return
+        paths = {self.lock_name(metadata): metadata.path for metadata in metadatas}
+        try:
+            taken = self._manager.acquire_set(sorted(paths))
+        except LockHeldError as exc:
+            raise LockHeldError(
+                f"{paths.get(exc.lock, exc.lock)} is locked for writing by another client",
+                lock=exc.lock) from exc
+        if self.on_transition is not None:
+            for name in taken:
+                self.on_transition("lock", name)
+
+    def release_set(self, metadatas: Sequence[FileMetadata]) -> None:
+        """Release one acquisition of each file's lock, in one coordination command."""
+        if self._manager is None:
+            return
+        returned = self._manager.release_set([self.lock_name(m) for m in metadatas])
+        if self.on_transition is not None:
+            for name in returned:
                 self.on_transition("unlock", name)
 
     def release_all(self) -> None:

@@ -17,7 +17,7 @@ file data (§2.4).
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Sequence
 
 from repro.common.errors import (
     ConflictError,
@@ -27,7 +27,7 @@ from repro.common.errors import (
     TupleNotFoundError,
 )
 from repro.common.types import Permission, Principal
-from repro.coordination.base import CoordinationService, Entry, Session
+from repro.coordination.base import CoordinationService, Entry, Get, Put, Session
 from repro.core.cache import MetadataCache
 from repro.core.metadata import FileMetadata, FileType, normalize_path, parent_path
 from repro.core.pns import PrivateNameSpace
@@ -110,6 +110,9 @@ class MetadataService:
             # The entry exists but its ACL does not allow this principal to
             # read it: surface the POSIX-flavoured error (EACCES).
             raise PermissionDeniedError(str(exc)) from exc
+        return self._fetched(path, entry)
+
+    def _fetched(self, path: str, entry: Entry) -> tuple[FileMetadata, int]:
         meta = FileMetadata.from_bytes(entry.value)
         self.cache.put(path, meta.copy())
         return meta, entry.version
@@ -133,6 +136,29 @@ class MetadataService:
         if self.pns is not None and self.pns.contains(path):
             return None
         return self._fetch(path)
+
+    def lookup_many_versioned(
+            self, wanted: Sequence[str]) -> dict[str, tuple[FileMetadata, int] | None]:
+        """:meth:`lookup_versioned` of every path in ``wanted``, in one coordination read.
+
+        The entries are read by one command, so they are one consistent
+        snapshot — what the transactional commit validates under its locks.
+        """
+        found: dict[str, tuple[FileMetadata, int] | None] = {
+            normalize_path(path): None for path in wanted}
+        shared = [path for path in found if self.pns is None or not self.pns.contains(path)]
+        if self.coordination is None or not shared:
+            return found
+        self.coordination_reads += 1
+        try:
+            entries = self.coordination.multi(
+                [Get(self.entry_key(path)) for path in shared], self.session)
+        except ConflictError as exc:
+            raise PermissionDeniedError(str(exc)) from exc
+        for path, entry in zip(shared, entries, strict=True):
+            if entry is not None:
+                found[path] = self._fetched(path, entry)
+        return found
 
     def get(self, path: str, use_cache: bool = True) -> FileMetadata:
         """Like :meth:`lookup` but raises ``FileNotFoundErrorFS`` when absent."""
@@ -230,25 +256,38 @@ class MetadataService:
     def update_cas(self, metadata: FileMetadata, expected_version: int) -> None:
         """Persist an updated tuple iff its entry version is still ``expected_version``.
 
-        The conditional form of :meth:`update` used by the transactional
-        commit layer: the coordination service applies the put only when the
-        entry's version counter still matches the one
-        :meth:`lookup_versioned` observed, and raises
-        :class:`~repro.common.errors.ConflictError` otherwise.  This is the
-        per-file version CAS that prevents a lock-lease usurper and the
-        original holder from both anchoring the same version (a fork).
+        The one-entry case of :meth:`update_cas_many`.
         """
-        if not metadata.allows(self.principal.name, Permission.WRITE):
-            raise PermissionDeniedError(
-                f"{self.principal.name} may not modify metadata of {metadata.path}"
-            )
+        self.update_cas_many([(metadata, expected_version)])
+
+    def update_cas_many(self, updates: Sequence[tuple[FileMetadata, int]],
+                        also: Sequence[Put] = ()) -> None:
+        """Persist every ``(metadata, expected_version)`` of ``updates``, or none.
+
+        The conditional form of :meth:`update` used by the transactional
+        commit layer: one coordination command applies every put only when
+        every entry's version counter still matches the one
+        :meth:`lookup_many_versioned` observed, and raises
+        :class:`~repro.common.errors.ConflictError` otherwise, with nothing
+        changed.  This is the version CAS that prevents a lock-lease usurper
+        and the original holder from both anchoring the same version (a
+        fork).  ``also`` rides in the same command — the transaction's intent
+        flip, which makes the command its commit point.
+        """
+        for metadata, _version in updates:
+            if not metadata.allows(self.principal.name, Permission.WRITE):
+                raise PermissionDeniedError(
+                    f"{self.principal.name} may not modify metadata of {metadata.path}"
+                )
         if self.coordination is None:
             raise PermissionDeniedError(
                 "conditional metadata updates require a coordination service")
-        self.coordination.put(self.entry_key(metadata.path), metadata.to_bytes(),
-                              self.session, expected_version=expected_version)
+        puts = [Put(self.entry_key(metadata.path), metadata.to_bytes(), version)
+                for metadata, version in updates]
+        self.coordination.multi([*puts, *also], self.session)
         self.coordination_writes += 1
-        self.cache.put(metadata.path, metadata.copy())
+        for metadata, _version in updates:
+            self.cache.put(metadata.path, metadata.copy())
 
     def remove(self, path: str) -> None:
         """Erase a metadata entry (used by rmdir, rename and the garbage collector)."""

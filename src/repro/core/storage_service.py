@@ -16,6 +16,7 @@ traffic of a download.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from repro.common.errors import ObjectNotFoundError, QuorumNotReachedError
 from repro.common.types import ObjectRef
@@ -137,6 +138,19 @@ class StorageService:
         self.cloud_writes += 1
         self.bytes_pushed += len(data)
         return ref
+
+    def push_many_to_cloud(
+            self, items: Sequence[tuple[str, bytes, int | None]]) -> list[ObjectRef]:
+        """Upload one new version of several files together (a transaction's write set).
+
+        ``items`` are ``(file_id, data, min_version)`` as for
+        :meth:`push_to_cloud`; the backend moves them through the cloud(s) in
+        parallel where it can (see :meth:`StorageBackend.write_versions`).
+        """
+        refs = self.backend.write_versions(items)
+        self.cloud_writes += len(items)
+        self.bytes_pushed += sum(len(data) for _file_id, data, _min_version in items)
+        return refs
 
     def push_to_cloud_uncharged(self, file_id: str, data: bytes,
                                 min_version: int | None = None) -> ObjectRef:

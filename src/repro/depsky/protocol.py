@@ -62,6 +62,7 @@ from __future__ import annotations
 import hashlib
 import struct
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -249,6 +250,16 @@ class DepSkyClient:
         #: ``acl``.  The scenario engine's trace recorder taps in here to
         #: record per-cloud outcomes alongside the file-system events.
         self.on_quorum = None
+        #: Simulated time from which every version this client wrote is
+        #: expected to be fetchable by any reader: the clouds are eventually
+        #: consistent, so a put is acknowledged ``propagation_delay`` before
+        #: it can be read back.  A reader needs ``k`` block holders and one
+        #: (self-verifying) metadata copy.
+        self.readable_at = 0.0
+        lags = [getattr(getattr(cloud, "profile", None), "propagation_delay", 0.0)
+                for cloud in self.clouds]
+        holders = lags[:self.n - self.f] if preferred_quorums else lags
+        self._propagation_lags = (sorted(holders)[self.k - 1], min(lags))
 
     # ------------------------------------------------------------------ keys
 
@@ -267,10 +278,12 @@ class DepSkyClient:
 
     # --------------------------------------------------------------- dispatch
 
-    def _charge(self, stats: QuorumCallStats) -> None:
-        """Advance the clock by the simulated wait of one quorum call."""
-        if self.charge_latency and stats.charged > 0:
-            self.sim.advance(stats.charged)
+    def _charge(self, *stats: QuorumCallStats) -> None:
+        """Advance the clock by the simulated wait of quorum calls that ran in
+        parallel: the slowest one's."""
+        wait = max(call.charged for call in stats)
+        if self.charge_latency and wait > 0:
+            self.sim.advance(wait)
 
     def _tap(self, op: str, unit_id: str, stats: QuorumCallStats) -> None:
         """Report one resolved quorum call to the attached observer (if any)."""
@@ -468,7 +481,8 @@ class DepSkyClient:
         """Write a new version of ``unit_id`` containing ``data``.
 
         Returns the version record (whose ``data_digest`` the SCFS metadata
-        service will anchor in the coordination service).
+        service will anchor in the coordination service).  The one-item case
+        of :meth:`write_many`.
 
         ``min_version`` is a lower bound on the new version number, supplied
         by a caller holding a strongly consistent counter (SCFS passes the
@@ -478,14 +492,82 @@ class DepSkyClient:
         history and mint the *same* version number — the second silently
         overwriting the first one's blocks and metadata record.
         """
-        metadata, meta_stats = self._read_metadata(unit_id)
-        self._charge(meta_stats)
-        if metadata is None:
-            metadata = DataUnitMetadata(unit_id=unit_id)
-        version = metadata.next_version()
-        if min_version is not None and min_version > version:
-            version = min_version
+        return self.write_many([(unit_id, data, min_version)])[0]
 
+    def write_many(
+            self, items: Sequence[tuple[str, bytes, int | None]]) -> list[VersionRecord]:
+        """Write one new version of each of several (distinct) data units together.
+
+        ``items`` are ``(unit_id, data, min_version)`` as for :meth:`write`.
+        The units move through the three phases of a DepSky write in lockstep:
+        every metadata-read quorum call, then every block-put call, then every
+        metadata-put call.  The calls of one phase run in parallel, so a phase
+        costs the wait of its *slowest* member, once — never less than what
+        independent writers would pay, since a fast unit waits for the slowest
+        before entering the next phase.
+
+        A unit whose block-put misses its quorum raises
+        :class:`QuorumNotReachedError` before any unit's metadata object is
+        touched: no version of the batch becomes readable.
+        """
+        unit_ids = [unit_id for unit_id, _data, _min_version in items]
+        if len(set(unit_ids)) != len(unit_ids):
+            raise ValueError("write_many takes one version per data unit")
+        if not items:
+            return []
+        reads = [self._read_metadata(unit_id) for unit_id in unit_ids]
+        self._charge(*(meta_stats for _metadata, meta_stats in reads))
+
+        blocks_sent = self.sim.now()
+        required_acks = self._write_quorum()
+        staged: list[tuple[str, bytes, VersionRecord]] = []
+        block_stats: list[QuorumCallStats] = []
+        for (unit_id, data, min_version), (metadata, _stats) in zip(items, reads, strict=True):
+            if metadata is None:
+                metadata = DataUnitMetadata(unit_id=unit_id)
+            version = metadata.next_version()
+            if min_version is not None and min_version > version:
+                version = min_version
+            record, block_puts = self._stage_version(unit_id, version, data)
+            metadata.add(record)
+            staged.append((unit_id, metadata.to_bytes(), record))
+            put_stats = block_puts.execute(required=required_acks)
+            self._tap("block_put", unit_id, put_stats)
+            block_stats.append(put_stats)
+        self._require_acks(unit_ids, block_stats, required_acks, "data blocks")
+        self._charge(*block_stats)
+
+        metadata_sent = self.sim.now()
+        meta_stats: list[QuorumCallStats] = []
+        for unit_id, meta_blob, _record in staged:
+            meta_put_stats = self._call().stage(
+                [self._put_request(c, self._meta_key(unit_id), meta_blob) for c in self.clouds]
+            ).execute(required=required_acks)
+            self._tap("meta_put", unit_id, meta_put_stats)
+            meta_stats.append(meta_put_stats)
+        self._require_acks(unit_ids, meta_stats, required_acks, "metadata")
+        self._charge(*meta_stats)
+        for unit_id, meta_blob, record in staged:
+            self._last_written[unit_id] = (record.version, DataUnitMetadata.from_bytes(meta_blob))
+        block_lag, metadata_lag = self._propagation_lags
+        self.readable_at = max(self.readable_at, blocks_sent + block_lag,
+                               metadata_sent + metadata_lag)
+        return [record for _unit_id, _meta_blob, record in staged]
+
+    @staticmethod
+    def _require_acks(unit_ids: list[str], stats: list[QuorumCallStats], required,
+                      what: str) -> None:
+        """Raise for the first unit whose ``what`` put missed its write quorum."""
+        for unit_id, call in zip(unit_ids, stats, strict=True):
+            if not call.reached:
+                raise QuorumNotReachedError(
+                    f"only {len(call.successes)} clouds acknowledged the {what} of {unit_id!r}",
+                    responses=len(call.successes), required=quorum_min_size(required),
+                )
+
+    def _stage_version(self, unit_id: str, version: int,
+                       data: bytes) -> tuple[VersionRecord, QuorumCall]:
+        """Code ``data`` as ``version`` of ``unit_id``: its record and its block-put call."""
         # Streaming zero-copy pipeline (Figure 6 steps 1–4): the cipher
         # encrypts straight into the erasure coder's framed buffer (the
         # ciphertext lands exactly where the systematic blocks live), parity
@@ -533,8 +615,6 @@ class DepSkyClient:
             created_at=self.sim.now(),
             writer=self.principal.name,
         )
-        metadata.add(record)
-        meta_blob = metadata.to_bytes()
 
         # Each cloud's blob is header ‖ share ‖ its row of the encode buffer.
         # Materialisation (the single copy that builds the stored ``bytes``)
@@ -570,33 +650,10 @@ class DepSkyClient:
         # The remaining clouds form a fallback stage, dispatched only when a
         # preferred cloud fails (or a hedge fires): the spill-over.
         data_targets = self.n - self.f if self.preferred_quorums else self.n
-        required_acks = self._write_quorum()
         call = self._call().stage([block_put(i) for i in range(data_targets)])
         if data_targets < self.n:
             call.stage([block_put(i) for i in range(data_targets, self.n)])
-        put_stats = call.execute(required=required_acks)
-        self._tap("block_put", unit_id, put_stats)
-        if not put_stats.reached:
-            raise QuorumNotReachedError(
-                f"only {len(put_stats.successes)} clouds acknowledged the data blocks of {unit_id!r}",
-                responses=len(put_stats.successes), required=quorum_min_size(required_acks),
-            )
-        self._charge(put_stats)
-
-        meta_call = self._call().stage(
-            [self._put_request(c, self._meta_key(unit_id), meta_blob) for c in self.clouds]
-        )
-        meta_put_stats = meta_call.execute(required=self._write_quorum())
-        self._tap("meta_put", unit_id, meta_put_stats)
-        if not meta_put_stats.reached:
-            raise QuorumNotReachedError(
-                f"only {len(meta_put_stats.successes)} clouds acknowledged the metadata of {unit_id!r}",
-                responses=len(meta_put_stats.successes), required=quorum_min_size(self._write_quorum()),
-            )
-        self._charge(meta_put_stats)
-        self._last_written[unit_id] = (
-            version, DataUnitMetadata.from_bytes(metadata.to_bytes()))
-        return record
+        return record, call
 
     # ------------------------------------------------------------------- read
 

@@ -9,15 +9,26 @@ BFT-transaction designs (Basil, arXiv:2109.12443):
 1. **Optimistic execution** — :meth:`Transaction.read` records the
    ``(file_id, data_version, digest)`` it served; :meth:`Transaction.write`
    only stages bytes locally.  Nothing is visible to other agents yet.
-2. **Commit** (:meth:`TransactionManager.commit`) — take the write locks of
-   the *union* of the read and write sets in deterministic (lock-name) order,
-   re-validate every read against the authoritative anchor under those locks,
-   then write an **intent record** (``txn:<id>``) through the coordination
-   service, upload the new data versions to the cloud(s), and anchor each
-   file with a **per-entry version CAS**
-   (:meth:`~repro.core.metadata_service.MetadataService.update_cas`).  The
-   intent flips to ``committed`` only after every CAS succeeded; the locks
-   are released last.
+2. **Commit** (:meth:`TransactionManager.commit`) — five coordination
+   commands and one round of uploads, whatever the size of the sets:
+
+   a. take the write locks of the *union* of the read and write sets, sorted
+      by lock name, as one all-or-nothing lock set;
+   b. re-read every entry of the union in one command and validate every
+      read against that snapshot, under the locks;
+   c. write the **intent record** (``txn:<id>``, ``pending``);
+   d. upload the new data versions to the cloud(s), the whole write set
+      moving through the DepSky phases together;
+   e. the **commit point**: one command holding the version CAS of every
+      written entry
+      (:meth:`~repro.core.metadata_service.MetadataService.update_cas_many`)
+      *and* the intent's flip to ``committed`` — every file is anchored and
+      the intent says so, or nothing changed;
+   f. release the lock set;
+   g. return once the uploaded versions can be read
+      (:meth:`~repro.core.backend.StorageBackend.readable_at`): the clouds
+      acknowledge a put before readers see it, and a reader the caller tells
+      about the commit would otherwise poll for it.
 3. **Abort/retry** — any conflict (lock held, stale read, lost lease, CAS
    mismatch) raises :class:`~repro.common.errors.TransactionConflictError`;
    :meth:`TransactionManager.run` re-executes the whole transaction body with
@@ -27,9 +38,12 @@ BFT-transaction designs (Basil, arXiv:2109.12443):
 The locks serialize commits, the validation makes the serialization order
 match the reads, and the CAS is defence in depth against lock-lease expiry: a
 usurper that stole an expired lock bumps the entry version, so the original
-holder's CAS fails cleanly instead of forking the version history.  Aborts
-before the intent record leave zero visible state (uploaded-but-unanchored
-blocks are invisible and garbage-collectable).
+holder's commit point fails as a whole instead of forking the version
+history — a crash or a lost lease can no longer leave a transaction anchored
+on some of its files only.  Aborts before the commit point leave zero visible
+state (uploaded-but-unanchored blocks are invisible and garbage-collectable).
+With ``coordination_partitions > 1`` each of these commands is one command per
+partition touched and atomic per partition only.
 
 The trace events (``txn_begin`` / ``txn_commit`` / ``txn_abort``, plus the
 per-file ``upload``/``commit`` events tagged with the transaction id) are the
@@ -52,7 +66,9 @@ from repro.common.errors import (
     TransactionAbortedError,
     TransactionConflictError,
     TransactionError,
+    TupleNotFoundError,
 )
+from repro.coordination.base import Put
 from repro.core.metadata import FileMetadata, FileType, normalize_path
 from repro.crypto.hashing import content_digest
 
@@ -245,14 +261,12 @@ class TransactionManager:
                    for path, record in txn._reads.items()}
         unread = self._resolve(txn, [p for p in paths if p not in targets])
         targets.update((path, meta) for path, (meta, _version) in unread.items())
-        # Strict two-phase locking over the read∪write union, in global
-        # lock-name order (the names are stable across renames, so every
-        # committer sorts identically — no deadlock).
-        locked: list[FileMetadata] = []
+        # Strict two-phase locking over the read∪write union, taken as one
+        # all-or-nothing set in global lock-name order (the names are stable
+        # across renames, so every committer sorts identically).
+        locked = sorted(targets.values(), key=agent.locks.lock_name)
+        agent.locks.acquire_set(locked)
         try:
-            for meta in sorted(targets.values(), key=agent.locks.lock_name):
-                agent.locks.acquire(meta)
-                locked.append(meta)
             # Validation runs under the locks: competing writers are now
             # excluded, so what we re-read here is what the CAS will see.
             current = self._resolve(txn, paths)
@@ -266,15 +280,28 @@ class TransactionManager:
             txn.status = COMMITTED
             self._emit_commit(txn)
         finally:
-            for meta in reversed(locked):
-                agent.locks.release(meta)
+            agent.locks.release_set(locked)
+        # Commit returns once the new versions can be read, not merely once
+        # they are acknowledged: the clouds are eventually consistent, and a
+        # reader the caller notifies inside the propagation window would poll
+        # for them (Figure 3, step r2) — billed GETs and a retry interval,
+        # which cost it more than this wait costs the writer.  The locks are
+        # already back, so nobody else waits.
+        if txn._writes:
+            wait = agent.backend.readable_at() - agent.sim.now()
+            if wait > 0:
+                agent.sim.advance(wait)
 
     def _resolve(self, txn: Transaction,
                  paths: list[str]) -> dict[str, tuple[FileMetadata, int]]:
-        """Authoritative ``path -> (metadata, entry_version)`` for the lock/CAS set."""
+        """Authoritative ``path -> (metadata, entry_version)`` for the lock/CAS set.
+
+        One coordination read for all of ``paths`` (none when it is empty).
+        """
         current: dict[str, tuple[FileMetadata, int]] = {}
+        found = self.agent.metadata.lookup_many_versioned(paths)
         for path in paths:
-            pair = self.agent.metadata.lookup_versioned(path)
+            pair = found[path]
             if pair is None or pair[0].deleted:
                 if path in txn._writes and path not in txn._reads:
                     raise FileNotFoundErrorFS(f"no such file: {path}")
@@ -309,10 +336,11 @@ class TransactionManager:
             new_meta.modified_at = now
             new_meta.data_version = meta.data_version + 1
             plan.append((path, entry_version, new_meta, data))
-        self._put_intent(txn, "pending", plan, expected_version=None)
-        for path, _entry_version, new_meta, data in plan:
-            ref = agent.storage.push_to_cloud(new_meta.file_id, data,
-                                              min_version=new_meta.data_version)
+        self._put_intent(txn, "pending", plan)
+        refs = agent.storage.push_many_to_cloud(
+            [(new_meta.file_id, data, new_meta.data_version)
+             for _path, _entry_version, new_meta, data in plan])
+        for (path, _entry_version, new_meta, _data), ref in zip(plan, refs, strict=True):
             new_meta.digest, new_meta.size = ref.digest, ref.size
             agent._emit("upload", path=path, file_id=new_meta.file_id,
                         digest=ref.digest, version=new_meta.data_version,
@@ -320,44 +348,48 @@ class TransactionManager:
             # A version written by a grantee must stay readable by the owner
             # and the other grantees (same as the plain close paths).
             agent._propagate_cloud_acls(new_meta)
-        for path, entry_version, new_meta, _data in plan:
-            try:
-                agent.metadata.update_cas(new_meta, expected_version=entry_version)
-            except ConflictError as exc:
-                # Unreachable while the locks hold (validated entry versions
-                # cannot move), so reaching it means the lease protection
-                # failed — record the abort loudly; the serializability
-                # checker flags any version this attempt already anchored.
-                self._put_intent(txn, "aborted", plan, expected_version=1)
-                raise TransactionConflictError(
-                    f"version CAS failed on {path}: {exc}") from exc
+        # The commit point: every version CAS and the intent's flip are one
+        # command, so the files are all anchored and the intent says so, or
+        # nothing changed.
+        try:
+            agent.metadata.update_cas_many(
+                [(new_meta, entry_version) for _path, entry_version, new_meta, _data in plan],
+                also=[Put(TXN_PREFIX + txn.txn_id, self._intent(txn, COMMITTED, plan),
+                          expected_version=1)])
+        except ConflictError as exc:
+            # Unreachable while the locks hold (validated entry versions
+            # cannot move), so reaching it means the lease protection
+            # failed — record the abort loudly.  (Unconditionally: with
+            # partitioned coordination the intent's own partition may have
+            # flipped it before another partition refused its CAS.)
+            self._put_intent(txn, ABORTED, plan)
+            raise TransactionConflictError(f"version CAS failed: {exc}") from exc
+        for path, _entry_version, new_meta, _data in plan:
             agent._emit("commit", path=path, file_id=new_meta.file_id,
                         digest=new_meta.digest, version=new_meta.data_version,
                         background=False, txn=txn.txn_id)
             txn._committed_writes.append(
                 [path, new_meta.file_id, new_meta.data_version, new_meta.digest])
-        self._put_intent(txn, "committed", plan, expected_version=1)
         agent.gc.maybe_schedule()
 
-    def _put_intent(self, txn: Transaction, status: str, plan: WritePlan,
-                    expected_version: int | None) -> None:
-        """Write/flip the intent record ``txn:<id>`` through the coordination service."""
-        agent = self.agent
-        payload = json.dumps({
+    def _intent(self, txn: Transaction, status: str, plan: WritePlan) -> bytes:
+        """The intent record of ``txn`` in state ``status``, serialized."""
+        return json.dumps({
             "txn": txn.txn_id,
-            "writer": agent.principal.name,
+            "writer": self.agent.principal.name,
             "status": status,
             "files": [[path, meta.file_id, meta.data_version - 1,
                        meta.data_version, meta.digest]
                       for path, _v, meta, _d in plan],
         }, sort_keys=True).encode()
-        agent.coordination.put(TXN_PREFIX + txn.txn_id, payload, agent.session,
-                               expected_version=expected_version)
+
+    def _put_intent(self, txn: Transaction, status: str, plan: WritePlan) -> None:
+        """Write the intent record ``txn:<id>`` through the coordination service."""
+        self.agent.coordination.put(TXN_PREFIX + txn.txn_id, self._intent(txn, status, plan),
+                                    self.agent.session)
 
     def intent_record(self, txn_id: str) -> dict[str, Any] | None:
         """Decode the intent record of ``txn_id`` (None when absent)."""
-        from repro.common.errors import TupleNotFoundError
-
         try:
             entry = self.agent.coordination.get(TXN_PREFIX + txn_id, self.agent.session)
         except TupleNotFoundError:
@@ -385,10 +417,10 @@ class TransactionManager:
     def rename_tree(self, old_path: str, new_path: str) -> None:
         """Atomically rename ``old_path`` (a file or a whole directory tree).
 
-        Every *file* under the tree is locked first (lock names are keyed by
-        file id, so they survive the rename), an intent record marks the
-        operation, and the namespace move itself is one listing plus one
-        conditional move per entry.  Concurrent closes of the
+        Every *file* under the tree is locked first, as one lock set (lock
+        names are keyed by file id, so they survive the rename), an intent
+        record marks the operation, and the namespace move itself is one
+        listing plus one conditional move per entry.  Concurrent closes of the
         moved files are excluded by the locks, so no background commit can
         resurrect the old path half-way through.
         """
@@ -399,14 +431,24 @@ class TransactionManager:
         for m in files:
             agent.flush_pending(m.path)
         txn = self.begin()
-        locked: list[FileMetadata] = []
         try:
-            try:
-                for m in sorted(files, key=agent.locks.lock_name):
-                    agent.locks.acquire(m)
-                    locked.append(m)
-            except LockHeldError as exc:
-                raise TransactionConflictError(str(exc)) from exc
+            self._rename_locked(txn, old_path, new_path, files)
+        except LockHeldError as exc:
+            self._finish_abort(txn, str(exc))
+            raise TransactionConflictError(str(exc)) from exc
+        except TransactionConflictError as exc:
+            self._finish_abort(txn, str(exc))
+            raise
+        except BaseException as exc:
+            self._finish_abort(txn, f"rename failed: {exc}")
+            raise
+
+    def _rename_locked(self, txn: Transaction, old_path: str, new_path: str,
+                       files: list[FileMetadata]) -> None:
+        agent = self.agent
+        locked = sorted(files, key=agent.locks.lock_name)
+        agent.locks.acquire_set(locked)
+        try:
             payload = json.dumps({
                 "txn": txn.txn_id, "writer": agent.principal.name,
                 "status": "pending", "rename": [old_path, new_path],
@@ -423,15 +465,8 @@ class TransactionManager:
             agent._emit("txn_commit", txn=txn.txn_id, began=txn.began, attempts=1,
                         reads=[], writes=[], renamed_from=old_path,
                         renamed_to=new_path, files=len(files))
-        except TransactionConflictError as exc:
-            self._finish_abort(txn, str(exc))
-            raise
-        except BaseException as exc:
-            self._finish_abort(txn, f"rename failed: {exc}")
-            raise
         finally:
-            for m in reversed(locked):
-                agent.locks.release(m)
+            agent.locks.release_set(locked)
 
     def _walk(self, meta: FileMetadata) -> list[FileMetadata]:
         """``meta`` plus (for directories) every live descendant."""

@@ -20,16 +20,22 @@ from repro.scenarios.runner import ScenarioRunner
 #: traces — that is a breaking change, not a refactor.  Fingerprint epoch 2,
 #: recorded at PR 12 (coordination commands per intent changed: one replicated
 #: command, hence one latency draw, per put/delete/ACL change/move); epoch 1
-#: held from PR 4 to PR 11.  See docs/determinism-contract.md.
+#: held from PR 4 to PR 11.  The three transactional mixes are epoch 3,
+#: recorded at PR 13: a commit is five coordination commands and one round of
+#: uploads for any number of files (lock set, validating reads, intent,
+#: {version CASes + intent flip}, release) and returns once its versions are
+#: readable, so every timestamp and latency draw after a run's first commit
+#: moved; the five non-transactional values are still epoch 2, untouched.
+#: See docs/determinism-contract.md.
 GOLDEN_LOCKSTEP = {
     "fault-free": "2ca8ec26ca63c98b8c3765fe7022f58038525472d6e519e5413b9368cc67e4d4",
     "crash-hang": "fd2056a17c139474733f6cb88b086e4d012e20c1b3f38ef5c777a95706ca2ab9",
     "corrupt-byzantine": "2433461fc3bf3dbd36b78d2a9f415c839ca0e305a7ad6f2a5b90c67392761ef0",
     "degraded-outage": "3ce1f4006845af52fa2fc10905357a89aee3d3ceb5efb73446177a071017763d",
     "weighted-byzantine": "b15257ea02764420048a89c71f30c4d8f67d3405115cf7605962df43d5febb63",
-    "txn": "955c34c9cd697e049210c094aaa7319bf7445fab5795421e2d77fd22c89e81da",
-    "txn-crash-restart": "eb8402df7bd3e4e4e4b7576b5ed35b54882c6a43808fe7424599f5b069b11a92",
-    "txn-partition": "6c268d08a40b190ad0272b3158dc9f91b89a28e555e4dc72f634fcb05a09c07d",
+    "txn": "4e02b1bbe4a82090c091925d49e54dfcb8ec346d69032ffce7af43b4a29dd99a",
+    "txn-crash-restart": "c68a1780370180ca3e539a4bb3dfbff03c869d8f8bf468a12bf43bace59126f8",
+    "txn-partition": "ec99871c32953089583b13a9b8390fcd35e0df24e64e08748e60027c2427aeba",
 }
 
 

@@ -1,5 +1,7 @@
 """Unit tests for the coordination substrate: tuple space, znodes, replication, locks."""
 
+import pickle
+
 import pytest
 
 from repro.common.errors import ConflictError, QuorumNotReachedError, TupleNotFoundError
@@ -10,7 +12,9 @@ from repro.coordination.adapters import (
     ZooKeeperCoordination,
     make_coordination_service,
 )
+from repro.coordination.base import Get, Lock, Put, Unlock
 from repro.coordination.locks import LockManager
+from repro.coordination.partitioned import PartitionedCoordination
 from repro.coordination.replication import FaultModel, ReplicatedStateMachine, replicas_required
 from repro.coordination.tuplespace import ANY, DepSpace, matches
 from repro.coordination.zookeeper import ZooKeeperLike
@@ -353,6 +357,119 @@ class TestCoordinationAdapters:
         assert coordination.stored_bytes() > 0
 
 
+def _replica_states(coordination) -> list[bytes]:
+    """Every replica's whole state, serialized (the replicas are plain objects)."""
+    return [pickle.dumps(replica) for replica in coordination.rsm.replicas]
+
+
+class TestMultiCommand:
+    """``multi``: several steps, one replicated command, all or nothing."""
+
+    def test_puts_and_gets_are_one_command(self, coordination, alice):
+        session = coordination.open_session(alice)
+        coordination.put("meta:/a", b"a1", session)
+        before = coordination.rsm.commands_executed
+        results = coordination.multi(
+            [Get("meta:/a"), Get("meta:/missing"), Put("meta:/a", b"a2", 1),
+             Put("meta:/b", b"b1", 0)], session)
+        assert coordination.rsm.commands_executed == before + 1
+        assert (results[0].value, results[0].version) == (b"a1", 1)  # the state before
+        assert results[1] is None
+        assert [(r.key, r.version) for r in results[2:]] == [("meta:/a", 2), ("meta:/b", 1)]
+        assert coordination.get("meta:/a", session).value == b"a2"
+        assert coordination.get("meta:/b", session).value == b"b1"
+
+    def test_a_mismatching_put_leaves_every_replica_untouched(self, coordination, alice):
+        """The commit point of a transaction whose 2nd of 3 version CASes lost."""
+        session = coordination.open_session(alice)
+        for key in ("meta:/a", "meta:/b", "meta:/c"):
+            coordination.put(key, b"v1", session)
+        coordination.put("meta:/b", b"usurper", session)  # now at version 2
+        coordination.put("txn:t1", b"pending", session)
+        before = _replica_states(coordination)
+        with pytest.raises(ConflictError, match="meta:/b"):
+            coordination.multi(
+                [Put("meta:/a", b"v2", 1), Put("meta:/b", b"v2", 1), Put("meta:/c", b"v2", 1),
+                 Put("txn:t1", b"committed", 1)], session)
+        assert _replica_states(coordination) == before
+        assert len(set(before)) == 1  # and the replicas agree with one another
+        assert coordination.get("meta:/a", session).value == b"v1"
+        assert coordination.get("txn:t1", session).value == b"pending"
+
+    def test_a_put_the_acl_denies_refuses_the_command(self, coordination, alice, bob):
+        owner, other = coordination.open_session(alice), coordination.open_session(bob)
+        coordination.put("meta:/a", b"alice's", owner)
+        with pytest.raises(ConflictError):
+            coordination.multi([Put("meta:/new", b"x", 0), Put("meta:/a", b"bob's")], other)
+        with pytest.raises(ConflictError):
+            coordination.multi([Get("meta:/a")], other)
+        with pytest.raises(TupleNotFoundError):
+            coordination.get("meta:/new", other)
+
+    def test_a_key_changes_once_per_command(self, coordination, alice):
+        session = coordination.open_session(alice)
+        with pytest.raises(ConflictError):
+            coordination.multi([Put("k", b"1", 0), Put("k", b"2", 0)], session)
+        with pytest.raises(ConflictError):
+            coordination.multi([Lock("L"), Unlock("L")], session)
+
+    def test_a_lock_set_with_one_name_held_acquires_none(self, coordination, alice, bob):
+        s1, s2 = coordination.open_session(alice), coordination.open_session(bob)
+        assert coordination.try_lock("L2", s2)
+        before = _replica_states(coordination)
+        with pytest.raises(LockHeldError) as refused:
+            coordination.multi([Lock("L1"), Lock("L2"), Lock("L3")], s1)
+        assert refused.value.lock == "L2"
+        assert _replica_states(coordination) == before
+        assert [coordination.lock_holder(name) for name in ("L1", "L2", "L3")] == [
+            None, s2.session_id, None]
+
+    def test_lock_set_is_taken_and_returned_together(self, coordination, alice, bob):
+        s1, s2 = coordination.open_session(alice), coordination.open_session(bob)
+        coordination.multi([Lock("L1"), Lock("L2")], s1)
+        assert not coordination.try_lock("L1", s2) and not coordination.try_lock("L2", s2)
+        # Returning a lock someone else holds (or nobody does) changes nothing.
+        coordination.multi([Unlock("L1"), Unlock("L2")], s2)
+        assert coordination.lock_holder("L1") == s1.session_id
+        coordination.multi([Unlock("L1"), Unlock("L2"), Unlock("never-taken")], s1)
+        assert coordination.try_lock("L1", s2) and coordination.try_lock("L2", s2)
+
+    def test_locks_of_a_set_expire_with_the_lease(self, coordination, alice, bob, sim):
+        s1 = coordination.open_session(alice, lease_seconds=5.0)
+        s2 = coordination.open_session(bob)
+        coordination.multi([Lock("L1"), Lock("L2")], s1)
+        sim.advance(6.0)
+        coordination.multi([Lock("L1"), Lock("L2")], s2)
+        assert coordination.lock_holder("L2") == s2.session_id
+
+
+class TestPartitionedMultiCommand:
+    def _two_partitions(self, sim):
+        services = [make_coordination_service(sim, "depspace", f=0) for _ in range(2)]
+        # Route by the key's last character: "…0" to partition 0, "…1" to partition 1.
+        return PartitionedCoordination(services, lambda key, n: int(key[-1]) % n), services
+
+    def test_one_command_per_partition_touched_results_in_step_order(self, sim, alice):
+        coordination, services = self._two_partitions(sim)
+        session = coordination.open_session(alice)
+        results = coordination.multi(
+            [Put("k1", b"one", 0), Put("k0", b"zero", 0), Get("k1"), Put("j0", b"j", 0)], session)
+        assert [r and r.key for r in results] == ["k1", "k0", None, "j0"]
+        assert [service.rsm.commands_executed for service in services] == [1, 1]
+        coordination.multi([Get("k0"), Get("j0")], session)
+        assert [service.rsm.commands_executed for service in services] == [2, 1]
+
+    def test_a_refused_lock_set_leaves_nothing_held_on_any_partition(self, sim, alice, bob):
+        coordination, _ = self._two_partitions(sim)
+        s1, s2 = coordination.open_session(alice), coordination.open_session(bob)
+        assert coordination.try_lock("b1", s2)
+        with pytest.raises(LockHeldError) as refused:
+            coordination.multi([Lock("a0"), Lock("b1"), Lock("c0")], s1)
+        assert refused.value.lock == "b1"
+        assert coordination.lock_holder("a0") is None and coordination.lock_holder("c0") is None
+        assert coordination.lock_holder("b1") == s2.session_id
+
+
 class TestDepSpaceLockExpiry:
     def test_crashed_client_lock_expires_with_lease(self, sim, alice, bob):
         service = DepSpaceCoordination(sim, f=0)
@@ -375,6 +492,18 @@ class TestZooKeeperLockExpiry:
         assert not service.try_lock("f", s2)
         sim.advance(6.0)
         assert service.try_lock("f", s2)
+
+    @pytest.mark.parametrize("charging", [True, False])
+    def test_heartbeat_leaves_latency_charging_as_it_found_it(self, sim, alice, charging):
+        """A heartbeat inside an uncharged (background) commit must not switch
+        charging back on for the rest of it."""
+        service = ZooKeeperCoordination(sim, f=1)
+        session = service.open_session(alice)
+        service.rsm.charge_latency = charging
+        before = sim.now()
+        service.renew_session(session)
+        assert sim.now() == before  # the heartbeat itself is never charged
+        assert service.rsm.charge_latency is charging
 
 
 class TestLockManager:
@@ -409,6 +538,26 @@ class TestLockManager:
         holder.acquire("L")
         with pytest.raises(LockHeldError):
             waiter.acquire("L")
+
+    def test_acquire_set_is_all_or_none_and_reentrant(self, sim, alice, bob):
+        manager, service = self._manager(sim, alice)
+        other = LockManager(sim=sim, service=service, session=service.open_session(bob))
+        other.acquire("L3")
+        manager.acquire("L1")
+        with pytest.raises(LockHeldError) as refused:
+            manager.acquire_set(["L1", "L2", "L3"])
+        assert refused.value.lock == "L3"
+        assert manager.held == {"L1": 1} and service.lock_holder("L2") is None
+        other.release("L3")
+        commands = service.rsm.commands_executed
+        assert manager.acquire_set(["L1", "L2", "L3"]) == ["L2", "L3"]  # L1 only gains a count
+        assert service.rsm.commands_executed == commands + 1
+        assert manager.held == {"L1": 2, "L2": 1, "L3": 1}
+        assert manager.release_set(["L1", "L2", "L3"]) == ["L2", "L3"]
+        assert service.rsm.commands_executed == commands + 2
+        assert manager.held == {"L1": 1} and service.lock_holder("L1") is not None
+        assert manager.release_set(["L1", "unheld"]) == ["L1"]
+        assert service.lock_holder("L1") is None
 
     def test_release_all(self, sim, alice):
         manager, service = self._manager(sim, alice)

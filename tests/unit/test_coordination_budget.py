@@ -145,14 +145,42 @@ def test_conditional_puts_cost_one_command_each(mount):
     assert mount.spent(agent.metadata.update_cas, meta, version) == (1, 1)
 
 
-def test_transaction_commit_skips_the_pre_lock_read_of_files_it_read(mount):
-    paths = ["/top/a", "/top/b", "/top/c"]
-    for path in paths:
-        mount.fs.write_file(path, b"v1", shared=True)
+def _commit_commands(mount, directory: str, count: int) -> int:
+    """Replicated commands of one commit that reads and rewrites ``count`` files."""
+    mount.make_files(directory, count)
+    paths = [f"{directory}/f{index:03d}" for index in range(count)]
     txn = mount.fs.begin_transaction()
     for path in paths:
         txn.write(path, txn.read(path) + b"+")
-    # per file: lock, validating read, version CAS, unlock; plus two intent writes
-    assert mount.spent(txn.commit)[0] == 4 * len(paths) + 2
-    assert mount.fs.read_file("/top/b") == b"v1+"
+    commands = mount.spent(txn.commit)[0]
+    assert [mount.fs.read_file(path) for path in paths] == [b"x+"] * count
+    return commands
 
+
+def test_transaction_commit_is_constant_in_the_size_of_its_sets(mount):
+    """Lock set, validating reads, intent, {every version CAS + intent flip}, release.
+
+    The read set already names the lock of every file, so nothing is read
+    before the locks are taken.  On one service that is five commands for any
+    number of files; a partitioned deployment pays each of them once per
+    partition its keys and lock names fall on.
+    """
+    spent = [_commit_commands(mount, f"/top/t{count}", count) for count in (1, 3, 8)]
+    if mount.listing == 1:
+        assert spent == [5, 5, 5]
+    else:
+        assert max(spent) <= 5 * mount.listing
+
+
+def test_rename_tree_locks_its_files_in_two_commands_whatever_their_number(mount):
+    def commands(directory: str, files: int) -> int:
+        mount.make_files(directory, files)
+        mount.cold()
+        spent = mount.spent(mount.fs.rename_tree, directory, directory + "-moved")[0]
+        assert len(mount.fs.readdir(directory + "-moved")) == files
+        return spent
+
+    grown = commands("/top/many", 9) - commands("/top/few", 2)
+    # One conditional move per extra file; taking and returning the lock set is
+    # one command each (per partition the lock names fall on), not one per file.
+    assert 7 <= grown <= 7 + 2 * (mount.listing - 1)

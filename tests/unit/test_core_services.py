@@ -249,6 +249,37 @@ class TestLockService:
         with pytest.raises(LockHeldError):
             second.acquire(meta)
 
+    def test_lock_set_fires_one_transition_per_name_taken_or_returned(
+            self, sim, coordination, alice):
+        service = LockService(sim, coordination, coordination.open_session(alice))
+        transitions = []
+        service.on_transition = lambda kind, name: transitions.append((kind, name))
+        a, b, c = (_file_meta(f"/{n}", file_id=f"f{n}") for n in "abc")
+        service.acquire(b)  # e.g. a handle this agent holds open for writing
+        commands = coordination.rsm.commands_executed
+        service.acquire_set([a, b, c])
+        service.release_set([a, b, c])
+        assert coordination.rsm.commands_executed == commands + 2
+        assert transitions == [("lock", "filelock:fb"), ("lock", "filelock:fa"),
+                               ("lock", "filelock:fc"), ("unlock", "filelock:fa"),
+                               ("unlock", "filelock:fc")]
+        assert service.holds(b) and not service.holds(a) and not service.holds(c)
+
+    def test_refused_lock_set_holds_nothing_and_names_the_file(
+            self, sim, coordination, alice, bob):
+        mine = LockService(sim, coordination, coordination.open_session(alice))
+        theirs = LockService(sim, coordination, coordination.open_session(bob))
+        transitions = []
+        mine.on_transition = lambda kind, name: transitions.append((kind, name))
+        a, b, c = (_file_meta(f"/dir/{n}", file_id=f"f{n}") for n in "abc")
+        theirs.acquire(b)
+        with pytest.raises(LockHeldError, match="/dir/b is locked"):
+            mine.acquire_set([a, b, c])
+        assert transitions == []
+        assert not any(mine.holds(meta) for meta in (a, b, c))
+        assert coordination.lock_holder("filelock:fa") is None
+        LockService(sim, None, None).acquire_set([a, b])  # disabled: a no-op
+
     def test_release_all(self, sim, coordination, alice):
         session = coordination.open_session(alice)
         service = LockService(sim, coordination, session)
@@ -313,6 +344,15 @@ class TestStorageService:
         service.push_to_cloud("f", b"12345")
         service.push_to_cloud_uncharged("f", b"123")
         assert service.bytes_pushed == 8 and service.cloud_writes == 2
+
+    def test_push_many_counts_like_single_pushes(self, sim, single_backend):
+        service = self._service(sim, single_backend)
+        refs = service.push_many_to_cloud([("f", b"12345", None), ("g", b"123", 4)])
+        assert [ref.digest for ref in refs] == [content_digest(b"12345"), content_digest(b"123")]
+        assert service.bytes_pushed == 8 and service.cloud_writes == 2
+        assert single_backend.readable_at() > sim.now()
+        sim.advance(single_backend.readable_at() - sim.now())
+        assert single_backend.read_version("g", refs[1].digest) == b"123"
 
     def test_forget_drops_cached_version(self, sim, single_backend):
         service = self._service(sim, single_backend)

@@ -1,5 +1,7 @@
 """Unit tests for the DepSky cloud-of-clouds protocols."""
 
+import hashlib
+
 import pytest
 
 from repro.clouds.providers import make_cloud_of_clouds
@@ -7,6 +9,7 @@ from repro.common.errors import ObjectNotFoundError, QuorumNotReachedError
 from repro.common.types import Permission
 from repro.depsky.dataunit import DataUnitMetadata, VersionRecord
 from repro.depsky.protocol import DepSkyClient
+from repro.simenv.environment import Simulation
 from repro.simenv.failures import FaultKind
 
 
@@ -267,3 +270,109 @@ class TestDepSkyClient:
         sim.advance(3.0)
         reader = DepSkyClient(sim, clouds, bob_full, f=1)
         assert reader.read_matching("unit", record.data_digest).data == b"v2 new version"
+
+
+def _elapsed(sim, operation) -> float:
+    before = sim.now()
+    operation()
+    return sim.now() - before
+
+
+class TestWriteMany:
+    """The whole write set through the three DepSky phases in lockstep."""
+
+    def test_four_units_cost_what_one_does(self, alice):
+        # ``make_cloud_of_clouds`` profiles are jitter-free: latencies are exact.
+        data = b"p" * 40_000
+        one_sim, many_sim = Simulation(seed=1), Simulation(seed=1)
+        one, _ = make_client(one_sim, alice)
+        many, clouds = make_client(many_sim, alice)
+        single = _elapsed(one_sim, lambda: one.write("unit-0", data))
+        records = []
+        batch = _elapsed(many_sim, lambda: records.extend(
+            many.write_many([(f"unit-{i}", data, None) for i in range(4)])))
+        assert batch == single > 0
+        many_sim.advance(3.0)
+        for index, record in enumerate(records):
+            assert many.read_matching(f"unit-{index}", record.data_digest).data == data
+
+    def test_each_phase_is_charged_once_at_its_slowest_member(self, sim, alice):
+        client, _ = make_client(sim, alice)
+        charged: dict[str, list[float]] = {}
+        client.on_quorum = lambda op, _unit, stats: charged.setdefault(op, []).append(
+            stats.charged)
+        sizes = (1_000, 3_000_000, 200_000)
+        batch = _elapsed(sim, lambda: client.write_many(
+            [(f"unit-{size}", b"x" * size, None) for size in sizes]))
+        phases = [charged[op] for op in ("meta_read", "block_put", "meta_put")]
+        assert [len(waits) for waits in phases] == [3, 3, 3]
+        assert max(charged["block_put"]) > 2 * min(charged["block_put"])
+        assert batch == pytest.approx(sum(max(waits) for waits in phases))
+        # ... which is what the biggest unit pays alone, not the sum of the three.
+        alone_sim = Simulation(seed=1)
+        alone, _ = make_client(alone_sim, alice)
+        assert batch == pytest.approx(
+            _elapsed(alone_sim, lambda: alone.write("unit-3000000", b"x" * 3_000_000)))
+
+    def test_a_missed_block_quorum_publishes_no_unit_of_the_batch(self, sim, alice, bob):
+        clouds = make_cloud_of_clouds(sim)
+        for cloud in clouds:
+            bob = bob.with_canonical_id(cloud.name, f"bob@{cloud.name}")
+        DepSkyClient(sim, clouds, bob, f=1).write("theirs", b"bob's version 1")
+        sim.advance(3.0)
+        theirs = [cloud.get("depsky/theirs/metadata", bob) for cloud in clouds]
+        client = DepSkyClient(sim, clouds, alice, f=1)
+        # alice can neither read bob's history nor overwrite his v1 blocks: the
+        # block-put of "theirs" is refused everywhere, the other two succeed.
+        with pytest.raises(QuorumNotReachedError, match="theirs"):
+            client.write_many([("mine-a", b"a" * 500, None), ("theirs", b"usurped", None),
+                               ("mine-b", b"b" * 500, None)])
+        sim.advance(3.0)
+        for cloud in clouds:
+            keys = cloud.list_keys("depsky/mine-", alice).keys
+            assert not [key for key in keys if key.endswith("/metadata")]
+        assert any(cloud.list_keys("depsky/mine-a/", alice).keys for cloud in clouds)
+        assert [cloud.get("depsky/theirs/metadata", bob) for cloud in clouds] == theirs
+        with pytest.raises(ObjectNotFoundError):
+            client.read_latest("mine-a")
+
+    def test_one_version_per_unit_and_an_empty_set(self, sim, alice):
+        client, _ = make_client(sim, alice)
+        with pytest.raises(ValueError):
+            client.write_many([("unit", b"1", None), ("unit", b"2", None)])
+        assert client.write_many([]) == [] and sim.now() == 0.0
+
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_one_item_is_the_parent_commits_write(self, alice, batched):
+        """Golden values recorded from ``DepSkyClient.write`` at the parent commit
+        (faf3381): same stored blobs, same clock, same RNG state — ``write`` is
+        the batched code with one item, drawing in the same order."""
+        sim = Simulation(seed=2024)
+        clouds = make_cloud_of_clouds(sim, jitter=0.2)
+        client = DepSkyClient(sim, clouds, alice, f=1)
+        for data, min_version in ((b"first payload " * 300, None), (b"second", 7)):
+            if batched:
+                client.write_many([("unit-a", data, min_version)])
+            else:
+                client.write("unit-a", data, min_version=min_version)
+        blobs = hashlib.sha256()
+        for cloud in clouds:
+            for key in sorted(cloud._objects):
+                blobs.update(key.encode())
+                blobs.update(cloud._objects[key].data)
+        assert blobs.hexdigest() == \
+            "8401ee57187ecd8a3f2c90ab4c7e9bb20eca442f5fe1f47ded0f69966608c5ef"
+        assert sim.now() == 1.2263829262662702
+        assert hashlib.sha256(repr(sim.rng.getstate()).encode()).hexdigest() == \
+            "551fc109da49a6eda1d3719d43ee61231a9b1db9168b7f715ee8256ac728ce0e"
+
+    def test_readable_at_covers_the_propagation_of_blocks_and_metadata(self, sim, alice):
+        client, clouds = make_client(sim, alice)
+        assert client.readable_at == 0.0
+        record = client.write("unit", b"soon readable" * 100)
+        assert client.readable_at > sim.now()
+        reader = DepSkyClient(sim, clouds, alice, f=1)
+        with pytest.raises(ObjectNotFoundError):
+            reader.read_matching("unit", record.data_digest)
+        sim.advance(client.readable_at - sim.now())
+        assert reader.read_matching("unit", record.data_digest).data == b"soon readable" * 100

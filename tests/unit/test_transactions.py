@@ -187,6 +187,54 @@ class TestConflicts:
         assert alice.read_file("/shared/a") == before
 
 
+class TestCommitPoint:
+    def test_lost_version_cas_anchors_no_file_of_the_set(self, shared):
+        """A usurper bumps the 2nd file's entry after validation (what a stolen
+        lease allows): the commit point refuses as a whole — the 1st file is
+        not anchored either, and the intent says aborted."""
+        _, alice, bob = shared
+        storage = alice.agent.storage
+        upload = storage.push_many_to_cloud
+
+        def upload_then_lose_the_race(items):
+            refs = upload(items)
+            meta = bob.agent.metadata.get("/shared/b", use_cache=False)
+            bob.agent.metadata.update(meta)  # entry version moves under the lock
+            return refs
+
+        storage.push_many_to_cloud = upload_then_lose_the_race
+        before = {path: alice.read_file(path) for path in ("/shared/a", "/shared/b")}
+        txn = alice.begin_transaction()
+        for path in before:
+            txn.write(path, txn.read(path) + b"+txn")
+        with pytest.raises(TransactionConflictError, match="version CAS failed"):
+            txn.commit()
+        assert txn.status == ABORTED
+        assert alice.agent.transactions.intent_record(txn.txn_id)["status"] == "aborted"
+        alice.agent.metadata_cache.clear()
+        assert {path: alice.read_file(path) for path in before} == before
+        assert bob.read_file("/shared/a") == before["/shared/a"]
+
+    def test_commit_returns_once_the_write_set_is_readable(self, shared):
+        deployment, alice, bob = shared
+        alice.write_files({"/shared/a": b"A2" * 100, "/shared/b": b"B2" * 100})
+        assert deployment.sim.now() >= alice.agent.backend.readable_at()
+        started = deployment.sim.now()
+        assert bob.read_file("/shared/b") == b"B2" * 100
+        # No poll of the read loop: one metadata lookup and one cloud read.
+        assert deployment.sim.now() - started < bob.agent.storage.read_retry_interval
+
+    def test_write_set_is_uploaded_as_one_batch(self, shared):
+        _, alice, bob = shared
+        client = alice.agent.backend.client
+        batches = []
+        write_many = client.write_many
+        client.write_many = lambda items: batches.append(len(items)) or write_many(items)
+        alice.write_files({"/shared/a": b"A3", "/shared/b": b"B3"})
+        assert batches == [2]
+        assert bob.read_file("/shared/a") == b"A3" and bob.read_file("/shared/b") == b"B3"
+
+
 class TestIntentRecords:
     def test_committed_intent_lifecycle(self, shared):
         _, alice, _ = shared
