@@ -25,8 +25,7 @@ adapter call                        replicated command
 ``set_entry_acl``                   ``entry_set_acl``
 ``move``                            ``entry_move``
 ``multi``                           ``entry_multi``
-``try_lock``                        ``cas`` (DepSpace) / ``create`` (ZooKeeper)
-``unlock``                          ``inp`` (DepSpace) / ``delete`` (ZooKeeper)
+``try_lock`` / ``unlock``           ``entry_multi`` (one ``Lock`` / ``Unlock`` step)
 ``close_session``                   one ``inp`` per held lock + 1 / ``close_session``
 ``renew_session``                   none / ``register_session`` (uncharged)
 ``open_session``                    none
@@ -44,7 +43,7 @@ from __future__ import annotations
 import itertools
 from typing import Sequence
 
-from repro.common.errors import ConflictError, TupleNotFoundError
+from repro.common.errors import TupleNotFoundError
 from repro.common.types import Permission, Principal
 from repro.coordination.base import CoordinationService, Entry, Op, Session
 from repro.coordination.entries import Holder
@@ -153,21 +152,6 @@ class DepSpaceCoordination(_ReplicatedCoordination):
         while self.rsm.invoke("inp", (LOCK, ANY, session.session_id), self.sim.now()) is not None:
             pass
 
-    def try_lock(self, name: str, session: Session) -> bool:
-        return self.rsm.invoke(
-            "cas",
-            (LOCK, name, ANY),
-            (LOCK, name, session.session_id),
-            self.sim.now(),
-            lease=session.lease_seconds,
-            owner=session.principal.name,
-        )
-
-    def unlock(self, name: str, session: Session) -> None:
-        # No match means the lock expired (the client was considered crashed)
-        # or someone else holds it; both are benign for an unlock.
-        self.rsm.invoke("inp", (LOCK, name, session.session_id), self.sim.now())
-
     def lock_holder(self, name: str) -> str | None:
         space: DepSpace = self.rsm.reference_replica()
         fields = space.rdp((LOCK, name, ANY), self.sim.now())
@@ -201,7 +185,7 @@ class ZooKeeperCoordination(_ReplicatedCoordination):
         return session.last_renewal + session.lease_seconds
 
     def renew_session(self, session: Session) -> None:
-        # The tree learns of a session with its first lock (``try_lock``); a
+        # The tree learns of a session with its first lock (a ``Lock`` step); a
         # heartbeat must reach it so that locks already held live on.
         super().renew_session(session)
         previous = self.rsm.charge_latency
@@ -213,21 +197,6 @@ class ZooKeeperCoordination(_ReplicatedCoordination):
 
     def close_session(self, session: Session) -> None:
         self.rsm.invoke("close_session", session.session_id, self.sim.now())
-
-    def try_lock(self, name: str, session: Session) -> bool:
-        try:
-            self.rsm.invoke(
-                "create", child_path(LOCK_ROOT, name), session.session_id.encode(),
-                self.sim.now(), ephemeral_owner=session.session_id,
-                session_deadline=self._deadline(session),
-            )
-            return True
-        except ConflictError:
-            return False
-
-    def unlock(self, name: str, session: Session) -> None:
-        self.rsm.invoke("delete", child_path(LOCK_ROOT, name), self.sim.now(),
-                        ephemeral_owner=session.session_id)
 
     def lock_holder(self, name: str) -> str | None:
         tree: ZooKeeperLike = self.rsm.reference_replica()

@@ -20,6 +20,7 @@ import abc
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence, Union
 
+from repro.common.errors import LockHeldError
 from repro.common.types import Permission, Principal
 
 
@@ -176,13 +177,24 @@ class CoordinationService(abc.ABC):
 
     # -- locking ------------------------------------------------------------
 
-    @abc.abstractmethod
     def try_lock(self, name: str, session: Session) -> bool:
-        """Attempt to acquire the ephemeral lock ``name``; False if already held."""
+        """Attempt to acquire the ephemeral lock ``name``; False if already held.
 
-    @abc.abstractmethod
+        The one-step case of :meth:`multi`.
+        """
+        try:
+            self.multi([Lock(name)], session)
+        except LockHeldError:
+            return False
+        return True
+
     def unlock(self, name: str, session: Session) -> None:
-        """Release the lock ``name`` held by this session."""
+        """Release the lock ``name`` if this session holds it (one-step :meth:`multi`).
+
+        A lock that expired or that someone else holds by now is left alone:
+        both are benign for an unlock.
+        """
+        self.multi([Unlock(name)], session)
 
     @abc.abstractmethod
     def lock_holder(self, name: str) -> str | None:

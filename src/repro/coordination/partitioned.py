@@ -177,13 +177,19 @@ class PartitionedCoordination(CoordinationService):
         partition refuses its steps, entries an earlier partition already
         replaced stay replaced.  Locks are handed back — a refused lock set
         leaves nothing held on any partition.
+
+        The partition of the *last* step goes after every other, so a caller
+        that ends its command with the step recording the outcome (the
+        transaction commit point ends with the intent's flip to ``committed``)
+        knows that step applied only once every other partition accepted.
         """
         positions: dict[int, list[int]] = {}
         for position, op in enumerate(ops):
             positions.setdefault(self.partition_of(op[0]), []).append(position)
+        final = self.partition_of(ops[-1][0]) if ops else None
         results: list[Entry | None] = [None] * len(ops)
         granted: list[tuple[CoordinationService, Session, list[Op]]] = []
-        for index in sorted(positions):
+        for index in sorted(positions, key=lambda index: (index == final, index)):
             service = self.services[index]
             sub = self._sub_session(session, service)
             steps = [ops[position] for position in positions[index]]
@@ -201,14 +207,6 @@ class PartitionedCoordination(CoordinationService):
         return results
 
     # -- locking --------------------------------------------------------------------
-
-    def try_lock(self, name: str, session: Session) -> bool:
-        service = self._service_for(name)
-        return service.try_lock(name, self._sub_session(session, service))
-
-    def unlock(self, name: str, session: Session) -> None:
-        service = self._service_for(name)
-        service.unlock(name, self._sub_session(session, service))
 
     def lock_holder(self, name: str) -> str | None:
         # Callers compare against the façade session they were given.

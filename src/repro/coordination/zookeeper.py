@@ -115,17 +115,13 @@ class ZooKeeperLike(EntryCommands):
         self._sweep_sessions(now)
 
     def create(self, path: str, data: bytes, now: float, ephemeral_owner: str | None = None,
-               sequential: bool = False, session_deadline: float | None = None) -> str:
+               sequential: bool = False) -> str:
         """Create a znode; returns its (possibly sequence-suffixed) path.
 
-        ``session_deadline`` piggybacks the heartbeat of the ``ephemeral_owner``
-        session on the create, so the lock recipe is one command.  Raises
-        :class:`ConflictError` if the node exists or the parent is missing.
+        Raises :class:`ConflictError` if the node exists or the parent is missing.
         """
         self.operations_applied += 1
         self._validate(path)
-        if ephemeral_owner is not None and session_deadline is not None:
-            self._session_expiry[ephemeral_owner] = session_deadline
         self._sweep_sessions(now)
         if sequential:
             self._sequence += 1
@@ -170,18 +166,12 @@ class ZooKeeperLike(EntryCommands):
         node.version += 1
         return node.version
 
-    def delete(self, path: str, now: float, expected_version: int | None = None,
-               ephemeral_owner: str | None = None) -> None:
-        """Delete a leaf znode (optionally only at the expected version).
-
-        With ``ephemeral_owner`` the delete is a no-op unless that session owns
-        the node: unlocking a lock someone else holds by now changes nothing.
-        """
+    def delete(self, path: str, now: float, expected_version: int | None = None) -> None:
+        """Delete a leaf znode (optionally only at the expected version)."""
         self.operations_applied += 1
         self._sweep_sessions(now)
         node = self._nodes.get(path)
-        if node is None or (ephemeral_owner is not None
-                            and node.ephemeral_owner != ephemeral_owner):
+        if node is None:
             return
         if expected_version is not None and node.version != expected_version:
             raise ConflictError(
@@ -250,7 +240,8 @@ class ZooKeeperLike(EntryCommands):
         return None if node is None else node.ephemeral_owner
 
     def _lock_write(self, name: str, holder: Holder, user: str, now: float) -> None:
-        # As ``create`` does for one lock: the take is also the session's heartbeat.
+        # The take is also the session's heartbeat: the tree learns of a
+        # session with its first lock.
         self._session_expiry[holder.session_id] = holder.deadline
         path = child_path(LOCK_ROOT, name)
         self._nodes[path] = ZNode(path=path, data=holder.session_id.encode(),

@@ -118,16 +118,6 @@ class StorageBackend(abc.ABC):
                 for file_id, data, min_version in items]
 
     @abc.abstractmethod
-    def readable_at(self) -> float:
-        """Simulated time from which every version written so far can be fetched.
-
-        The clouds acknowledge a put before readers can see it (eventual
-        consistency); this is when the last write's propagation is expected to
-        be over.  A writer that anchors a version only from then on spares
-        every reader the polling loop of Figure 3 (step r2).
-        """
-
-    @abc.abstractmethod
     def read_version(self, file_id: str, digest: str) -> bytes:
         """Return the version of ``file_id`` whose content hash is ``digest``.
 
@@ -164,6 +154,17 @@ class StorageBackend(abc.ABC):
 
         Used by the non-blocking mode to schedule the completion of background
         uploads on the simulated clock.
+        """
+
+    @abc.abstractmethod
+    def estimate_readable_at(self) -> float:
+        """Simulated time from which the last write is expected to be fetchable.
+
+        The clouds acknowledge a put before readers can see it (eventual
+        consistency).  Like the latency estimates, this comes from the
+        client's profile of its providers (their propagation delays), not from
+        the stores' state; a reader told of a version before then runs the
+        polling loop of Figure 3 (step r2).
         """
 
     @abc.abstractmethod
@@ -255,9 +256,6 @@ class SingleCloudBackend(StorageBackend):
         self._readable_at = self.sim.now() + self.store.profile.propagation_delay
         return ObjectRef(key=file_id, digest=digest, size=len(data))
 
-    def readable_at(self) -> float:
-        return self._readable_at
-
     def read_version(self, file_id: str, digest: str) -> bytes:
         data = self._observed(lambda: self.store.get(self._key(file_id, digest), self.principal))
         if content_digest(data) != digest:
@@ -311,6 +309,9 @@ class SingleCloudBackend(StorageBackend):
 
     def estimate_write_latency(self, num_bytes: int) -> float:
         return self._estimated("object_put", num_bytes)
+
+    def estimate_readable_at(self) -> float:
+        return self._readable_at
 
     def estimate_read_latency(self, num_bytes: int) -> float:
         return self._estimated("object_get", num_bytes)
@@ -386,6 +387,11 @@ class CloudOfCloudsBackend(StorageBackend):
             quorum=system, planner=planner,
         )
         self.name = f"cloud-of-clouds(f={f}, n={self.client.n})"
+        # A reader needs k of the n - f block holders and one (self-verifying)
+        # metadata copy to have propagated.
+        lags = [cloud.profile.propagation_delay for cloud in clouds]
+        self._block_lag = sorted(lags[:self.client.n - f])[self.client.k - 1]
+        self._metadata_lag = min(lags)
         self.read_paths = ReadPathStats()
 
     # -- StorageBackend ----------------------------------------------------------
@@ -401,9 +407,6 @@ class CloudOfCloudsBackend(StorageBackend):
         records = self.client.write_many(items)
         return [ObjectRef(key=file_id, digest=record.data_digest, size=record.size)
                 for (file_id, _data, _min_version), record in zip(items, records, strict=True)]
-
-    def readable_at(self) -> float:
-        return self.client.readable_at
 
     def read_version(self, file_id: str, digest: str) -> bytes:
         result = self.client.read_matching(file_id, digest)
@@ -484,6 +487,10 @@ class CloudOfCloudsBackend(StorageBackend):
             + self._expected_quorum(client.clouds[:quorum], "object_put", block_bytes, quorum)
             + self._expected_quorum(client.clouds, "object_put", 1024, quorum)
         )
+
+    def estimate_readable_at(self) -> float:
+        blocks_sent, metadata_sent = self.client.last_dispatch
+        return max(blocks_sent + self._block_lag, metadata_sent + self._metadata_lag)
 
     def estimate_read_latency(self, num_bytes: int) -> float:
         client = self.client

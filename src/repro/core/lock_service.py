@@ -98,6 +98,8 @@ class LockService:
         """
         if self._manager is None:
             return
+        # Two paths of a set may share a lock (the names survive renames):
+        # the set takes, and :meth:`release_set` returns, that lock once.
         paths = {self.lock_name(metadata): metadata.path for metadata in metadatas}
         try:
             taken = self._manager.acquire_set(sorted(paths))
@@ -110,10 +112,10 @@ class LockService:
                 self.on_transition("lock", name)
 
     def release_set(self, metadatas: Sequence[FileMetadata]) -> None:
-        """Release one acquisition of each file's lock, in one coordination command."""
+        """Release what :meth:`acquire_set` of the same files took, in one command."""
         if self._manager is None:
             return
-        returned = self._manager.release_set([self.lock_name(m) for m in metadatas])
+        returned = self._manager.release_set(sorted({self.lock_name(m) for m in metadatas}))
         if self.on_transition is not None:
             for name in returned:
                 self.on_transition("unlock", name)

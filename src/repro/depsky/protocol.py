@@ -250,16 +250,9 @@ class DepSkyClient:
         #: ``acl``.  The scenario engine's trace recorder taps in here to
         #: record per-cloud outcomes alongside the file-system events.
         self.on_quorum = None
-        #: Simulated time from which every version this client wrote is
-        #: expected to be fetchable by any reader: the clouds are eventually
-        #: consistent, so a put is acknowledged ``propagation_delay`` before
-        #: it can be read back.  A reader needs ``k`` block holders and one
-        #: (self-verifying) metadata copy.
-        self.readable_at = 0.0
-        lags = [getattr(getattr(cloud, "profile", None), "propagation_delay", 0.0)
-                for cloud in self.clouds]
-        holders = lags[:self.n - self.f] if preferred_quorums else lags
-        self._propagation_lags = (sorted(holders)[self.k - 1], min(lags))
+        #: When the last write sent its data blocks and its metadata: the
+        #: instants from which the clouds' propagation of them runs.
+        self.last_dispatch = (0.0, 0.0)
 
     # ------------------------------------------------------------------ keys
 
@@ -549,9 +542,7 @@ class DepSkyClient:
         self._charge(*meta_stats)
         for unit_id, meta_blob, record in staged:
             self._last_written[unit_id] = (record.version, DataUnitMetadata.from_bytes(meta_blob))
-        block_lag, metadata_lag = self._propagation_lags
-        self.readable_at = max(self.readable_at, blocks_sent + block_lag,
-                               metadata_sent + metadata_lag)
+        self.last_dispatch = (blocks_sent, metadata_sent)
         return [record for _unit_id, _meta_blob, record in staged]
 
     @staticmethod

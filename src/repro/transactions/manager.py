@@ -25,10 +25,10 @@ BFT-transaction designs (Basil, arXiv:2109.12443):
       *and* the intent's flip to ``committed`` — every file is anchored and
       the intent says so, or nothing changed;
    f. release the lock set;
-   g. return once the uploaded versions can be read
-      (:meth:`~repro.core.backend.StorageBackend.readable_at`): the clouds
-      acknowledge a put before readers see it, and a reader the caller tells
-      about the commit would otherwise poll for it.
+   g. return once the uploaded versions are expected to be readable
+      (:meth:`~repro.core.backend.StorageBackend.estimate_readable_at`): the
+      clouds acknowledge a put before readers see it, and a reader the caller
+      tells about the commit would otherwise poll for it.
 3. **Abort/retry** — any conflict (lock held, stale read, lost lease, CAS
    mismatch) raises :class:`~repro.common.errors.TransactionConflictError`;
    :meth:`TransactionManager.run` re-executes the whole transaction body with
@@ -281,14 +281,14 @@ class TransactionManager:
             self._emit_commit(txn)
         finally:
             agent.locks.release_set(locked)
-        # Commit returns once the new versions can be read, not merely once
-        # they are acknowledged: the clouds are eventually consistent, and a
+        # Commit returns once the new versions are expected to be readable,
+        # not merely acknowledged: the clouds are eventually consistent, and a
         # reader the caller notifies inside the propagation window would poll
         # for them (Figure 3, step r2) — billed GETs and a retry interval,
         # which cost it more than this wait costs the writer.  The locks are
         # already back, so nobody else waits.
         if txn._writes:
-            wait = agent.backend.readable_at() - agent.sim.now()
+            wait = agent.backend.estimate_readable_at() - agent.sim.now()
             if wait > 0:
                 agent.sim.advance(wait)
 
@@ -359,10 +359,10 @@ class TransactionManager:
         except ConflictError as exc:
             # Unreachable while the locks hold (validated entry versions
             # cannot move), so reaching it means the lease protection
-            # failed — record the abort loudly.  (Unconditionally: with
-            # partitioned coordination the intent's own partition may have
-            # flipped it before another partition refused its CAS.)
-            self._put_intent(txn, ABORTED, plan)
+            # failed — record the abort loudly.  The intent is still the
+            # pending one: its flip is the command's last step, which a
+            # partitioned service applies after every CAS was accepted.
+            self._put_intent(txn, ABORTED, plan, expected_version=1)
             raise TransactionConflictError(f"version CAS failed: {exc}") from exc
         for path, _entry_version, new_meta, _data in plan:
             agent._emit("commit", path=path, file_id=new_meta.file_id,
@@ -383,10 +383,11 @@ class TransactionManager:
                       for path, _v, meta, _d in plan],
         }, sort_keys=True).encode()
 
-    def _put_intent(self, txn: Transaction, status: str, plan: WritePlan) -> None:
+    def _put_intent(self, txn: Transaction, status: str, plan: WritePlan,
+                    expected_version: int | None = None) -> None:
         """Write the intent record ``txn:<id>`` through the coordination service."""
         self.agent.coordination.put(TXN_PREFIX + txn.txn_id, self._intent(txn, status, plan),
-                                    self.agent.session)
+                                    self.agent.session, expected_version=expected_version)
 
     def intent_record(self, txn_id: str) -> dict[str, Any] | None:
         """Decode the intent record of ``txn_id`` (None when absent)."""

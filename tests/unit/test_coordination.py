@@ -459,6 +459,19 @@ class TestPartitionedMultiCommand:
         coordination.multi([Get("k0"), Get("j0")], session)
         assert [service.rsm.commands_executed for service in services] == [2, 1]
 
+    def test_the_last_steps_partition_goes_last(self, sim, alice):
+        """A commit point ends with the intent's flip: when another partition
+        refuses its CAS, the flip (on a lower-index partition) has not applied."""
+        coordination, _ = self._two_partitions(sim)
+        session = coordination.open_session(alice)
+        coordination.multi([Put("file1", b"v1", 0), Put("intent0", b"pending", 0)], session)
+        with pytest.raises(ConflictError):
+            coordination.multi(
+                [Put("file1", b"v2", 7), Put("intent0", b"committed", 1)], session)
+        assert coordination.get("intent0", session).value == b"pending"
+        coordination.multi([Put("file1", b"v2", 1), Put("intent0", b"committed", 1)], session)
+        assert coordination.get("intent0", session).value == b"committed"
+
     def test_a_refused_lock_set_leaves_nothing_held_on_any_partition(self, sim, alice, bob):
         coordination, _ = self._two_partitions(sim)
         s1, s2 = coordination.open_session(alice), coordination.open_session(bob)

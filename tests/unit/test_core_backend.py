@@ -3,7 +3,7 @@
 import pytest
 
 from repro.clouds.providers import make_cloud_of_clouds, make_provider
-from repro.common.errors import ObjectNotFoundError
+from repro.common.errors import ObjectNotFoundError, QuorumNotReachedError
 from repro.common.types import Permission
 from repro.core.backend import CloudOfCloudsBackend, SingleCloudBackend
 from repro.core.consistency import (
@@ -51,6 +51,13 @@ class TestStorageBackends:
         ref = backend.write_version("file-1", b"fresh")
         with pytest.raises(ObjectNotFoundError):
             backend.read_version("file-1", ref.digest)
+
+    def test_a_version_is_readable_from_the_estimated_time_on(self, backend, sim):
+        ref = backend.write_version("file-1", b"fresh")
+        with pytest.raises((ObjectNotFoundError, QuorumNotReachedError)):
+            backend.read_version("file-1", ref.digest)
+        sim.advance(backend.estimate_readable_at() - sim.now())
+        assert backend.read_version("file-1", ref.digest) == b"fresh"
 
     def test_list_versions(self, backend, sim):
         backend.write_version("file-1", b"one")

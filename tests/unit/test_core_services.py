@@ -265,6 +265,18 @@ class TestLockService:
                                ("unlock", "filelock:fc")]
         assert service.holds(b) and not service.holds(a) and not service.holds(c)
 
+    def test_lock_set_with_two_paths_of_one_file_returns_what_it_took(
+            self, sim, coordination, alice):
+        session = coordination.open_session(alice)
+        service = LockService(sim, coordination, session)
+        # One file seen under two paths (read as /a, renamed to /b since).
+        old, new = _file_meta("/a", file_id="f1"), _file_meta("/b", file_id="f1")
+        service.acquire(old)  # an open write handle of this agent
+        service.acquire_set([old, new])
+        service.release_set([old, new])
+        assert service.holds(old)
+        assert coordination.lock_holder("filelock:f1") == session.session_id
+
     def test_refused_lock_set_holds_nothing_and_names_the_file(
             self, sim, coordination, alice, bob):
         mine = LockService(sim, coordination, coordination.open_session(alice))
@@ -350,8 +362,7 @@ class TestStorageService:
         refs = service.push_many_to_cloud([("f", b"12345", None), ("g", b"123", 4)])
         assert [ref.digest for ref in refs] == [content_digest(b"12345"), content_digest(b"123")]
         assert service.bytes_pushed == 8 and service.cloud_writes == 2
-        assert single_backend.readable_at() > sim.now()
-        sim.advance(single_backend.readable_at() - sim.now())
+        sim.advance(3.0)
         assert single_backend.read_version("g", refs[1].digest) == b"123"
 
     def test_forget_drops_cached_version(self, sim, single_backend):

@@ -366,13 +366,3 @@ class TestWriteMany:
         assert hashlib.sha256(repr(sim.rng.getstate()).encode()).hexdigest() == \
             "551fc109da49a6eda1d3719d43ee61231a9b1db9168b7f715ee8256ac728ce0e"
 
-    def test_readable_at_covers_the_propagation_of_blocks_and_metadata(self, sim, alice):
-        client, clouds = make_client(sim, alice)
-        assert client.readable_at == 0.0
-        record = client.write("unit", b"soon readable" * 100)
-        assert client.readable_at > sim.now()
-        reader = DepSkyClient(sim, clouds, alice, f=1)
-        with pytest.raises(ObjectNotFoundError):
-            reader.read_matching("unit", record.data_digest)
-        sim.advance(client.readable_at - sim.now())
-        assert reader.read_matching("unit", record.data_digest).data == b"soon readable" * 100

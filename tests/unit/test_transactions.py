@@ -218,7 +218,7 @@ class TestCommitPoint:
     def test_commit_returns_once_the_write_set_is_readable(self, shared):
         deployment, alice, bob = shared
         alice.write_files({"/shared/a": b"A2" * 100, "/shared/b": b"B2" * 100})
-        assert deployment.sim.now() >= alice.agent.backend.readable_at()
+        assert deployment.sim.now() >= alice.agent.backend.estimate_readable_at()
         started = deployment.sim.now()
         assert bob.read_file("/shared/b") == b"B2" * 100
         # No poll of the read loop: one metadata lookup and one cloud read.
