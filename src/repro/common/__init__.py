@@ -10,6 +10,7 @@ from repro.common.errors import (
     CloudError,
     CloudUnavailableError,
     ObjectNotFoundError,
+    VersionUnavailableError,
     AccessDeniedError,
     IntegrityError,
     CoordinationError,
@@ -37,6 +38,7 @@ __all__ = [
     "CloudError",
     "CloudUnavailableError",
     "ObjectNotFoundError",
+    "VersionUnavailableError",
     "AccessDeniedError",
     "IntegrityError",
     "CoordinationError",

@@ -34,6 +34,24 @@ class ObjectNotFoundError(CloudError):
     """The requested object key does not exist (or is not yet visible)."""
 
 
+class VersionUnavailableError(ObjectNotFoundError):
+    """An anchored version never became readable within the read retry budget.
+
+    Raised by the consistency-anchor read (Figure 3, step r2) when the storage
+    service still does not serve the version the anchor names after
+    ``attempts`` tries spread over ``waited`` simulated seconds.
+    """
+
+    def __init__(self, file_id: str, digest: str, attempts: int, waited: float):
+        super().__init__(
+            f"version {digest[:12]}… of {file_id!r} is still unreadable after "
+            f"{attempts} attempts over {waited:.1f} simulated seconds")
+        self.file_id = file_id
+        self.digest_prefix = digest[:12]
+        self.attempts = attempts
+        self.waited = waited
+
+
 class AccessDeniedError(CloudError):
     """The principal performing the request lacks the required permission."""
 

@@ -59,12 +59,19 @@ class ObjectRef:
     together they are exactly the ``(id, hash)`` pair the consistency-anchor
     algorithm of Figure 3 stores in the coordination service.  ``created_at``
     (simulated seconds) supports the age-based garbage-collection policies.
+
+    ``locator`` travels with the pair: an opaque string minted by the backend
+    that wrote the version, telling a reader of the same backend where the
+    version's bytes are and from when they are readable — so the read needs no
+    lookup in the (eventually consistent) storage service.  Empty when the
+    backend minted none; only the minting backend interprets it.
     """
 
     key: str
     digest: str
     size: int = 0
     created_at: float = 0.0
+    locator: str = ""
 
     @property
     def versioned_key(self) -> str:

@@ -173,7 +173,9 @@ class SCFSAgent:
         self.pns: PrivateNameSpace | None = None
         if config.private_name_spaces:
             self.pns = PrivateNameSpace(
-                principal.name, backend, coordination=self.coordination, session=self.session
+                principal.name, backend, coordination=self.coordination, session=self.session,
+                read_retry_interval=config.read_retry_interval,
+                read_retry_limit=config.read_retry_limit,
             )
 
         # -- the three local services ------------------------------------------
@@ -351,7 +353,7 @@ class SCFSAgent:
                 buffer = bytearray()
                 dirty = bool(flags & OpenFlags.TRUNCATE) and bool(meta.digest)
             else:
-                outcome = self.storage.read_version(meta.file_id, meta.digest, meta.size)
+                outcome = self.storage.read_version(meta.file_id, meta.digest, meta.locator)
                 buffer = bytearray(outcome.data)
                 dirty = False
                 served = True
@@ -490,8 +492,8 @@ class SCFSAgent:
         data = bytes(of.buffer)
         digest = content_digest(data)
         meta = of.metadata
-        meta.digest = digest
-        meta.size = len(data)
+        # The new version has no locator until its upload mints one.
+        meta.point_at(digest, len(data))
         meta.modified_at = self.sim.now()
         meta.data_version += 1
         self._emit("close", path=meta.path, file_id=meta.file_id, handle=handle,
@@ -627,8 +629,7 @@ class SCFSAgent:
             if latest is not None:
                 meta.grants = dict(latest.grants)
                 meta.deleted = latest.deleted
-        meta.digest = ref.digest
-        meta.size = ref.size
+        meta.point_at(ref.digest, ref.size, ref.locator)
         # Decide placement from the *current* state of the file, not from the
         # snapshot taken at open time: the file may have been promoted out of
         # the PNS (setfacl) while the upload was pending.

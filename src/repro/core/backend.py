@@ -13,7 +13,10 @@ two backends evaluated in the paper (Figure 5):
 
 Every version of a file is immutable and identified by ``(file_id, digest)`` —
 the pair anchored in the coordination service by the consistency-anchor
-algorithm (Figure 3).
+algorithm (Figure 3).  A backend may mint a *locator* for each version it
+writes (:attr:`~repro.common.types.ObjectRef.locator`); it is anchored with the
+pair and handed back on reads, so that finding the version costs the
+(eventually consistent) clouds no extra round.
 """
 
 from __future__ import annotations
@@ -23,12 +26,13 @@ import contextlib
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from repro.common.errors import CloudError, ObjectNotFoundError
+from repro.common.errors import CloudError, IntegrityError, ObjectNotFoundError
 from repro.common.types import ObjectRef, Permission, Principal
 from repro.clouds.dispatch import BENIGN_ERRORS, DispatchPolicy, QuorumCall, QuorumRequest
 from repro.clouds.eventual import EventuallyConsistentStore
 from repro.clouds.health import CloudHealthTracker, HealthStats, QuorumPlanner
 from repro.crypto.hashing import content_digest
+from repro.depsky.dataunit import VersionRecord
 from repro.depsky.protocol import DepSkyClient, DepSkyReadResult
 from repro.simenv.environment import Simulation
 
@@ -94,6 +98,8 @@ class StorageBackend(abc.ABC):
     """Versioned, content-addressed storage of whole files in the cloud(s)."""
 
     name: str = "abstract"
+    #: The simulation whose clock the backend charges.
+    sim: Simulation
 
     @abc.abstractmethod
     def write_version(self, file_id: str, data: bytes,
@@ -118,12 +124,16 @@ class StorageBackend(abc.ABC):
                 for file_id, data, min_version in items]
 
     @abc.abstractmethod
-    def read_version(self, file_id: str, digest: str) -> bytes:
+    def read_version(self, file_id: str, digest: str, locator: str = "") -> bytes:
         """Return the version of ``file_id`` whose content hash is ``digest``.
 
-        Raises :class:`~repro.common.errors.ObjectNotFoundError` when the
-        version is not (yet) visible — the caller implements the retry loop of
-        Figure 3 (step r2).
+        ``locator`` is the one this backend minted when it wrote the version
+        (empty when the caller has none).  Raises
+        :class:`~repro.common.errors.ObjectNotFoundError` when the version is
+        not (yet) visible — the caller implements the retry loop of Figure 3
+        (step r2, :func:`repro.core.consistency.read_anchored`) — and
+        :class:`~repro.common.errors.IntegrityError` for a locator this
+        backend cannot have minted.
         """
 
     @abc.abstractmethod
@@ -157,14 +167,15 @@ class StorageBackend(abc.ABC):
         """
 
     @abc.abstractmethod
-    def estimate_readable_at(self) -> float:
-        """Simulated time from which the last write is expected to be fetchable.
+    def estimate_readable_at(self, locator: str) -> float:
+        """Simulated time from which the version behind ``locator`` is expected to be fetchable.
 
         The clouds acknowledge a put before readers can see it (eventual
         consistency).  Like the latency estimates, this comes from the
         client's profile of its providers (their propagation delays), not from
-        the stores' state; a reader told of a version before then runs the
-        polling loop of Figure 3 (step r2).
+        the stores' state: a reader told of a version before then waits for
+        this instant instead of polling for it (Figure 3, step r2).  ``0.0``
+        (nothing to wait for) without a locator.
         """
 
     @abc.abstractmethod
@@ -212,7 +223,6 @@ class SingleCloudBackend(StorageBackend):
             dispatch.make_tracker() if dispatch is not None else None
         )
         self._ewma_estimates = bool(getattr(dispatch, "ewma_estimates", False))
-        self._readable_at = 0.0
 
     def _observed(self, operation):
         """Run one store operation, feeding its outcome to the health tracker.
@@ -253,10 +263,12 @@ class SingleCloudBackend(StorageBackend):
         # object, so concurrent writers cannot clobber one another's versions.
         digest = content_digest(data)
         self._observed(lambda: self.store.put(self._key(file_id, digest), data, self.principal))
-        self._readable_at = self.sim.now() + self.store.profile.propagation_delay
-        return ObjectRef(key=file_id, digest=digest, size=len(data))
+        # The key is the digest, so all a reader can be told is when the put
+        # landed: the instant its propagation runs from.
+        return ObjectRef(key=file_id, digest=digest, size=len(data),
+                         locator=repr(self.sim.now()))
 
-    def read_version(self, file_id: str, digest: str) -> bytes:
+    def read_version(self, file_id: str, digest: str, locator: str = "") -> bytes:
         data = self._observed(lambda: self.store.get(self._key(file_id, digest), self.principal))
         if content_digest(data) != digest:
             # The provider returned corrupted data for this version; surface it
@@ -310,8 +322,14 @@ class SingleCloudBackend(StorageBackend):
     def estimate_write_latency(self, num_bytes: int) -> float:
         return self._estimated("object_put", num_bytes)
 
-    def estimate_readable_at(self) -> float:
-        return self._readable_at
+    def estimate_readable_at(self, locator: str) -> float:
+        if not locator:
+            return 0.0
+        try:
+            landed = float(locator)
+        except ValueError as exc:
+            raise IntegrityError(f"malformed version locator {locator!r}") from exc
+        return landed + self.store.profile.propagation_delay
 
     def estimate_read_latency(self, num_bytes: int) -> float:
         return self._estimated("object_get", num_bytes)
@@ -387,29 +405,32 @@ class CloudOfCloudsBackend(StorageBackend):
             quorum=system, planner=planner,
         )
         self.name = f"cloud-of-clouds(f={f}, n={self.client.n})"
-        # A reader needs k of the n - f block holders and one (self-verifying)
-        # metadata copy to have propagated.
-        lags = [cloud.profile.propagation_delay for cloud in clouds]
-        self._block_lag = sorted(lags[:self.client.n - f])[self.client.k - 1]
-        self._metadata_lag = min(lags)
+        # A reader needs k of the n - f block holders to have propagated.
+        lags = [cloud.profile.propagation_delay for cloud in clouds[:self.client.n - f]]
+        self._block_lag = sorted(lags)[self.client.k - 1]
         self.read_paths = ReadPathStats()
 
     # -- StorageBackend ----------------------------------------------------------
 
     def write_version(self, file_id: str, data: bytes,
                       min_version: int | None = None) -> ObjectRef:
-        record = self.client.write(file_id, data, min_version=min_version)
-        return ObjectRef(key=file_id, digest=record.data_digest, size=record.size)
+        return self._ref(file_id, self.client.write(file_id, data, min_version=min_version))
 
     def write_versions(
             self, items: Sequence[tuple[str, bytes, int | None]]) -> list[ObjectRef]:
         """All of ``items`` through the three DepSky phases together (``write_many``)."""
         records = self.client.write_many(items)
-        return [ObjectRef(key=file_id, digest=record.data_digest, size=record.size)
+        return [self._ref(file_id, record)
                 for (file_id, _data, _min_version), record in zip(items, records, strict=True)]
 
-    def read_version(self, file_id: str, digest: str) -> bytes:
-        result = self.client.read_matching(file_id, digest)
+    @staticmethod
+    def _ref(file_id: str, record: VersionRecord) -> ObjectRef:
+        return ObjectRef(key=file_id, digest=record.data_digest, size=record.size,
+                         locator=record.locator())
+
+    def read_version(self, file_id: str, digest: str, locator: str = "") -> bytes:
+        record = VersionRecord.from_locator(locator, digest) if locator else None
+        result = self.client.read_matching(file_id, digest, record=record)
         self.read_paths.record(result)
         return result.data
 
@@ -488,9 +509,10 @@ class CloudOfCloudsBackend(StorageBackend):
             + self._expected_quorum(client.clouds, "object_put", 1024, quorum)
         )
 
-    def estimate_readable_at(self) -> float:
-        blocks_sent, metadata_sent = self.client.last_dispatch
-        return max(blocks_sent + self._block_lag, metadata_sent + self._metadata_lag)
+    def estimate_readable_at(self, locator: str) -> float:
+        if not locator:
+            return 0.0
+        return VersionRecord.from_locator(locator, "").created_at + self._block_lag
 
     def estimate_read_latency(self, num_bytes: int) -> float:
         client = self.client

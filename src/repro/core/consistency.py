@@ -20,22 +20,90 @@ and the SS is the cloud backend; the agent implements the same steps inline in
 its open/close paths.  This module provides the algorithm in its generic form
 — as presented in §2.4 — so that it can be unit- and property-tested in
 isolation and reused outside the file system.
+
+What the CA stores beside ``h`` is the *locator* the SS minted at w2
+(:attr:`~repro.common.types.ObjectRef.locator`).  It makes step r2 a wait
+followed by one read — :func:`read_anchored`, the one implementation of r2 the
+file system, the PNS and :class:`AnchoredStorage` share: the locator says where
+the version is and from when it is readable, so the reader sleeps until then
+instead of polling for it.  The poll remains behind it, for when the hint was
+wrong or there was none.
 """
 
 from __future__ import annotations
 
 import abc
+import functools
 from dataclasses import dataclass, field
+from typing import Callable
 
-from repro.common.errors import IntegrityError, ObjectNotFoundError, QuorumNotReachedError
+from repro.common.errors import (
+    IntegrityError,
+    ObjectNotFoundError,
+    QuorumNotReachedError,
+    TupleNotFoundError,
+    VersionUnavailableError,
+)
 from repro.common.types import ObjectRef
+from repro.coordination.base import CoordinationService, Session
 from repro.core.backend import StorageBackend
 from repro.crypto.hashing import content_digest
 from repro.simenv.environment import Simulation
 
 
+def anchor_value(ref: ObjectRef) -> str:
+    """What the CA stores for a written version: ``hash``, or ``hash locator``."""
+    return f"{ref.digest} {ref.locator}" if ref.locator else ref.digest
+
+
+def split_anchor_value(value: str) -> tuple[str, str]:
+    """``(hash, locator)`` of a value :func:`anchor_value` produced."""
+    digest, _, locator = value.partition(" ")
+    return digest, locator
+
+
+def read_anchored(sim: Simulation, backend: StorageBackend, object_id: str, digest: str,
+                  locator: str = "", retry_interval: float = 0.5, retry_limit: int = 240,
+                  fetch: Callable[[], bytes] | None = None) -> bytes:
+    """Step r2: ``do v ← SS.read(id|h) while v = null``, waiting before polling.
+
+    The anchored hash can be ahead of the (eventually consistent) storage
+    service.  The reader first waits, once, until the backend expects the
+    version to be readable (:meth:`StorageBackend.estimate_readable_at`), then
+    reads; only if that still finds nothing — not visible yet, or not enough
+    clouds hold its blocks yet — does it poll every ``retry_interval`` seconds,
+    and after ``retry_limit`` polls it raises
+    :class:`~repro.common.errors.VersionUnavailableError`.
+
+    ``fetch`` replaces the plain ``backend.read_version`` call (a caller that
+    checks what came back raises :class:`ObjectNotFoundError` to poll on).
+    """
+    if fetch is None:
+        fetch = functools.partial(backend.read_version, object_id, digest, locator)
+    began = sim.now()
+    readable_at = backend.estimate_readable_at(locator)
+    # A loop because ``now + (t - now)`` can round to just below ``t``, where
+    # the version is still invisible; the remainder then lands on it exactly.
+    while (wait := readable_at - sim.now()) > 0:
+        sim.advance(wait)
+    attempts = 0
+    while True:
+        attempts += 1
+        try:
+            return fetch()
+        except (ObjectNotFoundError, QuorumNotReachedError) as exc:
+            if attempts > retry_limit:
+                raise VersionUnavailableError(
+                    object_id, digest, attempts, sim.now() - began) from exc
+            sim.advance(retry_interval)
+
+
 class ConsistencyAnchor(abc.ABC):
-    """A small storage system with strong consistency, mapping ids to hashes."""
+    """A small storage system with strong consistency, mapping ids to hashes.
+
+    A stored "hash" is an opaque string to the anchor: :class:`AnchoredStorage`
+    stores :func:`anchor_value` strings in it.
+    """
 
     @abc.abstractmethod
     def write_hash(self, object_id: str, digest: str) -> None:
@@ -62,7 +130,8 @@ class DictConsistencyAnchor(ConsistencyAnchor):
 class CoordinationConsistencyAnchor(ConsistencyAnchor):
     """An anchor storing hashes as entries of a coordination service."""
 
-    def __init__(self, service, session, prefix: str = "anchor/"):
+    def __init__(self, service: CoordinationService, session: Session,
+                 prefix: str = "anchor/") -> None:
         self.service = service
         self.session = session
         self.prefix = prefix
@@ -71,8 +140,6 @@ class CoordinationConsistencyAnchor(ConsistencyAnchor):
         self.service.put(self.prefix + object_id, digest.encode(), self.session)
 
     def read_hash(self, object_id: str) -> str | None:
-        from repro.common.errors import TupleNotFoundError
-
         try:
             return self.service.get(self.prefix + object_id, self.session).value.decode()
         except TupleNotFoundError:
@@ -115,7 +182,7 @@ class AnchoredStorage:
         ref = self.backend.write_version(object_id, data)  # w2
         if ref.digest != digest:
             raise AssertionError("backend returned a reference with a different digest")
-        self.anchor.write_hash(object_id, digest)          # w3
+        self.anchor.write_hash(object_id, anchor_value(ref))  # w3
         return ref
 
     def read(self, object_id: str) -> bytes | None:
@@ -129,30 +196,28 @@ class AnchoredStorage:
         demonstrably exists but the SS never produced the anchored version,
         which must not be reported as "file absent".
         """
-        digest = self.anchor.read_hash(object_id)          # r1
-        if digest is None:
+        anchored = self.anchor.read_hash(object_id)        # r1
+        if anchored is None:
             return None
-        attempts = 0
+        digest, locator = split_anchor_value(anchored)
         mismatches = 0
-        while True:                                        # r2
-            data = None
-            try:
-                data = self.backend.read_version(object_id, digest)
-            except (ObjectNotFoundError, QuorumNotReachedError):
-                # Not visible yet (eventual consistency) or not enough clouds
-                # hold the blocks yet — keep polling, as the algorithm requires.
-                pass
-            if data is not None:
-                if content_digest(data) == digest:         # r3
-                    return data
+
+        def verified() -> bytes:
+            nonlocal mismatches
+            data = self.backend.read_version(object_id, digest, locator)
+            if content_digest(data) != digest:             # r3
                 mismatches += 1                            # stale visible version
-            attempts += 1
-            if attempts > self.retry_limit:
-                if mismatches:
-                    raise IntegrityError(
-                        f"storage service never produced the anchored version of "
-                        f"{object_id!r} (digest {digest[:12]}…): got {mismatches} "
-                        f"mismatching response(s) over {attempts} attempts"
-                    )
-                return None
-            self.sim.advance(self.retry_interval)
+                raise ObjectNotFoundError(f"stale version of {object_id!r} visible")
+            return data
+
+        try:
+            return read_anchored(self.sim, self.backend, object_id, digest, locator,  # r2
+                                 self.retry_interval, self.retry_limit, fetch=verified)
+        except VersionUnavailableError as exc:
+            if mismatches:
+                raise IntegrityError(
+                    f"storage service never produced the anchored version of "
+                    f"{object_id!r} (digest {digest[:12]}…): got {mismatches} "
+                    f"mismatching response(s) over {exc.attempts} attempts"
+                ) from exc
+            return None

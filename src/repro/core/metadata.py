@@ -6,7 +6,8 @@ link), its parent object, the object metadata (size, dates, owner, ACLs…), an
 opaque identifier referencing the file in the storage service and the
 collision-resistant hash of the current version of the file's contents
 (§2.5.1).  The last two fields are exactly the ``(id, hash)`` pair the
-consistency anchor stores (Figure 3).
+consistency anchor stores (Figure 3); the storage backend's locator of that
+version (:attr:`~repro.common.types.ObjectRef.locator`) rides with them.
 
 Metadata is serialised to JSON; a populated tuple is on the order of 1 KB,
 matching the capacity estimates of §2.7 and Figure 11(a).
@@ -77,6 +78,8 @@ class FileMetadata:
     #: Files removed by the user are only marked deleted; the garbage collector
     #: erases them later (§2.5.3), which also enables undelete-style recovery.
     deleted: bool = False
+    #: The backend's locator of the version ``digest`` names (empty: none minted).
+    locator: str = ""
 
     def __post_init__(self) -> None:
         self.path = normalize_path(self.path)
@@ -131,6 +134,16 @@ class FileMetadata:
         if size is not None:
             self.size = size
 
+    def point_at(self, digest: str, size: int, locator: str = "") -> None:
+        """Reference another data version: hash, size and locator move together.
+
+        A locator describes one version only, so a new hash without its
+        locator (a version not uploaded yet) must drop the old one.
+        """
+        self.digest = digest
+        self.size = size
+        self.locator = locator
+
     def renamed(self, new_path: str) -> "FileMetadata":
         """Return a copy of this metadata under a new path."""
         clone = replace(self, path=normalize_path(new_path))
@@ -155,6 +168,9 @@ class FileMetadata:
                 "grants": {u: p.value for u, p in self.grants.items()},
                 "link_target": self.link_target,
                 "deleted": self.deleted,
+                # Only when there is one: directories, links and empty files
+                # keep their size (and the tuples of older traces their bytes).
+                **({"locator": self.locator} if self.locator else {}),
             },
             sort_keys=True,
         ).encode()
@@ -172,6 +188,7 @@ class FileMetadata:
             modified_at=float(raw["modified_at"]),
             file_id=raw["file_id"],
             digest=raw["digest"],
+            locator=raw.get("locator", ""),
             data_version=int(raw["data_version"]),
             grants={u: Permission(v) for u, v in raw.get("grants", {}).items()},
             link_target=raw.get("link_target", ""),

@@ -19,8 +19,8 @@ import json
 
 from repro.common.errors import TupleNotFoundError
 from repro.core.backend import StorageBackend
+from repro.core.consistency import anchor_value, read_anchored, split_anchor_value
 from repro.core.metadata import FileMetadata
-from repro.crypto.hashing import content_digest
 
 
 class PrivateNameSpace:
@@ -33,23 +33,29 @@ class PrivateNameSpace:
     backend:
         Storage backend used to persist the serialized metadata object.
     coordination / session:
-        When given (blocking/non-blocking modes), the PNS digest is anchored in
-        a PNS tuple of the coordination service so other agents of the same
-        user can find the latest copy.  In the non-sharing mode there is no
-        coordination service and the digest only lives in the local mount
-        state (the same simplification S3QL makes with its local metadata
-        cache).
+        When given (blocking/non-blocking modes), the PNS digest (with the
+        backend's locator) is anchored in a PNS tuple of the coordination
+        service so other agents of the same user can find the latest copy.  In
+        the non-sharing mode there is no coordination service and the
+        reference only lives in the local mount state (the same
+        simplification S3QL makes with its local metadata cache).
+    read_retry_interval / read_retry_limit:
+        Polling policy of :meth:`load` (Figure 3, step r2).
     """
 
     def __init__(self, username: str, backend: StorageBackend,
-                 coordination=None, session=None):
+                 coordination=None, session=None,
+                 read_retry_interval: float = 0.5, read_retry_limit: int = 240):
         self.username = username
         self.backend = backend
         self.coordination = coordination
         self.session = session
+        self.read_retry_interval = read_retry_interval
+        self.read_retry_limit = read_retry_limit
         self.entries: dict[str, FileMetadata] = {}
         self.dirty = False
-        self._last_digest: str | None = None
+        #: What the anchor holds (or would hold) for the last object saved or loaded.
+        self._last_anchored = ""
         self.saves = 0
         self.loads = 0
 
@@ -83,19 +89,22 @@ class PrivateNameSpace:
         """Fetch the PNS object referenced by the PNS tuple (mount time, §2.7).
 
         Returns True when an existing PNS was loaded, False when this is a
-        fresh (empty) name space.
+        fresh (empty) name space.  A mount inside the propagation window of
+        the last save waits for the object like any other anchored read.
         """
-        digest = self._last_digest
+        anchored = self._last_anchored
         if self.coordination is not None and self.session is not None:
             try:
-                digest = self.coordination.get(self.tuple_key, self.session).value.decode()
+                anchored = self.coordination.get(self.tuple_key, self.session).value.decode()
             except TupleNotFoundError:
-                digest = None
-        if not digest:
+                anchored = ""
+        if not anchored:
             return False
-        blob = self.backend.read_version(self.unit_id, digest)
+        digest, locator = split_anchor_value(anchored)
+        blob = read_anchored(self.backend.sim, self.backend, self.unit_id, digest, locator,
+                             self.read_retry_interval, self.read_retry_limit)
         self._from_bytes(blob)
-        self._last_digest = digest
+        self._last_anchored = anchored
         self.dirty = False
         self.loads += 1
         return True
@@ -111,15 +120,14 @@ class PrivateNameSpace:
         if not self.dirty:
             return None
         blob = self._to_bytes()
-        digest = content_digest(blob)
         if charge_latency:
             ref = self.backend.write_version(self.unit_id, blob)
         else:
             with self.backend.uncharged():
                 ref = self.backend.write_version(self.unit_id, blob)
-        self._last_digest = ref.digest
+        self._last_anchored = anchor_value(ref)
         if self.coordination is not None and self.session is not None:
-            self.coordination.put(self.tuple_key, digest.encode(), self.session)
+            self.coordination.put(self.tuple_key, self._last_anchored.encode(), self.session)
         self.dirty = False
         self.saves += 1
         return ref.digest

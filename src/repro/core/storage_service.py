@@ -18,10 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.common.errors import ObjectNotFoundError, QuorumNotReachedError
 from repro.common.types import ObjectRef
 from repro.core.backend import StorageBackend
 from repro.core.cache import LRUByteCache
+from repro.core.consistency import read_anchored
 from repro.simenv.environment import Simulation
 
 
@@ -63,13 +63,14 @@ class StorageService:
 
     # ------------------------------------------------------------------ reads
 
-    def read_version(self, file_id: str, digest: str, expected_size: int | None = None) -> ReadOutcome:
+    def read_version(self, file_id: str, digest: str, locator: str = "") -> ReadOutcome:
         """Return the data of one file version, reading locally when possible.
 
         Resolution order: memory cache → disk cache → cloud backend.  The
-        cloud path implements the retry loop of the consistency-anchor read
-        (Figure 3, step r2) because the anchored hash can be visible before the
-        data has propagated in an eventually consistent cloud.
+        cloud path is step r2 of the consistency-anchor read (Figure 3,
+        :func:`~repro.core.consistency.read_anchored`) because the anchored
+        hash can be visible before the data has propagated in an eventually
+        consistent cloud; ``locator`` is what the anchor holds beside the hash.
         """
         if not digest:
             return ReadOutcome(data=b"", source="memory")
@@ -82,27 +83,12 @@ class StorageService:
             # Promote to the memory cache: the file is being opened.
             self._cache_in_memory(key, data)
             return ReadOutcome(data=data, source="disk")
-        data = self._read_from_cloud(file_id, digest)
+        data = read_anchored(self.sim, self.backend, file_id, digest, locator,
+                             self.read_retry_interval, self.read_retry_limit)
+        self.cloud_reads += 1
         self.disk.put(key, data)
         self._cache_in_memory(key, data)
         return ReadOutcome(data=data, source="cloud")
-
-    def _read_from_cloud(self, file_id: str, digest: str) -> bytes:
-        attempts = 0
-        while True:
-            try:
-                data = self.backend.read_version(file_id, digest)
-                self.cloud_reads += 1
-                return data
-            except (ObjectNotFoundError, QuorumNotReachedError):
-                # The anchored hash is ahead of the (eventually consistent)
-                # storage service: the version exists but is not visible yet,
-                # or not enough clouds hold its blocks yet.  Keep polling
-                # (Figure 3, step r2) until it appears or the limit is hit.
-                attempts += 1
-                if attempts > self.read_retry_limit:
-                    raise
-                self.sim.advance(self.read_retry_interval)
 
     def cached_locally(self, file_id: str, digest: str) -> bool:
         """True when the given version is present in memory or on disk."""

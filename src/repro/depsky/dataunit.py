@@ -9,13 +9,28 @@ extension ``read_matching(hash)`` to locate an arbitrary version (§3.2).
 
 from __future__ import annotations
 
+import base64
 import json
+import math
+import struct
 from dataclasses import dataclass, field
+
+from repro.common.errors import IntegrityError
+
+#: Head of a version locator: format tag, version number, payload size, block
+#: dispatch instant, number of block digests; the raw digests follow.
+_LOCATOR_HEAD = struct.Struct(">BQQdB")
+_LOCATOR_FORMAT = 1
+_DIGEST_BYTES = 32
 
 
 @dataclass(frozen=True)
 class VersionRecord:
-    """Metadata of one written version of a data unit."""
+    """Metadata of one written version of a data unit.
+
+    ``created_at`` is the instant the version's blocks were dispatched to the
+    clouds: their propagation to readers runs from it.
+    """
 
     version: int
     data_digest: str
@@ -23,6 +38,43 @@ class VersionRecord:
     block_digests: tuple[str, ...]
     created_at: float
     writer: str
+
+    def locator(self) -> str:
+        """Everything a reader holding ``data_digest`` needs to fetch this version.
+
+        The version number names the block objects, the block digests verify
+        them and the dispatch instant says from when they are visible.  SCFS
+        anchors this string beside the hash, so a read of the anchored version
+        does not consult the clouds' (eventually consistent) metadata object.
+        """
+        head = _LOCATOR_HEAD.pack(_LOCATOR_FORMAT, self.version, self.size,
+                                  self.created_at, len(self.block_digests))
+        digests = b"".join(bytes.fromhex(digest) for digest in self.block_digests)
+        return base64.urlsafe_b64encode(head + digests).decode("ascii")
+
+    @staticmethod
+    def from_locator(locator: str, data_digest: str) -> "VersionRecord":
+        """The record :meth:`locator` was taken from, given the anchored hash.
+
+        Raises :class:`~repro.common.errors.IntegrityError` for anything that
+        is not a well-formed locator: a reader must never fetch blocks it has
+        no digest to check against.
+        """
+        try:
+            raw = base64.b64decode(locator, altchars=b"-_", validate=True)
+            tag, version, size, created_at, count = _LOCATOR_HEAD.unpack_from(raw)
+        except (ValueError, struct.error) as exc:
+            raise IntegrityError(f"malformed version locator: {exc}") from exc
+        digests = raw[_LOCATOR_HEAD.size:]
+        if (tag != _LOCATOR_FORMAT or len(digests) != count * _DIGEST_BYTES
+                or not math.isfinite(created_at)):
+            raise IntegrityError("malformed version locator")
+        return VersionRecord(
+            version=version, data_digest=data_digest, size=size,
+            block_digests=tuple(digests[i:i + _DIGEST_BYTES].hex()
+                                for i in range(0, len(digests), _DIGEST_BYTES)),
+            created_at=created_at, writer="",
+        )
 
     def to_dict(self) -> dict:
         """Serialise to a JSON-compatible dictionary."""

@@ -129,7 +129,8 @@ class DepSkyReadResult:
     ``meta_stats`` carry the dispatch-engine statistics of the block-fetch and
     metadata-read quorum calls (per-cloud outcome, per-stage wait, winner
     set), which the benchmark reports aggregate into preferred-quorum hit
-    rates and hedging effectiveness.
+    rates and hedging effectiveness; ``meta_stats`` is ``None`` for a read
+    that was handed its version record and so made no metadata call.
     """
 
     data: bytes
@@ -250,9 +251,6 @@ class DepSkyClient:
         #: ``acl``.  The scenario engine's trace recorder taps in here to
         #: record per-cloud outcomes alongside the file-system events.
         self.on_quorum = None
-        #: When the last write sent its data blocks and its metadata: the
-        #: instants from which the clouds' propagation of them runs.
-        self.last_dispatch = (0.0, 0.0)
 
     # ------------------------------------------------------------------ keys
 
@@ -511,7 +509,6 @@ class DepSkyClient:
         reads = [self._read_metadata(unit_id) for unit_id in unit_ids]
         self._charge(*(meta_stats for _metadata, meta_stats in reads))
 
-        blocks_sent = self.sim.now()
         required_acks = self._write_quorum()
         staged: list[tuple[str, bytes, VersionRecord]] = []
         block_stats: list[QuorumCallStats] = []
@@ -530,7 +527,6 @@ class DepSkyClient:
         self._require_acks(unit_ids, block_stats, required_acks, "data blocks")
         self._charge(*block_stats)
 
-        metadata_sent = self.sim.now()
         meta_stats: list[QuorumCallStats] = []
         for unit_id, meta_blob, _record in staged:
             meta_put_stats = self._call().stage(
@@ -542,7 +538,6 @@ class DepSkyClient:
         self._charge(*meta_stats)
         for unit_id, meta_blob, record in staged:
             self._last_written[unit_id] = (record.version, DataUnitMetadata.from_bytes(meta_blob))
-        self.last_dispatch = (blocks_sent, metadata_sent)
         return [record for _unit_id, _meta_blob, record in staged]
 
     @staticmethod
@@ -659,7 +654,9 @@ class DepSkyClient:
             # The digest covers the whole blob (header ‖ share ‖ payload), so
             # a corrupted *share* is rejected here too — not only a corrupted
             # coded payload (see :func:`block_blob_digest`).
-            if index < len(record.block_digests) and content_digest(blob) != record.block_digests[index]:
+            # A record without a digest for this block verifies nothing.
+            expected = record.block_digests[index] if index < len(record.block_digests) else None
+            if content_digest(blob) != expected:
                 # Corrupted or Byzantine answer — this cloud's block does not
                 # count towards the quorum (but its fetch still took time).
                 raise IntegrityError(f"block {index} of {unit_id!r} failed its digest check at {cloud.name}")
@@ -744,40 +741,39 @@ class DepSkyClient:
             raise ObjectNotFoundError(f"data unit {unit_id!r} has no visible version")
         return self._assemble(unit_id, metadata.latest(), meta_stats)
 
-    def read_matching(self, unit_id: str, digest: str) -> DepSkyReadResult:
+    def read_matching(self, unit_id: str, digest: str,
+                      record: VersionRecord | None = None) -> DepSkyReadResult:
         """Read the version of ``unit_id`` whose plaintext digest is ``digest``.
 
         This is the operation added to DepSky for SCFS (§3.2): the digest comes
-        from the consistency anchor, so a metadata copy containing it is
-        self-verifying and a single copy suffices to locate the version.
-        Raises :class:`ObjectNotFoundError` when no cloud has (yet) a metadata
-        copy listing the requested digest — the caller retries, implementing
-        the ``do ... while`` loop of Figure 3.
-        """
-        metadata, meta_stats = self._read_metadata(unit_id, use_cached=False)
-        self._charge(meta_stats)
-        record = metadata.find_by_digest(digest) if metadata is not None else None
-        if record is None:
-            # Fall back to scanning every copy (a lagging majority may not list
-            # the version yet while one up-to-date cloud already does).
-            record = self._find_digest_any_copy(unit_id, digest)
-        if record is None:
-            raise ObjectNotFoundError(
-                f"no cloud lists a version of {unit_id!r} with digest {digest[:12]}…"
-            )
-        return self._assemble(unit_id, record, meta_stats)
+        from the consistency anchor.  When the anchor also hands over the
+        version's ``record`` (see :meth:`VersionRecord.locator`) the read is the
+        block fetch alone: one quorum call, ``k`` GETs.
 
-    def _find_digest_any_copy(self, unit_id: str, digest: str) -> VersionRecord | None:
-        for cloud in self.clouds:
-            try:
-                blob = cloud.get(self._meta_key(unit_id), self.principal)
-                copy = DataUnitMetadata.from_bytes(blob)
-            except (CloudError, ValueError):
-                continue
-            record = copy.find_by_digest(digest)
-            if record is not None:
-                return record
-        return None
+        Without a record, the clouds' metadata copies are how it is obtained:
+        a copy listing the anchored digest is self-verifying, so a single one
+        suffices to locate the version (a lagging majority may not list it yet
+        while one up-to-date cloud already does).  Raises
+        :class:`ObjectNotFoundError` when no copy lists it (yet) — the caller
+        retries, implementing the ``do ... while`` loop of Figure 3.
+        """
+        meta_stats = None
+        if record is None:
+            metadata, meta_stats = self._read_metadata(unit_id, use_cached=False)
+            self._charge(meta_stats)
+            # The agreed copy first, then every copy the quorum call returned.
+            copies = [metadata, *(trace.value[0] for trace in meta_stats.successes)]
+            record = next((found for copy in copies if copy is not None
+                           and (found := copy.find_by_digest(digest)) is not None), None)
+            if record is None:
+                raise ObjectNotFoundError(
+                    f"no cloud lists a version of {unit_id!r} with digest {digest[:12]}…"
+                )
+        elif record.data_digest != digest or len(record.block_digests) != self.n:
+            raise IntegrityError(
+                f"the record handed over for {unit_id!r} does not describe a "
+                f"{self.n}-block version with digest {digest[:12]}…")
+        return self._assemble(unit_id, record, meta_stats)
 
     # ----------------------------------------------------------- maintenance
 

@@ -133,7 +133,7 @@ def prime_pool(deployment, spec, recorder=None) -> dict[str, int]:
         path="/pool-template/file.dat", file_type=FileType.FILE,
         owner=POOL_OWNER, size=len(data), created_at=now, modified_at=now,
         file_id="@@UID@@", digest=data_digest, data_version=1,
-        grants={"*": Permission.READ_WRITE},
+        grants={"*": Permission.READ_WRITE}, locator=record.locator(),
     )
     file_meta_template = proto.to_bytes()
     acl_json = dump_acl(

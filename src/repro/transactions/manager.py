@@ -26,9 +26,10 @@ BFT-transaction designs (Basil, arXiv:2109.12443):
       the intent says so, or nothing changed;
    f. release the lock set;
    g. return once the uploaded versions are expected to be readable
-      (:meth:`~repro.core.backend.StorageBackend.estimate_readable_at`): the
-      clouds acknowledge a put before readers see it, and a reader the caller
-      tells about the commit would otherwise poll for it.
+      (:meth:`~repro.core.backend.StorageBackend.estimate_readable_at` of the
+      locators the uploads minted): the clouds acknowledge a put before
+      readers see it, and a reader the caller tells about the commit would
+      otherwise sit out the rest of the propagation window itself.
 3. **Abort/retry** — any conflict (lock held, stale read, lost lease, CAS
    mismatch) raises :class:`~repro.common.errors.TransactionConflictError`;
    :meth:`TransactionManager.run` re-executes the whole transaction body with
@@ -143,7 +144,7 @@ class Transaction:
         data = b""
         if meta.digest:
             data = self.manager.agent.storage.read_version(
-                meta.file_id, meta.digest, meta.size).data
+                meta.file_id, meta.digest, meta.locator).data
         self._reads[path] = ReadRecord(path=path, file_id=meta.file_id,
                                        version=meta.data_version, digest=meta.digest)
         self._read_data[path] = data
@@ -275,22 +276,19 @@ class TransactionManager:
                 if not agent.locks.still_held(meta):
                     raise TransactionConflictError(
                         f"lock lease on {meta.path} expired during commit")
-            if txn._writes:
-                self._anchor_writes(txn, current)
+            readable_at = self._anchor_writes(txn, current) if txn._writes else 0.0
             txn.status = COMMITTED
             self._emit_commit(txn)
         finally:
             agent.locks.release_set(locked)
         # Commit returns once the new versions are expected to be readable,
         # not merely acknowledged: the clouds are eventually consistent, and a
-        # reader the caller notifies inside the propagation window would poll
-        # for them (Figure 3, step r2) — billed GETs and a retry interval,
-        # which cost it more than this wait costs the writer.  The locks are
-        # already back, so nobody else waits.
-        if txn._writes:
-            wait = agent.backend.estimate_readable_at() - agent.sim.now()
-            if wait > 0:
-                agent.sim.advance(wait)
+        # reader the caller notifies inside the propagation window would sit
+        # out the rest of it (Figure 3, step r2) — so "committed" means
+        # "readable".  The locks are already back, so nobody else waits.
+        wait = readable_at - agent.sim.now()
+        if wait > 0:
+            agent.sim.advance(wait)
 
     def _resolve(self, txn: Transaction,
                  paths: list[str]) -> dict[str, tuple[FileMetadata, int]]:
@@ -323,7 +321,8 @@ class TransactionManager:
                     f"anchor has {meta.data_version}")
 
     def _anchor_writes(self, txn: Transaction,
-                       current: dict[str, tuple[FileMetadata, int]]) -> None:
+                       current: dict[str, tuple[FileMetadata, int]]) -> float:
+        """Upload and anchor the write set; returns when all of it is expected readable."""
         agent = self.agent
         now = agent.sim.now()
         plan: WritePlan = []
@@ -331,8 +330,7 @@ class TransactionManager:
             meta, entry_version = current[path]
             data = txn._writes[path]
             new_meta = meta.copy()
-            new_meta.digest = content_digest(data)
-            new_meta.size = len(data)
+            new_meta.point_at(content_digest(data), len(data))
             new_meta.modified_at = now
             new_meta.data_version = meta.data_version + 1
             plan.append((path, entry_version, new_meta, data))
@@ -341,7 +339,7 @@ class TransactionManager:
             [(new_meta.file_id, data, new_meta.data_version)
              for _path, _entry_version, new_meta, data in plan])
         for (path, _entry_version, new_meta, _data), ref in zip(plan, refs, strict=True):
-            new_meta.digest, new_meta.size = ref.digest, ref.size
+            new_meta.point_at(ref.digest, ref.size, ref.locator)
             agent._emit("upload", path=path, file_id=new_meta.file_id,
                         digest=ref.digest, version=new_meta.data_version,
                         background=False, txn=txn.txn_id)
@@ -371,6 +369,7 @@ class TransactionManager:
             txn._committed_writes.append(
                 [path, new_meta.file_id, new_meta.data_version, new_meta.digest])
         agent.gc.maybe_schedule()
+        return max(agent.backend.estimate_readable_at(ref.locator) for ref in refs)
 
     def _intent(self, txn: Transaction, status: str, plan: WritePlan) -> bytes:
         """The intent record of ``txn`` in state ``status``, serialized."""

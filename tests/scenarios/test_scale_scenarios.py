@@ -17,25 +17,24 @@ from repro.scenarios.runner import ScenarioRunner
 
 #: Trace fingerprints of the seed-101 lockstep sweep (3 agents x 10 ops).
 #: A change here means existing replay commands no longer reproduce their
-#: traces — that is a breaking change, not a refactor.  Fingerprint epoch 2,
-#: recorded at PR 12 (coordination commands per intent changed: one replicated
-#: command, hence one latency draw, per put/delete/ACL change/move); epoch 1
-#: held from PR 4 to PR 11.  The three transactional mixes are epoch 3,
-#: recorded at PR 13: a commit is five coordination commands and one round of
-#: uploads for any number of files (lock set, validating reads, intent,
-#: {version CASes + intent flip}, release) and returns once its versions are
-#: readable, so every timestamp and latency draw after a run's first commit
-#: moved; the five non-transactional values are still epoch 2, untouched.
-#: See docs/determinism-contract.md.
+#: traces — that is a breaking change, not a refactor.  Fingerprint epoch 4,
+#: recorded at PR 14 for all eight mixes (each runs a cold read): the anchor
+#: hands a reader the DepSky version locator, so a cold read is one quorum call
+#: (no metadata-object read, hence fewer latency draws), and a reader inside a
+#: propagation window waits for it once instead of failing and polling — every
+#: timestamp after a run's first cold read moved.  Epoch 1 held from PR 4 to
+#: PR 11, epoch 2 from PR 12 (one replicated command per coordination intent),
+#: epoch 3 (PR 13, constant-round commit) covered the three transactional
+#: mixes only.  See docs/determinism-contract.md.
 GOLDEN_LOCKSTEP = {
-    "fault-free": "2ca8ec26ca63c98b8c3765fe7022f58038525472d6e519e5413b9368cc67e4d4",
-    "crash-hang": "fd2056a17c139474733f6cb88b086e4d012e20c1b3f38ef5c777a95706ca2ab9",
-    "corrupt-byzantine": "2433461fc3bf3dbd36b78d2a9f415c839ca0e305a7ad6f2a5b90c67392761ef0",
-    "degraded-outage": "3ce1f4006845af52fa2fc10905357a89aee3d3ceb5efb73446177a071017763d",
-    "weighted-byzantine": "b15257ea02764420048a89c71f30c4d8f67d3405115cf7605962df43d5febb63",
-    "txn": "4e02b1bbe4a82090c091925d49e54dfcb8ec346d69032ffce7af43b4a29dd99a",
-    "txn-crash-restart": "c68a1780370180ca3e539a4bb3dfbff03c869d8f8bf468a12bf43bace59126f8",
-    "txn-partition": "ec99871c32953089583b13a9b8390fcd35e0df24e64e08748e60027c2427aeba",
+    "fault-free": "f5198efebcc29cf6b225a3086591e01cecf7a0cca475b73b584619519088e5ed",
+    "crash-hang": "d6695693f8ba9f0f9b74990dc60597dd642c52da789927c6192a2519b7356097",
+    "corrupt-byzantine": "e9822ae439bc8aa76605c7dc3874d4c0b30ae484753d70e9043f77377a1f5d6f",
+    "degraded-outage": "c6395afad5a73bbef4d7ff6bf330a3103a0410de432142fbde4d64ea3ac6cefa",
+    "weighted-byzantine": "d55f0c132dc05ac8bf2f2c14fcb420f056825a3b46ab06723d8a8dacb2c42244",
+    "txn": "4484935ff113162912496a0b9f66863fa021651135a658e55ef373754aeac33f",
+    "txn-crash-restart": "ba16edf9ceff3558a1fbe5d9a9008c554ac05f409124f877159881c1b6f3dc03",
+    "txn-partition": "c777cf2e4b2811df0394026c578c71254138653589e53c6c94874783494dd249",
 }
 
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.clouds.providers import make_cloud_of_clouds, make_provider
-from repro.common.errors import ObjectNotFoundError, QuorumNotReachedError
+from repro.common.errors import IntegrityError, ObjectNotFoundError, QuorumNotReachedError
 from repro.common.types import Permission
 from repro.core.backend import CloudOfCloudsBackend, SingleCloudBackend
 from repro.core.consistency import (
@@ -52,12 +52,25 @@ class TestStorageBackends:
         with pytest.raises(ObjectNotFoundError):
             backend.read_version("file-1", ref.digest)
 
-    def test_a_version_is_readable_from_the_estimated_time_on(self, backend, sim):
-        ref = backend.write_version("file-1", b"fresh")
+    def test_a_version_is_readable_from_the_time_its_locator_estimates(self, backend, sim):
+        first = backend.write_version("file-1", b"fresh")
+        readable_at = backend.estimate_readable_at(first.locator)
+        assert sim.now() < readable_at
         with pytest.raises((ObjectNotFoundError, QuorumNotReachedError)):
-            backend.read_version("file-1", ref.digest)
-        sim.advance(backend.estimate_readable_at() - sim.now())
-        assert backend.read_version("file-1", ref.digest) == b"fresh"
+            backend.read_version("file-1", first.digest, first.locator)
+        sim.advance(max(0.0, readable_at - sim.now()))
+        assert backend.read_version("file-1", first.digest, first.locator) == b"fresh"
+        # The estimate belongs to the version, not to "the last write".
+        second = backend.write_version("file-2", b"later")
+        assert backend.estimate_readable_at(second.locator) > sim.now() > readable_at
+        assert backend.estimate_readable_at(first.locator) == readable_at
+
+    def test_without_a_locator_there_is_nothing_to_wait_for(self, backend):
+        assert backend.estimate_readable_at("") == 0.0
+
+    def test_a_locator_the_backend_cannot_have_minted_is_an_integrity_error(self, backend):
+        with pytest.raises(IntegrityError):
+            backend.estimate_readable_at("not a locator")
 
     def test_list_versions(self, backend, sim):
         backend.write_version("file-1", b"one")

@@ -442,7 +442,10 @@ class TestConsistencyAnchorIntegrity:
         sim = Simulation(seed=2)
 
         class StaleBackend:
-            def read_version(self, file_id, digest):
+            def estimate_readable_at(self, locator):
+                return 0.0
+
+            def read_version(self, file_id, digest, locator=""):
                 return b"stale version"
 
             def write_version(self, file_id, data):
@@ -461,7 +464,10 @@ class TestConsistencyAnchorIntegrity:
             def __init__(self):
                 self.calls = 0
 
-            def read_version(self, file_id, digest):
+            def estimate_readable_at(self, locator):
+                return 0.0
+
+            def read_version(self, file_id, digest, locator=""):
                 self.calls += 1
                 return b"stale" if self.calls < 3 else b"fresh"
 

@@ -1,0 +1,271 @@
+"""Cloud round trips per cold read (the Figure 3, r1–r2 budget).
+
+The anchor hands a reader the hash *and* the locator of the version it names,
+so a cold read is the block fetch alone: one DepSky quorum call and ``k`` GETs,
+whichever commit path anchored the version — and a reader that arrives before
+the clouds show the version waits for it once instead of polling.  These tests
+pin that budget, counted below DepSky: at ``QuorumCall.execute`` and in the
+providers' ``request_log``.
+"""
+
+from __future__ import annotations
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.clouds.dispatch import QuorumCall
+from repro.clouds.providers import make_cloud_of_clouds
+from repro.common.errors import IntegrityError, ObjectNotFoundError, VersionUnavailableError
+from repro.common.types import Permission
+from repro.core.backend import CloudOfCloudsBackend
+from repro.core.deployment import SCFSDeployment
+from repro.depsky.dataunit import VersionRecord
+from repro.depsky.protocol import DepSkyClient
+from repro.scenarios.pool import POOL_PAYLOAD, prime_pool
+from repro.scenarios.spec import ScenarioSpec
+from repro.simenv.environment import Simulation
+from repro.simenv.failures import FaultKind
+
+
+class Meter:
+    """Quorum calls executed and GETs served, deployment-wide, since ``mark()``."""
+
+    def __init__(self, clouds, monkeypatch):
+        self.clouds = clouds
+        self.calls = 0
+        execute = QuorumCall.execute
+
+        def counted(call, required):
+            self.calls += 1
+            return execute(call, required)
+
+        monkeypatch.setattr(QuorumCall, "execute", counted)
+        self.mark()
+
+    def mark(self) -> None:
+        self._calls = self.calls
+        self._logged = [len(cloud.request_log) for cloud in self.clouds]
+
+    def quorum_calls(self) -> int:
+        return self.calls - self._calls
+
+    def gets(self) -> list[tuple[str, int]]:
+        """``(key, bytes served)`` of every GET since the mark (0 bytes: not found)."""
+        return [(key, size) for cloud, start in zip(self.clouds, self._logged)
+                for kind, key, size in cloud.request_log[start:] if kind == "get"]
+
+    def assert_one_block_fetch(self, k: int = 2) -> None:
+        gets = self.gets()
+        assert self.quorum_calls() == 1
+        assert len(gets) == k and all(size > 0 for _key, size in gets)
+        assert not any(key.endswith("/metadata") for key, _size in gets)
+
+
+@pytest.fixture
+def shared(monkeypatch):
+    """A blocking CoC deployment, ``/f`` written by alice and readable by bob."""
+    deployment = SCFSDeployment.for_variant("SCFS-CoC-B", seed=17)
+    alice, bob = deployment.create_agent("alice"), deployment.create_agent("bob")
+    alice.write_file("/f", b"first", shared=True)
+    alice.setfacl("/f", "bob", Permission.READ_WRITE)
+    return deployment, alice, bob, Meter(deployment.clouds, monkeypatch)
+
+
+# ------------------------------------------------------------ the budget, fault-free
+
+
+def test_cold_read_of_a_closed_file_is_one_quorum_call_and_k_gets(shared):
+    deployment, alice, bob, meter = shared
+    alice.write_file("/f", b"closed by alice")
+    deployment.sim.advance(5.0)
+    meter.mark()
+    assert bob.read_file("/f") == b"closed by alice"
+    meter.assert_one_block_fetch()
+
+
+def test_cold_read_of_a_background_closed_file_is_the_same(monkeypatch):
+    deployment = SCFSDeployment.for_variant("SCFS-CoC-NB", seed=17)
+    alice, bob = deployment.create_agent("alice"), deployment.create_agent("bob")
+    alice.write_file("/f", b"first", shared=True)
+    alice.setfacl("/f", "bob", Permission.READ)
+    alice.write_file("/f", b"uploaded in the background")
+    deployment.drain()
+    deployment.sim.advance(5.0)
+    meter = Meter(deployment.clouds, monkeypatch)
+    assert bob.read_file("/f") == b"uploaded in the background"
+    meter.assert_one_block_fetch()
+
+
+def test_cold_read_of_a_transaction_written_file_is_the_same(shared):
+    deployment, alice, bob, meter = shared
+    alice.write_file("/g", b"second", shared=True)
+    alice.setfacl("/g", "bob", Permission.READ)
+    alice.write_files({"/f": b"F by txn", "/g": b"G by txn"})
+    for path, data in (("/f", b"F by txn"), ("/g", b"G by txn")):
+        meter.mark()
+        assert bob.read_file(path) == data
+        meter.assert_one_block_fetch()
+
+
+def test_mounting_a_saved_pns_is_the_same(monkeypatch):
+    deployment = SCFSDeployment.for_variant("SCFS-CoC-B", seed=17, private_name_spaces=True)
+    fs = deployment.create_agent("alice")
+    fs.write_file("/private.txt", b"mine")
+    fs.unmount()
+    deployment.sim.advance(5.0)
+    meter = Meter(deployment.clouds, monkeypatch)
+    again = deployment.create_agent("alice")
+    meter.assert_one_block_fetch()
+    assert again.agent.pns.contains("/private.txt")
+
+
+def test_cold_read_of_a_pool_primed_file_is_the_same(monkeypatch):
+    spec = ScenarioSpec.generate_scale(seed=9, agents=2, files=6, ops_per_agent=1,
+                                       directories=2, partitions=2)
+    deployment = SCFSDeployment(spec.config(), sim=Simulation(seed=spec.seed))
+    prime_pool(deployment, spec)
+    fs = deployment.create_agent("carol")
+    deployment.sim.advance(5.0)
+    meter = Meter(deployment.clouds, monkeypatch)
+    assert fs.read_file(spec.shared_files[0]) == POOL_PAYLOAD
+    meter.assert_one_block_fetch()
+
+
+# ---------------------------------------------------------- the propagation window
+
+
+def test_a_reader_inside_the_propagation_window_waits_once_and_never_misses(shared):
+    deployment, alice, bob, meter = shared
+    alice.write_file("/f", b"just closed")
+    locator = bob.stat("/f").locator
+    readable_at = bob.agent.backend.estimate_readable_at(locator)
+    assert deployment.sim.now() < readable_at  # close returned inside the window
+    attempts = []
+    read_version = bob.agent.backend.read_version
+    bob.agent.backend.read_version = lambda *args: (
+        attempts.append(deployment.sim.now()) or read_version(*args))
+    meter.mark()
+    assert bob.read_file("/f") == b"just closed"
+    assert attempts == [readable_at]
+    meter.assert_one_block_fetch()
+
+
+def test_a_mount_inside_the_propagation_window_of_the_pns_save_loads_it():
+    # Regression: load() had no r2 loop, the mount swallowed the not-found and
+    # the user came up with an empty name space.
+    deployment = SCFSDeployment.for_variant("SCFS-CoC-B", seed=17, private_name_spaces=True)
+    fs = deployment.create_agent("alice")
+    fs.write_file("/private.txt", b"mine")
+    fs.unmount()
+    again = deployment.create_agent("alice")
+    assert again.agent.pns.loads == 1
+    assert again.read_file("/private.txt") == b"mine"
+
+
+def test_a_wrong_hint_leaves_the_poll_as_the_safety_net(shared):
+    deployment, alice, bob, meter = shared
+    alice.write_file("/f", b"slower than its profile says")
+    bob.agent.backend._block_lag = 0.0  # the estimator believes propagation is instant
+    started = deployment.sim.now()
+    assert bob.read_file("/f") == b"slower than its profile says"
+    assert deployment.sim.now() - started >= bob.agent.storage.read_retry_interval
+
+
+def test_exhausting_the_retry_limit_raises_a_typed_error(shared):
+    deployment, alice, bob, meter = shared
+    storage = bob.agent.storage
+    storage.read_retry_limit = 3
+    started = deployment.sim.now()
+    with pytest.raises(VersionUnavailableError) as raised:
+        storage.read_version("file-never-written", "ab" * 32)
+    error = raised.value
+    assert isinstance(error, ObjectNotFoundError)
+    assert (error.file_id, error.digest_prefix, error.attempts) == (
+        "file-never-written", "ab" * 6, 4)
+    assert error.waited == pytest.approx(deployment.sim.now() - started)
+    assert error.waited >= 3 * storage.read_retry_interval
+
+
+# ------------------------------------------------------------------ below the anchor
+
+
+@pytest.fixture
+def unit(sim, alice):
+    """A CoC backend with one propagated version of ``unit``: ``(backend, ref, data)``."""
+    backend = CloudOfCloudsBackend(sim, make_cloud_of_clouds(sim), alice, f=1)
+    data = bytes(range(256)) * 40
+    ref = backend.write_version("unit", data)
+    sim.advance(5.0)
+    return backend, ref, data
+
+
+@pytest.mark.parametrize("fault", [FaultKind.CORRUPTION, FaultKind.BYZANTINE])
+def test_a_bad_systematic_block_under_the_locator_falls_back_to_parity(unit, fault):
+    backend, ref, data = unit
+    backend.client.clouds[0].failures.add(fault)
+    assert backend.read_version("unit", ref.digest, ref.locator) == data
+    assert (backend.read_paths.coded, backend.read_paths.systematic) == (1, 0)
+
+
+def test_a_failed_read_matching_bills_exactly_n_gets(unit):
+    backend, _ref, _data = unit
+    clouds = backend.client.clouds
+    logged = [len(cloud.request_log) for cloud in clouds]
+    with pytest.raises(ObjectNotFoundError):
+        backend.client.read_matching("unit", "00" * 32)
+    new = [entry for cloud, start in zip(clouds, logged) for entry in cloud.request_log[start:]]
+    assert [kind for kind, _key, _size in new] == ["get"] * backend.client.n
+
+
+def test_a_short_locator_never_disables_the_block_check(unit):
+    backend, ref, _data = unit
+    client: DepSkyClient = backend.client
+    record = VersionRecord.from_locator(ref.locator, ref.digest)
+    short = VersionRecord(record.version, record.data_digest, record.size,
+                          record.block_digests[:1], record.created_at, "")
+    with pytest.raises(IntegrityError):
+        client.read_matching("unit", ref.digest, record=short)
+    with pytest.raises(IntegrityError):
+        backend.read_version("unit", ref.digest, short.locator())
+    # Block 1 has no digest in the short record: its (genuine) bytes must fail.
+    with pytest.raises(IntegrityError):
+        client._block_get_request("unit", short, 1).send()
+    assert client._block_get_request("unit", short, 0).send()
+
+
+def test_a_locator_of_another_version_is_an_integrity_error(unit, sim):
+    backend, ref, _data = unit
+    newer = backend.write_version("unit", b"newer")
+    sim.advance(5.0)
+    with pytest.raises(IntegrityError):
+        backend.read_version("unit", newer.digest, ref.locator)
+
+
+# ------------------------------------------------------------------------ the codec
+
+_DIGESTS = st.binary(min_size=32, max_size=32).map(bytes.hex)
+_RECORDS = st.builds(
+    VersionRecord,
+    version=st.integers(0, 2**64 - 1), data_digest=_DIGESTS, size=st.integers(0, 2**64 - 1),
+    block_digests=st.lists(_DIGESTS, max_size=8).map(tuple),
+    created_at=st.floats(allow_nan=False, allow_infinity=False), writer=st.just(""))
+
+
+@settings(max_examples=200, deadline=None)
+@given(record=_RECORDS)
+def test_locator_round_trip(record):
+    assert VersionRecord.from_locator(record.locator(), record.data_digest) == record
+
+
+@settings(max_examples=300, deadline=None)
+@given(garbage=st.one_of(st.text(max_size=300),
+                         st.binary(max_size=240).map(lambda raw: raw.hex()),
+                         _RECORDS.flatmap(lambda record: st.integers(1, 40).map(
+                             lambda cut: record.locator()[:-cut]))))
+def test_garbage_in_integrity_error_out(garbage):
+    try:
+        record = VersionRecord.from_locator(garbage, "")
+    except IntegrityError:
+        return
+    # The few strings that do parse are locators: they name their own encoding.
+    assert record.locator() == garbage

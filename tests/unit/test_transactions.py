@@ -218,11 +218,15 @@ class TestCommitPoint:
     def test_commit_returns_once_the_write_set_is_readable(self, shared):
         deployment, alice, bob = shared
         alice.write_files({"/shared/a": b"A2" * 100, "/shared/b": b"B2" * 100})
-        assert deployment.sim.now() >= alice.agent.backend.estimate_readable_at()
+        for path in ("/shared/a", "/shared/b"):
+            locator = bob.stat(path).locator
+            assert deployment.sim.now() >= alice.agent.backend.estimate_readable_at(locator)
+        gets = sum(cloud.costs.usage.get_requests for cloud in deployment.clouds)
         started = deployment.sim.now()
         assert bob.read_file("/shared/b") == b"B2" * 100
-        # No poll of the read loop: one metadata lookup and one cloud read.
+        # No wait and no poll: one metadata lookup and one block fetch.
         assert deployment.sim.now() - started < bob.agent.storage.read_retry_interval
+        assert sum(cloud.costs.usage.get_requests for cloud in deployment.clouds) == gets + 2
 
     def test_write_set_is_uploaded_as_one_batch(self, shared):
         _, alice, bob = shared
