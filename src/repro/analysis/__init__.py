@@ -5,7 +5,7 @@ Every correctness claim in this repository rests on byte-identical replay
 disciplines: sorted-order lock acquisition, RNG derivation only through
 ``Simulation.fork_rng`` / ``derive_rng``, trace events whose field names the
 invariant checkers consume stringly.  This package catches the whole class of
-"invariant broken at runtime" bugs *before* a seed sweep ever runs, with four
+"invariant broken at runtime" bugs *before* a seed sweep ever runs, with five
 AST/CFG rule families:
 
 * **determinism** (``DET``) — wall-clock reads, ambient (module-level) RNG,
@@ -19,7 +19,9 @@ AST/CFG rule families:
   reads of undeclared kinds/fields flagged;
 * **exception hygiene** (``EXC``) — bare ``except`` and broad handlers that
   swallow :class:`~repro.common.errors.ReproError` subclasses on
-  dispatch/commit paths.
+  dispatch/commit paths;
+* **cost charging** (``CHG``) — ``charge_latency`` is set at construction
+  only; background work goes through ``Simulation.background()``.
 
 Run it with ``python -m repro.analysis <paths> [--format=json]``.  A finding
 is silenced only by an inline pragma carrying a justification::

@@ -31,6 +31,8 @@ RULE_DOCS: dict[str, str] = {
               "TRACE_SCHEMA",
     "TRC003": "checker reads (by_kind/count/.kind/.get) reference only declared "
               "kinds and fields",
+    "CHG001": "no assignment to an attribute named `charge_latency` outside __init__; "
+              "background work goes through Simulation.background()",
     "EXC001": "no bare `except:` — name the exceptions (BaseException at broadest)",
     "EXC002": "no broad `except Exception/BaseException` that swallows (never "
               "re-raises) in sim-visible code; ReproError subclasses carry protocol "
@@ -51,6 +53,7 @@ RuleRunner = Callable[["ModuleContext"], "list[Finding]"]
 
 def rule_runners() -> "list[RuleRunner]":
     """The per-family entry points (imported lazily to avoid cycles)."""
-    from repro.analysis.rules import determinism, exceptions, locks, traceschema
+    from repro.analysis.rules import charging, determinism, exceptions, locks, traceschema
 
-    return [determinism.check, locks.check, traceschema.check, exceptions.check]
+    return [determinism.check, locks.check, traceschema.check, exceptions.check,
+            charging.check]

@@ -1,1 +1,1 @@
-"""The four rule families of the repro static analyzer."""
+"""The five rule families of the repro static analyzer."""

@@ -80,12 +80,8 @@ class S3QLLike(BaselineFileSystem):
         def upload() -> None:
             self.pending_uploads -= 1
             self.background_uploads += 1
-            previous = self.store.charge_latency
-            self.store.charge_latency = False
-            try:
+            with self.sim.background():
                 self.store.put(self._key(of.path), data, self.principal)
-            finally:
-                self.store.charge_latency = previous
 
         self.sim.schedule(delay, upload, name=f"s3ql-upload:{of.path}")
 

@@ -102,9 +102,11 @@ class EventuallyConsistentStore(ObjectStore):
     failures:
         Optional failure schedule; when omitted the provider never misbehaves.
     charge_latency:
-        When ``False`` the store does not advance the simulated clock; used by
+        When ``False`` the store never advances the simulated clock; used by
         components that account for latency at a higher level (e.g. DepSky's
-        parallel quorum accesses).
+        parallel quorum accesses).  Fixed at construction: it says *who*
+        accounts for this store's waits, not whether the caller is background
+        work — that is :meth:`Simulation.background`, which this store obeys.
     """
 
     def __init__(
@@ -134,7 +136,7 @@ class EventuallyConsistentStore(ObjectStore):
     def _charge(self, model, payload: int = 0) -> float:
         latency = model.sample(payload, self.sim.rng)
         latency *= self.failures.degradation(self.sim.now())
-        if self.charge_latency:
+        if self.charge_latency and not self.sim.in_background:
             self.sim.advance(latency)
         return latency
 

@@ -27,7 +27,7 @@ adapter call                        replicated command
 ``multi``                           ``entry_multi``
 ``try_lock`` / ``unlock``           ``entry_multi`` (one ``Lock`` / ``Unlock`` step)
 ``close_session``                   one ``inp`` per held lock + 1 / ``close_session``
-``renew_session``                   none / ``register_session`` (uncharged)
+``renew_session``                   none / ``register_session`` (background)
 ``open_session``                    none
 ==================================  =========================================
 
@@ -188,12 +188,8 @@ class ZooKeeperCoordination(_ReplicatedCoordination):
         # The tree learns of a session with its first lock (a ``Lock`` step); a
         # heartbeat must reach it so that locks already held live on.
         super().renew_session(session)
-        previous = self.rsm.charge_latency
-        self.rsm.charge_latency = False
-        try:
+        with self.sim.background():
             self.rsm.invoke("register_session", session.session_id, self._deadline(session))
-        finally:
-            self.rsm.charge_latency = previous
 
     def close_session(self, session: Session) -> None:
         self.rsm.invoke("close_session", session.session_id, self.sim.now())

@@ -39,30 +39,6 @@ def partition_by_top_level_directory(key: str, partitions: int) -> int:
     return digest[0] % partitions
 
 
-class _ChargeProxy:
-    """Expose a single ``charge_latency`` switch spanning every partition.
-
-    The SCFS Agent suspends coordination latency charging around background
-    work by toggling ``coordination.rsm.charge_latency``; this proxy forwards
-    that toggle to the replicated state machine of every partition.
-    """
-
-    def __init__(self, services: Sequence[CoordinationService]):
-        self._services = services
-
-    @property
-    def charge_latency(self) -> bool:
-        rsms = [getattr(s, "rsm", None) for s in self._services]
-        return all(r.charge_latency for r in rsms if r is not None)
-
-    @charge_latency.setter
-    def charge_latency(self, value: bool) -> None:
-        for service in self._services:
-            rsm = getattr(service, "rsm", None)
-            if rsm is not None:
-                rsm.charge_latency = value
-
-
 class PartitionedCoordination(CoordinationService):
     """Route coordination operations across several underlying services."""
 
@@ -75,8 +51,6 @@ class PartitionedCoordination(CoordinationService):
             raise ValueError("at least one underlying coordination service is required")
         self.services = list(services)
         self.partition_function = partition_function
-        #: Latency-charging proxy spanning every partition (see _ChargeProxy).
-        self.rsm = _ChargeProxy(self.services)
         #: Per-partition session id -> id of the façade session it belongs to.
         self._facade_ids: dict[str, str] = {}
 

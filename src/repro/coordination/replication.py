@@ -12,7 +12,9 @@ Paxos-like protocol with 2f+1 replicas (§3.2).  This module reproduces the
 * Byzantine replicas may return corrupted answers, which are voted out by the
   reply quorum (we verify that enough correct replicas agree);
 * each invocation charges the client one coordination-access latency
-  (60–100 ms in the paper, §4.2) to the simulated clock.
+  (60–100 ms in the paper, §4.2) to the simulated clock — unless it is
+  background work (:meth:`Simulation.background`), which neither waits nor
+  draws a latency sample.
 
 The goal is not to reproduce the internals of BFT-SMaRt/Zab, but to provide a
 substrate with the same failure and latency envelope that SCFS assumes.
@@ -69,8 +71,6 @@ class ReplicatedStateMachine:
     latency:
         Client-observed latency of one replicated operation (defaults to the
         80 ms the paper measured for coordination accesses).
-    charge_latency:
-        Set to ``False`` when a higher layer accounts for latency itself.
     """
 
     def __init__(
@@ -80,7 +80,6 @@ class ReplicatedStateMachine:
         fault_model: FaultModel = FaultModel.BYZANTINE,
         f: int = 1,
         latency: LatencyModel | None = None,
-        charge_latency: bool = True,
     ):
         self.sim = sim
         self.fault_model = fault_model
@@ -88,7 +87,6 @@ class ReplicatedStateMachine:
         self.n = replicas_required(fault_model, f)
         self.replicas: list[StateMachine] = [factory() for _ in range(self.n)]
         self.latency = latency or LatencyModel(base=0.080, jitter=0.2)
-        self.charge_latency = charge_latency
         self._crashed: set[int] = set()
         self._byzantine: set[int] = set()
         self._partitioned: set[int] = set()
@@ -173,7 +171,7 @@ class ReplicatedStateMachine:
                 responses=len(correct),
                 required=self.quorum_size(),
             )
-        if self.charge_latency:
+        if not self.sim.in_background:
             self.sim.advance(self.latency.sample(0, self.sim.rng))
         command = (operation, args, kwargs)
         # Counted before it is applied: a command the replicas reject (a failed

@@ -27,7 +27,6 @@ reproduce the shape of the paper's measurements.
 
 from __future__ import annotations
 
-import contextlib
 import enum
 import itertools
 from dataclasses import dataclass, field
@@ -235,7 +234,13 @@ class SCFSAgent:
         for handle in list(self._handles):
             self.close(handle)
         if self.pns is not None and self.pns.dirty:
-            self.pns.save(charge_latency=self.config.mode.blocks_on_close)
+            if self.config.mode.blocks_on_close:
+                self.pns.save()
+            else:
+                # The whole flush — upload *and* anchor put — is background
+                # work, as it is when a background commit saves the PNS.
+                with self.sim.background():
+                    self.pns.save()
         self.locks.release_all()
         if self.coordination is not None and self.session is not None:
             self.coordination.close_session(self.session)
@@ -506,21 +511,28 @@ class SCFSAgent:
         self.storage.store_in_memory(meta.file_id, digest, data)
 
         if self.config.mode is OperationMode.BLOCKING:
-            self._commit_blocking(of, data)
+            self._commit(of, data, background=False)
         else:
             self._commit_background(of, data)
         self.gc.maybe_schedule()
 
-    def _commit_blocking(self, of: OpenFile, data: bytes) -> None:
+    def _commit(self, of: OpenFile, data: bytes, background: bool) -> None:
+        """Steps 2-4 of a close: upload, anchor the new version, unlock.
+
+        The one commit path of every mode.  A background commit is this same
+        call made later, under :meth:`Simulation.background`; ``background``
+        labels the events and adds the one step such a commit needs — merging
+        the metadata that landed since ``close`` returned.
+        """
         meta = of.metadata
         ref = self.storage.push_to_cloud(meta.file_id, data,
                                          min_version=meta.data_version)
         self._emit("upload", path=meta.path, file_id=meta.file_id, digest=ref.digest,
-                   version=meta.data_version, background=False)
+                   version=meta.data_version, background=background)
         self._propagate_cloud_acls(meta)
-        self._apply_committed_metadata(of, ref, charge=True)
+        self._apply_committed_metadata(of, ref, merge_latest=background)
         self._emit("commit", path=meta.path, file_id=meta.file_id, digest=meta.digest,
-                   version=meta.data_version, background=False)
+                   version=meta.data_version, background=background)
         if of.locked:
             self.locks.release(meta)
 
@@ -579,39 +591,16 @@ class SCFSAgent:
             self.stats.background_uploads += 1
             if of in self._pending_commits:
                 self._pending_commits.remove(of)
-            with self._coordination_uncharged():
-                ref = self.storage.push_to_cloud_uncharged(
-                    meta.file_id, data, min_version=meta.data_version)
-                self._emit("upload", path=meta.path, file_id=meta.file_id,
-                           digest=ref.digest, version=meta.data_version, background=True)
-                with self.backend.uncharged():
-                    self._propagate_cloud_acls(meta)
-                self._apply_committed_metadata(of, ref, charge=False)
-                self._emit("commit", path=meta.path, file_id=meta.file_id,
-                           digest=meta.digest, version=meta.data_version, background=True)
-                if of.locked:
-                    self.locks.release(of.metadata)
+            with self.sim.background():
+                self._commit(of, data, background=True)
 
         task = self.sim.schedule(delay, complete, name=f"upload:{meta.path}")
         self._pending_tasks[of.handle] = (task, complete)
 
-    @contextlib.contextmanager
-    def _coordination_uncharged(self):
-        """Suspend coordination-service latency charging (background work only)."""
-        rsm = getattr(self.coordination, "rsm", None)
-        if rsm is None:
-            yield
-            return
-        previous = rsm.charge_latency
-        rsm.charge_latency = False
-        try:
-            yield
-        finally:
-            rsm.charge_latency = previous
-
-    def _apply_committed_metadata(self, of: OpenFile, ref: ObjectRef, charge: bool) -> None:
+    def _apply_committed_metadata(self, of: OpenFile, ref: ObjectRef,
+                                  merge_latest: bool) -> None:
         meta = of.metadata
-        if not charge:
+        if merge_latest:
             # Background commits run after close() returned, so metadata-only
             # changes (a setfacl, an unlink, a PNS promotion) may have landed
             # in the meantime; merge them instead of clobbering the entry with
@@ -638,16 +627,9 @@ class SCFSAgent:
         )
         if private_now:
             self.pns.put(meta)
-            self.pns.save(charge_latency=charge)
+            self.pns.save()
             self.metadata_cache.put(meta.path, meta.copy())
         else:
-            if charge:
-                self.metadata.update(meta)
-            else:
-                self._update_metadata_uncharged(meta)
-
-    def _update_metadata_uncharged(self, meta: FileMetadata) -> None:
-        with self._coordination_uncharged():
             self.metadata.update(meta)
 
     # ------------------------------------------------------------ transactions

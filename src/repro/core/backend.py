@@ -22,9 +22,8 @@ pair and handed back on reads, so that finding the version costs the
 from __future__ import annotations
 
 import abc
-import contextlib
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from repro.common.errors import CloudError, IntegrityError, ObjectNotFoundError
 from repro.common.types import ObjectRef, Permission, Principal
@@ -190,11 +189,6 @@ class StorageBackend(abc.ABC):
     def storage_overhead(self) -> float:
         """Ratio of stored bytes to logical bytes for one version (≈1.0 or ≈1.5)."""
 
-    @abc.abstractmethod
-    @contextlib.contextmanager
-    def uncharged(self) -> Iterator[None]:
-        """Context manager suspending latency charging (background uploads)."""
-
     #: Per-backend cloud health tracker (``None`` when tracking is disabled).
     health: CloudHealthTracker | None = None
 
@@ -339,15 +333,6 @@ class SingleCloudBackend(StorageBackend):
 
     def storage_overhead(self) -> float:
         return 1.0
-
-    @contextlib.contextmanager
-    def uncharged(self) -> Iterator[None]:
-        previous = self.store.charge_latency
-        self.store.charge_latency = False
-        try:
-            yield
-        finally:
-            self.store.charge_latency = previous
 
 
 class CloudOfCloudsBackend(StorageBackend):
@@ -515,24 +500,16 @@ class CloudOfCloudsBackend(StorageBackend):
         return VersionRecord.from_locator(locator, "").created_at + self._block_lag
 
     def estimate_read_latency(self, num_bytes: int) -> float:
+        """The block fetch alone: a locator read has no metadata-object round.
+
+        No caller in ``src/``; ``benchmarks/layers/tracer.py`` names it.
+        """
         client = self.client
         block_bytes = client.coder.block_size(num_bytes + 64)
-        return (
-            self._expected_quorum(client.clouds, "object_get", 1024, client.k)
-            + self._expected_quorum(client.clouds[:client.k], "object_get", block_bytes, client.k)
-        )
+        return self._expected_quorum(client.clouds[:client.k], "object_get", block_bytes, client.k)
 
     def stored_bytes(self, file_id: str) -> int:
         return self.client.stored_bytes(file_id)
 
     def storage_overhead(self) -> float:
         return self.client.coder.storage_overhead()
-
-    @contextlib.contextmanager
-    def uncharged(self) -> Iterator[None]:
-        previous = self.client.charge_latency
-        self.client.charge_latency = False
-        try:
-            yield
-        finally:
-            self.client.charge_latency = previous

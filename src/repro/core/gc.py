@@ -19,7 +19,6 @@ only affects the owner's bill.
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass, field
 
 from repro.common.errors import CloudError, ReproError
@@ -88,13 +87,13 @@ class GarbageCollector:
     def run(self) -> GCReport:
         """Collect now (synchronously); returns a report of what was reclaimed.
 
-        The collector never charges foreground latency: all its cloud accesses
-        use the backend's uncharged mode, modelling the background thread of
-        the paper.  (Its monetary cost is still recorded by the providers'
-        cost trackers — the paper notes it costs about one LIST per cloud.)
+        The collector never charges foreground latency: the whole run is
+        background work, modelling the background thread of the paper.  (Its
+        monetary cost is still recorded by the providers' cost trackers — the
+        paper notes it costs about one LIST per cloud.)
         """
         report = GCReport()
-        with self.backend.uncharged(), self._coordination_uncharged():
+        with self.sim.background():
             for path in self.metadata.owned_paths():
                 meta = self.metadata.lookup(path, use_cache=False)
                 if meta is None or not meta.is_file or not meta.file_id:
@@ -107,24 +106,6 @@ class GarbageCollector:
         self.runs += 1
         self.last_report = report
         return report
-
-    @contextlib.contextmanager
-    def _coordination_uncharged(self):
-        """Suspend coordination latency charging while the collector runs.
-
-        The collector models the paper's background thread: its metadata reads
-        and deletions must not inflate the foreground latency of the client.
-        """
-        rsm = getattr(self.metadata.coordination, "rsm", None)
-        if rsm is None:
-            yield
-            return
-        previous = rsm.charge_latency
-        rsm.charge_latency = False
-        try:
-            yield
-        finally:
-            rsm.charge_latency = previous
 
     def _collect_file(self, meta, report: GCReport) -> None:
         versions = self.backend.list_versions(meta.file_id)

@@ -109,22 +109,17 @@ class PrivateNameSpace:
         self.loads += 1
         return True
 
-    def save(self, charge_latency: bool = True) -> str | None:
+    def save(self) -> str | None:
         """Persist the serialized metadata object and re-anchor its digest.
 
-        Returns the new digest, or None when nothing changed.  With
-        ``charge_latency=False`` the upload does not advance the simulated
-        clock (used by background flushes in the non-blocking/non-sharing
-        modes).
+        Returns the new digest, or None when nothing changed.  Background
+        flushes (the non-blocking/non-sharing modes) call this under
+        :meth:`Simulation.background`.
         """
         if not self.dirty:
             return None
         blob = self._to_bytes()
-        if charge_latency:
-            ref = self.backend.write_version(self.unit_id, blob)
-        else:
-            with self.backend.uncharged():
-                ref = self.backend.write_version(self.unit_id, blob)
+        ref = self.backend.write_version(self.unit_id, blob)
         self._last_anchored = anchor_value(ref)
         if self.coordination is not None and self.session is not None:
             self.coordination.put(self.tuple_key, self._last_anchored.encode(), self.session)

@@ -140,17 +140,15 @@ class StorageService:
 
     def push_to_cloud_uncharged(self, file_id: str, data: bytes,
                                 min_version: int | None = None) -> ObjectRef:
-        """Upload without advancing the simulated clock (background uploads).
+        """:meth:`push_to_cloud` as background work.
 
-        The caller is responsible for modelling *when* the upload completes
-        (typically by scheduling a deferred task at
-        ``now + backend.estimate_write_latency(len(data))``).
+        No caller in ``src/``: the agent's background commit runs the whole
+        commit under :meth:`Simulation.background`.  Kept only because
+        ``benchmarks/layers/tracer.py`` resolves it by name; it goes with its
+        ``tracer.WRAPPED`` entry (ROADMAP).
         """
-        with self.backend.uncharged():
-            ref = self.backend.write_version(file_id, data, min_version=min_version)
-        self.cloud_writes += 1
-        self.bytes_pushed += len(data)
-        return ref
+        with self.sim.background():
+            return self.push_to_cloud(file_id, data, min_version=min_version)
 
     # --------------------------------------------------------------- maintenance
 

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import hashlib
 import hmac as _hmac
-import os
 import random
 
 import numpy as np
@@ -58,18 +57,13 @@ def _random_bytes(rng: random.Random, count: int) -> bytes:
     return bytes(out)
 
 
-def generate_key(rng: random.Random | None = None) -> bytes:
-    """Generate a fresh :data:`KEY_SIZE`-byte symmetric key.
+def generate_key(rng: random.Random) -> bytes:
+    """Generate a fresh :data:`KEY_SIZE`-byte symmetric key from ``rng``.
 
-    When ``rng`` is provided (e.g. the simulation RNG) the key is derived
-    from it deterministically — via :func:`_random_bytes`, which preserves
-    the historic ``randrange``-per-byte stream consumption — keeping
-    whole-simulation runs reproducible; otherwise the key comes straight
-    from ``os.urandom`` in one call.
+    The key is derived deterministically — via :func:`_random_bytes`, which
+    preserves the historic ``randrange``-per-byte stream consumption — keeping
+    whole-simulation runs reproducible.
     """
-    if rng is None:
-        # repro: allow[DET002] -- non-sim fallback: under a Simulation the caller always threads a forked rng
-        return os.urandom(KEY_SIZE)
     return _random_bytes(rng, KEY_SIZE)
 
 
@@ -102,7 +96,7 @@ class SymmetricCipher:
         self._mac_key = hashlib.sha256(b"mac" + key).digest()
 
     def encrypt_into(self, plaintext: bytes, out: np.ndarray,
-                     rng: random.Random | None = None) -> np.ndarray:
+                     rng: random.Random) -> np.ndarray:
         """Encrypt ``plaintext`` into the caller-owned buffer ``out``.
 
         ``out`` must be a contiguous 1-D ``uint8`` view of exactly
@@ -119,8 +113,7 @@ class SymmetricCipher:
             raise ValueError(
                 f"out must be a contiguous 1-D uint8 view of "
                 f"{length + NONCE_SIZE + TAG_SIZE} bytes")
-        nonce = _random_bytes(rng, NONCE_SIZE) if rng is not None \
-            else os.urandom(NONCE_SIZE)  # repro: allow[DET002] -- non-sim fallback: simulated runs always pass rng
+        nonce = _random_bytes(rng, NONCE_SIZE)
         out[:NONCE_SIZE] = np.frombuffer(nonce, dtype=np.uint8)
         ciphertext = out[NONCE_SIZE:NONCE_SIZE + length]
         stream = _keystream(self._enc_key, nonce, length)
@@ -131,7 +124,7 @@ class SymmetricCipher:
         out[NONCE_SIZE + length:] = np.frombuffer(mac.digest(), dtype=np.uint8)
         return out
 
-    def encrypt(self, plaintext: bytes, rng: random.Random | None = None) -> bytes:
+    def encrypt(self, plaintext: bytes, rng: random.Random) -> bytes:
         """Encrypt and authenticate ``plaintext``; returns nonce ‖ ciphertext ‖ tag."""
         out = np.empty(len(plaintext) + NONCE_SIZE + TAG_SIZE, dtype=np.uint8)
         self.encrypt_into(plaintext, out, rng)

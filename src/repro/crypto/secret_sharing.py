@@ -31,7 +31,7 @@ class SecretShare:
     data: bytes
 
 
-def split_secret(secret: bytes, n: int, t: int, rng: random.Random | None = None) -> list[SecretShare]:
+def split_secret(secret: bytes, n: int, t: int, rng: random.Random) -> list[SecretShare]:
     """Split ``secret`` into ``n`` shares, any ``t`` of which reconstruct it.
 
     Parameters
@@ -43,15 +43,11 @@ def split_secret(secret: bytes, n: int, t: int, rng: random.Random | None = None
     t:
         Threshold; ``1 <= t <= n``.
     rng:
-        Source of randomness for the polynomial coefficients.  Passing the
-        simulation RNG keeps runs deterministic; when omitted the system
-        entropy source is used (never an unseeded ``random.Random()``, which
-        would be both weaker and a hidden nondeterminism seam — DepSky always
-        threads the simulation RNG through).
+        Source of randomness for the polynomial coefficients (DepSky threads
+        the simulation RNG through, which keeps runs deterministic).
     """
     if not 1 <= t <= n <= 255:
         raise ValueError(f"invalid secret-sharing parameters n={n}, t={t}")
-    rng = rng or random.SystemRandom()  # repro: allow[DET002] -- non-sim fallback: DepSky threads the simulation rng; bare calls get real entropy
     # One random polynomial per secret byte; coefficient 0 is the secret byte.
     coefficients = np.array(
         [[byte, *(rng.randrange(256) for _ in range(t - 1))] for byte in secret],

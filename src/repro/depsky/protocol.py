@@ -165,8 +165,10 @@ class DepSkyClient:
         Figure 11(c): for f=1 two clouds store half the file each and a third
         stores one extra coded block, i.e. ~50 % storage overhead.
     charge_latency:
-        Charge quorum latencies to the simulated clock (disable only in unit
-        tests that assert on pure protocol behaviour).
+        Charge quorum latencies to the simulated clock (``False`` for clients
+        that are not the system under test: the scenario checkers' reads, unit
+        tests of pure protocol behaviour).  Fixed at construction; background
+        work goes through :meth:`Simulation.background`, which the client obeys.
     policy:
         Dispatch policy applied to every quorum call of this client —
         per-request timeout, bounded retries and hedged fallback dispatch.
@@ -273,7 +275,7 @@ class DepSkyClient:
         """Advance the clock by the simulated wait of quorum calls that ran in
         parallel: the slowest one's."""
         wait = max(call.charged for call in stats)
-        if self.charge_latency and wait > 0:
+        if self.charge_latency and wait > 0 and not self.sim.in_background:
             self.sim.advance(wait)
 
     def _tap(self, op: str, unit_id: str, stats: QuorumCallStats) -> None:

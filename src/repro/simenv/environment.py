@@ -11,12 +11,13 @@ operation advancing the clock).
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import heapq
 import itertools
 import random
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any, Callable, Iterator
 
 from repro.simenv.clock import SimClock
 
@@ -88,6 +89,7 @@ class Simulation:
         self._seq = itertools.count()
         self._id_counter = itertools.count()
         self._draining = False
+        self._background = 0
         self.clock.subscribe(self._on_clock_advanced)
 
     # -- determinism helpers -------------------------------------------------
@@ -119,6 +121,33 @@ class Simulation:
     def advance(self, seconds: float) -> float:
         """Advance simulated time, running any deferred task that becomes due."""
         return self.clock.advance(seconds)
+
+    # -- background work ---------------------------------------------------
+
+    @property
+    def in_background(self) -> bool:
+        """True inside a :meth:`background` block (see there)."""
+        return self._background > 0
+
+    @contextlib.contextmanager
+    def background(self) -> Iterator[None]:
+        """Run the enclosed calls as the agent's background thread would.
+
+        The real agent does its close-time work, its garbage collection and
+        its heartbeats in separate threads; here "in the background" means the
+        remote waits of the enclosed calls do not advance the clock.  The
+        three layers that charge such waits — a cloud store, a DepSky client,
+        a replicated coordination command — ask :attr:`in_background`.  What
+        they draw from the RNG is fixed per layer: the first two sample every
+        request's latency and discard it, a coordination command does not
+        sample at all.  Re-entrant.  A deferred task that comes due inside the block is
+        somebody else's work and runs in the foreground.
+        """
+        self._background += 1
+        try:
+            yield
+        finally:
+            self._background -= 1
 
     # -- deferred tasks -----------------------------------------------------
 
@@ -227,25 +256,16 @@ class Simulation:
         if self._draining:
             return
         self._draining = True
+        # A due task is not part of whatever background block made it due.
+        background, self._background = self._background, 0
         try:
             while self._queue and self._queue[0].when <= self.clock.now():
                 task = heapq.heappop(self._queue)
                 if not task.cancelled:
                     task.callback()
         finally:
+            self._background = background
             self._draining = False
 
-    # -- internal -----------------------------------------------------------
-
-    def _on_clock_advanced(self, _old: float, new: float) -> None:
-        if self._draining:
-            return
-        self._draining = True
-        try:
-            while self._queue and self._queue[0].when <= self.clock.now():
-                task = heapq.heappop(self._queue)
-                if task.cancelled:
-                    continue
-                task.callback()
-        finally:
-            self._draining = False
+    def _on_clock_advanced(self, _old: float, _new: float) -> None:
+        self._run_due_tasks()

@@ -16,7 +16,7 @@ import pytest
 from repro.analysis import analyze_source
 
 FIXTURES = Path(__file__).parent / "fixtures"
-FAMILIES = ("determinism", "locks", "traceschema", "exceptions", "pragmas")
+FAMILIES = ("determinism", "locks", "traceschema", "exceptions", "pragmas", "charging")
 
 _EXPECT_RE = re.compile(
     r"#\s*expect:\s*(?P<rules>[A-Z]{3}\d{3}(?:\s*,\s*[A-Z]{3}\d{3})*)\s*$"
@@ -44,7 +44,7 @@ GOOD = sorted(FIXTURES.rglob("good_*.py"))
 
 def test_corpus_covers_every_family():
     assert {p.parent.name for p in BAD + GOOD} == set(FAMILIES)
-    for family in ("determinism", "locks", "traceschema", "exceptions"):
+    for family in ("determinism", "locks", "traceschema", "exceptions", "charging"):
         bad = list((FIXTURES / family).glob("bad_*.py"))
         good = list((FIXTURES / family).glob("good_*.py"))
         assert len(bad) >= 2, f"{family}: need >= 2 flagged fixtures"

@@ -18,6 +18,7 @@ from repro.core.deployment import SCFSDeployment
 from repro.core.filesystem import DURABILITY_TABLE, DurabilityLevel
 from repro.core.metadata import FileType
 from repro.core.modes import OperationMode
+from repro.simenv.latency import LatencyModel
 
 
 @pytest.fixture
@@ -275,6 +276,50 @@ class TestDurabilityAndModes:
         assert fs.agent.storage.cloud_reads == before  # served from the local cache
 
 
+class TestOneCommitPath:
+    """Blocking and background closes are the same `_commit`, differing only in when."""
+
+    @staticmethod
+    def _closed(variant):
+        deployment = SCFSDeployment.for_variant(variant, seed=23)
+        events = []
+        fs = deployment.create_agent(
+            "alice", events=lambda kind, **fields: events.append((kind, fields)))
+        for data in (b"first", b"second version"):
+            fs.write_file("/doc.txt", data, shared=True)
+            deployment.drain()  # a no-op after a blocking close
+        anchored = fs.agent.metadata.lookup("/doc.txt", use_cache=False)
+        keys = [sorted(cloud._objects) for cloud in deployment.clouds]
+        return events, (anchored.digest, anchored.data_version), keys
+
+    def test_same_keys_anchor_and_events_in_both_modes(self):
+        blocking_events, blocking_anchor, blocking_keys = self._closed("SCFS-CoC-B")
+        background_events, background_anchor, background_keys = self._closed("SCFS-CoC-NB")
+        assert blocking_keys == background_keys and any(blocking_keys)
+        assert blocking_anchor == background_anchor and blocking_anchor[1] == 2
+        assert [kind for kind, _ in blocking_events] == [kind for kind, _ in background_events]
+        for (kind, blocking), (_, background) in zip(blocking_events, background_events, strict=True):
+            differing = {name for name in blocking.keys() | background.keys()
+                         if blocking.get(name) != background.get(name)}
+            assert differing <= {"time", "began", "background", "blocking"}, (kind, differing)
+        committed = [fields["background"] for kind, fields in background_events
+                     if kind in ("upload", "commit")]
+        assert committed == [True] * 4
+        assert not any(fields["background"] for kind, fields in blocking_events
+                       if kind in ("upload", "commit"))
+
+    def test_background_commit_charges_nothing(self):
+        deployment = SCFSDeployment.for_variant("SCFS-CoC-NB", seed=23)
+        fs = deployment.create_agent("alice")
+        fs.write_file("/doc.txt", b"data", shared=True)
+        (task, complete), = fs.agent._pending_tasks.values()
+        task.cancel()
+        before = deployment.sim.now()
+        complete()
+        assert deployment.sim.now() == before
+        assert not deployment.sim.in_background
+
+
 class TestACLs:
     def test_setfacl_requires_ownership(self):
         deployment = SCFSDeployment.for_variant("SCFS-AWS-B", seed=2)
@@ -352,6 +397,26 @@ class TestStatisticsAndLifecycle:
         deployment.create_agent("alice2")
         # alice2 cannot read alice's file (no grant); check via alice's backend instead.
         assert fs.agent.open_handles() == 0
+
+    def test_nonblocking_unmount_flushes_the_whole_pns_in_the_background(self):
+        """Upload *and* anchor put: a dirty PNS costs the unmount no simulated time."""
+
+        def unmount_cost(dirty):
+            deployment = SCFSDeployment.for_variant("SCFS-CoC-NB", seed=11,
+                                                    private_name_spaces=True)
+            fs = deployment.create_agent("alice")
+            if dirty:
+                fs.mkdir("/home")  # private: stays in the PNS until the next save
+            assert fs.agent.pns.dirty is dirty
+            deployment.coordination.rsm.latency = LatencyModel(base=0.080)  # no jitter
+            before = deployment.sim.now()
+            fs.unmount()
+            assert fs.agent.pns.saves == (1 if dirty else 0)
+            return deployment.sim.now() - before
+
+        clean = unmount_cost(dirty=False)
+        assert clean > 0  # the PNS lock's release and the session's close
+        assert unmount_cost(dirty=True) == pytest.approx(clean, abs=1e-9)
 
     def test_non_sharing_agent_has_no_coordination(self):
         deployment = SCFSDeployment.for_variant("SCFS-CoC-NS", seed=4)

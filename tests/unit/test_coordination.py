@@ -506,17 +506,23 @@ class TestZooKeeperLockExpiry:
         sim.advance(6.0)
         assert service.try_lock("f", s2)
 
-    @pytest.mark.parametrize("charging", [True, False])
-    def test_heartbeat_leaves_latency_charging_as_it_found_it(self, sim, alice, charging):
-        """A heartbeat inside an uncharged (background) commit must not switch
-        charging back on for the rest of it."""
+    def test_heartbeat_leaves_latency_charging_as_it_found_it(self, sim, alice):
+        """A heartbeat inside a background commit must not switch charging
+        back on for the rest of it — nor off for a foreground caller."""
         service = ZooKeeperCoordination(sim, f=1)
         session = service.open_session(alice)
-        service.rsm.charge_latency = charging
         before = sim.now()
         service.renew_session(session)
         assert sim.now() == before  # the heartbeat itself is never charged
-        assert service.rsm.charge_latency is charging
+        assert not sim.in_background
+        service.put("k", b"v", session)
+        assert sim.now() > before  # ...and the foreground still is
+        with sim.background():
+            before = sim.now()
+            service.renew_session(session)
+            assert sim.in_background
+            service.put("k", b"w", session)
+            assert sim.now() == before
 
 
 class TestLockManager:

@@ -101,11 +101,13 @@ class TestStorageBackends:
         assert backend.estimate_write_latency(10 * 1024 * 1024) > backend.estimate_write_latency(1024)
         assert backend.estimate_read_latency(10 * 1024 * 1024) > backend.estimate_read_latency(1024)
 
-    def test_uncharged_context_suspends_clock(self, backend, sim):
+    def test_background_write_suspends_clock(self, backend, sim):
         before = sim.now()
-        with backend.uncharged():
+        with sim.background():
             backend.write_version("file-2", b"background upload")
         assert sim.now() == before
+        backend.write_version("file-2", b"foreground upload")
+        assert sim.now() > before
 
     def test_stored_bytes_reflects_overhead(self, backend, sim):
         data = b"x" * 100_000
@@ -148,6 +150,17 @@ class TestCloudOfCloudsOverhead:
         clouds = make_cloud_of_clouds(sim)
         backend = CloudOfCloudsBackend(sim, clouds, alice, f=1)
         assert backend.storage_overhead() == pytest.approx(2.0)
+
+    @pytest.mark.parametrize("size", [64 * 1024, 4 * 1024 * 1024])
+    def test_read_estimate_matches_what_a_locator_read_charges(self, sim, alice, size):
+        """One quorum round of block GETs — no metadata-object round before it."""
+        backend = CloudOfCloudsBackend(sim, make_cloud_of_clouds(sim, jitter=0.0), alice, f=1)
+        ref = backend.write_version("file-1", bytes(size))
+        sim.advance(3.0)
+        before = sim.now()
+        assert len(backend.read_version("file-1", ref.digest, ref.locator)) == size
+        charged = sim.now() - before
+        assert backend.estimate_read_latency(size) == pytest.approx(charged, rel=0.02)
 
 
 class TestEwmaLatencyEstimates:

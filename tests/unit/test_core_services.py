@@ -88,12 +88,17 @@ class TestPrivateNameSpace:
         children = pns.children_of("/docs")
         assert sorted(m.path for m in children) == ["/docs/a.txt", "/docs/b.txt"]
 
-    def test_uncharged_save_does_not_advance_clock(self, sim, single_backend):
-        pns = PrivateNameSpace("alice", single_backend)
+    def test_background_save_does_not_advance_clock(self, sim, single_backend, coordination,
+                                                    alice):
+        """Neither half of a background save — the upload, the anchor put — is charged."""
+        session = coordination.open_session(alice)
+        pns = PrivateNameSpace("alice", single_backend, coordination, session)
         pns.put(_file_meta())
         before = sim.now()
-        pns.save(charge_latency=False)
+        with sim.background():
+            assert pns.save() is not None
         assert sim.now() == before
+        assert coordination.get(pns.tuple_key, session).value
 
 
 class TestMetadataService:
@@ -331,7 +336,7 @@ class TestStorageService:
     def test_cloud_read_waits_for_propagation(self, sim, single_backend):
         service = self._service(sim, single_backend)
         data = b"slow cloud"
-        with single_backend.uncharged():
+        with sim.background():
             ref = single_backend.write_version("file-1", data)
         start = sim.now()
         outcome = service.read_version("file-1", ref.digest)

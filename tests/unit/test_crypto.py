@@ -421,9 +421,9 @@ class TestSecretSharing:
 
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ValueError):
-            split_secret(b"s", n=2, t=3)
+            split_secret(b"s", n=2, t=3, rng=random.Random(0))
         with pytest.raises(ValueError):
-            split_secret(b"s", n=300, t=2)
+            split_secret(b"s", n=300, t=2, rng=random.Random(0))
 
     def test_duplicate_shares_do_not_count(self):
         shares = split_secret(b"secret", n=4, t=2, rng=random.Random(4))
@@ -508,11 +508,6 @@ class TestGenerateKeyDerivation:
             assert generate_key(rng) == reference
             assert rng.getstate() == reference_rng.getstate()
 
-    def test_urandom_path_when_no_rng(self):
-        first, second = generate_key(), generate_key()
-        assert len(first) == KEY_SIZE
-        assert first != second  # os.urandom, not a fixed stream
-
 
 class TestEncryptInto:
     def test_matches_encrypt_byte_for_byte(self):
@@ -545,9 +540,10 @@ class TestEncryptInto:
         data = b"payload"
         with pytest.raises(ValueError, match="uint8"):
             cipher.encrypt_into(
-                data, np.zeros(len(data) + cipher.overhead(), dtype=np.uint16))
+                data, np.zeros(len(data) + cipher.overhead(), dtype=np.uint16),
+                random.Random(1))
         with pytest.raises(ValueError, match="uint8"):
-            cipher.encrypt_into(data, np.zeros(5, dtype=np.uint8))
+            cipher.encrypt_into(data, np.zeros(5, dtype=np.uint8), random.Random(1))
         two_d = np.zeros((1, len(data) + cipher.overhead()), dtype=np.uint8)
         with pytest.raises(ValueError, match="1-D"):
-            cipher.encrypt_into(data, two_d)
+            cipher.encrypt_into(data, two_d, random.Random(1))

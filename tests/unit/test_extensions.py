@@ -111,16 +111,20 @@ class TestPartitionedCoordination:
         coordination.set_entry_acl("meta:/shared/doc", "bob", Permission.READ, alice_session)
         assert coordination.get("meta:/shared/doc", bob_session).value == b"v"
 
-    def test_charge_proxy_toggles_every_partition(self, sim, alice):
+    def test_background_spans_every_partition(self, sim, alice):
         coordination = _partitioned(sim, partitions=2)
-        coordination.rsm.charge_latency = False
         session = coordination.open_session(alice)
+        keys = ["meta:/x/file", "meta:/y/file", "meta:/z/file", "meta:/w/file"]
+        assert {coordination.partition_of(key) for key in keys} == {0, 1}
         before = sim.now()
-        coordination.put("meta:/x/file", b"x", session)
+        with sim.background():
+            for key in keys:
+                coordination.put(key, b"x", session)
         assert sim.now() == before
-        coordination.rsm.charge_latency = True
-        coordination.put("meta:/x/file", b"y", session)
-        assert sim.now() > before
+        for key in keys:
+            start = sim.now()
+            coordination.put(key, b"y", session)
+            assert sim.now() > start
 
     def test_entry_count_and_bytes_are_aggregated(self, sim, alice):
         coordination = _partitioned(sim)

@@ -375,7 +375,7 @@ class TestSweepRegressions:
                     self.value = args[0]
                 return self.value
 
-        rsm = ReplicatedStateMachine(sim, Register, f=1, charge_latency=False)
+        rsm = ReplicatedStateMachine(sim, Register, f=1)
         rsm.crash_replica(0)
         rsm.invoke("set", "committed-during-crash")
         rsm.recover_replica(0)

@@ -1,7 +1,14 @@
 """Unit tests for the simulation environment (clock, scheduler, latency, failures)."""
 
+import contextlib
+import functools
+
 import pytest
 
+from repro.clouds.providers import make_cloud_of_clouds, make_provider
+from repro.common.types import Principal
+from repro.coordination.adapters import make_coordination_service
+from repro.depsky.protocol import DepSkyClient
 from repro.simenv.clock import SimClock, Stopwatch
 from repro.simenv.environment import Simulation
 from repro.simenv.failures import FailureSchedule, FaultKind
@@ -246,6 +253,82 @@ class TestSimulation:
         # coarse advance they observe the post-advance time.
         sim.advance(1.5)
         assert len(ran) == 1 and ran[0] >= 6.0
+
+
+class TestBackground:
+    """``Simulation.background()``: the one switch the three charging layers obey."""
+
+    @staticmethod
+    def _coordination(sim):
+        service = make_coordination_service(sim, "depspace", f=1)
+        return service, service.open_session(Principal("alice"))
+
+    def test_nesting_restores_the_outer_state(self):
+        sim = Simulation()
+        assert not sim.in_background
+        with sim.background():
+            with sim.background():
+                assert sim.in_background
+            assert sim.in_background
+        assert not sim.in_background
+
+    def test_exception_restores_the_state(self):
+        sim = Simulation()
+        with pytest.raises(RuntimeError):
+            with sim.background():
+                raise RuntimeError("upload failed")
+        assert not sim.in_background
+
+    def test_task_coming_due_inside_a_background_block_is_charged(self):
+        sim = Simulation(seed=3)
+        service, session = self._coordination(sim)
+        seen = []
+
+        def task():
+            start = sim.now()
+            service.put("k", b"v", session)
+            seen.append((sim.in_background, sim.now() - start))
+
+        sim.schedule(1.0, task)
+        with sim.background():
+            sim.advance(2.0)
+            assert sim.in_background  # ...and the block goes on as it was
+            before = sim.now()
+            service.put("k", b"w", session)
+            assert sim.now() == before
+        (in_background, charged), = seen
+        assert not in_background and charged > 0.05
+
+    def test_background_coordination_command_draws_nothing(self):
+        sim = Simulation(seed=3)
+        service, session = self._coordination(sim)
+        state, before = sim.rng.getstate(), sim.now()
+        with sim.background():
+            service.put("k", b"v", session)
+        assert sim.rng.getstate() == state and sim.now() == before
+        service.put("k", b"w", session)
+        assert sim.rng.getstate() != state and sim.now() > before
+
+    @pytest.mark.parametrize("layer", ["store", "depsky"])
+    def test_background_cloud_request_draws_what_a_foreground_one_draws(self, layer):
+        alice = Principal("alice")
+
+        def write(background):
+            sim = Simulation(seed=3)
+            if layer == "store":
+                request = functools.partial(
+                    make_provider(sim, "amazon-s3", jitter=0.2).put, "key", b"x" * 4096, alice)
+            else:
+                client = DepSkyClient(sim, make_cloud_of_clouds(sim, jitter=0.2), alice)
+                request = functools.partial(client.write, "unit", b"x" * 4096)
+            with sim.background() if background else contextlib.nullcontext():
+                request()
+            return sim.rng.getstate(), sim.now()
+
+        foreground_state, foreground_now = write(background=False)
+        background_state, background_now = write(background=True)
+        assert background_state == foreground_state != Simulation(seed=3).rng.getstate()
+        assert background_now == 0.0 < foreground_now
 
 
 class TestLatencyModel:
