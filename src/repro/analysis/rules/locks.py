@@ -15,7 +15,10 @@ iterate a ``sorted(...)`` expression (or a name assigned from one).
 
 The lock-set calls count like their one-lock forms: ``acquire_set(locks)``
 acquires (and ``LCK002`` wants ``locks`` sorted — a partitioned service takes
-the set partition by partition), ``release_set(locks)`` releases.
+the set partition by partition; a literal of at most one lock is in order),
+``release_set(locks)`` releases.  So do the riding forms, whose second
+argument is the metadata command the ``Lock`` steps travel in:
+``acquire(meta, send)`` and ``acquire_set(locks, send)`` acquire.
 """
 
 from __future__ import annotations
@@ -132,7 +135,8 @@ def _is_sorted_call(node: ast.expr) -> bool:
 
 
 def _is_sorted(node: ast.expr, sorted_locals: set[str]) -> bool:
-    return _is_sorted_call(node) or (isinstance(node, ast.Name) and node.id in sorted_locals)
+    return (_is_sorted_call(node) or (isinstance(node, ast.Name) and node.id in sorted_locals)
+            or (isinstance(node, ast.List) and len(node.elts) <= 1))
 
 
 def _check_sorted_sets(ctx: ModuleContext,
@@ -146,7 +150,7 @@ def _check_sorted_sets(ctx: ModuleContext,
         for node in ast.walk(function)
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
         and node.func.attr == _ACQUIRE_SET
-        and not (len(node.args) == 1 and _is_sorted(node.args[0], sorted_locals))
+        and not (node.args and _is_sorted(node.args[0], sorted_locals))
     ]
 
 

@@ -12,11 +12,15 @@ recipe here only adds retry/timeout policy and bookkeeping on top of
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 from repro.common.errors import LockHeldError, NotLockOwnerError
-from repro.coordination.base import CoordinationService, Lock, Session, Unlock
+from repro.coordination.base import CoordinationService, Lock, Op, Session, Unlock
 from repro.simenv.environment import Simulation
+
+#: The command lock steps ride in: called once with the steps (possibly none),
+#: it sends them inside its own ``multi`` and raises iff that command was refused.
+Carrier = Callable[[Sequence[Op]], object]
 
 
 @dataclass
@@ -52,13 +56,11 @@ class LockManager:
 
     def try_acquire(self, name: str) -> bool:
         """Single non-blocking acquisition attempt (re-entrant for this session)."""
-        if name in self.held:
-            self.held[name] += 1
-            return True
-        acquired = self.service.try_lock(name, self.session)
-        if acquired:
-            self.held[name] = 1
-        return acquired
+        try:
+            self.acquire_set([name])
+        except LockHeldError:
+            return False
+        return True
 
     def acquire(self, name: str) -> None:
         """Acquire ``name``, retrying up to ``max_retries`` times.
@@ -83,25 +85,29 @@ class LockManager:
         """
         if name not in self.held:
             raise NotLockOwnerError(f"this session does not hold lock {name!r}")
-        self.held[name] -= 1
-        if self.held[name] > 0:
-            return False
-        del self.held[name]
-        self.service.unlock(name, self.session)
-        return True
+        return bool(self.release_set([name]))
 
-    def acquire_set(self, names: Sequence[str]) -> list[str]:
+    def acquire_set(self, names: Sequence[str], send: Carrier | None = None) -> list[str]:
         """Acquire every name or none, in one coordination command.
 
         Names this session already holds gain a re-entrant count without a
-        round trip; the rest are taken together.  Returns the names actually
-        taken from the service.  Raises :class:`LockHeldError` (its ``lock``
-        names the contended one) with no name taken and no count changed.
+        step; the rest are taken together.  The command is ``send``'s when
+        given — the lock rides in the command it guards: ``send`` is called
+        once with the ``Lock`` steps to put in its own ``multi`` (none when
+        every name is re-entrant) and must raise iff that command was refused.
+        Returns the names actually taken from the service.  Counts settle
+        only after the command succeeded: a refusal
+        (:class:`LockHeldError`, its ``lock`` naming the contended one, or
+        whatever ``send`` raises) leaves no name taken and no count changed.
         """
-        fresh = [name for name in dict.fromkeys(names) if name not in self.held]
-        if fresh:
-            self.service.multi([Lock(name) for name in fresh], self.session)
-        for name in names:
+        wanted = list(dict.fromkeys(names))
+        fresh = [name for name in wanted if name not in self.held]
+        steps = [Lock(name) for name in fresh]
+        if send is not None:
+            send(steps)
+        elif steps:
+            self.service.multi(steps, self.session)
+        for name in wanted:
             self.held[name] = self.held.get(name, 0) + 1
         return fresh
 
@@ -109,18 +115,17 @@ class LockManager:
         """Release one acquisition of each held name in ``names``, in one command.
 
         Returns the names whose last acquisition this was: those are handed
-        back to the coordination service together.
+        back to the coordination service together.  When that command fails
+        every count stays as it was.
         """
-        returned: list[str] = []
-        for name in names:
-            if name not in self.held:
-                continue
+        mine = [name for name in dict.fromkeys(names) if name in self.held]
+        returned = [name for name in mine if self.held[name] == 1]
+        if returned:
+            self.service.multi([Unlock(name) for name in returned], self.session)
+        for name in mine:
             self.held[name] -= 1
             if self.held[name] == 0:
                 del self.held[name]
-                returned.append(name)
-        if returned:
-            self.service.multi([Unlock(name) for name in returned], self.session)
         return returned
 
     def release_all(self) -> None:

@@ -145,39 +145,65 @@ class PartitionedCoordination(CoordinationService):
         service.set_entry_acl(key, user, permission, self._sub_session(session, service))
 
     def multi(self, ops: Sequence[Op], session: Session) -> list[Entry | None]:
-        """One command per partition touched, in partition-index order.
+        """One command per partition and phase touched: locks, then entries, then unlocks.
 
         Atomic per partition only (the caveat ``move`` has): when a later
-        partition refuses its steps, entries an earlier partition already
-        replaced stay replaced.  Locks are handed back — a refused lock set
-        leaves nothing held on any partition.
+        command is refused, entries an earlier partition already replaced stay
+        replaced.  Locks are handed back — a refused command leaves none of
+        its locks held on any partition.
 
-        The partition of the *last* step goes after every other, so a caller
-        that ends its command with the step recording the outcome (the
-        transaction commit point ends with the intent's flip to ``committed``)
-        knows that step applied only once every other partition accepted.
+        A ``Get`` or ``Put`` never executes before every ``Lock`` of ``ops`` is
+        granted, nor after any of its ``Unlock`` steps is applied, wherever
+        the names and keys fall.  A partition's steps of two adjacent phases
+        share one command when no other partition has to go between them: the
+        lock phase ends, and the unlock phase starts, on an entry partition
+        where it can — lock and entry on one partition cost one command.
+
+        Among the entry steps the partition of the *last* goes after every
+        other, so a caller that ends them with the step recording the outcome
+        (the transaction commit point ends with the intent's flip to
+        ``committed``) knows that step applied only once every other
+        partition accepted.
         """
-        positions: dict[int, list[int]] = {}
+        locks: dict[int, list[int]] = {}
+        entries: dict[int, list[int]] = {}
+        unlocks: dict[int, list[int]] = {}
+        final = None
         for position, op in enumerate(ops):
-            positions.setdefault(self.partition_of(op[0]), []).append(position)
-        final = self.partition_of(ops[-1][0]) if ops else None
+            index = self.partition_of(op[0])
+            if isinstance(op, (Lock, Unlock)):
+                phase = locks if isinstance(op, Lock) else unlocks
+            else:
+                phase, final = entries, index
+            phase.setdefault(index, []).append(position)
+        middle = sorted(entries, key=lambda index: (index == final, index))
+        segments = [
+            *((i, locks[i]) for i in sorted(locks, key=lambda i: (i in middle[:1], i))),
+            *((i, entries[i]) for i in middle),
+            *((i, unlocks[i]) for i in sorted(unlocks, key=lambda i: (i not in middle[-1:], i)))]
+        commands: list[tuple[int, list[int]]] = []
+        for index, positions in segments:
+            if commands and commands[-1][0] == index:
+                commands[-1][1].extend(positions)
+            else:
+                commands.append((index, positions))
         results: list[Entry | None] = [None] * len(ops)
         granted: list[tuple[CoordinationService, Session, list[Op]]] = []
-        for index in sorted(positions, key=lambda index: (index == final, index)):
+        for index, positions in commands:
             service = self.services[index]
             sub = self._sub_session(session, service)
-            steps = [ops[position] for position in positions[index]]
+            steps = [ops[position] for position in positions]
             try:
                 answers = service.multi(steps, sub)
             except ReproError:
-                for earlier, earlier_session, unlocks in granted:
-                    earlier.multi(unlocks, earlier_session)
+                for earlier, earlier_session, handed_back in granted:
+                    earlier.multi(handed_back, earlier_session)
                 raise
-            for position, answer in zip(positions[index], answers, strict=True):
+            for position, answer in zip(positions, answers, strict=True):
                 results[position] = answer
-            unlocks: list[Op] = [Unlock(op.name) for op in steps if isinstance(op, Lock)]
-            if unlocks:
-                granted.append((service, sub, unlocks))
+            taken: list[Op] = [Unlock(op.name) for op in steps if isinstance(op, Lock)]
+            if taken:
+                granted.append((service, sub, taken))
         return results
 
     # -- locking --------------------------------------------------------------------

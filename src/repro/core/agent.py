@@ -37,6 +37,7 @@ from repro.common.errors import (
     FileSystemError,
     InvalidHandleError,
     IsADirectoryErrorFS,
+    LockHeldError,
     NotADirectoryErrorFS,
     DirectoryNotEmptyError,
     ObjectNotFoundError,
@@ -293,8 +294,8 @@ class SCFSAgent:
         # refresh it — but that authoritative read happens *after* the lock is
         # held (below), so it is not paid twice here.
         meta = self.metadata.lookup(path)
-        created = False
-        if meta is None or meta.deleted:
+        created = meta is None or meta.deleted
+        if created:
             if not flags & OpenFlags.CREATE:
                 raise FileNotFoundErrorFS(f"no such file: {path}")
             self._check_parent(path)
@@ -303,8 +304,7 @@ class SCFSAgent:
                 path=path, file_type=FileType.FILE, owner=user,
                 created_at=now, modified_at=now, file_id=self.sim.fresh_id("file"),
             )
-            self.metadata.create(meta, shared=shared)
-            created = True
+            private = self.metadata.creates_privately(meta, shared)
         else:
             # A non-blocking commit of this path may still be in flight: its
             # version is newer than anything the anchor knows yet, and this
@@ -313,6 +313,7 @@ class SCFSAgent:
             pending = self._pending_commit_for(path)
             if pending is not None:
                 meta = pending.metadata.copy()
+            private = self.metadata.is_private(meta)
         if meta.is_directory:
             raise IsADirectoryErrorFS(f"is a directory: {path}")
 
@@ -320,17 +321,23 @@ class SCFSAgent:
         if not meta.allows(user, needed):
             raise PermissionDeniedError(f"{user} lacks {needed} permission on {path}")
 
-        private = self.metadata.is_private(meta)
-        locked = False
-        if wants_write and not private and self.locks.enabled:
-            # Lock shared files opened for writing; failure surfaces as an error
-            # (write-write conflicts are prevented rather than merged, §2.5.1).
-            try:
+        # Lock shared files opened for writing; failure surfaces as an error
+        # (write-write conflicts are prevented rather than merged, §2.5.1).
+        # The lock of a file created here rides in the command that inserts
+        # its entry: one coordination round trip, not two.
+        locked = wants_write and not private and self.locks.enabled
+        try:
+            if created and locked:
                 # repro: allow[LCK001] -- ownership hand-off: the lock is held for the handle's lifetime and released by close()
-                locked = self.locks.acquire(meta)
-            except Exception:
-                self.stats.lock_conflicts += 1
-                raise
+                self.locks.acquire(meta, lambda also: self.metadata.create(
+                    meta, shared=shared, also=also))
+            elif created:
+                self.metadata.create(meta, shared=shared)
+            elif locked:
+                self.locks.acquire(meta)
+        except LockHeldError:
+            self.stats.lock_conflicts += 1
+            raise
         try:
             if locked and not created:
                 # Acquiring the lock takes one coordination round trip, during
@@ -347,7 +354,7 @@ class SCFSAgent:
                         # was in flight: the lock taken above guards the old
                         # incarnation's id, so move it to the current one.
                         self.locks.release(meta)
-                        locked = self.locks.acquire(refreshed)
+                        self.locks.acquire(refreshed)
                     meta = refreshed
                 pending = self._pending_commit_for(path)
                 if pending is not None:
@@ -525,16 +532,20 @@ class SCFSAgent:
         the metadata that landed since ``close`` returned.
         """
         meta = of.metadata
-        ref = self.storage.push_to_cloud(meta.file_id, data,
-                                         min_version=meta.data_version)
-        self._emit("upload", path=meta.path, file_id=meta.file_id, digest=ref.digest,
-                   version=meta.data_version, background=background)
-        self._propagate_cloud_acls(meta)
-        self._apply_committed_metadata(of, ref, merge_latest=background)
-        self._emit("commit", path=meta.path, file_id=meta.file_id, digest=meta.digest,
-                   version=meta.data_version, background=background)
-        if of.locked:
-            self.locks.release(meta)
+        try:
+            ref = self.storage.push_to_cloud(meta.file_id, data,
+                                             min_version=meta.data_version)
+            self._emit("upload", path=meta.path, file_id=meta.file_id, digest=ref.digest,
+                       version=meta.data_version, background=background)
+            self._propagate_cloud_acls(meta)
+            self._apply_committed_metadata(of, ref, merge_latest=background)
+            self._emit("commit", path=meta.path, file_id=meta.file_id, digest=meta.digest,
+                       version=meta.data_version, background=background)
+        finally:
+            # Also when the upload or the update raised: the handle is gone, so
+            # a lock kept here would block every other writer until unmount.
+            if of.locked:
+                self.locks.release(meta)
 
     def _propagate_cloud_acls(self, meta: FileMetadata) -> None:
         """Make a version written by a *grantee* readable by the owner and peers.
@@ -547,7 +558,6 @@ class SCFSAgent:
         """
         if meta.owner == self.principal.name:
             return
-        applied = self.stats.extra.setdefault("acl_propagations", 0)
         parties = {meta.owner: Permission.READ_WRITE}
         for user, permission in meta.grants.items():
             # "*" is a pseudo-user (world grant, covered by bucket policies on
@@ -564,7 +574,7 @@ class SCFSAgent:
                 continue
             self.backend.set_acl(meta.file_id, grantee, permission)
             self._acl_propagated.add(marker)
-            self.stats.extra["acl_propagations"] = applied + 1
+            self.stats.extra["acl_propagations"] = self.stats.extra.get("acl_propagations", 0) + 1
 
     def _commit_background(self, of: OpenFile, data: bytes) -> None:
         """Non-blocking / non-sharing close: upload and metadata update in background."""

@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 
 from repro.common.errors import LockHeldError
 from repro.coordination.base import CoordinationService, Session
-from repro.coordination.locks import LockManager
+from repro.coordination.locks import Carrier, LockManager
 from repro.core.metadata import FileMetadata
 from repro.simenv.environment import Simulation
 
@@ -62,63 +62,59 @@ class LockService:
         """False in the non-sharing mode (no coordination service)."""
         return self._manager is not None
 
-    def acquire(self, metadata: FileMetadata) -> bool:
-        """Lock ``metadata`` for writing; raises :class:`LockHeldError` on conflict.
-
-        Returns False (without contacting the coordination service) when
-        locking is disabled, so callers need no special-casing of the
-        non-sharing mode.
-        """
-        if self._manager is None:
-            return False
-        name = self.lock_name(metadata)
-        if not self._manager.try_acquire(name):
-            raise LockHeldError(f"{metadata.path} is locked for writing by another client")
-        if self.on_transition is not None and self._manager.hold_count(name) == 1:
-            self.on_transition("lock", name)
-        return True
+    def acquire(self, metadata: FileMetadata, send: Carrier | None = None) -> bool:
+        """Lock ``metadata`` for writing: the one-file case of :meth:`acquire_set`."""
+        return self.acquire_set([metadata], send)
 
     def release(self, metadata: FileMetadata) -> None:
-        """Release the write lock on ``metadata`` (no-op when not held)."""
-        if self._manager is None:
-            return
-        name = self.lock_name(metadata)
-        if self._manager.holds(name):
-            released = self._manager.release(name)
-            if released and self.on_transition is not None:
-                self.on_transition("unlock", name)
+        """Release the write lock on ``metadata``: the one-file case of :meth:`release_set`."""
+        self.release_set([metadata])
 
-    def acquire_set(self, metadatas: Sequence[FileMetadata]) -> None:
+    def acquire_set(self, metadatas: Sequence[FileMetadata],
+                    send: Carrier | None = None) -> bool:
         """Lock every file of ``metadatas`` or none, in one coordination command.
 
         The transactional commit takes its whole (sorted) lock set this way.
-        On a refused set nothing stays held and :class:`LockHeldError` names
-        the contended file.  One ``lock`` transition fires per name actually
-        taken (re-entrant names only gain a count).
+        The lock rides in the command it guards: ``send``, when given, is the
+        metadata command to run under the locks — it is called once with the
+        ``Lock`` steps to put in its own ``multi``; without it they go alone.
+        A re-entrant hold sends no step, and neither does a disabled lock
+        service, which returns False (callers need no special-casing of the
+        non-sharing mode).  On a refused command nothing stays held, no
+        transition fires and :class:`LockHeldError` names the contended file;
+        otherwise one ``lock`` transition fires per name actually taken
+        (re-entrant names only gain a count).
         """
         if self._manager is None:
-            return
+            if send is not None:
+                send(())
+            return False
         # Two paths of a set may share a lock (the names survive renames):
         # the set takes, and :meth:`release_set` returns, that lock once.
         paths = {self.lock_name(metadata): metadata.path for metadata in metadatas}
         try:
-            taken = self._manager.acquire_set(sorted(paths))
+            taken = self._manager.acquire_set(sorted(paths), send)
         except LockHeldError as exc:
             raise LockHeldError(
                 f"{paths.get(exc.lock, exc.lock)} is locked for writing by another client",
                 lock=exc.lock) from exc
-        if self.on_transition is not None:
-            for name in taken:
-                self.on_transition("lock", name)
+        self._transitions("lock", taken)
+        return True
 
     def release_set(self, metadatas: Sequence[FileMetadata]) -> None:
-        """Release what :meth:`acquire_set` of the same files took, in one command."""
+        """Release what :meth:`acquire_set` of the same files took, in one command.
+
+        Names not held are skipped.
+        """
         if self._manager is None:
             return
-        returned = self._manager.release_set(sorted({self.lock_name(m) for m in metadatas}))
+        self._transitions("unlock", self._manager.release_set(
+            sorted({self.lock_name(m) for m in metadatas})))
+
+    def _transitions(self, kind: str, names: Sequence[str]) -> None:
         if self.on_transition is not None:
-            for name in returned:
-                self.on_transition("unlock", name)
+            for name in names:
+                self.on_transition(kind, name)
 
     def release_all(self) -> None:
         """Release every lock held by this agent (unmount path)."""
@@ -126,9 +122,7 @@ class LockService:
             return
         names = list(self._manager.held)
         self._manager.release_all()
-        if self.on_transition is not None:
-            for name in names:
-                self.on_transition("unlock", name)
+        self._transitions("unlock", names)
 
     def holds(self, metadata: FileMetadata) -> bool:
         """True if this agent currently holds the write lock of ``metadata``."""

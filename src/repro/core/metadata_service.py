@@ -27,7 +27,7 @@ from repro.common.errors import (
     TupleNotFoundError,
 )
 from repro.common.types import Permission, Principal
-from repro.coordination.base import CoordinationService, Entry, Get, Put, Session
+from repro.coordination.base import CoordinationService, Entry, Get, Op, Put, Session
 from repro.core.cache import MetadataCache
 from repro.core.metadata import FileMetadata, FileType, normalize_path, parent_path
 from repro.core.pns import PrivateNameSpace
@@ -137,22 +137,25 @@ class MetadataService:
             return None
         return self._fetch(path)
 
-    def lookup_many_versioned(
-            self, wanted: Sequence[str]) -> dict[str, tuple[FileMetadata, int] | None]:
+    def lookup_many_versioned(self, wanted: Sequence[str], also: Sequence[Op] = ()
+                              ) -> dict[str, tuple[FileMetadata, int] | None]:
         """:meth:`lookup_versioned` of every path in ``wanted``, in one coordination read.
 
         The entries are read by one command, so they are one consistent
-        snapshot — what the transactional commit validates under its locks.
+        snapshot — what the transactional commit validates under its locks,
+        which ride in the same command as ``also`` (the lock service's
+        ``Lock`` steps: the snapshot is then taken with the locks granted).
         """
         found: dict[str, tuple[FileMetadata, int] | None] = {
             normalize_path(path): None for path in wanted}
         shared = [path for path in found if self.pns is None or not self.pns.contains(path)]
-        if self.coordination is None or not shared:
+        if self.coordination is None or not (shared or also):
             return found
         self.coordination_reads += 1
         try:
             entries = self.coordination.multi(
-                [Get(self.entry_key(path)) for path in shared], self.session)
+                [*also, *(Get(self.entry_key(path)) for path in shared)],
+                self.session)[len(also):]
         except ConflictError as exc:
             raise PermissionDeniedError(str(exc)) from exc
         for path, entry in zip(shared, entries, strict=True):
@@ -196,17 +199,26 @@ class MetadataService:
             return True
         return False
 
-    def create(self, metadata: FileMetadata, shared: bool = False) -> FileMetadata:
-        """Create a new metadata entry.
+    def creates_privately(self, metadata: FileMetadata, shared: bool = False) -> bool:
+        """True when :meth:`create` would place ``metadata`` in the PNS.
 
         ``shared`` forces the entry into the coordination service even when a
         PNS is available; otherwise new objects start private whenever PNSs
         are enabled (they have no grants yet, §2.7).
         """
+        return self.coordination is None or (
+            self.pns is not None and not shared and not metadata.grants)
+
+    def create(self, metadata: FileMetadata, shared: bool = False,
+               also: Sequence[Op] = ()) -> FileMetadata:
+        """Create a new metadata entry (placed as :meth:`creates_privately` says).
+
+        ``also`` rides in the insert-if-absent command of a shared entry — the
+        ``Lock`` of a file created by an open for writing — and again in the
+        replacement of a tombstone.
+        """
         path = metadata.path
-        private = self.pns is not None and not shared and not metadata.grants
-        if self.coordination is None:
-            private = True
+        private = self.creates_privately(metadata, shared)
         if self._taken_privately(path):
             raise FileExistsErrorFS(f"file exists: {path}")
         if private:
@@ -214,8 +226,8 @@ class MetadataService:
             return metadata
         key, blob = self.entry_key(path), metadata.to_bytes()
         try:
-            self._claim(path, lambda version: self.coordination.put(
-                key, blob, self.session, expected_version=version))
+            self._claim(path, lambda version: self.coordination.multi(
+                [Put(key, blob, version), *also], self.session))
         except ConflictError as exc:
             # A concurrent creator replaced the tombstone first.
             raise FileExistsErrorFS(f"file exists: {path}") from exc

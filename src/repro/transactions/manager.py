@@ -9,13 +9,14 @@ BFT-transaction designs (Basil, arXiv:2109.12443):
 1. **Optimistic execution** — :meth:`Transaction.read` records the
    ``(file_id, data_version, digest)`` it served; :meth:`Transaction.write`
    only stages bytes locally.  Nothing is visible to other agents yet.
-2. **Commit** (:meth:`TransactionManager.commit`) — five coordination
+2. **Commit** (:meth:`TransactionManager.commit`) — four coordination
    commands and one round of uploads, whatever the size of the sets:
 
    a. take the write locks of the *union* of the read and write sets, sorted
-      by lock name, as one all-or-nothing lock set;
-   b. re-read every entry of the union in one command and validate every
-      read against that snapshot, under the locks;
+      by lock name, as one all-or-nothing lock set, and
+   b. in the same command (the lock rides in the command it guards) re-read
+      every entry of the union; validate every read against that snapshot,
+      taken under the locks;
    c. write the **intent record** (``txn:<id>``, ``pending``);
    d. upload the new data versions to the cloud(s), the whole write set
       moving through the DepSky phases together;
@@ -260,17 +261,22 @@ class TransactionManager:
         targets = {path: FileMetadata(path=path, file_type=FileType.FILE, owner="",
                                       file_id=record.file_id)
                    for path, record in txn._reads.items()}
-        unread = self._resolve(txn, [p for p in paths if p not in targets])
+        write_only = [p for p in paths if p not in targets]
+        unread = self._checked(txn, write_only,
+                               agent.metadata.lookup_many_versioned(write_only))
         targets.update((path, meta) for path, (meta, _version) in unread.items())
         # Strict two-phase locking over the read∪write union, taken as one
         # all-or-nothing set in global lock-name order (the names are stable
         # across renames, so every committer sorts identically).
         locked = sorted(targets.values(), key=agent.locks.lock_name)
-        agent.locks.acquire_set(locked)
+        # The validation snapshot rides with the lock set: it is taken by the
+        # command that grants the locks, so competing writers are excluded
+        # and what it read is what the CAS will see.
+        found: dict[str, tuple[FileMetadata, int] | None] = {}
+        agent.locks.acquire_set(locked, lambda also: found.update(
+            agent.metadata.lookup_many_versioned(paths, also=also)))
         try:
-            # Validation runs under the locks: competing writers are now
-            # excluded, so what we re-read here is what the CAS will see.
-            current = self._resolve(txn, paths)
+            current = self._checked(txn, paths, found)
             self._validate(txn, current)
             for meta in locked:
                 if not agent.locks.still_held(meta):
@@ -290,14 +296,14 @@ class TransactionManager:
         if wait > 0:
             agent.sim.advance(wait)
 
-    def _resolve(self, txn: Transaction,
-                 paths: list[str]) -> dict[str, tuple[FileMetadata, int]]:
-        """Authoritative ``path -> (metadata, entry_version)`` for the lock/CAS set.
+    def _checked(self, txn: Transaction, paths: list[str],
+                 found: dict[str, tuple[FileMetadata, int] | None],
+                 ) -> dict[str, tuple[FileMetadata, int]]:
+        """``found`` (one authoritative read of ``paths``) as the lock/CAS set.
 
-        One coordination read for all of ``paths`` (none when it is empty).
+        Every path must be a live file at the anchor, or the attempt is over.
         """
         current: dict[str, tuple[FileMetadata, int]] = {}
-        found = self.agent.metadata.lookup_many_versioned(paths)
         for path in paths:
             pair = found[path]
             if pair is None or pair[0].deleted:

@@ -17,24 +17,25 @@ from repro.scenarios.runner import ScenarioRunner
 
 #: Trace fingerprints of the seed-101 lockstep sweep (3 agents x 10 ops).
 #: A change here means existing replay commands no longer reproduce their
-#: traces — that is a breaking change, not a refactor.  Fingerprint epoch 4,
-#: recorded at PR 14 for all eight mixes (each runs a cold read): the anchor
-#: hands a reader the DepSky version locator, so a cold read is one quorum call
-#: (no metadata-object read, hence fewer latency draws), and a reader inside a
-#: propagation window waits for it once instead of failing and polling — every
-#: timestamp after a run's first cold read moved.  Epoch 1 held from PR 4 to
-#: PR 11, epoch 2 from PR 12 (one replicated command per coordination intent),
-#: epoch 3 (PR 13, constant-round commit) covered the three transactional
-#: mixes only.  See docs/determinism-contract.md.
+#: traces — that is a breaking change, not a refactor.  Fingerprint epoch 5,
+#: recorded at PR 16 for all eight mixes (each creates shared files): the lock
+#: rides in the metadata command it guards — a create-open is {insert, Lock}
+#: and a transaction commit takes {lock set, validation snapshot} as one
+#: command each — so there is one coordination latency draw fewer per
+#: create-open and commit attempt and every later timestamp moved.  Epoch 1
+#: held from PR 4 to PR 11, epoch 2 from PR 12 (one replicated command per
+#: coordination intent), epoch 3 (PR 13, constant-round commit) covered the
+#: three transactional mixes only, epoch 4 from PR 14 (one-round cold reads).
+#: See docs/determinism-contract.md.
 GOLDEN_LOCKSTEP = {
-    "fault-free": "f5198efebcc29cf6b225a3086591e01cecf7a0cca475b73b584619519088e5ed",
-    "crash-hang": "d6695693f8ba9f0f9b74990dc60597dd642c52da789927c6192a2519b7356097",
-    "corrupt-byzantine": "e9822ae439bc8aa76605c7dc3874d4c0b30ae484753d70e9043f77377a1f5d6f",
-    "degraded-outage": "c6395afad5a73bbef4d7ff6bf330a3103a0410de432142fbde4d64ea3ac6cefa",
-    "weighted-byzantine": "d55f0c132dc05ac8bf2f2c14fcb420f056825a3b46ab06723d8a8dacb2c42244",
-    "txn": "4484935ff113162912496a0b9f66863fa021651135a658e55ef373754aeac33f",
-    "txn-crash-restart": "ba16edf9ceff3558a1fbe5d9a9008c554ac05f409124f877159881c1b6f3dc03",
-    "txn-partition": "c777cf2e4b2811df0394026c578c71254138653589e53c6c94874783494dd249",
+    "fault-free": "9bfb0476029b9d3383319bae1c3371d3e9438670a2c2aba7102d169fbcb005c8",
+    "crash-hang": "73d4c02b5eb70be38c0454aec848db64a67b98a0908f802d9270ba4890bfece2",
+    "corrupt-byzantine": "92746e3ec1c1d7dbe66e68fda46d633159e4918fddeb0f0c3d54dbeeea1c1e42",
+    "degraded-outage": "3d64b6cabe38af63af043ed875d8f6d8861cbe416c6b2c26d55f031a8fe4535b",
+    "weighted-byzantine": "d0d50981220c3e1c07996257560c7bedddb0db59efda5483daba50c17323439b",
+    "txn": "b54e05ff5ba5ead0e4dbb04dc81cf6a9e634c065834ad7801159d4e20821f68f",
+    "txn-crash-restart": "ee371228ec1d89ea648928ef3d92d9c91cb848836788d33ff6d9a42b4b3c1625",
+    "txn-partition": "db675bd84f4f4aa7c544a0586598367186d49b70ba9afa1176dda57b79c32f21",
 }
 
 

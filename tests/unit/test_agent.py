@@ -3,6 +3,7 @@
 import pytest
 
 from repro.common.errors import (
+    ConflictError,
     DirectoryNotEmptyError,
     FileExistsErrorFS,
     FileNotFoundErrorFS,
@@ -11,6 +12,7 @@ from repro.common.errors import (
     LockHeldError,
     NotADirectoryErrorFS,
     PermissionDeniedError,
+    QuorumNotReachedError,
 )
 from repro.common.types import Permission
 from repro.core.agent import OpenFlags
@@ -18,6 +20,7 @@ from repro.core.deployment import SCFSDeployment
 from repro.core.filesystem import DURABILITY_TABLE, DurabilityLevel
 from repro.core.metadata import FileType
 from repro.core.modes import OperationMode
+from repro.simenv.failures import FaultKind
 from repro.simenv.latency import LatencyModel
 
 
@@ -351,6 +354,23 @@ class TestACLs:
             fs.setfacl("/f.txt", "bob", Permission.READ)
 
 
+class TestCloudACLPropagation:
+    def test_every_grant_a_grantee_commit_re_applies_is_counted(self):
+        deployment = SCFSDeployment.for_variant("SCFS-AWS-B", seed=2)
+        alice = deployment.create_agent("alice")
+        agents = {name: deployment.create_agent(name) for name in ("bob", "carol", "dave")}
+        alice.write_file("/f.txt", b"v1", shared=True)
+        for name in agents:
+            alice.setfacl("/f.txt", name, Permission.READ_WRITE)
+        deployment.drain(2.0)
+        bob = agents["bob"]
+        bob.write_file("/f.txt", b"v2")  # the owner and two further grantees need the grant
+        assert bob.agent.stats.extra["acl_propagations"] == 3
+        bob.write_file("/f.txt", b"v3")  # at most once per (file, party)
+        assert bob.agent.stats.extra["acl_propagations"] == 3
+        assert agents["carol"].read_file("/f.txt") == b"v3"
+
+
 class TestLockingBetweenClients:
     def test_write_write_conflict_detected(self):
         deployment = SCFSDeployment.for_variant("SCFS-AWS-B", seed=3)
@@ -365,6 +385,43 @@ class TestLockingBetweenClients:
         alice.close(handle)
         bob_handle = bob.open("/shared.txt", "r+")
         bob.close(bob_handle)
+
+    def test_failed_blocking_close_returns_its_lock(self):
+        """The upload cannot reach a quorum: close raises — and must not keep the lock."""
+        deployment = SCFSDeployment.for_variant("SCFS-CoC-B", seed=3)
+        alice = deployment.create_agent("alice")
+        bob = deployment.create_agent("bob")
+        alice.write_file("/shared.txt", b"v1", shared=True)
+        alice.setfacl("/shared.txt", "bob", Permission.READ_WRITE)
+        deployment.drain(2.0)
+        handle = alice.open("/shared.txt", "r+")
+        alice.write(handle, b"v2")
+        for cloud in deployment.clouds[:2]:
+            cloud.failures.add(FaultKind.UNAVAILABLE, start=deployment.sim.now())
+        with pytest.raises(QuorumNotReachedError):
+            alice.close(handle)
+        assert alice.agent.open_handles() == 0
+        assert alice.agent.locks._manager.held == {}
+        for cloud in deployment.clouds[:2]:
+            cloud.failures.clear()  # healed, so that bob's open can fetch v1
+        bob_handle = bob.open("/shared.txt", "r+")  # LockHeldError until unmount, before the fix
+        assert bob.read(bob_handle) == b"v1"
+        bob.close(bob_handle)
+
+    def test_close_whose_entry_update_is_denied_returns_its_lock(self):
+        deployment = SCFSDeployment.for_variant("SCFS-AWS-B", seed=3)
+        alice = deployment.create_agent("alice")
+        bob = deployment.create_agent("bob")
+        alice.write_file("/shared.txt", b"v1", shared=True)
+        alice.setfacl("/shared.txt", "bob", Permission.READ_WRITE)
+        deployment.drain(2.0)
+        handle = bob.open("/shared.txt", "r+")
+        bob.write(handle, b"v2")
+        alice.setfacl("/shared.txt", "bob", Permission.READ)  # revoked while bob has it open
+        with pytest.raises(ConflictError):
+            bob.close(handle)
+        assert "filelock:" + bob.stat("/shared.txt").file_id not in bob.agent.locks._manager.held
+        alice.close(alice.open("/shared.txt", "r+"))
 
     def test_reading_needs_no_lock(self):
         deployment = SCFSDeployment.for_variant("SCFS-AWS-B", seed=3)

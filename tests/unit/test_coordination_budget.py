@@ -10,6 +10,15 @@ per op") agree with it.
 
 A prefix listing fans out to every partition, so a call that lists costs
 ``partitions`` commands for it; every other intent is exactly one.
+
+A lock rides in the metadata command it guards where that is before the
+upload (PR 16): the insert of a create-open, the validation snapshot of a
+transaction commit.  On one service that is one command where there were two.
+A partitioned deployment still pays one command per partition, so there the
+saving shows only for a file whose lock name and entry key hash to the same
+partition — and the count never exceeds the one before the fold.  The lock of
+a write-open of an existing file and the unlock of a dirty close stay
+commands of their own (pinned below; CHANGES.md, PR 16, says why).
 """
 
 from __future__ import annotations
@@ -17,6 +26,8 @@ from __future__ import annotations
 import pytest
 
 from repro.core.deployment import SCFSDeployment
+from repro.core.lock_service import LockService
+from repro.core.metadata_service import MetadataService
 
 KINDS = {
     "depspace": {"coordination_kind": "depspace"},
@@ -44,6 +55,16 @@ class Mount:
     def accounted(self) -> int:
         metadata = self.fs.agent.metadata
         return metadata.coordination_reads + metadata.coordination_writes
+
+    def partition(self, key: str) -> int:
+        """Partition holding the lock or entry ``key`` (0 on a single service)."""
+        coordination = self.deployment.coordination
+        return coordination.partition_of(key) if self.listing > 1 else 0
+
+    def rides(self, path: str) -> int:
+        """1 when the lock of ``path`` shares a partition with its entry (always, on one service)."""
+        lock = LockService.lock_name(self.fs.agent.metadata.get(path))
+        return int(self.partition(lock) == self.partition(MetadataService.entry_key(path)))
 
     def cold(self) -> None:
         """Expire the metadata cache (what a pause of >500 ms does)."""
@@ -77,17 +98,39 @@ def test_stat_and_exists_cost_one_command_cold_and_none_warm(mount):
     assert mount.spent(mount.fs.exists, "/top/f") == (0, 0)
 
 
-def test_create_open_is_lookup_insert_lock(mount):
-    mount.cold()
-    mount.fs.stat("/top")  # the VFS resolved the parent on the way here
-    commands, accounted = mount.spent(mount.fs.open, "/top/new", "w", True)
-    assert (commands, accounted) == (3, 2)  # the lock is the lock service's
+def test_create_open_is_lookup_and_insert_with_the_lock_riding(mount):
+    rode = set()
+    for index in range(8):  # enough for two partitions to show both layouts
+        path = f"/top/new{index}"
+        mount.cold()
+        mount.fs.stat("/top")  # the VFS resolved the parent on the way here
+        commands, accounted = mount.spent(mount.fs.open, path, "w", True)
+        rode.add(mount.rides(path))
+        # lookup + {insert-if-absent, lock}: 2 where it was 3; apart, 3 as before
+        assert (commands, accounted) == (3 - mount.rides(path), 2)
+    assert rode == ({1} if mount.listing == 1 else {0, 1})
 
 
 def test_blocking_dirty_close_is_update_and_unlock(mount):
     handle = mount.fs.open("/top/new", "w", True)
     mount.fs.write(handle, b"payload")
     assert mount.spent(mount.fs.close, handle) == (2, 1)
+
+
+def test_write_open_of_an_existing_shared_file_is_lock_and_revalidation(mount):
+    mount.fs.write_file("/top/f", b"data", shared=True)
+    mount.cold()  # first look, lock, authoritative re-read under the lock
+    handle = None
+
+    def opened() -> None:
+        nonlocal handle
+        handle = mount.fs.open("/top/f", "r+")
+
+    assert mount.spent(opened) == (3, 2)
+    assert mount.spent(mount.fs.close, handle) == (1, 0)  # clean: the unlock alone
+    mount.fs.stat("/top/f")  # warm: the first look is served by the cache
+    assert mount.spent(opened) == (2, 1)
+    assert mount.spent(opened) == (1, 1)  # re-entrant hold: the re-read alone
 
 
 def test_unlink_is_lookup_and_tombstone(mount):
@@ -145,8 +188,8 @@ def test_conditional_puts_cost_one_command_each(mount):
     assert mount.spent(agent.metadata.update_cas, meta, version) == (1, 1)
 
 
-def _commit_commands(mount, directory: str, count: int) -> int:
-    """Replicated commands of one commit that reads and rewrites ``count`` files."""
+def _commit_commands(mount, directory: str, count: int) -> tuple[int, int]:
+    """Commands of one commit that reads and rewrites ``count`` files, and its pre-PR 16 count."""
     mount.make_files(directory, count)
     paths = [f"{directory}/f{index:03d}" for index in range(count)]
     txn = mount.fs.begin_transaction()
@@ -154,22 +197,34 @@ def _commit_commands(mount, directory: str, count: int) -> int:
         txn.write(path, txn.read(path) + b"+")
     commands = mount.spent(txn.commit)[0]
     assert [mount.fs.read_file(path) for path in paths] == [b"x+"] * count
-    return commands
+    # Lock set and its release: one command per partition the lock names fall
+    # on; the validating reads: one (every entry lives under /top); the intent;
+    # the commit point: the entries' partition and the intent's.
+    locks = {mount.partition(LockService.lock_name(mount.fs.agent.metadata.get(path)))
+             for path in paths}
+    entries = mount.partition(MetadataService.entry_key(directory))
+    intent = mount.partition("txn:" + txn.txn_id)
+    before = len(locks) + 1 + 1 + len({entries, intent}) + len(locks)
+    # The snapshot rides with the lock set where a lock shares its partition.
+    assert commands == before - (entries in locks)
+    return commands, before
 
 
 def test_transaction_commit_is_constant_in_the_size_of_its_sets(mount):
-    """Lock set, validating reads, intent, {every version CAS + intent flip}, release.
+    """{Lock set + validating reads}, intent, {every version CAS + intent flip}, release.
 
     The read set already names the lock of every file, so nothing is read
-    before the locks are taken.  On one service that is five commands for any
-    number of files; a partitioned deployment pays each of them once per
-    partition its keys and lock names fall on.
+    before the locks are taken, and the snapshot the reads are validated
+    against is taken by the command that grants them.  On one service that is
+    four commands for any number of files (five before the fold); a
+    partitioned deployment pays each of them once per partition its keys and
+    lock names fall on — never more than before.
     """
     spent = [_commit_commands(mount, f"/top/t{count}", count) for count in (1, 3, 8)]
     if mount.listing == 1:
-        assert spent == [5, 5, 5]
+        assert spent == [(4, 5)] * 3
     else:
-        assert max(spent) <= 5 * mount.listing
+        assert all(commands <= before <= 5 * mount.listing for commands, before in spent)
 
 
 def test_rename_tree_locks_its_files_in_two_commands_whatever_their_number(mount):
