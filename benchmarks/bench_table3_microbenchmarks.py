@@ -14,20 +14,49 @@ match the paper's testbed second-for-second; the assertions below check the
 * the metadata-intensive benchmarks separate local/non-sharing systems from
   the shared variants by orders of magnitude, with blocking variants slower
   than non-blocking ones and S3FS slowest of all.
+
+It also prints a canary for the create path: what one created file costs the
+coordinated non-blocking variants, in cold ``stat`` calls (one coordination
+access each) of the same run.  With the VFS lookups on that is ``exists``, the
+``open(O_CREAT)`` that sends its insert first, and the ``stat`` of the
+directory on the iterations that find its cache entry expired — 2.5 to 2.65.
+A read back in front of the insert makes it 3.3 to 3.6 (what PR 16 measured)
+and fails the run.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.bench.filebench import MICRO_BENCHMARKS, MicroBenchmarkParams, run_microbenchmark_table
+from repro.bench.filebench import (
+    MICRO_BENCHMARKS,
+    MicroBenchmarkParams,
+    create_files,
+    run_microbenchmark_table,
+)
 from repro.bench.report import render_read_paths, render_table
-from repro.bench.targets import ALL_TARGET_NAMES
+from repro.bench.targets import ALL_TARGET_NAMES, build_target
 
 #: Number of random 4 KB operations actually executed (result scaled to 256 k).
 SAMPLE_OPS = 1024
 
 PARAMS = MicroBenchmarkParams(sample_ops=SAMPLE_OPS)
+
+#: Coordination accesses one created file may cost (see the module docstring).
+CREATE_ACCESS_CEILING = 3.0
+
+
+def accesses_per_created_file(variant: str) -> float:
+    """Simulated seconds per created file over those of one cold ``stat``, in one run."""
+    target = build_target(variant, seed=0)
+    per_file = create_files(target, PARAMS) / PARAMS.create_count
+    cold_stats = []
+    for _ in range(20):
+        target.sim.advance(1.0)  # past the metadata cache's expiration
+        start = target.sim.now()
+        target.fs.stat(PARAMS.directory)
+        cold_stats.append(target.sim.now() - start)
+    return per_file * len(cold_stats) / sum(cold_stats)
 
 
 def test_table3_microbenchmarks(run_once, benchmark, capsys):
@@ -44,6 +73,15 @@ def test_table3_microbenchmarks(run_once, benchmark, capsys):
                            headers, rows, float_format="{:.2f}"))
         print()
         print(render_read_paths("DepSky read paths (CoC targets, all benchmarks)", read_paths))
+        print()
+    create_accesses = {variant: accesses_per_created_file(variant)
+                       for variant in ("SCFS-AWS-NB", "SCFS-CoC-NB")}
+    with capsys.disabled():
+        for variant, accesses in create_accesses.items():
+            print(f"create files, {variant}: {accesses:.2f} cold stats per created file "
+                  f"(ceiling {CREATE_ACCESS_CEILING})")
+    benchmark.extra_info["create_accesses"] = {
+        variant: round(accesses, 3) for variant, accesses in create_accesses.items()}
     benchmark.extra_info["table"] = {
         bench: {target: round(value, 3) for target, value in row.items()}
         for bench, row in table.items()
@@ -53,6 +91,10 @@ def test_table3_microbenchmarks(run_once, benchmark, capsys):
                  "fallback": stats.fallback_reads, "hedged": stats.hedged_requests}
         for target, stats in read_paths.items()
     }
+
+    # No coordination read ahead of the insert-if-absent of a create-open.
+    for variant, accesses in create_accesses.items():
+        assert accesses < CREATE_ACCESS_CEILING, (variant, accesses)
 
     # Fault-free runs must serve every cloud read from the preferred quorum.
     for target, stats in read_paths.items():

@@ -66,7 +66,7 @@ def check(ctx: ModuleContext) -> list[Finding]:
 
 def _lock_calls(function: ast.FunctionDef | ast.AsyncFunctionDef,
                 kind: str) -> dict[str, ast.Call]:
-    """First ``kind`` call per receiver key in ``function`` (nested defs skipped)."""
+    """First ``kind`` call, in source order, per receiver key in ``function`` (nested defs skipped)."""
     first: dict[str, ast.Call] = {}
     stack: list[ast.AST] = list(function.body)
     while stack:
@@ -77,7 +77,7 @@ def _lock_calls(function: ast.FunctionDef | ast.AsyncFunctionDef,
             effect = _classify(node)
             if effect is not None and effect[0] == kind:
                 first.setdefault(effect[1], node)
-        stack.extend(ast.iter_child_nodes(node))
+        stack[:0] = ast.iter_child_nodes(node)  # pre-order: a deeper call above a shallower one is first
     return first
 
 

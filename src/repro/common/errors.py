@@ -8,6 +8,12 @@ errors, which surface as plain Python exceptions.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from repro.coordination.base import Entry
+    from repro.core.metadata import FileMetadata
+
 
 class ReproError(Exception):
     """Base class for all errors raised by the reproduction library."""
@@ -89,7 +95,16 @@ class TupleNotFoundError(CoordinationError):
 
 
 class ConflictError(CoordinationError):
-    """A conditional (compare-and-swap style) update failed."""
+    """A conditional (compare-and-swap style) update failed.
+
+    ``found`` is what a refused version check met under the key: the entry,
+    when the caller's principal may READ it — ``None`` when it may not, when
+    nothing is there, or when the refusal was not a version check.
+    """
+
+    def __init__(self, message: str, found: Entry | None = None):
+        super().__init__(message)
+        self.found = found
 
 
 class LockHeldError(CoordinationError):
@@ -151,9 +166,13 @@ class FileNotFoundErrorFS(FileSystemError):
 
 
 class FileExistsErrorFS(FileSystemError):
-    """Path already exists (EEXIST)."""
+    """Path already exists (EEXIST); ``found`` is the live object, when the raiser saw it."""
 
     errno_name = "EEXIST"
+
+    def __init__(self, message: str, found: FileMetadata | None = None):
+        super().__init__(message)
+        self.found = found
 
 
 class NotADirectoryErrorFS(FileSystemError):

@@ -13,7 +13,10 @@ Every intent is **one** replicated command, charging one coordination-service
 access of roughly 60–100 ms to the simulated clock (the figure the paper
 measured, §4.2).  What decides the outcome — create-vs-update, the entry ACL,
 ``expected_version`` — is checked by the replicas
-(:mod:`repro.coordination.entries`), never by this client-side code:
+(:mod:`repro.coordination.entries`), never by this client-side code; a
+``put``, ``multi`` or ``move`` they refuse on a version check carries what it
+met (``ConflictError.found``: the entry when the caller may READ it, else
+``None``), so the refusal answers the ``get`` a caller would send next:
 
 ==================================  =========================================
 adapter call                        replicated command

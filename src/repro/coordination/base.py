@@ -123,7 +123,10 @@ class CoordinationService(abc.ABC):
         current version matches (compare-and-swap) — ``0`` meaning "the entry
         must not exist" (insert-if-absent);
         :class:`~repro.common.errors.ConflictError` is raised otherwise, and
-        when the entry's ACL denies the session's principal WRITE.
+        when the entry's ACL denies the session's principal WRITE.  A refused
+        version check carries what it met: ``ConflictError.found`` is the
+        entry under ``key`` when the principal may READ it, else ``None`` — the
+        refusal answers the read a caller would otherwise send next.
         """
 
     @abc.abstractmethod
@@ -170,10 +173,19 @@ class CoordinationService(abc.ABC):
         ``lock`` attribute names it), a :class:`Put` whose ``expected_version``
         mismatches or whose entry denies WRITE raises ``ConflictError``, a
         :class:`Get` that is denied READ raises ``ConflictError`` — and then
-        nothing has changed.  Returns one result per step: the entry for a
+        nothing has changed.  A refused version check carries ``found`` as in
+        :meth:`put`.  Returns one result per step: the entry for a
         ``Get`` (``None`` when absent) and for a ``Put``, ``None`` for lock
         steps.  A command may change each key and each lock at most once.
         """
+
+    def colocated(self, *names: str) -> bool:
+        """True when a :meth:`multi` whose steps are routed by ``names`` is one command.
+
+        Always, on one service; a partitioned one says whether the lock names
+        and entry keys fall on one partition.
+        """
+        return True
 
     # -- locking ------------------------------------------------------------
 

@@ -118,12 +118,18 @@ class EntryCommands:
 
     def _writable(self, key: str, user: str, now: float,
                   expected_version: int | None) -> Stored | None:
-        """The record under ``key`` once ``user`` may replace it (None: absent)."""
+        """The record under ``key`` once ``user`` may replace it (None: absent).
+
+        A refused version check hands back the entry it met (``ConflictError.found``)
+        when ``user`` may read it, so the refusal costs the caller no second read.
+        """
         stored = self._entry_read(key, now)
         found = stored.version if stored is not None else 0
         if expected_version is not None and found != expected_version:
             raise ConflictError(
-                f"version mismatch on {key!r}: expected {expected_version}, found {found}")
+                f"version mismatch on {key!r}: expected {expected_version}, found {found}",
+                found=_entry(key, stored)
+                if stored is not None and _allows(stored, user, Permission.READ) else None)
         if stored is not None and not _allows(stored, user, Permission.WRITE):
             raise ConflictError(f"{user} may not change entry {key!r}")
         return stored

@@ -64,6 +64,9 @@ class PartitionedCoordination(CoordinationService):
         """Index of the partition responsible for ``key`` (observability/tests)."""
         return self.partition_function(key, len(self.services)) % len(self.services)
 
+    def colocated(self, *names: str) -> bool:
+        return len({self.partition_of(name) for name in names}) <= 1
+
     # -- sessions ----------------------------------------------------------------
     #
     # A client session must exist on every partition, because a single file

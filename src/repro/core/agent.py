@@ -4,7 +4,9 @@ The agent glues together the three local services (metadata, storage, locking),
 the local caches, the Private Name Space, the garbage collector and the
 storage backend, implementing the call flows of Figure 4:
 
-* ``open``  — read the metadata (cache → PNS → coordination), optionally lock
+* ``open``  — read the metadata (cache → PNS → coordination; a creating open
+  sends the insert-if-absent *first* where it can tell locally that nothing
+  else would be sent, and a refusal says what is there), optionally lock
   the file when opening for writing, then bring the file data into the local
   caches (from the cloud only when the locally cached copy does not match the
   anchored hash);
@@ -28,11 +30,13 @@ reproduce the shape of the paper's measurements.
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from repro.common.errors import (
+    FileExistsErrorFS,
     FileNotFoundErrorFS,
     FileSystemError,
     InvalidHandleError,
@@ -266,10 +270,27 @@ class SCFSAgent:
             raise NotADirectoryErrorFS(f"not a directory: {path}")
         return meta
 
-    def _check_parent(self, path: str) -> None:
-        parent = parent_path(path)
-        if parent != "/" and not self.metadata.exists(parent):
-            raise FileNotFoundErrorFS(f"parent directory does not exist: {parent}")
+    def _check_parent(self, path: str, remote: bool = True) -> bool:
+        """Require a live directory above ``path`` (ENOENT, ENOTDIR).
+
+        With ``remote`` off nothing is asked of the coordination service and
+        nothing raised: False when what this agent holds cannot tell.
+        """
+        parent = self.metadata.lookup(parent_path(path), remote=remote)
+        if parent is not None and not parent.deleted and parent.is_directory:
+            return True
+        if not remote:
+            return False
+        if parent is None or parent.deleted:
+            raise FileNotFoundErrorFS(f"parent directory does not exist: {parent_path(path)}")
+        raise NotADirectoryErrorFS(f"not a directory: {parent_path(path)}")
+
+    def _new_file(self, path: str) -> FileMetadata:
+        now = self.sim.now()
+        return FileMetadata(
+            path=path, file_type=FileType.FILE, owner=self.principal.name,
+            created_at=now, modified_at=now, file_id=self.sim.fresh_id("file"),
+        )
 
     # ------------------------------------------------------------------- open
 
@@ -293,19 +314,49 @@ class SCFSAgent:
         # close by up to its expiration and the write lock alone does not
         # refresh it — but that authoritative read happens *after* the lock is
         # held (below), so it is not paid twice here.
-        meta = self.metadata.lookup(path)
+        meta = self.metadata.lookup(path, remote=False)
+        # Insert first: "absent" is an answer the insert-if-absent gives by
+        # itself, and a refusal says what is there.  Only where the insert is
+        # all a create would send anyway — nothing held here says the file
+        # exists, its parent is known *here* to be a live directory (asking
+        # for it would cost an existing file, or a caller who may not read the
+        # directory, a read it never paid), the entry goes to the coordination
+        # service, and entry and lock travel in one command.
+        fresh: FileMetadata | None = None
+        if ((meta is None or meta.deleted) and flags & OpenFlags.CREATE
+                and self._pending_commit_for(path) is None
+                and self._check_parent(path, remote=False)):
+            fresh = self._new_file(path)
+        insert_first = (
+            fresh is not None and not self.metadata.creates_privately(fresh, shared)
+            and self.coordination.colocated(self.metadata.entry_key(path),
+                                            self.locks.lock_name(fresh)))
+        if meta is None and not insert_first:
+            meta = self.metadata.lookup(path, use_cache=False)
         created = meta is None or meta.deleted
         if created:
             if not flags & OpenFlags.CREATE:
                 raise FileNotFoundErrorFS(f"no such file: {path}")
-            self._check_parent(path)
-            now = self.sim.now()
-            meta = FileMetadata(
-                path=path, file_type=FileType.FILE, owner=user,
-                created_at=now, modified_at=now, file_id=self.sim.fresh_id("file"),
-            )
+            if not insert_first:
+                self._check_parent(path)
+            meta = fresh or self._new_file(path)
             private = self.metadata.creates_privately(meta, shared)
-        else:
+            # The lock of a file created here rides in the command that inserts
+            # its entry: one coordination round trip, not two.
+            insert = functools.partial(self.metadata.create, meta, shared)
+            try:
+                if wants_write and not private and self.locks.enabled:
+                    # repro: allow[LCK001] -- ownership hand-off: the lock lives with the handle, close() releases it
+                    self.locks.acquire(meta, insert)
+                else:
+                    insert()
+            except FileExistsErrorFS as exc:
+                # A live object is there after all (met by the insert sent
+                # first, or a concurrent creator won): open what was met.
+                if exc.found is None:
+                    raise
+                created, meta = False, exc.found
+        if not created:
             # A non-blocking commit of this path may still be in flight: its
             # version is newer than anything the anchor knows yet, and this
             # agent must read its own writes (and must not base a new version
@@ -323,21 +374,13 @@ class SCFSAgent:
 
         # Lock shared files opened for writing; failure surfaces as an error
         # (write-write conflicts are prevented rather than merged, §2.5.1).
-        # The lock of a file created here rides in the command that inserts
-        # its entry: one coordination round trip, not two.
         locked = wants_write and not private and self.locks.enabled
-        try:
-            if created and locked:
-                # repro: allow[LCK001] -- ownership hand-off: the lock is held for the handle's lifetime and released by close()
-                self.locks.acquire(meta, lambda also: self.metadata.create(
-                    meta, shared=shared, also=also))
-            elif created:
-                self.metadata.create(meta, shared=shared)
-            elif locked:
+        if locked and not created:
+            try:
                 self.locks.acquire(meta)
-        except LockHeldError:
-            self.stats.lock_conflicts += 1
-            raise
+            except LockHeldError:
+                self.stats.lock_conflicts += 1
+                raise
         try:
             if locked and not created:
                 # Acquiring the lock takes one coordination round trip, during
@@ -730,9 +773,6 @@ class SCFSAgent:
         self._syscall()
         path = normalize_path(path)
         self._check_parent(path)
-        parent = self.metadata.get(parent_path(path)) if parent_path(path) != "/" else None
-        if parent is not None and not parent.is_directory:
-            raise NotADirectoryErrorFS(f"not a directory: {parent_path(path)}")
         now = self.sim.now()
         meta = FileMetadata(path=path, file_type=FileType.DIRECTORY, owner=self.principal.name,
                             created_at=now, modified_at=now)

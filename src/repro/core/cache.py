@@ -155,7 +155,8 @@ class MetadataCache:
             raise ValueError("expiration must be non-negative")
         self.clock = clock
         self.expiration = expiration
-        self._entries: dict[str, _MetadataEntry] = {}
+        #: In stored order (oldest first), so the expired ones are at the front.
+        self._entries: OrderedDict[str, _MetadataEntry] = OrderedDict()
         self.hits = 0
         self.misses = 0
 
@@ -173,10 +174,17 @@ class MetadataCache:
         return entry.value
 
     def put(self, key: str, value) -> None:
-        """Cache ``value`` with the current timestamp."""
+        """Cache ``value`` with the current timestamp; expired entries are dropped.
+
+        A path never asked for again would otherwise keep its entry for good.
+        """
         if self.expiration == 0:
             return
-        self._entries[key] = _MetadataEntry(value=value, stored_at=self.clock.now())
+        now = self.clock.now()
+        self._entries[key] = _MetadataEntry(value=value, stored_at=now)
+        self._entries.move_to_end(key)
+        while now - next(iter(self._entries.values())).stored_at > self.expiration:
+            self._entries.popitem(last=False)
 
     def invalidate(self, key: str) -> None:
         """Drop one entry (called after local updates to keep the cache coherent)."""

@@ -70,11 +70,14 @@ class MetadataService:
 
     # ----------------------------------------------------------------- lookup
 
-    def lookup(self, path: str, use_cache: bool = True) -> FileMetadata | None:
+    def lookup(self, path: str, use_cache: bool = True,
+               remote: bool = True) -> FileMetadata | None:
         """Return the metadata of ``path`` or None when it does not exist.
 
         The root directory always exists (it has an implicit entry owned by
-        the mounting user).
+        the mounting user).  With ``remote`` off only what this agent holds
+        (cache, PNS) answers — no coordination access — and None also means
+        "not known here".
         """
         path = normalize_path(path)
         if path == "/":
@@ -94,7 +97,7 @@ class MetadataService:
             # miss in the PNS means the object does not exist — no need to ask
             # the coordination service (§2.7).
             return None
-        found = self._fetch(path)
+        found = self._fetch(path) if remote else None
         return found[0] if found is not None else None
 
     def _fetch(self, path: str) -> tuple[FileMetadata, int] | None:
@@ -215,7 +218,8 @@ class MetadataService:
 
         ``also`` rides in the insert-if-absent command of a shared entry — the
         ``Lock`` of a file created by an open for writing — and again in the
-        replacement of a tombstone.
+        replacement of a tombstone.  ``FileExistsErrorFS.found`` is the live
+        object the refused insert met, when the refusal showed it.
         """
         path = metadata.path
         private = self.creates_privately(metadata, shared)
@@ -230,7 +234,9 @@ class MetadataService:
                 [Put(key, blob, version), *also], self.session))
         except ConflictError as exc:
             # A concurrent creator replaced the tombstone first.
-            raise FileExistsErrorFS(f"file exists: {path}") from exc
+            witness = self._witness(path, exc)
+            raise FileExistsErrorFS(
+                f"file exists: {path}", found=witness[0] if witness else None) from exc
         self.cache.put(path, metadata.copy())
         return metadata
 
@@ -243,19 +249,27 @@ class MetadataService:
         """Take the entry of ``path`` with ``attempt(version_it_must_hold)``.
 
         The service's insert-if-absent is the existence check: ``attempt(0)``
-        succeeds in one command when nothing is there.  Only when the key is
-        taken is it read: a live object is EEXIST, a ``deleted`` tombstone
-        awaiting the garbage collector is replaced at exactly the version read.
+        succeeds in one command when nothing is there.  When the key is taken
+        the refusal says by what (the entry is read only when it does not): a
+        live object is EEXIST, a ``deleted`` tombstone awaiting the garbage
+        collector is replaced at exactly the version met.
         """
         self.coordination_writes += 1
         try:
             attempt(0)
         except ConflictError as exc:
-            found = self.lookup_versioned(path)
+            found = self._witness(path, exc) or self.lookup_versioned(path)
             if found is not None and not found[0].deleted:
-                raise FileExistsErrorFS(f"file exists: {path}") from exc
+                raise FileExistsErrorFS(f"file exists: {path}", found=found[0]) from exc
             self.coordination_writes += 1
             attempt(found[1] if found is not None else 0)
+
+    def _witness(self, path: str, refusal: ConflictError) -> tuple[FileMetadata, int] | None:
+        """What ``refusal`` met under the entry of ``path`` (cached), if it says."""
+        entry = refusal.found
+        if entry is None or entry.key != self.entry_key(path):
+            return None
+        return self._fetched(path, entry)
 
     def update(self, metadata: FileMetadata) -> None:
         """Persist an updated metadata tuple (same placement as it currently has)."""

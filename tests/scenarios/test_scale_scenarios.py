@@ -17,25 +17,25 @@ from repro.scenarios.runner import ScenarioRunner
 
 #: Trace fingerprints of the seed-101 lockstep sweep (3 agents x 10 ops).
 #: A change here means existing replay commands no longer reproduce their
-#: traces — that is a breaking change, not a refactor.  Fingerprint epoch 5,
-#: recorded at PR 16 for all eight mixes (each creates shared files): the lock
-#: rides in the metadata command it guards — a create-open is {insert, Lock}
-#: and a transaction commit takes {lock set, validation snapshot} as one
-#: command each — so there is one coordination latency draw fewer per
-#: create-open and commit attempt and every later timestamp moved.  Epoch 1
+#: traces — that is a breaking change, not a refactor.  Fingerprint epoch 6,
+#: recorded at PR 17 for all eight mixes (each creates shared files): an
+#: ``open(O_CREAT)`` sends {insert, Lock} first where it can, with no lookup
+#: before it, and a refused insert carries what it met — one coordination
+#: latency draw fewer per such open, so every later timestamp moved.  Epoch 1
 #: held from PR 4 to PR 11, epoch 2 from PR 12 (one replicated command per
 #: coordination intent), epoch 3 (PR 13, constant-round commit) covered the
-#: three transactional mixes only, epoch 4 from PR 14 (one-round cold reads).
+#: three transactional mixes only, epoch 4 from PR 14 (one-round cold reads),
+#: epoch 5 from PR 16 (the lock rides in the command it guards).
 #: See docs/determinism-contract.md.
 GOLDEN_LOCKSTEP = {
-    "fault-free": "9bfb0476029b9d3383319bae1c3371d3e9438670a2c2aba7102d169fbcb005c8",
-    "crash-hang": "73d4c02b5eb70be38c0454aec848db64a67b98a0908f802d9270ba4890bfece2",
-    "corrupt-byzantine": "92746e3ec1c1d7dbe66e68fda46d633159e4918fddeb0f0c3d54dbeeea1c1e42",
-    "degraded-outage": "3d64b6cabe38af63af043ed875d8f6d8861cbe416c6b2c26d55f031a8fe4535b",
-    "weighted-byzantine": "d0d50981220c3e1c07996257560c7bedddb0db59efda5483daba50c17323439b",
-    "txn": "b54e05ff5ba5ead0e4dbb04dc81cf6a9e634c065834ad7801159d4e20821f68f",
-    "txn-crash-restart": "ee371228ec1d89ea648928ef3d92d9c91cb848836788d33ff6d9a42b4b3c1625",
-    "txn-partition": "db675bd84f4f4aa7c544a0586598367186d49b70ba9afa1176dda57b79c32f21",
+    "fault-free": "ed53090709b7eb18de37fe9ce813b1434af131ac6668903616354fd3d8c3245e",
+    "crash-hang": "d8e808e5e0d7efcc4c229d8a1fdab1eb412632d65f3ef689580ef80fe741fe47",
+    "corrupt-byzantine": "16015dc8c633e938f11991e2becca18ada8f63ca59e407dd70d5f01e79857887",
+    "degraded-outage": "5b26939938a9246f49f405a611123adad71868f71926758732d63b5a8d0c23f6",
+    "weighted-byzantine": "32926c73660135f234b09ddb931ab12dfa531fe7c6184a1d6330535db51dadce",
+    "txn": "c1dd9de10f2b380b960ebe854aa2dcd3e080bb70c4e8bbee46533260830ae16e",
+    "txn-crash-restart": "63e1a9e8eceae4e0aeb8c19287a5f34cb0077f5535f7d6dc584731642e1cea75",
+    "txn-partition": "b1f1793a6a483d34893333bf1091ca58c627b99d8b7f53339fa22a807c24b3de",
 }
 
 

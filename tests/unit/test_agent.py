@@ -152,6 +152,35 @@ class TestNamespaceOperations:
         with pytest.raises(NotADirectoryErrorFS):
             fs.mkdir("/f.txt/sub")
 
+    @pytest.mark.parametrize("call", ["open", "symlink", "rename", "mkdir"])
+    @pytest.mark.parametrize("parent_cached", [True, False])
+    def test_nothing_can_be_put_under_a_regular_file(self, call, parent_cached):
+        """The one parent check asks for a live *directory* (it asked for existence only).
+
+        An entry below a regular file resolves by path but no ``readdir`` can
+        ever list it.
+        """
+        deployment = SCFSDeployment.for_variant("SCFS-CoC-B", seed=11)
+        fs = deployment.create_agent("alice")
+        fs.mkdir("/top", shared=True)
+        fs.write_file("/top/f", b"a file", shared=True)
+        fs.write_file("/top/g", b"another", shared=True)
+        calls = {
+            "open": lambda: fs.write_file("/top/f/child", b"x", shared=True),
+            "symlink": lambda: fs.symlink("/top/g", "/top/f/link"),
+            "rename": lambda: fs.rename("/top/g", "/top/f/g"),
+            "mkdir": lambda: fs.mkdir("/top/f/sub", shared=True),
+        }
+        fs.agent.metadata_cache.clear()
+        if parent_cached:
+            fs.stat("/top/f")
+        with pytest.raises(NotADirectoryErrorFS) as raised:
+            calls[call]()
+        assert raised.value.errno_name == "ENOTDIR"
+        assert fs.readdir("/top") == ["f", "g"]
+        assert deployment.coordination.list_prefix("meta:/top/f/", fs.agent.session) == []
+        assert fs.read_file("/top/f") == b"a file" and fs.agent.locks._manager.held == {}
+
     def test_readdir_of_file_fails(self, coc_nb):
         _, fs = coc_nb
         fs.write_file("/f.txt", b"x")

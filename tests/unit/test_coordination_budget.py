@@ -19,6 +19,13 @@ saving shows only for a file whose lock name and entry key hash to the same
 partition — and the count never exceeds the one before the fold.  The lock of
 a write-open of an existing file and the unlock of a dirty close stay
 commands of their own (pinned below; CHANGES.md, PR 16, says why).
+
+A refused insert says what is there (PR 17), so ``open(O_CREAT)`` sends the
+insert *first* — no lookup before it — whenever nothing the agent holds says
+the file exists, its parent is known locally to be a live directory and entry
+and lock travel in one command: a create-open with a warm parent is one
+command, a re-create over a tombstone two.  With a cold parent, or with lock
+and entry on different partitions, the open looks first, as before.
 """
 
 from __future__ import annotations
@@ -98,7 +105,7 @@ def test_stat_and_exists_cost_one_command_cold_and_none_warm(mount):
     assert mount.spent(mount.fs.exists, "/top/f") == (0, 0)
 
 
-def test_create_open_is_lookup_and_insert_with_the_lock_riding(mount):
+def test_create_open_with_a_warm_parent_is_the_insert_alone(mount):
     rode = set()
     for index in range(8):  # enough for two partitions to show both layouts
         path = f"/top/new{index}"
@@ -106,9 +113,63 @@ def test_create_open_is_lookup_and_insert_with_the_lock_riding(mount):
         mount.fs.stat("/top")  # the VFS resolved the parent on the way here
         commands, accounted = mount.spent(mount.fs.open, path, "w", True)
         rode.add(mount.rides(path))
-        # lookup + {insert-if-absent, lock}: 2 where it was 3; apart, 3 as before
-        assert (commands, accounted) == (3 - mount.rides(path), 2)
+        # Together: {insert-if-absent, lock} sent first, 1 where it was 2.  Apart
+        # the pair is not one command, so the open looks first: lookup miss,
+        # lock, insert — 3 as before.
+        assert (commands, accounted) == ((1, 1) if mount.rides(path) else (3, 2))
     assert rode == ({1} if mount.listing == 1 else {0, 1})
+
+
+def test_create_open_with_a_cold_parent_looks_first(mount):
+    """Asking for the parent before the insert would cost an *existing* file a read."""
+    for index in range(8):
+        path = f"/top/new{index}"
+        mount.cold()
+        commands, accounted = mount.spent(mount.fs.open, path, "w", True)
+        # lookup miss, the parent, {insert-if-absent, lock}: 3 (apart 4), as before
+        assert (commands, accounted) == (4 - mount.rides(path), 3)
+
+
+def test_o_creat_open_of_an_existing_file_costs_what_a_write_open_does(mount):
+    mount.fs.write_file("/top/f", b"data", shared=True)
+
+    def opened() -> None:
+        mount.fs.close(mount.fs.open("/top/f", "a"))  # the clean close: the unlock alone
+
+    mount.cold()
+    mount.fs.stat("/top")  # cold entry, warm parent: the refused insert is the first look,
+    assert mount.spent(opened) == (3 + 1, 2)  # then lock and re-read under it, as before
+    mount.cold()  # cold entry, cold parent: lookup, lock, re-read
+    assert mount.spent(opened) == (3 + 1, 2)
+    mount.fs.stat("/top/f")  # warm entry: served by the cache, whatever the parent
+    assert mount.spent(opened) == (2 + 1, 1)
+
+
+def test_recreate_over_a_tombstone_is_the_refused_insert_and_the_replace(mount):
+    rode = set()
+    for index in range(8):
+        path = f"/top/again{index}"
+        mount.fs.write_file(path, b"old", shared=True)
+        mount.fs.unlink(path)
+        mount.cold()
+        mount.fs.stat("/top")
+        commands, accounted = mount.spent(mount.fs.open, path, "w", True)
+        assert mount.fs.agent.metadata.get(path).size == 0
+        rode.add(mount.rides(path))
+        # Together: the refused {insert, lock} hands back the tombstone, {replace
+        # at the version met, lock}: 2 where it was 4 (lookup, refused insert,
+        # lookup_versioned, replace).  Apart the open looks first and each pair
+        # is lock / put (/ hand-back): 1 + 3 + 2 where it was 1 + 3 + 1 + 2.
+        assert (commands, accounted) == ((2, 2) if mount.rides(path) else (6, 3))
+    assert rode == ({1} if mount.listing == 1 else {0, 1})
+
+
+def test_mkdir_and_symlink_are_the_parent_check_and_the_insert(mount):
+    """One parent read says both "exists" and "is a directory"."""
+    for call, args in ((mount.fs.mkdir, ("/top/d", True)), (mount.fs.symlink, ("/top/d", "/top/l"))):
+        mount.cold()
+        assert mount.spent(call, *args) == (2, 2)
+    assert mount.spent(mount.fs.mkdir, "/top/e", True) == (1, 1)  # warm parent
 
 
 def test_blocking_dirty_close_is_update_and_unlock(mount):

@@ -8,11 +8,20 @@ skipped the adapter would.
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
-from repro.common.errors import ConflictError, FileExistsErrorFS, ReproError, TupleNotFoundError
+from repro.common.errors import (
+    ConflictError,
+    FileExistsErrorFS,
+    PermissionDeniedError,
+    ReproError,
+    TupleNotFoundError,
+)
 from repro.common.types import Permission
 from repro.coordination.adapters import make_coordination_service
+from repro.coordination.base import Lock, Put
 from repro.core.deployment import SCFSDeployment
 from repro.core.metadata import FileMetadata, FileType
 from repro.simenv.environment import Simulation
@@ -173,21 +182,111 @@ class TestCreateRacingATombstone:
         assert bob.get("/d/f", use_cache=False).file_id == "file-a"
 
     def test_interleaved_creators_leave_exactly_one_live_entry(self, monkeypatch):
-        """Both read the same tombstone; only one conditional replace can match."""
-        _, alice, bob = self._two_agents_and_a_tombstone()
-        read_tombstone = alice.lookup_versioned
+        """Both are handed the same tombstone; only one conditional replace can match.
 
-        def read_then_lose_the_race(path):
-            found = read_tombstone(path)
-            bob.create(self._new_file("bob", "file-b"), shared=True)
-            return found
+        Interleaved at the command level: bob's whole create runs between
+        alice's refused insert and the replace she sends next.
+        """
+        deployment, alice, bob = self._two_agents_and_a_tombstone()
+        send, raced = deployment.coordination.multi, []
 
-        monkeypatch.setattr(alice, "lookup_versioned", read_then_lose_the_race)
-        with pytest.raises(FileExistsErrorFS):
+        def lose_the_race_after_the_first_refusal(ops, session):
+            try:
+                return send(ops, session)
+            except ConflictError as refusal:
+                if not raced:
+                    raced.append(FileMetadata.from_bytes(refusal.found.value))
+                    bob.create(self._new_file("bob", "file-b"), shared=True)
+                raise
+
+        monkeypatch.setattr(deployment.coordination, "multi", lose_the_race_after_the_first_refusal)
+        reads = alice.coordination_reads + bob.coordination_reads
+        with pytest.raises(FileExistsErrorFS) as lost:
             alice.create(self._new_file("alice", "file-a"), shared=True)
+        assert raced[0].deleted and lost.value.found.file_id == "file-b"
+        # Neither creator read the entry: each refusal said what was there.
+        assert alice.coordination_reads + bob.coordination_reads == reads
         for service in (alice, bob):
             live = service.get("/d/f", use_cache=False)
             assert (live.file_id, live.owner, live.deleted) == ("file-b", "bob", False)
+
+
+class TestARefusedVersionCheckSaysWhatIsThere:
+    """``ConflictError.found``: the read a refused caller would send next, answered."""
+
+    def _entry(self, coordination, alice):
+        session = coordination.open_session(alice)
+        coordination.put("k", b"v1", session)
+        coordination.put("k", b"v2", session)
+        coordination.put("other", b"o", session)
+        return session
+
+    def test_the_witness_is_what_get_would_return(self, coordination, alice):
+        session = self._entry(coordination, alice)
+        for refused in (
+            lambda: coordination.put("k", b"x", session, expected_version=0),
+            lambda: coordination.put("k", b"x", session, expected_version=1),
+            lambda: coordination.multi([Put("other", b"x"), Put("k", b"x", 0), Lock("l")], session),
+            lambda: coordination.move("other", "k", b"x", session),
+            lambda: coordination.move("other", "k", b"x", session, target_version=7),
+        ):
+            with pytest.raises(ConflictError) as refusal:
+                refused()
+            assert refusal.value.found == coordination.get("k", session)
+        assert coordination.get("other", session).value == b"o"
+        assert coordination.lock_holder("l") is None
+
+    def test_no_witness_without_read_permission(self, coordination, alice, bob):
+        session, stranger = self._entry(coordination, alice), coordination.open_session(bob)
+        with pytest.raises(ConflictError) as refusal:
+            coordination.put("k", b"x", stranger, expected_version=0)
+        assert refusal.value.found is None
+        coordination.set_entry_acl("k", "bob", Permission.READ, session)
+        with pytest.raises(ConflictError) as refusal:
+            coordination.put("k", b"x", stranger, expected_version=0)
+        assert refusal.value.found == coordination.get("k", stranger)
+
+    def test_only_a_version_check_that_met_an_entry_has_one(self, coordination, alice, bob):
+        session, reader = self._entry(coordination, alice), coordination.open_session(bob)
+        coordination.set_entry_acl("k", "bob", Permission.READ, session)
+        for refused in (
+            lambda: coordination.put("absent", b"x", session, expected_version=3),
+            lambda: coordination.put("k", b"x", reader),  # the ACL, not the version
+            lambda: coordination.put("k", b"x", reader, expected_version=3),  # right version, no WRITE
+        ):
+            with pytest.raises(ConflictError) as refusal:
+                refused()
+            assert refusal.value.found is None
+
+    def test_replicas_are_byte_identical_after_a_refused_command(self, coordination, alice, bob):
+        session, stranger = self._entry(coordination, alice), coordination.open_session(bob)
+        coordination.multi([Lock("held")], session)
+        before = [pickle.dumps(replica) for replica in coordination.rsm.replicas]
+        assert len(set(before)) == 1
+        for caller in (session, stranger):
+            with pytest.raises(ConflictError):
+                coordination.multi([Put("k", b"x", 0), Lock("l")], caller)
+            with pytest.raises(ConflictError):
+                coordination.move("other", "k", b"x", caller)
+        assert [pickle.dumps(replica) for replica in coordination.rsm.replicas] == before
+
+    @pytest.mark.parametrize("parent_cached", [True, False])
+    def test_an_agent_denied_read_gets_eacces_from_either_path(self, parent_cached):
+        """Insert first or look first: the file someone else keeps private is EACCES."""
+        deployment = SCFSDeployment.for_variant("SCFS-CoC-B", seed=9)
+        alice, bob = deployment.create_agent("alice"), deployment.create_agent("bob")
+        alice.mkdir("/d", shared=True)
+        alice.setfacl("/d", "bob", Permission.READ_WRITE)
+        alice.write_file("/d/f", b"alice's", shared=True)
+        if parent_cached:
+            bob.stat("/d")
+        commands = deployment.coordination.rsm.commands_executed
+        with pytest.raises(PermissionDeniedError):
+            bob.open("/d/f", "w", shared=True)
+        # Insert first: the refusal without a witness, then the lookup that says why.
+        assert deployment.coordination.rsm.commands_executed - commands == (2 if parent_cached else 1)
+        assert bob.agent.locks._manager.held == {} and bob.agent.open_handles() == 0
+        assert alice.read_file("/d/f") == b"alice's"
 
 
 class TestRenameCarriesTheEntry:

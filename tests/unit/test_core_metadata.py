@@ -191,6 +191,38 @@ class TestMetadataCache:
         cache.get("other")
         assert cache.hits == 1 and cache.misses == 1
 
+    def test_paths_never_asked_for_again_do_not_accumulate(self):
+        """``len`` stays bounded by the entries younger than ``expiration``."""
+        clock = SimClock()
+        cache = MetadataCache(clock, expiration=0.5)
+        for index in range(1000):  # one created file every 0.2 s, none looked up again
+            cache.put(f"/d/f{index:04d}", index)
+            assert len(cache) <= 3
+            clock.advance(0.2)
+        assert cache.get("/d/f0999") == 999 and cache.get("/d/f0996") is None
+
+    def test_a_rewritten_entry_is_as_young_as_its_last_put(self):
+        clock = SimClock()
+        cache = MetadataCache(clock, expiration=0.5)
+        cache.put("old", 1)
+        cache.put("kept", 1)
+        clock.advance(0.4)
+        cache.put("old", 2)  # moves behind "kept" in stored order
+        clock.advance(0.2)
+        cache.put("new", 1)  # "kept" (0.6 s) goes, "old" (0.2 s) stays
+        assert len(cache) == 2
+        assert (cache.get("old"), cache.get("kept"), cache.get("new")) == (2, None, 1)
+        assert (cache.hits, cache.misses) == (2, 1)
+
+    def test_eviction_uses_the_verdict_of_get(self):
+        """An entry exactly ``expiration`` old is still a hit, so it is not evicted."""
+        clock = SimClock()
+        cache = MetadataCache(clock, expiration=0.5)
+        cache.put("edge", 1)
+        clock.advance(0.5)
+        cache.put("other", 1)
+        assert len(cache) == 2 and cache.get("edge") == 1
+
     def test_negative_expiration_rejected(self):
         with pytest.raises(ValueError):
             MetadataCache(SimClock(), expiration=-1.0)
