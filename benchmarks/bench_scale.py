@@ -142,8 +142,8 @@ def _burst(coalesce: bool) -> dict:
                             coalescer=coalescer) for _ in range(BURST_READERS)]
     start = time.perf_counter()
     for reader in readers:
-        metadata, _ = reader._read_metadata("hot-unit", use_cached=False)
-        assert metadata is not None and metadata.latest().version == 1
+        heads, _ = reader._read_heads("hot-unit")
+        assert reader._certified_head(heads).version == 1
     wall = time.perf_counter() - start
     return {"wall_s": wall, "hits": coalescer.hits if coalescer else 0}
 

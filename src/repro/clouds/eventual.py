@@ -23,6 +23,7 @@ stores circa the paper's evaluation:
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 
 from repro.common.errors import (
@@ -125,6 +126,10 @@ class EventuallyConsistentStore(ObjectStore):
         self.failures = failures or FailureSchedule()
         self.charge_latency = charge_latency
         self._objects: dict[str, _StoredObject] = {}
+        #: The keys of ``_objects`` in sorted order, so that a LIST is a
+        #: ``bisect`` to the prefix plus a walk of its range — not a sort of
+        #: everything the provider holds.  Kept by :meth:`install` / ``delete``.
+        self._keys: list[str] = []
         # Bucket policies: prefix -> {canonical_id: Permission}.  They model the
         # prefix-level grants commercial clouds offer; SCFS's setfacl uses them
         # so that *future* versions of a shared file inherit the grant.
@@ -232,7 +237,7 @@ class EventuallyConsistentStore(ObjectStore):
             previous=current,
             stored_since=now,
         )
-        self._objects[key] = obj
+        self.install(obj)
         # The returned version reports the digest only when it is already
         # known; ``head`` is the API that guarantees one (no current caller
         # consumes put's return value, and hashing every put eagerly would
@@ -279,6 +284,7 @@ class EventuallyConsistentStore(ObjectStore):
         self._check_access(obj, key, principal, Permission.WRITE)
         self._settle_storage(obj)
         del self._objects[key]
+        del self._keys[bisect_left(self._keys, key)]
 
     def list_keys(self, prefix: str, principal: Principal) -> ObjectListing:
         self._fail_if_unavailable()
@@ -286,19 +292,21 @@ class EventuallyConsistentStore(ObjectStore):
         self.request_log.append(("list", prefix, 0))
         self.costs.record_list()
         now = self.sim.now()
+        cid = principal.canonical_id(self.name)
         listing = ObjectListing()
-        for key, obj in sorted(self._objects.items()):
+        for index in range(bisect_left(self._keys, prefix), len(self._keys)):
+            key = self._keys[index]
             if not key.startswith(prefix):
-                continue
-            visible = obj.visible_version(now)
+                break
+            visible = self._objects[key].visible_version(now)
             if visible is None:
                 continue
-            cid = principal.canonical_id(self.name)
             if not (visible.acl.allows(cid, Permission.READ)
                     or self._policy_allows(key, cid, Permission.READ)):
                 continue
-            listing.keys.append(key)
-            listing.total_bytes += len(visible.data)
+            listing.entries.append(ObjectVersion(
+                key=key, size=len(visible.data), created_at=visible.created_at,
+                digest=visible.digest or ""))
         return listing
 
     def exists(self, key: str, principal: Principal) -> bool:
@@ -359,6 +367,13 @@ class EventuallyConsistentStore(ObjectStore):
         return dict(self._bucket_policies.get(prefix, {}))
 
     # --------------------------------------------------------------- helpers
+
+    def install(self, obj: _StoredObject) -> None:
+        """Make ``obj`` the current version of its key (``put`` after its
+        checks and charges; pool priming directly)."""
+        if obj.key not in self._objects:
+            insort(self._keys, obj.key)
+        self._objects[obj.key] = obj
 
     def raw_object(self, key: str) -> bytes | None:
         """Bytes stored under ``key`` exactly as the provider holds them.

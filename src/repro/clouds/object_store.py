@@ -16,7 +16,9 @@ from repro.common.types import Permission, Principal
 
 @dataclass(frozen=True)
 class ObjectVersion:
-    """Metadata of one stored object version as returned by :meth:`ObjectStore.head`."""
+    """Metadata of one stored object version, as :meth:`ObjectStore.head` and
+    the entries of a LIST return it (a listing leaves ``digest`` empty when the
+    provider has not computed it)."""
 
     key: str
     size: int
@@ -26,10 +28,19 @@ class ObjectVersion:
 
 @dataclass
 class ObjectListing:
-    """Result of a LIST request."""
+    """Result of a LIST request: one entry per visible key, in key order."""
 
-    keys: list[str] = field(default_factory=list)
-    total_bytes: int = 0
+    entries: list[ObjectVersion] = field(default_factory=list)
+
+    @property
+    def keys(self) -> list[str]:
+        """The listed keys."""
+        return [entry.key for entry in self.entries]
+
+    @property
+    def total_bytes(self) -> int:
+        """Bytes stored under the listed keys."""
+        return sum(entry.size for entry in self.entries)
 
 
 class ObjectStore(abc.ABC):

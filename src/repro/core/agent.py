@@ -583,7 +583,8 @@ class SCFSAgent:
             self._propagate_cloud_acls(meta)
             self._apply_committed_metadata(of, ref, merge_latest=background)
             self._emit("commit", path=meta.path, file_id=meta.file_id, digest=meta.digest,
-                       version=meta.data_version, background=background)
+                       version=meta.data_version, background=background,
+                       locator=ref.locator)
         finally:
             # Also when the upload or the update raised: the handle is gone, so
             # a lock kept here would block every other writer until unmount.

@@ -136,18 +136,20 @@ class StorageBackend(abc.ABC):
         """
 
     @abc.abstractmethod
-    def delete_version(self, file_id: str, digest: str,
-                       anchored_digest: str | None = None) -> None:
+    def delete_version(self, file_id: str, digest: str, locator: str = "") -> bool:
         """Delete one version (used by the garbage collector).
 
-        ``anchored_digest`` names the version the caller knows to be current;
-        backends with shared metadata use it to refuse rewrites from a stale
-        history (see :meth:`DepSkyClient.delete_version`).
+        ``locator`` is the one :meth:`list_versions` gave for the version
+        (without it the backend may have to list again).  Returns whether the
+        delete reached the cloud(s); if not, the next listing still shows it.
         """
 
     @abc.abstractmethod
     def list_versions(self, file_id: str) -> list[ObjectRef]:
-        """List the stored versions of ``file_id``, oldest first."""
+        """List the stored versions of ``file_id``, oldest first.
+
+        One LIST per cloud; ``size`` is the bytes the version occupies there.
+        """
 
     @abc.abstractmethod
     def set_acl(self, file_id: str, grantee: Principal, permission: Permission) -> None:
@@ -273,21 +275,14 @@ class SingleCloudBackend(StorageBackend):
             )
         return data
 
-    def delete_version(self, file_id: str, digest: str,
-                       anchored_digest: str | None = None) -> None:
+    def delete_version(self, file_id: str, digest: str, locator: str = "") -> bool:
         self.store.delete(self._key(file_id, digest), self.principal)
+        return True
 
     def list_versions(self, file_id: str) -> list[ObjectRef]:
         listing = self.store.list_keys(self._prefix(file_id), self.principal)
-        refs = []
-        for key in listing.keys:
-            digest = key.rsplit("/", 1)[1]
-            try:
-                version = self.store.head(key, self.principal)
-            except ObjectNotFoundError:
-                continue
-            refs.append(ObjectRef(key=file_id, digest=digest, size=version.size,
-                                  created_at=version.created_at))
+        refs = [ObjectRef(key=file_id, digest=entry.key.rsplit("/", 1)[1], size=entry.size,
+                          created_at=entry.created_at) for entry in listing.entries]
         return sorted(refs, key=lambda r: (r.created_at, r.digest))
 
     def set_acl(self, file_id: str, grantee: Principal, permission: Permission) -> None:
@@ -419,17 +414,21 @@ class CloudOfCloudsBackend(StorageBackend):
         self.read_paths.record(result)
         return result.data
 
-    def delete_version(self, file_id: str, digest: str,
-                       anchored_digest: str | None = None) -> None:
-        for record in self.client.list_versions(file_id):
-            if record.data_digest == digest:
-                self.client.delete_version(file_id, record.version,
-                                           anchored_digest=anchored_digest)
+    def delete_version(self, file_id: str, digest: str, locator: str = "") -> bool:
+        """Every stored version with ``digest``, or just the one ``locator`` names."""
+        if locator:
+            versions = [VersionRecord.from_locator(locator, digest).version]
+        else:
+            versions = [record.version for record in self.client.list_versions(file_id)
+                        if record.data_digest == digest]
+        # (A list, not a generator: every delete is attempted.)
+        return all([self.client.delete_version(file_id, version, digest)
+                    for version in versions])
 
     def list_versions(self, file_id: str) -> list[ObjectRef]:
-        records = sorted(self.client.list_versions(file_id), key=lambda r: r.version)
         return [ObjectRef(key=file_id, digest=r.data_digest, size=r.size,
-                          created_at=r.created_at) for r in records]
+                          created_at=r.created_at, locator=r.locator())
+                for r in self.client.list_versions(file_id)]
 
     def set_acl(self, file_id: str, grantee: Principal, permission: Permission) -> None:
         self.client.set_acl(file_id, grantee, permission)

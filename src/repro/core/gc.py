@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.common.errors import CloudError, ReproError
+from repro.common.types import ObjectRef
 from repro.core.backend import StorageBackend
 from repro.core.config import GarbageCollectionPolicy
 from repro.core.metadata_service import MetadataService
@@ -89,8 +90,8 @@ class GarbageCollector:
 
         The collector never charges foreground latency: the whole run is
         background work, modelling the background thread of the paper.  (Its
-        monetary cost is still recorded by the providers' cost trackers — the
-        paper notes it costs about one LIST per cloud.)
+        monetary cost is still recorded by the providers' cost trackers — one
+        LIST per cloud and file, as the paper notes, plus the deletes.)
         """
         report = GCReport()
         with self.sim.background():
@@ -107,19 +108,27 @@ class GarbageCollector:
         self.last_report = report
         return report
 
+    def _delete(self, ref: ObjectRef, report: GCReport) -> bool:
+        """Delete one listed version; count it only if the delete got through."""
+        deleted = self.backend.delete_version(ref.key, ref.digest, ref.locator)
+        if deleted:
+            self.storage.forget(ref.key, ref.digest)
+            report.versions_deleted += 1
+            report.bytes_reclaimed += ref.size
+        else:
+            report.errors.append(
+                f"{ref.key}: version {ref.digest[:12]}… not deleted (no write quorum)")
+        return deleted
+
     def _collect_file(self, meta, report: GCReport) -> None:
         versions = self.backend.list_versions(meta.file_id)
         if meta.deleted and self.policy.purge_deleted_files:
-            # No anchored-digest guard here: the file is deleted, so no reader
-            # anchors any of its versions, and the guard would stop the purge
-            # as soon as the current version's own record was removed.
-            for ref in versions:
-                self.backend.delete_version(meta.file_id, ref.digest)
-                self.storage.forget(meta.file_id, ref.digest)
-                report.versions_deleted += 1
-                report.bytes_reclaimed += ref.size
-            self.metadata.remove(meta.path)
-            report.deleted_files_purged += 1
+            # The file is deleted: no reader anchors any of its versions.  Its
+            # entry goes only once they all have; until then the next pass
+            # finds both again.
+            if all([self._delete(ref, report) for ref in versions]):
+                self.metadata.remove(meta.path)
+                report.deleted_files_purged += 1
             return
         # Keep the current version plus the most recent V-1 others.
         keep: set[str] = {meta.digest}
@@ -138,14 +147,5 @@ class GarbageCollector:
                 newest_per_bucket[bucket] = ref.digest  # versions are ordered oldest-first
             keep.update(newest_per_bucket.values())
         for ref in versions:
-            if ref.digest in keep:
-                continue
-            # ``anchored_digest`` lets the backend refuse to rewrite shared
-            # metadata from a history that does not yet include the current
-            # anchored version (eventual-consistency lag) — rewriting from it
-            # would erase the freshly committed record.
-            self.backend.delete_version(meta.file_id, ref.digest,
-                                        anchored_digest=meta.digest)
-            self.storage.forget(meta.file_id, ref.digest)
-            report.versions_deleted += 1
-            report.bytes_reclaimed += ref.size
+            if ref.digest not in keep:
+                self._delete(ref, report)

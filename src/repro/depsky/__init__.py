@@ -11,18 +11,17 @@ availability of the data survive ``f`` arbitrarily faulty providers:
    rebuild it;
 3. the key is split with secret sharing so that no single cloud can decrypt;
 4. each cloud stores one block + one key share, plus a copy of the data unit's
-   version metadata.
+   head (the latest version's record).
 
 The SCFS paper extends DepSky with an operation that reads *the version with a
 given hash* rather than the latest one — the hook the consistency-anchor
 algorithm needs (§2.4).  That extension is :meth:`DepSkyClient.read_matching`.
 """
 
-from repro.depsky.dataunit import DataUnitMetadata, VersionRecord
+from repro.depsky.dataunit import VersionRecord
 from repro.depsky.protocol import DepSkyClient, DepSkyReadResult
 
 __all__ = [
-    "DataUnitMetadata",
     "VersionRecord",
     "DepSkyClient",
     "DepSkyReadResult",

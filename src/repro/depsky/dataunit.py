@@ -1,10 +1,12 @@
-"""Data-unit metadata stored (replicated) in every cloud.
+"""Version records: what DepSky knows about one written version of a data unit.
 
-Each DepSky data unit keeps, *in every cloud*, a small metadata object listing
-the versions written so far: version number, digest of the plaintext, digest of
-each coded block, the payload size and the writing principal.  The hashes of
-all versions being present in this metadata object is what allows the SCFS
-extension ``read_matching(hash)`` to locate an arbitrary version (§3.2).
+Each data unit keeps, *in every cloud*, one small *head* object — the
+serialised :class:`VersionRecord` of the latest version: its number, the digest
+of the plaintext, the digest of each stored block, the payload size and the
+writing principal.  It is constant-size: a write replaces it, never grows it.
+Older versions are found without it — their blocks carry ``(version, digest)``
+in their names (a LIST enumerates them) and the SCFS consistency anchor keeps
+each version's :meth:`~VersionRecord.locator` (§3.2's ``read_matching(hash)``).
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import base64
 import json
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.common.errors import IntegrityError
 
@@ -29,7 +31,9 @@ class VersionRecord:
     """Metadata of one written version of a data unit.
 
     ``created_at`` is the instant the version's blocks were dispatched to the
-    clouds: their propagation to readers runs from it.
+    clouds: their propagation to readers runs from it.  A record recovered
+    from a LIST (:meth:`DepSkyClient.list_versions`) has no ``block_digests``
+    and no ``writer``, and its ``size`` is the bytes its blocks occupy.
     """
 
     version: int
@@ -45,7 +49,7 @@ class VersionRecord:
         The version number names the block objects, the block digests verify
         them and the dispatch instant says from when they are visible.  SCFS
         anchors this string beside the hash, so a read of the anchored version
-        does not consult the clouds' (eventually consistent) metadata object.
+        does not consult the clouds' (eventually consistent) head object.
         """
         head = _LOCATOR_HEAD.pack(_LOCATOR_FORMAT, self.version, self.size,
                                   self.created_at, len(self.block_digests))
@@ -94,69 +98,23 @@ class VersionRecord:
             version=int(raw["version"]),
             data_digest=str(raw["data_digest"]),
             size=int(raw["size"]),
-            block_digests=tuple(raw["block_digests"]),
+            block_digests=tuple(str(digest) for digest in raw["block_digests"]),
             created_at=float(raw["created_at"]),
             writer=str(raw["writer"]),
         )
 
-
-@dataclass
-class DataUnitMetadata:
-    """The full version history of one data unit."""
-
-    unit_id: str
-    versions: list[VersionRecord] = field(default_factory=list)
-
-    def latest(self) -> VersionRecord | None:
-        """The most recent version record, or None for an empty unit."""
-        return max(self.versions, key=lambda v: v.version) if self.versions else None
-
-    def find_by_digest(self, digest: str) -> VersionRecord | None:
-        """Return the (most recent) version whose plaintext digest is ``digest``."""
-        candidates = [v for v in self.versions if v.data_digest == digest]
-        return max(candidates, key=lambda v: v.version) if candidates else None
-
-    def find_by_version(self, version: int) -> VersionRecord | None:
-        """Return the record with the given version number, if present."""
-        for record in self.versions:
-            if record.version == version:
-                return record
-        return None
-
-    def next_version(self) -> int:
-        """Version number the next write should use."""
-        latest = self.latest()
-        return 1 if latest is None else latest.version + 1
-
-    def add(self, record: VersionRecord) -> None:
-        """Append a new version record."""
-        self.versions.append(record)
-
-    def remove_version(self, version: int) -> bool:
-        """Remove the record with the given version number; True if removed."""
-        before = len(self.versions)
-        self.versions = [v for v in self.versions if v.version != version]
-        return len(self.versions) != before
-
     def to_bytes(self) -> bytes:
-        """Serialise the metadata object for storage in a cloud."""
-        return json.dumps(
-            {"unit_id": self.unit_id, "versions": [v.to_dict() for v in self.versions]},
-            sort_keys=True,
-        ).encode()
+        """Serialise the record as a data unit's head object."""
+        return json.dumps(self.to_dict(), sort_keys=True).encode()
 
     @staticmethod
-    def from_bytes(blob: bytes) -> "DataUnitMetadata":
-        """Parse a metadata object read from a cloud.
+    def from_bytes(blob: bytes) -> "VersionRecord":
+        """Parse a head object read from a cloud.
 
-        Raises ``ValueError`` if the blob is not valid metadata (e.g. returned
-        by a Byzantine provider).
+        Raises ``ValueError`` if the blob is not a version record (e.g.
+        returned by a Byzantine provider).
         """
         try:
-            raw = json.loads(blob.decode())
-            return DataUnitMetadata(
-                unit_id=str(raw["unit_id"]),
-                versions=[VersionRecord.from_dict(v) for v in raw["versions"]],
-            )
+            return VersionRecord.from_dict(json.loads(blob.decode()))
         except (ValueError, KeyError, TypeError, UnicodeDecodeError) as exc:
-            raise ValueError(f"malformed data-unit metadata: {exc}") from exc
+            raise ValueError(f"malformed data-unit head: {exc}") from exc

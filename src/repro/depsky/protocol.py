@@ -7,10 +7,17 @@ clouds following Figure 6 of the SCFS paper:
 2. encrypt the payload with it;
 3. erasure-code the ciphertext into ``n`` blocks (any ``k = f+1`` rebuild it);
 4. secret-share the key into ``n`` shares with threshold ``f+1``;
-5. store, in cloud *i*, block *i* together with share *i*, then update that
-   cloud's copy of the data-unit metadata (version history + block digests).
+5. store, in cloud *i*, block *i* together with share *i*, then replace that
+   cloud's copy of the data unit's *head* (the new version's record).
 
-Reads gather metadata from a quorum, fetch blocks until ``k`` digests verify,
+Everything a write sends is constant-size: the head is the latest
+:class:`~repro.depsky.dataunit.VersionRecord` only, and a block object is
+written once, under a name carrying its version number and plaintext digest
+(``v<version>-<digest>-b<i>``) — so no replica can present two things under one
+name, and a LIST of the unit's prefix enumerates the stored versions
+(:meth:`DepSkyClient.list_versions`, the garbage collector's only cloud read).
+
+Reads gather the heads from a quorum, fetch blocks until ``k`` digests verify,
 decode, reconstruct the key from the shares and decrypt.  Block fetches use
 *preferred quorums*: the first ``k`` clouds hold the systematic blocks, whose
 decode is a pure concatenation, so the client asks them first and falls back
@@ -60,9 +67,10 @@ benchmark reports.
 from __future__ import annotations
 
 import hashlib
+import re
 import struct
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -86,17 +94,24 @@ from repro.clouds.dispatch import (
 #: window (see :class:`~repro.clouds.dispatch.InstantCoalescer`).
 _MUTATING_OPS = frozenset({"block_put", "meta_put", "block_delete", "acl"})
 from repro.clouds.health import CloudHealthTracker, QuorumPlanner
-from repro.clouds.object_store import ObjectStore
-from repro.clouds.quorums import QuorumSystem, min_size as quorum_min_size
+from repro.clouds.object_store import ObjectStore, ObjectVersion
+from repro.clouds.quorums import QuorumSystem, as_quorum, min_size as quorum_min_size
 from repro.crypto.cipher import SymmetricCipher, generate_key
 from repro.crypto.erasure import CodedBlock, ErasureCoder
 from repro.crypto.hashing import content_digest
 from repro.crypto.secret_sharing import SecretShare, combine_secret, split_secret
-from repro.depsky.dataunit import DataUnitMetadata, VersionRecord
+from repro.depsky.dataunit import VersionRecord
 from repro.simenv.environment import Simulation
 
 #: Block object header: share x-coordinate (1 byte) + share length (2 bytes).
 _BLOCK_HEADER = struct.Struct(">BH")
+
+#: The part of a block key after the unit's prefix: version, plaintext digest,
+#: block index (see :meth:`DepSkyClient._block_key`).
+_BLOCK_NAME = re.compile(r"v(\d{8,})-([0-9a-f]{64})-b(\d+)")
+
+#: One cloud's answer to the head read: ``(cloud name, the head it serves)``.
+Head = tuple[str, VersionRecord]
 
 
 def block_blob_digest(share: "SecretShare", payload: bytes) -> str:
@@ -127,10 +142,10 @@ class DepSkyReadResult:
     to be fetched and a cached decode matrix was applied.  ``block_indices``
     lists the erasure-code rows actually used, in row order.  ``stats`` and
     ``meta_stats`` carry the dispatch-engine statistics of the block-fetch and
-    metadata-read quorum calls (per-cloud outcome, per-stage wait, winner
+    head-read quorum calls (per-cloud outcome, per-stage wait, winner
     set), which the benchmark reports aggregate into preferred-quorum hit
     rates and hedging effectiveness; ``meta_stats`` is ``None`` for a read
-    that was handed its version record and so made no metadata call.
+    that was handed its version record and so made no head call.
     """
 
     data: bytes
@@ -160,7 +175,7 @@ class DepSkyClient:
         Encrypt payloads with a per-version random key (Figure 6).  Disabling
         encryption models DepSky-A (availability only).
     preferred_quorums:
-        Store data blocks only on the first ``n - f`` clouds (metadata still
+        Store data blocks only on the first ``n - f`` clouds (the head still
         goes everywhere).  This is the cost optimisation the paper assumes in
         Figure 11(c): for f=1 two clouds store half the file each and a third
         stores one extra coded block, i.e. ~50 % storage overhead.
@@ -182,13 +197,13 @@ class DepSkyClient:
         Optional :class:`~repro.clouds.quorums.QuorumSystem` replacing the
         uniform threshold counts: write acknowledgements complete when the
         responder set satisfies the system's *quorum* predicate, and the
-        ``f + 1`` matching-digest checks of the metadata agreement generalize
+        ``f + 1`` matching-record checks of the head agreement generalize
         to the system's *certificate* predicate (a confirming set that cannot
         consist entirely of faulty providers).  ``None`` keeps the classic
         DepSky counts (``n - f`` / ``f + 1``) byte-identically.
     planner:
         Optional :class:`~repro.clouds.health.QuorumPlanner`.  When set, the
-        metadata read and the block fetch pick their primary stage as the
+        head read and the block fetch pick their primary stage as the
         cheapest feasible quorum by expected cost × latency (the remaining
         clouds form the fallback stage); without it the stages keep the
         classic systematic-first ordering.
@@ -231,27 +246,22 @@ class DepSkyClient:
         self.quorum = quorum
         self.planner = planner
         #: Optional deployment-wide :class:`InstantCoalescer`: identical
-        #: metadata read quorums issued in the same virtual instant (by this
+        #: head read quorums issued in the same virtual instant (by this
         #: or any other client sharing the coalescer) are absorbed into the
         #: first call's result instead of re-dispatched.
         self.coalescer = coalescer
         self.coder = ErasureCoder(n=self.n, k=self.k)
-        #: Last metadata this client successfully wrote, per unit, paired
-        #: with its *knowledge floor* — the highest version number the client
-        #: had seen when it wrote it.  The cloud metadata object is eventually
-        #: consistent: re-reading it within the propagation window of our own
-        #: put returns the *previous* history, and a read-modify-write from
-        #: that stale copy would clobber the version we just committed (or
-        #: resurrect records a delete already pruned).  Our own writes are
-        #: trusted, so the cache gives this client read-your-writes on its
-        #: metadata; a visible copy only wins when its latest version exceeds
-        #: the floor (i.e. *another* client has written since).
-        self._last_written: dict[str, tuple[int, DataUnitMetadata]] = {}
+        #: Highest version number this client wrote, per unit.  The heads are
+        #: eventually consistent: re-read within the propagation window of our
+        #: own put they still name the *previous* version, and a write numbered
+        #: from them would reuse the number just spent.  The floor is all
+        #: read-your-writes needs: nothing is read-modify-written.
+        self._floor: dict[str, int] = {}
         #: Optional observer of every resolved quorum call, invoked as
         #: ``on_quorum(op, unit_id, stats)`` with ``op`` one of ``meta_read``,
         #: ``block_put``, ``meta_put``, ``block_get``, ``block_delete``,
-        #: ``acl``.  The scenario engine's trace recorder taps in here to
-        #: record per-cloud outcomes alongside the file-system events.
+        #: ``list``, ``acl``.  The scenario engine's trace recorder taps in here
+        #: to record per-cloud outcomes alongside the file-system events.
         self.on_quorum = None
 
     # ------------------------------------------------------------------ keys
@@ -261,8 +271,9 @@ class DepSkyClient:
         return f"depsky/{unit_id}/metadata"
 
     @staticmethod
-    def _block_key(unit_id: str, version: int, index: int) -> str:
-        return f"depsky/{unit_id}/v{version:08d}-b{index}"
+    def _block_key(unit_id: str, version: int, data_digest: str, index: int) -> str:
+        """Name of block ``index`` of one version: written once, never rewritten."""
+        return f"depsky/{unit_id}/v{version:08d}-{data_digest}-b{index}"
 
     @staticmethod
     def unit_prefix(unit_id: str) -> str:
@@ -307,9 +318,14 @@ class DepSkyClient:
         return self.quorum.quorum() if self.quorum is not None else self.n - self.f
 
     def _certificate(self):
-        """Confirmation requirement of the metadata agreement: a certificate
+        """Confirmation requirement of the head agreement: a certificate
         predicate, or the classic ``f + 1`` count."""
         return self.quorum.certificate() if self.quorum is not None else self.k
+
+    def _certifies(self, clouds: Iterable[str]) -> bool:
+        """True when ``clouds`` cannot all be faulty: what they agree on is so.
+        (A cloud counts once, however often it said it.)"""
+        return as_quorum(self._certificate()).satisfied_by(tuple(dict.fromkeys(clouds)))
 
     def _get_request(self, cloud: ObjectStore, key: str, parse) -> QuorumRequest:
         """Build a GET request whose response must ``parse`` to count as a success.
@@ -362,111 +378,78 @@ class DepSkyClient:
 
         return QuorumRequest(cloud=cloud.name, send=send, latency=latency, mutating=True)
 
-    # -------------------------------------------------------------- metadata
+    # ------------------------------------------------------------------ heads
 
-    def _read_metadata(self, unit_id: str,
-                       use_cached: bool = True) -> tuple[DataUnitMetadata | None, QuorumCallStats]:
-        """Read the clouds' metadata copies through one quorum call.
+    def _read_heads(self, unit_id: str) -> tuple[tuple[Head, ...], QuorumCallStats]:
+        """Read the clouds' copies of the unit's head through one quorum call.
 
-        Returns the *agreed* metadata — the copy containing the highest version
-        number confirmed by at least ``f+1`` clouds (or any self-consistent
-        copy when fewer exist yet) — plus the call's dispatch statistics.  The
-        charged wait is the ``k``-th successful response; late copies still
-        participate in the agreement (they model responses that trickle in
-        while the client already proceeds).
-
-        ``use_cached`` merges this client's last *written* metadata when it is
-        newer than anything visible (read-your-writes for the mutation paths:
-        read-modify-writes must never roll the history back just because the
-        clouds have not propagated our own put yet).  Pure read paths pass
-        ``False``: they must reflect what the clouds actually serve.
+        Returns every parseable head with the cloud that served it, plus the
+        call's dispatch statistics.  The charged wait is the ``k``-th
+        successful response; late copies still take part in the agreement
+        (they model responses that trickle in while the client proceeds).
+        What to *believe* of the heads is the caller's question —
+        :meth:`_certified_head`, :meth:`_vouched_version`: never one copy alone.
 
         With a :attr:`coalescer` attached, a repeat of this read within the
         same virtual instant (same key and principal, no intervening
         mutation) is absorbed into the earlier call's result: it returns the
-        identical agreement with zero-cost statistics instead of
-        re-dispatching the quorum.
+        identical heads with zero-cost statistics instead of re-dispatching
+        the quorum.
         """
         key = self._meta_key(unit_id)
-        coalesce_key = None
-        best: DataUnitMetadata | None = None
-        best_version = -1
-        stats: QuorumCallStats | None = None
         required = self._certificate()
+        coalesce_key = None
         if self.coalescer is not None:
-            # Keyed per principal: a cached agreement must never satisfy a
-            # caller the clouds' access checks would have denied.
+            # Keyed per principal: cached heads must never satisfy a caller
+            # the clouds' access checks would have denied.
             coalesce_key = (self.principal.name, key)
             absorbed = self.coalescer.lookup(coalesce_key)
             if absorbed is not None:
-                blob, best_version = absorbed
-                best = DataUnitMetadata.from_bytes(blob) if blob is not None else None
-                stats = self.coalescer.absorbed(quorum_min_size(required))
-        if stats is None:
+                return absorbed, self.coalescer.absorbed(quorum_min_size(required))
 
-            def parse(blob: bytes) -> DataUnitMetadata:
-                try:
-                    return DataUnitMetadata.from_bytes(blob)
-                except ValueError as exc:
-                    raise IntegrityError(f"unparseable metadata copy of {unit_id!r}") from exc
+        def parse(blob: bytes) -> VersionRecord:
+            try:
+                return VersionRecord.from_bytes(blob)
+            except ValueError as exc:
+                raise IntegrityError(f"unparseable head copy of {unit_id!r}") from exc
 
-            primary, fallback = self._planned_clouds("object_get", 0, required)
-            call = self._call().stage([self._get_request(c, key, parse) for c in primary])
-            if fallback:
-                call.stage([self._get_request(c, key, parse) for c in fallback])
-            stats = call.execute(required=required)
-            self._tap("meta_read", unit_id, stats)
-            copies = [trace.value[0] for trace in stats.successes]
-            if copies:
-                # Collect, per (version, digest) pair, the clouds confirming it.
-                confirmations: dict[tuple[int, str], list[str]] = {}
-                for trace in stats.successes:
-                    for record in trace.value[0].versions:
-                        pair = (record.version, record.data_digest)
-                        confirmations.setdefault(pair, []).append(trace.cloud)
-                if self.quorum is None:
-                    # Classic DepSky: f + 1 matching copies certify a version.
-                    agreed_pairs = {pair for pair, confirmed in confirmations.items()
-                                    if len(confirmed) >= self.k}
-                    # Fewer copies than any certificate: accept a self-consistent
-                    # copy (a unit too young to have propagated everywhere).
-                    scarce = len(copies) < self.k
-                else:
-                    # Generalized: a pair is authentic when its confirming set
-                    # is a quorum-intersection certificate (cannot consist
-                    # entirely of faulty providers).
-                    agreed_pairs = {pair for pair, confirmed in confirmations.items()
-                                    if self.quorum.certifies(confirmed)}
-                    scarce = not self.quorum.certifies(
-                        [trace.cloud for trace in stats.successes])
-                for copy in copies:
-                    latest = copy.latest()
-                    if latest is None:
-                        continue
-                    pair = (latest.version, latest.data_digest)
-                    if (pair in agreed_pairs or scarce) and latest.version > best_version:
-                        best, best_version = copy, latest.version
-                best = best or copies[0]
-            if coalesce_key is not None:
-                # Publish the *cloud-visible* agreement (pre read-your-writes
-                # merge, which is per client) as serialized bytes: callers
-                # mutate the metadata they receive, so every absorbed read
-                # reconstructs its own private copy.
-                self.coalescer.store(
-                    coalesce_key,
-                    (best.to_bytes() if best is not None else None, best_version),
-                )
-        entry = self._last_written.get(unit_id) if use_cached else None
-        if entry is not None:
-            floor, cached = entry
-            if best_version <= floor:
-                # Nothing visible is newer than what this client already
-                # wrote (propagation lag, or no copy visible at all): trust
-                # our own copy instead of rolling the history back.  A
-                # visible latest beyond the floor means another client wrote
-                # since, and the cloud copy wins.
-                best = DataUnitMetadata.from_bytes(cached.to_bytes())
-        return best, stats
+        primary, fallback = self._planned_clouds("object_get", 0, required)
+        call = self._call().stage([self._get_request(c, key, parse) for c in primary])
+        if fallback:
+            call.stage([self._get_request(c, key, parse) for c in fallback])
+        stats = call.execute(required=required)
+        self._tap("meta_read", unit_id, stats)
+        heads = tuple((trace.cloud, trace.value[0]) for trace in stats.successes)
+        if coalesce_key is not None:
+            self.coalescer.store(coalesce_key, heads)
+        return heads, stats
+
+    def _certified_head(self, heads: Sequence[Head]) -> VersionRecord | None:
+        """The highest record that a certificate of clouds serves identically.
+
+        ``f`` faulty clouds cannot forge it, whatever they answer; a record
+        only some correct clouds show yet (its puts still propagating) is not
+        certified until a certificate of them does.
+        """
+        confirmations: dict[VersionRecord, list[str]] = {}
+        for cloud, record in heads:
+            confirmations.setdefault(record, []).append(cloud)
+        return max((record for record, clouds in confirmations.items()
+                    if self._certifies(clouds)),
+                   key=lambda record: record.version, default=None)
+
+    def _vouched_version(self, heads: Sequence[Head]) -> int:
+        """The highest version number a certificate of clouds says was reached
+        (the ``(f+1)``-th highest head version): at least one correct cloud
+        vouches for it, so ``f`` clouds can neither roll the numbering back
+        nor burn the version space with an inflated head.  0 without one.
+        """
+        clouds: list[str] = []
+        for cloud, record in sorted(heads, key=lambda head: -head[1].version):
+            clouds.append(cloud)
+            if self._certifies(clouds):
+                return record.version
+        return 0
 
     # ------------------------------------------------------------------ write
 
@@ -480,10 +463,11 @@ class DepSkyClient:
         ``min_version`` is a lower bound on the new version number, supplied
         by a caller holding a strongly consistent counter (SCFS passes the
         anchored ``data_version``).  It guards against the eventual
-        consistency of the metadata object: two commits of the same unit
-        within one propagation window would otherwise both read the stale
-        history and mint the *same* version number — the second silently
-        overwriting the first one's blocks and metadata record.
+        consistency of the heads: two commits of the same unit by different
+        clients within one propagation window would otherwise both read the
+        stale head and mint the *same* version number.  The number is
+        ``1 + max(min_version - 1, this client's floor, the vouched head
+        version)`` (:meth:`_vouched_version`).
         """
         return self.write_many([(unit_id, data, min_version)])[0]
 
@@ -493,54 +477,53 @@ class DepSkyClient:
 
         ``items`` are ``(unit_id, data, min_version)`` as for :meth:`write`.
         The units move through the three phases of a DepSky write in lockstep:
-        every metadata-read quorum call, then every block-put call, then every
-        metadata-put call.  The calls of one phase run in parallel, so a phase
-        costs the wait of its *slowest* member, once — never less than what
-        independent writers would pay, since a fast unit waits for the slowest
-        before entering the next phase.
+        every head-read quorum call, then every block-put call, then every
+        head-put call — ``n`` GETs, ``n - f`` block PUTs and ``n`` head PUTs per
+        unit, each of a size that does not depend on the unit's past.  The
+        calls of one phase run in parallel, so a phase costs the wait of its
+        *slowest* member, once — never less than what independent writers
+        would pay, since a fast unit waits for the slowest before entering the
+        next phase.
 
         A unit whose block-put misses its quorum raises
-        :class:`QuorumNotReachedError` before any unit's metadata object is
-        touched: no version of the batch becomes readable.
+        :class:`QuorumNotReachedError` before any unit's head is touched: no
+        version of the batch becomes readable.
         """
         unit_ids = [unit_id for unit_id, _data, _min_version in items]
         if len(set(unit_ids)) != len(unit_ids):
             raise ValueError("write_many takes one version per data unit")
         if not items:
             return []
-        reads = [self._read_metadata(unit_id) for unit_id in unit_ids]
-        self._charge(*(meta_stats for _metadata, meta_stats in reads))
+        reads = [self._read_heads(unit_id) for unit_id in unit_ids]
+        self._charge(*(meta_stats for _heads, meta_stats in reads))
 
         required_acks = self._write_quorum()
-        staged: list[tuple[str, bytes, VersionRecord]] = []
+        records: list[VersionRecord] = []
         block_stats: list[QuorumCallStats] = []
-        for (unit_id, data, min_version), (metadata, _stats) in zip(items, reads, strict=True):
-            if metadata is None:
-                metadata = DataUnitMetadata(unit_id=unit_id)
-            version = metadata.next_version()
-            if min_version is not None and min_version > version:
-                version = min_version
+        for (unit_id, data, min_version), (heads, _stats) in zip(items, reads, strict=True):
+            version = 1 + max((min_version or 1) - 1, self._floor.get(unit_id, 0),
+                              self._vouched_version(heads))
             record, block_puts = self._stage_version(unit_id, version, data)
-            metadata.add(record)
-            staged.append((unit_id, metadata.to_bytes(), record))
+            records.append(record)
             put_stats = block_puts.execute(required=required_acks)
             self._tap("block_put", unit_id, put_stats)
             block_stats.append(put_stats)
         self._require_acks(unit_ids, block_stats, required_acks, "data blocks")
         self._charge(*block_stats)
 
-        meta_stats: list[QuorumCallStats] = []
-        for unit_id, meta_blob, _record in staged:
-            meta_put_stats = self._call().stage(
-                [self._put_request(c, self._meta_key(unit_id), meta_blob) for c in self.clouds]
+        head_stats: list[QuorumCallStats] = []
+        for unit_id, record in zip(unit_ids, records, strict=True):
+            head = record.to_bytes()
+            head_put_stats = self._call().stage(
+                [self._put_request(c, self._meta_key(unit_id), head) for c in self.clouds]
             ).execute(required=required_acks)
-            self._tap("meta_put", unit_id, meta_put_stats)
-            meta_stats.append(meta_put_stats)
-        self._require_acks(unit_ids, meta_stats, required_acks, "metadata")
-        self._charge(*meta_stats)
-        for unit_id, meta_blob, record in staged:
-            self._last_written[unit_id] = (record.version, DataUnitMetadata.from_bytes(meta_blob))
-        return [record for _unit_id, _meta_blob, record in staged]
+            self._tap("meta_put", unit_id, head_put_stats)
+            head_stats.append(head_put_stats)
+        self._require_acks(unit_ids, head_stats, required_acks, "head")
+        self._charge(*head_stats)
+        for unit_id, record in zip(unit_ids, records, strict=True):
+            self._floor[unit_id] = record.version
+        return records
 
     @staticmethod
     def _require_acks(unit_ids: list[str], stats: list[QuorumCallStats], required,
@@ -595,9 +578,10 @@ class DepSkyClient:
             for i in range(self.n):
                 hashers[i].update(stripe.blocks[i])
 
+        data_digest = content_digest(data)
         record = VersionRecord(
             version=version,
-            data_digest=content_digest(data),
+            data_digest=data_digest,
             size=len(data),
             block_digests=tuple(hasher.hexdigest() for hasher in hashers),
             created_at=self.sim.now(),
@@ -613,7 +597,7 @@ class DepSkyClient:
 
         def block_put(index: int) -> QuorumRequest:
             cloud = self.clouds[index]
-            key = self._block_key(unit_id, version, index)
+            key = self._block_key(unit_id, version, data_digest, index)
             share = share_for(index)
             prefix = _BLOCK_HEADER.pack(share.x, len(share.data)) + share.data
             row = buffer[index]
@@ -648,7 +632,7 @@ class DepSkyClient:
     def _block_get_request(self, unit_id: str, record: VersionRecord, index: int) -> QuorumRequest:
         """Fetch-and-verify request for block ``index`` of one version."""
         cloud = self.clouds[index]
-        key = self._block_key(unit_id, record.version, index)
+        key = self._block_key(unit_id, record.version, record.data_digest, index)
 
         def parse(blob: bytes) -> tuple[CodedBlock, SecretShare]:
             if len(blob) < _BLOCK_HEADER.size:
@@ -736,12 +720,41 @@ class DepSkyClient:
                                 stats=stats, meta_stats=meta_stats)
 
     def read_latest(self, unit_id: str) -> DepSkyReadResult:
-        """Read the most recent version of ``unit_id`` (classic DepSky read)."""
-        metadata, meta_stats = self._read_metadata(unit_id, use_cached=False)
+        """Read the most recent version of ``unit_id`` (classic DepSky read).
+
+        That is the certified head (:meth:`_certified_head`) — or a higher
+        head only some clouds show yet, when its blocks actually assemble and
+        verify (``k`` digest-checked blocks and a matching plaintext digest
+        are proof enough; a faulty cloud's inflated head just fails to).  A
+        version older than the certified one is never returned.
+        """
+        heads, meta_stats = self._read_heads(unit_id)
         self._charge(meta_stats)
-        if metadata is None or metadata.latest() is None:
-            raise ObjectNotFoundError(f"data unit {unit_id!r} has no visible version")
-        return self._assemble(unit_id, metadata.latest(), meta_stats)
+        certified = self._certified_head(heads)
+        floor = certified.version if certified is not None else 0
+        candidates = sorted(dict.fromkeys(record for _cloud, record in heads
+                                          if record.version > floor),
+                            key=lambda record: -record.version)
+        if certified is not None:
+            candidates.append(certified)
+        return self._assemble_first(unit_id, candidates, meta_stats,
+                                    f"data unit {unit_id!r} has no visible version")
+
+    def _assemble_first(self, unit_id: str, candidates, meta_stats: QuorumCallStats,
+                        none: str) -> DepSkyReadResult:
+        """The first of ``candidates`` whose blocks assemble and verify.
+
+        An uncertified record proves itself that way or not at all: a forged
+        one finds no ``k`` blocks matching its digests.  Raises the last
+        failure, or :class:`ObjectNotFoundError` (``none``) without candidates.
+        """
+        failure: Exception = ObjectNotFoundError(none)
+        for record in candidates:
+            try:
+                return self._assemble(unit_id, record, meta_stats)
+            except (CloudError, QuorumNotReachedError) as exc:
+                failure = exc
+        raise failure
 
     def read_matching(self, unit_id: str, digest: str,
                       record: VersionRecord | None = None) -> DepSkyReadResult:
@@ -752,66 +765,89 @@ class DepSkyClient:
         version's ``record`` (see :meth:`VersionRecord.locator`) the read is the
         block fetch alone: one quorum call, ``k`` GETs.
 
-        Without a record, the clouds' metadata copies are how it is obtained:
-        a copy listing the anchored digest is self-verifying, so a single one
-        suffices to locate the version (a lagging majority may not list it yet
+        Without a record the version must be the one the heads name: a head
+        carrying the anchored digest whose blocks assemble is self-verifying,
+        so a single copy suffices (a lagging majority may not show it yet
         while one up-to-date cloud already does).  Raises
-        :class:`ObjectNotFoundError` when no copy lists it (yet) — the caller
-        retries, implementing the ``do ... while`` loop of Figure 3.
+        :class:`ObjectNotFoundError` when no head names it (yet, or any more)
+        — the caller retries, implementing the ``do ... while`` loop of
+        Figure 3.
         """
-        meta_stats = None
         if record is None:
-            metadata, meta_stats = self._read_metadata(unit_id, use_cached=False)
+            heads, meta_stats = self._read_heads(unit_id)
             self._charge(meta_stats)
-            # The agreed copy first, then every copy the quorum call returned.
-            copies = [metadata, *(trace.value[0] for trace in meta_stats.successes)]
-            record = next((found for copy in copies if copy is not None
-                           and (found := copy.find_by_digest(digest)) is not None), None)
-            if record is None:
-                raise ObjectNotFoundError(
-                    f"no cloud lists a version of {unit_id!r} with digest {digest[:12]}…"
-                )
-        elif record.data_digest != digest or len(record.block_digests) != self.n:
+            return self._assemble_first(
+                unit_id, dict.fromkeys(head for _cloud, head in heads
+                                       if head.data_digest == digest), meta_stats,
+                f"no cloud's head of {unit_id!r} names a version with digest {digest[:12]}…")
+        if record.data_digest != digest or len(record.block_digests) != self.n:
             raise IntegrityError(
                 f"the record handed over for {unit_id!r} does not describe a "
                 f"{self.n}-block version with digest {digest[:12]}…")
-        return self._assemble(unit_id, record, meta_stats)
+        return self._assemble(unit_id, record)
 
     # ----------------------------------------------------------- maintenance
 
     def list_versions(self, unit_id: str) -> list[VersionRecord]:
-        """Return the agreed version history of ``unit_id`` (empty if unknown)."""
-        metadata, meta_stats = self._read_metadata(unit_id)
-        self._charge(meta_stats)
-        return list(metadata.versions) if metadata is not None else []
+        """The stored versions of ``unit_id``, oldest first, from one LIST per cloud.
 
-    def delete_version(self, unit_id: str, version: int,
-                       anchored_digest: str | None = None) -> None:
-        """Delete the blocks of one version from every cloud and update metadata.
-
-        Used by the SCFS garbage collector (§2.5.3).  Deletes are best-effort:
-        an unreachable cloud keeps its (orphaned) block, so the call charges
-        the quorum wait but never raises.
-
-        ``anchored_digest`` is the digest the caller knows to be the unit's
-        *current* version (from the consistency anchor).  If the metadata
-        this client can see does not list it — the clouds' copies still lag
-        the commit — the whole delete is skipped rather than rewriting the
-        metadata from a stale history (which would erase the freshly
-        committed record and make the anchored version unreadable).  The next
-        collection pass retries.
+        Block names carry ``(version, digest)``; a version is reported when a
+        certificate of clouds lists blocks of it, so a faulty cloud can hide
+        nothing (the others still list it) and invent nothing.  The records
+        say what a listing can: ``size`` is the bytes the listed blocks occupy
+        and ``created_at`` the median instant the clouds report; there are no
+        block digests, so they locate a version for :meth:`delete_version` and
+        retention policies, not for a read.
         """
-        metadata, meta_stats = self._read_metadata(unit_id)
-        self._charge(meta_stats)
-        if anchored_digest is not None and (
-                metadata is None or metadata.find_by_digest(anchored_digest) is None):
-            return
+
+        def list_request(cloud: ObjectStore) -> QuorumRequest:
+            def send():
+                return cloud.list_keys(self.unit_prefix(unit_id), self.principal)
+
+            def latency(_value):
+                return self._request_latency(cloud, "object_list", 0)
+
+            return QuorumRequest(cloud=cloud.name, send=send, latency=latency)
+
+        stats = self._call().stage(
+            [list_request(c) for c in self.clouds]).execute(required=self._write_quorum())
+        self._tap("list", unit_id, stats)
+        self._charge(stats)
+        listed: dict[tuple[int, str], list[tuple[str, ObjectVersion]]] = {}
+        prefix_len = len(self.unit_prefix(unit_id))
+        for trace in stats.successes:
+            for entry in trace.value.entries:
+                name = _BLOCK_NAME.fullmatch(entry.key, prefix_len)
+                if name is not None:
+                    listed.setdefault((int(name[1]), name[2]), []).append((trace.cloud, entry))
+        versions = []
+        for (version, data_digest), found in sorted(listed.items()):
+            if self._certifies(cloud for cloud, _entry in found):
+                instants = sorted(entry.created_at for _cloud, entry in found)
+                versions.append(VersionRecord(
+                    version=version, data_digest=data_digest,
+                    size=sum(entry.size for _cloud, entry in found), block_digests=(),
+                    created_at=instants[(len(instants) - 1) // 2], writer=""))
+        return versions
+
+    def delete_version(self, unit_id: str, version: int, data_digest: str) -> bool:
+        """Delete the blocks of one version from every cloud (§2.5.3's collector).
+
+        Block deletes only: nothing else names a version, so there is nothing
+        to read first and nothing to rewrite.  Returns whether the deletes
+        reached a write quorum.  An unreachable cloud keeps its (orphaned)
+        block either way; :meth:`list_versions` shows the version again for
+        as long as a certificate of clouds still holds blocks of it.  Deleting
+        the version the head names leaves :meth:`read_latest` without one
+        until the next write (SCFS reads through its anchor and never does).
+        """
 
         def delete_request(index: int) -> QuorumRequest:
             cloud = self.clouds[index]
 
             def send():
-                cloud.delete(self._block_key(unit_id, version, index), self.principal)
+                cloud.delete(self._block_key(unit_id, version, data_digest, index),
+                             self.principal)
                 return True
 
             def latency(_value):
@@ -824,25 +860,11 @@ class DepSkyClient:
         ).execute(required=self._write_quorum())
         self._tap("block_delete", unit_id, delete_stats)
         self._charge(delete_stats)
-        if metadata is not None and metadata.remove_version(version):
-            blob = metadata.to_bytes()
-            put_stats = self._call().stage(
-                [self._put_request(c, self._meta_key(unit_id), blob) for c in self.clouds]
-            ).execute(required=self._write_quorum())
-            self._tap("meta_put", unit_id, put_stats)
-            self._charge(put_stats)
-            if put_stats.reached:
-                # Deleting does not raise the version: keep the old knowledge
-                # floor so our pruned copy outranks the still-visible history.
-                previous_floor = self._last_written.get(unit_id, (0, None))[0]
-                latest = metadata.latest()
-                floor = max(previous_floor, latest.version if latest else 0)
-                self._last_written[unit_id] = (
-                    floor, DataUnitMetadata.from_bytes(blob))
+        return delete_stats.reached
 
     def destroy_unit(self, unit_id: str) -> None:
         """Remove every object of the data unit from every cloud."""
-        self._last_written.pop(unit_id, None)
+        self._floor.pop(unit_id, None)
         if self.coalescer is not None:
             # Direct deletes bypass the quorum engine, so expire the
             # coalescing window by hand.

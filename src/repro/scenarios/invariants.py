@@ -44,11 +44,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from repro.common.errors import ReproError
+from repro.common.errors import IntegrityError, ReproError
 from repro.core.backend import SingleCloudBackend
 from repro.core.modes import BackendKind
 from repro.crypto.hashing import content_digest
-from repro.depsky.dataunit import DataUnitMetadata, VersionRecord
+from repro.depsky.dataunit import VersionRecord
 from repro.depsky.protocol import _BLOCK_HEADER, DepSkyClient
 from repro.scenarios.trace import TraceRecorder
 from repro.simenv.failures import FaultKind
@@ -243,21 +243,30 @@ def _latest_commits(trace: TraceRecorder) -> dict[str, object]:
     return commits
 
 
-def _find_record(clouds, unit_id: str, digest: str) -> VersionRecord | None:
-    """The version record for ``digest`` from any cloud's raw metadata copy."""
-    best: VersionRecord | None = None
+def _find_record(clouds, unit_id: str, event) -> VersionRecord | None:
+    """The record of the version a commit event anchored.
+
+    From the locator the commit anchored, as a reader gets it; a commit event
+    without one (hand-built traces) falls back to any cloud's raw head naming
+    the digest.
+    """
+    digest, locator = event.get("digest"), event.get("locator")
+    if locator:
+        try:
+            return VersionRecord.from_locator(locator, digest)
+        except IntegrityError:
+            return None
     for cloud in clouds:
         blob = cloud.raw_object(DepSkyClient._meta_key(unit_id))
         if blob is None:
             continue
         try:
-            copy = DataUnitMetadata.from_bytes(blob)
+            head = VersionRecord.from_bytes(blob)
         except ValueError:
             continue  # this provider's copy is corrupted — that's what f is for
-        record = copy.find_by_digest(digest)
-        if record is not None and (best is None or record.version > best.version):
-            best = record
-    return best
+        if head.data_digest == digest:
+            return head
+    return None
 
 
 def _verified_blocks(clouds, unit_id: str, record: VersionRecord) -> int:
@@ -268,7 +277,8 @@ def _verified_blocks(clouds, unit_id: str, record: VersionRecord) -> int:
     """
     verified = 0
     for index, cloud in enumerate(clouds):
-        blob = cloud.raw_object(DepSkyClient._block_key(unit_id, record.version, index))
+        blob = cloud.raw_object(
+            DepSkyClient._block_key(unit_id, record.version, record.data_digest, index))
         if blob is None or len(blob) < _BLOCK_HEADER.size:
             continue
         if index < len(record.block_digests) \
@@ -310,12 +320,12 @@ def check_durability(trace: TraceRecorder, deployment) -> list[Violation]:
     k = f + 1
     for fid, event in commits.items():
         digest = event.get("digest")
-        record = _find_record(clouds, fid, digest)
+        record = _find_record(clouds, fid, event)
         if record is None:
             violations.append(Violation(
                 "durability",
-                f"no provider's metadata copy lists the committed version "
-                f"{digest[:12]}… of {fid}",
+                f"neither the anchored locator nor any provider's head names "
+                f"the committed version {digest[:12]}… of {fid}",
                 seq=event.seq,
             ))
             continue
@@ -340,7 +350,7 @@ def check_durability(trace: TraceRecorder, deployment) -> list[Violation]:
             encrypt=config.encrypt_data, charge_latency=False,
         )
         try:
-            result = reader.read_matching(fid, digest)
+            result = reader.read_matching(fid, digest, record=record)
         except (ReproError, ValueError) as exc:
             violations.append(Violation(
                 "durability",

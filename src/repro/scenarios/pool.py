@@ -12,10 +12,10 @@ the pseudo-user ``"*"`` make every file world-readable and world-writable.
 Interning keeps the footprint flat: every pool file shares one plaintext
 payload, so (with encryption disabled — ``ScenarioSpec.config`` forces
 ``encrypt_data=False`` for pooled specs) all files share the *same* coded
-block blobs, digests and ACL objects; only the per-file keys and the two
-serialized metadata blobs (which embed the file's path and unit id) are
-per-file, and those are produced by substring substitution on two shared
-templates instead of re-serializing ~10^5 JSON documents.
+block blobs, DepSky head, digests and ACL objects; only the per-file keys and
+the serialized file metadata (which embeds the file's path and unit id) are
+per-file, the latter produced by substring substitution on a shared template
+instead of re-serializing ~10^5 JSON documents.
 
 The primed state is byte-for-byte what the regular write path produces, so
 reads, writes, appends and the invariant checkers treat pool files exactly
@@ -37,7 +37,7 @@ from repro.core.metadata_service import MetadataService
 from repro.crypto.erasure import ErasureCoder
 from repro.crypto.hashing import content_digest
 from repro.crypto.secret_sharing import SecretShare
-from repro.depsky.dataunit import DataUnitMetadata, VersionRecord
+from repro.depsky.dataunit import VersionRecord
 from repro.depsky.protocol import _BLOCK_HEADER, DepSkyClient, block_blob_digest
 
 #: Pseudo-user owning every pool file.  It is never registered and never runs
@@ -125,9 +125,8 @@ def prime_pool(deployment, spec, recorder=None) -> dict[str, int]:
         version=1, data_digest=data_digest, size=len(data),
         block_digests=block_digests, created_at=now, writer=POOL_OWNER,
     )
-    unit_template = DataUnitMetadata(unit_id="@@UID@@")
-    unit_template.add(record)
-    unit_blob_template = unit_template.to_bytes()
+    head = record.to_bytes()
+    head_digest = content_digest(head)
 
     proto = FileMetadata(
         path="/pool-template/file.dat", file_type=FileType.FILE,
@@ -154,24 +153,22 @@ def prime_pool(deployment, spec, recorder=None) -> dict[str, int]:
     for index, path in enumerate(spec.shared_files):
         uid = pool_file_id(index)
         uid_bytes = uid.encode()
-        unit_blob = unit_blob_template.replace(b"@@UID@@", uid_bytes)
         meta_key = DepSkyClient._meta_key(uid)
-        unit_digest = content_digest(unit_blob)
         for cloud_index, cloud in enumerate(clouds):
-            cloud._objects[meta_key] = _StoredObject(
-                key=meta_key, data=unit_blob, acl=cloud_acls[cloud_index],
-                created_at=now, visible_at=now, digest=unit_digest,
-            )
+            cloud.install(_StoredObject(
+                key=meta_key, data=head, acl=cloud_acls[cloud_index],
+                created_at=now, visible_at=now, digest=head_digest,
+            ))
         objects += n
         # Preferred-quorum write layout: cloud i stores block i, for the
         # first n - f clouds only (the spill-over clouds stay empty).
         for block_index in range(n - f):
-            block_key = DepSkyClient._block_key(uid, 1, block_index)
-            clouds[block_index]._objects[block_key] = _StoredObject(
+            block_key = DepSkyClient._block_key(uid, 1, data_digest, block_index)
+            clouds[block_index].install(_StoredObject(
                 key=block_key, data=blobs[block_index],
                 acl=cloud_acls[block_index], created_at=now, visible_at=now,
                 digest=block_digests[block_index],
-            )
+            ))
         objects += n - f
         file_blob = file_meta_template.replace(
             b'"/pool-template/file.dat"', b'"' + path.encode() + b'"'

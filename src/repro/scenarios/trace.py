@@ -80,7 +80,7 @@ TRACE_SCHEMA: dict[str, frozenset[str]] = {
     "upload": frozenset({"path", "file_id", "digest", "version", "background",
                          "txn"}),
     "commit": frozenset({"path", "file_id", "digest", "version", "background",
-                         "txn"}),
+                         "txn", "locator"}),
     "unlink": frozenset({"path", "file_id"}),
     # ---- coordination ----
     "lock": frozenset({"lock"}),

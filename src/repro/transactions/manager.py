@@ -371,7 +371,7 @@ class TransactionManager:
         for path, _entry_version, new_meta, _data in plan:
             agent._emit("commit", path=path, file_id=new_meta.file_id,
                         digest=new_meta.digest, version=new_meta.data_version,
-                        background=False, txn=txn.txn_id)
+                        background=False, txn=txn.txn_id, locator=new_meta.locator)
             txn._committed_writes.append(
                 [path, new_meta.file_id, new_meta.data_version, new_meta.digest])
         agent.gc.maybe_schedule()

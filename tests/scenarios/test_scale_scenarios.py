@@ -17,25 +17,28 @@ from repro.scenarios.runner import ScenarioRunner
 
 #: Trace fingerprints of the seed-101 lockstep sweep (3 agents x 10 ops).
 #: A change here means existing replay commands no longer reproduce their
-#: traces — that is a breaking change, not a refactor.  Fingerprint epoch 6,
-#: recorded at PR 17 for all eight mixes (each creates shared files): an
-#: ``open(O_CREAT)`` sends {insert, Lock} first where it can, with no lookup
-#: before it, and a refused insert carries what it met — one coordination
-#: latency draw fewer per such open, so every later timestamp moved.  Epoch 1
-#: held from PR 4 to PR 11, epoch 2 from PR 12 (one replicated command per
-#: coordination intent), epoch 3 (PR 13, constant-round commit) covered the
-#: three transactional mixes only, epoch 4 from PR 14 (one-round cold reads),
-#: epoch 5 from PR 16 (the lock rides in the command it guards).
-#: See docs/determinism-contract.md.
+#: traces — that is a breaking change, not a refactor.  Fingerprint epoch 7,
+#: recorded at PR 22 for all eight mixes: the per-unit DepSky object is a
+#: constant-size head and block names carry the plaintext digest.  A write
+#: issues the same requests and draws the same random numbers, but object
+#: sizes feed the bandwidth term of every request's latency, so from a unit's
+#: second version on every later timestamp moved; the collector's head
+#: read-modify-write rounds became one ``list`` quorum call per file, and
+#: ``commit`` events carry the anchored locator.  Epoch 1 held from PR 4 to
+#: PR 11, epoch 2 from PR 12 (one replicated command per coordination intent),
+#: epoch 3 (PR 13, constant-round commit) covered the three transactional
+#: mixes only, epoch 4 from PR 14 (one-round cold reads), epoch 5 from PR 16
+#: (the lock rides in the command it guards), epoch 6 from PR 17 (a refused
+#: insert says what is there).  See docs/determinism-contract.md.
 GOLDEN_LOCKSTEP = {
-    "fault-free": "ed53090709b7eb18de37fe9ce813b1434af131ac6668903616354fd3d8c3245e",
-    "crash-hang": "d8e808e5e0d7efcc4c229d8a1fdab1eb412632d65f3ef689580ef80fe741fe47",
-    "corrupt-byzantine": "16015dc8c633e938f11991e2becca18ada8f63ca59e407dd70d5f01e79857887",
-    "degraded-outage": "5b26939938a9246f49f405a611123adad71868f71926758732d63b5a8d0c23f6",
-    "weighted-byzantine": "32926c73660135f234b09ddb931ab12dfa531fe7c6184a1d6330535db51dadce",
-    "txn": "c1dd9de10f2b380b960ebe854aa2dcd3e080bb70c4e8bbee46533260830ae16e",
-    "txn-crash-restart": "63e1a9e8eceae4e0aeb8c19287a5f34cb0077f5535f7d6dc584731642e1cea75",
-    "txn-partition": "b1f1793a6a483d34893333bf1091ca58c627b99d8b7f53339fa22a807c24b3de",
+    "fault-free": "48699c450b5d682fcb9fdee114f0c3297162a55dc498460c87ecb952788371b6",
+    "crash-hang": "fbd3ed5ff0cb69db9f496afb43f4dc2d2bf42a73c0bd7bb65388629a7febbe09",
+    "corrupt-byzantine": "204b7eb841a93420ad642bbe758d1a0d900f394c3b4f2f18ad5bd65d30a1ca0a",
+    "degraded-outage": "b1b7f570bb880b5bb109841b68b33dac235722fd6f53b929b72462c68e36144e",
+    "weighted-byzantine": "0b09469c9a853620da66b44c59981d96bfa43fbf581e4676a15669a5055a123a",
+    "txn": "f7e9d3b62a873a019689463be975782dee43baaa4371096e991e4d4ece54f799",
+    "txn-crash-restart": "df790c5021d399a2c9785372fe8293d68c3cb2e952849cdad155f145c0ed5a9e",
+    "txn-partition": "29797a0ea7b35305b2b6ac1f52cdaea11dd853a7393610c2588bdaa56852f54d",
 }
 
 

@@ -333,7 +333,9 @@ class TestOneCommitPath:
         for (kind, blocking), (_, background) in zip(blocking_events, background_events, strict=True):
             differing = {name for name in blocking.keys() | background.keys()
                          if blocking.get(name) != background.get(name)}
-            assert differing <= {"time", "began", "background", "blocking"}, (kind, differing)
+            # (the locator embeds the instant the blocks were dispatched)
+            assert differing <= {"time", "began", "background", "blocking",
+                                 "locator"}, (kind, differing)
         committed = [fields["background"] for kind, fields in background_events
                      if kind in ("upload", "commit")]
         assert committed == [True] * 4

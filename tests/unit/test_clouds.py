@@ -232,6 +232,39 @@ class TestEventuallyConsistentStore:
         assert store.list_keys("a/", alice).keys == ["a/1", "a/2"]
         assert store.list_keys("a/", bob).keys == []
 
+    def test_list_entries_say_what_a_head_would(self, sim, alice):
+        store = self._store(sim)
+        store.put("a/1", b"four", alice)
+        sim.advance(5.0)
+        store.put("a/2", b"sixsix", alice)
+        store.force_visibility()
+        listing = store.list_keys("a/", alice)
+        assert [(e.key, e.size) for e in listing.entries] == [("a/1", 4), ("a/2", 6)]
+        assert listing.total_bytes == 10
+        assert [e.created_at for e in listing.entries] == [
+            store.head(key, alice).created_at for key in listing.keys]
+        # One billed LIST, no HEAD per key.
+        assert [kind for kind, _key, _size in store.request_log].count("list") == 1
+
+    def test_the_key_index_lists_what_a_sorted_scan_would(self, sim, alice):
+        store = self._store(sim)
+        rng = sim.fork_rng("keys")
+        keys = {f"{rng.choice('abc')}/{rng.choice('xyz')}{rng.randrange(40):02d}"
+                for _ in range(200)}
+        for key in sorted(keys, key=lambda key: (key[-1], key)):  # not in key order
+            store.put(key, b"v", alice)
+        store.put("a/x00", b"overwritten", alice)  # an existing key is indexed once
+        gone = sorted(keys)[::3]
+        for key in gone:
+            store.delete(key, alice)
+        store.delete("never/there", alice)
+        store.force_visibility()
+        left = sorted((keys | {"a/x00"}) - set(gone))
+        assert store._keys == sorted(store._objects) == left
+        for prefix in ("", "a/", "b/x", "b/x1", "c/z39", "d", "a0"):
+            assert store.list_keys(prefix, alice).keys == [
+                key for key in left if key.startswith(prefix)]
+
     def test_unavailability_fault(self, sim, alice):
         failures = FailureSchedule()
         failures.add(FaultKind.UNAVAILABLE, start=0.0, end=100.0)

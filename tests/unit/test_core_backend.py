@@ -45,7 +45,9 @@ class TestStorageBackends:
         sim.advance(3.0)
         backend.write_version("file-1", b"two")
         sim.advance(3.0)
-        assert backend.read_version("file-1", first.digest) == b"one"
+        # (The CoC heads name the latest version only: an older one is found
+        # through the locator minted when it was written.)
+        assert backend.read_version("file-1", first.digest, first.locator) == b"one"
 
     def test_read_before_propagation_raises(self, backend):
         ref = backend.write_version("file-1", b"fresh")

@@ -5,9 +5,9 @@ import hashlib
 import pytest
 
 from repro.clouds.providers import make_cloud_of_clouds
-from repro.common.errors import ObjectNotFoundError, QuorumNotReachedError
+from repro.common.errors import IntegrityError, ObjectNotFoundError, QuorumNotReachedError
 from repro.common.types import Permission
-from repro.depsky.dataunit import DataUnitMetadata, VersionRecord
+from repro.depsky.dataunit import VersionRecord
 from repro.depsky.protocol import DepSkyClient
 from repro.simenv.environment import Simulation
 from repro.simenv.failures import FaultKind
@@ -18,40 +18,119 @@ def make_client(sim, alice, **kwargs):
     return DepSkyClient(sim, clouds, alice, f=1, **kwargs), clouds
 
 
-class TestDataUnitMetadata:
-    def _record(self, version=1, digest="d1"):
-        return VersionRecord(version=version, data_digest=digest, size=10,
-                             block_digests=("a", "b", "c", "d"), created_at=0.0, writer="alice")
+def _record(version=1, digest="d1", writer="alice"):
+    return VersionRecord(version=version, data_digest=digest, size=10,
+                         block_digests=("a", "b", "c", "d"), created_at=0.0, writer=writer)
+
+
+class TestHead:
+    """The per-unit object: the latest version's record, nothing else."""
 
     def test_serialisation_round_trip(self):
-        metadata = DataUnitMetadata(unit_id="u1", versions=[self._record()])
-        parsed = DataUnitMetadata.from_bytes(metadata.to_bytes())
-        assert parsed.unit_id == "u1"
-        assert parsed.versions == metadata.versions
+        assert VersionRecord.from_bytes(_record().to_bytes()) == _record()
 
-    def test_latest_and_next_version(self):
-        metadata = DataUnitMetadata(unit_id="u")
-        assert metadata.latest() is None and metadata.next_version() == 1
-        metadata.add(self._record(1))
-        metadata.add(self._record(3))
-        assert metadata.latest().version == 3 and metadata.next_version() == 4
-
-    def test_find_by_digest_prefers_most_recent(self):
-        metadata = DataUnitMetadata(unit_id="u")
-        metadata.add(self._record(1, "x"))
-        metadata.add(self._record(2, "x"))
-        assert metadata.find_by_digest("x").version == 2
-        assert metadata.find_by_digest("missing") is None
-
-    def test_remove_version(self):
-        metadata = DataUnitMetadata(unit_id="u", versions=[self._record(1), self._record(2)])
-        assert metadata.remove_version(1)
-        assert not metadata.remove_version(1)
-        assert [v.version for v in metadata.versions] == [2]
-
-    def test_malformed_blob_raises(self):
+    @pytest.mark.parametrize("blob", [
+        b"byzantine garbage", b"[]", b"{}", b'{"version": "x"}',
+        b'{"version": 1, "data_digest": "d", "size": 1, "block_digests": 7, '
+        b'"created_at": 0, "writer": "w"}'])
+    def test_malformed_blob_raises(self, blob):
         with pytest.raises(ValueError):
-            DataUnitMetadata.from_bytes(b"byzantine garbage")
+            VersionRecord.from_bytes(blob)
+
+    def test_a_parsed_head_is_hashable_whatever_it_held(self):
+        blob = _record().to_bytes().replace(b'"a"', b'["nested"]')
+        assert hash(VersionRecord.from_bytes(blob)) is not None
+
+    def test_the_head_does_not_grow_with_the_history(self, sim, alice):
+        client, clouds = make_client(sim, alice)
+        sizes = []
+        for generation in range(12):
+            client.write("unit", b"generation %d" % generation)
+            sizes.append(len(clouds[0].raw_object("depsky/unit/metadata")))
+        # Only the decimal rendering of the version and the instant varies.
+        assert max(sizes) - min(sizes) < 24
+        assert VersionRecord.from_bytes(
+            clouds[0].raw_object("depsky/unit/metadata")).version == 12
+
+
+class TestHeadAgreement:
+    """What a client believes of the n heads — never one copy alone."""
+
+    def _client(self, sim, alice):
+        client, clouds = make_client(sim, alice)
+        return client, [cloud.name for cloud in clouds]
+
+    def test_a_record_is_certified_by_f_plus_1_identical_copies(self, sim, alice):
+        client, (a, b, c, d) = self._client(sim, alice)
+        new, old = _record(5, "new"), _record(4, "old")
+        assert client._certified_head([(a, new), (b, new), (c, old), (d, old)]) == new
+        assert client._certified_head([(a, new), (b, old), (c, old)]) == old
+        assert client._certified_head([(a, new), (b, old)]) is None
+        assert client._certified_head([]) is None
+
+    def test_the_same_pair_with_other_block_digests_confirms_nothing(self, sim, alice):
+        client, (a, b, _c, _d) = self._client(sim, alice)
+        forged = VersionRecord(5, "new", 10, ("x",) * 4, 0.0, "alice")
+        assert client._certified_head([(a, _record(5, "new")), (b, forged)]) is None
+
+    def test_the_vouched_version_is_the_f_plus_1_th_highest(self, sim, alice):
+        client, (a, b, c, d) = self._client(sim, alice)
+        heads = [(a, _record(10**9, "inflated")), (b, _record(7)), (c, _record(7)),
+                 (d, _record(6))]
+        assert client._vouched_version(heads) == 7          # not burnt by one cloud
+        heads[0] = (a, _record(1, "rolled back"))
+        assert client._vouched_version(heads) == 7          # nor rolled back
+        assert client._vouched_version(heads[:1]) == 0
+
+    def test_one_faulty_head_neither_rolls_back_nor_burns_the_version_space(
+            self, sim, alice):
+        client, clouds = make_client(sim, alice)
+        for generation in range(3):
+            client.write("unit", b"v%d" % generation)
+            sim.advance(3.0)
+        fresh = DepSkyClient(sim, clouds, alice, f=1)
+        key = "depsky/unit/metadata"
+        for forged in (_record(10**6, "f" * 64).to_bytes(), _record(1, "0" * 64).to_bytes(),
+                       b"garbage"):
+            clouds[0].put(key, forged, alice)
+            sim.advance(3.0)
+            latest = fresh.read_latest("unit").record.version
+            assert latest >= 3
+            assert DepSkyClient(sim, clouds, alice, f=1).write(
+                "unit", b"next").version == latest + 1
+            sim.advance(3.0)
+
+    def test_a_forged_head_with_the_anchored_digest_cannot_fail_the_read(self, sim, alice):
+        client, clouds = make_client(sim, alice)
+        record = client.write("unit", b"anchored" * 40)
+        forged = VersionRecord(record.version, record.data_digest, record.size,
+                               ("0" * 64,) * 4, record.created_at, "mallory")
+        sim.advance(3.0)
+        for cloud in clouds:
+            genuine = cloud.raw_object("depsky/unit/metadata")
+            cloud.put("depsky/unit/metadata", forged.to_bytes(), alice)
+            sim.advance(3.0)
+            assert client.read_matching("unit", record.data_digest).data == b"anchored" * 40
+            assert client.read_latest("unit").data == b"anchored" * 40
+            cloud.put("depsky/unit/metadata", genuine, alice)
+
+    def test_read_latest_takes_an_uncertified_head_only_if_its_blocks_assemble(
+            self, sim, alice):
+        client, clouds = make_client(sim, alice)
+        client.write("unit", b"one")
+        sim.advance(3.0)
+        second = client.write("unit", b"two")
+        # Mid-propagation: some clouds show the new head, the others the old.
+        lags = sorted(cloud.profile.propagation_delay for cloud in clouds)
+        assert lags[0] < lags[-1]
+        sim.advance((lags[0] + lags[-1]) / 2)
+        heads, _stats = client._read_heads("unit")
+        assert {head.version for _cloud, head in heads} == {1, 2}
+        assert client.read_latest("unit").data == b"two"
+        # A head naming blocks nobody holds is passed over for the certified one.
+        clouds[0].put("depsky/unit/metadata", _record(9, "f" * 64).to_bytes(), alice)
+        sim.advance(3.0)
+        assert client.read_latest("unit").data == b"two"
 
 
 class TestDepSkyClient:
@@ -84,7 +163,12 @@ class TestDepSkyClient:
         sim.advance(3.0)
         client.write("unit", b"version two")
         sim.advance(3.0)
-        assert client.read_matching("unit", first.data_digest).data == b"version one"
+        # The heads name the latest version only: an older one is read through
+        # its record (SCFS anchors it), found by LIST, or not at all.
+        assert client.read_matching("unit", first.data_digest, record=first).data == \
+            b"version one"
+        with pytest.raises(ObjectNotFoundError):
+            client.read_matching("unit", first.data_digest)
 
     def test_read_unknown_unit_raises(self, sim, alice):
         client, _ = make_client(sim, alice)
@@ -182,7 +266,7 @@ class TestDepSkyClient:
     def test_preferred_quorum_skips_last_cloud(self, sim, alice):
         client, clouds = make_client(sim, alice)
         client.write("unit", b"z" * 1000)
-        # The fourth cloud receives only the metadata object, no data block.
+        # The fourth cloud receives only the head, no data block.
         last = clouds[-1]
         keys = [key for kind, key, _ in last.request_log if kind == "put"]
         assert all(key.endswith("/metadata") for key in keys)
@@ -224,21 +308,57 @@ class TestDepSkyClient:
         sim.advance(3.0)
         client.write("unit", b"two")
         sim.advance(3.0)
-        versions = client.list_versions("unit")
-        assert [v.version for v in versions] == [1, 2]
+        first, second = client.list_versions("unit")
+        assert (first.version, second.version) == (1, 2)
+        assert second.data_digest == hashlib.sha256(b"two").hexdigest()
+        assert first.created_at < second.created_at and first.size > 0
+        # What a listing knows locates a version; it cannot stand in for a read.
+        with pytest.raises(IntegrityError):
+            client.read_matching("unit", second.data_digest, record=second)
         assert client.list_versions("ghost") == []
 
-    def test_delete_version_removes_blocks_and_metadata_entry(self, sim, alice):
-        client, _ = make_client(sim, alice)
+    def test_list_versions_is_one_billed_list_per_cloud_and_nothing_else(self, sim, alice):
+        client, clouds = make_client(sim, alice)
+        client.write("unit", b"one")
+        sim.advance(3.0)
+        logged = [len(cloud.request_log) for cloud in clouds]
+        lists = [cloud.costs.usage.list_requests for cloud in clouds]
+        client.list_versions("unit")
+        for cloud, start, before in zip(clouds, logged, lists):
+            assert cloud.request_log[start:] == [("list", "depsky/unit/", 0)]
+            assert cloud.costs.usage.list_requests == before + 1
+
+    def test_a_version_one_cloud_invents_is_not_listed_and_one_it_hides_still_is(
+            self, sim, alice):
+        client, clouds = make_client(sim, alice)
+        record = client.write("unit", b"genuine")
+        clouds[0].put(f"depsky/unit/v00000009-{'e' * 64}-b0", b"invented", alice)
+        sim.advance(3.0)
+        clouds[1].delete(client._block_key("unit", 1, record.data_digest, 1), alice)
+        assert [(v.version, v.data_digest) for v in client.list_versions("unit")] == [
+            (1, record.data_digest)]
+
+    def test_delete_version_is_block_deletes_only(self, sim, alice):
+        client, clouds = make_client(sim, alice)
         first = client.write("unit", b"one")
         sim.advance(3.0)
         client.write("unit", b"two")
         sim.advance(3.0)
-        client.delete_version("unit", first.version)
-        sim.advance(3.0)
+        logged = [len(cloud.request_log) for cloud in clouds]
+        assert client.delete_version("unit", first.version, first.data_digest) is True
+        for cloud, start in zip(clouds, logged):
+            assert [kind for kind, _key, _size in cloud.request_log[start:]] == ["delete"]
         assert [v.version for v in client.list_versions("unit")] == [2]
-        with pytest.raises((ObjectNotFoundError, QuorumNotReachedError)):
-            client.read_matching("unit", first.data_digest)
+        with pytest.raises(QuorumNotReachedError):
+            client.read_matching("unit", first.data_digest, record=first)
+        assert client.read_latest("unit").data == b"two"
+
+    def test_delete_version_says_when_it_missed_its_quorum(self, sim, alice):
+        client, clouds = make_client(sim, alice)
+        first = client.write("unit", b"one")
+        for cloud in clouds[:2]:
+            cloud.failures.add(FaultKind.UNAVAILABLE, start=sim.now())
+        assert client.delete_version("unit", first.version, first.data_digest) is False
 
     def test_destroy_unit_removes_everything(self, sim, alice):
         client, clouds = make_client(sim, alice)
@@ -318,21 +438,22 @@ class TestWriteMany:
         clouds = make_cloud_of_clouds(sim)
         for cloud in clouds:
             bob = bob.with_canonical_id(cloud.name, f"bob@{cloud.name}")
-        DepSkyClient(sim, clouds, bob, f=1).write("theirs", b"bob's version 1")
-        sim.advance(3.0)
-        theirs = [cloud.get("depsky/theirs/metadata", bob) for cloud in clouds]
+        # bob already owns the very names alice's blocks of "theirs" would take
+        # (version 1 of that plaintext): her block-put is refused everywhere,
+        # the other two units' succeed.
         client = DepSkyClient(sim, clouds, alice, f=1)
-        # alice can neither read bob's history nor overwrite his v1 blocks: the
-        # block-put of "theirs" is refused everywhere, the other two succeed.
-        with pytest.raises(QuorumNotReachedError, match="theirs"):
+        usurped = hashlib.sha256(b"usurped").hexdigest()
+        for index, cloud in enumerate(clouds):
+            cloud.put(client._block_key("theirs", 1, usurped, index), b"bob's", bob)
+        sim.advance(3.0)
+        with pytest.raises(QuorumNotReachedError, match="data blocks of 'theirs'"):
             client.write_many([("mine-a", b"a" * 500, None), ("theirs", b"usurped", None),
                                ("mine-b", b"b" * 500, None)])
         sim.advance(3.0)
         for cloud in clouds:
-            keys = cloud.list_keys("depsky/mine-", alice).keys
+            keys = cloud.list_keys("depsky/", alice).keys
             assert not [key for key in keys if key.endswith("/metadata")]
         assert any(cloud.list_keys("depsky/mine-a/", alice).keys for cloud in clouds)
-        assert [cloud.get("depsky/theirs/metadata", bob) for cloud in clouds] == theirs
         with pytest.raises(ObjectNotFoundError):
             client.read_latest("mine-a")
 
@@ -344,9 +465,11 @@ class TestWriteMany:
 
     @pytest.mark.parametrize("batched", [False, True])
     def test_one_item_is_the_parent_commits_write(self, alice, batched):
-        """Golden values recorded from ``DepSkyClient.write`` at the parent commit
-        (faf3381): same stored blobs, same clock, same RNG state — ``write`` is
-        the batched code with one item, drawing in the same order."""
+        """``write`` is the batched code with one item: same stored blobs, same
+        clock, same RNG state.  The RNG state is the one recorded before
+        ``write_many`` existed (faf3381) — the write still draws the same
+        numbers in the same order; blobs and clock were re-recorded when the
+        per-unit object became the head and block names gained the digest."""
         sim = Simulation(seed=2024)
         clouds = make_cloud_of_clouds(sim, jitter=0.2)
         client = DepSkyClient(sim, clouds, alice, f=1)
@@ -361,8 +484,8 @@ class TestWriteMany:
                 blobs.update(key.encode())
                 blobs.update(cloud._objects[key].data)
         assert blobs.hexdigest() == \
-            "8401ee57187ecd8a3f2c90ab4c7e9bb20eca442f5fe1f47ded0f69966608c5ef"
-        assert sim.now() == 1.2263829262662702
+            "b0a6de8056a6bd271c7d9bd29d1b927f176dbb974a392da7876245cff3136481"
+        assert sim.now() == 1.2262177410640354
         assert hashlib.sha256(repr(sim.rng.getstate()).encode()).hexdigest() == \
             "551fc109da49a6eda1d3719d43ee61231a9b1db9168b7f715ee8256ac728ce0e"
 

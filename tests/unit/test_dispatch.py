@@ -377,21 +377,13 @@ class TestInstantCoalescer:
         client().write("unit", b"payload")
         sim.advance(60.0)
         first, second = client(), client()
-        md1, stats1 = first._read_metadata("unit", use_cached=False)
-        md2, stats2 = second._read_metadata("unit", use_cached=False)
-        assert md1.latest().version == md2.latest().version == 1
+        heads1, stats1 = first._read_heads("unit")
+        heads2, stats2 = second._read_heads("unit")
+        assert heads1 == heads2 and {head.version for _cloud, head in heads1} == {1}
+        assert first._certified_head(heads2).version == 1
         assert stats1.traces and not stats2.traces  # second call hit no wire
         assert stats2.charged == 0.0 and stats2.reached
         assert coalescer.hits == 1
-
-    def test_absorbed_copies_are_private(self):
-        sim, clouds, coalescer, client = self._world()
-        client().write("unit", b"payload")
-        sim.advance(60.0)
-        md1, _ = client()._read_metadata("unit", use_cached=False)
-        md1.remove_version(1)  # caller mutates its copy...
-        md2, _ = client()._read_metadata("unit", use_cached=False)
-        assert md2.latest().version == 1  # ...without poisoning the cache
 
     def test_mutation_invalidates_within_the_instant(self):
         sim, clouds, coalescer, client = self._world()
@@ -399,33 +391,33 @@ class TestInstantCoalescer:
         writer.write("unit", b"v1")
         sim.advance(60.0)
         reader = client()
-        reader._read_metadata("unit", use_cached=False)
+        reader._read_heads("unit")
         generation = coalescer.generation
         writer.write("unit", b"v2")  # same instant: uncharged client
         assert coalescer.generation > generation
-        md, stats = client()._read_metadata("unit", use_cached=False)
+        heads, stats = client()._read_heads("unit")
         assert stats.traces  # re-dispatched, not served from the stale cache
 
     def test_cache_never_crosses_principals(self):
         sim, clouds, coalescer, client = self._world()
         client("alice").write("unit", b"secret")
         sim.advance(60.0)
-        client("alice")._read_metadata("unit", use_cached=False)
+        client("alice")._read_heads("unit")
         hits = coalescer.hits
         # Bob lacks any grant on alice's unit: his read must go to the wire
         # (and fail there), not be served from alice's cached agreement.
-        md, stats = client("bob")._read_metadata("unit", use_cached=False)
+        heads, stats = client("bob")._read_heads("unit")
         assert coalescer.hits == hits
-        assert md is None
+        assert heads == ()
 
     def test_clock_movement_expires_the_window(self):
         sim, clouds, coalescer, client = self._world()
         client().write("unit", b"payload")
         sim.advance(60.0)
-        client()._read_metadata("unit", use_cached=False)
+        client()._read_heads("unit")
         sim.advance(1e-6)
         hits = coalescer.hits
-        client()._read_metadata("unit", use_cached=False)
+        client()._read_heads("unit")
         assert coalescer.hits == hits
 
     def test_charged_clients_never_collide(self):

@@ -9,6 +9,7 @@ from repro.common.errors import CloudUnavailableError
 from repro.core.config import GarbageCollectionPolicy
 from repro.core.deployment import SCFSDeployment
 from repro.scenarios.trace import TraceRecorder
+from repro.simenv.failures import FaultKind
 
 
 def make_deployment(seed=61, variant="SCFS-CoC-B", **gc_overrides):
@@ -128,12 +129,49 @@ class TestCollection:
             fs.write_file("/flaky.txt", b"v%d" % i)
             deployment.drain(3.0)
 
-        def explode(file_id, digest, anchored_digest=None):
+        def explode(file_id, digest, locator=""):
             raise CloudUnavailableError("provider offline")
 
         fs.agent.backend.delete_version = explode
         report = fs.collect_garbage()
         assert report.errors and "provider offline" in report.errors[0]
+
+    def test_a_delete_that_missed_its_quorum_is_an_error_not_a_reclaimed_version(self):
+        deployment = make_deployment(versions_to_keep=1)
+        fs = deployment.create_agent("alice")
+        for i in range(3):
+            fs.write_file("/stuck.txt", b"v%d" % i)
+            deployment.drain(3.0)
+        meta = fs.stat("/stuck.txt")
+        outage = deployment.sim.now()
+        # The versions were listed, then three of four clouds went away: the
+        # deletes reach one cloud, no write quorum.
+        listing = fs.agent.backend.list_versions(meta.file_id)
+        fs.agent.backend.list_versions = lambda file_id: listing
+        for cloud in deployment.clouds[1:]:
+            cloud.failures.add(FaultKind.UNAVAILABLE, start=outage, end=outage + 50.0)
+        report = fs.collect_garbage()
+        assert (report.versions_deleted, report.bytes_reclaimed) == (0, 0)
+        assert len(report.errors) == 2 and all("not deleted" in e for e in report.errors)
+        # The next pass finds them again by LIST and finishes the job.
+        del fs.agent.backend.list_versions
+        deployment.sim.advance(60.0)
+        report = fs.collect_garbage()
+        assert (report.versions_deleted, report.errors) == (2, [])
+        assert [ref.digest for ref in fs.agent.backend.list_versions(meta.file_id)] == [meta.digest]
+
+    def test_a_purge_that_could_not_delete_keeps_the_entry_for_the_next_pass(self):
+        deployment = make_deployment()
+        fs = deployment.create_agent("alice")
+        fs.write_file("/doomed.txt", b"payload" * 50)
+        deployment.drain(3.0)
+        fs.unlink("/doomed.txt")
+        fs.agent.backend.delete_version = lambda file_id, digest, locator="": False
+        report = fs.collect_garbage()
+        assert (report.deleted_files_purged, report.versions_deleted) == (0, 0)
+        del fs.agent.backend.delete_version
+        report = fs.collect_garbage()
+        assert (report.deleted_files_purged, report.versions_deleted) == (1, 1)
 
     def test_gc_is_latency_free_for_the_foreground(self):
         deployment = make_deployment()

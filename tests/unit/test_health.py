@@ -296,14 +296,13 @@ class TestDepSkySuspicionEndToEnd:
         # The charged write latency excludes the hanging cloud entirely...
         assert elapsed < 2.0
         # ...yet its background PUT attempts still stored block 0 and the
-        # updated metadata copy server-side (timeout abandons the wait, not
-        # the side effect).
-        assert any(kind == "put" and "v00000002-b0" in key
+        # new head server-side (timeout abandons the wait, not the side effect).
+        assert any(kind == "put" and "/v00000002-" in key and key.endswith("-b0")
                    for kind, key, _ in clouds[0].request_log)
-        meta_blob = clouds[0]._objects["depsky/unit/metadata"].data
-        from repro.depsky.dataunit import DataUnitMetadata
+        from repro.depsky.dataunit import VersionRecord
 
-        assert DataUnitMetadata.from_bytes(meta_blob).latest().version == 2
+        head = clouds[0].raw_object("depsky/unit/metadata")
+        assert VersionRecord.from_bytes(head).version == 2
 
     def test_writes_spill_over_without_waiting_for_suspected_cloud(self):
         sim, clouds, client, health = self._client()

@@ -13,9 +13,13 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.clouds.dispatch import QuorumCall
 from repro.clouds.providers import make_cloud_of_clouds
-from repro.common.errors import IntegrityError, ObjectNotFoundError, VersionUnavailableError
+from repro.common.errors import (
+    IntegrityError,
+    ObjectNotFoundError,
+    QuorumNotReachedError,
+    VersionUnavailableError,
+)
 from repro.common.types import Permission
 from repro.core.backend import CloudOfCloudsBackend
 from repro.core.deployment import SCFSDeployment
@@ -27,48 +31,21 @@ from repro.simenv.environment import Simulation
 from repro.simenv.failures import FaultKind
 
 
-class Meter:
-    """Quorum calls executed and GETs served, deployment-wide, since ``mark()``."""
-
-    def __init__(self, clouds, monkeypatch):
-        self.clouds = clouds
-        self.calls = 0
-        execute = QuorumCall.execute
-
-        def counted(call, required):
-            self.calls += 1
-            return execute(call, required)
-
-        monkeypatch.setattr(QuorumCall, "execute", counted)
-        self.mark()
-
-    def mark(self) -> None:
-        self._calls = self.calls
-        self._logged = [len(cloud.request_log) for cloud in self.clouds]
-
-    def quorum_calls(self) -> int:
-        return self.calls - self._calls
-
-    def gets(self) -> list[tuple[str, int]]:
-        """``(key, bytes served)`` of every GET since the mark (0 bytes: not found)."""
-        return [(key, size) for cloud, start in zip(self.clouds, self._logged)
-                for kind, key, size in cloud.request_log[start:] if kind == "get"]
-
-    def assert_one_block_fetch(self, k: int = 2) -> None:
-        gets = self.gets()
-        assert self.quorum_calls() == 1
-        assert len(gets) == k and all(size > 0 for _key, size in gets)
-        assert not any(key.endswith("/metadata") for key, _size in gets)
+def assert_one_block_fetch(meter, k: int = 2) -> None:
+    gets = meter.requests("get")  # a 0-byte GET is a billed not-found
+    assert meter.quorum_calls() == 1
+    assert len(gets) == k and all(size > 0 for _kind, _key, size in gets)
+    assert not any(key.endswith("/metadata") for _kind, key, _size in gets)
 
 
 @pytest.fixture
-def shared(monkeypatch):
+def shared(cloud_meter):
     """A blocking CoC deployment, ``/f`` written by alice and readable by bob."""
     deployment = SCFSDeployment.for_variant("SCFS-CoC-B", seed=17)
     alice, bob = deployment.create_agent("alice"), deployment.create_agent("bob")
     alice.write_file("/f", b"first", shared=True)
     alice.setfacl("/f", "bob", Permission.READ_WRITE)
-    return deployment, alice, bob, Meter(deployment.clouds, monkeypatch)
+    return deployment, alice, bob, cloud_meter(deployment.clouds)
 
 
 # ------------------------------------------------------------ the budget, fault-free
@@ -80,10 +57,10 @@ def test_cold_read_of_a_closed_file_is_one_quorum_call_and_k_gets(shared):
     deployment.sim.advance(5.0)
     meter.mark()
     assert bob.read_file("/f") == b"closed by alice"
-    meter.assert_one_block_fetch()
+    assert_one_block_fetch(meter)
 
 
-def test_cold_read_of_a_background_closed_file_is_the_same(monkeypatch):
+def test_cold_read_of_a_background_closed_file_is_the_same(cloud_meter):
     deployment = SCFSDeployment.for_variant("SCFS-CoC-NB", seed=17)
     alice, bob = deployment.create_agent("alice"), deployment.create_agent("bob")
     alice.write_file("/f", b"first", shared=True)
@@ -91,9 +68,9 @@ def test_cold_read_of_a_background_closed_file_is_the_same(monkeypatch):
     alice.write_file("/f", b"uploaded in the background")
     deployment.drain()
     deployment.sim.advance(5.0)
-    meter = Meter(deployment.clouds, monkeypatch)
+    meter = cloud_meter(deployment.clouds)
     assert bob.read_file("/f") == b"uploaded in the background"
-    meter.assert_one_block_fetch()
+    assert_one_block_fetch(meter)
 
 
 def test_cold_read_of_a_transaction_written_file_is_the_same(shared):
@@ -104,31 +81,31 @@ def test_cold_read_of_a_transaction_written_file_is_the_same(shared):
     for path, data in (("/f", b"F by txn"), ("/g", b"G by txn")):
         meter.mark()
         assert bob.read_file(path) == data
-        meter.assert_one_block_fetch()
+        assert_one_block_fetch(meter)
 
 
-def test_mounting_a_saved_pns_is_the_same(monkeypatch):
+def test_mounting_a_saved_pns_is_the_same(cloud_meter):
     deployment = SCFSDeployment.for_variant("SCFS-CoC-B", seed=17, private_name_spaces=True)
     fs = deployment.create_agent("alice")
     fs.write_file("/private.txt", b"mine")
     fs.unmount()
     deployment.sim.advance(5.0)
-    meter = Meter(deployment.clouds, monkeypatch)
+    meter = cloud_meter(deployment.clouds)
     again = deployment.create_agent("alice")
-    meter.assert_one_block_fetch()
+    assert_one_block_fetch(meter)
     assert again.agent.pns.contains("/private.txt")
 
 
-def test_cold_read_of_a_pool_primed_file_is_the_same(monkeypatch):
+def test_cold_read_of_a_pool_primed_file_is_the_same(cloud_meter):
     spec = ScenarioSpec.generate_scale(seed=9, agents=2, files=6, ops_per_agent=1,
                                        directories=2, partitions=2)
     deployment = SCFSDeployment(spec.config(), sim=Simulation(seed=spec.seed))
     prime_pool(deployment, spec)
     fs = deployment.create_agent("carol")
     deployment.sim.advance(5.0)
-    meter = Meter(deployment.clouds, monkeypatch)
+    meter = cloud_meter(deployment.clouds)
     assert fs.read_file(spec.shared_files[0]) == POOL_PAYLOAD
-    meter.assert_one_block_fetch()
+    assert_one_block_fetch(meter)
 
 
 # ---------------------------------------------------------- the propagation window
@@ -147,7 +124,7 @@ def test_a_reader_inside_the_propagation_window_waits_once_and_never_misses(shar
     meter.mark()
     assert bob.read_file("/f") == b"just closed"
     assert attempts == [readable_at]
-    meter.assert_one_block_fetch()
+    assert_one_block_fetch(meter)
 
 
 def test_a_mount_inside_the_propagation_window_of_the_pns_save_loads_it():
@@ -233,11 +210,12 @@ def test_a_short_locator_never_disables_the_block_check(unit):
     assert client._block_get_request("unit", short, 0).send()
 
 
-def test_a_locator_of_another_version_is_an_integrity_error(unit, sim):
+def test_a_locator_of_another_version_names_no_stored_block(unit, sim):
     backend, ref, _data = unit
     newer = backend.write_version("unit", b"newer")
     sim.advance(5.0)
-    with pytest.raises(IntegrityError):
+    # Block names carry (version, digest): v1 of the *newer* plaintext was never written.
+    with pytest.raises(QuorumNotReachedError):
         backend.read_version("unit", newer.digest, ref.locator)
 
 

@@ -316,9 +316,9 @@ class TestSweepRegressions:
         assert bob.read_file("/handoff.txt") == b"from-bob"
 
     def test_two_commits_within_propagation_window_do_not_collide(self):
-        """Eventual-consistency regression: DepSky metadata re-read within the
+        """Eventual-consistency regression: DepSky heads re-read within the
         propagation window of the previous commit must not mint the same
-        version number twice (anchored min_version + last-written cache)."""
+        version number twice (anchored min_version + the client's floor)."""
         deployment = SCFSDeployment.for_variant("SCFS-CoC-B", seed=44)
         alice = deployment.create_agent("alice")
         payloads = [b"gen-%d" % i for i in range(4)]
@@ -326,6 +326,7 @@ class TestSweepRegressions:
             alice.write_file("/rapid.txt", payload)  # no drain in between
         meta = alice.stat("/rapid.txt")
         backend = alice.agent.backend
+        deployment.sim.advance(3.0)  # a LIST shows what has propagated
         versions = [r.version for r in backend.client.list_versions(meta.file_id)]
         assert len(versions) == len(set(versions)) == len(payloads)
         alice.agent.memory_cache.clear()
