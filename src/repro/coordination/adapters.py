@@ -37,9 +37,9 @@ adapter call                        replicated command
 ``multi`` is one command whatever its number of steps, all or nothing: a lock
 set taken or returned, a set of entries read, a set of entries conditionally
 replaced — or a lock set taken *and* the entries it guards read or inserted.
-A transaction commit is four commands for any number of files: ``{lock set,
-validating reads}``, the intent ``put``, ``{version CAS of every written
-entry, intent flip}`` and the lock set's release.
+A transaction commit is three commands for any number of files: ``{lock set,
+validating reads, pending intent}``, ``{version CAS of every written entry,
+intent flip}`` and the lock set's release.
 """
 
 from __future__ import annotations

@@ -164,9 +164,9 @@ class PartitionedCoordination(CoordinationService):
 
         Among the entry steps the partition of the *last* goes after every
         other, so a caller that ends them with the step recording the outcome
-        (the transaction commit point ends with the intent's flip to
-        ``committed``) knows that step applied only once every other
-        partition accepted.
+        (the transaction commit ends its first command with the ``pending``
+        intent and its commit point with the intent's flip to ``committed``)
+        knows that step applied only once every other partition accepted.
         """
         locks: dict[int, list[int]] = {}
         entries: dict[int, list[int]] = {}

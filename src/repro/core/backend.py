@@ -111,16 +111,28 @@ class StorageBackend(abc.ABC):
         without version counters ignore it.
         """
 
-    def write_versions(
-            self, items: Sequence[tuple[str, bytes, int | None]]) -> list[ObjectRef]:
-        """Store one new version of several files: ``(file_id, data, min_version)`` each.
+    def write_versions(self, items: Sequence[tuple[str, bytes, int]]) -> list[ObjectRef]:
+        """Store one new version of several files: ``(file_id, data, version)`` each.
 
-        This default — what :class:`SingleCloudBackend` keeps — is a plain loop
-        over :meth:`write_version`, one upload after the other; a backend that
-        can overlap the uploads overrides it.
+        For a caller that holds the files' locks and has validated the anchor:
+        ``version`` is :meth:`version_after` of what each file's anchor holds,
+        so the backend asks the cloud(s) nothing before it uploads.  This
+        default — what :class:`SingleCloudBackend` keeps — is a plain loop over
+        :meth:`write_version`, one upload after the other (its versions are
+        named by digest alone; the number is not used); a backend that can
+        overlap the uploads overrides it.
         """
-        return [self.write_version(file_id, data, min_version=min_version)
-                for file_id, data, min_version in items]
+        return [self.write_version(file_id, data) for file_id, data, _version in items]
+
+    def version_after(self, locator: str, data_version: int) -> int:
+        """This backend's number for the version that replaces the anchored one.
+
+        ``locator`` and ``data_version`` are what the anchor holds for the
+        file.  A backend that numbers its versions reads the anchored number
+        out of the locator it minted; without one the anchor's own counter is
+        all there is to number from, which is this default.
+        """
+        return data_version + 1
 
     @abc.abstractmethod
     def read_version(self, file_id: str, digest: str, locator: str = "") -> bytes:
@@ -396,12 +408,16 @@ class CloudOfCloudsBackend(StorageBackend):
                       min_version: int | None = None) -> ObjectRef:
         return self._ref(file_id, self.client.write(file_id, data, min_version=min_version))
 
-    def write_versions(
-            self, items: Sequence[tuple[str, bytes, int | None]]) -> list[ObjectRef]:
-        """All of ``items`` through the three DepSky phases together (``write_many``)."""
-        records = self.client.write_many(items)
+    def write_versions(self, items: Sequence[tuple[str, bytes, int]]) -> list[ObjectRef]:
+        """All of ``items`` through the two DepSky put phases together (``write_numbered``)."""
+        records = self.client.write_numbered(items)
         return [self._ref(file_id, record)
-                for (file_id, _data, _min_version), record in zip(items, records, strict=True)]
+                for (file_id, _data, _version), record in zip(items, records, strict=True)]
+
+    def version_after(self, locator: str, data_version: int) -> int:
+        if not locator:
+            return data_version + 1
+        return VersionRecord.from_locator(locator, "").version + 1
 
     @staticmethod
     def _ref(file_id: str, record: VersionRecord) -> ObjectRef:

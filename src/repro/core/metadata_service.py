@@ -140,7 +140,8 @@ class MetadataService:
             return None
         return self._fetch(path)
 
-    def lookup_many_versioned(self, wanted: Sequence[str], also: Sequence[Op] = ()
+    def lookup_many_versioned(self, wanted: Sequence[str], also: Sequence[Op] = (),
+                              then: Sequence[Op] = ()
                               ) -> dict[str, tuple[FileMetadata, int] | None]:
         """:meth:`lookup_versioned` of every path in ``wanted``, in one coordination read.
 
@@ -148,17 +149,21 @@ class MetadataService:
         snapshot — what the transactional commit validates under its locks,
         which ride in the same command as ``also`` (the lock service's
         ``Lock`` steps: the snapshot is then taken with the locks granted).
+        ``then`` rides behind the reads — the commit's ``pending`` intent: a
+        partitioned service sends the partition of a command's last entry step
+        after every other, so the intent is written only once every lock was
+        granted and every read accepted.
         """
         found: dict[str, tuple[FileMetadata, int] | None] = {
             normalize_path(path): None for path in wanted}
         shared = [path for path in found if self.pns is None or not self.pns.contains(path)]
-        if self.coordination is None or not (shared or also):
+        if self.coordination is None or not (shared or also or then):
             return found
         self.coordination_reads += 1
         try:
             entries = self.coordination.multi(
-                [*also, *(Get(self.entry_key(path)) for path in shared)],
-                self.session)[len(also):]
+                [*also, *(Get(self.entry_key(path)) for path in shared), *then],
+                self.session)[len(also):len(also) + len(shared)]
         except ConflictError as exc:
             raise PermissionDeniedError(str(exc)) from exc
         for path, entry in zip(shared, entries, strict=True):

@@ -125,17 +125,17 @@ class StorageService:
         self.bytes_pushed += len(data)
         return ref
 
-    def push_many_to_cloud(
-            self, items: Sequence[tuple[str, bytes, int | None]]) -> list[ObjectRef]:
+    def push_many_to_cloud(self, items: Sequence[tuple[str, bytes, int]]) -> list[ObjectRef]:
         """Upload one new version of several files together (a transaction's write set).
 
-        ``items`` are ``(file_id, data, min_version)`` as for
-        :meth:`push_to_cloud`; the backend moves them through the cloud(s) in
-        parallel where it can (see :meth:`StorageBackend.write_versions`).
+        ``items`` are ``(file_id, data, version)``, numbered by the caller from
+        the anchor it validated under the files' locks (see
+        :meth:`StorageBackend.write_versions`); the backend moves them through
+        the cloud(s) in parallel where it can.
         """
         refs = self.backend.write_versions(items)
         self.cloud_writes += len(items)
-        self.bytes_pushed += sum(len(data) for _file_id, data, _min_version in items)
+        self.bytes_pushed += sum(len(data) for _file_id, data, _version in items)
         return refs
 
     def push_to_cloud_uncharged(self, file_id: str, data: bytes,

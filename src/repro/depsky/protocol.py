@@ -475,35 +475,64 @@ class DepSkyClient:
             self, items: Sequence[tuple[str, bytes, int | None]]) -> list[VersionRecord]:
         """Write one new version of each of several (distinct) data units together.
 
-        ``items`` are ``(unit_id, data, min_version)`` as for :meth:`write`.
-        The units move through the three phases of a DepSky write in lockstep:
-        every head-read quorum call, then every block-put call, then every
-        head-put call — ``n`` GETs, ``n - f`` block PUTs and ``n`` head PUTs per
-        unit, each of a size that does not depend on the unit's past.  The
-        calls of one phase run in parallel, so a phase costs the wait of its
-        *slowest* member, once — never less than what independent writers
-        would pay, since a fast unit waits for the slowest before entering the
-        next phase.
+        ``items`` are ``(unit_id, data, min_version)`` as for :meth:`write`:
+        the writer has no anchor to number from, so it asks the clouds — one
+        head-read quorum call per unit (``n`` GETs), all in parallel — and
+        hands :meth:`write_numbered` ``1 + max(min_version - 1, the vouched
+        head version)`` for each.  Three phases in lockstep, each costing the
+        wait of its *slowest* member, once.
+        """
+        unit_ids = self._one_version_each(items)
+        if not items:
+            return []
+        reads = [self._read_heads(unit_id) for unit_id in unit_ids]
+        self._charge(*(meta_stats for _heads, meta_stats in reads))
+        return self.write_numbered([
+            (unit_id, data, 1 + max((min_version or 1) - 1, self._vouched_version(heads)))
+            for (unit_id, data, min_version), (heads, _stats) in zip(items, reads, strict=True)])
+
+    def write_numbered(self, items: Sequence[tuple[str, bytes, int]]) -> list[VersionRecord]:
+        """Write ``version`` of each of several (distinct) data units together.
+
+        ``items`` are ``(unit_id, data, version)``; the number comes from a
+        caller that holds the unit's lock and has just validated the
+        consistency anchor — the version after the one the anchored locator
+        names — so no cloud is asked what the latest version is.  Only this
+        client's own floor can raise it (a number it already spent on an
+        upload that was never anchored).  The units move through the two put
+        phases in lockstep: every block-put quorum call, then every head-put
+        call — ``n - f`` block PUTs and ``n`` head PUTs per unit, each of a
+        size that does not depend on the unit's past.  The calls of one phase
+        run in parallel, so a phase costs the wait of its *slowest* member,
+        once — never less than what independent writers would pay, since a
+        fast unit waits for the slowest before entering the next phase.
+
+        Why a Byzantine cloud gains nothing by the missing head read: no head
+        takes part in the numbering, so ``f`` clouds — or all of them — can
+        neither roll it back nor inflate it.  An orphan (the upload of an
+        attempt that aborted before its commit point, by this client or
+        another) can share a *number* with this write but never a *key*: the
+        block name carries the plaintext digest, so different bytes land
+        under different names, and a reader follows the anchored locator's
+        ``(version, digest)`` and block digests, never the number alone.  (An
+        orphan of the very same plaintext shares the name; its blocks are
+        replaced, and no anchor ever pointed at them.)  The collector protects
+        the anchored *digest*, not a number, so it keeps the anchored version
+        and reclaims the orphan.
 
         A unit whose block-put misses its quorum raises
         :class:`QuorumNotReachedError` before any unit's head is touched: no
         version of the batch becomes readable.
         """
-        unit_ids = [unit_id for unit_id, _data, _min_version in items]
-        if len(set(unit_ids)) != len(unit_ids):
-            raise ValueError("write_many takes one version per data unit")
+        unit_ids = self._one_version_each(items)
         if not items:
             return []
-        reads = [self._read_heads(unit_id) for unit_id in unit_ids]
-        self._charge(*(meta_stats for _heads, meta_stats in reads))
-
         required_acks = self._write_quorum()
         records: list[VersionRecord] = []
         block_stats: list[QuorumCallStats] = []
-        for (unit_id, data, min_version), (heads, _stats) in zip(items, reads, strict=True):
-            version = 1 + max((min_version or 1) - 1, self._floor.get(unit_id, 0),
-                              self._vouched_version(heads))
-            record, block_puts = self._stage_version(unit_id, version, data)
+        for unit_id, data, version in items:
+            record, block_puts = self._stage_version(
+                unit_id, max(version, self._floor.get(unit_id, 0) + 1), data)
             records.append(record)
             put_stats = block_puts.execute(required=required_acks)
             self._tap("block_put", unit_id, put_stats)
@@ -524,6 +553,14 @@ class DepSkyClient:
         for unit_id, record in zip(unit_ids, records, strict=True):
             self._floor[unit_id] = record.version
         return records
+
+    @staticmethod
+    def _one_version_each(items: Sequence[tuple[str, bytes, int | None]]) -> list[str]:
+        """The unit ids of a batch, which must be distinct (checked before any request)."""
+        unit_ids = [unit_id for unit_id, _data, _version in items]
+        if len(set(unit_ids)) != len(unit_ids):
+            raise ValueError("a batch takes one version per data unit")
+        return unit_ids
 
     @staticmethod
     def _require_acks(unit_ids: list[str], stats: list[QuorumCallStats], required,

@@ -9,33 +9,46 @@ BFT-transaction designs (Basil, arXiv:2109.12443):
 1. **Optimistic execution** — :meth:`Transaction.read` records the
    ``(file_id, data_version, digest)`` it served; :meth:`Transaction.write`
    only stages bytes locally.  Nothing is visible to other agents yet.
-2. **Commit** (:meth:`TransactionManager.commit`) — four coordination
-   commands and one round of uploads, whatever the size of the sets:
+2. **Commit** (:meth:`TransactionManager.commit`) — three coordination
+   commands and two rounds of uploads, whatever the size of the sets, and
+   only the first command stands in front of the upload:
 
    a. take the write locks of the *union* of the read and write sets, sorted
       by lock name, as one all-or-nothing lock set, and
    b. in the same command (the lock rides in the command it guards) re-read
-      every entry of the union; validate every read against that snapshot,
-      taken under the locks;
-   c. write the **intent record** (``txn:<id>``, ``pending``);
+      every entry of the union, and
+   c. still in the same command write the **intent record** (``txn:<id>``,
+      ``pending``), its file list built from the read records: a refused lock
+      leaves no intent.  Validate every read against the snapshot, taken
+      under the locks; from here on whatever ends the attempt flips the
+      intent to ``aborted``;
    d. upload the new data versions to the cloud(s), the whole write set
-      moving through the DepSky phases together;
+      moving through the DepSky put phases together.  Each version is
+      numbered by the anchor just validated — the one after the version the
+      entry's locator names — so no cloud is asked for its head first;
    e. the **commit point**: one command holding the version CAS of every
       written entry
       (:meth:`~repro.core.metadata_service.MetadataService.update_cas_many`)
       *and* the intent's flip to ``committed`` — every file is anchored and
       the intent says so, or nothing changed;
-   f. release the lock set;
+   f. release the lock set, and keep the written bytes in the local caches
+      under their new versions (the committer's next read of them is local);
    g. return once the uploaded versions are expected to be readable
       (:meth:`~repro.core.backend.StorageBackend.estimate_readable_at` of the
       locators the uploads minted): the clouds acknowledge a put before
       readers see it, and a reader the caller tells about the commit would
-      otherwise sit out the rest of the propagation window itself.
+      otherwise sit out the rest of the propagation window itself.  That
+      instant runs from the block dispatch of step d, so steps e and f are
+      hidden under the wait: what a commit costs is the time *to* step d.
 3. **Abort/retry** — any conflict (lock held, stale read, lost lease, CAS
    mismatch) raises :class:`~repro.common.errors.TransactionConflictError`;
    :meth:`TransactionManager.run` re-executes the whole transaction body with
    bounded exponential backoff before giving up with
-   :class:`~repro.common.errors.TransactionAbortedError`.
+   :class:`~repro.common.errors.TransactionAbortedError`.  A retry knows the
+   paths the failed attempt touched, so it re-reads them all with one
+   command and the body's reads are served from that snapshot.  Any other
+   failure of a commit attempt (a missing file, an upload that misses its
+   quorum) ends the transaction the same way and re-raises as it is.
 
 The locks serialize commits, the validation makes the serialization order
 match the reads, and the CAS is defence in depth against lock-lease expiry: a
@@ -65,6 +78,7 @@ from repro.common.errors import (
     FileNotFoundErrorFS,
     IsADirectoryErrorFS,
     LockHeldError,
+    ReproError,
     TransactionAbortedError,
     TransactionConflictError,
     TransactionError,
@@ -79,6 +93,13 @@ if TYPE_CHECKING:
 
 #: One planned write: ``(path, entry_version, new_metadata, data)``.
 WritePlan = list[tuple[str, int, FileMetadata, bytes]]
+
+#: The ``files`` of an intent record, one per written path:
+#: ``[path, file_id, data_version before, data_version after, new digest]``.
+IntentFiles = list[list[Any]]
+
+#: One authoritative read of some paths (``lookup_many_versioned``).
+Snapshot = dict[str, tuple[FileMetadata, int] | None]
 
 #: Prefix of transaction intent records in the coordination service.
 TXN_PREFIX = "txn:"
@@ -115,6 +136,11 @@ class Transaction:
         self._reads: dict[str, ReadRecord] = {}
         self._read_data: dict[str, bytes] = {}
         self._writes: dict[str, bytes] = {}
+        #: What a retry (:meth:`TransactionManager.run`) re-read of the paths
+        #: the failed attempt touched: :meth:`read` takes its metadata from
+        #: here.  It may be stale by the time of the read — so may any read;
+        #: the validation under the commit's locks covers both.
+        self._snapshot: Snapshot = {}
         #: ``[path, file_id, version, digest]`` of each anchored write, filled
         #: by the commit (the write set as the serializability checker sees it).
         self._committed_writes: list[list[Any]] = []
@@ -139,13 +165,16 @@ class Transaction:
         # set on the pre-upload state would validate against a version this
         # very agent is about to replace.
         agent.flush_pending(path)
-        meta = agent.metadata.get(path, use_cache=False)
+        known = self._snapshot.get(path)
+        if known is not None and not known[0].deleted:
+            meta = known[0]
+        else:
+            meta = agent.metadata.get(path, use_cache=False)
         if meta.is_directory:
             raise IsADirectoryErrorFS(f"is a directory: {path}")
         data = b""
         if meta.digest:
-            data = self.manager.agent.storage.read_version(
-                meta.file_id, meta.digest, meta.locator).data
+            data = agent.storage.read_version(meta.file_id, meta.digest, meta.locator).data
         self._reads[path] = ReadRecord(path=path, file_id=meta.file_id,
                                        version=meta.data_version, digest=meta.digest)
         self._read_data[path] = data
@@ -207,20 +236,30 @@ class TransactionManager:
 
         The whole body re-executes on conflict (its reads must re-observe the
         anchor), up to ``config.max_attempts`` times; then
-        :class:`TransactionAbortedError` carries the last conflict.
+        :class:`TransactionAbortedError` carries the last conflict.  A retry
+        re-reads every path the failed attempt touched with one coordination
+        command, before the body runs, instead of one per ``txn.read``.
         """
         backoff = self.config.backoff
         last: TransactionConflictError | None = None
+        touched: list[str] = []
         for attempt in range(self.config.max_attempts):
             txn = self.begin()
             txn.attempts = attempt + 1
             try:
+                if touched:
+                    # As before every read: a pending close of this agent
+                    # lands first, or the snapshot is stale on arrival.
+                    for path in touched:
+                        self.agent.flush_pending(path)
+                    txn._snapshot = self.agent.metadata.lookup_many_versioned(touched)
                 result = body(txn)
                 txn.commit()
                 return result
             except TransactionConflictError as exc:
                 last = exc
                 txn.abort(reason=str(exc))
+                touched = sorted(set(txn._reads) | set(txn._writes))
                 if attempt < self.config.max_attempts - 1:
                     self.agent.sim.advance(backoff)
                     backoff = min(backoff * self.config.backoff_factor,
@@ -235,19 +274,24 @@ class TransactionManager:
     # ----------------------------------------------------------------- commit
 
     def commit(self, txn: Transaction) -> None:
-        """One commit attempt of ``txn`` (see the module docstring protocol)."""
+        """One commit attempt of ``txn`` (see the module docstring protocol).
+
+        However the attempt fails, the transaction is over: it ends
+        ``aborted`` with the failure as its reason, and the failure re-raises
+        (a held lock as the conflict it is).
+        """
         if not txn._reads and not txn._writes:
             txn.status = COMMITTED
             self._emit_commit(txn)
             return
         try:
             self._commit_locked(txn)
-        except TransactionConflictError as exc:
-            self._finish_abort(txn, str(exc))
-            raise
         except LockHeldError as exc:
             self._finish_abort(txn, str(exc))
             raise TransactionConflictError(str(exc)) from exc
+        except ReproError as exc:
+            self._finish_abort(txn, str(exc))
+            raise
 
     def _commit_locked(self, txn: Transaction) -> None:
         agent = self.agent
@@ -258,35 +302,58 @@ class TransactionManager:
         # only write-only paths need a look at the anchor before locking.  (A
         # path recreated since the read has a new id: validation, below and
         # under the locks, then aborts the attempt.)
-        targets = {path: FileMetadata(path=path, file_type=FileType.FILE, owner="",
-                                      file_id=record.file_id)
-                   for path, record in txn._reads.items()}
-        write_only = [p for p in paths if p not in targets]
+        seen = {path: (record.file_id, record.version) for path, record in txn._reads.items()}
+        write_only = [p for p in paths if p not in seen]
         unread = self._checked(txn, write_only,
                                agent.metadata.lookup_many_versioned(write_only))
-        targets.update((path, meta) for path, (meta, _version) in unread.items())
+        seen.update((path, (meta.file_id, meta.data_version))
+                    for path, (meta, _version) in unread.items())
         # Strict two-phase locking over the read∪write union, taken as one
         # all-or-nothing set in global lock-name order (the names are stable
         # across renames, so every committer sorts identically).
-        locked = sorted(targets.values(), key=agent.locks.lock_name)
-        # The validation snapshot rides with the lock set: it is taken by the
-        # command that grants the locks, so competing writers are excluded
-        # and what it read is what the CAS will see.
-        found: dict[str, tuple[FileMetadata, int] | None] = {}
+        locked = sorted((FileMetadata(path=path, file_type=FileType.FILE, owner="",
+                                      file_id=file_id)
+                         for path, (file_id, _version) in seen.items()),
+                        key=agent.locks.lock_name)
+        # What is known before the locks is all the intent record says, so it
+        # rides with them, behind the validation snapshot: the snapshot is
+        # taken by the command that grants the locks — competing writers are
+        # excluded and what it read is what the CAS will see — and a refused
+        # lock leaves no intent.  A read-only transaction writes none.
+        files: IntentFiles = [
+            [path, file_id, version, version + 1, content_digest(txn._writes[path])]
+            for path, (file_id, version) in sorted(seen.items()) if path in txn._writes]
+        key = TXN_PREFIX + txn.txn_id
+        intent = [Put(key, self._intent(txn, "pending", files),
+                      expected_version=0)] if files else []
+        found: Snapshot = {}
         agent.locks.acquire_set(locked, lambda also: found.update(
-            agent.metadata.lookup_many_versioned(paths, also=also)))
+            agent.metadata.lookup_many_versioned(paths, also=also, then=intent)))
         try:
-            current = self._checked(txn, paths, found)
-            self._validate(txn, current)
-            for meta in locked:
-                if not agent.locks.still_held(meta):
-                    raise TransactionConflictError(
-                        f"lock lease on {meta.path} expired during commit")
-            readable_at = self._anchor_writes(txn, current) if txn._writes else 0.0
+            try:
+                current = self._checked(txn, paths, found)
+                self._validate(txn, current, files)
+                for meta in locked:
+                    if not agent.locks.still_held(meta):
+                        raise TransactionConflictError(
+                            f"lock lease on {meta.path} expired during commit")
+                readable_at = self._anchor_writes(txn, current, files) if files else 0.0
+            except ReproError:
+                # Whatever ended the attempt, the intent is still the pending
+                # one (the commit point applies its flip last, or nothing).
+                if files:
+                    agent.coordination.put(key, self._intent(txn, ABORTED, files),
+                                           agent.session, expected_version=1)
+                raise
             txn.status = COMMITTED
             self._emit_commit(txn)
         finally:
             agent.locks.release_set(locked)
+        # The committer keeps what it wrote (always write / avoid reading):
+        # its next read of these versions is served locally, as after a close.
+        for path, file_id, _version, digest in txn._committed_writes:
+            agent.storage.flush_to_disk(file_id, digest, txn._writes[path])
+            agent.storage.store_in_memory(file_id, digest, txn._writes[path])
         # Commit returns once the new versions are expected to be readable,
         # not merely acknowledged: the clouds are eventually consistent, and a
         # reader the caller notifies inside the propagation window would sit
@@ -296,8 +363,7 @@ class TransactionManager:
         if wait > 0:
             agent.sim.advance(wait)
 
-    def _checked(self, txn: Transaction, paths: list[str],
-                 found: dict[str, tuple[FileMetadata, int] | None],
+    def _checked(self, txn: Transaction, paths: list[str], found: Snapshot,
                  ) -> dict[str, tuple[FileMetadata, int]]:
         """``found`` (one authoritative read of ``paths``) as the lock/CAS set.
 
@@ -315,8 +381,9 @@ class TransactionManager:
             current[path] = pair
         return current
 
-    def _validate(self, txn: Transaction,
-                  current: dict[str, tuple[FileMetadata, int]]) -> None:
+    def _validate(self, txn: Transaction, current: dict[str, tuple[FileMetadata, int]],
+                  files: IntentFiles) -> None:
+        """Every read, and every line of the intent, against the snapshot under the locks."""
         for path, record in txn._reads.items():
             meta = current[path][0]
             if (meta.file_id != record.file_id
@@ -325,25 +392,35 @@ class TransactionManager:
                 raise TransactionConflictError(
                     f"stale read of {path}: saw version {record.version}, "
                     f"anchor has {meta.data_version}")
+        # A write-only path was looked up before the locks: the intent must
+        # not name a version that was replaced in between.
+        for path, file_id, version, _new_version, _digest in files:
+            meta = current[path][0]
+            if (meta.file_id, meta.data_version) != (file_id, version):
+                raise TransactionConflictError(
+                    f"{path} changed before its lock was granted: the intent says "
+                    f"version {version}, anchor has {meta.data_version}")
 
-    def _anchor_writes(self, txn: Transaction,
-                       current: dict[str, tuple[FileMetadata, int]]) -> float:
+    def _anchor_writes(self, txn: Transaction, current: dict[str, tuple[FileMetadata, int]],
+                       files: IntentFiles) -> float:
         """Upload and anchor the write set; returns when all of it is expected readable."""
         agent = self.agent
         now = agent.sim.now()
         plan: WritePlan = []
-        for path in sorted(txn._writes):
+        uploads: list[tuple[str, bytes, int]] = []
+        for path, _file_id, _version, new_version, digest in files:
             meta, entry_version = current[path]
             data = txn._writes[path]
             new_meta = meta.copy()
-            new_meta.point_at(content_digest(data), len(data))
+            new_meta.point_at(digest, len(data))
             new_meta.modified_at = now
-            new_meta.data_version = meta.data_version + 1
+            new_meta.data_version = new_version
             plan.append((path, entry_version, new_meta, data))
-        self._put_intent(txn, "pending", plan)
-        refs = agent.storage.push_many_to_cloud(
-            [(new_meta.file_id, data, new_meta.data_version)
-             for _path, _entry_version, new_meta, data in plan])
+            # Numbered by the anchor: the validated entry is, under the
+            # locks, the latest version there is.
+            uploads.append((meta.file_id, data,
+                            agent.backend.version_after(meta.locator, meta.data_version)))
+        refs = agent.storage.push_many_to_cloud(uploads)
         for (path, _entry_version, new_meta, _data), ref in zip(plan, refs, strict=True):
             new_meta.point_at(ref.digest, ref.size, ref.locator)
             agent._emit("upload", path=path, file_id=new_meta.file_id,
@@ -358,15 +435,12 @@ class TransactionManager:
         try:
             agent.metadata.update_cas_many(
                 [(new_meta, entry_version) for _path, entry_version, new_meta, _data in plan],
-                also=[Put(TXN_PREFIX + txn.txn_id, self._intent(txn, COMMITTED, plan),
+                also=[Put(TXN_PREFIX + txn.txn_id, self._intent(txn, COMMITTED, files),
                           expected_version=1)])
         except ConflictError as exc:
             # Unreachable while the locks hold (validated entry versions
             # cannot move), so reaching it means the lease protection
-            # failed — record the abort loudly.  The intent is still the
-            # pending one: its flip is the command's last step, which a
-            # partitioned service applies after every CAS was accepted.
-            self._put_intent(txn, ABORTED, plan, expected_version=1)
+            # failed — the caller records the abort loudly.
             raise TransactionConflictError(f"version CAS failed: {exc}") from exc
         for path, _entry_version, new_meta, _data in plan:
             agent._emit("commit", path=path, file_id=new_meta.file_id,
@@ -377,22 +451,14 @@ class TransactionManager:
         agent.gc.maybe_schedule()
         return max(agent.backend.estimate_readable_at(ref.locator) for ref in refs)
 
-    def _intent(self, txn: Transaction, status: str, plan: WritePlan) -> bytes:
+    def _intent(self, txn: Transaction, status: str, files: IntentFiles) -> bytes:
         """The intent record of ``txn`` in state ``status``, serialized."""
         return json.dumps({
             "txn": txn.txn_id,
             "writer": self.agent.principal.name,
             "status": status,
-            "files": [[path, meta.file_id, meta.data_version - 1,
-                       meta.data_version, meta.digest]
-                      for path, _v, meta, _d in plan],
+            "files": files,
         }, sort_keys=True).encode()
-
-    def _put_intent(self, txn: Transaction, status: str, plan: WritePlan,
-                    expected_version: int | None = None) -> None:
-        """Write the intent record ``txn:<id>`` through the coordination service."""
-        self.agent.coordination.put(TXN_PREFIX + txn.txn_id, self._intent(txn, status, plan),
-                                    self.agent.session, expected_version=expected_version)
 
     def intent_record(self, txn_id: str) -> dict[str, Any] | None:
         """Decode the intent record of ``txn_id`` (None when absent)."""

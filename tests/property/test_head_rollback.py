@@ -18,12 +18,20 @@ changes of what the faulty cloud lies about, collector passes (the real
   others;
 * ``read_latest`` never returns a version older than one that ``f + 1``
   correct clouds serve, and never fails once the correct clouds agree.
+
+A second property covers the writers that ask no cloud for a head at all — the
+transaction commit's ``write_numbered``, numbered by the anchor validated
+under the file's lock — alternating with orphaned uploads (an attempt that
+aborted before its commit point) at the very number the next write takes.
 """
 
 from __future__ import annotations
 
 from types import SimpleNamespace
 
+import hashlib
+
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.clouds.object_store import ObjectListing, ObjectVersion
@@ -156,3 +164,113 @@ def test_history_survives_one_cloud_lying_about_heads_and_listings(faulty, lie, 
         assert writers[0].read_version(UNIT, ref.digest, ref.locator) == data
     versions = [version for version, _data, _ref in anchored]
     assert versions == list(range(1, len(anchored) + 1))
+
+
+# ------------------------------------------------------- numbered by the anchor
+
+_numbered_step = st.one_of(
+    # (writer, content): few contents, so that one comes back — also twice in a row.
+    st.tuples(st.just("write"), st.integers(0, 1), st.integers(0, 2)),
+    st.tuples(st.just("orphan"), st.integers(0, 1), st.just(0)),
+    st.tuples(st.just("advance"), st.sampled_from((0.05, 0.4, 1.0, 5.0)), st.just(0)),
+    st.tuples(st.just("lie"), st.sampled_from(LIES), st.just(0)),
+    st.tuples(st.just("collect"), st.integers(0, 1), st.just(0)),
+)
+
+
+def _numbered_history(faulty: int, lie: str, steps) -> None:
+    """Run ``steps`` with two lock-holding ``write_numbered`` writers; assert the properties."""
+    sim = Simulation(seed=11)
+    clouds = make_cloud_of_clouds(sim)
+    alice = Principal("alice", tuple((cloud.name, f"alice@{cloud.name}") for cloud in clouds))
+    liar = Liar(clouds[faulty], lie)
+    put_blobs: dict[tuple[str, str], set[str]] = {}
+    for cloud in clouds:
+        def recording_put(key, data, principal, put=cloud.put, name=cloud.name):
+            if key != HEAD_KEY:  # the head is the one object a write replaces
+                put_blobs.setdefault((name, key), set()).add(hashlib.sha256(data).hexdigest())
+            return put(key, data, principal)
+        cloud.put = recording_put
+    writers = [CloudOfCloudsBackend(sim, clouds, alice, f=1) for _ in range(2)]
+
+    def collector(backend, keep: int) -> GarbageCollector:
+        return GarbageCollector(sim, GarbageCollectionPolicy(versions_to_keep=keep), None,
+                                SimpleNamespace(forget=lambda *_args: None), backend)
+
+    def head_gets() -> int:
+        return sum(1 for cloud in clouds for kind, key, _size in cloud.request_log
+                   if kind == "get" and key == HEAD_KEY)
+
+    def meta():
+        return SimpleNamespace(file_id=UNIT, digest=anchor[1], deleted=False, path="/f")
+
+    # The anchor: ``(version of the anchored locator, digest, locator, data)``;
+    # and what each writer's own floor must be, kept without asking anything.
+    anchor: tuple[int, str, str, bytes] = (0, "", "", b"")
+    data_version = 0
+    floors = [0, 0]
+    orphans = 0
+    for kind, argument, content in steps:
+        if kind in ("write", "orphan"):
+            if kind == "orphan":
+                orphans += 1
+                data = b"orphan %d: an attempt that never reached its commit point" % orphans
+            else:
+                data = b"content %d of the file" % content
+            asked = head_gets()
+            version = writers[argument].version_after(anchor[2], data_version)
+            [ref] = writers[argument].write_versions([(UNIT, data, version)])
+            record = VersionRecord.from_locator(ref.locator, ref.digest)
+            assert head_gets() == asked, "a numbered write read a head"
+            assert all(len(blobs) == 1 for blobs in put_blobs.values()), (
+                "a block key was put twice with different bytes")
+            # One past the anchored version, or past what this writer itself
+            # already spent: whatever the heads, rolled back or inflated, say.
+            assert record.version == max(anchor[0], floors[argument]) + 1
+            floors[argument] = record.version
+            if kind == "write":
+                anchor = (record.version, ref.digest, ref.locator, data)
+                data_version += 1
+        elif kind == "advance":
+            sim.advance(argument)
+        elif kind == "lie":
+            liar.lie = argument
+        elif kind == "collect" and anchor[0]:
+            collector(writers[argument], KEEP)._collect_file(meta(), GCReport())
+            assert (anchor[0], anchor[1]) in _stored(clouds, faulty)
+
+    if not anchor[0]:
+        return
+    sim.advance(10.0)
+    assert writers[1].read_version(UNIT, anchor[1], anchor[2]) == anchor[3]
+    # The collector protects the anchored digest, not a number: with V = 1 it
+    # keeps the anchored version (and older ones of the same bytes) and
+    # reclaims every orphan, also one that shares its number.
+    collector(writers[0], 1)._collect_file(meta(), GCReport())
+    sim.advance(10.0)
+    left = _stored(clouds, faulty)
+    assert (anchor[0], anchor[1]) in left and {digest for _version, digest in left} == {anchor[1]}
+    assert writers[0].read_version(UNIT, anchor[1], anchor[2]) == anchor[3]
+
+
+@settings(max_examples=250, deadline=None)
+@given(faulty=st.integers(0, 3), lie=st.sampled_from(LIES),
+       steps=st.lists(_numbered_step, min_size=3, max_size=25))
+def test_numbering_by_the_anchor_needs_no_head_and_survives_orphans(faulty, lie, steps):
+    _numbered_history(faulty, lie, steps)
+
+
+def test_the_property_kills_a_mutant_that_reuses_the_anchored_number(monkeypatch):
+    """``version = anchored`` instead of ``anchored + 1``: rewriting the anchored
+    bytes would then put new ciphertext under the anchored version's own keys."""
+    rewrite = [("write", 0, 0), ("write", 1, 0)]
+    _numbered_history(0, "honest", rewrite)
+    correct = CloudOfCloudsBackend.version_after
+    monkeypatch.setattr(CloudOfCloudsBackend, "version_after",
+                        lambda self, locator, data_version:
+                        correct(self, locator, data_version) - bool(locator))
+    with pytest.raises(AssertionError, match="put twice with different bytes"):
+        _numbered_history(0, "honest", rewrite)
+    # Different bytes escape the key check (the digest is in the key), not the numbering one.
+    with pytest.raises(AssertionError, match="assert 1 == "):
+        _numbered_history(0, "honest", [("write", 0, 0), ("write", 1, 1)])

@@ -29,16 +29,20 @@ from repro.scenarios.runner import ScenarioRunner
 #: epoch 3 (PR 13, constant-round commit) covered the three transactional
 #: mixes only, epoch 4 from PR 14 (one-round cold reads), epoch 5 from PR 16
 #: (the lock rides in the command it guards), epoch 6 from PR 17 (a refused
-#: insert says what is there).  See docs/determinism-contract.md.
+#: insert says what is there).  Epoch 8 (PR 23) covers the three
+#: transactional mixes only: one coordination command stands in front of a
+#: commit's upload (the pending intent rides with the lock set, the write set
+#: is numbered by the anchor — no head-read round); the five others run no
+#: transaction and keep their epoch 7 values.  See docs/determinism-contract.md.
 GOLDEN_LOCKSTEP = {
     "fault-free": "48699c450b5d682fcb9fdee114f0c3297162a55dc498460c87ecb952788371b6",
     "crash-hang": "fbd3ed5ff0cb69db9f496afb43f4dc2d2bf42a73c0bd7bb65388629a7febbe09",
     "corrupt-byzantine": "204b7eb841a93420ad642bbe758d1a0d900f394c3b4f2f18ad5bd65d30a1ca0a",
     "degraded-outage": "b1b7f570bb880b5bb109841b68b33dac235722fd6f53b929b72462c68e36144e",
     "weighted-byzantine": "0b09469c9a853620da66b44c59981d96bfa43fbf581e4676a15669a5055a123a",
-    "txn": "f7e9d3b62a873a019689463be975782dee43baaa4371096e991e4d4ece54f799",
-    "txn-crash-restart": "df790c5021d399a2c9785372fe8293d68c3cb2e952849cdad155f145c0ed5a9e",
-    "txn-partition": "29797a0ea7b35305b2b6ac1f52cdaea11dd853a7393610c2588bdaa56852f54d",
+    "txn": "f1462be4f620e61f9875517786e7db3c9d200df5b029ec10df1fa517ca4a246e",
+    "txn-crash-restart": "b6e9a8e93adc16df51f8995832122e93ea25f4d9cd3804e65c143a417140dbed",
+    "txn-partition": "0bd40054f3f3900b982601e92f31009baa991a36dedac676e223ee8d51b06b69",
 }
 
 

@@ -13,7 +13,9 @@ A prefix listing fans out to every partition, so a call that lists costs
 
 A lock rides in the metadata command it guards where that is before the
 upload (PR 16): the insert of a create-open, the validation snapshot of a
-transaction commit.  On one service that is one command where there were two.
+transaction commit — which also carries the commit's ``pending`` intent, so
+one command stands in front of a transaction's upload.  On one service that
+is one command where there were two (three, for the commit).
 A partitioned deployment still pays one command per partition, so there the
 saving shows only for a file whose lock name and entry key hash to the same
 partition — and the count never exceeds the one before the fold.  The lock of
@@ -32,6 +34,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro.common.errors import TransactionConflictError
+from repro.common.types import Permission
 from repro.core.deployment import SCFSDeployment
 from repro.core.lock_service import LockService
 from repro.core.metadata_service import MetadataService
@@ -249,43 +253,116 @@ def test_conditional_puts_cost_one_command_each(mount):
     assert mount.spent(agent.metadata.update_cas, meta, version) == (1, 1)
 
 
+def _read_and_rewrite(paths):
+    def body(txn) -> None:
+        for path in paths:
+            txn.write(path, txn.read(path) + b"+")
+    return body
+
+
 def _commit_commands(mount, directory: str, count: int) -> tuple[int, int]:
-    """Commands of one commit that reads and rewrites ``count`` files, and its pre-PR 16 count."""
+    """Commands of one commit that reads and rewrites ``count`` files, and its count before the intent rode."""
     mount.make_files(directory, count)
     paths = [f"{directory}/f{index:03d}" for index in range(count)]
     txn = mount.fs.begin_transaction()
-    for path in paths:
-        txn.write(path, txn.read(path) + b"+")
+    _read_and_rewrite(paths)(txn)
     commands = mount.spent(txn.commit)[0]
     assert [mount.fs.read_file(path) for path in paths] == [b"x+"] * count
+    assert mount.fs.agent.transactions.intent_record(txn.txn_id)["status"] == "committed"
     # Lock set and its release: one command per partition the lock names fall
-    # on; the validating reads: one (every entry lives under /top); the intent;
-    # the commit point: the entries' partition and the intent's.
+    # on; the validating reads: one (every entry lives under /top); the
+    # pending intent; the commit point: the entries' partition and the intent's.
     locks = {mount.partition(LockService.lock_name(mount.fs.agent.metadata.get(path)))
              for path in paths}
     entries = mount.partition(MetadataService.entry_key(directory))
     intent = mount.partition("txn:" + txn.txn_id)
-    before = len(locks) + 1 + 1 + len({entries, intent}) + len(locks)
-    # The snapshot rides with the lock set where a lock shares its partition.
-    assert commands == before - (entries in locks)
+    before = len(locks) + 1 - (entries in locks) + 1 + len({entries, intent}) + len(locks)
+    # The intent rides behind the reads: no command of its own where it shares
+    # their partition; on another one it is that partition's command, as before.
+    assert commands == before - (entries == intent)
     return commands, before
 
 
 def test_transaction_commit_is_constant_in_the_size_of_its_sets(mount):
-    """{Lock set + validating reads}, intent, {every version CAS + intent flip}, release.
+    """{Lock set + validating reads + pending intent}, {every version CAS + intent flip}, release.
 
-    The read set already names the lock of every file, so nothing is read
-    before the locks are taken, and the snapshot the reads are validated
-    against is taken by the command that grants them.  On one service that is
-    four commands for any number of files (five before the fold); a
-    partitioned deployment pays each of them once per partition its keys and
-    lock names fall on — never more than before.
+    The read set already names the lock of every file and says everything the
+    intent record does, so nothing is read before the locks are taken, the
+    snapshot the reads are validated against is taken by the command that
+    grants them, and the intent is written by it too.  On one service that is
+    three commands for any number of files — one before the upload — where
+    there were four; a partitioned deployment pays each of them once per
+    partition its keys and lock names fall on — never more than before.
     """
     spent = [_commit_commands(mount, f"/top/t{count}", count) for count in (1, 3, 8)]
     if mount.listing == 1:
-        assert spent == [(4, 5)] * 3
+        assert spent == [(3, 4)] * 3
     else:
-        assert all(commands <= before <= 5 * mount.listing for commands, before in spent)
+        assert all(commands <= before <= 4 * mount.listing for commands, before in spent)
+
+
+def test_a_lock_refused_commit_attempt_writes_no_intent(mount):
+    mount.make_files("/top/held", 3)
+    paths = [f"/top/held/f{index:03d}" for index in range(3)]
+    other = mount.deployment.create_agent("bob")
+    for path in paths:
+        mount.fs.setfacl(path, "bob", Permission.READ_WRITE)
+    handle = other.open(paths[1], "r+")
+    txn = mount.fs.begin_transaction()
+    _read_and_rewrite(paths)(txn)
+    entries = mount.fs.agent.coordination.entry_count()
+    with pytest.raises(TransactionConflictError):
+        txn.commit()
+    other.close(handle)
+    # The refused command was the attempt's only one per partition asked, and
+    # it left nothing: no intent, no lock (the next commit takes them all).
+    assert mount.fs.agent.transactions.intent_record(txn.txn_id) is None
+    assert mount.fs.agent.coordination.entry_count() == entries
+    mount.fs.run_transaction(_read_and_rewrite(paths))
+    assert [mount.fs.read_file(path) for path in paths] == [b"x+"] * 3
+
+
+def test_a_failed_validation_flips_the_riding_intent_to_aborted(mount):
+    mount.make_files("/top/stale", 2)
+    paths = [f"/top/stale/f{index:03d}" for index in range(2)]
+    txn = mount.fs.begin_transaction()
+    _read_and_rewrite(paths)(txn)
+    mount.fs.write_file(paths[0], b"newer", shared=True)
+    with pytest.raises(TransactionConflictError, match="stale read"):
+        txn.commit()
+    record = mount.fs.agent.transactions.intent_record(txn.txn_id)
+    assert record["status"] == "aborted" and [f[0] for f in record["files"]] == paths
+    assert mount.fs.read_file(paths[1]) == b"x"
+
+
+@pytest.mark.parametrize("count", [1, 3, 8])
+def test_a_retry_attempt_reads_its_files_with_one_command(mount, count):
+    """Attempt 2 knows the paths attempt 1 touched: one snapshot, not one read per file."""
+    mount.make_files("/top/retry", count)
+    paths = [f"/top/retry/f{index:03d}" for index in range(count)]
+    reads: list[int] = []
+    marks: list[int] = []
+
+    def body(txn) -> None:
+        before = mount.commands()
+        for path in paths:
+            txn.write(path, txn.read(path) + b"+")
+        reads.append(mount.commands() - before)
+        if len(reads) == 1:  # lose the first attempt: a newer version lands
+            mount.fs.write_file(paths[0], b"y", shared=True)
+            marks.append(mount.commands())
+
+    mount.fs.run_transaction(body)
+    since_interference = mount.commands() - marks[0]
+    # Attempt 1 reads file by file; attempt 2's reads were all served by the
+    # one command sent before its body ran.
+    assert reads == [count, 0]
+    assert mount.fs.read_file(paths[0]) == b"y+"
+    assert all(mount.fs.read_file(path) == b"x+" for path in paths[1:])
+    if mount.listing == 1:
+        # The failed commit ({locks, snapshot, intent}, the intent's flip to
+        # aborted, the release), the retry's snapshot, its 3-command commit.
+        assert since_interference == 3 + 1 + 3
 
 
 def test_rename_tree_locks_its_files_in_two_commands_whatever_their_number(mount):

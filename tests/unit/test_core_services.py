@@ -364,7 +364,7 @@ class TestStorageService:
 
     def test_push_many_counts_like_single_pushes(self, sim, single_backend):
         service = self._service(sim, single_backend)
-        refs = service.push_many_to_cloud([("f", b"12345", None), ("g", b"123", 4)])
+        refs = service.push_many_to_cloud([("f", b"12345", 1), ("g", b"123", 4)])
         assert [ref.digest for ref in refs] == [content_digest(b"12345"), content_digest(b"123")]
         assert service.bytes_pushed == 8 and service.cloud_writes == 2
         sim.advance(3.0)

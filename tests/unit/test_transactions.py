@@ -9,12 +9,14 @@ from repro.common.errors import (
     FileSystemError,
     IsADirectoryErrorFS,
     LockHeldError,
+    QuorumNotReachedError,
     TransactionAbortedError,
     TransactionConflictError,
     TransactionError,
 )
 from repro.common.types import Permission
 from repro.core.deployment import SCFSDeployment
+from repro.simenv.failures import FaultKind
 from repro.transactions import ABORTED, COMMITTED
 
 
@@ -232,11 +234,105 @@ class TestCommitPoint:
         _, alice, bob = shared
         client = alice.agent.backend.client
         batches = []
-        write_many = client.write_many
-        client.write_many = lambda items: batches.append(len(items)) or write_many(items)
+        write_numbered = client.write_numbered
+        client.write_numbered = lambda items: batches.append(len(items)) or write_numbered(items)
         alice.write_files({"/shared/a": b"A3", "/shared/b": b"B3"})
         assert batches == [2]
         assert bob.read_file("/shared/a") == b"A3" and bob.read_file("/shared/b") == b"B3"
+
+
+class TestFailedUpload:
+    """An upload that misses its quorum ends the transaction like any failed commit."""
+
+    @pytest.mark.parametrize("how", ["commit", "context", "run"])
+    def test_the_intent_is_aborted_and_the_typed_error_raised(self, shared, how):
+        deployment, alice, bob = shared
+        events = []
+        alice.agent.events = lambda kind, **fields: events.append((kind, fields))
+        before = {path: alice.read_file(path) for path in ("/shared/a", "/shared/b")}
+        for cloud in deployment.clouds[:2]:
+            cloud.failures.add(FaultKind.UNAVAILABLE, start=deployment.sim.now())
+        transactions = []
+
+        def body(txn) -> None:
+            transactions.append(txn)
+            for path in before:
+                txn.write(path, txn.read(path) + b"+txn")
+
+        with pytest.raises(QuorumNotReachedError):
+            if how == "run":
+                alice.run_transaction(body)
+            elif how == "context":
+                with alice.transaction() as txn:
+                    body(txn)
+            else:
+                body(alice.begin_transaction())
+                transactions[0].commit()
+        [txn] = transactions  # not a conflict: ``run`` does not retry it
+        assert txn.status == ABORTED
+        assert alice.agent.transactions.intent_record(txn.txn_id)["status"] == "aborted"
+        [abort] = [fields for kind, fields in events if kind == "txn_abort"]
+        assert abort["txn"] == txn.txn_id and "clouds acknowledged" in abort["reason"]
+        assert alice.agent.locks._manager.held == {}
+        for cloud in deployment.clouds[:2]:
+            cloud.failures.clear()
+        alice.agent.metadata_cache.clear()
+        assert {path: bob.read_file(path) for path in before} == before
+        alice.write_files({"/shared/a": b"after the outage"})
+        assert bob.read_file("/shared/a") == b"after the outage"
+
+
+class TestCommitterCache:
+    def test_the_committer_rereads_what_it_wrote_without_a_cloud_get(self, shared, cloud_meter):
+        deployment, alice, bob = shared
+        alice.write_files({"/shared/a": b"A4" * 2000, "/shared/b": b"B4" * 2000})
+        meter = cloud_meter(deployment.clouds)
+        txn = alice.begin_transaction()
+        assert txn.read("/shared/a") == b"A4" * 2000
+        assert txn.read("/shared/b") == b"B4" * 2000
+        txn.commit()
+        assert alice.read_file("/shared/b") == b"B4" * 2000
+        assert meter.requests("get") == [] and meter.quorum_calls() == 0
+        # Another agent holds nothing of them: its read is the one block fetch.
+        assert bob.read_file("/shared/a") == b"A4" * 2000
+        assert len(meter.requests("get")) == 2 and meter.quorum_calls() == 1
+
+
+class TestRetrySnapshot:
+    def test_a_retry_serves_its_reads_from_one_snapshot_and_still_validates(self, shared):
+        """The snapshot may be stale by the time the body reads it: validation
+        under the locks catches that, and the third attempt sees the newest."""
+        _, alice, bob = shared
+        seen = []
+
+        def body(txn):
+            data = txn.read("/shared/a")
+            seen.append(data)
+            if len(seen) <= 2:  # interfere after the read of attempts 1 and 2
+                bob.write_file("/shared/a", b"bob %d" % len(seen), shared=True)
+                bob.agent.sim.drain(1.0)
+            txn.write("/shared/b", data + b"!")
+
+        alice.run_transaction(body)
+        assert seen == [b"v1:/shared/a", b"bob 1", b"bob 2"]
+        assert alice.read_file("/shared/b") == b"bob 2!"
+
+    def test_a_file_that_vanished_between_attempts_is_not_served_from_the_snapshot(self, shared):
+        _, alice, bob = shared
+        attempts = []
+
+        def body(txn):
+            attempts.append(txn.txn_id)
+            if len(attempts) == 2:
+                with pytest.raises(FileNotFoundErrorFS):
+                    txn.read("/shared/a")
+                return
+            txn.read("/shared/a")
+            alice.unlink("/shared/a")
+            txn.write("/shared/b", b"never")
+
+        alice.run_transaction(body)
+        assert len(attempts) == 2 and alice.read_file("/shared/b").startswith(b"v1:")
 
 
 class TestIntentRecords:
