@@ -70,7 +70,8 @@ DEGRADED_FACTOR = 8.0
 SCHEDULES = ("fault-free", "one-down", "degraded")
 POLICIES: dict[str, DispatchPolicy | None] = {
     "plain": None,
-    "timeout": DispatchPolicy(timeout=0.6, retries=1),
+    # ~3x a healthy block GET from the preferred (UK) clouds.
+    "timeout": DispatchPolicy(timeout=0.35, retries=1),
     "hedged": DispatchPolicy(hedge_delay=0.25),
 }
 
@@ -95,7 +96,8 @@ def _run_scenario(schedule: str, policy: DispatchPolicy | None, seed: int = 11) 
     payload = bytes((i * 73) % 256 for i in range(PAYLOAD))
     client.write("unit-read", payload)
     sim.advance(3.0)
-    _apply_schedule(clouds, schedule, start=sim.now())
+    # The client's first preferred cloud holds systematic block 0.
+    _apply_schedule(client.clouds, schedule, start=sim.now())
 
     read_latencies = []
     paths = {"systematic": 0, "coded": 0}
@@ -228,14 +230,15 @@ def _run_outage_scenario(kind: str, suspicion: bool, seed: int = 13) -> dict:
     client.write("unit-outage", payload)
     sim.advance(3.0)
     outage_start = sim.now()
+    down = client.clouds[0]  # the first preferred cloud: systematic block 0
     if kind == "crash":
-        clouds[0].failures.add_outage(outage_start, OUTAGE_SECONDS)
+        down.failures.add_outage(outage_start, OUTAGE_SECONDS)
     elif kind == "hang":
-        clouds[0].failures.add_outage(outage_start, OUTAGE_SECONDS,
-                                      kind=FaultKind.DEGRADED, factor=HANG_FACTOR)
+        down.failures.add_outage(outage_start, OUTAGE_SECONDS,
+                                 kind=FaultKind.DEGRADED, factor=HANG_FACTOR)
     else:
         raise ValueError(f"unknown outage kind {kind!r}")
-    outage_end = clouds[0].failures.next_transition(outage_start)
+    outage_end = down.failures.next_transition(outage_start)
 
     outage_reads: list[float] = []
     recovery_reads: list[float] = []
@@ -343,13 +346,15 @@ def test_outage_recovery_sweep(run_once, benchmark, capsys):
 FRONTIER_READS = 16 if FAST else 48
 FRONTIER_WARMUP = 5
 FRONTIER_SCHEDULES = ("healthy", "degraded")
-#: The gray-failed provider of the degraded schedule: a *systematic* cloud,
-#: so the classic threshold read pays its straggler latency on every call.
-FRONTIER_STRAGGLER = 1
+#: The gray-failed provider of the degraded schedule, as an index into the
+#: client's preferred order: a *systematic* cloud, so the classic threshold
+#: read pays its straggler latency on every call.
+FRONTIER_STRAGGLER = 0
 
-#: Heterogeneous per-provider pricing: in the classic threshold layout the
-#: *systematic* clouds (the first two) are the expensive ones, so preferring
-#: them is exactly the wrong call economically — the planner's opportunity.
+#: Heterogeneous per-provider pricing: the US pair charges the most per
+#: request and per GB.  The systematic blocks sit on the fast, cheap UK pair,
+#: but a threshold read still asks every cloud for the head while the planner
+#: asks the cheapest certificate — the planner's opportunity.
 FRONTIER_PRICING: dict[str, StoragePricing] = {
     "amazon-s3": StoragePricing(outbound_gb=0.19, get_request=0.00001),
     "google-storage": StoragePricing(outbound_gb=0.13, get_request=0.000005),
@@ -410,7 +415,7 @@ def _run_frontier_arm(arm: str, schedule: str, seed: int = 17) -> dict:
     # Warm the latency EWMAs (and, under the degraded schedule, let them see
     # the straggler) before the measured window.
     if schedule == "degraded":
-        clouds[FRONTIER_STRAGGLER].failures.add(
+        client.clouds[FRONTIER_STRAGGLER].failures.add(
             FaultKind.DEGRADED, start=sim.now(), factor=DEGRADED_FACTOR)
     elif schedule != "healthy":
         raise ValueError(f"unknown frontier schedule {schedule!r}")
@@ -475,8 +480,8 @@ def test_weighted_quorum_frontier(run_once, benchmark, capsys):
 
     # Weighted quorums strictly dominate the threshold layout on the cost x
     # latency frontier: cheaper *and* no slower when healthy (the planner
-    # routes reads to the cheap, fast providers instead of the expensive
-    # systematic pair), and both cheaper and faster under the gray failure
+    # asks the cheap providers for the head instead of every cloud), and
+    # both cheaper and faster under the gray failure
     # (the straggler is planned around instead of waited out or hedged).
     for schedule in FRONTIER_SCHEDULES:
         threshold, weighted = results[(schedule, "threshold")], results[(schedule, "weighted")]

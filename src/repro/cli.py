@@ -53,6 +53,7 @@ def cmd_variants(_args) -> int:
 
 def cmd_demo(args) -> int:
     from repro import Permission, SCFSDeployment
+    from repro.depsky.protocol import preferred_order
     from repro.simenv.failures import FaultKind
 
     deployment = SCFSDeployment.for_variant("SCFS-CoC-NB", seed=args.seed)
@@ -63,11 +64,15 @@ def cmd_demo(args) -> int:
     alice.setfacl("/projects/design.md", "bob", Permission.READ)
     deployment.drain(2.0)
     print("bob reads the shared file:", bob.read_file("/projects/design.md").decode().strip())
-    deployment.clouds[0].failures.add(FaultKind.UNAVAILABLE)
+    # Down the first preferred cloud (a systematic block holder), so the read
+    # has to decode from a parity block.
+    down = preferred_order(deployment.clouds)[0]
+    down.failures.add(FaultKind.UNAVAILABLE)
     alice.agent.memory_cache.clear()
     alice.agent.disk_cache.clear()
-    print(f"{deployment.clouds[0].name} is down; alice still reads:",
-          alice.read_file("/projects/design.md").decode().strip())
+    print(f"{down.name} is down; alice still reads:",
+          alice.read_file("/projects/design.md").decode().strip(),
+          f"(coded reads: {alice.agent.backend.read_paths.coded})")
     costs = deployment.costs()
     print(f"bill so far: {costs.total * 1e6:.1f} micro-dollars, "
           f"simulated time {deployment.sim.now():.2f}s")

@@ -397,9 +397,6 @@ class CloudOfCloudsBackend(StorageBackend):
             quorum=system, planner=planner,
         )
         self.name = f"cloud-of-clouds(f={f}, n={self.client.n})"
-        # A reader needs k of the n - f block holders to have propagated.
-        lags = [cloud.profile.propagation_delay for cloud in clouds[:self.client.n - f]]
-        self._block_lag = sorted(lags)[self.client.k - 1]
         self.read_paths = ReadPathStats()
 
     # -- StorageBackend ----------------------------------------------------------
@@ -512,7 +509,8 @@ class CloudOfCloudsBackend(StorageBackend):
     def estimate_readable_at(self, locator: str) -> float:
         if not locator:
             return 0.0
-        return VersionRecord.from_locator(locator, "").created_at + self._block_lag
+        # The instant the client's block fetch stages its reads by, too.
+        return self.client.readable_at(VersionRecord.from_locator(locator, ""))
 
     def estimate_read_latency(self, num_bytes: int) -> float:
         """The block fetch alone: a locator read has no metadata-object round.

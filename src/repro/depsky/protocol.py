@@ -19,11 +19,16 @@ name, and a LIST of the unit's prefix enumerates the stored versions
 
 Reads gather the heads from a quorum, fetch blocks until ``k`` digests verify,
 decode, reconstruct the key from the shares and decrypt.  Block fetches use
-*preferred quorums*: the first ``k`` clouds hold the systematic blocks, whose
-decode is a pure concatenation, so the client asks them first and falls back
-to parity blocks (matrix decode via a cached inverse) only when a preferred
-cloud fails; :class:`DepSkyReadResult.path` records which path served the
-read.  The SCFS-specific
+*preferred quorums*: the client orders its clouds once by the GET latency their
+profiles promise (:func:`preferred_order`), so the ``k`` systematic blocks —
+whose decode is a pure concatenation — live on the clouds expected to answer
+first, the first ``n - f`` hold blocks and the rest take spill-over.  A read
+asks first the ``k`` block holders whose copy has already propagated, fastest
+first, and falls back to the others (parity blocks: matrix decode via a cached
+inverse) only when those fail; :class:`DepSkyReadResult.path` records which
+path served the read.  Which clouds serve a request is a latency choice only:
+safety rests on quorum intersection and the ``f + 1`` certificate, whichever
+clouds they are.  The SCFS-specific
 extension :meth:`DepSkyClient.read_matching` retrieves the version whose
 *plaintext digest* equals a hash obtained from the consistency anchor, instead
 of the latest version.
@@ -38,8 +43,8 @@ requests on a virtual timeline and resolves when the *m*-th **successful**
 response lands; the client then advances the simulated clock by exactly that
 wait.  The stage semantics are:
 
-* stage 0 dispatches at the call's start — the preferred/systematic clouds of
-  a read, the ``n - f`` preferred clouds of a write;
+* stage 0 dispatches at the call's start — the ``k`` visible block holders
+  expected first of a read, the ``n - f`` preferred clouds of a write;
 * a fallback stage (parity clouds of a read, spill-over clouds of a write)
   dispatches at the *end of the round that triggered it* — the instant the
   previous round's last request resolved without satisfying the quorum — so
@@ -132,6 +137,31 @@ def block_blob_digest(share: "SecretShare", payload: bytes) -> str:
     return digest.hexdigest()
 
 
+#: Payload the preferred order compares the clouds' GETs at: one mid-sized
+#: block.  The four §4.1 profiles rank identically at every size, GET and PUT.
+_RANKING_PAYLOAD = 1 << 20
+
+
+def _profile_get(cloud: ObjectStore, payload: int) -> float:
+    """Expected GET latency the cloud's profile promises: no RNG draw, no
+    degradation (the profile, not the cloud's current state)."""
+    profile = getattr(cloud, "profile", None)
+    return profile.object_get.expected(payload) if profile is not None else 0.0
+
+
+def preferred_order(clouds: Iterable[ObjectStore]) -> list[ObjectStore]:
+    """The clouds in DepSky's preferred order: block *i* lives on the *i*-th.
+
+    Ranked by the GET latency the providers' profiles promise, ties broken
+    by name, so the ``k`` systematic blocks sit on the clouds expected to
+    answer first, the first ``n - f`` hold blocks and the rest take
+    spill-over.  Writers and readers must agree on it, so it is a function of
+    public configuration only — never of health, EWMAs or current degradation
+    — and the order the clouds are handed in does not matter.
+    """
+    return sorted(clouds, key=lambda cloud: (_profile_get(cloud, _RANKING_PAYLOAD), cloud.name))
+
+
 @dataclass
 class DepSkyReadResult:
     """Result of a DepSky read: payload plus the version record it came from.
@@ -165,8 +195,9 @@ class DepSkyClient:
     sim:
         Shared simulation environment.
     clouds:
-        The ``n`` object stores (one per provider), ordered; with the default
-        ``f = 1`` there must be at least four.
+        The ``n`` object stores (one per provider); with the default ``f = 1``
+        there must be at least four.  The client keeps them in
+        :func:`preferred_order` (:attr:`clouds`), whatever order they come in.
     principal:
         The acting user (ACLs are enforced by each cloud individually).
     f:
@@ -175,10 +206,11 @@ class DepSkyClient:
         Encrypt payloads with a per-version random key (Figure 6).  Disabling
         encryption models DepSky-A (availability only).
     preferred_quorums:
-        Store data blocks only on the first ``n - f`` clouds (the head still
-        goes everywhere).  This is the cost optimisation the paper assumes in
-        Figure 11(c): for f=1 two clouds store half the file each and a third
-        stores one extra coded block, i.e. ~50 % storage overhead.
+        Store data blocks only on the first ``n - f`` clouds of the preferred
+        order (the head still goes everywhere).  This is the cost
+        optimisation the paper assumes in Figure 11(c): for f=1 two clouds
+        store half the file each and a third stores one extra coded block,
+        i.e. ~50 % storage overhead.
     charge_latency:
         Charge quorum latencies to the simulated clock (``False`` for clients
         that are not the system under test: the scenario checkers' reads, unit
@@ -233,7 +265,8 @@ class DepSkyClient:
                 f"quorum system universe {sorted(quorum.universe)} does not "
                 f"match the deployed clouds {sorted(c.name for c in clouds)}")
         self.sim = sim
-        self.clouds = list(clouds)
+        #: The clouds in :func:`preferred_order`: ``clouds[i]`` holds block ``i``.
+        self.clouds = preferred_order(clouds)
         self.principal = principal
         self.f = f
         self.n = len(clouds)
@@ -658,7 +691,7 @@ class DepSkyClient:
         # which is where the ~1.5x storage factor of Figure 11(c) comes from.
         # The remaining clouds form a fallback stage, dispatched only when a
         # preferred cloud fails (or a hedge fires): the spill-over.
-        data_targets = self.n - self.f if self.preferred_quorums else self.n
+        data_targets = self._holders()
         call = self._call().stage([block_put(i) for i in range(data_targets)])
         if data_targets < self.n:
             call.stage([block_put(i) for i in range(data_targets, self.n)])
@@ -690,15 +723,39 @@ class DepSkyClient:
 
         return self._get_request(cloud, key, parse)
 
-    def _fetch_blocks(self, unit_id: str, record: VersionRecord) -> QuorumCallStats:
-        """Fetch ``k`` verified blocks, preferring the systematic clouds.
+    def _holders(self) -> int:
+        """How many clouds (the first of :attr:`clouds`) a write gives blocks to:
+        ``n - f`` with preferred quorums (spill-over aside), else all ``n``."""
+        return self.n - self.f if self.preferred_quorums else self.n
 
-        Stage 0 asks the first ``k`` clouds, which hold the *systematic*
-        blocks: if they all answer correctly the decode is a plain
-        concatenation (the preferred-quorum read of the DepSky paper).  The
-        clouds holding parity blocks form the fallback stage, dispatched when
-        the preferred round cannot deliver ``k`` verified blocks — or earlier,
-        as hedged backup requests, when the policy sets a ``hedge_delay``.
+    def _visible_at(self, index: int, record: VersionRecord) -> float:
+        """When block ``index`` of ``record`` is expected to be readable: the
+        dispatch instant plus the propagation delay of that cloud's profile."""
+        profile = getattr(self.clouds[index], "profile", None)
+        return record.created_at + (profile.propagation_delay if profile is not None else 0.0)
+
+    def readable_at(self, record: VersionRecord) -> float:
+        """Simulated instant from which ``k`` block holders serve ``record``:
+        the ``k``-th smallest of their visibility instants (from the providers'
+        profiles, not the stores' state)."""
+        return sorted(self._visible_at(i, record) for i in range(self._holders()))[self.k - 1]
+
+    def _fetch_blocks(self, unit_id: str, record: VersionRecord) -> QuorumCallStats:
+        """Fetch ``k`` verified blocks from the holders expected to deliver first.
+
+        Stage 0 asks ``k`` block holders: those whose copy has already
+        propagated (:meth:`_visible_at` at or before now) ahead of those whose
+        copy has not, and within each group the fastest expected GET of one
+        block first.  Past the propagation window that is the ``k`` fastest
+        clouds, which hold the *systematic* blocks: the decode is a plain
+        concatenation (the preferred-quorum read of the DepSky paper).  Inside
+        it a visible parity holder beats an invisible systematic one.  The
+        other holders, then the spill-over clouds, form the fallback stage,
+        dispatched when stage 0 cannot deliver ``k`` verified blocks — or
+        earlier, as hedged backup requests, when the policy sets a
+        ``hedge_delay``.  The order uses profile expectations only: it draws
+        nothing from the RNG (suspected clouds are demoted by the health
+        tracker's plan, as for every call).
 
         With a :attr:`planner` attached, the primary stage is instead the
         cheapest feasible ``k``-set by expected cost × latency among the
@@ -707,14 +764,18 @@ class DepSkyClient:
         any ``k`` rows, so planning only shifts *which* blocks are fetched.
         """
         # With preferred quorums only the first n - f clouds hold data blocks
-        # (spill-over aside), so the planner must not pick the block-less tail.
-        holders = self.n - self.f if self.preferred_quorums else self.n
-        primary = list(range(self.k))
-        fallback = list(range(self.k, self.n))
+        # (spill-over aside): neither the staging nor the planner may put the
+        # block-less tail in the primary stage.
+        holders = self._holders()
+        block = max(1, record.size // self.k)
+        now = self.sim.now()
+        ranked = sorted(range(holders), key=lambda i: (
+            self._visible_at(i, record) > now, _profile_get(self.clouds[i], block), i))
+        primary = ranked[:self.k]
+        fallback = ranked[self.k:] + list(range(holders, self.n))
         if self.planner is not None:
             plan = self.planner.plan(
-                [self.clouds[i].name for i in range(holders)], self.k,
-                "object_get", max(1, record.size // self.k))
+                [self.clouds[i].name for i in range(holders)], self.k, "object_get", block)
             index_of = {self.clouds[i].name: i for i in range(self.n)}
             primary = [index_of[name] for name in plan.primary]
             fallback = ([index_of[name] for name in plan.fallback]

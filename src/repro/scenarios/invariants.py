@@ -49,7 +49,7 @@ from repro.core.backend import SingleCloudBackend
 from repro.core.modes import BackendKind
 from repro.crypto.hashing import content_digest
 from repro.depsky.dataunit import VersionRecord
-from repro.depsky.protocol import _BLOCK_HEADER, DepSkyClient
+from repro.depsky.protocol import _BLOCK_HEADER, DepSkyClient, preferred_order
 from repro.scenarios.trace import TraceRecorder
 from repro.simenv.failures import FaultKind
 
@@ -273,10 +273,11 @@ def _verified_blocks(clouds, unit_id: str, record: VersionRecord) -> int:
     """How many providers hold a digest-verified block of one version.
 
     The digest covers the whole stored blob — header, key share and coded
-    payload — matching the read path's verification rule.
+    payload — matching the read path's verification rule; block ``i`` lives
+    on the ``i``-th cloud of the clients' :func:`preferred_order`.
     """
     verified = 0
-    for index, cloud in enumerate(clouds):
+    for index, cloud in enumerate(preferred_order(clouds)):
         blob = cloud.raw_object(
             DepSkyClient._block_key(unit_id, record.version, record.data_digest, index))
         if blob is None or len(blob) < _BLOCK_HEADER.size:

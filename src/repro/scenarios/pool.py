@@ -38,7 +38,7 @@ from repro.crypto.erasure import ErasureCoder
 from repro.crypto.hashing import content_digest
 from repro.crypto.secret_sharing import SecretShare
 from repro.depsky.dataunit import VersionRecord
-from repro.depsky.protocol import _BLOCK_HEADER, DepSkyClient, block_blob_digest
+from repro.depsky.protocol import _BLOCK_HEADER, DepSkyClient, block_blob_digest, preferred_order
 
 #: Pseudo-user owning every pool file.  It is never registered and never runs
 #: an agent, so ``unlink`` (owner-only in the workload) skips pool files and
@@ -140,7 +140,10 @@ def prime_pool(deployment, spec, recorder=None) -> dict[str, int]:
     )
     # One shared per-cloud object ACL: never mutated (``set_acl`` is
     # owner-only and the pool owner never acts), so sharing is safe.
-    cloud_acls = [ObjectACL(owner=f"{POOL_OWNER}@{cloud.name}") for cloud in clouds]
+    cloud_acls = {cloud.name: ObjectACL(owner=f"{POOL_OWNER}@{cloud.name}") for cloud in clouds}
+    # Preferred-quorum write layout: the i-th cloud of the clients' order
+    # stores block i, for the first n - f clouds only (spill-over stays empty).
+    holders = preferred_order(clouds)[:n - f]
     for cloud in clouds:
         # World grant on every current and future pool object — overwrites by
         # any agent (new versions, metadata updates) pass the access check via
@@ -154,19 +157,17 @@ def prime_pool(deployment, spec, recorder=None) -> dict[str, int]:
         uid = pool_file_id(index)
         uid_bytes = uid.encode()
         meta_key = DepSkyClient._meta_key(uid)
-        for cloud_index, cloud in enumerate(clouds):
+        for cloud in clouds:
             cloud.install(_StoredObject(
-                key=meta_key, data=head, acl=cloud_acls[cloud_index],
+                key=meta_key, data=head, acl=cloud_acls[cloud.name],
                 created_at=now, visible_at=now, digest=head_digest,
             ))
         objects += n
-        # Preferred-quorum write layout: cloud i stores block i, for the
-        # first n - f clouds only (the spill-over clouds stay empty).
-        for block_index in range(n - f):
+        for block_index, cloud in enumerate(holders):
             block_key = DepSkyClient._block_key(uid, 1, data_digest, block_index)
-            clouds[block_index].install(_StoredObject(
+            cloud.install(_StoredObject(
                 key=block_key, data=blobs[block_index],
-                acl=cloud_acls[block_index], created_at=now, visible_at=now,
+                acl=cloud_acls[cloud.name], created_at=now, visible_at=now,
                 digest=block_digests[block_index],
             ))
         objects += n - f

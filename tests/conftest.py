@@ -66,6 +66,11 @@ class CloudMeter:
         return [entry for cloud, start in zip(self.clouds, self._logged)
                 for entry in cloud.request_log[start:] if kind in (None, entry[0])]
 
+    def asked(self, kind: str) -> list[str]:
+        """Names of the clouds sent a ``kind`` request since the mark, in meter order."""
+        return [cloud.name for cloud, start in zip(self.clouds, self._logged)
+                if any(entry[0] == kind for entry in cloud.request_log[start:])]
+
 
 @pytest.fixture
 def cloud_meter(monkeypatch):

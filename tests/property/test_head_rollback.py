@@ -103,8 +103,8 @@ def _stored(clouds, faulty: int) -> set[tuple[int, str]]:
 
 @settings(max_examples=250, deadline=None)
 @given(faulty=st.integers(0, 3), lie=st.sampled_from(LIES),
-       steps=st.lists(_step, min_size=4, max_size=30))
-def test_history_survives_one_cloud_lying_about_heads_and_listings(faulty, lie, steps):
+       steps=st.lists(_step, min_size=4, max_size=30), order=st.permutations(range(4)))
+def test_history_survives_one_cloud_lying_about_heads_and_listings(faulty, lie, steps, order):
     sim = Simulation(seed=11)
     clouds = make_cloud_of_clouds(sim)
     alice = Principal("alice", tuple((cloud.name, f"alice@{cloud.name}") for cloud in clouds))
@@ -116,8 +116,10 @@ def test_history_survives_one_cloud_lying_about_heads_and_listings(faulty, lie, 
                          SimpleNamespace(forget=lambda *_args: None), backend)
         for backend in writers]
     # Uncharged, so that what the correct clouds serve can be asked at the
-    # very instant the read saw it.
-    reader = DepSkyClient(sim, clouds, alice, f=1, charge_latency=False)
+    # very instant the read saw it; handed the providers in another order than
+    # the writers, it still finds block i where they put it.
+    reader = DepSkyClient(sim, [clouds[index] for index in order], alice, f=1,
+                          charge_latency=False)
     anchored: list[tuple[int, bytes, object]] = []   # (version, data, ref) in anchor order
 
     for kind, argument in steps:

@@ -33,16 +33,21 @@ from repro.scenarios.runner import ScenarioRunner
 #: transactional mixes only: one coordination command stands in front of a
 #: commit's upload (the pending intent rides with the lock set, the write set
 #: is numbered by the anchor — no head-read round); the five others run no
-#: transaction and keep their epoch 7 values.  See docs/determinism-contract.md.
+#: transaction and keep their epoch 7 values.  Epoch 9 covers all eight mixes:
+#: block *i* lives on the *i*-th cloud of DepSky's preferred order (ranked by
+#: the profiles' GET latency, no longer the provider list's order) and a block
+#: read asks the already-visible holders first, so every block request after a
+#: run's first write goes to another cloud and draws another latency.  See
+#: docs/determinism-contract.md.
 GOLDEN_LOCKSTEP = {
-    "fault-free": "48699c450b5d682fcb9fdee114f0c3297162a55dc498460c87ecb952788371b6",
-    "crash-hang": "fbd3ed5ff0cb69db9f496afb43f4dc2d2bf42a73c0bd7bb65388629a7febbe09",
-    "corrupt-byzantine": "204b7eb841a93420ad642bbe758d1a0d900f394c3b4f2f18ad5bd65d30a1ca0a",
-    "degraded-outage": "b1b7f570bb880b5bb109841b68b33dac235722fd6f53b929b72462c68e36144e",
-    "weighted-byzantine": "0b09469c9a853620da66b44c59981d96bfa43fbf581e4676a15669a5055a123a",
-    "txn": "f1462be4f620e61f9875517786e7db3c9d200df5b029ec10df1fa517ca4a246e",
-    "txn-crash-restart": "b6e9a8e93adc16df51f8995832122e93ea25f4d9cd3804e65c143a417140dbed",
-    "txn-partition": "0bd40054f3f3900b982601e92f31009baa991a36dedac676e223ee8d51b06b69",
+    "fault-free": "ef4f0addd20049ca7b91be642e552c620cae8e67dfffb246f41a938bcf9ca392",
+    "crash-hang": "bbf8626e5e548dfe0299a1059d6af11070f7f6cc31b78cce1b1460f07eb39cd5",
+    "corrupt-byzantine": "2ff2cb0739fabaaa4ca1da320f423fd44c58eef5a523a821a09ef313dee1d983",
+    "degraded-outage": "748e0d917fae55df31fdcb993b17c387b4b93be9f88962cb64f6844c341ebaab",
+    "weighted-byzantine": "c0e5112c5c5421a40b6b72c972d82ef36127d29c6540187aba493ba2fc5322e1",
+    "txn": "d29b7b640c3fd134d75fc21abe31086be43ef2a5a2c5c8d58f96ee33077d7f51",
+    "txn-crash-restart": "0d1bd5567f543a08c9c6f253c4eb4edf12288ca01c7c60d0e53a21a4935a54df",
+    "txn-partition": "1d3df1bd4f4b5bbcba0fef24649ffacf9d2956371adb26034fd01352d9a2f940",
 }
 
 

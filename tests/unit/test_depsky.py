@@ -8,14 +8,15 @@ from repro.clouds.providers import make_cloud_of_clouds
 from repro.common.errors import IntegrityError, ObjectNotFoundError, QuorumNotReachedError
 from repro.common.types import Permission
 from repro.depsky.dataunit import VersionRecord
-from repro.depsky.protocol import DepSkyClient
+from repro.depsky.protocol import DepSkyClient, preferred_order
 from repro.simenv.environment import Simulation
 from repro.simenv.failures import FaultKind
 
 
 def make_client(sim, alice, **kwargs):
-    clouds = make_cloud_of_clouds(sim)
-    return DepSkyClient(sim, clouds, alice, f=1, **kwargs), clouds
+    """A client and its clouds in its preferred order: ``clouds[i]`` holds block ``i``."""
+    client = DepSkyClient(sim, make_cloud_of_clouds(sim), alice, f=1, **kwargs)
+    return client, client.clouds
 
 
 def _record(version=1, digest="d1", writer="alice"):
@@ -227,8 +228,9 @@ class TestDepSkyClient:
     def test_read_latest_falls_back_to_coded_blocks(self, sim, alice):
         """Regression: with exactly n - k systematic clouds failed, the read
         must succeed via the parity blocks and record the fallback."""
-        clouds = make_cloud_of_clouds(sim)
-        client = DepSkyClient(sim, clouds, alice, f=1, preferred_quorums=False)
+        client = DepSkyClient(sim, make_cloud_of_clouds(sim), alice, f=1,
+                              preferred_quorums=False)
+        clouds = client.clouds
         data = b"coded fallback" * 50
         client.write("unit", data)
         sim.advance(3.0)
@@ -392,6 +394,43 @@ class TestDepSkyClient:
         assert reader.read_matching("unit", record.data_digest).data == b"v2 new version"
 
 
+class TestPreferredOrder:
+    """Block *i* lives on the *i*-th cloud of an order every client derives alike."""
+
+    ORDERS = [(0, 1, 2, 3), (3, 2, 1, 0), (2, 0, 3, 1)]
+
+    def test_the_order_is_by_profile_get_latency(self, sim):
+        clouds = make_cloud_of_clouds(sim)
+        assert [cloud.name for cloud in preferred_order(clouds)] == [
+            "rackspace-files", "windows-azure", "google-storage", "amazon-s3"]
+        # Health is not configuration: a degraded cloud keeps its place.
+        clouds[2].failures.add(FaultKind.DEGRADED, factor=50.0)
+        assert preferred_order(clouds)[0] is clouds[2]
+
+    def test_clients_of_differently_ordered_lists_produce_identical_layouts(self, alice):
+        layouts = []
+        for order in self.ORDERS:
+            sim = Simulation(seed=3)
+            clouds = make_cloud_of_clouds(sim)
+            client = DepSkyClient(sim, [clouds[i] for i in order], alice, f=1)
+            client.write("unit", b"layout" * 300)
+            client.write("unit", b"second")
+            layouts.append({cloud.name: {key: obj.data for key, obj in cloud._objects.items()}
+                            for cloud in clouds})
+        assert layouts[0] == layouts[1] == layouts[2]
+
+    def test_a_reader_of_another_order_reads_the_systematic_blocks(self, sim, alice):
+        clouds = make_cloud_of_clouds(sim)
+        writer = DepSkyClient(sim, clouds, alice, f=1)
+        record = writer.write("unit", b"read me" * 100)
+        sim.advance(3.0)
+        for order in self.ORDERS:
+            reader = DepSkyClient(sim, [clouds[i] for i in order], alice, f=1)
+            result = reader.read_matching("unit", record.data_digest, record=record)
+            assert result.data == b"read me" * 100 and result.path == "systematic"
+            assert result.clouds_used == ["rackspace-files", "windows-azure"]
+
+
 def _elapsed(sim, operation) -> float:
     before = sim.now()
     operation()
@@ -443,7 +482,7 @@ class TestWriteMany:
         # the other two units' succeed.
         client = DepSkyClient(sim, clouds, alice, f=1)
         usurped = hashlib.sha256(b"usurped").hexdigest()
-        for index, cloud in enumerate(clouds):
+        for index, cloud in enumerate(client.clouds):
             cloud.put(client._block_key("theirs", 1, usurped, index), b"bob's", bob)
         sim.advance(3.0)
         with pytest.raises(QuorumNotReachedError, match="data blocks of 'theirs'"):
@@ -469,7 +508,10 @@ class TestWriteMany:
         clock, same RNG state.  The RNG state is the one recorded before
         ``write_many`` existed (faf3381) — the write still draws the same
         numbers in the same order; blobs and clock were re-recorded when the
-        per-unit object became the head and block names gained the digest."""
+        per-unit object became the head and block names gained the digest, and
+        again when block *i* moved to the *i*-th cloud of the preferred order
+        (faster clouds: an earlier clock, so the second record's dispatch
+        instant changed; the RNG state did not)."""
         sim = Simulation(seed=2024)
         clouds = make_cloud_of_clouds(sim, jitter=0.2)
         client = DepSkyClient(sim, clouds, alice, f=1)
@@ -479,13 +521,13 @@ class TestWriteMany:
             else:
                 client.write("unit-a", data, min_version=min_version)
         blobs = hashlib.sha256()
-        for cloud in clouds:
+        for cloud in client.clouds:
             for key in sorted(cloud._objects):
                 blobs.update(key.encode())
                 blobs.update(cloud._objects[key].data)
         assert blobs.hexdigest() == \
-            "b0a6de8056a6bd271c7d9bd29d1b927f176dbb974a392da7876245cff3136481"
-        assert sim.now() == 1.2262177410640354
+            "ef45feb8fcad40c23d16043ab7b46505eb27a764479f09683af5b1d5e8d8df05"
+        assert sim.now() == 1.2052389799394891
         assert hashlib.sha256(repr(sim.rng.getstate()).encode()).hexdigest() == \
             "551fc109da49a6eda1d3719d43ee61231a9b1db9168b7f715ee8256ac728ce0e"
 

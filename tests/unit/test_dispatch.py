@@ -255,7 +255,8 @@ class TestDepSkyDispatchAccounting:
         sim = Simulation(seed=seed)
         clouds = make_cloud_of_clouds(sim, jitter=0.1)
         client = DepSkyClient(sim, clouds, Principal("alice"), f=1, policy=policy)
-        return sim, clouds, client
+        # In the client's preferred order: ``clouds[i]`` holds block ``i``.
+        return sim, client.clouds, client
 
     def _read_elapsed(self, sim, client, unit="unit"):
         start = sim.now()
@@ -286,7 +287,8 @@ class TestDepSkyDispatchAccounting:
             sim, clouds, client = self._client(policy=policy)
             client.write("unit", b"straggler" * 500)
             sim.advance(3.0)
-            clouds[0].failures.add(FaultKind.DEGRADED, start=sim.now(), factor=10.0)
+            # ×20 of the fastest cloud's 0.09 s GET: a ~1.8 s straggler.
+            clouds[0].failures.add(FaultKind.DEGRADED, start=sim.now(), factor=20.0)
             plain_elapsed[name], result = self._read_elapsed(sim, client)
             if name == "hedged":
                 assert result.stats.hedged > 0
@@ -335,8 +337,8 @@ class TestDepSkyDispatchAccounting:
         from repro.core.backend import CloudOfCloudsBackend
 
         sim = Simulation(seed=5)
-        clouds = make_cloud_of_clouds(sim)
-        backend = CloudOfCloudsBackend(sim, clouds, Principal("alice"))
+        backend = CloudOfCloudsBackend(sim, make_cloud_of_clouds(sim), Principal("alice"))
+        clouds = backend.client.clouds
         ref = backend.write_version("file", b"f" * 400)
         sim.advance(3.0)
         backend.read_version("file", ref.digest)

@@ -15,12 +15,13 @@ from repro.common.errors import (
     ConfigurationError,
     IntegrityError,
 )
-from repro.common.types import Principal
+from repro.common.types import Permission, Principal
 from repro.core.backend import CloudOfCloudsBackend, ReadPathStats, SingleCloudBackend
 from repro.core.config import DispatchPolicyConfig, SCFSConfig
 from repro.core.consistency import AnchoredStorage, DictConsistencyAnchor
 from repro.core.deployment import SCFSDeployment
 from repro.crypto.hashing import content_digest
+from repro.depsky.dataunit import VersionRecord
 from repro.depsky.protocol import DepSkyClient
 from repro.simenv.environment import Simulation
 from repro.simenv.failures import FailureSchedule, FaultKind
@@ -210,7 +211,8 @@ class TestDepSkySuspicionEndToEnd:
         health = CloudHealthTracker(SuspicionPolicy(**policy_kwargs))
         client = DepSkyClient(sim, clouds, Principal("alice"), f=1,
                               policy=DispatchPolicy(timeout=1.5), health=health)
-        return sim, clouds, client, health
+        # In the client's preferred order: ``clouds[i]`` holds block ``i``.
+        return sim, client.clouds, client, health
 
     def test_repeated_reads_stop_probing_downed_cloud(self):
         sim, clouds, client, health = self._client()
@@ -299,8 +301,6 @@ class TestDepSkySuspicionEndToEnd:
         # new head server-side (timeout abandons the wait, not the side effect).
         assert any(kind == "put" and "/v00000002-" in key and key.endswith("-b0")
                    for kind, key, _ in clouds[0].request_log)
-        from repro.depsky.dataunit import VersionRecord
-
         head = clouds[0].raw_object("depsky/unit/metadata")
         assert VersionRecord.from_bytes(head).version == 2
 
@@ -318,6 +318,60 @@ class TestDepSkySuspicionEndToEnd:
                        for kind, key, _ in clouds[0].request_log)
         assert any(kind == "put" and "-b3" in key
                    for kind, key, _ in clouds[3].request_log)
+
+
+class TestDegradedBlockHolderEndToEnd:
+    """A faulty *first preferred* cloud — a systematic block holder — across
+    blocking close/read rounds: ×8 DEGRADED, then UNAVAILABLE, then healed
+    (the fault script of the layer benchmark's ``faulty_1m``, at small size)."""
+
+    def _round(self, deployment, writer, reader) -> bool:
+        """Replace the file, read it cold once every copy is in; whether the
+        version's blocks spilled over to the last cloud of the order."""
+        data = deployment.sim.fresh_id("payload").encode() * 2048
+        writer.write_file("/shared.bin", data)
+        deployment.sim.advance(2.0)  # past every holder's propagation window
+        reader.agent.memory_cache.clear()
+        reader.agent.disk_cache.clear()
+        assert reader.read_file("/shared.bin") == data
+        meta = reader.stat("/shared.bin")
+        record = VersionRecord.from_locator(meta.locator, meta.digest)
+        spill = reader.agent.backend.client.clouds[-1]
+        return spill.raw_object(DepSkyClient._block_key(
+            meta.file_id, record.version, record.data_digest, 3)) is not None
+
+    def test_hedges_spills_over_decodes_and_recovers(self):
+        dispatch = DispatchPolicyConfig(timeout=2.0, retries=1, hedge_delay=0.25,
+                                        suspicion_threshold=3)
+        deployment = SCFSDeployment.for_variant("SCFS-CoC-B", seed=17, dispatch=dispatch)
+        writer, reader = deployment.create_agent("writer"), deployment.create_agent("reader")
+        writer.write_file("/shared.bin", b"first", shared=True)
+        writer.setfacl("/shared.bin", "reader", Permission.READ)
+        backend = reader.agent.backend
+        first = backend.client.clouds[0]
+        paths, health = backend.read_paths, backend.health
+
+        first.failures.add(FaultKind.DEGRADED, start=deployment.sim.now(), factor=8.0)
+        spilled = [self._round(deployment, writer, reader) for _ in range(4)]
+        # The straggler is hedged around, on both sides of the close.
+        assert all(spilled)
+        assert paths.hedged_requests > 0 and paths.coded == 4
+        assert first.name in health.snapshot().degraded_now
+
+        first.failures.clear()
+        first.failures.add(FaultKind.UNAVAILABLE, start=deployment.sim.now())
+        spilled = [self._round(deployment, writer, reader) for _ in range(4)]
+        assert all(spilled)
+        assert paths.coded == 8 and paths.systematic == 0
+        assert first.name in health.snapshot().suspected_now
+        assert paths.demoted_requests > 0
+
+        first.failures.clear()
+        deployment.sim.advance(30.0)  # past the probe window
+        spilled = [self._round(deployment, writer, reader) for _ in range(4)]
+        assert not any(spilled[1:])
+        assert health.recoveries >= 1 and first.name not in health.snapshot().suspected_now
+        assert paths.systematic == 4 and paths.probe_requests >= 1
 
 
 class TestDispatchConfigPlumbing:
@@ -381,16 +435,20 @@ class TestDispatchConfigPlumbing:
         deployment = SCFSDeployment.for_variant("SCFS-CoC-B", seed=3, dispatch=dispatch)
         fs = deployment.create_agent("alice")
         fs.write_file("/f.txt", b"payload" * 400)
-        deployment.clouds[0].failures.add(FaultKind.UNAVAILABLE,
-                                          start=deployment.sim.now())
-        # Evict local caches so the reads must hit the clouds.
-        fs.agent.memory_cache.clear()
-        fs.agent.disk_cache.clear()
-        fs.agent.metadata_cache.clear()
-        assert fs.read_file("/f.txt") == b"payload" * 400
+        # Past every block's propagation window a read asks the systematic
+        # pair first, clouds[0] among them: two cold reads, two failures.
+        deployment.sim.advance(3.0)
+        clouds = fs.agent.backend.client.clouds
+        clouds[0].failures.add(FaultKind.UNAVAILABLE, start=deployment.sim.now())
+        for _ in range(2):
+            # Evict local caches so the reads must hit the clouds.
+            fs.agent.memory_cache.clear()
+            fs.agent.disk_cache.clear()
+            fs.agent.metadata_cache.clear()
+            assert fs.read_file("/f.txt") == b"payload" * 400
         snapshot = fs.agent.backend.health_stats()
         assert snapshot.suspicions >= 1
-        assert deployment.clouds[0].name in snapshot.suspected_now
+        assert clouds[0].name in snapshot.suspected_now
 
     def test_single_cloud_backend_tracks_outages(self):
         sim = Simulation(seed=1)
@@ -409,11 +467,11 @@ class TestDispatchConfigPlumbing:
 class TestReadPathSuspicionStats:
     def test_demotions_and_probes_flow_into_read_path_stats(self):
         sim = Simulation(seed=5)
-        clouds = make_cloud_of_clouds(sim)
         backend = CloudOfCloudsBackend(
-            sim, clouds, Principal("alice"),
+            sim, make_cloud_of_clouds(sim), Principal("alice"),
             dispatch=DispatchPolicyConfig(timeout=1.5, suspicion_threshold=2),
         )
+        clouds = backend.client.clouds
         ref = backend.write_version("file", b"f" * 400)
         sim.advance(3.0)
         clouds[0].failures.add(FaultKind.UNAVAILABLE, start=sim.now())

@@ -142,7 +142,8 @@ def test_a_mount_inside_the_propagation_window_of_the_pns_save_loads_it():
 def test_a_wrong_hint_leaves_the_poll_as_the_safety_net(shared):
     deployment, alice, bob, meter = shared
     alice.write_file("/f", b"slower than its profile says")
-    bob.agent.backend._block_lag = 0.0  # the estimator believes propagation is instant
+    # The estimator believes propagation is instant.
+    bob.agent.backend.client.readable_at = lambda record: record.created_at
     started = deployment.sim.now()
     assert bob.read_file("/f") == b"slower than its profile says"
     assert deployment.sim.now() - started >= bob.agent.storage.read_retry_interval
@@ -208,6 +209,55 @@ def test_a_short_locator_never_disables_the_block_check(unit):
     with pytest.raises(IntegrityError):
         client._block_get_request("unit", short, 1).send()
     assert client._block_get_request("unit", short, 0).send()
+
+
+def _at(sim, instant: float) -> None:
+    """Advance the clock to exactly ``instant`` (``now + (t - now)`` may fall short)."""
+    while (wait := instant - sim.now()) > 0:
+        sim.advance(wait)
+
+
+def test_a_propagated_version_is_k_gets_to_the_two_fastest_clouds(unit, cloud_meter):
+    backend, ref, data = unit
+    meter = cloud_meter(backend.client.clouds)
+    assert backend.read_version("unit", ref.digest, ref.locator) == data
+    assert_one_block_fetch(meter)
+    # The UK pair (0.090 / 0.095 s round trip, 5 MB/s) holds the systematic blocks.
+    assert meter.asked("get") == ["rackspace-files", "windows-azure"]
+    assert (backend.read_paths.systematic, backend.read_paths.coded) == (1, 0)
+
+
+def test_readable_at_is_the_kth_holders_visibility_instant(unit):
+    backend, ref, _data = unit
+    client = backend.client
+    record = VersionRecord.from_locator(ref.locator, ref.digest)
+    holders = client.clouds[:client.n - client.f]
+    instants = sorted(record.created_at + cloud.profile.propagation_delay for cloud in holders)
+    readable_at = backend.estimate_readable_at(ref.locator)
+    assert readable_at == client.readable_at(record) == instants[client.k - 1]
+    # Azure (0.8 s) and Google (1.2 s) are in by then; Rackspace (1.5 s) is not.
+    assert readable_at == record.created_at + 1.2
+
+
+@pytest.mark.parametrize("offset", [1.2, 1.3, 1.5, 2.0])
+def test_inside_the_window_no_get_goes_to_a_holder_not_yet_visible(sim, alice, cloud_meter,
+                                                                   offset):
+    backend = CloudOfCloudsBackend(sim, make_cloud_of_clouds(sim), alice, f=1)
+    client = backend.client
+    data = bytes(range(256)) * 40
+    ref = backend.write_version("unit", data)
+    record = VersionRecord.from_locator(ref.locator, ref.digest)
+    _at(sim, record.created_at + offset)
+    holders = client.clouds[:client.n - client.f]
+    visible = [cloud.name for cloud in holders
+               if record.created_at + cloud.profile.propagation_delay <= sim.now()]
+    assert len(visible) >= client.k
+    meter = cloud_meter(client.clouds)
+    assert backend.read_version("unit", ref.digest, ref.locator) == data
+    assert_one_block_fetch(meter)  # no billed not-found either
+    assert set(meter.asked("get")) <= set(visible)
+    # Before Rackspace's copy lands a visible parity holder stands in for it.
+    assert backend.read_paths.coded == (offset < 1.5)
 
 
 def test_a_locator_of_another_version_names_no_stored_block(unit, sim):
