@@ -27,7 +27,7 @@ Sub-packages
 ``repro.crypto``
     Erasure coding, secret sharing, hashing and authenticated encryption.
 ``repro.coordination``
-    DepSpace-like tuple space and ZooKeeper-like tree, replicated, with locks.
+    Replicated DepSpace- and ZooKeeper-like services: entries and locks.
 ``repro.depsky``
     The DepSky cloud-of-clouds storage protocols.
 ``repro.core``

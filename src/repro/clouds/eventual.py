@@ -23,7 +23,6 @@ stores circa the paper's evaluation:
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 
 from repro.common.errors import (
@@ -31,6 +30,7 @@ from repro.common.errors import (
     CloudUnavailableError,
     ObjectNotFoundError,
 )
+from repro.common.sortedkeys import SortedKeys
 from repro.common.types import Permission, Principal
 from repro.clouds.access_control import ObjectACL
 from repro.clouds.accounting import CostTracker
@@ -126,10 +126,9 @@ class EventuallyConsistentStore(ObjectStore):
         self.failures = failures or FailureSchedule()
         self.charge_latency = charge_latency
         self._objects: dict[str, _StoredObject] = {}
-        #: The keys of ``_objects`` in sorted order, so that a LIST is a
-        #: ``bisect`` to the prefix plus a walk of its range — not a sort of
-        #: everything the provider holds.  Kept by :meth:`install` / ``delete``.
-        self._keys: list[str] = []
+        #: The keys of ``_objects``, sorted: a LIST walks only its prefix's
+        #: range.  Kept by :meth:`install` / ``delete``.
+        self._keys = SortedKeys()
         # Bucket policies: prefix -> {canonical_id: Permission}.  They model the
         # prefix-level grants commercial clouds offer; SCFS's setfacl uses them
         # so that *future* versions of a shared file inherit the grant.
@@ -284,7 +283,7 @@ class EventuallyConsistentStore(ObjectStore):
         self._check_access(obj, key, principal, Permission.WRITE)
         self._settle_storage(obj)
         del self._objects[key]
-        del self._keys[bisect_left(self._keys, key)]
+        self._keys.discard(key)
 
     def list_keys(self, prefix: str, principal: Principal) -> ObjectListing:
         self._fail_if_unavailable()
@@ -294,10 +293,7 @@ class EventuallyConsistentStore(ObjectStore):
         now = self.sim.now()
         cid = principal.canonical_id(self.name)
         listing = ObjectListing()
-        for index in range(bisect_left(self._keys, prefix), len(self._keys)):
-            key = self._keys[index]
-            if not key.startswith(prefix):
-                break
+        for key in self._keys.prefixed(prefix):
             visible = self._objects[key].visible_version(now)
             if visible is None:
                 continue
@@ -362,17 +358,13 @@ class EventuallyConsistentStore(ObjectStore):
         else:
             grants[grantee_canonical_id] = permission
 
-    def get_bucket_policy(self, prefix: str) -> dict[str, Permission]:
-        """Return the grants configured for ``prefix`` (test helper)."""
-        return dict(self._bucket_policies.get(prefix, {}))
-
     # --------------------------------------------------------------- helpers
 
     def install(self, obj: _StoredObject) -> None:
         """Make ``obj`` the current version of its key (``put`` after its
         checks and charges; pool priming directly)."""
         if obj.key not in self._objects:
-            insort(self._keys, obj.key)
+            self._keys.add(obj.key)
         self._objects[obj.key] = obj
 
     def raw_object(self, key: str) -> bytes | None:

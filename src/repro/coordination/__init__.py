@@ -3,14 +3,15 @@
 SCFS stores file-system metadata in, and synchronises through, a fault-tolerant
 coordination service rather than an embedded lock/metadata manager (§1,
 *modular coordination*).  The paper's prototype supports two such services —
-DepSpace (a Byzantine fault-tolerant tuple space) and Apache ZooKeeper (a
-crash fault-tolerant znode tree) — and this package reproduces both:
+DepSpace (Byzantine fault-tolerant) and Apache ZooKeeper (crash
+fault-tolerant) — and this package reproduces both:
 
-* :mod:`~repro.coordination.tuplespace` — a DepSpace-like tuple space with
-  ``out/rdp/inp/cas/replace`` operations, timed (ephemeral) tuples and the
-  trigger extension the paper added for efficient ``rename``;
-* :mod:`~repro.coordination.zookeeper` — a ZooKeeper-like hierarchical znode
-  store with versioned writes, ephemeral and sequential nodes;
+* :mod:`~repro.coordination.entries` — the replica state machine both share:
+  one map of entries with a sorted key index, one lock table, and every
+  command SCFS sends (create-vs-update, ACLs, versions, lock sets);
+* :mod:`~repro.coordination.tuplespace` / :mod:`~repro.coordination.zookeeper`
+  — what differs between the two: a DepSpace lock lives for a lease counted
+  from its take, a ZooKeeper lock as long as its session;
 * :mod:`~repro.coordination.replication` — a simulated state-machine
   replication layer offering crash (2f+1) and Byzantine (3f+1) configurations
   with quorum availability checks;
@@ -22,8 +23,8 @@ crash fault-tolerant znode tree) — and this package reproduces both:
 """
 
 from repro.coordination.base import CoordinationService, Entry, Session
-from repro.coordination.tuplespace import DepSpace, TupleEntry
-from repro.coordination.zookeeper import ZooKeeperLike, ZNode
+from repro.coordination.tuplespace import DepSpace
+from repro.coordination.zookeeper import ZooKeeperLike
 from repro.coordination.replication import ReplicatedStateMachine, FaultModel
 from repro.coordination.locks import LockManager
 from repro.coordination.adapters import (
@@ -38,9 +39,7 @@ __all__ = [
     "Entry",
     "Session",
     "DepSpace",
-    "TupleEntry",
     "ZooKeeperLike",
-    "ZNode",
     "ReplicatedStateMachine",
     "FaultModel",
     "LockManager",

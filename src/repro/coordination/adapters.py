@@ -6,7 +6,7 @@ These adapters are those wrappers: they map the generic
 
 * a replicated :class:`~repro.coordination.tuplespace.DepSpace` (Byzantine
   fault-tolerant, 3f+1 replicas), or
-* a replicated :class:`~repro.coordination.zookeeper.ZooKeeperLike` tree
+* a replicated :class:`~repro.coordination.zookeeper.ZooKeeperLike`
   (crash fault-tolerant, 2f+1 replicas).
 
 Every intent is **one** replicated command, charging one coordination-service
@@ -29,7 +29,7 @@ adapter call                        replicated command
 ``move``                            ``entry_move``
 ``multi``                           ``entry_multi``
 ``try_lock`` / ``unlock``           ``entry_multi`` (one ``Lock`` / ``Unlock`` step)
-``close_session``                   one ``inp`` per held lock + 1 / ``close_session``
+``close_session``                   one ``release_one`` per held lock + 1 / ``close_session``
 ``renew_session``                   none / ``register_session`` (background)
 ``open_session``                    none
 ==================================  =========================================
@@ -47,13 +47,12 @@ from __future__ import annotations
 import itertools
 from typing import Sequence
 
-from repro.common.errors import TupleNotFoundError
 from repro.common.types import Permission, Principal
 from repro.coordination.base import CoordinationService, Entry, Op, Session
 from repro.coordination.entries import Holder
 from repro.coordination.replication import FaultModel, ReplicatedStateMachine
-from repro.coordination.tuplespace import ANY, LOCK, DepSpace
-from repro.coordination.zookeeper import LOCK_ROOT, ZooKeeperLike, child_path, make_scfs_tree
+from repro.coordination.tuplespace import DepSpace
+from repro.coordination.zookeeper import ZooKeeperLike
 from repro.simenv.environment import Simulation
 from repro.simenv.latency import LatencyModel
 
@@ -121,18 +120,18 @@ class _ReplicatedCoordination(CoordinationService):
 
     # -- introspection ------------------------------------------------------
 
-    def entry_count(self) -> int:
-        return self.rsm.reference_replica().entry_count(self.sim.now())
+    def lock_holder(self, name: str) -> str | None:
+        return self.rsm.reference_replica().lock_holder(name, self.sim.now())
 
-    def stored_bytes(self) -> int:
-        return self.rsm.reference_replica().stored_bytes(self.sim.now())
+    def entry_count(self) -> int:
+        return self.rsm.reference_replica().entry_count()
 
 
 class DepSpaceCoordination(_ReplicatedCoordination):
-    """Coordination service backed by a (replicated) DepSpace tuple space.
+    """Coordination service backed by replicated DepSpace.
 
-    Locks are timed tuples: the lease lives on each lock tuple, so there is no
-    session object to register with the service.
+    Each lock has its own lease, counted from its take, so there is no
+    session to register with the service.
     """
 
     def __init__(
@@ -152,21 +151,16 @@ class DepSpaceCoordination(_ReplicatedCoordination):
         )
 
     def close_session(self, session: Session) -> None:
-        # Remove every lock held by the session.
-        while self.rsm.invoke("inp", (LOCK, ANY, session.session_id), self.sim.now()) is not None:
+        # One command per lock the session holds, then one that finds none.
+        while self.rsm.invoke("release_one", session.session_id, self.sim.now()) is not None:
             pass
-
-    def lock_holder(self, name: str) -> str | None:
-        space: DepSpace = self.rsm.reference_replica()
-        fields = space.rdp((LOCK, name, ANY), self.sim.now())
-        return fields[2] if fields else None
 
 
 class ZooKeeperCoordination(_ReplicatedCoordination):
-    """Coordination service backed by a (replicated) ZooKeeper-like znode tree.
+    """Coordination service backed by replicated ZooKeeper.
 
-    Locks are ephemeral znodes owned by the session, which the tree expires
-    ``lease_seconds`` after the session's last heartbeat.
+    Locks belong to the session, which the replicas expire ``lease_seconds``
+    after its last heartbeat.
     """
 
     def __init__(
@@ -178,7 +172,7 @@ class ZooKeeperCoordination(_ReplicatedCoordination):
         super().__init__(sim)
         self.rsm = ReplicatedStateMachine(
             sim,
-            factory=make_scfs_tree,
+            factory=ZooKeeperLike,
             fault_model=FaultModel.CRASH,
             f=f,
             latency=latency,
@@ -189,22 +183,15 @@ class ZooKeeperCoordination(_ReplicatedCoordination):
         return session.last_renewal + session.lease_seconds
 
     def renew_session(self, session: Session) -> None:
-        # The tree learns of a session with its first lock (a ``Lock`` step); a
-        # heartbeat must reach it so that locks already held live on.
+        # The replicas learn of a session with its first lock (a ``Lock``
+        # step); a heartbeat must reach them so that locks already held live on.
         super().renew_session(session)
         with self.sim.background():
-            self.rsm.invoke("register_session", session.session_id, self._deadline(session))
+            self.rsm.invoke("register_session", session.session_id, self._deadline(session),
+                            self.sim.now())
 
     def close_session(self, session: Session) -> None:
         self.rsm.invoke("close_session", session.session_id, self.sim.now())
-
-    def lock_holder(self, name: str) -> str | None:
-        tree: ZooKeeperLike = self.rsm.reference_replica()
-        try:
-            blob, _ = tree.get(child_path(LOCK_ROOT, name), self.sim.now())
-        except TupleNotFoundError:
-            return None
-        return blob.decode()
 
 
 def make_coordination_service(

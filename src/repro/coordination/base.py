@@ -8,8 +8,8 @@ The agent needs surprisingly little from the coordination service (§2.3):
   the client crashes);
 * per-entry access control (the agent is untrusted, §2.6).
 
-Concrete services (the DepSpace-like tuple space and the ZooKeeper-like znode
-tree) are adapted to this interface by :mod:`repro.coordination.adapters`;
+Concrete services (DepSpace and ZooKeeper, whose replicas share one state
+machine) are adapted to this interface by :mod:`repro.coordination.adapters`;
 SCFS code never depends on a specific service, which is exactly the paper's
 *modular coordination* principle.
 """
@@ -217,7 +217,3 @@ class CoordinationService(abc.ABC):
     @abc.abstractmethod
     def entry_count(self) -> int:
         """Number of entries currently stored (capacity planning, Figure 11a)."""
-
-    @abc.abstractmethod
-    def stored_bytes(self) -> int:
-        """Approximate memory footprint of the stored entries in bytes."""

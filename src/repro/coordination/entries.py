@@ -1,14 +1,13 @@
-"""Replica-side semantics of coordination entries, written once for both services.
+"""The state machine of a coordination replica, written once for both services.
 
 The SCFS Agent is untrusted (§2.6), so everything that decides whether an
 entry may change — create-vs-update, the ACL check, the ``expected_version``
 comparison, the version bump — runs *inside* the replicated state machine, as
-one command per intent.  :class:`EntryCommands` holds those commands; the
-DepSpace-like tuple space and the ZooKeeper-like znode tree mix it in and only
-supply the storage primitives that say where a record lives
-(``_entry_read`` / ``_entry_write`` / ``_entry_erase`` / ``_entry_scan``) and
-where an ephemeral lock lives (``_lock_read`` / ``_lock_write`` /
-``_lock_erase``).
+one command per intent.  :class:`EntryCommands` holds those commands and the
+state they act on: one map of entries with a sorted key index (a prefix
+listing visits only the keys under its prefix) and one lock table.  The
+DepSpace and ZooKeeper replicas subclass it and only say how long a lock
+lives (``_take`` / ``_expire``) and how a session's locks are returned.
 
 An intent may span several entries and locks: ``entry_multi`` takes a lock
 set, reads a set of entries, conditionally replaces a set of entries or returns
@@ -22,9 +21,10 @@ from __future__ import annotations
 
 import functools
 import json
-from typing import Iterable, NamedTuple, Sequence
+from typing import Any, NamedTuple, Sequence
 
 from repro.common.errors import ConflictError, LockHeldError, TupleNotFoundError
+from repro.common.sortedkeys import SortedKeys
 from repro.common.types import Permission
 from repro.coordination.base import Entry, EntryACL, Get, Lock, Op, Put
 
@@ -41,9 +41,9 @@ class Stored(NamedTuple):
 class Holder(NamedTuple):
     """The session on whose behalf a multi-command takes and returns locks.
 
-    The tuple space times each lock tuple ``lease_seconds`` from the take; the
-    znode tree expires the session, and with it every lock it holds, at
-    ``deadline`` (its last heartbeat plus the lease).
+    ``deadline`` is the session's last heartbeat plus ``lease_seconds``.  The
+    lock table keeps the holder of every lock; DepSpace keeps it with
+    ``deadline`` moved to the end of that lock's own lease.
     """
 
     session_id: str
@@ -84,46 +84,48 @@ def _entry(key: str, stored: Stored) -> Entry:
 
 
 class EntryCommands:
-    """The entry commands of a coordination replica (mixin for state machines).
+    """The commands and state of a coordination replica.
 
-    ``user`` is the authenticated principal of the calling session.  Entry
-    versions start at 1 and grow by one per change for as long as the key lives.
+    ``user`` is the authenticated principal of the calling session and ``now``
+    the time of the request (only lock lifetimes read it).  Entry versions
+    start at 1 and grow by one per change for as long as the key lives.
     """
 
-    # -- storage primitives supplied by the concrete state machine ------------
+    def __init__(self) -> None:
+        self._entries: dict[str, Stored] = {}
+        self._keys = SortedKeys()
+        #: Lock name -> its holder, in take order.
+        self._locks: dict[str, Holder] = {}
 
-    def _entry_read(self, key: str, now: float) -> Stored | None:
+    # -- lock lifetime, supplied by the concrete state machine ----------------
+
+    def _take(self, name: str, holder: Holder, now: float) -> None:
+        """Record the lock ``name`` as taken at ``now`` by ``holder``."""
         raise NotImplementedError
 
-    def _entry_write(self, key: str, stored: Stored, now: float) -> None:
+    def _expire(self, now: float) -> None:
+        """Drop every lock whose lifetime ended at or before ``now``."""
         raise NotImplementedError
+
+    # -- storage --------------------------------------------------------------
+
+    def _entry_write(self, key: str, stored: Stored) -> None:
+        self._entries[key] = stored
+        self._keys.add(key)
 
     def _entry_erase(self, key: str) -> None:
-        raise NotImplementedError
-
-    def _entry_scan(self, prefix: str, now: float) -> Iterable[tuple[str, Stored]]:
-        raise NotImplementedError
-
-    def _lock_read(self, name: str, now: float) -> str | None:
-        """Session id holding the unexpired lock ``name`` (None: free)."""
-        raise NotImplementedError
-
-    def _lock_write(self, name: str, holder: Holder, user: str, now: float) -> None:
-        raise NotImplementedError
-
-    def _lock_erase(self, name: str) -> None:
-        raise NotImplementedError
+        del self._entries[key]
+        self._keys.discard(key)
 
     # -- commands -------------------------------------------------------------
 
-    def _writable(self, key: str, user: str, now: float,
-                  expected_version: int | None) -> Stored | None:
+    def _writable(self, key: str, user: str, expected_version: int | None) -> Stored | None:
         """The record under ``key`` once ``user`` may replace it (None: absent).
 
         A refused version check hands back the entry it met (``ConflictError.found``)
         when ``user`` may read it, so the refusal costs the caller no second read.
         """
-        stored = self._entry_read(key, now)
+        stored = self._entries.get(key)
         found = stored.version if stored is not None else 0
         if expected_version is not None and found != expected_version:
             raise ConflictError(
@@ -134,17 +136,17 @@ class EntryCommands:
             raise ConflictError(f"{user} may not change entry {key!r}")
         return stored
 
-    def _successor(self, key: str, value: bytes, user: str, now: float,
+    def _successor(self, key: str, value: bytes, user: str,
                    expected_version: int | None) -> Stored:
         """The record a put of ``value`` would leave under ``key`` (checked, not written)."""
-        stored = self._writable(key, user, now, expected_version)
+        stored = self._writable(key, user, expected_version)
         if stored is None:
             stored = Stored(user, 0, value, dump_acl(EntryACL(owner=user)))
         return stored._replace(version=stored.version + 1, value=value)
 
-    def _readable(self, key: str, user: str, now: float) -> Stored | None:
+    def _readable(self, key: str, user: str) -> Stored | None:
         """The record under ``key`` once ``user`` may read it (None: absent)."""
-        stored = self._entry_read(key, now)
+        stored = self._entries.get(key)
         if stored is not None and not _allows(stored, user, Permission.READ):
             raise ConflictError(f"{user} may not read entry {key!r}")
         return stored
@@ -152,13 +154,13 @@ class EntryCommands:
     def entry_put(self, key: str, value: bytes, user: str, now: float,
                   expected_version: int | None = None) -> Entry:
         """Create or update ``key``; ``expected_version`` 0 means "must be absent"."""
-        stored = self._successor(key, value, user, now, expected_version)
-        self._entry_write(key, stored, now)
+        stored = self._successor(key, value, user, expected_version)
+        self._entry_write(key, stored)
         return _entry(key, stored)
 
     def entry_get(self, key: str, user: str, now: float) -> Entry:
         """Read ``key`` (``TupleNotFoundError`` when absent, READ permission required)."""
-        stored = self._readable(key, user, now)
+        stored = self._readable(key, user)
         if stored is None:
             raise TupleNotFoundError(f"no entry under key {key!r}")
         return _entry(key, stored)
@@ -177,53 +179,53 @@ class EntryCommands:
         changed = [(isinstance(op, Put), op[0]) for op in ops if not isinstance(op, Get)]
         if len(set(changed)) != len(changed):
             raise ConflictError("a multi-command may change each key and each lock only once")
+        self._expire(now)
         results: list[Entry | None] = []
         writes: list[tuple[str, Stored]] = []
         takes: list[str] = []
         drops: list[str] = []
         for op in ops:
             if isinstance(op, Get):
-                found = self._readable(op.key, user, now)
+                found = self._readable(op.key, user)
                 results.append(None if found is None else _entry(op.key, found))
                 continue
             if isinstance(op, Put):
-                stored = self._successor(op.key, op.value, user, now, op.expected_version)
+                stored = self._successor(op.key, op.value, user, op.expected_version)
                 writes.append((op.key, stored))
                 results.append(_entry(op.key, stored))
                 continue
-            held_by = self._lock_read(op.name, now)
+            held = self._locks.get(op.name)
             if isinstance(op, Lock):
-                if held_by is not None:
+                if held is not None:
                     raise LockHeldError(f"lock {op.name!r} is held by another client",
                                         lock=op.name)
                 takes.append(op.name)
-            elif held_by == holder.session_id:
+            elif held is not None and held.session_id == holder.session_id:
                 drops.append(op.name)
             results.append(None)
         for key, stored in writes:
-            self._entry_write(key, stored, now)
+            self._entry_write(key, stored)
         for name in takes:
-            self._lock_write(name, holder, user, now)
+            self._take(name, holder, now)
         for name in drops:
-            self._lock_erase(name)
+            del self._locks[name]
         return results
 
     def entry_delete(self, key: str, user: str, now: float) -> None:
         """Remove ``key`` (idempotent; WRITE permission required)."""
-        if self._writable(key, user, now, None) is not None:
+        if self._writable(key, user, None) is not None:
             self._entry_erase(key)
 
     def entry_list(self, prefix: str, user: str, now: float) -> list[Entry]:
         """Every entry under ``prefix`` that ``user`` may read, sorted by key."""
-        return sorted(
-            (_entry(key, s)
-             for key, s in self._entry_scan(prefix, now) if _allows(s, user, Permission.READ)),
-            key=lambda entry: entry.key)
+        entries = self._entries
+        return [_entry(key, stored) for key in self._keys.prefixed(prefix)
+                if _allows(stored := entries[key], user, Permission.READ)]
 
     def entry_set_acl(self, key: str, user: str, grantee: str, permission: Permission,
                       now: float) -> None:
         """Set (``Permission.NONE``: revoke) ``grantee``'s grant on ``key``; owner only."""
-        stored = self._entry_read(key, now)
+        stored = self._entries.get(key)
         if stored is None:
             raise TupleNotFoundError(f"no entry under key {key!r}")
         if user != stored.owner:
@@ -233,8 +235,7 @@ class EntryCommands:
             acl.grants.pop(grantee, None)
         else:
             acl.grants[grantee] = permission
-        self._entry_write(
-            key, stored._replace(version=stored.version + 1, acl=dump_acl(acl)), now)
+        self._entry_write(key, stored._replace(version=stored.version + 1, acl=dump_acl(acl)))
 
     def entry_move(self, key: str, new_key: str, value: bytes, user: str, now: float,
                    expected_version: int | None = None, target_version: int = 0) -> Entry:
@@ -245,16 +246,32 @@ class EntryCommands:
         an entry.  The moved record's version exceeds both, so no version token
         seen under either key can match again.
         """
-        stored = self._writable(key, user, now, expected_version)
+        stored = self._writable(key, user, expected_version)
         if stored is None:
             raise TupleNotFoundError(f"no entry under key {key!r}")
-        self._writable(new_key, user, now, target_version)
+        self._writable(new_key, user, target_version)
         version = max(stored.version, target_version) + 1
         moved = stored._replace(version=version, value=value)
         self._entry_erase(key)
-        self._entry_write(new_key, moved, now)
+        self._entry_write(new_key, moved)
         return _entry(new_key, moved)
 
-    def entry_count(self, now: float) -> int:
+    # -- introspection and dispatch -------------------------------------------
+
+    def entry_count(self) -> int:
         """Number of stored entries (introspection, not a replicated command)."""
-        return sum(1 for _ in self._entry_scan("", now))
+        return len(self._entries)
+
+    def lock_holder(self, name: str, now: float) -> str | None:
+        """Session id holding the unexpired lock ``name`` (None: free)."""
+        self._expire(now)
+        held = self._locks.get(name)
+        return None if held is None else held.session_id
+
+    def apply(self, command: tuple[str, tuple[Any, ...], dict[str, Any]]) -> Any:
+        """Dispatch a replicated command (see :class:`ReplicatedStateMachine`)."""
+        operation, args, kwargs = command
+        handler = getattr(self, operation, None)
+        if handler is None or not callable(handler) or operation.startswith("_"):
+            raise ConflictError(f"unknown {type(self).__name__} operation {operation!r}")
+        return handler(*args, **kwargs)

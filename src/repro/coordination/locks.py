@@ -4,7 +4,7 @@ SCFS's lock service "is basically a wrapper for implementing coordination
 recipes for locking using the coordination service of choice" (§2.5.1).  The
 only strict requirement is that lock entries are *ephemeral*: a crashed client
 must not hold its locks forever.  Both concrete services satisfy this —
-DepSpace through timed tuples, ZooKeeper through ephemeral znodes — so the
+DepSpace through a lease per lock, ZooKeeper through the session's — so the
 recipe here only adds retry/timeout policy and bookkeeping on top of
 :meth:`~repro.coordination.base.CoordinationService.try_lock`.
 """

@@ -221,9 +221,6 @@ class PartitionedCoordination(CoordinationService):
     def entry_count(self) -> int:
         return sum(service.entry_count() for service in self.services)
 
-    def stored_bytes(self) -> int:
-        return sum(service.stored_bytes() for service in self.services)
-
     def per_partition_entries(self) -> list[int]:
         """Entry count of each partition (used to observe load spreading)."""
         return [service.entry_count() for service in self.services]

@@ -178,11 +178,6 @@ def gf_pow(a: int, exponent: int) -> int:
     return int(_EXP[(int(_LOG[a]) * exponent) % 255])
 
 
-def gf_add(a: int, b: int) -> int:
-    """Addition (and subtraction) in GF(2^8) is XOR."""
-    return a ^ b
-
-
 def mul_block(scalar: int, block: np.ndarray,
               out: np.ndarray | None = None) -> np.ndarray:
     """Multiply every byte of ``block`` by the field ``scalar`` (vectorised).

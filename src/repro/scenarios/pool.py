@@ -6,7 +6,7 @@ one full DepSky write plus one coordination round trip per file — minutes of
 real time before the first measured operation.  This module installs the
 files *as if* a pool owner had written them: the clouds receive the stored
 objects a DepSky write would have produced, the coordination replicas receive
-the metadata tuples the SCFS Agent would have anchored, and prefix grants to
+the metadata entries the SCFS Agent would have anchored, and prefix grants to
 the pseudo-user ``"*"`` make every file world-readable and world-writable.
 
 Interning keeps the footprint flat: every pool file shares one plaintext
@@ -27,11 +27,9 @@ from __future__ import annotations
 from repro.common.types import Permission
 from repro.clouds.access_control import ObjectACL
 from repro.clouds.eventual import EventuallyConsistentStore, _StoredObject
-from repro.coordination.adapters import DepSpaceCoordination
 from repro.coordination.base import CoordinationService, EntryACL
-from repro.coordination.entries import dump_acl
+from repro.coordination.entries import EntryCommands, Stored, dump_acl
 from repro.coordination.partitioned import PartitionedCoordination
-from repro.coordination.tuplespace import ENTRY
 from repro.core.metadata import FileMetadata, FileType
 from repro.core.metadata_service import MetadataService
 from repro.crypto.erasure import ErasureCoder
@@ -63,30 +61,12 @@ def pool_file_id(index: int) -> str:
     return f"pool-{index:08d}"
 
 
-def _depspace_replicas(coordination: CoordinationService, key: str) -> list:
-    """The DepSpace replicas holding ``key`` (all replicas of its partition)."""
+def _replicas(coordination: CoordinationService, key: str) -> list[EntryCommands]:
+    """The coordination replicas holding ``key`` (all replicas of its partition)."""
     service = coordination
     if isinstance(service, PartitionedCoordination):
         service = service._service_for(key)
-    if not isinstance(service, DepSpaceCoordination):
-        raise TypeError(
-            "pooled scenarios require DepSpace coordination "
-            f"(got {type(service).__name__})"
-        )
     return service.rsm.replicas
-
-
-def _prime_entry(coordination: CoordinationService, key: str, value: bytes,
-                 acl_json: str, now: float) -> None:
-    """Install one metadata tuple on every replica of the owning partition.
-
-    All replicas receive the *same* fields tuple (tuples are immutable, so
-    sharing is safe) — exactly the state a replicated ``entry_put`` would have
-    produced, minus the latency charge.
-    """
-    fields = (ENTRY, key, POOL_OWNER, 1, value, acl_json)
-    for space in _depspace_replicas(coordination, key):
-        space.out(fields, now)
 
 
 def prime_pool(deployment, spec, recorder=None) -> dict[str, int]:
@@ -94,7 +74,7 @@ def prime_pool(deployment, spec, recorder=None) -> dict[str, int]:
 
     Returns a small stats mapping (files, cloud objects, coordination
     entries) and records one ``setup_done`` trace event when ``recorder`` is
-    given.  Requires a cloud-of-clouds deployment with DepSpace coordination
+    given.  Requires a cloud-of-clouds deployment with a coordination service
     and encryption disabled (pooled specs configure exactly that).
     """
     sim = deployment.sim
@@ -152,7 +132,7 @@ def prime_pool(deployment, spec, recorder=None) -> dict[str, int]:
 
     # ---- per-file state ----------------------------------------------------
     objects = 0
-    entries = 0
+    entries: dict[str, Stored] = {}
     for index, path in enumerate(spec.shared_files):
         uid = pool_file_id(index)
         uid_bytes = uid.encode()
@@ -174,9 +154,7 @@ def prime_pool(deployment, spec, recorder=None) -> dict[str, int]:
         file_blob = file_meta_template.replace(
             b'"/pool-template/file.dat"', b'"' + path.encode() + b'"'
         ).replace(b'"@@UID@@"', b'"' + uid_bytes + b'"')
-        _prime_entry(coordination, MetadataService.entry_key(path), file_blob,
-                     acl_json, now)
-        entries += 1
+        entries[MetadataService.entry_key(path)] = Stored(POOL_OWNER, 1, file_blob, acl_json)
 
     # ---- pool directories --------------------------------------------------
     directories = sorted({path.rsplit("/", 1)[0] for path in spec.shared_files})
@@ -188,12 +166,19 @@ def prime_pool(deployment, spec, recorder=None) -> dict[str, int]:
             created_at=now, modified_at=now,
             grants={"*": Permission.READ_WRITE},
         )
-        _prime_entry(coordination, MetadataService.entry_key(directory),
-                     dir_meta.to_bytes(), acl_json, now)
-        entries += 1
+        entries[MetadataService.entry_key(directory)] = Stored(
+            POOL_OWNER, 1, dir_meta.to_bytes(), acl_json)
+
+    # ---- coordination entries ----------------------------------------------
+    # What a replicated ``entry_put`` leaves, minus the latency charge.  Every
+    # replica gets the same (immutable) record, and in key order, so that its
+    # sorted key index grows by appends.
+    for key in sorted(entries):
+        for replica in _replicas(coordination, key):
+            replica._entry_write(key, entries[key])
 
     stats = {"files": len(spec.shared_files), "cloud_objects": objects,
-             "coordination_entries": entries}
+             "coordination_entries": len(entries)}
     if recorder is not None:
         recorder.record("setup_done", time=now, files=len(spec.shared_files),
                         pooled=True)

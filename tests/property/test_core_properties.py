@@ -3,8 +3,8 @@
 * the LRU caches never exceed their capacity and never corrupt values;
 * the consistency-anchor composition always returns the latest completed
   write, for arbitrary interleavings of writes and reads of many objects;
-* the DepSpace tuple space behaves like a simple model (a multiset of tuples)
-  under arbitrary operation sequences;
+* the DepSpace and ZooKeeper replicas answer every entry command identically,
+  and their prefix listings match a brute-force filter of a plain dict model;
 * two sessions' interleaved conditional and unconditional puts on one entry
   never lose an update and never skip a version, on either service;
 * the SCFS file system agrees with a plain in-memory dictionary model under
@@ -15,14 +15,22 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
 from repro.clouds.providers import make_provider
-from repro.common.errors import ConflictError, FileExistsErrorFS, FileNotFoundErrorFS
+from repro.common.errors import (
+    ConflictError,
+    FileExistsErrorFS,
+    FileNotFoundErrorFS,
+    ReproError,
+    TupleNotFoundError,
+)
 from repro.common.types import Permission, Principal
 from repro.coordination.adapters import make_coordination_service
+from repro.coordination.base import EntryACL
 from repro.core.backend import SingleCloudBackend
 from repro.core.cache import LRUByteCache
 from repro.core.consistency import AnchoredStorage, DictConsistencyAnchor
 from repro.core.deployment import SCFSDeployment
-from repro.coordination.tuplespace import ANY, DepSpace
+from repro.coordination.tuplespace import DepSpace
+from repro.coordination.zookeeper import ZooKeeperLike
 from repro.simenv.clock import SimClock
 from repro.simenv.environment import Simulation
 
@@ -82,40 +90,130 @@ class TestConsistencyAnchorProperties:
                 assert observed == latest.get(object_id)
 
 
-class TestDepSpaceModelProperties:
-    @settings(max_examples=60, deadline=None)
-    @given(
-        script=st.lists(
-            st.tuples(st.sampled_from(["out", "inp", "rdp", "cas"]),
-                      st.integers(0, 4), st.integers(0, 4)),
-            max_size=60,
-        )
-    )
-    def test_tuple_space_matches_a_multiset_model(self, script):
-        space = DepSpace()
-        model: list[tuple] = []
-        for op, key, value in script:
-            fields = ("entry", f"k{key}", value)
-            template = ("entry", f"k{key}", ANY)
-            if op == "out":
-                space.out(fields, now=0.0)
-                model.append(fields)
-            elif op == "cas":
-                inserted = space.cas(template, fields, now=0.0)
-                model_has = any(t[1] == f"k{key}" for t in model)
-                assert inserted == (not model_has)
-                if inserted:
-                    model.append(fields)
-            elif op == "rdp":
-                found = space.rdp(template, now=0.0)
-                assert (found is not None) == any(t[1] == f"k{key}" for t in model)
-            else:  # inp
-                removed = space.inp(template, now=0.0)
-                matching = [t for t in model if t[1] == f"k{key}"]
-                assert (removed is not None) == bool(matching)
-                if removed is not None:
-                    model.remove(removed)
-        assert space.total_tuples(now=0.0) == len(model)
+#: Keys with sibling boundaries (``meta:/a/b`` vs ``meta:/a/b2``: a prefix
+#: ``meta:/a/b/`` must not list the latter), ``/`` and ``%`` inside a name.
+KEYS = ("meta:/a", "meta:/a/b", "meta:/a/b2", "meta:/a/b/c", "meta:/a/b/c%2Fd",
+        "meta:/a/b%", "meta:/a%2Fb", "meta:/ab", "meta:%", "txn:1")
+PREFIXES = ("", "meta:", "meta:/a", "meta:/a/", "meta:/a/b", "meta:/a/b/", "meta:/a/b2",
+            "meta:/a%", "meta:%", "meta:/a/b/c%", "txn:", "zzz")
+USERS = ("ann", "ben")
+
+_keys = st.sampled_from(KEYS)
+_users = st.sampled_from(USERS)
+_entry_step = st.one_of(
+    st.tuples(st.just("put"), _keys, _users, st.sampled_from((None, 0, "current", "stale"))),
+    st.tuples(st.just("delete"), _keys, _users),
+    st.tuples(st.just("move"), _keys, _keys, _users, st.sampled_from((0, "current"))),
+    st.tuples(st.just("acl"), _keys, _users, _users,
+              st.sampled_from((Permission.NONE, Permission.READ, Permission.READ_WRITE))),
+)
+
+
+class _DictModel:
+    """What the replicas' entry commands must do, over a dict of (owner, version, value, acl)."""
+
+    def __init__(self):
+        self.entries: dict[str, tuple[str, int, bytes, EntryACL]] = {}
+
+    def _writable(self, key, user, expected):
+        found = self.entries.get(key)
+        if expected is not None and (found[1] if found else 0) != expected:
+            raise ConflictError("version mismatch")
+        if found is not None and not found[3].allows(user, Permission.WRITE):
+            raise ConflictError("write denied")
+        return found
+
+    def apply(self, step, number):
+        kind, key = step[0], step[1]
+        value = f"{kind}:{number}".encode()
+        if kind == "put":
+            _, _, user, expected = step
+            found = self._writable(key, user, expected)
+            owner, version, acl = (found[0], found[1], found[3]) if found else (
+                user, 0, EntryACL(owner=user))
+            self.entries[key] = (owner, version + 1, value, acl)
+        elif kind == "delete":
+            if self._writable(key, step[2], None) is not None:
+                del self.entries[key]
+        elif kind == "move":
+            _, _, new_key, user, target = step
+            found = self._writable(key, user, None)
+            if found is None:
+                raise TupleNotFoundError("no source")
+            self._writable(new_key, user, target)
+            del self.entries[key]
+            self.entries[new_key] = (found[0], max(found[1], target) + 1, value, found[3])
+        else:
+            _, _, user, grantee, permission = step
+            found = self.entries.get(key)
+            if found is None:
+                raise TupleNotFoundError("no entry")
+            if user != found[0]:
+                raise ConflictError("not the owner")
+            grants = {u: p for u, p in found[3].grants.items() if u != grantee}
+            if permission is not Permission.NONE:
+                grants[grantee] = permission
+            self.entries[key] = (found[0], found[1] + 1, found[2], EntryACL(found[0], grants))
+
+    def listing(self, prefix, user):
+        return [(key, value, version, owner)
+                for key, (owner, version, value, acl) in sorted(self.entries.items())
+                if key.startswith(prefix) and acl.allows(user, Permission.READ)]
+
+
+def _concrete(step, model):
+    """Resolve a drawn step's symbolic versions against the model's current state."""
+    def version(key, how):
+        current = model.entries[key][1] if key in model.entries else 0
+        return {"current": current, "stale": max(current - 1, 0)}.get(how, how)
+
+    if step[0] == "put":
+        return (*step[:3], version(step[1], step[3]))
+    if step[0] == "move":
+        return (*step[:4], version(step[2], step[4]))
+    return step
+
+
+def _send(replica, step, number):
+    kind, key = step[0], step[1]
+    value = f"{kind}:{number}".encode()
+    if kind == "put":
+        return replica.entry_put(key, value, step[2], 0.0, expected_version=step[3])
+    if kind == "delete":
+        return replica.entry_delete(key, step[2], 0.0)
+    if kind == "move":
+        return replica.entry_move(key, step[2], value, step[3], 0.0, target_version=step[4])
+    return replica.entry_set_acl(key, step[2], step[3], step[4], 0.0)
+
+
+def _outcome(call):
+    try:
+        return call()
+    except ReproError as refused:
+        return type(refused)
+
+
+class TestEntryStoreProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(steps=st.lists(_entry_step, max_size=40))
+    def test_both_replicas_agree_with_a_dict_model(self, steps):
+        replicas, model = (DepSpace(), ZooKeeperLike()), _DictModel()
+        for number, drawn in enumerate(steps):
+            step = _concrete(drawn, model)
+            outcomes = [_outcome(lambda r=replica: _send(r, step, number)) for replica in replicas]
+            expected = _outcome(lambda: model.apply(step, number))
+            assert outcomes[0] == outcomes[1]
+            if isinstance(expected, type):
+                assert outcomes[0] is expected
+            else:
+                assert not isinstance(outcomes[0], type)
+            for prefix in PREFIXES:
+                for user in USERS:
+                    listed = [[(e.key, e.value, e.version, e.owner)
+                               for e in replica.entry_list(prefix, user, 0.0)]
+                              for replica in replicas]
+                    assert listed[0] == listed[1] == model.listing(prefix, user)
+            assert replicas[0].entry_count() == replicas[1].entry_count() == len(model.entries)
 
 
 class TestEntryVersionProperties:

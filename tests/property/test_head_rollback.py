@@ -97,7 +97,7 @@ def _stored(clouds, faulty: int) -> set[tuple[int, str]]:
     """``(version, digest)`` of every version a correct cloud still holds a block of."""
     return {(int(name[1]), name[2])
             for index, cloud in enumerate(clouds) if index != faulty
-            for key in cloud._keys
+            for key in cloud._keys.prefixed(f"depsky/{UNIT}/")
             if (name := _BLOCK_NAME.fullmatch(key, len(f"depsky/{UNIT}/"))) is not None}
 
 

@@ -17,7 +17,7 @@ Afterwards
   — never ``FileExistsErrorFS``: losing the race to create is not an error of
   ``open(O_CREAT)``;
 * once every handle is closed ``LockManager.held`` is empty on every mount
-  and no lock tuple is left on any replica of any partition.
+  and the coordination service shows no holder for any lock a mount took.
 """
 
 from __future__ import annotations
@@ -27,8 +27,6 @@ import itertools
 from hypothesis import given, settings, strategies as st
 
 from repro.common.errors import LockHeldError
-from repro.coordination.tuplespace import ANY, LOCK, DepSpace
-from repro.coordination.zookeeper import LOCK_ROOT
 from repro.core.deployment import SCFSDeployment
 
 SERVICES = {
@@ -51,17 +49,6 @@ _case = st.fixed_dictionaries({
 })
 
 
-def _lock_tuples(services, now: float) -> list:
-    found = []
-    for service in services:
-        for replica in service.rsm.replicas:
-            if isinstance(replica, DepSpace):
-                found += replica.rdp_all((LOCK, ANY, ANY), now)
-            else:
-                found += sorted(replica._nodes[LOCK_ROOT].children)
-    return found
-
-
 @settings(max_examples=120, deadline=None)
 @given(case=_case)
 def test_racing_creators_create_once_and_leave_no_lock(case):
@@ -71,7 +58,6 @@ def test_racing_creators_create_once_and_leave_no_lock(case):
         {"kind": kind, **fields})) for _ in case["mounts"]]
     mounts[0].mkdir("/d", shared=True)
     services = getattr(deployment.coordination, "services", [deployment.coordination])
-    idle = _lock_tuples(services, deployment.sim.now())
     outcomes: list[str] = []
 
     def run(index: int) -> None:
@@ -114,4 +100,6 @@ def test_racing_creators_create_once_and_leave_no_lock(case):
     assert len({event["file_id"] for event in opens}) == 1
     assert all(fs.agent.locks._manager.held == {} and fs.agent.open_handles() == 0
                for fs in mounts)
-    assert _lock_tuples(services, deployment.sim.now()) == idle
+    taken = sorted({event["lock"] for event in events if event["kind"] == "lock"})
+    assert f"filelock:{opens[0]['file_id']}" in taken
+    assert [name for name in taken if deployment.coordination.lock_holder(name) is not None] == []

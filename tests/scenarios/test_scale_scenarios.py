@@ -66,6 +66,16 @@ def _scale_spec(**overrides) -> ScenarioSpec:
     return ScenarioSpec.generate_scale(**defaults)
 
 
+#: Trace fingerprint of ``_scale_spec()``: pooled, partitioned, event-driven —
+#: the one pinned run that goes through pool priming.  Recorded in epoch 9; an
+#: epoch bump re-pins it together with the eight above.
+GOLDEN_POOLED = "31ce7e9fabdb1d47fcacb88c072bc956580291d7a7af2414b67b4ea3b480eefb"
+
+
+def test_pooled_fingerprint_is_pinned() -> None:
+    assert ScenarioRunner(_scale_spec()).run().fingerprint == GOLDEN_POOLED
+
+
 def test_event_driven_replay_is_byte_identical() -> None:
     spec = _scale_spec()
     first = ScenarioRunner(spec).run()

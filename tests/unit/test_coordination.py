@@ -1,4 +1,4 @@
-"""Unit tests for the coordination substrate: tuple space, znodes, replication, locks."""
+"""Unit tests for the coordination substrate: replica state machines, replication, locks."""
 
 import pickle
 
@@ -13,199 +13,147 @@ from repro.coordination.adapters import (
     make_coordination_service,
 )
 from repro.coordination.base import Get, Lock, Put, Unlock
+from repro.coordination.entries import Holder
 from repro.coordination.locks import LockManager
 from repro.coordination.partitioned import PartitionedCoordination
 from repro.coordination.replication import FaultModel, ReplicatedStateMachine, replicas_required
-from repro.coordination.tuplespace import ANY, DepSpace, matches
+from repro.coordination.tuplespace import DepSpace
 from repro.coordination.zookeeper import ZooKeeperLike
 
 
-class TestTemplateMatching:
-    def test_exact_match(self):
-        assert matches(("a", 1), ("a", 1))
-
-    def test_wildcard_matches_anything(self):
-        assert matches((ANY, 1), ("whatever", 1))
-
-    def test_arity_must_match(self):
-        assert not matches(("a",), ("a", 1))
-
-    def test_value_mismatch(self):
-        assert not matches(("a", 2), ("a", 1))
+def _take(replica, names, now, session="s1", deadline=10.0):
+    """Take ``names`` in one command for ``session`` (lease 10 s, heartbeat deadline given)."""
+    holder = Holder(session, lease_seconds=10.0, deadline=deadline)
+    return replica.entry_multi([Lock(name) for name in names], "alice", now, holder=holder)
 
 
-class TestDepSpace:
-    def test_out_and_rdp(self):
-        space = DepSpace()
-        space.out(("file", "x", 1), now=0.0)
-        assert space.rdp(("file", ANY, ANY), now=0.0) == ("file", "x", 1)
+@pytest.fixture(params=[DepSpace, ZooKeeperLike])
+def replica(request):
+    """Both replica state machines share every command; only lock lifetime differs."""
+    return request.param()
 
-    def test_rdp_returns_none_when_no_match(self):
-        assert DepSpace().rdp(("missing",), now=0.0) is None
 
-    def test_inp_removes_the_tuple(self):
-        space = DepSpace()
-        space.out(("t", 1), now=0.0)
-        assert space.inp(("t", ANY), now=0.0) == ("t", 1)
-        assert space.rdp(("t", ANY), now=0.0) is None
+class TestReplica:
+    def test_apply_dispatches_commands(self, replica):
+        replica.apply(("entry_put", ("k", b"v", "alice", 0.0), {}))
+        assert replica.apply(("entry_get", ("k", "alice", 0.0), {})).value == b"v"
 
-    def test_cas_inserts_only_when_template_unmatched(self):
-        space = DepSpace()
-        assert space.cas(("lock", "f", ANY), ("lock", "f", "s1"), now=0.0)
-        assert not space.cas(("lock", "f", ANY), ("lock", "f", "s2"), now=0.0)
-        assert space.rdp(("lock", "f", ANY), now=0.0) == ("lock", "f", "s1")
+    def test_apply_rejects_unknown_and_private_operations(self, replica):
+        for operation in ("_expire", "_entry_write", "_entries", "not_an_op"):
+            with pytest.raises(ConflictError, match=type(replica).__name__):
+                replica.apply((operation, (0.0,), {}))
 
-    def test_replace_swaps_atomically(self):
-        space = DepSpace()
-        space.out(("entry", "k", 1), now=0.0)
-        assert space.replace(("entry", "k", ANY), ("entry", "k", 2), now=0.0)
-        assert space.rdp(("entry", "k", ANY), now=0.0) == ("entry", "k", 2)
+    def test_a_held_lock_refuses_a_take_and_an_unlock_by_another_session(self, replica):
+        _take(replica, ["f"], 0.0)
+        with pytest.raises(LockHeldError):
+            _take(replica, ["f"], 1.0, session="s2")
+        replica.entry_multi([Unlock("f")], "bob", 1.0, holder=Holder("s2", 10.0, 11.0))
+        assert replica.lock_holder("f", 1.0) == "s1"
+        replica.entry_multi([Unlock("f")], "alice", 1.0, holder=Holder("s1", 10.0, 10.0))
+        assert replica.lock_holder("f", 1.0) is None
 
-    def test_replace_fails_without_match(self):
-        assert not DepSpace().replace(("entry", "k", ANY), ("entry", "k", 2), now=0.0)
+    def test_a_refused_multi_takes_no_lock(self, replica):
+        with pytest.raises(ConflictError):
+            replica.entry_multi([Lock("l"), Put("k", b"x", 5)], "alice", 0.0,
+                                holder=Holder("s1", 10.0, 10.0))
+        assert replica.lock_holder("l", 0.0) is None and replica.entry_count() == 0
 
-    def test_timed_tuple_expires(self):
-        space = DepSpace()
-        space.out(("lock", "f", "s1"), now=0.0, lease=10.0)
-        assert space.rdp(("lock", "f", ANY), now=5.0) is not None
-        assert space.rdp(("lock", "f", ANY), now=10.0) is None
+    def test_a_lock_taken_now_lapses_ten_seconds_on(self, replica):
+        """Take at 0: the lease and the session deadline end together at 10."""
+        _take(replica, ["f"], 0.0)
+        assert replica.lock_holder("f", 9.99) == "s1"
+        assert replica.lock_holder("f", 10.0) is None
+        _take(replica, ["f"], 10.0, session="s2", deadline=20.0)
+        assert replica.lock_holder("f", 10.0) == "s2"
 
-    def test_renew_extends_lease(self):
-        space = DepSpace()
-        space.out(("lock", "f", "s1"), now=0.0, lease=10.0)
-        assert space.renew(("lock", "f", ANY), now=5.0, lease=10.0)
-        assert space.rdp(("lock", "f", ANY), now=12.0) is not None
+    def test_listing_visits_only_its_prefix_sorted(self, replica):
+        for key in ("meta:/a/b2", "meta:/a/b/c", "meta:/a/b", "meta:/a%2F", "meta:/a/b/%",
+                    "meta:/ab"):
+            replica.entry_put(key, key.encode(), "alice", 0.0)
+        listed = [entry.key for entry in replica.entry_list("meta:/a/b/", "alice", 0.0)]
+        assert listed == ["meta:/a/b/%", "meta:/a/b/c"]
+        listed = [entry.key for entry in replica.entry_list("meta:/a/b", "alice", 0.0)]
+        assert listed == ["meta:/a/b", "meta:/a/b/%", "meta:/a/b/c", "meta:/a/b2"]
+        listed = [entry.key for entry in replica.entry_list("meta:/a%", "alice", 0.0)]
+        assert listed == ["meta:/a%2F"]
+        assert replica.entry_list("meta:/a/b", "bob", 0.0) == []  # nothing granted to bob
+        assert replica.entry_count() == 6
 
-    def test_renew_of_persistent_tuple_returns_false(self):
-        space = DepSpace()
-        space.out(("x",), now=0.0)
-        assert not space.renew(("x",), now=1.0, lease=5.0)
-
-    def test_rdp_all_and_count(self):
-        space = DepSpace()
-        for i in range(3):
-            space.out(("entry", f"k{i}"), now=0.0)
-        assert len(space.rdp_all(("entry", ANY), now=0.0)) == 3
-        assert space.count(("entry", ANY), now=0.0) == 3
-        assert space.total_tuples(now=0.0) == 3
-
-    def test_trigger_rewrites_matching_tuples(self):
-        def rename_prefix(fields, argument):
-            old, new = argument
-            parent = fields[2]
-            return (*fields[:2], new + parent[len(old):] if parent.startswith(old) else parent,
-                    *fields[3:])
-
-        space = DepSpace()
-        space.register_trigger("rename_prefix", rename_prefix)
-        space.out(("entry", "/a/f1", "/a", 1), now=0.0)
-        space.out(("entry", "/b/f2", "/b", 1), now=0.0)
-        count = space.fire_trigger("rename_prefix", ("entry", ANY, ANY, ANY), ("/a", "/z"), now=0.0)
-        assert count == 2  # both matched the template, only one had the prefix rewritten
-        assert space.rdp(("entry", "/a/f1", ANY, ANY), now=0.0)[2] == "/z"
-        assert space.rdp(("entry", "/b/f2", ANY, ANY), now=0.0)[2] == "/b"
-
-    def test_unknown_trigger_raises(self):
+    def test_a_move_reindexes_the_entry(self, replica):
+        replica.entry_put("meta:/d/x", b"x", "alice", 0.0)
+        replica.entry_move("meta:/d/x", "meta:/e/x", b"moved", "alice", 0.0)
+        assert replica.entry_list("meta:/d/", "alice", 0.0) == []
+        assert [e.key for e in replica.entry_list("meta:/e/", "alice", 0.0)] == ["meta:/e/x"]
+        replica.entry_delete("meta:/e/x", "alice", 0.0)
+        assert replica.entry_count() == 0
         with pytest.raises(TupleNotFoundError):
-            DepSpace().fire_trigger("nope", (ANY,), None, now=0.0)
+            replica.entry_get("meta:/e/x", "alice", 0.0)
 
-    def test_stored_bytes_counts_fields(self):
+
+class TestDepSpaceLeases:
+    """A DepSpace lock lives for its own lease, counted from its take."""
+
+    def test_each_lock_lapses_a_lease_after_its_own_take(self):
         space = DepSpace()
-        space.out(("key", b"\x00" * 100, 5), now=0.0)
-        assert space.stored_bytes(now=0.0) >= 100
+        _take(space, ["a"], 0.0)
+        _take(space, ["b"], 5.0)  # the session deadline plays no part
+        assert space.lock_holder("a", 12.0) is None
+        assert space.lock_holder("b", 12.0) == "s1"
+        assert space.lock_holder("b", 15.0) is None
 
-    def test_apply_dispatches_operations(self):
+    def test_release_one_returns_the_sessions_locks_oldest_first(self):
         space = DepSpace()
-        space.apply(("out", (("k", 1), 0.0), {}))
-        assert space.apply(("rdp", (("k", ANY), 0.0), {})) == ("k", 1)
+        _take(space, ["c", "a"], 0.0)
+        _take(space, ["b"], 1.0)
+        _take(space, ["z"], 1.0, session="s2")
+        assert [space.release_one("s1", 2.0) for _ in range(4)] == ["c", "a", "b", None]
+        assert space.lock_holder("z", 2.0) == "s2"
 
-    def test_apply_rejects_unknown_and_private_operations(self):
-        with pytest.raises(ConflictError):
-            DepSpace().apply(("_sweep", (0.0,), {}))
-        with pytest.raises(ConflictError):
-            DepSpace().apply(("not_an_op", (), {}))
+    def test_release_one_skips_a_lapsed_lock(self):
+        space = DepSpace()
+        _take(space, ["a"], 0.0)
+        _take(space, ["b"], 5.0)
+        assert space.release_one("s1", 11.0) == "b"
+        assert space.release_one("s1", 11.0) is None
 
 
-class TestZooKeeperLike:
-    def test_create_and_get(self):
+class TestZooKeeperSessions:
+    """A ZooKeeper lock lives as long as the session that took it."""
+
+    def test_a_sessions_locks_go_when_it_expires(self):
         tree = ZooKeeperLike()
-        tree.create("/a", b"data", now=0.0)
-        assert tree.get("/a", now=0.0) == (b"data", 0)
+        _take(tree, ["a", "b"], 0.0, deadline=10.0)
+        _take(tree, ["z"], 0.0, session="s2", deadline=50.0)
+        assert tree.lock_holder("a", 9.0) == "s1"
+        assert [tree.lock_holder(name, 10.0) for name in ("a", "b", "z")] == [None, None, "s2"]
 
-    def test_create_requires_parent(self):
-        with pytest.raises(TupleNotFoundError):
-            ZooKeeperLike().create("/a/b", b"", now=0.0)
-
-    def test_duplicate_create_rejected(self):
+    def test_a_heartbeat_or_a_take_keeps_the_session_alive(self):
         tree = ZooKeeperLike()
-        tree.create("/a", b"", now=0.0)
-        with pytest.raises(ConflictError):
-            tree.create("/a", b"", now=0.0)
+        _take(tree, ["a"], 0.0, deadline=10.0)
+        tree.register_session("s1", 20.0, now=5.0)
+        _take(tree, ["b"], 15.0, deadline=30.0)
+        assert [tree.lock_holder(name, 25.0) for name in ("a", "b")] == ["s1", "s1"]
 
-    def test_invalid_paths_rejected(self):
+    def test_a_heartbeat_after_expiry_does_not_bring_the_locks_back(self):
         tree = ZooKeeperLike()
-        with pytest.raises(ConflictError):
-            tree.create("no-slash", b"", now=0.0)
-        with pytest.raises(ConflictError):
-            tree.create("/trailing/", b"", now=0.0)
+        _take(tree, ["a"], 0.0, deadline=10.0)
+        tree.register_session("s1", 40.0, now=11.0)  # nothing read the lock in between
+        assert tree.lock_holder("a", 12.0) is None
+        _take(tree, ["b"], 12.0, deadline=40.0)
+        assert [tree.lock_holder(name, 13.0) for name in ("a", "b")] == [None, "s1"]
 
-    def test_set_bumps_version_and_checks_expected(self):
+    def test_a_take_after_expiry_does_not_bring_the_old_locks_back(self):
         tree = ZooKeeperLike()
-        tree.create("/a", b"v0", now=0.0)
-        assert tree.set("/a", b"v1", now=0.0) == 1
-        with pytest.raises(ConflictError):
-            tree.set("/a", b"v2", now=0.0, expected_version=0)
-        assert tree.set("/a", b"v2", now=0.0, expected_version=1) == 2
+        _take(tree, ["a"], 0.0, deadline=10.0)
+        _take(tree, ["b"], 11.0, deadline=21.0)
+        assert [tree.lock_holder(name, 12.0) for name in ("a", "b")] == [None, "s1"]
 
-    def test_delete_checks_version_and_children(self):
+    def test_close_session_releases_the_sessions_locks_only(self):
         tree = ZooKeeperLike()
-        tree.create("/a", b"", now=0.0)
-        tree.create("/a/b", b"", now=0.0)
-        with pytest.raises(ConflictError):
-            tree.delete("/a", now=0.0)
-        tree.delete("/a/b", now=0.0)
-        tree.delete("/a", now=0.0)
-        assert not tree.exists("/a", now=0.0)
-
-    def test_sequential_nodes_get_increasing_suffixes(self):
-        tree = ZooKeeperLike()
-        tree.create("/q", b"", now=0.0)
-        first = tree.create("/q/item-", b"", now=0.0, sequential=True)
-        second = tree.create("/q/item-", b"", now=0.0, sequential=True)
-        assert first < second
-
-    def test_ephemeral_nodes_vanish_on_session_expiry(self):
-        tree = ZooKeeperLike()
-        tree.register_session("s1", deadline=10.0)
-        tree.create("/lock", b"", now=0.0, ephemeral_owner="s1")
-        assert tree.exists("/lock", now=5.0)
-        assert not tree.exists("/lock", now=11.0)
-
-    def test_close_session_removes_ephemerals_immediately(self):
-        tree = ZooKeeperLike()
-        tree.register_session("s1", deadline=100.0)
-        tree.create("/lock", b"", now=0.0, ephemeral_owner="s1")
+        _take(tree, ["a", "b"], 0.0, deadline=100.0)
+        _take(tree, ["z"], 0.0, session="s2", deadline=100.0)
         tree.close_session("s1", now=1.0)
-        assert not tree.exists("/lock", now=1.0)
-
-    def test_ephemeral_nodes_cannot_have_children(self):
-        tree = ZooKeeperLike()
-        tree.register_session("s1", deadline=100.0)
-        tree.create("/e", b"", now=0.0, ephemeral_owner="s1")
-        with pytest.raises(ConflictError):
-            tree.create("/e/child", b"", now=0.0)
-
-    def test_get_children_sorted(self):
-        tree = ZooKeeperLike()
-        tree.create("/d", b"", now=0.0)
-        tree.create("/d/b", b"", now=0.0)
-        tree.create("/d/a", b"", now=0.0)
-        assert tree.get_children("/d", now=0.0) == ["/d/a", "/d/b"]
-
-    def test_node_count_excludes_root(self):
-        tree = ZooKeeperLike()
-        tree.create("/x", b"", now=0.0)
-        assert tree.node_count(now=0.0) == 1
+        assert [tree.lock_holder(name, 1.0) for name in ("a", "b", "z")] == [None, None, "s2"]
 
 
 class TestReplication:
@@ -216,40 +164,42 @@ class TestReplication:
 
     def test_invoke_keeps_replicas_in_sync(self, sim):
         rsm = ReplicatedStateMachine(sim, DepSpace, FaultModel.CRASH, f=1)
-        rsm.invoke("out", ("k", 1), 0.0)
+        rsm.invoke("entry_put", "k", b"v", "alice", 0.0)
         for index in rsm.correct_replicas:
-            assert rsm.replicas[index].rdp(("k", ANY), 0.0) == ("k", 1)
+            assert rsm.replicas[index].entry_get("k", "alice", 0.0).value == b"v"
 
     def test_invoke_charges_latency(self, sim):
         rsm = ReplicatedStateMachine(sim, DepSpace, FaultModel.BYZANTINE, f=1)
-        rsm.invoke("out", ("k", 1), 0.0)
+        rsm.invoke("entry_put", "k", b"v", "alice", 0.0)
         assert sim.now() > 0.0
 
     def test_tolerates_f_crashes(self, sim):
         rsm = ReplicatedStateMachine(sim, DepSpace, FaultModel.CRASH, f=1)
         rsm.crash_replica(0)
-        rsm.invoke("out", ("k", 1), 0.0)
-        assert rsm.reference_replica().rdp(("k", ANY), 0.0) == ("k", 1)
+        rsm.invoke("entry_put", "k", b"v", "alice", 0.0)
+        assert rsm.reference_replica().entry_get("k", "alice", 0.0).value == b"v"
 
     def test_too_many_crashes_block_progress(self, sim):
         rsm = ReplicatedStateMachine(sim, DepSpace, FaultModel.CRASH, f=1)
         rsm.crash_replica(0)
         rsm.crash_replica(1)
         with pytest.raises(QuorumNotReachedError):
-            rsm.invoke("out", ("k", 1), 0.0)
+            rsm.invoke("entry_put", "k", b"v", "alice", 0.0)
 
     def test_byzantine_replicas_do_not_block_below_threshold(self, sim):
         rsm = ReplicatedStateMachine(sim, DepSpace, FaultModel.BYZANTINE, f=1)
         rsm.make_byzantine(2)
-        rsm.invoke("out", ("k", 1), 0.0)
+        rsm.invoke("entry_put", "k", b"v", "alice", 0.0)
         assert rsm.commands_executed == 1
 
-    def test_recover_replica_restores_quorum(self, sim):
-        rsm = ReplicatedStateMachine(sim, DepSpace, FaultModel.CRASH, f=1)
+    def test_recover_replica_restores_quorum_and_state(self, sim):
+        rsm = ReplicatedStateMachine(sim, ZooKeeperLike, FaultModel.CRASH, f=1)
         rsm.crash_replica(0)
+        rsm.invoke("entry_put", "k", b"v", "alice", 0.0)
         rsm.crash_replica(1)
-        rsm.recover_replica(1)
-        rsm.invoke("out", ("k", 1), 0.0)
+        rsm.recover_replica(0)
+        rsm.invoke("entry_put", "k", b"w", "alice", 0.0)
+        assert rsm.replicas[0].entry_get("k", "alice", 0.0).version == 2
 
     def test_invalid_replica_index(self, sim):
         rsm = ReplicatedStateMachine(sim, DepSpace, FaultModel.CRASH, f=1)
@@ -348,13 +298,24 @@ class TestCoordinationAdapters:
         coordination.close_session(s1)
         assert coordination.try_lock("file-1", s2)
 
-    def test_entry_count_and_stored_bytes(self, coordination, alice):
+    def test_close_session_costs(self, coordination, alice, bob):
+        """DepSpace: one command per lock the session holds, plus one; ZooKeeper: one."""
+        s1, s2 = coordination.open_session(alice), coordination.open_session(bob)
+        coordination.multi([Lock("a"), Lock("b")], s1)
+        coordination.try_lock("c", s2)
+        before = coordination.rsm.commands_executed
+        coordination.close_session(s1)
+        cost = 3 if isinstance(coordination, DepSpaceCoordination) else 1
+        assert coordination.rsm.commands_executed - before == cost
+        assert [coordination.lock_holder(name) for name in "abc"] == [None, None, s2.session_id]
+
+    def test_entry_count(self, coordination, alice):
         session = coordination.open_session(alice)
         before = coordination.entry_count()
         coordination.put("k1", b"x" * 100, session)
         coordination.put("k2", b"y" * 100, session)
+        coordination.put("k1", b"z", session)
         assert coordination.entry_count() == before + 2
-        assert coordination.stored_bytes() > 0
 
 
 def _replica_states(coordination) -> list[bytes]:
@@ -523,6 +484,15 @@ class TestZooKeeperLockExpiry:
             assert sim.in_background
             service.put("k", b"w", session)
             assert sim.now() == before
+
+    def test_a_heartbeat_after_expiry_does_not_bring_the_lock_back(self, sim, alice, bob):
+        service = ZooKeeperCoordination(sim, f=1)
+        s1 = service.open_session(alice, lease_seconds=5.0)
+        assert service.try_lock("f", s1)
+        sim.advance(6.0)
+        service.renew_session(s1)  # late: the session already expired
+        assert service.lock_holder("f") is None
+        assert service.try_lock("f", service.open_session(bob))
 
 
 class TestLockManager:

@@ -3,9 +3,11 @@ like organically written ones."""
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
-from repro.scenarios.pool import POOL_PAYLOAD, pool_file_id, prime_pool
+from repro.scenarios.pool import POOL_OWNER, POOL_PAYLOAD, pool_file_id, prime_pool
 from repro.scenarios.spec import ScenarioSpec
 from repro.core.deployment import SCFSDeployment
 from repro.simenv.environment import Simulation
@@ -74,12 +76,23 @@ class TestPrimePool:
         with pytest.raises(ValueError, match="encrypt_data"):
             prime_pool(deployment, spec)
 
-    def test_priming_requires_depspace_coordination(self):
+    @pytest.mark.parametrize("kind", ["depspace", "zookeeper"])
+    def test_priming_installs_what_a_replicated_put_leaves(self, kind):
         spec = _spec()
         from dataclasses import replace
 
-        config = replace(spec.config(), coordination_kind="zookeeper",
-                         coordination_partitions=1)
+        config = replace(spec.config(), coordination_kind=kind, coordination_partitions=1)
         deployment = SCFSDeployment(config, sim=Simulation(seed=1))
-        with pytest.raises(TypeError, match="DepSpace"):
-            prime_pool(deployment, spec)
+        stats = prime_pool(deployment, spec)
+        coordination = deployment.coordination
+        assert coordination.entry_count() == stats["coordination_entries"]
+        replicas = coordination.rsm.replicas
+        assert len({pickle.dumps(replica) for replica in replicas}) == 1
+        # The listing walks the sorted index: every pool file, in key order.
+        session = coordination.open_session(deployment.create_agent("carol").agent.principal)
+        directory = spec.shared_files[0].rsplit("/", 1)[0]
+        listed = coordination.list_prefix(f"meta:{directory}/", session)
+        assert listed == sorted(f"meta:{path}" for path in spec.shared_files
+                                if path.startswith(f"{directory}/"))
+        entry = coordination.get(listed[0], session)
+        assert (entry.owner, entry.version) == (POOL_OWNER, 1)
