@@ -88,6 +88,9 @@ class OpenFile:
     locked: bool = False
     private: bool = False
     fsynced_digest: str = ""
+    #: The backend's number for the version this close uploads, taken from
+    #: the anchor before the close replaced its locator.
+    cloud_version: int | None = None
 
     @property
     def writable(self) -> bool:
@@ -145,7 +148,7 @@ class SCFSAgent:
         self._handles: dict[int, OpenFile] = {}
         self._next_handle = itertools.count(3)  # 0-2 "taken" by stdio, as in POSIX
         #: Files whose upload/metadata commit is still pending in the background
-        #: (non-blocking and non-sharing modes); rename must redirect them.
+        #: (non-blocking and non-sharing modes); rename completes them first.
         self._pending_commits: list[OpenFile] = []
         #: Per-file completion time of the latest scheduled background upload:
         #: uploads of the same file complete in submission order (a smaller
@@ -547,6 +550,9 @@ class SCFSAgent:
         data = bytes(of.buffer)
         digest = content_digest(data)
         meta = of.metadata
+        # Numbered by the anchor: the version after the one it names, so the
+        # upload asks no cloud for the latest version first.
+        of.cloud_version = self.backend.version_after(meta.locator, meta.data_version)
         # The new version has no locator until its upload mints one.
         meta.point_at(digest, len(data))
         meta.modified_at = self.sim.now()
@@ -576,8 +582,7 @@ class SCFSAgent:
         """
         meta = of.metadata
         try:
-            ref = self.storage.push_to_cloud(meta.file_id, data,
-                                             min_version=meta.data_version)
+            ref = self.storage.push_to_cloud(meta.file_id, data, version=of.cloud_version)
             self._emit("upload", path=meta.path, file_id=meta.file_id, digest=ref.digest,
                        version=meta.data_version, background=background)
             self._propagate_cloud_acls(meta)
@@ -689,18 +694,21 @@ class SCFSAgent:
     # ------------------------------------------------------------ transactions
 
     def flush_pending(self, path: str) -> None:
-        """Run the in-flight background commits of ``path`` to completion now.
+        """Run the in-flight background commits of ``path`` and below it to completion now.
 
         The transactional layer calls this before touching a file: a pending
         non-blocking close would otherwise anchor its version *after* the
         transaction's CAS with an unconditional update, clobbering it.
-        Completing the upload early just means "it finished by now" — the
-        flush point is itself a deterministic function of the schedule, so
-        replay determinism is preserved.
+        :meth:`rename` calls it before it moves anything.  Completing the upload
+        early just means "it finished by now" — the flush point is itself a
+        deterministic function of the schedule, so replay determinism is
+        preserved.
         """
         path = normalize_path(path)
+        prefix = path.rstrip("/") + "/"
         for pending in [of for of in list(self._pending_commits)
-                        if of.metadata.path == path]:
+                        if of.metadata.path == path
+                        or of.metadata.path.startswith(prefix)]:
             entry = self._pending_tasks.pop(pending.handle, None)
             if entry is None:
                 continue
@@ -824,17 +832,12 @@ class SCFSAgent:
             # Within one directory the source's own existence (checked by the
             # metadata service) already proves the parent exists.
             self._check_parent(new_path)
+        # This agent's in-flight commits at and below ``old_path`` land first:
+        # one firing between a directory's listing and its conditional moves
+        # would fail the rename half-way, and one landing after it would
+        # resurrect the old path.
+        self.flush_pending(old_path)
         self.metadata.rename(old_path, new_path)
-        # Redirect in-flight background commits so they land on the new path
-        # instead of resurrecting the old one.
-        old_prefix = old_path if old_path.endswith("/") else old_path + "/"
-        new_prefix = new_path if new_path.endswith("/") else new_path + "/"
-        for pending in self._pending_commits:
-            path = pending.metadata.path
-            if path == old_path:
-                pending.metadata.path = new_path
-            elif path.startswith(old_prefix):
-                pending.metadata.path = new_prefix + path[len(old_prefix):]
 
     def symlink(self, target: str, link_path: str) -> None:
         """Create a symbolic link to ``target`` at ``link_path``."""

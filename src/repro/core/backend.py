@@ -102,13 +102,14 @@ class StorageBackend(abc.ABC):
 
     @abc.abstractmethod
     def write_version(self, file_id: str, data: bytes,
-                      min_version: int | None = None) -> ObjectRef:
+                      version: int | None = None) -> ObjectRef:
         """Store ``data`` as a new version of ``file_id``; returns its reference.
 
-        ``min_version`` is a lower bound on the backend's internal version
-        number, supplied by callers that hold a strongly consistent version
-        counter (the agent passes the anchored ``data_version``); backends
-        without version counters ignore it.
+        ``version`` is :meth:`version_after` of what the file's anchor holds,
+        supplied by a caller that numbers from the consistency anchor (every
+        SCFS close and PNS save): the backend then asks the cloud(s) nothing
+        before it uploads.  ``None`` leaves the numbering to the backend.
+        Backends without version counters ignore it.
         """
 
     def write_versions(self, items: Sequence[tuple[str, bytes, int]]) -> list[ObjectRef]:
@@ -266,8 +267,8 @@ class SingleCloudBackend(StorageBackend):
     # -- StorageBackend --------------------------------------------------------
 
     def write_version(self, file_id: str, data: bytes,
-                      min_version: int | None = None) -> ObjectRef:
-        # min_version is irrelevant here: each version is its own digest-named
+                      version: int | None = None) -> ObjectRef:
+        # version is irrelevant here: each version is its own digest-named
         # object, so concurrent writers cannot clobber one another's versions.
         digest = content_digest(data)
         self._observed(lambda: self.store.put(self._key(file_id, digest), data, self.principal))
@@ -402,8 +403,11 @@ class CloudOfCloudsBackend(StorageBackend):
     # -- StorageBackend ----------------------------------------------------------
 
     def write_version(self, file_id: str, data: bytes,
-                      min_version: int | None = None) -> ObjectRef:
-        return self._ref(file_id, self.client.write(file_id, data, min_version=min_version))
+                      version: int | None = None) -> ObjectRef:
+        """Numbered by ``version`` (``write_numbered``); without one, by the heads (``write``)."""
+        if version is None:
+            return self._ref(file_id, self.client.write(file_id, data))
+        return self._ref(file_id, self.client.write_numbered([(file_id, data, version)])[0])
 
     def write_versions(self, items: Sequence[tuple[str, bytes, int]]) -> list[ObjectRef]:
         """All of ``items`` through the two DepSky put phases together (``write_numbered``)."""
@@ -500,9 +504,10 @@ class CloudOfCloudsBackend(StorageBackend):
         client = self.client
         block_bytes = client.coder.block_size(num_bytes + 64)
         quorum = client.n - client.f
+        # The two put phases of ``write_numbered``: every SCFS write is
+        # numbered by its anchor, so no head read precedes them.
         return (
-            self._expected_quorum(client.clouds, "object_get", 512, client.k)
-            + self._expected_quorum(client.clouds[:quorum], "object_put", block_bytes, quorum)
+            self._expected_quorum(client.clouds[:quorum], "object_put", block_bytes, quorum)
             + self._expected_quorum(client.clouds, "object_put", 1024, quorum)
         )
 

@@ -119,7 +119,11 @@ class PrivateNameSpace:
         if not self.dirty:
             return None
         blob = self._to_bytes()
-        ref = self.backend.write_version(self.unit_id, blob)
+        # Numbered by the anchor, like a file's close: the version after the
+        # one the last anchored locator names (the first save is version 1).
+        _digest, locator = split_anchor_value(self._last_anchored)
+        ref = self.backend.write_version(self.unit_id, blob,
+                                         version=self.backend.version_after(locator, 0))
         self._last_anchored = anchor_value(ref)
         if self.coordination is not None and self.session is not None:
             self.coordination.put(self.tuple_key, self._last_anchored.encode(), self.session)

@@ -114,13 +114,13 @@ class StorageService:
         self.disk.put(cache_key(file_id, digest), data)
 
     def push_to_cloud(self, file_id: str, data: bytes,
-                      min_version: int | None = None) -> ObjectRef:
+                      version: int | None = None) -> ObjectRef:
         """Synchronously upload a new version to the cloud backend (levels 2/3).
 
-        ``min_version`` is the anchored version number of the new version
-        (see :meth:`StorageBackend.write_version`).
+        ``version`` is the backend's number for the new version, taken from
+        the anchor (see :meth:`StorageBackend.write_version`).
         """
-        ref = self.backend.write_version(file_id, data, min_version=min_version)
+        ref = self.backend.write_version(file_id, data, version=version)
         self.cloud_writes += 1
         self.bytes_pushed += len(data)
         return ref
@@ -139,7 +139,7 @@ class StorageService:
         return refs
 
     def push_to_cloud_uncharged(self, file_id: str, data: bytes,
-                                min_version: int | None = None) -> ObjectRef:
+                                version: int | None = None) -> ObjectRef:
         """:meth:`push_to_cloud` as background work.
 
         No caller in ``src/``: the agent's background commit runs the whole
@@ -148,7 +148,7 @@ class StorageService:
         ``tracer.WRAPPED`` entry (ROADMAP).
         """
         with self.sim.background():
-            return self.push_to_cloud(file_id, data, min_version=min_version)
+            return self.push_to_cloud(file_id, data, version=version)
 
     # --------------------------------------------------------------- maintenance
 

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
+
 import pytest
 
 from repro.clouds.dispatch import QuorumCall
+from repro.clouds.eventual import EventuallyConsistentStore
 from repro.common.types import Principal
 from repro.simenv.environment import Simulation
 
@@ -76,3 +80,27 @@ class CloudMeter:
 def cloud_meter(monkeypatch):
     """``cloud_meter(clouds)`` starts a :class:`CloudMeter` over ``clouds``."""
     return lambda clouds: CloudMeter(clouds, monkeypatch)
+
+
+@contextlib.contextmanager
+def _recording_block_puts():
+    stored: dict[tuple[str, str], set[str]] = {}
+    put = EventuallyConsistentStore.put
+
+    def recorded(store, key, data, principal):
+        if not key.endswith("/metadata"):
+            stored.setdefault((store.name, key), set()).add(hashlib.sha256(data).hexdigest())
+        return put(store, key, data, principal)
+
+    EventuallyConsistentStore.put = recorded
+    try:
+        yield stored
+    finally:
+        EventuallyConsistentStore.put = put
+
+
+@pytest.fixture(scope="session")
+def block_puts():
+    """``with block_puts() as stored:`` maps ``(cloud, key)`` of every block put
+    inside the block (heads left out) to the SHA-256 of each content put there."""
+    return _recording_block_puts

@@ -126,7 +126,10 @@ def test_history_survives_one_cloud_lying_about_heads_and_listings(faulty, lie, 
         if kind == "write":
             version = anchored[-1][0] if anchored else 0
             data = b"version %d by writer %d" % (version + 1, argument)
-            ref = writers[argument].write_version(UNIT, data, min_version=version + 1)
+            # The head-read path (standalone DepSky's ``write``), given the
+            # anchored bound: what the heads say must neither lower nor raise it.
+            ref = CloudOfCloudsBackend._ref(
+                UNIT, writers[argument].client.write(UNIT, data, min_version=version + 1))
             record = VersionRecord.from_locator(ref.locator, ref.digest)
             assert record.version == version + 1
             anchored.append((record.version, data, ref))

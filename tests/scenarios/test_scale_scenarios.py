@@ -37,17 +37,18 @@ from repro.scenarios.runner import ScenarioRunner
 #: block *i* lives on the *i*-th cloud of DepSky's preferred order (ranked by
 #: the profiles' GET latency, no longer the provider list's order) and a block
 #: read asks the already-visible holders first, so every block request after a
-#: run's first write goes to another cloud and draws another latency.  See
-#: docs/determinism-contract.md.
+#: run's first write goes to another cloud and draws another latency.  Epoch 10
+#: covers all eight mixes: every close is numbered by its anchor, one quorum
+#: call (and its draws) fewer per close.  See docs/determinism-contract.md.
 GOLDEN_LOCKSTEP = {
-    "fault-free": "ef4f0addd20049ca7b91be642e552c620cae8e67dfffb246f41a938bcf9ca392",
-    "crash-hang": "bbf8626e5e548dfe0299a1059d6af11070f7f6cc31b78cce1b1460f07eb39cd5",
-    "corrupt-byzantine": "2ff2cb0739fabaaa4ca1da320f423fd44c58eef5a523a821a09ef313dee1d983",
-    "degraded-outage": "748e0d917fae55df31fdcb993b17c387b4b93be9f88962cb64f6844c341ebaab",
-    "weighted-byzantine": "c0e5112c5c5421a40b6b72c972d82ef36127d29c6540187aba493ba2fc5322e1",
-    "txn": "d29b7b640c3fd134d75fc21abe31086be43ef2a5a2c5c8d58f96ee33077d7f51",
-    "txn-crash-restart": "0d1bd5567f543a08c9c6f253c4eb4edf12288ca01c7c60d0e53a21a4935a54df",
-    "txn-partition": "1d3df1bd4f4b5bbcba0fef24649ffacf9d2956371adb26034fd01352d9a2f940",
+    "fault-free": "97b137c26309d6f11d292b49c209bda7276dfdd7291c1751739fa2426737e135",
+    "crash-hang": "39019dc5e108fa9663a43d9e5faf352d1ddd2646ce6ecacff10bb7c216a9fef5",
+    "corrupt-byzantine": "5588b1d3d050488986cf47fa389da040082774c489e6558ddc6b84c5b9aaf2be",
+    "degraded-outage": "574f18bc2fdd32b27ceb9eced9932bd5f98ddc133e4b10b9053bc1e98814b197",
+    "weighted-byzantine": "4d0d4533ef618a1b374a4de95d6ed9373ea1c7f7a94de411460c5c1cc90bcb99",
+    "txn": "3a20d316f5e7b4d85f98eb3b008c31ea5cd596971fa04363c999afd6bfa181b9",
+    "txn-crash-restart": "3d0b9fbeb8879da22f4169073f1d47224ef7c863a3fe6338912bb1e97868fd84",
+    "txn-partition": "2d7ee2b8aec8a681aa36c9e6745190c2139d582f5f27847c95f10cf7715952e4",
 }
 
 
@@ -67,9 +68,9 @@ def _scale_spec(**overrides) -> ScenarioSpec:
 
 
 #: Trace fingerprint of ``_scale_spec()``: pooled, partitioned, event-driven —
-#: the one pinned run that goes through pool priming.  Recorded in epoch 9; an
+#: the one pinned run that goes through pool priming.  Re-pinned in epoch 10; an
 #: epoch bump re-pins it together with the eight above.
-GOLDEN_POOLED = "31ce7e9fabdb1d47fcacb88c072bc956580291d7a7af2414b67b4ea3b480eefb"
+GOLDEN_POOLED = "1d9919805bc40c187ac494899113cfdf27e6ffe7665a46e9aec39126447f0043"
 
 
 def test_pooled_fingerprint_is_pinned() -> None:

@@ -219,6 +219,22 @@ class TestNamespaceOperations:
         deployment.drain()
         assert fs.read_file("/renamed/g.txt") == b"data"
 
+    def test_a_directory_rename_completes_the_pending_commits_below_it(self):
+        """The agent's own background commit of a child must not fire between
+        the directory's listing and its conditional moves: the rename would
+        fail half-way, leaving the child at the old path under no directory."""
+        for step in range(31):
+            deployment = SCFSDeployment.for_variant("SCFS-CoC-NB", seed=11)
+            fs = deployment.create_agent("alice")
+            fs.mkdir("/dir")
+            fs.write_file("/dir/f.txt", b"data")
+            deployment.sim.advance(step * 0.02)
+            fs.rename("/dir", "/renamed")
+            deployment.drain()
+            assert not fs.exists("/dir") and not fs.exists("/dir/f.txt"), step
+            assert fs.readdir("/renamed") == ["f.txt"], step
+            assert fs.read_file("/renamed/f.txt") == b"data", step
+
     def test_rename_to_existing_target_fails(self, coc_nb):
         _, fs = coc_nb
         fs.write_file("/a.txt", b"a")

@@ -5,20 +5,18 @@ the *head* (the latest version's record) and blocks are written once under
 names carrying ``(version, digest)``.  So the 200th write of a unit costs what
 the first did — ``n`` head GETs, ``n - f`` block PUTs, ``n`` head PUTs, three
 quorum calls, the same bytes — and the collector finds the stored versions by
-one LIST per cloud, with no head read or rewrite.  A transaction commit numbers
-its write set by the anchor it validated under its locks, so it sends no head
-GET at all: two quorum calls per unit.  These tests pin that budget,
+one LIST per cloud, with no head read or rewrite.  SCFS numbers every write by
+its consistency anchor — a close (blocking or in the background), a PNS save
+and a transaction commit alike — so it sends no head GET at all: two quorum
+calls per unit.  These tests pin that budget,
 counted below DepSky like ``test_read_budget.py``: at ``QuorumCall.execute``
 and in the providers' ``request_log``.
 """
 
 from __future__ import annotations
 
-import hashlib
-
 import pytest
 
-from repro.clouds.eventual import EventuallyConsistentStore
 from repro.clouds.providers import make_cloud_of_clouds
 from repro.core.config import GarbageCollectionPolicy
 from repro.core.deployment import SCFSDeployment
@@ -108,12 +106,12 @@ def test_a_transaction_write_set_is_two_quorum_calls_per_unit_and_no_head_get(
     assert [fs.read_file(path) for path in paths] == [b"after " + p.encode() for p in paths]
 
 
-def test_a_plain_close_still_reads_the_heads(cloud_meter):
-    """Deliberately unchanged: ``write`` / ``write_version`` / ``SCFSAgent._commit``
-    keep their head read (``n`` GETs) and their RNG draw order.  The anchored
-    locator could number a close as it numbers a commit, but ``faulty_1m`` cuts
-    its fault phases by round index, so a 0.095 s shorter round reads there as
-    fetch p50 +4…8 % — the fold stays parked behind ROADMAP item 1h."""
+def _two_put_phases(n: int, f: int) -> dict[tuple[str, str], int]:
+    """A write numbered by its anchor: no head GET, ``n - f`` block PUTs, ``n`` head PUTs."""
+    return {("put", "block"): n - f, ("put", "head"): n}
+
+
+def test_a_blocking_close_is_numbered_by_its_anchor(cloud_meter):
     deployment = SCFSDeployment.for_variant("SCFS-CoC-B", seed=61)
     fs = deployment.create_agent("alice")
     fs.write_file("/f", b"before", shared=True)
@@ -121,28 +119,51 @@ def test_a_plain_close_still_reads_the_heads(cloud_meter):
     n, f = len(deployment.clouds), 1
     meter = cloud_meter(deployment.clouds)
     fs.write_file("/f", b"after", shared=True)
-    assert meter.quorum_calls() == 3
-    assert _shape(meter.requests()) == {("get", "head"): n, ("put", "block"): n - f,
-                                        ("put", "head"): n}
+    assert meter.quorum_calls() == 2
+    assert _shape(meter.requests()) == _two_put_phases(n, f)
 
 
-def test_no_block_name_is_ever_put_twice_with_different_bytes(sim, alice, monkeypatch):
-    stored: dict[tuple[str, str], set[str]] = {}
-    put = EventuallyConsistentStore.put
+def test_a_background_commit_is_numbered_by_its_anchor(cloud_meter):
+    deployment = SCFSDeployment.for_variant("SCFS-CoC-NB", seed=61)
+    fs = deployment.create_agent("alice")
+    fs.write_file("/f", b"before", shared=True)
+    deployment.drain(3.0)
+    n, f = len(deployment.clouds), 1
+    meter = cloud_meter(deployment.clouds)
+    fs.write_file("/f", b"after", shared=True)
+    # The close asks no cloud anything (the estimate of its schedule runs the
+    # dispatch engine over expected latencies, and sends no request).
+    assert meter.requests() == []
+    meter.mark()
+    deployment.drain(3.0)
+    assert meter.quorum_calls() == 2
+    assert _shape(meter.requests()) == _two_put_phases(n, f)
+    assert fs.read_file("/f") == b"after"
 
-    def recorded(store, key, data, principal):
-        stored.setdefault((store.name, key), set()).add(hashlib.sha256(data).hexdigest())
-        return put(store, key, data, principal)
 
-    monkeypatch.setattr(EventuallyConsistentStore, "put", recorded)
+def test_a_pns_save_is_numbered_by_its_anchor(cloud_meter):
+    deployment = SCFSDeployment.for_variant("SCFS-CoC-B", seed=61, private_name_spaces=True)
+    fs = deployment.create_agent("alice")
+    fs.write_file("/private.txt", b"saves the name space once")
+    fs.mkdir("/private-dir")
+    deployment.drain(3.0)
+    n, f = len(deployment.clouds), 1
+    meter = cloud_meter(deployment.clouds)
+    fs.agent.unmount()
+    assert meter.quorum_calls() == 2
+    assert _shape(meter.requests()) == _two_put_phases(n, f)
+    assert fs.agent.pns.saves == 2
+
+
+def test_no_block_name_is_ever_put_twice_with_different_bytes(sim, alice, block_puts):
     clouds = make_cloud_of_clouds(sim)
     # Two clients with no lock and no shared counter, inside one propagation
     # window: both mint version 1, 2, ... — of different plaintexts.
     first, second = (DepSkyClient(sim, clouds, alice, f=1) for _ in range(2))
-    for generation in range(20):
-        first.write("unit", b"first writer %d" % generation)
-        second.write("unit", b"second writer %d" % generation)
-    blocks = {name: blobs for name, blobs in stored.items() if not name[1].endswith("/metadata")}
+    with block_puts() as blocks:
+        for generation in range(20):
+            first.write("unit", b"first writer %d" % generation)
+            second.write("unit", b"second writer %d" % generation)
     assert len(blocks) == 2 * 20 * (first.n - first.f)
     assert all(len(blobs) == 1 for blobs in blocks.values())
     sim.advance(3.0)
