@@ -179,13 +179,15 @@ class CoordinationService(abc.ABC):
         steps.  A command may change each key and each lock at most once.
         """
 
-    def colocated(self, *names: str) -> bool:
-        """True when a :meth:`multi` whose steps are routed by ``names`` is one command.
+    def lock_home(self, key: str) -> str:
+        """Suffix of an id whose lock names should live with the entry ``key``.
 
-        Always, on one service; a partitioned one says whether the lock names
-        and entry keys fall on one partition.
+        A lock name ending with it is held where ``key`` is, so a ``Lock``
+        riding with a step on ``key`` is one command.  Empty on one service,
+        which holds every lock and entry; a partitioned one names the
+        partition of ``key``.
         """
-        return True
+        return ""
 
     # -- locking ------------------------------------------------------------
 

@@ -95,19 +95,33 @@ class LockManager:
         given — the lock rides in the command it guards: ``send`` is called
         once with the ``Lock`` steps to put in its own ``multi`` (none when
         every name is re-entrant) and must raise iff that command was refused.
-        Returns the names actually taken from the service.  Counts settle
-        only after the command succeeded: a refusal
+        Returns the names actually taken from the service.
+
+        A re-entrant name is counted *before* the command: nothing can refuse
+        it, and ``send`` advances the clock, so a background commit of this
+        session may release one acquisition of it meanwhile — counted after,
+        that release would hand back a lock this call then claims to hold.
+        The taken names are counted once the command succeeded.  A refusal
         (:class:`LockHeldError`, its ``lock`` naming the contended one, or
-        whatever ``send`` raises) leaves no name taken and no count changed.
+        whatever ``send`` raises) takes no name and rolls the re-entrant
+        counts back through :meth:`release_set`, which returns a lock whose
+        last other acquisition was released meanwhile.
         """
         wanted = list(dict.fromkeys(names))
         fresh = [name for name in wanted if name not in self.held]
+        reentrant = [name for name in wanted if name in self.held]
+        for name in reentrant:
+            self.held[name] += 1
         steps = [Lock(name) for name in fresh]
-        if send is not None:
-            send(steps)
-        elif steps:
-            self.service.multi(steps, self.session)
-        for name in wanted:
+        try:
+            if send is not None:
+                send(steps)
+            elif steps:
+                self.service.multi(steps, self.session)
+        except BaseException:
+            self.release_set(reentrant)
+            raise
+        for name in fresh:
             self.held[name] = self.held.get(name, 0) + 1
         return fresh
 

@@ -13,6 +13,13 @@ the top-level directory (the default) spreads different users' or projects'
 subtrees across independent replicated services, multiplying the metadata
 capacity and halving (or better) the load per service.  Operations that span
 partitions (``list_entries`` with a short prefix) simply fan out.
+
+A lock name may carry a *home*: a trailing ``@<partition>`` (the file ids the
+agent mints end with :meth:`PartitionedCoordination.lock_home` of the entry
+they are created under).  Such a lock lives on that partition, so it rides in
+one command with its entry; a rename to another partition leaves it at home.
+Lock names without a home, and entry keys always, go by the partitioning
+function.  Both are pure functions of the name: every client routes alike.
 """
 
 from __future__ import annotations
@@ -28,7 +35,7 @@ from repro.coordination.base import CoordinationService, Entry, Lock, Op, Sessio
 def partition_by_top_level_directory(key: str, partitions: int) -> int:
     """Default partitioning function: hash the first path component of the key.
 
-    Metadata keys look like ``meta:/a/b/c`` and lock names like
+    Metadata keys look like ``meta:/a/b/c`` and lock names without a home like
     ``filelock:file-000123``; taking the first component after the prefix keeps
     all entries of one top-level subtree in the same partition, so rename and
     readdir of a subtree stay single-partition.
@@ -61,11 +68,18 @@ class PartitionedCoordination(CoordinationService):
         return self.services[index % len(self.services)]
 
     def partition_of(self, key: str) -> int:
-        """Index of the partition responsible for ``key`` (observability/tests)."""
+        """Index of the partition responsible for the entry ``key``."""
         return self.partition_function(key, len(self.services)) % len(self.services)
 
-    def colocated(self, *names: str) -> bool:
-        return len({self.partition_of(name) for name in names}) <= 1
+    def lock_partition(self, name: str) -> int:
+        """Index of the partition holding the lock ``name``: the home its ``@<p>`` names, if any."""
+        _, at, home = name.rpartition("@")
+        if at and home.isdigit():
+            return int(home) % len(self.services)
+        return self.partition_of(name)
+
+    def lock_home(self, key: str) -> str:
+        return f"@{self.partition_of(key)}"
 
     # -- sessions ----------------------------------------------------------------
     #
@@ -173,10 +187,11 @@ class PartitionedCoordination(CoordinationService):
         unlocks: dict[int, list[int]] = {}
         final = None
         for position, op in enumerate(ops):
-            index = self.partition_of(op[0])
             if isinstance(op, (Lock, Unlock)):
+                index = self.lock_partition(op.name)
                 phase = locks if isinstance(op, Lock) else unlocks
             else:
+                index = self.partition_of(op.key)
                 phase, final = entries, index
             phase.setdefault(index, []).append(position)
         middle = sorted(entries, key=lambda index: (index == final, index))
@@ -213,7 +228,7 @@ class PartitionedCoordination(CoordinationService):
 
     def lock_holder(self, name: str) -> str | None:
         # Callers compare against the façade session they were given.
-        holder = self._service_for(name).lock_holder(name)
+        holder = self.services[self.lock_partition(name)].lock_holder(name)
         return self._facade_ids.get(holder, holder)
 
     # -- introspection ----------------------------------------------------------------

@@ -7,7 +7,8 @@ storage backend, implementing the call flows of Figure 4:
 * ``open``  — read the metadata (cache → PNS → coordination; a creating open
   sends the insert-if-absent *first* where it can tell locally that nothing
   else would be sent, and a refusal says what is there), optionally lock
-  the file when opening for writing, then bring the file data into the local
+  the file when opening for writing — the lock rides in the command that
+  re-reads the entry under it — then bring the file data into the local
   caches (from the cloud only when the locally cached copy does not match the
   anchored hash);
 * ``write``/``read`` — operate purely on the main-memory copy of the open file
@@ -33,7 +34,7 @@ import enum
 import functools
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any, Callable, Sequence
 
 from repro.common.errors import (
     FileExistsErrorFS,
@@ -48,7 +49,7 @@ from repro.common.errors import (
     PermissionDeniedError,
 )
 from repro.common.types import ObjectRef, Permission, Principal
-from repro.coordination.base import CoordinationService
+from repro.coordination.base import CoordinationService, Op
 from repro.core.backend import StorageBackend
 from repro.core.cache import MetadataCache, make_disk_cache, make_memory_cache
 from repro.core.config import SCFSConfig
@@ -289,10 +290,13 @@ class SCFSAgent:
         raise NotADirectoryErrorFS(f"not a directory: {parent_path(path)}")
 
     def _new_file(self, path: str) -> FileMetadata:
+        """A new file at ``path``; its id places its lock with its entry, for life."""
         now = self.sim.now()
+        home = "" if self.coordination is None else self.coordination.lock_home(
+            self.metadata.entry_key(path))
         return FileMetadata(
             path=path, file_type=FileType.FILE, owner=self.principal.name,
-            created_at=now, modified_at=now, file_id=self.sim.fresh_id("file"),
+            created_at=now, modified_at=now, file_id=self.sim.fresh_id("file") + home,
         )
 
     # ------------------------------------------------------------------- open
@@ -300,9 +304,11 @@ class SCFSAgent:
     def open(self, path: str, flags: OpenFlags = OpenFlags.READ, shared: bool = False) -> int:
         """Open (optionally creating) a file and return a handle.
 
-        ``shared`` forces a newly created file's metadata into the coordination
-        service even when PNSs are enabled (used to model externally-shared
-        directories and by the Figure 10(b) sweep).
+        Look, create (``O_CREAT`` of an absent file), lock and revalidate (a
+        write-open of a shared file), load.  ``shared`` forces a newly created
+        file's metadata into the coordination service even when PNSs are
+        enabled (used to model externally-shared directories and by the
+        Figure 10(b) sweep).
         """
         self._syscall()
         self.stats.opens += 1
@@ -311,62 +317,16 @@ class SCFSAgent:
         wants_write = bool(flags & (OpenFlags.WRITE | OpenFlags.TRUNCATE))
         began = self.sim.now()
 
-        # The cache is fine for this first look: it only decides existence,
-        # permissions and the lock name.  Writers must base the new version on
-        # the *latest anchored* metadata — the cache may lag a concurrent
-        # close by up to its expiration and the write lock alone does not
-        # refresh it — but that authoritative read happens *after* the lock is
-        # held (below), so it is not paid twice here.
-        meta = self.metadata.lookup(path, remote=False)
-        # Insert first: "absent" is an answer the insert-if-absent gives by
-        # itself, and a refusal says what is there.  Only where the insert is
-        # all a create would send anyway — nothing held here says the file
-        # exists, its parent is known *here* to be a live directory (asking
-        # for it would cost an existing file, or a caller who may not read the
-        # directory, a read it never paid), the entry goes to the coordination
-        # service, and entry and lock travel in one command.
-        fresh: FileMetadata | None = None
-        if ((meta is None or meta.deleted) and flags & OpenFlags.CREATE
-                and self._pending_commit_for(path) is None
-                and self._check_parent(path, remote=False)):
-            fresh = self._new_file(path)
-        insert_first = (
-            fresh is not None and not self.metadata.creates_privately(fresh, shared)
-            and self.coordination.colocated(self.metadata.entry_key(path),
-                                            self.locks.lock_name(fresh)))
-        if meta is None and not insert_first:
-            meta = self.metadata.lookup(path, use_cache=False)
+        meta, fresh = self._look(path, flags, shared)
         created = meta is None or meta.deleted
         if created:
             if not flags & OpenFlags.CREATE:
                 raise FileNotFoundErrorFS(f"no such file: {path}")
-            if not insert_first:
-                self._check_parent(path)
-            meta = fresh or self._new_file(path)
+            meta, created = self._create(path, shared, fresh, wants_write)
+        if created:
             private = self.metadata.creates_privately(meta, shared)
-            # The lock of a file created here rides in the command that inserts
-            # its entry: one coordination round trip, not two.
-            insert = functools.partial(self.metadata.create, meta, shared)
-            try:
-                if wants_write and not private and self.locks.enabled:
-                    # repro: allow[LCK001] -- ownership hand-off: the lock lives with the handle, close() releases it
-                    self.locks.acquire(meta, insert)
-                else:
-                    insert()
-            except FileExistsErrorFS as exc:
-                # A live object is there after all (met by the insert sent
-                # first, or a concurrent creator won): open what was met.
-                if exc.found is None:
-                    raise
-                created, meta = False, exc.found
-        if not created:
-            # A non-blocking commit of this path may still be in flight: its
-            # version is newer than anything the anchor knows yet, and this
-            # agent must read its own writes (and must not base a new version
-            # on the pre-upload state, which would lose the pending update).
-            pending = self._pending_commit_for(path)
-            if pending is not None:
-                meta = pending.metadata.copy()
+        else:
+            meta = self._newest(path, meta)
             private = self.metadata.is_private(meta)
         if meta.is_directory:
             raise IsADirectoryErrorFS(f"is a directory: {path}")
@@ -379,42 +339,9 @@ class SCFSAgent:
         # (write-write conflicts are prevented rather than merged, §2.5.1).
         locked = wants_write and not private and self.locks.enabled
         if locked and not created:
-            try:
-                self.locks.acquire(meta)
-            except LockHeldError:
-                self.stats.lock_conflicts += 1
-                raise
+            meta = self._lock_and_revalidate(path, meta)
         try:
-            if locked and not created:
-                # Acquiring the lock takes one coordination round trip, during
-                # which the previous holder's in-flight commit may land: the
-                # (possibly cached) metadata snapshot from before the
-                # acquisition can be stale, and writing on top of it would
-                # fork the version history (a lost update despite mutual
-                # exclusion).  The lock is the serialization point, so the
-                # anchored metadata is re-validated *after* it is held.
-                refreshed = self.metadata.lookup(path, use_cache=False)
-                if refreshed is not None and not refreshed.deleted:
-                    if refreshed.file_id != meta.file_id:
-                        # The path was deleted and recreated while this open
-                        # was in flight: the lock taken above guards the old
-                        # incarnation's id, so move it to the current one.
-                        self.locks.release(meta)
-                        self.locks.acquire(refreshed)
-                    meta = refreshed
-                pending = self._pending_commit_for(path)
-                if pending is not None:
-                    meta = pending.metadata.copy()
-
-            served = False
-            if flags & OpenFlags.TRUNCATE or (created and not meta.digest):
-                buffer = bytearray()
-                dirty = bool(flags & OpenFlags.TRUNCATE) and bool(meta.digest)
-            else:
-                outcome = self.storage.read_version(meta.file_id, meta.digest, meta.locator)
-                buffer = bytearray(outcome.data)
-                dirty = False
-                served = True
+            buffer, dirty, served = self._load(meta, flags, created)
         except Exception:
             # The handle never materialises, so no close() could ever release
             # the lock: give it back before surfacing the error (a leak here
@@ -439,6 +366,121 @@ class SCFSAgent:
                    version=meta.data_version, served=served, write=wants_write,
                    created=created, locked=locked, handle=handle, began=began)
         return handle
+
+    def _look(self, path: str, flags: OpenFlags,
+              shared: bool) -> tuple[FileMetadata | None, FileMetadata | None]:
+        """The open's first look: ``(what is known of path, the file a create would make)``.
+
+        The cache is fine for this look: it only decides existence,
+        permissions and the lock name.  Writers must base the new version on
+        the *latest anchored* metadata — the cache may lag a concurrent close
+        by up to its expiration and the write lock alone does not refresh it —
+        but that authoritative read rides with the lock
+        (:meth:`_lock_and_revalidate`), so it is not paid twice here.
+
+        The new file is made here when nothing held here says the file exists
+        and its parent is known *here* to be a live directory (asking for it
+        would cost an existing file, or a caller who may not read the
+        directory, a read it never paid).  If its entry goes to the
+        coordination service nothing is looked up remotely: the create sends
+        its insert first (:meth:`_inserts_first`), "absent" is an answer the
+        insert-if-absent gives by itself, and a refusal says what is there.
+        """
+        meta = self.metadata.lookup(path, remote=False)
+        fresh: FileMetadata | None = None
+        if ((meta is None or meta.deleted) and flags & OpenFlags.CREATE
+                and self._pending_commit_for(path) is None
+                and self._check_parent(path, remote=False)):
+            fresh = self._new_file(path)
+        if meta is None and not self._inserts_first(fresh, shared):
+            meta = self.metadata.lookup(path, use_cache=False)
+        return meta, fresh
+
+    def _inserts_first(self, fresh: FileMetadata | None, shared: bool) -> bool:
+        """True when creating ``fresh`` sends its insert before anything else.
+
+        Its entry goes to the coordination service, and entry and lock
+        travel in one command: its id places its lock with its entry.
+        """
+        return fresh is not None and not self.metadata.creates_privately(fresh, shared)
+
+    def _create(self, path: str, shared: bool, fresh: FileMetadata | None,
+                wants_write: bool) -> tuple[FileMetadata, bool]:
+        """Create ``path`` for an ``O_CREAT`` open: ``(its metadata, whether this open created it)``.
+
+        The lock of a file created for writing rides in the command that
+        inserts its entry: one coordination round trip, not two.  A live
+        object met by the insert (sent first, or a concurrent creator won) is
+        what the open opens instead.
+        """
+        if not self._inserts_first(fresh, shared):
+            self._check_parent(path)
+        meta = fresh or self._new_file(path)
+        insert = functools.partial(self.metadata.create, meta, shared)
+        try:
+            if wants_write and not self.metadata.creates_privately(meta, shared) \
+                    and self.locks.enabled:
+                self.locks.acquire(meta, insert)
+            else:
+                insert()
+        except FileExistsErrorFS as exc:
+            if exc.found is None:
+                raise
+            return exc.found, False
+        return meta, True
+
+    def _lock_and_revalidate(self, path: str, meta: FileMetadata) -> FileMetadata:
+        """Write-lock an existing shared file and re-read its entry under the lock.
+
+        One coordination command, ``[Lock, Get]``: the lock rides with the
+        re-read it guards.  The snapshot that decided the open may be stale
+        — the previous holder's in-flight commit may land while the lock is
+        taken — and writing on top of it would fork the version history (a
+        lost update despite mutual exclusion).  The lock is the serialization
+        point, so the anchored entry is read by the command that grants it.
+        A re-entrant hold sends the re-read alone.
+        """
+        found: dict[str, tuple[FileMetadata, int] | None] = {}
+
+        def reread(steps: Sequence[Op]) -> None:
+            found.update(self.metadata.lookup_many_versioned([path], also=steps))
+
+        try:
+            # repro: allow[LCK001] -- ownership hand-off: the lock lives with the handle, close() releases it
+            self.locks.acquire(meta, reread)
+        except LockHeldError:
+            self.stats.lock_conflicts += 1
+            raise
+        latest = found[path]
+        if latest is not None and not latest[0].deleted:
+            refreshed = latest[0]
+            if refreshed.file_id != meta.file_id:
+                # The path was deleted and recreated while this open was in
+                # flight: the lock taken above guards the old incarnation's
+                # id, so move it to the current one.
+                self.locks.release(meta)
+                self.locks.acquire(refreshed)
+            meta = refreshed
+        return self._newest(path, meta)
+
+    def _newest(self, path: str, meta: FileMetadata) -> FileMetadata:
+        """``meta``, or the metadata of this agent's in-flight commit of ``path``.
+
+        A non-blocking commit may still be in flight: its version is newer
+        than anything the anchor knows yet, and this agent must read its own
+        writes (and must not base a new version on the pre-upload state,
+        which would lose the pending update).
+        """
+        pending = self._pending_commit_for(path)
+        return pending.metadata.copy() if pending is not None else meta
+
+    def _load(self, meta: FileMetadata, flags: OpenFlags,
+              created: bool) -> tuple[bytearray, bool, bool]:
+        """The open file's buffer: ``(buffer, dirty, served from the anchored version)``."""
+        if flags & OpenFlags.TRUNCATE or (created and not meta.digest):
+            return bytearray(), bool(flags & OpenFlags.TRUNCATE) and bool(meta.digest), False
+        outcome = self.storage.read_version(meta.file_id, meta.digest, meta.locator)
+        return bytearray(outcome.data), False, True
 
     def create(self, path: str, data: bytes = b"", shared: bool = False) -> int:
         """Create (or truncate) a file, optionally writing initial data."""

@@ -54,7 +54,12 @@ class LockService:
 
     @staticmethod
     def lock_name(metadata: FileMetadata) -> str:
-        """Name of the lock protecting one file (keyed by its storage id)."""
+        """Name of the lock protecting one file (keyed by its storage id).
+
+        An id minted with :meth:`CoordinationService.lock_home` ends with the
+        partition of the entry it was created under, and the lock lives there
+        for the file's whole life.
+        """
         return f"filelock:{metadata.file_id or metadata.path}"
 
     @property
@@ -80,10 +85,12 @@ class LockService:
         ``Lock`` steps to put in its own ``multi``; without it they go alone.
         A re-entrant hold sends no step, and neither does a disabled lock
         service, which returns False (callers need no special-casing of the
-        non-sharing mode).  On a refused command nothing stays held, no
-        transition fires and :class:`LockHeldError` names the contended file;
+        non-sharing mode).  On a refused command no name is taken, no ``lock``
+        transition fires, each re-entrant count is rolled back (an ``unlock``
+        fires for one a background commit inside ``send`` left at its last
+        acquisition) and :class:`LockHeldError` names the contended file;
         otherwise one ``lock`` transition fires per name actually taken
-        (re-entrant names only gain a count).
+        (re-entrant names only gain a count, before the command is sent).
         """
         if self._manager is None:
             if send is not None:
@@ -92,12 +99,18 @@ class LockService:
         # Two paths of a set may share a lock (the names survive renames):
         # the set takes, and :meth:`release_set` returns, that lock once.
         paths = {self.lock_name(metadata): metadata.path for metadata in metadatas}
+        held = [name for name in sorted(paths) if self._manager.holds(name)]
         try:
             taken = self._manager.acquire_set(sorted(paths), send)
-        except LockHeldError as exc:
-            raise LockHeldError(
-                f"{paths.get(exc.lock, exc.lock)} is locked for writing by another client",
-                lock=exc.lock) from exc
+        except Exception as exc:
+            # The roll-back returns a re-entrant lock whose other acquisition
+            # a background commit released while the command was out.
+            self._transitions("unlock", [n for n in held if not self._manager.holds(n)])
+            if isinstance(exc, LockHeldError):
+                raise LockHeldError(
+                    f"{paths.get(exc.lock, exc.lock)} is locked for writing by another client",
+                    lock=exc.lock) from exc
+            raise
         self._transitions("lock", taken)
         return True
 

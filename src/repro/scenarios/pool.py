@@ -134,7 +134,9 @@ def prime_pool(deployment, spec, recorder=None) -> dict[str, int]:
     objects = 0
     entries: dict[str, Stored] = {}
     for index, path in enumerate(spec.shared_files):
-        uid = pool_file_id(index)
+        entry_key = MetadataService.entry_key(path)
+        # The id places the file's lock with its entry, as the agent's do.
+        uid = pool_file_id(index) + coordination.lock_home(entry_key)
         uid_bytes = uid.encode()
         meta_key = DepSkyClient._meta_key(uid)
         for cloud in clouds:
@@ -154,7 +156,7 @@ def prime_pool(deployment, spec, recorder=None) -> dict[str, int]:
         file_blob = file_meta_template.replace(
             b'"/pool-template/file.dat"', b'"' + path.encode() + b'"'
         ).replace(b'"@@UID@@"', b'"' + uid_bytes + b'"')
-        entries[MetadataService.entry_key(path)] = Stored(POOL_OWNER, 1, file_blob, acl_json)
+        entries[entry_key] = Stored(POOL_OWNER, 1, file_blob, acl_json)
 
     # ---- pool directories --------------------------------------------------
     directories = sorted({path.rsplit("/", 1)[0] for path in spec.shared_files})

@@ -18,9 +18,19 @@ wanted lock held by someone else, a failed ``expected_version``, a denied READ
   it rides with is granted,
 * an ``Unlock`` riding with a refused ``Put`` was not applied: an entry step
   never executes after the ``Unlock`` it rides with.
+
+A third property places every lock the way the agent does — at the home the
+file id names, the partition of the entry it was created under, whatever
+partition a rename moved the entry to since — and lets the release of a held
+lock come due while the riding command is out (a background commit landing
+inside it), accepted or refused, with and without a re-entrant hold: no lock
+is gained or lost, ``held`` agrees with ``lock_holder`` and the ``on_transition``
+history, and no ``Get`` executes before its ``Lock`` is granted.
 """
 
 from __future__ import annotations
+
+import functools
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -31,6 +41,7 @@ from repro.coordination import PartitionedCoordination, make_coordination_servic
 from repro.coordination.base import Get, Put, Unlock
 from repro.core.lock_service import LockService
 from repro.core.metadata import FileMetadata, FileType
+from repro.core.metadata_service import MetadataService
 from repro.simenv.environment import Simulation
 
 FILES = tuple(f"f{index}" for index in range(4))
@@ -157,3 +168,112 @@ def test_accepted_riding_command_settles_counts_and_applies_every_step(case):
     for file_id in FILES:
         holder = service.lock_holder(_lock(file_id))
         assert holder == (alice.session_id if file_id in case["held"] else None)
+
+
+# ---- home-placed locks, re-entrant holds, releases due inside the command ----
+
+_homed = st.fixed_dictionaries({
+    "kind": st.sampled_from(("depspace", "zookeeper")),
+    "partitions": st.integers(0, 3),  # 0: one plain (unpartitioned) service
+    # Partition of each file's entry where it was created, and where it was
+    # renamed to (a rename to another partition leaves its lock at home).
+    "created": st.lists(st.integers(0, 2), min_size=len(FILES), max_size=len(FILES)),
+    "renamed": st.lists(st.one_of(st.none(), st.integers(0, 2)),
+                        min_size=len(FILES), max_size=len(FILES)),
+    "held": st.sets(st.sampled_from(FILES)),
+    "pending": st.sets(st.sampled_from(FILES)),  # held ones whose release comes due
+    "wanted": st.sets(st.sampled_from(FILES), min_size=1),
+    "refused": st.booleans(),
+})
+
+
+class _Recorder:
+    """Each underlying service's *applied* commands, in order, as step kinds."""
+
+    def __init__(self, services) -> None:
+        self.applied: list[set[str]] = []
+        for service in services:
+            service.multi = self._wrap(service.multi)
+
+    def _wrap(self, multi):
+        def recorded(ops, session):
+            answers = multi(ops, session)
+            self.applied.append({type(op).__name__ for op in ops})
+            return answers
+        return recorded
+
+
+@settings(max_examples=120, deadline=None)
+@given(case=_homed)
+def test_riding_command_keeps_every_count_with_the_service(case):
+    """No lock gained or lost, ``held`` agrees with ``lock_holder``, Gets after Locks.
+
+    Every file's lock is homed on the partition of the entry it was created
+    under; some entries were then moved to another partition.  Some held
+    locks are a background commit's, whose release comes due while the
+    riding command is out.
+    """
+    sim = Simulation(seed=5)
+    count = case["partitions"]
+    routes: dict[str, int] = {}
+    if count == 0:
+        service = make_coordination_service(sim, case["kind"], f=0)
+        services = [service]
+    else:
+        services = [make_coordination_service(sim, case["kind"], f=0) for _ in range(count)]
+        service = PartitionedCoordination(
+            services, partition_function=lambda key, partitions: routes[key] % partitions)
+    alice = service.open_session(Principal(name="alice", canonical_ids=()))
+    metas: dict[str, FileMetadata] = {}
+    for name, created, renamed in zip(FILES, case["created"], case["renamed"], strict=True):
+        routes[f"meta:/d/{name}"] = created
+        meta = FileMetadata(path=f"/d/{name}", file_type=FileType.FILE, owner="alice",
+                            file_id=name + service.lock_home(f"meta:/d/{name}"))
+        service.put(MetadataService.entry_key(meta.path), b"v1", alice)
+        if renamed is not None:
+            routes[f"meta:/e/{name}"] = renamed
+            meta = meta.renamed(f"/e/{name}")
+            service.move(f"meta:/d/{name}", f"meta:/e/{name}", b"v1", alice)
+        metas[name] = meta
+
+    locks = LockService(sim, service, alice)
+    taken: set[str] = set()
+    locks.on_transition = lambda kind, name: (taken.add if kind == "lock" else taken.discard)(name)
+    held, pending, wanted = sorted(case["held"]), case["pending"] & case["held"], case["wanted"]
+    locks.acquire_set([metas[name] for name in held])
+    for name in sorted(pending):  # the acquisition a background commit holds
+        sim.schedule(0.001, functools.partial(locks.release, metas[name]))
+    victims = sorted(wanted - case["held"])
+    refused = case["refused"] and bool(victims)
+    if refused:
+        LockService(sim, service, service.open_session(
+            Principal(name="bob", canonical_ids=()))).acquire(metas[victims[0]])
+
+    recorder = _Recorder(services)
+    paths = [metas[name].path for name in sorted(wanted)]
+    reread = functools.partial(_reread, service, alice, paths)
+    if refused:
+        with pytest.raises(LockHeldError):
+            locks.acquire_set([metas[name] for name in sorted(wanted)], reread)
+    else:
+        locks.acquire_set([metas[name] for name in sorted(wanted)], reread)
+    assert sim.pending_tasks() == 0  # every release came due inside the command
+
+    for name in FILES:
+        hold = (name in case["held"]) - (name in pending) + (name in wanted and not refused)
+        lock = LockService.lock_name(metas[name])
+        assert locks._manager.hold_count(lock) == hold, name
+        mine = service.lock_holder(lock) == alice.session_id
+        assert mine == (hold > 0) == (lock in taken), name
+        if count:  # at home, wherever the entry went since
+            assert service.lock_partition(lock) == routes[f"meta:/d/{name}"] % count
+    gets = [index for index, kinds in enumerate(recorder.applied) if "Get" in kinds]
+    grants = [index for index, kinds in enumerate(recorder.applied) if "Lock" in kinds]
+    if refused:
+        assert not gets  # a refused Lock leaves every riding Get unexecuted
+    elif gets and grants:
+        assert max(grants) <= min(gets)
+
+
+def _reread(service, session, paths, steps) -> None:
+    service.multi([*steps, *(Get(MetadataService.entry_key(path)) for path in paths)], session)

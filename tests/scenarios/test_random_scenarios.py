@@ -70,6 +70,18 @@ def test_sweep_is_not_vacuous() -> None:
     assert any(e.get("served") for e in result.trace.by_kind("open"))
 
 
+def test_a_riding_reentrant_lock_outlives_its_own_pending_commit() -> None:
+    """Seed 16 of crash-hang at 25 ops, which the default sweep does not reach.
+
+    An agent re-enters the lock its own pending background commit holds, and
+    that commit lands inside the command that re-reads the entry.  Counted
+    only after the command, the re-entrant hold lost the lock to the commit's
+    release; another writer took it, and both anchored the same version.
+    """
+    result = run_scenario(16, mix="crash-hang", agents=AGENTS, ops_per_agent=25)
+    assert result.ok, "\n" + result.report()
+
+
 def test_repro_command_names_the_seed() -> None:
     """The printed repro command pins the seed, mix and sizing."""
     spec = ScenarioSpec.generate(42, mix="crash-hang", agents=AGENTS,

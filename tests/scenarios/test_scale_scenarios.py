@@ -39,16 +39,19 @@ from repro.scenarios.runner import ScenarioRunner
 #: read asks the already-visible holders first, so every block request after a
 #: run's first write goes to another cloud and draws another latency.  Epoch 10
 #: covers all eight mixes: every close is numbered by its anchor, one quorum
-#: call (and its draws) fewer per close.  See docs/determinism-contract.md.
+#: call (and its draws) fewer per close.  Epoch 11 covers all eight mixes: a
+#: write-open of an existing file sends its lock and the re-read under it as
+#: one command, one coordination latency draw fewer per such open.  See
+#: docs/determinism-contract.md.
 GOLDEN_LOCKSTEP = {
-    "fault-free": "97b137c26309d6f11d292b49c209bda7276dfdd7291c1751739fa2426737e135",
-    "crash-hang": "39019dc5e108fa9663a43d9e5faf352d1ddd2646ce6ecacff10bb7c216a9fef5",
-    "corrupt-byzantine": "5588b1d3d050488986cf47fa389da040082774c489e6558ddc6b84c5b9aaf2be",
-    "degraded-outage": "574f18bc2fdd32b27ceb9eced9932bd5f98ddc133e4b10b9053bc1e98814b197",
-    "weighted-byzantine": "4d0d4533ef618a1b374a4de95d6ed9373ea1c7f7a94de411460c5c1cc90bcb99",
-    "txn": "3a20d316f5e7b4d85f98eb3b008c31ea5cd596971fa04363c999afd6bfa181b9",
-    "txn-crash-restart": "3d0b9fbeb8879da22f4169073f1d47224ef7c863a3fe6338912bb1e97868fd84",
-    "txn-partition": "2d7ee2b8aec8a681aa36c9e6745190c2139d582f5f27847c95f10cf7715952e4",
+    "fault-free": "da26aebb2be5690546ab078bbc227d6d93237fc2ec6f16d11c5e31b641559b98",
+    "crash-hang": "d48ae854ed2284c93cffea7d8e14c3ccf0045dcf2989dc0b4dc3f3c95d4f3a62",
+    "corrupt-byzantine": "c3aca3027b91e04c7fa9bd4988f1817777472eb01ae39883a3c836a5f728d7f6",
+    "degraded-outage": "ecb2a21aa79641cbe677ce2b6bb2c3f06f7fdb72879281243612ad924360c15a",
+    "weighted-byzantine": "bd42a1c5e8ef0fc032e3b73ecaa7f10a0bb1ae92512753a68e3262e211592549",
+    "txn": "86acbe212664868c045a7d619ab870b27f7699a35c5a768e7853c66c3f91c73a",
+    "txn-crash-restart": "424292824c7447c4627955ca4069cbd1f1495811767af355e539ca9276bda0ca",
+    "txn-partition": "27047e5691a63276ac4e7786009bde97764374ad0f9d409432204a003c32ce85",
 }
 
 
@@ -68,9 +71,10 @@ def _scale_spec(**overrides) -> ScenarioSpec:
 
 
 #: Trace fingerprint of ``_scale_spec()``: pooled, partitioned, event-driven —
-#: the one pinned run that goes through pool priming.  Re-pinned in epoch 10; an
-#: epoch bump re-pins it together with the eight above.
-GOLDEN_POOLED = "1d9919805bc40c187ac494899113cfdf27e6ffe7665a46e9aec39126447f0043"
+#: the one pinned run that goes through pool priming.  Re-pinned in epoch 11,
+#: where its file ids also came to name their entry's partition; an epoch bump
+#: re-pins it together with the eight above.
+GOLDEN_POOLED = "9c0abf5f93fb24b02264e6a7a6cad9fe5dff98784b04c8245e4c6c9d5458cd21"
 
 
 def test_pooled_fingerprint_is_pinned() -> None:

@@ -548,6 +548,41 @@ class TestLockManager:
         assert manager.release_set(["L1", "unheld"]) == ["L1"]
         assert service.lock_holder("L1") is None
 
+    def test_a_release_inside_the_riding_command_keeps_the_reentrant_hold(self, sim, alice):
+        """A background commit's release that comes due while ``send`` is out.
+
+        Its acquisition is one of two by then: counted only after ``send``,
+        the re-entrant one would have let the release hand the lock back.
+        """
+        manager, service = self._manager(sim, alice)
+        manager.acquire("L")
+        sim.schedule(0.01, lambda: manager.release("L"))
+        assert manager.acquire_set(["L"], lambda steps: sim.advance(0.05)) == []
+        assert service.lock_holder("L") == manager.session.session_id
+        assert manager.held == {"L": 1}
+
+    def test_a_refused_riding_command_rolls_the_reentrant_count_back(self, sim, alice):
+        manager, service = self._manager(sim, alice)
+        manager.acquire("L")
+
+        def refused(steps) -> None:
+            raise LockHeldError("refused", lock="M")
+
+        with pytest.raises(LockHeldError):
+            manager.acquire_set(["L"], refused)
+        assert manager.held == {"L": 1} and service.lock_holder("L") is not None
+        # The other acquisition was released while the command was out: the
+        # roll-back is the last one, and it hands the lock back.
+        sim.schedule(0.01, lambda: manager.release("L"))
+
+        def released_then_refused(steps) -> None:
+            sim.advance(0.05)
+            refused(steps)
+
+        with pytest.raises(LockHeldError):
+            manager.acquire_set(["L"], released_then_refused)
+        assert manager.held == {} and service.lock_holder("L") is None
+
     def test_release_all(self, sim, alice):
         manager, service = self._manager(sim, alice)
         manager.acquire("L1")

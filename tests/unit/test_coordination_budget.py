@@ -11,23 +11,27 @@ per op") agree with it.
 A prefix listing fans out to every partition, so a call that lists costs
 ``partitions`` commands for it; every other intent is exactly one.
 
-A lock rides in the metadata command it guards where that is before the
-upload (PR 16): the insert of a create-open, the validation snapshot of a
-transaction commit — which also carries the commit's ``pending`` intent, so
-one command stands in front of a transaction's upload.  On one service that
-is one command where there were two (three, for the commit).
-A partitioned deployment still pays one command per partition, so there the
-saving shows only for a file whose lock name and entry key hash to the same
-partition — and the count never exceeds the one before the fold.  The lock of
-a write-open of an existing file and the unlock of a dirty close stay
-commands of their own (pinned below; CHANGES.md, PR 16, says why).
+A lock rides in the metadata command it guards: the insert of a create-open,
+the re-read under the lock of a write-open of an existing file, the validation
+snapshot of a transaction commit — which also carries the commit's ``pending``
+intent, so one command stands in front of a transaction's upload.  On one
+service that is one command where there were two (three, for the commit).
+Only the unlock of a dirty close stays a command of its own: it comes after
+the upload (pinned below; CHANGES.md, PR 16, says why).
+
+A partitioned deployment pays one command per partition, so a lock rides only
+where it shares a partition with the entry.  A file's id names the partition
+of the entry it was created under (``CoordinationService.lock_home``), and its
+lock lives there for the file's whole life: every new file's lock rides.  A
+rename to another partition leaves the lock at home; there lock and re-read
+are two commands, as they were before the fold, and never more.
 
 A refused insert says what is there (PR 17), so ``open(O_CREAT)`` sends the
 insert *first* — no lookup before it — whenever nothing the agent holds says
-the file exists, its parent is known locally to be a live directory and entry
-and lock travel in one command: a create-open with a warm parent is one
-command, a re-create over a tombstone two.  With a cold parent, or with lock
-and entry on different partitions, the open looks first, as before.
+the file exists, its parent is known locally to be a live directory and its
+entry goes to the coordination service: a create-open with a warm parent is
+one command, a re-create over a tombstone two.  With a cold parent the open
+looks first.
 """
 
 from __future__ import annotations
@@ -68,14 +72,19 @@ class Mount:
         return metadata.coordination_reads + metadata.coordination_writes
 
     def partition(self, key: str) -> int:
-        """Partition holding the lock or entry ``key`` (0 on a single service)."""
+        """Partition holding the entry ``key`` (0 on a single service)."""
         coordination = self.deployment.coordination
         return coordination.partition_of(key) if self.listing > 1 else 0
 
+    def lock_partition(self, path: str) -> int:
+        """Partition holding the lock of ``path`` (0 on a single service)."""
+        lock = LockService.lock_name(self.fs.agent.metadata.get(path))
+        coordination = self.deployment.coordination
+        return coordination.lock_partition(lock) if self.listing > 1 else 0
+
     def rides(self, path: str) -> int:
         """1 when the lock of ``path`` shares a partition with its entry (always, on one service)."""
-        lock = LockService.lock_name(self.fs.agent.metadata.get(path))
-        return int(self.partition(lock) == self.partition(MetadataService.entry_key(path)))
+        return int(self.lock_partition(path) == self.partition(MetadataService.entry_key(path)))
 
     def cold(self) -> None:
         """Expire the metadata cache (what a pause of >500 ms does)."""
@@ -110,18 +119,14 @@ def test_stat_and_exists_cost_one_command_cold_and_none_warm(mount):
 
 
 def test_create_open_with_a_warm_parent_is_the_insert_alone(mount):
-    rode = set()
-    for index in range(8):  # enough for two partitions to show both layouts
+    for index in range(8):  # ids that hashed to two partitions, all placed at home
         path = f"/top/new{index}"
         mount.cold()
         mount.fs.stat("/top")  # the VFS resolved the parent on the way here
-        commands, accounted = mount.spent(mount.fs.open, path, "w", True)
-        rode.add(mount.rides(path))
-        # Together: {insert-if-absent, lock} sent first, 1 where it was 2.  Apart
-        # the pair is not one command, so the open looks first: lookup miss,
-        # lock, insert — 3 as before.
-        assert (commands, accounted) == ((1, 1) if mount.rides(path) else (3, 2))
-    assert rode == ({1} if mount.listing == 1 else {0, 1})
+        # {insert-if-absent, lock} sent first, 1 where it was 2: the new id
+        # places the lock on the entry's partition.
+        assert mount.spent(mount.fs.open, path, "w", True) == (1, 1)
+        assert mount.rides(path)
 
 
 def test_create_open_with_a_cold_parent_looks_first(mount):
@@ -129,9 +134,8 @@ def test_create_open_with_a_cold_parent_looks_first(mount):
     for index in range(8):
         path = f"/top/new{index}"
         mount.cold()
-        commands, accounted = mount.spent(mount.fs.open, path, "w", True)
-        # lookup miss, the parent, {insert-if-absent, lock}: 3 (apart 4), as before
-        assert (commands, accounted) == (4 - mount.rides(path), 3)
+        # lookup miss, the parent, {insert-if-absent, lock}
+        assert mount.spent(mount.fs.open, path, "w", True) == (3, 3)
 
 
 def test_o_creat_open_of_an_existing_file_costs_what_a_write_open_does(mount):
@@ -142,30 +146,26 @@ def test_o_creat_open_of_an_existing_file_costs_what_a_write_open_does(mount):
 
     mount.cold()
     mount.fs.stat("/top")  # cold entry, warm parent: the refused insert is the first look,
-    assert mount.spent(opened) == (3 + 1, 2)  # then lock and re-read under it, as before
-    mount.cold()  # cold entry, cold parent: lookup, lock, re-read
-    assert mount.spent(opened) == (3 + 1, 2)
+    assert mount.spent(opened) == (2 + 1, 2)  # then {lock, re-read under it}
+    mount.cold()  # cold entry, cold parent: lookup, {lock, re-read}
+    assert mount.spent(opened) == (2 + 1, 2)
     mount.fs.stat("/top/f")  # warm entry: served by the cache, whatever the parent
-    assert mount.spent(opened) == (2 + 1, 1)
+    assert mount.spent(opened) == (1 + 1, 1)
 
 
 def test_recreate_over_a_tombstone_is_the_refused_insert_and_the_replace(mount):
-    rode = set()
     for index in range(8):
         path = f"/top/again{index}"
         mount.fs.write_file(path, b"old", shared=True)
         mount.fs.unlink(path)
         mount.cold()
         mount.fs.stat("/top")
-        commands, accounted = mount.spent(mount.fs.open, path, "w", True)
+        # The refused {insert, lock} hands back the tombstone, {replace at the
+        # version met, lock}: 2 where it was 4 (lookup, refused insert,
+        # lookup_versioned, replace).
+        assert mount.spent(mount.fs.open, path, "w", True) == (2, 2)
         assert mount.fs.agent.metadata.get(path).size == 0
-        rode.add(mount.rides(path))
-        # Together: the refused {insert, lock} hands back the tombstone, {replace
-        # at the version met, lock}: 2 where it was 4 (lookup, refused insert,
-        # lookup_versioned, replace).  Apart the open looks first and each pair
-        # is lock / put (/ hand-back): 1 + 3 + 2 where it was 1 + 3 + 1 + 2.
-        assert (commands, accounted) == ((2, 2) if mount.rides(path) else (6, 3))
-    assert rode == ({1} if mount.listing == 1 else {0, 1})
+        assert mount.rides(path)
 
 
 def test_mkdir_and_symlink_are_the_parent_check_and_the_insert(mount):
@@ -182,20 +182,45 @@ def test_blocking_dirty_close_is_update_and_unlock(mount):
     assert mount.spent(mount.fs.close, handle) == (2, 1)
 
 
-def test_write_open_of_an_existing_shared_file_is_lock_and_revalidation(mount):
-    mount.fs.write_file("/top/f", b"data", shared=True)
-    mount.cold()  # first look, lock, authoritative re-read under the lock
+def _write_open_budget(mount, path: str, apart: int) -> None:
+    """Cold, clean close, warm, re-entrant: what a write-open of ``path`` costs."""
     handle = None
 
     def opened() -> None:
         nonlocal handle
-        handle = mount.fs.open("/top/f", "r+")
+        handle = mount.fs.open(path, "r+")
 
-    assert mount.spent(opened) == (3, 2)
+    mount.cold()  # first look, then {lock, authoritative re-read under the lock}
+    assert mount.spent(opened) == (2 + apart, 2)
     assert mount.spent(mount.fs.close, handle) == (1, 0)  # clean: the unlock alone
-    mount.fs.stat("/top/f")  # warm: the first look is served by the cache
-    assert mount.spent(opened) == (2, 1)
+    mount.fs.stat(path)  # warm: the first look is served by the cache
+    assert mount.spent(opened) == (1 + apart, 1)
     assert mount.spent(opened) == (1, 1)  # re-entrant hold: the re-read alone
+
+
+def test_write_open_of_an_existing_shared_file_is_lock_and_revalidation(mount):
+    """The lock rides with the re-read: 2 cold, 1 warm where it was 3 and 2."""
+    mount.fs.write_file("/top/f", b"data", shared=True)
+    assert mount.rides("/top/f")
+    _write_open_budget(mount, "/top/f", apart=0)
+
+
+def test_a_lock_left_at_home_by_a_rename_costs_what_it_did(mount):
+    """A rename to another partition leaves the lock on the entry's old one.
+
+    Lock and re-read are then one command each — 3 cold, 2 warm, what every
+    write-open cost before the lock rode with the re-read — and never more.
+    On one service nothing can be apart.
+    """
+    mount.fs.write_file("/top/f", b"data", shared=True)
+    away = next(f"/away{index}" for index in range(64)
+                if mount.listing == 1 or mount.partition(f"meta:/away{index}")
+                != mount.partition("meta:/top"))
+    mount.fs.mkdir(away, shared=True)
+    mount.fs.rename("/top/f", f"{away}/f")
+    apart = 1 - mount.rides(f"{away}/f")
+    assert apart == (mount.listing > 1)
+    _write_open_budget(mount, f"{away}/f", apart)
 
 
 def test_unlink_is_lookup_and_tombstone(mount):
@@ -272,8 +297,7 @@ def _commit_commands(mount, directory: str, count: int) -> tuple[int, int]:
     # Lock set and its release: one command per partition the lock names fall
     # on; the validating reads: one (every entry lives under /top); the
     # pending intent; the commit point: the entries' partition and the intent's.
-    locks = {mount.partition(LockService.lock_name(mount.fs.agent.metadata.get(path)))
-             for path in paths}
+    locks = {mount.lock_partition(path) for path in paths}
     entries = mount.partition(MetadataService.entry_key(directory))
     intent = mount.partition("txn:" + txn.txn_id)
     before = len(locks) + 1 - (entries in locks) + 1 + len({entries, intent}) + len(locks)

@@ -89,6 +89,25 @@ class TestPartitionedCoordination:
             assert coordination.try_lock(name, session)
             assert coordination.lock_holder(name) == session.session_id
 
+    def test_a_lock_name_with_a_home_lives_on_that_partition(self, sim, alice, bob):
+        coordination = _partitioned(sim, partitions=3)
+        keys = [f"meta:/tree-{i}/f" for i in range(12)]
+        assert len({coordination.partition_of(key) for key in keys}) == 3
+        for key in keys:
+            name = "filelock:file-1" + coordination.lock_home(key)
+            assert coordination.lock_partition(name) == coordination.partition_of(key)
+        # Without a home a lock goes by hash, and an entry key always does.
+        assert coordination.lock_partition("filelock:file-1") == coordination.partition_of(
+            "filelock:file-1")
+        assert coordination.partition_of("meta:/a@2") == partition_by_top_level_directory(
+            "meta:/a@2", 3)
+        session = coordination.open_session(alice)
+        assert coordination.try_lock("filelock:file-9@2", session)
+        assert coordination.services[2].lock_holder("filelock:file-9@2") is not None
+        assert coordination.lock_holder("filelock:file-9@2") == session.session_id
+        assert not coordination.try_lock("filelock:file-9@2", coordination.open_session(bob))
+        assert make_coordination_service(sim, "depspace", f=0).lock_home(keys[0]) == ""
+
     def test_move_within_and_across_partitions(self, sim, alice):
         coordination = _partitioned(sim, partitions=4)
         session = coordination.open_session(alice)

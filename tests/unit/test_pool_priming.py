@@ -7,6 +7,8 @@ import pickle
 
 import pytest
 
+from repro.core.lock_service import LockService
+from repro.core.metadata_service import MetadataService
 from repro.scenarios.pool import POOL_OWNER, POOL_PAYLOAD, pool_file_id, prime_pool
 from repro.scenarios.spec import ScenarioSpec
 from repro.core.deployment import SCFSDeployment
@@ -60,6 +62,16 @@ class TestPrimePool:
         handle = reader.open(path, "r")
         assert reader.read(handle) == b"overwritten by dave"
         reader.close(handle)
+
+    def test_pool_ids_place_their_locks_with_their_entries(self):
+        spec = _spec(files=8, directories=4, partitions=2)
+        deployment, _ = _primed_deployment(spec)
+        fs = deployment.create_agent("carol")
+        coordination = deployment.coordination
+        for path in spec.shared_files:
+            lock = LockService.lock_name(fs.stat(path))
+            assert coordination.lock_partition(lock) == coordination.partition_of(
+                MetadataService.entry_key(path))
 
     def test_pool_ids_do_not_collide_with_fresh_ids(self):
         sim = Simulation(seed=3)
