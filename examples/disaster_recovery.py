@@ -7,8 +7,8 @@ failure of individual cloud providers.  This example:
 
 1. backs up a small project tree through SCFS-CoC-B;
 2. destroys the client machine (all local caches and the agent itself);
-3. marks one storage provider as permanently failed and another as malicious
-   (returning corrupted data);
+3. marks one block-holding storage provider as permanently failed and the
+   spill-over provider as malicious (returning corrupted data);
 4. mounts a brand-new machine and restores every file intact, verifying
    integrity end-to-end.
 
@@ -22,6 +22,7 @@ from __future__ import annotations
 import hashlib
 
 from repro import SCFSDeployment
+from repro.depsky.protocol import preferred_order
 from repro.simenv.failures import FaultKind
 
 
@@ -58,14 +59,18 @@ def main() -> None:
     laptop.unmount()
     print("laptop lost!")
 
-    # 3. And the cloud landscape degrades: one data-holding provider disappears
-    #    for good (the f=1 fault SCFS-CoC is designed to survive), and on top of
-    #    that the provider that only stores metadata copies turns malicious —
-    #    its corrupted answers are filtered out by the digest checks.
-    deployment.clouds[1].failures.add(FaultKind.UNAVAILABLE)
-    deployment.clouds[3].failures.add(FaultKind.BYZANTINE)
-    print(f"provider {deployment.clouds[1].name!r} is gone, "
-          f"{deployment.clouds[3].name!r} is returning corrupted data")
+    # 3. And the cloud landscape degrades.  DepSky ranks the four providers
+    #    (``preferred_order``): the first three hold one erasure-coded block
+    #    of every file each, the last one takes spill-over and otherwise keeps
+    #    only metadata copies.  One block holder disappears for good (the f=1
+    #    fault SCFS-CoC is designed to survive), and on top of that the
+    #    spill-over provider turns malicious — its corrupted metadata copies
+    #    are filtered out by the digest checks.
+    *holders, spill_over = preferred_order(deployment.clouds)
+    gone = holders[0]
+    gone.failures.add(FaultKind.UNAVAILABLE)
+    spill_over.failures.add(FaultKind.BYZANTINE)
+    print(f"provider {gone.name!r} is gone, {spill_over.name!r} is returning corrupted data")
 
     # 4. Recovery on a new machine: everything is rebuilt from the coordination
     #    service and the remaining healthy clouds, with integrity verified.

@@ -21,7 +21,8 @@ met (``ConflictError.found``: the entry when the caller may READ it, else
 ==================================  =========================================
 adapter call                        replicated command
 ==================================  =========================================
-``put`` (plain, CAS, insert-only)   ``entry_put``
+``put`` (plain, CAS, insert-only)   ``entry_put`` (a created entry starts
+                                    with the ``grants`` given)
 ``get``                             ``entry_get``
 ``delete``                          ``entry_delete``
 ``list_entries`` / ``list_prefix``  ``entry_list``
@@ -29,7 +30,7 @@ adapter call                        replicated command
 ``move``                            ``entry_move``
 ``multi``                           ``entry_multi``
 ``try_lock`` / ``unlock``           ``entry_multi`` (one ``Lock`` / ``Unlock`` step)
-``close_session``                   one ``release_one`` per held lock + 1 / ``close_session``
+``close_session``                   ``close_session`` (every lock the session holds)
 ``renew_session``                   none / ``register_session`` (background)
 ``open_session``                    none
 ==================================  =========================================
@@ -40,17 +41,27 @@ replaced — or a lock set taken *and* the entries it guards read or inserted.
 A transaction commit is three commands for any number of files: ``{lock set,
 validating reads, pending intent}``, ``{version CAS of every written entry,
 intent flip}`` and the lock set's release.
+
+The ``*_command`` builders hand out the command of ``close_session``,
+``list_entries`` and ``multi`` (and ``renewal`` the heartbeats of
+``renew_session``) unsent, so a namespace-partitioned service can send one to
+every partition together (:func:`~repro.coordination.replication.invoke_together`).
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from repro.common.types import Permission, Principal
 from repro.coordination.base import CoordinationService, Entry, Op, Session
 from repro.coordination.entries import Holder
-from repro.coordination.replication import FaultModel, ReplicatedStateMachine
+from repro.coordination.replication import (
+    Command,
+    FaultModel,
+    ReplicatedStateMachine,
+    invoke_together,
+)
 from repro.coordination.tuplespace import DepSpace
 from repro.coordination.zookeeper import ZooKeeperLike
 from repro.simenv.environment import Simulation
@@ -64,8 +75,8 @@ _session_counter = itertools.count()
 DEFAULT_LEASE = 30.0
 
 
-class _ReplicatedCoordination(CoordinationService):
-    """Sessions and entries, identical for both services; locks differ per service."""
+class ReplicatedCoordination(CoordinationService):
+    """Sessions and entries, identical for both services; lock lifetimes differ per service."""
 
     rsm: ReplicatedStateMachine
 
@@ -83,14 +94,29 @@ class _ReplicatedCoordination(CoordinationService):
         )
 
     def renew_session(self, session: Session) -> None:
+        # The agent's heartbeat thread sends it: nobody waits for a heartbeat.
+        with self.sim.background():
+            invoke_together(self.renewal(session))
+
+    def renewal(self, session: Session) -> list[Command]:
+        """Renew ``session`` on this client; the heartbeats the replicas must hear."""
         session.last_renewal = self.sim.now()
+        return []
+
+    def close_session(self, session: Session) -> None:
+        self.close_command(session).invoke()
+
+    def close_command(self, session: Session) -> Command:
+        """The command ending ``session``: it returns every lock the session holds."""
+        return self.rsm.command("close_session", session.session_id, self.sim.now())
 
     # -- entries ------------------------------------------------------------
 
     def put(self, key: str, value: bytes, session: Session,
-            expected_version: int | None = None) -> Entry:
+            expected_version: int | None = None,
+            grants: Mapping[str, Permission] | None = None) -> Entry:
         return self.rsm.invoke("entry_put", key, value, session.principal.name, self.sim.now(),
-                               expected_version=expected_version)
+                               expected_version=expected_version, grants=grants)
 
     def get(self, key: str, session: Session) -> Entry:
         return self.rsm.invoke("entry_get", key, session.principal.name, self.sim.now())
@@ -99,7 +125,11 @@ class _ReplicatedCoordination(CoordinationService):
         self.rsm.invoke("entry_delete", key, session.principal.name, self.sim.now())
 
     def list_entries(self, prefix: str, session: Session) -> list[Entry]:
-        return self.rsm.invoke("entry_list", prefix, session.principal.name, self.sim.now())
+        return self.list_command(prefix, session).invoke()
+
+    def list_command(self, prefix: str, session: Session) -> Command:
+        """The command of :meth:`list_entries`."""
+        return self.rsm.command("entry_list", prefix, session.principal.name, self.sim.now())
 
     def set_entry_acl(self, key: str, user: str, permission: Permission,
                       session: Session) -> None:
@@ -113,10 +143,14 @@ class _ReplicatedCoordination(CoordinationService):
                                target_version=target_version)
 
     def multi(self, ops: Sequence[Op], session: Session) -> list[Entry | None]:
+        return self.multi_command(ops, session).invoke()
+
+    def multi_command(self, ops: Sequence[Op], session: Session) -> Command:
+        """The command of :meth:`multi`."""
         holder = Holder(session.session_id, session.lease_seconds,
                         session.last_renewal + session.lease_seconds)
-        return self.rsm.invoke("entry_multi", tuple(ops), session.principal.name,
-                               self.sim.now(), holder=holder)
+        return self.rsm.command("entry_multi", tuple(ops), session.principal.name,
+                                self.sim.now(), holder=holder)
 
     # -- introspection ------------------------------------------------------
 
@@ -127,7 +161,7 @@ class _ReplicatedCoordination(CoordinationService):
         return self.rsm.reference_replica().entry_count()
 
 
-class DepSpaceCoordination(_ReplicatedCoordination):
+class DepSpaceCoordination(ReplicatedCoordination):
     """Coordination service backed by replicated DepSpace.
 
     Each lock has its own lease, counted from its take, so there is no
@@ -150,13 +184,8 @@ class DepSpaceCoordination(_ReplicatedCoordination):
             latency=latency,
         )
 
-    def close_session(self, session: Session) -> None:
-        # One command per lock the session holds, then one that finds none.
-        while self.rsm.invoke("release_one", session.session_id, self.sim.now()) is not None:
-            pass
 
-
-class ZooKeeperCoordination(_ReplicatedCoordination):
+class ZooKeeperCoordination(ReplicatedCoordination):
     """Coordination service backed by replicated ZooKeeper.
 
     Locks belong to the session, which the replicas expire ``lease_seconds``
@@ -182,16 +211,12 @@ class ZooKeeperCoordination(_ReplicatedCoordination):
     def _deadline(session: Session) -> float:
         return session.last_renewal + session.lease_seconds
 
-    def renew_session(self, session: Session) -> None:
+    def renewal(self, session: Session) -> list[Command]:
         # The replicas learn of a session with its first lock (a ``Lock``
         # step); a heartbeat must reach them so that locks already held live on.
-        super().renew_session(session)
-        with self.sim.background():
-            self.rsm.invoke("register_session", session.session_id, self._deadline(session),
-                            self.sim.now())
-
-    def close_session(self, session: Session) -> None:
-        self.rsm.invoke("close_session", session.session_id, self.sim.now())
+        super().renewal(session)
+        return [self.rsm.command("register_session", session.session_id,
+                                 self._deadline(session), self.sim.now())]
 
 
 def make_coordination_service(
@@ -200,7 +225,7 @@ def make_coordination_service(
     fault_model: FaultModel = FaultModel.BYZANTINE,
     f: int = 1,
     latency: LatencyModel | None = None,
-) -> CoordinationService:
+) -> ReplicatedCoordination:
     """Factory used by SCFS configurations.
 
     ``kind`` is ``"depspace"`` or ``"zookeeper"``.  The AWS backend of the

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence, Union
+from typing import Mapping, NamedTuple, Sequence, Union
 
 from repro.common.errors import LockHeldError
 from repro.common.types import Permission, Principal
@@ -83,11 +83,12 @@ class Get(NamedTuple):
 
 
 class Put(NamedTuple):
-    """Multi-command step: create or update ``key`` (``expected_version`` as in ``put``)."""
+    """Multi-command step: create or update ``key`` (``expected_version`` and ``grants`` as in ``put``)."""
 
     key: str
     value: bytes
     expected_version: int | None = None
+    grants: Mapping[str, Permission] | None = None
 
 
 #: One step of :meth:`CoordinationService.multi`.  The first field of every
@@ -116,7 +117,8 @@ class CoordinationService(abc.ABC):
 
     @abc.abstractmethod
     def put(self, key: str, value: bytes, session: Session,
-            expected_version: int | None = None) -> Entry:
+            expected_version: int | None = None,
+            grants: Mapping[str, Permission] | None = None) -> Entry:
         """Create or update the entry under ``key`` (one replicated command).
 
         When ``expected_version`` is given the update only succeeds if the
@@ -127,6 +129,10 @@ class CoordinationService(abc.ABC):
         version check carries what it met: ``ConflictError.found`` is the
         entry under ``key`` when the principal may READ it, else ``None`` — the
         refusal answers the read a caller would otherwise send next.
+
+        An entry this put creates starts with ``grants`` on its ACL (as
+        :meth:`set_entry_acl` would set them, in the same command); an update
+        keeps the ACL the entry has.
         """
 
     @abc.abstractmethod

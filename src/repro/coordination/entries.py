@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import functools
 import json
-from typing import Any, NamedTuple, Sequence
+from typing import Any, Mapping, NamedTuple, Sequence
 
 from repro.common.errors import ConflictError, LockHeldError, TupleNotFoundError
 from repro.common.sortedkeys import SortedKeys
@@ -136,12 +136,16 @@ class EntryCommands:
             raise ConflictError(f"{user} may not change entry {key!r}")
         return stored
 
-    def _successor(self, key: str, value: bytes, user: str,
-                   expected_version: int | None) -> Stored:
-        """The record a put of ``value`` would leave under ``key`` (checked, not written)."""
+    def _successor(self, key: str, value: bytes, user: str, expected_version: int | None,
+                   grants: Mapping[str, Permission] | None) -> Stored:
+        """The record a put of ``value`` would leave under ``key`` (checked, not written).
+
+        A created entry starts with ``grants`` on its ACL; an update keeps its ACL.
+        """
         stored = self._writable(key, user, expected_version)
         if stored is None:
-            stored = Stored(user, 0, value, dump_acl(EntryACL(owner=user)))
+            acl = EntryACL(owner=user, grants=dict(grants or {}))
+            stored = Stored(user, 0, value, dump_acl(acl))
         return stored._replace(version=stored.version + 1, value=value)
 
     def _readable(self, key: str, user: str) -> Stored | None:
@@ -152,9 +156,13 @@ class EntryCommands:
         return stored
 
     def entry_put(self, key: str, value: bytes, user: str, now: float,
-                  expected_version: int | None = None) -> Entry:
-        """Create or update ``key``; ``expected_version`` 0 means "must be absent"."""
-        stored = self._successor(key, value, user, expected_version)
+                  expected_version: int | None = None,
+                  grants: Mapping[str, Permission] | None = None) -> Entry:
+        """Create or update ``key``; ``expected_version`` 0 means "must be absent".
+
+        ``grants`` are the ACL grants of the entry if this put creates it.
+        """
+        stored = self._successor(key, value, user, expected_version, grants)
         self._entry_write(key, stored)
         return _entry(key, stored)
 
@@ -190,7 +198,7 @@ class EntryCommands:
                 results.append(None if found is None else _entry(op.key, found))
                 continue
             if isinstance(op, Put):
-                stored = self._successor(op.key, op.value, user, op.expected_version)
+                stored = self._successor(op.key, op.value, user, op.expected_version, op.grants)
                 writes.append((op.key, stored))
                 results.append(_entry(op.key, stored))
                 continue

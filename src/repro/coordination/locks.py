@@ -146,11 +146,11 @@ class LockManager:
         """Release every lock held by this manager (used on unmount/crash cleanup).
 
         Collapses any re-entrant counts: unmount means the client is done with
-        all of its files, so each lock is returned in one step.
+        all of its files, so every lock is returned, in one :meth:`release_set`.
         """
-        for name in list(self.held):
+        for name in self.held:
             self.held[name] = 1
-            self.release(name)
+        self.release_set(list(self.held))
 
     def holds(self, name: str) -> bool:
         """True if this manager currently believes it holds ``name``."""

@@ -12,7 +12,11 @@ Because the SCFS Agent's metadata keys embed the file path, partitioning by
 the top-level directory (the default) spreads different users' or projects'
 subtrees across independent replicated services, multiplying the metadata
 capacity and halving (or better) the load per service.  Operations that span
-partitions (``list_entries`` with a short prefix) simply fan out.
+partitions — a ``list_entries`` with a short prefix, closing or renewing a
+session, returning locks that live on several partitions — send their
+per-partition commands together
+(:func:`~repro.coordination.replication.invoke_together`): they cost the
+client one round trip, the slowest partition's, not one per partition.
 
 A lock name may carry a *home*: a trailing ``@<partition>`` (the file ids the
 agent mints end with :meth:`PartitionedCoordination.lock_home` of the entry
@@ -25,11 +29,13 @@ function.  Both are pure functions of the name: every client routes alike.
 from __future__ import annotations
 
 import hashlib
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 from repro.common.errors import ConflictError, ReproError
 from repro.common.types import Permission, Principal
+from repro.coordination.adapters import ReplicatedCoordination
 from repro.coordination.base import CoordinationService, Entry, Lock, Op, Session, Unlock
+from repro.coordination.replication import invoke_together
 
 
 def partition_by_top_level_directory(key: str, partitions: int) -> int:
@@ -51,7 +57,7 @@ class PartitionedCoordination(CoordinationService):
 
     def __init__(
         self,
-        services: Sequence[CoordinationService],
+        services: Sequence[ReplicatedCoordination],
         partition_function: Callable[[str, int], int] = partition_by_top_level_directory,
     ):
         if not services:
@@ -63,7 +69,7 @@ class PartitionedCoordination(CoordinationService):
 
     # -- routing ----------------------------------------------------------------
 
-    def _service_for(self, key: str) -> CoordinationService:
+    def _service_for(self, key: str) -> ReplicatedCoordination:
         index = self.partition_function(key, len(self.services))
         return self.services[index % len(self.services)]
 
@@ -100,29 +106,37 @@ class PartitionedCoordination(CoordinationService):
             self._facade_ids[sub.session_id] = session.session_id
         return session
 
-    def _sub_session(self, session: Session, service: CoordinationService) -> Session:
+    def _sub_session(self, session: Session, service: ReplicatedCoordination) -> Session:
         sub_sessions = getattr(session, "partitions", None)
         if not sub_sessions:
             return session
         return sub_sessions[self.services.index(service)]
 
+    def _everywhere(self, session: Session) -> list[tuple[ReplicatedCoordination, Session]]:
+        """Each partition's service with the part of ``session`` opened there."""
+        return [(service, self._sub_session(session, service)) for service in self.services]
+
     def renew_session(self, session: Session) -> None:
-        for service, sub in zip(self.services, getattr(session, "partitions", []), strict=False):
-            service.renew_session(sub)
-        session.last_renewal = max((s.last_renewal for s in getattr(session, "partitions", [session])),
-                                   default=session.last_renewal)
+        everywhere = self._everywhere(session)
+        # Heartbeats are background work, sent to every partition at once.
+        with self.services[0].sim.background():
+            invoke_together([beat for service, sub in everywhere for beat in service.renewal(sub)])
+        session.last_renewal = max(sub.last_renewal for _, sub in everywhere)
 
     def close_session(self, session: Session) -> None:
-        for service, sub in zip(self.services, getattr(session, "partitions", []), strict=False):
-            service.close_session(sub)
+        everywhere = self._everywhere(session)
+        invoke_together([service.close_command(sub) for service, sub in everywhere])
+        for _, sub in everywhere:
             self._facade_ids.pop(sub.session_id, None)
 
     # -- entries ------------------------------------------------------------------
 
     def put(self, key: str, value: bytes, session: Session,
-            expected_version: int | None = None) -> Entry:
+            expected_version: int | None = None,
+            grants: Mapping[str, Permission] | None = None) -> Entry:
         service = self._service_for(key)
-        return service.put(key, value, self._sub_session(session, service), expected_version)
+        return service.put(key, value, self._sub_session(session, service), expected_version,
+                           grants)
 
     def get(self, key: str, session: Session) -> Entry:
         service = self._service_for(key)
@@ -133,10 +147,10 @@ class PartitionedCoordination(CoordinationService):
         service.delete(key, self._sub_session(session, service))
 
     def list_entries(self, prefix: str, session: Session) -> list[Entry]:
-        entries: list[Entry] = []
-        for service in self.services:
-            entries += service.list_entries(prefix, self._sub_session(session, service))
-        return sorted(entries, key=lambda entry: entry.key)
+        listings = invoke_together([service.list_command(prefix, sub)
+                                    for service, sub in self._everywhere(session)])
+        return sorted((entry for listing in listings for entry in listing),
+                      key=lambda entry: entry.key)
 
     def move(self, key: str, new_key: str, value: bytes, session: Session,
              expected_version: int | None = None, target_version: int = 0) -> Entry:
@@ -181,6 +195,10 @@ class PartitionedCoordination(CoordinationService):
         (the transaction commit ends its first command with the ``pending``
         intent and its commit point with the intent's flip to ``committed``)
         knows that step applied only once every other partition accepted.
+
+        Commands that need not wait for one another go out together and cost
+        one round trip: the unlock-only commands that end the sequence, and
+        the hand-back of the locks a refused command leaves granted.
         """
         locks: dict[int, list[int]] = {}
         entries: dict[int, list[int]] = {}
@@ -205,23 +223,31 @@ class PartitionedCoordination(CoordinationService):
                 commands[-1][1].extend(positions)
             else:
                 commands.append((index, positions))
+        # The unlock-only commands after the last entry command follow every
+        # other and precede none: they go out together.
+        together = len(commands)
+        while together and all(isinstance(ops[p], Unlock) for p in commands[together - 1][1]):
+            together -= 1
+        sends = [(self.services[index], self._sub_session(session, self.services[index]),
+                  [ops[position] for position in positions]) for index, positions in commands]
+        answers: list[list[Entry | None]] = []
+        granted: list[tuple[ReplicatedCoordination, Session, list[Op]]] = []
+        try:
+            for service, sub, steps in sends[:together]:
+                answers.append(service.multi(steps, sub))
+                taken: list[Op] = [Unlock(op.name) for op in steps if isinstance(op, Lock)]
+                if taken:
+                    granted.append((service, sub, taken))
+            answers += invoke_together([service.multi_command(steps, sub)
+                                        for service, sub, steps in sends[together:]])
+        except ReproError:
+            invoke_together([service.multi_command(handed_back, sub)
+                             for service, sub, handed_back in granted])
+            raise
         results: list[Entry | None] = [None] * len(ops)
-        granted: list[tuple[CoordinationService, Session, list[Op]]] = []
-        for index, positions in commands:
-            service = self.services[index]
-            sub = self._sub_session(session, service)
-            steps = [ops[position] for position in positions]
-            try:
-                answers = service.multi(steps, sub)
-            except ReproError:
-                for earlier, earlier_session, handed_back in granted:
-                    earlier.multi(handed_back, earlier_session)
-                raise
-            for position, answer in zip(positions, answers, strict=True):
+        for (_, positions), replies in zip(commands, answers, strict=True):
+            for position, answer in zip(positions, replies, strict=True):
                 results[position] = answer
-            taken: list[Op] = [Unlock(op.name) for op in steps if isinstance(op, Lock)]
-            if taken:
-                granted.append((service, sub, taken))
         return results
 
     # -- locking --------------------------------------------------------------------

@@ -19,7 +19,7 @@ from repro.coordination.entries import EntryCommands, Holder
 
 
 class DepSpace(EntryCommands):
-    """Deterministic DepSpace state machine: one lease per lock, no sessions."""
+    """Deterministic DepSpace state machine: one lease per lock, no session state."""
 
     def _take(self, name: str, holder: Holder, now: float) -> None:
         self._locks[name] = holder._replace(deadline=now + holder.lease_seconds)
@@ -28,15 +28,12 @@ class DepSpace(EntryCommands):
         for name in [name for name, held in self._locks.items() if now >= held.deadline]:
             del self._locks[name]
 
-    def release_one(self, session_id: str, now: float) -> str | None:
-        """Return the oldest unexpired lock ``session_id`` holds; its name (None: it holds none).
+    def close_session(self, session_id: str, now: float) -> None:
+        """Return every lock ``session_id`` holds, in one command.
 
-        DepSpace has no session to close: the client returns its locks one
-        command each, until one finds nothing left.
+        DepSpace keeps no session: closing one is the client's last release,
+        of whatever its locks are by now.
         """
         self._expire(now)
-        for name, held in self._locks.items():
-            if held.session_id == session_id:
-                del self._locks[name]
-                return name
-        return None
+        self._locks = {name: held for name, held in self._locks.items()
+                       if held.session_id != session_id}

@@ -36,11 +36,11 @@ class UserRegistry:
             {"name": principal.name, "canonical_ids": list(principal.canonical_ids)},
             sort_keys=True,
         ).encode()
-        key = _USER_PREFIX + principal.name
-        self.coordination.put(key, payload, self.session)
         # The canonical-id mapping must be readable by every other client so
-        # that they can grant this user access to their files (§2.6).
-        self.coordination.set_entry_acl(key, "*", Permission.READ, self.session)
+        # that they can grant this user access to their files (§2.6): the
+        # entry is created with that grant, and a refresh keeps it.
+        self.coordination.put(_USER_PREFIX + principal.name, payload, self.session,
+                              grants={"*": Permission.READ})
 
     def lookup(self, username: str) -> Principal:
         """Return the principal (with canonical ids) registered for ``username``.

@@ -41,17 +41,19 @@ from repro.scenarios.runner import ScenarioRunner
 #: covers all eight mixes: every close is numbered by its anchor, one quorum
 #: call (and its draws) fewer per close.  Epoch 11 covers all eight mixes: a
 #: write-open of an existing file sends its lock and the re-read under it as
-#: one command, one coordination latency draw fewer per such open.  See
-#: docs/determinism-contract.md.
+#: one command, one coordination latency draw fewer per such open.  Epoch 12
+#: covers all eight mixes: a mount registers its user in one command (one
+#: draw fewer per mount), and a partitioned fan-out is charged its slowest
+#: branch.  See docs/determinism-contract.md.
 GOLDEN_LOCKSTEP = {
-    "fault-free": "da26aebb2be5690546ab078bbc227d6d93237fc2ec6f16d11c5e31b641559b98",
-    "crash-hang": "d48ae854ed2284c93cffea7d8e14c3ccf0045dcf2989dc0b4dc3f3c95d4f3a62",
-    "corrupt-byzantine": "c3aca3027b91e04c7fa9bd4988f1817777472eb01ae39883a3c836a5f728d7f6",
-    "degraded-outage": "ecb2a21aa79641cbe677ce2b6bb2c3f06f7fdb72879281243612ad924360c15a",
-    "weighted-byzantine": "bd42a1c5e8ef0fc032e3b73ecaa7f10a0bb1ae92512753a68e3262e211592549",
-    "txn": "86acbe212664868c045a7d619ab870b27f7699a35c5a768e7853c66c3f91c73a",
-    "txn-crash-restart": "424292824c7447c4627955ca4069cbd1f1495811767af355e539ca9276bda0ca",
-    "txn-partition": "27047e5691a63276ac4e7786009bde97764374ad0f9d409432204a003c32ce85",
+    "fault-free": "de2af7e04b4e55aabf477e605272c8ae9c0ca0c303396b1e99decf80fc4872ff",
+    "crash-hang": "57862a3c106cf45025f11b94a868c118574e4c1b849cf6589f1a0d0bfcbeb733",
+    "corrupt-byzantine": "08f0ff5a959b2de1b3bb5506265c2885e53d6a793ba6f472919297ed93afa990",
+    "degraded-outage": "81333b5c6076289d94d998de17faa211c8e103e1b6e03bc06e8dfdd9e721fbd0",
+    "weighted-byzantine": "8b38f23b5eb4927b3b175fb62326f60ccd2b7b471fb85a0c4ea6517de55ea5ea",
+    "txn": "4f80f25976c3f8ae67d0b2abaa42d0b28968df6341e86554b7f74c3ff453e6a5",
+    "txn-crash-restart": "f0e68d2a77c1faddeb989d78bf5f4c2ac026528b19b22c38ce2d525d5b03063e",
+    "txn-partition": "24ac256ba7b16738ba2283c99e556a3fd787679be4415338f9bd5d14b11154d3",
 }
 
 
@@ -72,9 +74,9 @@ def _scale_spec(**overrides) -> ScenarioSpec:
 
 #: Trace fingerprint of ``_scale_spec()``: pooled, partitioned, event-driven —
 #: the one pinned run that goes through pool priming.  Re-pinned in epoch 11,
-#: where its file ids also came to name their entry's partition; an epoch bump
-#: re-pins it together with the eight above.
-GOLDEN_POOLED = "9c0abf5f93fb24b02264e6a7a6cad9fe5dff98784b04c8245e4c6c9d5458cd21"
+#: where its file ids also came to name their entry's partition, and in epoch
+#: 12; an epoch bump re-pins it together with the eight above.
+GOLDEN_POOLED = "37b8f9013c5d0ed5f4a7ff05df01f41168e58c2db41e9f5a0c2f293b369128ef"
 
 
 def test_pooled_fingerprint_is_pinned() -> None:

@@ -1,6 +1,7 @@
 """Unit tests for the coordination substrate: replica state machines, replication, locks."""
 
 import pickle
+import random
 
 import pytest
 
@@ -16,7 +17,12 @@ from repro.coordination.base import Get, Lock, Put, Unlock
 from repro.coordination.entries import Holder
 from repro.coordination.locks import LockManager
 from repro.coordination.partitioned import PartitionedCoordination
-from repro.coordination.replication import FaultModel, ReplicatedStateMachine, replicas_required
+from repro.coordination.replication import (
+    FaultModel,
+    ReplicatedStateMachine,
+    invoke_together,
+    replicas_required,
+)
 from repro.coordination.tuplespace import DepSpace
 from repro.coordination.zookeeper import ZooKeeperLike
 
@@ -57,6 +63,30 @@ class TestReplica:
             replica.entry_multi([Lock("l"), Put("k", b"x", 5)], "alice", 0.0,
                                 holder=Holder("s1", 10.0, 10.0))
         assert replica.lock_holder("l", 0.0) is None and replica.entry_count() == 0
+
+    def test_grants_apply_when_a_put_creates_the_entry_only(self, replica):
+        replica.entry_put("k", b"v1", "alice", 0.0, grants={"*": Permission.READ})
+        assert replica.entry_get("k", "bob", 0.0).value == b"v1"
+        with pytest.raises(ConflictError):
+            replica.entry_put("k", b"bob's", "bob", 0.0)  # READ, not WRITE
+        # An update keeps the ACL the entry has, whatever grants it names.
+        replica.entry_put("k", b"v2", "alice", 0.0, grants={"bob": Permission.READ_WRITE})
+        assert replica.entry_get("k", "carol", 0.0).value == b"v2"
+        with pytest.raises(ConflictError):
+            replica.entry_put("k", b"bob's", "bob", 0.0)
+
+    def test_an_update_keeps_an_acl_set_after_creation(self, replica):
+        replica.entry_put("k", b"v1", "alice", 0.0)
+        replica.entry_set_acl("k", "alice", "bob", Permission.READ, 0.0)
+        replica.entry_put("k", b"v2", "alice", 0.0)
+        assert replica.entry_get("k", "bob", 0.0).value == b"v2"
+
+    def test_a_put_step_creates_its_entry_with_its_grants(self, replica):
+        replica.entry_multi([Put("a", b"x", 0, {"bob": Permission.READ}), Put("b", b"y", 0)],
+                            "alice", 0.0, holder=Holder("s1", 10.0, 10.0))
+        assert replica.entry_get("a", "bob", 0.0).value == b"x"
+        with pytest.raises(ConflictError):
+            replica.entry_get("b", "bob", 0.0)
 
     def test_a_lock_taken_now_lapses_ten_seconds_on(self, replica):
         """Take at 0: the lease and the session deadline end together at 10."""
@@ -101,20 +131,21 @@ class TestDepSpaceLeases:
         assert space.lock_holder("b", 12.0) == "s1"
         assert space.lock_holder("b", 15.0) is None
 
-    def test_release_one_returns_the_sessions_locks_oldest_first(self):
+    def test_closing_a_session_returns_all_its_locks_in_one_command(self):
         space = DepSpace()
         _take(space, ["c", "a"], 0.0)
         _take(space, ["b"], 1.0)
         _take(space, ["z"], 1.0, session="s2")
-        assert [space.release_one("s1", 2.0) for _ in range(4)] == ["c", "a", "b", None]
-        assert space.lock_holder("z", 2.0) == "s2"
+        space.close_session("s1", 2.0)
+        assert [space.lock_holder(name, 2.0) for name in "abcz"] == [None, None, None, "s2"]
 
-    def test_release_one_skips_a_lapsed_lock(self):
+    def test_closing_a_session_leaves_a_lapsed_lock_to_its_new_holder(self):
         space = DepSpace()
         _take(space, ["a"], 0.0)
         _take(space, ["b"], 5.0)
-        assert space.release_one("s1", 11.0) == "b"
-        assert space.release_one("s1", 11.0) is None
+        _take(space, ["a"], 11.0, session="s2")  # "a" lapsed at 10 and was taken again
+        space.close_session("s1", 11.0)
+        assert [space.lock_holder(name, 11.0) for name in "ab"] == ["s2", None]
 
 
 class TestZooKeeperSessions:
@@ -200,6 +231,29 @@ class TestReplication:
         rsm.recover_replica(0)
         rsm.invoke("entry_put", "k", b"w", "alice", 0.0)
         assert rsm.replicas[0].entry_get("k", "alice", 0.0).version == 2
+
+    def test_invoke_together_runs_every_command_and_charges_the_slowest(self, sim):
+        rsms = [ReplicatedStateMachine(sim, DepSpace, FaultModel.CRASH, f=1) for _ in range(3)]
+        rsms[1].crash_replica(0)
+        rsms[1].crash_replica(1)
+        state, start = sim.rng.getstate(), sim.now()
+        # No quorum on the second, the third refuses its read: the first
+        # failure raises, once every command ran.
+        with pytest.raises(QuorumNotReachedError):
+            invoke_together([rsms[0].command("entry_put", "k", b"v", "alice", 0.0),
+                             rsms[1].command("entry_put", "k", b"v", "alice", 0.0),
+                             rsms[2].command("entry_get", "k", "alice", 0.0)])
+        assert [rsm.commands_executed for rsm in rsms] == [1, 0, 1]
+        assert rsms[0].reference_replica().entry_get("k", "alice", 0.0).value == b"v"
+        replay = random.Random()
+        replay.setstate(state)
+        draws = [rsm.latency.sample(0, replay) for rsm in (rsms[0], rsms[2])]
+        assert sim.now() == start + max(draws) and sim.rng.getstate() == replay.getstate()
+        with sim.background():  # background work draws nothing and waits for nothing
+            assert invoke_together([rsm.command("entry_list", "", "alice", 0.0)
+                                    for rsm in (rsms[0], rsms[2])]) == [
+                [rsms[0].reference_replica().entry_get("k", "alice", 0.0)], []]
+        assert sim.now() == start + max(draws) and sim.rng.getstate() == replay.getstate()
 
     def test_invalid_replica_index(self, sim):
         rsm = ReplicatedStateMachine(sim, DepSpace, FaultModel.CRASH, f=1)
@@ -299,14 +353,13 @@ class TestCoordinationAdapters:
         assert coordination.try_lock("file-1", s2)
 
     def test_close_session_costs(self, coordination, alice, bob):
-        """DepSpace: one command per lock the session holds, plus one; ZooKeeper: one."""
+        """One command on both services, whatever the session holds."""
         s1, s2 = coordination.open_session(alice), coordination.open_session(bob)
         coordination.multi([Lock("a"), Lock("b")], s1)
         coordination.try_lock("c", s2)
         before = coordination.rsm.commands_executed
         coordination.close_session(s1)
-        cost = 3 if isinstance(coordination, DepSpaceCoordination) else 1
-        assert coordination.rsm.commands_executed - before == cost
+        assert coordination.rsm.commands_executed - before == 1
         assert [coordination.lock_holder(name) for name in "abc"] == [None, None, s2.session_id]
 
     def test_entry_count(self, coordination, alice):

@@ -9,7 +9,14 @@ and check that the metadata service's own ``coordination_reads`` /
 per op") agree with it.
 
 A prefix listing fans out to every partition, so a call that lists costs
-``partitions`` commands for it; every other intent is exactly one.
+``partitions`` commands for it; every other intent is exactly one.  Commands
+to several partitions that need not wait for one another — a listing's, an
+unmount's session close, a release of locks living on several partitions —
+go out together: one round trip, the slowest partition's.
+
+A mount is one command: the user's canonical ids, created readable by every
+user.  An unmount is one command per partition, the session's close — on
+DepSpace too, which returned the locks one command each.
 
 A lock rides in the metadata command it guards: the insert of a create-open,
 the re-read under the lock of a write-open of an existing file, the validation
@@ -36,10 +43,14 @@ looks first.
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.common.errors import TransactionConflictError
-from repro.common.types import Permission
+from repro.common.types import Permission, Principal
+from repro.coordination import PartitionedCoordination, make_coordination_service
+from repro.coordination.locks import LockManager
 from repro.core.deployment import SCFSDeployment
 from repro.core.lock_service import LockService
 from repro.core.metadata_service import MetadataService
@@ -401,3 +412,62 @@ def test_rename_tree_locks_its_files_in_two_commands_whatever_their_number(mount
     # One conditional move per extra file; taking and returning the lock set is
     # one command each (per partition the lock names fall on), not one per file.
     assert 7 <= grown <= 7 + 2 * (mount.listing - 1)
+
+
+def _draws(state, services) -> list[float]:
+    """The latency one command to each of ``services`` draws, in order, from RNG ``state``."""
+    rng = random.Random()
+    rng.setstate(state)
+    return [service.rsm.latency.sample(0, rng) for service in services]
+
+
+def test_a_mount_is_one_command_and_registers_a_user_every_user_may_read(mount):
+    """The registry entry is created with its grant: 1 command where it was 2 (put, set ACL)."""
+    assert mount.spent(mount.deployment.create_agent, "bob")[0] == 1
+    assert mount.spent(mount.deployment.create_agent, "bob")[0] == 1  # a refresh keeps the ACL
+    carol = mount.deployment.create_agent("carol").agent
+    bob = mount.deployment.agent_for("bob").agent
+    assert carol.users.lookup("bob").canonical_ids == bob.principal.canonical_ids
+
+
+def test_an_unmount_closes_every_partition_in_one_round_trip():
+    deployment = SCFSDeployment.for_variant("SCFS-CoC-B", seed=5, coordination_partitions=4)
+    fs = deployment.create_agent("alice")
+    services = deployment.coordination.services
+    commands = sum(service.rsm.commands_executed for service in services)
+    state, start = deployment.sim.rng.getstate(), deployment.sim.now()
+    fs.unmount()
+    assert sum(service.rsm.commands_executed for service in services) - commands == 4
+    # Charged the slowest close (<= 0.095 s x 1.2), not the four of them (~0.38 s).
+    slowest = max(_draws(state, services))
+    assert deployment.sim.now() == start + slowest and slowest <= 0.114
+
+
+def test_a_listing_of_every_partition_is_one_round_trip():
+    deployment = SCFSDeployment.for_variant("SCFS-CoC-B", seed=5, coordination_partitions=4)
+    fs = deployment.create_agent("alice")
+    for index in range(8):
+        fs.mkdir(f"/d{index}", shared=True)
+    coordination = deployment.coordination
+    assert len({coordination.partition_of(f"meta:/d{index}") for index in range(8)}) > 1
+    state, start = deployment.sim.rng.getstate(), deployment.sim.now()
+    listed = coordination.list_entries("meta:/", fs.agent.session)
+    assert {f"meta:/d{index}" for index in range(8)} <= {entry.key for entry in listed}
+    assert deployment.sim.now() == start + max(_draws(state, coordination.services))
+
+
+@pytest.mark.parametrize("partitions", [1, 3])
+def test_releasing_every_lock_is_one_command_per_partition_and_one_round_trip(sim, partitions):
+    services = [make_coordination_service(sim, "depspace", f=0) for _ in range(partitions)]
+    coordination = PartitionedCoordination(services, lambda key, n: int(key[-1]) % n)
+    session = coordination.open_session(Principal(name="alice", canonical_ids=()))
+    manager = LockManager(sim=sim, service=coordination, session=session)
+    names = ["L0", "L1", "L2"]
+    manager.acquire_set(names)
+    manager.acquire("L1")  # a re-entrant hold: collapsed, not one more command
+    commands = sum(service.rsm.commands_executed for service in services)
+    state, start = sim.rng.getstate(), sim.now()
+    manager.release_all()
+    assert sum(service.rsm.commands_executed for service in services) - commands == partitions
+    assert sim.now() == start + max(_draws(state, services))
+    assert manager.held == {} and [coordination.lock_holder(name) for name in names] == [None] * 3
