@@ -44,7 +44,12 @@ import os
 
 from repro.clouds.dispatch import DispatchPolicy
 from repro.clouds.eventual import EventuallyConsistentStore
-from repro.clouds.health import CloudHealthTracker, QuorumPlanner, SuspicionPolicy
+from repro.clouds.health import (
+    CloudHealthTracker,
+    QuorumPlanner,
+    SuspicionPolicy,
+    expected_latency,
+)
 from repro.clouds.pricing import StoragePricing
 from repro.clouds.quorums import WeightedQuorumSystem
 from repro.common.types import Principal
@@ -389,15 +394,9 @@ def _run_frontier_arm(arm: str, schedule: str, seed: int = 17) -> dict:
         system.validate()
 
         def latency_of(name: str, kind: str, payload: int) -> float:
-            expected = stores[name].expected_request_latency(kind, payload)
-            record = tracker.health(name)
-            if (record.samples >= tracker.policy.min_samples
-                    and record.ewma_latency is not None):
-                # The EWMA covers whole requests, the profile expectation the
-                # same: take the pessimistic blend (a straggler's measured
-                # latency dominates its advertised one).
-                expected = max(expected, record.ewma_latency)
-            return expected
+            # The one per-cloud expectation: a straggler's measured EWMA
+            # dominates its advertised latency (the client sets no timeout).
+            return expected_latency(stores[name], kind, payload, tracker)
 
         def cost_of(name: str, kind: str, payload: int) -> float:
             return stores[name].costs.pricing.request_cost(kind, payload)

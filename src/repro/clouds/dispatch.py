@@ -32,6 +32,9 @@ The engine runs entirely on the virtual timeline: request side effects
 (``send``) execute immediately against the simulated stores, while the
 *charged* time is derived from the sampled latencies.  Callers advance the
 simulated clock by :attr:`QuorumCallStats.charged` once the call resolves.
+
+Every latency *estimate* is a :meth:`QuorumCall.dry_run` of the call the real
+operation builds: this timeline, with expected latencies and nothing sent.
 """
 
 from __future__ import annotations
@@ -83,12 +86,16 @@ class QuorumRequest:
     blob from the streaming encoder's buffers) to dispatch time: requests of
     a fallback stage that is never dispatched never pay the cost, and unlike
     work hidden inside ``send`` it is not repeated on retries.
+
+    ``expected`` returns the deterministic expected latency of one attempt;
+    only :meth:`QuorumCall.dry_run` calls it.
     """
 
     cloud: str
     send: Callable[[], Any]
     latency: Callable[[Any | None], float]
     prepare: Callable[[], None] | None = None
+    expected: Callable[[], float] | None = None
     #: True for requests with server-side effects (PUT/DELETE/ACL).  Health
     #: planning never *skips* a mutating request of a suspected cloud — it is
     #: dispatched in the background instead, so a version written during a
@@ -232,27 +239,29 @@ class QuorumCall:
     # ------------------------------------------------------------------ core
 
     def _resolve(self, request: QuorumRequest, stage: int, start: float,
-                 hedged: bool, probe: bool = False) -> RequestTrace:
-        """Run one request (with retries) and place its resolution on the timeline."""
+                 hedged: bool, probe: bool = False, dry: bool = False) -> RequestTrace:
+        """Run one request (with retries) and place its resolution on the timeline
+        (``dry``: send nothing, every attempt succeeds after ``request.expected()``)."""
         policy = self.policy
         now = start
         attempts = 0
         status = RequestStatus.FAILED
         value: Any = None
         benign = False
-        if request.prepare is not None:
+        if request.prepare is not None and not dry:
             request.prepare()
         while attempts <= policy.retries:
             attempts += 1
-            try:
-                result = request.send()
-                ok = True
-                benign = False
-            except CloudError as exc:
-                result = None
-                ok = False
-                benign = isinstance(exc, BENIGN_ERRORS)
-            latency = max(0.0, request.latency(result))
+            if dry:
+                result, ok, benign = None, True, False
+                latency = request.expected()
+            else:
+                try:
+                    result, ok, benign = request.send(), True, False
+                except CloudError as exc:
+                    result, ok, benign = None, False, isinstance(exc, BENIGN_ERRORS)
+                latency = request.latency(result)
+            latency = max(0.0, latency)
             if policy.timeout is not None and latency > policy.timeout:
                 # The response would arrive, but the client abandons the
                 # attempt at the deadline (the side effect may still have
@@ -310,6 +319,23 @@ class QuorumCall:
         :attr:`QuorumCallStats.reached` and raise their protocol-level error
         (typically :class:`~repro.common.errors.QuorumNotReachedError`).
         """
+        return self._run(required, dry=False)
+
+    def dry_run(self, required) -> float:
+        """The wait :meth:`execute` is expected to charge, sending nothing.
+
+        The same timeline as :meth:`execute` — policy timeouts and retries,
+        hedges (explicit or the tracker's automatic delay), fallback stages at
+        the end of the round, suspected clouds demoted by the same re-plan —
+        with every attempt succeeding after its request's ``expected``
+        latency.  Calls no ``prepare`` or ``send``, draws nothing from the
+        RNG, dispatches no probe and leaves the tracker as it was (no counter,
+        no trace, no revert warning).
+        """
+        return self._run(required, dry=True).charged
+
+    def _run(self, required, dry: bool) -> QuorumCallStats:
+        """The staged timeline of :meth:`execute`, or of :meth:`dry_run` when ``dry``."""
         quorum = as_quorum(required)
         if quorum.min_size <= 0:
             raise ValueError("a quorum call needs required >= 1")
@@ -320,8 +346,10 @@ class QuorumCall:
         probe_requests: list[QuorumRequest] = []
         demoted: tuple[str, ...] = ()
         if self.health is not None:
-            planned = self.health.plan(stages, quorum, self.now)
-            stages, probe_requests, demoted = planned.stages, planned.probes, planned.demoted
+            plan = self.health.replan if dry else self.health.plan
+            planned = plan(stages, quorum, self.now)
+            stages, demoted = planned.stages, planned.demoted
+            probe_requests = [] if dry else planned.probes
 
         traces: list[RequestTrace] = []
         stage_starts: list[float] = []
@@ -359,7 +387,7 @@ class QuorumCall:
                     break  # quorum reached fast enough: stage never dispatched
             stage_starts.append(start)
             for request in requests:
-                traces.append(self._resolve(request, index, start, hedged))
+                traces.append(self._resolve(request, index, start, hedged, dry=dry))
             if hedged:
                 hedged_count += len(requests)
 
@@ -379,7 +407,7 @@ class QuorumCall:
                 default=start) - start
             for s, start in enumerate(stage_starts)
         )
-        if self.health is not None:
+        if self.health is not None and not dry:
             for trace in traces:
                 self.health.record_trace(trace, self.now)
         return QuorumCallStats(

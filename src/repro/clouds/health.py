@@ -68,6 +68,7 @@ from repro.clouds.quorums import as_quorum, minimal_quorums
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a runtime cycle
     from repro.clouds.dispatch import QuorumRequest, RequestTrace
+    from repro.clouds.eventual import EventuallyConsistentStore
 
 logger = logging.getLogger(__name__)
 
@@ -302,6 +303,22 @@ class CloudHealthTracker:
         :attr:`HealthStats.conservative_reverts` and flagged on the returned
         :class:`PlannedStages`.
         """
+        planned = self.replan(stages, required, now)
+        if planned.reverted:
+            self.conservative_reverts += 1
+            logger.warning(
+                "health plan reverted: demoting suspected clouds %s would "
+                "leave the quorum unsatisfiable; dispatching the original "
+                "stages instead",
+                sorted({r.cloud for stage in stages for r in stage if self.is_suspected(r.cloud)}))
+        self.probes += len(planned.probes)
+        self.skipped_requests += len(planned.demoted) - len(planned.probes)
+        self.demoted_requests += len(planned.demoted)
+        return planned
+
+    def replan(self, stages: Sequence[Sequence["QuorumRequest"]], required,
+               now: float) -> PlannedStages:
+        """The plan :meth:`plan` makes, neither counted nor logged (a dry run's)."""
         quorum = as_quorum(required)
         suspected = [
             request
@@ -319,31 +336,18 @@ class CloudHealthTracker:
         ]
         if not quorum.satisfied_by([request.cloud for request in remaining]):
             # Too many suspects: demotion would make the quorum unreachable.
-            self.conservative_reverts += 1
-            logger.warning(
-                "health plan reverted: demoting suspected clouds %s would "
-                "leave the quorum unsatisfiable (%d unsuspected requests "
-                "remain); dispatching the original stages instead",
-                sorted({request.cloud for request in suspected}), len(remaining))
             return PlannedStages(stages=[list(stage) for stage in stages],
                                  reverted=True)
 
-        probes: list[QuorumRequest] = []
-        demoted: list[str] = []
-        for request in suspected:
-            demoted.append(request.cloud)
-            if request.mutating or self.probe_due(request.cloud, now):
-                # Mutating requests (PUT/DELETE/ACL) are never skipped:
-                # replication must not silently shrink just because a provider
-                # is suspected — the attempt runs in the background, storing
-                # the copy whenever the provider actually permits, while the
-                # call's charged latency stays free of the suspect.  Read
-                # requests come back only when the probe window is due.
-                probes.append(request)
-                self.probes += 1
-            else:
-                self.skipped_requests += 1
-        self.demoted_requests += len(demoted)
+        # Mutating requests (PUT/DELETE/ACL) are never skipped: replication
+        # must not silently shrink just because a provider is suspected — the
+        # attempt runs in the background, storing the copy whenever the
+        # provider actually permits, while the call's charged latency stays
+        # free of the suspect.  Read requests come back only when the probe
+        # window is due.
+        probes = [request for request in suspected
+                  if request.mutating or self.probe_due(request.cloud, now)]
+        demoted = [request.cloud for request in suspected]
 
         planned: list[list[QuorumRequest]] = []
         queue = list(remaining)
@@ -474,6 +478,28 @@ class CloudHealthTracker:
             record.samples = int(samples)
 
 
+def expected_latency(store: "EventuallyConsistentStore", kind: str, payload: int,
+                     tracker: CloudHealthTracker | None = None,
+                     timeout: float | None = None) -> float:
+    """Expected seconds of one ``kind`` request moving ``payload`` bytes at ``store``.
+
+    The one per-cloud expectation every estimate uses: the profile under the
+    store's current degradation (no RNG draw), raised to the ``tracker``'s
+    latency EWMA once it has ``min_samples`` (a gray failure the profile cannot
+    know), floored at ``timeout`` while the tracker suspects the cloud (the
+    wait a call that insists on it pays).  The tracker is only read.
+    """
+    expected = store.expected_request_latency(kind, payload)
+    record = tracker._clouds.get(store.name) if tracker is not None else None
+    if record is None:
+        return expected
+    if record.ewma_latency is not None and record.samples >= tracker.policy.min_samples:
+        expected = max(expected, record.ewma_latency)
+    if record.status is CloudStatus.SUSPECTED and timeout is not None:
+        expected = max(expected, timeout)
+    return expected
+
+
 @dataclass(frozen=True)
 class QuorumPlan:
     """One planned quorum: the chosen primary stage and its expected economics."""
@@ -515,7 +541,6 @@ class QuorumPlanner:
         self.latency_of = latency_of
         self.cost_of = cost_of
         self.tracker = tracker
-        self.plans = 0
         self.reverts = 0
 
     def plan(self, candidates: Sequence[str], required, kind: str,
@@ -541,7 +566,6 @@ class QuorumPlanner:
                     "leaves no feasible quorum; planning over the full pool",
                     demoted)
             pool = names
-        self.plans += 1
         latency = {cloud: self.latency_of(cloud, kind, payload) for cloud in pool}
         cost = {cloud: self.cost_of(cloud, kind, payload) for cloud in pool}
 

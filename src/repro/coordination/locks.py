@@ -5,8 +5,8 @@ recipes for locking using the coordination service of choice" (§2.5.1).  The
 only strict requirement is that lock entries are *ephemeral*: a crashed client
 must not hold its locks forever.  Both concrete services satisfy this —
 DepSpace through a lease per lock, ZooKeeper through the session's — so the
-recipe here only adds retry/timeout policy and bookkeeping on top of
-:meth:`~repro.coordination.base.CoordinationService.try_lock`.
+recipe here only adds re-entrant bookkeeping on top of the service's ``Lock``
+and ``Unlock`` steps.
 """
 
 from __future__ import annotations
@@ -30,22 +30,16 @@ class LockManager:
     Parameters
     ----------
     sim:
-        Simulation environment (used to wait between retries).
+        Simulation environment.
     service:
         The coordination service holding the ephemeral lock entries.
     session:
         The client session on whose behalf locks are taken.
-    retry_interval:
-        Simulated seconds to wait between acquisition attempts.
-    max_retries:
-        Number of retries after the first failed attempt before giving up.
     """
 
     sim: Simulation
     service: CoordinationService
     session: Session
-    retry_interval: float = 0.2
-    max_retries: int = 0
     #: Lock name -> number of outstanding acquisitions by this session.  The
     #: count makes re-entrant acquisition symmetric with release: the lock is
     #: only returned to the coordination service when every acquisition has
@@ -63,18 +57,13 @@ class LockManager:
         return True
 
     def acquire(self, name: str) -> None:
-        """Acquire ``name``, retrying up to ``max_retries`` times.
+        """Acquire ``name``: the one-name case of :meth:`acquire_set`.
 
-        Raises :class:`LockHeldError` if the lock stays unavailable, which the
-        file system surfaces as an open-for-writing error (§2.5.2).
+        A lock another client holds refuses it at once with
+        :class:`LockHeldError`, which the file system surfaces as an
+        open-for-writing error (§2.5.2); nothing waits or retries.
         """
-        attempts = self.max_retries + 1
-        for attempt in range(attempts):
-            if self.try_acquire(name):
-                return
-            if attempt != attempts - 1:
-                self.sim.advance(self.retry_interval)
-        raise LockHeldError(f"lock {name!r} is held by another client")
+        self.acquire_set([name])
 
     def release(self, name: str) -> bool:
         """Release one acquisition of ``name``.

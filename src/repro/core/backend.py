@@ -27,9 +27,9 @@ from typing import Sequence
 
 from repro.common.errors import CloudError, IntegrityError, ObjectNotFoundError
 from repro.common.types import ObjectRef, Permission, Principal
-from repro.clouds.dispatch import BENIGN_ERRORS, DispatchPolicy, QuorumCall, QuorumRequest
+from repro.clouds.dispatch import BENIGN_ERRORS, DispatchPolicy
 from repro.clouds.eventual import EventuallyConsistentStore
-from repro.clouds.health import CloudHealthTracker, HealthStats, QuorumPlanner
+from repro.clouds.health import CloudHealthTracker, HealthStats, QuorumPlanner, expected_latency
 from repro.crypto.hashing import content_digest
 from repro.depsky.dataunit import VersionRecord
 from repro.depsky.protocol import DepSkyClient, DepSkyReadResult
@@ -177,7 +177,11 @@ class StorageBackend(abc.ABC):
         """Expected seconds to push a ``num_bytes`` version to the cloud(s).
 
         Used by the non-blocking mode to schedule the completion of background
-        uploads on the simulated clock.
+        uploads on the simulated clock.  For a cloud-of-clouds it is DepSky's
+        dry run of the calls the write sends
+        (:meth:`~repro.depsky.protocol.DepSkyClient.expected_write`); for one
+        cloud, the expected PUT
+        (:func:`~repro.clouds.health.expected_latency`).
         """
 
     @abc.abstractmethod
@@ -191,10 +195,6 @@ class StorageBackend(abc.ABC):
         this instant instead of polling for it (Figure 3, step r2).  ``0.0``
         (nothing to wait for) without a locator.
         """
-
-    @abc.abstractmethod
-    def estimate_read_latency(self, num_bytes: int) -> float:
-        """Expected seconds to fetch a ``num_bytes`` version from the cloud(s)."""
 
     @abc.abstractmethod
     def stored_bytes(self, file_id: str) -> int:
@@ -231,7 +231,6 @@ class SingleCloudBackend(StorageBackend):
         self.health: CloudHealthTracker | None = (
             dispatch.make_tracker() if dispatch is not None else None
         )
-        self._ewma_estimates = bool(getattr(dispatch, "ewma_estimates", False))
 
     def _observed(self, operation):
         """Run one store operation, feeding its outcome to the health tracker.
@@ -307,22 +306,8 @@ class SingleCloudBackend(StorageBackend):
         for key in listing.keys:
             self.store.delete(key, self.principal)
 
-    def _estimated(self, kind: str, num_bytes: int) -> float:
-        # Deterministic expectation: estimates must not consume RNG draws (and
-        # previously dropped the jitter term silently by passing no RNG).
-        # With ``ewma_estimates`` on, the health tracker's observed latency
-        # EWMA raises the estimate for a provider that is actually slower
-        # than its profile claims (a gray failure the profile cannot know).
-        expected = self.store.expected_request_latency(kind, num_bytes)
-        if self._ewma_estimates and self.health is not None:
-            record = self.health.health(self.store.name)
-            if (record.ewma_latency is not None
-                    and record.samples >= self.health.policy.min_samples):
-                expected = max(expected, record.ewma_latency)
-        return expected
-
     def estimate_write_latency(self, num_bytes: int) -> float:
-        return self._estimated("object_put", num_bytes)
+        return expected_latency(self.store, "object_put", num_bytes, self.health)
 
     def estimate_readable_at(self, locator: str) -> float:
         if not locator:
@@ -332,9 +317,6 @@ class SingleCloudBackend(StorageBackend):
         except ValueError as exc:
             raise IntegrityError(f"malformed version locator {locator!r}") from exc
         return landed + self.store.profile.propagation_delay
-
-    def estimate_read_latency(self, num_bytes: int) -> float:
-        return self._estimated("object_get", num_bytes)
 
     def stored_bytes(self, file_id: str) -> int:
         return self.store.list_keys(self._prefix(file_id), self.principal).total_bytes
@@ -377,18 +359,18 @@ class CloudOfCloudsBackend(StorageBackend):
         self.health: CloudHealthTracker | None = (
             dispatch.make_tracker() if dispatch is not None else None
         )
-        self._ewma_estimates = bool(getattr(dispatch, "ewma_estimates", False))
-        self._stores = {cloud.name: cloud for cloud in clouds}
+        stores = {cloud.name: cloud for cloud in clouds}
         # ``quorum`` is the agent's :class:`~repro.core.config.QuorumConfig`
         # (or None).  In threshold mode ``system_for`` returns None and the
         # client keeps its legacy integer counts — byte-identical dispatch.
         system = quorum.system_for([c.name for c in clouds], f) if quorum is not None else None
         planner = None
         if system is not None and getattr(quorum, "planner", False):
+            timeout = policy.timeout if policy is not None else None
             planner = QuorumPlanner(
-                latency_of=lambda cloud, kind, payload: self._cloud_latency(
-                    cloud, kind, payload, ewma=True),
-                cost_of=lambda cloud, kind, payload: self._stores[
+                latency_of=lambda cloud, kind, payload: expected_latency(
+                    stores[cloud], kind, payload, self.health, timeout),
+                cost_of=lambda cloud, kind, payload: stores[
                     cloud].costs.pricing.request_cost(kind, payload),
                 tracker=self.health,
             )
@@ -453,63 +435,9 @@ class CloudOfCloudsBackend(StorageBackend):
     def destroy(self, file_id: str) -> None:
         self.client.destroy_unit(file_id)
 
-    def _cloud_latency(self, cloud_name: str, kind: str, payload: int,
-                       ewma: bool) -> float:
-        """Deterministic latency estimate for one request against one cloud.
-
-        With ``ewma`` the health tracker's observed latency EWMA raises the
-        estimate above the profile expectation for providers that are actually
-        slower than their profile claims (gray failures); a *suspected*
-        provider is additionally floored at the per-request timeout — the wait
-        a call that insists on it would actually pay.
-        """
-        store = self._stores[cloud_name]
-        expected = store.expected_request_latency(kind, payload)
-        if not ewma or self.health is None:
-            return expected
-        record = self.health.health(cloud_name)
-        if (record.ewma_latency is not None
-                and record.samples >= self.health.policy.min_samples):
-            expected = max(expected, record.ewma_latency)
-        if self.health.is_suspected(cloud_name):
-            policy = self.client.policy
-            if policy is not None and policy.timeout is not None:
-                expected = max(expected, policy.timeout)
-        return expected
-
-    def _expected_quorum(self, clouds: list[EventuallyConsistentStore], kind: str,
-                         payload: int, required: int) -> float:
-        """Expected wait of one quorum stage, computed by the dispatch engine.
-
-        The requests carry deterministic expected latencies (no RNG draws, so
-        estimating never perturbs the simulation's random stream) and no side
-        effects; the engine's m-th-success semantics do the rest.  With
-        ``ewma_estimates`` configured, the per-cloud estimates blend in the
-        health tracker's observed EWMAs, so a known-slow provider inflates the
-        estimate exactly when the quorum cannot complete without it — and the
-        non-blocking mode's background-upload schedule routes around it.
-        """
-        requests = [
-            QuorumRequest(
-                cloud=cloud.name,
-                send=lambda: None,
-                latency=lambda _value, cloud=cloud: self._cloud_latency(
-                    cloud.name, kind, payload, ewma=self._ewma_estimates),
-            )
-            for cloud in clouds
-        ]
-        return QuorumCall(self.client.policy).stage(requests).execute(required=required).charged
-
     def estimate_write_latency(self, num_bytes: int) -> float:
-        client = self.client
-        block_bytes = client.coder.block_size(num_bytes + 64)
-        quorum = client.n - client.f
-        # The two put phases of ``write_numbered``: every SCFS write is
-        # numbered by its anchor, so no head read precedes them.
-        return (
-            self._expected_quorum(client.clouds[:quorum], "object_put", block_bytes, quorum)
-            + self._expected_quorum(client.clouds, "object_put", 1024, quorum)
-        )
+        """DepSky's dry run of ``write_numbered``: every SCFS write is numbered by its anchor."""
+        return self.client.expected_write(num_bytes)
 
     def estimate_readable_at(self, locator: str) -> float:
         if not locator:
@@ -518,13 +446,8 @@ class CloudOfCloudsBackend(StorageBackend):
         return self.client.readable_at(VersionRecord.from_locator(locator, ""))
 
     def estimate_read_latency(self, num_bytes: int) -> float:
-        """The block fetch alone: a locator read has no metadata-object round.
-
-        No caller in ``src/``; ``benchmarks/layers/tracer.py`` names it.
-        """
-        client = self.client
-        block_bytes = client.coder.block_size(num_bytes + 64)
-        return self._expected_quorum(client.clouds[:client.k], "object_get", block_bytes, client.k)
+        """DepSky's dry run of a locator read (no caller in ``src/``; the layer tracer wraps it)."""
+        return self.client.expected_read(num_bytes)
 
     def stored_bytes(self, file_id: str) -> int:
         return self.client.stored_bytes(file_id)

@@ -112,13 +112,6 @@ class DispatchPolicyConfig:
     #: :class:`~repro.clouds.dispatch.InstantCoalescer` (the scale-out
     #: optimisation; off by default so existing variants replay unchanged).
     coalesce_instant: bool = False
-    #: Blend the health tracker's per-cloud latency EWMAs into the backend's
-    #: read/write latency *estimates* (the values the non-blocking mode uses
-    #: to schedule background-upload completions), so scheduling routes
-    #: around known-slow providers.  Off by default: the estimates feed the
-    #: background-task timeline, so enabling this shifts event schedules (and
-    #: therefore scenario replay fingerprints).
-    ewma_estimates: bool = False
     #: Warm-start snapshot for the health tracker, as produced by
     #: :meth:`~repro.clouds.health.CloudHealthTracker.export_state`.  An agent
     #: restarted with its predecessor's snapshot resumes with a warm suspect

@@ -31,8 +31,6 @@ class LockService:
         sim: Simulation,
         coordination: CoordinationService | None,
         session: Session | None,
-        retry_interval: float = 0.2,
-        max_retries: int = 0,
     ):
         self.sim = sim
         self.coordination = coordination
@@ -44,13 +42,7 @@ class LockService:
         self.on_transition: Callable[[str, str], None] | None = None
         self._manager: LockManager | None = None
         if coordination is not None and session is not None:
-            self._manager = LockManager(
-                sim=sim,
-                service=coordination,
-                session=session,
-                retry_interval=retry_interval,
-                max_retries=max_retries,
-            )
+            self._manager = LockManager(sim=sim, service=coordination, session=session)
 
     @staticmethod
     def lock_name(metadata: FileMetadata) -> str:

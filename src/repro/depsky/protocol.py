@@ -67,15 +67,18 @@ Each operation's :class:`~repro.clouds.dispatch.QuorumCallStats` (per-cloud
 outcome, per-stage wait, winner set) is threaded into
 :class:`DepSkyReadResult` and, through the storage backend, into the
 benchmark reports.
+The estimates :meth:`DepSkyClient.expected_write` and
+:meth:`DepSkyClient.expected_read` dry-run the very calls the operations build.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 import re
 import struct
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -98,10 +101,10 @@ from repro.clouds.dispatch import (
 #: subsequent read quorum would return, so they expire the instant-coalescing
 #: window (see :class:`~repro.clouds.dispatch.InstantCoalescer`).
 _MUTATING_OPS = frozenset({"block_put", "meta_put", "block_delete", "acl"})
-from repro.clouds.health import CloudHealthTracker, QuorumPlanner
+from repro.clouds.health import CloudHealthTracker, QuorumPlanner, expected_latency
 from repro.clouds.object_store import ObjectStore, ObjectVersion
 from repro.clouds.quorums import QuorumSystem, as_quorum, min_size as quorum_min_size
-from repro.crypto.cipher import SymmetricCipher, generate_key
+from repro.crypto.cipher import KEY_SIZE, NONCE_SIZE, TAG_SIZE, SymmetricCipher, generate_key
 from repro.crypto.erasure import CodedBlock, ErasureCoder
 from repro.crypto.hashing import content_digest
 from repro.crypto.secret_sharing import SecretShare, combine_secret, split_secret
@@ -117,6 +120,11 @@ _BLOCK_NAME = re.compile(r"v(\d{8,})-([0-9a-f]{64})-b(\d+)")
 
 #: One cloud's answer to the head read: ``(cloud name, the head it serves)``.
 Head = tuple[str, VersionRecord]
+
+
+def _unsent() -> None:
+    """The ``send`` of a request that is only ever dry-run."""
+    raise AssertionError("a request built for an estimate was sent")
 
 
 def block_blob_digest(share: "SecretShare", payload: bytes) -> str:
@@ -275,6 +283,7 @@ class DepSkyClient:
         self.preferred_quorums = preferred_quorums
         self.charge_latency = charge_latency
         self.policy = policy
+        self._timeout = policy.timeout if policy is not None else None
         self.health = health
         self.quorum = quorum
         self.planner = planner
@@ -360,7 +369,19 @@ class DepSkyClient:
         (A cloud counts once, however often it said it.)"""
         return as_quorum(self._certificate()).satisfied_by(tuple(dict.fromkeys(clouds)))
 
-    def _get_request(self, cloud: ObjectStore, key: str, parse) -> QuorumRequest:
+    def _request(self, cloud: ObjectStore, kind: str, size: int, send: Callable[[], Any],
+                 latency: Callable[[Any], float] | None = None,
+                 prepare: Callable[[], None] | None = None,
+                 mutating: bool = False) -> QuorumRequest:
+        """One ``kind`` request to ``cloud`` moving ``size`` bytes: its latency is
+        sampled when sent (unless ``latency`` is given),
+        :func:`~repro.clouds.health.expected_latency` when dry-run."""
+        return QuorumRequest(
+            cloud=cloud.name, send=send, prepare=prepare, mutating=mutating,
+            latency=latency or (lambda _value: self._request_latency(cloud, kind, size)),
+            expected=lambda: expected_latency(cloud, kind, size, self.health, self._timeout))
+
+    def _get_request(self, cloud: ObjectStore, key: str, parse, size: int = 0) -> QuorumRequest:
         """Build a GET request whose response must ``parse`` to count as a success.
 
         ``parse(blob)`` returns the request value or raises a
@@ -370,6 +391,7 @@ class DepSkyClient:
         reflects the bytes actually transferred: a corrupted 1 MB block costs
         its full download time even though it fails verification, while a
         request the cloud rejected outright only costs the round trip.
+        ``size`` is the response a dry run expects.
         """
         transferred = [0]
 
@@ -382,7 +404,7 @@ class DepSkyClient:
         def latency(_value):
             return self._request_latency(cloud, "object_get", transferred[0])
 
-        return QuorumRequest(cloud=cloud.name, send=send, latency=latency)
+        return self._request(cloud, "object_get", size, send, latency=latency)
 
     def _planned_clouds(self, kind: str, payload: int,
                         required) -> tuple[list[ObjectStore], list[ObjectStore]]:
@@ -406,10 +428,7 @@ class DepSkyClient:
             cloud.put(key, blob, self.principal)
             return True
 
-        def latency(_value):
-            return self._request_latency(cloud, "object_put", len(blob))
-
-        return QuorumRequest(cloud=cloud.name, send=send, latency=latency, mutating=True)
+        return self._request(cloud, "object_put", len(blob), send, mutating=True)
 
     # ------------------------------------------------------------------ heads
 
@@ -575,10 +594,7 @@ class DepSkyClient:
 
         head_stats: list[QuorumCallStats] = []
         for unit_id, record in zip(unit_ids, records, strict=True):
-            head = record.to_bytes()
-            head_put_stats = self._call().stage(
-                [self._put_request(c, self._meta_key(unit_id), head) for c in self.clouds]
-            ).execute(required=required_acks)
+            head_put_stats = self._head_put_call(unit_id, record).execute(required=required_acks)
             self._tap("meta_put", unit_id, head_put_stats)
             head_stats.append(head_put_stats)
         self._require_acks(unit_ids, head_stats, required_acks, "head")
@@ -586,6 +602,53 @@ class DepSkyClient:
         for unit_id, record in zip(unit_ids, records, strict=True):
             self._floor[unit_id] = record.version
         return records
+
+    def expected_write(self, num_bytes: int) -> float:
+        """Seconds :meth:`write_numbered` of one ``num_bytes`` version is expected
+        to charge: a dry run of its block-put and head-put calls, built by the
+        same code.  Nothing is coded or sent."""
+        blob_size = self._blob_size(num_bytes)
+        required = self._write_quorum()
+        blocks = self._block_put_call(lambda index: self._request(
+            self.clouds[index], "object_put", blob_size, _unsent, mutating=True))
+        heads = self._head_put_call("", self._shape(num_bytes, self.sim.now()))
+        return blocks.dry_run(required) + heads.dry_run(required)
+
+    def _blob_size(self, num_bytes: int) -> int:
+        """Bytes of one stored block object of a ``num_bytes`` version:
+        header ‖ key share ‖ coded block (of the ciphertext, when encrypting)."""
+        if self.encrypt:
+            return (_BLOCK_HEADER.size + KEY_SIZE
+                    + self.coder.block_size(num_bytes + NONCE_SIZE + TAG_SIZE))
+        return _BLOCK_HEADER.size + self.coder.block_size(num_bytes)
+
+    def _shape(self, num_bytes: int, created_at: float) -> VersionRecord:
+        """A stand-in record of a ``num_bytes`` version written at
+        ``created_at``: a real record's sizes, no content."""
+        digest = "0" * 64
+        return VersionRecord(version=1, data_digest=digest, size=num_bytes,
+                             block_digests=(digest,) * self.n, created_at=created_at,
+                             writer=self.principal.name)
+
+    def _block_put_call(self, block_put: Callable[[int], QuorumRequest]) -> QuorumCall:
+        """A write's block-put call; ``block_put(i)`` sends block ``i`` to ``clouds[i]``.
+
+        Preferred quorum: only the first ``n - f`` clouds receive data blocks,
+        which is where the ~1.5x storage factor of Figure 11(c) comes from.
+        The remaining clouds form a fallback stage, dispatched only when a
+        preferred cloud fails (or a hedge fires): the spill-over.
+        """
+        holders = self._holders()
+        call = self._call().stage([block_put(i) for i in range(holders)])
+        if holders < self.n:
+            call.stage([block_put(i) for i in range(holders, self.n)])
+        return call
+
+    def _head_put_call(self, unit_id: str, record: VersionRecord) -> QuorumCall:
+        """A write's head-put call: the encoded ``record`` to every cloud."""
+        head = record.to_bytes()
+        key = self._meta_key(unit_id)
+        return self._call().stage([self._put_request(c, key, head) for c in self.clouds])
 
     @staticmethod
     def _one_version_each(items: Sequence[tuple[str, bytes, int | None]]) -> list[str]:
@@ -664,6 +727,7 @@ class DepSkyClient:
         # of the spill-over stage that never dispatch never pay it, and
         # retries reuse the already-built blob.
         blob_cache: list[bytes | None] = [None] * self.n
+        blob_size = self._blob_size(len(data))
 
         def block_put(index: int) -> QuorumRequest:
             cloud = self.clouds[index]
@@ -671,7 +735,6 @@ class DepSkyClient:
             share = share_for(index)
             prefix = _BLOCK_HEADER.pack(share.x, len(share.data)) + share.data
             row = buffer[index]
-            blob_len = len(prefix) + row.shape[0]
 
             def prepare():
                 if blob_cache[index] is None:
@@ -681,21 +744,10 @@ class DepSkyClient:
                 cloud.put(key, blob_cache[index], self.principal)
                 return True
 
-            def latency(_value):
-                return self._request_latency(cloud, "object_put", blob_len)
-
-            return QuorumRequest(cloud=cloud.name, send=send, latency=latency,
+            return self._request(cloud, "object_put", blob_size, send,
                                  prepare=prepare, mutating=True)
 
-        # Preferred quorum: only the first n - f clouds receive data blocks,
-        # which is where the ~1.5x storage factor of Figure 11(c) comes from.
-        # The remaining clouds form a fallback stage, dispatched only when a
-        # preferred cloud fails (or a hedge fires): the spill-over.
-        data_targets = self._holders()
-        call = self._call().stage([block_put(i) for i in range(data_targets)])
-        if data_targets < self.n:
-            call.stage([block_put(i) for i in range(data_targets, self.n)])
-        return record, call
+        return record, self._block_put_call(block_put)
 
     # ------------------------------------------------------------------- read
 
@@ -721,7 +773,7 @@ class DepSkyClient:
             payload = blob[_BLOCK_HEADER.size + share_len:]
             return CodedBlock(index=index, payload=payload), SecretShare(x=x, data=share_data)
 
-        return self._get_request(cloud, key, parse)
+        return self._get_request(cloud, key, parse, self._blob_size(record.size))
 
     def _holders(self) -> int:
         """How many clouds (the first of :attr:`clouds`) a write gives blocks to:
@@ -740,8 +792,8 @@ class DepSkyClient:
         profiles, not the stores' state)."""
         return sorted(self._visible_at(i, record) for i in range(self._holders()))[self.k - 1]
 
-    def _fetch_blocks(self, unit_id: str, record: VersionRecord) -> QuorumCallStats:
-        """Fetch ``k`` verified blocks from the holders expected to deliver first.
+    def _fetch_blocks(self, unit_id: str, record: VersionRecord) -> QuorumCall:
+        """The call fetching ``k`` verified blocks from the holders expected to deliver first.
 
         Stage 0 asks ``k`` block holders: those whose copy has already
         propagated (:meth:`_visible_at` at or before now) ahead of those whose
@@ -785,13 +837,17 @@ class DepSkyClient:
         )
         if fallback:
             call.stage([self._block_get_request(unit_id, record, i) for i in fallback])
-        stats = call.execute(required=self.k)
-        self._tap("block_get", unit_id, stats)
-        return stats
+        return call
+
+    def expected_read(self, num_bytes: int) -> float:
+        """Seconds a locator read of a propagated ``num_bytes`` version is
+        expected to charge: a dry run of the block fetch :meth:`_assemble` sends."""
+        return self._fetch_blocks("", self._shape(num_bytes, -math.inf)).dry_run(self.k)
 
     def _assemble(self, unit_id: str, record: VersionRecord,
                   meta_stats: QuorumCallStats | None = None) -> DepSkyReadResult:
-        stats = self._fetch_blocks(unit_id, record)
+        stats = self._fetch_blocks(unit_id, record).execute(required=self.k)
+        self._tap("block_get", unit_id, stats)
         self._charge(stats)
         if not stats.reached:
             raise QuorumNotReachedError(
@@ -902,10 +958,7 @@ class DepSkyClient:
             def send():
                 return cloud.list_keys(self.unit_prefix(unit_id), self.principal)
 
-            def latency(_value):
-                return self._request_latency(cloud, "object_list", 0)
-
-            return QuorumRequest(cloud=cloud.name, send=send, latency=latency)
+            return self._request(cloud, "object_list", 0, send)
 
         stats = self._call().stage(
             [list_request(c) for c in self.clouds]).execute(required=self._write_quorum())
@@ -948,10 +1001,7 @@ class DepSkyClient:
                              self.principal)
                 return True
 
-            def latency(_value):
-                return self._request_latency(cloud, "object_delete", 0)
-
-            return QuorumRequest(cloud=cloud.name, send=send, latency=latency, mutating=True)
+            return self._request(cloud, "object_delete", 0, send, mutating=True)
 
         delete_stats = self._call().stage(
             [delete_request(i) for i in range(self.n)]
@@ -995,10 +1045,7 @@ class DepSkyClient:
                         cloud.set_acl(key, canonical, permission, self.principal)
                 return True
 
-            def latency(_value):
-                return self._request_latency(cloud, "metadata_op", 0)
-
-            return QuorumRequest(cloud=cloud.name, send=send, latency=latency, mutating=True)
+            return self._request(cloud, "metadata_op", 0, send, mutating=True)
 
         stats = self._call().stage(
             [acl_request(c) for c in self.clouds]

@@ -344,6 +344,14 @@ def _two_clouds(rng, n: int = 4) -> tuple[int, int]:
     return first, second
 
 
+#: Dispatch of the mixes that exercise the health stack: per-request timeouts,
+#: a retry, and suspect-list tracking with quick probe recovery.
+_TRACKED_DISPATCH = DispatchPolicyConfig(
+    timeout=8.0, retries=1, suspicion_threshold=2,
+    probe_backoff=5.0, probe_backoff_factor=2.0, probe_backoff_max=60.0,
+)
+
+
 def _faults_for_mix(mix: str, rng, agents: int = 3) -> tuple[tuple[FaultPhase, ...],
                                                              DispatchPolicyConfig | None,
                                                              QuorumConfig | None]:
@@ -402,11 +410,6 @@ def _faults_for_mix(mix: str, rng, agents: int = 3) -> tuple[tuple[FaultPhase, .
         # a retry, and suspect-list tracking with quick probe recovery.  The
         # outage ends mid-scenario so probe-driven recovery is on the trace.
         downed, straggler = _two_clouds(rng)
-        dispatch = DispatchPolicyConfig(
-            timeout=8.0, retries=1,
-            suspicion_threshold=2, probe_backoff=5.0, probe_backoff_factor=2.0,
-            probe_backoff_max=60.0,
-        )
         return (
             FaultPhase(f"cloud:{downed}", FaultKind.UNAVAILABLE.value,
                        start_frac=rng.uniform(0.12, 0.20),
@@ -415,7 +418,7 @@ def _faults_for_mix(mix: str, rng, agents: int = 3) -> tuple[tuple[FaultPhase, .
                        start_frac=rng.uniform(0.55, 0.65),
                        end_frac=rng.uniform(0.80, 0.92),
                        factor=rng.uniform(4.0, 8.0)),
-        ), dispatch, None
+        ), _TRACKED_DISPATCH, None
 
     if mix == "weighted-byzantine":
         # The weighted-quorum mix: the *heaviest* provider turns adversarial.
@@ -436,11 +439,6 @@ def _faults_for_mix(mix: str, rng, agents: int = 3) -> tuple[tuple[FaultPhase, .
                      ("rackspace-files", 1.0), ("windows-azure", 1.0)),
             fault_budget=1.2,
         )
-        dispatch = DispatchPolicyConfig(
-            timeout=8.0, retries=1,
-            suspicion_threshold=2, probe_backoff=5.0, probe_backoff_factor=2.0,
-            probe_backoff_max=60.0, ewma_estimates=True,
-        )
         return (
             FaultPhase("cloud:0", FaultKind.CORRUPTION.value,
                        start_frac=rng.uniform(0.10, 0.18),
@@ -455,7 +453,7 @@ def _faults_for_mix(mix: str, rng, agents: int = 3) -> tuple[tuple[FaultPhase, .
             FaultPhase(f"replica:{replica}", "byzantine",
                        start_frac=rng.uniform(0.25, 0.45),
                        end_frac=rng.uniform(0.55, 0.75)),
-        ), dispatch, quorum
+        ), _TRACKED_DISPATCH, quorum
 
     if mix == "txn":
         # The baseline transactional mix: concurrent multi-file transactions

@@ -44,11 +44,14 @@ from repro.scenarios.runner import ScenarioRunner
 #: one command, one coordination latency draw fewer per such open.  Epoch 12
 #: covers all eight mixes: a mount registers its user in one command (one
 #: draw fewer per mount), and a partitioned fan-out is charged its slowest
-#: branch.  See docs/determinism-contract.md.
+#: branch.  Epoch 13 moved ``fault-free`` and ``corrupt-byzantine`` only: a
+#: non-blocking close schedules its background commit from a dry run of the
+#: write's real calls, whose block and head sizes are the real ones.  See
+#: docs/determinism-contract.md.
 GOLDEN_LOCKSTEP = {
-    "fault-free": "de2af7e04b4e55aabf477e605272c8ae9c0ca0c303396b1e99decf80fc4872ff",
+    "fault-free": "829e40e9393ef6d99e90d03376959dcd60d70df87efaea1103bd67c01a3e4795",
     "crash-hang": "57862a3c106cf45025f11b94a868c118574e4c1b849cf6589f1a0d0bfcbeb733",
-    "corrupt-byzantine": "08f0ff5a959b2de1b3bb5506265c2885e53d6a793ba6f472919297ed93afa990",
+    "corrupt-byzantine": "3e4cc8a48b88e228707108216dfe19690943f86d35e45a99532dd4abe3c6eabb",
     "degraded-outage": "81333b5c6076289d94d998de17faa211c8e103e1b6e03bc06e8dfdd9e721fbd0",
     "weighted-byzantine": "8b38f23b5eb4927b3b175fb62326f60ccd2b7b471fb85a0c4ea6517de55ea5ea",
     "txn": "4f80f25976c3f8ae67d0b2abaa42d0b28968df6341e86554b7f74c3ff453e6a5",

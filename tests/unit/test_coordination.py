@@ -549,10 +549,10 @@ class TestZooKeeperLockExpiry:
 
 
 class TestLockManager:
-    def _manager(self, sim, alice, retries=0):
+    def _manager(self, sim, alice):
         service = make_coordination_service(sim, "depspace", f=0)
         session = service.open_session(alice)
-        return LockManager(sim=sim, service=service, session=session, max_retries=retries), service
+        return LockManager(sim=sim, service=service, session=session), service
 
     def test_acquire_and_release(self, sim, alice):
         manager, _ = self._manager(sim, alice)
@@ -571,15 +571,26 @@ class TestLockManager:
         with pytest.raises(NotLockOwnerError):
             manager.release("L")
 
-    def test_acquire_conflict_raises_after_retries(self, sim, alice, bob):
+    def test_acquire_conflict_is_refused_at_once(self, sim, alice, bob):
+        """§2.5.2: a held lock fails the open at once.
+
+        The refusal costs the one command's round trip: the clock moves by
+        that command's latency draw and nothing else (no wait, no retry).
+        """
         service = make_coordination_service(sim, "depspace", f=0)
         s1 = service.open_session(alice)
         s2 = service.open_session(bob)
         holder = LockManager(sim=sim, service=service, session=s1)
-        waiter = LockManager(sim=sim, service=service, session=s2, max_retries=2)
+        waiter = LockManager(sim=sim, service=service, session=s2)
         holder.acquire("L")
+        replay = random.Random()
+        replay.setstate(sim.rng.getstate())
+        commands, refused_at = service.rsm.commands_executed, sim.now() + service.rsm.latency.sample(0, replay)
         with pytest.raises(LockHeldError):
             waiter.acquire("L")
+        assert service.rsm.commands_executed == commands + 1
+        assert sim.now() == refused_at and sim.rng.getstate() == replay.getstate()
+        assert not waiter.holds("L") and service.lock_holder("L") == s1.session_id
 
     def test_acquire_set_is_all_or_none_and_reentrant(self, sim, alice, bob):
         manager, service = self._manager(sim, alice)

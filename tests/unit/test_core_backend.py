@@ -2,7 +2,13 @@
 
 import pytest
 
-from repro.clouds.providers import make_cloud_of_clouds, make_provider
+from repro.clouds.eventual import EventuallyConsistentStore
+from repro.clouds.providers import (
+    COC_STORAGE_PROVIDERS,
+    PROVIDER_PROFILES,
+    make_cloud_of_clouds,
+    make_provider,
+)
 from repro.common.errors import IntegrityError, ObjectNotFoundError, QuorumNotReachedError
 from repro.common.types import Permission
 from repro.core.backend import CloudOfCloudsBackend, SingleCloudBackend
@@ -14,6 +20,7 @@ from repro.core.consistency import (
 from repro.coordination.adapters import make_coordination_service
 from repro.core.config import DispatchPolicyConfig
 from repro.crypto.hashing import content_digest
+from repro.simenv.failures import FaultKind
 
 
 @pytest.fixture(params=["single", "coc"])
@@ -101,7 +108,6 @@ class TestStorageBackends:
 
     def test_latency_estimates_grow_with_size(self, backend):
         assert backend.estimate_write_latency(10 * 1024 * 1024) > backend.estimate_write_latency(1024)
-        assert backend.estimate_read_latency(10 * 1024 * 1024) > backend.estimate_read_latency(1024)
 
     def test_background_write_suspends_clock(self, backend, sim):
         before = sim.now()
@@ -153,26 +159,71 @@ class TestCloudOfCloudsOverhead:
         backend = CloudOfCloudsBackend(sim, clouds, alice, f=1)
         assert backend.storage_overhead() == pytest.approx(2.0)
 
-    @pytest.mark.parametrize("size", [64 * 1024, 4 * 1024 * 1024])
-    def test_read_estimate_matches_what_a_locator_read_charges(self, sim, alice, size):
+def _jitter_free_clouds(sim, f):
+    """``3f + 1`` jitter-free clouds: the four provider profiles, repeated under fresh names."""
+    names = [COC_STORAGE_PROVIDERS[i % len(COC_STORAGE_PROVIDERS)] for i in range(3 * f + 1)]
+    return [EventuallyConsistentStore(sim, name=f"{name}-{i}", profile=PROVIDER_PROFILES[name].network,
+                                      charge_latency=False)
+            for i, name in enumerate(names)]
+
+
+@pytest.mark.parametrize("size", [200, 16 * 1024, 1024 * 1024])
+@pytest.mark.parametrize("encrypt", [True, False])
+@pytest.mark.parametrize("f", [1, 2])
+class TestEstimatesAreDryRuns:
+    """An estimate is a dry run of the calls the operation sends, so with no
+    jitter it is what the operation charges: the same stages, the same bytes."""
+
+    def test_write_estimate_is_what_a_numbered_write_charges(self, sim, alice, size, encrypt, f):
+        clouds = _jitter_free_clouds(sim, f)
+        backend = CloudOfCloudsBackend(sim, clouds, alice, f=f, encrypt=encrypt)
+        estimate = backend.estimate_write_latency(size)
+        before = sim.now()
+        backend.write_version("file-1", bytes(size), version=1)
+        # (The estimate's stand-in head may differ from the real one by a few
+        # digits: a byte is well under a microsecond at these bandwidths.)
+        assert abs(estimate - (sim.now() - before)) <= 1e-5
+        blocks = {n for cloud in clouds for kind, key, n in cloud.request_log
+                  if kind == "put" and not key.endswith("/metadata")}
+        assert blocks == {backend.client._blob_size(size)}
+
+    def test_read_estimate_is_what_a_locator_read_charges(self, sim, alice, size, encrypt, f):
         """One quorum round of block GETs — no metadata-object round before it."""
-        backend = CloudOfCloudsBackend(sim, make_cloud_of_clouds(sim, jitter=0.0), alice, f=1)
-        ref = backend.write_version("file-1", bytes(size))
+        backend = CloudOfCloudsBackend(sim, _jitter_free_clouds(sim, f), alice, f=f, encrypt=encrypt)
+        ref = backend.write_version("file-1", bytes(size), version=1)
         sim.advance(3.0)
+        estimate = backend.estimate_read_latency(size)
         before = sim.now()
         assert len(backend.read_version("file-1", ref.digest, ref.locator)) == size
-        charged = sim.now() - before
-        assert backend.estimate_read_latency(size) == pytest.approx(charged, rel=0.02)
+        assert abs(estimate - (sim.now() - before)) <= 1e-9
+
+
+@pytest.mark.parametrize("size", [200, 16 * 1024, 1024 * 1024])
+def test_write_estimate_demotes_a_suspected_holder_as_the_write_does(sim, alice, size):
+    """A suspected block holder is demoted by the same re-plan in the estimate
+    as in the write: the spill-over cloud takes its block, and its price."""
+    backend = CloudOfCloudsBackend(sim, make_cloud_of_clouds(sim), alice, f=1,
+                                   dispatch=DispatchPolicyConfig(suspicion_threshold=3))
+    healthy = backend.estimate_write_latency(size)
+    holder = backend.client.clouds[0]
+    holder.failures.add(FaultKind.UNAVAILABLE, start=sim.now())
+    for _ in range(3):
+        backend.health.observe(holder.name, succeeded=False, latency=0.0, now=sim.now())
+    assert backend.health.is_suspected(holder.name)
+    estimate = backend.estimate_write_latency(size)
+    assert estimate > healthy
+    before = sim.now()
+    backend.write_version("file-1", bytes(size), version=1)
+    assert abs(estimate - (sim.now() - before)) <= 1e-5
 
 
 class TestEwmaLatencyEstimates:
-    """``ewma_estimates`` blends observed health EWMAs into the estimates.
+    """With a health tracker, its observed latency EWMAs raise the estimates.
 
     Profiles describe how a provider *should* behave; a gray-failing provider
     is slower than its profile claims, and only the health tracker's observed
-    latency EWMA knows it.  With the knob on, the estimates (which drive the
-    non-blocking mode's background-upload schedule) follow the observation;
-    with it off they stay pinned to the profile.
+    latency EWMA knows it.  The estimates (which drive the non-blocking mode's
+    background-upload schedule) follow the observation.
     """
 
     def _warm(self, backend, names, latency, now):
@@ -183,29 +234,15 @@ class TestEwmaLatencyEstimates:
     def test_single_cloud_estimates_follow_the_observed_ewma(self, sim, alice):
         store = make_provider(sim, "amazon-s3", charge_latency=True)
         backend = SingleCloudBackend(
-            sim, store, alice,
-            dispatch=DispatchPolicyConfig(suspicion_threshold=3, ewma_estimates=True))
-        baseline_read = backend.estimate_read_latency(1024)
-        baseline_write = backend.estimate_write_latency(1024)
-        slow = 100.0 * max(baseline_read, baseline_write)
+            sim, store, alice, dispatch=DispatchPolicyConfig(suspicion_threshold=3))
+        slow = 100.0 * backend.estimate_write_latency(1024)
         self._warm(backend, [store.name], slow, sim.now())
-        assert backend.estimate_read_latency(1024) == pytest.approx(slow)
         assert backend.estimate_write_latency(1024) == pytest.approx(slow)
-
-    def test_estimates_stay_on_the_profile_with_the_knob_off(self, sim, alice):
-        store = make_provider(sim, "amazon-s3", charge_latency=True)
-        backend = SingleCloudBackend(
-            sim, store, alice,
-            dispatch=DispatchPolicyConfig(suspicion_threshold=3))
-        baseline = backend.estimate_read_latency(1024)
-        self._warm(backend, [store.name], 100.0 * baseline, sim.now())
-        assert backend.estimate_read_latency(1024) == pytest.approx(baseline)
 
     def test_cloud_of_clouds_estimates_see_gray_slow_providers(self, sim, alice):
         clouds = make_cloud_of_clouds(sim)
         backend = CloudOfCloudsBackend(
-            sim, clouds, alice, f=1,
-            dispatch=DispatchPolicyConfig(suspicion_threshold=3, ewma_estimates=True))
+            sim, clouds, alice, f=1, dispatch=DispatchPolicyConfig(suspicion_threshold=3))
         baseline = backend.estimate_read_latency(64 * 1024)
         # Every provider is observed far slower than its profile: the quorum
         # estimate cannot avoid the gray slowness and must rise above it.

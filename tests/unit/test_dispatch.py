@@ -224,20 +224,6 @@ class TestLatencyEstimates:
         assert model.expected(500) == pytest.approx(0.6)
         assert model.expected(500) == model.expected(500)
 
-    def test_estimates_consume_no_rng_draws(self):
-        from repro.core.backend import CloudOfCloudsBackend, SingleCloudBackend
-
-        sim = Simulation(seed=9)
-        alice = Principal("alice")
-        single = SingleCloudBackend(sim, make_provider(sim, "amazon-s3", jitter=0.2), alice)
-        coc = CloudOfCloudsBackend(sim, make_cloud_of_clouds(sim, jitter=0.2), alice)
-        state = sim.rng.getstate()
-        single.estimate_write_latency(1_000_000)
-        single.estimate_read_latency(1_000_000)
-        coc.estimate_write_latency(1_000_000)
-        coc.estimate_read_latency(1_000_000)
-        assert sim.rng.getstate() == state
-
     def test_single_cloud_estimate_reflects_bandwidth_term(self):
         from repro.core.backend import SingleCloudBackend
 
