@@ -97,9 +97,9 @@ class TupleNotFoundError(CoordinationError):
 class ConflictError(CoordinationError):
     """A conditional (compare-and-swap style) update failed.
 
-    ``found`` is what a refused version check met under the key: the entry,
-    when the caller's principal may READ it — ``None`` when it may not, when
-    nothing is there, or when the refusal was not a version check.
+    ``found`` is what a refused version check or ``Update`` met under the key:
+    the entry, when the caller's principal may READ it — ``None`` when it may
+    not, when nothing is there, or when the refusal was neither.
     """
 
     def __init__(self, message: str, found: Entry | None = None):

@@ -29,6 +29,7 @@ adapter call                        replicated command
 ``set_entry_acl``                   ``entry_set_acl``
 ``move``                            ``entry_move``
 ``multi``                           ``entry_multi``
+``multi`` of ``Update`` steps       ``entry_multi`` (only the fields named)
 ``try_lock`` / ``unlock``           ``entry_multi`` (one ``Lock`` / ``Unlock`` step)
 ``close_session``                   ``close_session`` (every lock the session holds)
 ``renew_session``                   none / ``register_session`` (background)
@@ -37,10 +38,10 @@ adapter call                        replicated command
 
 ``multi`` is one command whatever its number of steps, all or nothing: a lock
 set taken or returned, a set of entries read, a set of entries conditionally
-replaced — or a lock set taken *and* the entries it guards read or inserted.
-A transaction commit is three commands for any number of files: ``{lock set,
-validating reads, pending intent}``, ``{version CAS of every written entry,
-intent flip}`` and the lock set's release.
+replaced or updated field by field — or a lock set taken *and* the entries it
+guards read or inserted.  A transaction commit is three commands for any
+number of files: ``{lock set, validating reads, pending intent}``, ``{Update
+of every written entry, intent flip}`` and the lock set's release.
 
 The ``*_command`` builders hand out the command of ``close_session``,
 ``list_entries`` and ``multi`` (and ``renewal`` the heartbeats of

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Mapping, NamedTuple, Sequence, Union
+from typing import Any, Mapping, NamedTuple, Sequence, Union
 
 from repro.common.errors import LockHeldError
 from repro.common.types import Permission, Principal
@@ -91,9 +91,18 @@ class Put(NamedTuple):
     grants: Mapping[str, Permission] | None = None
 
 
+class Update(NamedTuple):
+    """Multi-command step: set ``fields`` in the JSON object under ``key`` while it names ``file_id``."""
+
+    key: str
+    file_id: str
+    fields: Mapping[str, Any]
+    expected_version: int | None = None
+
+
 #: One step of :meth:`CoordinationService.multi`.  The first field of every
 #: step is the lock name or entry key it is routed by.
-Op = Union[Lock, Unlock, Get, Put]
+Op = Union[Lock, Unlock, Get, Put, Update]
 
 
 class CoordinationService(abc.ABC):
@@ -177,12 +186,13 @@ class CoordinationService(abc.ABC):
         Every step is checked before any is applied: a :class:`Lock` whose name
         is held raises :class:`~repro.common.errors.LockHeldError` (its
         ``lock`` attribute names it), a :class:`Put` whose ``expected_version``
-        mismatches or whose entry denies WRITE raises ``ConflictError``, a
+        mismatches or whose entry denies WRITE — or an :class:`Update` whose
+        entry also is gone or names another file — raises ``ConflictError``, a
         :class:`Get` that is denied READ raises ``ConflictError`` — and then
-        nothing has changed.  A refused version check carries ``found`` as in
-        :meth:`put`.  Returns one result per step: the entry for a
-        ``Get`` (``None`` when absent) and for a ``Put``, ``None`` for lock
-        steps.  A command may change each key and each lock at most once.
+        nothing has changed.  A refused version check or ``Update`` carries
+        ``found`` as in :meth:`put`.  Returns one result per step: the entry
+        for a ``Get`` (``None`` when absent), ``Put`` and ``Update``, ``None``
+        for lock steps.  A command may change each key and each lock at most once.
         """
 
     def lock_home(self, key: str) -> str:

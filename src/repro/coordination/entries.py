@@ -10,8 +10,8 @@ DepSpace and ZooKeeper replicas subclass it and only say how long a lock
 lives (``_take`` / ``_expire``) and how a session's locks are returned.
 
 An intent may span several entries and locks: ``entry_multi`` takes a lock
-set, reads a set of entries, conditionally replaces a set of entries or returns
-a lock set — all or nothing, in one command whatever the size of the set.
+set, reads, conditionally replaces or updates (``Update``) a set of entries,
+or returns a lock set — all or nothing, in one command whatever its size.
 
 Every check precedes every mutation, so a command that raises leaves the
 replica untouched and all correct replicas stay identical.
@@ -26,7 +26,7 @@ from typing import Any, Mapping, NamedTuple, Sequence
 from repro.common.errors import ConflictError, LockHeldError, TupleNotFoundError
 from repro.common.sortedkeys import SortedKeys
 from repro.common.types import Permission
-from repro.coordination.base import Entry, EntryACL, Get, Lock, Op, Put
+from repro.coordination.base import Entry, EntryACL, Get, Lock, Op, Put, Update
 
 
 class Stored(NamedTuple):
@@ -83,6 +83,23 @@ def _entry(key: str, stored: Stored) -> Entry:
     return Entry(key=key, value=stored.value, version=stored.version, owner=stored.owner)
 
 
+@functools.lru_cache(maxsize=1024)
+def _merged(value: bytes, fields: str) -> tuple[Any, bytes]:
+    """``(file id, value with the JSON fields set)``; cached, as every replica merges alike."""
+    try:
+        current = json.loads(value)
+        return current["file_id"], json.dumps({**current, **json.loads(fields)},
+                                              sort_keys=True).encode()
+    except (ValueError, TypeError, KeyError):
+        return None, value
+
+
+def _refusal(key: str, stored: Stored | None, user: str, reason: str) -> ConflictError:
+    """A refused change of ``key``, carrying the entry it met when ``user`` may read it."""
+    return ConflictError(reason, found=_entry(key, stored) if stored is not None
+                         and _allows(stored, user, Permission.READ) else None)
+
+
 class EntryCommands:
     """The commands and state of a coordination replica.
 
@@ -128,13 +145,28 @@ class EntryCommands:
         stored = self._entries.get(key)
         found = stored.version if stored is not None else 0
         if expected_version is not None and found != expected_version:
-            raise ConflictError(
-                f"version mismatch on {key!r}: expected {expected_version}, found {found}",
-                found=_entry(key, stored)
-                if stored is not None and _allows(stored, user, Permission.READ) else None)
+            raise _refusal(key, stored, user,
+                           f"version mismatch on {key!r}: expected {expected_version}, "
+                           f"found {found}")
         if stored is not None and not _allows(stored, user, Permission.WRITE):
             raise ConflictError(f"{user} may not change entry {key!r}")
         return stored
+
+    def _updated(self, op: Update, user: str) -> Stored:
+        """The record ``op`` would leave (checked, not written); a refusal carries what it met."""
+        stored = self._entries.get(op.key)
+        file_id, value = (None, b"") if stored is None else _merged(
+            stored.value, json.dumps(op.fields, sort_keys=True))
+        if stored is None or file_id != op.file_id:
+            reason = f"{op.key!r} does not hold file {op.file_id!r}"
+        elif op.expected_version is not None and stored.version != op.expected_version:
+            reason = (f"version mismatch on {op.key!r}: expected {op.expected_version}, "
+                      f"found {stored.version}")
+        elif not _allows(stored, user, Permission.WRITE):
+            reason = f"{user} may not change entry {op.key!r}"
+        else:
+            return stored._replace(version=stored.version + 1, value=value)
+        raise _refusal(op.key, stored, user, reason)
 
     def _successor(self, key: str, value: bytes, user: str, expected_version: int | None,
                    grants: Mapping[str, Permission] | None) -> Stored:
@@ -184,7 +216,7 @@ class EntryCommands:
         """
         # Checks run against the state before the command, so a second change
         # of one key (or one lock) would pass a check the first invalidates.
-        changed = [(isinstance(op, Put), op[0]) for op in ops if not isinstance(op, Get)]
+        changed = [(isinstance(op, (Put, Update)), op[0]) for op in ops if not isinstance(op, Get)]
         if len(set(changed)) != len(changed):
             raise ConflictError("a multi-command may change each key and each lock only once")
         self._expire(now)
@@ -197,8 +229,9 @@ class EntryCommands:
                 found = self._readable(op.key, user)
                 results.append(None if found is None else _entry(op.key, found))
                 continue
-            if isinstance(op, Put):
-                stored = self._successor(op.key, op.value, user, op.expected_version, op.grants)
+            if isinstance(op, (Put, Update)):
+                stored = (self._updated(op, user) if isinstance(op, Update) else
+                          self._successor(op.key, op.value, user, op.expected_version, op.grants))
                 writes.append((op.key, stored))
                 results.append(_entry(op.key, stored))
                 continue

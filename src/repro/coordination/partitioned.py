@@ -183,12 +183,13 @@ class PartitionedCoordination(CoordinationService):
         replaced.  Locks are handed back — a refused command leaves none of
         its locks held on any partition.
 
-        A ``Get`` or ``Put`` never executes before every ``Lock`` of ``ops`` is
-        granted, nor after any of its ``Unlock`` steps is applied, wherever
-        the names and keys fall.  A partition's steps of two adjacent phases
-        share one command when no other partition has to go between them: the
-        lock phase ends, and the unlock phase starts, on an entry partition
-        where it can — lock and entry on one partition cost one command.
+        An entry step (``Get``, ``Put``, ``Update``) never executes before every
+        ``Lock`` of ``ops`` is granted, nor after any of its ``Unlock`` steps is
+        applied, wherever the names and keys fall.  A partition's steps of two
+        adjacent phases share one command when no other partition has to go
+        between them: the lock phase ends, and the unlock phase starts, on an
+        entry partition where it can — lock and entry on one partition cost one
+        command.
 
         Among the entry steps the partition of the *last* goes after every
         other, so a caller that ends them with the step recording the outcome

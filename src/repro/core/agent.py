@@ -15,13 +15,14 @@ storage backend, implementing the call flows of Figure 4:
   (durability level 0);
 * ``fsync`` — flush the open file to the local disk cache (level 1);
 * ``close`` — synchronise data and metadata: push the new version to the
-  cloud(s), update the metadata tuple in the coordination service (or the
-  PNS), and release the write lock.  In the *blocking* mode all of this
-  happens before ``close`` returns; in the *non-blocking* mode the upload, the
-  metadata update and the unlock happen in the background, in that order, so
-  mutual exclusion and consistency-on-close are preserved; in the
-  *non-sharing* mode there is no coordination service at all and both data and
-  PNS updates are pushed in the background.
+  cloud(s), anchor it with an ``Update`` of the tuple's data fields in the
+  coordination service (or the PNS) — others' grants and tombstones stay, and
+  a path that no longer holds the file refuses — and release the write lock.
+  In the *blocking* mode all of this happens before ``close`` returns; in the
+  *non-blocking* mode the three steps happen in the background, in that
+  order, so mutual exclusion and consistency-on-close are preserved; in the
+  *non-sharing* mode there is no coordination service at all and both data
+  and PNS updates are pushed in the background.
 
 The agent charges a small FUSE-crossing overhead per call plus the latency of
 whatever storage layers the call actually touches, so that simulated latencies
@@ -37,6 +38,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
 from repro.common.errors import (
+    ConflictError,
     FileExistsErrorFS,
     FileNotFoundErrorFS,
     FileSystemError,
@@ -55,7 +57,7 @@ from repro.core.cache import MetadataCache, make_disk_cache, make_memory_cache
 from repro.core.config import SCFSConfig
 from repro.core.gc import GarbageCollector
 from repro.core.lock_service import LockService
-from repro.core.metadata import FileMetadata, FileType, normalize_path, parent_path
+from repro.core.metadata import DATA_FIELDS, FileMetadata, FileType, normalize_path, parent_path
 from repro.core.metadata_service import MetadataService
 from repro.core.modes import OperationMode
 from repro.core.pns import PrivateNameSpace
@@ -619,8 +621,7 @@ class SCFSAgent:
 
         The one commit path of every mode.  A background commit is this same
         call made later, under :meth:`Simulation.background`; ``background``
-        labels the events and adds the one step such a commit needs — merging
-        the metadata that landed since ``close`` returned.
+        only labels the events.
         """
         meta = of.metadata
         try:
@@ -628,7 +629,7 @@ class SCFSAgent:
             self._emit("upload", path=meta.path, file_id=meta.file_id, digest=ref.digest,
                        version=meta.data_version, background=background)
             self._propagate_cloud_acls(meta)
-            self._apply_committed_metadata(of, ref, merge_latest=background)
+            self._apply_committed_metadata(meta, ref)
             self._emit("commit", path=meta.path, file_id=meta.file_id, digest=meta.digest,
                        version=meta.data_version, background=background,
                        locator=ref.locator)
@@ -698,40 +699,22 @@ class SCFSAgent:
         task = self.sim.schedule(delay, complete, name=f"upload:{meta.path}")
         self._pending_tasks[of.handle] = (task, complete)
 
-    def _apply_committed_metadata(self, of: OpenFile, ref: ObjectRef,
-                                  merge_latest: bool) -> None:
-        meta = of.metadata
-        if merge_latest:
-            # Background commits run after close() returned, so metadata-only
-            # changes (a setfacl, an unlink, a PNS promotion) may have landed
-            # in the meantime; merge them instead of clobbering the entry with
-            # the snapshot taken at close time.  (Blocking commits cannot
-            # race: the agent is single-threaded while close() runs.)
-            latest = self.metadata.lookup(meta.path, use_cache=False)
-            if latest is not None and latest.file_id != meta.file_id:
-                # The path was unlinked and recreated while the upload was in
-                # flight: the entry now describes a *different* file.  This
-                # commit belongs to the dead incarnation — its version is in
-                # the cloud(s), but it must neither overwrite the new file's
-                # entry nor fail the new entry's ACL check.
-                meta.deleted = True
-                return
-            if latest is not None:
-                meta.grants = dict(latest.grants)
-                meta.deleted = latest.deleted
+    def _apply_committed_metadata(self, meta: FileMetadata, ref: ObjectRef) -> None:
+        """Anchor ``ref`` with an update of the data fields alone: a grant or a tombstone set since stays.
+
+        A path that no longer holds this file refuses: the version is an
+        orphan for the collector, and the handle's file counts as deleted.
+        """
         meta.point_at(ref.digest, ref.size, ref.locator)
-        # Decide placement from the *current* state of the file, not from the
-        # snapshot taken at open time: the file may have been promoted out of
-        # the PNS (setfacl) while the upload was pending.
-        private_now = self.pns is not None and (
-            self.pns.contains(meta.path) or self.coordination is None
-        )
-        if private_now:
-            self.pns.put(meta)
+        # Placement is the file's now, not the open's.
+        private = self.coordination is None or self.metadata.is_private(meta)
+        try:
+            self.metadata.update(meta, DATA_FIELDS)
+        except ConflictError:
+            meta.deleted = True
+            return
+        if private:
             self.pns.save()
-            self.metadata_cache.put(meta.path, meta.copy())
-        else:
-            self.metadata.update(meta)
 
     # ------------------------------------------------------------ transactions
 
@@ -927,7 +910,11 @@ class SCFSAgent:
             # The last grant was revoked: the file is private again (§2.7).
             self.metadata.demote_to_private(meta)
         else:
-            self.metadata.update(meta)
+            # The grants alone: the data fields are the anchor's, not a cached snapshot's.
+            try:
+                self.metadata.update(meta, ("grants",))
+            except ConflictError as exc:
+                raise FileNotFoundErrorFS(f"{path} no longer holds this file") from exc
         self.metadata.set_entry_grant(meta, username, permission)
 
     def getfacl(self, path: str) -> dict[str, Permission]:

@@ -19,9 +19,13 @@ import enum
 import json
 import posixpath
 from dataclasses import dataclass, field, replace
+from typing import Any, Iterable, Mapping
 
 from repro.common.errors import FileSystemError
 from repro.common.types import Permission
+
+#: The fields a new data version sets: what a close or a transaction owns of a tuple.
+DATA_FIELDS = ("size", "modified_at", "digest", "data_version", "locator")
 
 
 class FileType(enum.Enum):
@@ -152,33 +156,39 @@ class FileMetadata:
 
     # -------------------------------------------------------------- serialise
 
+    def fields(self, names: Iterable[str] | None = None) -> dict[str, Any]:
+        """The tuple's fields as stored: ``names``, or all but an empty locator (a size alone)."""
+        stored = {
+            "path": self.path,
+            "type": self.file_type.value,
+            "owner": self.owner,
+            "size": self.size,
+            "created_at": self.created_at,
+            "modified_at": self.modified_at,
+            "file_id": self.file_id,
+            "digest": self.digest,
+            "data_version": self.data_version,
+            "grants": {u: p.value for u, p in self.grants.items()},
+            "link_target": self.link_target,
+            "deleted": self.deleted,
+            "locator": self.locator,
+        }
+        if names is None:
+            return {name: value for name, value in stored.items() if name != "locator" or value}
+        return {name: stored[name] for name in names}
+
     def to_bytes(self) -> bytes:
         """Serialise to the ~1 KB JSON blob stored in the coordination service."""
-        return json.dumps(
-            {
-                "path": self.path,
-                "type": self.file_type.value,
-                "owner": self.owner,
-                "size": self.size,
-                "created_at": self.created_at,
-                "modified_at": self.modified_at,
-                "file_id": self.file_id,
-                "digest": self.digest,
-                "data_version": self.data_version,
-                "grants": {u: p.value for u, p in self.grants.items()},
-                "link_target": self.link_target,
-                "deleted": self.deleted,
-                # Only when there is one: directories, links and empty files
-                # keep their size (and the tuples of older traces their bytes).
-                **({"locator": self.locator} if self.locator else {}),
-            },
-            sort_keys=True,
-        ).encode()
+        return json.dumps(self.fields(), sort_keys=True).encode()
 
     @staticmethod
     def from_bytes(blob: bytes) -> "FileMetadata":
         """Parse a blob produced by :meth:`to_bytes`."""
-        raw = json.loads(blob.decode())
+        return FileMetadata.from_fields(json.loads(blob.decode()))
+
+    @staticmethod
+    def from_fields(raw: Mapping[str, Any]) -> "FileMetadata":
+        """The tuple whose :meth:`fields` are ``raw``."""
         return FileMetadata(
             path=raw["path"],
             file_type=FileType(raw["type"]),

@@ -27,9 +27,9 @@ from repro.common.errors import (
     TupleNotFoundError,
 )
 from repro.common.types import Permission, Principal
-from repro.coordination.base import CoordinationService, Entry, Get, Op, Put, Session
+from repro.coordination.base import CoordinationService, Entry, Get, Op, Put, Session, Update
 from repro.core.cache import MetadataCache
-from repro.core.metadata import FileMetadata, FileType, normalize_path, parent_path
+from repro.core.metadata import DATA_FIELDS, FileMetadata, FileType, normalize_path, parent_path
 from repro.core.pns import PrivateNameSpace
 from repro.simenv.environment import Simulation
 
@@ -187,8 +187,6 @@ class MetadataService:
 
     def _store(self, metadata: FileMetadata, private: bool) -> None:
         if private:
-            if self.pns is None:
-                raise PermissionDeniedError("private name spaces are disabled")
             self.pns.put(metadata)
         else:
             if self.coordination is None:
@@ -201,11 +199,7 @@ class MetadataService:
 
     def is_private(self, metadata: FileMetadata) -> bool:
         """True when the object's metadata lives in the PNS rather than the anchor."""
-        if self.pns is None:
-            return False
-        if self.pns.contains(metadata.path):
-            return True
-        return False
+        return self.pns is not None and self.pns.contains(metadata.path)
 
     def creates_privately(self, metadata: FileMetadata, shared: bool = False) -> bool:
         """True when :meth:`create` would place ``metadata`` in the PNS.
@@ -276,49 +270,46 @@ class MetadataService:
             return None
         return self._fetched(path, entry)
 
-    def update(self, metadata: FileMetadata) -> None:
-        """Persist an updated metadata tuple (same placement as it currently has)."""
-        if not metadata.allows(self.principal.name, Permission.WRITE):
-            raise PermissionDeniedError(
-                f"{self.principal.name} may not modify metadata of {metadata.path}"
-            )
-        self._store(metadata, private=self.is_private(metadata))
+    def update(self, metadata: FileMetadata, fields: Sequence[str]) -> FileMetadata:
+        """:meth:`update_many` of one entry; a private one is merged in the PNS by the same rule.
 
-    def update_cas(self, metadata: FileMetadata, expected_version: int) -> None:
-        """Persist an updated tuple iff its entry version is still ``expected_version``.
-
-        The one-entry case of :meth:`update_cas_many`.
+        A refusal leaves this agent's view of the path what the refusal met.
         """
-        self.update_cas_many([(metadata, expected_version)])
+        try:
+            if self.coordination is not None and not self.is_private(metadata):
+                return self.update_many([(metadata, None)], fields)[0]
+            current = self.pns.get(metadata.path)
+            if current is None or current.file_id != metadata.file_id:
+                raise ConflictError(f"{metadata.path} does not hold file {metadata.file_id!r}")
+        except ConflictError as exc:
+            if self._witness(metadata.path, exc) is None:
+                self.cache.invalidate(metadata.path)
+            raise
+        merged = FileMetadata.from_fields({**current.fields(), **metadata.fields(fields)})
+        self._store(merged, private=True)
+        return merged
 
-    def update_cas_many(self, updates: Sequence[tuple[FileMetadata, int]],
-                        also: Sequence[Put] = ()) -> None:
-        """Persist every ``(metadata, expected_version)`` of ``updates``, or none.
+    def update_cas(self, metadata: FileMetadata, expected_version: int) -> FileMetadata:
+        """Anchor the data fields of ``metadata`` iff its entry is still at ``expected_version``."""
+        return self.update_many([(metadata, expected_version)], DATA_FIELDS)[0]
 
-        The conditional form of :meth:`update` used by the transactional
-        commit layer: one coordination command applies every put only when
-        every entry's version counter still matches the one
-        :meth:`lookup_many_versioned` observed, and raises
-        :class:`~repro.common.errors.ConflictError` otherwise, with nothing
-        changed.  This is the version CAS that prevents a lock-lease usurper
-        and the original holder from both anchoring the same version (a
-        fork).  ``also`` rides in the same command — the transaction's intent
-        flip, which makes the command its commit point.
+    def update_many(self, changes: Sequence[tuple[FileMetadata, int | None]],
+                    fields: Sequence[str], also: Sequence[Op] = ()) -> list[FileMetadata]:
+        """Set ``fields`` of each shared entry to its ``metadata``'s values, keeping the rest: one command.
+
+        Each ``(metadata, expected_version)`` is one ``Update``; the replicas
+        refuse them all (``ConflictError``) when an entry is gone, names
+        another file or is not at ``expected_version`` (None: any) — the check
+        that stops a lock-lease usurper and the original holder from both
+        anchoring a version.  ``also`` rides behind: a transaction's intent
+        flip.  Returns, and caches, the merged tuples.
         """
-        for metadata, _version in updates:
-            if not metadata.allows(self.principal.name, Permission.WRITE):
-                raise PermissionDeniedError(
-                    f"{self.principal.name} may not modify metadata of {metadata.path}"
-                )
-        if self.coordination is None:
-            raise PermissionDeniedError(
-                "conditional metadata updates require a coordination service")
-        puts = [Put(self.entry_key(metadata.path), metadata.to_bytes(), version)
-                for metadata, version in updates]
-        self.coordination.multi([*puts, *also], self.session)
+        steps = [Update(self.entry_key(metadata.path), metadata.file_id,
+                        metadata.fields(fields), version) for metadata, version in changes]
         self.coordination_writes += 1
-        for metadata, _version in updates:
-            self.cache.put(metadata.path, metadata.copy())
+        entries = self.coordination.multi([*steps, *also], self.session)
+        return [self._fetched(metadata.path, entry)[0]
+                for (metadata, _version), entry in zip(changes, entries)]
 
     def remove(self, path: str) -> None:
         """Erase a metadata entry (used by rmdir, rename and the garbage collector)."""

@@ -38,8 +38,8 @@ Fast paths
   pattern skip the Gauss–Jordan inversion entirely.
 * **Chunked encode/decode** — the underlying ``gf256.matmul`` picks its
   kernel per stripe (the nibble-split pair-table path for the wide stripes
-  used here) and bounds its own temporaries, so multi-hundred-MB payloads
-  never materialise a proportional gather tensor.
+  used here), and neither kernel holds more than one row's products at a
+  time, so multi-hundred-MB payloads never materialise a proportional tensor.
 """
 
 from __future__ import annotations

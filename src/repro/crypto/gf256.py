@@ -8,14 +8,16 @@ Vectorisation strategy
 ----------------------
 Every SCFS write erasure-codes its payload, so :func:`matmul` is the single
 hottest function in the system.  It is implemented without any Python-level
-inner loop, with **three** kernel strategies chosen by a size heuristic:
+inner loop, with **two** kernel strategies chosen by block length:
 
-* **Row gather** (small matrices, short blocks): one whole-block row gather
+* **Row gather** (short blocks): one whole-block row gather
   ``MUL_TABLE[coeff][block]`` per non-zero coefficient, XOR-accumulated (XOR
   is addition in GF(2^8)).  ``MUL_TABLE`` is the full precomputed 256×256
   product table; a row of it is 256 bytes and stays L1-resident across the
   gather.  This path has the lowest fixed overhead and wins whenever the
   per-coefficient table setup of the nibble-split path cannot amortise.
+  DepSky's matrices are small (2×2 at n = 4, f = 1), so its ``r·k`` loop is
+  a handful of numpy calls.
 * **Nibble split** (long blocks — the erasure-encode hot path): every field
   product decomposes over the two nibbles of the input byte,
   ``c·b = c·(b & 0x0F) ⊕ c·(b >> 4 << 4)``, so per coefficient only the two
@@ -29,12 +31,6 @@ inner loop, with **three** kernel strategies chosen by a size heuristic:
   count is what breaks the one-gather-per-coefficient ceiling of the row
   path: the pair tables cost ~15 µs each to build and are cached (bounded by
   :data:`_PAIR_CACHE_MAX`), so throughput roughly doubles at ≥64 KiB blocks.
-* **3-D gather** (large matrices, short blocks): a single gather
-  ``MUL_TABLE[matrix[:, :, None], blocks[None, :, :]]`` producing the
-  ``(r, k, L)`` tensor of partial products, reduced along the shared ``k``
-  axis with ``np.bitwise_xor.reduce``.  The tensor materialises ``r * k * L``
-  bytes, so long blocks are processed in slices of at most
-  :data:`_MAX_GATHER_BYTES` of temporary memory.
 
 :func:`matmul` and :func:`mul_block` accept an ``out=`` destination so
 callers on the streaming write pipeline can reuse buffers; aliasing the
@@ -70,12 +66,6 @@ _POLY = 0x11B
 _GENERATOR = 0x03
 
 FIELD_SIZE = 256
-
-#: Upper bound on the temporary gather tensor materialised by one
-#: :func:`matmul` slice (bytes).  64 MiB keeps peak memory flat even when
-#: encoding multi-hundred-MB payloads while staying far above the size where
-#: numpy's per-call overhead would matter.
-_MAX_GATHER_BYTES = 1 << 26
 
 
 def _build_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -204,11 +194,6 @@ def mul_block(scalar: int, block: np.ndarray,
     return MUL_TABLE[scalar][block]
 
 
-#: Below this many matrix entries, per-coefficient row gathers beat the 3-D
-#: gather: the Python loop runs r*k times over whole-block numpy ops, while
-#: the 3-D gather pays for materialising and re-reading the (r, k, L) tensor.
-_DENSE_GATHER_MIN_ENTRIES = 64
-
 #: At and above this block length the nibble-split pair-table kernel wins:
 #: its per-coefficient setup (two 16-entry columns expanded into a 128 KiB
 #: pair table, ~15 µs, cached) amortises and its two-bytes-per-gather main
@@ -235,11 +220,9 @@ def matmul(matrix: np.ndarray, blocks: np.ndarray,
 
     ``blocks`` has shape ``(k, block_len)`` with dtype ``uint8``; the result
     has shape ``(r, block_len)``.  Used by the erasure coder for both
-    encoding and decoding.  Three fully vectorised strategies, chosen by
-    matrix size and block length (see the module docstring): per-coefficient
-    row gathers for small matrices on short blocks, the nibble-split
-    pair-table kernel for long blocks, and the chunked 3-D gather for large
-    matrices on short blocks.
+    encoding and decoding.  Two fully vectorised strategies, chosen by block
+    length (see the module docstring): per-coefficient row gathers for short
+    blocks and the nibble-split pair-table kernel for long ones.
 
     ``out=`` writes the result into a caller-owned ``(r, block_len)`` uint8
     array (its prior contents are discarded); rows of ``out`` may be strided
@@ -250,47 +233,28 @@ def matmul(matrix: np.ndarray, blocks: np.ndarray,
     if blocks.shape[0] != cols:
         raise ValueError(f"matrix expects {cols} input blocks, got {blocks.shape[0]}")
     length = blocks.shape[1]
+    if out is None:
+        out = np.zeros((rows, length), dtype=np.uint8)
+    else:
+        _check_out(out, rows, length, matrix, blocks).fill(0)
     if rows == 0 or cols == 0 or length == 0:
-        if out is not None:
-            _check_out(out, rows, length, matrix, blocks).fill(0)
-            return out
-        return np.zeros((rows, length), dtype=np.uint8)
+        return out
     matrix = np.ascontiguousarray(matrix, dtype=np.uint8)
     if blocks.dtype != np.uint8 or blocks.strides[-1] != 1:
         # Rows must be contiguous byte runs; the 2-D array itself may be a
         # strided (column-sliced) view, which the stripe encoder relies on.
         blocks = np.ascontiguousarray(blocks, dtype=np.uint8)
-    if out is not None:
-        _check_out(out, rows, length, matrix, blocks)
     if length >= _NIBBLE_MIN_BYTES:
-        if out is None:
-            out = np.zeros((rows, length), dtype=np.uint8)
-        else:
-            out.fill(0)
         return _matmul_nibble(matrix, blocks, out)
-    if rows * cols <= _DENSE_GATHER_MIN_ENTRIES:
-        if out is None:
-            out = np.zeros((rows, length), dtype=np.uint8)
-        else:
-            out.fill(0)
-        for i in range(rows):
-            for j in range(cols):
-                coeff = int(matrix[i, j])
-                if coeff == 0:
-                    continue
-                if coeff == 1:
-                    out[i] ^= blocks[j]
-                else:
-                    out[i] ^= MUL_TABLE[coeff][blocks[j]]
-        return out
-    if out is None:
-        out = np.empty((rows, length), dtype=np.uint8)
-    chunk = max(1, _MAX_GATHER_BYTES // (rows * cols))
-    expanded = matrix[:, :, None]
-    for start in range(0, length, chunk):
-        segment = blocks[None, :, start:start + chunk]
-        np.bitwise_xor.reduce(MUL_TABLE[expanded, segment], axis=1,
-                              out=out[:, start:start + chunk])
+    for i in range(rows):
+        for j in range(cols):
+            coeff = int(matrix[i, j])
+            if coeff == 0:
+                continue
+            if coeff == 1:
+                out[i] ^= blocks[j]
+            else:
+                out[i] ^= MUL_TABLE[coeff][blocks[j]]
     return out
 
 

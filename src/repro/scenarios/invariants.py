@@ -229,7 +229,7 @@ def _latest_commits(trace: TraceRecorder) -> dict[str, object]:
 
     An unlinked file may be purged by the garbage collector (including a
     version committed by a background upload that completed *after* the
-    unlink, which merges the deleted flag), so durability is only demanded of
+    unlink, whose ``Update`` keeps the flag), so durability is only demanded of
     file ids that were never deleted.  Recreating a path mints a new file id,
     so the exclusion costs no coverage.
     """

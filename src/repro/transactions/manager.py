@@ -26,11 +26,11 @@ BFT-transaction designs (Basil, arXiv:2109.12443):
       moving through the DepSky put phases together.  Each version is
       numbered by the anchor just validated — the one after the version the
       entry's locator names — so no cloud is asked for its head first;
-   e. the **commit point**: one command holding the version CAS of every
-      written entry
-      (:meth:`~repro.core.metadata_service.MetadataService.update_cas_many`)
-      *and* the intent's flip to ``committed`` — every file is anchored and
-      the intent says so, or nothing changed;
+   e. the **commit point**: one command holding an ``Update`` of every
+      written entry's data fields at the entry version validated
+      (:meth:`~repro.core.metadata_service.MetadataService.update_many`, as a
+      close anchors) *and* the intent's flip to ``committed`` — every file is
+      anchored and the intent says so, or nothing changed;
    f. release the lock set, and keep the written bytes in the local caches
       under their new versions (the committer's next read of them is local);
    g. return once the uploaded versions are expected to be readable
@@ -85,7 +85,7 @@ from repro.common.errors import (
     TupleNotFoundError,
 )
 from repro.coordination.base import Put
-from repro.core.metadata import FileMetadata, FileType, normalize_path
+from repro.core.metadata import DATA_FIELDS, FileMetadata, FileType, normalize_path
 from repro.crypto.hashing import content_digest
 
 if TYPE_CHECKING:
@@ -433,8 +433,9 @@ class TransactionManager:
         # command, so the files are all anchored and the intent says so, or
         # nothing changed.
         try:
-            agent.metadata.update_cas_many(
+            agent.metadata.update_many(
                 [(new_meta, entry_version) for _path, entry_version, new_meta, _data in plan],
+                DATA_FIELDS,
                 also=[Put(TXN_PREFIX + txn.txn_id, self._intent(txn, COMMITTED, files),
                           expected_version=1)])
         except ConflictError as exc:

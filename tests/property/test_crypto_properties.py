@@ -89,7 +89,7 @@ class TestVectorizedAgainstScalarReference:
         seed=st.integers(min_value=0, max_value=2**32 - 1),
     )
     def test_matmul_agrees_with_scalar_reference(self, rows, cols, length, seed):
-        # rows*cols spans both matmul strategies (accumulate and 3-D gather).
+        # Matrices up to 12x12, far past DepSky's 2x2, on short blocks.
         rng = np.random.default_rng(seed)
         matrix = rng.integers(0, 256, size=(rows, cols), dtype=np.uint8)
         blocks = rng.integers(0, 256, size=(cols, length), dtype=np.uint8)

@@ -39,15 +39,20 @@ the file exists, its parent is known locally to be a live directory and its
 entry goes to the coordination service: a create-open with a warm parent is
 one command, a re-create over a tombstone two.  With a cold parent the open
 looks first.
+
+``BUDGETS`` holds every pinned number once, for one service; the tests assert
+against it, and README's round-trip table must list exactly its rows.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
+from pathlib import Path
 
 import pytest
 
-from repro.common.errors import TransactionConflictError
+from repro.common.errors import ConflictError, TransactionConflictError
 from repro.common.types import Permission, Principal
 from repro.coordination import PartitionedCoordination, make_coordination_service
 from repro.coordination.locks import LockManager
@@ -61,12 +66,34 @@ KINDS = {
     "partitioned": {"coordination_partitions": 2},
 }
 
+#: Replicated commands per call on one service (README's round-trip table).  A
+#: row's numbers are its cases in order, e.g. cold · warm.
+BUDGETS: dict[str, tuple[int, ...]] = {
+    "`stat` / `exists`, cold · warm": (1, 0),
+    "`open(O_CREAT)` of a new shared file, parent warm · cold": (1, 3),
+    "`open(O_CREAT)` over a tombstone (re-create), parent warm": (2,),
+    "`open(O_CREAT)` of an existing shared file, cold · warm": (2, 1),
+    "`open` for writing of an existing shared file, cold · warm · re-entrant": (2, 1, 1),
+    "`close`, clean, of a file open for writing (the unlock)": (1,),
+    "`close`, dirty, blocking": (2,),
+    "background commit of a non-blocking dirty `close`": (2,),
+    "a refused `Update`": (1,),
+    "`mkdir` / `symlink`, parent cold · warm": (2, 1),
+    "`unlink`, cold": (2,),
+    "`rename` of a file, same directory · other directory, cold": (2, 3),
+    "`readdir`, cold · warm, any number of children": (2, 1),
+    "`rename` of a directory with N descendants, cold (+ N)": (3,),
+    "commit of a transaction, any number of files": (3,),
+    "`setfacl` of a shared file, warm": (2,),
+    "mount": (1,),
+}
+
 
 class Mount:
-    """One blocking-mode mount plus the two meters the budgets compare."""
+    """One mount plus the two meters the budgets compare."""
 
-    def __init__(self, kind: str):
-        self.deployment = SCFSDeployment.for_variant("SCFS-CoC-B", seed=5, **KINDS[kind])
+    def __init__(self, kind: str, variant: str = "SCFS-CoC-B"):
+        self.deployment = SCFSDeployment.for_variant(variant, seed=5, **KINDS[kind])
         self.fs = self.deployment.create_agent("alice")
         coordination = self.deployment.coordination
         self.services = getattr(coordination, "services", [coordination])
@@ -119,14 +146,15 @@ def mount(request) -> Mount:
 
 
 def test_stat_and_exists_cost_one_command_cold_and_none_warm(mount):
+    cold, warm = BUDGETS["`stat` / `exists`, cold · warm"]
     mount.fs.write_file("/top/f", b"data", shared=True)
     for call, path in ((mount.fs.stat, "/top/f"), (mount.fs.exists, "/top/f"),
                        (mount.fs.exists, "/top/missing")):
         mount.cold()
-        assert mount.spent(call, path) == (1, 1)
+        assert mount.spent(call, path) == (cold, cold)
     mount.fs.stat("/top/f")
-    assert mount.spent(mount.fs.stat, "/top/f") == (0, 0)
-    assert mount.spent(mount.fs.exists, "/top/f") == (0, 0)
+    assert mount.spent(mount.fs.stat, "/top/f") == (warm, warm)
+    assert mount.spent(mount.fs.exists, "/top/f") == (warm, warm)
 
 
 def test_create_open_with_a_warm_parent_is_the_insert_alone(mount):
@@ -136,7 +164,8 @@ def test_create_open_with_a_warm_parent_is_the_insert_alone(mount):
         mount.fs.stat("/top")  # the VFS resolved the parent on the way here
         # {insert-if-absent, lock} sent first, 1 where it was 2: the new id
         # places the lock on the entry's partition.
-        assert mount.spent(mount.fs.open, path, "w", True) == (1, 1)
+        warm = BUDGETS["`open(O_CREAT)` of a new shared file, parent warm · cold"][0]
+        assert mount.spent(mount.fs.open, path, "w", True) == (warm, warm)
         assert mount.rides(path)
 
 
@@ -146,10 +175,13 @@ def test_create_open_with_a_cold_parent_looks_first(mount):
         path = f"/top/new{index}"
         mount.cold()
         # lookup miss, the parent, {insert-if-absent, lock}
-        assert mount.spent(mount.fs.open, path, "w", True) == (3, 3)
+        cold = BUDGETS["`open(O_CREAT)` of a new shared file, parent warm · cold"][1]
+        assert mount.spent(mount.fs.open, path, "w", True) == (cold, cold)
 
 
 def test_o_creat_open_of_an_existing_file_costs_what_a_write_open_does(mount):
+    cold, warm = BUDGETS["`open(O_CREAT)` of an existing shared file, cold · warm"]
+    (unlock,) = BUDGETS["`close`, clean, of a file open for writing (the unlock)"]
     mount.fs.write_file("/top/f", b"data", shared=True)
 
     def opened() -> None:
@@ -157,11 +189,11 @@ def test_o_creat_open_of_an_existing_file_costs_what_a_write_open_does(mount):
 
     mount.cold()
     mount.fs.stat("/top")  # cold entry, warm parent: the refused insert is the first look,
-    assert mount.spent(opened) == (2 + 1, 2)  # then {lock, re-read under it}
+    assert mount.spent(opened) == (cold + unlock, cold)  # then {lock, re-read under it}
     mount.cold()  # cold entry, cold parent: lookup, {lock, re-read}
-    assert mount.spent(opened) == (2 + 1, 2)
+    assert mount.spent(opened) == (cold + unlock, cold)
     mount.fs.stat("/top/f")  # warm entry: served by the cache, whatever the parent
-    assert mount.spent(opened) == (1 + 1, 1)
+    assert mount.spent(opened) == (warm + unlock, warm)
 
 
 def test_recreate_over_a_tombstone_is_the_refused_insert_and_the_replace(mount):
@@ -174,23 +206,65 @@ def test_recreate_over_a_tombstone_is_the_refused_insert_and_the_replace(mount):
         # The refused {insert, lock} hands back the tombstone, {replace at the
         # version met, lock}: 2 where it was 4 (lookup, refused insert,
         # lookup_versioned, replace).
-        assert mount.spent(mount.fs.open, path, "w", True) == (2, 2)
+        (replace,) = BUDGETS["`open(O_CREAT)` over a tombstone (re-create), parent warm"]
+        assert mount.spent(mount.fs.open, path, "w", True) == (replace, replace)
         assert mount.fs.agent.metadata.get(path).size == 0
         assert mount.rides(path)
 
 
 def test_mkdir_and_symlink_are_the_parent_check_and_the_insert(mount):
     """One parent read says both "exists" and "is a directory"."""
+    cold, warm = BUDGETS["`mkdir` / `symlink`, parent cold · warm"]
     for call, args in ((mount.fs.mkdir, ("/top/d", True)), (mount.fs.symlink, ("/top/d", "/top/l"))):
         mount.cold()
-        assert mount.spent(call, *args) == (2, 2)
-    assert mount.spent(mount.fs.mkdir, "/top/e", True) == (1, 1)  # warm parent
+        assert mount.spent(call, *args) == (cold, cold)
+    assert mount.spent(mount.fs.mkdir, "/top/e", True) == (warm, warm)
 
 
 def test_blocking_dirty_close_is_update_and_unlock(mount):
     handle = mount.fs.open("/top/new", "w", True)
     mount.fs.write(handle, b"payload")
-    assert mount.spent(mount.fs.close, handle) == (2, 1)
+    assert mount.spent(mount.fs.close, handle) == (*BUDGETS["`close`, dirty, blocking"], 1)
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_a_background_commit_is_update_and_unlock(kind):
+    """The non-blocking close's commit: {Update of the data fields}, unlock — 2 where it was 3.
+
+    The merge of what landed since the close is the replicas' (the grants and
+    the deleted flag an ``Update`` keeps), so the commit reads nothing first.
+    """
+    mount = Mount(kind, "SCFS-CoC-NB")
+    handle = mount.fs.open("/top/new", "w", True)
+    mount.fs.write(handle, b"payload")
+    assert mount.spent(mount.fs.close, handle) == (0, 0)
+    assert mount.fs.agent.stats.pending_uploads == 1
+    commit = BUDGETS["background commit of a non-blocking dirty `close`"]
+    assert mount.spent(mount.fs.agent.flush_pending, "/top/new") == (*commit, 1)
+    assert mount.fs.agent.stats.pending_uploads == 0
+
+
+def test_a_refused_update_costs_its_one_command(mount):
+    agent = mount.fs.agent
+    mount.fs.write_file("/top/f", b"data", shared=True)
+    meta, version = agent.metadata.lookup_versioned("/top/f")
+    agent.metadata.update_cas(meta, version)
+
+    def refused() -> None:
+        with pytest.raises(ConflictError):
+            agent.metadata.update_cas(meta, version)  # the entry moved on
+
+    (cost,) = BUDGETS["a refused `Update`"]
+    assert mount.spent(refused) == (cost, cost)
+
+
+def test_setfacl_of_a_shared_file_is_an_update_of_the_grants_and_the_entry_acl(mount):
+    mount.deployment.create_agent("bob")
+    mount.fs.write_file("/top/f", b"data", shared=True)
+    mount.fs.setfacl("/top/f", "bob", Permission.READ)  # bob's canonical ids are known from here
+    mount.fs.stat("/top/f")
+    (cost,) = BUDGETS["`setfacl` of a shared file, warm"]
+    assert mount.spent(mount.fs.setfacl, "/top/f", "bob", Permission.READ_WRITE) == (cost, cost)
 
 
 def _write_open_budget(mount, path: str, apart: int) -> None:
@@ -201,12 +275,15 @@ def _write_open_budget(mount, path: str, apart: int) -> None:
         nonlocal handle
         handle = mount.fs.open(path, "r+")
 
+    cold, warm, reentrant = BUDGETS[
+        "`open` for writing of an existing shared file, cold · warm · re-entrant"]
+    (unlock,) = BUDGETS["`close`, clean, of a file open for writing (the unlock)"]
     mount.cold()  # first look, then {lock, authoritative re-read under the lock}
-    assert mount.spent(opened) == (2 + apart, 2)
-    assert mount.spent(mount.fs.close, handle) == (1, 0)  # clean: the unlock alone
+    assert mount.spent(opened) == (cold + apart, cold)
+    assert mount.spent(mount.fs.close, handle) == (unlock, 0)  # clean: the unlock alone
     mount.fs.stat(path)  # warm: the first look is served by the cache
-    assert mount.spent(opened) == (1 + apart, 1)
-    assert mount.spent(opened) == (1, 1)  # re-entrant hold: the re-read alone
+    assert mount.spent(opened) == (warm + apart, warm)
+    assert mount.spent(opened) == (reentrant, reentrant)  # re-entrant hold: the re-read alone
 
 
 def test_write_open_of_an_existing_shared_file_is_lock_and_revalidation(mount):
@@ -237,45 +314,50 @@ def test_a_lock_left_at_home_by_a_rename_costs_what_it_did(mount):
 def test_unlink_is_lookup_and_tombstone(mount):
     mount.fs.write_file("/top/f", b"data", shared=True)
     mount.cold()
-    assert mount.spent(mount.fs.unlink, "/top/f") == (2, 2)
+    (cost,) = BUDGETS["`unlink`, cold"]
+    assert mount.spent(mount.fs.unlink, "/top/f") == (cost, cost)
 
 
 def test_file_rename_is_lookup_and_one_move(mount):
+    same, other = BUDGETS["`rename` of a file, same directory · other directory, cold"]
     mount.make_files("/top/other", 0)
     mount.fs.write_file("/top/f", b"data", shared=True)
     mount.cold()
-    assert mount.spent(mount.fs.rename, "/top/f", "/top/g") == (2, 2)
+    assert mount.spent(mount.fs.rename, "/top/f", "/top/g") == (same, same)
     mount.cold()  # into another directory: its existence is one more lookup
-    assert mount.spent(mount.fs.rename, "/top/g", "/top/other/g") == (3, 3)
+    assert mount.spent(mount.fs.rename, "/top/g", "/top/other/g") == (other, other)
     assert mount.fs.read_file("/top/other/g") == b"data"
 
 
 @pytest.mark.parametrize("children", [1, 10, 100])
 def test_readdir_does_not_depend_on_the_child_count(mount, children):
+    # The directory's own lookup (cold only), one listing: one command per partition.
+    cold, warm = BUDGETS["`readdir`, cold · warm, any number of children"]
     mount.make_files("/top/d", children)
     mount.cold()
     commands, accounted = mount.spent(mount.fs.readdir, "/top/d")
-    assert commands == 1 + mount.listing  # the directory's own lookup, one listing
-    assert accounted == 2
+    assert commands == cold - 1 + mount.listing
+    assert accounted == cold
     assert len(mount.fs.readdir("/top/d")) == children
     mount.fs.stat("/top/d")
-    assert mount.spent(mount.fs.readdir, "/top/d")[0] == mount.listing <= 2
+    assert mount.spent(mount.fs.readdir, "/top/d")[0] == warm - 1 + mount.listing <= 2
 
 
 @pytest.mark.parametrize("descendants", [0, 3, 12])
 def test_directory_rename_is_one_move_per_descendant(mount, descendants):
+    (base,) = BUDGETS["`rename` of a directory with N descendants, cold (+ N)"]
     mount.make_files("/top/d", descendants)
     mount.cold()
     commands, accounted = mount.spent(mount.fs.rename, "/top/d", "/top/e")
     # lookup, move of the directory entry, one listing, one move per descendant
-    assert commands == descendants + 2 + mount.listing
-    assert accounted == descendants + 3
+    assert commands == descendants + base - 1 + mount.listing
+    assert accounted == descendants + base
     assert len(mount.fs.readdir("/top/e")) == descendants
     assert not mount.fs.exists("/top/d")
 
 
 def test_conditional_puts_cost_one_command_each(mount):
-    """The transaction manager's intent writes and per-file version CAS."""
+    """The transaction manager's intent writes and the one-entry ``Update`` CAS."""
     agent = mount.fs.agent
     mount.fs.write_file("/top/f", b"data", shared=True)
 
@@ -287,6 +369,7 @@ def test_conditional_puts_cost_one_command_each(mount):
     assert mount.spent(intent, 1)[0] == 1
     meta, version = agent.metadata.lookup_versioned("/top/f")
     assert mount.spent(agent.metadata.update_cas, meta, version) == (1, 1)
+    assert agent.metadata.lookup_versioned("/top/f")[1] == version + 1
 
 
 def _read_and_rewrite(paths):
@@ -331,7 +414,8 @@ def test_transaction_commit_is_constant_in_the_size_of_its_sets(mount):
     """
     spent = [_commit_commands(mount, f"/top/t{count}", count) for count in (1, 3, 8)]
     if mount.listing == 1:
-        assert spent == [(3, 4)] * 3
+        (commit,) = BUDGETS["commit of a transaction, any number of files"]
+        assert spent == [(commit, commit + 1)] * 3
     else:
         assert all(commands <= before <= 4 * mount.listing for commands, before in spent)
 
@@ -423,8 +507,9 @@ def _draws(state, services) -> list[float]:
 
 def test_a_mount_is_one_command_and_registers_a_user_every_user_may_read(mount):
     """The registry entry is created with its grant: 1 command where it was 2 (put, set ACL)."""
-    assert mount.spent(mount.deployment.create_agent, "bob")[0] == 1
-    assert mount.spent(mount.deployment.create_agent, "bob")[0] == 1  # a refresh keeps the ACL
+    (cost,) = BUDGETS["mount"]
+    assert mount.spent(mount.deployment.create_agent, "bob")[0] == cost
+    assert mount.spent(mount.deployment.create_agent, "bob")[0] == cost  # a refresh keeps the ACL
     carol = mount.deployment.create_agent("carol").agent
     bob = mount.deployment.agent_for("bob").agent
     assert carol.users.lookup("bob").canonical_ids == bob.principal.canonical_ids
@@ -471,3 +556,16 @@ def test_releasing_every_lock_is_one_command_per_partition_and_one_round_trip(si
     assert sum(service.rsm.commands_executed for service in services) - commands == partitions
     assert sim.now() == start + max(_draws(state, services))
     assert manager.held == {} and [coordination.lock_holder(name) for name in names] == [None] * 3
+
+
+README = Path(__file__).resolve().parents[2] / "README.md"
+
+
+def test_readme_round_trip_table_lists_the_pinned_budgets():
+    """README's table is ``BUDGETS``: the same rows, the same numbers, nothing else."""
+    lines = README.read_text().splitlines()
+    start = lines.index("| system call | commands |")
+    table = list(itertools.takewhile(lambda line: line.startswith("|"), lines[start:]))
+    cells = [tuple(cell.strip() for cell in line.strip("|").split("|")) for line in table]
+    assert cells[1] == ("---", "---:")
+    assert cells[2:] == [(row, " · ".join(map(str, numbers))) for row, numbers in BUDGETS.items()]

@@ -4,10 +4,10 @@ import pytest
 
 from repro.clouds.providers import make_provider
 from repro.common.errors import (
+    ConflictError,
     FileExistsErrorFS,
     FileNotFoundErrorFS,
     LockHeldError,
-    PermissionDeniedError,
 )
 from repro.common.types import Permission, Principal
 from repro.coordination.adapters import make_coordination_service
@@ -16,7 +16,7 @@ from repro.core.cache import MetadataCache, make_disk_cache, make_memory_cache
 from repro.core.config import GarbageCollectionPolicy
 from repro.core.gc import GarbageCollector
 from repro.core.lock_service import LockService
-from repro.core.metadata import FileMetadata, FileType
+from repro.core.metadata import DATA_FIELDS, FileMetadata, FileType
 from repro.core.metadata_service import MetadataService
 from repro.core.pns import PrivateNameSpace
 from repro.core.storage_service import StorageService
@@ -148,10 +148,13 @@ class TestMetadataService:
         assert service.coordination_reads == before + 1
 
     def test_update_requires_write_permission(self, sim, coordination, alice, bob):
+        """The replicas judge: bob's entry refuses alice's update, and nothing changes."""
+        self._service(sim, coordination, bob).create(_file_meta("/x.txt", owner="bob"), shared=True)
         service = self._service(sim, coordination, alice)
-        meta = _file_meta("/x.txt", owner="bob")
-        with pytest.raises(PermissionDeniedError):
-            service.update(meta)
+        meta = _file_meta("/x.txt", owner="bob", size=7)
+        with pytest.raises(ConflictError):
+            service.update(meta, DATA_FIELDS)
+        assert self._service(sim, coordination, bob).get("/x.txt").size == 0
 
     def test_mark_deleted_hides_from_get(self, sim, coordination, alice):
         service = self._service(sim, coordination, alice)
@@ -177,7 +180,7 @@ class TestMetadataService:
         service.get("/home/private.txt", use_cache=False)
         meta = service.get("/home/private.txt", use_cache=False)
         meta.size = 10
-        service.update(meta)
+        service.update(meta, DATA_FIELDS)
         assert (service.coordination_reads, service.coordination_writes) == (before_reads, before_writes)
 
     def test_promote_to_shared_moves_entry_out_of_pns(self, sim, coordination, alice, single_backend):
@@ -398,7 +401,7 @@ class TestGarbageCollector:
             meta.size = len(payload)
             meta.data_version += 1
         if metadata.exists(path):
-            metadata.update(meta)
+            metadata.update(meta, DATA_FIELDS)
         else:
             metadata.create(meta, shared=True)
         return meta

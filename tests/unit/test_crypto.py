@@ -90,22 +90,12 @@ class TestGF256:
                               gf256._matmul_scalar(matrix, blocks))
 
     def test_matmul_large_matrix_path_matches_scalar_reference(self):
-        # rows * cols > _DENSE_GATHER_MIN_ENTRIES exercises the chunked
-        # 3-D gather + bitwise_xor.reduce strategy.
+        # A matrix far larger than DepSky's 2x2 goes through the row gathers too.
         rng = np.random.default_rng(8)
         matrix = rng.integers(0, 256, size=(9, 9), dtype=np.uint8)
         blocks = rng.integers(0, 256, size=(9, 257), dtype=np.uint8)
-        assert matrix.size > gf256._DENSE_GATHER_MIN_ENTRIES
         assert np.array_equal(gf256.matmul(matrix, blocks),
                               gf256._matmul_scalar(matrix, blocks))
-
-    def test_matmul_chunking_is_invisible(self, monkeypatch):
-        rng = np.random.default_rng(9)
-        matrix = rng.integers(0, 256, size=(9, 9), dtype=np.uint8)
-        blocks = rng.integers(0, 256, size=(9, 1000), dtype=np.uint8)
-        whole = gf256.matmul(matrix, blocks)
-        monkeypatch.setattr(gf256, "_MAX_GATHER_BYTES", 1024)
-        assert np.array_equal(gf256.matmul(matrix, blocks), whole)
 
     def test_matmul_empty_blocks(self):
         matrix = np.array([[1, 2], [3, 4]], dtype=np.uint8)
@@ -124,7 +114,7 @@ class TestMatmulOutParameter:
 
     def test_out_matches_plain_result_on_every_strategy(self, monkeypatch):
         for rows, cols, length in [(2, 2, 64),     # row gather
-                                   (9, 9, 257),    # 3-D gather
+                                   (9, 9, 257),    # row gather, large matrix
                                    (2, 2, 200)]:   # nibble (threshold lowered)
             if length == 200:
                 monkeypatch.setattr(gf256, "_NIBBLE_MIN_BYTES", 1)

@@ -16,6 +16,7 @@ from repro.common.errors import (
 )
 from repro.common.types import Permission
 from repro.core.deployment import SCFSDeployment
+from repro.core.metadata import DATA_FIELDS
 from repro.simenv.failures import FaultKind
 from repro.transactions import ABORTED, COMMITTED
 
@@ -191,7 +192,7 @@ class TestConflicts:
 
 class TestCommitPoint:
     def test_lost_version_cas_anchors_no_file_of_the_set(self, shared):
-        """A usurper bumps the 2nd file's entry after validation (what a stolen
+        """A usurper anchors the 2nd file after validation (what a stolen
         lease allows): the commit point refuses as a whole — the 1st file is
         not anchored either, and the intent says aborted."""
         _, alice, bob = shared
@@ -201,7 +202,8 @@ class TestCommitPoint:
         def upload_then_lose_the_race(items):
             refs = upload(items)
             meta = bob.agent.metadata.get("/shared/b", use_cache=False)
-            bob.agent.metadata.update(meta)  # entry version moves under the lock
+            # The usurper's anchor: the entry version moves under the lock.
+            bob.agent.metadata.update(meta, DATA_FIELDS)
             return refs
 
         storage.push_many_to_cloud = upload_then_lose_the_race
