@@ -441,42 +441,6 @@ class CloudHealthTracker:
             degraded_now=self.degraded_clouds(),
         )
 
-    # ------------------------------------------------------------- persistence
-
-    def export_state(self) -> tuple[tuple, ...]:
-        """Serializable per-cloud snapshot for warm restarts.
-
-        Captures everything :meth:`plan` and the latency estimators consult —
-        status, failure streak, probe window, latency EWMA — as plain nested
-        tuples, so the snapshot can ride inside a frozen
-        :class:`~repro.core.config.SCFSConfig` (see
-        ``DispatchPolicyConfig.health_snapshot``) and an agent restarted after
-        a crash resumes with a *warm* suspect list instead of re-paying the
-        detection latency of every known-bad provider.  Lifetime counters
-        (suspicions/recoveries) are intentionally excluded: they belong to the
-        previous incarnation's report, not to the new tracker's.
-        """
-        return tuple(
-            (record.cloud, record.status.value, record.consecutive_failures,
-             record.suspected_at, record.probe_at, record.probe_interval,
-             record.ewma_latency, record.samples)
-            for record in sorted(self._clouds.values(), key=lambda r: r.cloud)
-        )
-
-    def restore_state(self, state: Sequence[Sequence]) -> None:
-        """Load a snapshot produced by :meth:`export_state`."""
-        for entry in state:
-            (cloud, status, failures, suspected_at,
-             probe_at, probe_interval, ewma, samples) = entry
-            record = self.health(cloud)
-            record.status = CloudStatus(status)
-            record.consecutive_failures = int(failures)
-            record.suspected_at = suspected_at
-            record.probe_at = probe_at
-            record.probe_interval = float(probe_interval)
-            record.ewma_latency = ewma
-            record.samples = int(samples)
-
 
 def expected_latency(store: "EventuallyConsistentStore", kind: str, payload: int,
                      tracker: CloudHealthTracker | None = None,
@@ -532,9 +496,6 @@ class QuorumPlanner:
     reverts loudly to the full pool (never trading liveness for economy).
     """
 
-    #: Above this pool size exact enumeration gives way to a greedy build.
-    max_enumeration: int = 12
-
     def __init__(self, latency_of: Callable[[str, str, int], float],
                  cost_of: Callable[[str, str, int], float],
                  tracker: "CloudHealthTracker | None" = None):
@@ -570,27 +531,12 @@ class QuorumPlanner:
         cost = {cloud: self.cost_of(cloud, kind, payload) for cloud in pool}
 
         best: tuple | None = None
-        if len(pool) <= self.max_enumeration:
-            for members in minimal_quorums(pool, quorum):
-                stage_latency = max(latency[cloud] for cloud in members)
-                stage_cost = sum(cost[cloud] for cloud in members)
-                score = (stage_cost * stage_latency, stage_latency, members)
-                if best is None or score < best[0]:
-                    best = (score, members, stage_latency, stage_cost)
-        else:
-            # Greedy fallback for large pools: add clouds cheapest-first until
-            # the predicate holds (deterministic, near-optimal for counts).
-            ranked = sorted(pool, key=lambda c: (cost[c] * latency[c], c))
-            members_list: list[str] = []
-            for cloud in ranked:
-                members_list.append(cloud)
-                if quorum.satisfied_by(members_list):
-                    break
-            if quorum.satisfied_by(members_list):
-                members = tuple(members_list)
-                stage_latency = max(latency[c] for c in members)
-                stage_cost = sum(cost[c] for c in members)
-                best = (None, members, stage_latency, stage_cost)
+        for members in minimal_quorums(pool, quorum):
+            stage_latency = max(latency[cloud] for cloud in members)
+            stage_cost = sum(cost[cloud] for cloud in members)
+            score = (stage_cost * stage_latency, stage_latency, members)
+            if best is None or score < best[0]:
+                best = (score, members, stage_latency, stage_cost)
 
         if best is None:
             # Even the full pool cannot satisfy the predicate (the config

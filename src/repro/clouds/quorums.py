@@ -5,7 +5,7 @@ DepSky hard-codes *uniform threshold* quorums: ``n = 3f + 1`` clouds, any
 certify a version.  That integer-count assumption is what every layer of this
 repo used to pass around as ``required: int``.  This module makes the quorum
 structure first-class, following the generalized Byzantine quorum systems of
-Malkhi & Reiter and their weighted/asymmetric descendants: a
+Malkhi & Reiter and their weighted descendants: a
 :class:`QuorumSystem` names its *universe* of providers and exposes two
 predicates over responder sets —
 
@@ -18,17 +18,14 @@ predicates over responder sets —
   guaranteed authentic — this generalizes DepSky's ``f + 1`` matching-digest
   check.
 
-Three structures are provided:
+Two structures are provided:
 
 * :class:`ThresholdQuorumSystem` — the classic uniform system (quorum =
   ``n - f`` responses, certificate = ``f + 1``);
 * :class:`WeightedQuorumSystem` — per-provider trust weights and a *fault
   budget* ``B`` (any provider set of total weight ≤ ``B`` may misbehave):
   quorums are the sets of weight strictly above ``(W + B) / 2``, certificates
-  the sets of weight strictly above ``B``;
-* :class:`ExplicitQuorumSystem` — an explicit quorum list plus a fail-prone
-  system (asymmetric quorum slices), checked directly against the
-  Malkhi–Reiter D-consistency and availability conditions.
+  the sets of weight strictly above ``B``.
 
 Each system's :meth:`~QuorumSystem.validate` checks both properties —
 **consistency** (quorum intersections survive every tolerated fault set) and
@@ -39,7 +36,7 @@ time instead of wedging every quorum call at runtime.
 The dispatch engine itself consumes the weaker :class:`QuorumPredicate`
 protocol (``satisfied_by`` over responder names plus a ``min_size``), of
 which :class:`CountQuorum` is the bare-``int`` adapter: counting *responses*
-exactly like the legacy m-th-success engine, so threshold mode stays
+exactly like the legacy m-th-success engine, so the threshold system stays
 byte-identical.
 """
 
@@ -124,51 +121,11 @@ class WeightedCountQuorum:
         return self._weight(responders) > Fraction(self.threshold_weight)
 
 
-@dataclass(frozen=True)
-class SubsetQuorum:
-    """Explicit predicate: satisfied when the responders cover some quorum."""
-
-    quorums: tuple[frozenset[str], ...]
-
-    @property
-    def min_size(self) -> int:
-        return min((len(q) for q in self.quorums), default=1)
-
-    def satisfied_by(self, responders: Sequence[str]) -> bool:
-        present = set(responders)
-        return any(quorum <= present for quorum in self.quorums)
-
-
-@dataclass(frozen=True)
-class SurvivorQuorum:
-    """Certificate predicate of an explicit system: not contained in any
-    fail-prone set (hence at least one responder is guaranteed correct)."""
-
-    fault_sets: tuple[frozenset[str], ...]
-
-    @property
-    def min_size(self) -> int:
-        # A single responder outside every fault set already certifies, so the
-        # honest lower bound on a satisfying set is one responder.
-        return 1
-
-    def satisfied_by(self, responders: Sequence[str]) -> bool:
-        present = set(responders)
-        if not present:
-            return False
-        return all(not present <= fault_set for fault_set in self.fault_sets)
-
-
 def as_quorum(required: int | QuorumPredicate) -> QuorumPredicate:
     """Normalize a bare ``required: int`` to a quorum predicate."""
     if isinstance(required, int):
         return CountQuorum(required)
     return required
-
-
-def min_size(required: int | QuorumPredicate) -> int:
-    """The ``min_size`` of a predicate, or a bare ``int`` itself."""
-    return required if isinstance(required, int) else required.min_size
 
 
 def minimal_quorums(pool: Sequence[str],
@@ -177,8 +134,8 @@ def minimal_quorums(pool: Sequence[str],
 
     A subset is minimal when removing any one member breaks the predicate.
     Enumeration order is deterministic (by size, then by ``pool`` order).
-    Intended for planner-sized pools (a handful of providers); callers with
-    large pools should fall back to a greedy construction instead.
+    Exponential in the pool size: meant for planner-sized pools (a handful of
+    providers).
     """
     predicate = as_quorum(predicate)
     names = list(pool)
@@ -200,10 +157,9 @@ class QuorumSystem:
     below are shared.
     """
 
-    # Annotation-only on purpose: assigning class-level defaults here would
-    # leak into the dataclass subclasses as field defaults and break their
+    # Annotation-only on purpose: assigning a class-level default here would
+    # leak into the dataclass subclasses as a field default and break their
     # required-field ordering.
-    mode: str
     universe: tuple[str, ...]
 
     def quorum(self) -> QuorumPredicate:
@@ -226,14 +182,6 @@ class QuorumSystem:
         """True when ``responders`` certify a value (≥ 1 correct member)."""
         return self.certificate().satisfied_by(tuple(responders))
 
-    def feasible(self, available: Iterable[str]) -> bool:
-        """True when the available providers still contain a quorum."""
-        return self.satisfied_by(available)
-
-    def describe(self) -> str:
-        """One-line human description (reports and error messages)."""
-        return f"{self.mode} quorum system over {len(self.universe)} providers"
-
 
 @dataclass(frozen=True)
 class ThresholdQuorumSystem(QuorumSystem):
@@ -246,7 +194,6 @@ class ThresholdQuorumSystem(QuorumSystem):
 
     universe: tuple[str, ...]
     f: int
-    mode: str = "threshold"
 
     def quorum(self) -> CountQuorum:
         return CountQuorum(len(self.universe) - self.f)
@@ -288,11 +235,6 @@ class WeightedQuorumSystem(QuorumSystem):
     #: ``(provider, weight)`` pairs covering the universe exactly.
     weights: tuple[tuple[str, float], ...]
     fault_budget: float
-    mode: str = "weighted"
-
-    @property
-    def total_weight(self) -> float:
-        return float(self._exact_total())
 
     def _exact_total(self) -> Fraction:
         # Exact arithmetic throughout (see WeightedCountQuorum): the quorum
@@ -345,67 +287,3 @@ class WeightedQuorumSystem(QuorumSystem):
                 f"{float((total + budget) / 2):g} "
                 f"(the fault budget {self.fault_budget:g} must stay below a "
                 f"third of the total weight)")
-
-
-@dataclass(frozen=True)
-class ExplicitQuorumSystem(QuorumSystem):
-    """Asymmetric quorum slices: an explicit quorum list plus a fail-prone system.
-
-    ``quorums`` lists the commit sets; ``fault_sets`` lists the provider sets
-    that may jointly misbehave (the fail-prone system ``B`` of Malkhi-Reiter).
-    Validity is checked directly against the masking/dissemination conditions:
-
-    * **consistency** — for all quorums ``Q1, Q2`` and every fault set ``F``,
-      ``(Q1 ∩ Q2) − F ≠ ∅`` (some correct provider witnesses both);
-    * **availability** — for every fault set ``F`` some quorum avoids ``F``
-      entirely.
-    """
-
-    universe: tuple[str, ...]
-    quorums: tuple[tuple[str, ...], ...]
-    fault_sets: tuple[tuple[str, ...], ...] = ()
-    mode: str = "explicit"
-
-    def _quorum_sets(self) -> tuple[frozenset[str], ...]:
-        return tuple(frozenset(q) for q in self.quorums)
-
-    def _fault_set_sets(self) -> tuple[frozenset[str], ...]:
-        return tuple(frozenset(f) for f in self.fault_sets)
-
-    def quorum(self) -> SubsetQuorum:
-        return SubsetQuorum(self._quorum_sets())
-
-    def certificate(self) -> SurvivorQuorum:
-        return SurvivorQuorum(self._fault_set_sets())
-
-    def validate(self) -> None:
-        if len(self.universe) != len(set(self.universe)):
-            raise ValueError("the quorum universe lists a provider twice")
-        members = set(self.universe)
-        quorums = self._quorum_sets()
-        faults = self._fault_set_sets() or (frozenset(),)
-        if not quorums:
-            raise ValueError("an explicit quorum system needs at least one quorum")
-        for quorum in quorums:
-            if not quorum:
-                raise ValueError("an explicit quorum may not be empty")
-            if not quorum <= members:
-                raise ValueError(
-                    f"quorum {sorted(quorum)} names providers outside the universe")
-        for fault_set in faults:
-            if not fault_set <= members:
-                raise ValueError(
-                    f"fault set {sorted(fault_set)} names providers outside the universe")
-        for first, second in itertools.combinations_with_replacement(quorums, 2):
-            for fault_set in faults:
-                if not (first & second) - fault_set:
-                    raise ValueError(
-                        f"quorums {sorted(first)} and {sorted(second)} may "
-                        f"intersect entirely inside fault set "
-                        f"{sorted(fault_set)}: a faulty provider could serve "
-                        f"two readers different histories")
-        for fault_set in faults:
-            if not any(not (quorum & fault_set) for quorum in quorums):
-                raise ValueError(
-                    f"no quorum survives fault set {sorted(fault_set)}: the "
-                    f"system is unavailable under a tolerated failure")

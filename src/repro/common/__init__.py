@@ -15,7 +15,6 @@ from repro.common.errors import (
     IntegrityError,
     CoordinationError,
     LockHeldError,
-    NotLockOwnerError,
     TupleNotFoundError,
     ConflictError,
     FileSystemError,
@@ -43,7 +42,6 @@ __all__ = [
     "IntegrityError",
     "CoordinationError",
     "LockHeldError",
-    "NotLockOwnerError",
     "TupleNotFoundError",
     "ConflictError",
     "FileSystemError",

@@ -119,10 +119,6 @@ class LockHeldError(CoordinationError):
         self.lock = lock
 
 
-class NotLockOwnerError(CoordinationError):
-    """An unlock was attempted by a session that does not own the lock."""
-
-
 class TransactionError(CoordinationError):
     """Base class for errors raised by the transactional commit layer."""
 

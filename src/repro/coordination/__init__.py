@@ -15,8 +15,6 @@ fault-tolerant) — and this package reproduces both:
 * :mod:`~repro.coordination.replication` — a simulated state-machine
   replication layer offering crash (2f+1) and Byzantine (3f+1) configurations
   with quorum availability checks;
-* :mod:`~repro.coordination.locks` — the lock recipes (§2.5.1) built from
-  ephemeral entries, guaranteeing automatic unlock when a client crashes;
 * :mod:`~repro.coordination.base`/:mod:`~repro.coordination.adapters` — the
   thin ``CoordinationService`` wrapper interface the SCFS Agent programs
   against, with adapters for both concrete services.
@@ -26,7 +24,6 @@ from repro.coordination.base import CoordinationService, Entry, Session
 from repro.coordination.tuplespace import DepSpace
 from repro.coordination.zookeeper import ZooKeeperLike
 from repro.coordination.replication import ReplicatedStateMachine, FaultModel
-from repro.coordination.locks import LockManager
 from repro.coordination.adapters import (
     DepSpaceCoordination,
     ZooKeeperCoordination,
@@ -42,7 +39,6 @@ __all__ = [
     "ZooKeeperLike",
     "ReplicatedStateMachine",
     "FaultModel",
-    "LockManager",
     "DepSpaceCoordination",
     "ZooKeeperCoordination",
     "make_coordination_service",

@@ -217,8 +217,10 @@ class SCFSAgent:
             self.events(kind, agent=self.principal.name, time=self.sim.now(), **fields)
 
     def _lock_transition(self, kind: str, lock_name: str) -> None:
-        # repro: allow[TRC001] -- LockService forwards kind="lock"|"unlock" only; both are declared in TRACE_SCHEMA
-        self._emit(kind, lock=lock_name)
+        if kind == "lock":
+            self._emit("lock", lock=lock_name)
+        else:
+            self._emit("unlock", lock=lock_name)
 
     # ------------------------------------------------------------------ mount
 

@@ -30,6 +30,7 @@ from repro.common.types import ObjectRef, Permission, Principal
 from repro.clouds.dispatch import BENIGN_ERRORS, DispatchPolicy
 from repro.clouds.eventual import EventuallyConsistentStore
 from repro.clouds.health import CloudHealthTracker, HealthStats, QuorumPlanner, expected_latency
+from repro.clouds.quorums import WeightedQuorumSystem
 from repro.crypto.hashing import content_digest
 from repro.depsky.dataunit import VersionRecord
 from repro.depsky.protocol import DepSkyClient, DepSkyReadResult
@@ -361,11 +362,10 @@ class CloudOfCloudsBackend(StorageBackend):
         )
         stores = {cloud.name: cloud for cloud in clouds}
         # ``quorum`` is the agent's :class:`~repro.core.config.QuorumConfig`
-        # (or None).  In threshold mode ``system_for`` returns None and the
-        # client keeps its legacy integer counts — byte-identical dispatch.
+        # (or None: the threshold system the client builds itself).
         system = quorum.system_for([c.name for c in clouds], f) if quorum is not None else None
         planner = None
-        if system is not None and getattr(quorum, "planner", False):
+        if isinstance(system, WeightedQuorumSystem):
             timeout = policy.timeout if policy is not None else None
             planner = QuorumPlanner(
                 latency_of=lambda cloud, kind, payload: expected_latency(
@@ -375,7 +375,7 @@ class CloudOfCloudsBackend(StorageBackend):
                 tracker=self.health,
             )
         self.client = DepSkyClient(
-            sim, clouds, principal, f=f, encrypt=encrypt, preferred_quorums=True,
+            sim, clouds, principal, f=f, encrypt=encrypt,
             policy=policy, health=self.health, coalescer=coalescer,
             quorum=system, planner=planner,
         )

@@ -15,15 +15,8 @@ from repro.common.errors import ConfigurationError
 from repro.common.units import GB, MB
 from repro.clouds.dispatch import DispatchPolicy
 from repro.clouds.health import CloudHealthTracker, SuspicionPolicy
-from repro.clouds.quorums import (
-    ExplicitQuorumSystem,
-    QuorumSystem,
-    WeightedQuorumSystem,
-)
+from repro.clouds.quorums import QuorumSystem, ThresholdQuorumSystem, WeightedQuorumSystem
 from repro.core.modes import BackendKind, OperationMode
-
-#: Quorum-system modes accepted by :class:`QuorumConfig`.
-QUORUM_MODES = ("threshold", "weighted", "explicit")
 
 
 @dataclass(frozen=True)
@@ -112,11 +105,6 @@ class DispatchPolicyConfig:
     #: :class:`~repro.clouds.dispatch.InstantCoalescer` (the scale-out
     #: optimisation; off by default so existing variants replay unchanged).
     coalesce_instant: bool = False
-    #: Warm-start snapshot for the health tracker, as produced by
-    #: :meth:`~repro.clouds.health.CloudHealthTracker.export_state`.  An agent
-    #: restarted with its predecessor's snapshot resumes with a warm suspect
-    #: list instead of re-detecting every known-bad provider from scratch.
-    health_snapshot: tuple = ()
 
     @property
     def tracks_health(self) -> bool:
@@ -133,10 +121,6 @@ class DispatchPolicyConfig:
             raise ConfigurationError("the hedge delay must be positive")
         if self.suspicion_threshold < 0:
             raise ConfigurationError("the suspicion threshold must be non-negative")
-        if self.health_snapshot and not self.tracks_health:
-            raise ConfigurationError(
-                "health_snapshot requires suspicion tracking "
-                "(set suspicion_threshold > 0, or drop the snapshot)")
         if self.tracks_health:
             try:
                 self.suspicion().validate()
@@ -159,119 +143,78 @@ class DispatchPolicyConfig:
         )
 
     def make_tracker(self) -> CloudHealthTracker | None:
-        """Build the per-client health tracker, or ``None`` when disabled.
-
-        A configured :attr:`health_snapshot` is restored into the fresh
-        tracker, warming its suspect list across agent restarts.
-        """
+        """Build the per-client health tracker, or ``None`` when disabled."""
         if not self.tracks_health:
             return None
-        tracker = CloudHealthTracker(self.suspicion())
-        if self.health_snapshot:
-            tracker.restore_state(self.health_snapshot)
-        return tracker
+        return CloudHealthTracker(self.suspicion())
 
 
 @dataclass(frozen=True)
 class QuorumConfig:
     """Quorum-system selection of the cloud-of-clouds backend.
 
-    The default ``threshold`` mode reproduces the paper's uniform quorums
-    (``n - f`` acknowledgements, ``f + 1`` matching digests) byte-identically
-    — the backend keeps passing bare counts to the dispatch engine.  The
-    ``weighted`` and ``explicit`` modes build a
-    :class:`~repro.clouds.quorums.QuorumSystem` over the deployment's
-    providers and thread it through every DepSky quorum call; ``planner``
-    additionally ranks candidate quorums by expected cost × latency (see
+    Without ``weights`` (the default) the backend keeps the paper's uniform
+    threshold quorums: ``n - f`` acknowledgements, ``f + 1`` matching digests.
+    With them it builds a :class:`~repro.clouds.quorums.WeightedQuorumSystem`
+    over the deployment's providers, threads it through every DepSky quorum
+    call and ranks candidate quorums by expected cost × latency (see
     :class:`~repro.clouds.health.QuorumPlanner`).
     """
 
-    mode: str = "threshold"
-    #: Per-provider trust weights, e.g. ``(("amazon-s3", 1.2), ...)``
-    #: (``weighted`` mode; must cover the deployment's providers exactly).
+    #: Per-provider trust weights, e.g. ``(("amazon-s3", 1.2), ...)``; they
+    #: must cover the deployment's providers exactly.
     weights: tuple[tuple[str, float], ...] = ()
-    #: Total weight of providers that may fail simultaneously (``weighted``).
+    #: Total weight of providers that may fail simultaneously.
     fault_budget: float | None = None
-    #: Explicit quorum list (``explicit`` mode).
-    quorums: tuple[tuple[str, ...], ...] = ()
-    #: Fail-prone sets of the explicit system (``explicit`` mode).
-    fault_sets: tuple[tuple[str, ...], ...] = ()
-    #: Rank candidate quorums by expected cost × latency before dispatch
-    #: (non-threshold modes only).
-    planner: bool = True
 
     @property
-    def enabled(self) -> bool:
-        """True when a non-threshold quorum system is configured."""
-        return self.mode != "threshold"
+    def weighted(self) -> bool:
+        """True when a weighted quorum system is configured."""
+        return bool(self.weights)
 
-    def _build(self, universe: tuple[str, ...]) -> QuorumSystem:
-        if self.mode == "weighted":
-            return WeightedQuorumSystem(universe=universe, weights=self.weights,
-                                        fault_budget=self.fault_budget or 0.0)
-        return ExplicitQuorumSystem(universe=universe, quorums=self.quorums,
-                                    fault_sets=self.fault_sets)
+    def _build(self, universe: tuple[str, ...]) -> WeightedQuorumSystem:
+        return WeightedQuorumSystem(universe=universe, weights=self.weights,
+                                    fault_budget=self.fault_budget or 0.0)
 
     def validate(self) -> None:
         """Reject structurally invalid *and* infeasible quorum configurations.
 
-        Feasibility (quorum intersection + availability under the configured
-        fault structure) is checked here, at config time, against the
-        provider names the config itself names — not deferred to the first
-        quorum call.  :meth:`system_for` re-validates against the actual
-        deployment's providers.
+        Feasibility (quorum intersection + availability under the fault
+        budget) is checked here, at config time, against the provider names
+        the weights name — not deferred to the first quorum call.
+        :meth:`system_for` re-validates against the actual deployment's
+        providers.
         """
-        if self.mode not in QUORUM_MODES:
-            raise ConfigurationError(
-                f"unknown quorum mode {self.mode!r}; known modes: {QUORUM_MODES}")
-        if not self.enabled:
-            if self.weights or self.fault_budget is not None or self.quorums or self.fault_sets:
+        if not self.weighted:
+            if self.fault_budget is not None:
                 raise ConfigurationError(
-                    "threshold quorum mode takes no weights, fault budget, "
-                    "quorums or fault sets — set mode='weighted' or 'explicit'")
+                    "a fault budget needs per-provider weights (threshold "
+                    "quorums take no budget)")
             return
-        if self.mode == "weighted":
-            if not self.weights:
-                raise ConfigurationError("weighted quorum mode needs per-provider weights")
-            if self.fault_budget is None or self.fault_budget <= 0:
-                raise ConfigurationError("weighted quorum mode needs a positive fault budget")
-            universe = tuple(name for name, _ in self.weights)
-        else:
-            if not self.quorums:
-                raise ConfigurationError("explicit quorum mode needs at least one quorum")
-            universe = tuple(sorted(
-                {name for quorum in self.quorums for name in quorum}
-                | {name for fault_set in self.fault_sets for name in fault_set}))
+        if self.fault_budget is None or self.fault_budget <= 0:
+            raise ConfigurationError("weighted quorums need a positive fault budget")
         try:
-            self._build(universe).validate()
+            self._build(tuple(name for name, _ in self.weights)).validate()
         except ValueError as exc:
             raise ConfigurationError(str(exc)) from exc
 
-    def system_for(self, clouds: Sequence[str], f: int) -> QuorumSystem | None:
+    def system_for(self, clouds: Sequence[str], f: int) -> QuorumSystem:
         """The validated quorum system over the deployment's actual providers.
 
-        Returns ``None`` in threshold mode: the backend then keeps the legacy
-        integer counts (``n - f`` / ``f + 1``) so the default path stays
-        byte-identical.  Raises :class:`ConfigurationError` when the
-        configured provider names do not match the deployment, or when the
-        system fails its intersection/availability checks.
+        The uniform :class:`~repro.clouds.quorums.ThresholdQuorumSystem`
+        tolerating ``f`` without weights.  Raises
+        :class:`ConfigurationError` when the weights name other providers
+        than the deployment's, or when the system fails its
+        intersection/availability checks.
         """
-        if not self.enabled:
-            return None
         names = tuple(clouds)
-        if self.mode == "weighted":
-            configured = {name for name, _ in self.weights}
-            if configured != set(names):
-                raise ConfigurationError(
-                    f"weighted quorum weights name providers "
-                    f"{sorted(configured)} but the deployment has {sorted(names)}")
-        else:
-            configured = ({name for quorum in self.quorums for name in quorum}
-                          | {name for fault_set in self.fault_sets for name in fault_set})
-            if not configured <= set(names):
-                raise ConfigurationError(
-                    f"explicit quorum system names providers "
-                    f"{sorted(configured - set(names))} outside the deployment")
+        if not self.weighted:
+            return ThresholdQuorumSystem(names, f)
+        configured = {name for name, _ in self.weights}
+        if configured != set(names):
+            raise ConfigurationError(
+                f"weighted quorum weights name providers "
+                f"{sorted(configured)} but the deployment has {sorted(names)}")
         system = self._build(names)
         try:
             system.validate()
@@ -337,8 +280,8 @@ class SCFSConfig:
     #: Quorum dispatch policy (timeouts/retries/hedging) and cloud health
     #: tracking (suspect lists) of this agent's storage backend.
     dispatch: DispatchPolicyConfig = field(default_factory=DispatchPolicyConfig)
-    #: Quorum-system structure of the CoC backend (threshold/weighted/explicit);
-    #: the default threshold mode keeps the legacy integer-count quorums.
+    #: Quorum-system structure of the CoC backend: the paper's threshold
+    #: quorums by default, weighted ones when weights are given.
     quorum: QuorumConfig = field(default_factory=QuorumConfig)
     #: Retry/backoff policy of the transactional commit layer.
     transactions: TransactionConfig = field(default_factory=TransactionConfig)
@@ -358,9 +301,9 @@ class SCFSConfig:
         self.transactions.validate()
         if self.fault_tolerance < 0:
             raise ConfigurationError("fault tolerance must be non-negative")
-        if self.quorum.enabled and self.backend is not BackendKind.COC:
+        if self.quorum.weighted and self.backend is not BackendKind.COC:
             raise ConfigurationError(
-                "weighted/explicit quorum systems require the cloud-of-clouds "
+                "weighted quorum systems require the cloud-of-clouds "
                 "backend (a single cloud has no quorum structure)")
         if self.coordination_kind not in ("depspace", "zookeeper"):
             raise ConfigurationError(f"unknown coordination service {self.coordination_kind!r}")

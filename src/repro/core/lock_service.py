@@ -6,10 +6,16 @@ reached the cloud (on ``close`` in the blocking mode, after the background
 upload completes in the non-blocking mode).  Opening a file for reading never
 locks it — read-write conflicts are handled by the consistency anchor instead.
 
-Lock entries are ephemeral: if a client crashes while holding a lock, the
-lease expires and the file unlocks automatically.  In the non-sharing mode
-there is no coordination service and therefore no locking (a single user by
-definition cannot conflict with itself across agents sharing nothing).
+The lock service "is basically a wrapper for implementing coordination
+recipes for locking using the coordination service of choice" (§2.5.1).  The
+only strict requirement is that lock entries are *ephemeral*: if a client
+crashes while holding a lock, the lease expires and the file unlocks
+automatically.  Both concrete services satisfy this — DepSpace through a lease
+per lock, ZooKeeper through the session's — so the recipe here only adds
+re-entrant bookkeeping on top of the service's ``Lock`` and ``Unlock`` steps.
+In the non-sharing mode there is no coordination service and therefore no
+locking (a single user by definition cannot conflict with itself across agents
+sharing nothing).
 """
 
 from __future__ import annotations
@@ -17,14 +23,17 @@ from __future__ import annotations
 from typing import Callable, Sequence
 
 from repro.common.errors import LockHeldError
-from repro.coordination.base import CoordinationService, Session
-from repro.coordination.locks import Carrier, LockManager
+from repro.coordination.base import CoordinationService, Lock, Op, Session, Unlock
 from repro.core.metadata import FileMetadata
 from repro.simenv.environment import Simulation
 
+#: The command lock steps ride in: called once with the steps (possibly none),
+#: it sends them inside its own ``multi`` and raises iff that command was refused.
+Carrier = Callable[[Sequence[Op]], object]
+
 
 class LockService:
-    """Per-agent façade over the coordination service's lock recipe."""
+    """Per-agent lock recipe over the coordination service's ``Lock``/``Unlock`` steps."""
 
     def __init__(
         self,
@@ -34,15 +43,20 @@ class LockService:
     ):
         self.sim = sim
         self.coordination = coordination
+        self.session = session
         #: Optional observer of *actual* lock transitions, called as
         #: ``on_transition(kind, lock_name)`` with kind ``"lock"`` when the
         #: session first acquires a lock and ``"unlock"`` when the last
         #: re-entrant acquisition is released.  The scenario engine's trace
         #: recorder hooks in here.
         self.on_transition: Callable[[str, str], None] | None = None
-        self._manager: LockManager | None = None
-        if coordination is not None and session is not None:
-            self._manager = LockManager(sim=sim, service=coordination, session=session)
+        #: Lock name -> number of outstanding acquisitions by this session.  The
+        #: count makes re-entrant acquisition symmetric with release: the lock is
+        #: only returned to the coordination service when every acquisition has
+        #: been released.  (A flat set would release on the *first* release, which
+        #: let another client grab the lock while e.g. a second open of the same
+        #: file — or a pending non-blocking commit — was still writing.)
+        self.held: dict[str, int] = {}
 
     @staticmethod
     def lock_name(metadata: FileMetadata) -> str:
@@ -57,10 +71,15 @@ class LockService:
     @property
     def enabled(self) -> bool:
         """False in the non-sharing mode (no coordination service)."""
-        return self._manager is not None
+        return self.coordination is not None and self.session is not None
 
     def acquire(self, metadata: FileMetadata, send: Carrier | None = None) -> bool:
-        """Lock ``metadata`` for writing: the one-file case of :meth:`acquire_set`."""
+        """Lock ``metadata`` for writing: the one-file case of :meth:`acquire_set`.
+
+        A lock another client holds refuses it at once with
+        :class:`LockHeldError`, which the file system surfaces as an
+        open-for-writing error (§2.5.2); nothing waits or retries.
+        """
         return self.acquire_set([metadata], send)
 
     def release(self, metadata: FileMetadata) -> None:
@@ -74,36 +93,49 @@ class LockService:
         The transactional commit takes its whole (sorted) lock set this way.
         The lock rides in the command it guards: ``send``, when given, is the
         metadata command to run under the locks — it is called once with the
-        ``Lock`` steps to put in its own ``multi``; without it they go alone.
-        A re-entrant hold sends no step, and neither does a disabled lock
-        service, which returns False (callers need no special-casing of the
-        non-sharing mode).  On a refused command no name is taken, no ``lock``
-        transition fires, each re-entrant count is rolled back (an ``unlock``
-        fires for one a background commit inside ``send`` left at its last
-        acquisition) and :class:`LockHeldError` names the contended file;
-        otherwise one ``lock`` transition fires per name actually taken
-        (re-entrant names only gain a count, before the command is sent).
+        ``Lock`` steps to put in its own ``multi`` (none when every lock is
+        re-entrant) and must raise iff that command was refused; without it
+        the steps go alone.  A disabled lock service sends no step and returns
+        False (callers need no special-casing of the non-sharing mode).
+
+        A re-entrant name is counted *before* the command: nothing can refuse
+        it, and ``send`` advances the clock, so a background commit of this
+        agent may release one acquisition of it meanwhile — counted after,
+        that release would hand back a lock this call then claims to hold.
+        The names taken from the service are counted once the command
+        succeeded, and one ``lock`` transition fires per name taken.  A
+        refusal takes no name and fires no ``lock`` transition; it rolls each
+        re-entrant count back through :meth:`_release`, which returns (and
+        fires ``unlock`` for) a lock whose other acquisition was released
+        meanwhile, and a :class:`LockHeldError` names the contended file.
         """
-        if self._manager is None:
+        if self.coordination is None or self.session is None:
             if send is not None:
                 send(())
             return False
         # Two paths of a set may share a lock (the names survive renames):
         # the set takes, and :meth:`release_set` returns, that lock once.
         paths = {self.lock_name(metadata): metadata.path for metadata in metadatas}
-        held = [name for name in sorted(paths) if self._manager.holds(name)]
+        fresh = [name for name in sorted(paths) if name not in self.held]
+        reentrant = [name for name in sorted(paths) if name in self.held]
+        for name in reentrant:
+            self.held[name] += 1
+        steps = [Lock(name) for name in fresh]
         try:
-            taken = self._manager.acquire_set(sorted(paths), send)
-        except Exception as exc:
-            # The roll-back returns a re-entrant lock whose other acquisition
-            # a background commit released while the command was out.
-            self._transitions("unlock", [n for n in held if not self._manager.holds(n)])
+            if send is not None:
+                send(steps)
+            elif steps:
+                self.coordination.multi(steps, self.session)
+        except BaseException as exc:
+            self._release(reentrant)
             if isinstance(exc, LockHeldError):
                 raise LockHeldError(
                     f"{paths.get(exc.lock, exc.lock)} is locked for writing by another client",
                     lock=exc.lock) from exc
             raise
-        self._transitions("lock", taken)
+        for name in fresh:
+            self.held[name] = self.held.get(name, 0) + 1
+        self._transitions("lock", fresh)
         return True
 
     def release_set(self, metadatas: Sequence[FileMetadata]) -> None:
@@ -111,35 +143,55 @@ class LockService:
 
         Names not held are skipped.
         """
-        if self._manager is None:
-            return
-        self._transitions("unlock", self._manager.release_set(
-            sorted({self.lock_name(m) for m in metadatas})))
+        self._release(sorted({self.lock_name(m) for m in metadatas}))
+
+    def release_all(self) -> None:
+        """Release every lock held by this agent (unmount path).
+
+        Collapses any re-entrant counts: unmount means the client is done with
+        all of its files, so every lock is returned, in one command.
+        """
+        for name in self.held:
+            self.held[name] = 1
+        self._release(list(self.held))
+
+    def _release(self, names: Sequence[str]) -> None:
+        """Release one acquisition of each held name in ``names``, in one command.
+
+        The names whose last acquisition this was are handed back to the
+        coordination service together, and an ``unlock`` transition fires for
+        each.  When that command fails every count stays as it was.
+        """
+        mine = [name for name in dict.fromkeys(names) if name in self.held]
+        returned = [name for name in mine if self.held[name] == 1]
+        if returned and self.coordination is not None and self.session is not None:
+            self.coordination.multi([Unlock(name) for name in returned], self.session)
+        for name in mine:
+            self.held[name] -= 1
+            if self.held[name] == 0:
+                del self.held[name]
+        self._transitions("unlock", returned)
 
     def _transitions(self, kind: str, names: Sequence[str]) -> None:
         if self.on_transition is not None:
             for name in names:
                 self.on_transition(kind, name)
 
-    def release_all(self) -> None:
-        """Release every lock held by this agent (unmount path)."""
-        if self._manager is None:
-            return
-        names = list(self._manager.held)
-        self._manager.release_all()
-        self._transitions("unlock", names)
-
     def holds(self, metadata: FileMetadata) -> bool:
         """True if this agent currently holds the write lock of ``metadata``."""
-        return self._manager is not None and self._manager.holds(self.lock_name(metadata))
+        return self.lock_name(metadata) in self.held
 
     def still_held(self, metadata: FileMetadata) -> bool:
         """True when the coordination service still shows this agent as holder.
 
-        Unlike :meth:`holds` (local bookkeeping), this asks the service — a
-        lease may have expired under a long-running holder.  Always True with
-        locking disabled (nothing can be stolen without a lock service).
+        Both concrete services time lock leases from the *acquisition*: a
+        holder that stays busy past ``lease_seconds`` loses the lock silently
+        while :meth:`holds` keeps returning True.  Commit paths re-check here
+        before irreversible steps, turning a stolen lock into a clean abort
+        instead of a version fork.  Always True with locking disabled (nothing
+        can be stolen without a lock service).
         """
-        if self._manager is None:
+        if self.coordination is None or self.session is None:
             return True
-        return self._manager.still_held(self.lock_name(metadata))
+        name = self.lock_name(metadata)
+        return name in self.held and self.coordination.lock_holder(name) == self.session.session_id

@@ -103,7 +103,7 @@ from repro.clouds.dispatch import (
 _MUTATING_OPS = frozenset({"block_put", "meta_put", "block_delete", "acl"})
 from repro.clouds.health import CloudHealthTracker, QuorumPlanner, expected_latency
 from repro.clouds.object_store import ObjectStore, ObjectVersion
-from repro.clouds.quorums import QuorumSystem, as_quorum, min_size as quorum_min_size
+from repro.clouds.quorums import QuorumPredicate, QuorumSystem, ThresholdQuorumSystem
 from repro.crypto.cipher import KEY_SIZE, NONCE_SIZE, TAG_SIZE, SymmetricCipher, generate_key
 from repro.crypto.erasure import CodedBlock, ErasureCoder
 from repro.crypto.hashing import content_digest
@@ -213,12 +213,6 @@ class DepSkyClient:
     encrypt:
         Encrypt payloads with a per-version random key (Figure 6).  Disabling
         encryption models DepSky-A (availability only).
-    preferred_quorums:
-        Store data blocks only on the first ``n - f`` clouds of the preferred
-        order (the head still goes everywhere).  This is the cost
-        optimisation the paper assumes in Figure 11(c): for f=1 two clouds
-        store half the file each and a third stores one extra coded block,
-        i.e. ~50 % storage overhead.
     charge_latency:
         Charge quorum latencies to the simulated clock (``False`` for clients
         that are not the system under test: the scenario checkers' reads, unit
@@ -234,13 +228,13 @@ class DepSkyClient:
         clouds are demoted out of the primary stage and probed in the
         background) and every resolved request feeds the tracker.
     quorum:
-        Optional :class:`~repro.clouds.quorums.QuorumSystem` replacing the
-        uniform threshold counts: write acknowledgements complete when the
-        responder set satisfies the system's *quorum* predicate, and the
-        ``f + 1`` matching-record checks of the head agreement generalize
-        to the system's *certificate* predicate (a confirming set that cannot
-        consist entirely of faulty providers).  ``None`` keeps the classic
-        DepSky counts (``n - f`` / ``f + 1``) byte-identically.
+        The :class:`~repro.clouds.quorums.QuorumSystem` over the clouds:
+        write acknowledgements complete when the responder set satisfies its
+        *quorum* predicate, and the head agreement's matching-record checks
+        need its *certificate* predicate (a confirming set that cannot
+        consist entirely of faulty providers).  ``None`` is the classic
+        DepSky :class:`~repro.clouds.quorums.ThresholdQuorumSystem`
+        (``n - f`` / ``f + 1``).
     planner:
         Optional :class:`~repro.clouds.health.QuorumPlanner`.  When set, the
         head read and the block fetch pick their primary stage as the
@@ -256,7 +250,6 @@ class DepSkyClient:
         principal: Principal,
         f: int = 1,
         encrypt: bool = True,
-        preferred_quorums: bool = True,
         charge_latency: bool = True,
         policy: DispatchPolicy | None = None,
         health: CloudHealthTracker | None = None,
@@ -268,10 +261,13 @@ class DepSkyClient:
             raise ValueError("f must be non-negative")
         if len(clouds) < 3 * f + 1:
             raise ValueError(f"DepSky with f={f} needs at least {3 * f + 1} clouds, got {len(clouds)}")
-        if quorum is not None and set(quorum.universe) != {c.name for c in clouds}:
+        names = tuple(c.name for c in clouds)
+        #: The quorum system every call's acknowledgements and certificates use.
+        self.quorum: QuorumSystem = quorum or ThresholdQuorumSystem(names, f)
+        if set(self.quorum.universe) != set(names):
             raise ValueError(
-                f"quorum system universe {sorted(quorum.universe)} does not "
-                f"match the deployed clouds {sorted(c.name for c in clouds)}")
+                f"quorum system universe {sorted(self.quorum.universe)} does not "
+                f"match the deployed clouds {sorted(names)}")
         self.sim = sim
         #: The clouds in :func:`preferred_order`: ``clouds[i]`` holds block ``i``.
         self.clouds = preferred_order(clouds)
@@ -280,12 +276,10 @@ class DepSkyClient:
         self.n = len(clouds)
         self.k = f + 1
         self.encrypt = encrypt
-        self.preferred_quorums = preferred_quorums
         self.charge_latency = charge_latency
         self.policy = policy
         self._timeout = policy.timeout if policy is not None else None
         self.health = health
-        self.quorum = quorum
         self.planner = planner
         #: Optional deployment-wide :class:`InstantCoalescer`: identical
         #: head read quorums issued in the same virtual instant (by this
@@ -354,20 +348,10 @@ class DepSkyClient:
     def _call(self) -> QuorumCall:
         return QuorumCall(self.policy, health=self.health, now=self.sim.now())
 
-    def _write_quorum(self):
-        """Ack requirement of mutating calls: a quorum predicate, or the
-        classic ``n - f`` count when no quorum system is configured."""
-        return self.quorum.quorum() if self.quorum is not None else self.n - self.f
-
-    def _certificate(self):
-        """Confirmation requirement of the head agreement: a certificate
-        predicate, or the classic ``f + 1`` count."""
-        return self.quorum.certificate() if self.quorum is not None else self.k
-
     def _certifies(self, clouds: Iterable[str]) -> bool:
         """True when ``clouds`` cannot all be faulty: what they agree on is so.
         (A cloud counts once, however often it said it.)"""
-        return as_quorum(self._certificate()).satisfied_by(tuple(dict.fromkeys(clouds)))
+        return self.quorum.certifies(dict.fromkeys(clouds))
 
     def _request(self, cloud: ObjectStore, kind: str, size: int, send: Callable[[], Any],
                  latency: Callable[[Any], float] | None = None,
@@ -449,7 +433,7 @@ class DepSkyClient:
         the quorum.
         """
         key = self._meta_key(unit_id)
-        required = self._certificate()
+        required = self.quorum.certificate()
         coalesce_key = None
         if self.coalescer is not None:
             # Keyed per principal: cached heads must never satisfy a caller
@@ -457,7 +441,7 @@ class DepSkyClient:
             coalesce_key = (self.principal.name, key)
             absorbed = self.coalescer.lookup(coalesce_key)
             if absorbed is not None:
-                return absorbed, self.coalescer.absorbed(quorum_min_size(required))
+                return absorbed, self.coalescer.absorbed(required.min_size)
 
         def parse(blob: bytes) -> VersionRecord:
             try:
@@ -509,8 +493,9 @@ class DepSkyClient:
         """Write a new version of ``unit_id`` containing ``data``.
 
         Returns the version record (whose ``data_digest`` the SCFS metadata
-        service will anchor in the coordination service).  The one-item case
-        of :meth:`write_many`.
+        service will anchor in the coordination service).  The writer has no
+        anchor to number from, so it asks the clouds — one head-read quorum
+        call (``n`` GETs) — and hands :meth:`write_numbered` the number below.
 
         ``min_version`` is a lower bound on the new version number, supplied
         by a caller holding a strongly consistent counter (SCFS passes the
@@ -521,27 +506,10 @@ class DepSkyClient:
         ``1 + max(min_version - 1, this client's floor, the vouched head
         version)`` (:meth:`_vouched_version`).
         """
-        return self.write_many([(unit_id, data, min_version)])[0]
-
-    def write_many(
-            self, items: Sequence[tuple[str, bytes, int | None]]) -> list[VersionRecord]:
-        """Write one new version of each of several (distinct) data units together.
-
-        ``items`` are ``(unit_id, data, min_version)`` as for :meth:`write`:
-        the writer has no anchor to number from, so it asks the clouds — one
-        head-read quorum call per unit (``n`` GETs), all in parallel — and
-        hands :meth:`write_numbered` ``1 + max(min_version - 1, the vouched
-        head version)`` for each.  Three phases in lockstep, each costing the
-        wait of its *slowest* member, once.
-        """
-        unit_ids = self._one_version_each(items)
-        if not items:
-            return []
-        reads = [self._read_heads(unit_id) for unit_id in unit_ids]
-        self._charge(*(meta_stats for _heads, meta_stats in reads))
-        return self.write_numbered([
-            (unit_id, data, 1 + max((min_version or 1) - 1, self._vouched_version(heads)))
-            for (unit_id, data, min_version), (heads, _stats) in zip(items, reads, strict=True)])
+        heads, meta_stats = self._read_heads(unit_id)
+        self._charge(meta_stats)
+        version = 1 + max((min_version or 1) - 1, self._vouched_version(heads))
+        return self.write_numbered([(unit_id, data, version)])[0]
 
     def write_numbered(self, items: Sequence[tuple[str, bytes, int]]) -> list[VersionRecord]:
         """Write ``version`` of each of several (distinct) data units together.
@@ -576,10 +544,8 @@ class DepSkyClient:
         :class:`QuorumNotReachedError` before any unit's head is touched: no
         version of the batch becomes readable.
         """
-        unit_ids = self._one_version_each(items)
-        if not items:
-            return []
-        required_acks = self._write_quorum()
+        unit_ids = [unit_id for unit_id, _data, _version in items]
+        required_acks = self.quorum.quorum()
         records: list[VersionRecord] = []
         block_stats: list[QuorumCallStats] = []
         for unit_id, data, version in items:
@@ -608,7 +574,7 @@ class DepSkyClient:
         to charge: a dry run of its block-put and head-put calls, built by the
         same code.  Nothing is coded or sent."""
         blob_size = self._blob_size(num_bytes)
-        required = self._write_quorum()
+        required = self.quorum.quorum()
         blocks = self._block_put_call(lambda index: self._request(
             self.clouds[index], "object_put", blob_size, _unsent, mutating=True))
         heads = self._head_put_call("", self._shape(num_bytes, self.sim.now()))
@@ -651,22 +617,14 @@ class DepSkyClient:
         return self._call().stage([self._put_request(c, key, head) for c in self.clouds])
 
     @staticmethod
-    def _one_version_each(items: Sequence[tuple[str, bytes, int | None]]) -> list[str]:
-        """The unit ids of a batch, which must be distinct (checked before any request)."""
-        unit_ids = [unit_id for unit_id, _data, _version in items]
-        if len(set(unit_ids)) != len(unit_ids):
-            raise ValueError("a batch takes one version per data unit")
-        return unit_ids
-
-    @staticmethod
-    def _require_acks(unit_ids: list[str], stats: list[QuorumCallStats], required,
-                      what: str) -> None:
+    def _require_acks(unit_ids: list[str], stats: list[QuorumCallStats],
+                      required: QuorumPredicate, what: str) -> None:
         """Raise for the first unit whose ``what`` put missed its write quorum."""
         for unit_id, call in zip(unit_ids, stats, strict=True):
             if not call.reached:
                 raise QuorumNotReachedError(
                     f"only {len(call.successes)} clouds acknowledged the {what} of {unit_id!r}",
-                    responses=len(call.successes), required=quorum_min_size(required),
+                    responses=len(call.successes), required=required.min_size,
                 )
 
     def _stage_version(self, unit_id: str, version: int,
@@ -777,8 +735,8 @@ class DepSkyClient:
 
     def _holders(self) -> int:
         """How many clouds (the first of :attr:`clouds`) a write gives blocks to:
-        ``n - f`` with preferred quorums (spill-over aside), else all ``n``."""
-        return self.n - self.f if self.preferred_quorums else self.n
+        ``n - f``, spill-over aside (the preferred quorum of Figure 11(c))."""
+        return self.n - self.f
 
     def _visible_at(self, index: int, record: VersionRecord) -> float:
         """When block ``index`` of ``record`` is expected to be readable: the
@@ -815,9 +773,9 @@ class DepSkyClient:
         planned around rather than hedged after the fact); the decode handles
         any ``k`` rows, so planning only shifts *which* blocks are fetched.
         """
-        # With preferred quorums only the first n - f clouds hold data blocks
-        # (spill-over aside): neither the staging nor the planner may put the
-        # block-less tail in the primary stage.
+        # Only the first n - f clouds hold data blocks (spill-over aside):
+        # neither the staging nor the planner may put the block-less tail in
+        # the primary stage.
         holders = self._holders()
         block = max(1, record.size // self.k)
         now = self.sim.now()
@@ -961,7 +919,7 @@ class DepSkyClient:
             return self._request(cloud, "object_list", 0, send)
 
         stats = self._call().stage(
-            [list_request(c) for c in self.clouds]).execute(required=self._write_quorum())
+            [list_request(c) for c in self.clouds]).execute(required=self.quorum.quorum())
         self._tap("list", unit_id, stats)
         self._charge(stats)
         listed: dict[tuple[int, str], list[tuple[str, ObjectVersion]]] = {}
@@ -1005,7 +963,7 @@ class DepSkyClient:
 
         delete_stats = self._call().stage(
             [delete_request(i) for i in range(self.n)]
-        ).execute(required=self._write_quorum())
+        ).execute(required=self.quorum.quorum())
         self._tap("block_delete", unit_id, delete_stats)
         self._charge(delete_stats)
         return delete_stats.reached
@@ -1049,7 +1007,7 @@ class DepSkyClient:
 
         stats = self._call().stage(
             [acl_request(c) for c in self.clouds]
-        ).execute(required=self._write_quorum())
+        ).execute(required=self.quorum.quorum())
         self._tap("acl", unit_id, stats)
         self._charge(stats)
 

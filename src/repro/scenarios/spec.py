@@ -434,7 +434,6 @@ def _faults_for_mix(mix: str, rng, agents: int = 3) -> tuple[tuple[FaultPhase, .
         light = 1 + rng.randrange(3)
         replica = rng.randrange(4)
         quorum = QuorumConfig(
-            mode="weighted",
             weights=(("amazon-s3", 1.2), ("google-storage", 1.0),
                      ("rackspace-files", 1.0), ("windows-azure", 1.0)),
             fault_budget=1.2,

@@ -19,6 +19,8 @@ succeeds: a GET of a stored object, published to a coalescer.  Then:
 
 from __future__ import annotations
 
+import dataclasses
+
 from hypothesis import given, settings, strategies as st
 
 from repro.clouds.dispatch import DispatchPolicy, InstantCoalescer, QuorumCall, QuorumRequest
@@ -87,7 +89,8 @@ def _state(sim, clouds, tracker, transitions, coalescer) -> tuple:
         sim.rng.getstate(),
         [(list(cloud.request_log), cloud.costs.snapshot()) for cloud in clouds],
         (tracker.suspicions, tracker.recoveries, tracker.probes, tracker.demoted_requests,
-         tracker.skipped_requests, tracker.conservative_reverts, tracker.export_state()),
+         tracker.skipped_requests, tracker.conservative_reverts,
+         sorted(dataclasses.astuple(record) for record in tracker._clouds.values())),
         list(transitions),
         (coalescer.generation, coalescer.hits, coalescer.misses, dict(coalescer._cache)),
     )

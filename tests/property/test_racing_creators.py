@@ -16,7 +16,7 @@ Afterwards
   opened that very file, and an open that failed failed with ``LockHeldError``
   — never ``FileExistsErrorFS``: losing the race to create is not an error of
   ``open(O_CREAT)``;
-* once every handle is closed ``LockManager.held`` is empty on every mount
+* once every handle is closed ``LockService.held`` is empty on every mount
   and the coordination service shows no holder for any lock a mount took.
 """
 
@@ -98,7 +98,7 @@ def test_racing_creators_create_once_and_leave_no_lock(case):
     assert len(opens) == outcomes.count("opened")
     assert [event["created"] for event in opens].count(True) == 1
     assert len({event["file_id"] for event in opens}) == 1
-    assert all(fs.agent.locks._manager.held == {} and fs.agent.open_handles() == 0
+    assert all(fs.agent.locks.held == {} and fs.agent.open_handles() == 0
                for fs in mounts)
     taken = sorted({event["lock"] for event in events if event["kind"] == "lock"})
     assert f"filelock:{opens[0]['file_id']}" in taken

@@ -12,7 +12,7 @@ wanted lock held by someone else, a failed ``expected_version``, a denied READ
 — and asserts that afterwards
 
 * the caller holds no lock it did not hold before (and still holds those),
-* ``LockManager.held`` and the ``on_transition`` history are unchanged,
+* ``LockService.held`` and the ``on_transition`` history are unchanged,
 * no entry changed on the partition that refused — nor anywhere at all when a
   *lock* was refused: a ``Get``/``Put`` never executes before every ``Lock``
   it rides with is granted,
@@ -123,7 +123,7 @@ def test_refused_riding_command_leaves_locks_entries_and_bookkeeping_alone(case)
         refusing = PRIVATE
     else:
         refusing = _lock(victim)
-    held, recorded = dict(locks._manager.held), list(transitions)
+    held, recorded = dict(locks.held), list(transitions)
     with pytest.raises(LockHeldError if refusal == "held" else ConflictError):
         if acquiring:
             locks.acquire_set([_meta(file_id) for file_id in wanted],
@@ -131,7 +131,7 @@ def test_refused_riding_command_leaves_locks_entries_and_bookkeeping_alone(case)
         else:
             service.multi([*steps, *(Unlock(_lock(file_id)) for file_id in wanted)], alice)
 
-    assert locks._manager.held == held and transitions == recorded
+    assert locks.held == held and transitions == recorded
     for file_id in FILES:
         owner = alice if file_id in held_before else bob if (
             refusal == "held" and file_id == victim) else None
@@ -160,11 +160,11 @@ def test_accepted_riding_command_settles_counts_and_applies_every_step(case):
     locks.acquire_set(wanted, lambda also: answers.extend(
         service.multi([*also, *steps], alice)[len(also):]))
     assert [a.version for a in answers] == [1 if isinstance(s, Get) else 2 for s in steps]
-    assert locks._manager.held == {
+    assert locks.held == {
         _lock(f): (f in case["held"]) + (f in case["wanted"])
         for f in sorted(case["held"] | case["wanted"])}
     locks.release_set(wanted)
-    assert sorted(locks._manager.held) == sorted(map(_lock, case["held"]))
+    assert sorted(locks.held) == sorted(map(_lock, case["held"]))
     for file_id in FILES:
         holder = service.lock_holder(_lock(file_id))
         assert holder == (alice.session_id if file_id in case["held"] else None)
@@ -262,7 +262,7 @@ def test_riding_command_keeps_every_count_with_the_service(case):
     for name in FILES:
         hold = (name in case["held"]) - (name in pending) + (name in wanted and not refused)
         lock = LockService.lock_name(metas[name])
-        assert locks._manager.hold_count(lock) == hold, name
+        assert locks.held.get(lock, 0) == hold, name
         mine = service.lock_holder(lock) == alice.session_id
         assert mine == (hold > 0) == (lock in taken), name
         if count:  # at home, wherever the entry went since

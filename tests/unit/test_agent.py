@@ -178,7 +178,7 @@ class TestNamespaceOperations:
         assert raised.value.errno_name == "ENOTDIR"
         assert fs.readdir("/top") == ["f", "g"]
         assert deployment.coordination.list_prefix("meta:/top/f/", fs.agent.session) == []
-        assert fs.read_file("/top/f") == b"a file" and fs.agent.locks._manager.held == {}
+        assert fs.read_file("/top/f") == b"a file" and fs.agent.locks.held == {}
 
     def test_readdir_of_file_fails(self, coc_nb):
         _, fs = coc_nb
@@ -357,6 +357,13 @@ class TestOneCommitPath:
         assert not any(fields["background"] for kind, fields in blocking_events
                        if kind in ("upload", "commit"))
 
+    def test_every_lock_transition_is_a_lock_or_unlock_event(self):
+        events, _anchor, _keys = self._closed("SCFS-CoC-B")
+        locks = [(kind, fields["lock"]) for kind, fields in events if "lock" in fields]
+        name = locks[0][1]
+        assert name.startswith("filelock:")
+        assert locks == [("lock", name), ("unlock", name)] * 2
+
     def test_background_commit_charges_nothing(self):
         deployment = SCFSDeployment.for_variant("SCFS-CoC-NB", seed=23)
         fs = deployment.create_agent("alice")
@@ -447,7 +454,7 @@ class TestLockingBetweenClients:
         with pytest.raises(QuorumNotReachedError):
             alice.close(handle)
         assert alice.agent.open_handles() == 0
-        assert alice.agent.locks._manager.held == {}
+        assert alice.agent.locks.held == {}
         for cloud in deployment.clouds[:2]:
             cloud.failures.clear()  # healed, so that bob's open can fetch v1
         bob_handle = bob.open("/shared.txt", "r+")  # LockHeldError until unmount, before the fix
@@ -467,7 +474,7 @@ class TestLockingBetweenClients:
         # The replicas refuse the anchor: the version stays an orphan, as one
         # of a re-created path does, and the lock goes back all the same.
         bob.close(handle)
-        assert "filelock:" + bob.stat("/shared.txt").file_id not in bob.agent.locks._manager.held
+        assert "filelock:" + bob.stat("/shared.txt").file_id not in bob.agent.locks.held
         alice.close(alice.open("/shared.txt", "r+"))
         assert alice.read_file("/shared.txt") == b"v1"
 

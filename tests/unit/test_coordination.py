@@ -6,7 +6,7 @@ import random
 import pytest
 
 from repro.common.errors import ConflictError, QuorumNotReachedError, TupleNotFoundError
-from repro.common.errors import LockHeldError, NotLockOwnerError
+from repro.common.errors import LockHeldError
 from repro.common.types import Permission
 from repro.coordination.adapters import (
     DepSpaceCoordination,
@@ -15,7 +15,6 @@ from repro.coordination.adapters import (
 )
 from repro.coordination.base import Get, Lock, Put, Unlock
 from repro.coordination.entries import Holder
-from repro.coordination.locks import LockManager
 from repro.coordination.partitioned import PartitionedCoordination
 from repro.coordination.replication import (
     FaultModel,
@@ -25,6 +24,8 @@ from repro.coordination.replication import (
 )
 from repro.coordination.tuplespace import DepSpace
 from repro.coordination.zookeeper import ZooKeeperLike
+from repro.core.lock_service import LockService
+from repro.core.metadata import FileMetadata, FileType
 
 
 def _take(replica, names, now, session="s1", deadline=10.0):
@@ -548,28 +549,30 @@ class TestZooKeeperLockExpiry:
         assert service.try_lock("f", service.open_session(bob))
 
 
-class TestLockManager:
-    def _manager(self, sim, alice):
+def _file(file_id: str) -> FileMetadata:
+    """A file whose lock is ``filelock:<file_id>``."""
+    return FileMetadata(path=f"/{file_id}", file_type=FileType.FILE, owner="alice",
+                        file_id=file_id)
+
+
+class TestLockService:
+    def _locks(self, sim, alice):
         service = make_coordination_service(sim, "depspace", f=0)
-        session = service.open_session(alice)
-        return LockManager(sim=sim, service=service, session=session), service
+        return LockService(sim, service, service.open_session(alice)), service
 
     def test_acquire_and_release(self, sim, alice):
-        manager, _ = self._manager(sim, alice)
-        manager.acquire("L")
-        assert manager.holds("L")
-        manager.release("L")
-        assert not manager.holds("L")
+        locks, _ = self._locks(sim, alice)
+        locks.acquire(_file("L"))
+        assert locks.holds(_file("L"))
+        locks.release(_file("L"))
+        assert not locks.holds(_file("L"))
 
     def test_reentrant_acquire(self, sim, alice):
-        manager, _ = self._manager(sim, alice)
-        assert manager.try_acquire("L")
-        assert manager.try_acquire("L")
-
-    def test_release_unheld_lock_raises(self, sim, alice):
-        manager, _ = self._manager(sim, alice)
-        with pytest.raises(NotLockOwnerError):
-            manager.release("L")
+        locks, service = self._locks(sim, alice)
+        assert locks.acquire(_file("L")) and locks.acquire(_file("L"))
+        assert locks.held == {"filelock:L": 2}
+        locks.release(_file("L"))
+        assert service.lock_holder("filelock:L") == locks.session.session_id
 
     def test_acquire_conflict_is_refused_at_once(self, sim, alice, bob):
         """§2.5.2: a held lock fails the open at once.
@@ -580,37 +583,42 @@ class TestLockManager:
         service = make_coordination_service(sim, "depspace", f=0)
         s1 = service.open_session(alice)
         s2 = service.open_session(bob)
-        holder = LockManager(sim=sim, service=service, session=s1)
-        waiter = LockManager(sim=sim, service=service, session=s2)
-        holder.acquire("L")
+        holder = LockService(sim, service, s1)
+        waiter = LockService(sim, service, s2)
+        holder.acquire(_file("L"))
         replay = random.Random()
         replay.setstate(sim.rng.getstate())
         commands, refused_at = service.rsm.commands_executed, sim.now() + service.rsm.latency.sample(0, replay)
-        with pytest.raises(LockHeldError):
-            waiter.acquire("L")
+        with pytest.raises(LockHeldError, match="/L is locked"):
+            waiter.acquire(_file("L"))
         assert service.rsm.commands_executed == commands + 1
         assert sim.now() == refused_at and sim.rng.getstate() == replay.getstate()
-        assert not waiter.holds("L") and service.lock_holder("L") == s1.session_id
+        assert not waiter.holds(_file("L")) and service.lock_holder("filelock:L") == s1.session_id
 
     def test_acquire_set_is_all_or_none_and_reentrant(self, sim, alice, bob):
-        manager, service = self._manager(sim, alice)
-        other = LockManager(sim=sim, service=service, session=service.open_session(bob))
-        other.acquire("L3")
-        manager.acquire("L1")
+        locks, service = self._locks(sim, alice)
+        other = LockService(sim, service, service.open_session(bob))
+        l1, l2, l3 = _file("L1"), _file("L2"), _file("L3")
+        other.acquire(l3)
+        locks.acquire(l1)
         with pytest.raises(LockHeldError) as refused:
-            manager.acquire_set(["L1", "L2", "L3"])
-        assert refused.value.lock == "L3"
-        assert manager.held == {"L1": 1} and service.lock_holder("L2") is None
-        other.release("L3")
+            locks.acquire_set([l1, l2, l3])
+        assert refused.value.lock == "filelock:L3"
+        assert locks.held == {"filelock:L1": 1} and service.lock_holder("filelock:L2") is None
+        other.release(l3)
         commands = service.rsm.commands_executed
-        assert manager.acquire_set(["L1", "L2", "L3"]) == ["L2", "L3"]  # L1 only gains a count
+        transitions = []
+        locks.on_transition = lambda kind, name: transitions.append((kind, name))
+        assert locks.acquire_set([l1, l2, l3])  # L1 only gains a count
+        assert transitions == [("lock", "filelock:L2"), ("lock", "filelock:L3")]
         assert service.rsm.commands_executed == commands + 1
-        assert manager.held == {"L1": 2, "L2": 1, "L3": 1}
-        assert manager.release_set(["L1", "L2", "L3"]) == ["L2", "L3"]
+        assert locks.held == {"filelock:L1": 2, "filelock:L2": 1, "filelock:L3": 1}
+        locks.release_set([l1, l2, l3])
+        assert transitions[2:] == [("unlock", "filelock:L2"), ("unlock", "filelock:L3")]
         assert service.rsm.commands_executed == commands + 2
-        assert manager.held == {"L1": 1} and service.lock_holder("L1") is not None
-        assert manager.release_set(["L1", "unheld"]) == ["L1"]
-        assert service.lock_holder("L1") is None
+        assert locks.held == {"filelock:L1": 1} and service.lock_holder("filelock:L1") is not None
+        locks.release_set([l1, _file("unheld")])
+        assert service.lock_holder("filelock:L1") is None
 
     def test_a_release_inside_the_riding_command_keeps_the_reentrant_hold(self, sim, alice):
         """A background commit's release that comes due while ``send`` is out.
@@ -618,41 +626,62 @@ class TestLockManager:
         Its acquisition is one of two by then: counted only after ``send``,
         the re-entrant one would have let the release hand the lock back.
         """
-        manager, service = self._manager(sim, alice)
-        manager.acquire("L")
-        sim.schedule(0.01, lambda: manager.release("L"))
-        assert manager.acquire_set(["L"], lambda steps: sim.advance(0.05)) == []
-        assert service.lock_holder("L") == manager.session.session_id
-        assert manager.held == {"L": 1}
+        locks, service = self._locks(sim, alice)
+        locks.acquire(_file("L"))
+        sim.schedule(0.01, lambda: locks.release(_file("L")))
+        sent = []
+        assert locks.acquire(_file("L"), lambda steps: sent.append(steps) or sim.advance(0.05))
+        assert sent == [[]]  # a re-entrant hold sends no Lock step
+        assert service.lock_holder("filelock:L") == locks.session.session_id
+        assert locks.held == {"filelock:L": 1}
 
     def test_a_refused_riding_command_rolls_the_reentrant_count_back(self, sim, alice):
-        manager, service = self._manager(sim, alice)
-        manager.acquire("L")
+        locks, service = self._locks(sim, alice)
+        transitions = []
+        locks.acquire(_file("L"))
+        locks.on_transition = lambda kind, name: transitions.append((kind, name))
 
         def refused(steps) -> None:
-            raise LockHeldError("refused", lock="M")
+            raise LockHeldError("refused", lock="filelock:M")
 
         with pytest.raises(LockHeldError):
-            manager.acquire_set(["L"], refused)
-        assert manager.held == {"L": 1} and service.lock_holder("L") is not None
+            locks.acquire(_file("L"), refused)
+        assert locks.held == {"filelock:L": 1} and service.lock_holder("filelock:L") is not None
+        assert transitions == []
         # The other acquisition was released while the command was out: the
         # roll-back is the last one, and it hands the lock back.
-        sim.schedule(0.01, lambda: manager.release("L"))
+        sim.schedule(0.01, lambda: locks.release(_file("L")))
 
         def released_then_refused(steps) -> None:
             sim.advance(0.05)
             refused(steps)
 
         with pytest.raises(LockHeldError):
-            manager.acquire_set(["L"], released_then_refused)
-        assert manager.held == {} and service.lock_holder("L") is None
+            locks.acquire(_file("L"), released_then_refused)
+        assert locks.held == {} and service.lock_holder("filelock:L") is None
+        assert transitions == [("unlock", "filelock:L")]
+
+    def test_a_failed_unlock_command_leaves_the_counts_as_they_were(self, sim, alice):
+        locks, service = self._locks(sim, alice)
+        locks.acquire_set([_file("L1"), _file("L2")])
+        locks.acquire(_file("L2"))
+
+        def unreachable(ops, session):
+            raise QuorumNotReachedError("the replicas are down", responses=0, required=1)
+
+        service.multi = unreachable
+        with pytest.raises(QuorumNotReachedError):
+            locks.release_set([_file("L1"), _file("L2")])
+        assert locks.held == {"filelock:L1": 1, "filelock:L2": 2}
 
     def test_release_all(self, sim, alice):
-        manager, service = self._manager(sim, alice)
-        manager.acquire("L1")
-        manager.acquire("L2")
-        manager.release_all()
-        assert service.lock_holder("L1") is None and service.lock_holder("L2") is None
+        locks, service = self._locks(sim, alice)
+        locks.acquire(_file("L1"))
+        locks.acquire(_file("L2"))
+        locks.acquire(_file("L2"))
+        locks.release_all()
+        assert locks.held == {}
+        assert service.lock_holder("filelock:L1") is None and service.lock_holder("filelock:L2") is None
 
     def test_make_coordination_service_rejects_unknown_kind(self, sim):
         with pytest.raises(ValueError):

@@ -55,9 +55,9 @@ import pytest
 from repro.common.errors import ConflictError, TransactionConflictError
 from repro.common.types import Permission, Principal
 from repro.coordination import PartitionedCoordination, make_coordination_service
-from repro.coordination.locks import LockManager
 from repro.core.deployment import SCFSDeployment
 from repro.core.lock_service import LockService
+from repro.core.metadata import FileMetadata, FileType
 from repro.core.metadata_service import MetadataService
 
 KINDS = {
@@ -546,16 +546,18 @@ def test_releasing_every_lock_is_one_command_per_partition_and_one_round_trip(si
     services = [make_coordination_service(sim, "depspace", f=0) for _ in range(partitions)]
     coordination = PartitionedCoordination(services, lambda key, n: int(key[-1]) % n)
     session = coordination.open_session(Principal(name="alice", canonical_ids=()))
-    manager = LockManager(sim=sim, service=coordination, session=session)
-    names = ["L0", "L1", "L2"]
-    manager.acquire_set(names)
-    manager.acquire("L1")  # a re-entrant hold: collapsed, not one more command
+    locks = LockService(sim, coordination, session)
+    files = [FileMetadata(path=f"/f{index}", file_type=FileType.FILE, owner="alice",
+                          file_id=str(index)) for index in range(3)]
+    locks.acquire_set(files)
+    locks.acquire(files[1])  # a re-entrant hold: collapsed, not one more command
     commands = sum(service.rsm.commands_executed for service in services)
     state, start = sim.rng.getstate(), sim.now()
-    manager.release_all()
+    locks.release_all()
     assert sum(service.rsm.commands_executed for service in services) - commands == partitions
     assert sim.now() == start + max(_draws(state, services))
-    assert manager.held == {} and [coordination.lock_holder(name) for name in names] == [None] * 3
+    assert locks.held == {} and [coordination.lock_holder(LockService.lock_name(meta))
+                                 for meta in files] == [None] * 3
 
 
 README = Path(__file__).resolve().parents[2] / "README.md"

@@ -238,6 +238,11 @@ class TestLockService:
         assert service.acquire(_file_meta()) is False
         service.release(_file_meta())  # no-op, must not raise
 
+    def test_disabled_service_still_sends_the_riding_command(self, sim):
+        sent = []
+        assert LockService(sim, None, None).acquire(_file_meta(), sent.append) is False
+        assert sent == [()] and LockService(sim, None, None).held == {}
+
     def test_acquire_and_release(self, sim, coordination, alice):
         session = coordination.open_session(alice)
         service = LockService(sim, coordination, session)

@@ -5,6 +5,7 @@ import hashlib
 import pytest
 
 from repro.clouds.providers import make_cloud_of_clouds
+from repro.clouds.quorums import CountQuorum, ThresholdQuorumSystem
 from repro.common.errors import IntegrityError, ObjectNotFoundError, QuorumNotReachedError
 from repro.common.types import Permission
 from repro.depsky.dataunit import VersionRecord
@@ -228,10 +229,11 @@ class TestDepSkyClient:
     def test_read_latest_falls_back_to_coded_blocks(self, sim, alice):
         """Regression: with exactly n - k systematic clouds failed, the read
         must succeed via the parity blocks and record the fallback."""
-        client = DepSkyClient(sim, make_cloud_of_clouds(sim), alice, f=1,
-                              preferred_quorums=False)
-        clouds = client.clouds
+        client, clouds = make_client(sim, alice)
         data = b"coded fallback" * 50
+        # A systematic holder down during the write: block 3 spills over to
+        # the last cloud, so every parity block is stored.
+        clouds[0].failures.add(FaultKind.UNAVAILABLE)
         client.write("unit", data)
         sim.advance(3.0)
         failed = client.n - client.k  # = k for f=1: both systematic clouds
@@ -265,6 +267,13 @@ class TestDepSkyClient:
         with pytest.raises(QuorumNotReachedError):
             client.write("unit", b"too many failures")
 
+    def test_the_default_quorum_system_is_the_threshold_one(self, sim, alice):
+        client, clouds = make_client(sim, alice)
+        assert isinstance(client.quorum, ThresholdQuorumSystem) and client.quorum.f == 1
+        assert set(client.quorum.universe) == {cloud.name for cloud in clouds}
+        assert client.quorum.quorum() == CountQuorum(client.n - client.f)
+        assert client.quorum.certificate() == CountQuorum(client.k)
+
     def test_preferred_quorum_skips_last_cloud(self, sim, alice):
         client, clouds = make_client(sim, alice)
         client.write("unit", b"z" * 1000)
@@ -272,13 +281,6 @@ class TestDepSkyClient:
         last = clouds[-1]
         keys = [key for kind, key, _ in last.request_log if kind == "put"]
         assert all(key.endswith("/metadata") for key in keys)
-
-    def test_without_preferred_quorums_every_cloud_stores_a_block(self, sim, alice):
-        clouds = make_cloud_of_clouds(sim)
-        client = DepSkyClient(sim, clouds, alice, f=1, preferred_quorums=False)
-        client.write("unit", b"z" * 1000)
-        for cloud in clouds:
-            assert any("-b" in key for kind, key, _ in cloud.request_log if kind == "put")
 
     def test_storage_overhead_about_one_and_a_half(self, sim, alice):
         client, _ = make_client(sim, alice)
@@ -437,8 +439,8 @@ def _elapsed(sim, operation) -> float:
     return sim.now() - before
 
 
-class TestWriteMany:
-    """The whole write set through the three DepSky phases in lockstep."""
+class TestWriteNumbered:
+    """The whole write set through the two DepSky put phases in lockstep."""
 
     def test_four_units_cost_what_one_does(self, alice):
         # ``make_cloud_of_clouds`` profiles are jitter-free: latencies are exact.
@@ -446,10 +448,10 @@ class TestWriteMany:
         one_sim, many_sim = Simulation(seed=1), Simulation(seed=1)
         one, _ = make_client(one_sim, alice)
         many, clouds = make_client(many_sim, alice)
-        single = _elapsed(one_sim, lambda: one.write("unit-0", data))
+        single = _elapsed(one_sim, lambda: one.write_numbered([("unit-0", data, 1)]))
         records = []
         batch = _elapsed(many_sim, lambda: records.extend(
-            many.write_many([(f"unit-{i}", data, None) for i in range(4)])))
+            many.write_numbered([(f"unit-{i}", data, 1) for i in range(4)])))
         assert batch == single > 0
         many_sim.advance(3.0)
         for index, record in enumerate(records):
@@ -461,17 +463,18 @@ class TestWriteMany:
         client.on_quorum = lambda op, _unit, stats: charged.setdefault(op, []).append(
             stats.charged)
         sizes = (1_000, 3_000_000, 200_000)
-        batch = _elapsed(sim, lambda: client.write_many(
-            [(f"unit-{size}", b"x" * size, None) for size in sizes]))
-        phases = [charged[op] for op in ("meta_read", "block_put", "meta_put")]
-        assert [len(waits) for waits in phases] == [3, 3, 3]
+        batch = _elapsed(sim, lambda: client.write_numbered(
+            [(f"unit-{size}", b"x" * size, 1) for size in sizes]))
+        phases = [charged[op] for op in ("block_put", "meta_put")]
+        assert sorted(charged) == ["block_put", "meta_put"]
+        assert [len(waits) for waits in phases] == [3, 3]
         assert max(charged["block_put"]) > 2 * min(charged["block_put"])
         assert batch == pytest.approx(sum(max(waits) for waits in phases))
         # ... which is what the biggest unit pays alone, not the sum of the three.
         alone_sim = Simulation(seed=1)
         alone, _ = make_client(alone_sim, alice)
-        assert batch == pytest.approx(
-            _elapsed(alone_sim, lambda: alone.write("unit-3000000", b"x" * 3_000_000)))
+        assert batch == pytest.approx(_elapsed(alone_sim, lambda: alone.write_numbered(
+            [("unit-3000000", b"x" * 3_000_000, 1)])))
 
     def test_a_missed_block_quorum_publishes_no_unit_of_the_batch(self, sim, alice, bob):
         clouds = make_cloud_of_clouds(sim)
@@ -486,8 +489,8 @@ class TestWriteMany:
             cloud.put(client._block_key("theirs", 1, usurped, index), b"bob's", bob)
         sim.advance(3.0)
         with pytest.raises(QuorumNotReachedError, match="data blocks of 'theirs'"):
-            client.write_many([("mine-a", b"a" * 500, None), ("theirs", b"usurped", None),
-                               ("mine-b", b"b" * 500, None)])
+            client.write_numbered([("mine-a", b"a" * 500, 1), ("theirs", b"usurped", 1),
+                                   ("mine-b", b"b" * 500, 1)])
         sim.advance(3.0)
         for cloud in clouds:
             keys = cloud.list_keys("depsky/", alice).keys
@@ -496,30 +499,22 @@ class TestWriteMany:
         with pytest.raises(ObjectNotFoundError):
             client.read_latest("mine-a")
 
-    def test_one_version_per_unit_and_an_empty_set(self, sim, alice):
-        client, _ = make_client(sim, alice)
-        with pytest.raises(ValueError):
-            client.write_many([("unit", b"1", None), ("unit", b"2", None)])
-        assert client.write_many([]) == [] and sim.now() == 0.0
 
-    @pytest.mark.parametrize("batched", [False, True])
-    def test_one_item_is_the_parent_commits_write(self, alice, batched):
-        """``write`` is the batched code with one item: same stored blobs, same
-        clock, same RNG state.  The RNG state is the one recorded before
-        ``write_many`` existed (faf3381) — the write still draws the same
-        numbers in the same order; blobs and clock were re-recorded when the
-        per-unit object became the head and block names gained the digest, and
-        again when block *i* moved to the *i*-th cloud of the preferred order
-        (faster clouds: an earlier clock, so the second record's dispatch
-        instant changed; the RNG state did not)."""
+class TestWrite:
+    def test_a_write_draws_what_it_always_drew(self, alice):
+        """Same stored blobs, same clock, same RNG state as pinned.  The RNG
+        state is the one recorded before writes could be batched (faf3381) —
+        the write still draws the same numbers in the same order; blobs and
+        clock were re-recorded when the per-unit object became the head and
+        block names gained the digest, and again when block *i* moved to the
+        *i*-th cloud of the preferred order (faster clouds: an earlier clock,
+        so the second record's dispatch instant changed; the RNG state did
+        not)."""
         sim = Simulation(seed=2024)
         clouds = make_cloud_of_clouds(sim, jitter=0.2)
         client = DepSkyClient(sim, clouds, alice, f=1)
         for data, min_version in ((b"first payload " * 300, None), (b"second", 7)):
-            if batched:
-                client.write_many([("unit-a", data, min_version)])
-            else:
-                client.write("unit-a", data, min_version=min_version)
+            client.write("unit-a", data, min_version=min_version)
         blobs = hashlib.sha256()
         for cloud in client.clouds:
             for key in sorted(cloud._objects):

@@ -80,7 +80,7 @@ class TestPartitionedCoordination:
         assert coordination.try_lock("filelock:file-1", s2)
 
     def test_lock_holder_names_the_facade_session_on_every_partition(self, sim, alice):
-        """``LockManager.still_held`` compares the holder with the session it was given."""
+        """``LockService.still_held`` compares the holder with the session it was given."""
         coordination = _partitioned(sim, partitions=3)
         session = coordination.open_session(alice)
         names = [f"filelock:file-{i}" for i in range(12)]

@@ -1,12 +1,13 @@
 """Quorum-system abstraction: predicates, validity checks, planner, config.
 
 * the legacy ``CountQuorum`` reproduces m-th-success counting exactly;
-* weighted and explicit systems enforce the Malkhi–Reiter consistency and
+* threshold and weighted systems enforce the Malkhi–Reiter consistency and
   availability conditions at validation time;
 * the planner picks the cheapest feasible quorum, demotes suspects and
   reverts loudly when demotion would kill feasibility;
 * the config layer rejects infeasible quorum blocks before any deployment
-  is built, and the deployment threads the system end to end.
+  is built, and the deployment threads the system end to end (with a
+  planner exactly when it is weighted).
 """
 
 import pytest
@@ -14,14 +15,10 @@ import pytest
 from repro.clouds.health import CloudHealthTracker, QuorumPlanner, SuspicionPolicy
 from repro.clouds.quorums import (
     CountQuorum,
-    ExplicitQuorumSystem,
-    SubsetQuorum,
-    SurvivorQuorum,
     ThresholdQuorumSystem,
     WeightedCountQuorum,
     WeightedQuorumSystem,
     as_quorum,
-    min_size,
     minimal_quorums,
 )
 from repro.common.errors import ConfigurationError
@@ -41,11 +38,9 @@ class TestCountQuorum:
         assert not quorum.satisfied_by(["a", "b"])
         assert quorum.min_size == 3
 
-    def test_as_quorum_and_min_size_helpers(self):
+    def test_as_quorum_wraps_a_bare_count(self):
         assert as_quorum(2) == CountQuorum(2)
         assert as_quorum(CountQuorum(2)) == CountQuorum(2)
-        assert min_size(4) == 4
-        assert min_size(CountQuorum(4)) == 4
 
 
 class TestWeightedCountQuorum:
@@ -156,53 +151,6 @@ class TestWeightedSystem:
                                  fault_budget=-1.0).validate()
 
 
-class TestExplicitSystem:
-    def grid(self) -> ExplicitQuorumSystem:
-        a, b, c, d = CLOUDS
-        return ExplicitQuorumSystem(
-            universe=CLOUDS,
-            quorums=((a, b, c), (a, b, d), (a, c, d), (b, c, d)),
-            fault_sets=((a,), (b,), (c,), (d,)),
-        )
-
-    def test_valid_asymmetric_system(self):
-        system = self.grid()
-        system.validate()
-        assert isinstance(system.quorum(), SubsetQuorum)
-        assert isinstance(system.certificate(), SurvivorQuorum)
-        assert system.satisfied_by(CLOUDS[:3])
-        assert not system.satisfied_by(CLOUDS[:2])
-        # One responder inside a fail-prone set never certifies alone…
-        assert not system.certifies(CLOUDS[:1])
-        # …but two responders cannot both sit in one singleton fault set.
-        assert system.certifies(CLOUDS[:2])
-
-    def test_rejects_quorums_intersecting_inside_a_fault_set(self):
-        a, b, c, d = CLOUDS
-        with pytest.raises(ValueError, match="intersect entirely inside"):
-            ExplicitQuorumSystem(
-                universe=CLOUDS,
-                quorums=((a, b), (a, c)),
-                fault_sets=((a,),),
-            ).validate()
-
-    def test_rejects_unavailable_system(self):
-        a, b, c, d = CLOUDS
-        with pytest.raises(ValueError, match="unavailable"):
-            ExplicitQuorumSystem(
-                universe=CLOUDS,
-                quorums=((a, b, c, d),),
-                fault_sets=((a,),),
-            ).validate()
-
-    def test_rejects_providers_outside_the_universe(self):
-        with pytest.raises(ValueError, match="outside the universe"):
-            ExplicitQuorumSystem(
-                universe=CLOUDS[:2],
-                quorums=(("amazon-s3", "nimbus-9"),),
-            ).validate()
-
-
 class TestQuorumPlanner:
     def planner(self, latencies: dict, costs: dict,
                 tracker: CloudHealthTracker | None = None) -> QuorumPlanner:
@@ -266,19 +214,20 @@ class TestQuorumPlanner:
 
 
 class TestQuorumConfig:
-    def test_threshold_default_builds_no_system(self):
+    def test_threshold_default_builds_the_threshold_system(self):
         config = QuorumConfig()
         config.validate()
-        assert not config.enabled
-        assert config.system_for(CLOUDS, f=1) is None
+        assert not config.weighted
+        assert config.system_for(CLOUDS, f=1) == ThresholdQuorumSystem(CLOUDS, 1)
 
-    def test_threshold_mode_rejects_stray_parameters(self):
-        with pytest.raises(ConfigurationError, match="threshold quorum mode"):
+    def test_a_budget_needs_weights_and_weights_need_a_budget(self):
+        with pytest.raises(ConfigurationError, match="needs per-provider weights"):
+            QuorumConfig(fault_budget=1.2).validate()
+        with pytest.raises(ConfigurationError, match="positive fault budget"):
             QuorumConfig(weights=WEIGHTS).validate()
 
     def test_infeasible_weighted_config_rejected_at_config_time(self):
         config = QuorumConfig(
-            mode="weighted",
             weights=(("amazon-s3", 1.5), *WEIGHTS[1:]),
             fault_budget=1.5,
         )
@@ -286,14 +235,14 @@ class TestQuorumConfig:
             config.validate()
 
     def test_weighted_system_requires_matching_deployment(self):
-        config = QuorumConfig(mode="weighted", weights=WEIGHTS, fault_budget=1.2)
+        config = QuorumConfig(weights=WEIGHTS, fault_budget=1.2)
         config.validate()
         with pytest.raises(ConfigurationError, match="deployment"):
             config.system_for(("amazon-s3", "google-storage", "rackspace-files",
                                "elastic-hosts"), f=1)
 
     def test_weighted_system_builds_over_deployment(self):
-        config = QuorumConfig(mode="weighted", weights=WEIGHTS, fault_budget=1.2)
+        config = QuorumConfig(weights=WEIGHTS, fault_budget=1.2)
         system = config.system_for(CLOUDS, f=1)
         assert isinstance(system, WeightedQuorumSystem)
         assert set(system.universe) == set(CLOUDS)
@@ -302,8 +251,7 @@ class TestQuorumConfig:
         with pytest.raises(ConfigurationError, match="cloud-of-clouds"):
             SCFSConfig.for_variant(
                 "SCFS-AWS-NB",
-                quorum=QuorumConfig(mode="weighted", weights=WEIGHTS,
-                                    fault_budget=1.2),
+                quorum=QuorumConfig(weights=WEIGHTS, fault_budget=1.2),
             ).validate()
 
 
@@ -311,7 +259,7 @@ class TestWeightedDeployment:
     def deployment(self) -> SCFSDeployment:
         return SCFSDeployment.for_variant(
             "SCFS-CoC-B", seed=7,
-            quorum=QuorumConfig(mode="weighted", weights=WEIGHTS, fault_budget=1.2),
+            quorum=QuorumConfig(weights=WEIGHTS, fault_budget=1.2),
         )
 
     def test_end_to_end_write_read_under_weighted_quorums(self):
@@ -320,6 +268,15 @@ class TestWeightedDeployment:
         alice.write_file("/doc.txt", b"weighted quorums, threshold bytes")
         assert alice.read_file("/doc.txt") == b"weighted quorums, threshold bytes"
         deployment.unmount_all()
+
+    def test_only_a_weighted_system_is_planned(self):
+        weighted = self.deployment().create_agent("alice").agent.backend.client
+        assert isinstance(weighted.quorum, WeightedQuorumSystem)
+        assert weighted.planner is not None
+        threshold = SCFSDeployment.for_variant("SCFS-CoC-B", seed=7).create_agent(
+            "alice").agent.backend.client
+        assert threshold.quorum == ThresholdQuorumSystem(CLOUDS, 1)
+        assert threshold.planner is None
 
     def test_client_rejects_mismatched_universe(self):
         from repro.depsky.protocol import DepSkyClient
@@ -335,21 +292,3 @@ class TestWeightedDeployment:
             fault_budget=1.0)
         with pytest.raises(ValueError, match="does not\n?.*match the deployed"):
             DepSkyClient(sim, clouds, Principal(name="alice"), quorum=system)
-
-
-class TestHealthSnapshotPersistence:
-    def test_export_restore_roundtrip_warms_the_suspect_list(self):
-        tracker = CloudHealthTracker(SuspicionPolicy(threshold=2))
-        for _ in range(2):
-            tracker.observe("amazon-s3", succeeded=False, latency=0.5, now=10.0)
-        tracker.observe("google-storage", succeeded=True, latency=0.2, now=11.0)
-        state = tracker.export_state()
-
-        restored = CloudHealthTracker(SuspicionPolicy(threshold=2))
-        restored.restore_state(state)
-        assert restored.is_suspected("amazon-s3")
-        assert not restored.is_suspected("google-storage")
-        assert restored.health("google-storage").ewma_latency == pytest.approx(0.2)
-        # Lifetime counters belong to the previous incarnation's report.
-        assert restored.suspicions == 0
-        assert restored.export_state() == state

@@ -292,9 +292,9 @@ class TestSweepRegressions:
         alice.write(handle, b"v3")
         alice.close(handle)
         lock_name = alice.agent.locks.lock_name(alice.agent.stat("/contended.txt"))
-        assert alice.agent.locks._manager.hold_count(lock_name) == 2
+        assert alice.agent.locks.held.get(lock_name, 0) == 2
         deployment.drain(3.0)
-        assert alice.agent.locks._manager.hold_count(lock_name) == 0
+        assert alice.agent.locks.held.get(lock_name, 0) == 0
         assert alice.read_file("/contended.txt") == b"v3"
 
     def test_writer_revalidates_metadata_after_taking_the_lock(self):

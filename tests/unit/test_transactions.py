@@ -275,7 +275,7 @@ class TestFailedUpload:
         assert alice.agent.transactions.intent_record(txn.txn_id)["status"] == "aborted"
         [abort] = [fields for kind, fields in events if kind == "txn_abort"]
         assert abort["txn"] == txn.txn_id and "clouds acknowledged" in abort["reason"]
-        assert alice.agent.locks._manager.held == {}
+        assert alice.agent.locks.held == {}
         for cloud in deployment.clouds[:2]:
             cloud.failures.clear()
         alice.agent.metadata_cache.clear()

@@ -65,16 +65,6 @@ def test_the_200th_write_of_a_unit_costs_what_the_first_did(sim, alice, cloud_me
     assert down[-1] == n * head and head < 600
 
 
-def test_a_batch_of_units_is_the_same_budget_per_unit(sim, alice, cloud_meter):
-    clouds = make_cloud_of_clouds(sim)
-    client = DepSkyClient(sim, clouds, alice, f=1)
-    meter = cloud_meter(clouds)
-    client.write_many([(f"unit-{i}", b"x" * 4096, None) for i in range(3)])
-    assert meter.quorum_calls() == 3 * 3
-    assert _shape(meter.requests()) == {("get", "head"): 3 * 4, ("put", "block"): 3 * 3,
-                                        ("put", "head"): 3 * 4}
-
-
 def test_a_numbered_batch_asks_no_cloud_for_a_head(sim, alice, cloud_meter):
     clouds = make_cloud_of_clouds(sim)
     client = DepSkyClient(sim, clouds, alice, f=1)
