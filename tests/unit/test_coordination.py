@@ -683,6 +683,27 @@ class TestLockService:
         assert locks.held == {}
         assert service.lock_holder("filelock:L1") is None and service.lock_holder("filelock:L2") is None
 
+    def test_releasing_an_unheld_lock_sends_no_command(self, sim, alice):
+        locks, service = self._locks(sim, alice)
+        transitions = []
+        locks.on_transition = lambda kind, name: transitions.append((kind, name))
+        commands, now = service.rsm.commands_executed, sim.now()
+        locks.release(_file("L"))
+        assert service.rsm.commands_executed == commands and sim.now() == now
+        assert locks.held == {} and transitions == []
+
+    def test_two_paths_of_one_file_take_its_lock_once(self, sim, alice):
+        """A renamed file's old and new path share the lock of its id."""
+        locks, service = self._locks(sim, alice)
+        old = FileMetadata(path="/old", file_type=FileType.FILE, owner="alice", file_id="L")
+        new = FileMetadata(path="/new", file_type=FileType.FILE, owner="alice", file_id="L")
+        commands = service.rsm.commands_executed
+        assert locks.acquire_set([old, new])
+        assert locks.held == {"filelock:L": 1}
+        assert service.rsm.commands_executed == commands + 1
+        locks.release_set([new, old])
+        assert locks.held == {} and service.lock_holder("filelock:L") is None
+
     def test_make_coordination_service_rejects_unknown_kind(self, sim):
         with pytest.raises(ValueError):
             make_coordination_service(sim, "etcd")

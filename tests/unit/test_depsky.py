@@ -274,6 +274,21 @@ class TestDepSkyClient:
         assert client.quorum.quorum() == CountQuorum(client.n - client.f)
         assert client.quorum.certificate() == CountQuorum(client.k)
 
+    def test_a_cloud_counts_once_towards_a_certificate(self, sim, alice):
+        client, clouds = make_client(sim, alice)
+        first, second = clouds[0].name, clouds[1].name
+        assert not client._certifies([first] * client.k)
+        assert client._certifies([first, second, first])
+
+    def test_a_down_holder_spills_its_block_over_to_the_last_cloud(self, sim, alice):
+        """The one way the last cloud comes to store a data block."""
+        client, clouds = make_client(sim, alice)
+        clouds[0].failures.add(FaultKind.UNAVAILABLE)
+        record = client.write("unit", b"z" * 1000)
+        puts = [key for kind, key, _ in clouds[-1].request_log if kind == "put"]
+        assert client._block_key("unit", record.version, record.data_digest,
+                                 client.n - 1) in puts
+
     def test_preferred_quorum_skips_last_cloud(self, sim, alice):
         client, clouds = make_client(sim, alice)
         client.write("unit", b"z" * 1000)
@@ -525,4 +540,12 @@ class TestWrite:
         assert sim.now() == 1.2052389799394891
         assert hashlib.sha256(repr(sim.rng.getstate()).encode()).hexdigest() == \
             "551fc109da49a6eda1d3719d43ee61231a9b1db9168b7f715ee8256ac728ce0e"
+
+    def test_a_write_numbers_past_min_version_and_the_vouched_head(self, sim, alice):
+        client, _ = make_client(sim, alice)
+        assert client.write("unit", b"first").version == 1
+        assert client.write("unit", b"second", min_version=7).version == 7
+        sim.advance(3.0)
+        assert client.write("unit", b"third").version == 8
+        assert client.write("unit", b"fourth", min_version=2).version == 9
 
