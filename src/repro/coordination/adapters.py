@@ -12,36 +12,35 @@ These adapters are those wrappers: they map the generic
 Every intent is **one** replicated command, charging one coordination-service
 access of roughly 60–100 ms to the simulated clock (the figure the paper
 measured, §4.2).  What decides the outcome — create-vs-update, the entry ACL,
-``expected_version`` — is checked by the replicas
-(:mod:`repro.coordination.entries`), never by this client-side code; a
-``put``, ``multi`` or ``move`` they refuse on a version check carries what it
-met (``ConflictError.found``: the entry when the caller may READ it, else
-``None``), so the refusal answers the ``get`` a caller would send next:
+``expected_version``, whose session a lock belongs to — is checked by the
+replicas (:mod:`repro.coordination.entries`), never by this client-side code;
+a step they refuse on a version check carries what it met
+(``ConflictError.found``: the entry when the caller may READ it, else
+``None``), so the refusal answers the ``get`` a caller would send next.
+
+A replica answers two entry commands and its session verbs, nothing else:
 
 ==================================  =========================================
-adapter call                        replicated command
+client call                         replicated command
 ==================================  =========================================
-``put`` (plain, CAS, insert-only)   ``entry_put`` (a created entry starts
-                                    with the ``grants`` given)
-``get``                             ``entry_get``
-``delete``                          ``entry_delete``
+``multi``                           ``entry_multi``: its steps, in order
+``put`` / ``get`` / ``delete`` /    ``entry_multi`` of one step: ``Put`` /
+``set_entry_acl`` / ``move`` /      ``Get`` / ``Delete`` / ``Grant`` /
+``try_lock`` / ``unlock``           ``Move`` / ``Lock`` / ``Unlock``
 ``list_entries`` / ``list_prefix``  ``entry_list``
-``set_entry_acl``                   ``entry_set_acl``
-``move``                            ``entry_move``
-``multi``                           ``entry_multi``
-``multi`` of ``Update`` steps       ``entry_multi`` (only the fields named)
-``try_lock`` / ``unlock``           ``entry_multi`` (one ``Lock`` / ``Unlock`` step)
 ``close_session``                   ``close_session`` (every lock the session holds)
 ``renew_session``                   none / ``register_session`` (background)
 ``open_session``                    none
 ==================================  =========================================
 
-``multi`` is one command whatever its number of steps, all or nothing: a lock
-set taken or returned, a set of entries read, a set of entries conditionally
-replaced or updated field by field — or a lock set taken *and* the entries it
-guards read or inserted.  A transaction commit is three commands for any
-number of files: ``{lock set, validating reads, pending intent}``, ``{Update
-of every written entry, intent flip}`` and the lock set's release.
+The one-step calls are :class:`~repro.coordination.base.CoordinationService`'s
+own; an adapter supplies sessions, ``list_entries`` and ``multi``.  ``multi``
+is one command whatever its number of steps, all or nothing: a lock set taken
+or returned, a set of entries read, a set of entries conditionally replaced
+or updated field by field — or a lock set taken *and* the entries it guards
+read or inserted.  A transaction commit is three commands for any number of
+files: ``{lock set, validating reads, pending intent}``, ``{Update of every
+written entry, intent flip}`` and the lock set's release.
 
 The ``*_command`` builders hand out the command of ``close_session``,
 ``list_entries`` and ``multi`` (and ``renewal`` the heartbeats of
@@ -52,9 +51,9 @@ every partition together (:func:`~repro.coordination.replication.invoke_together
 from __future__ import annotations
 
 import itertools
-from typing import Mapping, Sequence
+from typing import Sequence
 
-from repro.common.types import Permission, Principal
+from repro.common.types import Principal
 from repro.coordination.base import CoordinationService, Entry, Op, Session
 from repro.coordination.entries import Holder
 from repro.coordination.replication import (
@@ -109,21 +108,10 @@ class ReplicatedCoordination(CoordinationService):
 
     def close_command(self, session: Session) -> Command:
         """The command ending ``session``: it returns every lock the session holds."""
-        return self.rsm.command("close_session", session.session_id, self.sim.now())
+        return self.rsm.command("close_session", session.session_id, session.principal.name,
+                                self.sim.now())
 
     # -- entries ------------------------------------------------------------
-
-    def put(self, key: str, value: bytes, session: Session,
-            expected_version: int | None = None,
-            grants: Mapping[str, Permission] | None = None) -> Entry:
-        return self.rsm.invoke("entry_put", key, value, session.principal.name, self.sim.now(),
-                               expected_version=expected_version, grants=grants)
-
-    def get(self, key: str, session: Session) -> Entry:
-        return self.rsm.invoke("entry_get", key, session.principal.name, self.sim.now())
-
-    def delete(self, key: str, session: Session) -> None:
-        self.rsm.invoke("entry_delete", key, session.principal.name, self.sim.now())
 
     def list_entries(self, prefix: str, session: Session) -> list[Entry]:
         return self.list_command(prefix, session).invoke()
@@ -131,17 +119,6 @@ class ReplicatedCoordination(CoordinationService):
     def list_command(self, prefix: str, session: Session) -> Command:
         """The command of :meth:`list_entries`."""
         return self.rsm.command("entry_list", prefix, session.principal.name, self.sim.now())
-
-    def set_entry_acl(self, key: str, user: str, permission: Permission,
-                      session: Session) -> None:
-        self.rsm.invoke("entry_set_acl", key, session.principal.name, user, permission,
-                        self.sim.now())
-
-    def move(self, key: str, new_key: str, value: bytes, session: Session,
-             expected_version: int | None = None, target_version: int = 0) -> Entry:
-        return self.rsm.invoke("entry_move", key, new_key, value, session.principal.name,
-                               self.sim.now(), expected_version=expected_version,
-                               target_version=target_version)
 
     def multi(self, ops: Sequence[Op], session: Session) -> list[Entry | None]:
         return self.multi_command(ops, session).invoke()
@@ -208,16 +185,13 @@ class ZooKeeperCoordination(ReplicatedCoordination):
             latency=latency,
         )
 
-    @staticmethod
-    def _deadline(session: Session) -> float:
-        return session.last_renewal + session.lease_seconds
-
     def renewal(self, session: Session) -> list[Command]:
         # The replicas learn of a session with its first lock (a ``Lock``
         # step); a heartbeat must reach them so that locks already held live on.
         super().renewal(session)
         return [self.rsm.command("register_session", session.session_id,
-                                 self._deadline(session), self.sim.now())]
+                                 session.last_renewal + session.lease_seconds,
+                                 session.principal.name, self.sim.now())]
 
 
 def make_coordination_service(

@@ -20,7 +20,7 @@ import abc
 from dataclasses import dataclass, field
 from typing import Any, Mapping, NamedTuple, Sequence, Union
 
-from repro.common.errors import LockHeldError
+from repro.common.errors import LockHeldError, TupleNotFoundError
 from repro.common.types import Permission, Principal
 
 
@@ -100,9 +100,33 @@ class Update(NamedTuple):
     expected_version: int | None = None
 
 
+class Delete(NamedTuple):
+    """Multi-command step: remove ``key`` (nothing when absent; WRITE needed when present)."""
+
+    key: str
+
+
+class Grant(NamedTuple):
+    """Multi-command step: set ``user``'s grant on ``key`` (``Permission.NONE``: revoke); owner only."""
+
+    key: str
+    user: str
+    permission: Permission
+
+
+class Move(NamedTuple):
+    """Multi-command step: move ``key`` to ``new_key`` with ``value`` (arguments as in ``move``)."""
+
+    key: str
+    new_key: str
+    value: bytes
+    expected_version: int | None = None
+    target_version: int = 0
+
+
 #: One step of :meth:`CoordinationService.multi`.  The first field of every
 #: step is the lock name or entry key it is routed by.
-Op = Union[Lock, Unlock, Get, Put, Update]
+Op = Union[Lock, Unlock, Get, Put, Update, Delete, Grant, Move]
 
 
 class CoordinationService(abc.ABC):
@@ -122,9 +146,8 @@ class CoordinationService(abc.ABC):
     def close_session(self, session: Session) -> None:
         """Close the session, releasing its ephemeral entries and locks."""
 
-    # -- entries ------------------------------------------------------------
+    # -- entries: one-step commands ---------------------------------------------
 
-    @abc.abstractmethod
     def put(self, key: str, value: bytes, session: Session,
             expected_version: int | None = None,
             grants: Mapping[str, Permission] | None = None) -> Entry:
@@ -143,14 +166,15 @@ class CoordinationService(abc.ABC):
         :meth:`set_entry_acl` would set them, in the same command); an update
         keeps the ACL the entry has.
         """
+        return self._one(Put(key, value, expected_version, grants), session)
 
-    @abc.abstractmethod
     def get(self, key: str, session: Session) -> Entry:
         """Return the entry under ``key`` or raise ``TupleNotFoundError``."""
+        return self._one(Get(key), session)
 
-    @abc.abstractmethod
     def delete(self, key: str, session: Session) -> None:
         """Remove the entry under ``key`` (idempotent)."""
+        self.multi([Delete(key)], session)
 
     @abc.abstractmethod
     def list_entries(self, prefix: str, session: Session) -> list[Entry]:
@@ -160,7 +184,6 @@ class CoordinationService(abc.ABC):
         """List keys starting with ``prefix`` readable by the session principal."""
         return [entry.key for entry in self.list_entries(prefix, session)]
 
-    @abc.abstractmethod
     def move(self, key: str, new_key: str, value: bytes, session: Session,
              expected_version: int | None = None, target_version: int = 0) -> Entry:
         """Move the entry under ``key`` to ``new_key``, storing ``value`` there.
@@ -171,11 +194,19 @@ class CoordinationService(abc.ABC):
         ``TupleNotFoundError`` without a source, ``ConflictError`` on a version
         mismatch or when WRITE is denied on either key.
         """
+        return self._one(Move(key, new_key, value, expected_version, target_version), session)
 
-    @abc.abstractmethod
     def set_entry_acl(self, key: str, user: str, permission: Permission,
                       session: Session) -> None:
         """Grant ``permission`` on ``key`` to ``user`` (owner only)."""
+        self.multi([Grant(key, user, permission)], session)
+
+    def _one(self, op: Op, session: Session) -> Entry:
+        """The entry the one-step :meth:`multi` of ``op`` answers (``TupleNotFoundError``: none)."""
+        entry = self.multi([op], session)[0]
+        if entry is None:
+            raise TupleNotFoundError(f"no entry under key {op[0]!r}")
+        return entry
 
     # -- several steps, one round trip -----------------------------------------
 
@@ -188,11 +219,14 @@ class CoordinationService(abc.ABC):
         ``lock`` attribute names it), a :class:`Put` whose ``expected_version``
         mismatches or whose entry denies WRITE — or an :class:`Update` whose
         entry also is gone or names another file — raises ``ConflictError``, a
-        :class:`Get` that is denied READ raises ``ConflictError`` — and then
+        :class:`Get` that is denied READ raises ``ConflictError``, and a
+        :class:`Delete`, :class:`Grant` or :class:`Move` is checked as
+        :meth:`delete`, :meth:`set_entry_acl` or :meth:`move` is — and then
         nothing has changed.  A refused version check or ``Update`` carries
         ``found`` as in :meth:`put`.  Returns one result per step: the entry
-        for a ``Get`` (``None`` when absent), ``Put`` and ``Update``, ``None``
-        for lock steps.  A command may change each key and each lock at most once.
+        for a ``Get`` (``None`` when absent), ``Put``, ``Update`` and ``Move``
+        (the moved entry), ``None`` for the others.  A command may change each
+        key and each lock at most once; a ``Move`` changes both its keys.
         """
 
     def lock_home(self, key: str) -> str:

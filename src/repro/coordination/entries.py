@@ -9,24 +9,40 @@ listing visits only the keys under its prefix) and one lock table.  The
 DepSpace and ZooKeeper replicas subclass it and only say how long a lock
 lives (``_take`` / ``_expire``) and how a session's locks are returned.
 
-An intent may span several entries and locks: ``entry_multi`` takes a lock
-set, reads, conditionally replaces or updates (``Update``) a set of entries,
-or returns a lock set — all or nothing, in one command whatever its size.
+A replica answers two entry commands: ``entry_list`` and ``entry_multi``,
+whose steps (:data:`~repro.coordination.base.Op`) read, create, replace,
+update, delete, move or re-grant entries and take or return locks — all or
+nothing, in one command whatever its size.  Every check precedes every
+mutation, so a command that raises leaves the replica untouched and all
+correct replicas stay identical.
 
-Every check precedes every mutation, so a command that raises leaves the
-replica untouched and all correct replicas stay identical.
+A session is the pair of the principal that sent the command (``user``) and
+the session id it names: a lock, an unlock, a close or a heartbeat acts on
+the caller's own sessions only, whatever id it names.
 """
 
 from __future__ import annotations
 
 import functools
 import json
-from typing import Any, Mapping, NamedTuple, Sequence
+from typing import Any, ClassVar, Mapping, NamedTuple, Sequence
 
 from repro.common.errors import ConflictError, LockHeldError, TupleNotFoundError
 from repro.common.sortedkeys import SortedKeys
 from repro.common.types import Permission
-from repro.coordination.base import Entry, EntryACL, Get, Lock, Op, Put, Update
+from repro.coordination.base import (
+    Delete,
+    Entry,
+    EntryACL,
+    Get,
+    Grant,
+    Lock,
+    Move,
+    Op,
+    Put,
+    Unlock,
+    Update,
+)
 
 
 class Stored(NamedTuple):
@@ -42,13 +58,21 @@ class Holder(NamedTuple):
     """The session on whose behalf a multi-command takes and returns locks.
 
     ``deadline`` is the session's last heartbeat plus ``lease_seconds``.  The
-    lock table keeps the holder of every lock; DepSpace keeps it with
-    ``deadline`` moved to the end of that lock's own lease.
+    lock table keeps the holder of every lock, with ``principal`` set by the
+    replica to the command's ``user`` (never taken from the client);
+    DepSpace keeps it with ``deadline`` moved to the end of that lock's own
+    lease.
     """
 
     session_id: str
     lease_seconds: float
     deadline: float
+    principal: str = ""
+
+    @property
+    def session(self) -> tuple[str, str]:
+        """The session as a replica knows it: ``(principal, session id)``."""
+        return self.principal, self.session_id
 
 
 def dump_acl(acl: EntryACL) -> str:
@@ -107,6 +131,9 @@ class EntryCommands:
     the time of the request (only lock lifetimes read it).  Entry versions
     start at 1 and grow by one per change for as long as the key lives.
     """
+
+    #: The replicated commands :meth:`apply` dispatches; a replica adds its session verbs.
+    COMMANDS: ClassVar[frozenset[str]] = frozenset({"entry_multi", "entry_list"})
 
     def __init__(self) -> None:
         self._entries: dict[str, Stored] = {}
@@ -187,53 +214,67 @@ class EntryCommands:
             raise ConflictError(f"{user} may not read entry {key!r}")
         return stored
 
-    def entry_put(self, key: str, value: bytes, user: str, now: float,
-                  expected_version: int | None = None,
-                  grants: Mapping[str, Permission] | None = None) -> Entry:
-        """Create or update ``key``; ``expected_version`` 0 means "must be absent".
-
-        ``grants`` are the ACL grants of the entry if this put creates it.
-        """
-        stored = self._successor(key, value, user, expected_version, grants)
-        self._entry_write(key, stored)
-        return _entry(key, stored)
-
-    def entry_get(self, key: str, user: str, now: float) -> Entry:
-        """Read ``key`` (``TupleNotFoundError`` when absent, READ permission required)."""
-        stored = self._readable(key, user)
-        if stored is None:
-            raise TupleNotFoundError(f"no entry under key {key!r}")
-        return _entry(key, stored)
+    def _step(self, op: Get | Put | Update | Delete | Grant | Move,
+              user: str) -> tuple[Entry | None, list[tuple[str, Stored | None]]]:
+        """``(result, records it leaves)`` of the entry step ``op``, checked, not applied (None: erased)."""
+        if isinstance(op, Get):
+            found = self._readable(op.key, user)
+            return (None if found is None else _entry(op.key, found)), []
+        if isinstance(op, Delete):
+            return None, [] if self._writable(op.key, user, None) is None else [(op.key, None)]
+        if isinstance(op, Grant):
+            stored = self._entries.get(op.key)
+            if stored is None:
+                raise TupleNotFoundError(f"no entry under key {op.key!r}")
+            if user != stored.owner:
+                raise ConflictError(f"only the owner may change the ACL of {op.key!r}")
+            acl = load_acl(stored.acl)
+            if op.permission is Permission.NONE:
+                acl.grants.pop(op.user, None)
+            else:
+                acl.grants[op.user] = op.permission
+            return None, [(op.key, stored._replace(version=stored.version + 1, acl=dump_acl(acl)))]
+        if isinstance(op, Move):
+            stored = self._writable(op.key, user, op.expected_version)
+            if stored is None:
+                raise TupleNotFoundError(f"no entry under key {op.key!r}")
+            self._writable(op.new_key, user, op.target_version)
+            # Owner and ACL travel; the version passes both keys' histories, so
+            # no version token seen under either key can match again.
+            moved = stored._replace(version=max(stored.version, op.target_version) + 1,
+                                    value=op.value)
+            return _entry(op.new_key, moved), [(op.key, None), (op.new_key, moved)]
+        stored = self._updated(op, user) if isinstance(op, Update) else self._successor(
+            op.key, op.value, user, op.expected_version, op.grants)
+        return _entry(op.key, stored), [(op.key, stored)]
 
     def entry_multi(self, ops: Sequence[Op], user: str, now: float,
                     holder: Holder) -> list[Entry | None]:
         """Apply ``ops`` all or nothing; one result per step (see ``CoordinationService.multi``).
 
-        ``holder`` is the session lock steps act for.  A :class:`Lock` on a
-        name anyone holds refuses the whole command with ``LockHeldError``; an
-        :class:`Unlock` of a name the session does not hold (expired, taken
-        over) changes nothing, which is benign for a release.
+        ``holder`` names the session of ``user`` that lock steps act for.  A
+        :class:`Lock` on a name anyone holds refuses the whole command with
+        ``LockHeldError``; an :class:`Unlock` of a name that session does not
+        hold (expired, taken over, another principal's) changes nothing,
+        which is benign for a release.
         """
         # Checks run against the state before the command, so a second change
         # of one key (or one lock) would pass a check the first invalidates.
-        changed = [(isinstance(op, (Put, Update)), op[0]) for op in ops if not isinstance(op, Get)]
+        changed = [(isinstance(op, (Lock, Unlock)), key) for op in ops if not isinstance(op, Get)
+                   for key in (op[:2] if isinstance(op, Move) else op[:1])]
         if len(set(changed)) != len(changed):
             raise ConflictError("a multi-command may change each key and each lock only once")
         self._expire(now)
+        holder = holder._replace(principal=user)
         results: list[Entry | None] = []
-        writes: list[tuple[str, Stored]] = []
+        writes: list[tuple[str, Stored | None]] = []
         takes: list[str] = []
         drops: list[str] = []
         for op in ops:
-            if isinstance(op, Get):
-                found = self._readable(op.key, user)
-                results.append(None if found is None else _entry(op.key, found))
-                continue
-            if isinstance(op, (Put, Update)):
-                stored = (self._updated(op, user) if isinstance(op, Update) else
-                          self._successor(op.key, op.value, user, op.expected_version, op.grants))
-                writes.append((op.key, stored))
-                results.append(_entry(op.key, stored))
+            if not isinstance(op, (Lock, Unlock)):
+                result, records = self._step(op, user)
+                results.append(result)
+                writes += records
                 continue
             held = self._locks.get(op.name)
             if isinstance(op, Lock):
@@ -241,61 +282,25 @@ class EntryCommands:
                     raise LockHeldError(f"lock {op.name!r} is held by another client",
                                         lock=op.name)
                 takes.append(op.name)
-            elif held is not None and held.session_id == holder.session_id:
+            elif held is not None and held.session == holder.session:
                 drops.append(op.name)
             results.append(None)
         for key, stored in writes:
-            self._entry_write(key, stored)
+            if stored is None:
+                self._entry_erase(key)
+            else:
+                self._entry_write(key, stored)
         for name in takes:
             self._take(name, holder, now)
         for name in drops:
             del self._locks[name]
         return results
 
-    def entry_delete(self, key: str, user: str, now: float) -> None:
-        """Remove ``key`` (idempotent; WRITE permission required)."""
-        if self._writable(key, user, None) is not None:
-            self._entry_erase(key)
-
     def entry_list(self, prefix: str, user: str, now: float) -> list[Entry]:
         """Every entry under ``prefix`` that ``user`` may read, sorted by key."""
         entries = self._entries
         return [_entry(key, stored) for key in self._keys.prefixed(prefix)
                 if _allows(stored := entries[key], user, Permission.READ)]
-
-    def entry_set_acl(self, key: str, user: str, grantee: str, permission: Permission,
-                      now: float) -> None:
-        """Set (``Permission.NONE``: revoke) ``grantee``'s grant on ``key``; owner only."""
-        stored = self._entries.get(key)
-        if stored is None:
-            raise TupleNotFoundError(f"no entry under key {key!r}")
-        if user != stored.owner:
-            raise ConflictError(f"only the owner may change the ACL of {key!r}")
-        acl = load_acl(stored.acl)
-        if permission is Permission.NONE:
-            acl.grants.pop(grantee, None)
-        else:
-            acl.grants[grantee] = permission
-        self._entry_write(key, stored._replace(version=stored.version + 1, acl=dump_acl(acl)))
-
-    def entry_move(self, key: str, new_key: str, value: bytes, user: str, now: float,
-                   expected_version: int | None = None, target_version: int = 0) -> Entry:
-        """Move ``key`` to ``new_key`` with a new ``value``, keeping owner and ACL.
-
-        ``expected_version`` guards the source; ``target_version`` is what must
-        be under ``new_key`` (0: nothing) and needs WRITE permission when it is
-        an entry.  The moved record's version exceeds both, so no version token
-        seen under either key can match again.
-        """
-        stored = self._writable(key, user, expected_version)
-        if stored is None:
-            raise TupleNotFoundError(f"no entry under key {key!r}")
-        self._writable(new_key, user, target_version)
-        version = max(stored.version, target_version) + 1
-        moved = stored._replace(version=version, value=value)
-        self._entry_erase(key)
-        self._entry_write(new_key, moved)
-        return _entry(new_key, moved)
 
     # -- introspection and dispatch -------------------------------------------
 
@@ -310,9 +315,8 @@ class EntryCommands:
         return None if held is None else held.session_id
 
     def apply(self, command: tuple[str, tuple[Any, ...], dict[str, Any]]) -> Any:
-        """Dispatch a replicated command (see :class:`ReplicatedStateMachine`)."""
+        """Dispatch a replicated command (see :class:`ReplicatedStateMachine`): one of :attr:`COMMANDS`."""
         operation, args, kwargs = command
-        handler = getattr(self, operation, None)
-        if handler is None or not callable(handler) or operation.startswith("_"):
+        if operation not in self.COMMANDS:
             raise ConflictError(f"unknown {type(self).__name__} operation {operation!r}")
-        return handler(*args, **kwargs)
+        return getattr(self, operation)(*args, **kwargs)

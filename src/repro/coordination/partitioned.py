@@ -29,12 +29,12 @@ function.  Both are pure functions of the name: every client routes alike.
 from __future__ import annotations
 
 import hashlib
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 from repro.common.errors import ConflictError, ReproError
-from repro.common.types import Permission, Principal
+from repro.common.types import Principal
 from repro.coordination.adapters import ReplicatedCoordination
-from repro.coordination.base import CoordinationService, Entry, Lock, Op, Session, Unlock
+from repro.coordination.base import CoordinationService, Entry, Lock, Move, Op, Session, Unlock
 from repro.coordination.replication import invoke_together
 
 
@@ -68,10 +68,6 @@ class PartitionedCoordination(CoordinationService):
         self._facade_ids: dict[str, str] = {}
 
     # -- routing ----------------------------------------------------------------
-
-    def _service_for(self, key: str) -> ReplicatedCoordination:
-        index = self.partition_function(key, len(self.services))
-        return self.services[index % len(self.services)]
 
     def partition_of(self, key: str) -> int:
         """Index of the partition responsible for the entry ``key``."""
@@ -131,21 +127,6 @@ class PartitionedCoordination(CoordinationService):
 
     # -- entries ------------------------------------------------------------------
 
-    def put(self, key: str, value: bytes, session: Session,
-            expected_version: int | None = None,
-            grants: Mapping[str, Permission] | None = None) -> Entry:
-        service = self._service_for(key)
-        return service.put(key, value, self._sub_session(session, service), expected_version,
-                           grants)
-
-    def get(self, key: str, session: Session) -> Entry:
-        service = self._service_for(key)
-        return service.get(key, self._sub_session(session, service))
-
-    def delete(self, key: str, session: Session) -> None:
-        service = self._service_for(key)
-        service.delete(key, self._sub_session(session, service))
-
     def list_entries(self, prefix: str, session: Session) -> list[Entry]:
         listings = invoke_together([service.list_command(prefix, sub)
                                     for service, sub in self._everywhere(session)])
@@ -154,26 +135,19 @@ class PartitionedCoordination(CoordinationService):
 
     def move(self, key: str, new_key: str, value: bytes, session: Session,
              expected_version: int | None = None, target_version: int = 0) -> Entry:
-        source, target = self._service_for(key), self._service_for(new_key)
-        if source is target:
-            return source.move(key, new_key, value, self._sub_session(session, source),
-                               expected_version, target_version)
+        if self.partition_of(key) == self.partition_of(new_key):
+            return super().move(key, new_key, value, session, expected_version, target_version)
         # No atomicity across partitions: write the new entry, then drop the old
         # one (a crash in between leaves both; never neither).  The new entry
         # belongs to the mover and starts with an empty ACL.
         if expected_version is not None:
-            found = source.get(key, self._sub_session(session, source)).version
+            found = self.get(key, session).version
             if found != expected_version:
                 raise ConflictError(
                     f"version mismatch on {key!r}: expected {expected_version}, found {found}")
-        moved = target.put(new_key, value, self._sub_session(session, target), target_version)
-        source.delete(key, self._sub_session(session, source))
+        moved = self.put(new_key, value, session, target_version)
+        self.delete(key, session)
         return moved
-
-    def set_entry_acl(self, key: str, user: str, permission: Permission,
-                      session: Session) -> None:
-        service = self._service_for(key)
-        service.set_entry_acl(key, user, permission, self._sub_session(session, service))
 
     def multi(self, ops: Sequence[Op], session: Session) -> list[Entry | None]:
         """One command per partition and phase touched: locks, then entries, then unlocks.
@@ -181,9 +155,10 @@ class PartitionedCoordination(CoordinationService):
         Atomic per partition only (the caveat ``move`` has): when a later
         command is refused, entries an earlier partition already replaced stay
         replaced.  Locks are handed back — a refused command leaves none of
-        its locks held on any partition.
+        its locks held on any partition.  A ``Move`` keeps to one partition
+        (``ValueError`` otherwise; :meth:`move` crosses them).
 
-        An entry step (``Get``, ``Put``, ``Update``) never executes before every
+        An entry step (any but ``Lock`` and ``Unlock``) never executes before every
         ``Lock`` of ``ops`` is granted, nor after any of its ``Unlock`` steps is
         applied, wherever the names and keys fall.  A partition's steps of two
         adjacent phases share one command when no other partition has to go
@@ -211,6 +186,8 @@ class PartitionedCoordination(CoordinationService):
                 phase = locks if isinstance(op, Lock) else unlocks
             else:
                 index = self.partition_of(op.key)
+                if isinstance(op, Move) and self.partition_of(op.new_key) != index:
+                    raise ValueError(f"a Move from {op.key!r} to {op.new_key!r} spans partitions")
                 phase, final = entries, index
             phase.setdefault(index, []).append(position)
         middle = sorted(entries, key=lambda index: (index == final, index))

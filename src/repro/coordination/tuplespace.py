@@ -6,7 +6,7 @@ coordination service of the paper's prototype, replicated over 3f+1 replicas
 its metadata entries there and represents each lock as a *timed tuple* that
 disappears once its lease elapses, so that a crashed client's locks are
 released without it (§2.5.1).  The trigger the paper added to DepSpace for an
-efficient ``rename`` (§3.2) is ``entry_move`` here.
+efficient ``rename`` (§3.2) is the ``Move`` step of ``entry_multi`` here.
 
 Entries, ACLs, versions and lock sets are
 :class:`~repro.coordination.entries.EntryCommands`; this class only says how
@@ -21,6 +21,8 @@ from repro.coordination.entries import EntryCommands, Holder
 class DepSpace(EntryCommands):
     """Deterministic DepSpace state machine: one lease per lock, no session state."""
 
+    COMMANDS = EntryCommands.COMMANDS | {"close_session"}
+
     def _take(self, name: str, holder: Holder, now: float) -> None:
         self._locks[name] = holder._replace(deadline=now + holder.lease_seconds)
 
@@ -28,12 +30,12 @@ class DepSpace(EntryCommands):
         for name in [name for name, held in self._locks.items() if now >= held.deadline]:
             del self._locks[name]
 
-    def close_session(self, session_id: str, now: float) -> None:
-        """Return every lock ``session_id`` holds, in one command.
+    def close_session(self, session_id: str, user: str, now: float) -> None:
+        """Return every lock ``user``'s session ``session_id`` holds, in one command.
 
         DepSpace keeps no session: closing one is the client's last release,
         of whatever its locks are by now.
         """
         self._expire(now)
         self._locks = {name: held for name, held in self._locks.items()
-                       if held.session_id != session_id}
+                       if held.session != (user, session_id)}

@@ -150,18 +150,16 @@ class SCFSAgent:
         self.stats = AgentStatistics()
         self._handles: dict[int, OpenFile] = {}
         self._next_handle = itertools.count(3)  # 0-2 "taken" by stdio, as in POSIX
-        #: Files whose upload/metadata commit is still pending in the background
-        #: (non-blocking and non-sharing modes); rename completes them first.
-        self._pending_commits: list[OpenFile] = []
+        #: In-flight background commits (non-blocking and non-sharing modes), in
+        #: the order they were scheduled: handle -> (open file, its scheduled
+        #: completion, the completion itself).  :meth:`flush_pending` runs them
+        #: early, :meth:`crash` cancels them without releasing anything.
+        self._pending_commits: dict[int, tuple[OpenFile, TaskHandle, Callable[[], None]]] = {}
         #: Per-file completion time of the latest scheduled background upload:
         #: uploads of the same file complete in submission order (a smaller
         #: later version must not overtake and then be clobbered by an earlier
         #: bigger one committing its metadata last).
         self._upload_fronts: dict[str, float] = {}
-        #: Scheduled completion of each in-flight background commit, keyed by
-        #: the open-file handle: :meth:`flush_pending` runs them early and
-        #: :meth:`crash` cancels them without releasing anything.
-        self._pending_tasks: dict[int, tuple[TaskHandle, Callable[[], None]]] = {}
         #: (file, user) pairs whose cloud-side ACL this agent already re-applied.
         self._acl_propagated: set[str] = set()
         self._mounted = False
@@ -198,6 +196,7 @@ class SCFSAgent:
             read_retry_interval=config.read_retry_interval,
             read_retry_limit=config.read_retry_limit,
         )
+        self.storage.on_poll = self._count_poll
         self.locks = LockService(sim, self.coordination, self.session)
         self.locks.on_transition = self._lock_transition
         self.gc = GarbageCollector(sim, config.gc, self.metadata, self.storage, backend)
@@ -215,6 +214,9 @@ class SCFSAgent:
         """Send one event to the attached sink (no-op without one)."""
         if self.events is not None:
             self.events(kind, agent=self.principal.name, time=self.sim.now(), **fields)
+
+    def _count_poll(self) -> None:
+        self.stats.consistency_retries += 1
 
     def _lock_transition(self, kind: str, lock_name: str) -> None:
         if kind == "lock":
@@ -554,7 +556,7 @@ class SCFSAgent:
     def _pending_commit_for(self, path: str) -> OpenFile | None:
         """The newest in-flight background commit of ``path``, if any."""
         newest: OpenFile | None = None
-        for pending in self._pending_commits:
+        for pending, _task, _run in self._pending_commits.values():
             if pending.metadata.path == path:
                 newest = pending
         return newest
@@ -681,25 +683,22 @@ class SCFSAgent:
         self._upload_fronts[meta.file_id] = completion
         delay = completion - self.sim.now()
         self.stats.pending_uploads += 1
-        self._pending_commits.append(of)
         # The local caches already hold the new version, so the *local* user
         # immediately observes its own update; remote visibility (metadata in
         # the coordination service) only happens when the upload completes.
         self.metadata_cache.put(meta.path, meta.copy())
 
         def complete() -> None:
-            self._pending_tasks.pop(of.handle, None)
+            self._pending_commits.pop(of.handle, None)
             if self._crashed:
                 return
             self.stats.pending_uploads -= 1
             self.stats.background_uploads += 1
-            if of in self._pending_commits:
-                self._pending_commits.remove(of)
             with self.sim.background():
                 self._commit(of, data, background=True)
 
         task = self.sim.schedule(delay, complete, name=f"upload:{meta.path}")
-        self._pending_tasks[of.handle] = (task, complete)
+        self._pending_commits[of.handle] = (of, task, complete)
 
     def _apply_committed_metadata(self, meta: FileMetadata, ref: ObjectRef) -> None:
         """Anchor ``ref`` with an update of the data fields alone: a grant or a tombstone set since stays.
@@ -733,13 +732,12 @@ class SCFSAgent:
         """
         path = normalize_path(path)
         prefix = path.rstrip("/") + "/"
-        for pending in [of for of in list(self._pending_commits)
-                        if of.metadata.path == path
-                        or of.metadata.path.startswith(prefix)]:
-            entry = self._pending_tasks.pop(pending.handle, None)
+        for handle in [handle for handle, (of, _task, _run) in self._pending_commits.items()
+                       if of.metadata.path == path or of.metadata.path.startswith(prefix)]:
+            entry = self._pending_commits.pop(handle, None)
             if entry is None:
                 continue
-            task, run_now = entry
+            _of, task, run_now = entry
             task.cancel()
             run_now()
 
@@ -794,9 +792,8 @@ class SCFSAgent:
         the takeover window the crash/restart scenarios exercise.
         """
         self._crashed = True
-        for task, _run in self._pending_tasks.values():
+        for _of, task, _run in self._pending_commits.values():
             task.cancel()
-        self._pending_tasks.clear()
         self._pending_commits.clear()
         self._handles.clear()
         self.stats.pending_uploads = 0

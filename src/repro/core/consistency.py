@@ -64,7 +64,8 @@ def split_anchor_value(value: str) -> tuple[str, str]:
 
 def read_anchored(sim: Simulation, backend: StorageBackend, object_id: str, digest: str,
                   locator: str = "", retry_interval: float = 0.5, retry_limit: int = 240,
-                  fetch: Callable[[], bytes] | None = None) -> bytes:
+                  fetch: Callable[[], bytes] | None = None,
+                  on_poll: Callable[[], None] | None = None) -> bytes:
     """Step r2: ``do v ← SS.read(id|h) while v = null``, waiting before polling.
 
     The anchored hash can be ahead of the (eventually consistent) storage
@@ -76,7 +77,8 @@ def read_anchored(sim: Simulation, backend: StorageBackend, object_id: str, dige
     :class:`~repro.common.errors.VersionUnavailableError`.
 
     ``fetch`` replaces the plain ``backend.read_version`` call (a caller that
-    checks what came back raises :class:`ObjectNotFoundError` to poll on).
+    checks what came back raises :class:`ObjectNotFoundError` to poll on);
+    ``on_poll`` is called once per poll, before the read it makes.
     """
     if fetch is None:
         fetch = functools.partial(backend.read_version, object_id, digest, locator)
@@ -96,6 +98,8 @@ def read_anchored(sim: Simulation, backend: StorageBackend, object_id: str, dige
                 raise VersionUnavailableError(
                     object_id, digest, attempts, sim.now() - began) from exc
             sim.advance(retry_interval)
+            if on_poll is not None:
+                on_poll()
 
 
 class ConsistencyAnchor(abc.ABC):

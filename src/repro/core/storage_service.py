@@ -16,7 +16,7 @@ traffic of a download.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 from repro.common.types import ObjectRef
 from repro.core.backend import StorageBackend
@@ -60,6 +60,8 @@ class StorageService:
         self.bytes_pushed = 0
         self.cloud_reads = 0
         self.cloud_writes = 0
+        #: Called once per poll of a cloud read (step r2 asking again).
+        self.on_poll: Callable[[], None] | None = None
 
     # ------------------------------------------------------------------ reads
 
@@ -84,7 +86,8 @@ class StorageService:
             self._cache_in_memory(key, data)
             return ReadOutcome(data=data, source="disk")
         data = read_anchored(self.sim, self.backend, file_id, digest, locator,
-                             self.read_retry_interval, self.read_retry_limit)
+                             self.read_retry_interval, self.read_retry_limit,
+                             on_poll=self.on_poll)
         self.cloud_reads += 1
         self.disk.put(key, data)
         self._cache_in_memory(key, data)

@@ -65,7 +65,7 @@ def _replicas(coordination: CoordinationService, key: str) -> list[EntryCommands
     """The coordination replicas holding ``key`` (all replicas of its partition)."""
     service = coordination
     if isinstance(service, PartitionedCoordination):
-        service = service._service_for(key)
+        service = service.services[service.partition_of(key)]
     return service.rsm.replicas
 
 
@@ -172,7 +172,7 @@ def prime_pool(deployment, spec, recorder=None) -> dict[str, int]:
             POOL_OWNER, 1, dir_meta.to_bytes(), acl_json)
 
     # ---- coordination entries ----------------------------------------------
-    # What a replicated ``entry_put`` leaves, minus the latency charge.  Every
+    # What a replicated ``Put`` step leaves, minus the latency charge.  Every
     # replica gets the same (immutable) record, and in key order, so that its
     # sorted key index grows by appends.
     for key in sorted(entries):

@@ -3,13 +3,17 @@
 * the LRU caches never exceed their capacity and never corrupt values;
 * the consistency-anchor composition always returns the latest completed
   write, for arbitrary interleavings of writes and reads of many objects;
-* the DepSpace and ZooKeeper replicas answer every entry command identically,
-  and their prefix listings match a brute-force filter of a plain dict model;
+* the DepSpace and ZooKeeper replicas answer every ``entry_multi`` command
+  identically — one step or several, all or nothing — and their entries,
+  locks and prefix listings match a plain dict model applying the steps;
 * two sessions' interleaved conditional and unconditional puts on one entry
   never lose an update and never skip a version, on either service;
 * the SCFS file system agrees with a plain in-memory dictionary model under
   arbitrary sequences of whole-file operations.
 """
+
+import json
+import pickle
 
 from hypothesis import given, settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
@@ -19,12 +23,14 @@ from repro.common.errors import (
     ConflictError,
     FileExistsErrorFS,
     FileNotFoundErrorFS,
+    LockHeldError,
     ReproError,
     TupleNotFoundError,
 )
 from repro.common.types import Permission, Principal
 from repro.coordination.adapters import make_coordination_service
-from repro.coordination.base import EntryACL
+from repro.coordination.base import Delete, EntryACL, Grant, Lock, Move, Put, Update
+from repro.coordination.entries import Holder
 from repro.core.backend import SingleCloudBackend
 from repro.core.cache import LRUByteCache
 from repro.core.consistency import AnchoredStorage, DictConsistencyAnchor
@@ -98,22 +104,37 @@ PREFIXES = ("", "meta:", "meta:/a", "meta:/a/", "meta:/a/b", "meta:/a/b/", "meta
             "meta:/a%", "meta:%", "meta:/a/b/c%", "txn:", "zzz")
 USERS = ("ann", "ben")
 
+LOCKS = ("L1", "L2")
+
 _keys = st.sampled_from(KEYS)
-_users = st.sampled_from(USERS)
 _entry_step = st.one_of(
-    st.tuples(st.just("put"), _keys, _users, st.sampled_from((None, 0, "current", "stale"))),
-    st.tuples(st.just("delete"), _keys, _users),
-    st.tuples(st.just("move"), _keys, _keys, _users, st.sampled_from((0, "current"))),
-    st.tuples(st.just("acl"), _keys, _users, _users,
+    st.tuples(st.just("put"), _keys, st.sampled_from((None, 0, "current", "stale"))),
+    st.tuples(st.just("update"), _keys, st.sampled_from(("current", "other")),
+              st.sampled_from((None, "current", "stale"))),
+    st.tuples(st.just("delete"), _keys),
+    st.tuples(st.just("move"), _keys, _keys, st.sampled_from((0, "current"))),
+    st.tuples(st.just("acl"), _keys, st.sampled_from(USERS),
               st.sampled_from((Permission.NONE, Permission.READ, Permission.READ_WRITE))),
+    st.tuples(st.just("lock"), st.sampled_from(LOCKS)),
 )
+_command = st.tuples(st.sampled_from(USERS), st.lists(_entry_step, min_size=2, max_size=4))
+
+
+def _value(number: int, position: int) -> bytes:
+    """A stored value: a JSON object naming a file, as metadata tuples do."""
+    return json.dumps({"file_id": f"f{number}.{position}", "n": number}, sort_keys=True).encode()
+
+
+def _holder(user: str) -> Holder:
+    return Holder(f"s-{user}", lease_seconds=1e9, deadline=1e9)
 
 
 class _DictModel:
-    """What the replicas' entry commands must do, over a dict of (owner, version, value, acl)."""
+    """What the replicas' steps must do, over a dict of (owner, version, value, acl) and a lock map."""
 
     def __init__(self):
         self.entries: dict[str, tuple[str, int, bytes, EntryACL]] = {}
+        self.locks: dict[str, str] = {}
 
     def _writable(self, key, user, expected):
         found = self.entries.get(key)
@@ -123,37 +144,67 @@ class _DictModel:
             raise ConflictError("write denied")
         return found
 
-    def apply(self, step, number):
-        kind, key = step[0], step[1]
-        value = f"{kind}:{number}".encode()
-        if kind == "put":
-            _, _, user, expected = step
-            found = self._writable(key, user, expected)
+    def _step(self, op, user):
+        """Apply one concrete step for ``user``; its result as ``(key, value, version, owner)``."""
+        if isinstance(op, Lock):
+            if op.name in self.locks:
+                raise LockHeldError("held", lock=op.name)
+            self.locks[op.name] = f"s-{user}"
+            return None
+        key = op.key
+        if isinstance(op, Put):
+            found = self._writable(key, user, op.expected_version)
             owner, version, acl = (found[0], found[1], found[3]) if found else (
                 user, 0, EntryACL(owner=user))
-            self.entries[key] = (owner, version + 1, value, acl)
-        elif kind == "delete":
-            if self._writable(key, step[2], None) is not None:
+            self.entries[key] = (owner, version + 1, op.value, acl)
+        elif isinstance(op, Update):
+            found = self.entries.get(key)
+            if found is None or json.loads(found[2])["file_id"] != op.file_id:
+                raise ConflictError("another file")
+            if op.expected_version is not None and found[1] != op.expected_version:
+                raise ConflictError("version mismatch")
+            if not found[3].allows(user, Permission.WRITE):
+                raise ConflictError("write denied")
+            value = json.dumps({**json.loads(found[2]), **op.fields}, sort_keys=True).encode()
+            self.entries[key] = (found[0], found[1] + 1, value, found[3])
+        elif isinstance(op, Delete):
+            if self._writable(key, user, None) is not None:
                 del self.entries[key]
-        elif kind == "move":
-            _, _, new_key, user, target = step
+            return None
+        elif isinstance(op, Move):
             found = self._writable(key, user, None)
             if found is None:
                 raise TupleNotFoundError("no source")
-            self._writable(new_key, user, target)
+            self._writable(op.new_key, user, op.target_version)
             del self.entries[key]
-            self.entries[new_key] = (found[0], max(found[1], target) + 1, value, found[3])
+            key = op.new_key
+            self.entries[key] = (found[0], max(found[1], op.target_version) + 1, op.value, found[3])
         else:
-            _, _, user, grantee, permission = step
             found = self.entries.get(key)
             if found is None:
                 raise TupleNotFoundError("no entry")
             if user != found[0]:
                 raise ConflictError("not the owner")
-            grants = {u: p for u, p in found[3].grants.items() if u != grantee}
-            if permission is not Permission.NONE:
-                grants[grantee] = permission
+            grants = {u: p for u, p in found[3].grants.items() if u != op.user}
+            if op.permission is not Permission.NONE:
+                grants[op.user] = op.permission
             self.entries[key] = (found[0], found[1] + 1, found[2], EntryACL(found[0], grants))
+            return None
+        owner, version, value, _acl = self.entries[key]
+        return (key, value, version, owner)
+
+    def command(self, ops, user):
+        """All or nothing: each key and lock changed once, then the steps in order."""
+        changed = [(isinstance(op, Lock), key) for op in ops
+                   for key in ((op.key, op.new_key) if isinstance(op, Move) else (op[0],))]
+        if len(set(changed)) != len(changed):
+            raise ConflictError("changed twice")
+        entries, locks = dict(self.entries), dict(self.locks)
+        try:
+            return [self._step(op, user) for op in ops]
+        except ReproError:
+            self.entries, self.locks = entries, locks
+            raise
 
     def listing(self, prefix, user):
         return [(key, value, version, owner)
@@ -161,29 +212,26 @@ class _DictModel:
                 if key.startswith(prefix) and acl.allows(user, Permission.READ)]
 
 
-def _concrete(step, model):
-    """Resolve a drawn step's symbolic versions against the model's current state."""
+def _concrete(step, model, number, position):
+    """The step a drawn one names, its symbolic versions and file ids resolved against ``model``."""
     def version(key, how):
         current = model.entries[key][1] if key in model.entries else 0
         return {"current": current, "stale": max(current - 1, 0)}.get(how, how)
 
-    if step[0] == "put":
-        return (*step[:3], version(step[1], step[3]))
-    if step[0] == "move":
-        return (*step[:4], version(step[2], step[4]))
-    return step
-
-
-def _send(replica, step, number):
     kind, key = step[0], step[1]
-    value = f"{kind}:{number}".encode()
     if kind == "put":
-        return replica.entry_put(key, value, step[2], 0.0, expected_version=step[3])
+        return Put(key, _value(number, position), version(key, step[2]))
+    if kind == "update":
+        current = model.entries.get(key)
+        file_id = json.loads(current[2])["file_id"] if current and step[2] == "current" else "other"
+        return Update(key, file_id, {"n": number}, version(key, step[3]))
     if kind == "delete":
-        return replica.entry_delete(key, step[2], 0.0)
+        return Delete(key)
     if kind == "move":
-        return replica.entry_move(key, step[2], value, step[3], 0.0, target_version=step[4])
-    return replica.entry_set_acl(key, step[2], step[3], step[4], 0.0)
+        return Move(key, step[2], _value(number, position), target_version=version(step[2], step[3]))
+    if kind == "acl":
+        return Grant(key, step[2], step[3])
+    return Lock(key)
 
 
 def _outcome(call):
@@ -193,27 +241,55 @@ def _outcome(call):
         return type(refused)
 
 
+def _replies(entries):
+    return [None if entry is None else (entry.key, entry.value, entry.version, entry.owner)
+            for entry in entries]
+
+
+def _send(replica, ops, user):
+    return _replies(replica.entry_multi(ops, user, 0.0, holder=_holder(user)))
+
+
+def _assert_agree(replicas, model):
+    for prefix in PREFIXES:
+        for user in USERS:
+            listed = [[(e.key, e.value, e.version, e.owner)
+                       for e in replica.entry_list(prefix, user, 0.0)]
+                      for replica in replicas]
+            assert listed[0] == listed[1] == model.listing(prefix, user)
+    assert replicas[0].entry_count() == replicas[1].entry_count() == len(model.entries)
+    for name in LOCKS:
+        assert [replica.lock_holder(name, 0.0) for replica in replicas] == [
+            model.locks.get(name)] * 2
+
+
 class TestEntryStoreProperties:
     @settings(max_examples=150, deadline=None)
-    @given(steps=st.lists(_entry_step, max_size=40))
+    @given(steps=st.lists(st.tuples(st.sampled_from(USERS), _entry_step), max_size=40))
     def test_both_replicas_agree_with_a_dict_model(self, steps):
+        """One-step ``entry_multi`` commands: the client's ``put``, ``delete``, ``move``, ..."""
         replicas, model = (DepSpace(), ZooKeeperLike()), _DictModel()
-        for number, drawn in enumerate(steps):
-            step = _concrete(drawn, model)
-            outcomes = [_outcome(lambda r=replica: _send(r, step, number)) for replica in replicas]
-            expected = _outcome(lambda: model.apply(step, number))
-            assert outcomes[0] == outcomes[1]
+        for number, (user, drawn) in enumerate(steps):
+            op = _concrete(drawn, model, number, 0)
+            outcomes = [_outcome(lambda r=replica: _send(r, [op], user)) for replica in replicas]
+            expected = _outcome(lambda: model.command([op], user))
+            assert outcomes[0] == outcomes[1] == expected
+            _assert_agree(replicas, model)
+
+    @settings(max_examples=150, deadline=None)
+    @given(commands=st.lists(_command, max_size=12))
+    def test_a_command_of_several_steps_is_all_or_nothing(self, commands):
+        """Refused: every replica byte-identical to before.  Accepted: the model's steps in order."""
+        replicas, model = (DepSpace(), ZooKeeperLike()), _DictModel()
+        for number, (user, drawn) in enumerate(commands):
+            ops = [_concrete(step, model, number, position) for position, step in enumerate(drawn)]
+            before = [pickle.dumps(replica) for replica in replicas]
+            outcomes = [_outcome(lambda r=replica: _send(r, ops, user)) for replica in replicas]
+            expected = _outcome(lambda: model.command(ops, user))
+            assert outcomes[0] == outcomes[1] == expected
             if isinstance(expected, type):
-                assert outcomes[0] is expected
-            else:
-                assert not isinstance(outcomes[0], type)
-            for prefix in PREFIXES:
-                for user in USERS:
-                    listed = [[(e.key, e.value, e.version, e.owner)
-                               for e in replica.entry_list(prefix, user, 0.0)]
-                              for replica in replicas]
-                    assert listed[0] == listed[1] == model.listing(prefix, user)
-            assert replicas[0].entry_count() == replicas[1].entry_count() == len(model.entries)
+                assert [pickle.dumps(replica) for replica in replicas] == before
+            _assert_agree(replicas, model)
 
 
 class TestEntryVersionProperties:

@@ -27,7 +27,8 @@ from hypothesis import given, settings, strategies as st
 from repro.common.errors import ConflictError
 from repro.common.types import Permission, Principal
 from repro.coordination import PartitionedCoordination, make_coordination_service
-from repro.coordination.base import Entry, Put, Update
+from repro.coordination.base import Entry, Get, Put, Update
+from repro.coordination.entries import Holder
 from repro.core.metadata import DATA_FIELDS, FileMetadata, FileType
 from repro.simenv.environment import Simulation
 
@@ -97,7 +98,7 @@ def test_an_update_sets_exactly_its_fields_or_leaves_every_replica_alone(case):
         return
     reply = service.multi([step], caller)[0]
     for replica in replicas:
-        entry = replica.entry_get(KEY, "alice", sim.now())
+        entry, = replica.entry_multi([Get(KEY)], "alice", sim.now(), Holder("s", 1.0, 1.0))
         assert entry == reply
         assert FileMetadata.from_bytes(entry.value) == _replaced(old, new, names)
         assert (entry.version, entry.owner) == (version + 1, stored.owner)
@@ -140,10 +141,10 @@ def test_the_intent_flip_riding_behind_updates_is_applied_last(case):
         assert service.get("txn:t", alice).value == b"pending"
         return
     service.multi([*steps, flip], alice)
-    assert service.get("txn:t", alice).value == b"committed"
     assert "txn:t" in applied[-1]
     assert all("txn:t" not in keys_of for keys_of in applied[:-1])
     assert sorted(key for keys_of in applied for key in keys_of if key != "txn:t") == keys
+    assert service.get("txn:t", alice).value == b"committed"
 
 
 def _recorded(multi, applied: list[set[str]]):

@@ -10,6 +10,7 @@ from repro.common.errors import (
     IsADirectoryErrorFS,
     LockHeldError,
     NotADirectoryErrorFS,
+    ObjectNotFoundError,
     PermissionDeniedError,
     QuorumNotReachedError,
 )
@@ -368,7 +369,7 @@ class TestOneCommitPath:
         deployment = SCFSDeployment.for_variant("SCFS-CoC-NB", seed=23)
         fs = deployment.create_agent("alice")
         fs.write_file("/doc.txt", b"data", shared=True)
-        (task, complete), = fs.agent._pending_tasks.values()
+        (_of, task, complete), = fs.agent._pending_commits.values()
         task.cancel()
         before = deployment.sim.now()
         complete()
@@ -547,3 +548,32 @@ class TestStatisticsAndLifecycle:
             fs.write_file("/x", b"1")
             deployment.drain()
             assert fs.read_file("/x") == b"1"
+
+
+class TestConsistencyRetries:
+    """``AgentStatistics.consistency_retries`` counts the r2 polls of the agent's reads."""
+
+    @pytest.mark.parametrize("read", ["open", "transaction"])
+    def test_a_read_made_to_poll_n_times_counts_n(self, monkeypatch, read):
+        deployment = SCFSDeployment.for_variant("SCFS-CoC-B", seed=19)
+        alice, bob = deployment.create_agent("alice"), deployment.create_agent("bob")
+        alice.write_file("/f", b"shared bytes", shared=True)
+        alice.setfacl("/f", "bob", Permission.READ)
+        deployment.drain(3.0)
+        backend, misses = bob.agent.backend, [None] * 3
+        fetch = backend.read_version
+
+        def not_visible_yet(*args, **kwargs):
+            if misses:
+                misses.pop()
+                raise ObjectNotFoundError("not visible yet")
+            return fetch(*args, **kwargs)
+
+        monkeypatch.setattr(backend, "read_version", not_visible_yet)
+        if read == "open":
+            data = bob.read_file("/f")
+        else:
+            data = bob.run_transaction(lambda txn: txn.read("/f"))
+        assert data == b"shared bytes" and not misses
+        assert bob.agent.stats.consistency_retries == 3
+        assert alice.agent.stats.consistency_retries == 0

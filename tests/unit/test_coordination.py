@@ -13,7 +13,7 @@ from repro.coordination.adapters import (
     ZooKeeperCoordination,
     make_coordination_service,
 )
-from repro.coordination.base import Get, Lock, Put, Unlock
+from repro.coordination.base import Delete, Entry, Get, Grant, Lock, Move, Put, Unlock
 from repro.coordination.entries import Holder
 from repro.coordination.partitioned import PartitionedCoordination
 from repro.coordination.replication import (
@@ -28,10 +28,22 @@ from repro.core.lock_service import LockService
 from repro.core.metadata import FileMetadata, FileType
 
 
-def _take(replica, names, now, session="s1", deadline=10.0):
-    """Take ``names`` in one command for ``session`` (lease 10 s, heartbeat deadline given)."""
+def _multi(replica, steps, user="alice", now=0.0, session="s1", deadline=10.0):
+    """One ``entry_multi`` of ``steps`` for ``user``'s session (lease 10 s, heartbeat deadline given)."""
     holder = Holder(session, lease_seconds=10.0, deadline=deadline)
-    return replica.entry_multi([Lock(name) for name in names], "alice", now, holder=holder)
+    return replica.entry_multi(steps, user, now, holder=holder)
+
+
+def _take(replica, names, now, session="s1", deadline=10.0):
+    """Take ``names`` in one command for ``session``."""
+    return _multi(replica, [Lock(name) for name in names], now=now, session=session,
+                  deadline=deadline)
+
+
+def _value(replica, key, user):
+    """The value a ``Get`` step shows ``user`` under ``key`` (None: absent)."""
+    entry, = _multi(replica, [Get(key)], user)
+    return None if entry is None else entry.value
 
 
 @pytest.fixture(params=[DepSpace, ZooKeeperLike])
@@ -42,11 +54,15 @@ def replica(request):
 
 class TestReplica:
     def test_apply_dispatches_commands(self, replica):
-        replica.apply(("entry_put", ("k", b"v", "alice", 0.0), {}))
-        assert replica.apply(("entry_get", ("k", "alice", 0.0), {})).value == b"v"
+        holder = Holder("s1", 10.0, 10.0)
+        replica.apply(("entry_multi", ((Put("k", b"v"),), "alice", 0.0), {"holder": holder}))
+        assert [e.value for e in replica.apply(("entry_list", ("k", "alice", 0.0), {}))] == [b"v"]
 
-    def test_apply_rejects_unknown_and_private_operations(self, replica):
-        for operation in ("_expire", "_entry_write", "_entries", "not_an_op"):
+    def test_apply_accepts_exactly_its_commands(self, replica):
+        verbs = {DepSpace: {"close_session"}, ZooKeeperLike: {"close_session", "register_session"}}
+        assert replica.COMMANDS == {"entry_multi", "entry_list", *verbs[type(replica)]}
+        for operation in ("entry_put", "entry_get", "entry_count", "lock_holder", "apply",
+                          "_expire", "_entry_write", "_entries", "not_an_op"):
             with pytest.raises(ConflictError, match=type(replica).__name__):
                 replica.apply((operation, (0.0,), {}))
 
@@ -54,40 +70,38 @@ class TestReplica:
         _take(replica, ["f"], 0.0)
         with pytest.raises(LockHeldError):
             _take(replica, ["f"], 1.0, session="s2")
-        replica.entry_multi([Unlock("f")], "bob", 1.0, holder=Holder("s2", 10.0, 11.0))
+        _multi(replica, [Unlock("f")], "bob", 1.0, session="s2", deadline=11.0)
         assert replica.lock_holder("f", 1.0) == "s1"
-        replica.entry_multi([Unlock("f")], "alice", 1.0, holder=Holder("s1", 10.0, 10.0))
+        _multi(replica, [Unlock("f")], "alice", 1.0)
         assert replica.lock_holder("f", 1.0) is None
 
     def test_a_refused_multi_takes_no_lock(self, replica):
         with pytest.raises(ConflictError):
-            replica.entry_multi([Lock("l"), Put("k", b"x", 5)], "alice", 0.0,
-                                holder=Holder("s1", 10.0, 10.0))
+            _multi(replica, [Lock("l"), Put("k", b"x", 5)])
         assert replica.lock_holder("l", 0.0) is None and replica.entry_count() == 0
 
     def test_grants_apply_when_a_put_creates_the_entry_only(self, replica):
-        replica.entry_put("k", b"v1", "alice", 0.0, grants={"*": Permission.READ})
-        assert replica.entry_get("k", "bob", 0.0).value == b"v1"
+        _multi(replica, [Put("k", b"v1", grants={"*": Permission.READ})])
+        assert _value(replica, "k", "bob") == b"v1"
         with pytest.raises(ConflictError):
-            replica.entry_put("k", b"bob's", "bob", 0.0)  # READ, not WRITE
+            _multi(replica, [Put("k", b"bob's")], "bob")  # READ, not WRITE
         # An update keeps the ACL the entry has, whatever grants it names.
-        replica.entry_put("k", b"v2", "alice", 0.0, grants={"bob": Permission.READ_WRITE})
-        assert replica.entry_get("k", "carol", 0.0).value == b"v2"
+        _multi(replica, [Put("k", b"v2", grants={"bob": Permission.READ_WRITE})])
+        assert _value(replica, "k", "carol") == b"v2"
         with pytest.raises(ConflictError):
-            replica.entry_put("k", b"bob's", "bob", 0.0)
+            _multi(replica, [Put("k", b"bob's")], "bob")
 
     def test_an_update_keeps_an_acl_set_after_creation(self, replica):
-        replica.entry_put("k", b"v1", "alice", 0.0)
-        replica.entry_set_acl("k", "alice", "bob", Permission.READ, 0.0)
-        replica.entry_put("k", b"v2", "alice", 0.0)
-        assert replica.entry_get("k", "bob", 0.0).value == b"v2"
+        _multi(replica, [Put("k", b"v1")])
+        assert _multi(replica, [Grant("k", "bob", Permission.READ)]) == [None]
+        _multi(replica, [Put("k", b"v2")])
+        assert _value(replica, "k", "bob") == b"v2"
 
     def test_a_put_step_creates_its_entry_with_its_grants(self, replica):
-        replica.entry_multi([Put("a", b"x", 0, {"bob": Permission.READ}), Put("b", b"y", 0)],
-                            "alice", 0.0, holder=Holder("s1", 10.0, 10.0))
-        assert replica.entry_get("a", "bob", 0.0).value == b"x"
+        _multi(replica, [Put("a", b"x", 0, {"bob": Permission.READ}), Put("b", b"y", 0)])
+        assert _value(replica, "a", "bob") == b"x"
         with pytest.raises(ConflictError):
-            replica.entry_get("b", "bob", 0.0)
+            _value(replica, "b", "bob")
 
     def test_a_lock_taken_now_lapses_ten_seconds_on(self, replica):
         """Take at 0: the lease and the session deadline end together at 10."""
@@ -98,9 +112,8 @@ class TestReplica:
         assert replica.lock_holder("f", 10.0) == "s2"
 
     def test_listing_visits_only_its_prefix_sorted(self, replica):
-        for key in ("meta:/a/b2", "meta:/a/b/c", "meta:/a/b", "meta:/a%2F", "meta:/a/b/%",
-                    "meta:/ab"):
-            replica.entry_put(key, key.encode(), "alice", 0.0)
+        _multi(replica, [Put(key, key.encode()) for key in (
+            "meta:/a/b2", "meta:/a/b/c", "meta:/a/b", "meta:/a%2F", "meta:/a/b/%", "meta:/ab")])
         listed = [entry.key for entry in replica.entry_list("meta:/a/b/", "alice", 0.0)]
         assert listed == ["meta:/a/b/%", "meta:/a/b/c"]
         listed = [entry.key for entry in replica.entry_list("meta:/a/b", "alice", 0.0)]
@@ -111,14 +124,38 @@ class TestReplica:
         assert replica.entry_count() == 6
 
     def test_a_move_reindexes_the_entry(self, replica):
-        replica.entry_put("meta:/d/x", b"x", "alice", 0.0)
-        replica.entry_move("meta:/d/x", "meta:/e/x", b"moved", "alice", 0.0)
+        _multi(replica, [Put("meta:/d/x", b"x")])
+        moved, = _multi(replica, [Move("meta:/d/x", "meta:/e/x", b"moved")])
+        assert (moved.key, moved.value, moved.version) == ("meta:/e/x", b"moved", 2)
         assert replica.entry_list("meta:/d/", "alice", 0.0) == []
         assert [e.key for e in replica.entry_list("meta:/e/", "alice", 0.0)] == ["meta:/e/x"]
-        replica.entry_delete("meta:/e/x", "alice", 0.0)
-        assert replica.entry_count() == 0
-        with pytest.raises(TupleNotFoundError):
-            replica.entry_get("meta:/e/x", "alice", 0.0)
+        assert _multi(replica, [Delete("meta:/e/x"), Delete("meta:/never")]) == [None, None]
+        assert replica.entry_count() == 0 and _value(replica, "meta:/e/x", "alice") is None
+
+    def test_a_move_changes_both_its_keys_once(self, replica):
+        _multi(replica, [Put("a", b"1"), Put("b", b"1")])
+        for steps in ([Move("a", "a", b"2", target_version=1)],
+                      [Move("a", "c", b"2"), Put("c", b"3")],
+                      [Move("a", "c", b"2"), Delete("a")]):
+            with pytest.raises(ConflictError, match="only once"):
+                _multi(replica, steps)
+        assert [e.key for e in replica.entry_list("", "alice", 0.0)] == ["a", "b"]
+
+    def test_checks_of_every_step_precede_every_change(self, replica):
+        _multi(replica, [Put("a", b"1"), Put("b", b"1")])
+        _multi(replica, [Put("theirs", b"t")], "bob")
+        before = pickle.dumps(replica)
+        for steps, refusal in (
+                ([Delete("a"), Move("b", "c", b"2"), Grant("theirs", "alice", Permission.READ)],
+                 ConflictError),
+                ([Grant("a", "bob", Permission.READ), Move("missing", "d", b"2")],
+                 TupleNotFoundError),
+                ([Delete("b"), Grant("gone", "bob", Permission.READ)], TupleNotFoundError),
+                ([Move("a", "c", b"2"), Delete("theirs")], ConflictError)):
+            with pytest.raises(refusal):
+                _multi(replica, steps)
+            assert pickle.dumps(replica) == before
+        assert _multi(replica, [Delete("a"), Move("b", "c", b"2"), Lock("l")])[1].version == 2
 
 
 class TestDepSpaceLeases:
@@ -137,7 +174,7 @@ class TestDepSpaceLeases:
         _take(space, ["c", "a"], 0.0)
         _take(space, ["b"], 1.0)
         _take(space, ["z"], 1.0, session="s2")
-        space.close_session("s1", 2.0)
+        space.close_session("s1", "alice", 2.0)
         assert [space.lock_holder(name, 2.0) for name in "abcz"] == [None, None, None, "s2"]
 
     def test_closing_a_session_leaves_a_lapsed_lock_to_its_new_holder(self):
@@ -145,7 +182,7 @@ class TestDepSpaceLeases:
         _take(space, ["a"], 0.0)
         _take(space, ["b"], 5.0)
         _take(space, ["a"], 11.0, session="s2")  # "a" lapsed at 10 and was taken again
-        space.close_session("s1", 11.0)
+        space.close_session("s1", "alice", 11.0)
         assert [space.lock_holder(name, 11.0) for name in "ab"] == ["s2", None]
 
 
@@ -162,14 +199,14 @@ class TestZooKeeperSessions:
     def test_a_heartbeat_or_a_take_keeps_the_session_alive(self):
         tree = ZooKeeperLike()
         _take(tree, ["a"], 0.0, deadline=10.0)
-        tree.register_session("s1", 20.0, now=5.0)
+        tree.register_session("s1", 20.0, "alice", now=5.0)
         _take(tree, ["b"], 15.0, deadline=30.0)
         assert [tree.lock_holder(name, 25.0) for name in ("a", "b")] == ["s1", "s1"]
 
     def test_a_heartbeat_after_expiry_does_not_bring_the_locks_back(self):
         tree = ZooKeeperLike()
         _take(tree, ["a"], 0.0, deadline=10.0)
-        tree.register_session("s1", 40.0, now=11.0)  # nothing read the lock in between
+        tree.register_session("s1", 40.0, "alice", now=11.0)  # nothing read the lock in between
         assert tree.lock_holder("a", 12.0) is None
         _take(tree, ["b"], 12.0, deadline=40.0)
         assert [tree.lock_holder(name, 13.0) for name in ("a", "b")] == [None, "s1"]
@@ -184,8 +221,13 @@ class TestZooKeeperSessions:
         tree = ZooKeeperLike()
         _take(tree, ["a", "b"], 0.0, deadline=100.0)
         _take(tree, ["z"], 0.0, session="s2", deadline=100.0)
-        tree.close_session("s1", now=1.0)
+        tree.close_session("s1", "alice", now=1.0)
         assert [tree.lock_holder(name, 1.0) for name in ("a", "b", "z")] == [None, None, "s2"]
+
+
+def _command(*steps):
+    """``rsm.invoke`` / ``rsm.command`` arguments of alice's ``entry_multi`` of ``steps``."""
+    return ("entry_multi", steps, "alice", 0.0, Holder("s1", 10.0, 10.0))
 
 
 class TestReplication:
@@ -196,56 +238,56 @@ class TestReplication:
 
     def test_invoke_keeps_replicas_in_sync(self, sim):
         rsm = ReplicatedStateMachine(sim, DepSpace, FaultModel.CRASH, f=1)
-        rsm.invoke("entry_put", "k", b"v", "alice", 0.0)
+        rsm.invoke(*_command(Put("k", b"v")))
         for index in rsm.correct_replicas:
-            assert rsm.replicas[index].entry_get("k", "alice", 0.0).value == b"v"
+            assert _value(rsm.replicas[index], "k", "alice") == b"v"
 
     def test_invoke_charges_latency(self, sim):
         rsm = ReplicatedStateMachine(sim, DepSpace, FaultModel.BYZANTINE, f=1)
-        rsm.invoke("entry_put", "k", b"v", "alice", 0.0)
+        rsm.invoke(*_command(Put("k", b"v")))
         assert sim.now() > 0.0
 
     def test_tolerates_f_crashes(self, sim):
         rsm = ReplicatedStateMachine(sim, DepSpace, FaultModel.CRASH, f=1)
         rsm.crash_replica(0)
-        rsm.invoke("entry_put", "k", b"v", "alice", 0.0)
-        assert rsm.reference_replica().entry_get("k", "alice", 0.0).value == b"v"
+        rsm.invoke(*_command(Put("k", b"v")))
+        assert _value(rsm.reference_replica(), "k", "alice") == b"v"
 
     def test_too_many_crashes_block_progress(self, sim):
         rsm = ReplicatedStateMachine(sim, DepSpace, FaultModel.CRASH, f=1)
         rsm.crash_replica(0)
         rsm.crash_replica(1)
         with pytest.raises(QuorumNotReachedError):
-            rsm.invoke("entry_put", "k", b"v", "alice", 0.0)
+            rsm.invoke(*_command(Put("k", b"v")))
 
     def test_byzantine_replicas_do_not_block_below_threshold(self, sim):
         rsm = ReplicatedStateMachine(sim, DepSpace, FaultModel.BYZANTINE, f=1)
         rsm.make_byzantine(2)
-        rsm.invoke("entry_put", "k", b"v", "alice", 0.0)
+        rsm.invoke(*_command(Put("k", b"v")))
         assert rsm.commands_executed == 1
 
     def test_recover_replica_restores_quorum_and_state(self, sim):
         rsm = ReplicatedStateMachine(sim, ZooKeeperLike, FaultModel.CRASH, f=1)
         rsm.crash_replica(0)
-        rsm.invoke("entry_put", "k", b"v", "alice", 0.0)
+        rsm.invoke(*_command(Put("k", b"v")))
         rsm.crash_replica(1)
         rsm.recover_replica(0)
-        rsm.invoke("entry_put", "k", b"w", "alice", 0.0)
-        assert rsm.replicas[0].entry_get("k", "alice", 0.0).version == 2
+        assert rsm.invoke(*_command(Put("k", b"w")))[0].version == 2
+        assert _value(rsm.replicas[0], "k", "alice") == b"w"
 
     def test_invoke_together_runs_every_command_and_charges_the_slowest(self, sim):
         rsms = [ReplicatedStateMachine(sim, DepSpace, FaultModel.CRASH, f=1) for _ in range(3)]
         rsms[1].crash_replica(0)
         rsms[1].crash_replica(1)
         state, start = sim.rng.getstate(), sim.now()
-        # No quorum on the second, the third refuses its read: the first
+        # No quorum on the second, the third refuses its grant: the first
         # failure raises, once every command ran.
         with pytest.raises(QuorumNotReachedError):
-            invoke_together([rsms[0].command("entry_put", "k", b"v", "alice", 0.0),
-                             rsms[1].command("entry_put", "k", b"v", "alice", 0.0),
-                             rsms[2].command("entry_get", "k", "alice", 0.0)])
+            invoke_together([rsms[0].command(*_command(Put("k", b"v"))),
+                             rsms[1].command(*_command(Put("k", b"v"))),
+                             rsms[2].command(*_command(Grant("k", "bob", Permission.READ)))])
         assert [rsm.commands_executed for rsm in rsms] == [1, 0, 1]
-        assert rsms[0].reference_replica().entry_get("k", "alice", 0.0).value == b"v"
+        assert _value(rsms[0].reference_replica(), "k", "alice") == b"v"
         replay = random.Random()
         replay.setstate(state)
         draws = [rsm.latency.sample(0, replay) for rsm in (rsms[0], rsms[2])]
@@ -253,7 +295,7 @@ class TestReplication:
         with sim.background():  # background work draws nothing and waits for nothing
             assert invoke_together([rsm.command("entry_list", "", "alice", 0.0)
                                     for rsm in (rsms[0], rsms[2])]) == [
-                [rsms[0].reference_replica().entry_get("k", "alice", 0.0)], []]
+                [Entry("k", b"v", 1, "alice")], []]
         assert sim.now() == start + max(draws) and sim.rng.getstate() == replay.getstate()
 
     def test_invalid_replica_index(self, sim):
@@ -486,6 +528,20 @@ class TestPartitionedMultiCommand:
         assert coordination.get("intent0", session).value == b"pending"
         coordination.multi([Put("file1", b"v2", 1), Put("intent0", b"committed", 1)], session)
         assert coordination.get("intent0", session).value == b"committed"
+
+    def test_a_move_step_keeps_to_one_partition(self, sim, alice):
+        coordination, services = self._two_partitions(sim)
+        session = coordination.open_session(alice)
+        coordination.put("a0", b"x", session)
+        with pytest.raises(ValueError, match="spans partitions"):
+            coordination.multi([Move("a0", "b1", b"y")], session)
+        assert [service.rsm.commands_executed for service in services] == [1, 0]
+        assert coordination.move("a0", "c0", b"y", session).version == 2  # one command
+        assert [service.rsm.commands_executed for service in services] == [2, 0]
+        moved = coordination.move("c0", "b1", b"z", session, expected_version=2)
+        assert (moved.key, moved.version) == ("b1", 1)  # get, put and delete
+        assert [service.rsm.commands_executed for service in services] == [4, 1]
+        assert coordination.list_prefix("", session) == ["b1"]
 
     def test_a_refused_lock_set_leaves_nothing_held_on_any_partition(self, sim, alice, bob):
         coordination, _ = self._two_partitions(sim)

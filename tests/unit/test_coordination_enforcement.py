@@ -21,7 +21,8 @@ from repro.common.errors import (
 )
 from repro.common.types import Permission
 from repro.coordination.adapters import make_coordination_service
-from repro.coordination.base import Lock, Put
+from repro.coordination.base import Delete, Get, Grant, Lock, Move, Put, Unlock
+from repro.coordination.entries import Holder
 from repro.core.deployment import SCFSDeployment
 from repro.core.metadata import FileMetadata, FileType
 from repro.simenv.environment import Simulation
@@ -30,6 +31,12 @@ from repro.simenv.environment import Simulation
 @pytest.fixture(params=["depspace", "zookeeper"])
 def coordination(request, sim):
     return make_coordination_service(sim, request.param, f=1)
+
+
+def _raw(coordination, sim, steps, user, session_id="raw"):
+    """``user`` sends ``entry_multi`` of ``steps`` itself, naming any session it likes."""
+    holder = Holder(session_id, lease_seconds=30.0, deadline=sim.now() + 30.0)
+    return coordination.rsm.invoke("entry_multi", tuple(steps), user, sim.now(), holder)
 
 
 class TestRawCommandsAreChecked:
@@ -41,16 +48,16 @@ class TestRawCommandsAreChecked:
         coordination.set_entry_acl("k", "bob", Permission.READ, session)
         return session
 
-    @pytest.mark.parametrize("command", [
-        ("entry_put", "k", b"evil", "bob"),
-        ("entry_delete", "k", "bob"),
-        ("entry_set_acl", "k", "bob", "bob", Permission.READ_WRITE),
-        ("entry_move", "k", "stolen", b"evil", "bob"),
+    @pytest.mark.parametrize("step", [
+        Put("k", b"evil"),
+        Delete("k"),
+        Grant("k", "bob", Permission.READ_WRITE),
+        Move("k", "stolen", b"evil"),
     ])
-    def test_raw_mutation_by_a_reader_is_refused(self, coordination, sim, alice, command):
+    def test_raw_mutation_by_a_reader_is_refused(self, coordination, sim, alice, step):
         session = self._entry(coordination, alice)
         with pytest.raises(ConflictError):
-            coordination.rsm.invoke(*command, sim.now())
+            _raw(coordination, sim, [step], "bob")
         entry = coordination.get("k", session)
         assert (entry.value, entry.version, entry.owner) == (b"alice's", 2, "alice")
         assert coordination.list_prefix("", session) == ["k"]
@@ -59,9 +66,36 @@ class TestRawCommandsAreChecked:
             self, coordination, sim, alice):
         self._entry(coordination, alice)
         with pytest.raises(ConflictError):
-            coordination.rsm.invoke("entry_get", "k", "mallory", sim.now())
+            _raw(coordination, sim, [Get("k")], "mallory")
         assert coordination.rsm.invoke("entry_list", "", "mallory", sim.now()) == []
         assert [e.key for e in coordination.rsm.invoke("entry_list", "", "bob", sim.now())] == ["k"]
+
+    def test_a_raw_unlock_naming_another_principals_session_changes_nothing(
+            self, coordination, sim, alice):
+        session = coordination.open_session(alice)
+        assert coordination.try_lock("f", session)
+        _raw(coordination, sim, [Unlock("f")], "bob", session_id=session.session_id)
+        assert coordination.lock_holder("f") == session.session_id
+        coordination.unlock("f", session)
+        assert coordination.lock_holder("f") is None
+
+    def test_a_raw_close_of_another_principals_session_changes_nothing(
+            self, coordination, sim, alice):
+        session = coordination.open_session(alice)
+        coordination.multi([Lock("f"), Lock("g")], session)
+        coordination.rsm.invoke("close_session", session.session_id, "bob", sim.now())
+        assert [coordination.lock_holder(name) for name in "fg"] == [session.session_id] * 2
+        coordination.close_session(session)
+        assert [coordination.lock_holder(name) for name in "fg"] == [None, None]
+
+    def test_a_heartbeat_for_another_principals_session_keeps_nothing_alive(self, sim, alice):
+        coordination = make_coordination_service(sim, "zookeeper", f=1)
+        session = coordination.open_session(alice, lease_seconds=5.0)
+        assert coordination.try_lock("f", session)
+        coordination.rsm.invoke("register_session", session.session_id, sim.now() + 100.0,
+                                "bob", sim.now())
+        sim.advance(6.0)
+        assert coordination.lock_holder("f") is None
 
     def test_a_move_may_not_land_on_an_entry_the_mover_cannot_write(
             self, coordination, alice, bob):
@@ -76,10 +110,11 @@ class TestRawCommandsAreChecked:
     def test_every_replica_refused(self, coordination, sim, alice):
         """A rejected command leaves all replicas identical (and untouched)."""
         self._entry(coordination, alice)
+        before = [pickle.dumps(replica) for replica in coordination.rsm.replicas]
         with pytest.raises(ConflictError):
-            coordination.rsm.invoke("entry_put", "k", b"evil", "bob", sim.now())
-        for replica in coordination.rsm.replicas:
-            assert replica.entry_get("k", "alice", sim.now()).value == b"alice's"
+            _raw(coordination, sim, [Put("k", b"evil")], "bob")
+        assert [pickle.dumps(replica) for replica in coordination.rsm.replicas] == before
+        assert len(set(before)) == 1
 
 
 class TestMove:
