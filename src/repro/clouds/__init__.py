@@ -2,12 +2,11 @@
 
 SCFS only assumes that a storage cloud offers on-demand object storage with
 basic access-control lists and (at least) eventual consistency (§2.1,
-*service-agnosticism*).  This package provides exactly that abstraction:
+*service-agnosticism*).  This package provides exactly that:
 
-* :class:`~repro.clouds.object_store.ObjectStore` — the provider-agnostic
-  interface (put/get/delete/list + per-object ACLs);
-* :class:`~repro.clouds.eventual.EventuallyConsistentStore` — an in-memory
-  implementation with a configurable visibility (propagation) delay, latency
+* :class:`~repro.clouds.eventual.EventuallyConsistentStore` — the one store
+  type (put/get/delete/list + per-object ACLs and prefix grants), in memory,
+  with a configurable visibility (propagation) delay, latency
   charging against the simulated clock, fault injection and cost accounting;
 * :mod:`~repro.clouds.providers` — named profiles (Amazon S3, Google Cloud
   Storage, Windows Azure, Rackspace) with the latency and pricing figures
@@ -24,7 +23,7 @@ basic access-control lists and (at least) eventual consistency (§2.1,
   dispatch engine's request planning.
 """
 
-from repro.clouds.object_store import ObjectStore, ObjectVersion, ObjectListing
+from repro.clouds.object_store import ObjectVersion, ObjectListing
 from repro.clouds.dispatch import (
     DispatchPolicy,
     QuorumCall,
@@ -52,7 +51,6 @@ from repro.clouds.providers import (
 )
 
 __all__ = [
-    "ObjectStore",
     "ObjectVersion",
     "ObjectListing",
     "DispatchPolicy",

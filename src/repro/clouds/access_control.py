@@ -10,8 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.common.errors import AccessDeniedError
-from repro.common.types import Permission, Principal
+from repro.common.types import Permission
 
 
 @dataclass
@@ -25,17 +24,6 @@ class ObjectACL:
     owner: str
     grants: dict[str, Permission] = field(default_factory=dict)
 
-    def grant(self, canonical_id: str, permission: Permission) -> None:
-        """Grant ``permission`` to ``canonical_id`` (replacing any previous grant)."""
-        if permission is Permission.NONE:
-            self.grants.pop(canonical_id, None)
-        else:
-            self.grants[canonical_id] = permission
-
-    def revoke(self, canonical_id: str) -> None:
-        """Remove any grant for ``canonical_id``."""
-        self.grants.pop(canonical_id, None)
-
     def allows(self, canonical_id: str, permission: Permission) -> bool:
         """True if ``canonical_id`` holds ``permission`` on this object.
 
@@ -46,15 +34,3 @@ class ObjectACL:
             return True
         granted = self.grants.get(canonical_id, Permission.NONE) | self.grants.get("*", Permission.NONE)
         return (granted & permission) == permission
-
-    def check(self, principal: Principal, provider: str, permission: Permission) -> None:
-        """Raise :class:`AccessDeniedError` unless ``principal`` holds ``permission``."""
-        cid = principal.canonical_id(provider)
-        if not self.allows(cid, permission):
-            raise AccessDeniedError(
-                f"{principal.name} ({cid}) lacks {permission} on object owned by {self.owner}"
-            )
-
-    def copy(self) -> "ObjectACL":
-        """Return an independent copy of this ACL."""
-        return ObjectACL(self.owner, dict(self.grants))

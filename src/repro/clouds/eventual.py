@@ -34,7 +34,7 @@ from repro.common.sortedkeys import SortedKeys
 from repro.common.types import Permission, Principal
 from repro.clouds.access_control import ObjectACL
 from repro.clouds.accounting import CostTracker
-from repro.clouds.object_store import ObjectListing, ObjectStore, ObjectVersion
+from repro.clouds.object_store import ObjectListing, ObjectVersion
 from repro.clouds.pricing import StoragePricing
 from repro.crypto.hashing import content_digest
 from repro.simenv.environment import Simulation
@@ -55,11 +55,9 @@ class _StoredObject:
     acl: ObjectACL
     created_at: float
     visible_at: float
-    #: Hex digest of the payload as *sent* by the writer.  ``None`` defers the
-    #: sha256 until :meth:`digest_value` is first asked for it (``put`` on the
-    #: fault-free path stores the bytes unmodified, so hashing them up front
-    #: would charge every block put a full-payload pass for a value that only
-    #: ``head`` ever reports).
+    #: Hex digest of the payload as *sent* by the writer, or ``None`` when the
+    #: fault-free ``put`` stored the sent bytes unmodified (hashing them there
+    #: would charge every block put a full-payload pass nobody reads).
     digest: str | None
     previous: "_StoredObject | None" = None
     #: Start of the not-yet-settled storage-accounting span.  Defaults to the
@@ -71,14 +69,6 @@ class _StoredObject:
         if self.stored_since is None:
             self.stored_since = self.created_at
 
-    def digest_value(self) -> str:
-        """The as-put digest, computed on first use (valid only because the
-        fault-free ``put`` stores the sent bytes unmodified; fault paths that
-        substitute the stored bytes compute the digest eagerly)."""
-        if self.digest is None:
-            self.digest = content_digest(self.data)
-        return self.digest
-
     def visible_version(self, now: float) -> "_StoredObject | None":
         """Return the newest version of this key already visible at ``now``."""
         version: _StoredObject | None = self
@@ -87,8 +77,15 @@ class _StoredObject:
         return version
 
 
-class EventuallyConsistentStore(ObjectStore):
+class EventuallyConsistentStore:
     """Simulated eventually-consistent cloud object store.
+
+    The only contract SCFS needs from a storage cloud (§2.1,
+    service-agnosticism): on-demand object put/get/delete/list plus
+    prefix-level grants.  Every request takes the acting :class:`Principal`
+    and is checked against the object's ACL under that principal's canonical
+    identifier at this provider: SCFS relies on the clouds' own access
+    control, not on the agent (§2.6).
 
     Parameters
     ----------
@@ -222,9 +219,8 @@ class EventuallyConsistentStore(ObjectStore):
             stored_data = current.data if current is not None else b""
         if self.failures.is_active(FaultKind.CORRUPTION, now):
             stored_data = self._maybe_corrupt(stored_data)
-        # Fault-free puts store the sent bytes unmodified, so the as-put
-        # digest can be derived lazily from them (see ``_StoredObject``);
-        # fault paths that substitute the stored bytes must hash eagerly.
+        # Only fault paths that substitute the stored bytes record the as-put
+        # digest (see ``_StoredObject``).
         digest = None if stored_data is data else content_digest(data)
         obj = _StoredObject(
             key=key,
@@ -237,10 +233,6 @@ class EventuallyConsistentStore(ObjectStore):
             stored_since=now,
         )
         self.install(obj)
-        # The returned version reports the digest only when it is already
-        # known; ``head`` is the API that guarantees one (no current caller
-        # consumes put's return value, and hashing every put eagerly would
-        # serialise a full-payload sha256 into the write hot path).
         return ObjectVersion(key=key, size=len(data), created_at=now,
                              digest=digest or "")
 
@@ -256,21 +248,6 @@ class EventuallyConsistentStore(ObjectStore):
             raise ObjectNotFoundError(f"{self.name}: no visible object under key {key!r}")
         self._check_access(visible, key, principal, Permission.READ)
         return self._maybe_corrupt(visible.data)
-
-    def head(self, key: str, principal: Principal) -> ObjectVersion:
-        self._fail_if_unavailable()
-        self._charge(self.profile.metadata_op)
-        self.request_log.append(("head", key, 0))
-        self.costs.record_get(0)
-        obj = self._objects.get(key)
-        visible = obj.visible_version(self.sim.now()) if obj is not None else None
-        if visible is None:
-            raise ObjectNotFoundError(f"{self.name}: no visible object under key {key!r}")
-        self._check_access(visible, key, principal, Permission.READ)
-        return ObjectVersion(
-            key=key, size=len(visible.data), created_at=visible.created_at,
-            digest=visible.digest_value(),
-        )
 
     def delete(self, key: str, principal: Principal) -> None:
         self._fail_if_unavailable()
@@ -317,28 +294,6 @@ class EventuallyConsistentStore(ObjectStore):
         return visible.acl.allows(cid, Permission.READ) or self._policy_allows(
             key, cid, Permission.READ
         )
-
-    def set_acl(self, key: str, grantee_canonical_id: str, permission: Permission,
-                principal: Principal) -> None:
-        self._fail_if_unavailable()
-        self._charge(self.profile.metadata_op)
-        self.request_log.append(("set_acl", key, 0))
-        obj = self._objects.get(key)
-        if obj is None:
-            raise ObjectNotFoundError(f"{self.name}: cannot set ACL on missing key {key!r}")
-        if obj.acl.owner != principal.canonical_id(self.name):
-            raise AccessDeniedError(f"only the owner may change the ACL of {key!r}")
-        # ACL changes apply to every version of the key (they share the object).
-        obj.acl.grant(grantee_canonical_id, permission)
-
-    def get_acl(self, key: str, principal: Principal) -> dict[str, Permission]:
-        self._fail_if_unavailable()
-        self._charge(self.profile.metadata_op)
-        obj = self._objects.get(key)
-        if obj is None:
-            raise ObjectNotFoundError(f"{self.name}: cannot read ACL of missing key {key!r}")
-        self._check_access(obj, key, principal, Permission.READ)
-        return dict(obj.acl.grants)
 
     def set_bucket_policy(self, prefix: str, grantee_canonical_id: str,
                           permission: Permission, principal: Principal) -> None:

@@ -37,23 +37,23 @@ engine resolves (DepSky feeds it all of its quorum calls) and keeps one
   suspicion immediately: the cloud rejoins the primary stage on the next call.
 * **degraded** — an exponentially weighted moving average of per-request
   latency is kept per cloud.  A cloud whose EWMA exceeds
-  ``degraded_factor`` times the median of its peers is flagged
+  ``DEGRADED_FACTOR`` times the median of its peers is flagged
   :attr:`CloudStatus.DEGRADED` (a gray failure: it answers, slowly).  When a
   degraded cloud sits in a dispatched stage and the policy sets no explicit
   ``hedge_delay``, the tracker supplies an automatic one
-  (``hedge_multiple`` times the healthy median EWMA) so backup requests are
+  (``HEDGE_MULTIPLE`` times the healthy median EWMA) so backup requests are
   hedged proactively instead of waiting out the straggler.
 
 Knobs
 -----
-All knobs live in :class:`SuspicionPolicy`; the config layer
+The suspicion knobs live in :class:`SuspicionPolicy`; the config layer
 (:class:`repro.core.config.DispatchPolicyConfig`) exposes them per agent so
 benchmarks and Table 2 variants enable health tracking from configuration
 alone.  ``threshold`` trades detection speed against false suspicion under
 jitter; ``probe_backoff``/``probe_backoff_factor``/``probe_backoff_max``
 bound how stale a suspicion can get (and therefore the worst-case recovery
-lag after an outage ends); ``degraded_factor`` and ``hedge_multiple`` govern
-the straggler path.
+lag after an outage ends).  The straggler path runs on the module constants
+``DEGRADED_FACTOR``, ``EWMA_ALPHA``, ``MIN_SAMPLES`` and ``HEDGE_MULTIPLE``.
 """
 
 from __future__ import annotations
@@ -85,6 +85,19 @@ class CloudStatus(enum.Enum):
     SUSPECTED = "suspected"
 
 
+#: A cloud whose latency EWMA exceeds this multiple of the peer median is
+#: flagged DEGRADED.
+DEGRADED_FACTOR = 3.0
+#: Weight of the newest sample in the latency EWMA.
+EWMA_ALPHA = 0.3
+#: Samples required before the EWMA participates in degradation checks.
+MIN_SAMPLES = 4
+#: Automatic hedge delay for stages containing a DEGRADED cloud, as a multiple
+#: of the healthy peers' median EWMA (used only when the dispatch policy sets
+#: no explicit ``hedge_delay``).
+HEDGE_MULTIPLE = 2.0
+
+
 @dataclass(frozen=True)
 class SuspicionPolicy:
     """Knobs of the suspicion model (see the module docstring)."""
@@ -97,17 +110,6 @@ class SuspicionPolicy:
     probe_backoff_factor: float = 2.0
     #: Upper bound of the probe window (keeps recovery lag bounded).
     probe_backoff_max: float = 300.0
-    #: A cloud whose latency EWMA exceeds this multiple of the peer median is
-    #: flagged DEGRADED.
-    degraded_factor: float = 3.0
-    #: Weight of the newest sample in the latency EWMA.
-    ewma_alpha: float = 0.3
-    #: Samples required before the EWMA participates in degradation checks.
-    min_samples: int = 4
-    #: Automatic hedge delay for stages containing a DEGRADED cloud, as a
-    #: multiple of the healthy peers' median EWMA (used only when the dispatch
-    #: policy sets no explicit ``hedge_delay``).
-    hedge_multiple: float = 2.0
 
     def validate(self) -> None:
         """Raise :class:`ValueError` on nonsensical knob combinations."""
@@ -119,14 +121,6 @@ class SuspicionPolicy:
             raise ValueError("the probe backoff factor must be >= 1")
         if self.probe_backoff_max < self.probe_backoff:
             raise ValueError("the probe backoff cap must be >= the initial backoff")
-        if self.degraded_factor <= 1.0:
-            raise ValueError("the degradation factor must exceed 1")
-        if not 0.0 < self.ewma_alpha <= 1.0:
-            raise ValueError("the EWMA weight must be in (0, 1]")
-        if self.min_samples < 1:
-            raise ValueError("min_samples must be at least 1")
-        if self.hedge_multiple <= 0:
-            raise ValueError("the hedge multiple must be positive")
 
 
 @dataclass
@@ -244,7 +238,7 @@ class CloudHealthTracker:
             if r.cloud != cloud
             and r.status is not CloudStatus.SUSPECTED
             and r.ewma_latency is not None
-            and r.samples >= self.policy.min_samples
+            and r.samples >= MIN_SAMPLES
         ]
         return statistics.median(peers) if peers else None
 
@@ -255,11 +249,11 @@ class CloudHealthTracker:
             record is None
             or record.status is CloudStatus.SUSPECTED
             or record.ewma_latency is None
-            or record.samples < self.policy.min_samples
+            or record.samples < MIN_SAMPLES
         ):
             return False
         median = self._peer_median(cloud)
-        return median is not None and record.ewma_latency > self.policy.degraded_factor * median
+        return median is not None and record.ewma_latency > DEGRADED_FACTOR * median
 
     def status(self, cloud: str) -> CloudStatus:
         """Current classification of ``cloud`` (degradation checked lazily)."""
@@ -282,7 +276,7 @@ class CloudHealthTracker:
         median = self._peer_median(degraded[0])
         if median is None or median <= 0:
             return None
-        return self.policy.hedge_multiple * median
+        return HEDGE_MULTIPLE * median
 
     # --------------------------------------------------------------- planning
 
@@ -385,7 +379,7 @@ class CloudHealthTracker:
             if record.ewma_latency is None:
                 record.ewma_latency = latency
             else:
-                alpha = self.policy.ewma_alpha
+                alpha = EWMA_ALPHA
                 record.ewma_latency = alpha * latency + (1.0 - alpha) * record.ewma_latency
             record.consecutive_failures = 0
             if record.status is CloudStatus.SUSPECTED:
@@ -449,7 +443,7 @@ def expected_latency(store: "EventuallyConsistentStore", kind: str, payload: int
 
     The one per-cloud expectation every estimate uses: the profile under the
     store's current degradation (no RNG draw), raised to the ``tracker``'s
-    latency EWMA once it has ``min_samples`` (a gray failure the profile cannot
+    latency EWMA once it has ``MIN_SAMPLES`` (a gray failure the profile cannot
     know), floored at ``timeout`` while the tracker suspects the cloud (the
     wait a call that insists on it pays).  The tracker is only read.
     """
@@ -457,7 +451,7 @@ def expected_latency(store: "EventuallyConsistentStore", kind: str, payload: int
     record = tracker._clouds.get(store.name) if tracker is not None else None
     if record is None:
         return expected
-    if record.ewma_latency is not None and record.samples >= tracker.policy.min_samples:
+    if record.ewma_latency is not None and record.samples >= MIN_SAMPLES:
         expected = max(expected, record.ewma_latency)
     if record.status is CloudStatus.SUSPECTED and timeout is not None:
         expected = max(expected, timeout)

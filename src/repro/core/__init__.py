@@ -6,8 +6,8 @@ The package mirrors the component structure of §2/§3 of the paper:
   six SCFS variants of Table 2 (blocking, non-blocking, non-sharing × AWS, CoC);
 * :mod:`~repro.core.backend` — the storage backplane: a single-cloud backend
   (SCFS-AWS) and a DepSky cloud-of-clouds backend (SCFS-CoC);
-* :mod:`~repro.core.consistency` — the consistency-anchor algorithm of
-  Figure 3, decoupled from the file system;
+* :mod:`~repro.core.consistency` — step r2 of the consistency-anchor
+  algorithm of Figure 3 (:func:`~repro.core.consistency.read_anchored`);
 * :mod:`~repro.core.cache` — memory/disk LRU data caches and the short-lived
   metadata cache;
 * :mod:`~repro.core.metadata` — metadata tuples (files, directories, links,
@@ -29,7 +29,6 @@ from repro.core.config import SCFSConfig, BackendKind, GarbageCollectionPolicy, 
 from repro.core.modes import OperationMode, VariantSpec, VARIANTS, variant
 from repro.core.metadata import FileMetadata, FileType
 from repro.core.backend import StorageBackend, SingleCloudBackend, CloudOfCloudsBackend
-from repro.core.consistency import AnchoredStorage, ConsistencyAnchor, DictConsistencyAnchor
 from repro.core.filesystem import SCFSFileSystem, DurabilityLevel
 from repro.core.agent import SCFSAgent, OpenFlags
 from repro.core.deployment import SCFSDeployment
@@ -48,9 +47,6 @@ __all__ = [
     "StorageBackend",
     "SingleCloudBackend",
     "CloudOfCloudsBackend",
-    "AnchoredStorage",
-    "ConsistencyAnchor",
-    "DictConsistencyAnchor",
     "SCFSFileSystem",
     "DurabilityLevel",
     "SCFSAgent",

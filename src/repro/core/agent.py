@@ -182,8 +182,6 @@ class SCFSAgent:
         if config.private_name_spaces:
             self.pns = PrivateNameSpace(
                 principal.name, backend, coordination=self.coordination, session=self.session,
-                read_retry_interval=config.read_retry_interval,
-                read_retry_limit=config.read_retry_limit,
             )
 
         # -- the three local services ------------------------------------------
@@ -191,11 +189,7 @@ class SCFSAgent:
             sim, principal, self.metadata_cache,
             coordination=self.coordination, session=self.session, pns=self.pns,
         )
-        self.storage = StorageService(
-            sim, backend, self.memory_cache, self.disk_cache,
-            read_retry_interval=config.read_retry_interval,
-            read_retry_limit=config.read_retry_limit,
-        )
+        self.storage = StorageService(sim, backend, self.memory_cache, self.disk_cache)
         self.storage.on_poll = self._count_poll
         self.locks = LockService(sim, self.coordination, self.session)
         self.locks.on_transition = self._lock_transition

@@ -79,7 +79,7 @@ class DispatchPolicyConfig:
     ``suspicion_threshold = 0`` (the default) disables health tracking; any
     positive value builds a per-client
     :class:`~repro.clouds.health.CloudHealthTracker` with the probe-backoff
-    and degradation knobs below.
+    knobs below.
     """
 
     #: Abandon any single cloud request after this many seconds (None: wait).
@@ -98,8 +98,6 @@ class DispatchPolicyConfig:
     probe_backoff_factor: float = 2.0
     #: Upper bound of the probe window.
     probe_backoff_max: float = 300.0
-    #: Latency-EWMA multiple over the peer median that flags a straggler.
-    degraded_factor: float = 3.0
     #: Coalesce identical metadata read quorums issued in the same virtual
     #: instant through one deployment-wide
     #: :class:`~repro.clouds.dispatch.InstantCoalescer` (the scale-out
@@ -139,7 +137,6 @@ class DispatchPolicyConfig:
             probe_backoff=self.probe_backoff,
             probe_backoff_factor=self.probe_backoff_factor,
             probe_backoff_max=self.probe_backoff_max,
-            degraded_factor=self.degraded_factor,
         )
 
     def make_tracker(self) -> CloudHealthTracker | None:
@@ -224,41 +221,6 @@ class QuorumConfig:
 
 
 @dataclass(frozen=True)
-class TransactionConfig:
-    """Knobs of the transactional commit layer (``repro.transactions``).
-
-    A transaction commit is optimistic: reads record the version they saw, and
-    the commit re-validates them under the file locks before the per-file
-    version CAS.  A failed attempt raises
-    :class:`~repro.common.errors.TransactionConflictError`;
-    :meth:`~repro.transactions.TransactionManager.run` retries the whole body
-    with bounded exponential backoff before giving up with
-    :class:`~repro.common.errors.TransactionAbortedError`.
-    """
-
-    #: Total commit attempts of :meth:`TransactionManager.run` (first try
-    #: included) before the transaction aborts.
-    max_attempts: int = 4
-    #: Backoff before the first retry, in simulated seconds.
-    backoff: float = 0.2
-    #: Multiplier applied to the backoff after each failed attempt.
-    backoff_factor: float = 2.0
-    #: Upper bound of the backoff.
-    backoff_max: float = 5.0
-
-    def validate(self) -> None:
-        """Raise :class:`ConfigurationError` on nonsensical retry knobs."""
-        if self.max_attempts < 1:
-            raise ConfigurationError("a transaction needs at least one commit attempt")
-        if self.backoff < 0:
-            raise ConfigurationError("the transaction backoff must be non-negative")
-        if self.backoff_factor < 1.0:
-            raise ConfigurationError("the transaction backoff factor must be >= 1")
-        if self.backoff_max < self.backoff:
-            raise ConfigurationError("the transaction backoff cap is below the initial backoff")
-
-
-@dataclass(frozen=True)
 class SCFSConfig:
     """Full configuration of one SCFS agent."""
 
@@ -283,14 +245,8 @@ class SCFSConfig:
     #: Quorum-system structure of the CoC backend: the paper's threshold
     #: quorums by default, weighted ones when weights are given.
     quorum: QuorumConfig = field(default_factory=QuorumConfig)
-    #: Retry/backoff policy of the transactional commit layer.
-    transactions: TransactionConfig = field(default_factory=TransactionConfig)
     #: Lease of coordination-service sessions/locks in seconds.
     lock_lease: float = 30.0
-    #: Interval between retries of the consistency-anchor read loop (Figure 3, r2).
-    read_retry_interval: float = 0.5
-    #: Maximum retries of the read loop before giving up (bounds simulations).
-    read_retry_limit: int = 240
 
     def validate(self) -> None:
         """Check cross-field consistency; raise :class:`ConfigurationError` otherwise."""
@@ -298,7 +254,6 @@ class SCFSConfig:
         self.gc.validate()
         self.dispatch.validate()
         self.quorum.validate()
-        self.transactions.validate()
         if self.fault_tolerance < 0:
             raise ConfigurationError("fault tolerance must be non-negative")
         if self.quorum.weighted and self.backend is not BackendKind.COC:
@@ -314,10 +269,6 @@ class SCFSConfig:
             raise ConfigurationError("the non-sharing mode requires private name spaces")
         if self.lock_lease <= 0:
             raise ConfigurationError("the lock lease must be positive")
-        if self.read_retry_interval <= 0:
-            raise ConfigurationError("read retry interval must be positive")
-        if self.read_retry_limit < 0:
-            raise ConfigurationError("the read retry limit must be non-negative")
         if self.dispatch.hedge_delay is not None and self.backend is not BackendKind.COC:
             # Hedging dispatches a *fallback stage* early; only the
             # cloud-of-clouds backend has one (the single-cloud backend's

@@ -39,19 +39,14 @@ class PrivateNameSpace:
         the non-sharing mode there is no coordination service and the
         reference only lives in the local mount state (the same
         simplification S3QL makes with its local metadata cache).
-    read_retry_interval / read_retry_limit:
-        Polling policy of :meth:`load` (Figure 3, step r2).
     """
 
     def __init__(self, username: str, backend: StorageBackend,
-                 coordination=None, session=None,
-                 read_retry_interval: float = 0.5, read_retry_limit: int = 240):
+                 coordination=None, session=None):
         self.username = username
         self.backend = backend
         self.coordination = coordination
         self.session = session
-        self.read_retry_interval = read_retry_interval
-        self.read_retry_limit = read_retry_limit
         self.entries: dict[str, FileMetadata] = {}
         self.dirty = False
         #: What the anchor holds (or would hold) for the last object saved or loaded.
@@ -101,8 +96,7 @@ class PrivateNameSpace:
         if not anchored:
             return False
         digest, locator = split_anchor_value(anchored)
-        blob = read_anchored(self.backend.sim, self.backend, self.unit_id, digest, locator,
-                             self.read_retry_interval, self.read_retry_limit)
+        blob = read_anchored(self.backend.sim, self.backend, self.unit_id, digest, locator)
         self._from_bytes(blob)
         self._last_anchored = anchored
         self.dirty = False

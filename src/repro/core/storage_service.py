@@ -41,21 +41,12 @@ class ReadOutcome:
 class StorageService:
     """Whole-file data movement between memory, disk and the cloud backend."""
 
-    def __init__(
-        self,
-        sim: Simulation,
-        backend: StorageBackend,
-        memory_cache: LRUByteCache,
-        disk_cache: LRUByteCache,
-        read_retry_interval: float = 0.5,
-        read_retry_limit: int = 240,
-    ):
+    def __init__(self, sim: Simulation, backend: StorageBackend,
+                 memory_cache: LRUByteCache, disk_cache: LRUByteCache):
         self.sim = sim
         self.backend = backend
         self.memory = memory_cache
         self.disk = disk_cache
-        self.read_retry_interval = read_retry_interval
-        self.read_retry_limit = read_retry_limit
         #: Counters used by the garbage-collection policy and by reports.
         self.bytes_pushed = 0
         self.cloud_reads = 0
@@ -86,7 +77,6 @@ class StorageService:
             self._cache_in_memory(key, data)
             return ReadOutcome(data=data, source="disk")
         data = read_anchored(self.sim, self.backend, file_id, digest, locator,
-                             self.read_retry_interval, self.read_retry_limit,
                              on_poll=self.on_poll)
         self.cloud_reads += 1
         self.disk.put(key, data)

@@ -102,7 +102,8 @@ from repro.clouds.dispatch import (
 #: window (see :class:`~repro.clouds.dispatch.InstantCoalescer`).
 _MUTATING_OPS = frozenset({"block_put", "meta_put", "block_delete", "acl"})
 from repro.clouds.health import CloudHealthTracker, QuorumPlanner, expected_latency
-from repro.clouds.object_store import ObjectStore, ObjectVersion
+from repro.clouds.eventual import EventuallyConsistentStore
+from repro.clouds.object_store import ObjectVersion
 from repro.clouds.quorums import QuorumPredicate, QuorumSystem, ThresholdQuorumSystem
 from repro.crypto.cipher import KEY_SIZE, NONCE_SIZE, TAG_SIZE, SymmetricCipher, generate_key
 from repro.crypto.erasure import CodedBlock, ErasureCoder
@@ -150,14 +151,13 @@ def block_blob_digest(share: "SecretShare", payload: bytes) -> str:
 _RANKING_PAYLOAD = 1 << 20
 
 
-def _profile_get(cloud: ObjectStore, payload: int) -> float:
+def _profile_get(cloud: EventuallyConsistentStore, payload: int) -> float:
     """Expected GET latency the cloud's profile promises: no RNG draw, no
     degradation (the profile, not the cloud's current state)."""
-    profile = getattr(cloud, "profile", None)
-    return profile.object_get.expected(payload) if profile is not None else 0.0
+    return cloud.profile.object_get.expected(payload)
 
 
-def preferred_order(clouds: Iterable[ObjectStore]) -> list[ObjectStore]:
+def preferred_order(clouds: Iterable[EventuallyConsistentStore]) -> list[EventuallyConsistentStore]:
     """The clouds in DepSky's preferred order: block *i* lives on the *i*-th.
 
     Ranked by the GET latency the providers' profiles promise, ties broken
@@ -246,7 +246,7 @@ class DepSkyClient:
     def __init__(
         self,
         sim: Simulation,
-        clouds: list[ObjectStore],
+        clouds: list[EventuallyConsistentStore],
         principal: Principal,
         f: int = 1,
         encrypt: bool = True,
@@ -335,16 +335,6 @@ class DepSkyClient:
         if self.on_quorum is not None:
             self.on_quorum(op, unit_id, stats)
 
-    def _request_latency(self, cloud: ObjectStore, kind: str, payload: int) -> float:
-        """Sample one request's latency against ``cloud`` (degradation-aware)."""
-        sampler = getattr(cloud, "request_latency", None)
-        if sampler is not None:
-            return sampler(kind, payload)
-        profile = getattr(cloud, "profile", None)
-        if profile is None:
-            return 0.0
-        return getattr(profile, kind).sample(payload, self.sim.rng)
-
     def _call(self) -> QuorumCall:
         return QuorumCall(self.policy, health=self.health, now=self.sim.now())
 
@@ -353,7 +343,7 @@ class DepSkyClient:
         (A cloud counts once, however often it said it.)"""
         return self.quorum.certifies(dict.fromkeys(clouds))
 
-    def _request(self, cloud: ObjectStore, kind: str, size: int, send: Callable[[], Any],
+    def _request(self, cloud: EventuallyConsistentStore, kind: str, size: int, send: Callable[[], Any],
                  latency: Callable[[Any], float] | None = None,
                  prepare: Callable[[], None] | None = None,
                  mutating: bool = False) -> QuorumRequest:
@@ -362,10 +352,10 @@ class DepSkyClient:
         :func:`~repro.clouds.health.expected_latency` when dry-run."""
         return QuorumRequest(
             cloud=cloud.name, send=send, prepare=prepare, mutating=mutating,
-            latency=latency or (lambda _value: self._request_latency(cloud, kind, size)),
+            latency=latency or (lambda _value: cloud.request_latency(kind, size)),
             expected=lambda: expected_latency(cloud, kind, size, self.health, self._timeout))
 
-    def _get_request(self, cloud: ObjectStore, key: str, parse, size: int = 0) -> QuorumRequest:
+    def _get_request(self, cloud: EventuallyConsistentStore, key: str, parse, size: int = 0) -> QuorumRequest:
         """Build a GET request whose response must ``parse`` to count as a success.
 
         ``parse(blob)`` returns the request value or raises a
@@ -386,12 +376,12 @@ class DepSkyClient:
             return parse(blob), len(blob)
 
         def latency(_value):
-            return self._request_latency(cloud, "object_get", transferred[0])
+            return cloud.request_latency("object_get", transferred[0])
 
         return self._request(cloud, "object_get", size, send, latency=latency)
 
     def _planned_clouds(self, kind: str, payload: int,
-                        required) -> tuple[list[ObjectStore], list[ObjectStore]]:
+                        required) -> tuple[list[EventuallyConsistentStore], list[EventuallyConsistentStore]]:
         """Primary/fallback split of the clouds for one read-side quorum call.
 
         Without a :attr:`planner` every cloud sits in the primary stage (the
@@ -407,7 +397,7 @@ class DepSkyClient:
         return ([by_name[name] for name in plan.primary],
                 [by_name[name] for name in plan.fallback])
 
-    def _put_request(self, cloud: ObjectStore, key: str, blob: bytes) -> QuorumRequest:
+    def _put_request(self, cloud: EventuallyConsistentStore, key: str, blob: bytes) -> QuorumRequest:
         def send():
             cloud.put(key, blob, self.principal)
             return True
@@ -912,7 +902,7 @@ class DepSkyClient:
         retention policies, not for a read.
         """
 
-        def list_request(cloud: ObjectStore) -> QuorumRequest:
+        def list_request(cloud: EventuallyConsistentStore) -> QuorumRequest:
             def send():
                 return cloud.list_keys(self.unit_prefix(unit_id), self.principal)
 
@@ -991,16 +981,12 @@ class DepSkyClient:
         are covered too — the cloud-side half of SCFS's ``setfacl`` (§2.6).
         """
 
-        def acl_request(cloud: ObjectStore) -> QuorumRequest:
+        def acl_request(cloud: EventuallyConsistentStore) -> QuorumRequest:
             canonical = grantee.canonical_id(cloud.name)
 
             def send():
-                set_policy = getattr(cloud, "set_bucket_policy", None)
-                if set_policy is not None:
-                    set_policy(self.unit_prefix(unit_id), canonical, permission, self.principal)
-                else:  # pragma: no cover - only for exotic ObjectStore impls
-                    for key in cloud.list_keys(self.unit_prefix(unit_id), self.principal).keys:
-                        cloud.set_acl(key, canonical, permission, self.principal)
+                cloud.set_bucket_policy(self.unit_prefix(unit_id), canonical, permission,
+                                        self.principal)
                 return True
 
             return self._request(cloud, "metadata_op", 0, send, mutating=True)

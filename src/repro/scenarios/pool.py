@@ -118,8 +118,8 @@ def prime_pool(deployment, spec, recorder=None) -> dict[str, int]:
     acl_json = dump_acl(
         EntryACL(owner=POOL_OWNER, grants={"*": Permission.READ_WRITE})
     )
-    # One shared per-cloud object ACL: never mutated (``set_acl`` is
-    # owner-only and the pool owner never acts), so sharing is safe.
+    # One shared per-cloud object ACL: no store request changes an object's
+    # ACL after its creation, so sharing is safe.
     cloud_acls = {cloud.name: ObjectACL(owner=f"{POOL_OWNER}@{cloud.name}") for cloud in clouds}
     # Preferred-quorum write layout: the i-th cloud of the clients' order
     # stores block i, for the first n - f clouds only (spill-over stays empty).

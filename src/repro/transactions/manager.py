@@ -107,6 +107,15 @@ TXN_PREFIX = "txn:"
 #: Lifecycle states of a transaction (mirrored in the intent record).
 ACTIVE, COMMITTED, ABORTED = "active", "committed", "aborted"
 
+#: Commit attempts of :meth:`TransactionManager.run` (first try included)
+#: before the transaction aborts.
+MAX_ATTEMPTS = 4
+#: Backoff before the first retry, in simulated seconds; it doubles after each
+#: failed attempt, up to ``BACKOFF_MAX``.
+BACKOFF = 0.2
+BACKOFF_FACTOR = 2.0
+BACKOFF_MAX = 5.0
+
 
 @dataclass
 class ReadRecord:
@@ -221,7 +230,6 @@ class TransactionManager:
 
     def __init__(self, agent: "SCFSAgent") -> None:
         self.agent = agent
-        self.config = agent.config.transactions
 
     # ------------------------------------------------------------------ begin
 
@@ -235,15 +243,15 @@ class TransactionManager:
         """Execute ``body(txn)`` and commit, retrying with bounded backoff.
 
         The whole body re-executes on conflict (its reads must re-observe the
-        anchor), up to ``config.max_attempts`` times; then
+        anchor), up to :data:`MAX_ATTEMPTS` times; then
         :class:`TransactionAbortedError` carries the last conflict.  A retry
         re-reads every path the failed attempt touched with one coordination
         command, before the body runs, instead of one per ``txn.read``.
         """
-        backoff = self.config.backoff
+        backoff = BACKOFF
         last: TransactionConflictError | None = None
         touched: list[str] = []
-        for attempt in range(self.config.max_attempts):
+        for attempt in range(MAX_ATTEMPTS):
             txn = self.begin()
             txn.attempts = attempt + 1
             try:
@@ -260,15 +268,14 @@ class TransactionManager:
                 last = exc
                 txn.abort(reason=str(exc))
                 touched = sorted(set(txn._reads) | set(txn._writes))
-                if attempt < self.config.max_attempts - 1:
+                if attempt < MAX_ATTEMPTS - 1:
                     self.agent.sim.advance(backoff)
-                    backoff = min(backoff * self.config.backoff_factor,
-                                  self.config.backoff_max)
+                    backoff = min(backoff * BACKOFF_FACTOR, BACKOFF_MAX)
             except BaseException:
                 txn.abort(reason="body raised")
                 raise
         raise TransactionAbortedError(
-            f"transaction gave up after {self.config.max_attempts} attempts: {last}"
+            f"transaction gave up after {MAX_ATTEMPTS} attempts: {last}"
         ) from last
 
     # ----------------------------------------------------------------- commit

@@ -1,8 +1,9 @@
 """Property-based tests for core data structures and protocols.
 
 * the LRU caches never exceed their capacity and never corrupt values;
-* the consistency-anchor composition always returns the latest completed
-  write, for arbitrary interleavings of writes and reads of many objects;
+* a read through the consistency anchor always returns the latest anchored
+  write, on either backend, for arbitrary interleavings of writes and reads
+  of many objects;
 * the DepSpace and ZooKeeper replicas answer every ``entry_multi`` command
   identically — one step or several, all or nothing — and their entries,
   locks and prefix listings match a plain dict model applying the steps;
@@ -15,10 +16,11 @@
 import json
 import pickle
 
+import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
-from repro.clouds.providers import make_provider
+from repro.clouds.providers import make_cloud_of_clouds, make_provider
 from repro.common.errors import (
     ConflictError,
     FileExistsErrorFS,
@@ -31,9 +33,10 @@ from repro.common.types import Permission, Principal
 from repro.coordination.adapters import make_coordination_service
 from repro.coordination.base import Delete, EntryACL, Grant, Lock, Move, Put, Update
 from repro.coordination.entries import Holder
-from repro.core.backend import SingleCloudBackend
-from repro.core.cache import LRUByteCache
-from repro.core.consistency import AnchoredStorage, DictConsistencyAnchor
+from repro.core.backend import CloudOfCloudsBackend, SingleCloudBackend
+from repro.core.cache import LRUByteCache, make_disk_cache, make_memory_cache
+from repro.core.consistency import anchor_value, split_anchor_value
+from repro.core.storage_service import StorageService
 from repro.core.deployment import SCFSDeployment
 from repro.coordination.tuplespace import DepSpace
 from repro.coordination.zookeeper import ZooKeeperLike
@@ -71,7 +74,8 @@ class TestLRUCacheProperties:
                                            ((k, cache._entries[k]) for k in cache._entries))
 
 
-class TestConsistencyAnchorProperties:
+class TestAnchoredReadProperties:
+    @pytest.mark.parametrize("kind", ["single", "coc"])
     @settings(max_examples=25, deadline=None)
     @given(
         script=st.lists(
@@ -79,21 +83,27 @@ class TestConsistencyAnchorProperties:
             min_size=1, max_size=25,
         )
     )
-    def test_reads_always_return_the_latest_completed_write(self, script):
+    def test_reads_always_return_the_latest_anchored_write(self, kind, script):
+        # Figure 3 with a dict as the anchor: w2 is the backend's write, r2 a
+        # cold StorageService read.
         sim = Simulation(seed=7)
-        store = make_provider(sim, "amazon-s3", charge_latency=True)
-        anchored = AnchoredStorage(sim, DictConsistencyAnchor(),
-                                   SingleCloudBackend(sim, store, Principal("alice")),
-                                   retry_interval=0.5)
+        alice = Principal("alice")
+        if kind == "single":
+            backend = SingleCloudBackend(sim, make_provider(sim, "amazon-s3"), alice)
+        else:
+            backend = CloudOfCloudsBackend(sim, make_cloud_of_clouds(sim), alice, f=1)
+        anchor: dict[str, str] = {}
         latest: dict[str, bytes] = {}
         for op, object_index, payload in script:
             object_id = f"object-{object_index}"
             if op == "w":
-                anchored.write(object_id, payload)
+                anchor[object_id] = anchor_value(backend.write_version(object_id, payload))
                 latest[object_id] = payload
-            else:
-                observed = anchored.read(object_id)
-                assert observed == latest.get(object_id)
+            elif object_id in anchor:
+                reader = StorageService(sim, backend, make_memory_cache(1 << 16, sim.clock),
+                                        make_disk_cache(1 << 16, sim.clock))
+                digest, locator = split_anchor_value(anchor[object_id])
+                assert reader.read_version(object_id, digest, locator).data == latest[object_id]
 
 
 #: Keys with sibling boundaries (``meta:/a/b`` vs ``meta:/a/b2``: a prefix

@@ -24,7 +24,7 @@ import dataclasses
 from hypothesis import given, settings, strategies as st
 
 from repro.clouds.dispatch import DispatchPolicy, InstantCoalescer, QuorumCall, QuorumRequest
-from repro.clouds.health import CloudHealthTracker, expected_latency
+from repro.clouds.health import MIN_SAMPLES, CloudHealthTracker, expected_latency
 from repro.clouds.providers import make_cloud_of_clouds
 from repro.common.types import Principal
 from repro.simenv.environment import Simulation
@@ -54,7 +54,7 @@ def _world(case: dict):
     sim.advance(3.0)
     tracker = CloudHealthTracker()
     for index, latency in sorted(case["slow"].items()):
-        for _ in range(tracker.policy.min_samples):
+        for _ in range(MIN_SAMPLES):
             tracker.observe(clouds[index].name, succeeded=True, latency=latency, now=sim.now())
     for index in sorted(case["suspects"]):
         for _ in range(tracker.policy.threshold):

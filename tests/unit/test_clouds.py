@@ -18,7 +18,7 @@ from repro.common.errors import (
     CloudUnavailableError,
     ObjectNotFoundError,
 )
-from repro.common.types import Permission, Principal
+from repro.common.types import Permission
 from repro.common.units import GB, MONTH_SECONDS
 from repro.crypto.hashing import content_digest
 from repro.simenv.failures import FailureSchedule, FaultKind
@@ -33,30 +33,17 @@ class TestObjectACL:
     def test_unknown_user_has_no_access(self):
         assert not ObjectACL(owner="alice").allows("bob", Permission.READ)
 
-    def test_grant_and_revoke(self):
-        acl = ObjectACL(owner="alice")
-        acl.grant("bob", Permission.READ)
+    def test_a_grant_allows_what_it_names_and_no_more(self):
+        acl = ObjectACL(owner="alice", grants={"bob": Permission.READ})
         assert acl.allows("bob", Permission.READ)
         assert not acl.allows("bob", Permission.WRITE)
-        acl.revoke("bob")
-        assert not acl.allows("bob", Permission.READ)
+        assert not acl.allows("carol", Permission.READ)
 
-    def test_grant_none_removes_entry(self):
-        acl = ObjectACL(owner="alice")
-        acl.grant("bob", Permission.READ)
-        acl.grant("bob", Permission.NONE)
-        assert "bob" not in acl.grants
-
-    def test_check_raises_for_denied(self):
-        acl = ObjectACL(owner="alice@s3")
-        with pytest.raises(AccessDeniedError):
-            acl.check(Principal("bob"), "s3", Permission.READ)
-
-    def test_copy_is_independent(self):
-        acl = ObjectACL(owner="alice")
-        clone = acl.copy()
-        clone.grant("bob", Permission.READ)
-        assert "bob" not in acl.grants
+    def test_the_star_grant_covers_every_identity(self):
+        acl = ObjectACL(owner="alice", grants={"*": Permission.READ, "bob": Permission.WRITE})
+        assert acl.allows("carol", Permission.READ)
+        assert acl.allows("bob", Permission.READ_WRITE)
+        assert not acl.allows("carol", Permission.WRITE)
 
 
 class TestPricing:
@@ -157,34 +144,17 @@ class TestEventuallyConsistentStore:
         with pytest.raises(ObjectNotFoundError):
             self._store(sim).get("nope", alice)
 
-    def test_head_returns_metadata_without_payload(self, sim, alice):
-        store = self._store(sim)
-        store.put("k", b"12345", alice)
-        store.force_visibility()
-        version = store.head("k", alice)
-        assert version.size == 5 and version.key == "k"
-
-    def test_head_digest_is_lazily_computed_and_cached(self, sim, alice):
-        store = self._store(sim)
-        store.put("k", b"payload", alice)
-        store.force_visibility()
-        stored = store._objects["k"]
-        assert stored.digest is None  # fault-free put defers the sha256
-        version = store.head("k", alice)
-        assert version.digest == content_digest(b"payload")
-        assert stored.digest == version.digest  # cached after the first head
-
     def test_faulty_put_hashes_the_sent_bytes_eagerly(self, sim, alice):
         # When the stored bytes differ from the sent bytes (DROP_WRITES),
-        # the as-put digest cannot be derived lazily from the stored data —
-        # it must be captured at put time.
+        # the as-put digest cannot be derived from the stored data — it must
+        # be captured at put time.
         failures = FailureSchedule()
         failures.add(FaultKind.DROP_WRITES)
         store = self._store(sim, failures=failures)
         store.put("k", b"value", alice)
         store.force_visibility()
         assert store._objects["k"].digest == content_digest(b"value")
-        assert store.head("k", alice).digest == content_digest(b"value")
+        assert store.list_keys("k", alice).entries[0].digest == content_digest(b"value")
 
     def test_delete_is_idempotent(self, sim, alice):
         store = self._store(sim)
@@ -199,22 +169,6 @@ class TestEventuallyConsistentStore:
         store.force_visibility()
         with pytest.raises(AccessDeniedError):
             store.get("k", bob)
-
-    def test_set_acl_grants_read(self, sim, alice, bob):
-        store = self._store(sim)
-        store.put("k", b"v", alice)
-        store.force_visibility()
-        store.set_acl("k", bob.canonical_id("amazon-s3"), Permission.READ, alice)
-        assert store.get("k", bob) == b"v"
-        with pytest.raises(AccessDeniedError):
-            store.put("k", b"w", bob)
-
-    def test_only_owner_may_set_acl(self, sim, alice, bob):
-        store = self._store(sim)
-        store.put("k", b"v", alice)
-        store.force_visibility()
-        with pytest.raises(AccessDeniedError):
-            store.set_acl("k", "eve", Permission.READ, bob)
 
     def test_bucket_policy_covers_future_objects(self, sim, alice, bob):
         store = self._store(sim)
@@ -232,18 +186,18 @@ class TestEventuallyConsistentStore:
         assert store.list_keys("a/", alice).keys == ["a/1", "a/2"]
         assert store.list_keys("a/", bob).keys == []
 
-    def test_list_entries_say_what_a_head_would(self, sim, alice):
+    def test_list_entries_say_what_the_puts_stored(self, sim, alice):
         store = self._store(sim)
-        store.put("a/1", b"four", alice)
+        first = store.put("a/1", b"four", alice)
         sim.advance(5.0)
-        store.put("a/2", b"sixsix", alice)
+        second = store.put("a/2", b"sixsix", alice)
         store.force_visibility()
         listing = store.list_keys("a/", alice)
         assert [(e.key, e.size) for e in listing.entries] == [("a/1", 4), ("a/2", 6)]
         assert listing.total_bytes == 10
-        assert [e.created_at for e in listing.entries] == [
-            store.head(key, alice).created_at for key in listing.keys]
-        # One billed LIST, no HEAD per key.
+        assert [e.created_at for e in listing.entries] == [first.created_at, second.created_at]
+        assert second.created_at >= first.created_at + 5.0
+        # One billed LIST, nothing per key.
         assert [kind for kind, _key, _size in store.request_log].count("list") == 1
 
     def test_the_key_index_lists_what_a_sorted_scan_would(self, sim, alice):

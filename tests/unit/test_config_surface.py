@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 
+from repro.clouds.health import SuspicionPolicy
 from repro.core.config import SCFSConfig
 
 SURFACE = (
@@ -36,17 +37,10 @@ SURFACE = (
     "dispatch.probe_backoff",
     "dispatch.probe_backoff_factor",
     "dispatch.probe_backoff_max",
-    "dispatch.degraded_factor",
     "dispatch.coalesce_instant",
     "quorum.weights",
     "quorum.fault_budget",
-    "transactions.max_attempts",
-    "transactions.backoff",
-    "transactions.backoff_factor",
-    "transactions.backoff_max",
     "lock_lease",
-    "read_retry_interval",
-    "read_retry_limit",
 )
 
 
@@ -64,4 +58,10 @@ def _settable(config, prefix: str = "") -> list[str]:
 
 def test_the_settable_config_surface_is_the_pinned_one():
     assert tuple(_settable(SCFSConfig())) == SURFACE
-    assert len(SURFACE) == 33
+    assert len(SURFACE) == 26
+
+
+def test_the_suspicion_policy_holds_only_the_probe_knobs():
+    # The straggler knobs are module constants of ``repro.clouds.health``.
+    assert tuple(field.name for field in dataclasses.fields(SuspicionPolicy)) == (
+        "threshold", "probe_backoff", "probe_backoff_factor", "probe_backoff_max")

@@ -1,24 +1,30 @@
 """Unit tests for the storage backends and the consistency-anchor algorithm."""
 
+import dataclasses
+import math
+
 import pytest
 
 from repro.clouds.eventual import EventuallyConsistentStore
+from repro.clouds.health import MIN_SAMPLES
 from repro.clouds.providers import (
     COC_STORAGE_PROVIDERS,
     PROVIDER_PROFILES,
     make_cloud_of_clouds,
     make_provider,
 )
-from repro.common.errors import IntegrityError, ObjectNotFoundError, QuorumNotReachedError
+from repro.common.errors import (
+    IntegrityError,
+    ObjectNotFoundError,
+    QuorumNotReachedError,
+    VersionUnavailableError,
+)
 from repro.common.types import Permission
 from repro.core.backend import CloudOfCloudsBackend, SingleCloudBackend
-from repro.core.consistency import (
-    AnchoredStorage,
-    CoordinationConsistencyAnchor,
-    DictConsistencyAnchor,
-)
-from repro.coordination.adapters import make_coordination_service
+from repro.core.cache import make_disk_cache, make_memory_cache
 from repro.core.config import DispatchPolicyConfig
+from repro.core.consistency import READ_RETRY_LIMIT, anchor_value, split_anchor_value
+from repro.core.storage_service import StorageService
 from repro.crypto.hashing import content_digest
 from repro.simenv.failures import FaultKind
 
@@ -228,7 +234,7 @@ class TestEwmaLatencyEstimates:
 
     def _warm(self, backend, names, latency, now):
         for name in names:
-            for _ in range(backend.health.policy.min_samples):
+            for _ in range(MIN_SAMPLES):
                 backend.health.observe(name, succeeded=True, latency=latency, now=now)
 
     def test_single_cloud_estimates_follow_the_observed_ewma(self, sim, alice):
@@ -251,56 +257,79 @@ class TestEwmaLatencyEstimates:
         assert backend.estimate_write_latency(64 * 1024) >= 10.0 * baseline
 
 
-class TestConsistencyAnchor:
-    def test_read_returns_latest_completed_write(self, sim, alice):
-        store = make_provider(sim, "amazon-s3", charge_latency=True)
-        anchored = AnchoredStorage(sim, DictConsistencyAnchor(),
-                                   SingleCloudBackend(sim, store, alice))
-        anchored.write("obj", b"first")
-        anchored.write("obj", b"second")
-        assert anchored.read("obj") == b"second"
+def _clouds(backend):
+    """The store(s) under ``backend``."""
+    return backend.client.clouds if isinstance(backend, CloudOfCloudsBackend) else [backend.store]
 
-    def test_read_of_unknown_object_returns_none(self, sim, alice):
-        store = make_provider(sim, "amazon-s3")
-        anchored = AnchoredStorage(sim, DictConsistencyAnchor(),
-                                   SingleCloudBackend(sim, store, alice))
-        assert anchored.read("ghost") is None
 
-    def test_read_loop_waits_out_eventual_consistency(self, sim, alice):
-        # Propagation of 30 s: the hash is anchored immediately but the data
-        # only becomes visible later; the read loop (Figure 3, r2) must retry
-        # until it does rather than return stale/absent data.
-        store = make_provider(sim, "amazon-s3", charge_latency=True)
-        store.profile = store.profile.__class__(name=store.name, propagation_delay=30.0)
-        backend = SingleCloudBackend(sim, store, alice)
-        anchored = AnchoredStorage(sim, DictConsistencyAnchor(), backend, retry_interval=1.0)
-        anchored.write("obj", b"slow to appear")
+def _serve_stale(cloud, gets):
+    """``cloud`` answers its next ``gets`` GETs of stored bytes with other bytes."""
+    real_get, left = cloud.get, [gets]
+
+    def get(key, principal):
+        data = real_get(key, principal)
+        if left[0] > 0:
+            left[0] -= 1
+            return b"stale " + data
+        return data
+
+    cloud.get = get
+
+
+class TestAnchoredRead:
+    """Figure 3 as SCFS runs it: the anchor is a dict here, w2 the backend's
+    ``write_version`` and r2 a cold ``StorageService.read_version``."""
+
+    @staticmethod
+    def _write(backend, anchor, object_id, data):
+        anchor[object_id] = anchor_value(backend.write_version(object_id, data))  # w1-w3
+
+    @staticmethod
+    def _read(sim, backend, anchor, object_id, polls=None):
+        service = StorageService(sim, backend, make_memory_cache(1 << 20, sim.clock),
+                                 make_disk_cache(1 << 24, sim.clock))
+        if polls is not None:
+            service.on_poll = lambda: polls.append(sim.now())
+        outcome = service.read_version(object_id, *split_anchor_value(anchor[object_id]))  # r1, r2
+        assert outcome.source == "cloud"
+        return outcome.data
+
+    def test_a_cold_read_returns_the_latest_anchored_write(self, backend, sim):
+        anchor = {}
+        self._write(backend, anchor, "obj", b"first")
+        self._write(backend, anchor, "obj", b"second")
+        assert self._read(sim, backend, anchor, "obj") == b"second"
+
+    def test_a_propagation_delay_is_waited_out(self, backend, sim):
+        # The hash is anchored at once, the data only visible 30 s later: r2
+        # must wait for it rather than return stale or absent data.
+        for cloud in _clouds(backend):
+            cloud.profile = dataclasses.replace(cloud.profile, propagation_delay=30.0)
+        anchor = {}
+        self._write(backend, anchor, "obj", b"slow to appear")
         start = sim.now()
-        assert anchored.read("obj") == b"slow to appear"
+        assert self._read(sim, backend, anchor, "obj") == b"slow to appear"
         assert sim.now() - start >= 29.0
 
-    def test_read_gives_up_after_retry_limit(self, sim, alice):
-        store = make_provider(sim, "amazon-s3", charge_latency=True)
-        backend = SingleCloudBackend(sim, store, alice)
-        anchored = AnchoredStorage(sim, DictConsistencyAnchor(), backend,
-                                   retry_interval=0.1, retry_limit=3)
-        # Anchor a hash whose data never reaches the storage service.
-        anchored.anchor.write_hash("obj", content_digest(b"never stored"))
-        assert anchored.read("obj") is None
+    def test_stale_bytes_are_polled_past(self, backend, sim):
+        anchor = {}
+        self._write(backend, anchor, "obj", b"fresh")
+        for cloud in _clouds(backend):
+            _serve_stale(cloud, gets=2)
+        polls = []
+        assert self._read(sim, backend, anchor, "obj", polls) == b"fresh"
+        assert len(polls) == 2
 
-    def test_cloud_of_clouds_backend_works_as_storage_service(self, sim, alice):
-        clouds = make_cloud_of_clouds(sim)
-        backend = CloudOfCloudsBackend(sim, clouds, alice, f=1)
-        anchored = AnchoredStorage(sim, DictConsistencyAnchor(), backend, retry_interval=0.5)
-        anchored.write("obj", b"cloud of clouds payload")
-        assert anchored.read("obj") == b"cloud of clouds payload"
-
-    def test_coordination_service_as_anchor(self, sim, alice):
-        store = make_provider(sim, "amazon-s3", charge_latency=True)
-        coordination = make_coordination_service(sim, "depspace", f=0)
-        session = coordination.open_session(alice)
-        anchor = CoordinationConsistencyAnchor(coordination, session)
-        anchored = AnchoredStorage(sim, anchor, SingleCloudBackend(sim, store, alice))
-        anchored.write("obj", b"anchored in DepSpace")
-        assert anchored.read("obj") == b"anchored in DepSpace"
-        assert anchor.read_hash("missing") is None
+    @pytest.mark.parametrize("fault", ["stale", "absent"])
+    def test_a_version_never_served_is_unavailable_not_wrong(self, backend, sim, fault):
+        anchor = {}
+        if fault == "stale":
+            self._write(backend, anchor, "obj", b"anchored")
+            for cloud in _clouds(backend):
+                _serve_stale(cloud, gets=math.inf)
+        else:
+            anchor["obj"] = content_digest(b"never stored")
+        polls = []
+        with pytest.raises(VersionUnavailableError) as raised:
+            self._read(sim, backend, anchor, "obj", polls)
+        assert raised.value.attempts == READ_RETRY_LIMIT + 1 == len(polls) + 1

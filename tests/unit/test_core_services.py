@@ -318,8 +318,7 @@ class TestStorageService:
     def _service(self, sim, backend):
         return StorageService(sim, backend,
                               make_memory_cache(1 << 20, sim.clock),
-                              make_disk_cache(1 << 24, sim.clock),
-                              read_retry_interval=0.5)
+                              make_disk_cache(1 << 24, sim.clock))
 
     def test_push_then_read_comes_from_memory(self, sim, single_backend):
         service = self._service(sim, single_backend)

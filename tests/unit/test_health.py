@@ -4,23 +4,19 @@ import pytest
 
 from repro.clouds.dispatch import DispatchPolicy, QuorumRequest, dispatch_quorum
 from repro.clouds.health import (
+    HEDGE_MULTIPLE,
+    MIN_SAMPLES,
     CloudHealthTracker,
     CloudStatus,
     HealthStats,
     SuspicionPolicy,
 )
 from repro.clouds.providers import make_cloud_of_clouds, make_provider
-from repro.common.errors import (
-    CloudUnavailableError,
-    ConfigurationError,
-    IntegrityError,
-)
+from repro.common.errors import CloudUnavailableError, ConfigurationError
 from repro.common.types import Permission, Principal
 from repro.core.backend import CloudOfCloudsBackend, ReadPathStats, SingleCloudBackend
 from repro.core.config import DispatchPolicyConfig, SCFSConfig
-from repro.core.consistency import AnchoredStorage, DictConsistencyAnchor
 from repro.core.deployment import SCFSDeployment
-from repro.crypto.hashing import content_digest
 from repro.depsky.dataunit import VersionRecord
 from repro.depsky.protocol import DepSkyClient
 from repro.simenv.environment import Simulation
@@ -84,8 +80,8 @@ class TestSuspicionLifecycle:
         assert health.probe_at == pytest.approx(60.0)  # 30 (cap) after the fail
 
     def test_degraded_flagged_against_peer_median(self):
-        t = CloudHealthTracker(SuspicionPolicy(degraded_factor=3.0, min_samples=2))
-        for now in range(4):
+        t = CloudHealthTracker()
+        for now in range(MIN_SAMPLES):
             t.observe("slow", succeeded=True, latency=2.0, now=float(now))
             t.observe("b", succeeded=True, latency=0.2, now=float(now))
             t.observe("c", succeeded=True, latency=0.25, now=float(now))
@@ -112,8 +108,6 @@ class TestSuspicionLifecycle:
             SuspicionPolicy(probe_backoff=0.0).validate()
         with pytest.raises(ValueError):
             SuspicionPolicy(probe_backoff=10.0, probe_backoff_max=5.0).validate()
-        with pytest.raises(ValueError):
-            SuspicionPolicy(degraded_factor=1.0).validate()
 
 
 class TestHealthAwareDispatch:
@@ -182,9 +176,8 @@ class TestHealthAwareDispatch:
         assert stats.reached
 
     def test_degraded_straggler_hedged_without_explicit_hedge_delay(self):
-        t = CloudHealthTracker(SuspicionPolicy(degraded_factor=3.0, min_samples=2,
-                                               hedge_multiple=2.0))
-        for now in range(4):
+        t = CloudHealthTracker()
+        for now in range(MIN_SAMPLES):
             t.observe("slow", succeeded=True, latency=2.0, now=float(now))
             t.observe("b", succeeded=True, latency=0.2, now=float(now))
             t.observe("c", succeeded=True, latency=0.2, now=float(now))
@@ -192,9 +185,10 @@ class TestHealthAwareDispatch:
             [[request("slow", 8.0)], [request("c", 0.2)]],
             required=1, health=t, now=10.0,
         )
-        # Auto-hedge at 2 x 0.2 s: the backup beats the straggler by far.
+        # Auto-hedge at HEDGE_MULTIPLE x 0.2 s: the backup beats the straggler
+        # by far.
         assert stats.hedged == 1
-        assert stats.elapsed == pytest.approx(0.6)
+        assert stats.elapsed == pytest.approx(HEDGE_MULTIPLE * 0.2 + 0.2)
 
     def test_without_health_behaviour_unchanged(self):
         stats = dispatch_quorum([[request("a", 1.0), request("b", 2.0)]], required=2)
@@ -391,13 +385,11 @@ class TestDispatchConfigPlumbing:
             DispatchPolicyConfig(suspicion_threshold=2, probe_backoff=10.0,
                                  probe_backoff_max=1.0).validate()
 
-    def test_scfs_config_rejects_bad_lease_and_retry_limit(self):
+    def test_scfs_config_rejects_a_bad_lease(self):
         with pytest.raises(ConfigurationError):
             SCFSConfig(lock_lease=0.0).validate()
         with pytest.raises(ConfigurationError):
             SCFSConfig(lock_lease=-1.0).validate()
-        with pytest.raises(ConfigurationError):
-            SCFSConfig(read_retry_limit=-1).validate()
 
     def test_hedge_delay_requires_fallback_stage(self):
         # The single-cloud backend has no fallback stage to hedge with.
@@ -489,60 +481,6 @@ class TestReadPathSuspicionStats:
         table = render_read_paths("paths", {"CoC": stats})
         assert "demoted" in table and "probes" in table
         assert "4" in table and "2" in table
-
-
-class TestConsistencyAnchorIntegrity:
-    def test_digest_mismatch_raises_integrity_error_not_none(self):
-        # A backend that always returns wrong data for the anchored digest must
-        # surface an IntegrityError once the retry budget is exhausted, not a
-        # silent None (which is indistinguishable from "file absent").
-        sim = Simulation(seed=2)
-
-        class StaleBackend:
-            def estimate_readable_at(self, locator):
-                return 0.0
-
-            def read_version(self, file_id, digest, locator=""):
-                return b"stale version"
-
-            def write_version(self, file_id, data):
-                raise NotImplementedError
-
-        anchored = AnchoredStorage(sim, DictConsistencyAnchor(), StaleBackend(),
-                                   retry_interval=0.1, retry_limit=3)
-        anchored.anchor.write_hash("obj", content_digest(b"anchored version"))
-        with pytest.raises(IntegrityError):
-            anchored.read("obj")
-
-    def test_mismatch_keeps_polling_until_fresh_version_visible(self):
-        sim = Simulation(seed=2)
-
-        class EventuallyFreshBackend:
-            def __init__(self):
-                self.calls = 0
-
-            def estimate_readable_at(self, locator):
-                return 0.0
-
-            def read_version(self, file_id, digest, locator=""):
-                self.calls += 1
-                return b"stale" if self.calls < 3 else b"fresh"
-
-        backend = EventuallyFreshBackend()
-        anchored = AnchoredStorage(sim, DictConsistencyAnchor(), backend,
-                                   retry_interval=0.5, retry_limit=10)
-        anchored.anchor.write_hash("obj", content_digest(b"fresh"))
-        start = sim.now()
-        assert anchored.read("obj") == b"fresh"
-        # Two stale responses -> two retry waits on the simulated clock.
-        assert sim.now() - start == pytest.approx(1.0)
-
-    def test_absent_object_still_returns_none(self):
-        sim = Simulation(seed=2)
-        store = make_provider(sim, "amazon-s3", charge_latency=True)
-        anchored = AnchoredStorage(sim, DictConsistencyAnchor(),
-                                   SingleCloudBackend(sim, store, Principal("alice")))
-        assert anchored.read("ghost") is None
 
 
 class TestStorageAccountingSinceCreation:

@@ -22,6 +22,7 @@ from repro.common.errors import (
 )
 from repro.common.types import Permission
 from repro.core.backend import CloudOfCloudsBackend
+from repro.core.consistency import READ_RETRY_INTERVAL, READ_RETRY_LIMIT
 from repro.core.deployment import SCFSDeployment
 from repro.depsky.dataunit import VersionRecord
 from repro.depsky.protocol import DepSkyClient
@@ -146,22 +147,20 @@ def test_a_wrong_hint_leaves_the_poll_as_the_safety_net(shared):
     bob.agent.backend.client.readable_at = lambda record: record.created_at
     started = deployment.sim.now()
     assert bob.read_file("/f") == b"slower than its profile says"
-    assert deployment.sim.now() - started >= bob.agent.storage.read_retry_interval
+    assert deployment.sim.now() - started >= READ_RETRY_INTERVAL
 
 
 def test_exhausting_the_retry_limit_raises_a_typed_error(shared):
     deployment, alice, bob, meter = shared
-    storage = bob.agent.storage
-    storage.read_retry_limit = 3
     started = deployment.sim.now()
     with pytest.raises(VersionUnavailableError) as raised:
-        storage.read_version("file-never-written", "ab" * 32)
+        bob.agent.storage.read_version("file-never-written", "ab" * 32)
     error = raised.value
     assert isinstance(error, ObjectNotFoundError)
     assert (error.file_id, error.digest_prefix, error.attempts) == (
-        "file-never-written", "ab" * 6, 4)
+        "file-never-written", "ab" * 6, READ_RETRY_LIMIT + 1)
     assert error.waited == pytest.approx(deployment.sim.now() - started)
-    assert error.waited >= 3 * storage.read_retry_interval
+    assert error.waited >= READ_RETRY_LIMIT * READ_RETRY_INTERVAL
 
 
 # ------------------------------------------------------------------ below the anchor

@@ -15,6 +15,7 @@ from repro.common.errors import (
     TransactionError,
 )
 from repro.common.types import Permission
+from repro.core.consistency import READ_RETRY_INTERVAL
 from repro.core.deployment import SCFSDeployment
 from repro.core.metadata import DATA_FIELDS
 from repro.simenv.failures import FaultKind
@@ -229,7 +230,7 @@ class TestCommitPoint:
         started = deployment.sim.now()
         assert bob.read_file("/shared/b") == b"B2" * 100
         # No wait and no poll: one metadata lookup and one block fetch.
-        assert deployment.sim.now() - started < bob.agent.storage.read_retry_interval
+        assert deployment.sim.now() - started < READ_RETRY_INTERVAL
         assert sum(cloud.costs.usage.get_requests for cloud in deployment.clouds) == gets + 2
 
     def test_write_set_is_uploaded_as_one_batch(self, shared):
