@@ -3,7 +3,7 @@
 Every correctness claim in this repository rests on byte-identical replay
 (the pinned SHA-256 scenario fingerprints) and on hand-enforced protocol
 disciplines: sorted-order lock acquisition, RNG derivation only through
-``Simulation.fork_rng`` / ``derive_rng``, trace events whose field names the
+``derive_rng(sim.seed, label)``, trace events whose field names the
 invariant checkers consume stringly.  This package catches the whole class of
 "invariant broken at runtime" bugs *before* a seed sweep ever runs, with five
 AST/CFG rule families:

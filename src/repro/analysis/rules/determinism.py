@@ -6,7 +6,7 @@ iteration order of unordered sets (``DET003``) and object-address ordering
 (``DET004``) all vary between processes, so any of them feeding an event
 schedule, a trace event or a stored byte silently breaks the pinned replay
 fingerprints.  Simulated time comes from ``Simulation.now()``; randomness
-from ``Simulation.fork_rng`` / ``derive_rng`` streams.
+from ``derive_rng(sim.seed, label)`` streams.
 """
 
 from __future__ import annotations
@@ -103,10 +103,10 @@ def _classify_call(ctx: ModuleContext, func: ast.expr) -> tuple[str, str] | None
                               "code; use Simulation.now()")
         if module == "random" and attr in _AMBIENT_RANDOM:
             return "DET002", (f"ambient RNG random.{attr} in sim-visible code; "
-                              "draw from a Simulation.fork_rng stream")
+                              "draw from a derive_rng(sim.seed, label) stream")
         if module == "os" and attr == "urandom":
             return "DET002", ("ambient entropy os.urandom in sim-visible code; "
-                              "draw from a Simulation.fork_rng stream")
+                              "draw from a derive_rng(sim.seed, label) stream")
         if module == "uuid" and attr in _AMBIENT_UUID:
             return "DET002", (f"ambient id source uuid.{attr}() in sim-visible "
                               "code; use Simulation.fresh_id()")

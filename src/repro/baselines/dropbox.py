@@ -22,7 +22,7 @@ are reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.common.errors import FileNotFoundErrorFS
 from repro.common.units import MB
@@ -45,7 +45,6 @@ class DropboxProfile:
 class _SharedFile:
     data: bytes
     written_at: float
-    available_at: dict[str, float] = field(default_factory=dict)
 
 
 class DropboxLikeService:
@@ -74,15 +73,13 @@ class DropboxLikeService:
         server_time = detection + upload + processing
         for name, client in self.clients.items():
             if name == writer:
-                record.available_at[name] = record.written_at
                 continue
             notify = self.profile.notify.sample(0, rng)
             download = self.profile.download.sample(len(record.data), rng)
             arrival = record.written_at + server_time + notify + download
 
-            def deliver(client=client, path=path, data=record.data, arrival=arrival):
+            def deliver(client=client, path=path, data=record.data):
                 client.local_files[path] = data
-                self.files[path].available_at[client.name] = arrival
 
             self.sim.schedule(max(0.0, arrival - self.sim.now()), deliver,
                               name=f"dropbox-sync:{path}->{name}")
@@ -91,13 +88,6 @@ class DropboxLikeService:
         """Called by a client that saved ``path`` in its shared folder."""
         self.files[path] = _SharedFile(data=data, written_at=self.sim.now())
         self._propagate(path, writer)
-
-    def availability_time(self, path: str, client: str) -> float | None:
-        """Simulated instant at which ``client`` had ``path`` locally (None if not yet)."""
-        record = self.files.get(path)
-        if record is None:
-            return None
-        return record.available_at.get(client)
 
 
 class DropboxClient:

@@ -65,7 +65,3 @@ class LocalFS(BaselineFileSystem):
             raise self._missing(path)
         del self._files[path]
         self.sim.advance(DISK_LATENCY.sample(0, self.sim.rng))
-
-    def stored_files(self) -> int:
-        """Number of files currently stored (test helper)."""
-        return len(self._files)

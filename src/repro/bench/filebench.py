@@ -31,7 +31,7 @@ operation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 from repro.common.units import KB, MB
@@ -59,15 +59,6 @@ class MicroBenchmarkParams:
     emulate_vfs_lookups: bool = True
     #: Working directory used by the metadata-intensive benchmarks.
     directory: str = "/bench"
-
-    def scaled(self, factor: float) -> "MicroBenchmarkParams":
-        """Return a proportionally smaller workload (used by quick tests)."""
-        return replace(
-            self,
-            random_ops=max(1, int(self.random_ops * factor)),
-            create_count=max(1, int(self.create_count * factor)),
-            copy_count=max(1, int(self.copy_count * factor)),
-        )
 
 
 def _payload(size: int, seed: int) -> bytes:

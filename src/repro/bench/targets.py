@@ -52,10 +52,6 @@ class BenchTarget:
         else:
             self.sim.drain(extra)
 
-    def is_scfs(self) -> bool:
-        """True for SCFS variants, False for the baselines."""
-        return self.deployment is not None
-
     def _merged_backend_stat(self, getter):
         """Fold one per-backend statistic (anything with ``merge``) over all agents."""
         if self.deployment is None:

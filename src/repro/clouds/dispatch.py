@@ -204,11 +204,6 @@ class QuorumCallStats:
         return tuple(t.cloud for t in self.winners)
 
     @property
-    def preferred_hit(self) -> bool:
-        """True when the whole winning quorum came from stage 0."""
-        return self.reached and all(t.stage == 0 for t in self.winners)
-
-    @property
     def fallback_dispatched(self) -> bool:
         """True when any stage beyond the first was dispatched."""
         return len(self.stage_started_at) > 1
@@ -416,21 +411,6 @@ class QuorumCall:
             stage_waits=stage_waits, winners=winners, hedged=hedged_count,
             probes=len(probe_requests), demoted=demoted,
         )
-
-
-def dispatch_quorum(stages: Sequence[Sequence[QuorumRequest]], required,
-                    policy: DispatchPolicy | None = None,
-                    health: "CloudHealthTracker | None" = None,
-                    now: float = 0.0) -> QuorumCallStats:
-    """Convenience wrapper: build a :class:`QuorumCall` from ``stages`` and run it.
-
-    ``required`` is a response count or any :mod:`repro.clouds.quorums`
-    predicate (see :meth:`QuorumCall.execute`).
-    """
-    call = QuorumCall(policy, health=health, now=now)
-    for requests in stages:
-        call.stage(requests)
-    return call.execute(required)
 
 
 class InstantCoalescer:

@@ -36,7 +36,6 @@ from repro.clouds.access_control import ObjectACL
 from repro.clouds.accounting import CostTracker
 from repro.clouds.object_store import ObjectListing, ObjectVersion
 from repro.clouds.pricing import StoragePricing
-from repro.crypto.hashing import content_digest
 from repro.simenv.environment import Simulation
 from repro.simenv.failures import FailureSchedule, FaultKind
 from repro.simenv.latency import NetworkProfile
@@ -55,10 +54,6 @@ class _StoredObject:
     acl: ObjectACL
     created_at: float
     visible_at: float
-    #: Hex digest of the payload as *sent* by the writer, or ``None`` when the
-    #: fault-free ``put`` stored the sent bytes unmodified (hashing them there
-    #: would charge every block put a full-payload pass nobody reads).
-    digest: str | None
     previous: "_StoredObject | None" = None
     #: Start of the not-yet-settled storage-accounting span.  Defaults to the
     #: creation clock — a ``0.0`` default would let byte-seconds accounting
@@ -219,22 +214,17 @@ class EventuallyConsistentStore:
             stored_data = current.data if current is not None else b""
         if self.failures.is_active(FaultKind.CORRUPTION, now):
             stored_data = self._maybe_corrupt(stored_data)
-        # Only fault paths that substitute the stored bytes record the as-put
-        # digest (see ``_StoredObject``).
-        digest = None if stored_data is data else content_digest(data)
         obj = _StoredObject(
             key=key,
             data=stored_data,
             acl=acl,
             created_at=now,
             visible_at=now + self.profile.propagation_delay,
-            digest=digest,
             previous=current,
             stored_since=now,
         )
         self.install(obj)
-        return ObjectVersion(key=key, size=len(data), created_at=now,
-                             digest=digest or "")
+        return ObjectVersion(key=key, size=len(data), created_at=now)
 
     def get(self, key: str, principal: Principal) -> bytes:
         self._fail_if_unavailable()
@@ -278,8 +268,7 @@ class EventuallyConsistentStore:
                     or self._policy_allows(key, cid, Permission.READ)):
                 continue
             listing.entries.append(ObjectVersion(
-                key=key, size=len(visible.data), created_at=visible.created_at,
-                digest=visible.digest or ""))
+                key=key, size=len(visible.data), created_at=visible.created_at))
         return listing
 
     def exists(self, key: str, principal: Principal) -> bool:
@@ -335,16 +324,3 @@ class EventuallyConsistentStore:
     def stored_bytes(self) -> int:
         """Total bytes currently stored (all visible and in-flight versions)."""
         return sum(len(o.data) for o in self._objects.values())
-
-    def object_count(self) -> int:
-        """Number of keys currently present (visible or not)."""
-        return len(self._objects)
-
-    def force_visibility(self) -> None:
-        """Make every stored version immediately visible (test helper)."""
-        now = self.sim.now()
-        for obj in self._objects.values():
-            version: _StoredObject | None = obj
-            while version is not None:
-                version.visible_at = min(version.visible_at, now)
-                version = version.previous

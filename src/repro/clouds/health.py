@@ -37,10 +37,10 @@ engine resolves (DepSky feeds it all of its quorum calls) and keeps one
   suspicion immediately: the cloud rejoins the primary stage on the next call.
 * **degraded** — an exponentially weighted moving average of per-request
   latency is kept per cloud.  A cloud whose EWMA exceeds
-  ``DEGRADED_FACTOR`` times the median of its peers is flagged
-  :attr:`CloudStatus.DEGRADED` (a gray failure: it answers, slowly).  When a
-  degraded cloud sits in a dispatched stage and the policy sets no explicit
-  ``hedge_delay``, the tracker supplies an automatic one
+  ``DEGRADED_FACTOR`` times the median of its peers is
+  :meth:`~CloudHealthTracker.is_degraded` (a gray failure: it answers,
+  slowly).  When a degraded cloud sits in a dispatched stage and the policy
+  sets no explicit ``hedge_delay``, the tracker supplies an automatic one
   (``HEDGE_MULTIPLE`` times the healthy median EWMA) so backup requests are
   hedged proactively instead of waiting out the straggler.
 
@@ -74,19 +74,17 @@ logger = logging.getLogger(__name__)
 
 
 class CloudStatus(enum.Enum):
-    """Externally visible health classification of one provider."""
+    """Suspicion state of one provider (degradation is :meth:`CloudHealthTracker.is_degraded`)."""
 
     #: No evidence of misbehaviour.
     HEALTHY = "healthy"
-    #: Answering, but much slower than its peers (gray failure / straggler).
-    DEGRADED = "degraded"
     #: Consecutive failures/timeouts crossed the threshold; demoted from the
     #: primary stage until a background probe succeeds.
     SUSPECTED = "suspected"
 
 
 #: A cloud whose latency EWMA exceeds this multiple of the peer median is
-#: flagged DEGRADED.
+#: flagged degraded.
 DEGRADED_FACTOR = 3.0
 #: Weight of the newest sample in the latency EWMA.
 EWMA_ALPHA = 0.3
@@ -130,8 +128,6 @@ class CloudHealth:
     cloud: str
     status: CloudStatus = CloudStatus.HEALTHY
     consecutive_failures: int = 0
-    #: Simulated time the current suspicion started (None when not suspected).
-    suspected_at: float | None = None
     #: Next simulated time a background probe may be dispatched.
     probe_at: float | None = None
     #: Current probe window width (grows exponentially while probes fail).
@@ -255,15 +251,6 @@ class CloudHealthTracker:
         median = self._peer_median(cloud)
         return median is not None and record.ewma_latency > DEGRADED_FACTOR * median
 
-    def status(self, cloud: str) -> CloudStatus:
-        """Current classification of ``cloud`` (degradation checked lazily)."""
-        record = self._clouds.get(cloud)
-        if record is None:
-            return CloudStatus.HEALTHY
-        if record.status is CloudStatus.SUSPECTED:
-            return CloudStatus.SUSPECTED
-        return CloudStatus.DEGRADED if self.is_degraded(cloud) else CloudStatus.HEALTHY
-
     def auto_hedge_delay(self, clouds: Sequence[str]) -> float | None:
         """Hedge delay for a stage containing a DEGRADED cloud, else ``None``.
 
@@ -372,7 +359,7 @@ class CloudHealthTracker:
                      latency=latency, now=base_time + trace.resolved_at)
 
     def observe(self, cloud: str, succeeded: bool, latency: float, now: float) -> None:
-        """Ingest one request outcome (used directly by single-cloud backends)."""
+        """Ingest one request outcome (one resolved trace of :meth:`record_trace`)."""
         record = self.health(cloud)
         if succeeded:
             record.samples += 1
@@ -384,7 +371,6 @@ class CloudHealthTracker:
             record.consecutive_failures = 0
             if record.status is CloudStatus.SUSPECTED:
                 record.status = CloudStatus.HEALTHY
-                record.suspected_at = None
                 record.probe_at = None
                 record.probe_interval = 0.0
                 record.recoveries += 1
@@ -402,7 +388,6 @@ class CloudHealthTracker:
             record.probe_at = now + record.probe_interval
         elif record.consecutive_failures >= self.policy.threshold:
             record.status = CloudStatus.SUSPECTED
-            record.suspected_at = now
             record.probe_interval = self.policy.probe_backoff
             record.probe_at = now + record.probe_interval
             record.suspicions += 1

@@ -13,12 +13,11 @@ from dataclasses import dataclass, field
 @dataclass(frozen=True)
 class ObjectVersion:
     """Metadata of one stored object version, as a PUT and the entries of a
-    LIST return it (``digest`` is empty when the provider has not computed it)."""
+    LIST return it."""
 
     key: str
     size: int
     created_at: float
-    digest: str
 
 
 @dataclass

@@ -30,7 +30,7 @@ from repro.common.errors import (
     SingularMatrixError,
 )
 from repro.common.types import ObjectRef, Permission, Principal
-from repro.common.units import KB, MB, GB, MONTH_SECONDS, human_bytes
+from repro.common.units import KB, MB, GB, MONTH_SECONDS
 
 __all__ = [
     "ReproError",
@@ -62,5 +62,4 @@ __all__ = [
     "MB",
     "GB",
     "MONTH_SECONDS",
-    "human_bytes",
 ]

@@ -44,11 +44,6 @@ class Principal:
                 return ident
         return self.name
 
-    def with_canonical_id(self, provider: str, ident: str) -> "Principal":
-        """Return a copy of this principal with one extra provider mapping."""
-        mapping = tuple(p for p in self.canonical_ids if p[0] != provider)
-        return Principal(self.name, (*mapping, (provider, ident)))
-
 
 @dataclass(frozen=True)
 class ObjectRef:
@@ -72,11 +67,6 @@ class ObjectRef:
     size: int = 0
     created_at: float = 0.0
     locator: str = ""
-
-    @property
-    def versioned_key(self) -> str:
-        """The per-version cloud key (``id | hash`` in the paper's notation)."""
-        return f"{self.key}#{self.digest}"
 
 
 _counter = itertools.count()

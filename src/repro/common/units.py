@@ -1,4 +1,4 @@
-"""Byte-size and time constants plus small formatting helpers."""
+"""Byte-size and time constants plus a cost-unit helper."""
 
 from __future__ import annotations
 
@@ -10,23 +10,6 @@ GB = 1024 * MB
 MONTH_SECONDS = 30 * 24 * 3600
 DAY_SECONDS = 24 * 3600
 HOUR_SECONDS = 3600
-
-
-def human_bytes(size: int) -> str:
-    """Render a byte count as a short human-readable string.
-
-    >>> human_bytes(512)
-    '512B'
-    >>> human_bytes(4 * 1024 * 1024)
-    '4.0MB'
-    """
-    if size < KB:
-        return f"{size}B"
-    if size < MB:
-        return f"{size / KB:.1f}KB"
-    if size < GB:
-        return f"{size / MB:.1f}MB"
-    return f"{size / GB:.2f}GB"
 
 
 def micro_dollars(dollars: float) -> float:

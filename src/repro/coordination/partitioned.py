@@ -239,7 +239,3 @@ class PartitionedCoordination(CoordinationService):
 
     def entry_count(self) -> int:
         return sum(service.entry_count() for service in self.services)
-
-    def per_partition_entries(self) -> list[int]:
-        """Entry count of each partition (used to observe load spreading)."""
-        return [service.entry_count() for service in self.services]

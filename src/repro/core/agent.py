@@ -93,7 +93,7 @@ class OpenFile:
     fsynced_digest: str = ""
     #: The backend's number for the version this close uploads, taken from
     #: the anchor before the close replaced its locator.
-    cloud_version: int | None = None
+    cloud_version: int = 0
 
     @property
     def writable(self) -> bool:
@@ -919,10 +919,6 @@ class SCFSAgent:
         return dict(meta.grants)
 
     # ------------------------------------------------------------------- misc
-
-    def open_handles(self) -> int:
-        """Number of files currently open."""
-        return len(self._handles)
 
     def collect_garbage(self) -> object:
         """Run the garbage collector synchronously (returns its report)."""

@@ -25,9 +25,8 @@ import abc
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.common.errors import CloudError, IntegrityError, ObjectNotFoundError
+from repro.common.errors import IntegrityError, ObjectNotFoundError
 from repro.common.types import ObjectRef, Permission, Principal
-from repro.clouds.dispatch import BENIGN_ERRORS, DispatchPolicy
 from repro.clouds.eventual import EventuallyConsistentStore
 from repro.clouds.health import CloudHealthTracker, HealthStats, QuorumPlanner, expected_latency
 from repro.clouds.quorums import WeightedQuorumSystem
@@ -102,15 +101,13 @@ class StorageBackend(abc.ABC):
     sim: Simulation
 
     @abc.abstractmethod
-    def write_version(self, file_id: str, data: bytes,
-                      version: int | None = None) -> ObjectRef:
+    def write_version(self, file_id: str, data: bytes, version: int) -> ObjectRef:
         """Store ``data`` as a new version of ``file_id``; returns its reference.
 
-        ``version`` is :meth:`version_after` of what the file's anchor holds,
-        supplied by a caller that numbers from the consistency anchor (every
-        SCFS close and PNS save): the backend then asks the cloud(s) nothing
-        before it uploads.  ``None`` leaves the numbering to the backend.
-        Backends without version counters ignore it.
+        ``version`` is :meth:`version_after` of what the file's anchor holds
+        (every SCFS close and PNS save numbers from the consistency anchor):
+        the backend asks the cloud(s) nothing before it uploads.  Backends
+        without version counters ignore it.
         """
 
     def write_versions(self, items: Sequence[tuple[str, bytes, int]]) -> list[ObjectRef]:
@@ -124,7 +121,7 @@ class StorageBackend(abc.ABC):
         named by digest alone; the number is not used); a backend that can
         overlap the uploads overrides it.
         """
-        return [self.write_version(file_id, data) for file_id, data, _version in items]
+        return [self.write_version(file_id, data, version) for file_id, data, version in items]
 
     def version_after(self, locator: str, data_version: int) -> int:
         """This backend's number for the version that replaces the anchored one.
@@ -150,12 +147,12 @@ class StorageBackend(abc.ABC):
         """
 
     @abc.abstractmethod
-    def delete_version(self, file_id: str, digest: str, locator: str = "") -> bool:
+    def delete_version(self, file_id: str, digest: str, locator: str) -> bool:
         """Delete one version (used by the garbage collector).
 
-        ``locator`` is the one :meth:`list_versions` gave for the version
-        (without it the backend may have to list again).  Returns whether the
-        delete reached the cloud(s); if not, the next listing still shows it.
+        ``locator`` is the one :meth:`list_versions` gave for the version.
+        Returns whether the delete reached the cloud(s); if not, the next
+        listing still shows it.
         """
 
     @abc.abstractmethod
@@ -216,43 +213,16 @@ class StorageBackend(abc.ABC):
 class SingleCloudBackend(StorageBackend):
     """Whole-file versions stored as objects of a single storage cloud (SCFS-AWS).
 
-    ``dispatch`` is the agent's
-    :class:`~repro.core.config.DispatchPolicyConfig`.  A single cloud has no
-    quorum to re-plan, so only the health-tracking half applies: request
-    outcomes feed a :class:`~repro.clouds.health.CloudHealthTracker`, making
-    outage detection visible to reports even for the SCFS-AWS variants.
+    One cloud has no quorum to time out, hedge or re-plan, so the backend
+    takes no dispatch policy and tracks no health (:attr:`health` stays
+    ``None``).
     """
 
-    def __init__(self, sim: Simulation, store: EventuallyConsistentStore, principal: Principal,
-                 dispatch=None):
+    def __init__(self, sim: Simulation, store: EventuallyConsistentStore, principal: Principal):
         self.sim = sim
         self.store = store
         self.principal = principal
         self.name = f"single-cloud({store.name})"
-        self.health: CloudHealthTracker | None = (
-            dispatch.make_tracker() if dispatch is not None else None
-        )
-
-    def _observed(self, operation):
-        """Run one store operation, feeding its outcome to the health tracker.
-
-        A benign error (not-found / access-denied) is an authoritative answer
-        — proof of liveness — so it counts as a contact success: polling a
-        not-yet-visible version under eventual consistency must not put the
-        only cloud on the suspect list.
-        """
-        if self.health is None:
-            return operation()
-        start = self.sim.now()
-        try:
-            result = operation()
-        except CloudError as exc:
-            self.health.observe(self.store.name, succeeded=isinstance(exc, BENIGN_ERRORS),
-                                latency=self.sim.now() - start, now=self.sim.now())
-            raise
-        self.health.observe(self.store.name, succeeded=True,
-                            latency=self.sim.now() - start, now=self.sim.now())
-        return result
 
     # -- key scheme -----------------------------------------------------------
 
@@ -266,19 +236,18 @@ class SingleCloudBackend(StorageBackend):
 
     # -- StorageBackend --------------------------------------------------------
 
-    def write_version(self, file_id: str, data: bytes,
-                      version: int | None = None) -> ObjectRef:
+    def write_version(self, file_id: str, data: bytes, version: int) -> ObjectRef:
         # version is irrelevant here: each version is its own digest-named
         # object, so concurrent writers cannot clobber one another's versions.
         digest = content_digest(data)
-        self._observed(lambda: self.store.put(self._key(file_id, digest), data, self.principal))
+        self.store.put(self._key(file_id, digest), data, self.principal)
         # The key is the digest, so all a reader can be told is when the put
         # landed: the instant its propagation runs from.
         return ObjectRef(key=file_id, digest=digest, size=len(data),
                          locator=repr(self.sim.now()))
 
     def read_version(self, file_id: str, digest: str, locator: str = "") -> bytes:
-        data = self._observed(lambda: self.store.get(self._key(file_id, digest), self.principal))
+        data = self.store.get(self._key(file_id, digest), self.principal)
         if content_digest(data) != digest:
             # The provider returned corrupted data for this version; surface it
             # as "not found" so the caller's retry loop can try again (and
@@ -288,7 +257,7 @@ class SingleCloudBackend(StorageBackend):
             )
         return data
 
-    def delete_version(self, file_id: str, digest: str, locator: str = "") -> bool:
+    def delete_version(self, file_id: str, digest: str, locator: str) -> bool:
         self.store.delete(self._key(file_id, digest), self.principal)
         return True
 
@@ -308,7 +277,7 @@ class SingleCloudBackend(StorageBackend):
             self.store.delete(key, self.principal)
 
     def estimate_write_latency(self, num_bytes: int) -> float:
-        return expected_latency(self.store, "object_put", num_bytes, self.health)
+        return expected_latency(self.store, "object_put", num_bytes)
 
     def estimate_readable_at(self, locator: str) -> float:
         if not locator:
@@ -334,8 +303,7 @@ class CloudOfCloudsBackend(StorageBackend):
     engine-level :class:`~repro.clouds.dispatch.DispatchPolicy`
     (timeouts/retries/hedging) and, when suspicion is enabled, the per-client
     :class:`~repro.clouds.health.CloudHealthTracker` that demotes suspected
-    clouds out of the primary quorum stage.  An explicit ``policy`` argument
-    overrides the one derived from ``dispatch``.  ``coalescer`` is the
+    clouds out of the primary quorum stage.  ``coalescer`` is the
     deployment-wide :class:`~repro.clouds.dispatch.InstantCoalescer` (or
     ``None``): it is *shared* across the backends of all agents so that
     identical same-instant metadata reads coalesce across clients.
@@ -348,15 +316,13 @@ class CloudOfCloudsBackend(StorageBackend):
         principal: Principal,
         f: int = 1,
         encrypt: bool = True,
-        policy: DispatchPolicy | None = None,
         dispatch=None,
         coalescer=None,
         quorum=None,
     ):
         self.sim = sim
         self.principal = principal
-        if policy is None and dispatch is not None:
-            policy = dispatch.to_policy()
+        policy = dispatch.to_policy() if dispatch is not None else None
         self.health: CloudHealthTracker | None = (
             dispatch.make_tracker() if dispatch is not None else None
         )
@@ -384,11 +350,8 @@ class CloudOfCloudsBackend(StorageBackend):
 
     # -- StorageBackend ----------------------------------------------------------
 
-    def write_version(self, file_id: str, data: bytes,
-                      version: int | None = None) -> ObjectRef:
-        """Numbered by ``version`` (``write_numbered``); without one, by the heads (``write``)."""
-        if version is None:
-            return self._ref(file_id, self.client.write(file_id, data))
+    def write_version(self, file_id: str, data: bytes, version: int) -> ObjectRef:
+        """Numbered by ``version`` (``write_numbered``): the heads are not read first."""
         return self._ref(file_id, self.client.write_numbered([(file_id, data, version)])[0])
 
     def write_versions(self, items: Sequence[tuple[str, bytes, int]]) -> list[ObjectRef]:
@@ -413,16 +376,10 @@ class CloudOfCloudsBackend(StorageBackend):
         self.read_paths.record(result)
         return result.data
 
-    def delete_version(self, file_id: str, digest: str, locator: str = "") -> bool:
-        """Every stored version with ``digest``, or just the one ``locator`` names."""
-        if locator:
-            versions = [VersionRecord.from_locator(locator, digest).version]
-        else:
-            versions = [record.version for record in self.client.list_versions(file_id)
-                        if record.data_digest == digest]
-        # (A list, not a generator: every delete is attempted.)
-        return all([self.client.delete_version(file_id, version, digest)
-                    for version in versions])
+    def delete_version(self, file_id: str, digest: str, locator: str) -> bool:
+        """The one version ``locator`` names (the one :meth:`list_versions` minted)."""
+        version = VersionRecord.from_locator(locator, digest).version
+        return self.client.delete_version(file_id, version, digest)
 
     def list_versions(self, file_id: str) -> list[ObjectRef]:
         return [ObjectRef(key=file_id, digest=r.data_digest, size=r.size,

@@ -111,11 +111,6 @@ class LRUByteCache:
         self._entries.clear()
         self._used = 0
 
-    @property
-    def used_bytes(self) -> int:
-        """Bytes currently cached."""
-        return self._used
-
     def __len__(self) -> int:
         return len(self._entries)
 

@@ -8,7 +8,7 @@ GBs, and a garbage collector keeping the last versions of each file.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Sequence
 
 from repro.common.errors import ConfigurationError
@@ -269,19 +269,13 @@ class SCFSConfig:
             raise ConfigurationError("the non-sharing mode requires private name spaces")
         if self.lock_lease <= 0:
             raise ConfigurationError("the lock lease must be positive")
-        if self.dispatch.hedge_delay is not None and self.backend is not BackendKind.COC:
-            # Hedging dispatches a *fallback stage* early; only the
-            # cloud-of-clouds backend has one (the single-cloud backend's
-            # requests are sequential, so there is nothing to hedge with).
+        if self.backend is BackendKind.AWS and self.dispatch != DispatchPolicyConfig():
+            # One store has no quorum call to time out, retry, hedge,
+            # coalesce or re-plan around a suspect: every knob would be ignored.
             raise ConfigurationError(
-                "hedge_delay requires the cloud-of-clouds backend "
-                "(a fallback stage must exist to hedge with)"
+                "the dispatch policy requires the cloud-of-clouds backend "
+                "(a single cloud has no quorum call to dispatch)"
             )
-
-    def with_mode(self, mode: OperationMode) -> "SCFSConfig":
-        """Return a copy with a different operation mode (PNS forced on for NS)."""
-        pns = self.private_name_spaces or mode is OperationMode.NON_SHARING
-        return replace(self, mode=mode, private_name_spaces=pns)
 
     @staticmethod
     def for_variant(name: str, **overrides) -> "SCFSConfig":

@@ -116,11 +116,11 @@ class SCFSDeployment:
         return Principal(name=username, canonical_ids=canonical)
 
     def _backend_for(self, principal: Principal) -> StorageBackend:
-        # The config's dispatch block travels with every backend, so variants
-        # enable timeouts/hedging/suspect-lists from configuration alone.
+        # The config's dispatch block travels with the cloud-of-clouds backend,
+        # so variants enable timeouts/hedging/suspect-lists from configuration
+        # alone; SCFS-AWS takes none (``SCFSConfig.validate``).
         if self.config.backend is BackendKind.AWS:
-            return SingleCloudBackend(self.sim, self.clouds[0], principal,
-                                      dispatch=self.config.dispatch)
+            return SingleCloudBackend(self.sim, self.clouds[0], principal)
         return CloudOfCloudsBackend(
             self.sim, self.clouds, principal,
             f=self.config.fault_tolerance, encrypt=self.config.encrypt_data,
@@ -189,16 +189,3 @@ class SCFSDeployment:
     def coordination_entries(self) -> int:
         """Number of entries in the coordination service (0 without one)."""
         return self.coordination.entry_count() if self.coordination is not None else 0
-
-
-def build_variant_matrix(sim: Simulation | None = None, seed: int = 0,
-                         **config_overrides) -> dict[str, SCFSDeployment]:
-    """Instantiate all six Table 2 variants (used by the micro-benchmark table)."""
-    from repro.core.modes import VARIANTS
-
-    deployments = {}
-    for name in VARIANTS:
-        deployments[name] = SCFSDeployment.for_variant(
-            name, sim=sim, seed=seed, **config_overrides
-        )
-    return deployments

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from repro.common.types import Permission
 from repro.core.agent import OpenFlags, SCFSAgent
 from repro.core.metadata import FileMetadata
-from repro.core.modes import BackendKind
 
 
 class DurabilityLevel(enum.IntEnum):
@@ -213,32 +212,6 @@ class SCFSFileSystem:
         self.agent.rename_tree(old_path, new_path)
 
     # -- durability --------------------------------------------------------------------
-
-    def durability_of(self, call: str) -> DurabilityLevel:
-        """Durability level reached once ``call`` returns (Table 1).
-
-        ``call`` is one of ``"write"``, ``"fsync"`` or ``"close"``.  In the
-        non-blocking and non-sharing modes ``close`` only guarantees level 1 at
-        return time; the higher level is reached when the background upload
-        completes.
-        """
-        if call == "write":
-            return DurabilityLevel.MAIN_MEMORY
-        if call == "fsync":
-            return DurabilityLevel.LOCAL_DISK
-        if call == "close":
-            if not self.config.mode.blocks_on_close:
-                return DurabilityLevel.LOCAL_DISK
-            if self.config.backend is BackendKind.COC:
-                return DurabilityLevel.CLOUD_OF_CLOUDS
-            return DurabilityLevel.CLOUD
-        raise ValueError(f"unknown call {call!r}; expected write/fsync/close")
-
-    def eventual_durability(self) -> DurabilityLevel:
-        """Durability level every completed update eventually reaches."""
-        if self.config.backend is BackendKind.COC:
-            return DurabilityLevel.CLOUD_OF_CLOUDS
-        return DurabilityLevel.CLOUD
 
     # -- lifecycle ----------------------------------------------------------------------
 

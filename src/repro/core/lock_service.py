@@ -177,16 +177,12 @@ class LockService:
             for name in names:
                 self.on_transition(kind, name)
 
-    def holds(self, metadata: FileMetadata) -> bool:
-        """True if this agent currently holds the write lock of ``metadata``."""
-        return self.lock_name(metadata) in self.held
-
     def still_held(self, metadata: FileMetadata) -> bool:
         """True when the coordination service still shows this agent as holder.
 
         Both concrete services time lock leases from the *acquisition*: a
         holder that stays busy past ``lease_seconds`` loses the lock silently
-        while :meth:`holds` keeps returning True.  Commit paths re-check here
+        while its own ``held`` count still names it.  Commit paths re-check here
         before irreversible steps, turning a stolen lock into a clean abort
         instead of a version fork.  Always True with locking disabled (nothing
         can be stolen without a lock service).

@@ -83,11 +83,6 @@ class StorageService:
         self._cache_in_memory(key, data)
         return ReadOutcome(data=data, source="cloud")
 
-    def cached_locally(self, file_id: str, digest: str) -> bool:
-        """True when the given version is present in memory or on disk."""
-        key = cache_key(file_id, digest)
-        return self.memory.contains(key) or self.disk.contains(key)
-
     # ------------------------------------------------------------------ writes
 
     def _cache_in_memory(self, key: str, data: bytes) -> None:
@@ -106,8 +101,7 @@ class StorageService:
         """Write a file's data to the local disk cache (fsync path, level 1)."""
         self.disk.put(cache_key(file_id, digest), data)
 
-    def push_to_cloud(self, file_id: str, data: bytes,
-                      version: int | None = None) -> ObjectRef:
+    def push_to_cloud(self, file_id: str, data: bytes, version: int) -> ObjectRef:
         """Synchronously upload a new version to the cloud backend (levels 2/3).
 
         ``version`` is the backend's number for the new version, taken from
@@ -131,8 +125,7 @@ class StorageService:
         self.bytes_pushed += sum(len(data) for _file_id, data, _version in items)
         return refs
 
-    def push_to_cloud_uncharged(self, file_id: str, data: bytes,
-                                version: int | None = None) -> ObjectRef:
+    def push_to_cloud_uncharged(self, file_id: str, data: bytes, version: int) -> ObjectRef:
         """:meth:`push_to_cloud` as background work.
 
         No caller in ``src/``: the agent's background commit runs the whole

@@ -17,8 +17,8 @@ Fast paths
   the framed payload, so encoding multiplies only the ``n - k`` parity rows
   (roughly halving the work at the paper's ``(4, 2)``).
 * **Streaming zero-copy encode** — :meth:`ErasureCoder.frame_into` lays the
-  frame header out in a caller-owned ``(n, block_len)`` buffer and exposes
-  the payload region as a writable view (so the cipher can place ciphertext
+  frame header out in a fresh ``(n, block_len)`` buffer and exposes the
+  payload region as a writable view (so the cipher can place ciphertext
   directly where the systematic blocks live, with no intermediate copy), and
   :meth:`ErasureCoder.encode_stripes` walks that buffer in column stripes,
   computing the parity rows of each stripe in place via ``gf256.matmul``'s
@@ -26,9 +26,9 @@ Fast paths
   matrix, so stripewise parity is byte-identical to whole-block parity while
   each stripe's bytes are still cache-hot for the consumer (the DepSky write
   pipeline feeds them straight into incremental digests).
-  :meth:`ErasureCoder.stream` and :meth:`ErasureCoder.encode_into` wrap this
-  for plain ``bytes`` payloads; :meth:`ErasureCoder.encode` keeps the
-  list-of-:class:`CodedBlock` API on top.
+  :meth:`ErasureCoder.encode_into` wraps this for plain ``bytes`` payloads;
+  :meth:`ErasureCoder.encode` keeps the list-of-:class:`CodedBlock` API on
+  top.
 * **Systematic decode** — when the ``k`` chosen blocks are exactly the
   systematic ones, decoding is a pure byte concatenation with no field
   arithmetic at all.  DepSky's preferred-quorum reads hit this path whenever
@@ -129,34 +129,19 @@ class ErasureCoder:
         return [CodedBlock(index=i, payload=buffer[i].tobytes())
                 for i in range(self.n)]
 
-    def frame_into(self, data_len: int,
-                   out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    def frame_into(self, data_len: int) -> tuple[np.ndarray, np.ndarray]:
         """Lay out the encode buffer for a ``data_len``-byte payload.
 
-        Returns ``(buffer, payload_view)``: ``buffer`` is an
-        ``(n, block_len)`` uint8 array (``out`` when given, freshly
-        zero-allocated otherwise) whose first ``k`` rows will hold the framed
-        payload, and ``payload_view`` is the flat writable view of the
-        ``data_len`` payload bytes inside it.  The frame header is written
-        and the padding tail zeroed; the caller fills ``payload_view`` (e.g.
-        the cipher encrypts straight into it) and then runs
-        :meth:`encode_stripes` over the buffer.
+        Returns ``(buffer, payload_view)``: ``buffer`` is a zero-allocated
+        ``(n, block_len)`` uint8 array whose first ``k`` rows will hold the
+        framed payload, and ``payload_view`` is the flat writable view of the
+        ``data_len`` payload bytes inside it.  The frame header is written;
+        the caller fills ``payload_view`` (e.g. the cipher encrypts straight
+        into it) and then runs :meth:`encode_stripes` over the buffer.
         """
-        block_len = self.block_size(data_len)
-        if out is None:
-            buffer = np.zeros((self.n, block_len), dtype=np.uint8)
-        else:
-            if (out.shape != (self.n, block_len) or out.dtype != np.uint8
-                    or not out.flags.c_contiguous):
-                raise ValueError(
-                    f"out must be a C-contiguous uint8 array of shape "
-                    f"{(self.n, block_len)}")
-            buffer = out
+        buffer = np.zeros((self.n, self.block_size(data_len)), dtype=np.uint8)
         flat = buffer[:self.k].reshape(-1)
-        header = np.frombuffer(_HEADER.pack(_MAGIC, data_len), dtype=np.uint8)
-        flat[:_HEADER.size] = header
-        if out is not None and _HEADER.size + data_len < flat.shape[0]:
-            flat[_HEADER.size + data_len:] = 0  # zero the padding tail
+        flat[:_HEADER.size] = np.frombuffer(_HEADER.pack(_MAGIC, data_len), dtype=np.uint8)
         payload_view = flat[_HEADER.size:_HEADER.size + data_len]
         return buffer, payload_view
 
@@ -191,21 +176,7 @@ class ErasureCoder:
         if block_len == 0:
             yield StripeView(start=0, stop=0, blocks=buffer)
 
-    def stream(self, data: bytes,
-               out: np.ndarray | None = None,
-               stripe_bytes: int = DEFAULT_STRIPE_BYTES) -> Iterator[StripeView]:
-        """Stream-encode ``data``: yield each column stripe as it is coded.
-
-        Frames ``data`` into ``out`` (or a fresh buffer), then drives
-        :meth:`encode_stripes`.  Equivalent to :meth:`encode_into` but hands
-        the caller every stripe while later stripes are still pending.
-        """
-        buffer, payload_view = self.frame_into(len(data), out)
-        payload_view[:] = np.frombuffer(data, dtype=np.uint8)
-        yield from self.encode_stripes(buffer, stripe_bytes)
-
     def encode_into(self, data: bytes,
-                    out: np.ndarray | None = None,
                     stripe_bytes: int = DEFAULT_STRIPE_BYTES) -> np.ndarray:
         """Encode ``data`` into an ``(n, block_len)`` buffer and return it.
 
@@ -214,7 +185,7 @@ class ErasureCoder:
         equivalent of :meth:`encode` for callers that can consume array rows
         instead of ``bytes``.
         """
-        buffer, payload_view = self.frame_into(len(data), out)
+        buffer, payload_view = self.frame_into(len(data))
         payload_view[:] = np.frombuffer(data, dtype=np.uint8)
         for _ in self.encode_stripes(buffer, stripe_bytes):
             pass

@@ -32,10 +32,9 @@ inner loop, with **two** kernel strategies chosen by block length:
   path: the pair tables cost ~15 µs each to build and are cached (bounded by
   :data:`_PAIR_CACHE_MAX`), so throughput roughly doubles at ≥64 KiB blocks.
 
-:func:`matmul` and :func:`mul_block` accept an ``out=`` destination so
-callers on the streaming write pipeline can reuse buffers; aliasing the
-output with an input is rejected loudly (``ValueError``) because the kernels
-accumulate in place.
+:func:`matmul` accepts an ``out=`` destination so the erasure coder's
+stripe encode writes parity rows in place; aliasing the output with an input
+is rejected loudly (``ValueError``) because the kernels accumulate in place.
 
 :func:`matmul_matrix` and :func:`invert_matrix` (Gauss–Jordan with
 whole-matrix row elimination per pivot) use the plain gather idiom; the
@@ -168,25 +167,8 @@ def gf_pow(a: int, exponent: int) -> int:
     return int(_EXP[(int(_LOG[a]) * exponent) % 255])
 
 
-def mul_block(scalar: int, block: np.ndarray,
-              out: np.ndarray | None = None) -> np.ndarray:
-    """Multiply every byte of ``block`` by the field ``scalar`` (vectorised).
-
-    With ``out=`` the product is written into the caller's buffer (same shape
-    and dtype as ``block``); aliasing ``out`` with ``block`` is rejected.
-    """
-    if out is not None:
-        if out.shape != block.shape or out.dtype != np.uint8:
-            raise ValueError("out must be a uint8 array of the block's shape")
-        if np.shares_memory(out, block):
-            raise ValueError("mul_block out= must not alias the input block")
-        if scalar == 0:
-            out.fill(0)
-        elif scalar == 1:
-            out[...] = block
-        else:
-            out[...] = MUL_TABLE[scalar][block]
-        return out
+def mul_block(scalar: int, block: np.ndarray) -> np.ndarray:
+    """Multiply every byte of ``block`` by the field ``scalar`` (vectorised)."""
     if scalar == 0:
         return np.zeros_like(block)
     if scalar == 1:

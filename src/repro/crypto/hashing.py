@@ -17,11 +17,6 @@ def content_digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def short_digest(data: bytes, length: int = 16) -> str:
-    """Return a truncated digest, handy for log messages and test fixtures."""
-    return content_digest(data)[:length]
-
-
 def hmac_digest(key: bytes, data: bytes) -> bytes:
     """Return an HMAC-SHA256 authentication tag of ``data`` under ``key``."""
     return hmac.new(key, data, hashlib.sha256).digest()

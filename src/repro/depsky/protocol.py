@@ -488,11 +488,10 @@ class DepSkyClient:
         call (``n`` GETs) — and hands :meth:`write_numbered` the number below.
 
         ``min_version`` is a lower bound on the new version number, supplied
-        by a caller holding a strongly consistent counter (SCFS passes the
-        anchored ``data_version``).  It guards against the eventual
-        consistency of the heads: two commits of the same unit by different
-        clients within one propagation window would otherwise both read the
-        stale head and mint the *same* version number.  The number is
+        by a caller holding a strongly consistent counter.  It guards against
+        the eventual consistency of the heads: two commits of the same unit by
+        different clients within one propagation window would otherwise both
+        read the stale head and mint the *same* version number.  The number is
         ``1 + max(min_version - 1, this client's floor, the vouched head
         version)`` (:meth:`_vouched_version`).
         """
@@ -731,8 +730,7 @@ class DepSkyClient:
     def _visible_at(self, index: int, record: VersionRecord) -> float:
         """When block ``index`` of ``record`` is expected to be readable: the
         dispatch instant plus the propagation delay of that cloud's profile."""
-        profile = getattr(self.clouds[index], "profile", None)
-        return record.created_at + (profile.propagation_delay if profile is not None else 0.0)
+        return record.created_at + self.clouds[index].profile.propagation_delay
 
     def readable_at(self, record: VersionRecord) -> float:
         """Simulated instant from which ``k`` block holders serve ``record``:

@@ -106,7 +106,6 @@ def prime_pool(deployment, spec, recorder=None) -> dict[str, int]:
         block_digests=block_digests, created_at=now, writer=POOL_OWNER,
     )
     head = record.to_bytes()
-    head_digest = content_digest(head)
 
     proto = FileMetadata(
         path="/pool-template/file.dat", file_type=FileType.FILE,
@@ -142,16 +141,13 @@ def prime_pool(deployment, spec, recorder=None) -> dict[str, int]:
         for cloud in clouds:
             cloud.install(_StoredObject(
                 key=meta_key, data=head, acl=cloud_acls[cloud.name],
-                created_at=now, visible_at=now, digest=head_digest,
-            ))
+                created_at=now, visible_at=now))
         objects += n
         for block_index, cloud in enumerate(holders):
             block_key = DepSkyClient._block_key(uid, 1, data_digest, block_index)
             cloud.install(_StoredObject(
                 key=block_key, data=blobs[block_index],
-                acl=cloud_acls[cloud.name], created_at=now, visible_at=now,
-                digest=block_digests[block_index],
-            ))
+                acl=cloud_acls[cloud.name], created_at=now, visible_at=now))
         objects += n - f
         file_blob = file_meta_template.replace(
             b'"/pool-template/file.dat"', b'"' + path.encode() + b'"'

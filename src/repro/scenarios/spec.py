@@ -328,12 +328,6 @@ class ScenarioSpec:
         spec.validate()
         return spec
 
-    def scaled(self, ops_per_agent: int) -> "ScenarioSpec":
-        """Return a copy with every agent's op count replaced (CI fast mode)."""
-        return replace(
-            self, agents=tuple(replace(a, ops=ops_per_agent) for a in self.agents)
-        )
-
 
 def _two_clouds(rng, n: int = 4) -> tuple[int, int]:
     """Two distinct cloud indices."""

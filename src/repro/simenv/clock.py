@@ -3,12 +3,11 @@
 All components of the reproduction share a single :class:`SimClock`.  Remote
 operations advance it by their modelled latency; local operations advance it
 by (much smaller) local latencies.  Benchmarks read elapsed simulated time via
-:meth:`SimClock.now` or through the :class:`Stopwatch` helper.
+:meth:`SimClock.now`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable
 
 
@@ -61,32 +60,3 @@ class SimClock:
     def subscribe(self, observer: Callable[[float, float], None]) -> None:
         """Register a callback invoked as ``observer(old_time, new_time)``."""
         self._observers.append(observer)
-
-    def unsubscribe(self, observer: Callable[[float, float], None]) -> None:
-        """Remove a previously registered observer (no-op if absent)."""
-        if observer in self._observers:
-            self._observers.remove(observer)
-
-    def stopwatch(self) -> "Stopwatch":
-        """Return a stopwatch started at the current simulated time."""
-        return Stopwatch(self)
-
-
-@dataclass
-class Stopwatch:
-    """Measures elapsed simulated time between construction and :meth:`elapsed`."""
-
-    clock: SimClock
-    start: float = field(default=None)  # type: ignore[assignment]
-
-    def __post_init__(self) -> None:
-        if self.start is None:
-            self.start = self.clock.now()
-
-    def elapsed(self) -> float:
-        """Simulated seconds elapsed since the stopwatch was created/reset."""
-        return self.clock.now() - self.start
-
-    def reset(self) -> None:
-        """Restart the stopwatch at the current simulated time."""
-        self.start = self.clock.now()

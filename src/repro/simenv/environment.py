@@ -94,14 +94,6 @@ class Simulation:
 
     # -- determinism helpers -------------------------------------------------
 
-    def fork_rng(self, label: str) -> random.Random:
-        """Return an independent RNG stream derived from this simulation's seed.
-
-        Same seed + same label ⇒ same stream, regardless of how much the main
-        ``rng`` has been consumed (see :func:`derive_rng`).
-        """
-        return derive_rng(self.seed, label)
-
     def fresh_id(self, prefix: str = "obj") -> str:
         """Return an identifier unique within this simulation.
 
@@ -158,14 +150,6 @@ class Simulation:
         task = _ScheduledTask(self.clock.now() + delay, next(self._seq), callback, name)
         heapq.heappush(self._queue, task)
         return TaskHandle(task)
-
-    def schedule_at(self, when: float, callback: Callable[[], Any], name: str = "") -> TaskHandle:
-        """Schedule ``callback`` for absolute simulated time ``when``."""
-        return self.schedule(max(0.0, when - self.clock.now()), callback, name)
-
-    def pending_tasks(self) -> int:
-        """Number of scheduled-but-not-yet-run (and not cancelled) tasks."""
-        return sum(1 for t in self._queue if not t.cancelled)
 
     def run_until(self, deadline: float) -> None:
         """Advance the clock to ``deadline``, executing all tasks due on the way.

@@ -58,10 +58,6 @@ class LatencyModel:
             latency *= rng.uniform(1.0 - self.jitter, 1.0 + self.jitter)
         return max(latency, 0.0)
 
-    def scaled(self, factor: float) -> "LatencyModel":
-        """Return a copy with the base latency scaled by ``factor``."""
-        return LatencyModel(self.base * factor, self.bandwidth, self.jitter)
-
 
 @dataclass(frozen=True)
 class NetworkProfile:

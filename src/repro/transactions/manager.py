@@ -82,7 +82,6 @@ from repro.common.errors import (
     TransactionAbortedError,
     TransactionConflictError,
     TransactionError,
-    TupleNotFoundError,
 )
 from repro.coordination.base import Put
 from repro.core.metadata import DATA_FIELDS, FileMetadata, FileType, normalize_path
@@ -467,15 +466,6 @@ class TransactionManager:
             "status": status,
             "files": files,
         }, sort_keys=True).encode()
-
-    def intent_record(self, txn_id: str) -> dict[str, Any] | None:
-        """Decode the intent record of ``txn_id`` (None when absent)."""
-        try:
-            entry = self.agent.coordination.get(TXN_PREFIX + txn_id, self.agent.session)
-        except TupleNotFoundError:
-            return None
-        record: dict[str, Any] = json.loads(entry.value.decode())
-        return record
 
     # ------------------------------------------------------------------ abort
 

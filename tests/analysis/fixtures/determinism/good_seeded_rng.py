@@ -2,13 +2,15 @@
 """Good twin: randomness is a seeded stream threaded from the simulation."""
 import random
 
+from repro.simenv.environment import derive_rng
+
 
 def jitter(rng):
     return rng.random() * 0.5
 
 
 def fork_stream(sim):
-    return sim.fork_rng("jitter")
+    return derive_rng(sim.seed, "jitter")
 
 
 def make_stream(seed):

@@ -22,6 +22,7 @@ in a PNS), crash/restart of either agent and collector passes.  Per data unit
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 
 from hypothesis import given, settings, strategies as st
 
@@ -61,8 +62,7 @@ def _recording_writes():
                         ref.locator, data, backend))
         return ref
 
-    def recording_write_version(backend, file_id, data, version=None):
-        assert version is not None, f"{file_id} was written without its anchored number"
+    def recording_write_version(backend, file_id, data, version):
         return record(backend, file_id, data,
                       write_version(backend, file_id, data, version=version))
 
@@ -84,7 +84,7 @@ def _recording_writes():
 def _run(steps, block_puts) -> None:
     deployment = SCFSDeployment.for_variant("SCFS-CoC-NB", seed=23, private_name_spaces=True,
                                             lock_lease=LEASE)
-    configs = (deployment.config, deployment.config.with_mode(OperationMode.BLOCKING))
+    configs = (deployment.config, dataclasses.replace(deployment.config, mode=OperationMode.BLOCKING))
     mounts = [deployment.create_agent(user, config=config)
               for user, config in zip(USERS, configs, strict=True)]
     for path in SHARED:

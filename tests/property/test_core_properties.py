@@ -69,8 +69,8 @@ class TestLRUCacheProperties:
             else:
                 cache.remove(key)
                 model.pop(key, None)
-            assert cache.used_bytes <= capacity
-            assert cache.used_bytes == sum(len(v) for k, v in
+            assert cache._used <= capacity
+            assert cache._used == sum(len(v) for k, v in
                                            ((k, cache._entries[k]) for k in cache._entries))
 
 
@@ -97,7 +97,8 @@ class TestAnchoredReadProperties:
         for op, object_index, payload in script:
             object_id = f"object-{object_index}"
             if op == "w":
-                anchor[object_id] = anchor_value(backend.write_version(object_id, payload))
+                version = backend.version_after(split_anchor_value(anchor.get(object_id, ""))[1], 0)
+                anchor[object_id] = anchor_value(backend.write_version(object_id, payload, version))
                 latest[object_id] = payload
             elif object_id in anchor:
                 reader = StorageService(sim, backend, make_memory_cache(1 << 16, sim.clock),

@@ -85,7 +85,7 @@ class Liar:
             if self.lie == "hide":
                 return ObjectListing(listing.entries[:1])
             if self.lie == "invent":
-                invented = [ObjectVersion(f"{prefix}v{version:08d}-{'e' * 64}-b0", 10**6, 0.0, "")
+                invented = [ObjectVersion(f"{prefix}v{version:08d}-{'e' * 64}-b0", 10**6, 0.0)
                             for version in (0, 5, 10**6)]
                 return ObjectListing(listing.entries + invented)
             return listing

@@ -98,7 +98,7 @@ def test_racing_creators_create_once_and_leave_no_lock(case):
     assert len(opens) == outcomes.count("opened")
     assert [event["created"] for event in opens].count(True) == 1
     assert len({event["file_id"] for event in opens}) == 1
-    assert all(fs.agent.locks.held == {} and fs.agent.open_handles() == 0
+    assert all(fs.agent.locks.held == {} and fs.agent._handles == {}
                for fs in mounts)
     taken = sorted({event["lock"] for event in events if event["kind"] == "lock"})
     assert f"filelock:{opens[0]['file_id']}" in taken

@@ -257,7 +257,7 @@ def test_riding_command_keeps_every_count_with_the_service(case):
             locks.acquire_set([metas[name] for name in sorted(wanted)], reread)
     else:
         locks.acquire_set([metas[name] for name in sorted(wanted)], reread)
-    assert sim.pending_tasks() == 0  # every release came due inside the command
+    assert sim.step() is False  # every release came due inside the command
 
     for name in FILES:
         hold = (name in case["held"]) - (name in pending) + (name in wanted and not refused)

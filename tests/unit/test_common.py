@@ -4,7 +4,7 @@ import pytest
 
 from repro.common.errors import FileSystemError, QuorumNotReachedError
 from repro.common.types import ObjectRef, Permission, Principal, fresh_id
-from repro.common.units import GB, KB, MB, human_bytes, micro_dollars
+from repro.common.units import GB, KB, MB, micro_dollars
 
 
 class TestPermission:
@@ -27,24 +27,11 @@ class TestPrincipal:
     def test_canonical_id_falls_back_to_name(self):
         assert Principal("alice").canonical_id("unknown-cloud") == "alice"
 
-    def test_with_canonical_id_adds_mapping(self):
-        updated = Principal("alice").with_canonical_id("gcs", "alice-gcs")
-        assert updated.canonical_id("gcs") == "alice-gcs"
-
-    def test_with_canonical_id_replaces_existing(self):
-        principal = Principal("alice", (("gcs", "old"),)).with_canonical_id("gcs", "new")
-        assert principal.canonical_id("gcs") == "new"
-        assert len(principal.canonical_ids) == 1
-
     def test_principals_are_hashable(self):
         assert {Principal("a"), Principal("a")} == {Principal("a")}
 
 
 class TestObjectRef:
-    def test_versioned_key_combines_id_and_hash(self):
-        ref = ObjectRef(key="file-1", digest="abc", size=10)
-        assert ref.versioned_key == "file-1#abc"
-
     def test_refs_are_value_objects(self):
         assert ObjectRef("k", "d", 1) == ObjectRef("k", "d", 1)
 
@@ -61,12 +48,6 @@ class TestFreshId:
 class TestUnits:
     def test_constants(self):
         assert KB == 1024 and MB == 1024 * KB and GB == 1024 * MB
-
-    def test_human_bytes(self):
-        assert human_bytes(100) == "100B"
-        assert human_bytes(2048) == "2.0KB"
-        assert human_bytes(4 * MB) == "4.0MB"
-        assert human_bytes(3 * GB) == "3.00GB"
 
     def test_micro_dollars(self):
         assert micro_dollars(0.000012) == pytest.approx(12.0)

@@ -619,9 +619,9 @@ class TestLockService:
     def test_acquire_and_release(self, sim, alice):
         locks, _ = self._locks(sim, alice)
         locks.acquire(_file("L"))
-        assert locks.holds(_file("L"))
+        assert locks.still_held(_file("L"))
         locks.release(_file("L"))
-        assert not locks.holds(_file("L"))
+        assert not locks.still_held(_file("L"))
 
     def test_reentrant_acquire(self, sim, alice):
         locks, service = self._locks(sim, alice)
@@ -649,7 +649,7 @@ class TestLockService:
             waiter.acquire(_file("L"))
         assert service.rsm.commands_executed == commands + 1
         assert sim.now() == refused_at and sim.rng.getstate() == replay.getstate()
-        assert not waiter.holds(_file("L")) and service.lock_holder("filelock:L") == s1.session_id
+        assert not waiter.still_held(_file("L")) and service.lock_holder("filelock:L") == s1.session_id
 
     def test_acquire_set_is_all_or_none_and_reentrant(self, sim, alice, bob):
         locks, service = self._locks(sim, alice)

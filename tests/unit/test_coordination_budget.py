@@ -47,18 +47,20 @@ against it, and README's round-trip table must list exactly its rows.
 from __future__ import annotations
 
 import itertools
+import json
 import random
 from pathlib import Path
 
 import pytest
 
-from repro.common.errors import ConflictError, TransactionConflictError
+from repro.common.errors import ConflictError, TransactionConflictError, TupleNotFoundError
 from repro.common.types import Permission, Principal
 from repro.coordination import PartitionedCoordination, make_coordination_service
 from repro.core.deployment import SCFSDeployment
 from repro.core.lock_service import LockService
 from repro.core.metadata import FileMetadata, FileType
 from repro.core.metadata_service import MetadataService
+from repro.transactions import TXN_PREFIX
 
 KINDS = {
     "depspace": {"coordination_kind": "depspace"},
@@ -87,6 +89,15 @@ BUDGETS: dict[str, tuple[int, ...]] = {
     "`setfacl` of a shared file, warm": (2,),
     "mount": (1,),
 }
+
+
+def _intent(fs, txn_id):
+    """The intent entry ``txn:<id>`` as the coordination service holds it (None: absent)."""
+    try:
+        entry = fs.agent.coordination.get(TXN_PREFIX + txn_id, fs.agent.session)
+    except TupleNotFoundError:
+        return None
+    return json.loads(entry.value)
 
 
 class Mount:
@@ -387,7 +398,7 @@ def _commit_commands(mount, directory: str, count: int) -> tuple[int, int]:
     _read_and_rewrite(paths)(txn)
     commands = mount.spent(txn.commit)[0]
     assert [mount.fs.read_file(path) for path in paths] == [b"x+"] * count
-    assert mount.fs.agent.transactions.intent_record(txn.txn_id)["status"] == "committed"
+    assert _intent(mount.fs, txn.txn_id)["status"] == "committed"
     # Lock set and its release: one command per partition the lock names fall
     # on; the validating reads: one (every entry lives under /top); the
     # pending intent; the commit point: the entries' partition and the intent's.
@@ -435,7 +446,7 @@ def test_a_lock_refused_commit_attempt_writes_no_intent(mount):
     other.close(handle)
     # The refused command was the attempt's only one per partition asked, and
     # it left nothing: no intent, no lock (the next commit takes them all).
-    assert mount.fs.agent.transactions.intent_record(txn.txn_id) is None
+    assert _intent(mount.fs, txn.txn_id) is None
     assert mount.fs.agent.coordination.entry_count() == entries
     mount.fs.run_transaction(_read_and_rewrite(paths))
     assert [mount.fs.read_file(path) for path in paths] == [b"x+"] * 3
@@ -449,7 +460,7 @@ def test_a_failed_validation_flips_the_riding_intent_to_aborted(mount):
     mount.fs.write_file(paths[0], b"newer", shared=True)
     with pytest.raises(TransactionConflictError, match="stale read"):
         txn.commit()
-    record = mount.fs.agent.transactions.intent_record(txn.txn_id)
+    record = _intent(mount.fs, txn.txn_id)
     assert record["status"] == "aborted" and [f[0] for f in record["files"]] == paths
     assert mount.fs.read_file(paths[1]) == b"x"
 

@@ -320,7 +320,7 @@ class TestARefusedVersionCheckSaysWhatIsThere:
             bob.open("/d/f", "w", shared=True)
         # Insert first: the refusal without a witness, then the lookup that says why.
         assert deployment.coordination.rsm.commands_executed - commands == (2 if parent_cached else 1)
-        assert bob.agent.locks.held == {} and bob.agent.open_handles() == 0
+        assert bob.agent.locks.held == {} and bob.agent._handles == {}
         assert alice.read_file("/d/f") == b"alice's"
 
 

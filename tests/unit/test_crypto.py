@@ -9,7 +9,7 @@ from repro.common.errors import SingularMatrixError
 from repro.crypto import gf256
 from repro.crypto.cipher import KEY_SIZE, SymmetricCipher, generate_key
 from repro.crypto.erasure import CodedBlock, ErasureCoder
-from repro.crypto.hashing import content_digest, hmac_digest, short_digest, verify_hmac
+from repro.crypto.hashing import content_digest, hmac_digest, verify_hmac
 from repro.crypto.secret_sharing import SecretShare, combine_secret, split_secret
 
 
@@ -19,9 +19,6 @@ class TestHashing:
 
     def test_digest_differs_for_different_data(self):
         assert content_digest(b"hello") != content_digest(b"hello!")
-
-    def test_short_digest_is_prefix(self):
-        assert content_digest(b"x").startswith(short_digest(b"x"))
 
     def test_hmac_verifies(self):
         tag = hmac_digest(b"key", b"data")
@@ -104,7 +101,7 @@ class TestGF256:
 
 
 class TestMatmulOutParameter:
-    """The ``out=`` destination path of matmul/mul_block."""
+    """The ``out=`` destination path of matmul."""
 
     def _case(self, rows, cols, length, seed=0):
         rng = np.random.default_rng(seed)
@@ -154,15 +151,6 @@ class TestMatmulOutParameter:
             gf256.matmul(matrix, blocks, out=np.zeros((3, 64), dtype=np.uint8))
         with pytest.raises(ValueError, match="uint8"):
             gf256.matmul(matrix, blocks, out=np.zeros((2, 64), dtype=np.uint16))
-
-    def test_mul_block_out(self):
-        block = np.arange(256, dtype=np.uint8)
-        for scalar in (0, 1, 7):
-            out = np.full(256, 0xEE, dtype=np.uint8)
-            assert gf256.mul_block(scalar, block, out=out) is out
-            assert np.array_equal(out, gf256.mul_block(scalar, block))
-        with pytest.raises(ValueError, match="alias"):
-            gf256.mul_block(7, block, out=block)
 
 
 class TestNibbleKernel:
@@ -309,7 +297,13 @@ class TestErasureCoder:
 
 
 class TestStreamingEncode:
-    """frame_into / encode_stripes / stream / encode_into — the zero-copy path."""
+    """frame_into / encode_stripes / encode_into — the zero-copy path."""
+
+    @staticmethod
+    def _stripes(coder, data, **kwargs):
+        buffer, payload_view = coder.frame_into(len(data))
+        payload_view[:] = np.frombuffer(data, dtype=np.uint8)
+        return list(coder.encode_stripes(buffer, **kwargs))
 
     def test_encode_into_rows_equal_encode_payloads(self):
         coder = ErasureCoder(4, 2)
@@ -318,11 +312,11 @@ class TestStreamingEncode:
         assert [row.tobytes() for row in buffer] == \
             [b.payload for b in coder.encode(data)]
 
-    def test_stream_yields_stripes_covering_the_buffer(self):
+    def test_encode_stripes_yields_stripes_covering_the_buffer(self):
         coder = ErasureCoder(4, 2)
         data = bytes(range(256)) * 40
         reference = coder.encode_into(data)
-        stripes = list(coder.stream(data, stripe_bytes=1000))
+        stripes = self._stripes(coder, data, stripe_bytes=1000)
         assert stripes[0].start == 0
         assert stripes[-1].stop == reference.shape[1]
         for before, after in zip(stripes, stripes[1:], strict=False):
@@ -337,31 +331,6 @@ class TestStreamingEncode:
         for stripe_bytes in (1, 7, 64, 1 << 20):
             assert np.array_equal(
                 coder.encode_into(data, stripe_bytes=stripe_bytes), reference)
-
-    def test_frame_into_reuses_and_scrubs_a_dirty_buffer(self):
-        coder = ErasureCoder(4, 2)
-        first = coder.encode_into(b"\xff" * 1000)
-        # Re-framing a shorter payload into the same buffer must zero the
-        # padding tail left over from the longer one.
-        short = b"tiny"
-        block_len = coder.block_size(len(short))
-        reused = np.full((4, block_len), 0xFF, dtype=np.uint8)
-        buffer, payload_view = coder.frame_into(len(short), out=reused)
-        assert buffer is reused
-        payload_view[:] = np.frombuffer(short, dtype=np.uint8)
-        for _ in coder.encode_stripes(buffer):
-            pass
-        fresh = coder.encode_into(short)
-        assert np.array_equal(buffer, fresh)
-        assert first is not buffer
-
-    def test_frame_into_validates_out(self):
-        coder = ErasureCoder(4, 2)
-        with pytest.raises(ValueError, match="shape"):
-            coder.frame_into(100, out=np.zeros((4, 3), dtype=np.uint8))
-        with pytest.raises(ValueError, match="uint8"):
-            coder.frame_into(
-                100, out=np.zeros((4, coder.block_size(100)), dtype=np.uint16))
 
     def test_encode_stripes_validates_buffer(self):
         coder = ErasureCoder(4, 2)
@@ -381,7 +350,7 @@ class TestStreamingEncode:
 
     def test_empty_payload_streams(self):
         coder = ErasureCoder(4, 2)
-        stripes = list(coder.stream(b""))
+        stripes = self._stripes(coder, b"")
         assert stripes  # header-only frame still yields a stripe
         assert coder.decode(coder.encode(b"")) == b""
 

@@ -7,8 +7,8 @@ from repro.bench.filebench import MICRO_BENCHMARKS, MicroBenchmarkParams, run_mi
 from repro.bench.report import human_size, render_table
 from repro.bench.targets import ALL_TARGET_NAMES, SCFS_VARIANT_NAMES, build_target
 from repro.common.units import KB, MB
-from repro.core.deployment import SCFSDeployment, build_variant_matrix
-from repro.core.modes import BackendKind
+from repro.core.deployment import SCFSDeployment
+from repro.core.modes import VARIANTS, BackendKind
 
 
 class TestDeployment:
@@ -52,8 +52,8 @@ class TestDeployment:
         assert deployment.coordination_entries() == before + 1
 
     def test_variant_matrix_builds_all_six(self):
-        matrix = build_variant_matrix(seed=1)
-        assert set(matrix) == set(SCFS_VARIANT_NAMES) | {v for v in matrix}
+        matrix = {name: SCFSDeployment.for_variant(name, seed=1) for name in VARIANTS}
+        assert set(matrix) <= set(SCFS_VARIANT_NAMES)
         assert len(matrix) == 6
 
     def test_unmount_all(self):
@@ -77,8 +77,8 @@ class TestBenchTargets:
             build_target("NFS")
 
     def test_scfs_targets_report_deployment(self):
-        assert build_target("SCFS-CoC-NB").is_scfs()
-        assert not build_target("LocalFS").is_scfs()
+        assert build_target("SCFS-CoC-NB").deployment is not None
+        assert build_target("LocalFS").deployment is None
 
     def test_config_overrides_reach_the_agent(self):
         target = build_target("SCFS-CoC-NB", private_name_spaces=True)
@@ -111,10 +111,6 @@ class TestMicroBenchmarks:
         sampled = run_microbenchmark("random 4KB-read", "LocalFS", params=quick_params)
         per_op = sampled / full
         assert 1e-6 < per_op < 1e-3
-
-    def test_scaled_params(self):
-        params = MicroBenchmarkParams().scaled(0.1)
-        assert params.create_count == 20 and params.copy_count == 10
 
 
 class TestCostModel:

@@ -7,7 +7,7 @@ import pytest
 from repro.clouds.providers import make_cloud_of_clouds
 from repro.clouds.quorums import CountQuorum, ThresholdQuorumSystem
 from repro.common.errors import IntegrityError, ObjectNotFoundError, QuorumNotReachedError
-from repro.common.types import Permission
+from repro.common.types import Permission, Principal
 from repro.depsky.dataunit import VersionRecord
 from repro.depsky.protocol import DepSkyClient, preferred_order
 from repro.simenv.environment import Simulation
@@ -389,9 +389,7 @@ class TestDepSkyClient:
 
     def test_set_acl_lets_grantee_read(self, sim, alice, bob):
         client, clouds = make_client(sim, alice)
-        bob_full = bob
-        for cloud in clouds:
-            bob_full = bob_full.with_canonical_id(cloud.name, f"bob@{cloud.name}")
+        bob_full = Principal(bob.name, tuple((cloud.name, f"bob@{cloud.name}") for cloud in clouds))
         record = client.write("unit", b"shared data" * 30)
         client.set_acl("unit", bob_full, Permission.READ)
         sim.advance(3.0)
@@ -400,9 +398,7 @@ class TestDepSkyClient:
 
     def test_acl_grant_covers_future_versions(self, sim, alice, bob):
         client, clouds = make_client(sim, alice)
-        bob_full = bob
-        for cloud in clouds:
-            bob_full = bob_full.with_canonical_id(cloud.name, f"bob@{cloud.name}")
+        bob_full = Principal(bob.name, tuple((cloud.name, f"bob@{cloud.name}") for cloud in clouds))
         client.write("unit", b"v1")
         client.set_acl("unit", bob_full, Permission.READ)
         record = client.write("unit", b"v2 new version")
@@ -493,8 +489,7 @@ class TestWriteNumbered:
 
     def test_a_missed_block_quorum_publishes_no_unit_of_the_batch(self, sim, alice, bob):
         clouds = make_cloud_of_clouds(sim)
-        for cloud in clouds:
-            bob = bob.with_canonical_id(cloud.name, f"bob@{cloud.name}")
+        bob = Principal(bob.name, tuple((cloud.name, f"bob@{cloud.name}") for cloud in clouds))
         # bob already owns the very names alice's blocks of "theirs" would take
         # (version 1 of that plaintext): her block-put is refused everywhere,
         # the other two units' succeed.

@@ -7,7 +7,6 @@ from repro.clouds.dispatch import (
     QuorumCall,
     QuorumRequest,
     RequestStatus,
-    dispatch_quorum,
 )
 from repro.clouds.providers import make_cloud_of_clouds, make_provider
 from repro.common.errors import CloudUnavailableError, QuorumNotReachedError
@@ -40,7 +39,9 @@ def request(cloud: str, latencies, fail=False, counter=None):
 
 class TestQuorumCallEngine:
     def test_completes_at_mth_success(self):
-        stats = dispatch_quorum([[request("a", 3.0), request("b", 1.0), request("c", 2.0)]], 2)
+        stats = (QuorumCall()
+                 .stage([request("a", 3.0), request("b", 1.0), request("c", 2.0)])
+                 .execute(2))
         assert stats.reached
         assert stats.elapsed == pytest.approx(2.0)
         assert stats.winner_clouds == ("b", "c")
@@ -51,40 +52,44 @@ class TestQuorumCallEngine:
     def test_failures_do_not_occupy_quorum_slots(self):
         # A fast failure plus a slow success: the call must wait for the
         # success, not complete at the failure's (earlier) resolution.
-        stats = dispatch_quorum([[request("bad", 0.1, fail=True), request("ok", 5.0)]], 1)
+        stats = QuorumCall().stage([request("bad", 0.1, fail=True), request("ok", 5.0)]).execute(1)
         assert stats.elapsed == pytest.approx(5.0)
         assert stats.winner_clouds == ("ok",)
 
     def test_quorum_failure_reports_give_up_time(self):
-        stats = dispatch_quorum([[request("a", 1.0, fail=True), request("b", 2.0, fail=True)]], 1)
+        stats = (QuorumCall()
+                 .stage([request("a", 1.0, fail=True), request("b", 2.0, fail=True)])
+                 .execute(1))
         assert not stats.reached
         assert stats.elapsed is None
         assert stats.charged == pytest.approx(2.0)
 
     def test_fallback_stage_dispatches_at_end_of_triggering_round(self):
-        stats = dispatch_quorum(
-            [[request("a", 1.0, fail=True), request("b", 2.0)], [request("c", 1.0)]], 2
-        )
+        stats = (QuorumCall()
+                 .stage([request("a", 1.0, fail=True), request("b", 2.0)])
+                 .stage([request("c", 1.0)])
+                 .execute(2))
         # Stage 1 starts when stage 0's last request resolved (t=2), so the
         # fallback's success lands at 3 — fallback work is never free.
         assert stats.stage_started_at == (0.0, 2.0)
         assert stats.elapsed == pytest.approx(3.0)
-        assert stats.preferred_hit is False
+        assert [t.stage for t in stats.winners] == [0, 1]
         assert stats.fallback_dispatched
 
     def test_fallback_stage_skipped_when_quorum_reached(self):
         counter: dict[str, int] = {}
-        stats = dispatch_quorum(
-            [[request("a", 1.0, counter=counter)], [request("b", 1.0, counter=counter)]], 1
-        )
+        stats = (QuorumCall()
+                 .stage([request("a", 1.0, counter=counter)])
+                 .stage([request("b", 1.0, counter=counter)])
+                 .execute(1))
         assert stats.elapsed == pytest.approx(1.0)
         assert stats.stage_started_at == (0.0,)
         assert "b" not in counter  # the fallback request was never sent
-        assert stats.preferred_hit
+        assert [t.stage for t in stats.winners] == [0]
 
     def test_timeout_abandons_straggler(self):
         policy = DispatchPolicy(timeout=2.0)
-        stats = dispatch_quorum([[request("slow", 10.0), request("ok", 1.0)]], 2, policy)
+        stats = QuorumCall(policy).stage([request("slow", 10.0), request("ok", 1.0)]).execute(2)
         assert not stats.reached
         slow = next(t for t in stats.traces if t.cloud == "slow")
         assert slow.status is RequestStatus.TIMED_OUT
@@ -92,7 +97,7 @@ class TestQuorumCallEngine:
 
     def test_retry_after_timeout_succeeds(self):
         policy = DispatchPolicy(timeout=2.0, retries=1)
-        stats = dispatch_quorum([[request("flaky", [10.0, 1.0])]], 1, policy)
+        stats = QuorumCall(policy).stage([request("flaky", [10.0, 1.0])]).execute(1)
         assert stats.reached
         # First attempt abandoned at t=2, retry dispatched then lands at t=3.
         assert stats.elapsed == pytest.approx(3.0)
@@ -101,14 +106,19 @@ class TestQuorumCallEngine:
     def test_bounded_retries_for_failures(self):
         counter: dict[str, int] = {}
         policy = DispatchPolicy(retries=2)
-        stats = dispatch_quorum([[request("down", 1.0, fail=True, counter=counter)]], 1, policy)
+        stats = (QuorumCall(policy)
+                 .stage([request("down", 1.0, fail=True, counter=counter)])
+                 .execute(1))
         assert not stats.reached
         assert counter["down"] == 3  # initial attempt + 2 retries
         assert stats.charged == pytest.approx(3.0)
 
     def test_hedge_dispatches_backup_before_round_ends(self):
         policy = DispatchPolicy(hedge_delay=2.0)
-        stats = dispatch_quorum([[request("straggler", 10.0)], [request("backup", 1.0)]], 1, policy)
+        stats = (QuorumCall(policy)
+                 .stage([request("straggler", 10.0)])
+                 .stage([request("backup", 1.0)])
+                 .execute(1))
         assert stats.stage_started_at == (0.0, 2.0)
         assert stats.elapsed == pytest.approx(3.0)
         assert stats.winner_clouds == ("backup",)
@@ -118,10 +128,10 @@ class TestQuorumCallEngine:
     def test_hedge_not_dispatched_when_quorum_is_fast(self):
         counter: dict[str, int] = {}
         policy = DispatchPolicy(hedge_delay=2.0)
-        stats = dispatch_quorum(
-            [[request("fast", 1.0, counter=counter)], [request("backup", 1.0, counter=counter)]],
-            1, policy,
-        )
+        stats = (QuorumCall(policy)
+                 .stage([request("fast", 1.0, counter=counter)])
+                 .stage([request("backup", 1.0, counter=counter)])
+                 .execute(1))
         assert stats.elapsed == pytest.approx(1.0)
         assert stats.hedged == 0
         assert "backup" not in counter
@@ -130,12 +140,13 @@ class TestQuorumCallEngine:
         with pytest.raises(ValueError):
             QuorumCall().execute(required=1)
         with pytest.raises(ValueError):
-            dispatch_quorum([[request("a", 1.0)]], 0)
+            QuorumCall().stage([request("a", 1.0)]).execute(0)
 
     def test_stage_waits_cover_each_round(self):
-        stats = dispatch_quorum(
-            [[request("a", 2.0, fail=True)], [request("b", 3.0)]], 1
-        )
+        stats = (QuorumCall()
+                 .stage([request("a", 2.0, fail=True)])
+                 .stage([request("b", 3.0)])
+                 .execute(1))
         assert stats.stage_waits == pytest.approx((2.0, 3.0))
 
 
@@ -159,25 +170,25 @@ class TestPrepareHook:
             latency=lambda _: 1.0,
             prepare=lambda: order.append("prepare"),
         )
-        stats = dispatch_quorum([[sent]], 1)
+        stats = QuorumCall().stage([sent]).execute(1)
         assert stats.reached
         assert order == ["prepare", "send"]
 
     def test_prepare_skipped_for_undispatched_fallback(self):
         counter: dict[str, int] = {}
-        stats = dispatch_quorum(
-            [[self._prepared_request("a", 1.0, counter)],
-             [self._prepared_request("b", 1.0, counter)]], 1
-        )
+        stats = (QuorumCall()
+                 .stage([self._prepared_request("a", 1.0, counter)])
+                 .stage([self._prepared_request("b", 1.0, counter)])
+                 .execute(1))
         assert stats.reached
         assert counter == {"a": 1}  # the fallback never materialised its blob
 
     def test_prepare_not_repeated_on_retry(self):
         counter: dict[str, int] = {}
         policy = DispatchPolicy(timeout=2.0, retries=1)
-        stats = dispatch_quorum(
-            [[self._prepared_request("flaky", [10.0, 1.0], counter)]], 1, policy
-        )
+        stats = (QuorumCall(policy)
+                 .stage([self._prepared_request("flaky", [10.0, 1.0], counter)])
+                 .execute(1))
         assert stats.reached
         assert stats.winners[0].attempts == 2
         assert counter == {"flaky": 1}
@@ -300,7 +311,7 @@ class TestDepSkyDispatchAccounting:
         sim.advance(3.0)
         result = client.read_latest("unit")
         assert result.stats is not None and result.meta_stats is not None
-        assert result.stats.preferred_hit
+        assert result.stats.reached and all(t.stage == 0 for t in result.stats.winners)
         # Winners are completion-ordered, clouds_used row-ordered: same set.
         assert set(result.stats.winner_clouds) == set(result.clouds_used)
         assert result.meta_stats.required == client.k
@@ -325,7 +336,7 @@ class TestDepSkyDispatchAccounting:
         sim = Simulation(seed=5)
         backend = CloudOfCloudsBackend(sim, make_cloud_of_clouds(sim), Principal("alice"))
         clouds = backend.client.clouds
-        ref = backend.write_version("file", b"f" * 400)
+        ref = backend.write_version("file", b"f" * 400, version=1)
         sim.advance(3.0)
         backend.read_version("file", ref.digest)
         clouds[0].failures.add(FaultKind.UNAVAILABLE, start=sim.now())
@@ -432,5 +443,5 @@ class TestInstantCoalescer:
 
         stats = InstantCoalescer.absorbed(required=2)
         assert stats.reached and stats.charged == 0.0
-        assert stats.preferred_hit and not stats.fallback_dispatched
+        assert stats.winners == () and not stats.fallback_dispatched
         assert stats.successes == [] and stats.winner_clouds == ()

@@ -57,7 +57,7 @@ class TestPartitionedCoordination:
         session = coordination.open_session(alice)
         for i in range(32):
             coordination.put(f"meta:/subtree-{i}/file", b"x", session)
-        per_partition = coordination.per_partition_entries()
+        per_partition = [service.entry_count() for service in coordination.services]
         assert sum(per_partition) == 32
         assert sum(1 for count in per_partition if count > 0) >= 2
 
@@ -178,7 +178,7 @@ class TestPartitionedDeployment:
             fs.mkdir(f"/dir-{i}", shared=True)
             fs.write_file(f"/dir-{i}/file.txt", b"x", shared=True)
         deployment.drain()
-        per_partition = deployment.coordination.per_partition_entries()
+        per_partition = [service.entry_count() for service in deployment.coordination.services]
         assert sum(per_partition) >= 24
         assert max(per_partition) < sum(per_partition)
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.clouds.dispatch import DispatchPolicy, QuorumRequest, dispatch_quorum
+from repro.clouds.dispatch import DispatchPolicy, QuorumCall, QuorumRequest
 from repro.clouds.health import (
     HEDGE_MULTIPLE,
     MIN_SAMPLES,
@@ -14,7 +14,7 @@ from repro.clouds.health import (
 from repro.clouds.providers import make_cloud_of_clouds, make_provider
 from repro.common.errors import CloudUnavailableError, ConfigurationError
 from repro.common.types import Permission, Principal
-from repro.core.backend import CloudOfCloudsBackend, ReadPathStats, SingleCloudBackend
+from repro.core.backend import CloudOfCloudsBackend, ReadPathStats
 from repro.core.config import DispatchPolicyConfig, SCFSConfig
 from repro.core.deployment import SCFSDeployment
 from repro.depsky.dataunit import VersionRecord
@@ -51,7 +51,7 @@ class TestSuspicionLifecycle:
         assert not t.is_suspected("a")
         t.observe("a", succeeded=False, latency=0.5, now=1.0)
         assert t.is_suspected("a")
-        assert t.status("a") is CloudStatus.SUSPECTED
+        assert t.health("a").status is CloudStatus.SUSPECTED
         assert t.suspicions == 1
         t.observe("a", succeeded=True, latency=0.2, now=2.0)
         assert not t.is_suspected("a")
@@ -87,7 +87,6 @@ class TestSuspicionLifecycle:
             t.observe("c", succeeded=True, latency=0.25, now=float(now))
         assert t.is_degraded("slow")
         assert not t.is_degraded("b")
-        assert t.status("slow") is CloudStatus.DEGRADED
         assert "slow" in t.degraded_clouds()
         assert t.auto_hedge_delay(["slow", "b"]) is not None
         assert t.auto_hedge_delay(["b", "c"]) is None
@@ -115,11 +114,10 @@ class TestHealthAwareDispatch:
         t = tracker(threshold=1)
         t.observe("a", succeeded=False, latency=0.5, now=0.0)
         counter: dict[str, int] = {}
-        stats = dispatch_quorum(
-            [[request("a", 5.0, fail=True, counter=counter), request("b", 1.0, counter=counter)],
-             [request("c", 1.0, counter=counter), request("d", 1.0, counter=counter)]],
-            required=2, health=t, now=1.0,
-        )
+        stats = (QuorumCall(health=t, now=1.0)
+                 .stage([request("a", 5.0, fail=True, counter=counter), request("b", 1.0, counter=counter)])
+                 .stage([request("c", 1.0, counter=counter), request("d", 1.0, counter=counter)])
+                 .execute(2))
         # "a" was demoted (probe not due), "c" promoted into stage 0.
         assert stats.demoted == ("a",)
         assert "a" not in counter
@@ -134,11 +132,10 @@ class TestHealthAwareDispatch:
         t = tracker(threshold=1, backoff=10.0)
         t.observe("a", succeeded=False, latency=0.5, now=0.0)
         counter: dict[str, int] = {}
-        stats = dispatch_quorum(
-            [[request("a", 9.0, fail=True, counter=counter), request("b", 1.0, counter=counter)],
-             [request("c", 1.0, counter=counter)]],
-            required=2, health=t, now=20.0,
-        )
+        stats = (QuorumCall(health=t, now=20.0)
+                 .stage([request("a", 9.0, fail=True, counter=counter), request("b", 1.0, counter=counter)])
+                 .stage([request("c", 1.0, counter=counter)])
+                 .execute(2))
         assert stats.probes == 1 and counter["a"] == 1
         probe = next(trace for trace in stats.traces if trace.cloud == "a")
         assert probe.probe
@@ -152,10 +149,10 @@ class TestHealthAwareDispatch:
     def test_probe_success_recovers_cloud(self):
         t = tracker(threshold=1, backoff=5.0)
         t.observe("a", succeeded=False, latency=0.5, now=0.0)
-        stats = dispatch_quorum(
-            [[request("a", 0.5, counter=None), request("b", 1.0)], [request("c", 1.0)]],
-            required=2, health=t, now=6.0,
-        )
+        stats = (QuorumCall(health=t, now=6.0)
+                 .stage([request("a", 0.5, counter=None), request("b", 1.0)])
+                 .stage([request("c", 1.0)])
+                 .execute(2))
         assert stats.probes == 1
         assert not t.is_suspected("a")
         assert t.recoveries == 1
@@ -165,11 +162,10 @@ class TestHealthAwareDispatch:
         t.observe("a", succeeded=False, latency=0.5, now=0.0)
         t.observe("b", succeeded=False, latency=0.5, now=0.0)
         counter: dict[str, int] = {}
-        stats = dispatch_quorum(
-            [[request("a", 1.0, counter=counter), request("b", 1.0, counter=counter),
-              request("c", 1.0, counter=counter)]],
-            required=2, health=t, now=1.0,
-        )
+        stats = (QuorumCall(health=t, now=1.0)
+                 .stage([request("a", 1.0, counter=counter), request("b", 1.0, counter=counter),
+                         request("c", 1.0, counter=counter)])
+                 .execute(2))
         # Demoting both suspects would leave 1 < required requests: revert.
         assert stats.demoted == ()
         assert counter == {"a": 1, "b": 1, "c": 1}
@@ -181,17 +177,17 @@ class TestHealthAwareDispatch:
             t.observe("slow", succeeded=True, latency=2.0, now=float(now))
             t.observe("b", succeeded=True, latency=0.2, now=float(now))
             t.observe("c", succeeded=True, latency=0.2, now=float(now))
-        stats = dispatch_quorum(
-            [[request("slow", 8.0)], [request("c", 0.2)]],
-            required=1, health=t, now=10.0,
-        )
+        stats = (QuorumCall(health=t, now=10.0)
+                 .stage([request("slow", 8.0)])
+                 .stage([request("c", 0.2)])
+                 .execute(1))
         # Auto-hedge at HEDGE_MULTIPLE x 0.2 s: the backup beats the straggler
         # by far.
         assert stats.hedged == 1
         assert stats.elapsed == pytest.approx(HEDGE_MULTIPLE * 0.2 + 0.2)
 
     def test_without_health_behaviour_unchanged(self):
-        stats = dispatch_quorum([[request("a", 1.0), request("b", 2.0)]], required=2)
+        stats = QuorumCall().stage([request("a", 1.0), request("b", 2.0)]).execute(2)
         assert stats.probes == 0 and stats.demoted == ()
         assert stats.elapsed == pytest.approx(2.0)
 
@@ -261,20 +257,6 @@ class TestDepSkySuspicionEndToEnd:
                 client.read_latest("no-such-unit")
         assert health.suspicions == 0
         assert all(not health.is_suspected(c.name) for c in clouds)
-
-    def test_not_yet_visible_polling_does_not_suspect_single_cloud(self):
-        sim = Simulation(seed=1)
-        store = make_provider(sim, "amazon-s3", charge_latency=True)
-        backend = SingleCloudBackend(sim, store, Principal("alice"),
-                                     dispatch=DispatchPolicyConfig(suspicion_threshold=2))
-        ref = backend.write_version("file", b"data")  # propagation delay: 1 s
-        from repro.common.errors import ObjectNotFoundError
-
-        for _ in range(3):  # eventual-consistency misses, not provider faults
-            with pytest.raises(ObjectNotFoundError):
-                backend.read_version("file", ref.digest)
-        assert not backend.health.is_suspected(store.name)
-        assert backend.health_stats().suspicions == 0
 
     def test_suspected_cloud_still_receives_background_writes(self):
         # Replication must not silently shrink: a PUT at a suspected cloud is
@@ -391,14 +373,19 @@ class TestDispatchConfigPlumbing:
         with pytest.raises(ConfigurationError):
             SCFSConfig(lock_lease=-1.0).validate()
 
-    def test_hedge_delay_requires_fallback_stage(self):
-        # The single-cloud backend has no fallback stage to hedge with.
+    @pytest.mark.parametrize("knob", [
+        {"timeout": 1.0}, {"retries": 1}, {"hedge_delay": 0.25}, {"suspicion_threshold": 3},
+        {"probe_backoff": 5.0}, {"probe_backoff_factor": 3.0}, {"probe_backoff_max": 600.0},
+        {"coalesce_instant": True},
+    ], ids=lambda knob: next(iter(knob)))
+    def test_dispatch_knob_requires_the_cloud_of_clouds_backend(self, knob):
+        # A single cloud has no quorum call to time out, retry, hedge,
+        # coalesce or re-plan around a suspect.
         with pytest.raises(ConfigurationError):
-            SCFSConfig.for_variant("SCFS-AWS-B",
-                                   dispatch=DispatchPolicyConfig(hedge_delay=0.25))
-        config = SCFSConfig.for_variant("SCFS-CoC-B",
-                                        dispatch=DispatchPolicyConfig(hedge_delay=0.25))
-        assert config.dispatch.hedge_delay == 0.25
+            SCFSConfig.for_variant("SCFS-AWS-B", dispatch=DispatchPolicyConfig(**knob))
+        SCFSConfig.for_variant("SCFS-AWS-B", dispatch=DispatchPolicyConfig())
+        config = SCFSConfig.for_variant("SCFS-CoC-B", dispatch=DispatchPolicyConfig(**knob))
+        assert config.dispatch == DispatchPolicyConfig(**knob)
 
     def test_tracker_factory_disabled_by_default(self):
         config = DispatchPolicyConfig()
@@ -442,19 +429,6 @@ class TestDispatchConfigPlumbing:
         assert snapshot.suspicions >= 1
         assert clouds[0].name in snapshot.suspected_now
 
-    def test_single_cloud_backend_tracks_outages(self):
-        sim = Simulation(seed=1)
-        store = make_provider(sim, "amazon-s3", charge_latency=True)
-        backend = SingleCloudBackend(sim, store, Principal("alice"),
-                                     dispatch=DispatchPolicyConfig(suspicion_threshold=2))
-        ref = backend.write_version("file", b"data")
-        store.failures.add(FaultKind.UNAVAILABLE, start=sim.now())
-        for _ in range(2):
-            with pytest.raises(CloudUnavailableError):
-                backend.read_version("file", ref.digest)
-        assert backend.health.is_suspected(store.name)
-        assert backend.health_stats().suspicions == 1
-
 
 class TestReadPathSuspicionStats:
     def test_demotions_and_probes_flow_into_read_path_stats(self):
@@ -464,7 +438,7 @@ class TestReadPathSuspicionStats:
             dispatch=DispatchPolicyConfig(timeout=1.5, suspicion_threshold=2),
         )
         clouds = backend.client.clouds
-        ref = backend.write_version("file", b"f" * 400)
+        ref = backend.write_version("file", b"f" * 400, version=1)
         sim.advance(3.0)
         clouds[0].failures.add(FaultKind.UNAVAILABLE, start=sim.now())
         backend.read_version("file", ref.digest)  # builds the suspicion
@@ -489,7 +463,7 @@ class TestStorageAccountingSinceCreation:
         from repro.clouds.access_control import ObjectACL
 
         obj = _StoredObject(key="k", data=b"x", acl=ObjectACL(owner="o"),
-                            created_at=100.0, visible_at=100.0, digest="d")
+                            created_at=100.0, visible_at=100.0)
         assert obj.stored_since == pytest.approx(100.0)
 
     def test_byte_seconds_charged_from_creation_not_simulation_start(self):

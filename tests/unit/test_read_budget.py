@@ -171,7 +171,7 @@ def unit(sim, alice):
     """A CoC backend with one propagated version of ``unit``: ``(backend, ref, data)``."""
     backend = CloudOfCloudsBackend(sim, make_cloud_of_clouds(sim), alice, f=1)
     data = bytes(range(256)) * 40
-    ref = backend.write_version("unit", data)
+    ref = backend.write_version("unit", data, version=1)
     sim.advance(5.0)
     return backend, ref, data
 
@@ -244,7 +244,7 @@ def test_inside_the_window_no_get_goes_to_a_holder_not_yet_visible(sim, alice, c
     backend = CloudOfCloudsBackend(sim, make_cloud_of_clouds(sim), alice, f=1)
     client = backend.client
     data = bytes(range(256)) * 40
-    ref = backend.write_version("unit", data)
+    ref = backend.write_version("unit", data, version=1)
     record = VersionRecord.from_locator(ref.locator, ref.digest)
     _at(sim, record.created_at + offset)
     holders = client.clouds[:client.n - client.f]
@@ -261,7 +261,7 @@ def test_inside_the_window_no_get_goes_to_a_holder_not_yet_visible(sim, alice, c
 
 def test_a_locator_of_another_version_names_no_stored_block(unit, sim):
     backend, ref, _data = unit
-    newer = backend.write_version("unit", b"newer")
+    newer = backend.write_version("unit", b"newer", version=2)
     sim.advance(5.0)
     # Block names carry (version, digest): v1 of the *newer* plaintext was never written.
     with pytest.raises(QuorumNotReachedError):

@@ -37,9 +37,9 @@ class TestDeterminismSeams:
         assert draws1 == draws2
         assert draws1 != [b.random() for _ in range(8)]
 
-    def test_fork_rng_does_not_perturb_the_main_stream(self):
+    def test_derive_rng_does_not_perturb_the_main_stream(self):
         sim1, sim2 = Simulation(seed=5), Simulation(seed=5)
-        sim1.fork_rng("side").random()  # consuming a fork draws nothing from rng
+        derive_rng(sim1.seed, "side").random()  # a derived stream draws nothing from rng
         assert sim1.rng.random() == sim2.rng.random()
 
     def test_sim_fresh_id_restarts_per_simulation(self):

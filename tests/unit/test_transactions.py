@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.common.errors import (
@@ -13,13 +15,23 @@ from repro.common.errors import (
     TransactionAbortedError,
     TransactionConflictError,
     TransactionError,
+    TupleNotFoundError,
 )
 from repro.common.types import Permission
 from repro.core.consistency import READ_RETRY_INTERVAL
 from repro.core.deployment import SCFSDeployment
 from repro.core.metadata import DATA_FIELDS
 from repro.simenv.failures import FaultKind
-from repro.transactions import ABORTED, COMMITTED
+from repro.transactions import ABORTED, COMMITTED, TXN_PREFIX
+
+
+def _intent(fs, txn_id):
+    """The intent entry ``txn:<id>`` as the coordination service holds it (None: absent)."""
+    try:
+        entry = fs.agent.coordination.get(TXN_PREFIX + txn_id, fs.agent.session)
+    except TupleNotFoundError:
+        return None
+    return json.loads(entry.value)
 
 
 def _shared_pair(variant: str = "SCFS-CoC-NB", **overrides):
@@ -215,7 +227,7 @@ class TestCommitPoint:
         with pytest.raises(TransactionConflictError, match="version CAS failed"):
             txn.commit()
         assert txn.status == ABORTED
-        assert alice.agent.transactions.intent_record(txn.txn_id)["status"] == "aborted"
+        assert _intent(alice, txn.txn_id)["status"] == "aborted"
         alice.agent.metadata_cache.clear()
         assert {path: alice.read_file(path) for path in before} == before
         assert bob.read_file("/shared/a") == before["/shared/a"]
@@ -273,7 +285,7 @@ class TestFailedUpload:
                 transactions[0].commit()
         [txn] = transactions  # not a conflict: ``run`` does not retry it
         assert txn.status == ABORTED
-        assert alice.agent.transactions.intent_record(txn.txn_id)["status"] == "aborted"
+        assert _intent(alice, txn.txn_id)["status"] == "aborted"
         [abort] = [fields for kind, fields in events if kind == "txn_abort"]
         assert abort["txn"] == txn.txn_id and "clouds acknowledged" in abort["reason"]
         assert alice.agent.locks.held == {}
@@ -343,7 +355,7 @@ class TestIntentRecords:
         _, alice, _ = shared
         with alice.transaction() as txn:
             txn.write("/shared/a", b"recorded")
-        record = alice.agent.transactions.intent_record(txn.txn_id)
+        record = _intent(alice, txn.txn_id)
         assert record is not None
         assert record["status"] == "committed"
         assert record["writer"] == "alice"
@@ -356,7 +368,7 @@ class TestIntentRecords:
         txn = alice.begin_transaction()
         txn.write("/shared/a", b"never intended")
         txn.abort()
-        assert alice.agent.transactions.intent_record(txn.txn_id) is None
+        assert _intent(alice, txn.txn_id) is None
 
 
 class TestRenameTree:
@@ -407,7 +419,6 @@ class TestLeaseExpiry:
         deployment, alice, _ = _shared_pair(lock_lease=10.0)
         meta = alice.agent.metadata.get("/shared/a", use_cache=False)
         alice.agent.locks.acquire(meta)
-        assert alice.agent.locks.holds(meta)
         assert alice.agent.locks.still_held(meta)
         alice.agent.locks.release(meta)
 
@@ -417,7 +428,7 @@ class TestLeaseExpiry:
         alice.agent.locks.acquire(meta)
         deployment.sim.advance(11.0)
         # Local bookkeeping still says held; the service disagrees.
-        assert alice.agent.locks.holds(meta)
+        assert alice.agent.locks.lock_name(meta) in alice.agent.locks.held
         assert not alice.agent.locks.still_held(meta)
 
     def test_other_agent_takes_over_after_expiry(self):
