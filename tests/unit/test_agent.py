@@ -272,6 +272,29 @@ class TestDurabilityAndModes:
         holders = [cloud for cloud in deployment.clouds if cloud.stored_bytes() >= 5_000]
         assert len(holders) >= len(deployment.clouds) - deployment.config.fault_tolerance
 
+    def test_blocking_aws_close_reaches_level2(self):
+        # Level 2 of Table 1: once the close returns, the version outlives the
+        # client's caches, because the one cloud holds all of it.
+        deployment = SCFSDeployment.for_variant("SCFS-AWS-B", seed=1)
+        fs = deployment.create_agent("alice")
+        fs.write_file("/f.txt", b"y" * 10_000)
+        assert fs.statistics().pending_uploads == 0
+        fresh = deployment.create_agent("alice")  # empty memory and disk caches
+        deployment.sim.advance(deployment.clouds[0].profile.propagation_delay)
+        assert fresh.read_file("/f.txt") == b"y" * 10_000
+        assert fresh.agent.storage.cloud_reads == 1
+
+    def test_non_blocking_close_returns_at_level1(self, coc_nb):
+        # Level 1: when the close returns, the version is on the local disk
+        # only; the background upload takes it to level 3 later.
+        deployment, fs = coc_nb
+        fs.write_file("/f.txt", b"z" * 10_000)
+        assert all(cloud.stored_bytes() == 0 for cloud in deployment.clouds)
+        assert len(fs.agent.storage.disk) == 1
+        deployment.drain()
+        holders = [cloud for cloud in deployment.clouds if cloud.stored_bytes() >= 5_000]
+        assert len(holders) >= len(deployment.clouds) - deployment.config.fault_tolerance
+
     def test_non_blocking_close_defers_upload(self, coc_nb):
         deployment, fs = coc_nb
         before = deployment.sim.now()

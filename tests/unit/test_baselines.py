@@ -143,6 +143,14 @@ class TestLatencyShapes:
 
 
 class TestLocalFSSpecifics:
+    def test_fsync_writes_to_disk_before_the_close(self, localfs, sim):
+        handle = localfs.open("/f", "w")
+        localfs.write(handle, b"synced")
+        assert localfs.read_file("/f") == b""  # still only in the open file
+        localfs.fsync(handle)
+        assert localfs.read_file("/f") == b"synced"
+        localfs.close(handle)
+
     def test_unlink_missing_raises(self, localfs):
         with pytest.raises(FileNotFoundErrorFS):
             localfs.unlink("/ghost")
@@ -172,6 +180,24 @@ class TestDropboxLikeService:
         writer.write_file("/doc", b"x")
         with pytest.raises(FileNotFoundErrorFS):
             reader.read_file("/doc")
+
+    def test_every_other_client_receives_the_file(self, sim):
+        service = DropboxLikeService(sim)
+        writer = service.register("writer")
+        readers = [service.register(name) for name in ("r1", "r2")]
+        writer.write_file("/doc", b"fan-out")
+        for reader in readers:
+            reader.wait_for("/doc")
+            assert reader.read_file("/doc") == b"fan-out"
+
+    def test_waiting_for_a_file_nobody_wrote_times_out(self, sim):
+        service = DropboxLikeService(sim)
+        reader = service.register("reader")
+        start = sim.now()
+        with pytest.raises(FileNotFoundErrorFS):
+            reader.wait_for("/nope", poll_interval=1.0, timeout=5.0)
+        assert 5.0 < sim.now() - start <= 6.0
+        assert not reader.has_file("/nope")
 
     def test_larger_files_take_longer(self, sim):
         service = DropboxLikeService(sim, DropboxProfile())

@@ -239,6 +239,16 @@ class TestEventuallyConsistentStore:
         sim.advance(store.profile.propagation_delay)
         assert store.get("k", alice) == b""
 
+    def test_drop_writes_fault_keeps_the_previous_version(self, sim, alice):
+        failures = FailureSchedule()
+        store = self._store(sim, failures=failures)
+        store.put("k", b"old", alice)
+        sim.advance(store.profile.propagation_delay)
+        failures.add(FaultKind.DROP_WRITES, start=sim.now())
+        store.put("k", b"new", alice)
+        sim.advance(store.profile.propagation_delay)
+        assert store.get("k", alice) == b"old"
+
     def test_cost_tracking_records_requests_and_traffic(self, sim, alice):
         store = self._store(sim)
         store.put("k", b"x" * 1000, alice)

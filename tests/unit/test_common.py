@@ -27,6 +27,12 @@ class TestPrincipal:
     def test_canonical_id_falls_back_to_name(self):
         assert Principal("alice").canonical_id("unknown-cloud") == "alice"
 
+    def test_each_provider_knows_its_own_canonical_id(self):
+        principal = Principal("alice", (("amazon-s3", "s3-id"), ("google-storage", "gcs-id")))
+        assert principal.canonical_id("amazon-s3") == "s3-id"
+        assert principal.canonical_id("google-storage") == "gcs-id"
+        assert principal.canonical_id("rackspace-files") == "alice"
+
     def test_principals_are_hashable(self):
         assert {Principal("a"), Principal("a")} == {Principal("a")}
 

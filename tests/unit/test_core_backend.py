@@ -6,7 +6,7 @@ import math
 import pytest
 
 from repro.clouds.eventual import EventuallyConsistentStore
-from repro.clouds.health import MIN_SAMPLES
+from repro.clouds.health import MIN_SAMPLES, expected_latency
 from repro.clouds.providers import (
     COC_STORAGE_PROVIDERS,
     PROVIDER_PROFILES,
@@ -86,6 +86,11 @@ class TestStorageBackends:
     def test_a_locator_the_backend_cannot_have_minted_is_an_integrity_error(self, backend):
         with pytest.raises(IntegrityError):
             backend.estimate_readable_at("not a locator")
+
+    def test_a_write_names_its_version(self, backend):
+        # Every SCFS write is numbered by the anchor; no write goes without one.
+        with pytest.raises(TypeError):
+            backend.write_version("file-1", b"unnumbered")
 
     def test_list_versions(self, backend, sim):
         backend.write_version("file-1", b"one", version=1)
@@ -177,6 +182,14 @@ class TestCloudOfCloudsOverhead:
         [left] = backend.list_versions("file-1")
         assert left.digest == first.digest and left.locator != first.locator
 
+    def test_a_delete_needs_the_listed_locator(self, sim, alice):
+        backend = CloudOfCloudsBackend(sim, make_cloud_of_clouds(sim), alice, f=1)
+        ref = backend.write_version("file-1", b"bytes", version=1)
+        sim.advance(3.0)
+        with pytest.raises(TypeError):
+            backend.delete_version("file-1", ref.digest)
+        assert [r.digest for r in backend.list_versions("file-1")] == [ref.digest]
+
 def _jitter_free_clouds(sim, f):
     """``3f + 1`` jitter-free clouds: the four provider profiles, repeated under fresh names."""
     names = [COC_STORAGE_PROVIDERS[i % len(COC_STORAGE_PROVIDERS)] for i in range(3 * f + 1)]
@@ -248,6 +261,16 @@ class TestEwmaLatencyEstimates:
         for name in names:
             for _ in range(MIN_SAMPLES):
                 backend.health.observe(name, succeeded=True, latency=latency, now=now)
+
+    def test_single_cloud_estimates_come_from_the_profile(self, sim, alice):
+        # No tracker, so no EWMA: the expected PUT under the provider's profile.
+        store = make_provider(sim, "amazon-s3", charge_latency=True)
+        backend = SingleCloudBackend(sim, store, alice)
+        expected = expected_latency(store, "object_put", 1 << 20)
+        assert backend.estimate_write_latency(1 << 20) == pytest.approx(expected)
+        for version in range(1, 4):
+            backend.write_version("file-1", b"x" * 1024, version=version)
+        assert backend.estimate_write_latency(1 << 20) == pytest.approx(expected)
 
     def test_cloud_of_clouds_estimates_see_gray_slow_providers(self, sim, alice):
         clouds = make_cloud_of_clouds(sim)

@@ -58,6 +58,13 @@ class TestGF256:
         expected = [gf256.gf_mul(7, int(b)) for b in block]
         assert list(result) == expected
 
+    def test_mul_block_by_zero_and_one_returns_a_new_block(self):
+        # Secret sharing XORs the product in place: it must never be the input.
+        block = np.arange(256, dtype=np.uint8)
+        zero, one = gf256.mul_block(0, block), gf256.mul_block(1, block)
+        assert not zero.any() and np.array_equal(one, block)
+        assert not np.shares_memory(zero, block) and not np.shares_memory(one, block)
+
     def test_matrix_inverse_round_trip(self):
         matrix = gf256.vandermonde(3, 3)
         inverse = gf256.invert_matrix(matrix)
@@ -304,6 +311,21 @@ class TestStreamingEncode:
         buffer, payload_view = coder.frame_into(len(data))
         payload_view[:] = np.frombuffer(data, dtype=np.uint8)
         return list(coder.encode_stripes(buffer, **kwargs))
+
+    def test_frame_into_lays_out_a_zeroed_frame_around_the_payload(self):
+        coder = ErasureCoder(4, 2)
+        buffer, payload_view = coder.frame_into(100)
+        assert buffer.shape == (4, coder.block_size(100)) and buffer.dtype == np.uint8
+        assert payload_view.size == 100 and np.shares_memory(payload_view, buffer)
+        payload_view[:] = 0xAB
+        framed = buffer[:2].reshape(-1)
+        start = int(np.flatnonzero(framed == 0xAB)[0])
+        assert framed[:start].any()  # the header
+        assert (framed[start:start + 100] == 0xAB).all()
+        assert not framed[start + 100:].any() and not buffer[2:].any()
+        list(coder.encode_stripes(buffer))
+        blocks = [CodedBlock(index=i, payload=buffer[i].tobytes()) for i in (0, 3)]
+        assert coder.decode(blocks) == b"\xab" * 100
 
     def test_encode_into_rows_equal_encode_payloads(self):
         coder = ErasureCoder(4, 2)

@@ -14,7 +14,7 @@ from repro.clouds.health import (
 from repro.clouds.providers import make_cloud_of_clouds, make_provider
 from repro.common.errors import CloudUnavailableError, ConfigurationError
 from repro.common.types import Permission, Principal
-from repro.core.backend import CloudOfCloudsBackend, ReadPathStats
+from repro.core.backend import CloudOfCloudsBackend, ReadPathStats, SingleCloudBackend
 from repro.core.config import DispatchPolicyConfig, SCFSConfig
 from repro.core.deployment import SCFSDeployment
 from repro.depsky.dataunit import VersionRecord
@@ -428,6 +428,34 @@ class TestDispatchConfigPlumbing:
         snapshot = fs.agent.backend.health_stats()
         assert snapshot.suspicions >= 1
         assert clouds[0].name in snapshot.suspected_now
+
+
+    def test_not_yet_visible_polling_does_not_suspect_a_cloud(self):
+        sim = Simulation(seed=1)
+        backend = CloudOfCloudsBackend(
+            sim, make_cloud_of_clouds(sim), Principal("alice"),
+            dispatch=DispatchPolicyConfig(suspicion_threshold=2),
+        )
+        ref = backend.write_version("file", b"data", version=1)
+        from repro.common.errors import ObjectNotFoundError, QuorumNotReachedError
+
+        for _ in range(3):  # eventual-consistency misses, not provider faults
+            with pytest.raises((ObjectNotFoundError, QuorumNotReachedError)):
+                backend.read_version("file", ref.digest, ref.locator)
+        assert backend.health_stats().suspicions == 0
+        assert not any(backend.health.is_suspected(c.name) for c in backend.client.clouds)
+
+    def test_single_cloud_backend_tracks_no_health(self):
+        # One cloud has no quorum to re-plan around a suspect.
+        sim = Simulation(seed=1)
+        store = make_provider(sim, "amazon-s3", charge_latency=True)
+        backend = SingleCloudBackend(sim, store, Principal("alice"))
+        ref = backend.write_version("file", b"data", version=1)
+        store.failures.add(FaultKind.UNAVAILABLE, start=sim.now())
+        for _ in range(2):
+            with pytest.raises(CloudUnavailableError):
+                backend.read_version("file", ref.digest)
+        assert backend.health is None and backend.health_stats() is None
 
 
 class TestReadPathSuspicionStats:

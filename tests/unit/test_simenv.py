@@ -66,6 +66,15 @@ class TestSimClock:
         clock.advance(2.0)
         assert seen == [(0.0, 2.0)]
 
+    def test_every_observer_sees_every_advance(self):
+        clock = SimClock()
+        first, second = [], []
+        clock.subscribe(lambda old, new: first.append(new))
+        clock.subscribe(lambda old, new: second.append(new))
+        clock.advance(1.0)
+        clock.advance(0.5)
+        assert first == second == [1.0, 1.5]
+
 
 class TestSimulation:
     def test_same_seed_same_random_sequence(self):
@@ -105,6 +114,28 @@ class TestSimulation:
         sim.drain()
         assert ran == ["a", "b"]
         assert sim.step() is False  # nothing left to run
+
+    def test_drain_skips_cancelled_tasks(self):
+        sim = Simulation()
+        ran = []
+        handle = sim.schedule(1.0, lambda: ran.append("cancelled"))
+        sim.schedule(2.0, lambda: ran.append("live"))
+        handle.cancel()
+        sim.drain()
+        assert ran == ["live"]
+        assert sim.step() is False
+
+    def test_a_delay_counts_from_the_current_time(self):
+        sim = Simulation()
+        ran = []
+        sim.advance(5.0)
+        sim.schedule(1.0, lambda: ran.append(sim.now()))
+        sim.advance(0.5)
+        assert ran == []
+        # A task runs once the clock passes its deadline; within one coarse
+        # advance it observes the post-advance time.
+        sim.advance(1.5)
+        assert ran == [pytest.approx(7.0)]
 
     def test_drain_extra_advances_past_last_deadline(self):
         sim = Simulation()
