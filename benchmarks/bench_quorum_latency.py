@@ -40,16 +40,12 @@ Set ``QUORUM_BENCH_FAST=1`` to run a reduced sweep (CI smoke mode).
 
 from __future__ import annotations
 
+import dataclasses
 import os
 
-from repro.clouds.dispatch import DispatchPolicy
+from repro.clouds.dispatch import DispatchPolicyConfig
 from repro.clouds.eventual import EventuallyConsistentStore
-from repro.clouds.health import (
-    CloudHealthTracker,
-    QuorumPlanner,
-    SuspicionPolicy,
-    expected_latency,
-)
+from repro.clouds.health import CloudHealthTracker, QuorumPlanner, expected_latency
 from repro.clouds.pricing import StoragePricing
 from repro.clouds.quorums import WeightedQuorumSystem
 from repro.common.types import Principal
@@ -73,11 +69,11 @@ JITTER = 0.15
 DEGRADED_FACTOR = 8.0
 
 SCHEDULES = ("fault-free", "one-down", "degraded")
-POLICIES: dict[str, DispatchPolicy | None] = {
-    "plain": None,
+POLICIES: dict[str, DispatchPolicyConfig] = {
+    "plain": DispatchPolicyConfig(),
     # ~3x a healthy block GET from the preferred (UK) clouds.
-    "timeout": DispatchPolicy(timeout=0.35, retries=1),
-    "hedged": DispatchPolicy(hedge_delay=0.25),
+    "timeout": DispatchPolicyConfig(timeout=0.35, retries=1),
+    "hedged": DispatchPolicyConfig(hedge_delay=0.25),
 }
 
 
@@ -90,7 +86,7 @@ def _apply_schedule(clouds, schedule: str, start: float) -> None:
         raise ValueError(f"unknown schedule {schedule!r}")
 
 
-def _run_scenario(schedule: str, policy: DispatchPolicy | None, seed: int = 11) -> dict:
+def _run_scenario(schedule: str, policy: DispatchPolicyConfig, seed: int = 11) -> dict:
     sim = Simulation(seed=seed)
     clouds = make_cloud_of_clouds(sim, jitter=JITTER)
     principal = Principal("bench-user")
@@ -215,8 +211,9 @@ REQUEST_TIMEOUT = 1.5
 HANG_FACTOR = 600.0
 OUTAGE_KINDS = ("crash", "hang")
 
-SUSPICION = SuspicionPolicy(
-    threshold=2,          # one read = metadata + block call: suspected fast
+#: The suspicion knobs of the tracked arms (no timeout: the frontier sets none).
+SUSPICION = DispatchPolicyConfig(
+    suspicion_threshold=2,  # one read = metadata + block call: suspected fast
     probe_backoff=8.0,
     probe_backoff_factor=1.5,
     probe_backoff_max=30.0,
@@ -226,8 +223,10 @@ SUSPICION = SuspicionPolicy(
 def _run_outage_scenario(kind: str, suspicion: bool, seed: int = 13) -> dict:
     sim = Simulation(seed=seed)
     clouds = make_cloud_of_clouds(sim, jitter=JITTER)
-    policy = DispatchPolicy(timeout=REQUEST_TIMEOUT)
-    health = CloudHealthTracker(SUSPICION) if suspicion else None
+    # One policy object: the quorum calls' timeout and, tracked, the suspicion knobs.
+    policy = dataclasses.replace(SUSPICION if suspicion else DispatchPolicyConfig(),
+                                 timeout=REQUEST_TIMEOUT)
+    health = CloudHealthTracker(policy) if suspicion else None
     client = DepSkyClient(sim, clouds, Principal("bench-user"), f=1,
                           policy=policy, health=health)
 
@@ -260,12 +259,11 @@ def _run_outage_scenario(kind: str, suspicion: bool, seed: int = 13) -> dict:
             recovery_paths.append(result.path)
         sim.advance(READ_GAP)
 
-    snapshot = health.snapshot() if health is not None else None
     return {
         "outage_reads": outage_reads,
         "recovery_reads": recovery_reads,
         "recovery_paths": recovery_paths,
-        "health": snapshot,
+        "health": health.stats if health is not None else None,
         "suspected_at_end": health.suspected_clouds() if health is not None else (),
     }
 
@@ -406,7 +404,7 @@ def _run_frontier_arm(arm: str, schedule: str, seed: int = 17) -> dict:
     elif arm != "threshold":
         raise ValueError(f"unknown frontier arm {arm!r}")
 
-    client = DepSkyClient(sim, clouds, Principal("bench-user"), f=1,
+    client = DepSkyClient(sim, clouds, Principal("bench-user"), f=1, policy=SUSPICION,
                           health=tracker, quorum=system, planner=planner)
     payload = bytes((i * 73) % 256 for i in range(PAYLOAD))
     client.write("unit-frontier", payload)

@@ -25,7 +25,7 @@ basic access-control lists and (at least) eventual consistency (§2.1,
 
 from repro.clouds.object_store import ObjectVersion, ObjectListing
 from repro.clouds.dispatch import (
-    DispatchPolicy,
+    DispatchPolicyConfig,
     QuorumCall,
     QuorumCallStats,
     QuorumRequest,
@@ -34,9 +34,7 @@ from repro.clouds.dispatch import (
 from repro.clouds.health import (
     CloudHealth,
     CloudHealthTracker,
-    CloudStatus,
     HealthStats,
-    SuspicionPolicy,
 )
 from repro.clouds.eventual import EventuallyConsistentStore
 from repro.clouds.access_control import ObjectACL
@@ -53,16 +51,14 @@ from repro.clouds.providers import (
 __all__ = [
     "ObjectVersion",
     "ObjectListing",
-    "DispatchPolicy",
+    "DispatchPolicyConfig",
     "QuorumCall",
     "QuorumCallStats",
     "QuorumRequest",
     "RequestStatus",
     "CloudHealth",
     "CloudHealthTracker",
-    "CloudStatus",
     "HealthStats",
-    "SuspicionPolicy",
     "EventuallyConsistentStore",
     "ObjectACL",
     "StoragePricing",

@@ -10,9 +10,9 @@ call shape once, instead of each call site hand-rolling a latency list:
   on the virtual timeline), so a stage dispatched later starts later;
 * failures consume time but never occupy quorum slots: the call completes at
   the *m*-th success, not the *m*-th response;
-* requests honour a per-request ``timeout`` and a bounded number of
-  ``retries`` (each retry re-invokes the request at the time the previous
-  attempt resolved);
+* requests honour the :class:`DispatchPolicyConfig`'s per-request
+  ``timeout`` and bounded ``retries`` (each retry re-invokes the request at
+  the time the previous attempt resolved);
 * *staged fallback*: a call may declare fallback stages (e.g. the parity
   clouds of a preferred-quorum read).  A stage is dispatched only when the
   rounds before it cannot satisfy the quorum, at the time the triggering
@@ -43,7 +43,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Sequence
 
-from repro.common.errors import AccessDeniedError, CloudError, ObjectNotFoundError
+from repro.common.errors import AccessDeniedError, CloudError, ConfigurationError, ObjectNotFoundError
 from repro.clouds.quorums import as_quorum
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a runtime cycle
@@ -105,33 +105,68 @@ class QuorumRequest:
 
 
 @dataclass(frozen=True)
-class DispatchPolicy:
-    """Per-call knobs of the dispatch engine.
+class DispatchPolicyConfig:
+    """The one dispatch policy: per-request knobs of the engine and the suspicion model.
 
-    Attributes
-    ----------
-    timeout:
-        Abandon any single attempt whose sampled latency exceeds this many
-        seconds (the attempt resolves as a timeout exactly ``timeout`` seconds
-        after dispatch).  ``None`` waits indefinitely.
-    retries:
-        Extra attempts after a failed or timed-out one; each retry re-invokes
-        ``send`` and re-samples the latency at the previous attempt's
-        resolution time.
-    hedge_delay:
-        Dispatch the next fallback stage this many seconds after the current
-        stage started whenever the quorum has not been reached by then
-        (straggler mitigation).  ``None`` disables hedging: fallback stages
-        are dispatched only when the preceding rounds cannot reach quorum.
+    :class:`QuorumCall` reads ``timeout``, ``retries`` and ``hedge_delay``;
+    :class:`~repro.clouds.health.CloudHealthTracker` reads
+    ``suspicion_threshold`` and the probe-backoff knobs; the DepSky client
+    passes the same object to both.  ``suspicion_threshold = 0`` (the
+    default) builds no tracker; the default policy is plain staged dispatch
+    (no timeouts, no retries, no hedging).
     """
 
+    #: Abandon any single attempt whose sampled latency exceeds this many
+    #: seconds (it resolves as a timeout exactly ``timeout`` seconds after
+    #: dispatch).  ``None`` waits indefinitely.
     timeout: float | None = None
+    #: Extra attempts after a failed or timed-out one; each retry re-invokes
+    #: ``send`` and re-samples the latency at the previous attempt's
+    #: resolution time.
     retries: int = 0
+    #: Dispatch the next fallback stage this many seconds after the current
+    #: stage started whenever the quorum has not been reached by then
+    #: (straggler mitigation).  ``None``: a fallback stage goes out only when
+    #: the rounds before it cannot reach the quorum.
     hedge_delay: float | None = None
+    #: Consecutive failures/timeouts that put a cloud on the suspect list
+    #: (0 disables health tracking altogether).
+    suspicion_threshold: int = 0
+    #: First probe window after a suspicion, in simulated seconds.
+    probe_backoff: float = 10.0
+    #: Multiplier applied to the probe window after each failed probe.
+    probe_backoff_factor: float = 2.0
+    #: Upper bound of the probe window (keeps recovery lag bounded).
+    probe_backoff_max: float = 300.0
+    #: Coalesce identical metadata read quorums issued in the same virtual
+    #: instant through one deployment-wide :class:`InstantCoalescer` (the
+    #: scale-out optimisation; off by default so existing variants replay
+    #: unchanged).
+    coalesce_instant: bool = False
 
+    @property
+    def tracks_health(self) -> bool:
+        """True when this policy enables suspect-list tracking."""
+        return self.suspicion_threshold > 0
 
-#: The default policy: no timeouts, no retries, no hedging.
-DEFAULT_POLICY = DispatchPolicy()
+    def validate(self) -> None:
+        """Raise :class:`ConfigurationError` on nonsensical dispatch knobs."""
+        if self.timeout is not None and self.timeout <= 0:
+            raise ConfigurationError("the per-request timeout must be positive")
+        if self.retries < 0:
+            raise ConfigurationError("the retry count must be non-negative")
+        if self.hedge_delay is not None and self.hedge_delay <= 0:
+            raise ConfigurationError("the hedge delay must be positive")
+        if self.suspicion_threshold < 0:
+            raise ConfigurationError("the suspicion threshold must be non-negative")
+        if not self.tracks_health:
+            return
+        if self.probe_backoff <= 0:
+            raise ConfigurationError("the probe backoff must be positive")
+        if self.probe_backoff_factor < 1.0:
+            raise ConfigurationError("the probe backoff factor must be >= 1")
+        if self.probe_backoff_max < self.probe_backoff:
+            raise ConfigurationError("the probe backoff cap must be >= the initial backoff")
 
 
 @dataclass
@@ -212,16 +247,18 @@ class QuorumCallStats:
 class QuorumCall:
     """Builder/executor for one staged parallel quorum call.
 
-    ``health`` attaches a :class:`~repro.clouds.health.CloudHealthTracker`:
-    the call is re-planned around its suspect list before dispatch and every
-    resolved request is fed back into it.  ``now`` is the absolute simulated
+    ``policy`` supplies the timeout, retries and hedge delay of every request
+    (plain staged dispatch when ``None``).  ``health`` attaches a
+    :class:`~repro.clouds.health.CloudHealthTracker`: the call is re-planned
+    around its suspect list before dispatch and every resolved request is fed
+    back into it.  ``now`` is the absolute simulated
     time at which the call starts (the engine's internal timeline is
     call-relative) — it anchors probe windows and trace ingestion.
     """
 
-    def __init__(self, policy: DispatchPolicy | None = None,
+    def __init__(self, policy: DispatchPolicyConfig | None = None,
                  health: "CloudHealthTracker | None" = None, now: float = 0.0):
-        self.policy = policy or DEFAULT_POLICY
+        self.policy = policy or DispatchPolicyConfig()
         self.health = health
         self.now = now
         self._stages: list[list[QuorumRequest]] = []
@@ -341,8 +378,7 @@ class QuorumCall:
         probe_requests: list[QuorumRequest] = []
         demoted: tuple[str, ...] = ()
         if self.health is not None:
-            plan = self.health.replan if dry else self.health.plan
-            planned = plan(stages, quorum, self.now)
+            planned = self.health.plan(stages, quorum, self.now, dry=dry)
             stages, demoted = planned.stages, planned.demoted
             probe_requests = [] if dry else planned.probes
 

@@ -14,19 +14,22 @@ A :class:`CloudHealthTracker` ingests the
 engine resolves (DepSky feeds it all of its quorum calls) and keeps one
 :class:`CloudHealth` record per provider:
 
-* **suspect** — ``threshold`` *consecutive* failures or timeouts move a cloud
-  to :attr:`CloudStatus.SUSPECTED`.  Only *provider faults* count:
-  authoritative answers (not-found, access-denied — ``trace.benign``) prove
-  liveness and clear the failure streak, so reading absent keys or polling a
-  not-yet-visible version never suspects a healthy provider.  Suspected
+* **suspect** — ``suspicion_threshold`` *consecutive* failures or timeouts
+  put a cloud on the suspect list (:attr:`CloudHealth.suspected`).  Only
+  *provider faults* count: authoritative answers (not-found, access-denied —
+  ``trace.benign``) prove liveness and clear the failure streak, so reading
+  absent keys or polling a not-yet-visible version never suspects a healthy
+  provider.  Suspected
   clouds are *demoted* out of the primary dispatch stage by
   :meth:`CloudHealthTracker.plan`: the engine promotes fallback clouds in
   their place, so quorum calls stop paying the dead provider's timeout tax.
-  Demotion is conservative — when too few unsuspected clouds remain to
-  satisfy the quorum, the plan reverts to the original stages rather than
-  fail the call outright, and *mutating* requests (PUT/DELETE/ACL) are never
-  skipped: they are dispatched in the background instead, so replication
-  never silently shrinks on the say-so of a suspicion.
+  Demotion is conservative, by one rule for the engine and the
+  :class:`QuorumPlanner` alike (:meth:`CloudHealthTracker.drop_suspects`):
+  when too few unsuspected clouds remain to satisfy the quorum, the suspects
+  stay rather than fail the call outright.  *Mutating* requests
+  (PUT/DELETE/ACL) are never skipped: they are dispatched in the background
+  instead, so replication never silently shrinks on the say-so of a
+  suspicion.
 * **probe** — a suspected cloud is not retried on the hot path.  Instead,
   once its *probe window* elapses, its request is dispatched as a background
   probe: it runs concurrently with stage 0 but never gates the call's charged
@@ -46,10 +49,10 @@ engine resolves (DepSky feeds it all of its quorum calls) and keeps one
 
 Knobs
 -----
-The suspicion knobs live in :class:`SuspicionPolicy`; the config layer
-(:class:`repro.core.config.DispatchPolicyConfig`) exposes them per agent so
-benchmarks and Table 2 variants enable health tracking from configuration
-alone.  ``threshold`` trades detection speed against false suspicion under
+The tracker reads the agent's
+:class:`~repro.clouds.dispatch.DispatchPolicyConfig` — the object the
+dispatch engine reads its timeout, retries and hedge delay from.
+``suspicion_threshold`` trades detection speed against false suspicion under
 jitter; ``probe_backoff``/``probe_backoff_factor``/``probe_backoff_max``
 bound how stale a suspicion can get (and therefore the worst-case recovery
 lag after an outage ends).  The straggler path runs on the module constants
@@ -58,7 +61,6 @@ lag after an outage ends).  The straggler path runs on the module constants
 
 from __future__ import annotations
 
-import enum
 import logging
 import statistics
 from dataclasses import dataclass, field
@@ -67,20 +69,10 @@ from typing import TYPE_CHECKING, Callable, Sequence
 from repro.clouds.quorums import as_quorum, minimal_quorums
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a runtime cycle
-    from repro.clouds.dispatch import QuorumRequest, RequestTrace
+    from repro.clouds.dispatch import DispatchPolicyConfig, QuorumRequest, RequestTrace
     from repro.clouds.eventual import EventuallyConsistentStore
 
 logger = logging.getLogger(__name__)
-
-
-class CloudStatus(enum.Enum):
-    """Suspicion state of one provider (degradation is :meth:`CloudHealthTracker.is_degraded`)."""
-
-    #: No evidence of misbehaviour.
-    HEALTHY = "healthy"
-    #: Consecutive failures/timeouts crossed the threshold; demoted from the
-    #: primary stage until a background probe succeeds.
-    SUSPECTED = "suspected"
 
 
 #: A cloud whose latency EWMA exceeds this multiple of the peer median is
@@ -96,37 +88,14 @@ MIN_SAMPLES = 4
 HEDGE_MULTIPLE = 2.0
 
 
-@dataclass(frozen=True)
-class SuspicionPolicy:
-    """Knobs of the suspicion model (see the module docstring)."""
-
-    #: Consecutive failures or timeouts that turn a cloud SUSPECTED.
-    threshold: int = 3
-    #: First probe window in simulated seconds after a suspicion.
-    probe_backoff: float = 10.0
-    #: Multiplier applied to the probe window after each failed probe.
-    probe_backoff_factor: float = 2.0
-    #: Upper bound of the probe window (keeps recovery lag bounded).
-    probe_backoff_max: float = 300.0
-
-    def validate(self) -> None:
-        """Raise :class:`ValueError` on nonsensical knob combinations."""
-        if self.threshold < 1:
-            raise ValueError("the suspicion threshold must be at least 1")
-        if self.probe_backoff <= 0:
-            raise ValueError("the probe backoff must be positive")
-        if self.probe_backoff_factor < 1.0:
-            raise ValueError("the probe backoff factor must be >= 1")
-        if self.probe_backoff_max < self.probe_backoff:
-            raise ValueError("the probe backoff cap must be >= the initial backoff")
-
-
 @dataclass
 class CloudHealth:
     """Mutable health record of one provider."""
 
     cloud: str
-    status: CloudStatus = CloudStatus.HEALTHY
+    #: On the suspect list: demoted from the primary stage until a background
+    #: probe (or any other request) succeeds.
+    suspected: bool = False
     consecutive_failures: int = 0
     #: Next simulated time a background probe may be dispatched.
     probe_at: float | None = None
@@ -135,39 +104,31 @@ class CloudHealth:
     #: Latency EWMA over successful responses (None before the first sample).
     ewma_latency: float | None = None
     samples: int = 0
-    #: Lifetime counters of this cloud (suspicions entered / recoveries).
-    suspicions: int = 0
-    recoveries: int = 0
 
 
 @dataclass
 class HealthStats:
-    """Aggregate counters of one tracker, for reports and benchmarks."""
+    """The counters of one tracker (the only copy), for reports and benchmarks."""
 
+    #: Clouds put on the suspect list / taken off it again.
     suspicions: int = 0
     recoveries: int = 0
+    #: Background probes dispatched at suspected clouds.
     probes: int = 0
     #: Requests demoted out of their planned stage because of a suspicion.
     demoted_requests: int = 0
-    #: Demoted requests that were skipped entirely (probe window not yet due).
-    skipped_requests: int = 0
-    #: Plans reverted to their original stages because demoting the suspects
-    #: would have left the quorum unsatisfiable (the conservative path).
+    #: Times the suspects stayed because dropping them would have left the
+    #: quorum unsatisfiable (:meth:`CloudHealthTracker.drop_suspects`).
     conservative_reverts: int = 0
-    suspected_now: tuple[str, ...] = ()
-    degraded_now: tuple[str, ...] = ()
 
     def merge(self, other: "HealthStats") -> "HealthStats":
-        """Element-wise sum of two snapshots (aggregation across agents)."""
+        """Element-wise sum of two counter sets (aggregation across agents)."""
         return HealthStats(
             suspicions=self.suspicions + other.suspicions,
             recoveries=self.recoveries + other.recoveries,
             probes=self.probes + other.probes,
             demoted_requests=self.demoted_requests + other.demoted_requests,
-            skipped_requests=self.skipped_requests + other.skipped_requests,
             conservative_reverts=self.conservative_reverts + other.conservative_reverts,
-            suspected_now=tuple(dict.fromkeys(self.suspected_now + other.suspected_now)),
-            degraded_now=tuple(dict.fromkeys(self.degraded_now + other.degraded_now)),
         )
 
 
@@ -181,24 +142,21 @@ class PlannedStages:
     probes: list["QuorumRequest"] = field(default_factory=list)
     #: Clouds demoted out of their planned stage this call.
     demoted: tuple[str, ...] = ()
-    #: True when the plan fell back to the original stages because demotion
-    #: would have made the quorum unsatisfiable (conservative revert).
-    reverted: bool = False
 
 
 class CloudHealthTracker:
-    """Per-client tracker turning request traces into dispatch planning."""
+    """Per-client tracker turning request traces into dispatch planning.
 
-    def __init__(self, policy: SuspicionPolicy | None = None):
-        self.policy = policy or SuspicionPolicy()
-        self.policy.validate()
+    ``policy`` is the client's
+    :class:`~repro.clouds.dispatch.DispatchPolicyConfig`; the tracker reads
+    its suspicion threshold and probe backoff.
+    """
+
+    def __init__(self, policy: "DispatchPolicyConfig"):
+        policy.validate()
+        self.policy = policy
         self._clouds: dict[str, CloudHealth] = {}
-        self.suspicions = 0
-        self.recoveries = 0
-        self.probes = 0
-        self.demoted_requests = 0
-        self.skipped_requests = 0
-        self.conservative_reverts = 0
+        self.stats = HealthStats()
         #: Optional observer of suspect-list transitions, invoked as
         #: ``on_transition(cloud, state, now)`` with state ``"suspected"`` or
         #: ``"recovered"`` (the scenario engine records these in its trace).
@@ -216,14 +174,14 @@ class CloudHealthTracker:
     def is_suspected(self, cloud: str) -> bool:
         """True while ``cloud`` sits on the suspect list."""
         record = self._clouds.get(cloud)
-        return record is not None and record.status is CloudStatus.SUSPECTED
+        return record is not None and record.suspected
 
     def probe_due(self, cloud: str, now: float) -> bool:
         """True when a suspected cloud's probe window has elapsed."""
         record = self._clouds.get(cloud)
         return (
             record is not None
-            and record.status is CloudStatus.SUSPECTED
+            and record.suspected
             and record.probe_at is not None
             and now >= record.probe_at
         )
@@ -232,7 +190,7 @@ class CloudHealthTracker:
         peers = [
             r.ewma_latency for r in self._clouds.values()
             if r.cloud != cloud
-            and r.status is not CloudStatus.SUSPECTED
+            and not r.suspected
             and r.ewma_latency is not None
             and r.samples >= MIN_SAMPLES
         ]
@@ -243,7 +201,7 @@ class CloudHealthTracker:
         record = self._clouds.get(cloud)
         if (
             record is None
-            or record.status is CloudStatus.SUSPECTED
+            or record.suspected
             or record.ewma_latency is None
             or record.samples < MIN_SAMPLES
         ):
@@ -267,8 +225,30 @@ class CloudHealthTracker:
 
     # --------------------------------------------------------------- planning
 
+    def drop_suspects(self, clouds: Sequence[str], required,
+                      dry: bool = False) -> list[str] | None:
+        """``clouds`` without the suspects, or ``None`` when the suspects must stay.
+
+        The one suspect rule: suspicion must never make a call unsatisfiable
+        that would otherwise be tried, so when the unsuspected clouds cannot
+        satisfy ``required`` (a response count or any quorum predicate from
+        :mod:`repro.clouds.quorums`) the caller keeps every cloud.  Such a
+        revert is logged and counted in :attr:`HealthStats.conservative_reverts`,
+        unless ``dry`` (a dry run's plan).
+        """
+        kept = [cloud for cloud in clouds if not self.is_suspected(cloud)]
+        if len(kept) == len(clouds) or as_quorum(required).satisfied_by(kept):
+            return kept
+        if not dry:
+            self.stats.conservative_reverts += 1
+            logger.warning(
+                "suspicion reverted: dropping suspected clouds %s would leave "
+                "the quorum unsatisfiable; keeping them",
+                sorted(set(clouds) - set(kept)))
+        return None
+
     def plan(self, stages: Sequence[Sequence["QuorumRequest"]], required,
-             now: float) -> PlannedStages:
+             now: float, dry: bool = False) -> PlannedStages:
         """Re-plan a call's stages around the current suspect list.
 
         ``required`` is a response count or any quorum predicate from
@@ -278,47 +258,16 @@ class CloudHealthTracker:
         enough healthy clouds to satisfy the quorum without waiting for a
         fallback dispatch.  Suspected clouds whose probe window is due come
         back as background probes.  When the unsuspected requests cannot
-        satisfy the quorum predicate, the plan *loudly* reverts to the
-        original stages (suspicion must never make a call unsatisfiable that
-        would otherwise be tried): the revert is logged, counted in
-        :attr:`HealthStats.conservative_reverts` and flagged on the returned
-        :class:`PlannedStages`.
+        satisfy the quorum predicate, the plan keeps the original stages
+        (:meth:`drop_suspects`, which logs and counts the revert).  A ``dry``
+        plan (a dry run's) makes the same plan and counts and logs nothing.
         """
-        planned = self.replan(stages, required, now)
-        if planned.reverted:
-            self.conservative_reverts += 1
-            logger.warning(
-                "health plan reverted: demoting suspected clouds %s would "
-                "leave the quorum unsatisfiable; dispatching the original "
-                "stages instead",
-                sorted({r.cloud for stage in stages for r in stage if self.is_suspected(r.cloud)}))
-        self.probes += len(planned.probes)
-        self.skipped_requests += len(planned.demoted) - len(planned.probes)
-        self.demoted_requests += len(planned.demoted)
-        return planned
-
-    def replan(self, stages: Sequence[Sequence["QuorumRequest"]], required,
-               now: float) -> PlannedStages:
-        """The plan :meth:`plan` makes, neither counted nor logged (a dry run's)."""
-        quorum = as_quorum(required)
-        suspected = [
-            request
-            for stage in stages
-            for request in stage
-            if self.is_suspected(request.cloud)
-        ]
-        if not suspected:
+        requests = [request for stage in stages for request in stage]
+        kept = self.drop_suspects([request.cloud for request in requests], required, dry)
+        if kept is None or len(kept) == len(requests):
             return PlannedStages(stages=[list(stage) for stage in stages])
-        remaining = [
-            request
-            for stage in stages
-            for request in stage
-            if not self.is_suspected(request.cloud)
-        ]
-        if not quorum.satisfied_by([request.cloud for request in remaining]):
-            # Too many suspects: demotion would make the quorum unreachable.
-            return PlannedStages(stages=[list(stage) for stage in stages],
-                                 reverted=True)
+        suspected = [request for request in requests if self.is_suspected(request.cloud)]
+        remaining = [request for request in requests if not self.is_suspected(request.cloud)]
 
         # Mutating requests (PUT/DELETE/ACL) are never skipped: replication
         # must not silently shrink just because a provider is suspected — the
@@ -339,6 +288,9 @@ class CloudHealthTracker:
             planned.append(take)
         if queue:  # pragma: no cover - sizes always cover the queue
             planned.append(queue)
+        if not dry:
+            self.stats.probes += len(probes)
+            self.stats.demoted_requests += len(demoted)
         return PlannedStages(stages=planned, probes=probes, demoted=tuple(demoted))
 
     # -------------------------------------------------------------- ingestion
@@ -369,29 +321,27 @@ class CloudHealthTracker:
                 alpha = EWMA_ALPHA
                 record.ewma_latency = alpha * latency + (1.0 - alpha) * record.ewma_latency
             record.consecutive_failures = 0
-            if record.status is CloudStatus.SUSPECTED:
-                record.status = CloudStatus.HEALTHY
+            if record.suspected:
+                record.suspected = False
                 record.probe_at = None
                 record.probe_interval = 0.0
-                record.recoveries += 1
-                self.recoveries += 1
+                self.stats.recoveries += 1
                 if self.on_transition is not None:
                     self.on_transition(cloud, "recovered", now)
             return
         record.consecutive_failures += 1
-        if record.status is CloudStatus.SUSPECTED:
+        if record.suspected:
             # A probe (or a reverted-plan request) failed: widen the window.
             record.probe_interval = min(
                 record.probe_interval * self.policy.probe_backoff_factor,
                 self.policy.probe_backoff_max,
             )
             record.probe_at = now + record.probe_interval
-        elif record.consecutive_failures >= self.policy.threshold:
-            record.status = CloudStatus.SUSPECTED
+        elif record.consecutive_failures >= self.policy.suspicion_threshold:
+            record.suspected = True
             record.probe_interval = self.policy.probe_backoff
             record.probe_at = now + record.probe_interval
-            record.suspicions += 1
-            self.suspicions += 1
+            self.stats.suspicions += 1
             if self.on_transition is not None:
                 self.on_transition(cloud, "suspected", now)
 
@@ -399,26 +349,7 @@ class CloudHealthTracker:
 
     def suspected_clouds(self) -> tuple[str, ...]:
         """Names of the clouds currently on the suspect list."""
-        return tuple(
-            r.cloud for r in self._clouds.values() if r.status is CloudStatus.SUSPECTED
-        )
-
-    def degraded_clouds(self) -> tuple[str, ...]:
-        """Names of the clouds currently flagged as stragglers."""
-        return tuple(r.cloud for r in self._clouds.values() if self.is_degraded(r.cloud))
-
-    def snapshot(self) -> HealthStats:
-        """Aggregate counters plus the current suspect/straggler lists."""
-        return HealthStats(
-            suspicions=self.suspicions,
-            recoveries=self.recoveries,
-            probes=self.probes,
-            demoted_requests=self.demoted_requests,
-            skipped_requests=self.skipped_requests,
-            conservative_reverts=self.conservative_reverts,
-            suspected_now=self.suspected_clouds(),
-            degraded_now=self.degraded_clouds(),
-        )
+        return tuple(r.cloud for r in self._clouds.values() if r.suspected)
 
 
 def expected_latency(store: "EventuallyConsistentStore", kind: str, payload: int,
@@ -438,7 +369,7 @@ def expected_latency(store: "EventuallyConsistentStore", kind: str, payload: int
         return expected
     if record.ewma_latency is not None and record.samples >= MIN_SAMPLES:
         expected = max(expected, record.ewma_latency)
-    if record.status is CloudStatus.SUSPECTED and timeout is not None:
+    if record.suspected and timeout is not None:
         expected = max(expected, timeout)
     return expected
 
@@ -455,8 +386,8 @@ class QuorumPlan:
     expected_latency: float
     #: Expected request cost of dispatching the primary stage.
     expected_cost: float
-    #: True when suspicion demotion would have made the quorum unsatisfiable
-    #: and the planner fell back to the full candidate pool.
+    #: True when the planner fell back to the full candidate pool: dropping
+    #: the suspects left no feasible quorum, or the pool never had one.
     reverted: bool = False
 
 
@@ -470,9 +401,10 @@ class QuorumPlanner:
     provider's :class:`~repro.clouds.accounting.CostTracker`), it enumerates
     the *minimal* satisfying quorums of the candidate pool and picks the one
     minimizing ``cost × latency`` — dispatching a minimal quorum as stage 0
-    and everything else as fallback.  Suspected clouds are demoted out of the
-    pool first; when that leaves the predicate unsatisfiable the planner
-    reverts loudly to the full pool (never trading liveness for economy).
+    and everything else as fallback.  Suspected clouds are dropped from the
+    pool first, by the tracker's one rule (:meth:`CloudHealthTracker.drop_suspects`):
+    when that leaves the predicate unsatisfiable the planner reverts loudly to
+    the full pool (never trading liveness for economy).
     """
 
     def __init__(self, latency_of: Callable[[str, str, int], float],
@@ -481,7 +413,6 @@ class QuorumPlanner:
         self.latency_of = latency_of
         self.cost_of = cost_of
         self.tracker = tracker
-        self.reverts = 0
 
     def plan(self, candidates: Sequence[str], required, kind: str,
              payload: int) -> QuorumPlan:
@@ -493,18 +424,9 @@ class QuorumPlanner:
         """
         quorum = as_quorum(required)
         names = list(candidates)
-        pool = [cloud for cloud in names
-                if self.tracker is None or not self.tracker.is_suspected(cloud)]
-        reverted = False
-        if not quorum.satisfied_by(pool):
-            self.reverts += 1
-            reverted = True
-            demoted = sorted(set(names) - set(pool))
-            if demoted:
-                logger.warning(
-                    "quorum planner reverted: demoting suspected clouds %s "
-                    "leaves no feasible quorum; planning over the full pool",
-                    demoted)
+        pool = names if self.tracker is None else self.tracker.drop_suspects(names, quorum)
+        reverted = pool is None
+        if pool is None:
             pool = names
         latency = {cloud: self.latency_of(cloud, kind, payload) for cloud in pool}
         cost = {cloud: self.cost_of(cloud, kind, payload) for cloud in pool}

@@ -22,7 +22,7 @@ pair and handed back on reads, so that finding the version costs the
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 from repro.common.errors import IntegrityError, ObjectNotFoundError
@@ -30,6 +30,7 @@ from repro.common.types import ObjectRef, Permission, Principal
 from repro.clouds.eventual import EventuallyConsistentStore
 from repro.clouds.health import CloudHealthTracker, HealthStats, QuorumPlanner, expected_latency
 from repro.clouds.quorums import WeightedQuorumSystem
+from repro.core.config import DispatchPolicyConfig, QuorumConfig
 from repro.crypto.hashing import content_digest
 from repro.depsky.dataunit import VersionRecord
 from repro.depsky.protocol import DepSkyClient, DepSkyReadResult
@@ -206,8 +207,8 @@ class StorageBackend(abc.ABC):
     health: CloudHealthTracker | None = None
 
     def health_stats(self) -> HealthStats | None:
-        """Snapshot of the suspicion counters, or ``None`` without tracking."""
-        return self.health.snapshot() if self.health is not None else None
+        """A copy of the tracker's counters, or ``None`` without tracking."""
+        return replace(self.health.stats) if self.health is not None else None
 
 
 class SingleCloudBackend(StorageBackend):
@@ -299,11 +300,12 @@ class CloudOfCloudsBackend(StorageBackend):
     """Whole-file versions stored through DepSky over ``3f+1`` clouds (SCFS-CoC).
 
     ``dispatch`` is the agent's
-    :class:`~repro.core.config.DispatchPolicyConfig`: it supplies both the
-    engine-level :class:`~repro.clouds.dispatch.DispatchPolicy`
-    (timeouts/retries/hedging) and, when suspicion is enabled, the per-client
+    :class:`~repro.core.config.DispatchPolicyConfig`: the DepSky client's
+    quorum calls read their timeouts, retries and hedging from it and, when
+    suspicion is enabled, so does the per-client
     :class:`~repro.clouds.health.CloudHealthTracker` that demotes suspected
-    clouds out of the primary quorum stage.  ``coalescer`` is the
+    clouds out of the primary quorum stage.  ``quorum`` is the agent's
+    :class:`~repro.core.config.QuorumConfig`.  ``coalescer`` is the
     deployment-wide :class:`~repro.clouds.dispatch.InstantCoalescer` (or
     ``None``): it is *shared* across the backends of all agents so that
     identical same-instant metadata reads coalesce across clients.
@@ -314,35 +316,32 @@ class CloudOfCloudsBackend(StorageBackend):
         sim: Simulation,
         clouds: list[EventuallyConsistentStore],
         principal: Principal,
+        *,
+        dispatch: DispatchPolicyConfig,
+        quorum: QuorumConfig,
         f: int = 1,
         encrypt: bool = True,
-        dispatch=None,
         coalescer=None,
-        quorum=None,
     ):
         self.sim = sim
         self.principal = principal
-        policy = dispatch.to_policy() if dispatch is not None else None
         self.health: CloudHealthTracker | None = (
-            dispatch.make_tracker() if dispatch is not None else None
+            CloudHealthTracker(dispatch) if dispatch.tracks_health else None
         )
         stores = {cloud.name: cloud for cloud in clouds}
-        # ``quorum`` is the agent's :class:`~repro.core.config.QuorumConfig`
-        # (or None: the threshold system the client builds itself).
-        system = quorum.system_for([c.name for c in clouds], f) if quorum is not None else None
+        system = quorum.system_for([c.name for c in clouds], f)
         planner = None
         if isinstance(system, WeightedQuorumSystem):
-            timeout = policy.timeout if policy is not None else None
             planner = QuorumPlanner(
                 latency_of=lambda cloud, kind, payload: expected_latency(
-                    stores[cloud], kind, payload, self.health, timeout),
+                    stores[cloud], kind, payload, self.health, dispatch.timeout),
                 cost_of=lambda cloud, kind, payload: stores[
                     cloud].costs.pricing.request_cost(kind, payload),
                 tracker=self.health,
             )
         self.client = DepSkyClient(
             sim, clouds, principal, f=f, encrypt=encrypt,
-            policy=policy, health=self.health, coalescer=coalescer,
+            policy=dispatch, health=self.health, coalescer=coalescer,
             quorum=system, planner=planner,
         )
         self.name = f"cloud-of-clouds(f={f}, n={self.client.n})"

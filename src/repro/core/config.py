@@ -4,6 +4,9 @@ Defaults follow the values used in the paper's evaluation (§4.1): 500 ms
 metadata cache expiration, no private name spaces (worst case, 100 % sharing),
 f = 1 for the CoC backend, memory cache of hundreds of MBs and a disk cache of
 GBs, and a garbage collector keeping the last versions of each file.
+
+The ``dispatch`` block is :class:`~repro.clouds.dispatch.DispatchPolicyConfig`,
+defined next to the quorum engine that reads it and re-exported here.
 """
 
 from __future__ import annotations
@@ -13,8 +16,7 @@ from typing import Sequence
 
 from repro.common.errors import ConfigurationError
 from repro.common.units import GB, MB
-from repro.clouds.dispatch import DispatchPolicy
-from repro.clouds.health import CloudHealthTracker, SuspicionPolicy
+from repro.clouds.dispatch import DispatchPolicyConfig
 from repro.clouds.quorums import QuorumSystem, ThresholdQuorumSystem, WeightedQuorumSystem
 from repro.core.modes import BackendKind, OperationMode
 
@@ -66,84 +68,6 @@ class GarbageCollectionPolicy:
             raise ConfigurationError("written-bytes threshold must be positive")
         if self.keep_interval_seconds is not None and self.keep_interval_seconds <= 0:
             raise ConfigurationError("the version-retention interval must be positive")
-
-
-@dataclass(frozen=True)
-class DispatchPolicyConfig:
-    """Config-level knobs of the quorum dispatch engine and health tracking.
-
-    Mirrors :class:`~repro.clouds.dispatch.DispatchPolicy` (per-request
-    timeout, bounded retries, hedged fallback dispatch) and the suspicion
-    model of :class:`~repro.clouds.health.SuspicionPolicy`, so that agents and
-    benchmark variants enable the whole stack from configuration alone.
-    ``suspicion_threshold = 0`` (the default) disables health tracking; any
-    positive value builds a per-client
-    :class:`~repro.clouds.health.CloudHealthTracker` with the probe-backoff
-    knobs below.
-    """
-
-    #: Abandon any single cloud request after this many seconds (None: wait).
-    timeout: float | None = None
-    #: Extra attempts after a failed or timed-out request.
-    retries: int = 0
-    #: Dispatch the fallback stage this many seconds after the current stage
-    #: started whenever the quorum has not been reached (None: no hedging).
-    hedge_delay: float | None = None
-    #: Consecutive failures/timeouts that put a cloud on the suspect list
-    #: (0 disables health tracking altogether).
-    suspicion_threshold: int = 0
-    #: First probe window after a suspicion, in simulated seconds.
-    probe_backoff: float = 10.0
-    #: Multiplier applied to the probe window after each failed probe.
-    probe_backoff_factor: float = 2.0
-    #: Upper bound of the probe window.
-    probe_backoff_max: float = 300.0
-    #: Coalesce identical metadata read quorums issued in the same virtual
-    #: instant through one deployment-wide
-    #: :class:`~repro.clouds.dispatch.InstantCoalescer` (the scale-out
-    #: optimisation; off by default so existing variants replay unchanged).
-    coalesce_instant: bool = False
-
-    @property
-    def tracks_health(self) -> bool:
-        """True when this config enables suspect-list tracking."""
-        return self.suspicion_threshold > 0
-
-    def validate(self) -> None:
-        """Raise :class:`ConfigurationError` on nonsensical dispatch knobs."""
-        if self.timeout is not None and self.timeout <= 0:
-            raise ConfigurationError("the per-request timeout must be positive")
-        if self.retries < 0:
-            raise ConfigurationError("the retry count must be non-negative")
-        if self.hedge_delay is not None and self.hedge_delay <= 0:
-            raise ConfigurationError("the hedge delay must be positive")
-        if self.suspicion_threshold < 0:
-            raise ConfigurationError("the suspicion threshold must be non-negative")
-        if self.tracks_health:
-            try:
-                self.suspicion().validate()
-            except ValueError as exc:
-                raise ConfigurationError(str(exc)) from exc
-
-    def to_policy(self) -> DispatchPolicy:
-        """The engine-level :class:`~repro.clouds.dispatch.DispatchPolicy`."""
-        return DispatchPolicy(timeout=self.timeout, retries=self.retries,
-                              hedge_delay=self.hedge_delay)
-
-    def suspicion(self) -> SuspicionPolicy:
-        """The suspicion knobs as a :class:`~repro.clouds.health.SuspicionPolicy`."""
-        return SuspicionPolicy(
-            threshold=max(1, self.suspicion_threshold),
-            probe_backoff=self.probe_backoff,
-            probe_backoff_factor=self.probe_backoff_factor,
-            probe_backoff_max=self.probe_backoff_max,
-        )
-
-    def make_tracker(self) -> CloudHealthTracker | None:
-        """Build the per-client health tracker, or ``None`` when disabled."""
-        if not self.tracks_health:
-            return None
-        return CloudHealthTracker(self.suspicion())
 
 
 @dataclass(frozen=True)

@@ -123,9 +123,9 @@ class SCFSDeployment:
             return SingleCloudBackend(self.sim, self.clouds[0], principal)
         return CloudOfCloudsBackend(
             self.sim, self.clouds, principal,
+            dispatch=self.config.dispatch, quorum=self.config.quorum,
             f=self.config.fault_tolerance, encrypt=self.config.encrypt_data,
-            dispatch=self.config.dispatch, coalescer=self.coalescer,
-            quorum=self.config.quorum,
+            coalescer=self.coalescer,
         )
 
     def create_agent(self, username: str, config: SCFSConfig | None = None,

@@ -119,7 +119,7 @@ class ErasureCoder:
     def _systematic_matrix(n: int, k: int) -> np.ndarray:
         vander = gf256.vandermonde(n, k)
         top_inv = gf256.invert_matrix(vander[:k, :k])
-        return gf256.matmul_matrix(vander, top_inv)
+        return gf256.matmul(vander, top_inv)
 
     # ------------------------------------------------------------------ API
 

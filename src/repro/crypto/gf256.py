@@ -36,10 +36,12 @@ inner loop, with **two** kernel strategies chosen by block length:
 stripe encode writes parity rows in place; aliasing the output with an input
 is rejected loudly (``ValueError``) because the kernels accumulate in place.
 
-:func:`matmul_matrix` and :func:`invert_matrix` (Gauss–Jordan with
-whole-matrix row elimination per pivot) use the plain gather idiom; the
-erasure layer additionally caches inversion results per surviving-block
-pattern (see ``repro.crypto.erasure.ErasureCoder``).
+:func:`matmul` is also the one matrix product of the small matrices: the
+erasure coder's systematic generator and the secret-sharing evaluation and
+Lagrange interpolation all go through it.  :func:`invert_matrix`
+(Gauss–Jordan with whole-matrix row elimination per pivot) uses the plain
+gather idiom; the erasure layer additionally caches inversion results per
+surviving-block pattern (see ``repro.crypto.erasure.ErasureCoder``).
 
 A deliberately scalar reference implementation — a triple-nested Python loop
 over per-element table lookups, :func:`_matmul_scalar` — exists purely so
@@ -142,38 +144,11 @@ def gf_mul(a: int, b: int) -> int:
     return int(_EXP[int(_LOG[a]) + int(_LOG[b])])
 
 
-def gf_div(a: int, b: int) -> int:
-    """Divide ``a`` by ``b`` (``b`` must be non-zero)."""
-    if b == 0:
-        raise ZeroDivisionError("division by zero in GF(256)")
-    if a == 0:
-        return 0
-    return int(_EXP[(int(_LOG[a]) - int(_LOG[b])) % 255])
-
-
 def gf_inv(a: int) -> int:
     """Multiplicative inverse of ``a`` (``a`` must be non-zero)."""
     if a == 0:
         raise ZeroDivisionError("zero has no inverse in GF(256)")
     return int(_EXP[255 - int(_LOG[a])])
-
-
-def gf_pow(a: int, exponent: int) -> int:
-    """Raise ``a`` to ``exponent``."""
-    if exponent == 0:
-        return 1
-    if a == 0:
-        return 0
-    return int(_EXP[(int(_LOG[a]) * exponent) % 255])
-
-
-def mul_block(scalar: int, block: np.ndarray) -> np.ndarray:
-    """Multiply every byte of ``block`` by the field ``scalar`` (vectorised)."""
-    if scalar == 0:
-        return np.zeros_like(block)
-    if scalar == 1:
-        return block.copy()
-    return MUL_TABLE[scalar][block]
 
 
 #: At and above this block length the nibble-split pair-table kernel wins:
@@ -326,20 +301,6 @@ def _matmul_scalar(matrix: np.ndarray, blocks: np.ndarray) -> np.ndarray:
                 acc[position] ^= gf_mul(coeff, row[position])
         out[i] = acc
     return out
-
-
-def matmul_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Multiply two GF(256) matrices (one gather + XOR reduction)."""
-    rows, inner = a.shape
-    inner_b, cols = b.shape
-    if inner != inner_b:
-        raise ValueError("matrix dimensions do not match")
-    if rows == 0 or inner == 0 or cols == 0:
-        return np.zeros((rows, cols), dtype=np.uint8)
-    a = np.ascontiguousarray(a, dtype=np.uint8)
-    b = np.ascontiguousarray(b, dtype=np.uint8)
-    products = MUL_TABLE[a[:, :, None], b[None, :, :]]
-    return np.bitwise_xor.reduce(products, axis=1)
 
 
 def invert_matrix(matrix: np.ndarray) -> np.ndarray:

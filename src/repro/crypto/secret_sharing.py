@@ -5,12 +5,13 @@ shares such that any ``t`` of them recover the key but fewer reveal nothing.
 Shares are computed byte-wise: for each byte of the secret a random polynomial
 of degree ``t - 1`` is evaluated at the share's x-coordinate.
 
-Polynomial evaluation and Lagrange interpolation are vectorised across all
-secret bytes at once with ``MUL_TABLE`` gathers (one ``(len(secret), t)``
-gather per share), so splitting a 32-byte key costs a handful of numpy calls
-instead of ``n * t * len(secret)`` Python-level field multiplications.  The
-random coefficients are still drawn one byte at a time so a seeded simulation
-RNG produces the same shares as earlier scalar versions.
+Both directions are one GF(256) matrix product (:func:`gf256.matmul`) across
+all secret bytes at once: splitting evaluates every polynomial at every
+share's x-coordinate (the Vandermonde matrix times the coefficients), and
+combining multiplies the shares by the Lagrange-at-0 vector — row 0 of the
+inverse of the chosen shares' Vandermonde rows.  The random coefficients are
+drawn one byte at a time, so a seeded simulation RNG produces the same shares
+as a scalar implementation.
 """
 
 from __future__ import annotations
@@ -53,14 +54,8 @@ def split_secret(secret: bytes, n: int, t: int, rng: random.Random) -> list[Secr
         [[byte, *(rng.randrange(256) for _ in range(t - 1))] for byte in secret],
         dtype=np.uint8,
     ).reshape(len(secret), t)
-    shares = []
-    for x in range(1, n + 1):
-        x_powers = np.array([gf256.gf_pow(x, power) for power in range(t)], dtype=np.uint8)
-        values = np.bitwise_xor.reduce(
-            gf256.MUL_TABLE[x_powers[None, :], coefficients], axis=1
-        )
-        shares.append(SecretShare(x=x, data=values.tobytes()))
-    return shares
+    values = gf256.matmul(gf256.vandermonde(n, t), coefficients.T)
+    return [SecretShare(x=x, data=values[x - 1].tobytes()) for x in range(1, n + 1)]
 
 
 def combine_secret(shares: list[SecretShare], t: int) -> bytes:
@@ -75,17 +70,8 @@ def combine_secret(shares: list[SecretShare], t: int) -> bytes:
     if len(lengths) != 1:
         raise ValueError("shares have inconsistent lengths")
     (secret_len,) = lengths
-    # Lagrange basis coefficients evaluated at x = 0 (tiny, stays scalar).
-    coefficients = []
-    for i, share_i in enumerate(chosen):
-        numerator, denominator = 1, 1
-        for j, share_j in enumerate(chosen):
-            if i == j:
-                continue
-            numerator = gf256.gf_mul(numerator, share_j.x)
-            denominator = gf256.gf_mul(denominator, share_i.x ^ share_j.x)
-        coefficients.append(gf256.gf_div(numerator, denominator))
-    secret = np.zeros(secret_len, dtype=np.uint8)
-    for coeff, share in zip(coefficients, chosen, strict=True):
-        secret ^= gf256.mul_block(coeff, np.frombuffer(share.data, dtype=np.uint8))
-    return secret.tobytes()
+    rows = gf256.vandermonde(chosen[-1].x, t)[[share.x - 1 for share in chosen]]
+    lagrange = gf256.invert_matrix(rows)[:1]
+    data = np.frombuffer(b"".join(share.data for share in chosen),
+                         dtype=np.uint8).reshape(t, secret_len)
+    return gf256.matmul(lagrange, data)[0].tobytes()

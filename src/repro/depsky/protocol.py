@@ -51,11 +51,11 @@ wait.  The stage semantics are:
   degraded-mode operations are strictly slower than fault-free ones;
 * failed, timed-out and Byzantine responses consume time but never occupy
   quorum slots;
-* an optional :class:`~repro.clouds.dispatch.DispatchPolicy` adds per-request
-  timeouts, bounded retries and *hedging*: dispatching the fallback stage
-  ``hedge_delay`` seconds after the current stage started whenever the quorum
-  has not been reached by then, which lets backup requests beat a DEGRADED
-  straggler;
+* the client's :class:`~repro.clouds.dispatch.DispatchPolicyConfig` adds
+  per-request timeouts, bounded retries and *hedging*: dispatching the
+  fallback stage ``hedge_delay`` seconds after the current stage started
+  whenever the quorum has not been reached by then, which lets backup
+  requests beat a DEGRADED straggler;
 * an optional :class:`~repro.clouds.health.CloudHealthTracker` makes the
   client remember which providers are misbehaving: suspected clouds are
   demoted out of the primary stage (fallback clouds take their slots), probed
@@ -90,7 +90,7 @@ from repro.common.errors import (
 )
 from repro.common.types import Permission, Principal
 from repro.clouds.dispatch import (
-    DispatchPolicy,
+    DispatchPolicyConfig,
     InstantCoalescer,
     QuorumCall,
     QuorumCallStats,
@@ -219,11 +219,13 @@ class DepSkyClient:
         tests of pure protocol behaviour).  Fixed at construction; background
         work goes through :meth:`Simulation.background`, which the client obeys.
     policy:
-        Dispatch policy applied to every quorum call of this client —
-        per-request timeout, bounded retries and hedged fallback dispatch.
-        Defaults to plain staged dispatch (no timeouts, no hedging).
+        The :class:`~repro.clouds.dispatch.DispatchPolicyConfig` every quorum
+        call of this client reads — per-request timeout, bounded retries and
+        hedged fallback dispatch.  Defaults to plain staged dispatch (no
+        timeouts, no hedging).
     health:
-        Optional :class:`~repro.clouds.health.CloudHealthTracker`.  When set,
+        Optional :class:`~repro.clouds.health.CloudHealthTracker` (built from
+        the same policy by the storage backend).  When set,
         every quorum call is re-planned around its suspect list (suspected
         clouds are demoted out of the primary stage and probed in the
         background) and every resolved request feeds the tracker.
@@ -251,7 +253,7 @@ class DepSkyClient:
         f: int = 1,
         encrypt: bool = True,
         charge_latency: bool = True,
-        policy: DispatchPolicy | None = None,
+        policy: DispatchPolicyConfig | None = None,
         health: CloudHealthTracker | None = None,
         coalescer: InstantCoalescer | None = None,
         quorum: QuorumSystem | None = None,
@@ -277,8 +279,7 @@ class DepSkyClient:
         self.k = f + 1
         self.encrypt = encrypt
         self.charge_latency = charge_latency
-        self.policy = policy
-        self._timeout = policy.timeout if policy is not None else None
+        self.policy = policy or DispatchPolicyConfig()
         self.health = health
         self.planner = planner
         #: Optional deployment-wide :class:`InstantCoalescer`: identical
@@ -353,7 +354,7 @@ class DepSkyClient:
         return QuorumRequest(
             cloud=cloud.name, send=send, prepare=prepare, mutating=mutating,
             latency=latency or (lambda _value: cloud.request_latency(kind, size)),
-            expected=lambda: expected_latency(cloud, kind, size, self.health, self._timeout))
+            expected=lambda: expected_latency(cloud, kind, size, self.health, self.policy.timeout))
 
     def _get_request(self, cloud: EventuallyConsistentStore, key: str, parse, size: int = 0) -> QuorumRequest:
         """Build a GET request whose response must ``parse`` to count as a success.

@@ -243,30 +243,16 @@ def _latest_commits(trace: TraceRecorder) -> dict[str, object]:
     return commits
 
 
-def _find_record(clouds, unit_id: str, event) -> VersionRecord | None:
-    """The record of the version a commit event anchored.
-
-    From the locator the commit anchored, as a reader gets it; a commit event
-    without one (hand-built traces) falls back to any cloud's raw head naming
-    the digest.
-    """
-    digest, locator = event.get("digest"), event.get("locator")
-    if locator:
-        try:
-            return VersionRecord.from_locator(locator, digest)
-        except IntegrityError:
-            return None
-    for cloud in clouds:
-        blob = cloud.raw_object(DepSkyClient._meta_key(unit_id))
-        if blob is None:
-            continue
-        try:
-            head = VersionRecord.from_bytes(blob)
-        except ValueError:
-            continue  # this provider's copy is corrupted — that's what f is for
-        if head.data_digest == digest:
-            return head
-    return None
+def _find_record(event) -> VersionRecord | None:
+    """The record of the version a commit event anchored, from its locator,
+    as a reader gets it (``None`` when the event carries no valid locator)."""
+    locator = event.get("locator")
+    if not locator:
+        return None
+    try:
+        return VersionRecord.from_locator(locator, event.get("digest"))
+    except IntegrityError:
+        return None
 
 
 def _verified_blocks(clouds, unit_id: str, record: VersionRecord) -> int:
@@ -321,12 +307,12 @@ def check_durability(trace: TraceRecorder, deployment) -> list[Violation]:
     k = f + 1
     for fid, event in commits.items():
         digest = event.get("digest")
-        record = _find_record(clouds, fid, event)
+        record = _find_record(event)
         if record is None:
             violations.append(Violation(
                 "durability",
-                f"neither the anchored locator nor any provider's head names "
-                f"the committed version {digest[:12]}… of {fid}",
+                f"the commit of version {digest[:12]}… of {fid} carries no "
+                f"valid locator",
                 seq=event.seq,
             ))
             continue

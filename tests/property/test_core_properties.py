@@ -35,6 +35,7 @@ from repro.coordination.base import Delete, EntryACL, Grant, Lock, Move, Put, Up
 from repro.coordination.entries import Holder
 from repro.core.backend import CloudOfCloudsBackend, SingleCloudBackend
 from repro.core.cache import LRUByteCache, make_disk_cache, make_memory_cache
+from repro.core.config import DispatchPolicyConfig, QuorumConfig
 from repro.core.consistency import anchor_value, split_anchor_value
 from repro.core.storage_service import StorageService
 from repro.core.deployment import SCFSDeployment
@@ -91,7 +92,8 @@ class TestAnchoredReadProperties:
         if kind == "single":
             backend = SingleCloudBackend(sim, make_provider(sim, "amazon-s3"), alice)
         else:
-            backend = CloudOfCloudsBackend(sim, make_cloud_of_clouds(sim), alice, f=1)
+            backend = CloudOfCloudsBackend(sim, make_cloud_of_clouds(sim), alice, f=1,
+                                           dispatch=DispatchPolicyConfig(), quorum=QuorumConfig())
         anchor: dict[str, str] = {}
         latest: dict[str, bytes] = {}
         for op, object_index, payload in script:

@@ -3,11 +3,11 @@
 Every latency estimate is a dry run of the call the real operation builds, so
 the dry run must walk the very timeline ``execute`` walks.  Hypothesis draws
 one to three stages of one to five requests (each to one of the four clouds),
-a count quorum no larger than the number of requests, a policy whose
+a count quorum no larger than the number of requests, one policy whose
 ``timeout``, ``retries`` and ``hedge_delay`` may each be absent, and a health
-tracker that has seen some clouds slow (so stragglers can supply automatic
-hedges) and suspects some (so the re-plan demotes them, or reverts when too
-few are left).  Every request's latency is deterministic — the one per-cloud
+tracker reading the same policy that has seen some clouds slow (so stragglers
+can supply automatic hedges) and suspects some (so the re-plan demotes them,
+or reverts when too few are left).  Every request's latency is deterministic — the one per-cloud
 expectation, which is also what the dry run puts on its timeline — and its send
 succeeds: a GET of a stored object, published to a coalescer.  Then:
 
@@ -23,7 +23,7 @@ import dataclasses
 
 from hypothesis import given, settings, strategies as st
 
-from repro.clouds.dispatch import DispatchPolicy, InstantCoalescer, QuorumCall, QuorumRequest
+from repro.clouds.dispatch import DispatchPolicyConfig, InstantCoalescer, QuorumCall, QuorumRequest
 from repro.clouds.health import MIN_SAMPLES, CloudHealthTracker, expected_latency
 from repro.clouds.providers import make_cloud_of_clouds
 from repro.common.types import Principal
@@ -52,18 +52,18 @@ def _world(case: dict):
     for cloud in clouds:
         cloud.put(KEY, bytes(PAYLOAD), reader)
     sim.advance(3.0)
-    tracker = CloudHealthTracker()
+    policy = DispatchPolicyConfig(timeout=case["timeout"], retries=case["retries"] or 0,
+                                  hedge_delay=case["hedge_delay"], suspicion_threshold=3)
+    tracker = CloudHealthTracker(policy)
     for index, latency in sorted(case["slow"].items()):
         for _ in range(MIN_SAMPLES):
             tracker.observe(clouds[index].name, succeeded=True, latency=latency, now=sim.now())
     for index in sorted(case["suspects"]):
-        for _ in range(tracker.policy.threshold):
+        for _ in range(policy.suspicion_threshold):
             tracker.observe(clouds[index].name, succeeded=False, latency=0.0, now=sim.now())
     transitions: list[tuple] = []
     tracker.on_transition = lambda *event: transitions.append(event)
     coalescer = InstantCoalescer(sim)
-    policy = DispatchPolicy(timeout=case["timeout"], retries=case["retries"] or 0,
-                            hedge_delay=case["hedge_delay"])
 
     def request(cloud) -> QuorumRequest:
         def send():
@@ -88,9 +88,8 @@ def _state(sim, clouds, tracker, transitions, coalescer) -> tuple:
     return (
         sim.rng.getstate(),
         [(list(cloud.request_log), cloud.costs.snapshot()) for cloud in clouds],
-        (tracker.suspicions, tracker.recoveries, tracker.probes, tracker.demoted_requests,
-         tracker.skipped_requests, tracker.conservative_reverts,
-         sorted(dataclasses.astuple(record) for record in tracker._clouds.values())),
+        dataclasses.replace(tracker.stats),
+        sorted(dataclasses.astuple(record) for record in tracker._clouds.values()),
         list(transitions),
         (coalescer.generation, coalescer.hits, coalescer.misses, dict(coalescer._cache)),
     )

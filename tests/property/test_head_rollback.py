@@ -39,7 +39,7 @@ from repro.clouds.providers import make_cloud_of_clouds
 from repro.common.errors import CloudError, QuorumNotReachedError
 from repro.common.types import Principal
 from repro.core.backend import CloudOfCloudsBackend
-from repro.core.config import GarbageCollectionPolicy
+from repro.core.config import DispatchPolicyConfig, GarbageCollectionPolicy, QuorumConfig
 from repro.core.gc import GarbageCollector, GCReport
 from repro.depsky.dataunit import VersionRecord
 from repro.depsky.protocol import _BLOCK_NAME, DepSkyClient
@@ -110,7 +110,9 @@ def test_history_survives_one_cloud_lying_about_heads_and_listings(faulty, lie, 
     alice = Principal("alice", tuple((cloud.name, f"alice@{cloud.name}") for cloud in clouds))
     liar = Liar(clouds[faulty], lie)
     correct = [cloud for index, cloud in enumerate(clouds) if index != faulty]
-    writers = [CloudOfCloudsBackend(sim, clouds, alice, f=1) for _ in range(2)]
+    writers = [CloudOfCloudsBackend(sim, clouds, alice, f=1, dispatch=DispatchPolicyConfig(),
+                                    quorum=QuorumConfig())
+               for _ in range(2)]
     collectors = [
         GarbageCollector(sim, GarbageCollectionPolicy(versions_to_keep=KEEP), None,
                          SimpleNamespace(forget=lambda *_args: None), backend)
@@ -196,7 +198,9 @@ def _numbered_history(faulty: int, lie: str, steps) -> None:
                 put_blobs.setdefault((name, key), set()).add(hashlib.sha256(data).hexdigest())
             return put(key, data, principal)
         cloud.put = recording_put
-    writers = [CloudOfCloudsBackend(sim, clouds, alice, f=1) for _ in range(2)]
+    writers = [CloudOfCloudsBackend(sim, clouds, alice, f=1, dispatch=DispatchPolicyConfig(),
+                                    quorum=QuorumConfig())
+               for _ in range(2)]
 
     def collector(backend, keep: int) -> GarbageCollector:
         return GarbageCollector(sim, GarbageCollectionPolicy(versions_to_keep=keep), None,

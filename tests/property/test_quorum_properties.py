@@ -15,7 +15,8 @@ from fractions import Fraction
 
 from hypothesis import assume, given, settings, strategies as st
 
-from repro.clouds.health import CloudHealthTracker, QuorumPlanner, SuspicionPolicy
+from repro.clouds.dispatch import DispatchPolicyConfig
+from repro.clouds.health import CloudHealthTracker, QuorumPlanner
 from repro.clouds.quorums import (
     CountQuorum,
     ThresholdQuorumSystem,
@@ -104,7 +105,7 @@ class TestPlannerProperties:
             self, system, latencies, costs, suspected_mask):
         latency = dict(zip(NAMES, latencies, strict=True))
         cost = dict(zip(NAMES, costs, strict=True))
-        tracker = CloudHealthTracker(SuspicionPolicy(threshold=1))
+        tracker = CloudHealthTracker(DispatchPolicyConfig(suspicion_threshold=1))
         suspected = {name for i, name in enumerate(system.universe)
                      if suspected_mask & (1 << i)}
         for name in suspected:

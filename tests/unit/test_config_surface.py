@@ -9,9 +9,10 @@ round trips.
 
 from __future__ import annotations
 
+import ast
 import dataclasses
+from pathlib import Path
 
-from repro.clouds.health import SuspicionPolicy
 from repro.core.config import SCFSConfig
 
 SURFACE = (
@@ -61,7 +62,31 @@ def test_the_settable_config_surface_is_the_pinned_one():
     assert len(SURFACE) == 26
 
 
-def test_the_suspicion_policy_holds_only_the_probe_knobs():
-    # The straggler knobs are module constants of ``repro.clouds.health``.
-    assert tuple(field.name for field in dataclasses.fields(SuspicionPolicy)) == (
-        "threshold", "probe_backoff", "probe_backoff_factor", "probe_backoff_max")
+#: The knobs of the dispatch policy that only ``DispatchPolicyConfig`` may declare.
+DISPATCH_KNOBS = ("timeout", "retries", "hedge_delay", "suspicion_threshold")
+
+SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for decorator in node.decorator_list:
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", "")
+        if name == "dataclass":
+            return True
+    return False
+
+
+def test_only_the_dispatch_policy_declares_dispatch_knobs():
+    # One policy object: no mirror of the dispatch or suspicion knobs grows back.
+    declared = []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not (isinstance(node, ast.ClassDef) and _is_dataclass(node)):
+                continue
+            for statement in node.body:
+                if (isinstance(statement, ast.AnnAssign) and isinstance(statement.target, ast.Name)
+                        and (statement.target.id in DISPATCH_KNOBS
+                             or statement.target.id.startswith("probe_backoff"))):
+                    declared.append((node.name, statement.target.id))
+    assert {cls for cls, _ in declared} == {"DispatchPolicyConfig"}, declared

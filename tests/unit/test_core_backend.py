@@ -22,7 +22,7 @@ from repro.common.errors import (
 from repro.common.types import Permission
 from repro.core.backend import CloudOfCloudsBackend, SingleCloudBackend
 from repro.core.cache import make_disk_cache, make_memory_cache
-from repro.core.config import DispatchPolicyConfig
+from repro.core.config import DispatchPolicyConfig, QuorumConfig
 from repro.core.consistency import READ_RETRY_LIMIT, anchor_value, split_anchor_value
 from repro.core.storage_service import StorageService
 from repro.crypto.hashing import content_digest
@@ -36,7 +36,8 @@ def backend(request, sim, alice):
         store = make_provider(sim, "amazon-s3", charge_latency=True)
         return SingleCloudBackend(sim, store, alice)
     clouds = make_cloud_of_clouds(sim)
-    return CloudOfCloudsBackend(sim, clouds, alice, f=1)
+    return CloudOfCloudsBackend(sim, clouds, alice, f=1,
+                                dispatch=DispatchPolicyConfig(), quorum=QuorumConfig())
 
 
 class TestStorageBackends:
@@ -169,11 +170,13 @@ class TestSingleCloudACL:
 class TestCloudOfCloudsOverhead:
     def test_storage_overhead_is_n_over_k(self, sim, alice):
         clouds = make_cloud_of_clouds(sim)
-        backend = CloudOfCloudsBackend(sim, clouds, alice, f=1)
+        backend = CloudOfCloudsBackend(sim, clouds, alice, f=1,
+                                       dispatch=DispatchPolicyConfig(), quorum=QuorumConfig())
         assert backend.storage_overhead() == pytest.approx(2.0)
 
     def test_a_delete_removes_only_the_version_its_locator_names(self, sim, alice):
-        backend = CloudOfCloudsBackend(sim, make_cloud_of_clouds(sim), alice, f=1)
+        backend = CloudOfCloudsBackend(sim, make_cloud_of_clouds(sim), alice, f=1,
+                                       dispatch=DispatchPolicyConfig(), quorum=QuorumConfig())
         first = backend.write_version("file-1", b"same bytes", version=1)
         backend.write_version("file-1", b"same bytes", version=2)
         sim.advance(3.0)
@@ -183,7 +186,8 @@ class TestCloudOfCloudsOverhead:
         assert left.digest == first.digest and left.locator != first.locator
 
     def test_a_delete_needs_the_listed_locator(self, sim, alice):
-        backend = CloudOfCloudsBackend(sim, make_cloud_of_clouds(sim), alice, f=1)
+        backend = CloudOfCloudsBackend(sim, make_cloud_of_clouds(sim), alice, f=1,
+                                       dispatch=DispatchPolicyConfig(), quorum=QuorumConfig())
         ref = backend.write_version("file-1", b"bytes", version=1)
         sim.advance(3.0)
         with pytest.raises(TypeError):
@@ -207,7 +211,8 @@ class TestEstimatesAreDryRuns:
 
     def test_write_estimate_is_what_a_numbered_write_charges(self, sim, alice, size, encrypt, f):
         clouds = _jitter_free_clouds(sim, f)
-        backend = CloudOfCloudsBackend(sim, clouds, alice, f=f, encrypt=encrypt)
+        backend = CloudOfCloudsBackend(sim, clouds, alice, f=f, encrypt=encrypt,
+                                       dispatch=DispatchPolicyConfig(), quorum=QuorumConfig())
         estimate = backend.estimate_write_latency(size)
         before = sim.now()
         backend.write_version("file-1", bytes(size), version=1)
@@ -220,7 +225,8 @@ class TestEstimatesAreDryRuns:
 
     def test_read_estimate_is_what_a_locator_read_charges(self, sim, alice, size, encrypt, f):
         """One quorum round of block GETs — no metadata-object round before it."""
-        backend = CloudOfCloudsBackend(sim, _jitter_free_clouds(sim, f), alice, f=f, encrypt=encrypt)
+        backend = CloudOfCloudsBackend(sim, _jitter_free_clouds(sim, f), alice, f=f, encrypt=encrypt,
+                                       dispatch=DispatchPolicyConfig(), quorum=QuorumConfig())
         ref = backend.write_version("file-1", bytes(size), version=1)
         sim.advance(3.0)
         estimate = backend.estimate_read_latency(size)
@@ -234,7 +240,8 @@ def test_write_estimate_demotes_a_suspected_holder_as_the_write_does(sim, alice,
     """A suspected block holder is demoted by the same re-plan in the estimate
     as in the write: the spill-over cloud takes its block, and its price."""
     backend = CloudOfCloudsBackend(sim, make_cloud_of_clouds(sim), alice, f=1,
-                                   dispatch=DispatchPolicyConfig(suspicion_threshold=3))
+                                   dispatch=DispatchPolicyConfig(suspicion_threshold=3),
+                                   quorum=QuorumConfig())
     healthy = backend.estimate_write_latency(size)
     holder = backend.client.clouds[0]
     holder.failures.add(FaultKind.UNAVAILABLE, start=sim.now())
@@ -275,7 +282,8 @@ class TestEwmaLatencyEstimates:
     def test_cloud_of_clouds_estimates_see_gray_slow_providers(self, sim, alice):
         clouds = make_cloud_of_clouds(sim)
         backend = CloudOfCloudsBackend(
-            sim, clouds, alice, f=1, dispatch=DispatchPolicyConfig(suspicion_threshold=3))
+            sim, clouds, alice, f=1, dispatch=DispatchPolicyConfig(suspicion_threshold=3),
+            quorum=QuorumConfig())
         baseline = backend.estimate_read_latency(64 * 1024)
         # Every provider is observed far slower than its profile: the quorum
         # estimate cannot avoid the gray slowness and must rise above it.

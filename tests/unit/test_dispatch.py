@@ -3,7 +3,7 @@
 import pytest
 
 from repro.clouds.dispatch import (
-    DispatchPolicy,
+    DispatchPolicyConfig,
     QuorumCall,
     QuorumRequest,
     RequestStatus,
@@ -88,7 +88,7 @@ class TestQuorumCallEngine:
         assert [t.stage for t in stats.winners] == [0]
 
     def test_timeout_abandons_straggler(self):
-        policy = DispatchPolicy(timeout=2.0)
+        policy = DispatchPolicyConfig(timeout=2.0)
         stats = QuorumCall(policy).stage([request("slow", 10.0), request("ok", 1.0)]).execute(2)
         assert not stats.reached
         slow = next(t for t in stats.traces if t.cloud == "slow")
@@ -96,7 +96,7 @@ class TestQuorumCallEngine:
         assert slow.resolved_at == pytest.approx(2.0)
 
     def test_retry_after_timeout_succeeds(self):
-        policy = DispatchPolicy(timeout=2.0, retries=1)
+        policy = DispatchPolicyConfig(timeout=2.0, retries=1)
         stats = QuorumCall(policy).stage([request("flaky", [10.0, 1.0])]).execute(1)
         assert stats.reached
         # First attempt abandoned at t=2, retry dispatched then lands at t=3.
@@ -105,7 +105,7 @@ class TestQuorumCallEngine:
 
     def test_bounded_retries_for_failures(self):
         counter: dict[str, int] = {}
-        policy = DispatchPolicy(retries=2)
+        policy = DispatchPolicyConfig(retries=2)
         stats = (QuorumCall(policy)
                  .stage([request("down", 1.0, fail=True, counter=counter)])
                  .execute(1))
@@ -114,7 +114,7 @@ class TestQuorumCallEngine:
         assert stats.charged == pytest.approx(3.0)
 
     def test_hedge_dispatches_backup_before_round_ends(self):
-        policy = DispatchPolicy(hedge_delay=2.0)
+        policy = DispatchPolicyConfig(hedge_delay=2.0)
         stats = (QuorumCall(policy)
                  .stage([request("straggler", 10.0)])
                  .stage([request("backup", 1.0)])
@@ -127,7 +127,7 @@ class TestQuorumCallEngine:
 
     def test_hedge_not_dispatched_when_quorum_is_fast(self):
         counter: dict[str, int] = {}
-        policy = DispatchPolicy(hedge_delay=2.0)
+        policy = DispatchPolicyConfig(hedge_delay=2.0)
         stats = (QuorumCall(policy)
                  .stage([request("fast", 1.0, counter=counter)])
                  .stage([request("backup", 1.0, counter=counter)])
@@ -185,7 +185,7 @@ class TestPrepareHook:
 
     def test_prepare_not_repeated_on_retry(self):
         counter: dict[str, int] = {}
-        policy = DispatchPolicy(timeout=2.0, retries=1)
+        policy = DispatchPolicyConfig(timeout=2.0, retries=1)
         stats = (QuorumCall(policy)
                  .stage([self._prepared_request("flaky", [10.0, 1.0], counter)])
                  .execute(1))
@@ -280,7 +280,7 @@ class TestDepSkyDispatchAccounting:
 
     def test_hedged_request_beats_degraded_straggler(self):
         plain_elapsed = {}
-        for name, policy in (("plain", None), ("hedged", DispatchPolicy(hedge_delay=0.25))):
+        for name, policy in (("plain", None), ("hedged", DispatchPolicyConfig(hedge_delay=0.25))):
             sim, clouds, client = self._client(policy=policy)
             client.write("unit", b"straggler" * 500)
             sim.advance(3.0)
@@ -332,9 +332,11 @@ class TestDepSkyDispatchAccounting:
 
     def test_backend_read_path_stats_accumulate(self):
         from repro.core.backend import CloudOfCloudsBackend
+        from repro.core.config import QuorumConfig
 
         sim = Simulation(seed=5)
-        backend = CloudOfCloudsBackend(sim, make_cloud_of_clouds(sim), Principal("alice"))
+        backend = CloudOfCloudsBackend(sim, make_cloud_of_clouds(sim), Principal("alice"),
+                                       dispatch=DispatchPolicyConfig(), quorum=QuorumConfig())
         clouds = backend.client.clouds
         ref = backend.write_version("file", b"f" * 400, version=1)
         sim.advance(3.0)

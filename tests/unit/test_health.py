@@ -2,20 +2,18 @@
 
 import pytest
 
-from repro.clouds.dispatch import DispatchPolicy, QuorumCall, QuorumRequest
+from repro.clouds.dispatch import QuorumCall, QuorumRequest, RequestStatus
 from repro.clouds.health import (
     HEDGE_MULTIPLE,
     MIN_SAMPLES,
     CloudHealthTracker,
-    CloudStatus,
     HealthStats,
-    SuspicionPolicy,
 )
 from repro.clouds.providers import make_cloud_of_clouds, make_provider
 from repro.common.errors import CloudUnavailableError, ConfigurationError
 from repro.common.types import Permission, Principal
 from repro.core.backend import CloudOfCloudsBackend, ReadPathStats, SingleCloudBackend
-from repro.core.config import DispatchPolicyConfig, SCFSConfig
+from repro.core.config import DispatchPolicyConfig, QuorumConfig, SCFSConfig
 from repro.core.deployment import SCFSDeployment
 from repro.depsky.dataunit import VersionRecord
 from repro.depsky.protocol import DepSkyClient
@@ -37,10 +35,14 @@ def request(cloud: str, latency: float = 1.0, fail: bool = False, counter: dict 
 
 
 def tracker(threshold=2, backoff=10.0, factor=2.0, cap=40.0) -> CloudHealthTracker:
-    return CloudHealthTracker(SuspicionPolicy(
-        threshold=threshold, probe_backoff=backoff,
+    return CloudHealthTracker(DispatchPolicyConfig(
+        suspicion_threshold=threshold, probe_backoff=backoff,
         probe_backoff_factor=factor, probe_backoff_max=cap,
     ))
+
+
+#: The straggler tests' policy: suspicion on, nothing else set.
+TRACKED = DispatchPolicyConfig(suspicion_threshold=3)
 
 
 class TestSuspicionLifecycle:
@@ -51,11 +53,11 @@ class TestSuspicionLifecycle:
         assert not t.is_suspected("a")
         t.observe("a", succeeded=False, latency=0.5, now=1.0)
         assert t.is_suspected("a")
-        assert t.health("a").status is CloudStatus.SUSPECTED
-        assert t.suspicions == 1
+        assert t.health("a").suspected
+        assert t.stats.suspicions == 1
         t.observe("a", succeeded=True, latency=0.2, now=2.0)
         assert not t.is_suspected("a")
-        assert t.recoveries == 1
+        assert t.stats.recoveries == 1
         assert t.health("a").consecutive_failures == 0
 
     def test_success_resets_consecutive_failure_count(self):
@@ -67,46 +69,65 @@ class TestSuspicionLifecycle:
         assert not t.is_suspected("a")
 
     def test_probe_window_backs_off_exponentially_and_caps(self):
-        t = tracker(threshold=1, backoff=10.0, factor=2.0, cap=30.0)
-        t.observe("a", succeeded=False, latency=0.5, now=0.0)
+        # One policy object drives both layers: the call's timeout, retry and
+        # hedge, and the tracker's threshold and probe backoff.
+        policy = DispatchPolicyConfig(timeout=2.0, retries=1, hedge_delay=0.5,
+                                      suspicion_threshold=2, probe_backoff=10.0,
+                                      probe_backoff_factor=2.0, probe_backoff_max=30.0)
+        t = CloudHealthTracker(policy)
+        assert t.policy is policy
+        for now in (0.0, 10.0):
+            stats = (QuorumCall(policy, health=t, now=now)
+                     .stage([request("a", 5.0)])
+                     .stage([request("b", 1.0)])
+                     .execute(1))
+            slow, backup = stats.traces
+            # Two attempts, each abandoned at the 2 s timeout...
+            assert slow.status is RequestStatus.TIMED_OUT and slow.attempts == 2
+            assert slow.resolved_at == pytest.approx(4.0)
+            # ...while the hedge went out 0.5 s in and won.
+            assert backup.hedged and backup.dispatched_at == pytest.approx(0.5)
+            assert stats.elapsed == pytest.approx(1.5)
+            # Suspected at the second consecutive failure, not the first.
+            assert t.is_suspected("a") == (now == 10.0)
         health = t.health("a")
-        assert health.probe_at == pytest.approx(10.0)
-        assert not t.probe_due("a", 5.0)
-        assert t.probe_due("a", 10.0)
-        # Failed probes widen the window: 20, then capped at 30.
-        t.observe("a", succeeded=False, latency=0.5, now=10.0)
-        assert health.probe_at == pytest.approx(30.0)
-        t.observe("a", succeeded=False, latency=0.5, now=30.0)
-        assert health.probe_at == pytest.approx(60.0)  # 30 (cap) after the fail
+        # The first probe comes probe_backoff after the suspicion (at 14 s).
+        assert health.probe_at == pytest.approx(24.0)
+        assert not t.probe_due("a", 20.0)
+        assert t.probe_due("a", 24.0)
+        # Failed probes widen the window by the factor: 20, then capped at 30.
+        t.observe("a", succeeded=False, latency=0.5, now=24.0)
+        assert health.probe_at == pytest.approx(44.0)
+        t.observe("a", succeeded=False, latency=0.5, now=44.0)
+        assert health.probe_at == pytest.approx(74.0)
 
     def test_degraded_flagged_against_peer_median(self):
-        t = CloudHealthTracker()
+        t = CloudHealthTracker(TRACKED)
         for now in range(MIN_SAMPLES):
             t.observe("slow", succeeded=True, latency=2.0, now=float(now))
             t.observe("b", succeeded=True, latency=0.2, now=float(now))
             t.observe("c", succeeded=True, latency=0.25, now=float(now))
         assert t.is_degraded("slow")
         assert not t.is_degraded("b")
-        assert "slow" in t.degraded_clouds()
         assert t.auto_hedge_delay(["slow", "b"]) is not None
         assert t.auto_hedge_delay(["b", "c"]) is None
 
     def test_snapshot_and_merge(self):
         t = tracker(threshold=1)
         t.observe("a", succeeded=False, latency=0.5, now=0.0)
-        snap = t.snapshot()
-        assert snap.suspicions == 1 and snap.suspected_now == ("a",)
-        merged = snap.merge(HealthStats(suspicions=2, suspected_now=("a", "b")))
-        assert merged.suspicions == 3
-        assert merged.suspected_now == ("a", "b")
+        assert t.stats.suspicions == 1 and t.suspected_clouds() == ("a",)
+        merged = t.stats.merge(HealthStats(suspicions=2, probes=1))
+        assert merged.suspicions == 3 and merged.probes == 1
+        assert t.stats == HealthStats(suspicions=1)
 
     def test_policy_validation(self):
-        with pytest.raises(ValueError):
-            SuspicionPolicy(threshold=0).validate()
-        with pytest.raises(ValueError):
-            SuspicionPolicy(probe_backoff=0.0).validate()
-        with pytest.raises(ValueError):
-            SuspicionPolicy(probe_backoff=10.0, probe_backoff_max=5.0).validate()
+        with pytest.raises(ConfigurationError):
+            CloudHealthTracker(DispatchPolicyConfig(suspicion_threshold=-1))
+        with pytest.raises(ConfigurationError):
+            CloudHealthTracker(DispatchPolicyConfig(suspicion_threshold=1, probe_backoff=0.0))
+        with pytest.raises(ConfigurationError):
+            CloudHealthTracker(DispatchPolicyConfig(suspicion_threshold=1, probe_backoff=10.0,
+                                                    probe_backoff_max=5.0))
 
 
 class TestHealthAwareDispatch:
@@ -155,7 +176,7 @@ class TestHealthAwareDispatch:
                  .execute(2))
         assert stats.probes == 1
         assert not t.is_suspected("a")
-        assert t.recoveries == 1
+        assert t.stats.recoveries == 1
 
     def test_plan_reverts_when_quorum_would_be_unreachable(self):
         t = tracker(threshold=1)
@@ -170,9 +191,10 @@ class TestHealthAwareDispatch:
         assert stats.demoted == ()
         assert counter == {"a": 1, "b": 1, "c": 1}
         assert stats.reached
+        assert t.stats.conservative_reverts == 1
 
     def test_degraded_straggler_hedged_without_explicit_hedge_delay(self):
-        t = CloudHealthTracker()
+        t = CloudHealthTracker(TRACKED)
         for now in range(MIN_SAMPLES):
             t.observe("slow", succeeded=True, latency=2.0, now=float(now))
             t.observe("b", succeeded=True, latency=0.2, now=float(now))
@@ -193,14 +215,13 @@ class TestHealthAwareDispatch:
 
 
 class TestDepSkySuspicionEndToEnd:
-    def _client(self, seed=5, **suspicion_overrides):
+    def _client(self, seed=5):
         sim = Simulation(seed=seed)
         clouds = make_cloud_of_clouds(sim, jitter=0.1)
-        policy_kwargs = dict(threshold=2, probe_backoff=10.0, probe_backoff_factor=2.0)
-        policy_kwargs.update(suspicion_overrides)
-        health = CloudHealthTracker(SuspicionPolicy(**policy_kwargs))
-        client = DepSkyClient(sim, clouds, Principal("alice"), f=1,
-                              policy=DispatchPolicy(timeout=1.5), health=health)
+        policy = DispatchPolicyConfig(timeout=1.5, suspicion_threshold=2, probe_backoff=10.0,
+                                      probe_backoff_factor=2.0)
+        health = CloudHealthTracker(policy)
+        client = DepSkyClient(sim, clouds, Principal("alice"), f=1, policy=policy, health=health)
         # In the client's preferred order: ``clouds[i]`` holds block ``i``.
         return sim, client.clouds, client, health
 
@@ -255,7 +276,7 @@ class TestDepSkySuspicionEndToEnd:
         for _ in range(3):
             with pytest.raises(ObjectNotFoundError):
                 client.read_latest("no-such-unit")
-        assert health.suspicions == 0
+        assert health.stats.suspicions == 0
         assert all(not health.is_suspected(c.name) for c in clouds)
 
     def test_suspected_cloud_still_receives_background_writes(self):
@@ -332,21 +353,21 @@ class TestDegradedBlockHolderEndToEnd:
         # The straggler is hedged around, on both sides of the close.
         assert all(spilled)
         assert paths.hedged_requests > 0 and paths.coded == 4
-        assert first.name in health.snapshot().degraded_now
+        assert health.is_degraded(first.name)
 
         first.failures.clear()
         first.failures.add(FaultKind.UNAVAILABLE, start=deployment.sim.now())
         spilled = [self._round(deployment, writer, reader) for _ in range(4)]
         assert all(spilled)
         assert paths.coded == 8 and paths.systematic == 0
-        assert first.name in health.snapshot().suspected_now
+        assert health.is_suspected(first.name)
         assert paths.demoted_requests > 0
 
         first.failures.clear()
         deployment.sim.advance(30.0)  # past the probe window
         spilled = [self._round(deployment, writer, reader) for _ in range(4)]
         assert not any(spilled[1:])
-        assert health.recoveries >= 1 and first.name not in health.snapshot().suspected_now
+        assert health.stats.recoveries >= 1 and not health.is_suspected(first.name)
         assert paths.systematic == 4 and paths.probe_requests >= 1
 
 
@@ -388,11 +409,14 @@ class TestDispatchConfigPlumbing:
         assert config.dispatch == DispatchPolicyConfig(**knob)
 
     def test_tracker_factory_disabled_by_default(self):
-        config = DispatchPolicyConfig()
-        assert not config.tracks_health
-        assert config.make_tracker() is None
-        enabled = DispatchPolicyConfig(suspicion_threshold=3)
-        assert enabled.make_tracker() is not None
+        assert not DispatchPolicyConfig().tracks_health
+        for threshold, tracked in ((0, False), (3, True)):
+            sim = Simulation(seed=1)
+            backend = CloudOfCloudsBackend(
+                sim, make_cloud_of_clouds(sim), Principal("alice"),
+                dispatch=DispatchPolicyConfig(suspicion_threshold=threshold), quorum=QuorumConfig())
+            assert (backend.health is not None) is tracked
+            assert (backend.health_stats() is not None) is tracked
 
     def test_config_reaches_depsky_client_through_agent(self):
         dispatch = DispatchPolicyConfig(timeout=1.2, retries=1, hedge_delay=0.3,
@@ -406,8 +430,9 @@ class TestDispatchConfigPlumbing:
         assert backend.client.policy.timeout == pytest.approx(1.2)
         assert backend.client.policy.retries == 1
         assert backend.client.health is backend.health is not None
-        assert backend.health.policy.threshold == 2
-        assert backend.health_stats() is not None
+        # One policy object: the quorum calls and the tracker read the config's own.
+        assert backend.client.policy is backend.health.policy is dispatch
+        assert backend.health_stats() == HealthStats()
 
     def test_config_driven_suspicion_through_filesystem_io(self):
         dispatch = DispatchPolicyConfig(timeout=1.5, suspicion_threshold=2)
@@ -425,17 +450,15 @@ class TestDispatchConfigPlumbing:
             fs.agent.disk_cache.clear()
             fs.agent.metadata_cache.clear()
             assert fs.read_file("/f.txt") == b"payload" * 400
-        snapshot = fs.agent.backend.health_stats()
-        assert snapshot.suspicions >= 1
-        assert clouds[0].name in snapshot.suspected_now
+        assert fs.agent.backend.health_stats().suspicions >= 1
+        assert fs.agent.backend.health.is_suspected(clouds[0].name)
 
 
     def test_not_yet_visible_polling_does_not_suspect_a_cloud(self):
         sim = Simulation(seed=1)
         backend = CloudOfCloudsBackend(
             sim, make_cloud_of_clouds(sim), Principal("alice"),
-            dispatch=DispatchPolicyConfig(suspicion_threshold=2),
-        )
+            dispatch=DispatchPolicyConfig(suspicion_threshold=2), quorum=QuorumConfig())
         ref = backend.write_version("file", b"data", version=1)
         from repro.common.errors import ObjectNotFoundError, QuorumNotReachedError
 
@@ -464,7 +487,7 @@ class TestReadPathSuspicionStats:
         backend = CloudOfCloudsBackend(
             sim, make_cloud_of_clouds(sim), Principal("alice"),
             dispatch=DispatchPolicyConfig(timeout=1.5, suspicion_threshold=2),
-        )
+            quorum=QuorumConfig())
         clouds = backend.client.clouds
         ref = backend.write_version("file", b"f" * 400, version=1)
         sim.advance(3.0)

@@ -12,7 +12,8 @@
 
 import pytest
 
-from repro.clouds.health import CloudHealthTracker, QuorumPlanner, SuspicionPolicy
+from repro.clouds.dispatch import DispatchPolicyConfig
+from repro.clouds.health import CloudHealthTracker, QuorumPlanner
 from repro.clouds.quorums import (
     CountQuorum,
     ThresholdQuorumSystem,
@@ -177,7 +178,7 @@ class TestQuorumPlanner:
         assert plan.primary == tuple(c for c in CLOUDS if c in plan.primary)
 
     def test_demotes_suspected_clouds(self):
-        tracker = CloudHealthTracker(SuspicionPolicy(threshold=1))
+        tracker = CloudHealthTracker(DispatchPolicyConfig(suspicion_threshold=1))
         tracker.observe("rackspace-files", succeeded=False, latency=0.1, now=0.0)
         latencies = {"amazon-s3": 0.18, "google-storage": 0.17,
                      "rackspace-files": 0.01, "windows-azure": 0.095}
@@ -187,7 +188,7 @@ class TestQuorumPlanner:
         assert not plan.reverted
 
     def test_reverts_loudly_when_demotion_kills_feasibility(self, caplog):
-        tracker = CloudHealthTracker(SuspicionPolicy(threshold=1))
+        tracker = CloudHealthTracker(DispatchPolicyConfig(suspicion_threshold=1))
         for cloud in CLOUDS[1:]:
             tracker.observe(cloud, succeeded=False, latency=0.1, now=0.0)
         latencies = dict.fromkeys(CLOUDS, 0.1)
@@ -196,7 +197,7 @@ class TestQuorumPlanner:
         with caplog.at_level("WARNING"):
             plan = planner.plan(CLOUDS, 3, "object_get", 0)
         assert plan.reverted
-        assert planner.reverts == 1
+        assert tracker.stats.conservative_reverts == 1
         assert len(plan.primary) == 3
         assert any("reverted" in record.message for record in caplog.records)
 

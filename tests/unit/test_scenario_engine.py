@@ -251,9 +251,14 @@ class TestCheckersCatchViolations:
         deployment.drain(2.0)
         meta = fs.stat("/doomed.txt")
         recorder = TraceRecorder()
-        recorder.record("commit", agent="alice", time=deployment.sim.now(),
-                        path="/doomed.txt", file_id=meta.file_id,
-                        digest=meta.digest, version=1)
+        commit = dict(agent="alice", time=deployment.sim.now(), path="/doomed.txt",
+                      file_id=meta.file_id, digest=meta.digest, version=1)
+        # The checker finds the version through the locator the commit anchored.
+        recorder.record("commit", **commit)
+        found = check_durability(recorder, deployment)
+        assert found and "no valid locator" in found[0].message
+        recorder = TraceRecorder()
+        recorder.record("commit", locator=meta.locator, **commit)
         assert check_durability(recorder, deployment) == []
         for cloud in deployment.clouds:
             for key in list(cloud._objects):
