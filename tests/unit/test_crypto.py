@@ -80,6 +80,18 @@ class TestGF256:
         assert np.array_equal(gf256.matmul(matrix, blocks),
                               gf256._matmul_scalar(matrix, blocks))
 
+    def test_one_coefficient_matmul_is_scalar_multiplication(self):
+        block = np.array([[0, 1, 2, 250, 255]], dtype=np.uint8)
+        result = gf256.matmul(np.array([[7]], dtype=np.uint8), block)
+        assert result[0].tolist() == [gf256.gf_mul(7, int(b)) for b in block[0]]
+
+    def test_matmul_by_zero_and_one_returns_fresh_rows(self):
+        block = np.arange(256, dtype=np.uint8).reshape(1, 256)
+        zero = gf256.matmul(np.array([[0]], dtype=np.uint8), block)
+        one = gf256.matmul(np.array([[1]], dtype=np.uint8), block)
+        assert not zero.any() and np.array_equal(one, block)
+        assert not np.shares_memory(zero, block) and not np.shares_memory(one, block)
+
     def test_matmul_empty_blocks(self):
         matrix = np.array([[1, 2], [3, 4]], dtype=np.uint8)
         result = gf256.matmul(matrix, np.zeros((2, 0), dtype=np.uint8))
@@ -391,6 +403,37 @@ class TestSecretSharing:
         shares = split_secret(b"secret", n=4, t=2, rng=random.Random(4))
         with pytest.raises(ValueError):
             combine_secret([shares[0], SecretShare(shares[0].x, shares[0].data)], 2)
+
+    def test_split_evaluates_each_byte_polynomial_at_the_share_x(self):
+        secret, n, t = b"key bytes", 5, 3
+        shares = split_secret(secret, n=n, t=t, rng=random.Random(5))
+        # The same RNG, drawn byte by byte, gives the same polynomials.
+        rng = random.Random(5)
+        polynomials = [[byte, *(rng.randrange(256) for _ in range(t - 1))]
+                       for byte in secret]
+        for share in shares:
+            expected = []
+            for coefficients in polynomials:
+                value = 0
+                for coefficient in reversed(coefficients):  # Horner
+                    value = gf256.gf_mul(value, share.x) ^ coefficient
+                expected.append(value)
+            assert list(share.data) == expected
+
+    def test_combine_is_lagrange_interpolation_at_zero(self):
+        shares = split_secret(b"\x00\x01\x7f\xff", n=6, t=3, rng=random.Random(6))
+        chosen = [shares[5], shares[1], shares[3]]
+        # Scalar Lagrange basis at x = 0; subtraction is XOR in GF(2^8).
+        expected = [0] * 4
+        for share in chosen:
+            weight = 1
+            for other in chosen:
+                if other.x != share.x:
+                    weight = gf256.gf_mul(
+                        weight, gf256.gf_mul(other.x, gf256.gf_inv(other.x ^ share.x)))
+            for position, byte in enumerate(share.data):
+                expected[position] ^= gf256.gf_mul(weight, byte)
+        assert combine_secret(chosen, 3) == bytes(expected) == b"\x00\x01\x7f\xff"
 
 
 class TestSymmetricCipher:

@@ -130,6 +130,38 @@ class TestSuspicionLifecycle:
                                                     probe_backoff_max=5.0))
 
 
+class TestDropSuspects:
+    """The one suspect rule that the engine's plan and the planner share."""
+
+    def test_nothing_suspected_keeps_every_cloud(self):
+        t = tracker(threshold=1)
+        assert t.drop_suspects(["a", "b", "c"], 3) == ["a", "b", "c"]
+        assert t.stats.conservative_reverts == 0
+
+    def test_suspects_go_when_the_rest_satisfy_the_quorum(self):
+        t = tracker(threshold=1)
+        t.observe("b", succeeded=False, latency=0.5, now=0.0)
+        assert t.drop_suspects(["a", "b", "c", "d"], 3) == ["a", "c", "d"]
+        assert t.stats.conservative_reverts == 0
+
+    def test_suspects_stay_loudly_when_the_rest_cannot(self, caplog):
+        t = tracker(threshold=1)
+        t.observe("a", succeeded=False, latency=0.5, now=0.0)
+        t.observe("b", succeeded=False, latency=0.5, now=0.0)
+        with caplog.at_level("WARNING"):
+            assert t.drop_suspects(["a", "b", "c"], 2) is None
+        assert t.stats.conservative_reverts == 1
+        assert any("reverted" in record.message for record in caplog.records)
+
+    def test_a_dry_revert_counts_and_logs_nothing(self, caplog):
+        t = tracker(threshold=1)
+        t.observe("a", succeeded=False, latency=0.5, now=0.0)
+        with caplog.at_level("WARNING"):
+            assert t.drop_suspects(["a", "b"], 2, dry=True) is None
+        assert t.stats.conservative_reverts == 0
+        assert not caplog.records
+
+
 class TestHealthAwareDispatch:
     def test_suspected_cloud_demoted_out_of_stage0(self):
         t = tracker(threshold=1)
