@@ -45,7 +45,6 @@ import os
 
 from repro.clouds.dispatch import DispatchPolicyConfig
 from repro.clouds.eventual import EventuallyConsistentStore
-from repro.clouds.health import CloudHealthTracker, QuorumPlanner, expected_latency
 from repro.clouds.pricing import StoragePricing
 from repro.clouds.quorums import WeightedQuorumSystem
 from repro.common.types import Principal
@@ -226,9 +225,7 @@ def _run_outage_scenario(kind: str, suspicion: bool, seed: int = 13) -> dict:
     # One policy object: the quorum calls' timeout and, tracked, the suspicion knobs.
     policy = dataclasses.replace(SUSPICION if suspicion else DispatchPolicyConfig(),
                                  timeout=REQUEST_TIMEOUT)
-    health = CloudHealthTracker(policy) if suspicion else None
-    client = DepSkyClient(sim, clouds, Principal("bench-user"), f=1,
-                          policy=policy, health=health)
+    client = DepSkyClient(sim, clouds, Principal("bench-user"), f=1, policy=policy)
 
     payload = bytes((i * 73) % 256 for i in range(PAYLOAD))
     client.write("unit-outage", payload)
@@ -263,8 +260,9 @@ def _run_outage_scenario(kind: str, suspicion: bool, seed: int = 13) -> dict:
         "outage_reads": outage_reads,
         "recovery_reads": recovery_reads,
         "recovery_paths": recovery_paths,
-        "health": health.stats if health is not None else None,
-        "suspected_at_end": health.suspected_clouds() if health is not None else (),
+        "health": client.health.stats if client.health is not None else None,
+        "suspected_at_end": (client.health.suspected_clouds()
+                             if client.health is not None else ()),
     }
 
 
@@ -383,29 +381,17 @@ def _make_frontier_clouds(sim: Simulation) -> list[EventuallyConsistentStore]:
 def _run_frontier_arm(arm: str, schedule: str, seed: int = 17) -> dict:
     sim = Simulation(seed=seed)
     clouds = _make_frontier_clouds(sim)
-    stores = {cloud.name: cloud for cloud in clouds}
-    tracker = CloudHealthTracker(SUSPICION)
-    system = planner = None
+    system = None
     if arm == "weighted":
+        # A weighted system gets the client's cost × latency planner.
         system = WeightedQuorumSystem(universe=COC_STORAGE_PROVIDERS,
                                       weights=FRONTIER_WEIGHTS, fault_budget=1.2)
         system.validate()
-
-        def latency_of(name: str, kind: str, payload: int) -> float:
-            # The one per-cloud expectation: a straggler's measured EWMA
-            # dominates its advertised latency (the client sets no timeout).
-            return expected_latency(stores[name], kind, payload, tracker)
-
-        def cost_of(name: str, kind: str, payload: int) -> float:
-            return stores[name].costs.pricing.request_cost(kind, payload)
-
-        planner = QuorumPlanner(latency_of=latency_of, cost_of=cost_of,
-                                tracker=tracker)
     elif arm != "threshold":
         raise ValueError(f"unknown frontier arm {arm!r}")
 
     client = DepSkyClient(sim, clouds, Principal("bench-user"), f=1, policy=SUSPICION,
-                          health=tracker, quorum=system, planner=planner)
+                          quorum=system)
     payload = bytes((i * 73) % 256 for i in range(PAYLOAD))
     client.write("unit-frontier", payload)
     sim.advance(3.0)

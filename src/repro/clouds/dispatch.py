@@ -248,17 +248,20 @@ class QuorumCall:
     """Builder/executor for one staged parallel quorum call.
 
     ``policy`` supplies the timeout, retries and hedge delay of every request
-    (plain staged dispatch when ``None``).  ``health`` attaches a
-    :class:`~repro.clouds.health.CloudHealthTracker`: the call is re-planned
-    around its suspect list before dispatch and every resolved request is fed
-    back into it.  ``now`` is the absolute simulated
-    time at which the call starts (the engine's internal timeline is
-    call-relative) — it anchors probe windows and trace ingestion.
+    (the default is plain staged dispatch).  ``health`` attaches a
+    :class:`~repro.clouds.health.CloudHealthTracker` built from that same
+    policy object: the call is re-planned around its suspect list before
+    dispatch and every resolved request is fed back into it.  ``now`` is the
+    absolute simulated time at which the call starts (the engine's internal
+    timeline is call-relative) — it anchors probe windows and trace ingestion.
     """
 
-    def __init__(self, policy: DispatchPolicyConfig | None = None,
+    def __init__(self, policy: DispatchPolicyConfig = DispatchPolicyConfig(),
                  health: "CloudHealthTracker | None" = None, now: float = 0.0):
-        self.policy = policy or DispatchPolicyConfig()
+        if health is not None and health.policy is not policy:
+            raise ConfigurationError(
+                "the health tracker must read the call's own dispatch policy")
+        self.policy = policy
         self.health = health
         self.now = now
         self._stages: list[list[QuorumRequest]] = []

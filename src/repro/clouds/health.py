@@ -67,6 +67,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.clouds.quorums import as_quorum, minimal_quorums
+from repro.common.errors import ConfigurationError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a runtime cycle
     from repro.clouds.dispatch import DispatchPolicyConfig, QuorumRequest, RequestTrace
@@ -149,11 +150,16 @@ class CloudHealthTracker:
 
     ``policy`` is the client's
     :class:`~repro.clouds.dispatch.DispatchPolicyConfig`; the tracker reads
-    its suspicion threshold and probe backoff.
+    its suspicion threshold and probe backoff.  A policy that tracks no health
+    (``suspicion_threshold = 0``) is refused: it would suspect a cloud at its
+    first failure.
     """
 
     def __init__(self, policy: "DispatchPolicyConfig"):
         policy.validate()
+        if not policy.tracks_health:
+            raise ConfigurationError(
+                "a health tracker needs a positive suspicion threshold")
         self.policy = policy
         self._clouds: dict[str, CloudHealth] = {}
         self.stats = HealthStats()
@@ -234,7 +240,8 @@ class CloudHealthTracker:
         satisfy ``required`` (a response count or any quorum predicate from
         :mod:`repro.clouds.quorums`) the caller keeps every cloud.  Such a
         revert is logged and counted in :attr:`HealthStats.conservative_reverts`,
-        unless ``dry`` (a dry run's plan).
+        unless ``dry`` (a dry run's plan, or the :class:`QuorumPlanner`'s pass
+        ahead of the call that counts it).
         """
         kept = [cloud for cloud in clouds if not self.is_suspected(cloud)]
         if len(kept) == len(clouds) or as_quorum(required).satisfied_by(kept):
@@ -386,9 +393,6 @@ class QuorumPlan:
     expected_latency: float
     #: Expected request cost of dispatching the primary stage.
     expected_cost: float
-    #: True when the planner fell back to the full candidate pool: dropping
-    #: the suspects left no feasible quorum, or the pool never had one.
-    reverted: bool = False
 
 
 class QuorumPlanner:
@@ -403,8 +407,11 @@ class QuorumPlanner:
     minimizing ``cost × latency`` — dispatching a minimal quorum as stage 0
     and everything else as fallback.  Suspected clouds are dropped from the
     pool first, by the tracker's one rule (:meth:`CloudHealthTracker.drop_suspects`):
-    when that leaves the predicate unsatisfiable the planner reverts loudly to
-    the full pool (never trading liveness for economy).
+    when that leaves the predicate unsatisfiable the planner plans over the
+    full pool (never trading liveness for economy).  The planner's pass of the
+    rule is ``dry``: it counts and logs nothing, because the call built from
+    its plan applies the rule again (:meth:`CloudHealthTracker.plan`), and
+    only that pass counts a revert.
     """
 
     def __init__(self, latency_of: Callable[[str, str, int], float],
@@ -424,8 +431,8 @@ class QuorumPlanner:
         """
         quorum = as_quorum(required)
         names = list(candidates)
-        pool = names if self.tracker is None else self.tracker.drop_suspects(names, quorum)
-        reverted = pool is None
+        pool = names if self.tracker is None else self.tracker.drop_suspects(
+            names, quorum, dry=True)
         if pool is None:
             pool = names
         latency = {cloud: self.latency_of(cloud, kind, payload) for cloud in pool}
@@ -447,11 +454,11 @@ class QuorumPlanner:
             stage_latency = max((self.latency_of(c, kind, payload) for c in chosen),
                                 default=0.0)
             stage_cost = sum(self.cost_of(c, kind, payload) for c in chosen)
-            return QuorumPlan(primary=chosen, fallback=(), reverted=True,
+            return QuorumPlan(primary=chosen, fallback=(),
                               expected_latency=stage_latency, expected_cost=stage_cost)
         _, members, stage_latency, stage_cost = best
         chosen = set(members)
         primary = tuple(cloud for cloud in names if cloud in chosen)
         fallback = tuple(cloud for cloud in names if cloud not in chosen)
-        return QuorumPlan(primary=primary, fallback=fallback, reverted=reverted,
+        return QuorumPlan(primary=primary, fallback=fallback,
                           expected_latency=stage_latency, expected_cost=stage_cost)

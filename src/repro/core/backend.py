@@ -28,8 +28,7 @@ from typing import Sequence
 from repro.common.errors import IntegrityError, ObjectNotFoundError
 from repro.common.types import ObjectRef, Permission, Principal
 from repro.clouds.eventual import EventuallyConsistentStore
-from repro.clouds.health import CloudHealthTracker, HealthStats, QuorumPlanner, expected_latency
-from repro.clouds.quorums import WeightedQuorumSystem
+from repro.clouds.health import CloudHealthTracker, HealthStats, expected_latency
 from repro.core.config import DispatchPolicyConfig, QuorumConfig
 from repro.crypto.hashing import content_digest
 from repro.depsky.dataunit import VersionRecord
@@ -325,25 +324,12 @@ class CloudOfCloudsBackend(StorageBackend):
     ):
         self.sim = sim
         self.principal = principal
-        self.health: CloudHealthTracker | None = (
-            CloudHealthTracker(dispatch) if dispatch.tracks_health else None
-        )
-        stores = {cloud.name: cloud for cloud in clouds}
-        system = quorum.system_for([c.name for c in clouds], f)
-        planner = None
-        if isinstance(system, WeightedQuorumSystem):
-            planner = QuorumPlanner(
-                latency_of=lambda cloud, kind, payload: expected_latency(
-                    stores[cloud], kind, payload, self.health, dispatch.timeout),
-                cost_of=lambda cloud, kind, payload: stores[
-                    cloud].costs.pricing.request_cost(kind, payload),
-                tracker=self.health,
-            )
         self.client = DepSkyClient(
-            sim, clouds, principal, f=f, encrypt=encrypt,
-            policy=dispatch, health=self.health, coalescer=coalescer,
-            quorum=system, planner=planner,
+            sim, clouds, principal, f=f, encrypt=encrypt, policy=dispatch,
+            coalescer=coalescer, quorum=quorum.system_for([c.name for c in clouds], f),
         )
+        #: The client's tracker (``None`` unless ``dispatch`` tracks health).
+        self.health: CloudHealthTracker | None = self.client.health
         self.name = f"cloud-of-clouds(f={f}, n={self.client.n})"
         self.read_paths = ReadPathStats()
 

@@ -56,8 +56,9 @@ wait.  The stage semantics are:
   fallback stage ``hedge_delay`` seconds after the current stage started
   whenever the quorum has not been reached by then, which lets backup
   requests beat a DEGRADED straggler;
-* an optional :class:`~repro.clouds.health.CloudHealthTracker` makes the
-  client remember which providers are misbehaving: suspected clouds are
+* when that policy sets a ``suspicion_threshold``, the client's
+  :class:`~repro.clouds.health.CloudHealthTracker` (built from the same
+  object) remembers which providers are misbehaving: suspected clouds are
   demoted out of the primary stage (fallback clouds take their slots), probed
   in the background with exponential backoff, and restored on the first
   successful response — so repeated reads stop paying a downed provider's
@@ -104,7 +105,12 @@ _MUTATING_OPS = frozenset({"block_put", "meta_put", "block_delete", "acl"})
 from repro.clouds.health import CloudHealthTracker, QuorumPlanner, expected_latency
 from repro.clouds.eventual import EventuallyConsistentStore
 from repro.clouds.object_store import ObjectVersion
-from repro.clouds.quorums import QuorumPredicate, QuorumSystem, ThresholdQuorumSystem
+from repro.clouds.quorums import (
+    QuorumPredicate,
+    QuorumSystem,
+    ThresholdQuorumSystem,
+    WeightedQuorumSystem,
+)
 from repro.crypto.cipher import KEY_SIZE, NONCE_SIZE, TAG_SIZE, SymmetricCipher, generate_key
 from repro.crypto.erasure import CodedBlock, ErasureCoder
 from repro.crypto.hashing import content_digest
@@ -222,13 +228,11 @@ class DepSkyClient:
         The :class:`~repro.clouds.dispatch.DispatchPolicyConfig` every quorum
         call of this client reads — per-request timeout, bounded retries and
         hedged fallback dispatch.  Defaults to plain staged dispatch (no
-        timeouts, no hedging).
-    health:
-        Optional :class:`~repro.clouds.health.CloudHealthTracker` (built from
-        the same policy by the storage backend).  When set,
-        every quorum call is re-planned around its suspect list (suspected
-        clouds are demoted out of the primary stage and probed in the
-        background) and every resolved request feeds the tracker.
+        timeouts, no hedging).  When it tracks health, the client builds its
+        :attr:`health` tracker from the same object: every quorum call is
+        re-planned around the suspect list (suspected clouds are demoted out
+        of the primary stage and probed in the background) and every resolved
+        request feeds the tracker.
     quorum:
         The :class:`~repro.clouds.quorums.QuorumSystem` over the clouds:
         write acknowledgements complete when the responder set satisfies its
@@ -236,13 +240,13 @@ class DepSkyClient:
         need its *certificate* predicate (a confirming set that cannot
         consist entirely of faulty providers).  ``None`` is the classic
         DepSky :class:`~repro.clouds.quorums.ThresholdQuorumSystem`
-        (``n - f`` / ``f + 1``).
-    planner:
-        Optional :class:`~repro.clouds.health.QuorumPlanner`.  When set, the
+        (``n - f`` / ``f + 1``).  A
+        :class:`~repro.clouds.quorums.WeightedQuorumSystem` gets a
+        :class:`~repro.clouds.health.QuorumPlanner` (:attr:`planner`): the
         head read and the block fetch pick their primary stage as the
         cheapest feasible quorum by expected cost × latency (the remaining
-        clouds form the fallback stage); without it the stages keep the
-        classic systematic-first ordering.
+        clouds form the fallback stage); a threshold system keeps the classic
+        systematic-first ordering.
     """
 
     def __init__(
@@ -253,11 +257,9 @@ class DepSkyClient:
         f: int = 1,
         encrypt: bool = True,
         charge_latency: bool = True,
-        policy: DispatchPolicyConfig | None = None,
-        health: CloudHealthTracker | None = None,
+        policy: DispatchPolicyConfig = DispatchPolicyConfig(),
         coalescer: InstantCoalescer | None = None,
         quorum: QuorumSystem | None = None,
-        planner: QuorumPlanner | None = None,
     ):
         if f < 0:
             raise ValueError("f must be non-negative")
@@ -279,9 +281,19 @@ class DepSkyClient:
         self.k = f + 1
         self.encrypt = encrypt
         self.charge_latency = charge_latency
-        self.policy = policy or DispatchPolicyConfig()
-        self.health = health
-        self.planner = planner
+        self.policy = policy
+        self.health: CloudHealthTracker | None = (
+            CloudHealthTracker(policy) if policy.tracks_health else None)
+        self.planner: QuorumPlanner | None = None
+        if isinstance(self.quorum, WeightedQuorumSystem):
+            stores = {cloud.name: cloud for cloud in clouds}
+            self.planner = QuorumPlanner(
+                latency_of=lambda cloud, kind, payload: expected_latency(
+                    stores[cloud], kind, payload, self.health, policy.timeout),
+                cost_of=lambda cloud, kind, payload: stores[
+                    cloud].costs.pricing.request_cost(kind, payload),
+                tracker=self.health,
+            )
         #: Optional deployment-wide :class:`InstantCoalescer`: identical
         #: head read quorums issued in the same virtual instant (by this
         #: or any other client sharing the coalescer) are absorbed into the

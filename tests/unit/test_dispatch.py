@@ -248,7 +248,7 @@ class TestLatencyEstimates:
 
 
 class TestDepSkyDispatchAccounting:
-    def _client(self, policy=None, seed=5):
+    def _client(self, policy=DispatchPolicyConfig(), seed=5):
         sim = Simulation(seed=seed)
         clouds = make_cloud_of_clouds(sim, jitter=0.1)
         client = DepSkyClient(sim, clouds, Principal("alice"), f=1, policy=policy)
@@ -280,7 +280,8 @@ class TestDepSkyDispatchAccounting:
 
     def test_hedged_request_beats_degraded_straggler(self):
         plain_elapsed = {}
-        for name, policy in (("plain", None), ("hedged", DispatchPolicyConfig(hedge_delay=0.25))):
+        for name, policy in (("plain", DispatchPolicyConfig()),
+                             ("hedged", DispatchPolicyConfig(hedge_delay=0.25))):
             sim, clouds, client = self._client(policy=policy)
             client.write("unit", b"straggler" * 500)
             sim.advance(3.0)

@@ -1,5 +1,7 @@
 """Unit tests for cloud health tracking: suspect lists, probes, config plumbing."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.clouds.dispatch import QuorumCall, QuorumRequest, RequestStatus
@@ -121,13 +123,31 @@ class TestSuspicionLifecycle:
         assert t.stats == HealthStats(suspicions=1)
 
     def test_policy_validation(self):
+        # A policy that tracks no health would suspect a cloud at its first
+        # failure, and would skip the probe-knob checks below.
+        with pytest.raises(ConfigurationError):
+            CloudHealthTracker(DispatchPolicyConfig(suspicion_threshold=0))
+        with pytest.raises(ConfigurationError):
+            CloudHealthTracker(DispatchPolicyConfig())
         with pytest.raises(ConfigurationError):
             CloudHealthTracker(DispatchPolicyConfig(suspicion_threshold=-1))
         with pytest.raises(ConfigurationError):
             CloudHealthTracker(DispatchPolicyConfig(suspicion_threshold=1, probe_backoff=0.0))
         with pytest.raises(ConfigurationError):
+            CloudHealthTracker(DispatchPolicyConfig(suspicion_threshold=1,
+                                                    probe_backoff_factor=0.5))
+        with pytest.raises(ConfigurationError):
             CloudHealthTracker(DispatchPolicyConfig(suspicion_threshold=1, probe_backoff=10.0,
                                                     probe_backoff_max=5.0))
+
+    def test_a_call_takes_only_its_own_policy_s_tracker(self):
+        policy = DispatchPolicyConfig(suspicion_threshold=2)
+        t = CloudHealthTracker(policy)
+        QuorumCall(policy, health=t)
+        with pytest.raises(ConfigurationError, match="own dispatch policy"):
+            QuorumCall(DispatchPolicyConfig(suspicion_threshold=2), health=t)
+        with pytest.raises(ConfigurationError, match="own dispatch policy"):
+            QuorumCall(health=t)
 
 
 class TestDropSuspects:
@@ -161,13 +181,38 @@ class TestDropSuspects:
         assert t.stats.conservative_reverts == 0
         assert not caplog.records
 
+    def test_a_weighted_read_counts_its_revert_once_and_an_estimate_never(self, caplog):
+        sim = Simulation(seed=1)
+        clouds = make_cloud_of_clouds(sim)
+        backend = CloudOfCloudsBackend(
+            sim, clouds, Principal("alice"),
+            dispatch=DispatchPolicyConfig(suspicion_threshold=1),
+            quorum=QuorumConfig(weights=tuple((cloud.name, 1.0) for cloud in clouds),
+                                fault_budget=1.0))
+        assert backend.client.planner is not None
+        backend.write_version("file", b"payload" * 100, version=1)
+        sim.advance(3.0)
+        for cloud in backend.client.clouds:
+            backend.health.observe(cloud.name, succeeded=False, latency=0.1, now=sim.now())
+        before = replace(backend.health.stats)
+        # The estimate dry-runs the block fetch: the planner's pass and the
+        # call's pass both keep the suspects, and neither counts or logs.
+        with caplog.at_level("WARNING"):
+            assert backend.estimate_read_latency(64 * 1024) > 0
+        assert backend.health.stats == before
+        assert not caplog.records
+        # A real read's head call keeps them too and counts that once; its
+        # answers clear the suspicions the block fetch would have kept.
+        backend.client.read_latest("file")
+        assert backend.health.stats.conservative_reverts == before.conservative_reverts + 1
+
 
 class TestHealthAwareDispatch:
     def test_suspected_cloud_demoted_out_of_stage0(self):
         t = tracker(threshold=1)
         t.observe("a", succeeded=False, latency=0.5, now=0.0)
         counter: dict[str, int] = {}
-        stats = (QuorumCall(health=t, now=1.0)
+        stats = (QuorumCall(t.policy, health=t, now=1.0)
                  .stage([request("a", 5.0, fail=True, counter=counter), request("b", 1.0, counter=counter)])
                  .stage([request("c", 1.0, counter=counter), request("d", 1.0, counter=counter)])
                  .execute(2))
@@ -185,7 +230,7 @@ class TestHealthAwareDispatch:
         t = tracker(threshold=1, backoff=10.0)
         t.observe("a", succeeded=False, latency=0.5, now=0.0)
         counter: dict[str, int] = {}
-        stats = (QuorumCall(health=t, now=20.0)
+        stats = (QuorumCall(t.policy, health=t, now=20.0)
                  .stage([request("a", 9.0, fail=True, counter=counter), request("b", 1.0, counter=counter)])
                  .stage([request("c", 1.0, counter=counter)])
                  .execute(2))
@@ -202,7 +247,7 @@ class TestHealthAwareDispatch:
     def test_probe_success_recovers_cloud(self):
         t = tracker(threshold=1, backoff=5.0)
         t.observe("a", succeeded=False, latency=0.5, now=0.0)
-        stats = (QuorumCall(health=t, now=6.0)
+        stats = (QuorumCall(t.policy, health=t, now=6.0)
                  .stage([request("a", 0.5, counter=None), request("b", 1.0)])
                  .stage([request("c", 1.0)])
                  .execute(2))
@@ -215,7 +260,7 @@ class TestHealthAwareDispatch:
         t.observe("a", succeeded=False, latency=0.5, now=0.0)
         t.observe("b", succeeded=False, latency=0.5, now=0.0)
         counter: dict[str, int] = {}
-        stats = (QuorumCall(health=t, now=1.0)
+        stats = (QuorumCall(t.policy, health=t, now=1.0)
                  .stage([request("a", 1.0, counter=counter), request("b", 1.0, counter=counter),
                          request("c", 1.0, counter=counter)])
                  .execute(2))
@@ -231,7 +276,7 @@ class TestHealthAwareDispatch:
             t.observe("slow", succeeded=True, latency=2.0, now=float(now))
             t.observe("b", succeeded=True, latency=0.2, now=float(now))
             t.observe("c", succeeded=True, latency=0.2, now=float(now))
-        stats = (QuorumCall(health=t, now=10.0)
+        stats = (QuorumCall(t.policy, health=t, now=10.0)
                  .stage([request("slow", 8.0)])
                  .stage([request("c", 0.2)])
                  .execute(1))
@@ -252,10 +297,11 @@ class TestDepSkySuspicionEndToEnd:
         clouds = make_cloud_of_clouds(sim, jitter=0.1)
         policy = DispatchPolicyConfig(timeout=1.5, suspicion_threshold=2, probe_backoff=10.0,
                                       probe_backoff_factor=2.0)
-        health = CloudHealthTracker(policy)
-        client = DepSkyClient(sim, clouds, Principal("alice"), f=1, policy=policy, health=health)
+        client = DepSkyClient(sim, clouds, Principal("alice"), f=1, policy=policy)
+        # The client builds its tracker from the one policy object.
+        assert client.health.policy is policy
         # In the client's preferred order: ``clouds[i]`` holds block ``i``.
-        return sim, client.clouds, client, health
+        return sim, client.clouds, client, client.health
 
     def test_repeated_reads_stop_probing_downed_cloud(self):
         sim, clouds, client, health = self._client()
