@@ -41,12 +41,10 @@ class BaselineFileSystem(abc.ABC):
         self.sim = sim
         self._handles: dict[int, BaselineOpenFile] = {}
         self._next_handle = itertools.count(3)
-        self.syscalls = 0
 
     # ------------------------------------------------------------------ utils
 
     def _syscall(self) -> None:
-        self.syscalls += 1
         self.sim.advance(FUSE_OVERHEAD.sample(0, self.sim.rng))
 
     def _handle(self, handle: int) -> BaselineOpenFile:

@@ -18,7 +18,7 @@ Three views of what SCFS costs to operate and use:
 The per-operation figures are *measured*: the operations are executed against
 freshly built deployments and the providers' cost trackers report the dollar
 deltas, with coordination-service traffic (1 KB metadata tuples) priced at the
-same outbound rate.
+same outbound rate: one access per replicated command the operation sent.
 """
 
 from __future__ import annotations
@@ -106,9 +106,10 @@ def _measure(system: str, operation: str, file_size: int, seed: int = 0) -> Oper
     fs.write_file(path, data, shared=True)
     deployment.drain(2.0)
 
+    services = getattr(deployment.coordination, "services", [deployment.coordination])
+    commands_before = sum(service.rsm.commands_executed for service in services)
     # Drop local caches so a read actually downloads from the cloud(s).
     agent = fs.agent
-    before_reads = agent.metadata.coordination_reads + agent.metadata.coordination_writes
     deployment.reset_costs()
     read_path = "-"
     if operation == "read":
@@ -124,8 +125,8 @@ def _measure(system: str, operation: str, file_size: int, seed: int = 0) -> Oper
     else:
         raise ValueError(f"unknown operation {operation!r}")
     costs = deployment.costs()
-    accesses = (agent.metadata.coordination_reads + agent.metadata.coordination_writes
-                - before_reads)
+    # Every replicated command the operation sent is one billed access.
+    accesses = sum(service.rsm.commands_executed for service in services) - commands_before
     # Storage (per-GB-month) charges are excluded here: Figure 11(b) prices the
     # *operation*, Figure 11(c) prices keeping the data.
     storage_side = costs.request_cost + costs.traffic_cost

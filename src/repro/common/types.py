@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass, field
 
 
@@ -67,16 +66,3 @@ class ObjectRef:
     size: int = 0
     created_at: float = 0.0
     locator: str = ""
-
-
-_counter = itertools.count()
-
-
-def fresh_id(prefix: str = "obj") -> str:
-    """Return a process-unique identifier with the given prefix.
-
-    Used for file object ids, lock session ids and benchmark file names.  The
-    counter is process-global which keeps ids unique across simulations in a
-    single test run.
-    """
-    return f"{prefix}-{next(_counter):08d}"

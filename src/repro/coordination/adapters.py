@@ -29,9 +29,15 @@ client call                         replicated command
 ``try_lock`` / ``unlock``           ``Move`` / ``Lock`` / ``Unlock``
 ``list_entries`` / ``list_prefix``  ``entry_list``
 ``close_session``                   ``close_session`` (every lock the session holds)
-``renew_session``                   none / ``register_session`` (background)
+``renew_session``                   ``entry_multi`` of no step (background)
 ``open_session``                    none
 ==================================  =========================================
+
+A session is a client-side record, so opening one sends nothing.  Every
+``entry_multi`` carries the session's :class:`~repro.coordination.entries.Holder`,
+stamped with ``lease_seconds`` from the command's time: a DepSpace lock lives
+that long from its take, and a ZooKeeper replica moves the session's deadline
+there with every command it applies.  The session lives while its agent talks.
 
 The one-step calls are :class:`~repro.coordination.base.CoordinationService`'s
 own; an adapter supplies sessions, ``list_entries`` and ``multi``.  ``multi``
@@ -43,9 +49,9 @@ files: ``{lock set, validating reads, pending intent}``, ``{Update of every
 written entry, intent flip}`` and the lock set's release.
 
 The ``*_command`` builders hand out the command of ``close_session``,
-``list_entries`` and ``multi`` (and ``renewal`` the heartbeats of
-``renew_session``) unsent, so a namespace-partitioned service can send one to
-every partition together (:func:`~repro.coordination.replication.invoke_together`).
+``list_entries`` and ``multi`` unsent, so a namespace-partitioned service can
+send one to every partition together
+(:func:`~repro.coordination.replication.invoke_together`).
 """
 
 from __future__ import annotations
@@ -56,18 +62,11 @@ from typing import Sequence
 from repro.common.types import Principal
 from repro.coordination.base import CoordinationService, Entry, Op, Session
 from repro.coordination.entries import Holder
-from repro.coordination.replication import (
-    Command,
-    FaultModel,
-    ReplicatedStateMachine,
-    invoke_together,
-)
+from repro.coordination.replication import Command, FaultModel, ReplicatedStateMachine
 from repro.coordination.tuplespace import DepSpace
 from repro.coordination.zookeeper import ZooKeeperLike
 from repro.simenv.environment import Simulation
 from repro.simenv.latency import LatencyModel
-
-_session_counter = itertools.count()
 
 #: Default lease of ephemeral state (locks, sessions).  Long enough for any
 #: single file-system operation, short enough that a crashed client releases
@@ -82,26 +81,18 @@ class ReplicatedCoordination(CoordinationService):
 
     def __init__(self, sim: Simulation):
         self.sim = sim
+        self._session_ids = itertools.count()
 
     # -- sessions -----------------------------------------------------------
 
     def open_session(self, principal: Principal, lease_seconds: float = DEFAULT_LEASE) -> Session:
-        return Session(
-            session_id=f"session-{principal.name}-{next(_session_counter):06d}",
-            principal=principal,
-            lease_seconds=lease_seconds,
-            last_renewal=self.sim.now(),
-        )
+        return Session(f"session-{principal.name}-{next(self._session_ids):06d}",
+                       principal, lease_seconds)
 
     def renew_session(self, session: Session) -> None:
         # The agent's heartbeat thread sends it: nobody waits for a heartbeat.
         with self.sim.background():
-            invoke_together(self.renewal(session))
-
-    def renewal(self, session: Session) -> list[Command]:
-        """Renew ``session`` on this client; the heartbeats the replicas must hear."""
-        session.last_renewal = self.sim.now()
-        return []
+            self.multi((), session)
 
     def close_session(self, session: Session) -> None:
         self.close_command(session).invoke()
@@ -125,10 +116,10 @@ class ReplicatedCoordination(CoordinationService):
 
     def multi_command(self, ops: Sequence[Op], session: Session) -> Command:
         """The command of :meth:`multi`."""
-        holder = Holder(session.session_id, session.lease_seconds,
-                        session.last_renewal + session.lease_seconds)
-        return self.rsm.command("entry_multi", tuple(ops), session.principal.name,
-                                self.sim.now(), holder=holder)
+        now = self.sim.now()
+        holder = Holder(session.session_id, now + session.lease_seconds)
+        return self.rsm.command("entry_multi", tuple(ops), session.principal.name, now,
+                                holder=holder)
 
     # -- introspection ------------------------------------------------------
 
@@ -167,7 +158,7 @@ class ZooKeeperCoordination(ReplicatedCoordination):
     """Coordination service backed by replicated ZooKeeper.
 
     Locks belong to the session, which the replicas expire ``lease_seconds``
-    after its last heartbeat.
+    after the last command it sent.
     """
 
     def __init__(
@@ -184,14 +175,6 @@ class ZooKeeperCoordination(ReplicatedCoordination):
             f=f,
             latency=latency,
         )
-
-    def renewal(self, session: Session) -> list[Command]:
-        # The replicas learn of a session with its first lock (a ``Lock``
-        # step); a heartbeat must reach them so that locks already held live on.
-        super().renewal(session)
-        return [self.rsm.command("register_session", session.session_id,
-                                 session.last_renewal + session.lease_seconds,
-                                 session.principal.name, self.sim.now())]
 
 
 def make_coordination_service(

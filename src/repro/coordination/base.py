@@ -34,14 +34,18 @@ class Entry:
     owner: str
 
 
-@dataclass
+@dataclass(frozen=True)
 class Session:
-    """A client session; ephemeral entries vanish when the session expires."""
+    """A client session: the one id an agent's locks carry on every partition.
+
+    Each command the session sends stamps its locks (DepSpace) or the session
+    itself (ZooKeeper) with ``lease_seconds`` from the command's time, so a
+    session lives while its agent talks and its locks lapse once it stops.
+    """
 
     session_id: str
     principal: Principal
     lease_seconds: float
-    last_renewal: float
 
 
 @dataclass
@@ -140,7 +144,7 @@ class CoordinationService(abc.ABC):
 
     @abc.abstractmethod
     def renew_session(self, session: Session) -> None:
-        """Extend the session lease (heartbeat)."""
+        """Heartbeat: one empty command per service, background work (any command renews)."""
 
     @abc.abstractmethod
     def close_session(self, session: Session) -> None:

@@ -6,8 +6,8 @@ comparison, the version bump — runs *inside* the replicated state machine, as
 one command per intent.  :class:`EntryCommands` holds those commands and the
 state they act on: one map of entries with a sorted key index (a prefix
 listing visits only the keys under its prefix) and one lock table.  The
-DepSpace and ZooKeeper replicas subclass it and only say how long a lock
-lives (``_take`` / ``_expire``) and how a session's locks are returned.
+DepSpace and ZooKeeper replicas subclass it and only say when a lock lapses
+(``_expire``) and how a session's locks are returned.
 
 A replica answers two entry commands: ``entry_list`` and ``entry_multi``,
 whose steps (:data:`~repro.coordination.base.Op`) read, create, replace,
@@ -17,8 +17,8 @@ mutation, so a command that raises leaves the replica untouched and all
 correct replicas stay identical.
 
 A session is the pair of the principal that sent the command (``user``) and
-the session id it names: a lock, an unlock, a close or a heartbeat acts on
-the caller's own sessions only, whatever id it names.
+the session id it names: a lock, an unlock or a close acts on the caller's
+own sessions only, whatever id it names.
 """
 
 from __future__ import annotations
@@ -57,15 +57,13 @@ class Stored(NamedTuple):
 class Holder(NamedTuple):
     """The session on whose behalf a multi-command takes and returns locks.
 
-    ``deadline`` is the session's last heartbeat plus ``lease_seconds``.  The
-    lock table keeps the holder of every lock, with ``principal`` set by the
-    replica to the command's ``user`` (never taken from the client);
-    DepSpace keeps it with ``deadline`` moved to the end of that lock's own
-    lease.
+    ``deadline`` is the command's time plus the session's lease: a DepSpace
+    lock taken by the command lapses then, and a ZooKeeper session lives until
+    then.  The lock table keeps the holder of every lock, with ``principal``
+    set by the replica to the command's ``user`` (never taken from the client).
     """
 
     session_id: str
-    lease_seconds: float
     deadline: float
     principal: str = ""
 
@@ -142,10 +140,6 @@ class EntryCommands:
         self._locks: dict[str, Holder] = {}
 
     # -- lock lifetime, supplied by the concrete state machine ----------------
-
-    def _take(self, name: str, holder: Holder, now: float) -> None:
-        """Record the lock ``name`` as taken at ``now`` by ``holder``."""
-        raise NotImplementedError
 
     def _expire(self, now: float) -> None:
         """Drop every lock whose lifetime ended at or before ``now``."""
@@ -291,7 +285,7 @@ class EntryCommands:
             else:
                 self._entry_write(key, stored)
         for name in takes:
-            self._take(name, holder, now)
+            self._locks[name] = holder
         for name in drops:
             del self._locks[name]
         return results

@@ -64,8 +64,6 @@ class PartitionedCoordination(CoordinationService):
             raise ValueError("at least one underlying coordination service is required")
         self.services = list(services)
         self.partition_function = partition_function
-        #: Per-partition session id -> id of the façade session it belongs to.
-        self._facade_ids: dict[str, str] = {}
 
     # -- routing ----------------------------------------------------------------
 
@@ -85,51 +83,25 @@ class PartitionedCoordination(CoordinationService):
 
     # -- sessions ----------------------------------------------------------------
     #
-    # A client session must exist on every partition, because a single file
-    # system operation may touch entries routed to different services.
+    # A session is a client-side record: the one the caller holds goes to
+    # every partition, so a lock carries the same holder id wherever it lives.
 
     def open_session(self, principal: Principal, lease_seconds: float = 30.0) -> Session:
-        sub_sessions = [s.open_session(principal, lease_seconds) for s in self.services]
-        session = Session(
-            session_id=sub_sessions[0].session_id,
-            principal=principal,
-            lease_seconds=lease_seconds,
-            last_renewal=sub_sessions[0].last_renewal,
-        )
-        # Stash the per-partition sessions on the façade session object.
-        session.partitions = sub_sessions  # type: ignore[attr-defined]
-        for sub in sub_sessions:
-            self._facade_ids[sub.session_id] = session.session_id
-        return session
-
-    def _sub_session(self, session: Session, service: ReplicatedCoordination) -> Session:
-        sub_sessions = getattr(session, "partitions", None)
-        if not sub_sessions:
-            return session
-        return sub_sessions[self.services.index(service)]
-
-    def _everywhere(self, session: Session) -> list[tuple[ReplicatedCoordination, Session]]:
-        """Each partition's service with the part of ``session`` opened there."""
-        return [(service, self._sub_session(session, service)) for service in self.services]
+        return self.services[0].open_session(principal, lease_seconds)
 
     def renew_session(self, session: Session) -> None:
-        everywhere = self._everywhere(session)
         # Heartbeats are background work, sent to every partition at once.
         with self.services[0].sim.background():
-            invoke_together([beat for service, sub in everywhere for beat in service.renewal(sub)])
-        session.last_renewal = max(sub.last_renewal for _, sub in everywhere)
+            invoke_together([service.multi_command((), session) for service in self.services])
 
     def close_session(self, session: Session) -> None:
-        everywhere = self._everywhere(session)
-        invoke_together([service.close_command(sub) for service, sub in everywhere])
-        for _, sub in everywhere:
-            self._facade_ids.pop(sub.session_id, None)
+        invoke_together([service.close_command(session) for service in self.services])
 
     # -- entries ------------------------------------------------------------------
 
     def list_entries(self, prefix: str, session: Session) -> list[Entry]:
-        listings = invoke_together([service.list_command(prefix, sub)
-                                    for service, sub in self._everywhere(session)])
+        listings = invoke_together([service.list_command(prefix, session)
+                                    for service in self.services])
         return sorted((entry for listing in listings for entry in listing),
                       key=lambda entry: entry.key)
 
@@ -206,21 +178,21 @@ class PartitionedCoordination(CoordinationService):
         together = len(commands)
         while together and all(isinstance(ops[p], Unlock) for p in commands[together - 1][1]):
             together -= 1
-        sends = [(self.services[index], self._sub_session(session, self.services[index]),
-                  [ops[position] for position in positions]) for index, positions in commands]
+        sends = [(self.services[index], [ops[position] for position in positions])
+                 for index, positions in commands]
         answers: list[list[Entry | None]] = []
-        granted: list[tuple[ReplicatedCoordination, Session, list[Op]]] = []
+        granted: list[tuple[ReplicatedCoordination, list[Op]]] = []
         try:
-            for service, sub, steps in sends[:together]:
-                answers.append(service.multi(steps, sub))
+            for service, steps in sends[:together]:
+                answers.append(service.multi(steps, session))
                 taken: list[Op] = [Unlock(op.name) for op in steps if isinstance(op, Lock)]
                 if taken:
-                    granted.append((service, sub, taken))
-            answers += invoke_together([service.multi_command(steps, sub)
-                                        for service, sub, steps in sends[together:]])
+                    granted.append((service, taken))
+            answers += invoke_together([service.multi_command(steps, session)
+                                        for service, steps in sends[together:]])
         except ReproError:
-            invoke_together([service.multi_command(handed_back, sub)
-                             for service, sub, handed_back in granted])
+            invoke_together([service.multi_command(handed_back, session)
+                             for service, handed_back in granted])
             raise
         results: list[Entry | None] = [None] * len(ops)
         for (_, positions), replies in zip(commands, answers, strict=True):
@@ -231,9 +203,7 @@ class PartitionedCoordination(CoordinationService):
     # -- locking --------------------------------------------------------------------
 
     def lock_holder(self, name: str) -> str | None:
-        # Callers compare against the façade session they were given.
-        holder = self.services[self.lock_partition(name)].lock_holder(name)
-        return self._facade_ids.get(holder, holder)
+        return self.services[self.lock_partition(name)].lock_holder(name)
 
     # -- introspection ----------------------------------------------------------------
 

@@ -15,16 +15,13 @@ long a lock lives and how a session's locks are returned.
 
 from __future__ import annotations
 
-from repro.coordination.entries import EntryCommands, Holder
+from repro.coordination.entries import EntryCommands
 
 
 class DepSpace(EntryCommands):
     """Deterministic DepSpace state machine: one lease per lock, no session state."""
 
     COMMANDS = EntryCommands.COMMANDS | {"close_session"}
-
-    def _take(self, name: str, holder: Holder, now: float) -> None:
-        self._locks[name] = holder._replace(deadline=now + holder.lease_seconds)
 
     def _expire(self, now: float) -> None:
         for name in [name for name, held in self._locks.items() if now >= held.deadline]:

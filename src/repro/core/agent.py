@@ -165,10 +165,10 @@ class SCFSAgent:
         self._mounted = False
         self._crashed = False
 
-        # -- sessions and registries ----------------------------------------
-        self.session = None
-        if self.coordination is not None:
-            self.session = self.coordination.open_session(principal, config.lock_lease)
+        # -- the session and registries ---------------------------------------
+        # A session exists exactly when a coordination service does.
+        self.session = None if self.coordination is None else self.coordination.open_session(
+            principal, config.lock_lease)
         self.users = UserRegistry(self.coordination, self.session)
         self.users.register(principal)
 
@@ -251,7 +251,7 @@ class SCFSAgent:
                 with self.sim.background():
                     self.pns.save()
         self.locks.release_all()
-        if self.coordination is not None and self.session is not None:
+        if self.coordination is not None:
             self.coordination.close_session(self.session)
         self._mounted = False
 

@@ -59,7 +59,6 @@ class GarbageCollector:
         self.backend = backend
         self._bytes_at_last_run = 0
         self.runs = 0
-        self.last_report: GCReport | None = None
 
     # ------------------------------------------------------------------ policy
 
@@ -105,7 +104,6 @@ class GarbageCollector:
                 except (CloudError, ReproError) as exc:
                     report.errors.append(f"{path}: {exc}")
         self.runs += 1
-        self.last_report = report
         return report
 
     def _delete(self, ref: ObjectRef, report: GCReport) -> bool:

@@ -20,7 +20,7 @@ sharing nothing).
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable, Sequence, cast
 
 from repro.common.errors import LockHeldError
 from repro.coordination.base import CoordinationService, Lock, Op, Session, Unlock
@@ -43,7 +43,8 @@ class LockService:
     ):
         self.sim = sim
         self.coordination = coordination
-        self.session = session
+        #: The agent's session: there is one exactly when there is a coordination service.
+        self.session = cast(Session, session)
         #: Optional observer of *actual* lock transitions, called as
         #: ``on_transition(kind, lock_name)`` with kind ``"lock"`` when the
         #: session first acquires a lock and ``"unlock"`` when the last
@@ -71,7 +72,7 @@ class LockService:
     @property
     def enabled(self) -> bool:
         """False in the non-sharing mode (no coordination service)."""
-        return self.coordination is not None and self.session is not None
+        return self.coordination is not None
 
     def acquire(self, metadata: FileMetadata, send: Carrier | None = None) -> bool:
         """Lock ``metadata`` for writing: the one-file case of :meth:`acquire_set`.
@@ -109,7 +110,7 @@ class LockService:
         fires ``unlock`` for) a lock whose other acquisition was released
         meanwhile, and a :class:`LockHeldError` names the contended file.
         """
-        if self.coordination is None or self.session is None:
+        if self.coordination is None:
             if send is not None:
                 send(())
             return False
@@ -164,7 +165,7 @@ class LockService:
         """
         mine = [name for name in dict.fromkeys(names) if name in self.held]
         returned = [name for name in mine if self.held[name] == 1]
-        if returned and self.coordination is not None and self.session is not None:
+        if returned and self.coordination is not None:
             self.coordination.multi([Unlock(name) for name in returned], self.session)
         for name in mine:
             self.held[name] -= 1
@@ -180,14 +181,14 @@ class LockService:
     def still_held(self, metadata: FileMetadata) -> bool:
         """True when the coordination service still shows this agent as holder.
 
-        Both concrete services time lock leases from the *acquisition*: a
-        holder that stays busy past ``lease_seconds`` loses the lock silently
-        while its own ``held`` count still names it.  Commit paths re-check here
-        before irreversible steps, turning a stolen lock into a clean abort
-        instead of a version fork.  Always True with locking disabled (nothing
+        DepSpace times a lock's lease from its take, ZooKeeper from the
+        session's last command: a holder that stays busy past ``lease_seconds``
+        loses the lock silently while its own ``held`` count still names it.
+        Commit paths re-check here before irreversible steps, turning a stolen
+        lock into a clean abort instead of a version fork.  Always True with locking disabled (nothing
         can be stolen without a lock service).
         """
-        if self.coordination is None or self.session is None:
+        if self.coordination is None:
             return True
         name = self.lock_name(metadata)
         return name in self.held and self.coordination.lock_holder(name) == self.session.session_id

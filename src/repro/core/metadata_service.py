@@ -57,9 +57,6 @@ class MetadataService:
         self.coordination = coordination
         self.session = session
         self.pns = pns
-        #: Statistics used by tests and benchmark reports.
-        self.coordination_reads = 0
-        self.coordination_writes = 0
 
     # ------------------------------------------------------------------ keys
 
@@ -104,7 +101,6 @@ class MetadataService:
         """One coordination read of ``path``: ``(metadata, entry_version)`` or None."""
         if self.coordination is None:
             return None
-        self.coordination_reads += 1
         try:
             entry = self.coordination.get(self.entry_key(path), self.session)
         except TupleNotFoundError:
@@ -159,7 +155,6 @@ class MetadataService:
         shared = [path for path in found if self.pns is None or not self.pns.contains(path)]
         if self.coordination is None or not (shared or also or then):
             return found
-        self.coordination_reads += 1
         try:
             entries = self.coordination.multi(
                 [*also, *(Get(self.entry_key(path)) for path in shared), *then],
@@ -194,7 +189,6 @@ class MetadataService:
                     "this agent has no coordination service; only private files are supported"
                 )
             self.coordination.put(self.entry_key(metadata.path), metadata.to_bytes(), self.session)
-            self.coordination_writes += 1
         self.cache.put(metadata.path, metadata.copy())
 
     def is_private(self, metadata: FileMetadata) -> bool:
@@ -253,14 +247,12 @@ class MetadataService:
         live object is EEXIST, a ``deleted`` tombstone awaiting the garbage
         collector is replaced at exactly the version met.
         """
-        self.coordination_writes += 1
         try:
             attempt(0)
         except ConflictError as exc:
             found = self._witness(path, exc) or self.lookup_versioned(path)
             if found is not None and not found[0].deleted:
                 raise FileExistsErrorFS(f"file exists: {path}", found=found[0]) from exc
-            self.coordination_writes += 1
             attempt(found[1] if found is not None else 0)
 
     def _witness(self, path: str, refusal: ConflictError) -> tuple[FileMetadata, int] | None:
@@ -306,7 +298,6 @@ class MetadataService:
         """
         steps = [Update(self.entry_key(metadata.path), metadata.file_id,
                         metadata.fields(fields), version) for metadata, version in changes]
-        self.coordination_writes += 1
         entries = self.coordination.multi([*steps, *also], self.session)
         return [self._fetched(metadata.path, entry)[0]
                 for (metadata, _version), entry in zip(changes, entries)]
@@ -318,7 +309,6 @@ class MetadataService:
             self.pns.remove(path)
         elif self.coordination is not None:
             self.coordination.delete(self.entry_key(path), self.session)
-            self.coordination_writes += 1
         self.cache.invalidate(path)
 
     def mark_deleted(self, metadata: FileMetadata) -> None:
@@ -351,7 +341,6 @@ class MetadataService:
         # The prefix keeps its trailing slash (``entry_key`` would normalise it
         # away): without it, ``/a/b`` would also match its sibling ``/a/b2``.
         prefix = META_PREFIX + (directory if directory.endswith("/") else directory + "/")
-        self.coordination_reads += 1
         return self.coordination.list_entries(prefix, self.session)
 
     # ------------------------------------------------------------------ rename
@@ -427,7 +416,6 @@ class MetadataService:
             return
         if self.coordination is not None:
             self.coordination.delete(self.entry_key(metadata.path), self.session)
-            self.coordination_writes += 1
         self.pns.put(metadata)
         self.cache.put(metadata.path, metadata.copy())
 
@@ -437,7 +425,6 @@ class MetadataService:
             return
         self.coordination.set_entry_acl(self.entry_key(metadata.path), user, permission,
                                         self.session)
-        self.coordination_writes += 1
 
     # ----------------------------------------------------------------- listing
 
@@ -447,7 +434,6 @@ class MetadataService:
         if self.pns is not None:
             paths.update(self.pns.paths())
         if self.coordination is not None:
-            self.coordination_reads += 1
             for entry in self.coordination.list_entries(META_PREFIX, self.session):
                 if FileMetadata.from_bytes(entry.value).owner == self.principal.name:
                     paths.add(entry.key[len(META_PREFIX):])

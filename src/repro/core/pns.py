@@ -88,7 +88,7 @@ class PrivateNameSpace:
         the last save waits for the object like any other anchored read.
         """
         anchored = self._last_anchored
-        if self.coordination is not None and self.session is not None:
+        if self.coordination is not None:
             try:
                 anchored = self.coordination.get(self.tuple_key, self.session).value.decode()
             except TupleNotFoundError:
@@ -119,7 +119,7 @@ class PrivateNameSpace:
         ref = self.backend.write_version(self.unit_id, blob,
                                          version=self.backend.version_after(locator, 0))
         self._last_anchored = anchor_value(ref)
-        if self.coordination is not None and self.session is not None:
+        if self.coordination is not None:
             self.coordination.put(self.tuple_key, self._last_anchored.encode(), self.session)
         self.dirty = False
         self.saves += 1

@@ -30,7 +30,7 @@ class UserRegistry:
     def register(self, principal: Principal) -> None:
         """Store (or refresh) the canonical identifiers of ``principal``."""
         self._local[principal.name] = principal
-        if self.coordination is None or self.session is None:
+        if self.coordination is None:
             return
         payload = json.dumps(
             {"name": principal.name, "canonical_ids": list(principal.canonical_ids)},
@@ -50,7 +50,7 @@ class UserRegistry:
         """
         if username in self._local:
             return self._local[username]
-        if self.coordination is None or self.session is None:
+        if self.coordination is None:
             raise FileNotFoundErrorFS(f"unknown user {username!r} (no coordination service)")
         try:
             entry = self.coordination.get(_USER_PREFIX + username, self.session)

@@ -97,10 +97,10 @@ class Simulation:
     def fresh_id(self, prefix: str = "obj") -> str:
         """Return an identifier unique within this simulation.
 
-        Unlike the process-global :func:`repro.common.types.fresh_id`, the
-        counter restarts with every :class:`Simulation`, so two same-seed runs
-        in one process mint identical ids — a prerequisite for byte-identical
-        scenario traces (file ids end up in cloud keys and trace events).
+        The counter restarts with every :class:`Simulation`, so two same-seed
+        runs in one process mint identical ids — a prerequisite for
+        byte-identical scenario traces (file ids end up in cloud keys and trace
+        events).
         """
         return f"{prefix}-{next(self._id_counter):08d}"
 

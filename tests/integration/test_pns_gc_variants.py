@@ -19,11 +19,14 @@ class TestPrivateNameSpacesIntegration:
         fs = deployment.create_agent("alice")
         fs.mkdir("/home")
         entries_before = deployment.coordination_entries()
-        reads_before = fs.agent.metadata.coordination_reads
+        commands_before = deployment.coordination.rsm.commands_executed
         for i in range(10):
             fs.write_file(f"/home/note-{i}.txt", b"private note")
         assert deployment.coordination_entries() == entries_before
-        assert fs.agent.metadata.coordination_reads == reads_before
+        assert deployment.coordination.rsm.commands_executed == commands_before
+        # The background commits send one command each: the PNS tuple's put.
+        deployment.drain(5.0)
+        assert deployment.coordination.rsm.commands_executed - commands_before == fs.agent.pns.saves
 
     def test_shared_files_still_get_coordination_entries(self):
         deployment = self._deployment()
@@ -182,16 +185,18 @@ class TestZooKeeperBackedDeployment:
         deployment.drain(2.0)
         assert bob.read_file("/shared.txt") == b"via zookeeper"
 
-    def test_zookeeper_locks_prevent_write_write_conflicts(self):
+    @pytest.mark.parametrize("variant, pause", [("SCFS-AWS-B", 0.0), ("SCFS-CoC-B", 60.0)])
+    def test_zookeeper_locks_prevent_write_write_conflicts(self, variant, pause):
+        """Also two lock leases after mount: each command alice sends renews her session."""
         from repro.common.errors import LockHeldError
 
-        deployment = SCFSDeployment.for_variant("SCFS-AWS-B", seed=49,
-                                                coordination_kind="zookeeper")
+        deployment = SCFSDeployment.for_variant(variant, seed=49, coordination_kind="zookeeper")
         alice = deployment.create_agent("alice")
         bob = deployment.create_agent("bob")
         alice.write_file("/f.txt", b"v", shared=True)
         alice.setfacl("/f.txt", "bob", Permission.READ_WRITE)
         deployment.drain(2.0)
+        deployment.sim.advance(pause)
         handle = alice.open("/f.txt", "r+")
         with pytest.raises(LockHeldError):
             bob.open("/f.txt", "r+")

@@ -139,7 +139,7 @@ def _value(number: int, position: int) -> bytes:
 
 
 def _holder(user: str) -> Holder:
-    return Holder(f"s-{user}", lease_seconds=1e9, deadline=1e9)
+    return Holder(f"s-{user}", deadline=1e9)
 
 
 class _DictModel:

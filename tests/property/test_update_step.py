@@ -98,7 +98,7 @@ def test_an_update_sets_exactly_its_fields_or_leaves_every_replica_alone(case):
         return
     reply = service.multi([step], caller)[0]
     for replica in replicas:
-        entry, = replica.entry_multi([Get(KEY)], "alice", sim.now(), Holder("s", 1.0, 1.0))
+        entry, = replica.entry_multi([Get(KEY)], "alice", sim.now(), Holder("s", 1.0))
         assert entry == reply
         assert FileMetadata.from_bytes(entry.value) == _replaced(old, new, names)
         assert (entry.version, entry.owner) == (version + 1, stored.owner)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.common.errors import FileSystemError, QuorumNotReachedError
-from repro.common.types import ObjectRef, Permission, Principal, fresh_id
+from repro.common.types import ObjectRef, Permission, Principal
 from repro.common.units import GB, KB, MB, micro_dollars
 
 
@@ -40,15 +40,6 @@ class TestPrincipal:
 class TestObjectRef:
     def test_refs_are_value_objects(self):
         assert ObjectRef("k", "d", 1) == ObjectRef("k", "d", 1)
-
-
-class TestFreshId:
-    def test_ids_are_unique(self):
-        ids = {fresh_id("x") for _ in range(1000)}
-        assert len(ids) == 1000
-
-    def test_prefix_is_used(self):
-        assert fresh_id("file").startswith("file-")
 
 
 class TestUnits:

@@ -28,13 +28,13 @@ from repro.core.lock_service import LockService
 from repro.core.metadata import FileMetadata, FileType
 
 
-def _multi(replica, steps, user="alice", now=0.0, session="s1", deadline=10.0):
-    """One ``entry_multi`` of ``steps`` for ``user``'s session (lease 10 s, heartbeat deadline given)."""
-    holder = Holder(session, lease_seconds=10.0, deadline=deadline)
+def _multi(replica, steps, user="alice", now=0.0, session="s1", deadline=None):
+    """One ``entry_multi`` of ``steps`` for ``user``'s session (deadline: ``now`` + a 10 s lease)."""
+    holder = Holder(session, deadline=now + 10.0 if deadline is None else deadline)
     return replica.entry_multi(steps, user, now, holder=holder)
 
 
-def _take(replica, names, now, session="s1", deadline=10.0):
+def _take(replica, names, now, session="s1", deadline=None):
     """Take ``names`` in one command for ``session``."""
     return _multi(replica, [Lock(name) for name in names], now=now, session=session,
                   deadline=deadline)
@@ -54,13 +54,12 @@ def replica(request):
 
 class TestReplica:
     def test_apply_dispatches_commands(self, replica):
-        holder = Holder("s1", 10.0, 10.0)
+        holder = Holder("s1", 10.0)
         replica.apply(("entry_multi", ((Put("k", b"v"),), "alice", 0.0), {"holder": holder}))
         assert [e.value for e in replica.apply(("entry_list", ("k", "alice", 0.0), {}))] == [b"v"]
 
     def test_apply_accepts_exactly_its_commands(self, replica):
-        verbs = {DepSpace: {"close_session"}, ZooKeeperLike: {"close_session", "register_session"}}
-        assert replica.COMMANDS == {"entry_multi", "entry_list", *verbs[type(replica)]}
+        assert replica.COMMANDS == {"entry_multi", "entry_list", "close_session"}
         for operation in ("entry_put", "entry_get", "entry_count", "lock_holder", "apply",
                           "_expire", "_entry_write", "_entries", "not_an_op"):
             with pytest.raises(ConflictError, match=type(replica).__name__):
@@ -164,7 +163,7 @@ class TestDepSpaceLeases:
     def test_each_lock_lapses_a_lease_after_its_own_take(self):
         space = DepSpace()
         _take(space, ["a"], 0.0)
-        _take(space, ["b"], 5.0)  # the session deadline plays no part
+        _take(space, ["b"], 5.0)  # stamped by its own command: 5 + 10
         assert space.lock_holder("a", 12.0) is None
         assert space.lock_holder("b", 12.0) == "s1"
         assert space.lock_holder("b", 15.0) is None
@@ -196,17 +195,27 @@ class TestZooKeeperSessions:
         assert tree.lock_holder("a", 9.0) == "s1"
         assert [tree.lock_holder(name, 10.0) for name in ("a", "b", "z")] == [None, None, "s2"]
 
-    def test_a_heartbeat_or_a_take_keeps_the_session_alive(self):
+    def test_every_command_of_the_session_keeps_it_alive(self):
         tree = ZooKeeperLike()
         _take(tree, ["a"], 0.0, deadline=10.0)
-        tree.register_session("s1", 20.0, "alice", now=5.0)
+        _multi(tree, [], now=5.0, deadline=20.0)  # a heartbeat: no step at all
         _take(tree, ["b"], 15.0, deadline=30.0)
         assert [tree.lock_holder(name, 25.0) for name in ("a", "b")] == ["s1", "s1"]
+        _multi(tree, [Put("k", b"v")], now=25.0, deadline=40.0)
+        assert [tree.lock_holder(name, 35.0) for name in ("a", "b")] == ["s1", "s1"]
+
+    def test_a_refused_command_keeps_nothing_alive(self):
+        tree = ZooKeeperLike()
+        _take(tree, ["a"], 0.0, deadline=10.0)
+        _take(tree, ["z"], 0.0, session="s2", deadline=50.0)
+        with pytest.raises(LockHeldError):
+            _take(tree, ["z"], 5.0, deadline=20.0)
+        assert tree.lock_holder("a", 10.0) is None
 
     def test_a_heartbeat_after_expiry_does_not_bring_the_locks_back(self):
         tree = ZooKeeperLike()
         _take(tree, ["a"], 0.0, deadline=10.0)
-        tree.register_session("s1", 40.0, "alice", now=11.0)  # nothing read the lock in between
+        _multi(tree, [], now=11.0, deadline=40.0)  # nothing read the lock in between
         assert tree.lock_holder("a", 12.0) is None
         _take(tree, ["b"], 12.0, deadline=40.0)
         assert [tree.lock_holder(name, 13.0) for name in ("a", "b")] == [None, "s1"]
@@ -227,7 +236,7 @@ class TestZooKeeperSessions:
 
 def _command(*steps):
     """``rsm.invoke`` / ``rsm.command`` arguments of alice's ``entry_multi`` of ``steps``."""
-    return ("entry_multi", steps, "alice", 0.0, Holder("s1", 10.0, 10.0))
+    return ("entry_multi", steps, "alice", 0.0, Holder("s1", 10.0))
 
 
 class TestReplication:
@@ -543,6 +552,23 @@ class TestPartitionedMultiCommand:
         assert [service.rsm.commands_executed for service in services] == [4, 1]
         assert coordination.list_prefix("", session) == ["b1"]
 
+    @pytest.mark.parametrize("kind", ["depspace", "zookeeper"])
+    def test_one_session_holds_locks_on_every_partition(self, sim, alice, bob, kind):
+        """The caller's session goes to every partition: one holder id, one close, one heartbeat each."""
+        services = [make_coordination_service(sim, kind, f=1) for _ in range(2)]
+        coordination = PartitionedCoordination(services, lambda key, n: int(key[-1]) % n)
+        session = coordination.open_session(alice)
+        coordination.multi([Lock("a0"), Lock("b1")], session)
+        assert [coordination.lock_holder(name) for name in ("a0", "b1")] == [session.session_id] * 2
+        commands, now = [service.rsm.commands_executed for service in services], sim.now()
+        coordination.renew_session(session)
+        assert [service.rsm.commands_executed for service in services] == [c + 1 for c in commands]
+        assert sim.now() == now  # background work
+        coordination.close_session(session)
+        assert [service.rsm.commands_executed for service in services] == [c + 2 for c in commands]
+        assert [coordination.lock_holder(name) for name in ("a0", "b1")] == [None, None]
+        assert coordination.try_lock("b1", coordination.open_session(bob))
+
     def test_a_refused_lock_set_leaves_nothing_held_on_any_partition(self, sim, alice, bob):
         coordination, _ = self._two_partitions(sim)
         s1, s2 = coordination.open_session(alice), coordination.open_session(bob)
@@ -582,9 +608,10 @@ class TestZooKeeperLockExpiry:
         back on for the rest of it — nor off for a foreground caller."""
         service = ZooKeeperCoordination(sim, f=1)
         session = service.open_session(alice)
-        before = sim.now()
+        before, commands = sim.now(), service.rsm.commands_executed
         service.renew_session(session)
         assert sim.now() == before  # the heartbeat itself is never charged
+        assert service.rsm.commands_executed == commands + 1  # an entry_multi of no step
         assert not sim.in_background
         service.put("k", b"v", session)
         assert sim.now() > before  # ...and the foreground still is
@@ -594,6 +621,20 @@ class TestZooKeeperLockExpiry:
             assert sim.in_background
             service.put("k", b"w", session)
             assert sim.now() == before
+
+    def test_a_live_clients_lock_outlives_the_lease(self, sim, alice, bob):
+        """Each command renews the session: a lock taken a lease after the open holds on."""
+        service = ZooKeeperCoordination(sim, f=1)
+        s1 = service.open_session(alice, lease_seconds=5.0)
+        sim.advance(6.0)
+        assert service.try_lock("f", s1)
+        s2 = service.open_session(bob)
+        assert not service.try_lock("f", s2)
+        sim.advance(4.0)
+        service.renew_session(s1)
+        sim.advance(4.0)
+        assert not service.try_lock("f", s2)
+        assert service.lock_holder("f") == s1.session_id
 
     def test_a_heartbeat_after_expiry_does_not_bring_the_lock_back(self, sim, alice, bob):
         service = ZooKeeperCoordination(sim, f=1)

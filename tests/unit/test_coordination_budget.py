@@ -4,9 +4,7 @@ Every coordination access costs the user 60-100 ms, so the number of
 replicated commands a system call issues *is* its metadata latency.  These
 tests pin that number — counted at ``ReplicatedStateMachine.commands_executed``,
 below every adapter — for the two services and for a 2-partition deployment,
-and check that the metadata service's own ``coordination_reads`` /
-``coordination_writes`` counters (what ``bench/costs.py`` prices as "accesses
-per op") agree with it.
+which is also what ``bench/costs.py`` prices as "accesses per op".
 
 A prefix listing fans out to every partition, so a call that lists costs
 ``partitions`` commands for it; every other intent is exactly one.  Commands
@@ -116,10 +114,6 @@ class Mount:
     def commands(self) -> int:
         return sum(service.rsm.commands_executed for service in self.services)
 
-    def accounted(self) -> int:
-        metadata = self.fs.agent.metadata
-        return metadata.coordination_reads + metadata.coordination_writes
-
     def partition(self, key: str) -> int:
         """Partition holding the entry ``key`` (0 on a single service)."""
         coordination = self.deployment.coordination
@@ -139,11 +133,11 @@ class Mount:
         """Expire the metadata cache (what a pause of >500 ms does)."""
         self.fs.agent.metadata_cache.clear()
 
-    def spent(self, call, *args) -> tuple[int, int]:
-        """``(replicated commands, accesses the metadata service accounted)`` of one call."""
-        commands, accounted = self.commands(), self.accounted()
+    def spent(self, call, *args) -> int:
+        """Replicated commands of one call."""
+        commands = self.commands()
         call(*args)
-        return self.commands() - commands, self.accounted() - accounted
+        return self.commands() - commands
 
     def make_files(self, directory: str, count: int) -> None:
         self.fs.mkdir(directory, shared=True)
@@ -162,10 +156,10 @@ def test_stat_and_exists_cost_one_command_cold_and_none_warm(mount):
     for call, path in ((mount.fs.stat, "/top/f"), (mount.fs.exists, "/top/f"),
                        (mount.fs.exists, "/top/missing")):
         mount.cold()
-        assert mount.spent(call, path) == (cold, cold)
+        assert mount.spent(call, path) == cold
     mount.fs.stat("/top/f")
-    assert mount.spent(mount.fs.stat, "/top/f") == (warm, warm)
-    assert mount.spent(mount.fs.exists, "/top/f") == (warm, warm)
+    assert mount.spent(mount.fs.stat, "/top/f") == warm
+    assert mount.spent(mount.fs.exists, "/top/f") == warm
 
 
 def test_create_open_with_a_warm_parent_is_the_insert_alone(mount):
@@ -176,7 +170,7 @@ def test_create_open_with_a_warm_parent_is_the_insert_alone(mount):
         # {insert-if-absent, lock} sent first, 1 where it was 2: the new id
         # places the lock on the entry's partition.
         warm = BUDGETS["`open(O_CREAT)` of a new shared file, parent warm · cold"][0]
-        assert mount.spent(mount.fs.open, path, "w", True) == (warm, warm)
+        assert mount.spent(mount.fs.open, path, "w", True) == warm
         assert mount.rides(path)
 
 
@@ -187,7 +181,7 @@ def test_create_open_with_a_cold_parent_looks_first(mount):
         mount.cold()
         # lookup miss, the parent, {insert-if-absent, lock}
         cold = BUDGETS["`open(O_CREAT)` of a new shared file, parent warm · cold"][1]
-        assert mount.spent(mount.fs.open, path, "w", True) == (cold, cold)
+        assert mount.spent(mount.fs.open, path, "w", True) == cold
 
 
 def test_o_creat_open_of_an_existing_file_costs_what_a_write_open_does(mount):
@@ -200,11 +194,11 @@ def test_o_creat_open_of_an_existing_file_costs_what_a_write_open_does(mount):
 
     mount.cold()
     mount.fs.stat("/top")  # cold entry, warm parent: the refused insert is the first look,
-    assert mount.spent(opened) == (cold + unlock, cold)  # then {lock, re-read under it}
+    assert mount.spent(opened) == cold + unlock  # then {lock, re-read under it}
     mount.cold()  # cold entry, cold parent: lookup, {lock, re-read}
-    assert mount.spent(opened) == (cold + unlock, cold)
+    assert mount.spent(opened) == cold + unlock
     mount.fs.stat("/top/f")  # warm entry: served by the cache, whatever the parent
-    assert mount.spent(opened) == (warm + unlock, warm)
+    assert mount.spent(opened) == warm + unlock
 
 
 def test_recreate_over_a_tombstone_is_the_refused_insert_and_the_replace(mount):
@@ -218,7 +212,7 @@ def test_recreate_over_a_tombstone_is_the_refused_insert_and_the_replace(mount):
         # version met, lock}: 2 where it was 4 (lookup, refused insert,
         # lookup_versioned, replace).
         (replace,) = BUDGETS["`open(O_CREAT)` over a tombstone (re-create), parent warm"]
-        assert mount.spent(mount.fs.open, path, "w", True) == (replace, replace)
+        assert mount.spent(mount.fs.open, path, "w", True) == replace
         assert mount.fs.agent.metadata.get(path).size == 0
         assert mount.rides(path)
 
@@ -228,14 +222,15 @@ def test_mkdir_and_symlink_are_the_parent_check_and_the_insert(mount):
     cold, warm = BUDGETS["`mkdir` / `symlink`, parent cold · warm"]
     for call, args in ((mount.fs.mkdir, ("/top/d", True)), (mount.fs.symlink, ("/top/d", "/top/l"))):
         mount.cold()
-        assert mount.spent(call, *args) == (cold, cold)
-    assert mount.spent(mount.fs.mkdir, "/top/e", True) == (warm, warm)
+        assert mount.spent(call, *args) == cold
+    assert mount.spent(mount.fs.mkdir, "/top/e", True) == warm
 
 
 def test_blocking_dirty_close_is_update_and_unlock(mount):
     handle = mount.fs.open("/top/new", "w", True)
     mount.fs.write(handle, b"payload")
-    assert mount.spent(mount.fs.close, handle) == (*BUDGETS["`close`, dirty, blocking"], 1)
+    (dirty_close,) = BUDGETS["`close`, dirty, blocking"]
+    assert mount.spent(mount.fs.close, handle) == dirty_close
 
 
 @pytest.mark.parametrize("kind", sorted(KINDS))
@@ -248,10 +243,10 @@ def test_a_background_commit_is_update_and_unlock(kind):
     mount = Mount(kind, "SCFS-CoC-NB")
     handle = mount.fs.open("/top/new", "w", True)
     mount.fs.write(handle, b"payload")
-    assert mount.spent(mount.fs.close, handle) == (0, 0)
+    assert mount.spent(mount.fs.close, handle) == 0
     assert mount.fs.agent.stats.pending_uploads == 1
-    commit = BUDGETS["background commit of a non-blocking dirty `close`"]
-    assert mount.spent(mount.fs.agent.flush_pending, "/top/new") == (*commit, 1)
+    (commit,) = BUDGETS["background commit of a non-blocking dirty `close`"]
+    assert mount.spent(mount.fs.agent.flush_pending, "/top/new") == commit
     assert mount.fs.agent.stats.pending_uploads == 0
 
 
@@ -266,7 +261,7 @@ def test_a_refused_update_costs_its_one_command(mount):
             agent.metadata.update_cas(meta, version)  # the entry moved on
 
     (cost,) = BUDGETS["a refused `Update`"]
-    assert mount.spent(refused) == (cost, cost)
+    assert mount.spent(refused) == cost
 
 
 def test_setfacl_of_a_shared_file_is_an_update_of_the_grants_and_the_entry_acl(mount):
@@ -275,7 +270,7 @@ def test_setfacl_of_a_shared_file_is_an_update_of_the_grants_and_the_entry_acl(m
     mount.fs.setfacl("/top/f", "bob", Permission.READ)  # bob's canonical ids are known from here
     mount.fs.stat("/top/f")
     (cost,) = BUDGETS["`setfacl` of a shared file, warm"]
-    assert mount.spent(mount.fs.setfacl, "/top/f", "bob", Permission.READ_WRITE) == (cost, cost)
+    assert mount.spent(mount.fs.setfacl, "/top/f", "bob", Permission.READ_WRITE) == cost
 
 
 def _write_open_budget(mount, path: str, apart: int) -> None:
@@ -290,11 +285,11 @@ def _write_open_budget(mount, path: str, apart: int) -> None:
         "`open` for writing of an existing shared file, cold · warm · re-entrant"]
     (unlock,) = BUDGETS["`close`, clean, of a file open for writing (the unlock)"]
     mount.cold()  # first look, then {lock, authoritative re-read under the lock}
-    assert mount.spent(opened) == (cold + apart, cold)
-    assert mount.spent(mount.fs.close, handle) == (unlock, 0)  # clean: the unlock alone
+    assert mount.spent(opened) == cold + apart
+    assert mount.spent(mount.fs.close, handle) == unlock  # clean: the unlock alone
     mount.fs.stat(path)  # warm: the first look is served by the cache
-    assert mount.spent(opened) == (warm + apart, warm)
-    assert mount.spent(opened) == (reentrant, reentrant)  # re-entrant hold: the re-read alone
+    assert mount.spent(opened) == warm + apart
+    assert mount.spent(opened) == reentrant  # re-entrant hold: the re-read alone
 
 
 def test_write_open_of_an_existing_shared_file_is_lock_and_revalidation(mount):
@@ -326,7 +321,7 @@ def test_unlink_is_lookup_and_tombstone(mount):
     mount.fs.write_file("/top/f", b"data", shared=True)
     mount.cold()
     (cost,) = BUDGETS["`unlink`, cold"]
-    assert mount.spent(mount.fs.unlink, "/top/f") == (cost, cost)
+    assert mount.spent(mount.fs.unlink, "/top/f") == cost
 
 
 def test_file_rename_is_lookup_and_one_move(mount):
@@ -334,9 +329,9 @@ def test_file_rename_is_lookup_and_one_move(mount):
     mount.make_files("/top/other", 0)
     mount.fs.write_file("/top/f", b"data", shared=True)
     mount.cold()
-    assert mount.spent(mount.fs.rename, "/top/f", "/top/g") == (same, same)
+    assert mount.spent(mount.fs.rename, "/top/f", "/top/g") == same
     mount.cold()  # into another directory: its existence is one more lookup
-    assert mount.spent(mount.fs.rename, "/top/g", "/top/other/g") == (other, other)
+    assert mount.spent(mount.fs.rename, "/top/g", "/top/other/g") == other
     assert mount.fs.read_file("/top/other/g") == b"data"
 
 
@@ -346,12 +341,10 @@ def test_readdir_does_not_depend_on_the_child_count(mount, children):
     cold, warm = BUDGETS["`readdir`, cold · warm, any number of children"]
     mount.make_files("/top/d", children)
     mount.cold()
-    commands, accounted = mount.spent(mount.fs.readdir, "/top/d")
-    assert commands == cold - 1 + mount.listing
-    assert accounted == cold
+    assert mount.spent(mount.fs.readdir, "/top/d") == cold - 1 + mount.listing
     assert len(mount.fs.readdir("/top/d")) == children
     mount.fs.stat("/top/d")
-    assert mount.spent(mount.fs.readdir, "/top/d")[0] == warm - 1 + mount.listing <= 2
+    assert mount.spent(mount.fs.readdir, "/top/d") == warm - 1 + mount.listing <= 2
 
 
 @pytest.mark.parametrize("descendants", [0, 3, 12])
@@ -359,10 +352,8 @@ def test_directory_rename_is_one_move_per_descendant(mount, descendants):
     (base,) = BUDGETS["`rename` of a directory with N descendants, cold (+ N)"]
     mount.make_files("/top/d", descendants)
     mount.cold()
-    commands, accounted = mount.spent(mount.fs.rename, "/top/d", "/top/e")
     # lookup, move of the directory entry, one listing, one move per descendant
-    assert commands == descendants + base - 1 + mount.listing
-    assert accounted == descendants + base
+    assert mount.spent(mount.fs.rename, "/top/d", "/top/e") == descendants + base - 1 + mount.listing
     assert len(mount.fs.readdir("/top/e")) == descendants
     assert not mount.fs.exists("/top/d")
 
@@ -376,10 +367,10 @@ def test_conditional_puts_cost_one_command_each(mount):
         agent.coordination.put("txn:probe", b"{}", agent.session,
                                expected_version=expected_version)
 
-    assert mount.spent(intent, None)[0] == 1
-    assert mount.spent(intent, 1)[0] == 1
+    assert mount.spent(intent, None) == 1
+    assert mount.spent(intent, 1) == 1
     meta, version = agent.metadata.lookup_versioned("/top/f")
-    assert mount.spent(agent.metadata.update_cas, meta, version) == (1, 1)
+    assert mount.spent(agent.metadata.update_cas, meta, version) == 1
     assert agent.metadata.lookup_versioned("/top/f")[1] == version + 1
 
 
@@ -396,7 +387,7 @@ def _commit_commands(mount, directory: str, count: int) -> tuple[int, int]:
     paths = [f"{directory}/f{index:03d}" for index in range(count)]
     txn = mount.fs.begin_transaction()
     _read_and_rewrite(paths)(txn)
-    commands = mount.spent(txn.commit)[0]
+    commands = mount.spent(txn.commit)
     assert [mount.fs.read_file(path) for path in paths] == [b"x+"] * count
     assert _intent(mount.fs, txn.txn_id)["status"] == "committed"
     # Lock set and its release: one command per partition the lock names fall
@@ -499,7 +490,7 @@ def test_rename_tree_locks_its_files_in_two_commands_whatever_their_number(mount
     def commands(directory: str, files: int) -> int:
         mount.make_files(directory, files)
         mount.cold()
-        spent = mount.spent(mount.fs.rename_tree, directory, directory + "-moved")[0]
+        spent = mount.spent(mount.fs.rename_tree, directory, directory + "-moved")
         assert len(mount.fs.readdir(directory + "-moved")) == files
         return spent
 
@@ -519,8 +510,8 @@ def _draws(state, services) -> list[float]:
 def test_a_mount_is_one_command_and_registers_a_user_every_user_may_read(mount):
     """The registry entry is created with its grant: 1 command where it was 2 (put, set ACL)."""
     (cost,) = BUDGETS["mount"]
-    assert mount.spent(mount.deployment.create_agent, "bob")[0] == cost
-    assert mount.spent(mount.deployment.create_agent, "bob")[0] == cost  # a refresh keeps the ACL
+    assert mount.spent(mount.deployment.create_agent, "bob") == cost
+    assert mount.spent(mount.deployment.create_agent, "bob") == cost  # a refresh keeps the ACL
     carol = mount.deployment.create_agent("carol").agent
     bob = mount.deployment.agent_for("bob").agent
     assert carol.users.lookup("bob").canonical_ids == bob.principal.canonical_ids

@@ -35,7 +35,7 @@ def coordination(request, sim):
 
 def _raw(coordination, sim, steps, user, session_id="raw"):
     """``user`` sends ``entry_multi`` of ``steps`` itself, naming any session it likes."""
-    holder = Holder(session_id, lease_seconds=30.0, deadline=sim.now() + 30.0)
+    holder = Holder(session_id, deadline=sim.now() + 30.0)
     return coordination.rsm.invoke("entry_multi", tuple(steps), user, sim.now(), holder)
 
 
@@ -88,12 +88,11 @@ class TestRawCommandsAreChecked:
         coordination.close_session(session)
         assert [coordination.lock_holder(name) for name in "fg"] == [None, None]
 
-    def test_a_heartbeat_for_another_principals_session_keeps_nothing_alive(self, sim, alice):
+    def test_a_command_for_another_principals_session_keeps_nothing_alive(self, sim, alice):
         coordination = make_coordination_service(sim, "zookeeper", f=1)
         session = coordination.open_session(alice, lease_seconds=5.0)
         assert coordination.try_lock("f", session)
-        coordination.rsm.invoke("register_session", session.session_id, sim.now() + 100.0,
-                                "bob", sim.now())
+        _raw(coordination, sim, [], "bob", session_id=session.session_id)  # a 30 s heartbeat
         sim.advance(6.0)
         assert coordination.lock_holder("f") is None
 
@@ -235,12 +234,13 @@ class TestCreateRacingATombstone:
                 raise
 
         monkeypatch.setattr(deployment.coordination, "multi", lose_the_race_after_the_first_refusal)
-        reads = alice.coordination_reads + bob.coordination_reads
+        commands = deployment.coordination.rsm.commands_executed
         with pytest.raises(FileExistsErrorFS) as lost:
             alice.create(self._new_file("alice", "file-a"), shared=True)
         assert raced[0].deleted and lost.value.found.file_id == "file-b"
-        # Neither creator read the entry: each refusal said what was there.
-        assert alice.coordination_reads + bob.coordination_reads == reads
+        # Each creator's refused insert, then its replace at the tombstone's
+        # version (bob's won): neither read the entry, each refusal said what was there.
+        assert deployment.coordination.rsm.commands_executed - commands == 4
         for service in (alice, bob):
             live = service.get("/d/f", use_cache=False)
             assert (live.file_id, live.owner, live.deleted) == ("file-b", "bob", False)

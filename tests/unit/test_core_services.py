@@ -134,18 +134,18 @@ class TestMetadataService:
     def test_cache_serves_repeated_lookups(self, sim, coordination, alice):
         service = self._service(sim, coordination, alice)
         service.create(_file_meta("/x.txt"))
-        before = service.coordination_reads
+        before = coordination.rsm.commands_executed
         service.get("/x.txt")
         service.get("/x.txt")
-        assert service.coordination_reads == before  # both served from cache
+        assert coordination.rsm.commands_executed == before  # both served from cache
 
     def test_cache_expiration_forces_coordination_access(self, sim, coordination, alice):
         service = self._service(sim, coordination, alice, expiration=0.1)
         service.create(_file_meta("/x.txt"))
         sim.advance(1.0)
-        before = service.coordination_reads
+        before = coordination.rsm.commands_executed
         service.get("/x.txt")
-        assert service.coordination_reads == before + 1
+        assert coordination.rsm.commands_executed == before + 1
 
     def test_update_requires_write_permission(self, sim, coordination, alice, bob):
         """The replicas judge: bob's entry refuses alice's update, and nothing changes."""
@@ -176,12 +176,12 @@ class TestMetadataService:
         pns = PrivateNameSpace("alice", single_backend)
         service = self._service(sim, coordination, alice, pns=pns)
         service.create(_file_meta("/home/private.txt"))
-        before_reads, before_writes = service.coordination_reads, service.coordination_writes
+        before = coordination.rsm.commands_executed
         service.get("/home/private.txt", use_cache=False)
         meta = service.get("/home/private.txt", use_cache=False)
         meta.size = 10
         service.update(meta, DATA_FIELDS)
-        assert (service.coordination_reads, service.coordination_writes) == (before_reads, before_writes)
+        assert coordination.rsm.commands_executed == before
 
     def test_promote_to_shared_moves_entry_out_of_pns(self, sim, coordination, alice, single_backend):
         pns = PrivateNameSpace("alice", single_backend)

@@ -8,7 +8,9 @@ that names ``abc.ABC`` as a base, the concrete classes of the package below it.
 A public function, method or class that only tests call is surface that no
 workload runs: delete it.  The second check parses ``src/``, ``benchmarks/``
 and ``examples/`` and fails on every public ``def`` or ``class`` of ``repro``
-that none of them names.
+that none of them names; a module-level function counts only when some code
+imports it from its own module (or from the package that re-exports it),
+names it as an attribute of that module, or uses it inside that module.
 """
 
 from __future__ import annotations
@@ -75,18 +77,66 @@ def _used_names(path: Path, tree: ast.AST) -> set[str]:
     return used
 
 
+def _module_of(path: Path) -> str:
+    """Dotted name of the ``src/`` module at ``path`` (a package for ``__init__.py``)."""
+    parts = path.relative_to(ROOT / "src").with_suffix("").parts
+    return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+
+
+def _reached(trees: dict[Path, ast.AST]) -> set[tuple[str, str]]:
+    """``(module, name)`` pairs that code reaches through ``module`` itself.
+
+    An import of ``name`` from the module (or from a package whose
+    ``__init__`` re-exports it from there), ``module.name`` on a name bound to
+    the module, or ``name`` used inside the module.
+    """
+    modules = {_module_of(path) for path in trees if path.is_relative_to(ROOT / "src")}
+    reexports = {(_module_of(path), alias.name): node.module
+                 for path, tree in trees.items() if path.name == "__init__.py"
+                 for node in tree.body if isinstance(node, ast.ImportFrom)
+                 for alias in node.names}
+    reached: set[tuple[str, str]] = set()
+    for path, tree in trees.items():
+        bound: dict[str, str] = {}  # local name -> the repro module it is bound to
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module and path.name != "__init__.py":
+                for alias in node.names:
+                    if f"{node.module}.{alias.name}" in modules:
+                        bound[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+                    else:
+                        reached.add((reexports.get((node.module, alias.name), node.module),
+                                     alias.name))
+            elif isinstance(node, ast.Import):
+                bound.update((alias.asname, alias.name) for alias in node.names
+                             if alias.asname and alias.name in modules)
+        reached.update((bound[node.value.id], node.attr) for node in ast.walk(tree)
+                       if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                       and node.value.id in bound)
+        if path.is_relative_to(ROOT / "src"):
+            module = _module_of(path)
+            reached.update((module, node.id) for node in ast.walk(tree) if isinstance(node, ast.Name))
+    return reached
+
+
 def test_every_public_name_in_src_has_a_caller_outside_tests():
+    trees = {path: ast.parse(path.read_text(), filename=str(path))
+             for tree_root in CALLER_TREES for path in sorted((ROOT / tree_root).rglob("*.py"))}
     used: set[str] = set()
-    defined: list[tuple[str, str]] = []
-    for tree_root in CALLER_TREES:
-        for path in sorted((ROOT / tree_root).rglob("*.py")):
-            tree = ast.parse(path.read_text(), filename=str(path))
-            used |= _used_names(path, tree)
-            if tree_root == "src":
-                defined.extend(
-                    (str(path.relative_to(ROOT)), node.name) for node in ast.walk(tree)
-                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-                    and not node.name.startswith("_"))
+    for path, tree in trees.items():
+        used |= _used_names(path, tree)
+    sources = {path: tree for path, tree in trees.items() if path.is_relative_to(ROOT / "src")}
+    defined = [(str(path.relative_to(ROOT)), node.name) for path, tree in sources.items()
+               for node in ast.walk(tree)
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+               and not node.name.startswith("_")]
     assert len(defined) > 500
     uncalled = [f"{path}: {name}" for path, name in defined if name not in used]
+    # A module-level function is called only through its own module: a method
+    # of the same name elsewhere (``sim.fresh_id``) does not count.
+    reached = _reached(trees)
+    uncalled += [f"{path.relative_to(ROOT)}: {node.name}" for path, tree in sources.items()
+                 for node in tree.body
+                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                 and not node.name.startswith("_") and node.name in used
+                 and (_module_of(path), node.name) not in reached]
     assert not uncalled, "public names that only tests call:\n" + "\n".join(uncalled)
