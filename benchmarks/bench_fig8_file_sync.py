@@ -16,7 +16,7 @@ Shape assertions, mirroring §4.3:
 
 from __future__ import annotations
 
-from repro.bench.report import render_read_paths, render_table
+from repro.bench.report import render_table
 from repro.bench.syncservice import run_sync_benchmark
 
 NON_BLOCKING_SYSTEMS = ("SCFS-AWS-NB", "SCFS-CoC-NB", "SCFS-CoC-NS", "S3QL")
@@ -42,25 +42,14 @@ def test_fig8_file_synchronization_benchmark(run_once, benchmark, capsys):
         label = f"{system}(L)" if local_locks else system
         rows.append([label, result.open_latency, result.save_latency,
                      result.close_latency, result.total])
-    read_paths = {
-        f"{system}{'(L)' if local else ''}": result.read_paths
-        for (system, local), result in sorted(results.items())
-        if result.read_paths is not None
-    }
     with capsys.disabled():
         print()
         print(render_table(
             "Figure 8 - file synchronisation benchmark, 1.2MB document (simulated seconds)",
             ["system", "open", "save", "close", "total"], rows, float_format="{:.2f}"))
-        print()
-        print(render_read_paths("DepSky read paths (CoC systems)", read_paths))
     benchmark.extra_info["results"] = {
         f"{system}{'(L)' if local else ''}": round(result.total, 3)
         for (system, local), result in results.items()
-    }
-    benchmark.extra_info["read_paths"] = {
-        label: {"systematic": stats.systematic, "coded": stats.coded}
-        for label, stats in read_paths.items()
     }
 
     def total(system, local=False):

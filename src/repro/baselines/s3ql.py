@@ -42,8 +42,6 @@ class S3QLLike(BaselineFileSystem):
         self.store = store
         self.principal = principal or Principal("s3ql-user")
         self._local: dict[str, bytes] = {}
-        self.pending_uploads = 0
-        self.background_uploads = 0
 
     def _key(self, path: str) -> str:
         return f"s3ql{path}"
@@ -75,11 +73,8 @@ class S3QLLike(BaselineFileSystem):
         self._local[of.path] = data
         # ...and the upload happens later, in the background.
         delay = self.store.profile.object_put.sample(len(data), self.sim.rng)
-        self.pending_uploads += 1
 
         def upload() -> None:
-            self.pending_uploads -= 1
-            self.background_uploads += 1
             with self.sim.background():
                 self.store.put(self._key(of.path), data, self.principal)
 

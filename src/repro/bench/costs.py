@@ -117,7 +117,7 @@ def _measure(system: str, operation: str, file_size: int, seed: int = 0) -> Oper
         agent.disk_cache.clear()
         fs.read_file(path)
         paths = getattr(agent.backend, "read_paths", None)
-        if paths is not None and paths.total:
+        if paths is not None and paths.systematic + paths.coded:
             read_path = "systematic" if paths.coded == 0 else "coded"
     elif operation == "write":
         fs.write_file(path, _payload(file_size, seed + 1), shared=True)

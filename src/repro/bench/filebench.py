@@ -280,32 +280,18 @@ MICRO_BENCHMARKS: dict[str, Callable[[BenchTarget, MicroBenchmarkParams], float]
 
 def run_microbenchmark(benchmark: str, target_name: str, seed: int = 0,
                        params: MicroBenchmarkParams | None = None,
-                       read_paths: dict | None = None,
                        **target_overrides) -> float:
-    """Run one Table 3 cell: ``benchmark`` on ``target_name``; returns seconds.
-
-    When ``read_paths`` is given, the target's DepSky read-path statistics
-    (systematic vs coded hit counts, for CoC targets only) are merged into it
-    under the target's name, so table-level callers can report preferred-quorum
-    hit rates alongside the latencies.
-    """
+    """Run one Table 3 cell: ``benchmark`` on ``target_name``; returns seconds."""
     params = params or MicroBenchmarkParams()
     workload = MICRO_BENCHMARKS[benchmark]
     target = build_target(target_name, seed=seed, **target_overrides)
-    seconds = workload(target, params)
-    if read_paths is not None:
-        stats = target.read_path_stats()
-        if stats is not None:
-            previous = read_paths.get(target_name)
-            read_paths[target_name] = stats if previous is None else previous.merge(stats)
-    return seconds
+    return workload(target, params)
 
 
 def run_microbenchmark_table(target_names: tuple[str, ...] = ALL_TARGET_NAMES,
                              benchmarks: tuple[str, ...] | None = None,
                              seed: int = 0,
-                             params: MicroBenchmarkParams | None = None,
-                             read_paths: dict | None = None) -> dict[str, dict[str, float]]:
+                             params: MicroBenchmarkParams | None = None) -> dict[str, dict[str, float]]:
     """Regenerate Table 3: ``{benchmark: {target: seconds}}``."""
     params = params or MicroBenchmarkParams()
     benchmarks = benchmarks or tuple(MICRO_BENCHMARKS)
@@ -313,7 +299,6 @@ def run_microbenchmark_table(target_names: tuple[str, ...] = ALL_TARGET_NAMES,
     for benchmark in benchmarks:
         row: dict[str, float] = {}
         for target_name in target_names:
-            row[target_name] = run_microbenchmark(benchmark, target_name, seed=seed,
-                                                  params=params, read_paths=read_paths)
+            row[target_name] = run_microbenchmark(benchmark, target_name, seed=seed, params=params)
         table[benchmark] = row
     return table

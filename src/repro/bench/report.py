@@ -49,36 +49,6 @@ def percentile(values: Sequence[float], q: float) -> float:
     return ordered[lower] * (1.0 - fraction) + ordered[upper] * fraction
 
 
-def render_read_paths(title: str, stats_by_target: dict) -> str:
-    """Render the preferred-quorum read statistics of CoC targets.
-
-    ``stats_by_target`` maps a target/system label to a
-    :class:`~repro.core.backend.ReadPathStats`; targets without cloud reads
-    (everything served from local caches) are shown with a dash.
-    """
-    rows = []
-    any_cloud_reads = False
-    for target, stats in stats_by_target.items():
-        if stats is None or stats.total == 0:
-            rows.append([target, 0, 0, 0, "-", 0, 0, 0, 0])
-            continue
-        any_cloud_reads = True
-        rows.append([target, stats.total, stats.systematic, stats.coded,
-                     f"{100.0 * stats.systematic_rate:.0f}%",
-                     stats.fallback_reads, stats.hedged_requests,
-                     stats.demoted_requests, stats.probe_requests])
-    table = render_table(
-        title,
-        ["target", "cloud reads", "systematic", "coded", "hit rate", "fallback",
-         "hedged", "demoted", "probes"],
-        rows,
-    )
-    if rows and not any_cloud_reads:
-        table += ("\n(no cloud reads: every read was served from the local caches —"
-                  " the always-write/avoid-reading principle at work)")
-    return table
-
-
 def human_size(size: int) -> str:
     """Short label for a file size (256K, 1M, 16M…)."""
     if size >= 1024 * 1024:

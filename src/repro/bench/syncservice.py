@@ -42,8 +42,6 @@ class SyncBenchmarkResult:
     close_latency: float
     runs: int = 1
     per_run: list[tuple[float, float, float]] = field(default_factory=list)
-    #: DepSky read-path statistics of the run (CoC targets only, else None).
-    read_paths: object | None = None
 
     @property
     def total(self) -> float:
@@ -174,5 +172,5 @@ def run_sync_benchmark(target_name: str, file_size: int = DEFAULT_FILE_SIZE,
     return SyncBenchmarkResult(
         target=target_name, local_locks=local_locks,
         open_latency=open_avg, save_latency=save_avg, close_latency=close_avg,
-        runs=runs, per_run=per_run, read_paths=target.read_path_stats(),
+        runs=runs, per_run=per_run,
     )

@@ -15,8 +15,6 @@ from repro.baselines.s3fs import S3FSLike
 from repro.baselines.s3ql import S3QLLike
 from repro.clouds.providers import make_provider
 from repro.common.types import Principal
-from repro.clouds.health import HealthStats
-from repro.core.backend import ReadPathStats
 from repro.core.deployment import SCFSDeployment
 from repro.core.modes import VARIANTS
 from repro.simenv.environment import Simulation
@@ -51,35 +49,6 @@ class BenchTarget:
             self.deployment.drain(extra)
         else:
             self.sim.drain(extra)
-
-    def _merged_backend_stat(self, getter):
-        """Fold one per-backend statistic (anything with ``merge``) over all agents."""
-        if self.deployment is None:
-            return None
-        merged = None
-        for filesystem in self.deployment.filesystems.values():
-            backend = getattr(getattr(filesystem, "agent", None), "backend", None)
-            snapshot = getter(backend) if backend is not None else None
-            if snapshot is not None:
-                merged = snapshot if merged is None else merged.merge(snapshot)
-        return merged
-
-    def read_path_stats(self) -> ReadPathStats | None:
-        """Aggregate DepSky read-path statistics across this target's agents.
-
-        Returns ``None`` for targets without a cloud-of-clouds backend (the
-        single-cloud variants and the baselines have no preferred quorum to
-        hit or miss).
-        """
-        return self._merged_backend_stat(lambda backend: getattr(backend, "read_paths", None))
-
-    def health_stats(self) -> HealthStats | None:
-        """Aggregate cloud-suspicion counters across this target's agents.
-
-        Returns ``None`` for baselines and for SCFS configs that leave health
-        tracking disabled (``dispatch.suspicion_threshold == 0``).
-        """
-        return self._merged_backend_stat(lambda backend: backend.health_stats())
 
 
 def build_target(name: str, seed: int = 0, **scfs_overrides) -> BenchTarget:

@@ -94,10 +94,6 @@ class CostTracker:
         """Total dollar cost recorded so far."""
         return self.request_cost() + self.traffic_cost() + self.storage_cost()
 
-    def snapshot(self) -> UsageBreakdown:
-        """Return a copy of the current usage counters."""
-        return UsageBreakdown(**vars(self.usage))
-
     def reset(self) -> None:
         """Zero all usage counters (pricing is preserved)."""
         self.usage = UsageBreakdown()

@@ -464,18 +464,16 @@ class InstantCoalescer:
     responses and charge a wait the first call already paid.  The coalescer
     absorbs such repeats into the first call's in-flight result.
 
-    The cache is valid for exactly one ``(virtual instant, mutation
-    generation)`` window: it is cleared whenever the simulated clock moves
-    *and* whenever :meth:`invalidate` reports a mutation (any mutating quorum
-    call, or a fault-injection step that changes what the clouds serve).
+    The cache is valid for one virtual instant between two mutations: it is
+    cleared whenever the simulated clock moves *and* whenever
+    :meth:`invalidate` reports a mutation (any mutating quorum call, or a
+    fault-injection step that changes what the clouds serve).
     Entries are keyed by the caller (so a cached agreement never crosses an
     access-control boundary) plus the cloud key.
     """
 
     def __init__(self, sim) -> None:
         self.sim = sim
-        #: Monotonic mutation counter; bumped by :meth:`invalidate`.
-        self.generation = 0
         #: Coalesced (absorbed) lookups / lookups that dispatched a real call.
         self.hits = 0
         self.misses = 0
@@ -492,7 +490,6 @@ class InstantCoalescer:
 
     def invalidate(self) -> None:
         """The simulated world changed: nothing cached may be served again."""
-        self.generation += 1
         self._cache.clear()
 
     def lookup(self, key: Any) -> Any | None:

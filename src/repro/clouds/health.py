@@ -122,16 +122,6 @@ class HealthStats:
     #: quorum unsatisfiable (:meth:`CloudHealthTracker.drop_suspects`).
     conservative_reverts: int = 0
 
-    def merge(self, other: "HealthStats") -> "HealthStats":
-        """Element-wise sum of two counter sets (aggregation across agents)."""
-        return HealthStats(
-            suspicions=self.suspicions + other.suspicions,
-            recoveries=self.recoveries + other.recoveries,
-            probes=self.probes + other.probes,
-            demoted_requests=self.demoted_requests + other.demoted_requests,
-            conservative_reverts=self.conservative_reverts + other.conservative_reverts,
-        )
-
 
 @dataclass
 class PlannedStages:

@@ -34,7 +34,7 @@ from __future__ import annotations
 import enum
 import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 from repro.common.errors import (
@@ -102,18 +102,11 @@ class OpenFile:
 
 @dataclass
 class AgentStatistics:
-    """Counters exposed for tests, reports and the benchmark harness."""
+    """The agent's counters that the layer ledger reads by name."""
 
     syscalls: int = 0
-    opens: int = 0
-    closes: int = 0
-    reads: int = 0
-    writes: int = 0
-    background_uploads: int = 0
-    pending_uploads: int = 0
     lock_conflicts: int = 0
     consistency_retries: int = 0
-    extra: dict[str, int] = field(default_factory=dict)
 
 
 #: Signature of the agent's optional event sink: ``sink(kind, **fields)``.
@@ -311,7 +304,6 @@ class SCFSAgent:
         Figure 10(b) sweep).
         """
         self._syscall()
-        self.stats.opens += 1
         path = normalize_path(path)
         user = self.principal.name
         wants_write = bool(flags & (OpenFlags.WRITE | OpenFlags.TRUNCATE))
@@ -495,13 +487,15 @@ class SCFSAgent:
     def read(self, handle: int, size: int = -1, offset: int = 0) -> bytes:
         """Read from the in-memory copy of an open file (durability level 0)."""
         self._syscall()
-        self.stats.reads += 1
         of = self._handle(handle)
         if not of.flags & OpenFlags.READ:
             raise PermissionDeniedError("file not opened for reading")
-        # The data was brought to the memory cache at open time; charge one
-        # memory access for the copy.
-        self.memory_cache.get(self._memory_key(of))
+        # A handle's buffer is in the memory cache once a write stored it
+        # there; charge one memory access for the copy then.  A clean handle
+        # is not looked up: it could only miss.
+        key = self._memory_key(of)
+        if self.memory_cache.contains(key):
+            self.memory_cache.get(key)
         end = len(of.buffer) if size < 0 else min(len(of.buffer), offset + size)
         data = bytes(of.buffer[offset:end])
         self._emit("read", path=of.metadata.path, handle=handle, offset=offset,
@@ -511,7 +505,6 @@ class SCFSAgent:
     def write(self, handle: int, data: bytes, offset: int | None = None) -> int:
         """Write into the in-memory copy of an open file (durability level 0)."""
         self._syscall()
-        self.stats.writes += 1
         of = self._handle(handle)
         if not of.writable:
             raise PermissionDeniedError("file not opened for writing")
@@ -576,7 +569,6 @@ class SCFSAgent:
     def close(self, handle: int) -> None:
         """Close a file, synchronising data and metadata per the current mode."""
         self._syscall()
-        self.stats.closes += 1
         of = self._handles.pop(handle, None)
         if of is None:
             raise InvalidHandleError(f"unknown or closed file handle {handle}")
@@ -664,7 +656,6 @@ class SCFSAgent:
                 continue
             self.backend.set_acl(meta.file_id, grantee, permission)
             self._acl_propagated.add(marker)
-            self.stats.extra["acl_propagations"] = self.stats.extra.get("acl_propagations", 0) + 1
 
     def _commit_background(self, of: OpenFile, data: bytes) -> None:
         """Non-blocking / non-sharing close: upload and metadata update in background."""
@@ -676,7 +667,6 @@ class SCFSAgent:
             completion = front
         self._upload_fronts[meta.file_id] = completion
         delay = completion - self.sim.now()
-        self.stats.pending_uploads += 1
         # The local caches already hold the new version, so the *local* user
         # immediately observes its own update; remote visibility (metadata in
         # the coordination service) only happens when the upload completes.
@@ -686,8 +676,6 @@ class SCFSAgent:
             self._pending_commits.pop(of.handle, None)
             if self._crashed:
                 return
-            self.stats.pending_uploads -= 1
-            self.stats.background_uploads += 1
             with self.sim.background():
                 self._commit(of, data, background=True)
 
@@ -790,7 +778,6 @@ class SCFSAgent:
             task.cancel()
         self._pending_commits.clear()
         self._handles.clear()
-        self.stats.pending_uploads = 0
         self._mounted = False
 
     # -------------------------------------------------------------- namespace
@@ -923,7 +910,3 @@ class SCFSAgent:
     def collect_garbage(self) -> object:
         """Run the garbage collector synchronously (returns its report)."""
         return self.gc.run()
-
-    def statistics(self) -> AgentStatistics:
-        """Live statistics of this agent."""
-        return self.stats

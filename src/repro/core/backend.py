@@ -38,33 +38,15 @@ from repro.simenv.environment import Simulation
 
 @dataclass
 class ReadPathStats:
-    """Which decode path served the cloud reads of a CoC backend.
+    """Which decode path served the cloud reads of a CoC backend (one per agent).
 
-    Aggregated per backend (one per agent) and summed across agents by the
-    benchmark reports: the preferred-quorum hit rate under fault injection is
-    the figure the ROADMAP asked to surface.
+    Hedges, fallbacks, demotions and probes are not counted here: every quorum
+    call's :class:`~repro.clouds.dispatch.QuorumCallStats` reaches
+    ``DepSkyClient.on_quorum``, and the tracker keeps :class:`HealthStats`.
     """
 
     systematic: int = 0
     coded: int = 0
-    #: Reads whose block fetch dispatched the parity fallback stage.
-    fallback_reads: int = 0
-    #: Backup requests dispatched as hedges across all reads.
-    hedged_requests: int = 0
-    #: Requests demoted out of their stage because the cloud was suspected.
-    demoted_requests: int = 0
-    #: Background probes dispatched at suspected clouds.
-    probe_requests: int = 0
-
-    @property
-    def total(self) -> int:
-        """Number of cloud reads recorded."""
-        return self.systematic + self.coded
-
-    @property
-    def systematic_rate(self) -> float:
-        """Fraction of cloud reads served by the systematic (preferred) path."""
-        return self.systematic / self.total if self.total else 0.0
 
     def record(self, result: DepSkyReadResult) -> None:
         """Account one DepSky read result."""
@@ -72,25 +54,6 @@ class ReadPathStats:
             self.systematic += 1
         else:
             self.coded += 1
-        for stats in (result.stats, result.meta_stats):
-            if stats is None:
-                continue
-            self.hedged_requests += stats.hedged
-            self.demoted_requests += len(stats.demoted)
-            self.probe_requests += stats.probes
-        if result.stats is not None and result.stats.fallback_dispatched:
-            self.fallback_reads += 1
-
-    def merge(self, other: "ReadPathStats") -> "ReadPathStats":
-        """Return the sum of two accumulators (used to aggregate across agents)."""
-        return ReadPathStats(
-            systematic=self.systematic + other.systematic,
-            coded=self.coded + other.coded,
-            fallback_reads=self.fallback_reads + other.fallback_reads,
-            hedged_requests=self.hedged_requests + other.hedged_requests,
-            demoted_requests=self.demoted_requests + other.demoted_requests,
-            probe_requests=self.probe_requests + other.probe_requests,
-        )
 
 
 class StorageBackend(abc.ABC):

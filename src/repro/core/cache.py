@@ -49,7 +49,6 @@ class LRUByteCache:
         self._used = 0
         self.hits = 0
         self.misses = 0
-        self.evictions = 0
 
     # -- internals -----------------------------------------------------------
 
@@ -61,7 +60,6 @@ class LRUByteCache:
         while self._entries and self._used + incoming > self.capacity_bytes:
             key, value = self._entries.popitem(last=False)
             self._used -= len(value)
-            self.evictions += 1
             evicted.append((key, value))
         return evicted
 

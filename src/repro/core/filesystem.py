@@ -219,10 +219,6 @@ class SCFSFileSystem:
         """Flush open state and unmount."""
         self.agent.unmount()
 
-    def statistics(self):
-        """The agent's live statistics."""
-        return self.agent.statistics()
-
     def collect_garbage(self):
         """Run the garbage collector synchronously."""
         return self.agent.collect_garbage()

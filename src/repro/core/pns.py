@@ -51,8 +51,6 @@ class PrivateNameSpace:
         self.dirty = False
         #: What the anchor holds (or would hold) for the last object saved or loaded.
         self._last_anchored = ""
-        self.saves = 0
-        self.loads = 0
 
     # ------------------------------------------------------------------- keys
 
@@ -100,7 +98,6 @@ class PrivateNameSpace:
         self._from_bytes(blob)
         self._last_anchored = anchored
         self.dirty = False
-        self.loads += 1
         return True
 
     def save(self) -> str | None:
@@ -122,7 +119,6 @@ class PrivateNameSpace:
         if self.coordination is not None:
             self.coordination.put(self.tuple_key, self._last_anchored.encode(), self.session)
         self.dirty = False
-        self.saves += 1
         return ref.digest
 
     # --------------------------------------------------------------- map API

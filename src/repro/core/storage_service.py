@@ -50,7 +50,6 @@ class StorageService:
         #: Counters used by the garbage-collection policy and by reports.
         self.bytes_pushed = 0
         self.cloud_reads = 0
-        self.cloud_writes = 0
         #: Called once per poll of a cloud read (step r2 asking again).
         self.on_poll: Callable[[], None] | None = None
 
@@ -108,7 +107,6 @@ class StorageService:
         the anchor (see :meth:`StorageBackend.write_version`).
         """
         ref = self.backend.write_version(file_id, data, version=version)
-        self.cloud_writes += 1
         self.bytes_pushed += len(data)
         return ref
 
@@ -121,7 +119,6 @@ class StorageService:
         the cloud(s) in parallel where it can.
         """
         refs = self.backend.write_versions(items)
-        self.cloud_writes += len(items)
         self.bytes_pushed += sum(len(data) for _file_id, data, _version in items)
         return refs
 

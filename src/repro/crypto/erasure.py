@@ -59,8 +59,7 @@ _HEADER = struct.Struct(">HQ")
 _MAGIC = 0x5343  # "SC"
 
 #: Default column-stripe width (bytes per block row) for the streaming
-#: encode.  Wide enough that every stripe takes gf256's nibble-split kernel
-#: (>= its 32 KiB threshold) and the per-stripe Python overhead vanishes,
+#: encode.  Wide enough that the per-stripe Python overhead vanishes,
 #: small enough that one stripe across all ``n`` rows stays cache-resident
 #: for the digest/assembly consumers downstream.
 DEFAULT_STRIPE_BYTES = 1 << 17

@@ -10,7 +10,7 @@ Every SCFS write erasure-codes its payload, so :func:`matmul` is the single
 hottest function in the system.  It is implemented without any Python-level
 inner loop, with **two** kernel strategies chosen by block length:
 
-* **Row gather** (short blocks): one whole-block row gather
+* **Row gather** (blocks under 128 B): one whole-block row gather
   ``MUL_TABLE[coeff][block]`` per non-zero coefficient, XOR-accumulated (XOR
   is addition in GF(2^8)).  ``MUL_TABLE`` is the full precomputed 256×256
   product table; a row of it is 256 bytes and stays L1-resident across the
@@ -18,7 +18,7 @@ inner loop, with **two** kernel strategies chosen by block length:
   per-coefficient table setup of the nibble-split path cannot amortise.
   DepSky's matrices are small (2×2 at n = 4, f = 1), so its ``r·k`` loop is
   a handful of numpy calls.
-* **Nibble split** (long blocks — the erasure-encode hot path): every field
+* **Nibble split** (128 B and up — every erasure encode): every field
   product decomposes over the two nibbles of the input byte,
   ``c·b = c·(b & 0x0F) ⊕ c·(b >> 4 << 4)``, so per coefficient only the two
   16-entry columns of :data:`NIBBLE_TABLE` (a precomputed ``(256, 2, 16)``
@@ -30,7 +30,8 @@ inner loop, with **two** kernel strategies chosen by block length:
   back to byte-wise XOR for tails and unaligned rows).  Halving the gather
   count is what breaks the one-gather-per-coefficient ceiling of the row
   path: the pair tables cost ~15 µs each to build and are cached (bounded by
-  :data:`_PAIR_CACHE_MAX`), so throughput roughly doubles at ≥64 KiB blocks.
+  :data:`_PAIR_CACHE_MAX`), so the kernel runs 2–4.7x faster than row gather
+  from 2 KiB blocks up.  Shamir's 32-byte key shares stay on row gather.
 
 :func:`matmul` accepts an ``out=`` destination so the erasure coder's
 stripe encode writes parity rows in place; aliasing the output with an input
@@ -152,10 +153,10 @@ def gf_inv(a: int) -> int:
 
 
 #: At and above this block length the nibble-split pair-table kernel wins:
-#: its per-coefficient setup (two 16-entry columns expanded into a 128 KiB
-#: pair table, ~15 µs, cached) amortises and its two-bytes-per-gather main
-#: loop runs ~2x faster than one-gather-per-byte row gathers.
-_NIBBLE_MIN_BYTES = 1 << 15
+#: its per-coefficient pair table (~15 µs to build) is cached, and its
+#: two-bytes-per-gather main loop draws level with row gathers at ~150 B and
+#: runs 2–4.7x faster from 2 KiB up (a (4,2) parity ``matmul`` on one host).
+_NIBBLE_MIN_BYTES = 1 << 7
 
 
 def _check_out(out: np.ndarray, rows: int, length: int,

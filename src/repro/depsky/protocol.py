@@ -184,12 +184,10 @@ class DepSkyReadResult:
     the ``k`` systematic blocks were fetched from the preferred clouds (decode
     is a pure concatenation), ``"coded"`` when at least one parity block had
     to be fetched and a cached decode matrix was applied.  ``block_indices``
-    lists the erasure-code rows actually used, in row order.  ``stats`` and
-    ``meta_stats`` carry the dispatch-engine statistics of the block-fetch and
-    head-read quorum calls (per-cloud outcome, per-stage wait, winner
-    set), which the benchmark reports aggregate into preferred-quorum hit
-    rates and hedging effectiveness; ``meta_stats`` is ``None`` for a read
-    that was handed its version record and so made no head call.
+    lists the erasure-code rows actually used, in row order.  ``stats``
+    carries the dispatch-engine statistics of the block-fetch quorum call
+    (per-cloud outcome, per-stage wait, winner set); the head read's, when
+    there is one, reach :attr:`DepSkyClient.on_quorum` as ``meta_read``.
     """
 
     data: bytes
@@ -198,7 +196,6 @@ class DepSkyReadResult:
     path: str = "systematic"
     block_indices: tuple[int, ...] = ()
     stats: QuorumCallStats | None = None
-    meta_stats: QuorumCallStats | None = None
 
 
 class DepSkyClient:
@@ -803,8 +800,7 @@ class DepSkyClient:
         expected to charge: a dry run of the block fetch :meth:`_assemble` sends."""
         return self._fetch_blocks("", self._shape(num_bytes, -math.inf)).dry_run(self.k)
 
-    def _assemble(self, unit_id: str, record: VersionRecord,
-                  meta_stats: QuorumCallStats | None = None) -> DepSkyReadResult:
+    def _assemble(self, unit_id: str, record: VersionRecord) -> DepSkyReadResult:
         stats = self._fetch_blocks(unit_id, record).execute(required=self.k)
         self._tap("block_get", unit_id, stats)
         self._charge(stats)
@@ -829,8 +825,7 @@ class DepSkyClient:
         indices = tuple(b.index for b in blocks)
         path = "systematic" if all(i < self.k for i in indices) else "coded"
         return DepSkyReadResult(data=payload, record=record, clouds_used=used,
-                                path=path, block_indices=indices,
-                                stats=stats, meta_stats=meta_stats)
+                                path=path, block_indices=indices, stats=stats)
 
     def read_latest(self, unit_id: str) -> DepSkyReadResult:
         """Read the most recent version of ``unit_id`` (classic DepSky read).
@@ -850,11 +845,10 @@ class DepSkyClient:
                             key=lambda record: -record.version)
         if certified is not None:
             candidates.append(certified)
-        return self._assemble_first(unit_id, candidates, meta_stats,
+        return self._assemble_first(unit_id, candidates,
                                     f"data unit {unit_id!r} has no visible version")
 
-    def _assemble_first(self, unit_id: str, candidates, meta_stats: QuorumCallStats,
-                        none: str) -> DepSkyReadResult:
+    def _assemble_first(self, unit_id: str, candidates, none: str) -> DepSkyReadResult:
         """The first of ``candidates`` whose blocks assemble and verify.
 
         An uncertified record proves itself that way or not at all: a forged
@@ -864,7 +858,7 @@ class DepSkyClient:
         failure: Exception = ObjectNotFoundError(none)
         for record in candidates:
             try:
-                return self._assemble(unit_id, record, meta_stats)
+                return self._assemble(unit_id, record)
             except (CloudError, QuorumNotReachedError) as exc:
                 failure = exc
         raise failure
@@ -891,7 +885,7 @@ class DepSkyClient:
             self._charge(meta_stats)
             return self._assemble_first(
                 unit_id, dict.fromkeys(head for _cloud, head in heads
-                                       if head.data_digest == digest), meta_stats,
+                                       if head.data_digest == digest),
                 f"no cloud's head of {unit_id!r} names a version with digest {digest[:12]}…")
         if record.data_digest != digest or len(record.block_digests) != self.n:
             raise IntegrityError(

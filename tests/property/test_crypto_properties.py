@@ -118,7 +118,7 @@ class TestVectorizedAgainstScalarReference:
     )
     def test_nibble_kernel_agrees_with_scalar_reference(
             self, rows, cols, length, seed, sprinkle_edge_coeffs):
-        # The production heuristic only routes blocks >= 32 KiB through the
+        # The production heuristic only routes blocks >= 128 B through the
         # nibble-split kernel; dropping the threshold to 1 byte lets
         # hypothesis drive the same kernel over small shapes cheaply.
         rng = np.random.default_rng(seed)

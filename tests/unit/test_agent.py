@@ -260,7 +260,7 @@ class TestDurabilityAndModes:
         deployment, fs = aws_b
         fs.write_file("/f.txt", b"x" * 10_000)
         # No pending background work: the data is already in the cloud.
-        assert fs.statistics().pending_uploads == 0
+        assert not fs.agent._pending_commits
         assert deployment.clouds[0].stored_bytes() >= 10_000
 
     def test_blocking_coc_close_reaches_level3(self):
@@ -268,7 +268,7 @@ class TestDurabilityAndModes:
         deployment = SCFSDeployment.for_variant("SCFS-CoC-B", seed=1)
         fs = deployment.create_agent("alice")
         fs.write_file("/f.txt", b"x" * 10_000)
-        assert fs.statistics().pending_uploads == 0
+        assert not fs.agent._pending_commits
         holders = [cloud for cloud in deployment.clouds if cloud.stored_bytes() >= 5_000]
         assert len(holders) >= len(deployment.clouds) - deployment.config.fault_tolerance
 
@@ -278,7 +278,7 @@ class TestDurabilityAndModes:
         deployment = SCFSDeployment.for_variant("SCFS-AWS-B", seed=1)
         fs = deployment.create_agent("alice")
         fs.write_file("/f.txt", b"y" * 10_000)
-        assert fs.statistics().pending_uploads == 0
+        assert not fs.agent._pending_commits
         fresh = deployment.create_agent("alice")  # empty memory and disk caches
         deployment.sim.advance(deployment.clouds[0].profile.propagation_delay)
         assert fresh.read_file("/f.txt") == b"y" * 10_000
@@ -297,34 +297,42 @@ class TestDurabilityAndModes:
 
     def test_non_blocking_close_defers_upload(self, coc_nb):
         deployment, fs = coc_nb
+        events = []
+        fs.agent.events = lambda kind, **fields: events.append((kind, fields))
         before = deployment.sim.now()
         fs.write_file("/f.txt", b"x" * 1_000_000)
         foreground = deployment.sim.now() - before
-        stats = fs.statistics()
-        assert stats.pending_uploads == 1
+        assert len(fs.agent._pending_commits) == 1
+        assert not [kind for kind, _ in events if kind == "commit"]
         assert foreground < fs.agent.backend.estimate_write_latency(1_000_000)
         deployment.drain()
-        assert fs.statistics().pending_uploads == 0
-        assert fs.statistics().background_uploads == 1
+        assert not fs.agent._pending_commits
+        assert [fields["background"] for kind, fields in events if kind == "commit"] == [True]
 
     def test_fsync_only_touches_local_disk(self, coc_nb):
         deployment, fs = coc_nb
         handle = fs.open("/f.txt", "w")
         fs.write(handle, b"dirty data")
-        before_writes = fs.agent.storage.cloud_writes
+        before = [len(cloud.request_log) for cloud in deployment.clouds]
         fs.fsync(handle)
-        assert fs.agent.storage.cloud_writes == before_writes
+        assert [len(cloud.request_log) for cloud in deployment.clouds] == before
+        assert fs.agent.storage.bytes_pushed == 0
         fs.close(handle)
 
     def test_close_without_modification_does_not_upload(self, coc_nb):
         deployment, fs = coc_nb
         fs.write_file("/f.txt", b"data")
         deployment.drain()
-        before = fs.agent.storage.cloud_writes
+
+        def puts():
+            return [sum(kind == "put" for kind, _key, _size in cloud.request_log)
+                    for cloud in deployment.clouds]
+
+        before = (fs.agent.storage.bytes_pushed, puts())
         handle = fs.open("/f.txt", "r")
         fs.read(handle)
         fs.close(handle)
-        assert fs.agent.storage.cloud_writes == before
+        assert (fs.agent.storage.bytes_pushed, puts()) == before
 
     def test_reads_of_unmodified_files_are_local(self, aws_b):
         deployment, fs = aws_b
@@ -429,9 +437,9 @@ class TestCloudACLPropagation:
         deployment.drain(2.0)
         bob = agents["bob"]
         bob.write_file("/f.txt", b"v2")  # the owner and two further grantees need the grant
-        assert bob.agent.stats.extra["acl_propagations"] == 3
+        assert len(bob.agent._acl_propagated) == 3
         bob.write_file("/f.txt", b"v3")  # at most once per (file, party)
-        assert bob.agent.stats.extra["acl_propagations"] == 3
+        assert len(bob.agent._acl_propagated) == 3
         assert agents["carol"].read_file("/f.txt") == b"v3"
 
 
@@ -504,12 +512,23 @@ class TestLockingBetweenClients:
 class TestStatisticsAndLifecycle:
     def test_statistics_track_calls(self, coc_nb):
         _, fs = coc_nb
+        events = []
+        fs.agent.events = lambda kind, **fields: events.append(kind)
         fs.write_file("/f.txt", b"x")
         fs.read_file("/f.txt")
-        stats = fs.statistics()
-        assert stats.opens == 2 and stats.closes == 2
-        assert stats.writes == 1 and stats.reads == 1
-        assert stats.syscalls >= 6
+        assert [events.count(kind) for kind in ("open", "close", "write", "read")] == [2, 2, 1, 1]
+        assert fs.agent.stats.syscalls >= 6
+
+    def test_a_read_of_a_clean_handle_looks_up_no_memory_cache_entry(self, coc_nb):
+        deployment, fs = coc_nb
+        fs.write_file("/f.txt", b"clean")
+        deployment.drain()
+        handle = fs.open("/f.txt", "r")
+        cache = fs.agent.memory_cache
+        before = (cache.hits, cache.misses)
+        assert fs.read(handle) == b"clean"
+        assert (cache.hits, cache.misses) == before
+        fs.close(handle)
 
     def test_unmount_flushes_open_files(self, coc_nb):
         deployment, fs = coc_nb
@@ -534,8 +553,11 @@ class TestStatisticsAndLifecycle:
             deployment.coordination.rsm.latency = LatencyModel(base=0.080)  # no jitter
             before = deployment.sim.now()
             fs.unmount()
-            assert fs.agent.pns.saves == (1 if dirty else 0)
-            return deployment.sim.now() - before
+            cost = deployment.sim.now() - before
+            deployment.drain(3.0)
+            saved = fs.agent.backend.list_versions(fs.agent.pns.unit_id)
+            assert len(saved) == (1 if dirty else 0)
+            return cost
 
         clean = unmount_cost(dirty=False)
         assert clean > 0  # the PNS lock's release and the session's close

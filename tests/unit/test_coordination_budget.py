@@ -244,10 +244,10 @@ def test_a_background_commit_is_update_and_unlock(kind):
     handle = mount.fs.open("/top/new", "w", True)
     mount.fs.write(handle, b"payload")
     assert mount.spent(mount.fs.close, handle) == 0
-    assert mount.fs.agent.stats.pending_uploads == 1
+    assert len(mount.fs.agent._pending_commits) == 1
     (commit,) = BUDGETS["background commit of a non-blocking dirty `close`"]
     assert mount.spent(mount.fs.agent.flush_pending, "/top/new") == commit
-    assert mount.fs.agent.stats.pending_uploads == 0
+    assert not mount.fs.agent._pending_commits
 
 
 def test_a_refused_update_costs_its_one_command(mount):

@@ -366,14 +366,17 @@ class TestStorageService:
         service = self._service(sim, single_backend)
         service.push_to_cloud("f", b"12345", version=1)
         service.push_to_cloud_uncharged("f", b"123", version=2)
-        assert service.bytes_pushed == 8 and service.cloud_writes == 2
+        assert service.bytes_pushed == 8
+        sim.advance(3.0)
+        assert len(single_backend.list_versions("f")) == 2
 
     def test_push_many_counts_like_single_pushes(self, sim, single_backend):
         service = self._service(sim, single_backend)
         refs = service.push_many_to_cloud([("f", b"12345", 1), ("g", b"123", 4)])
         assert [ref.digest for ref in refs] == [content_digest(b"12345"), content_digest(b"123")]
-        assert service.bytes_pushed == 8 and service.cloud_writes == 2
+        assert service.bytes_pushed == 8
         sim.advance(3.0)
+        assert [len(single_backend.list_versions(file_id)) for file_id in "fg"] == [1, 1]
         assert single_backend.read_version("g", refs[1].digest) == b"123"
 
     def test_forget_drops_cached_version(self, sim, single_backend):

@@ -109,7 +109,7 @@ class TestMatmulOutParameter:
 
     def test_out_matches_plain_result_on_every_strategy(self, monkeypatch):
         for rows, cols, length in [(2, 2, 64),     # row gather
-                                   (9, 9, 257),    # row gather, large matrix
+                                   (9, 9, gf256._NIBBLE_MIN_BYTES - 1),  # row, large matrix
                                    (2, 2, 200)]:   # nibble (threshold lowered)
             if length == 200:
                 monkeypatch.setattr(gf256, "_NIBBLE_MIN_BYTES", 1)

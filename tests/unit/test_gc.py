@@ -199,7 +199,7 @@ class TestNonBlockingCloseOrdering:
         if variant.endswith("-NB"):
             # close returned before the cloud saw anything.
             assert recorder.count("upload") == 0
-            assert fs.agent.stats.pending_uploads == 1
+            assert len(fs.agent._pending_commits) == 1
         deployment.drain(3.0)
         upload = next(recorder.by_kind("upload"))
         commit = next(recorder.by_kind("commit"))

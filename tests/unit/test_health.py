@@ -14,7 +14,7 @@ from repro.clouds.health import (
 from repro.clouds.providers import make_cloud_of_clouds, make_provider
 from repro.common.errors import CloudUnavailableError, ConfigurationError
 from repro.common.types import Permission, Principal
-from repro.core.backend import CloudOfCloudsBackend, ReadPathStats, SingleCloudBackend
+from repro.core.backend import CloudOfCloudsBackend, SingleCloudBackend
 from repro.core.config import DispatchPolicyConfig, QuorumConfig, SCFSConfig
 from repro.core.deployment import SCFSDeployment
 from repro.depsky.dataunit import VersionRecord
@@ -114,12 +114,10 @@ class TestSuspicionLifecycle:
         assert t.auto_hedge_delay(["slow", "b"]) is not None
         assert t.auto_hedge_delay(["b", "c"]) is None
 
-    def test_snapshot_and_merge(self):
+    def test_one_failure_at_threshold_one_is_one_suspicion(self):
         t = tracker(threshold=1)
         t.observe("a", succeeded=False, latency=0.5, now=0.0)
         assert t.stats.suspicions == 1 and t.suspected_clouds() == ("a",)
-        merged = t.stats.merge(HealthStats(suspicions=2, probes=1))
-        assert merged.suspicions == 3 and merged.probes == 1
         assert t.stats == HealthStats(suspicions=1)
 
     def test_policy_validation(self):
@@ -317,11 +315,14 @@ class TestDepSkySuspicionEndToEnd:
         assert any(t.cloud == clouds[0].name for t in first.stats.traces)
 
         start = sim.now()
+        calls = []
+        client.on_quorum = lambda _op, _unit, stats: calls.append(stats)
         second = client.read_latest("unit")
         second_elapsed = sim.now() - start
         # Regression: the suspected cloud must be demoted out of stage 0 of
         # both the metadata and the block quorum call.
-        for stats in (second.stats, second.meta_stats):
+        assert len(calls) == 2 and calls[-1] is second.stats
+        for stats in calls:
             assert clouds[0].name in stats.demoted
             assert all(t.cloud != clouds[0].name for t in stats.traces)
         assert second_elapsed < first_elapsed
@@ -338,8 +339,10 @@ class TestDepSkySuspicionEndToEnd:
         # Wait out both the outage and the probe window, then read again: the
         # probe succeeds and the cloud leaves the suspect list.
         sim.advance(12.0)
-        result = client.read_latest("unit")
-        assert result.stats.probes + result.meta_stats.probes >= 1
+        calls = []
+        client.on_quorum = lambda _op, _unit, stats: calls.append(stats)
+        client.read_latest("unit")
+        assert sum(stats.probes for stats in calls) >= 1
         assert not health.is_suspected(clouds[0].name)
         # The next read is served by the preferred quorum again.
         follow_up = client.read_latest("unit")
@@ -425,12 +428,14 @@ class TestDegradedBlockHolderEndToEnd:
         backend = reader.agent.backend
         first = backend.client.clouds[0]
         paths, health = backend.read_paths, backend.health
+        calls = []  # the reader's client only reads: every call is a read's
+        backend.client.on_quorum = lambda _op, _unit, stats: calls.append(stats)
 
         first.failures.add(FaultKind.DEGRADED, start=deployment.sim.now(), factor=8.0)
         spilled = [self._round(deployment, writer, reader) for _ in range(4)]
         # The straggler is hedged around, on both sides of the close.
         assert all(spilled)
-        assert paths.hedged_requests > 0 and paths.coded == 4
+        assert sum(call.hedged for call in calls) > 0 and paths.coded == 4
         assert health.is_degraded(first.name)
 
         first.failures.clear()
@@ -439,14 +444,14 @@ class TestDegradedBlockHolderEndToEnd:
         assert all(spilled)
         assert paths.coded == 8 and paths.systematic == 0
         assert health.is_suspected(first.name)
-        assert paths.demoted_requests > 0
+        assert health.stats.demoted_requests > 0
 
         first.failures.clear()
         deployment.sim.advance(30.0)  # past the probe window
         spilled = [self._round(deployment, writer, reader) for _ in range(4)]
         assert not any(spilled[1:])
         assert health.stats.recoveries >= 1 and not health.is_suspected(first.name)
-        assert paths.systematic == 4 and paths.probe_requests >= 1
+        assert paths.systematic == 4 and health.stats.probes >= 1
 
 
 class TestDispatchConfigPlumbing:
@@ -559,31 +564,25 @@ class TestDispatchConfigPlumbing:
         assert backend.health is None and backend.health_stats() is None
 
 
-class TestReadPathSuspicionStats:
-    def test_demotions_and_probes_flow_into_read_path_stats(self):
+class TestSuspicionStats:
+    def test_the_tracker_counts_each_demotion_the_calls_report(self):
         sim = Simulation(seed=5)
         backend = CloudOfCloudsBackend(
             sim, make_cloud_of_clouds(sim), Principal("alice"),
             dispatch=DispatchPolicyConfig(timeout=1.5, suspicion_threshold=2),
             quorum=QuorumConfig())
         clouds = backend.client.clouds
+        calls = []
+        backend.client.on_quorum = lambda _op, _unit, stats: calls.append(stats)
         ref = backend.write_version("file", b"f" * 400, version=1)
         sim.advance(3.0)
         clouds[0].failures.add(FaultKind.UNAVAILABLE, start=sim.now())
         backend.read_version("file", ref.digest)  # builds the suspicion
         backend.read_version("file", ref.digest)  # demoted read
-        stats = backend.read_paths
+        stats = backend.health.stats
         assert stats.demoted_requests >= 2  # metadata + block call demotions
-        merged = stats.merge(stats)
-        assert merged.demoted_requests == 2 * stats.demoted_requests
-
-    def test_render_read_paths_includes_suspicion_columns(self):
-        from repro.bench.report import render_read_paths
-
-        stats = ReadPathStats(systematic=3, coded=1, demoted_requests=4, probe_requests=2)
-        table = render_read_paths("paths", {"CoC": stats})
-        assert "demoted" in table and "probes" in table
-        assert "4" in table and "2" in table
+        assert stats.demoted_requests == sum(len(call.demoted) for call in calls)
+        assert stats.probes == sum(call.probes for call in calls)
 
 
 class TestStorageAccountingSinceCreation:

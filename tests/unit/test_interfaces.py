@@ -11,6 +11,12 @@ and ``examples/`` and fails on every public ``def`` or ``class`` of ``repro``
 that none of them names; a module-level function counts only when some code
 imports it from its own module (or from the package that re-exports it),
 names it as an attribute of that module, or uses it inside that module.
+
+A counter that nothing reads is a fact counted for no one.  The third check
+finds every ``+=``/``-=`` of ``self.<name>`` or ``self.<part>.<name>`` in
+``src/repro`` and fails on each ``<name>`` that no code in those trees reads:
+as an attribute load, or as a string constant (the layer ledger reads
+counters with ``getattr`` from tuples of names).
 """
 
 from __future__ import annotations
@@ -140,3 +146,39 @@ def test_every_public_name_in_src_has_a_caller_outside_tests():
                  and not node.name.startswith("_") and node.name in used
                  and (_module_of(path), node.name) not in reached]
     assert not uncalled, "public names that only tests call:\n" + "\n".join(uncalled)
+
+
+def _counter_updates(tree: ast.AST) -> set[str]:
+    """Names ``tree`` updates as ``self.<name> op= ...`` or ``self.<part>.<name> op= ...``."""
+    counters = set()
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.AugAssign) and isinstance(node.op, (ast.Add, ast.Sub))
+                and isinstance(node.target, ast.Attribute)):
+            continue
+        owner = node.target.value
+        if isinstance(owner, ast.Attribute):
+            owner = owner.value
+        if isinstance(owner, ast.Name) and owner.id == "self":
+            counters.add(node.target.attr)
+    return counters
+
+
+def _reads(tree: ast.AST) -> set[str]:
+    """Attribute names ``tree`` loads, and its string constants."""
+    return ({node.attr for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+            | {node.value for node in ast.walk(tree)
+               if isinstance(node, ast.Constant) and isinstance(node.value, str)})
+
+
+def test_every_counter_in_src_is_read_outside_tests():
+    trees = {path: ast.parse(path.read_text(), filename=str(path))
+             for tree_root in CALLER_TREES for path in sorted((ROOT / tree_root).rglob("*.py"))}
+    counters = {name: path for path, tree in trees.items()
+                if path.is_relative_to(ROOT / "src" / "repro")
+                for name in _counter_updates(tree)}
+    assert len(counters) > 20
+    read = set().union(*(_reads(tree) for tree in trees.values()))
+    unread = sorted(f"{path.relative_to(ROOT)}: {name}" for name, path in counters.items()
+                    if name not in read)
+    assert not unread, "counters that only tests read:\n" + "\n".join(unread)

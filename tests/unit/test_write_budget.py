@@ -142,7 +142,8 @@ def test_a_pns_save_is_numbered_by_its_anchor(cloud_meter):
     fs.agent.unmount()
     assert meter.quorum_calls() == 2
     assert _shape(meter.requests()) == _two_put_phases(n, f)
-    assert fs.agent.pns.saves == 2
+    deployment.drain(3.0)
+    assert len(fs.agent.backend.list_versions(fs.agent.pns.unit_id)) == 2
 
 
 def test_no_block_name_is_ever_put_twice_with_different_bytes(sim, alice, block_puts):
