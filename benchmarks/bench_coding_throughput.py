@@ -92,7 +92,7 @@ def _decode_scalar(coder: ErasureCoder, subset: list[CodedBlock]) -> bytes:
     return gf256._matmul_scalar(inverse, stacked).reshape(-1).tobytes()
 
 
-def test_coding_throughput_table(run_once, benchmark, capsys):
+def test_coding_throughput_table(run_once, capsys):
     """Encode/decode MB/s across (n, k) configurations and payload sizes."""
 
     def sweep():
@@ -122,11 +122,6 @@ def test_coding_throughput_table(run_once, benchmark, capsys):
         print()
         print(render_table("Coding throughput - vectorised GF(256) erasure layer",
                            headers, rows, float_format="{:.0f}"))
-    benchmark.extra_info["rows"] = [
-        {"config": r[0], "size_kib": r[1], "encode_mbps": round(r[2], 1),
-         "decode_parity_mbps": round(r[3], 1), "decode_systematic_mbps": round(r[4], 1)}
-        for r in rows
-    ]
     # Loose sanity floors (CI machines vary): the vectorised path must stay
     # far above anything a per-byte Python loop could reach (~2 MB/s).
     for row in rows:
@@ -143,7 +138,7 @@ def test_coding_throughput_table(run_once, benchmark, capsys):
     })
 
 
-def test_vectorized_beats_scalar_reference(run_once, benchmark, capsys):
+def test_vectorized_beats_scalar_reference(run_once, capsys):
     """Acceptance gate: >= 10x over the scalar reference at (4, 2), 1 MiB."""
     size = 1 * MB
     data = _payload(size)
@@ -181,8 +176,6 @@ def test_vectorized_beats_scalar_reference(run_once, benchmark, capsys):
             [["encode", _mbps(size, encode_s), _mbps(size, scalar_encode_s), encode_speedup],
              ["decode(parity)", _mbps(size, decode_s), _mbps(size, scalar_decode_s), decode_speedup]],
             float_format="{:.1f}"))
-    benchmark.extra_info["encode_speedup"] = round(encode_speedup, 1)
-    benchmark.extra_info["decode_speedup"] = round(decode_speedup, 1)
     assert encode_speedup >= 10, f"vectorised encode only {encode_speedup:.1f}x over scalar"
     assert decode_speedup >= 10, f"vectorised decode only {decode_speedup:.1f}x over scalar"
     record_bench("coding", {
@@ -200,7 +193,7 @@ KERNEL_CONFIGS: tuple[tuple[int, int], ...] = \
 KERNEL_BLOCK_LEN = 1 * MB
 
 
-def test_nibble_kernel_beats_row_gather(run_once, benchmark, capsys):
+def test_nibble_kernel_beats_row_gather(run_once, capsys):
     """The nibble-split kernel must beat the row-gather kernel on long blocks.
 
     Both kernels compute the same parity matmul (the erasure-encode hot
@@ -244,11 +237,6 @@ def test_nibble_kernel_beats_row_gather(run_once, benchmark, capsys):
             f"Kernel strategies - parity matmul, {KERNEL_BLOCK_LEN // KB} KiB blocks",
             ["(n,k)", "nibble MB/s", "row-gather MB/s", "speedup"],
             rows, float_format="{:.1f}"))
-    benchmark.extra_info["rows"] = [
-        {"config": r[0], "nibble_mbps": round(r[1], 1),
-         "gather_mbps": round(r[2], 1), "speedup": round(r[3], 2)}
-        for r in rows
-    ]
     for row in rows:
         assert row[3] > 1.0, \
             f"nibble-split kernel lost to row gather at {row[0]}: {row[3]:.2f}x"
@@ -259,7 +247,7 @@ def test_nibble_kernel_beats_row_gather(run_once, benchmark, capsys):
     })
 
 
-def test_write_pipeline_throughput(run_once, benchmark, capsys):
+def test_write_pipeline_throughput(run_once, capsys):
     """End-to-end DepSky write throughput versus raw erasure encoding.
 
     Measures the full Figure 6 write pipeline (key generation, in-place
@@ -329,8 +317,6 @@ def test_write_pipeline_throughput(run_once, benchmark, capsys):
              ["DepSky-CA write (encrypted)", _mbps(size, encrypted_s),
               encrypted_ratio]],
             float_format="{:.2f}"))
-    benchmark.extra_info["plain_ratio"] = round(plain_ratio, 2)
-    benchmark.extra_info["encrypted_ratio"] = round(encrypted_ratio, 2)
     assert plain_ratio <= 2.0, \
         f"plain write pipeline is {plain_ratio:.2f}x raw encode (gate: 2x)"
     assert encrypted_ratio <= 4.0, \

@@ -12,28 +12,15 @@ copy-files micro-benchmarks:
 
 from __future__ import annotations
 
-from repro.bench.filebench import MicroBenchmarkParams
 from repro.bench.report import render_table
-from repro.bench.sweeps import run_metadata_cache_sweep, run_pns_sweep
-
-#: Slightly reduced file counts keep the wall-clock time of the sweep modest
-#: while preserving the shape (the paper uses 200/100 files).
-PARAMS = MicroBenchmarkParams(create_count=100, copy_count=50)
+from repro.bench.sweeps import fig10a, fig10b
 
 
-def test_fig10a_metadata_cache_expiration(run_once, benchmark, capsys):
-    sweep = run_once(run_metadata_cache_sweep, (0.0, 0.250, 0.500), "SCFS-CoC-NB", 3, PARAMS)
-
-    rows = [[f"{point.setting * 1000:.0f} ms", point.create_seconds, point.copy_seconds]
-            for point in sweep.points]
+def test_fig10a_metadata_cache_expiration(run_once, capsys):
+    sweep, table = run_once(fig10a)
     with capsys.disabled():
         print()
-        print(render_table("Figure 10(a) - metadata cache expiration time (simulated seconds)",
-                           ["expiration", "create files", "copy files"], rows))
-    benchmark.extra_info["points"] = {
-        f"{p.setting}": (round(p.create_seconds, 2), round(p.copy_seconds, 2))
-        for p in sweep.points
-    }
+        print(render_table(*table))
 
     by_setting = {point.setting: point for point in sweep.points}
     # Disabling the cache severely degrades both benchmarks...
@@ -48,19 +35,11 @@ def test_fig10a_metadata_cache_expiration(run_once, benchmark, capsys):
     assert first_drop >= 3 * second_drop
 
 
-def test_fig10b_private_name_spaces(run_once, benchmark, capsys):
-    sweep = run_once(run_pns_sweep, (0, 25, 50, 75, 100), "SCFS-CoC-NB", 3, PARAMS)
-
-    rows = [[f"{point.setting:.0f} %", point.create_seconds, point.copy_seconds]
-            for point in sweep.points]
+def test_fig10b_private_name_spaces(run_once, capsys):
+    sweep, table = run_once(fig10b)
     with capsys.disabled():
         print()
-        print(render_table("Figure 10(b) - percentage of shared files with PNS (simulated seconds)",
-                           ["shared files", "create files", "copy files"], rows))
-    benchmark.extra_info["points"] = {
-        f"{p.setting}": (round(p.create_seconds, 2), round(p.copy_seconds, 2))
-        for p in sweep.points
-    }
+        print(render_table(*table))
 
     by_percent = {point.setting: point for point in sweep.points}
     # Latency grows with the fraction of shared files...

@@ -18,26 +18,16 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bench.costs import (
-    cached_read_cost,
-    cost_per_file_day,
-    cost_per_operation,
-    operation_costs_per_day,
-)
-from repro.bench.report import human_size, render_table
+from repro.bench.costs import DEFAULT_COST_SIZES as SIZES, cached_read_cost, fig11a, fig11b, fig11c
+from repro.bench.report import render_table
 from repro.common.units import MB
-
-SIZES = (1 * MB, 5 * MB, 10 * MB, 20 * MB, 30 * MB)
 
 
 def test_fig11a_operation_costs_per_day(run_once, capsys):
-    rows = run_once(operation_costs_per_day)
-    table_rows = [[r.instance, r.ec2_per_day, r.ec2_times_four_per_day, r.coc_per_day,
-                   f"{r.capacity_files / 1e6:.0f}M files"] for r in rows]
+    rows, table = run_once(fig11a)
     with capsys.disabled():
         print()
-        print(render_table("Figure 11(a) - coordination service cost per day ($) and capacity",
-                           ["instance", "EC2", "EC2 x4", "CoC", "capacity"], table_rows))
+        print(render_table(*table))
 
     by_instance = {r.instance: r for r in rows}
     assert by_instance["large"].ec2_per_day == pytest.approx(6.24)
@@ -54,27 +44,16 @@ def test_fig11a_operation_costs_per_day(run_once, capsys):
     assert fault_tolerance_premium * 30 == pytest.approx(439.2, rel=0.05)
 
 
-def test_fig11b_cost_per_operation(run_once, benchmark, capsys):
-    results = run_once(cost_per_operation, SIZES)
-
-    rows = []
-    for series, per_size in results.items():
-        for size in SIZES:
-            rows.append([series, human_size(size), per_size[size].total,
-                         per_size[size].read_path])
+def test_fig11b_cost_per_operation(run_once, capsys):
+    results, table = run_once(fig11b)
     with capsys.disabled():
         print()
-        print(render_table("Figure 11(b) - cost per operation (micro-dollars)",
-                           ["series", "file size", "cost/op (u$)", "read path"], rows))
+        print(render_table(*table))
         print(f"cached read (metadata validation only): {cached_read_cost():.2f} u$")
 
     # Fault-free measured CoC reads must hit the preferred (systematic) quorum.
     for size in SIZES:
         assert results["CoC read"][size].read_path == "systematic"
-    benchmark.extra_info["series"] = {
-        series: {human_size(size): round(cost.total, 1) for size, cost in per_size.items()}
-        for series, per_size in results.items()
-    }
 
     # Reads grow with the file size (outbound traffic is charged)...
     assert results["AWS read"][30 * MB].total > 10 * results["AWS read"][1 * MB].total
@@ -92,24 +71,11 @@ def test_fig11b_cost_per_operation(run_once, benchmark, capsys):
     assert cached_read_cost() == pytest.approx(11.32, rel=0.05)
 
 
-def test_fig11c_cost_per_file_per_day(run_once, benchmark, capsys):
-    results = run_once(cost_per_file_day, SIZES)
-
-    rows = []
-    for system in ("AWS", "CoC"):
-        for size in SIZES:
-            entry = results[system][size]
-            rows.append([system, human_size(size), entry.micro_dollars_per_day,
-                         entry.stored_bytes])
+def test_fig11c_cost_per_file_per_day(run_once, capsys):
+    results, table = run_once(fig11c)
     with capsys.disabled():
         print()
-        print(render_table("Figure 11(c) - storage cost per version per day (micro-dollars)",
-                           ["backend", "file size", "cost/day (u$)", "stored bytes"], rows))
-    benchmark.extra_info["series"] = {
-        system: {human_size(size): round(entry.micro_dollars_per_day, 2)
-                 for size, entry in per_size.items()}
-        for system, per_size in results.items()
-    }
+        print(render_table(*table))
 
     for size in SIZES:
         ratio = results["CoC"][size].micro_dollars_per_day / results["AWS"][size].micro_dollars_per_day

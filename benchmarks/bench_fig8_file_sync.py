@@ -17,40 +17,14 @@ Shape assertions, mirroring §4.3:
 from __future__ import annotations
 
 from repro.bench.report import render_table
-from repro.bench.syncservice import run_sync_benchmark
-
-NON_BLOCKING_SYSTEMS = ("SCFS-AWS-NB", "SCFS-CoC-NB", "SCFS-CoC-NS", "S3QL")
-BLOCKING_SYSTEMS = ("SCFS-AWS-B", "SCFS-CoC-B", "S3FS")
-RUNS = 3
+from repro.bench.syncservice import fig8
 
 
-def _run_all() -> dict[tuple[str, bool], object]:
-    results = {}
-    for system in NON_BLOCKING_SYSTEMS + BLOCKING_SYSTEMS:
-        for local_locks in (False, True):
-            results[(system, local_locks)] = run_sync_benchmark(
-                system, local_locks=local_locks, runs=RUNS, seed=7
-            )
-    return results
-
-
-def test_fig8_file_synchronization_benchmark(run_once, benchmark, capsys):
-    results = run_once(_run_all)
-
-    rows = []
-    for (system, local_locks), result in sorted(results.items()):
-        label = f"{system}(L)" if local_locks else system
-        rows.append([label, result.open_latency, result.save_latency,
-                     result.close_latency, result.total])
+def test_fig8_file_synchronization_benchmark(run_once, capsys):
+    results, table = run_once(fig8)
     with capsys.disabled():
         print()
-        print(render_table(
-            "Figure 8 - file synchronisation benchmark, 1.2MB document (simulated seconds)",
-            ["system", "open", "save", "close", "total"], rows, float_format="{:.2f}"))
-    benchmark.extra_info["results"] = {
-        f"{system}{'(L)' if local else ''}": round(result.total, 3)
-        for (system, local), result in results.items()
-    }
+        print(render_table(*table))
 
     def total(system, local=False):
         return results[(system, local)].total

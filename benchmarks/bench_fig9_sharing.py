@@ -17,42 +17,16 @@ Shape assertions, mirroring §4.3:
 
 from __future__ import annotations
 
-from repro.bench.report import human_size, render_table
-from repro.bench.sharing import run_dropbox_sharing, run_sharing_benchmark
+from repro.bench.report import render_table
+from repro.bench.sharing import SIZES, SYSTEMS, fig9
 from repro.common.units import KB, MB
 
-SIZES = (256 * KB, 1 * MB, 4 * MB, 16 * MB)
-SYSTEMS = ("SCFS-CoC-B", "SCFS-CoC-NB", "SCFS-AWS-B", "SCFS-AWS-NB", "Dropbox")
-TRIALS = 7
 
-
-def _run_matrix():
-    results = {}
-    for system in SYSTEMS:
-        for size in SIZES:
-            if system == "Dropbox":
-                results[(system, size)] = run_dropbox_sharing(size, trials=TRIALS, seed=5)
-            else:
-                results[(system, size)] = run_sharing_benchmark(system, size, trials=TRIALS, seed=5)
-    return results
-
-
-def test_fig9_sharing_latency(run_once, benchmark, capsys):
-    results = run_once(_run_matrix)
-
-    rows = []
-    for system in SYSTEMS:
-        for size in SIZES:
-            result = results[(system, size)]
-            rows.append([system, human_size(size), result.p50, result.p90])
+def test_fig9_sharing_latency(run_once, capsys):
+    results, table = run_once(fig9)
     with capsys.disabled():
         print()
-        print(render_table("Figure 9 - sharing latency, 50th/90th percentile (simulated seconds)",
-                           ["system", "size", "p50", "p90"], rows, float_format="{:.2f}"))
-    benchmark.extra_info["results"] = {
-        f"{system}/{human_size(size)}": round(result.p50, 2)
-        for (system, size), result in results.items()
-    }
+        print(render_table(*table))
 
     def p50(system, size):
         return results[(system, size)].p50

@@ -132,7 +132,7 @@ def _sweep() -> dict[tuple[str, str], dict]:
     }
 
 
-def test_quorum_latency_sweep(run_once, benchmark, capsys):
+def test_quorum_latency_sweep(run_once, capsys):
     results = run_once(_sweep)
 
     rows = []
@@ -154,16 +154,6 @@ def test_quorum_latency_sweep(run_once, benchmark, capsys):
             ["schedule", "policy", "read p50", "read p95", "read p99",
              "write p50", "write p99", "pref. hits", "hedged"],
             rows, float_format="{:.3f}"))
-    benchmark.extra_info["sweep"] = {
-        f"{schedule}/{policy}": {
-            "read_p50": round(percentile(result["reads"], 50), 4),
-            "read_p99": round(percentile(result["reads"], 99), 4),
-            "write_p50": round(percentile(result["writes"], 50), 4),
-            "paths": result["paths"],
-            "hedged": result["hedged"],
-        }
-        for (schedule, policy), result in results.items()
-    }
 
     def reads(schedule, policy):
         return results[(schedule, policy)]["reads"]
@@ -270,7 +260,7 @@ def _mean(values: list[float]) -> float:
     return sum(values) / len(values) if values else 0.0
 
 
-def test_outage_recovery_sweep(run_once, benchmark, capsys):
+def test_outage_recovery_sweep(run_once, capsys):
     results = run_once(lambda: {
         (kind, "suspect" if suspicion else "timeout"): _run_outage_scenario(kind, suspicion)
         for kind in OUTAGE_KINDS
@@ -297,17 +287,6 @@ def test_outage_recovery_sweep(run_once, benchmark, capsys):
             ["outage", "policy", "reads", "read 1", "mean 2..N",
              "mean post-outage", "suspicions", "probes", "recoveries"],
             rows, float_format="{:.3f}"))
-    benchmark.extra_info["outage_sweep"] = {
-        f"{kind}/{policy}": {
-            "first_read": round(result["outage_reads"][0], 4),
-            "mean_rest": round(_mean(result["outage_reads"][1:]), 4),
-            "mean_recovery": round(_mean(result["recovery_reads"]), 4),
-            "suspicions": result["health"].suspicions if result["health"] else 0,
-            "probes": result["health"].probes if result["health"] else 0,
-            "recoveries": result["health"].recoveries if result["health"] else 0,
-        }
-        for (kind, policy), result in results.items()
-    }
 
     for kind in OUTAGE_KINDS:
         tracked = results[(kind, "suspect")]
@@ -426,7 +405,7 @@ def _run_frontier_arm(arm: str, schedule: str, seed: int = 17) -> dict:
     }
 
 
-def test_weighted_quorum_frontier(run_once, benchmark, capsys):
+def test_weighted_quorum_frontier(run_once, capsys):
     results = run_once(lambda: {
         (schedule, arm): _run_frontier_arm(arm, schedule)
         for schedule in FRONTIER_SCHEDULES
@@ -449,13 +428,6 @@ def test_weighted_quorum_frontier(run_once, benchmark, capsys):
             ["schedule", "quorums", "read mean", "read p99",
              "m$/read", "m$*s/read"],
             rows, float_format="{:.3f}"))
-    benchmark.extra_info["frontier"] = {
-        f"{schedule}/{arm}": {
-            "mean_latency_s": round(result["mean_latency"], 4),
-            "cost_per_read_usd": round(result["cost_per_read"], 8),
-        }
-        for (schedule, arm), result in results.items()
-    }
 
     def product(schedule: str, arm: str) -> float:
         result = results[(schedule, arm)]

@@ -78,7 +78,7 @@ def _run_cell(agents: int, ops: int) -> dict:
     }
 
 
-def test_agent_scale_sweep(run_once, benchmark, capsys):
+def test_agent_scale_sweep(run_once, capsys):
     cells = run_once(lambda: [_run_cell(agents, ops) for agents, ops in AGENT_SWEEP])
     peak_rss = _peak_rss_mb()
 
@@ -96,9 +96,6 @@ def test_agent_scale_sweep(run_once, benchmark, capsys):
     smallest, largest = cells[0], cells[-1]
     growth = largest["total_ops"] / smallest["total_ops"]
     ratio = largest["wall_s"] / smallest["wall_s"]
-    benchmark.extra_info["cells"] = [
-        {k: v for k, v in c.items() if k != "fingerprint"} for c in cells]
-    benchmark.extra_info["scaling_ratio"] = round(ratio, 2)
 
     # The acceptance bar: per-op wall-clock stays flat as the population
     # grows ``growth``x — no super-linear term (lock contention, namespace
@@ -148,7 +145,7 @@ def _burst(coalesce: bool) -> dict:
     return {"wall_s": wall, "hits": coalescer.hits if coalescer else 0}
 
 
-def test_same_instant_read_burst(run_once, benchmark, capsys):
+def test_same_instant_read_burst(run_once, capsys):
     results = run_once(lambda: {
         "plain": _burst(coalesce=False),
         "coalesced": _burst(coalesce=True),
@@ -163,11 +160,6 @@ def test_same_instant_read_burst(run_once, benchmark, capsys):
             [["plain", plain["wall_s"], plain["hits"], 1.0],
              ["coalesced", coalesced["wall_s"], coalesced["hits"], speedup]],
             float_format="{:.4f}"))
-    benchmark.extra_info["burst"] = {
-        "plain_wall_s": round(plain["wall_s"], 4),
-        "coalesced_wall_s": round(coalesced["wall_s"], 4),
-        "speedup": round(speedup, 2),
-    }
 
     # All but the first read of the instant ride on the first call's result...
     assert coalesced["hits"] == BURST_READERS - 1

@@ -28,19 +28,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bench.filebench import (
-    MICRO_BENCHMARKS,
-    MicroBenchmarkParams,
-    create_files,
-    run_microbenchmark_table,
-)
+from repro.bench.filebench import TABLE3_PARAMS, create_files, table3
 from repro.bench.report import render_table
-from repro.bench.targets import ALL_TARGET_NAMES, build_target
-
-#: Number of random 4 KB operations actually executed (result scaled to 256 k).
-SAMPLE_OPS = 1024
-
-PARAMS = MicroBenchmarkParams(sample_ops=SAMPLE_OPS)
+from repro.bench.targets import build_target
 
 #: Coordination accesses one created file may cost (see the module docstring).
 CREATE_ACCESS_CEILING = 3.0
@@ -49,26 +39,21 @@ CREATE_ACCESS_CEILING = 3.0
 def accesses_per_created_file(variant: str) -> float:
     """Simulated seconds per created file over those of one cold ``stat``, in one run."""
     target = build_target(variant, seed=0)
-    per_file = create_files(target, PARAMS) / PARAMS.create_count
+    per_file = create_files(target, TABLE3_PARAMS) / TABLE3_PARAMS.create_count
     cold_stats = []
     for _ in range(20):
         target.sim.advance(1.0)  # past the metadata cache's expiration
         start = target.sim.now()
-        target.fs.stat(PARAMS.directory)
+        target.fs.stat(TABLE3_PARAMS.directory)
         cold_stats.append(target.sim.now() - start)
     return per_file * len(cold_stats) / sum(cold_stats)
 
 
-def test_table3_microbenchmarks(run_once, benchmark, capsys):
-    table = run_once(run_microbenchmark_table, ALL_TARGET_NAMES, tuple(MICRO_BENCHMARKS), 0, PARAMS)
-
-    headers = ["micro-benchmark", *ALL_TARGET_NAMES]
-    rows = [[name, *(table[name][target] for target in ALL_TARGET_NAMES)]
-            for name in MICRO_BENCHMARKS]
+def test_table3_microbenchmarks(run_once, capsys):
+    table, printed = run_once(table3)
     with capsys.disabled():
         print()
-        print(render_table("Table 3 - Filebench micro-benchmarks (simulated seconds)",
-                           headers, rows, float_format="{:.2f}"))
+        print(render_table(*printed))
         print()
     create_accesses = {variant: accesses_per_created_file(variant)
                        for variant in ("SCFS-AWS-NB", "SCFS-CoC-NB")}
@@ -76,12 +61,6 @@ def test_table3_microbenchmarks(run_once, benchmark, capsys):
         for variant, accesses in create_accesses.items():
             print(f"create files, {variant}: {accesses:.2f} cold stats per created file "
                   f"(ceiling {CREATE_ACCESS_CEILING})")
-    benchmark.extra_info["create_accesses"] = {
-        variant: round(accesses, 3) for variant, accesses in create_accesses.items()}
-    benchmark.extra_info["table"] = {
-        bench: {target: round(value, 3) for target, value in row.items()}
-        for bench, row in table.items()
-    }
 
     # No coordination read ahead of the insert-if-absent of a create-open.
     for variant, accesses in create_accesses.items():

@@ -5,8 +5,9 @@ paper's evaluation section (§4).  The measurements are *simulated* latencies
 and dollar costs produced by the deterministic simulation substrate, so each
 benchmark runs its experiment exactly once (``rounds=1``) — wall-clock numbers
 reported by pytest-benchmark only describe how long the simulation itself took
-to execute, while the regenerated rows/series are printed to stdout and stored
-in ``benchmark.extra_info``.
+to execute, while the regenerated rows are printed to stdout (with ``-s``).
+A paper figure's case runs its artefact function from ``repro.bench``, the
+same function whose table ``python -m repro.cli <artefact>`` prints.
 
 Run with::
 

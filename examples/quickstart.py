@@ -19,6 +19,7 @@ Run with::
 from __future__ import annotations
 
 from repro import Permission, SCFSDeployment
+from repro.depsky.protocol import preferred_order
 from repro.simenv.failures import FaultKind
 
 
@@ -47,13 +48,16 @@ def main() -> None:
     except Exception as exc:  # PermissionDeniedError
         print(type(exc).__name__)
 
-    # 5. A whole provider goes down — the cloud-of-clouds shrugs it off.
-    victim = deployment.clouds[0]
+    # 5. A whole provider goes down — the cloud-of-clouds shrugs it off.  The
+    #    first cloud in preferred order holds a systematic block, so the read
+    #    has to decode from a parity block on the remaining clouds.
+    victim = preferred_order(deployment.clouds)[0]
     victim.failures.add(FaultKind.UNAVAILABLE)
     print(f"provider {victim.name!r} is now unavailable")
     alice.agent.memory_cache.clear()
     alice.agent.disk_cache.clear()     # force a read from the remaining clouds
-    print("alice still reads:", alice.read_file("/projects/design.md").decode().strip())
+    print("alice still reads:", alice.read_file("/projects/design.md").decode().strip(),
+          f"(coded reads: {alice.agent.backend.read_paths.coded})")
 
     # A quick look at what this cost so far (micro-dollars across providers).
     costs = deployment.costs()

@@ -39,25 +39,7 @@ Sub-packages
     Workloads and harnesses regenerating every table and figure of the paper.
 """
 
-from repro.common.types import Permission, Principal
-from repro.core.config import SCFSConfig
+from repro.common.types import Permission
 from repro.core.deployment import SCFSDeployment
-from repro.core.filesystem import SCFSFileSystem, DurabilityLevel
-from repro.core.modes import OperationMode, BackendKind, VARIANTS
-from repro.simenv.environment import Simulation
 
-__version__ = "1.0.0"
-
-__all__ = [
-    "Permission",
-    "Principal",
-    "SCFSConfig",
-    "SCFSDeployment",
-    "SCFSFileSystem",
-    "DurabilityLevel",
-    "OperationMode",
-    "BackendKind",
-    "VARIANTS",
-    "Simulation",
-    "__version__",
-]
+__all__ = ["Permission", "SCFSDeployment"]

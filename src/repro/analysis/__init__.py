@@ -33,15 +33,6 @@ A pragma without a justification is itself an error (``PRG001``).
 
 from __future__ import annotations
 
-from repro.analysis.core import AnalysisReport, analyze_paths, analyze_source
-from repro.analysis.findings import Finding
-from repro.analysis.registry import ALL_RULES, RULE_DOCS
+from repro.analysis.core import analyze_paths, analyze_source
 
-__all__ = [
-    "ALL_RULES",
-    "AnalysisReport",
-    "Finding",
-    "RULE_DOCS",
-    "analyze_paths",
-    "analyze_source",
-]
+__all__ = ["analyze_paths", "analyze_source"]

@@ -16,18 +16,3 @@ All baselines expose the same calling surface as
 :class:`~repro.core.filesystem.SCFSFileSystem`, so the benchmark workloads can
 drive any of them interchangeably.
 """
-
-from repro.baselines.base import BaselineFileSystem
-from repro.baselines.localfs import LocalFS
-from repro.baselines.s3fs import S3FSLike
-from repro.baselines.s3ql import S3QLLike
-from repro.baselines.dropbox import DropboxLikeService, DropboxClient
-
-__all__ = [
-    "BaselineFileSystem",
-    "LocalFS",
-    "S3FSLike",
-    "S3QLLike",
-    "DropboxLikeService",
-    "DropboxClient",
-]

@@ -1,60 +1,23 @@
 """Benchmark harness regenerating every table and figure of the paper.
 
-The package splits into *workloads* (what operations are issued) and
-*harnesses* (which systems they are issued against and how results are
-aggregated):
+Each paper artefact is one function of its module, run at the
+benchmark's own sizing and seed: it returns the results and the
+:class:`~repro.bench.report.Table` they print as.  The ``benchmarks/`` case
+asserts on those results, and ``python -m repro.cli <artefact>`` prints that
+table:
 
-* :mod:`~repro.bench.targets` — factories building every system under test
-  (the six SCFS variants of Table 2, S3FS, S3QL, LocalFS) on a fresh
-  simulation;
 * :mod:`~repro.bench.filebench` — the six Filebench micro-benchmarks of
-  Table 3;
+  Table 3 (``table3``);
 * :mod:`~repro.bench.syncservice` — the OpenOffice-style file-synchronisation
-  benchmark of Figure 7/8, with cloud or local lock files;
+  benchmark of Figure 7/8, with cloud or local lock files (``fig8``);
 * :mod:`~repro.bench.sharing` — the two-client sharing-latency experiment of
-  Figure 9 (SCFS variants vs a Dropbox-like service);
+  Figure 9, SCFS variants vs a Dropbox-like service (``fig9``);
 * :mod:`~repro.bench.sweeps` — the metadata-cache and PNS parameter sweeps of
-  Figure 10;
-* :mod:`~repro.bench.costs` — the operation/usage cost analysis of Figure 11;
-* :mod:`~repro.bench.report` — plain-text table rendering used by the
-  ``benchmarks/`` pytest files and the examples.
+  Figure 10 (``fig10a``, ``fig10b``);
+* :mod:`~repro.bench.costs` — the operation/usage cost analysis of Figure 11
+  (``fig11a``, ``fig11b``, ``fig11c``).
+
+Under them, :mod:`~repro.bench.targets` builds every system under test (the
+six SCFS variants of Table 2, S3FS, S3QL, LocalFS) on a fresh simulation, and
+:mod:`~repro.bench.report` renders the tables.
 """
-
-from repro.bench.targets import BenchTarget, build_target, SCFS_VARIANT_NAMES, ALL_TARGET_NAMES
-from repro.bench.filebench import (
-    MicroBenchmarkParams,
-    run_microbenchmark,
-    run_microbenchmark_table,
-    MICRO_BENCHMARKS,
-)
-from repro.bench.syncservice import SyncBenchmarkResult, run_sync_benchmark
-from repro.bench.sharing import SharingResult, run_sharing_benchmark, run_dropbox_sharing
-from repro.bench.sweeps import run_metadata_cache_sweep, run_pns_sweep
-from repro.bench.costs import (
-    operation_costs_per_day,
-    cost_per_operation,
-    cost_per_file_day,
-)
-from repro.bench.report import render_table
-
-__all__ = [
-    "BenchTarget",
-    "build_target",
-    "SCFS_VARIANT_NAMES",
-    "ALL_TARGET_NAMES",
-    "MicroBenchmarkParams",
-    "run_microbenchmark",
-    "run_microbenchmark_table",
-    "MICRO_BENCHMARKS",
-    "SyncBenchmarkResult",
-    "run_sync_benchmark",
-    "SharingResult",
-    "run_sharing_benchmark",
-    "run_dropbox_sharing",
-    "run_metadata_cache_sweep",
-    "run_pns_sweep",
-    "operation_costs_per_day",
-    "cost_per_operation",
-    "cost_per_file_day",
-    "render_table",
-]

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.bench.report import Table, human_size
 from repro.bench.targets import build_target
 from repro.clouds.pricing import COORDINATION_CAPACITY_TUPLES
 from repro.clouds.providers import COC_COMPUTE_PROVIDERS, COMPUTE_PRICING
@@ -198,3 +199,30 @@ def cost_per_file_day(sizes: tuple[int, ...] = DEFAULT_COST_SIZES,
                 micro_dollars_per_day=micro_dollars(dollars_per_day),
             )
     return results
+
+
+def fig11a() -> tuple[list[OperationCostRow], Table]:
+    """Figure 11(a): the price-list rows and their table."""
+    results = operation_costs_per_day()
+    rows = [[r.instance, r.ec2_per_day, r.ec2_times_four_per_day, r.coc_per_day,
+             f"{r.capacity_files / 1e6:.0f}M files"] for r in results]
+    return results, Table("Figure 11(a) - coordination service cost per day ($) and capacity",
+                          ["instance", "EC2", "EC2 x4", "CoC", "capacity"], rows)
+
+
+def fig11b() -> tuple[dict[str, dict[int, OperationCost]], Table]:
+    """Figure 11(b), seed 0: ``{series: {size: cost}}`` and its table."""
+    results = cost_per_operation()
+    rows = [[series, human_size(size), cost.total, cost.read_path]
+            for series, per_size in results.items() for size, cost in per_size.items()]
+    return results, Table("Figure 11(b) - cost per operation (micro-dollars)",
+                          ["series", "file size", "cost/op (u$)", "read path"], rows)
+
+
+def fig11c() -> tuple[dict[str, dict[int, StorageCost]], Table]:
+    """Figure 11(c), seed 0: ``{backend: {size: cost}}`` and its table."""
+    results = cost_per_file_day()
+    rows = [[system, human_size(size), entry.micro_dollars_per_day, entry.stored_bytes]
+            for system in ("AWS", "CoC") for size, entry in results[system].items()]
+    return results, Table("Figure 11(c) - storage cost per version per day (micro-dollars)",
+                          ["backend", "file size", "cost/day (u$)", "stored bytes"], rows)

@@ -35,6 +35,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro.common.units import KB, MB
+from repro.bench.report import Table
 from repro.bench.targets import ALL_TARGET_NAMES, BenchTarget, build_target
 
 
@@ -288,17 +289,17 @@ def run_microbenchmark(benchmark: str, target_name: str, seed: int = 0,
     return workload(target, params)
 
 
-def run_microbenchmark_table(target_names: tuple[str, ...] = ALL_TARGET_NAMES,
-                             benchmarks: tuple[str, ...] | None = None,
-                             seed: int = 0,
-                             params: MicroBenchmarkParams | None = None) -> dict[str, dict[str, float]]:
-    """Regenerate Table 3: ``{benchmark: {target: seconds}}``."""
-    params = params or MicroBenchmarkParams()
-    benchmarks = benchmarks or tuple(MICRO_BENCHMARKS)
-    table: dict[str, dict[str, float]] = {}
-    for benchmark in benchmarks:
-        row: dict[str, float] = {}
-        for target_name in target_names:
-            row[target_name] = run_microbenchmark(benchmark, target_name, seed=seed, params=params)
-        table[benchmark] = row
-    return table
+#: Table 3's sizing: 1024 random 4 KB operations executed, scaled to 256 k.
+TABLE3_PARAMS = MicroBenchmarkParams(sample_ops=1024)
+
+
+def table3() -> tuple[dict[str, dict[str, float]], Table]:
+    """Table 3, seed 0: ``{benchmark: {target: seconds}}`` and its table."""
+    results = {benchmark: {target_name: run_microbenchmark(benchmark, target_name, seed=0,
+                                                           params=TABLE3_PARAMS)
+                           for target_name in ALL_TARGET_NAMES}
+               for benchmark in MICRO_BENCHMARKS}
+    rows = [[benchmark, *(results[benchmark][target_name] for target_name in ALL_TARGET_NAMES)]
+            for benchmark in MICRO_BENCHMARKS]
+    return results, Table("Table 3 - Filebench micro-benchmarks (simulated seconds)",
+                          ["micro-benchmark", *ALL_TARGET_NAMES], rows)

@@ -1,13 +1,22 @@
 """Plain-text rendering of benchmark results.
 
-The ``benchmarks/`` pytest files print the regenerated tables/series with
-these helpers so that the rows the paper reports can be eyeballed directly in
-the benchmark output (and diffed against EXPERIMENTS.md).
+Each paper artefact's function returns its rows as a :class:`Table`; the
+``benchmarks/`` pytest files and ``repro.cli`` print it with
+:func:`render_table`, so the rows the paper reports can be eyeballed directly.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
+
+
+class Table(NamedTuple):
+    """A printable table: the arguments of :func:`render_table`, in order."""
+
+    title: str
+    headers: Sequence[str]
+    rows: list[list[object]]
+    float_format: str = "{:.2f}"
 
 
 def render_table(title: str, headers: Sequence[str], rows: Iterable[Sequence[object]],

@@ -21,10 +21,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.baselines.dropbox import DropboxLikeService
-from repro.bench.report import percentile
+from repro.bench.report import Table, human_size, percentile
 from repro.bench.targets import build_target
 from repro.common.errors import FileNotFoundErrorFS, FileSystemError
 from repro.common.types import Permission
+from repro.common.units import KB, MB
 from repro.crypto.hashing import content_digest
 from repro.simenv.environment import Simulation
 
@@ -117,3 +118,24 @@ def run_dropbox_sharing(file_size: int, trials: int = 9, seed: int = 0,
         system="Dropbox", file_size=file_size,
         p50=percentile(samples, 50), p90=percentile(samples, 90), samples=samples,
     )
+
+
+#: Figure 9's file sizes, systems and trials per (system, size) cell.
+SIZES = (256 * KB, 1 * MB, 4 * MB, 16 * MB)
+SYSTEMS = ("SCFS-CoC-B", "SCFS-CoC-NB", "SCFS-AWS-B", "SCFS-AWS-NB", "Dropbox")
+TRIALS = 7
+
+
+def fig9() -> tuple[dict[tuple[str, int], SharingResult], Table]:
+    """Figure 9, seed 5: ``{(system, size): result}`` and its table."""
+    results = {}
+    for system in SYSTEMS:
+        for size in SIZES:
+            if system == "Dropbox":
+                results[(system, size)] = run_dropbox_sharing(size, trials=TRIALS, seed=5)
+            else:
+                results[(system, size)] = run_sharing_benchmark(system, size, trials=TRIALS, seed=5)
+    rows = [[system, human_size(size), result.p50, result.p90]
+            for (system, size), result in results.items()]
+    return results, Table("Figure 9 - sharing latency, 50th/90th percentile (simulated seconds)",
+                          ["system", "size", "p50", "p90"], rows)

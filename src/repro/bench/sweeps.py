@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.bench.filebench import MicroBenchmarkParams, copy_files, create_files
+from repro.bench.report import Table
 from repro.bench.targets import build_target
 from repro.core.config import CacheConfig
 
@@ -77,3 +78,26 @@ def run_pns_sweep(sharing_percentages: tuple[int, ...] = DEFAULT_SHARING_PERCENT
         copy_seconds = copy_files(copy_target, params, shared_fraction=fraction)
         result.points.append(SweepPoint(float(percent), create_seconds, copy_seconds))
     return result
+
+
+#: Figure 10's sizing: half the paper's 200/100 files keeps the sweeps' wall
+#: time modest while preserving their shape.
+PARAMS = MicroBenchmarkParams(create_count=100, copy_count=50)
+
+
+def fig10a() -> tuple[SweepResult, Table]:
+    """Figure 10(a) on SCFS-CoC-NB, seed 3: the sweep and its table."""
+    sweep = run_metadata_cache_sweep(DEFAULT_EXPIRATIONS, "SCFS-CoC-NB", 3, PARAMS)
+    rows = [[f"{point.setting * 1000:.0f} ms", point.create_seconds, point.copy_seconds]
+            for point in sweep.points]
+    return sweep, Table("Figure 10(a) - metadata cache expiration time (simulated seconds)",
+                        ["expiration", "create files", "copy files"], rows)
+
+
+def fig10b() -> tuple[SweepResult, Table]:
+    """Figure 10(b) on SCFS-CoC-NB, seed 3: the sweep and its table."""
+    sweep = run_pns_sweep(DEFAULT_SHARING_PERCENTAGES, "SCFS-CoC-NB", 3, PARAMS)
+    rows = [[f"{point.setting:.0f} %", point.create_seconds, point.copy_seconds]
+            for point in sweep.points]
+    return sweep, Table("Figure 10(b) - percentage of shared files with PNS (simulated seconds)",
+                        ["shared files", "create files", "copy files"], rows)

@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.baselines.localfs import LocalFS
+from repro.bench.report import Table
 from repro.bench.targets import BenchTarget, build_target
 from repro.common.units import MB
 
@@ -174,3 +175,21 @@ def run_sync_benchmark(target_name: str, file_size: int = DEFAULT_FILE_SIZE,
         open_latency=open_avg, save_latency=save_avg, close_latency=close_avg,
         runs=runs, per_run=per_run,
     )
+
+
+#: Figure 8's systems: the non-blocking ones (8a), then the blocking ones (8b).
+SYSTEMS = ("SCFS-AWS-NB", "SCFS-CoC-NB", "SCFS-CoC-NS", "S3QL", "SCFS-AWS-B", "SCFS-CoC-B", "S3FS")
+RUNS = 3
+
+
+def fig8() -> tuple[dict[tuple[str, bool], SyncBenchmarkResult], Table]:
+    """Figure 8, seed 7: ``{(system, local_locks): result}`` and its table."""
+    results = {(system, local_locks): run_sync_benchmark(system, local_locks=local_locks,
+                                                         runs=RUNS, seed=7)
+               for system in SYSTEMS for local_locks in (False, True)}
+    rows = [[f"{system}(L)" if local_locks else system, result.open_latency,
+             result.save_latency, result.close_latency, result.total]
+            for (system, local_locks), result in sorted(results.items())]
+    return results, Table(
+        "Figure 8 - file synchronisation benchmark, 1.2MB document (simulated seconds)",
+        ["system", "open", "save", "close", "total"], rows)

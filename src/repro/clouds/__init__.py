@@ -22,52 +22,3 @@ basic access-control lists and (at least) eventual consistency (§2.1,
   exponential-backoff probe windows, straggler detection) feeding the
   dispatch engine's request planning.
 """
-
-from repro.clouds.object_store import ObjectVersion, ObjectListing
-from repro.clouds.dispatch import (
-    DispatchPolicyConfig,
-    QuorumCall,
-    QuorumCallStats,
-    QuorumRequest,
-    RequestStatus,
-)
-from repro.clouds.health import (
-    CloudHealth,
-    CloudHealthTracker,
-    HealthStats,
-)
-from repro.clouds.eventual import EventuallyConsistentStore
-from repro.clouds.access_control import ObjectACL
-from repro.clouds.pricing import StoragePricing, ComputePricing
-from repro.clouds.accounting import CostTracker, UsageBreakdown
-from repro.clouds.providers import (
-    PROVIDER_PROFILES,
-    COMPUTE_PRICING,
-    ProviderProfile,
-    make_provider,
-    make_cloud_of_clouds,
-)
-
-__all__ = [
-    "ObjectVersion",
-    "ObjectListing",
-    "DispatchPolicyConfig",
-    "QuorumCall",
-    "QuorumCallStats",
-    "QuorumRequest",
-    "RequestStatus",
-    "CloudHealth",
-    "CloudHealthTracker",
-    "HealthStats",
-    "EventuallyConsistentStore",
-    "ObjectACL",
-    "StoragePricing",
-    "ComputePricing",
-    "CostTracker",
-    "UsageBreakdown",
-    "PROVIDER_PROFILES",
-    "COMPUTE_PRICING",
-    "ProviderProfile",
-    "make_provider",
-    "make_cloud_of_clouds",
-]

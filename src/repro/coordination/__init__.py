@@ -20,28 +20,7 @@ fault-tolerant) — and this package reproduces both:
   against, with adapters for both concrete services.
 """
 
-from repro.coordination.base import CoordinationService, Entry, Session
-from repro.coordination.tuplespace import DepSpace
-from repro.coordination.zookeeper import ZooKeeperLike
-from repro.coordination.replication import ReplicatedStateMachine, FaultModel
-from repro.coordination.adapters import (
-    DepSpaceCoordination,
-    ZooKeeperCoordination,
-    make_coordination_service,
-)
-from repro.coordination.partitioned import PartitionedCoordination, partition_by_top_level_directory
+from repro.coordination.adapters import make_coordination_service
+from repro.coordination.partitioned import PartitionedCoordination
 
-__all__ = [
-    "CoordinationService",
-    "Entry",
-    "Session",
-    "DepSpace",
-    "ZooKeeperLike",
-    "ReplicatedStateMachine",
-    "FaultModel",
-    "DepSpaceCoordination",
-    "ZooKeeperCoordination",
-    "make_coordination_service",
-    "PartitionedCoordination",
-    "partition_by_top_level_directory",
-]
+__all__ = ["PartitionedCoordination", "make_coordination_service"]

@@ -24,32 +24,3 @@ The package mirrors the component structure of §2/§3 of the paper:
 * :mod:`~repro.core.deployment` — helpers that assemble complete deployments
   (clouds + coordination + agents) for each Table 2 variant.
 """
-
-from repro.core.config import SCFSConfig, BackendKind, GarbageCollectionPolicy, CacheConfig
-from repro.core.modes import OperationMode, VariantSpec, VARIANTS, variant
-from repro.core.metadata import FileMetadata, FileType
-from repro.core.backend import StorageBackend, SingleCloudBackend, CloudOfCloudsBackend
-from repro.core.filesystem import SCFSFileSystem, DurabilityLevel
-from repro.core.agent import SCFSAgent, OpenFlags
-from repro.core.deployment import SCFSDeployment
-
-__all__ = [
-    "SCFSConfig",
-    "BackendKind",
-    "GarbageCollectionPolicy",
-    "CacheConfig",
-    "OperationMode",
-    "VariantSpec",
-    "VARIANTS",
-    "variant",
-    "FileMetadata",
-    "FileType",
-    "StorageBackend",
-    "SingleCloudBackend",
-    "CloudOfCloudsBackend",
-    "SCFSFileSystem",
-    "DurabilityLevel",
-    "SCFSAgent",
-    "OpenFlags",
-    "SCFSDeployment",
-]

@@ -58,7 +58,6 @@ class GarbageCollector:
         self.storage = storage_service
         self.backend = backend
         self._bytes_at_last_run = 0
-        self.runs = 0
 
     # ------------------------------------------------------------------ policy
 
@@ -103,7 +102,6 @@ class GarbageCollector:
                     self._collect_file(meta, report)
                 except (CloudError, ReproError) as exc:
                     report.errors.append(f"{path}: {exc}")
-        self.runs += 1
         return report
 
     def _delete(self, ref: ObjectRef, report: GCReport) -> bool:

@@ -19,19 +19,3 @@ The cipher is *not* meant to be production-grade cryptography; it is a
 faithful stand-in that exercises the same code paths (keys, confidentiality,
 integrity tags) with deterministic, dependency-free primitives.
 """
-
-from repro.crypto.hashing import content_digest, hmac_digest
-from repro.crypto.cipher import SymmetricCipher, generate_key
-from repro.crypto.erasure import ErasureCoder
-from repro.crypto.secret_sharing import split_secret, combine_secret, SecretShare
-
-__all__ = [
-    "content_digest",
-    "hmac_digest",
-    "SymmetricCipher",
-    "generate_key",
-    "ErasureCoder",
-    "split_secret",
-    "combine_secret",
-    "SecretShare",
-]

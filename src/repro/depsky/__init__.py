@@ -17,12 +17,3 @@ The SCFS paper extends DepSky with an operation that reads *the version with a
 given hash* rather than the latest one — the hook the consistency-anchor
 algorithm needs (§2.4).  That extension is :meth:`DepSkyClient.read_matching`.
 """
-
-from repro.depsky.dataunit import VersionRecord
-from repro.depsky.protocol import DepSkyClient, DepSkyReadResult
-
-__all__ = [
-    "VersionRecord",
-    "DepSkyClient",
-    "DepSkyReadResult",
-]

@@ -17,30 +17,7 @@ Public surface:
 prints its report; a failing seed reproduces the identical trace.
 """
 
-from repro.scenarios.invariants import Violation, check_all
-from repro.scenarios.runner import ScenarioResult, ScenarioRunner, run_scenario
-from repro.scenarios.spec import (
-    AGENT_NAMES,
-    FAULT_MIXES,
-    AgentSpec,
-    FaultPhase,
-    ScenarioSpec,
-    WorkloadMix,
-)
-from repro.scenarios.trace import TraceEvent, TraceRecorder
+from repro.scenarios.runner import run_scenario
+from repro.scenarios.spec import FAULT_MIXES, ScenarioSpec
 
-__all__ = [
-    "AGENT_NAMES",
-    "AgentSpec",
-    "FAULT_MIXES",
-    "FaultPhase",
-    "ScenarioResult",
-    "ScenarioRunner",
-    "ScenarioSpec",
-    "TraceEvent",
-    "TraceRecorder",
-    "Violation",
-    "WorkloadMix",
-    "check_all",
-    "run_scenario",
-]
+__all__ = ["FAULT_MIXES", "ScenarioSpec", "run_scenario"]

@@ -7,18 +7,3 @@ coordination service operation) *charges* its latency to the shared
 :class:`SimClock`, so benchmarks measure deterministic simulated seconds
 instead of noisy wall-clock time.
 """
-
-from repro.simenv.clock import SimClock
-from repro.simenv.latency import LatencyModel, NetworkProfile
-from repro.simenv.failures import FailureSchedule, FaultKind, FaultWindow
-from repro.simenv.environment import Simulation
-
-__all__ = [
-    "SimClock",
-    "LatencyModel",
-    "NetworkProfile",
-    "FailureSchedule",
-    "FaultKind",
-    "FaultWindow",
-    "Simulation",
-]

@@ -1,21 +1,5 @@
 """Transactional commit layer: multi-file atomicity over the SCFS anchor."""
 
-from repro.transactions.manager import (
-    ABORTED,
-    ACTIVE,
-    COMMITTED,
-    TXN_PREFIX,
-    ReadRecord,
-    Transaction,
-    TransactionManager,
-)
+from repro.transactions.manager import ABORTED, COMMITTED, TXN_PREFIX
 
-__all__ = [
-    "ABORTED",
-    "ACTIVE",
-    "COMMITTED",
-    "TXN_PREFIX",
-    "ReadRecord",
-    "Transaction",
-    "TransactionManager",
-]
+__all__ = ["ABORTED", "COMMITTED", "TXN_PREFIX"]

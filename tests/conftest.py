@@ -10,6 +10,7 @@ import pytest
 from repro.clouds.dispatch import QuorumCall
 from repro.clouds.eventual import EventuallyConsistentStore
 from repro.common.types import Principal
+from repro.core.gc import GarbageCollector
 from repro.simenv.environment import Simulation
 
 
@@ -80,6 +81,20 @@ class CloudMeter:
 def cloud_meter(monkeypatch):
     """``cloud_meter(clouds)`` starts a :class:`CloudMeter` over ``clouds``."""
     return lambda clouds: CloudMeter(clouds, monkeypatch)
+
+
+@pytest.fixture
+def gc_runs(monkeypatch):
+    """Every ``GarbageCollector.run`` of the test, as the list of collectors that ran."""
+    runs = []
+    run = GarbageCollector.run
+
+    def counted(collector):
+        runs.append(collector)
+        return run(collector)
+
+    monkeypatch.setattr(GarbageCollector, "run", counted)
+    return runs
 
 
 @contextlib.contextmanager

@@ -442,7 +442,7 @@ class TestGarbageCollector:
         assert single_backend.list_versions(meta.file_id) == []
         assert metadata.lookup("/gone.txt", use_cache=False) is None
 
-    def test_activation_threshold(self, sim, coordination, alice, single_backend):
+    def test_activation_threshold(self, sim, coordination, alice, single_backend, gc_runs):
         metadata, storage, collector = self._setup(sim, coordination, alice, single_backend)
         assert not collector.should_activate()
         storage.push_to_cloud("some-file", b"x" * 2000, version=1)
@@ -450,7 +450,7 @@ class TestGarbageCollector:
         assert collector.maybe_schedule()
         assert not collector.maybe_schedule()  # counter reset until next W bytes
         sim.drain()
-        assert collector.runs == 1
+        assert gc_runs.count(collector) == 1
 
     def test_disabled_policy_never_activates(self, sim, coordination, alice, single_backend):
         metadata, storage, collector = self._setup(

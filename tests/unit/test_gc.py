@@ -22,25 +22,25 @@ def make_deployment(seed=61, variant="SCFS-CoC-B", **gc_overrides):
 
 
 class TestActivationPolicy:
-    def test_activates_only_past_the_written_bytes_threshold(self):
+    def test_activates_only_past_the_written_bytes_threshold(self, gc_runs):
         deployment = make_deployment(written_bytes_threshold=10_000)
         fs = deployment.create_agent("alice")
         gc = fs.agent.gc
         fs.write_file("/small.txt", b"x" * 100)
         deployment.drain(1.0)
-        assert gc.runs == 0  # 100 bytes < W: close did not trigger a run
+        assert gc_runs.count(gc) == 0  # 100 bytes < W: close did not trigger a run
         fs.write_file("/big.txt", b"x" * 20_000)
         deployment.drain(1.0)
-        assert gc.runs == 1  # crossing W triggers exactly one background run
+        assert gc_runs.count(gc) == 1  # crossing W triggers exactly one background run
 
-    def test_maybe_schedule_defers_a_background_run(self):
+    def test_maybe_schedule_defers_a_background_run(self, gc_runs):
         deployment = make_deployment()
         fs = deployment.create_agent("alice")
         fs.write_file("/data.txt", b"x" * 8192)
         # close() already calls maybe_schedule; once the deferred task ran,
         # the byte counter is rearmed and a second schedule is a no-op.
         deployment.drain(1.0)
-        assert fs.agent.gc.runs >= 1
+        assert gc_runs.count(fs.agent.gc) >= 1
         assert fs.agent.gc.maybe_schedule() is False
 
     def test_disabled_policy_never_activates(self):

@@ -17,15 +17,24 @@ finds every ``+=``/``-=`` of ``self.<name>`` or ``self.<part>.<name>`` in
 ``src/repro`` and fails on each ``<name>`` that no code in those trees reads:
 as an attribute load, or as a string constant (the layer ledger reads
 counters with ``getattr`` from tuples of names).
+
+A package re-export that nothing imports is a second way in to a name that
+already has one.  The fourth check fails on every name a
+``src/repro/**/__init__.py`` imports or assigns (``__all__`` aside) that no
+``from <package> import <name>`` in ``src/``, ``benchmarks/``, ``examples/``
+or ``tests/`` imports through that package; importing a submodule of the
+package is not a re-export.
 """
 
 from __future__ import annotations
 
 import abc
 import ast
+import functools
 import importlib
 import inspect
 import pkgutil
+import re
 from pathlib import Path
 
 import pytest
@@ -56,6 +65,17 @@ def test_an_interface_has_at_least_two_implementations(interface):
     found = [cls.__qualname__ for cls in CLASSES
              if issubclass(cls, interface) and not inspect.isabstract(cls)]
     assert len(found) >= 2, f"{interface.__qualname__} is only implemented by {found}"
+
+
+@functools.cache
+def _parsed(tree_root: str) -> dict[Path, ast.AST]:
+    return {path: ast.parse(path.read_text(), filename=str(path))
+            for path in sorted((ROOT / tree_root).rglob("*.py"))}
+
+
+def _trees(*tree_roots: str) -> dict[Path, ast.AST]:
+    """The parsed ``*.py`` files under ``tree_roots``, each tree parsed once per test run."""
+    return {path: tree for tree_root in tree_roots for path, tree in _parsed(tree_root).items()}
 
 
 def _used_names(path: Path, tree: ast.AST) -> set[str]:
@@ -125,8 +145,7 @@ def _reached(trees: dict[Path, ast.AST]) -> set[tuple[str, str]]:
 
 
 def test_every_public_name_in_src_has_a_caller_outside_tests():
-    trees = {path: ast.parse(path.read_text(), filename=str(path))
-             for tree_root in CALLER_TREES for path in sorted((ROOT / tree_root).rglob("*.py"))}
+    trees = _trees(*CALLER_TREES)
     used: set[str] = set()
     for path, tree in trees.items():
         used |= _used_names(path, tree)
@@ -172,8 +191,7 @@ def _reads(tree: ast.AST) -> set[str]:
 
 
 def test_every_counter_in_src_is_read_outside_tests():
-    trees = {path: ast.parse(path.read_text(), filename=str(path))
-             for tree_root in CALLER_TREES for path in sorted((ROOT / tree_root).rglob("*.py"))}
+    trees = _trees(*CALLER_TREES)
     counters = {name: path for path, tree in trees.items()
                 if path.is_relative_to(ROOT / "src" / "repro")
                 for name in _counter_updates(tree)}
@@ -182,3 +200,35 @@ def test_every_counter_in_src_is_read_outside_tests():
     unread = sorted(f"{path.relative_to(ROOT)}: {name}" for name, path in counters.items()
                     if name not in read)
     assert not unread, "counters that only tests read:\n" + "\n".join(unread)
+
+
+def test_every_package_reexport_is_imported_through_the_package():
+    init_paths = sorted((ROOT / "src" / "repro").rglob("__init__.py"))
+    modules = {_module_of(path) for path in (ROOT / "src" / "repro").rglob("*.py")}
+    reexported = set()
+    for path in init_paths:
+        package = _module_of(path)
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                names = [alias.asname or alias.name for alias in node.names]
+            elif isinstance(node, ast.Assign):
+                names = [target.id for target in node.targets if isinstance(target, ast.Name)]
+            else:
+                continue
+            reexported.update((package, name) for name in names
+                              if name != "__all__" and f"{package}.{name}" not in modules)
+    assert len(reexported) >= 10
+    # Only a file whose text imports from a package can import through one.
+    packages = {_module_of(path) for path in init_paths}
+    through_a_package = re.compile(r"\bfrom\s+(?:%s)\s+import\b" % "|".join(
+        re.escape(package) for package in sorted(packages, key=len, reverse=True)))
+    imported = set()
+    for tree_root in (*CALLER_TREES, "tests"):
+        for path in sorted((ROOT / tree_root).rglob("*.py")):
+            text = path.read_text()
+            if through_a_package.search(text):
+                imported.update((node.module, alias.name) for node in ast.walk(ast.parse(text))
+                                if isinstance(node, ast.ImportFrom) and node.level == 0
+                                for alias in node.names)
+    unused = sorted(f"{package}.{name}" for package, name in reexported - imported)
+    assert not unused, "re-exports nothing imports through their package:\n" + "\n".join(unused)
