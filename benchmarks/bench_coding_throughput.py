@@ -274,8 +274,7 @@ def test_write_pipeline_throughput(run_once, capsys):
         def client(encrypt: bool) -> DepSkyClient:
             sim = Simulation(seed=7)
             clouds = make_cloud_of_clouds(sim)
-            c = DepSkyClient(sim, clouds, Principal("alice"),
-                             encrypt=encrypt, charge_latency=False)
+            c = DepSkyClient(sim, clouds, Principal("alice"), encrypt=encrypt)
             c.write("warm", b"w" * 1024)  # warm caches / code paths
             return c
 

@@ -353,7 +353,7 @@ def _make_frontier_clouds(sim: Simulation) -> list[EventuallyConsistentStore]:
         profile = PROVIDER_PROFILES[name]
         clouds.append(EventuallyConsistentStore(
             sim, name=name, profile=profile.network.with_jitter(JITTER),
-            pricing=FRONTIER_PRICING[name], charge_latency=False))
+            pricing=FRONTIER_PRICING[name]))
     return clouds
 
 

@@ -121,22 +121,22 @@ def test_agent_scale_sweep(run_once, capsys):
 
 
 def _burst(coalesce: bool) -> dict:
-    """Many uncharged clients read one hot unit within a single virtual instant."""
+    """Many clients read one hot unit within a single virtual instant."""
     sim = Simulation(seed=SEED)
-    clouds = make_cloud_of_clouds(sim, COC_STORAGE_PROVIDERS, charge_latency=False)
+    clouds = make_cloud_of_clouds(sim, COC_STORAGE_PROVIDERS)
 
     def principal(name: str) -> Principal:
         return Principal(name=name, canonical_ids=tuple(
             (c.name, f"{name}@{c.name}") for c in clouds))
 
     coalescer = InstantCoalescer(sim) if coalesce else None
-    writer = DepSkyClient(sim, clouds, principal("burst"), charge_latency=False,
-                          coalescer=coalescer)
-    writer.write("hot-unit", b"burst payload " * 16)
+    writer = DepSkyClient(sim, clouds, principal("burst"), coalescer=coalescer)
+    with sim.background():
+        writer.write("hot-unit", b"burst payload " * 16)
     sim.advance(60.0)  # let the put propagate
 
-    readers = [DepSkyClient(sim, clouds, principal("burst"), charge_latency=False,
-                            coalescer=coalescer) for _ in range(BURST_READERS)]
+    readers = [DepSkyClient(sim, clouds, principal("burst"), coalescer=coalescer)
+               for _ in range(BURST_READERS)]
     start = time.perf_counter()
     for reader in readers:
         heads, _ = reader._read_heads("hot-unit")

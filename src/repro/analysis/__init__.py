@@ -20,8 +20,8 @@ AST/CFG rule families:
 * **exception hygiene** (``EXC``) — bare ``except`` and broad handlers that
   swallow :class:`~repro.common.errors.ReproError` subclasses on
   dispatch/commit paths;
-* **cost charging** (``CHG``) — ``charge_latency`` is set at construction
-  only; background work goes through ``Simulation.background()``.
+* **cost charging** (``CHG``) — no per-object ``charge_latency`` flag; a
+  layer charges unless its caller runs under ``Simulation.background()``.
 
 Run it with ``python -m repro.analysis <paths> [--format=json]``.  A finding
 is silenced only by an inline pragma carrying a justification::

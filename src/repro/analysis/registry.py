@@ -31,8 +31,8 @@ RULE_DOCS: dict[str, str] = {
               "TRACE_SCHEMA",
     "TRC003": "checker reads (by_kind/count/.kind/.get) reference only declared "
               "kinds and fields",
-    "CHG001": "no assignment to an attribute named `charge_latency` outside __init__; "
-              "background work goes through Simulation.background()",
+    "CHG001": "no binding named `charge_latency` (parameter, keyword, variable or "
+              "attribute); background work goes through Simulation.background()",
     "EXC001": "no bare `except:` — name the exceptions (BaseException at broadest)",
     "EXC002": "no broad `except Exception/BaseException` that swallows (never "
               "re-raises) in sim-visible code; ReproError subclasses carry protocol "

@@ -1,12 +1,11 @@
 """CHG rule: one cost-charging switch.
 
-``CHG001`` — ``charge_latency`` says *who* accounts for a resource's waits
-(a cloud-of-clouds store leaves it to DepSky, a checker's DepSky client to
-nobody) and is fixed when the object is built.  Whether the *caller* is
-foreground or background work is a property of the call, owned by
-``Simulation.background()``; flipping another object's ``charge_latency`` and
-putting it back is the per-layer toggle that switch replaced, so any store to
-an attribute of that name outside ``__init__`` is flagged.
+``CHG001`` — who waits follows one rule: a layer charges its remote wait
+unless the caller runs it under ``Simulation.background()`` (as a DepSky
+quorum call runs its per-cloud requests).  A per-object ``charge_latency``
+flag, set at construction or flipped and put back, is the second switch
+that rule replaced, so any binding of that name is flagged: a parameter, a
+keyword argument, a variable or an attribute store (``__init__`` included).
 """
 
 from __future__ import annotations
@@ -16,21 +15,24 @@ import ast
 from repro.analysis.core import ModuleContext
 from repro.analysis.findings import Finding
 
+FLAG = "charge_latency"
+
+
+def _binds_flag(node: ast.AST) -> bool:
+    if isinstance(node, (ast.arg, ast.keyword)):
+        return node.arg == FLAG
+    if isinstance(node, ast.Attribute):
+        return node.attr == FLAG and isinstance(node.ctx, (ast.Store, ast.Del))
+    if isinstance(node, ast.Name):
+        return node.id == FLAG and isinstance(node.ctx, (ast.Store, ast.Del))
+    return False
+
 
 def check(ctx: ModuleContext) -> list[Finding]:
-    findings: list[Finding] = []
-
-    def visit(node: ast.AST, function: str | None) -> None:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            function = node.name
-        elif (isinstance(node, ast.Attribute) and node.attr == "charge_latency"
-              and isinstance(node.ctx, (ast.Store, ast.Del)) and function != "__init__"):
-            findings.append(ctx.finding(
-                "CHG001", node,
-                "`charge_latency` is assigned outside __init__; run background "
-                "work under `with sim.background():` instead of toggling the flag"))
-        for child in ast.iter_child_nodes(node):
-            visit(child, function)
-
-    visit(ctx.tree, None)
-    return findings
+    return [
+        ctx.finding(
+            "CHG001", node,
+            "`charge_latency` binds a per-object charging flag; a layer charges "
+            "unless the caller runs it under `with sim.background():`")
+        for node in ast.walk(ctx.tree) if _binds_flag(node)
+    ]

@@ -65,11 +65,11 @@ def build_target(name: str, seed: int = 0, **scfs_overrides) -> BenchTarget:
         fs = deployment.create_agent("bench-user")
         return BenchTarget(name=name, fs=fs, sim=sim, deployment=deployment)
     if name == "S3FS":
-        store = make_provider(sim, "amazon-s3", charge_latency=True)
+        store = make_provider(sim, "amazon-s3")
         fs = S3FSLike(sim, store, Principal("bench-user"))
         return BenchTarget(name=name, fs=fs, sim=sim)
     if name == "S3QL":
-        store = make_provider(sim, "amazon-s3", charge_latency=True)
+        store = make_provider(sim, "amazon-s3")
         fs = S3QLLike(sim, store, Principal("bench-user"))
         return BenchTarget(name=name, fs=fs, sim=sim)
     if name == "LocalFS":

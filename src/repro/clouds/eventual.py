@@ -11,7 +11,8 @@ stores circa the paper's evaluation:
   key), exactly the anomaly the consistency-anchor read loop of Figure 3
   tolerates.
 * **Latency charging** — every request advances the shared simulated clock by
-  the provider's latency model (base + payload/bandwidth).
+  the provider's latency model (base + payload/bandwidth), unless the caller
+  is background work, as a DepSky quorum call's requests are.
 * **ACL enforcement** — per-object grants keyed by canonical identifiers.
 * **Fault injection** — unavailability, corruption, Byzantine responses,
   dropped writes and latency degradation (a DEGRADED window multiplies every
@@ -94,12 +95,6 @@ class EventuallyConsistentStore:
         Pricing table used by the embedded cost tracker.
     failures:
         Optional failure schedule; when omitted the provider never misbehaves.
-    charge_latency:
-        When ``False`` the store never advances the simulated clock; used by
-        components that account for latency at a higher level (e.g. DepSky's
-        parallel quorum accesses).  Fixed at construction: it says *who*
-        accounts for this store's waits, not whether the caller is background
-        work — that is :meth:`Simulation.background`, which this store obeys.
     """
 
     def __init__(
@@ -109,14 +104,12 @@ class EventuallyConsistentStore:
         profile: NetworkProfile | None = None,
         pricing: StoragePricing | None = None,
         failures: FailureSchedule | None = None,
-        charge_latency: bool = True,
     ):
         self.sim = sim
         self.name = name
         self.profile = profile or NetworkProfile(name=name)
         self.costs = CostTracker(pricing or StoragePricing())
         self.failures = failures or FailureSchedule()
-        self.charge_latency = charge_latency
         self._objects: dict[str, _StoredObject] = {}
         #: The keys of ``_objects``, sorted: a LIST walks only its prefix's
         #: range.  Kept by :meth:`install` / ``delete``.
@@ -129,19 +122,18 @@ class EventuallyConsistentStore:
 
     # ------------------------------------------------------------------ util
 
-    def _charge(self, model, payload: int = 0) -> float:
+    def _charge(self, model, payload: int = 0) -> None:
         latency = model.sample(payload, self.sim.rng)
         latency *= self.failures.degradation(self.sim.now())
-        if self.charge_latency and not self.sim.in_background:
+        if not self.sim.in_background:
             self.sim.advance(latency)
-        return latency
 
     def request_latency(self, kind: str, payload: int = 0) -> float:
         """Sample the latency of one ``kind`` request moving ``payload`` bytes.
 
         Used by the quorum dispatch engine, which models the parallel requests
-        of a cloud-of-clouds client itself (the stores are then created with
-        ``charge_latency=False``).  Applies any active DEGRADED fault window.
+        of a cloud-of-clouds client itself (it sends them as background work,
+        so the store charges nothing).  Applies any active DEGRADED fault window.
         """
         model = getattr(self.profile, kind)
         return model.sample(payload, self.sim.rng) * self.failures.degradation(self.sim.now())

@@ -30,8 +30,3 @@ class ObjectListing:
     def keys(self) -> list[str]:
         """The listed keys."""
         return [entry.key for entry in self.entries]
-
-    @property
-    def total_bytes(self) -> int:
-        """Bytes stored under the listed keys."""
-        return sum(entry.size for entry in self.entries)

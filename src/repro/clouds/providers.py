@@ -21,7 +21,6 @@ from repro.common.units import MB
 from repro.clouds.eventual import EventuallyConsistentStore
 from repro.clouds.pricing import ComputePricing, StoragePricing
 from repro.simenv.environment import Simulation
-from repro.simenv.failures import FailureSchedule
 from repro.simenv.latency import LatencyModel, NetworkProfile
 
 
@@ -88,8 +87,6 @@ COC_COMPUTE_PROVIDERS = ("amazon-ec2", "windows-azure", "rackspace", "elastichos
 def make_provider(
     sim: Simulation,
     name: str = "amazon-s3",
-    failures: FailureSchedule | None = None,
-    charge_latency: bool = True,
     jitter: float = 0.0,
 ) -> EventuallyConsistentStore:
     """Instantiate one simulated storage provider by profile name."""
@@ -105,21 +102,19 @@ def make_provider(
         name=profile.name,
         profile=network,
         pricing=profile.pricing,
-        failures=failures,
-        charge_latency=charge_latency,
     )
 
 
 def make_cloud_of_clouds(
     sim: Simulation,
     names: tuple[str, ...] = COC_STORAGE_PROVIDERS,
-    charge_latency: bool = False,
     jitter: float = 0.0,
 ) -> list[EventuallyConsistentStore]:
     """Instantiate the set of providers forming a cloud-of-clouds backend.
 
-    ``charge_latency`` defaults to ``False`` because the DepSky protocols
-    access the clouds *in parallel* and charge the quorum latency themselves
-    (the slowest response among the fastest quorum).
+    The stores are the same as :func:`make_provider`'s: a DepSky client
+    accesses them *in parallel*, sends each request as background work and
+    charges the quorum's wait itself (the slowest response among the fastest
+    quorum).
     """
-    return [make_provider(sim, n, charge_latency=charge_latency, jitter=jitter) for n in names]
+    return [make_provider(sim, n, jitter=jitter) for n in names]

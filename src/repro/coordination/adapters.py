@@ -131,7 +131,7 @@ class ReplicatedCoordination(CoordinationService):
 
 
 class DepSpaceCoordination(ReplicatedCoordination):
-    """Coordination service backed by replicated DepSpace.
+    """Coordination service backed by replicated DepSpace (BFT, ``3f+1`` replicas).
 
     Each lock has its own lease, counted from its take, so there is no
     session to register with the service.
@@ -140,7 +140,6 @@ class DepSpaceCoordination(ReplicatedCoordination):
     def __init__(
         self,
         sim: Simulation,
-        fault_model: FaultModel = FaultModel.BYZANTINE,
         f: int = 1,
         latency: LatencyModel | None = None,
     ):
@@ -148,7 +147,7 @@ class DepSpaceCoordination(ReplicatedCoordination):
         self.rsm = ReplicatedStateMachine(
             sim,
             factory=DepSpace,
-            fault_model=fault_model,
+            fault_model=FaultModel.BYZANTINE,
             f=f,
             latency=latency,
         )
@@ -180,7 +179,6 @@ class ZooKeeperCoordination(ReplicatedCoordination):
 def make_coordination_service(
     sim: Simulation,
     kind: str = "depspace",
-    fault_model: FaultModel = FaultModel.BYZANTINE,
     f: int = 1,
     latency: LatencyModel | None = None,
 ) -> ReplicatedCoordination:
@@ -191,7 +189,7 @@ def make_coordination_service(
     runs DepSpace over BFT-SMaRt across four providers (f=1).
     """
     if kind == "depspace":
-        return DepSpaceCoordination(sim, fault_model=fault_model, f=f, latency=latency)
+        return DepSpaceCoordination(sim, f=f, latency=latency)
     if kind == "zookeeper":
         return ZooKeeperCoordination(sim, f=f, latency=latency)
     raise ValueError(f"unknown coordination service kind {kind!r}")

@@ -166,9 +166,9 @@ class SCFSAgent:
         self.users.register(principal)
 
         # -- local caches ------------------------------------------------------
-        self.memory_cache = make_memory_cache(config.caches.memory_bytes, sim.clock)
-        self.disk_cache = make_disk_cache(config.caches.disk_bytes, sim.clock)
-        self.metadata_cache = MetadataCache(sim.clock, config.caches.metadata_expiration)
+        self.memory_cache = make_memory_cache(config.caches.memory_bytes, sim)
+        self.disk_cache = make_disk_cache(config.caches.disk_bytes, sim)
+        self.metadata_cache = MetadataCache(sim, config.caches.metadata_expiration)
 
         # -- private name space ------------------------------------------------
         self.pns: PrivateNameSpace | None = None

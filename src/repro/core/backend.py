@@ -157,14 +157,6 @@ class StorageBackend(abc.ABC):
         (nothing to wait for) without a locator.
         """
 
-    @abc.abstractmethod
-    def stored_bytes(self, file_id: str) -> int:
-        """Total bytes the cloud(s) currently hold for ``file_id`` (cost analysis)."""
-
-    @abc.abstractmethod
-    def storage_overhead(self) -> float:
-        """Ratio of stored bytes to logical bytes for one version (≈1.0 or ≈1.5)."""
-
     #: Per-backend cloud health tracker (``None`` when tracking is disabled).
     health: CloudHealthTracker | None = None
 
@@ -250,12 +242,6 @@ class SingleCloudBackend(StorageBackend):
         except ValueError as exc:
             raise IntegrityError(f"malformed version locator {locator!r}") from exc
         return landed + self.store.profile.propagation_delay
-
-    def stored_bytes(self, file_id: str) -> int:
-        return self.store.list_keys(self._prefix(file_id), self.principal).total_bytes
-
-    def storage_overhead(self) -> float:
-        return 1.0
 
 
 class CloudOfCloudsBackend(StorageBackend):
@@ -353,9 +339,3 @@ class CloudOfCloudsBackend(StorageBackend):
     def estimate_read_latency(self, num_bytes: int) -> float:
         """DepSky's dry run of a locator read (no caller in ``src/``; the layer tracer wraps it)."""
         return self.client.expected_read(num_bytes)
-
-    def stored_bytes(self, file_id: str) -> int:
-        return self.client.stored_bytes(file_id)
-
-    def storage_overhead(self) -> float:
-        return self.client.coder.storage_overhead()

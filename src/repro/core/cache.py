@@ -26,7 +26,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Iterator
 
-from repro.simenv.clock import SimClock
+from repro.simenv.environment import Simulation
 from repro.simenv.latency import DISK_LATENCY, MEMORY_LATENCY, LatencyModel
 
 
@@ -37,12 +37,12 @@ class LRUByteCache:
     to the simulated clock on every hit and store.
     """
 
-    def __init__(self, capacity_bytes: int, clock: SimClock,
+    def __init__(self, capacity_bytes: int, sim: Simulation,
                  latency: LatencyModel = MEMORY_LATENCY, name: str = "cache"):
         if capacity_bytes < 0:
             raise ValueError("cache capacity must be non-negative")
         self.capacity_bytes = capacity_bytes
-        self.clock = clock
+        self.sim = sim
         self.latency = latency
         self.name = name
         self._entries: OrderedDict[str, bytes] = OrderedDict()
@@ -53,7 +53,7 @@ class LRUByteCache:
     # -- internals -----------------------------------------------------------
 
     def _charge(self, payload: int) -> None:
-        self.clock.advance(self.latency.sample(payload))
+        self.sim.advance(self.latency.sample(payload))
 
     def _evict_until_fits(self, incoming: int) -> list[tuple[str, bytes]]:
         evicted: list[tuple[str, bytes]] = []
@@ -117,14 +117,14 @@ class LRUByteCache:
         return iter(self._entries.keys())
 
 
-def make_memory_cache(capacity_bytes: int, clock: SimClock) -> LRUByteCache:
+def make_memory_cache(capacity_bytes: int, sim: Simulation) -> LRUByteCache:
     """The main-memory open-file cache (durability level 0)."""
-    return LRUByteCache(capacity_bytes, clock, latency=MEMORY_LATENCY, name="memory")
+    return LRUByteCache(capacity_bytes, sim, latency=MEMORY_LATENCY, name="memory")
 
 
-def make_disk_cache(capacity_bytes: int, clock: SimClock) -> LRUByteCache:
+def make_disk_cache(capacity_bytes: int, sim: Simulation) -> LRUByteCache:
     """The local-disk long-term file cache (durability level 1)."""
-    return LRUByteCache(capacity_bytes, clock, latency=DISK_LATENCY, name="disk")
+    return LRUByteCache(capacity_bytes, sim, latency=DISK_LATENCY, name="disk")
 
 
 @dataclass
@@ -143,10 +143,10 @@ class MetadataCache:
     high-level action.
     """
 
-    def __init__(self, clock: SimClock, expiration: float = 0.5):
+    def __init__(self, sim: Simulation, expiration: float = 0.5):
         if expiration < 0:
             raise ValueError("expiration must be non-negative")
-        self.clock = clock
+        self.sim = sim
         self.expiration = expiration
         #: In stored order (oldest first), so the expired ones are at the front.
         self._entries: OrderedDict[str, _MetadataEntry] = OrderedDict()
@@ -159,7 +159,7 @@ class MetadataCache:
         if entry is None:
             self.misses += 1
             return None
-        if self.expiration == 0 or self.clock.now() - entry.stored_at > self.expiration:
+        if self.expiration == 0 or self.sim.now() - entry.stored_at > self.expiration:
             del self._entries[key]
             self.misses += 1
             return None
@@ -173,7 +173,7 @@ class MetadataCache:
         """
         if self.expiration == 0:
             return
-        now = self.clock.now()
+        now = self.sim.now()
         self._entries[key] = _MetadataEntry(value=value, stored_at=now)
         self._entries.move_to_end(key)
         while now - next(iter(self._entries.values())).stored_at > self.expiration:

@@ -77,10 +77,10 @@ class SCFSDeployment:
     def _build_clouds(self) -> list[EventuallyConsistentStore]:
         if self.config.backend is BackendKind.AWS:
             # A single S3-like store accessed sequentially: it charges its own latency.
-            return [make_provider(self.sim, "amazon-s3", charge_latency=True)]
+            return [make_provider(self.sim, "amazon-s3")]
         # Cloud-of-clouds: DepSky accesses the four providers in parallel and
         # charges quorum latencies itself.
-        return make_cloud_of_clouds(self.sim, COC_STORAGE_PROVIDERS, charge_latency=False)
+        return make_cloud_of_clouds(self.sim, COC_STORAGE_PROVIDERS)
 
     def _build_coordination(self) -> CoordinationService | None:
         if not self.config.mode.uses_coordination:

@@ -247,7 +247,3 @@ class ErasureCoder:
         """Size in bytes of each coded block for a payload of ``data_len`` bytes."""
         framed = _HEADER.size + data_len
         return (framed + self.k - 1) // self.k
-
-    def storage_overhead(self) -> float:
-        """Ratio of total stored bytes to original bytes (``n / k``)."""
-        return self.n / self.k

@@ -35,13 +35,15 @@ of the latest version.
 
 Latency model
 -------------
-The clouds of a CoC backend are created with ``charge_latency=False`` because
-DepSky accesses them *in parallel*.  Every multi-cloud operation is executed
+DepSky accesses its clouds *in parallel*, so a request's wait belongs to the
+quorum call waiting for it, not to the cloud: every per-cloud request is sent
+as background work (:meth:`~repro.simenv.environment.Simulation.background`)
+and the store charges nothing.  Every multi-cloud operation is executed
 through the quorum dispatch engine
 (:class:`~repro.clouds.dispatch.QuorumCall`), which models the parallel
 requests on a virtual timeline and resolves when the *m*-th **successful**
 response lands; the client then advances the simulated clock by exactly that
-wait.  The stage semantics are:
+wait, unless the caller is itself background work.  The stage semantics are:
 
 * stage 0 dispatches at the call's start — the ``k`` visible block holders
   expected first of a read, the ``n - f`` preferred clouds of a write;
@@ -216,11 +218,6 @@ class DepSkyClient:
     encrypt:
         Encrypt payloads with a per-version random key (Figure 6).  Disabling
         encryption models DepSky-A (availability only).
-    charge_latency:
-        Charge quorum latencies to the simulated clock (``False`` for clients
-        that are not the system under test: the scenario checkers' reads, unit
-        tests of pure protocol behaviour).  Fixed at construction; background
-        work goes through :meth:`Simulation.background`, which the client obeys.
     policy:
         The :class:`~repro.clouds.dispatch.DispatchPolicyConfig` every quorum
         call of this client reads — per-request timeout, bounded retries and
@@ -253,7 +250,6 @@ class DepSkyClient:
         principal: Principal,
         f: int = 1,
         encrypt: bool = True,
-        charge_latency: bool = True,
         policy: DispatchPolicyConfig = DispatchPolicyConfig(),
         coalescer: InstantCoalescer | None = None,
         quorum: QuorumSystem | None = None,
@@ -277,7 +273,6 @@ class DepSkyClient:
         self.n = len(clouds)
         self.k = f + 1
         self.encrypt = encrypt
-        self.charge_latency = charge_latency
         self.policy = policy
         self.health: CloudHealthTracker | None = (
             CloudHealthTracker(policy) if policy.tracks_health else None)
@@ -330,9 +325,9 @@ class DepSkyClient:
 
     def _charge(self, *stats: QuorumCallStats) -> None:
         """Advance the clock by the simulated wait of quorum calls that ran in
-        parallel: the slowest one's."""
+        parallel: the slowest one's (nothing for background work)."""
         wait = max(call.charged for call in stats)
-        if self.charge_latency and wait > 0 and not self.sim.in_background:
+        if wait > 0 and not self.sim.in_background:
             self.sim.advance(wait)
 
     def _tap(self, op: str, unit_id: str, stats: QuorumCallStats) -> None:
@@ -359,9 +354,17 @@ class DepSkyClient:
                  mutating: bool = False) -> QuorumRequest:
         """One ``kind`` request to ``cloud`` moving ``size`` bytes: its latency is
         sampled when sent (unless ``latency`` is given),
-        :func:`~repro.clouds.health.expected_latency` when dry-run."""
+        :func:`~repro.clouds.health.expected_latency` when dry-run.
+
+        ``send`` runs as background work: the quorum call waits for its
+        requests in parallel and :meth:`_charge` charges that one wait."""
+
+        def send_in_background():
+            with self.sim.background():
+                return send()
+
         return QuorumRequest(
-            cloud=cloud.name, send=send, prepare=prepare, mutating=mutating,
+            cloud=cloud.name, send=send_in_background, prepare=prepare, mutating=mutating,
             latency=latency or (lambda _value: cloud.request_latency(kind, size)),
             expected=lambda: expected_latency(cloud, kind, size, self.health, self.policy.timeout))
 
@@ -971,13 +974,14 @@ class DepSkyClient:
             # coalescing window by hand.
             self.coalescer.invalidate()
         prefix = self.unit_prefix(unit_id)
-        for cloud in self.clouds:
-            try:
-                listing = cloud.list_keys(prefix, self.principal)
-                for key in listing.keys:
-                    cloud.delete(key, self.principal)
-            except CloudError:
-                continue
+        with self.sim.background():  # no quorum waits for these: nothing is charged
+            for cloud in self.clouds:
+                try:
+                    listing = cloud.list_keys(prefix, self.principal)
+                    for key in listing.keys:
+                        cloud.delete(key, self.principal)
+                except CloudError:
+                    continue
 
     def set_acl(self, unit_id: str, grantee: Principal, permission: Permission) -> None:
         """Grant ``permission`` on the whole data unit to ``grantee`` in every cloud.
@@ -1001,14 +1005,3 @@ class DepSkyClient:
         ).execute(required=self.quorum.quorum())
         self._tap("acl", unit_id, stats)
         self._charge(stats)
-
-    def stored_bytes(self, unit_id: str) -> int:
-        """Total bytes stored for ``unit_id`` across all clouds (cost analysis)."""
-        total = 0
-        for cloud in self.clouds:
-            try:
-                listing = cloud.list_keys(self.unit_prefix(unit_id), self.principal)
-                total += listing.total_bytes
-            except CloudError:
-                continue
-        return total

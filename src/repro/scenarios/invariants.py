@@ -334,10 +334,11 @@ def check_durability(trace: TraceRecorder, deployment) -> list[Violation]:
             continue
         reader = DepSkyClient(
             deployment.sim, clouds, filesystem.agent.principal, f=f,
-            encrypt=config.encrypt_data, charge_latency=False,
+            encrypt=config.encrypt_data,
         )
         try:
-            result = reader.read_matching(fid, digest, record=record)
+            with deployment.sim.background():  # the checker is not the system under test
+                result = reader.read_matching(fid, digest, record=record)
         except (ReproError, ValueError) as exc:
             violations.append(Violation(
                 "durability",

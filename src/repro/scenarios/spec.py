@@ -237,9 +237,23 @@ class ScenarioSpec:
         return config
 
     def repro_command(self) -> str:
-        """Shell command that reruns exactly this scenario (same trace bytes)."""
+        """Shell command that reruns exactly this scenario (same trace bytes):
+        ``python -m repro.scenarios`` for a :meth:`generate` spec, a
+        ``python -c`` call of :meth:`generate_scale` for a pooled one."""
         agents = len(self.agents)
         ops = self.agents[0].ops if self.agents else 0
+        if self.pooled:
+            directories = len({path.split("/")[1] for path in self.shared_files})
+            spec = (f"ScenarioSpec.generate_scale({self.seed}, agents={agents}, "
+                    f"files={len(self.shared_files)}, ops_per_agent={ops}, "
+                    f"directories={directories}, partitions={self.partitions}, "
+                    f"mix={self.mix!r})")
+            return (
+                'PYTHONPATH=src python -c "'
+                "from repro.scenarios.runner import ScenarioRunner; "
+                "from repro.scenarios.spec import ScenarioSpec; "
+                f'print(ScenarioRunner({spec}).run().report())"'
+            )
         return (
             "PYTHONPATH=src python -m repro.scenarios "
             f"--seed {self.seed} --mix {self.mix} --agents {agents} --ops {ops} "

@@ -19,8 +19,6 @@ import random
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator
 
-from repro.simenv.clock import SimClock
-
 
 def derive_rng(seed: int, label: str) -> random.Random:
     """Derive an independent, reproducible RNG stream from ``(seed, label)``.
@@ -69,7 +67,7 @@ class TaskHandle:
 
 
 class Simulation:
-    """Deterministic simulation environment.
+    """Deterministic simulation environment; the one holder of the simulated clock.
 
     Parameters
     ----------
@@ -77,12 +75,10 @@ class Simulation:
         Seed for the random generator used for latency jitter and workload
         generation.  Two simulations created with the same seed and subjected
         to the same operations produce identical traces.
-    start_time:
-        Initial simulated time (seconds).
     """
 
-    def __init__(self, seed: int = 0, start_time: float = 0.0):
-        self.clock = SimClock(start_time)
+    def __init__(self, seed: int = 0):
+        self._now = 0.0
         self.rng = random.Random(seed)
         self.seed = seed
         self._queue: list[_ScheduledTask] = []
@@ -90,7 +86,6 @@ class Simulation:
         self._id_counter = itertools.count()
         self._draining = False
         self._background = 0
-        self.clock.subscribe(self._on_clock_advanced)
 
     # -- determinism helpers -------------------------------------------------
 
@@ -107,12 +102,30 @@ class Simulation:
     # -- time ---------------------------------------------------------------
 
     def now(self) -> float:
-        """Current simulated time in seconds."""
-        return self.clock.now()
+        """Current simulated time in seconds since the simulation epoch."""
+        return self._now
 
     def advance(self, seconds: float) -> float:
-        """Advance simulated time, running any deferred task that becomes due."""
-        return self.clock.advance(seconds)
+        """Advance simulated time by ``seconds`` (non-negative), running any
+        deferred task that becomes due; returns the new time."""
+        if seconds < 0:
+            raise ValueError(f"cannot move simulated time backwards ({seconds})")
+        if seconds == 0:
+            return self._now
+        self._now = self._now + seconds
+        self._run_due_tasks()
+        return self._now
+
+    def advance_to(self, deadline: float) -> float:
+        """Advance simulated time to ``deadline`` (``now`` is a no-op); a past
+        deadline raises :class:`ValueError`, as it means a scheduling bug."""
+        if deadline < self._now:
+            raise ValueError(
+                f"cannot move simulated time backwards (now={self._now}, deadline={deadline})"
+            )
+        if deadline > self._now:
+            self.advance(deadline - self._now)
+        return self._now
 
     # -- background work ---------------------------------------------------
 
@@ -123,16 +136,17 @@ class Simulation:
 
     @contextlib.contextmanager
     def background(self) -> Iterator[None]:
-        """Run the enclosed calls as the agent's background thread would.
+        """Run the enclosed calls as background work.
 
-        The real agent does its close-time work, its garbage collection and
-        its heartbeats in separate threads; here "in the background" means the
-        remote waits of the enclosed calls do not advance the clock.  The
-        three layers that charge such waits — a cloud store, a DepSky client,
-        a replicated coordination command — ask :attr:`in_background`.  What
-        they draw from the RNG is fixed per layer: the first two sample every
-        request's latency and discard it, a coordination command does not
-        sample at all.  Re-entrant.  A deferred task that comes due inside the block is
+        Who waits follows one rule: a cloud store, a DepSky client and a
+        replicated coordination command charge their remote wait unless
+        :attr:`in_background`.  The agent's close-time work, garbage collection
+        and heartbeats (separate threads in the real agent) run in here, and
+        so do a DepSky quorum call's per-cloud requests: the call waits for
+        them in parallel and charges that one wait itself.  The block changes
+        no RNG draw: a store and a DepSky client sample every request's latency
+        and discard it, a coordination command does not sample at all.
+        Re-entrant.  A deferred task that comes due inside the block is
         somebody else's work and runs in the foreground.
         """
         self._background += 1
@@ -147,7 +161,7 @@ class Simulation:
         """Schedule ``callback`` to run ``delay`` simulated seconds from now."""
         if delay < 0:
             raise ValueError("cannot schedule a task in the past")
-        task = _ScheduledTask(self.clock.now() + delay, next(self._seq), callback, name)
+        task = _ScheduledTask(self._now + delay, next(self._seq), callback, name)
         heapq.heappush(self._queue, task)
         return TaskHandle(task)
 
@@ -159,9 +173,9 @@ class Simulation:
         ``deadline``.  A deadline in the past raises :class:`ValueError` (it
         used to be silently skipped, together with any task due before it).
         """
-        if deadline < self.clock.now():
+        if deadline < self._now:
             raise ValueError(
-                f"cannot run_until a past deadline (now={self.clock.now()}, "
+                f"cannot run_until a past deadline (now={self._now}, "
                 f"deadline={deadline})"
             )
         guard = 0
@@ -170,11 +184,11 @@ class Simulation:
             head = self._next_live_task()
             if head is None or head.when > deadline:
                 break
-            self.clock.advance_to(head.when)
+            self.advance_to(head.when)
             guard += 1
             if guard > 10_000_000:  # pragma: no cover - requires a task storm
                 raise RuntimeError("run_until did not converge (task storm?)")
-        self.clock.advance_to(deadline)
+        self.advance_to(deadline)
 
     def step(self) -> bool:
         """Advance to the next pending event and run everything due there.
@@ -188,7 +202,7 @@ class Simulation:
         head = self._next_live_task()
         if head is None:
             return False
-        self.clock.advance_to(head.when)
+        self.advance_to(head.when)
         self._run_due_tasks()
         return True
 
@@ -228,12 +242,12 @@ class Simulation:
             if not pending:
                 break
             last = max(t.when for t in pending)
-            self.clock.advance_to(last)
+            self.advance_to(last)
             guard += 1
             if guard > 10_000:
                 raise RuntimeError("simulation drain did not converge (task storm?)")
         if extra:
-            self.clock.advance(extra)
+            self.advance(extra)
 
     def _run_due_tasks(self) -> None:
         """Run tasks whose deadline is not in the future (without moving the clock)."""
@@ -243,13 +257,10 @@ class Simulation:
         # A due task is not part of whatever background block made it due.
         background, self._background = self._background, 0
         try:
-            while self._queue and self._queue[0].when <= self.clock.now():
+            while self._queue and self._queue[0].when <= self._now:
                 task = heapq.heappop(self._queue)
                 if not task.cancelled:
                     task.callback()
         finally:
             self._background = background
             self._draining = False
-
-    def _on_clock_advanced(self, _old: float, _new: float) -> None:
-        self._run_due_tasks()

@@ -1,13 +1,12 @@
-"""Good twin: the flag is set once, at construction; the call says it is background."""
+"""Good twin: no flag on the store; the call says it is background."""
 
 
 class Store:
-    def __init__(self, sim, charge_latency=True):
+    def __init__(self, sim):
         self.sim = sim
-        self.charge_latency = charge_latency
 
     def put(self, key, data):
-        if self.charge_latency and not self.sim.in_background:
+        if not self.sim.in_background:
             self.sim.advance(0.1)
 
 

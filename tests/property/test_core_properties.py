@@ -41,7 +41,6 @@ from repro.core.storage_service import StorageService
 from repro.core.deployment import SCFSDeployment
 from repro.coordination.tuplespace import DepSpace
 from repro.coordination.zookeeper import ZooKeeperLike
-from repro.simenv.clock import SimClock
 from repro.simenv.environment import Simulation
 
 
@@ -55,7 +54,7 @@ class TestLRUCacheProperties:
         ),
     )
     def test_capacity_never_exceeded_and_values_never_corrupted(self, capacity, operations):
-        cache = LRUByteCache(capacity, SimClock())
+        cache = LRUByteCache(capacity, Simulation())
         model: dict[str, bytes] = {}
         for op, key_index, value in operations:
             key = f"k{key_index}"
@@ -103,8 +102,8 @@ class TestAnchoredReadProperties:
                 anchor[object_id] = anchor_value(backend.write_version(object_id, payload, version))
                 latest[object_id] = payload
             elif object_id in anchor:
-                reader = StorageService(sim, backend, make_memory_cache(1 << 16, sim.clock),
-                                        make_disk_cache(1 << 16, sim.clock))
+                reader = StorageService(sim, backend, make_memory_cache(1 << 16, sim),
+                                        make_disk_cache(1 << 16, sim))
                 digest, locator = split_anchor_value(anchor[object_id])
                 assert reader.read_version(object_id, digest, locator).data == latest[object_id]
 

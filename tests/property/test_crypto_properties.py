@@ -228,8 +228,9 @@ class TestErasureCodingProperties:
         blocks = coder.encode(data)
         total = sum(len(b.payload) for b in blocks)
         # Framing adds a constant 10-byte header before the n/k expansion.
-        assert total <= (len(data) + 16) * coder.storage_overhead() + coder.n
-        assert total >= len(data) * coder.storage_overhead() * 0.9
+        overhead = coder.n / coder.k
+        assert total <= (len(data) + 16) * overhead + coder.n
+        assert total >= len(data) * overhead * 0.9
 
 
 class TestSecretSharingProperties:

@@ -117,11 +117,10 @@ def test_history_survives_one_cloud_lying_about_heads_and_listings(faulty, lie, 
         GarbageCollector(sim, GarbageCollectionPolicy(versions_to_keep=KEEP), None,
                          SimpleNamespace(forget=lambda *_args: None), backend)
         for backend in writers]
-    # Uncharged, so that what the correct clouds serve can be asked at the
-    # very instant the read saw it; handed the providers in another order than
-    # the writers, it still finds block i where they put it.
-    reader = DepSkyClient(sim, [clouds[index] for index in order], alice, f=1,
-                          charge_latency=False)
+    # Read as background work, so that what the correct clouds serve can be
+    # asked at the very instant the read saw it; handed the providers in
+    # another order than the writers, it still finds block i where they put it.
+    reader = DepSkyClient(sim, [clouds[index] for index in order], alice, f=1)
     anchored: list[tuple[int, bytes, object]] = []   # (version, data, ref) in anchor order
 
     for kind, argument in steps:
@@ -150,14 +149,15 @@ def test_history_survives_one_cloud_lying_about_heads_and_listings(faulty, lie, 
             assert not deleted & protected, (deleted, protected)
         elif kind == "read_latest":
             served: dict[VersionRecord, int] = {}
-            for cloud in correct:
-                try:
-                    head = VersionRecord.from_bytes(cloud.get(HEAD_KEY, alice))
-                except CloudError:
-                    continue
-                served[head] = served.get(head, 0) + 1
             try:
-                result = reader.read_latest(UNIT)
+                with sim.background():
+                    for cloud in correct:
+                        try:
+                            head = VersionRecord.from_bytes(cloud.get(HEAD_KEY, alice))
+                        except CloudError:
+                            continue
+                        served[head] = served.get(head, 0) + 1
+                    result = reader.read_latest(UNIT)
             except (CloudError, QuorumNotReachedError):
                 # Legitimate while puts propagate; never once the correct clouds agree.
                 assert len(correct) not in served.values()

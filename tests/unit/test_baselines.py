@@ -19,19 +19,19 @@ def localfs(sim):
 
 @pytest.fixture
 def s3fs(sim):
-    return S3FSLike(sim, make_provider(sim, "amazon-s3", charge_latency=True), Principal("u"))
+    return S3FSLike(sim, make_provider(sim, "amazon-s3"), Principal("u"))
 
 
 @pytest.fixture
 def s3ql(sim):
-    return S3QLLike(sim, make_provider(sim, "amazon-s3", charge_latency=True), Principal("u"))
+    return S3QLLike(sim, make_provider(sim, "amazon-s3"), Principal("u"))
 
 
 @pytest.fixture(params=["localfs", "s3fs", "s3ql"])
 def baseline(request, sim):
     if request.param == "localfs":
         return LocalFS(sim)
-    store = make_provider(sim, "amazon-s3", charge_latency=True)
+    store = make_provider(sim, "amazon-s3")
     cls = S3FSLike if request.param == "s3fs" else S3QLLike
     return cls(sim, store, Principal("u"))
 
@@ -109,7 +109,7 @@ class TestLatencyShapes:
             localfs.write_file(f"/l{i}", b"x" * 16 * KB)
         local_elapsed = sim.now() - start
 
-        s3fs = S3FSLike(sim, make_provider(sim, "amazon-s3", charge_latency=True), Principal("u"))
+        s3fs = S3FSLike(sim, make_provider(sim, "amazon-s3"), Principal("u"))
         start = sim.now()
         for i in range(10):
             s3fs.write_file(f"/s{i}", b"x" * 16 * KB)

@@ -135,9 +135,10 @@ class TestEventuallyConsistentStore:
         store.get("k", alice)
         assert sim.now() > before
 
-    def test_charge_latency_flag_disables_clock_advance(self, sim, alice):
-        store = self._store(sim, charge_latency=False)
-        store.put("k", b"x", alice)
+    def test_background_request_does_not_advance_clock(self, sim, alice):
+        store = self._store(sim)
+        with sim.background():
+            store.put("k", b"x", alice)
         assert sim.now() == 0.0
 
     def test_missing_key_raises(self, sim, alice):
@@ -182,7 +183,6 @@ class TestEventuallyConsistentStore:
         sim.advance(store.profile.propagation_delay)
         listing = store.list_keys("a/", alice)
         assert [(e.key, e.size) for e in listing.entries] == [("a/1", 4), ("a/2", 6)]
-        assert listing.total_bytes == 10
         assert [e.created_at for e in listing.entries] == [first.created_at, second.created_at]
         assert second.created_at >= first.created_at + 5.0
         # One billed LIST, nothing per key.
@@ -274,11 +274,19 @@ class TestProviders:
         with pytest.raises(KeyError):
             make_provider(sim, "not-a-cloud")
 
-    def test_make_cloud_of_clouds_returns_four_distinct_stores(self, sim):
+    def test_make_cloud_of_clouds_returns_four_distinct_stores(self, sim, alice):
         clouds = make_cloud_of_clouds(sim)
         assert len(clouds) == 4
         assert len({c.name for c in clouds}) == 4
-        assert all(not c.charge_latency for c in clouds)
+        # Plain stores: a DepSky client, not the store, makes their requests
+        # background work.
+        clouds[0].put("k", b"x", alice)
+        assert sim.now() > 0.0
 
-    def test_make_provider_charges_latency_by_default(self, sim):
-        assert make_provider(sim, "amazon-s3").charge_latency
+    def test_a_store_charges_unless_the_caller_is_background(self, sim, alice):
+        store = make_provider(sim, "amazon-s3")
+        store.put("k", b"x", alice)
+        charged = sim.now()
+        with sim.background():
+            store.put("k2", b"x", alice)
+        assert charged > 0.0 and sim.now() == charged

@@ -14,7 +14,7 @@ from repro.core.metadata import (
     parent_path,
 )
 from repro.core.modes import BackendKind, OperationMode, VARIANTS, variant
-from repro.simenv.clock import SimClock
+from repro.simenv.environment import Simulation
 
 
 class TestPaths:
@@ -103,7 +103,7 @@ class TestFileMetadata:
 
 class TestLRUByteCache:
     def _cache(self, capacity=100):
-        return LRUByteCache(capacity, SimClock(), name="test")
+        return LRUByteCache(capacity, Simulation(), name="test")
 
     def test_get_miss_returns_none(self):
         assert self._cache().get("missing") is None
@@ -144,48 +144,48 @@ class TestLRUByteCache:
         assert len(cache) == 0 and cache._used == 0
 
     def test_access_charges_latency(self):
-        clock = SimClock()
-        cache = LRUByteCache(1000, clock)
+        sim = Simulation()
+        cache = LRUByteCache(1000, sim)
         cache.put("a", b"x" * 100)
         cache.get("a")
-        assert clock.now() > 0.0
+        assert sim.now() > 0.0
 
     def test_disk_cache_slower_than_memory_cache(self):
-        clock_mem, clock_disk = SimClock(), SimClock()
-        memory = make_memory_cache(1 << 20, clock_mem)
-        disk = make_disk_cache(1 << 20, clock_disk)
+        sim_mem, sim_disk = Simulation(), Simulation()
+        memory = make_memory_cache(1 << 20, sim_mem)
+        disk = make_disk_cache(1 << 20, sim_disk)
         memory.put("k", b"x" * 10_000)
         disk.put("k", b"x" * 10_000)
-        assert clock_disk.now() > clock_mem.now()
+        assert sim_disk.now() > sim_mem.now()
 
     def test_negative_capacity_rejected(self):
         with pytest.raises(ValueError):
-            LRUByteCache(-1, SimClock())
+            LRUByteCache(-1, Simulation())
 
 
 class TestMetadataCache:
     def test_entry_expires(self):
-        clock = SimClock()
-        cache = MetadataCache(clock, expiration=0.5)
+        sim = Simulation()
+        cache = MetadataCache(sim, expiration=0.5)
         cache.put("k", "value")
         assert cache.get("k") == "value"
-        clock.advance(0.6)
+        sim.advance(0.6)
         assert cache.get("k") is None
 
     def test_zero_expiration_disables_caching(self):
-        cache = MetadataCache(SimClock(), expiration=0.0)
+        cache = MetadataCache(Simulation(), expiration=0.0)
         cache.put("k", "value")
         assert cache.get("k") is None
 
     def test_invalidate(self):
-        cache = MetadataCache(SimClock(), expiration=10.0)
+        cache = MetadataCache(Simulation(), expiration=10.0)
         cache.put("k", "value")
         cache.invalidate("k")
         assert cache.get("k") is None
 
     def test_hit_and_miss_counters(self):
-        clock = SimClock()
-        cache = MetadataCache(clock, expiration=1.0)
+        sim = Simulation()
+        cache = MetadataCache(sim, expiration=1.0)
         cache.put("k", "v")
         cache.get("k")
         cache.get("other")
@@ -193,22 +193,22 @@ class TestMetadataCache:
 
     def test_paths_never_asked_for_again_do_not_accumulate(self):
         """``len`` stays bounded by the entries younger than ``expiration``."""
-        clock = SimClock()
-        cache = MetadataCache(clock, expiration=0.5)
+        sim = Simulation()
+        cache = MetadataCache(sim, expiration=0.5)
         for index in range(1000):  # one created file every 0.2 s, none looked up again
             cache.put(f"/d/f{index:04d}", index)
             assert len(cache) <= 3
-            clock.advance(0.2)
+            sim.advance(0.2)
         assert cache.get("/d/f0999") == 999 and cache.get("/d/f0996") is None
 
     def test_a_rewritten_entry_is_as_young_as_its_last_put(self):
-        clock = SimClock()
-        cache = MetadataCache(clock, expiration=0.5)
+        sim = Simulation()
+        cache = MetadataCache(sim, expiration=0.5)
         cache.put("old", 1)
         cache.put("kept", 1)
-        clock.advance(0.4)
+        sim.advance(0.4)
         cache.put("old", 2)  # moves behind "kept" in stored order
-        clock.advance(0.2)
+        sim.advance(0.2)
         cache.put("new", 1)  # "kept" (0.6 s) goes, "old" (0.2 s) stays
         assert len(cache) == 2
         assert (cache.get("old"), cache.get("kept"), cache.get("new")) == (2, None, 1)
@@ -216,16 +216,16 @@ class TestMetadataCache:
 
     def test_eviction_uses_the_verdict_of_get(self):
         """An entry exactly ``expiration`` old is still a hit, so it is not evicted."""
-        clock = SimClock()
-        cache = MetadataCache(clock, expiration=0.5)
+        sim = Simulation()
+        cache = MetadataCache(sim, expiration=0.5)
         cache.put("edge", 1)
-        clock.advance(0.5)
+        sim.advance(0.5)
         cache.put("other", 1)
         assert len(cache) == 2 and cache.get("edge") == 1
 
     def test_negative_expiration_rejected(self):
         with pytest.raises(ValueError):
-            MetadataCache(SimClock(), expiration=-1.0)
+            MetadataCache(Simulation(), expiration=-1.0)
 
 
 class TestConfig:

@@ -26,7 +26,7 @@ from repro.crypto.hashing import content_digest
 
 @pytest.fixture
 def single_backend(sim, alice):
-    store = make_provider(sim, "amazon-s3", charge_latency=True)
+    store = make_provider(sim, "amazon-s3")
     return SingleCloudBackend(sim, store, alice)
 
 
@@ -104,13 +104,13 @@ class TestPrivateNameSpace:
 class TestMetadataService:
     def _service(self, sim, coordination, alice, pns=None, expiration=0.5):
         session = coordination.open_session(alice) if coordination else None
-        cache = MetadataCache(sim.clock, expiration)
+        cache = MetadataCache(sim, expiration)
         return MetadataService(sim, alice, cache, coordination=coordination,
                                session=session, pns=pns)
 
     def test_requires_some_metadata_store(self, sim, alice):
         with pytest.raises(ValueError):
-            MetadataService(sim, alice, MetadataCache(sim.clock, 0.5))
+            MetadataService(sim, alice, MetadataCache(sim, 0.5))
 
     def test_root_always_exists(self, sim, coordination, alice):
         service = self._service(sim, coordination, alice)
@@ -317,8 +317,8 @@ class TestLockService:
 class TestStorageService:
     def _service(self, sim, backend):
         return StorageService(sim, backend,
-                              make_memory_cache(1 << 20, sim.clock),
-                              make_disk_cache(1 << 24, sim.clock))
+                              make_memory_cache(1 << 20, sim),
+                              make_disk_cache(1 << 24, sim))
 
     def test_push_then_read_comes_from_memory(self, sim, single_backend):
         service = self._service(sim, single_backend)
@@ -356,8 +356,8 @@ class TestStorageService:
 
     def test_memory_eviction_spills_to_disk(self, sim, single_backend):
         service = StorageService(sim, single_backend,
-                                 make_memory_cache(150, sim.clock),
-                                 make_disk_cache(1 << 20, sim.clock))
+                                 make_memory_cache(150, sim),
+                                 make_disk_cache(1 << 20, sim))
         service.store_in_memory("f1", "d1", b"x" * 100)
         service.store_in_memory("f2", "d2", b"y" * 100)  # evicts f1 from memory
         assert service.read_version("f1", "d1").source == "disk"
@@ -391,11 +391,11 @@ class TestStorageService:
 class TestGarbageCollector:
     def _setup(self, sim, coordination, alice, single_backend, policy=None):
         session = coordination.open_session(alice)
-        cache = MetadataCache(sim.clock, 0.5)
+        cache = MetadataCache(sim, 0.5)
         metadata = MetadataService(sim, alice, cache, coordination=coordination, session=session)
         storage = StorageService(sim, single_backend,
-                                 make_memory_cache(1 << 20, sim.clock),
-                                 make_disk_cache(1 << 24, sim.clock))
+                                 make_memory_cache(1 << 20, sim),
+                                 make_disk_cache(1 << 24, sim))
         policy = policy or GarbageCollectionPolicy(written_bytes_threshold=1000, versions_to_keep=2)
         collector = GarbageCollector(sim, policy, metadata, storage, single_backend)
         return metadata, storage, collector

@@ -242,8 +242,10 @@ class TestErasureCoder:
         assert coder.decode(coder.encode(b"")) == b""
 
     def test_storage_overhead(self):
-        assert ErasureCoder(4, 2).storage_overhead() == pytest.approx(2.0)
-        assert ErasureCoder(7, 5).storage_overhead() == pytest.approx(1.4)
+        """``n`` blocks of about ``1/k`` of the payload each: ``n / k`` of it."""
+        for (n, k), overhead in (((4, 2), 2.0), ((7, 5), 1.4)):
+            coder = ErasureCoder(n, k)
+            assert n * coder.block_size(100_000) / 100_000 == pytest.approx(overhead, rel=1e-3)
 
     def test_block_size_is_about_payload_over_k(self):
         coder = ErasureCoder(4, 2)

@@ -4,7 +4,7 @@ import hashlib
 
 import pytest
 
-from repro.clouds.providers import make_cloud_of_clouds
+from repro.clouds.providers import COC_STORAGE_PROVIDERS, make_cloud_of_clouds, make_provider
 from repro.clouds.quorums import CountQuorum, ThresholdQuorumSystem
 from repro.common.errors import IntegrityError, ObjectNotFoundError, QuorumNotReachedError
 from repro.common.types import Permission, Principal
@@ -192,9 +192,10 @@ class TestDepSkyClient:
         client.write("unit", b"x" * 100_000)
         assert sim.now() > before
 
-    def test_charge_latency_can_be_disabled(self, sim, alice):
-        client, _ = make_client(sim, alice, charge_latency=False)
-        client.write("unit", b"x" * 100_000)
+    def test_background_write_charges_nothing(self, sim, alice):
+        client, _ = make_client(sim, alice)
+        with sim.background():
+            client.write("unit", b"x" * 100_000)
         assert sim.now() == 0.0
 
     def test_tolerates_one_unavailable_cloud(self, sim, alice):
@@ -301,8 +302,7 @@ class TestDepSkyClient:
         client, _ = make_client(sim, alice)
         data = b"q" * 200_000
         client.write("unit", data)
-        sim.advance(3.0)  # stored objects become listable once propagated
-        stored = client.stored_bytes("unit")
+        stored = sum(cloud.stored_bytes() for cloud in client.clouds)
         assert 1.3 * len(data) < stored < 1.8 * len(data)
 
     def test_unencrypted_mode_stores_plaintext_blocks(self, sim, alice):
@@ -544,3 +544,38 @@ class TestWrite:
         assert client.write("unit", b"third").version == 8
         assert client.write("unit", b"fourth", min_version=2).version == 9
 
+
+class TestOneWaitPerQuorumCall:
+    """A quorum call sends its per-cloud requests as background work and
+    charges its own wait once.  So over stores that charge their requests,
+    the clock moves by the calls' waits and nothing else, and that is what
+    the dry run predicts."""
+
+    SIZE = 1 << 20
+
+    @pytest.fixture
+    def world(self, alice):
+        sim = Simulation(seed=3)
+        client = DepSkyClient(sim, [make_provider(sim, name) for name in COC_STORAGE_PROVIDERS],
+                              alice)
+        charged: list[float] = []
+        client.on_quorum = lambda _op, _unit, stats: charged.append(stats.charged)
+        return sim, client, charged
+
+    def test_a_numbered_write_charges_its_calls_waits_only(self, world):
+        sim, client, charged = world
+        expected = client.expected_write(self.SIZE)
+        start = sim.now()
+        client.write_numbered([("unit", bytes(self.SIZE), 1)])
+        assert sim.now() - start == pytest.approx(sum(charged), rel=1e-12)
+        assert sim.now() - start == pytest.approx(expected, abs=1e-5)
+
+    def test_a_locator_read_charges_its_call_wait_only(self, world):
+        sim, client, charged = world
+        [record] = client.write_numbered([("unit", bytes(self.SIZE), 1)])
+        sim.advance(3.0)  # propagated: the systematic blocks answer first
+        charged.clear()
+        start = sim.now()
+        client.read_matching("unit", record.data_digest, record=record)
+        assert sim.now() - start == pytest.approx(sum(charged), rel=1e-12)
+        assert sim.now() - start == pytest.approx(client.expected_read(self.SIZE), abs=1e-9)

@@ -211,7 +211,7 @@ class TestDegradedFaults:
 
     def test_degraded_store_charges_multiplied_latency(self):
         sim = Simulation(seed=3)
-        store = make_provider(sim, "amazon-s3", charge_latency=True)
+        store = make_provider(sim, "amazon-s3")
         alice = Principal("alice")
         store.put("k", b"x" * 1000, alice)
         healthy = sim.now()
@@ -222,7 +222,7 @@ class TestDegradedFaults:
 
     def test_request_latency_helpers_apply_degradation(self):
         sim = Simulation(seed=3)
-        store = make_provider(sim, "amazon-s3", charge_latency=False)
+        store = make_provider(sim, "amazon-s3")
         expected = store.expected_request_latency("object_get", 1000)
         store.failures.add(FaultKind.DEGRADED, factor=3.0)
         assert store.expected_request_latency("object_get", 1000) == pytest.approx(3.0 * expected)
@@ -371,8 +371,7 @@ class TestInstantCoalescer:
         coalescer = InstantCoalescer(sim)
 
         def client(name="alice"):
-            return DepSkyClient(sim, clouds, principal(name),
-                                charge_latency=False, coalescer=coalescer)
+            return DepSkyClient(sim, clouds, principal(name), coalescer=coalescer)
 
         return sim, clouds, coalescer, client
 
@@ -396,7 +395,8 @@ class TestInstantCoalescer:
         sim.advance(60.0)
         reader = client()
         reader._read_heads("unit")
-        writer.write("unit", b"v2")  # same instant: uncharged client
+        with sim.background():  # same instant: the write charges nothing
+            writer.write("unit", b"v2")
         hits, misses = coalescer.hits, coalescer.misses
         heads, stats = client()._read_heads("unit")
         assert stats.traces  # re-dispatched, not served from the stale cache

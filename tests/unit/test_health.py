@@ -554,7 +554,7 @@ class TestDispatchConfigPlumbing:
     def test_single_cloud_backend_tracks_no_health(self):
         # One cloud has no quorum to re-plan around a suspect.
         sim = Simulation(seed=1)
-        store = make_provider(sim, "amazon-s3", charge_latency=True)
+        store = make_provider(sim, "amazon-s3")
         backend = SingleCloudBackend(sim, store, Principal("alice"))
         ref = backend.write_version("file", b"data", version=1)
         store.failures.add(FaultKind.UNAVAILABLE, start=sim.now())
@@ -596,7 +596,7 @@ class TestStorageAccountingSinceCreation:
 
     def test_byte_seconds_charged_from_creation_not_simulation_start(self):
         sim = Simulation(seed=4)
-        store = make_provider(sim, "amazon-s3", charge_latency=False)
+        store = make_provider(sim, "amazon-s3")
         alice = Principal("alice")
         sim.advance(1000.0)  # long idle prefix before the object exists
         store.put("k", b"x" * 1000, alice)

@@ -288,7 +288,7 @@ class TestWeightedDeployment:
         from repro.simenv.environment import Simulation
 
         sim = Simulation(seed=3)
-        clouds = make_cloud_of_clouds(sim, CLOUDS, charge_latency=False)
+        clouds = make_cloud_of_clouds(sim, CLOUDS)
         system = WeightedQuorumSystem(
             universe=("one", "two", "three", "four"),
             weights=(("one", 1.0), ("two", 1.0), ("three", 1.0), ("four", 1.0)),

@@ -3,6 +3,9 @@ determinism seams and regressions for the bugs the first sweeps caught."""
 
 from __future__ import annotations
 
+import shlex
+from types import SimpleNamespace
+
 import pytest
 
 from repro.common.types import Permission
@@ -15,6 +18,8 @@ from repro.scenarios.invariants import (
     check_mutual_exclusion,
     check_unexpected_errors,
 )
+from repro.scenarios import __main__ as scenarios_main
+from repro.scenarios import runner as runner_module
 from repro.scenarios.runner import run_scenario
 from repro.scenarios.spec import FAULT_MIXES, ScenarioSpec, WorkloadMix
 from repro.scenarios.trace import TraceRecorder
@@ -115,6 +120,31 @@ class TestSpecValidation:
         spec = ScenarioSpec.generate(99, mix="degraded-outage")
         assert "--seed 99" in spec.repro_command()
         assert "--mix degraded-outage" in spec.repro_command()
+
+    @pytest.mark.parametrize("spec", [
+        ScenarioSpec.generate(99, mix="degraded-outage", agents=2, ops_per_agent=5),
+        ScenarioSpec.generate_scale(7, agents=20, files=1000, ops_per_agent=12, partitions=4),
+    ], ids=["generate", "generate_scale"])
+    def test_repro_command_rebuilds_the_spec_that_printed_it(self, spec, monkeypatch):
+        built = []
+
+        class Recorder:
+            def __init__(self, spec):
+                built.append(spec)
+
+            def run(self):
+                return SimpleNamespace(ok=True, report=lambda: "")
+
+        monkeypatch.setattr(runner_module, "ScenarioRunner", Recorder)
+        command = shlex.split(spec.repro_command())
+        assert command[:2] == ["PYTHONPATH=src", "python"]
+        if command[2] == "-m":
+            assert command[3] == "repro.scenarios"
+            scenarios_main.main(command[4:])
+        else:
+            assert command[2] == "-c"
+            exec(command[3], {})
+        assert built == [spec]
 
 
 # ---------------------------------------------------------------------------

@@ -9,71 +9,67 @@ from repro.clouds.providers import make_cloud_of_clouds, make_provider
 from repro.common.types import Principal
 from repro.coordination.adapters import make_coordination_service
 from repro.depsky.protocol import DepSkyClient
-from repro.simenv.clock import SimClock
 from repro.simenv.environment import Simulation
 from repro.simenv.failures import FailureSchedule, FaultKind
 from repro.simenv.latency import LatencyModel, NetworkProfile, MEMORY_LATENCY, DISK_LATENCY
 
 
-class TestSimClock:
-    def test_starts_at_zero_by_default(self):
-        assert SimClock().now() == 0.0
+class TestClock:
+    """The simulated clock ``Simulation`` holds and moves."""
 
-    def test_starts_at_given_time(self):
-        assert SimClock(5.0).now() == 5.0
-
-    def test_rejects_negative_start(self):
-        with pytest.raises(ValueError):
-            SimClock(-1.0)
+    def test_starts_at_zero(self):
+        assert Simulation().now() == 0.0
 
     def test_advance_moves_time_forward(self):
-        clock = SimClock()
-        clock.advance(1.5)
-        clock.advance(0.5)
-        assert clock.now() == pytest.approx(2.0)
+        sim = Simulation()
+        sim.advance(1.5)
+        assert sim.advance(0.5) == pytest.approx(2.0) == sim.now()
 
     def test_advance_rejects_negative(self):
-        clock = SimClock()
+        sim = Simulation()
         with pytest.raises(ValueError):
-            clock.advance(-0.1)
+            sim.advance(-0.1)
 
     def test_advance_zero_is_noop(self):
-        clock = SimClock(3.0)
-        assert clock.advance(0) == 3.0
+        sim = Simulation()
+        sim.advance(3.0)
+        assert sim.advance(0) == 3.0
 
     def test_advance_to_future_deadline(self):
-        clock = SimClock()
-        clock.advance_to(7.0)
-        assert clock.now() == 7.0
+        sim = Simulation()
+        assert sim.advance_to(7.0) == 7.0 == sim.now()
 
     def test_advance_to_past_deadline_raises(self):
-        clock = SimClock(10.0)
+        sim = Simulation()
+        sim.advance(10.0)
         with pytest.raises(ValueError):
-            clock.advance_to(5.0)
-        assert clock.now() == 10.0
+            sim.advance_to(5.0)
+        assert sim.now() == 10.0
 
-    def test_advance_to_current_time_is_noop(self):
-        clock = SimClock(10.0)
-        seen = []
-        clock.subscribe(lambda old, new: seen.append((old, new)))
-        assert clock.advance_to(10.0) == 10.0
-        assert seen == []
+    def test_advance_to_current_time_runs_nothing(self):
+        sim = Simulation()
+        sim.advance(10.0)
+        ran = []
+        sim.schedule(0.0, lambda: ran.append(sim.now()))
+        assert sim.advance_to(10.0) == 10.0
+        assert ran == []
 
-    def test_observers_receive_old_and_new_time(self):
-        clock = SimClock()
-        seen = []
-        clock.subscribe(lambda old, new: seen.append((old, new)))
-        clock.advance(2.0)
-        assert seen == [(0.0, 2.0)]
+    def test_advance_to_is_advance_by_the_difference(self):
+        # ``now + (deadline - now)``, rounding included: the replay
+        # fingerprints were recorded with it.
+        sim = Simulation()
+        sim.advance(0.3)
+        assert sim.advance_to(0.9) == 0.3 + (0.9 - 0.3) != 0.9
 
-    def test_every_observer_sees_every_advance(self):
-        clock = SimClock()
-        first, second = [], []
-        clock.subscribe(lambda old, new: first.append(new))
-        clock.subscribe(lambda old, new: second.append(new))
-        clock.advance(1.0)
-        clock.advance(0.5)
-        assert first == second == [1.0, 1.5]
+    def test_every_advance_runs_the_tasks_it_makes_due(self):
+        sim = Simulation()
+        ran = []
+        sim.schedule(1.0, lambda: ran.append(sim.now()))
+        sim.schedule(1.5, lambda: ran.append(sim.now()))
+        sim.advance(1.0)
+        assert ran == [1.0]
+        sim.advance_to(2.0)
+        assert ran == [1.0, 2.0]
 
 
 class TestSimulation:
