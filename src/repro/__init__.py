@@ -27,7 +27,7 @@ Sub-packages
 ``repro.crypto``
     Erasure coding, secret sharing, hashing and authenticated encryption.
 ``repro.coordination``
-    Replicated DepSpace- and ZooKeeper-like services: entries and locks.
+    A replicated DepSpace-like service: entries and locks.
 ``repro.depsky``
     The DepSky cloud-of-clouds storage protocols.
 ``repro.core``

@@ -207,8 +207,6 @@ class QuorumCallStats:
     traces: list[RequestTrace]
     #: Dispatch time of each stage that actually ran (stage 0 is always 0.0).
     stage_started_at: tuple[float, ...]
-    #: Per dispatched stage: seconds from its dispatch to its last resolution.
-    stage_waits: tuple[float, ...]
     #: The winning quorum, in completion order.
     winners: tuple[RequestTrace, ...]
     #: Number of requests dispatched as hedges (early fallback stages).
@@ -436,18 +434,13 @@ class QuorumCall:
         # A dead cloud's probe must not inflate the time a failed call charges.
         gave_up_at = max((t.resolved_at for t in traces if not t.probe),
                          default=max(t.resolved_at for t in traces))
-        stage_waits = tuple(
-            max((t.resolved_at for t in traces if t.stage == s and not t.probe),
-                default=start) - start
-            for s, start in enumerate(stage_starts)
-        )
         if self.health is not None and not dry:
             for trace in traces:
                 self.health.record_trace(trace, self.now)
         return QuorumCallStats(
             required=quorum.min_size, elapsed=elapsed, gave_up_at=gave_up_at,
             traces=traces, stage_started_at=tuple(stage_starts),
-            stage_waits=stage_waits, winners=winners, hedged=hedged_count,
+            winners=winners, hedged=hedged_count,
             probes=len(probe_requests), demoted=demoted,
         )
 
@@ -517,5 +510,5 @@ class InstantCoalescer:
         """
         return QuorumCallStats(
             required=required, elapsed=0.0, gave_up_at=0.0, traces=[],
-            stage_started_at=(0.0,), stage_waits=(0.0,), winners=(),
+            stage_started_at=(0.0,), winners=(),
         )

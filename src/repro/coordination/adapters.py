@@ -1,13 +1,10 @@
-"""Adapters exposing concrete coordination services through the common interface.
+"""The client of a replicated DepSpace, behind the common interface.
 
 The SCFS Agent integrates coordination services "with simple wrappers" (§3.2).
-These adapters are those wrappers: they map the generic
-:class:`~repro.coordination.base.CoordinationService` operations onto
-
-* a replicated :class:`~repro.coordination.tuplespace.DepSpace` (Byzantine
-  fault-tolerant, 3f+1 replicas), or
-* a replicated :class:`~repro.coordination.zookeeper.ZooKeeperLike`
-  (crash fault-tolerant, 2f+1 replicas).
+:class:`DepSpaceCoordination` is that wrapper: it maps the generic
+:class:`~repro.coordination.base.CoordinationService` operations onto a
+replicated DepSpace (:class:`~repro.coordination.entries.EntryCommands` on
+each of 3f+1 Byzantine fault-tolerant replicas).
 
 Every intent is **one** replicated command, charging one coordination-service
 access of roughly 60–100 ms to the simulated clock (the figure the paper
@@ -35,12 +32,11 @@ client call                         replicated command
 
 A session is a client-side record, so opening one sends nothing.  Every
 ``entry_multi`` carries the session's :class:`~repro.coordination.entries.Holder`,
-stamped with ``lease_seconds`` from the command's time: a DepSpace lock lives
-that long from its take, and a ZooKeeper replica moves the session's deadline
-there with every command it applies.  The session lives while its agent talks.
+stamped with ``lease_seconds`` from the command's time: a lock lives that long
+from the command that took it.
 
 The one-step calls are :class:`~repro.coordination.base.CoordinationService`'s
-own; an adapter supplies sessions, ``list_entries`` and ``multi``.  ``multi``
+own; this client supplies sessions, ``list_entries`` and ``multi``.  ``multi``
 is one command whatever its number of steps, all or nothing: a lock set taken
 or returned, a set of entries read, a set of entries conditionally replaced
 or updated field by field — or a lock set taken *and* the entries it guards
@@ -62,9 +58,7 @@ from typing import Sequence
 from repro.common.types import Principal
 from repro.coordination.base import CoordinationService, Entry, Op, Session
 from repro.coordination.entries import Holder
-from repro.coordination.replication import Command, FaultModel, ReplicatedStateMachine
-from repro.coordination.tuplespace import DepSpace
-from repro.coordination.zookeeper import ZooKeeperLike
+from repro.coordination.replication import Command, ReplicatedStateMachine
 from repro.simenv.environment import Simulation
 from repro.simenv.latency import LatencyModel
 
@@ -74,13 +68,18 @@ from repro.simenv.latency import LatencyModel
 DEFAULT_LEASE = 30.0
 
 
-class ReplicatedCoordination(CoordinationService):
-    """Sessions and entries, identical for both services; lock lifetimes differ per service."""
+class DepSpaceCoordination(CoordinationService):
+    """Coordination service backed by replicated DepSpace (BFT, ``3f+1`` replicas).
 
-    rsm: ReplicatedStateMachine
+    Each lock has its own lease, counted from its take, so there is no
+    session to register with the service.  The AWS backend of the paper runs
+    a single DepSpace instance in one EC2 VM (f=0); the CoC backend runs
+    DepSpace over BFT-SMaRt across four providers (f=1).
+    """
 
-    def __init__(self, sim: Simulation):
+    def __init__(self, sim: Simulation, f: int = 1, latency: LatencyModel | None = None):
         self.sim = sim
+        self.rsm = ReplicatedStateMachine(sim, f=f, latency=latency)
         self._session_ids = itertools.count()
 
     # -- sessions -----------------------------------------------------------
@@ -129,67 +128,3 @@ class ReplicatedCoordination(CoordinationService):
     def entry_count(self) -> int:
         return self.rsm.reference_replica().entry_count()
 
-
-class DepSpaceCoordination(ReplicatedCoordination):
-    """Coordination service backed by replicated DepSpace (BFT, ``3f+1`` replicas).
-
-    Each lock has its own lease, counted from its take, so there is no
-    session to register with the service.
-    """
-
-    def __init__(
-        self,
-        sim: Simulation,
-        f: int = 1,
-        latency: LatencyModel | None = None,
-    ):
-        super().__init__(sim)
-        self.rsm = ReplicatedStateMachine(
-            sim,
-            factory=DepSpace,
-            fault_model=FaultModel.BYZANTINE,
-            f=f,
-            latency=latency,
-        )
-
-
-class ZooKeeperCoordination(ReplicatedCoordination):
-    """Coordination service backed by replicated ZooKeeper.
-
-    Locks belong to the session, which the replicas expire ``lease_seconds``
-    after the last command it sent.
-    """
-
-    def __init__(
-        self,
-        sim: Simulation,
-        f: int = 1,
-        latency: LatencyModel | None = None,
-    ):
-        super().__init__(sim)
-        self.rsm = ReplicatedStateMachine(
-            sim,
-            factory=ZooKeeperLike,
-            fault_model=FaultModel.CRASH,
-            f=f,
-            latency=latency,
-        )
-
-
-def make_coordination_service(
-    sim: Simulation,
-    kind: str = "depspace",
-    f: int = 1,
-    latency: LatencyModel | None = None,
-) -> ReplicatedCoordination:
-    """Factory used by SCFS configurations.
-
-    ``kind`` is ``"depspace"`` or ``"zookeeper"``.  The AWS backend of the
-    paper runs a single DepSpace instance in one EC2 VM (f=0); the CoC backend
-    runs DepSpace over BFT-SMaRt across four providers (f=1).
-    """
-    if kind == "depspace":
-        return DepSpaceCoordination(sim, f=f, latency=latency)
-    if kind == "zookeeper":
-        return ZooKeeperCoordination(sim, f=f, latency=latency)
-    raise ValueError(f"unknown coordination service kind {kind!r}")

@@ -8,10 +8,11 @@ The agent needs surprisingly little from the coordination service (§2.3):
   the client crashes);
 * per-entry access control (the agent is untrusted, §2.6).
 
-Concrete services (DepSpace and ZooKeeper, whose replicas share one state
-machine) are adapted to this interface by :mod:`repro.coordination.adapters`;
-SCFS code never depends on a specific service, which is exactly the paper's
-*modular coordination* principle.
+A replicated DepSpace is adapted to this interface by
+:mod:`repro.coordination.adapters`, and a namespace partitioned over several
+of them by :mod:`repro.coordination.partitioned`; SCFS code never depends on a
+specific service, which is exactly the paper's *modular coordination*
+principle.
 """
 
 from __future__ import annotations
@@ -38,9 +39,9 @@ class Entry:
 class Session:
     """A client session: the one id an agent's locks carry on every partition.
 
-    Each command the session sends stamps its locks (DepSpace) or the session
-    itself (ZooKeeper) with ``lease_seconds`` from the command's time, so a
-    session lives while its agent talks and its locks lapse once it stops.
+    A lock the session takes lapses ``lease_seconds`` after the command that
+    took it, and no later command extends it, so a crashed agent's locks are
+    released without it.
     """
 
     session_id: str

@@ -1,20 +1,25 @@
-"""The state machine of a coordination replica, written once for both services.
+"""The state machine of a DepSpace coordination replica.
 
-The SCFS Agent is untrusted (§2.6), so everything that decides whether an
-entry may change — create-vs-update, the ACL check, the ``expected_version``
+DepSpace [Bessani et al., EuroSys'08] is the Byzantine fault-tolerant
+coordination service of the paper's prototype, replicated over 3f+1 replicas
+(:class:`~repro.coordination.replication.ReplicatedStateMachine`).  The SCFS
+Agent is untrusted (§2.6), so everything that decides whether an entry may
+change — create-vs-update, the ACL check, the ``expected_version``
 comparison, the version bump — runs *inside* the replicated state machine, as
 one command per intent.  :class:`EntryCommands` holds those commands and the
 state they act on: one map of entries with a sorted key index (a prefix
-listing visits only the keys under its prefix) and one lock table.  The
-DepSpace and ZooKeeper replicas subclass it and only say when a lock lapses
-(``_expire``) and how a session's locks are returned.
+listing visits only the keys under its prefix) and one lock table.  Each lock
+is a *timed tuple* that lapses a lease after the command that took it, so a
+crashed client's locks are released without it (§2.5.1).  The trigger the
+paper added to DepSpace for an efficient ``rename`` (§3.2) is the ``Move``
+step of ``entry_multi``.
 
-A replica answers two entry commands: ``entry_list`` and ``entry_multi``,
-whose steps (:data:`~repro.coordination.base.Op`) read, create, replace,
-update, delete, move or re-grant entries and take or return locks — all or
-nothing, in one command whatever its size.  Every check precedes every
-mutation, so a command that raises leaves the replica untouched and all
-correct replicas stay identical.
+A replica answers three commands: ``entry_list``, ``close_session`` and
+``entry_multi``, whose steps (:data:`~repro.coordination.base.Op`) read,
+create, replace, update, delete, move or re-grant entries and take or return
+locks — all or nothing, in one command whatever its size.  Every check
+precedes every mutation, so a command that raises leaves the replica untouched
+and all correct replicas stay identical.
 
 A session is the pair of the principal that sent the command (``user``) and
 the session id it names: a lock, an unlock or a close acts on the caller's
@@ -57,10 +62,10 @@ class Stored(NamedTuple):
 class Holder(NamedTuple):
     """The session on whose behalf a multi-command takes and returns locks.
 
-    ``deadline`` is the command's time plus the session's lease: a DepSpace
-    lock taken by the command lapses then, and a ZooKeeper session lives until
-    then.  The lock table keeps the holder of every lock, with ``principal``
-    set by the replica to the command's ``user`` (never taken from the client).
+    ``deadline`` is the command's time plus the session's lease: a lock taken
+    by the command lapses then.  The lock table keeps the holder of every lock,
+    with ``principal`` set by the replica to the command's ``user`` (never
+    taken from the client).
     """
 
     session_id: str
@@ -130,8 +135,8 @@ class EntryCommands:
     start at 1 and grow by one per change for as long as the key lives.
     """
 
-    #: The replicated commands :meth:`apply` dispatches; a replica adds its session verbs.
-    COMMANDS: ClassVar[frozenset[str]] = frozenset({"entry_multi", "entry_list"})
+    #: The replicated commands :meth:`apply` dispatches.
+    COMMANDS: ClassVar[frozenset[str]] = frozenset({"entry_multi", "entry_list", "close_session"})
 
     def __init__(self) -> None:
         self._entries: dict[str, Stored] = {}
@@ -139,11 +144,12 @@ class EntryCommands:
         #: Lock name -> its holder, in take order.
         self._locks: dict[str, Holder] = {}
 
-    # -- lock lifetime, supplied by the concrete state machine ----------------
+    # -- lock lifetime ----------------------------------------------------------
 
     def _expire(self, now: float) -> None:
-        """Drop every lock whose lifetime ended at or before ``now``."""
-        raise NotImplementedError
+        """Drop every lock whose lease ended at or before ``now``."""
+        for name in [name for name, held in self._locks.items() if now >= held.deadline]:
+            del self._locks[name]
 
     # -- storage --------------------------------------------------------------
 
@@ -295,6 +301,16 @@ class EntryCommands:
         entries = self._entries
         return [_entry(key, stored) for key in self._keys.prefixed(prefix)
                 if _allows(stored := entries[key], user, Permission.READ)]
+
+    def close_session(self, session_id: str, user: str, now: float) -> None:
+        """Return every lock ``user``'s session ``session_id`` holds, in one command.
+
+        A replica keeps no session: closing one is the client's last release,
+        of whatever its locks are by now.
+        """
+        self._expire(now)
+        self._locks = {name: held for name, held in self._locks.items()
+                       if held.session != (user, session_id)}
 
     # -- introspection and dispatch -------------------------------------------
 

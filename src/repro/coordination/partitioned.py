@@ -33,7 +33,7 @@ from typing import Callable, Sequence
 
 from repro.common.errors import ConflictError, ReproError
 from repro.common.types import Principal
-from repro.coordination.adapters import ReplicatedCoordination
+from repro.coordination.adapters import DepSpaceCoordination
 from repro.coordination.base import CoordinationService, Entry, Lock, Move, Op, Session, Unlock
 from repro.coordination.replication import invoke_together
 
@@ -57,7 +57,7 @@ class PartitionedCoordination(CoordinationService):
 
     def __init__(
         self,
-        services: Sequence[ReplicatedCoordination],
+        services: Sequence[DepSpaceCoordination],
         partition_function: Callable[[str, int], int] = partition_by_top_level_directory,
     ):
         if not services:
@@ -181,7 +181,7 @@ class PartitionedCoordination(CoordinationService):
         sends = [(self.services[index], [ops[position] for position in positions])
                  for index, positions in commands]
         answers: list[list[Entry | None]] = []
-        granted: list[tuple[ReplicatedCoordination, list[Op]]] = []
+        granted: list[tuple[DepSpaceCoordination, list[Op]]] = []
         try:
             for service, steps in sends[:together]:
                 answers.append(service.multi(steps, session))

@@ -1,11 +1,13 @@
 """Simulated state-machine replication for the coordination service.
 
-DepSpace runs on top of the BFT-SMaRt replication engine (3f+1 replicas to
-tolerate f Byzantine faults, or 2f+1 for crashes), while ZooKeeper uses a
-Paxos-like protocol with 2f+1 replicas (§3.2).  This module reproduces the
-*externally observable* behaviour of such a replicated service:
+DepSpace runs on top of the BFT-SMaRt replication engine: 3f+1 replicas
+tolerate f Byzantine faults, and a command completes once 2f+1 of them answer
+(§3.2).  This module reproduces the *externally observable* behaviour of such
+a replicated service:
 
-* a deterministic state machine is instantiated once per replica;
+* a deterministic DepSpace state machine
+  (:class:`~repro.coordination.entries.EntryCommands`) is instantiated once
+  per replica;
 * every command is applied to all *correct* replicas, keeping them in sync;
 * a command only succeeds while a quorum of replicas is available, otherwise
   :class:`~repro.common.errors.QuorumNotReachedError` is raised;
@@ -20,76 +22,42 @@ Paxos-like protocol with 2f+1 replicas (§3.2).  This module reproduces the
   service) go out at once and charge the client the slowest one's latency,
   the way DepSky charges its parallel quorum calls.
 
-The goal is not to reproduce the internals of BFT-SMaRt/Zab, but to provide a
+The goal is not to reproduce the internals of BFT-SMaRt, but to provide a
 substrate with the same failure and latency envelope that SCFS assumes.
 """
 
 from __future__ import annotations
 
 import copy
-import enum
-from typing import Any, Callable, NamedTuple, Protocol, Sequence
+from typing import Any, NamedTuple, Sequence
 
 from repro.common.errors import QuorumNotReachedError, ReproError
+from repro.coordination.entries import EntryCommands
 from repro.simenv.environment import Simulation
 from repro.simenv.latency import LatencyModel
 
 
-class StateMachine(Protocol):
-    """A deterministic state machine: same command sequence, same results."""
-
-    def apply(self, command: tuple[str, tuple, dict]) -> Any:  # pragma: no cover - protocol
-        """Execute one command and return its result."""
-
-
-class FaultModel(enum.Enum):
-    """Fault assumptions of the replication protocol."""
-
-    #: Crash fault tolerance: n = 2f+1 replicas tolerate f crashes (ZooKeeper).
-    CRASH = "crash"
-    #: Byzantine fault tolerance: n = 3f+1 replicas tolerate f arbitrary faults
-    #: (DepSpace over BFT-SMaRt).
-    BYZANTINE = "byzantine"
-
-
-def replicas_required(fault_model: FaultModel, f: int) -> int:
-    """Number of replicas needed to tolerate ``f`` faults under ``fault_model``."""
-    if f < 0:
-        raise ValueError("f must be non-negative")
-    return 2 * f + 1 if fault_model is FaultModel.CRASH else 3 * f + 1
-
-
 class ReplicatedStateMachine:
-    """Replicates a deterministic state machine across ``n`` simulated replicas.
+    """Replicates the DepSpace state machine across ``n = 3f+1`` simulated replicas.
 
     Parameters
     ----------
     sim:
         Simulation environment (clock and RNG).
-    factory:
-        Zero-argument callable building one replica's state machine.
-    fault_model:
-        :class:`FaultModel.CRASH` or :class:`FaultModel.BYZANTINE`.
     f:
-        Number of tolerated faults; the replica count is derived from it.
+        Number of tolerated Byzantine faults; the replica count is derived from it.
     latency:
         Client-observed latency of one replicated operation (defaults to the
         80 ms the paper measured for coordination accesses).
     """
 
-    def __init__(
-        self,
-        sim: Simulation,
-        factory: Callable[[], StateMachine],
-        fault_model: FaultModel = FaultModel.BYZANTINE,
-        f: int = 1,
-        latency: LatencyModel | None = None,
-    ):
+    def __init__(self, sim: Simulation, f: int = 1, latency: LatencyModel | None = None):
+        if f < 0:
+            raise ValueError("f must be non-negative")
         self.sim = sim
-        self.fault_model = fault_model
         self.f = f
-        self.n = replicas_required(fault_model, f)
-        self.replicas: list[StateMachine] = [factory() for _ in range(self.n)]
+        self.n = 3 * f + 1
+        self.replicas = [EntryCommands() for _ in range(self.n)]
         self.latency = latency or LatencyModel(base=0.080, jitter=0.2)
         self._crashed: set[int] = set()
         self._byzantine: set[int] = set()
@@ -156,8 +124,6 @@ class ReplicatedStateMachine:
 
     def quorum_size(self) -> int:
         """Replies needed for a command to complete."""
-        if self.fault_model is FaultModel.CRASH:
-            return self.f + 1
         return 2 * self.f + 1
 
     # -- invocation ------------------------------------------------------------
@@ -206,7 +172,7 @@ class ReplicatedStateMachine:
         # real BFT client library applies to replies.
         return results[0]
 
-    def reference_replica(self) -> StateMachine:
+    def reference_replica(self) -> EntryCommands:
         """Return one correct replica, for read-only introspection by tests."""
         correct = self.correct_replicas
         if not correct:

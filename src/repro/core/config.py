@@ -46,13 +46,12 @@ class GarbageCollectionPolicy:
 
     ``written_bytes_threshold`` (W) — the collector is activated every time the
     agent writes more than W bytes; ``versions_to_keep`` (V) — number of most
-    recent versions preserved per file.
+    recent versions preserved per file.  Files the user deleted are purged
+    whole: their versions and their metadata entries.
     """
 
     written_bytes_threshold: int = 128 * MB
     versions_to_keep: int = 3
-    #: Also purge files the user deleted (their versions and metadata entries).
-    purge_deleted_files: bool = True
     #: Refined policy (§2.5.3): additionally keep the newest version of each
     #: ``keep_interval_seconds`` bucket (e.g. 86400 for one version per day).
     #: ``None`` disables the age-based retention.
@@ -152,8 +151,6 @@ class SCFSConfig:
     backend: BackendKind = BackendKind.COC
     #: Number of faulty providers/replicas tolerated by the CoC backend.
     fault_tolerance: int = 1
-    #: Which coordination service to use ("depspace" or "zookeeper").
-    coordination_kind: str = "depspace"
     #: Number of independent coordination services the namespace is partitioned
     #: over (the §5 scalability extension; 1 = the paper's base design).
     coordination_partitions: int = 1
@@ -184,8 +181,6 @@ class SCFSConfig:
             raise ConfigurationError(
                 "weighted quorum systems require the cloud-of-clouds "
                 "backend (a single cloud has no quorum structure)")
-        if self.coordination_kind not in ("depspace", "zookeeper"):
-            raise ConfigurationError(f"unknown coordination service {self.coordination_kind!r}")
         if self.coordination_partitions < 1:
             raise ConfigurationError("at least one coordination partition is required")
         if self.mode is OperationMode.NON_SHARING and not self.private_name_spaces:

@@ -20,8 +20,9 @@ from repro.clouds.accounting import UsageBreakdown
 from repro.clouds.dispatch import InstantCoalescer
 from repro.clouds.eventual import EventuallyConsistentStore
 from repro.clouds.providers import COC_STORAGE_PROVIDERS, make_cloud_of_clouds, make_provider
-from repro.coordination.adapters import make_coordination_service
+from repro.coordination.adapters import DepSpaceCoordination
 from repro.coordination.base import CoordinationService
+from repro.coordination.partitioned import PartitionedCoordination
 from repro.core.agent import SCFSAgent
 from repro.core.backend import CloudOfCloudsBackend, SingleCloudBackend, StorageBackend
 from repro.core.config import SCFSConfig
@@ -88,26 +89,19 @@ class SCFSDeployment:
         if self.config.backend is BackendKind.AWS:
             # One DepSpace instance in a single EC2 VM (no replication, f=0);
             # the access latency is dominated by the WAN round trip (§4.2).
-            factory = lambda: make_coordination_service(  # noqa: E731
-                self.sim, self.config.coordination_kind, f=0,
-                latency=LatencyModel(base=0.080, jitter=0.2),
-            )
+            f, base = 0, 0.080
         else:
             # Replicated DepSpace across four computing clouds (f=1): the client
             # waits for a Byzantine quorum, slightly above the single-VM latency.
-            factory = lambda: make_coordination_service(  # noqa: E731
-                self.sim, self.config.coordination_kind, f=self.config.fault_tolerance,
-                latency=LatencyModel(base=0.095, jitter=0.2),
-            )
-        if self.config.coordination_partitions == 1:
-            return factory()
+            f, base = self.config.fault_tolerance, 0.095
+        services = [DepSpaceCoordination(self.sim, f=f,
+                                         latency=LatencyModel(base=base, jitter=0.2))
+                    for _ in range(self.config.coordination_partitions)]
+        if len(services) == 1:
+            return services[0]
         # The §5 scalability extension: partition the namespace over several
         # independent coordination services.
-        from repro.coordination.partitioned import PartitionedCoordination
-
-        return PartitionedCoordination(
-            [factory() for _ in range(self.config.coordination_partitions)]
-        )
+        return PartitionedCoordination(services)
 
     # ------------------------------------------------------------------- agents
 

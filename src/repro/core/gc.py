@@ -118,7 +118,7 @@ class GarbageCollector:
 
     def _collect_file(self, meta, report: GCReport) -> None:
         versions = self.backend.list_versions(meta.file_id)
-        if meta.deleted and self.policy.purge_deleted_files:
+        if meta.deleted:
             # The file is deleted: no reader anchors any of its versions.  Its
             # entry goes only once they all have; until then the next pass
             # finds both again.

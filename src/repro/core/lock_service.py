@@ -10,9 +10,9 @@ The lock service "is basically a wrapper for implementing coordination
 recipes for locking using the coordination service of choice" (§2.5.1).  The
 only strict requirement is that lock entries are *ephemeral*: if a client
 crashes while holding a lock, the lease expires and the file unlocks
-automatically.  Both concrete services satisfy this — DepSpace through a lease
-per lock, ZooKeeper through the session's — so the recipe here only adds
-re-entrant bookkeeping on top of the service's ``Lock`` and ``Unlock`` steps.
+automatically.  DepSpace satisfies this with a lease per lock, so the recipe
+here only adds re-entrant bookkeeping on top of the service's ``Lock`` and
+``Unlock`` steps.
 In the non-sharing mode there is no coordination service and therefore no
 locking (a single user by definition cannot conflict with itself across agents
 sharing nothing).
@@ -181,9 +181,9 @@ class LockService:
     def still_held(self, metadata: FileMetadata) -> bool:
         """True when the coordination service still shows this agent as holder.
 
-        DepSpace times a lock's lease from its take, ZooKeeper from the
-        session's last command: a holder that stays busy past ``lease_seconds``
-        loses the lock silently while its own ``held`` count still names it.
+        DepSpace times a lock's lease from its take: a holder that stays busy
+        past ``lease_seconds`` loses the lock silently while its own ``held``
+        count still names it.
         Commit paths re-check here before irreversible steps, turning a stolen
         lock into a clean abort instead of a version fork.  Always True with locking disabled (nothing
         can be stolen without a lock service).

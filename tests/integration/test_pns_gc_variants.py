@@ -1,5 +1,5 @@
-"""Integration tests: private name spaces, garbage collection, all Table 2
-variants end-to-end, and the ZooKeeper-backed configuration."""
+"""Integration tests: private name spaces, garbage collection and all Table 2
+variants end-to-end."""
 
 import pytest
 
@@ -174,32 +174,3 @@ class TestAllVariantsEndToEnd:
         fs.agent.memory_cache.clear()
         fs.agent.disk_cache.clear()
         assert fs.read_file("/large.bin") == payload
-
-
-class TestZooKeeperBackedDeployment:
-    def test_sharing_works_with_zookeeper_coordination(self):
-        deployment = SCFSDeployment.for_variant("SCFS-AWS-B", seed=48,
-                                                coordination_kind="zookeeper")
-        alice = deployment.create_agent("alice")
-        bob = deployment.create_agent("bob")
-        alice.write_file("/shared.txt", b"via zookeeper", shared=True)
-        alice.setfacl("/shared.txt", "bob", Permission.READ)
-        deployment.drain(2.0)
-        assert bob.read_file("/shared.txt") == b"via zookeeper"
-
-    @pytest.mark.parametrize("variant, pause", [("SCFS-AWS-B", 0.0), ("SCFS-CoC-B", 60.0)])
-    def test_zookeeper_locks_prevent_write_write_conflicts(self, variant, pause):
-        """Also two lock leases after mount: each command alice sends renews her session."""
-        from repro.common.errors import LockHeldError
-
-        deployment = SCFSDeployment.for_variant(variant, seed=49, coordination_kind="zookeeper")
-        alice = deployment.create_agent("alice")
-        bob = deployment.create_agent("bob")
-        alice.write_file("/f.txt", b"v", shared=True)
-        alice.setfacl("/f.txt", "bob", Permission.READ_WRITE)
-        deployment.drain(2.0)
-        deployment.sim.advance(pause)
-        handle = alice.open("/f.txt", "r+")
-        with pytest.raises(LockHeldError):
-            bob.open("/f.txt", "r+")
-        alice.close(handle)

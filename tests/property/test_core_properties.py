@@ -4,11 +4,11 @@
 * a read through the consistency anchor always returns the latest anchored
   write, on either backend, for arbitrary interleavings of writes and reads
   of many objects;
-* the DepSpace and ZooKeeper replicas answer every ``entry_multi`` command
-  identically — one step or several, all or nothing — and their entries,
-  locks and prefix listings match a plain dict model applying the steps;
+* the DepSpace replica answers every ``entry_multi`` command as a plain dict
+  model applying the steps does — one step or several, all or nothing — and
+  its entries, locks and prefix listings match the model's;
 * two sessions' interleaved conditional and unconditional puts on one entry
-  never lose an update and never skip a version, on either service;
+  never lose an update and never skip a version;
 * the SCFS file system agrees with a plain in-memory dictionary model under
   arbitrary sequences of whole-file operations.
 """
@@ -30,17 +30,15 @@ from repro.common.errors import (
     TupleNotFoundError,
 )
 from repro.common.types import Permission, Principal
-from repro.coordination.adapters import make_coordination_service
+from repro.coordination.adapters import DepSpaceCoordination
 from repro.coordination.base import Delete, EntryACL, Grant, Lock, Move, Put, Update
-from repro.coordination.entries import Holder
+from repro.coordination.entries import EntryCommands, Holder
 from repro.core.backend import CloudOfCloudsBackend, SingleCloudBackend
 from repro.core.cache import LRUByteCache, make_disk_cache, make_memory_cache
 from repro.core.config import DispatchPolicyConfig, QuorumConfig
 from repro.core.consistency import anchor_value, split_anchor_value
 from repro.core.storage_service import StorageService
 from repro.core.deployment import SCFSDeployment
-from repro.coordination.tuplespace import DepSpace
-from repro.coordination.zookeeper import ZooKeeperLike
 from repro.simenv.environment import Simulation
 
 
@@ -262,58 +260,54 @@ def _send(replica, ops, user):
     return _replies(replica.entry_multi(ops, user, 0.0, holder=_holder(user)))
 
 
-def _assert_agree(replicas, model):
+def _assert_agree(replica, model):
     for prefix in PREFIXES:
         for user in USERS:
-            listed = [[(e.key, e.value, e.version, e.owner)
-                       for e in replica.entry_list(prefix, user, 0.0)]
-                      for replica in replicas]
-            assert listed[0] == listed[1] == model.listing(prefix, user)
-    assert replicas[0].entry_count() == replicas[1].entry_count() == len(model.entries)
+            listed = [(e.key, e.value, e.version, e.owner)
+                      for e in replica.entry_list(prefix, user, 0.0)]
+            assert listed == model.listing(prefix, user)
+    assert replica.entry_count() == len(model.entries)
     for name in LOCKS:
-        assert [replica.lock_holder(name, 0.0) for replica in replicas] == [
-            model.locks.get(name)] * 2
+        assert replica.lock_holder(name, 0.0) == model.locks.get(name)
 
 
 class TestEntryStoreProperties:
     @settings(max_examples=150, deadline=None)
     @given(steps=st.lists(st.tuples(st.sampled_from(USERS), _entry_step), max_size=40))
-    def test_both_replicas_agree_with_a_dict_model(self, steps):
+    def test_the_replica_agrees_with_a_dict_model(self, steps):
         """One-step ``entry_multi`` commands: the client's ``put``, ``delete``, ``move``, ..."""
-        replicas, model = (DepSpace(), ZooKeeperLike()), _DictModel()
+        replica, model = EntryCommands(), _DictModel()
         for number, (user, drawn) in enumerate(steps):
             op = _concrete(drawn, model, number, 0)
-            outcomes = [_outcome(lambda r=replica: _send(r, [op], user)) for replica in replicas]
-            expected = _outcome(lambda: model.command([op], user))
-            assert outcomes[0] == outcomes[1] == expected
-            _assert_agree(replicas, model)
+            outcome = _outcome(lambda: _send(replica, [op], user))
+            assert outcome == _outcome(lambda: model.command([op], user))
+            _assert_agree(replica, model)
 
     @settings(max_examples=150, deadline=None)
     @given(commands=st.lists(_command, max_size=12))
     def test_a_command_of_several_steps_is_all_or_nothing(self, commands):
         """Refused: every replica byte-identical to before.  Accepted: the model's steps in order."""
-        replicas, model = (DepSpace(), ZooKeeperLike()), _DictModel()
+        replica, model = EntryCommands(), _DictModel()
         for number, (user, drawn) in enumerate(commands):
             ops = [_concrete(step, model, number, position) for position, step in enumerate(drawn)]
-            before = [pickle.dumps(replica) for replica in replicas]
-            outcomes = [_outcome(lambda r=replica: _send(r, ops, user)) for replica in replicas]
+            before = pickle.dumps(replica)
+            outcome = _outcome(lambda: _send(replica, ops, user))
             expected = _outcome(lambda: model.command(ops, user))
-            assert outcomes[0] == outcomes[1] == expected
+            assert outcome == expected
             if isinstance(expected, type):
-                assert [pickle.dumps(replica) for replica in replicas] == before
-            _assert_agree(replicas, model)
+                assert pickle.dumps(replica) == before
+            _assert_agree(replica, model)
 
 
 class TestEntryVersionProperties:
     @settings(max_examples=60, deadline=None)
     @given(
-        kind=st.sampled_from(("depspace", "zookeeper")),
         steps=st.lists(st.tuples(st.integers(0, 1),
                                  st.sampled_from(("put", "cas", "stale-cas", "insert"))),
                        max_size=30),
     )
-    def test_interleaved_puts_lose_nothing_and_skip_no_version(self, kind, steps):
-        coordination = make_coordination_service(Simulation(seed=1), kind, f=1)
+    def test_interleaved_puts_lose_nothing_and_skip_no_version(self, steps):
+        coordination = DepSpaceCoordination(Simulation(seed=1), f=1)
         sessions = [coordination.open_session(Principal(name=name)) for name in ("ann", "ben")]
         coordination.put("k", b"seed", sessions[0])
         coordination.set_entry_acl("k", "ben", Permission.READ_WRITE, sessions[0])

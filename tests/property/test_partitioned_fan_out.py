@@ -25,14 +25,14 @@ from hypothesis import given, settings, strategies as st
 
 from repro.common.errors import LockHeldError
 from repro.common.types import Principal
-from repro.coordination import PartitionedCoordination, make_coordination_service
+from repro.coordination import PartitionedCoordination
+from repro.coordination.adapters import DepSpaceCoordination
 from repro.coordination.base import Lock
 from repro.simenv.environment import Simulation
 
 NAMES = tuple(f"filelock:f{index}" for index in range(8))
 
 _case = st.fixed_dictionaries({
-    "kind": st.sampled_from(("depspace", "zookeeper")),
     "partitions": st.integers(1, 4),
     "layout": st.lists(st.integers(0, 3), min_size=len(NAMES), max_size=len(NAMES)),
     "mine": st.sets(st.sampled_from(NAMES)),
@@ -101,13 +101,13 @@ def _script(case: dict, coordination, services, sim: Simulation) -> None:
 def test_a_fan_out_is_the_loop_charged_its_slowest_branch(case):
     sim = Simulation(seed=11)
     layout = dict(zip(NAMES, case["layout"], strict=True))
-    services = [make_coordination_service(sim, case["kind"], f=0)
+    services = [DepSpaceCoordination(sim, f=0)
                 for _ in range(case["partitions"])]
     coordination = PartitionedCoordination(
         services, partition_function=lambda key, partitions: layout[key] % partitions)
     _script(case, coordination, services, sim)
     if case["partitions"] == 1:
         plain_sim = Simulation(seed=11)
-        plain = make_coordination_service(plain_sim, case["kind"], f=0)
+        plain = DepSpaceCoordination(plain_sim, f=0)
         _script(case, plain, [plain], plain_sim)
         assert (plain_sim.now(), plain_sim.rng.getstate()) == (sim.now(), sim.rng.getstate())

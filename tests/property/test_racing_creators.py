@@ -2,10 +2,10 @@
 
 ``open(O_CREAT)`` sends the insert-if-absent first where it can and looks
 first where it cannot; either way the insert is the existence check, and a
-refusal says what is there.  Hypothesis draws the coordination service (the
-DepSpace-like one, the ZooKeeper-like one, two partitions), two or three mounts
-of one user, for each its mode, whether the parent directory is in its
-metadata cache (insert first) or not (look first), whether it writes, and —
+refusal says what is there.  Hypothesis draws the coordination service (one
+DepSpace or two partitions of it), two or three mounts of one user, for each
+its mode, whether the parent directory is in its metadata cache (insert
+first) or not (look first), whether it writes, and —
 the race — before which replicated command of the calls already under way each
 later mount's whole ``open … close`` runs: an interleaving at the command
 level, between a lookup and the insert it licensed, between a ``Lock`` and the
@@ -30,8 +30,7 @@ from repro.common.errors import LockHeldError
 from repro.core.deployment import SCFSDeployment
 
 SERVICES = {
-    "depspace": {"coordination_kind": "depspace"},
-    "zookeeper": {"coordination_kind": "zookeeper"},
+    "depspace": {},
     "partitioned": {"coordination_partitions": 2},
 }
 PATH = "/d/contended"

@@ -37,7 +37,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.common.errors import ConflictError, LockHeldError
 from repro.common.types import Permission, Principal
-from repro.coordination import PartitionedCoordination, make_coordination_service
+from repro.coordination import PartitionedCoordination
+from repro.coordination.adapters import DepSpaceCoordination
 from repro.coordination.base import Get, Put, Unlock
 from repro.core.lock_service import LockService
 from repro.core.metadata import FileMetadata, FileType
@@ -64,7 +65,6 @@ def _key(file_id: str) -> str:
 KEYS = [*map(_lock, FILES), *map(_key, FILES), PRIVATE]
 
 _case = st.fixed_dictionaries({
-    "kind": st.sampled_from(("depspace", "zookeeper")),
     "partitions": st.integers(0, 3),  # 0: one plain (unpartitioned) service
     "layout": st.lists(st.integers(0, 2), min_size=len(KEYS), max_size=len(KEYS)),
     "held": st.sets(st.sampled_from(FILES)),
@@ -79,10 +79,10 @@ _case = st.fixed_dictionaries({
 
 def _service(sim: Simulation, case: dict):
     if case["partitions"] == 0:
-        return make_coordination_service(sim, case["kind"], f=0)
+        return DepSpaceCoordination(sim, f=0)
     layout = dict(zip(KEYS, case["layout"], strict=True))
     return PartitionedCoordination(
-        [make_coordination_service(sim, case["kind"], f=0) for _ in range(case["partitions"])],
+        [DepSpaceCoordination(sim, f=0) for _ in range(case["partitions"])],
         partition_function=lambda key, partitions: layout[key] % partitions)
 
 
@@ -173,7 +173,6 @@ def test_accepted_riding_command_settles_counts_and_applies_every_step(case):
 # ---- home-placed locks, re-entrant holds, releases due inside the command ----
 
 _homed = st.fixed_dictionaries({
-    "kind": st.sampled_from(("depspace", "zookeeper")),
     "partitions": st.integers(0, 3),  # 0: one plain (unpartitioned) service
     # Partition of each file's entry where it was created, and where it was
     # renamed to (a rename to another partition leaves its lock at home).
@@ -217,10 +216,10 @@ def test_riding_command_keeps_every_count_with_the_service(case):
     count = case["partitions"]
     routes: dict[str, int] = {}
     if count == 0:
-        service = make_coordination_service(sim, case["kind"], f=0)
+        service = DepSpaceCoordination(sim, f=0)
         services = [service]
     else:
-        services = [make_coordination_service(sim, case["kind"], f=0) for _ in range(count)]
+        services = [DepSpaceCoordination(sim, f=0) for _ in range(count)]
         service = PartitionedCoordination(
             services, partition_function=lambda key, partitions: routes[key] % partitions)
     alice = service.open_session(Principal(name="alice", canonical_ids=()))

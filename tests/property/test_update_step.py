@@ -26,7 +26,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.common.errors import ConflictError
 from repro.common.types import Permission, Principal
-from repro.coordination import PartitionedCoordination, make_coordination_service
+from repro.coordination import PartitionedCoordination
+from repro.coordination.adapters import DepSpaceCoordination
 from repro.coordination.base import Entry, Get, Put, Update
 from repro.coordination.entries import Holder
 from repro.core.metadata import DATA_FIELDS, FileMetadata, FileType
@@ -66,7 +67,7 @@ def _replaced(old: FileMetadata, new: FileMetadata, names) -> FileMetadata:
 @given(case=_case)
 def test_an_update_sets_exactly_its_fields_or_leaves_every_replica_alone(case):
     sim = Simulation(seed=5)
-    service = make_coordination_service(sim, "depspace", f=1)
+    service = DepSpaceCoordination(sim, f=1)
     alice = service.open_session(Principal(name="alice", canonical_ids=()))
     bob = service.open_session(Principal(name="bob", canonical_ids=()))
     old, new, names = case["old"], case["new"], sorted(case["names"])
@@ -116,7 +117,7 @@ _flip = st.fixed_dictionaries({
 @given(case=_flip)
 def test_the_intent_flip_riding_behind_updates_is_applied_last(case):
     sim = Simulation(seed=5)
-    services = [make_coordination_service(sim, "depspace", f=0)
+    services = [DepSpaceCoordination(sim, f=0)
                 for _ in range(case["partitions"])]
     keys = [f"meta:/d/f{index}" for index in range(3)]
     layout = dict(zip([*keys, "txn:t"], case["layout"], strict=True))

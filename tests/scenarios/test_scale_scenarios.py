@@ -141,3 +141,10 @@ def test_scale_spec_rejects_bad_sizing() -> None:
         ScenarioSpec.generate_scale(seed=1, files=0)
     with pytest.raises(ValueError):
         ScenarioSpec.generate_scale(seed=1, directories=0)
+
+
+@pytest.mark.parametrize("mix", FAULT_MIXES)
+def test_pooled_run_upholds_all_invariants_under_every_fault_mix(mix: str) -> None:
+    """A ``replica:i`` phase faults replica *i* of every partition's service."""
+    result = ScenarioRunner(_scale_spec(mix=mix)).run()
+    assert result.ok, "\n" + result.report()

@@ -19,7 +19,6 @@ SURFACE = (
     "mode",
     "backend",
     "fault_tolerance",
-    "coordination_kind",
     "coordination_partitions",
     "private_name_spaces",
     "encrypt_data",
@@ -28,7 +27,6 @@ SURFACE = (
     "caches.metadata_expiration",
     "gc.written_bytes_threshold",
     "gc.versions_to_keep",
-    "gc.purge_deleted_files",
     "gc.keep_interval_seconds",
     "gc.enabled",
     "dispatch.timeout",
@@ -59,7 +57,7 @@ def _settable(config, prefix: str = "") -> list[str]:
 
 def test_the_settable_config_surface_is_the_pinned_one():
     assert tuple(_settable(SCFSConfig())) == SURFACE
-    assert len(SURFACE) == 26
+    assert len(SURFACE) == 24
 
 
 #: The knobs of the dispatch policy that only ``DispatchPolicyConfig`` may declare.

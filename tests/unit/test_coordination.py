@@ -1,4 +1,4 @@
-"""Unit tests for the coordination substrate: replica state machines, replication, locks."""
+"""Unit tests for the coordination substrate: the replica state machine, replication, locks."""
 
 import pickle
 import random
@@ -8,22 +8,11 @@ import pytest
 from repro.common.errors import ConflictError, QuorumNotReachedError, TupleNotFoundError
 from repro.common.errors import LockHeldError
 from repro.common.types import Permission
-from repro.coordination.adapters import (
-    DepSpaceCoordination,
-    ZooKeeperCoordination,
-    make_coordination_service,
-)
+from repro.coordination.adapters import DepSpaceCoordination
 from repro.coordination.base import Delete, Entry, Get, Grant, Lock, Move, Put, Unlock
-from repro.coordination.entries import Holder
+from repro.coordination.entries import EntryCommands, Holder
 from repro.coordination.partitioned import PartitionedCoordination
-from repro.coordination.replication import (
-    FaultModel,
-    ReplicatedStateMachine,
-    invoke_together,
-    replicas_required,
-)
-from repro.coordination.tuplespace import DepSpace
-from repro.coordination.zookeeper import ZooKeeperLike
+from repro.coordination.replication import ReplicatedStateMachine, invoke_together
 from repro.core.lock_service import LockService
 from repro.core.metadata import FileMetadata, FileType
 
@@ -46,10 +35,10 @@ def _value(replica, key, user):
     return None if entry is None else entry.value
 
 
-@pytest.fixture(params=[DepSpace, ZooKeeperLike])
-def replica(request):
-    """Both replica state machines share every command; only lock lifetime differs."""
-    return request.param()
+@pytest.fixture
+def replica():
+    """One DepSpace replica state machine."""
+    return EntryCommands()
 
 
 class TestReplica:
@@ -103,7 +92,7 @@ class TestReplica:
             _value(replica, "b", "bob")
 
     def test_a_lock_taken_now_lapses_ten_seconds_on(self, replica):
-        """Take at 0: the lease and the session deadline end together at 10."""
+        """Take at 0: the lease ends at 10."""
         _take(replica, ["f"], 0.0)
         assert replica.lock_holder("f", 9.99) == "s1"
         assert replica.lock_holder("f", 10.0) is None
@@ -161,7 +150,7 @@ class TestDepSpaceLeases:
     """A DepSpace lock lives for its own lease, counted from its take."""
 
     def test_each_lock_lapses_a_lease_after_its_own_take(self):
-        space = DepSpace()
+        space = EntryCommands()
         _take(space, ["a"], 0.0)
         _take(space, ["b"], 5.0)  # stamped by its own command: 5 + 10
         assert space.lock_holder("a", 12.0) is None
@@ -169,7 +158,7 @@ class TestDepSpaceLeases:
         assert space.lock_holder("b", 15.0) is None
 
     def test_closing_a_session_returns_all_its_locks_in_one_command(self):
-        space = DepSpace()
+        space = EntryCommands()
         _take(space, ["c", "a"], 0.0)
         _take(space, ["b"], 1.0)
         _take(space, ["z"], 1.0, session="s2")
@@ -177,61 +166,12 @@ class TestDepSpaceLeases:
         assert [space.lock_holder(name, 2.0) for name in "abcz"] == [None, None, None, "s2"]
 
     def test_closing_a_session_leaves_a_lapsed_lock_to_its_new_holder(self):
-        space = DepSpace()
+        space = EntryCommands()
         _take(space, ["a"], 0.0)
         _take(space, ["b"], 5.0)
         _take(space, ["a"], 11.0, session="s2")  # "a" lapsed at 10 and was taken again
         space.close_session("s1", "alice", 11.0)
         assert [space.lock_holder(name, 11.0) for name in "ab"] == ["s2", None]
-
-
-class TestZooKeeperSessions:
-    """A ZooKeeper lock lives as long as the session that took it."""
-
-    def test_a_sessions_locks_go_when_it_expires(self):
-        tree = ZooKeeperLike()
-        _take(tree, ["a", "b"], 0.0, deadline=10.0)
-        _take(tree, ["z"], 0.0, session="s2", deadline=50.0)
-        assert tree.lock_holder("a", 9.0) == "s1"
-        assert [tree.lock_holder(name, 10.0) for name in ("a", "b", "z")] == [None, None, "s2"]
-
-    def test_every_command_of_the_session_keeps_it_alive(self):
-        tree = ZooKeeperLike()
-        _take(tree, ["a"], 0.0, deadline=10.0)
-        _multi(tree, [], now=5.0, deadline=20.0)  # a heartbeat: no step at all
-        _take(tree, ["b"], 15.0, deadline=30.0)
-        assert [tree.lock_holder(name, 25.0) for name in ("a", "b")] == ["s1", "s1"]
-        _multi(tree, [Put("k", b"v")], now=25.0, deadline=40.0)
-        assert [tree.lock_holder(name, 35.0) for name in ("a", "b")] == ["s1", "s1"]
-
-    def test_a_refused_command_keeps_nothing_alive(self):
-        tree = ZooKeeperLike()
-        _take(tree, ["a"], 0.0, deadline=10.0)
-        _take(tree, ["z"], 0.0, session="s2", deadline=50.0)
-        with pytest.raises(LockHeldError):
-            _take(tree, ["z"], 5.0, deadline=20.0)
-        assert tree.lock_holder("a", 10.0) is None
-
-    def test_a_heartbeat_after_expiry_does_not_bring_the_locks_back(self):
-        tree = ZooKeeperLike()
-        _take(tree, ["a"], 0.0, deadline=10.0)
-        _multi(tree, [], now=11.0, deadline=40.0)  # nothing read the lock in between
-        assert tree.lock_holder("a", 12.0) is None
-        _take(tree, ["b"], 12.0, deadline=40.0)
-        assert [tree.lock_holder(name, 13.0) for name in ("a", "b")] == [None, "s1"]
-
-    def test_a_take_after_expiry_does_not_bring_the_old_locks_back(self):
-        tree = ZooKeeperLike()
-        _take(tree, ["a"], 0.0, deadline=10.0)
-        _take(tree, ["b"], 11.0, deadline=21.0)
-        assert [tree.lock_holder(name, 12.0) for name in ("a", "b")] == [None, "s1"]
-
-    def test_close_session_releases_the_sessions_locks_only(self):
-        tree = ZooKeeperLike()
-        _take(tree, ["a", "b"], 0.0, deadline=100.0)
-        _take(tree, ["z"], 0.0, session="s2", deadline=100.0)
-        tree.close_session("s1", "alice", now=1.0)
-        assert [tree.lock_holder(name, 1.0) for name in ("a", "b", "z")] == [None, None, "s2"]
 
 
 def _command(*steps):
@@ -240,43 +180,44 @@ def _command(*steps):
 
 
 class TestReplication:
-    def test_replica_counts(self):
-        assert replicas_required(FaultModel.CRASH, 1) == 3
-        assert replicas_required(FaultModel.BYZANTINE, 1) == 4
-        assert replicas_required(FaultModel.BYZANTINE, 0) == 1
+    def test_replica_counts(self, sim):
+        assert [ReplicatedStateMachine(sim, f=f).n for f in (0, 1, 2)] == [1, 4, 7]
+        assert [ReplicatedStateMachine(sim, f=f).quorum_size() for f in (0, 1, 2)] == [1, 3, 5]
+        with pytest.raises(ValueError):
+            ReplicatedStateMachine(sim, f=-1)
 
     def test_invoke_keeps_replicas_in_sync(self, sim):
-        rsm = ReplicatedStateMachine(sim, DepSpace, FaultModel.CRASH, f=1)
+        rsm = ReplicatedStateMachine(sim, f=1)
         rsm.invoke(*_command(Put("k", b"v")))
         for index in rsm.correct_replicas:
             assert _value(rsm.replicas[index], "k", "alice") == b"v"
 
     def test_invoke_charges_latency(self, sim):
-        rsm = ReplicatedStateMachine(sim, DepSpace, FaultModel.BYZANTINE, f=1)
+        rsm = ReplicatedStateMachine(sim, f=1)
         rsm.invoke(*_command(Put("k", b"v")))
         assert sim.now() > 0.0
 
     def test_tolerates_f_crashes(self, sim):
-        rsm = ReplicatedStateMachine(sim, DepSpace, FaultModel.CRASH, f=1)
+        rsm = ReplicatedStateMachine(sim, f=1)
         rsm.crash_replica(0)
         rsm.invoke(*_command(Put("k", b"v")))
         assert _value(rsm.reference_replica(), "k", "alice") == b"v"
 
     def test_too_many_crashes_block_progress(self, sim):
-        rsm = ReplicatedStateMachine(sim, DepSpace, FaultModel.CRASH, f=1)
+        rsm = ReplicatedStateMachine(sim, f=1)
         rsm.crash_replica(0)
         rsm.crash_replica(1)
         with pytest.raises(QuorumNotReachedError):
             rsm.invoke(*_command(Put("k", b"v")))
 
     def test_byzantine_replicas_do_not_block_below_threshold(self, sim):
-        rsm = ReplicatedStateMachine(sim, DepSpace, FaultModel.BYZANTINE, f=1)
+        rsm = ReplicatedStateMachine(sim, f=1)
         rsm.make_byzantine(2)
         rsm.invoke(*_command(Put("k", b"v")))
         assert rsm.commands_executed == 1
 
     def test_recover_replica_restores_quorum_and_state(self, sim):
-        rsm = ReplicatedStateMachine(sim, ZooKeeperLike, FaultModel.CRASH, f=1)
+        rsm = ReplicatedStateMachine(sim, f=1)
         rsm.crash_replica(0)
         rsm.invoke(*_command(Put("k", b"v")))
         rsm.crash_replica(1)
@@ -285,7 +226,7 @@ class TestReplication:
         assert _value(rsm.replicas[0], "k", "alice") == b"w"
 
     def test_invoke_together_runs_every_command_and_charges_the_slowest(self, sim):
-        rsms = [ReplicatedStateMachine(sim, DepSpace, FaultModel.CRASH, f=1) for _ in range(3)]
+        rsms = [ReplicatedStateMachine(sim, f=1) for _ in range(3)]
         rsms[1].crash_replica(0)
         rsms[1].crash_replica(1)
         state, start = sim.rng.getstate(), sim.now()
@@ -308,15 +249,15 @@ class TestReplication:
         assert sim.now() == start + max(draws) and sim.rng.getstate() == replay.getstate()
 
     def test_invalid_replica_index(self, sim):
-        rsm = ReplicatedStateMachine(sim, DepSpace, FaultModel.CRASH, f=1)
+        rsm = ReplicatedStateMachine(sim, f=1)
         with pytest.raises(IndexError):
             rsm.crash_replica(10)
 
 
-@pytest.fixture(params=["depspace", "zookeeper"])
-def coordination(request, sim):
-    """Both coordination adapters must behave identically through the interface."""
-    return make_coordination_service(sim, request.param, f=1)
+@pytest.fixture
+def coordination(sim):
+    """A replicated DepSpace (f=1) through the interface."""
+    return DepSpaceCoordination(sim, f=1)
 
 
 class TestCoordinationAdapters:
@@ -405,7 +346,7 @@ class TestCoordinationAdapters:
         assert coordination.try_lock("file-1", s2)
 
     def test_close_session_costs(self, coordination, alice, bob):
-        """One command on both services, whatever the session holds."""
+        """One command, whatever the session holds."""
         s1, s2 = coordination.open_session(alice), coordination.open_session(bob)
         coordination.multi([Lock("a"), Lock("b")], s1)
         coordination.try_lock("c", s2)
@@ -511,7 +452,7 @@ class TestMultiCommand:
 
 class TestPartitionedMultiCommand:
     def _two_partitions(self, sim):
-        services = [make_coordination_service(sim, "depspace", f=0) for _ in range(2)]
+        services = [DepSpaceCoordination(sim, f=0) for _ in range(2)]
         # Route by the key's last character: "…0" to partition 0, "…1" to partition 1.
         return PartitionedCoordination(services, lambda key, n: int(key[-1]) % n), services
 
@@ -552,10 +493,9 @@ class TestPartitionedMultiCommand:
         assert [service.rsm.commands_executed for service in services] == [4, 1]
         assert coordination.list_prefix("", session) == ["b1"]
 
-    @pytest.mark.parametrize("kind", ["depspace", "zookeeper"])
-    def test_one_session_holds_locks_on_every_partition(self, sim, alice, bob, kind):
+    def test_one_session_holds_locks_on_every_partition(self, sim, alice, bob):
         """The caller's session goes to every partition: one holder id, one close, one heartbeat each."""
-        services = [make_coordination_service(sim, kind, f=1) for _ in range(2)]
+        services = [DepSpaceCoordination(sim, f=1) for _ in range(2)]
         coordination = PartitionedCoordination(services, lambda key, n: int(key[-1]) % n)
         session = coordination.open_session(alice)
         coordination.multi([Lock("a0"), Lock("b1")], session)
@@ -592,21 +532,10 @@ class TestDepSpaceLockExpiry:
         sim.advance(6.0)
         assert service.try_lock("f", s2)
 
-
-class TestZooKeeperLockExpiry:
-    def test_crashed_client_lock_expires_with_lease(self, sim, alice, bob):
-        service = ZooKeeperCoordination(sim, f=1)
-        s1 = service.open_session(alice, lease_seconds=5.0)
-        s2 = service.open_session(bob)
-        assert service.try_lock("f", s1)
-        assert not service.try_lock("f", s2)
-        sim.advance(6.0)
-        assert service.try_lock("f", s2)
-
     def test_heartbeat_leaves_latency_charging_as_it_found_it(self, sim, alice):
         """A heartbeat inside a background commit must not switch charging
         back on for the rest of it — nor off for a foreground caller."""
-        service = ZooKeeperCoordination(sim, f=1)
+        service = DepSpaceCoordination(sim, f=1)
         session = service.open_session(alice)
         before, commands = sim.now(), service.rsm.commands_executed
         service.renew_session(session)
@@ -622,26 +551,15 @@ class TestZooKeeperLockExpiry:
             service.put("k", b"w", session)
             assert sim.now() == before
 
-    def test_a_live_clients_lock_outlives_the_lease(self, sim, alice, bob):
-        """Each command renews the session: a lock taken a lease after the open holds on."""
-        service = ZooKeeperCoordination(sim, f=1)
+    def test_a_live_clients_lock_lapses_with_its_lease(self, sim, alice, bob):
+        """No later command of the session extends a lease: a lock lapses a lease after its take."""
+        service = DepSpaceCoordination(sim, f=1)
         s1 = service.open_session(alice, lease_seconds=5.0)
-        sim.advance(6.0)
         assert service.try_lock("f", s1)
-        s2 = service.open_session(bob)
-        assert not service.try_lock("f", s2)
         sim.advance(4.0)
         service.renew_session(s1)
-        sim.advance(4.0)
-        assert not service.try_lock("f", s2)
-        assert service.lock_holder("f") == s1.session_id
-
-    def test_a_heartbeat_after_expiry_does_not_bring_the_lock_back(self, sim, alice, bob):
-        service = ZooKeeperCoordination(sim, f=1)
-        s1 = service.open_session(alice, lease_seconds=5.0)
-        assert service.try_lock("f", s1)
-        sim.advance(6.0)
-        service.renew_session(s1)  # late: the session already expired
+        service.put("k", b"v", s1)
+        sim.advance(1.5)
         assert service.lock_holder("f") is None
         assert service.try_lock("f", service.open_session(bob))
 
@@ -654,7 +572,7 @@ def _file(file_id: str) -> FileMetadata:
 
 class TestLockService:
     def _locks(self, sim, alice):
-        service = make_coordination_service(sim, "depspace", f=0)
+        service = DepSpaceCoordination(sim, f=0)
         return LockService(sim, service, service.open_session(alice)), service
 
     def test_acquire_and_release(self, sim, alice):
@@ -677,7 +595,7 @@ class TestLockService:
         The refusal costs the one command's round trip: the clock moves by
         that command's latency draw and nothing else (no wait, no retry).
         """
-        service = make_coordination_service(sim, "depspace", f=0)
+        service = DepSpaceCoordination(sim, f=0)
         s1 = service.open_session(alice)
         s2 = service.open_session(bob)
         holder = LockService(sim, service, s1)
@@ -800,7 +718,3 @@ class TestLockService:
         assert service.rsm.commands_executed == commands + 1
         locks.release_set([new, old])
         assert locks.held == {} and service.lock_holder("filelock:L") is None
-
-    def test_make_coordination_service_rejects_unknown_kind(self, sim):
-        with pytest.raises(ValueError):
-            make_coordination_service(sim, "etcd")

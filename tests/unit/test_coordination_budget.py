@@ -3,7 +3,7 @@
 Every coordination access costs the user 60-100 ms, so the number of
 replicated commands a system call issues *is* its metadata latency.  These
 tests pin that number — counted at ``ReplicatedStateMachine.commands_executed``,
-below every adapter — for the two services and for a 2-partition deployment,
+below every adapter — for one service and for a 2-partition deployment,
 which is also what ``bench/costs.py`` prices as "accesses per op".
 
 A prefix listing fans out to every partition, so a call that lists costs
@@ -13,8 +13,8 @@ unmount's session close, a release of locks living on several partitions —
 go out together: one round trip, the slowest partition's.
 
 A mount is one command: the user's canonical ids, created readable by every
-user.  An unmount is one command per partition, the session's close — on
-DepSpace too, which returned the locks one command each.
+user.  An unmount is one command per partition: the session's close, which
+returns every lock the session holds there.
 
 A lock rides in the metadata command it guards: the insert of a create-open,
 the re-read under the lock of a write-open of an existing file, the validation
@@ -53,7 +53,8 @@ import pytest
 
 from repro.common.errors import ConflictError, TransactionConflictError, TupleNotFoundError
 from repro.common.types import Permission, Principal
-from repro.coordination import PartitionedCoordination, make_coordination_service
+from repro.coordination import PartitionedCoordination
+from repro.coordination.adapters import DepSpaceCoordination
 from repro.core.deployment import SCFSDeployment
 from repro.core.lock_service import LockService
 from repro.core.metadata import FileMetadata, FileType
@@ -61,8 +62,7 @@ from repro.core.metadata_service import MetadataService
 from repro.transactions import TXN_PREFIX
 
 KINDS = {
-    "depspace": {"coordination_kind": "depspace"},
-    "zookeeper": {"coordination_kind": "zookeeper"},
+    "depspace": {},
     "partitioned": {"coordination_partitions": 2},
 }
 
@@ -545,7 +545,7 @@ def test_a_listing_of_every_partition_is_one_round_trip():
 
 @pytest.mark.parametrize("partitions", [1, 3])
 def test_releasing_every_lock_is_one_command_per_partition_and_one_round_trip(sim, partitions):
-    services = [make_coordination_service(sim, "depspace", f=0) for _ in range(partitions)]
+    services = [DepSpaceCoordination(sim, f=0) for _ in range(partitions)]
     coordination = PartitionedCoordination(services, lambda key, n: int(key[-1]) % n)
     session = coordination.open_session(Principal(name="alice", canonical_ids=()))
     locks = LockService(sim, coordination, session)

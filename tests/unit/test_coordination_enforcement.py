@@ -1,4 +1,4 @@
-"""Entry semantics are enforced by the replicas, identically on both services.
+"""Entry semantics are enforced by the replicas.
 
 The SCFS Agent is untrusted (§2.6): nothing on the client side of the
 replicated state machine decides whether an entry may change.  These tests
@@ -20,17 +20,16 @@ from repro.common.errors import (
     TupleNotFoundError,
 )
 from repro.common.types import Permission
-from repro.coordination.adapters import make_coordination_service
+from repro.coordination.adapters import DepSpaceCoordination
 from repro.coordination.base import Delete, Get, Grant, Lock, Move, Put, Unlock
 from repro.coordination.entries import Holder
 from repro.core.deployment import SCFSDeployment
 from repro.core.metadata import FileMetadata, FileType
-from repro.simenv.environment import Simulation
 
 
-@pytest.fixture(params=["depspace", "zookeeper"])
-def coordination(request, sim):
-    return make_coordination_service(sim, request.param, f=1)
+@pytest.fixture
+def coordination(sim):
+    return DepSpaceCoordination(sim, f=1)
 
 
 def _raw(coordination, sim, steps, user, session_id="raw"):
@@ -87,14 +86,6 @@ class TestRawCommandsAreChecked:
         assert [coordination.lock_holder(name) for name in "fg"] == [session.session_id] * 2
         coordination.close_session(session)
         assert [coordination.lock_holder(name) for name in "fg"] == [None, None]
-
-    def test_a_command_for_another_principals_session_keeps_nothing_alive(self, sim, alice):
-        coordination = make_coordination_service(sim, "zookeeper", f=1)
-        session = coordination.open_session(alice, lease_seconds=5.0)
-        assert coordination.try_lock("f", session)
-        _raw(coordination, sim, [], "bob", session_id=session.session_id)  # a 30 s heartbeat
-        sim.advance(6.0)
-        assert coordination.lock_holder("f") is None
 
     def test_a_move_may_not_land_on_an_entry_the_mover_cannot_write(
             self, coordination, alice, bob):
@@ -153,45 +144,6 @@ class TestMove:
         with pytest.raises(ConflictError):
             coordination.put("k", b"second", session, expected_version=0)
         assert coordination.get("k", session).value == b"first"
-
-
-def _script(coordination, alice, bob):
-    """One fixed call sequence; each step's outcome is an Entry list or an error name."""
-    a, b = coordination.open_session(alice), coordination.open_session(bob)
-    steps = [
-        lambda: coordination.put("meta:/d/x", b"1", a),
-        lambda: coordination.put("meta:/d/x", b"2", a, expected_version=1),
-        lambda: coordination.put("meta:/d/x", b"3", a, expected_version=1),
-        lambda: coordination.put("meta:/d/y", b"1", b, expected_version=0),
-        lambda: coordination.get("meta:/d/x", b),
-        lambda: coordination.set_entry_acl("meta:/d/x", "bob", Permission.READ, a),
-        lambda: coordination.get("meta:/d/x", b),
-        lambda: coordination.put("meta:/d/x", b"4", b),
-        lambda: coordination.list_entries("meta:/d/", b),
-        lambda: coordination.set_entry_acl("meta:/d/x", "bob", Permission.READ_WRITE, a),
-        lambda: coordination.move("meta:/d/x", "meta:/e/x", b"5", b, expected_version=4),
-        lambda: coordination.move("meta:/d/y", "meta:/e/x", b"6", b),
-        lambda: coordination.delete("meta:/e/x", b),
-        lambda: coordination.delete("meta:/e/x", b),
-        lambda: coordination.get("meta:/e/x", a),
-        lambda: coordination.list_entries("meta:", a),
-        lambda: coordination.list_entries("meta:", b),
-    ]
-    outcomes = []
-    for step in steps:
-        try:
-            outcomes.append(step())
-        except ReproError as exc:
-            outcomes.append(type(exc).__name__)
-    return outcomes
-
-
-def test_both_services_answer_one_script_identically(alice, bob):
-    depspace, zookeeper = (
-        _script(make_coordination_service(Simulation(seed=3), kind, f=1), alice, bob)
-        for kind in ("depspace", "zookeeper"))
-    assert depspace == zookeeper
-    assert "ConflictError" in depspace and "TupleNotFoundError" in depspace
 
 
 class TestCreateRacingATombstone:

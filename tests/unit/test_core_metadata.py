@@ -257,10 +257,6 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             GarbageCollectionPolicy(written_bytes_threshold=0).validate()
 
-    def test_unknown_coordination_kind_rejected(self):
-        with pytest.raises(ConfigurationError):
-            SCFSConfig(coordination_kind="chubby").validate()
-
     def test_unknown_variant_rejected(self):
         with pytest.raises(KeyError):
             SCFSConfig.for_variant("SCFS-MOON-B")

@@ -10,7 +10,7 @@ from repro.common.errors import (
     LockHeldError,
 )
 from repro.common.types import Permission, Principal
-from repro.coordination.adapters import make_coordination_service
+from repro.coordination.adapters import DepSpaceCoordination
 from repro.core.backend import SingleCloudBackend
 from repro.core.cache import MetadataCache, make_disk_cache, make_memory_cache
 from repro.core.config import GarbageCollectionPolicy
@@ -32,7 +32,7 @@ def single_backend(sim, alice):
 
 @pytest.fixture
 def coordination(sim):
-    return make_coordination_service(sim, "depspace", f=0)
+    return DepSpaceCoordination(sim, f=0)
 
 
 def _file_meta(path="/f.txt", owner="alice", **kwargs):

@@ -9,7 +9,7 @@ import pytest
 
 from repro.common.errors import ConfigurationError, ConflictError, TupleNotFoundError
 from repro.common.types import Permission
-from repro.coordination.adapters import make_coordination_service
+from repro.coordination.adapters import DepSpaceCoordination
 from repro.coordination.partitioned import (
     PartitionedCoordination,
     partition_by_top_level_directory,
@@ -19,7 +19,7 @@ from repro.core.deployment import SCFSDeployment
 
 
 def _partitioned(sim, partitions=3):
-    services = [make_coordination_service(sim, "depspace", f=0) for _ in range(partitions)]
+    services = [DepSpaceCoordination(sim, f=0) for _ in range(partitions)]
     return PartitionedCoordination(services)
 
 
@@ -106,7 +106,7 @@ class TestPartitionedCoordination:
         assert coordination.services[2].lock_holder("filelock:file-9@2") is not None
         assert coordination.lock_holder("filelock:file-9@2") == session.session_id
         assert not coordination.try_lock("filelock:file-9@2", coordination.open_session(bob))
-        assert make_coordination_service(sim, "depspace", f=0).lock_home(keys[0]) == ""
+        assert DepSpaceCoordination(sim, f=0).lock_home(keys[0]) == ""
 
     def test_move_within_and_across_partitions(self, sim, alice):
         coordination = _partitioned(sim, partitions=4)

@@ -88,17 +88,6 @@ class TestCollection:
         assert fs.agent.backend.list_versions(meta.file_id) == []
         assert not fs.exists("/doomed.txt")
 
-    def test_purge_disabled_keeps_deleted_files_recoverable(self):
-        deployment = make_deployment(purge_deleted_files=False)
-        fs = deployment.create_agent("alice")
-        fs.write_file("/kept.txt", b"payload")
-        deployment.drain(3.0)
-        meta = fs.stat("/kept.txt")
-        fs.unlink("/kept.txt")
-        report = fs.collect_garbage()
-        assert report.deleted_files_purged == 0
-        assert len(fs.agent.backend.list_versions(meta.file_id)) == 1
-
     def test_keep_interval_retains_newest_version_per_bucket(self):
         deployment = make_deployment(versions_to_keep=1, keep_interval_seconds=100.0)
         fs = deployment.create_agent("alice")

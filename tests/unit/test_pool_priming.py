@@ -88,12 +88,11 @@ class TestPrimePool:
         with pytest.raises(ValueError, match="encrypt_data"):
             prime_pool(deployment, spec)
 
-    @pytest.mark.parametrize("kind", ["depspace", "zookeeper"])
-    def test_priming_installs_what_a_replicated_put_leaves(self, kind):
+    def test_priming_installs_what_a_replicated_put_leaves(self):
         spec = _spec()
         from dataclasses import replace
 
-        config = replace(spec.config(), coordination_kind=kind, coordination_partitions=1)
+        config = replace(spec.config(), coordination_partitions=1)
         deployment = SCFSDeployment(config, sim=Simulation(seed=1))
         stats = prime_pool(deployment, spec)
         coordination = deployment.coordination

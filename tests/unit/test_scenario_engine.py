@@ -9,6 +9,8 @@ from types import SimpleNamespace
 import pytest
 
 from repro.common.types import Permission
+from repro.coordination.base import Get, Put
+from repro.coordination.entries import Holder
 from repro.coordination.replication import ReplicatedStateMachine
 from repro.core.deployment import SCFSDeployment
 from repro.scenarios.invariants import (
@@ -400,22 +402,13 @@ class TestSweepRegressions:
         not rejoin with stale state (invoke answers from the first correct
         replica, which recovery makes the recovered one)."""
         sim = Simulation(seed=47)
-
-        class Register:
-            def __init__(self):
-                self.value = None
-
-            def apply(self, command):
-                op, args, _kwargs = command
-                if op == "set":
-                    self.value = args[0]
-                return self.value
-
-        rsm = ReplicatedStateMachine(sim, Register, f=1)
+        rsm = ReplicatedStateMachine(sim, f=1)
+        holder = Holder("s1", deadline=30.0)
         rsm.crash_replica(0)
-        rsm.invoke("set", "committed-during-crash")
+        rsm.invoke("entry_multi", (Put("k", b"committed-during-crash"),), "alice", 0.0, holder)
         rsm.recover_replica(0)
-        assert rsm.invoke("get") == "committed-during-crash"
+        entry, = rsm.invoke("entry_multi", (Get("k"),), "alice", 0.0, holder)
+        assert entry.value == b"committed-during-crash"
 
     def test_scenario_runner_smoke(self):
         result = run_scenario(123, mix="fault-free", agents=2, ops_per_agent=6)

@@ -7,7 +7,7 @@ import pytest
 
 from repro.clouds.providers import make_cloud_of_clouds, make_provider
 from repro.common.types import Principal
-from repro.coordination.adapters import make_coordination_service
+from repro.coordination.adapters import DepSpaceCoordination
 from repro.depsky.protocol import DepSkyClient
 from repro.simenv.environment import Simulation
 from repro.simenv.failures import FailureSchedule, FaultKind
@@ -244,7 +244,7 @@ class TestBackground:
 
     @staticmethod
     def _coordination(sim):
-        service = make_coordination_service(sim, "depspace", f=1)
+        service = DepSpaceCoordination(sim, f=1)
         return service, service.open_session(Principal("alice"))
 
     def test_nesting_restores_the_outer_state(self):
