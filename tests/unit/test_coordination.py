@@ -165,6 +165,31 @@ class TestDepSpaceLeases:
         space.close_session("s1", "alice", 2.0)
         assert [space.lock_holder(name, 2.0) for name in "abcz"] == [None, None, None, "s2"]
 
+    def test_no_later_command_of_the_session_extends_a_lease(self):
+        space = EntryCommands()
+        _take(space, ["a"], 0.0)
+        _multi(space, [], now=5.0)  # a heartbeat: no step at all, its own deadline 15
+        _multi(space, [Put("k", b"v")], now=8.0)
+        assert space.lock_holder("a", 9.99) == "s1"
+        assert space.lock_holder("a", 10.0) is None
+
+    def test_a_heartbeat_after_a_lapse_does_not_bring_the_lock_back(self):
+        space = EntryCommands()
+        _take(space, ["a"], 0.0)
+        _multi(space, [], now=11.0)  # nothing read the lock in between
+        assert space.lock_holder("a", 12.0) is None
+        _take(space, ["b"], 12.0)
+        assert [space.lock_holder(name, 13.0) for name in "ab"] == [None, "s1"]
+
+    def test_a_refused_take_leaves_the_sessions_leases_as_they_were(self):
+        space = EntryCommands()
+        _take(space, ["a"], 0.0)
+        _take(space, ["z"], 0.0, session="s2", deadline=50.0)
+        with pytest.raises(LockHeldError):
+            _take(space, ["b", "z"], 5.0)
+        assert [space.lock_holder(name, 9.0) for name in "abz"] == ["s1", None, "s2"]
+        assert space.lock_holder("a", 10.0) is None
+
     def test_closing_a_session_leaves_a_lapsed_lock_to_its_new_holder(self):
         space = EntryCommands()
         _take(space, ["a"], 0.0)
@@ -197,16 +222,19 @@ class TestReplication:
         rsm.invoke(*_command(Put("k", b"v")))
         assert sim.now() > 0.0
 
-    def test_tolerates_f_crashes(self, sim):
-        rsm = ReplicatedStateMachine(sim, f=1)
-        rsm.crash_replica(0)
+    @pytest.mark.parametrize("f", [1, 2])
+    def test_tolerates_f_crashes(self, sim, f):
+        rsm = ReplicatedStateMachine(sim, f=f)
+        for index in range(f):
+            rsm.crash_replica(index)
         rsm.invoke(*_command(Put("k", b"v")))
         assert _value(rsm.reference_replica(), "k", "alice") == b"v"
 
-    def test_too_many_crashes_block_progress(self, sim):
-        rsm = ReplicatedStateMachine(sim, f=1)
-        rsm.crash_replica(0)
-        rsm.crash_replica(1)
+    @pytest.mark.parametrize("f", [1, 2])
+    def test_too_many_crashes_block_progress(self, sim, f):
+        rsm = ReplicatedStateMachine(sim, f=f)
+        for index in range(f + 1):
+            rsm.crash_replica(index)
         with pytest.raises(QuorumNotReachedError):
             rsm.invoke(*_command(Put("k", b"v")))
 
@@ -254,10 +282,23 @@ class TestReplication:
             rsm.crash_replica(10)
 
 
-@pytest.fixture
-def coordination(sim):
-    """A replicated DepSpace (f=1) through the interface."""
-    return DepSpaceCoordination(sim, f=1)
+@pytest.fixture(params=["depspace", "partitioned"])
+def coordination(request, sim):
+    """The interface's two implementations: one replicated DepSpace (f=1), or
+    two of them with the namespace partitioned by top-level directory."""
+    if request.param == "depspace":
+        return DepSpaceCoordination(sim, f=1)
+    return PartitionedCoordination([DepSpaceCoordination(sim, f=1) for _ in range(2)])
+
+
+def _services(coordination) -> list[DepSpaceCoordination]:
+    """The replicated services behind ``coordination`` (itself, when it is one)."""
+    return getattr(coordination, "services", [coordination])
+
+
+def _commands(coordination) -> int:
+    """Replicated commands executed so far, summed over every partition."""
+    return sum(service.rsm.commands_executed for service in _services(coordination))
 
 
 class TestCoordinationAdapters:
@@ -346,13 +387,13 @@ class TestCoordinationAdapters:
         assert coordination.try_lock("file-1", s2)
 
     def test_close_session_costs(self, coordination, alice, bob):
-        """One command, whatever the session holds."""
+        """One command per partition, whatever the session holds."""
         s1, s2 = coordination.open_session(alice), coordination.open_session(bob)
         coordination.multi([Lock("a"), Lock("b")], s1)
         coordination.try_lock("c", s2)
-        before = coordination.rsm.commands_executed
+        before = _commands(coordination)
         coordination.close_session(s1)
-        assert coordination.rsm.commands_executed - before == 1
+        assert _commands(coordination) - before == len(_services(coordination))
         assert [coordination.lock_holder(name) for name in "abc"] == [None, None, s2.session_id]
 
     def test_entry_count(self, coordination, alice):
@@ -364,9 +405,10 @@ class TestCoordinationAdapters:
         assert coordination.entry_count() == before + 2
 
 
-def _replica_states(coordination) -> list[bytes]:
-    """Every replica's whole state, serialized (the replicas are plain objects)."""
-    return [pickle.dumps(replica) for replica in coordination.rsm.replicas]
+def _replica_states(coordination) -> list[list[bytes]]:
+    """Every replica's whole state, serialized (the replicas are plain objects), per service."""
+    return [[pickle.dumps(replica) for replica in service.rsm.replicas]
+            for service in _services(coordination)]
 
 
 class TestMultiCommand:
@@ -375,16 +417,17 @@ class TestMultiCommand:
     def test_puts_and_gets_are_one_command(self, coordination, alice):
         session = coordination.open_session(alice)
         coordination.put("meta:/a", b"a1", session)
-        before = coordination.rsm.commands_executed
+        before = _commands(coordination)
+        # Every key under one top-level directory: one partition when partitioned.
         results = coordination.multi(
-            [Get("meta:/a"), Get("meta:/missing"), Put("meta:/a", b"a2", 1),
-             Put("meta:/b", b"b1", 0)], session)
-        assert coordination.rsm.commands_executed == before + 1
+            [Get("meta:/a"), Get("meta:/a/missing"), Put("meta:/a", b"a2", 1),
+             Put("meta:/a/b", b"b1", 0)], session)
+        assert _commands(coordination) == before + 1
         assert (results[0].value, results[0].version) == (b"a1", 1)  # the state before
         assert results[1] is None
-        assert [(r.key, r.version) for r in results[2:]] == [("meta:/a", 2), ("meta:/b", 1)]
+        assert [(r.key, r.version) for r in results[2:]] == [("meta:/a", 2), ("meta:/a/b", 1)]
         assert coordination.get("meta:/a", session).value == b"a2"
-        assert coordination.get("meta:/b", session).value == b"b1"
+        assert coordination.get("meta:/a/b", session).value == b"b1"
 
     def test_a_mismatching_put_leaves_every_replica_untouched(self, coordination, alice):
         """The commit point of a transaction whose 2nd of 3 version CASes lost."""
@@ -399,19 +442,19 @@ class TestMultiCommand:
                 [Put("meta:/a", b"v2", 1), Put("meta:/b", b"v2", 1), Put("meta:/c", b"v2", 1),
                  Put("txn:t1", b"committed", 1)], session)
         assert _replica_states(coordination) == before
-        assert len(set(before)) == 1  # and the replicas agree with one another
+        assert all(len(set(states)) == 1 for states in before)  # and each service's replicas agree
         assert coordination.get("meta:/a", session).value == b"v1"
         assert coordination.get("txn:t1", session).value == b"pending"
 
     def test_a_put_the_acl_denies_refuses_the_command(self, coordination, alice, bob):
         owner, other = coordination.open_session(alice), coordination.open_session(bob)
         coordination.put("meta:/a", b"alice's", owner)
-        with pytest.raises(ConflictError):
-            coordination.multi([Put("meta:/new", b"x", 0), Put("meta:/a", b"bob's")], other)
+        with pytest.raises(ConflictError):  # one top-level directory: one partition
+            coordination.multi([Put("meta:/a/new", b"x", 0), Put("meta:/a", b"bob's")], other)
         with pytest.raises(ConflictError):
             coordination.multi([Get("meta:/a")], other)
         with pytest.raises(TupleNotFoundError):
-            coordination.get("meta:/new", other)
+            coordination.get("meta:/a/new", other)
 
     def test_a_key_changes_once_per_command(self, coordination, alice):
         session = coordination.open_session(alice)
@@ -493,9 +536,10 @@ class TestPartitionedMultiCommand:
         assert [service.rsm.commands_executed for service in services] == [4, 1]
         assert coordination.list_prefix("", session) == ["b1"]
 
-    def test_one_session_holds_locks_on_every_partition(self, sim, alice, bob):
+    @pytest.mark.parametrize("partitions", [2, 3])
+    def test_one_session_holds_locks_on_every_partition(self, sim, alice, bob, partitions):
         """The caller's session goes to every partition: one holder id, one close, one heartbeat each."""
-        services = [DepSpaceCoordination(sim, f=1) for _ in range(2)]
+        services = [DepSpaceCoordination(sim, f=1) for _ in range(partitions)]
         coordination = PartitionedCoordination(services, lambda key, n: int(key[-1]) % n)
         session = coordination.open_session(alice)
         coordination.multi([Lock("a0"), Lock("b1")], session)
@@ -521,8 +565,8 @@ class TestPartitionedMultiCommand:
 
 
 class TestDepSpaceLockExpiry:
-    def test_crashed_client_lock_expires_with_lease(self, sim, alice, bob):
-        service = DepSpaceCoordination(sim, f=0)
+    def test_crashed_client_lock_expires_with_lease(self, coordination, sim, alice, bob):
+        service = coordination
         s1 = service.open_session(alice, lease_seconds=5.0)
         s2 = service.open_session(bob)
         assert service.try_lock("f", s1)
@@ -532,15 +576,16 @@ class TestDepSpaceLockExpiry:
         sim.advance(6.0)
         assert service.try_lock("f", s2)
 
-    def test_heartbeat_leaves_latency_charging_as_it_found_it(self, sim, alice):
+    def test_heartbeat_leaves_latency_charging_as_it_found_it(self, coordination, sim, alice):
         """A heartbeat inside a background commit must not switch charging
         back on for the rest of it — nor off for a foreground caller."""
-        service = DepSpaceCoordination(sim, f=1)
+        service = coordination
         session = service.open_session(alice)
-        before, commands = sim.now(), service.rsm.commands_executed
+        before, commands = sim.now(), _commands(service)
         service.renew_session(session)
         assert sim.now() == before  # the heartbeat itself is never charged
-        assert service.rsm.commands_executed == commands + 1  # an entry_multi of no step
+        # An entry_multi of no step, on every partition.
+        assert _commands(service) == commands + len(_services(service))
         assert not sim.in_background
         service.put("k", b"v", session)
         assert sim.now() > before  # ...and the foreground still is
@@ -551,9 +596,9 @@ class TestDepSpaceLockExpiry:
             service.put("k", b"w", session)
             assert sim.now() == before
 
-    def test_a_live_clients_lock_lapses_with_its_lease(self, sim, alice, bob):
+    def test_a_live_clients_lock_lapses_with_its_lease(self, coordination, sim, alice, bob):
         """No later command of the session extends a lease: a lock lapses a lease after its take."""
-        service = DepSpaceCoordination(sim, f=1)
+        service = coordination
         s1 = service.open_session(alice, lease_seconds=5.0)
         assert service.try_lock("f", s1)
         sim.advance(4.0)
@@ -571,19 +616,21 @@ def _file(file_id: str) -> FileMetadata:
 
 
 class TestLockService:
-    def _locks(self, sim, alice):
-        service = DepSpaceCoordination(sim, f=0)
+    """Cases that take ``coordination`` run on one service and on a partitioned one."""
+
+    def _locks(self, sim, alice, service=None):
+        service = DepSpaceCoordination(sim, f=0) if service is None else service
         return LockService(sim, service, service.open_session(alice)), service
 
-    def test_acquire_and_release(self, sim, alice):
-        locks, _ = self._locks(sim, alice)
+    def test_acquire_and_release(self, coordination, sim, alice):
+        locks, _ = self._locks(sim, alice, coordination)
         locks.acquire(_file("L"))
         assert locks.still_held(_file("L"))
         locks.release(_file("L"))
         assert not locks.still_held(_file("L"))
 
-    def test_reentrant_acquire(self, sim, alice):
-        locks, service = self._locks(sim, alice)
+    def test_reentrant_acquire(self, coordination, sim, alice):
+        locks, service = self._locks(sim, alice, coordination)
         assert locks.acquire(_file("L")) and locks.acquire(_file("L"))
         assert locks.held == {"filelock:L": 2}
         locks.release(_file("L"))
@@ -635,13 +682,13 @@ class TestLockService:
         locks.release_set([l1, _file("unheld")])
         assert service.lock_holder("filelock:L1") is None
 
-    def test_a_release_inside_the_riding_command_keeps_the_reentrant_hold(self, sim, alice):
+    def test_a_release_inside_the_riding_command_keeps_the_reentrant_hold(self, coordination, sim, alice):
         """A background commit's release that comes due while ``send`` is out.
 
         Its acquisition is one of two by then: counted only after ``send``,
         the re-entrant one would have let the release hand the lock back.
         """
-        locks, service = self._locks(sim, alice)
+        locks, service = self._locks(sim, alice, coordination)
         locks.acquire(_file("L"))
         sim.schedule(0.01, lambda: locks.release(_file("L")))
         sent = []
@@ -650,8 +697,8 @@ class TestLockService:
         assert service.lock_holder("filelock:L") == locks.session.session_id
         assert locks.held == {"filelock:L": 1}
 
-    def test_a_refused_riding_command_rolls_the_reentrant_count_back(self, sim, alice):
-        locks, service = self._locks(sim, alice)
+    def test_a_refused_riding_command_rolls_the_reentrant_count_back(self, coordination, sim, alice):
+        locks, service = self._locks(sim, alice, coordination)
         transitions = []
         locks.acquire(_file("L"))
         locks.on_transition = lambda kind, name: transitions.append((kind, name))
@@ -676,8 +723,8 @@ class TestLockService:
         assert locks.held == {} and service.lock_holder("filelock:L") is None
         assert transitions == [("unlock", "filelock:L")]
 
-    def test_a_failed_unlock_command_leaves_the_counts_as_they_were(self, sim, alice):
-        locks, service = self._locks(sim, alice)
+    def test_a_failed_unlock_command_leaves_the_counts_as_they_were(self, coordination, sim, alice):
+        locks, service = self._locks(sim, alice, coordination)
         locks.acquire_set([_file("L1"), _file("L2")])
         locks.acquire(_file("L2"))
 
@@ -689,8 +736,8 @@ class TestLockService:
             locks.release_set([_file("L1"), _file("L2")])
         assert locks.held == {"filelock:L1": 1, "filelock:L2": 2}
 
-    def test_release_all(self, sim, alice):
-        locks, service = self._locks(sim, alice)
+    def test_release_all(self, coordination, sim, alice):
+        locks, service = self._locks(sim, alice, coordination)
         locks.acquire(_file("L1"))
         locks.acquire(_file("L2"))
         locks.acquire(_file("L2"))
@@ -698,23 +745,23 @@ class TestLockService:
         assert locks.held == {}
         assert service.lock_holder("filelock:L1") is None and service.lock_holder("filelock:L2") is None
 
-    def test_releasing_an_unheld_lock_sends_no_command(self, sim, alice):
-        locks, service = self._locks(sim, alice)
+    def test_releasing_an_unheld_lock_sends_no_command(self, coordination, sim, alice):
+        locks, service = self._locks(sim, alice, coordination)
         transitions = []
         locks.on_transition = lambda kind, name: transitions.append((kind, name))
-        commands, now = service.rsm.commands_executed, sim.now()
+        commands, now = _commands(service), sim.now()
         locks.release(_file("L"))
-        assert service.rsm.commands_executed == commands and sim.now() == now
+        assert _commands(service) == commands and sim.now() == now
         assert locks.held == {} and transitions == []
 
-    def test_two_paths_of_one_file_take_its_lock_once(self, sim, alice):
+    def test_two_paths_of_one_file_take_its_lock_once(self, coordination, sim, alice):
         """A renamed file's old and new path share the lock of its id."""
-        locks, service = self._locks(sim, alice)
+        locks, service = self._locks(sim, alice, coordination)
         old = FileMetadata(path="/old", file_type=FileType.FILE, owner="alice", file_id="L")
         new = FileMetadata(path="/new", file_type=FileType.FILE, owner="alice", file_id="L")
-        commands = service.rsm.commands_executed
+        commands = _commands(service)
         assert locks.acquire_set([old, new])
         assert locks.held == {"filelock:L": 1}
-        assert service.rsm.commands_executed == commands + 1
+        assert _commands(service) == commands + 1
         locks.release_set([new, old])
         assert locks.held == {} and service.lock_holder("filelock:L") is None

@@ -3,8 +3,9 @@
 Every coordination access costs the user 60-100 ms, so the number of
 replicated commands a system call issues *is* its metadata latency.  These
 tests pin that number — counted at ``ReplicatedStateMachine.commands_executed``,
-below every adapter — for one service and for a 2-partition deployment,
-which is also what ``bench/costs.py`` prices as "accesses per op".
+below every adapter — for one service, for SCFS-AWS's unreplicated one (f=0,
+one VM) and for a 2-partition deployment, which is also what
+``bench/costs.py`` prices as "accesses per op".
 
 A prefix listing fans out to every partition, so a call that lists costs
 ``partitions`` commands for it; every other intent is exactly one.  Commands
@@ -61,9 +62,13 @@ from repro.core.metadata import FileMetadata, FileType
 from repro.core.metadata_service import MetadataService
 from repro.transactions import TXN_PREFIX
 
+#: Coordination layouts: the Table 2 backend each runs on and its config overrides.
+#: On SCFS-AWS the one service is unreplicated (f=0, one VM); the budgets count
+#: commands, not replicas, so they are the same there.
 KINDS = {
-    "depspace": {},
-    "partitioned": {"coordination_partitions": 2},
+    "depspace": ("CoC", {}),
+    "partitioned": ("CoC", {"coordination_partitions": 2}),
+    "single-vm": ("AWS", {}),
 }
 
 #: Replicated commands per call on one service (README's round-trip table).  A
@@ -101,8 +106,10 @@ def _intent(fs, txn_id):
 class Mount:
     """One mount plus the two meters the budgets compare."""
 
-    def __init__(self, kind: str, variant: str = "SCFS-CoC-B"):
-        self.deployment = SCFSDeployment.for_variant(variant, seed=5, **KINDS[kind])
+    def __init__(self, kind: str, close: str = "B"):
+        backend, overrides = KINDS[kind]
+        self.deployment = SCFSDeployment.for_variant(f"SCFS-{backend}-{close}", seed=5,
+                                                     **overrides)
         self.fs = self.deployment.create_agent("alice")
         coordination = self.deployment.coordination
         self.services = getattr(coordination, "services", [coordination])
@@ -240,7 +247,7 @@ def test_a_background_commit_is_update_and_unlock(kind):
     The merge of what landed since the close is the replicas' (the grants and
     the deleted flag an ``Update`` keeps), so the commit reads nothing first.
     """
-    mount = Mount(kind, "SCFS-CoC-NB")
+    mount = Mount(kind, "NB")
     handle = mount.fs.open("/top/new", "w", True)
     mount.fs.write(handle, b"payload")
     assert mount.spent(mount.fs.close, handle) == 0

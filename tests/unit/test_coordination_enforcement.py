@@ -23,19 +23,41 @@ from repro.common.types import Permission
 from repro.coordination.adapters import DepSpaceCoordination
 from repro.coordination.base import Delete, Get, Grant, Lock, Move, Put, Unlock
 from repro.coordination.entries import Holder
+from repro.coordination.partitioned import PartitionedCoordination
 from repro.core.deployment import SCFSDeployment
 from repro.core.metadata import FileMetadata, FileType
 
 
-@pytest.fixture
-def coordination(sim):
-    return DepSpaceCoordination(sim, f=1)
+@pytest.fixture(params=["depspace", "partitioned"])
+def coordination(request, sim):
+    """One replicated DepSpace (f=1), or two partitioned by top-level directory."""
+    if request.param == "depspace":
+        return DepSpaceCoordination(sim, f=1)
+    return PartitionedCoordination([DepSpaceCoordination(sim, f=1) for _ in range(2)])
 
 
-def _raw(coordination, sim, steps, user, session_id="raw"):
-    """``user`` sends ``entry_multi`` of ``steps`` itself, naming any session it likes."""
+def _rsms(coordination):
+    """The replicated state machine of every partition (one on a single service)."""
+    return [service.rsm for service in getattr(coordination, "services", [coordination])]
+
+
+def _rsm(coordination, key):
+    """The replicated state machine that holds ``key`` (an entry, or a lock without a home)."""
+    if isinstance(coordination, PartitionedCoordination):
+        return coordination.services[coordination.partition_of(key)].rsm
+    return coordination.rsm
+
+
+def _replica_states(coordination) -> list[list[bytes]]:
+    """Every replica's whole state, serialized, per partition."""
+    return [[pickle.dumps(replica) for replica in rsm.replicas] for rsm in _rsms(coordination)]
+
+
+def _raw(coordination, sim, steps, user, session_id="raw", key="k"):
+    """``user`` sends ``entry_multi`` of ``steps`` itself, naming any session it likes,
+    to the replicas that hold ``key``."""
     holder = Holder(session_id, deadline=sim.now() + 30.0)
-    return coordination.rsm.invoke("entry_multi", tuple(steps), user, sim.now(), holder)
+    return _rsm(coordination, key).invoke("entry_multi", tuple(steps), user, sim.now(), holder)
 
 
 class TestRawCommandsAreChecked:
@@ -66,14 +88,15 @@ class TestRawCommandsAreChecked:
         self._entry(coordination, alice)
         with pytest.raises(ConflictError):
             _raw(coordination, sim, [Get("k")], "mallory")
-        assert coordination.rsm.invoke("entry_list", "", "mallory", sim.now()) == []
-        assert [e.key for e in coordination.rsm.invoke("entry_list", "", "bob", sim.now())] == ["k"]
+        for user, listed in (("mallory", []), ("bob", ["k"])):
+            assert [entry.key for rsm in _rsms(coordination)
+                    for entry in rsm.invoke("entry_list", "", user, sim.now())] == listed
 
     def test_a_raw_unlock_naming_another_principals_session_changes_nothing(
             self, coordination, sim, alice):
         session = coordination.open_session(alice)
         assert coordination.try_lock("f", session)
-        _raw(coordination, sim, [Unlock("f")], "bob", session_id=session.session_id)
+        _raw(coordination, sim, [Unlock("f")], "bob", session_id=session.session_id, key="f")
         assert coordination.lock_holder("f") == session.session_id
         coordination.unlock("f", session)
         assert coordination.lock_holder("f") is None
@@ -82,7 +105,8 @@ class TestRawCommandsAreChecked:
             self, coordination, sim, alice):
         session = coordination.open_session(alice)
         coordination.multi([Lock("f"), Lock("g")], session)
-        coordination.rsm.invoke("close_session", session.session_id, "bob", sim.now())
+        for rsm in _rsms(coordination):
+            rsm.invoke("close_session", session.session_id, "bob", sim.now())
         assert [coordination.lock_holder(name) for name in "fg"] == [session.session_id] * 2
         coordination.close_session(session)
         assert [coordination.lock_holder(name) for name in "fg"] == [None, None]
@@ -100,11 +124,11 @@ class TestRawCommandsAreChecked:
     def test_every_replica_refused(self, coordination, sim, alice):
         """A rejected command leaves all replicas identical (and untouched)."""
         self._entry(coordination, alice)
-        before = [pickle.dumps(replica) for replica in coordination.rsm.replicas]
+        before = _replica_states(coordination)
         with pytest.raises(ConflictError):
             _raw(coordination, sim, [Put("k", b"evil")], "bob")
-        assert [pickle.dumps(replica) for replica in coordination.rsm.replicas] == before
-        assert len(set(before)) == 1
+        assert _replica_states(coordination) == before
+        assert all(len(set(replicas)) == 1 for replicas in before)
 
 
 class TestMove:
@@ -123,6 +147,9 @@ class TestMove:
         with pytest.raises(ConflictError):
             coordination.set_entry_acl("b", "bob", Permission.NONE, bob_session)
 
+    # One service: a move between partitions is a put and a delete, with no
+    # check of the source (``PartitionedCoordination.move``).
+    @pytest.mark.parametrize("coordination", ["depspace"], indirect=True)
     def test_move_is_conditional_on_both_keys(self, coordination, alice):
         session = coordination.open_session(alice)
         coordination.put("a", b"1", session)
@@ -208,6 +235,8 @@ class TestARefusedVersionCheckSaysWhatIsThere:
         coordination.put("other", b"o", session)
         return session
 
+    # One service: a multi across partitions is atomic per partition only.
+    @pytest.mark.parametrize("coordination", ["depspace"], indirect=True)
     def test_the_witness_is_what_get_would_return(self, coordination, alice):
         session = self._entry(coordination, alice)
         for refused in (
@@ -248,14 +277,14 @@ class TestARefusedVersionCheckSaysWhatIsThere:
     def test_replicas_are_byte_identical_after_a_refused_command(self, coordination, alice, bob):
         session, stranger = self._entry(coordination, alice), coordination.open_session(bob)
         coordination.multi([Lock("held")], session)
-        before = [pickle.dumps(replica) for replica in coordination.rsm.replicas]
-        assert len(set(before)) == 1
+        before = _replica_states(coordination)
+        assert all(len(set(replicas)) == 1 for replicas in before)
         for caller in (session, stranger):
             with pytest.raises(ConflictError):
                 coordination.multi([Put("k", b"x", 0), Lock("l")], caller)
             with pytest.raises(ConflictError):
                 coordination.move("other", "k", b"x", caller)
-        assert [pickle.dumps(replica) for replica in coordination.rsm.replicas] == before
+        assert _replica_states(coordination) == before
 
     @pytest.mark.parametrize("parent_cached", [True, False])
     def test_an_agent_denied_read_gets_eacces_from_either_path(self, parent_cached):

@@ -88,17 +88,18 @@ class TestPrimePool:
         with pytest.raises(ValueError, match="encrypt_data"):
             prime_pool(deployment, spec)
 
-    def test_priming_installs_what_a_replicated_put_leaves(self):
+    @pytest.mark.parametrize("partitions", [1, 2])
+    def test_priming_installs_what_a_replicated_put_leaves(self, partitions):
         spec = _spec()
         from dataclasses import replace
 
-        config = replace(spec.config(), coordination_partitions=1)
+        config = replace(spec.config(), coordination_partitions=partitions)
         deployment = SCFSDeployment(config, sim=Simulation(seed=1))
         stats = prime_pool(deployment, spec)
         coordination = deployment.coordination
         assert coordination.entry_count() == stats["coordination_entries"]
-        replicas = coordination.rsm.replicas
-        assert len({pickle.dumps(replica) for replica in replicas}) == 1
+        for service in getattr(coordination, "services", [coordination]):
+            assert len({pickle.dumps(replica) for replica in service.rsm.replicas}) == 1
         # The listing walks the sorted index: every pool file, in key order.
         session = coordination.open_session(deployment.create_agent("carol").agent.principal)
         directory = spec.shared_files[0].rsplit("/", 1)[0]
