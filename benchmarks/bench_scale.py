@@ -1,15 +1,13 @@
 """Discrete-event scale-out sweep: 1000+ agents against a 10^5-file namespace.
 
-The scenario engine's scale path (PR 6) combines four mechanisms:
+The scenario engine's scale path (PR 6) combines three mechanisms:
 
 * the heap-based discrete-event scheduler interleaves per-agent steps instead
   of lockstep rounds (``ScenarioSpec.scheduling = "event-driven"``);
 * the namespace is primed through :func:`repro.scenarios.pool.prime_pool`
   (interned metadata templates + shared coded blocks) instead of one DepSky
   write per file;
-* metadata/PNS tuples are sharded over partitioned coordination services;
-* identical same-instant metadata read quorums coalesce through one
-  deployment-wide :class:`~repro.clouds.dispatch.InstantCoalescer`.
+* metadata/PNS tuples are sharded over partitioned coordination services.
 
 This harness sweeps the agent count at a fixed primed namespace, runs every
 cell under all four trace invariant checkers, and asserts *sub-linear*

@@ -138,11 +138,6 @@ class DispatchPolicyConfig:
     probe_backoff_factor: float = 2.0
     #: Upper bound of the probe window (keeps recovery lag bounded).
     probe_backoff_max: float = 300.0
-    #: Coalesce identical metadata read quorums issued in the same virtual
-    #: instant through one deployment-wide :class:`InstantCoalescer` (the
-    #: scale-out optimisation; off by default so existing variants replay
-    #: unchanged).
-    coalesce_instant: bool = False
 
     @property
     def tracks_health(self) -> bool:

@@ -109,14 +109,14 @@ class PartitionedCoordination(CoordinationService):
              expected_version: int | None = None, target_version: int = 0) -> Entry:
         if self.partition_of(key) == self.partition_of(new_key):
             return super().move(key, new_key, value, session, expected_version, target_version)
-        # No atomicity across partitions: write the new entry, then drop the old
-        # one (a crash in between leaves both; never neither).  The new entry
-        # belongs to the mover and starts with an empty ACL.
-        if expected_version is not None:
-            found = self.get(key, session).version
-            if found != expected_version:
-                raise ConflictError(
-                    f"version mismatch on {key!r}: expected {expected_version}, found {found}")
+        # No atomicity across partitions: read the source (none raises, as on
+        # one service), write the new entry, then drop the old one (a crash in
+        # between leaves both; never neither).  The new entry belongs to the
+        # mover and starts with an empty ACL.
+        found = self.get(key, session).version
+        if expected_version is not None and found != expected_version:
+            raise ConflictError(
+                f"version mismatch on {key!r}: expected {expected_version}, found {found}")
         moved = self.put(new_key, value, session, target_version)
         self.delete(key, session)
         return moved

@@ -50,7 +50,7 @@ from repro.common.errors import (
     ObjectNotFoundError,
     PermissionDeniedError,
 )
-from repro.common.types import ObjectRef, Permission, Principal
+from repro.common.types import Permission, Principal
 from repro.coordination.base import CoordinationService, Op
 from repro.core.backend import StorageBackend
 from repro.core.cache import MetadataCache, make_disk_cache, make_memory_cache
@@ -474,14 +474,6 @@ class SCFSAgent:
         outcome = self.storage.read_version(meta.file_id, meta.digest, meta.locator)
         return bytearray(outcome.data), False, True
 
-    def create(self, path: str, data: bytes = b"", shared: bool = False) -> int:
-        """Create (or truncate) a file, optionally writing initial data."""
-        handle = self.open(path, OpenFlags.READ_WRITE | OpenFlags.CREATE | OpenFlags.TRUNCATE,
-                           shared=shared)
-        if data:
-            self.write(handle, data)
-        return handle
-
     # -------------------------------------------------------------- read/write
 
     def read(self, handle: int, size: int = -1, offset: int = 0) -> bytes:
@@ -607,27 +599,53 @@ class SCFSAgent:
         self.gc.maybe_schedule()
 
     def _commit(self, of: OpenFile, data: bytes, background: bool) -> None:
-        """Steps 2-4 of a close: upload, anchor the new version, unlock.
+        """Steps 2-4 of a close: publish the new version, unlock.
 
         The one commit path of every mode.  A background commit is this same
         call made later, under :meth:`Simulation.background`; ``background``
-        only labels the events.
+        only labels the events.  A path that no longer holds this file
+        refuses the anchor: the version is an orphan for the collector, and
+        the handle's file counts as deleted.
         """
         meta = of.metadata
         try:
-            ref = self.storage.push_to_cloud(meta.file_id, data, version=of.cloud_version)
-            self._emit("upload", path=meta.path, file_id=meta.file_id, digest=ref.digest,
-                       version=meta.data_version, background=background)
-            self._propagate_cloud_acls(meta)
-            self._apply_committed_metadata(meta, ref)
-            self._emit("commit", path=meta.path, file_id=meta.file_id, digest=meta.digest,
-                       version=meta.data_version, background=background,
-                       locator=ref.locator)
+            self._publish([(meta, data, of.cloud_version, None)], background=background)
+        except ConflictError:
+            meta.deleted = True
         finally:
             # Also when the upload or the update raised: the handle is gone, so
             # a lock kept here would block every other writer until unmount.
             if of.locked:
                 self.locks.release(meta)
+
+    def _publish(self, writes: Sequence[tuple[FileMetadata, bytes, int, int | None]],
+                 also: Sequence[Op] = (), **tags: Any) -> None:
+        """Upload each write's version, then anchor them all (Figure 3, steps w2-w3).
+
+        Each write is ``(metadata, data, cloud version, entry version)``: the
+        cloud version is :meth:`StorageBackend.version_after` of the anchor,
+        the entry version what its ``Update`` must find (None: any).  One
+        command updates the data fields of every entry — a grant or a
+        tombstone set since stays — with ``also`` riding behind.  A refused
+        anchor raises ``ConflictError`` and commits none of the versions.
+        ``tags`` label the ``upload`` and ``commit`` events.
+        """
+        refs = self.storage.push_many_to_cloud(
+            [(meta.file_id, data, version) for meta, data, version, _entry in writes])
+        for (meta, _data, _version, _entry), ref in zip(writes, refs, strict=True):
+            meta.point_at(ref.digest, ref.size, ref.locator)
+            self._emit("upload", path=meta.path, file_id=meta.file_id, digest=ref.digest,
+                       version=meta.data_version, **tags)
+            self._propagate_cloud_acls(meta)
+        self.metadata.update_many([(meta, entry) for meta, _data, _version, entry in writes],
+                                  DATA_FIELDS, also=also)
+        # Placement is the file's now, not the open's: a private file's
+        # anchor is the PNS.
+        if self.metadata.is_private(writes[0][0]):
+            self.pns.save()
+        for meta, _data, _version, _entry in writes:
+            self._emit("commit", path=meta.path, file_id=meta.file_id, digest=meta.digest,
+                       version=meta.data_version, **tags, locator=meta.locator)
 
     def _propagate_cloud_acls(self, meta: FileMetadata) -> None:
         """Make a version written by a *grantee* readable by the owner and peers.
@@ -682,23 +700,6 @@ class SCFSAgent:
         task = self.sim.schedule(delay, complete, name=f"upload:{meta.path}")
         self._pending_commits[of.handle] = (of, task, complete)
 
-    def _apply_committed_metadata(self, meta: FileMetadata, ref: ObjectRef) -> None:
-        """Anchor ``ref`` with an update of the data fields alone: a grant or a tombstone set since stays.
-
-        A path that no longer holds this file refuses: the version is an
-        orphan for the collector, and the handle's file counts as deleted.
-        """
-        meta.point_at(ref.digest, ref.size, ref.locator)
-        # Placement is the file's now, not the open's.
-        private = self.coordination is None or self.metadata.is_private(meta)
-        try:
-            self.metadata.update(meta, DATA_FIELDS)
-        except ConflictError:
-            meta.deleted = True
-            return
-        if private:
-            self.pns.save()
-
     # ------------------------------------------------------------ transactions
 
     def flush_pending(self, path: str) -> None:
@@ -734,20 +735,6 @@ class SCFSAgent:
         if self.transactions is None:
             raise FileSystemError("transactions require a coordination service")
         return self.transactions.run(body)
-
-    def write_files(self, items: dict[str, bytes]) -> None:
-        """Atomically replace the contents of several existing files.
-
-        The batched close-commit: one lock phase, one intent record, one
-        commit — either every file shows its new content or none does.
-        """
-        ordered = sorted(items.items())
-
-        def body(txn: Transaction) -> None:
-            for path, data in ordered:
-                txn.write(path, data)
-
-        self.run_transaction(body)
 
     def rename_tree(self, old_path: str, new_path: str) -> None:
         """Atomically rename a file or a whole directory tree.

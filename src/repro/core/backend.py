@@ -64,27 +64,19 @@ class StorageBackend(abc.ABC):
     sim: Simulation
 
     @abc.abstractmethod
-    def write_version(self, file_id: str, data: bytes, version: int) -> ObjectRef:
-        """Store ``data`` as a new version of ``file_id``; returns its reference.
+    def write_versions(self, items: Sequence[tuple[str, bytes, int]]) -> list[ObjectRef]:
+        """Store one new version of each file: ``(file_id, data, version)`` each.
 
         ``version`` is :meth:`version_after` of what the file's anchor holds
-        (every SCFS close and PNS save numbers from the consistency anchor):
-        the backend asks the cloud(s) nothing before it uploads.  Backends
-        without version counters ignore it.
+        (every SCFS close, PNS save and transaction commit numbers from the
+        consistency anchor): the backend asks the cloud(s) nothing before it
+        uploads.  Backends without version counters ignore it.  Returns the
+        versions' references, in the order of ``items``.
         """
 
-    def write_versions(self, items: Sequence[tuple[str, bytes, int]]) -> list[ObjectRef]:
-        """Store one new version of several files: ``(file_id, data, version)`` each.
-
-        For a caller that holds the files' locks and has validated the anchor:
-        ``version`` is :meth:`version_after` of what each file's anchor holds,
-        so the backend asks the cloud(s) nothing before it uploads.  This
-        default — what :class:`SingleCloudBackend` keeps — is a plain loop over
-        :meth:`write_version`, one upload after the other (its versions are
-        named by digest alone; the number is not used); a backend that can
-        overlap the uploads overrides it.
-        """
-        return [self.write_version(file_id, data, version) for file_id, data, version in items]
+    def write_version(self, file_id: str, data: bytes, version: int) -> ObjectRef:
+        """:meth:`write_versions` of one version."""
+        return self.write_versions([(file_id, data, version)])[0]
 
     def version_after(self, locator: str, data_version: int) -> int:
         """This backend's number for the version that replaces the anchored one.
@@ -191,15 +183,18 @@ class SingleCloudBackend(StorageBackend):
 
     # -- StorageBackend --------------------------------------------------------
 
-    def write_version(self, file_id: str, data: bytes, version: int) -> ObjectRef:
-        # version is irrelevant here: each version is its own digest-named
-        # object, so concurrent writers cannot clobber one another's versions.
-        digest = content_digest(data)
-        self.store.put(self._key(file_id, digest), data, self.principal)
-        # The key is the digest, so all a reader can be told is when the put
-        # landed: the instant its propagation runs from.
-        return ObjectRef(key=file_id, digest=digest, size=len(data),
-                         locator=repr(self.sim.now()))
+    def write_versions(self, items: Sequence[tuple[str, bytes, int]]) -> list[ObjectRef]:
+        # One upload after the other, numbered by digest alone: concurrent
+        # writers cannot clobber one another's versions.
+        refs = []
+        for file_id, data, _version in items:
+            digest = content_digest(data)
+            self.store.put(self._key(file_id, digest), data, self.principal)
+            # The key is the digest, so all a reader can be told is when the
+            # put landed: the instant its propagation runs from.
+            refs.append(ObjectRef(key=file_id, digest=digest, size=len(data),
+                                  locator=repr(self.sim.now())))
+        return refs
 
     def read_version(self, file_id: str, digest: str, locator: str = "") -> bytes:
         data = self.store.get(self._key(file_id, digest), self.principal)
@@ -253,10 +248,7 @@ class CloudOfCloudsBackend(StorageBackend):
     suspicion is enabled, so does the per-client
     :class:`~repro.clouds.health.CloudHealthTracker` that demotes suspected
     clouds out of the primary quorum stage.  ``quorum`` is the agent's
-    :class:`~repro.core.config.QuorumConfig`.  ``coalescer`` is the
-    deployment-wide :class:`~repro.clouds.dispatch.InstantCoalescer` (or
-    ``None``): it is *shared* across the backends of all agents so that
-    identical same-instant metadata reads coalesce across clients.
+    :class:`~repro.core.config.QuorumConfig`.
     """
 
     def __init__(
@@ -269,13 +261,12 @@ class CloudOfCloudsBackend(StorageBackend):
         quorum: QuorumConfig,
         f: int = 1,
         encrypt: bool = True,
-        coalescer=None,
     ):
         self.sim = sim
         self.principal = principal
         self.client = DepSkyClient(
             sim, clouds, principal, f=f, encrypt=encrypt, policy=dispatch,
-            coalescer=coalescer, quorum=quorum.system_for([c.name for c in clouds], f),
+            quorum=quorum.system_for([c.name for c in clouds], f),
         )
         #: The client's tracker (``None`` unless ``dispatch`` tracks health).
         self.health: CloudHealthTracker | None = self.client.health
@@ -284,12 +275,8 @@ class CloudOfCloudsBackend(StorageBackend):
 
     # -- StorageBackend ----------------------------------------------------------
 
-    def write_version(self, file_id: str, data: bytes, version: int) -> ObjectRef:
-        """Numbered by ``version`` (``write_numbered``): the heads are not read first."""
-        return self._ref(file_id, self.client.write_numbered([(file_id, data, version)])[0])
-
     def write_versions(self, items: Sequence[tuple[str, bytes, int]]) -> list[ObjectRef]:
-        """All of ``items`` through the two DepSky put phases together (``write_numbered``)."""
+        """All of ``items`` through the two DepSky put phases together, no head read first."""
         records = self.client.write_numbered(items)
         return [self._ref(file_id, record)
                 for (file_id, _data, _version), record in zip(items, records, strict=True)]

@@ -189,8 +189,8 @@ class SCFSConfig:
         if self.lock_lease <= 0:
             raise ConfigurationError("the lock lease must be positive")
         if self.backend is BackendKind.AWS and self.dispatch != DispatchPolicyConfig():
-            # One store has no quorum call to time out, retry, hedge,
-            # coalesce or re-plan around a suspect: every knob would be ignored.
+            # One store has no quorum call to time out, retry, hedge or
+            # re-plan around a suspect: every knob would be ignored.
             raise ConfigurationError(
                 "the dispatch policy requires the cloud-of-clouds backend "
                 "(a single cloud has no quorum call to dispatch)"

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 
 from repro.common.types import Principal
 from repro.clouds.accounting import UsageBreakdown
-from repro.clouds.dispatch import InstantCoalescer
 from repro.clouds.eventual import EventuallyConsistentStore
 from repro.clouds.providers import COC_STORAGE_PROVIDERS, make_cloud_of_clouds, make_provider
 from repro.coordination.adapters import DepSpaceCoordination
@@ -58,13 +57,9 @@ class SCFSDeployment:
         self.clouds: list[EventuallyConsistentStore] = self._build_clouds()
         self.coordination: CoordinationService | None = self._build_coordination()
         self.filesystems: dict[str, SCFSFileSystem] = {}
-        # One coalescer for the whole deployment (when enabled): same-instant
-        # metadata read quorums coalesce across every agent's client.
-        self.coalescer = (
-            InstantCoalescer(self.sim)
-            if config.dispatch.coalesce_instant and config.backend is BackendKind.COC
-            else None
-        )
+        #: Always None: no SCFS path reads a DepSky head, so there is nothing
+        #: to coalesce.  Kept because the layer benchmark's ledger reads it.
+        self.coalescer = None
 
     # ------------------------------------------------------------- constructors
 
@@ -119,7 +114,6 @@ class SCFSDeployment:
             self.sim, self.clouds, principal,
             dispatch=self.config.dispatch, quorum=self.config.quorum,
             f=self.config.fault_tolerance, encrypt=self.config.encrypt_data,
-            coalescer=self.coalescer,
         )
 
     def create_agent(self, username: str, config: SCFSConfig | None = None,

@@ -191,21 +191,9 @@ class SCFSFileSystem:
         """Start a multi-file transaction (commit/abort it explicitly)."""
         return self.agent.begin_transaction()
 
-    def transaction(self):
-        """``with fs.transaction() as txn:`` — commit on success, abort on error."""
-        if self.agent.transactions is None:
-            from repro.common.errors import FileSystemError
-
-            raise FileSystemError("transactions require a coordination service")
-        return self.agent.transactions.transaction()
-
     def run_transaction(self, body):
         """Run ``body(txn)`` and commit, retrying conflicts with bounded backoff."""
         return self.agent.run_transaction(body)
-
-    def write_files(self, items: dict[str, bytes]) -> None:
-        """Atomically replace the contents of several existing files."""
-        self.agent.write_files(items)
 
     def rename_tree(self, old_path: str, new_path: str) -> None:
         """Atomically rename a file or a whole directory tree."""

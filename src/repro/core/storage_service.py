@@ -100,27 +100,21 @@ class StorageService:
         """Write a file's data to the local disk cache (fsync path, level 1)."""
         self.disk.put(cache_key(file_id, digest), data)
 
-    def push_to_cloud(self, file_id: str, data: bytes, version: int) -> ObjectRef:
-        """Synchronously upload a new version to the cloud backend (levels 2/3).
-
-        ``version`` is the backend's number for the new version, taken from
-        the anchor (see :meth:`StorageBackend.write_version`).
-        """
-        ref = self.backend.write_version(file_id, data, version=version)
-        self.bytes_pushed += len(data)
-        return ref
-
     def push_many_to_cloud(self, items: Sequence[tuple[str, bytes, int]]) -> list[ObjectRef]:
-        """Upload one new version of several files together (a transaction's write set).
+        """Synchronously upload one new version of each file (levels 2/3).
 
-        ``items`` are ``(file_id, data, version)``, numbered by the caller from
-        the anchor it validated under the files' locks (see
-        :meth:`StorageBackend.write_versions`); the backend moves them through
-        the cloud(s) in parallel where it can.
+        ``items`` are ``(file_id, data, version)``: a close's one file or a
+        transaction's write set, each numbered by the caller from the anchor
+        (see :meth:`StorageBackend.write_versions`); the backend moves them
+        through the cloud(s) together where it can.
         """
         refs = self.backend.write_versions(items)
         self.bytes_pushed += sum(len(data) for _file_id, data, _version in items)
         return refs
+
+    def push_to_cloud(self, file_id: str, data: bytes, version: int) -> ObjectRef:
+        """:meth:`push_many_to_cloud` of one version."""
+        return self.push_many_to_cloud([(file_id, data, version)])[0]
 
     def push_to_cloud_uncharged(self, file_id: str, data: bytes, version: int) -> ObjectRef:
         """:meth:`push_to_cloud` as background work.

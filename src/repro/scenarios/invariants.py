@@ -363,9 +363,14 @@ def check_durability(trace: TraceRecorder, deployment) -> list[Violation]:
 
 
 def check_commit_ordering(trace: TraceRecorder) -> list[Violation]:
-    """Close commits push data before metadata, and unlock only after both."""
+    """Close commits push data before metadata, and unlock only after both.
+
+    An uploaded version of a file id unlinked before the unlock may have no
+    commit: its anchor is refused once the path holds another file or none.
+    """
     violations: list[Violation] = []
     lost_in_crash = _crash_filter(trace)
+    unlinked: dict[str, int] = {}
     uploads: dict[tuple[str, str, int], int] = {}
     commit_seqs: dict[tuple[str, str, int], int] = {}
     closes: dict[tuple[str, str], list] = {}
@@ -375,6 +380,8 @@ def check_commit_ordering(trace: TraceRecorder) -> list[Violation]:
             uploads[(event.agent, event.get("file_id"), event.get("version"))] = event.seq
         elif event.kind == "commit":
             commit_seqs[(event.agent, event.get("file_id"), event.get("version"))] = event.seq
+        elif event.kind == "unlink":
+            unlinked.setdefault(event.get("file_id"), event.seq)
         elif event.kind == "close" and event.get("dirty"):
             if lost_in_crash(event):
                 continue
@@ -407,7 +414,11 @@ def check_commit_ordering(trace: TraceRecorder) -> list[Violation]:
             for close in closes.get((agent, fid), ()):
                 if close.seq > unlock_seq:
                     continue
-                commit_seq = commit_seqs.get((agent, fid, close.get("version")))
+                key = (agent, fid, close.get("version"))
+                commit_seq = commit_seqs.get(key)
+                if commit_seq is None and key in uploads \
+                        and unlinked.get(fid, unlock_seq) < unlock_seq:
+                    continue  # uploaded, then refused (see the docstring)
                 if commit_seq is None or commit_seq > unlock_seq:
                     violations.append(Violation(
                         "commit-ordering",

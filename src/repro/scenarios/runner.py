@@ -21,9 +21,9 @@ Two scheduling modes exist (``spec.scheduling``):
   agent issues the next operation, operations never overlap in virtual time.
 * ``"event-driven"`` — every agent is a task on the simulation's event heap;
   an agent finishes one operation, sleeps a per-agent think time and wakes up
-  again, so agents genuinely interleave with each other *and* with background
-  work (uploads, probes) on the virtual timeline.  This is the mode that
-  scales to 1000+ concurrent agents.
+  again.  Operations are still atomic on the virtual clock: a step (or an
+  upload) that falls due during another's operation runs after it, late.
+  This is the mode that scales to 1000+ agents.
 
 Pooled scenarios (``spec.pooled``) skip the per-file setup traffic entirely:
 :func:`~repro.scenarios.pool.prime_pool` installs the shared files directly
@@ -219,10 +219,6 @@ class ScenarioRunner:
                     rsm.partition_replica(index)
                 else:
                     rsm.make_byzantine(index)
-        if deployment.coalescer is not None:
-            # A fault transition changes what the clouds serve without going
-            # through a mutating quorum call, so expire the coalescing window.
-            deployment.coalescer.invalidate()
         if action == "start":
             recorder.record("fault_start", time=now, target=phase.target,
                             fault=phase.kind, factor=phase.factor)
@@ -360,10 +356,10 @@ class ScenarioRunner:
         forked stream and re-schedules itself; :meth:`Simulation.run_all`
         steps through the merged event sequence in deterministic ``(time,
         seq)`` order.  Operations advance the virtual clock while they run, so
-        other agents' due steps (and background uploads) execute as soon as
-        the running operation returns — true asynchronous interleaving without
-        a global round-robin pick.  Fault phases stay anchored to the *global*
-        op index (the order ops actually start), exactly as in lockstep mode.
+        other agents' steps (and background uploads) that fall due meanwhile
+        run once it returns, late: operations never overlap.  Fault phases
+        stay anchored to the *global* op index (the order ops actually
+        start), exactly as in lockstep mode.
         """
         sim = deployment.sim
         progress = {"index": 0}
@@ -440,9 +436,6 @@ class ScenarioRunner:
         if recorder.count("txn_begin"):
             stats["txn_commits"] = recorder.count("txn_commit")
             stats["txn_aborts"] = recorder.count("txn_abort")
-        if deployment.coalescer is not None:
-            stats["coalesced_reads"] = deployment.coalescer.hits
-            stats["coalescer_misses"] = deployment.coalescer.misses
         fingerprint = recorder.fingerprint()
         violations = check_all(recorder, deployment,
                                staleness=spec.metadata_expiration,

@@ -329,11 +329,6 @@ class ScenarioSpec:
             f"/pool-{i % directories}/file-{i}.dat" for i in range(files)
         )
         faults, dispatch, quorum = _faults_for_mix(mix, rng)
-        # Scale runs coalesce identical same-instant metadata read quorums —
-        # the batching half of the scale-out work (regular mixes leave it off
-        # to keep their replay fingerprints stable).
-        dispatch = (replace(dispatch, coalesce_instant=True) if dispatch is not None
-                    else DispatchPolicyConfig(coalesce_instant=True))
         spec = cls(
             seed=seed, mix=mix, variant="SCFS-CoC-NB", agents=agent_specs,
             faults=faults, shared_files=paths, dispatch=dispatch, quorum=quorum,

@@ -210,9 +210,10 @@ class Simulation:
         """Step through pending events until the queue is empty.
 
         Unlike :meth:`drain` — which jumps the clock to the *last* deadline in
-        one coarse advance — ``run_all`` visits each event time in order, which
-        is what gives event-driven agents true asynchronous interleaving.
-        Returns the number of steps taken; ``max_events`` bounds runaway loops.
+        one coarse advance — ``run_all`` visits each event time in order.  A
+        task that moves the clock runs to its end first: the tasks it passes
+        run late, at the advanced time.  Returns the number of steps taken;
+        ``max_events`` bounds runaway loops.
         """
         steps = 0
         while self.step():

@@ -27,10 +27,11 @@ BFT-transaction designs (Basil, arXiv:2109.12443):
       numbered by the anchor just validated — the one after the version the
       entry's locator names — so no cloud is asked for its head first;
    e. the **commit point**: one command holding an ``Update`` of every
-      written entry's data fields at the entry version validated
-      (:meth:`~repro.core.metadata_service.MetadataService.update_many`, as a
-      close anchors) *and* the intent's flip to ``committed`` — every file is
-      anchored and the intent says so, or nothing changed;
+      written entry's data fields at the entry version validated *and* the
+      intent's flip to ``committed`` — every file is anchored and the intent
+      says so, or nothing changed.  Steps d and e are the agent's one publish
+      step (:meth:`~repro.core.agent.SCFSAgent._publish`), the one a close
+      takes for its single file;
    f. release the lock set, and keep the written bytes in the local caches
       under their new versions (the committer's next read of them is local);
    g. return once the uploaded versions are expected to be readable
@@ -68,10 +69,9 @@ raw material of the history-based serializability checker in
 
 from __future__ import annotations
 
-import contextlib
 import json
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Iterator
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro.common.errors import (
     ConflictError,
@@ -84,14 +84,11 @@ from repro.common.errors import (
     TransactionError,
 )
 from repro.coordination.base import Put
-from repro.core.metadata import DATA_FIELDS, FileMetadata, FileType, normalize_path
+from repro.core.metadata import FileMetadata, FileType, normalize_path
 from repro.crypto.hashing import content_digest
 
 if TYPE_CHECKING:
     from repro.core.agent import SCFSAgent
-
-#: One planned write: ``(path, entry_version, new_metadata, data)``.
-WritePlan = list[tuple[str, int, FileMetadata, bytes]]
 
 #: The ``files`` of an intent record, one per written path:
 #: ``[path, file_id, data_version before, data_version after, new digest]``.
@@ -409,11 +406,16 @@ class TransactionManager:
 
     def _anchor_writes(self, txn: Transaction, current: dict[str, tuple[FileMetadata, int]],
                        files: IntentFiles) -> float:
-        """Upload and anchor the write set; returns when all of it is expected readable."""
+        """Publish the write set; returns when all of it is expected readable.
+
+        The commit point is the anchoring command of
+        :meth:`~repro.core.agent.SCFSAgent._publish`: every version CAS and
+        the intent's flip are one command, so the files are all anchored and
+        the intent says so, or nothing changed.
+        """
         agent = self.agent
         now = agent.sim.now()
-        plan: WritePlan = []
-        uploads: list[tuple[str, bytes, int]] = []
+        writes = []
         for path, _file_id, _version, new_version, digest in files:
             meta, entry_version = current[path]
             data = txn._writes[path]
@@ -421,50 +423,40 @@ class TransactionManager:
             new_meta.point_at(digest, len(data))
             new_meta.modified_at = now
             new_meta.data_version = new_version
-            plan.append((path, entry_version, new_meta, data))
             # Numbered by the anchor: the validated entry is, under the
             # locks, the latest version there is.
-            uploads.append((meta.file_id, data,
-                            agent.backend.version_after(meta.locator, meta.data_version)))
-        refs = agent.storage.push_many_to_cloud(uploads)
-        for (path, _entry_version, new_meta, _data), ref in zip(plan, refs, strict=True):
-            new_meta.point_at(ref.digest, ref.size, ref.locator)
-            agent._emit("upload", path=path, file_id=new_meta.file_id,
-                        digest=ref.digest, version=new_meta.data_version,
-                        background=False, txn=txn.txn_id)
-            # A version written by a grantee must stay readable by the owner
-            # and the other grantees (same as the plain close paths).
-            agent._propagate_cloud_acls(new_meta)
-        # The commit point: every version CAS and the intent's flip are one
-        # command, so the files are all anchored and the intent says so, or
-        # nothing changed.
+            writes.append((new_meta, data,
+                           agent.backend.version_after(meta.locator, meta.data_version),
+                           entry_version))
         try:
-            agent.metadata.update_many(
-                [(new_meta, entry_version) for _path, entry_version, new_meta, _data in plan],
-                DATA_FIELDS,
-                also=[Put(TXN_PREFIX + txn.txn_id, self._intent(txn, COMMITTED, files),
-                          expected_version=1)])
+            agent._publish(writes, also=[Put(TXN_PREFIX + txn.txn_id,
+                                             self._intent(txn, COMMITTED, files),
+                                             expected_version=1)],
+                           background=False, txn=txn.txn_id)
         except ConflictError as exc:
             # Unreachable while the locks hold (validated entry versions
             # cannot move), so reaching it means the lease protection
             # failed — the caller records the abort loudly.
             raise TransactionConflictError(f"version CAS failed: {exc}") from exc
-        for path, _entry_version, new_meta, _data in plan:
-            agent._emit("commit", path=path, file_id=new_meta.file_id,
-                        digest=new_meta.digest, version=new_meta.data_version,
-                        background=False, txn=txn.txn_id, locator=new_meta.locator)
-            txn._committed_writes.append(
-                [path, new_meta.file_id, new_meta.data_version, new_meta.digest])
+        txn._committed_writes.extend([meta.path, meta.file_id, meta.data_version, meta.digest]
+                                     for meta, _data, _version, _entry in writes)
         agent.gc.maybe_schedule()
-        return max(agent.backend.estimate_readable_at(ref.locator) for ref in refs)
+        return max(agent.backend.estimate_readable_at(meta.locator)
+                   for meta, _data, _version, _entry in writes)
 
-    def _intent(self, txn: Transaction, status: str, files: IntentFiles) -> bytes:
-        """The intent record of ``txn`` in state ``status``, serialized."""
+    def _intent(self, txn: Transaction, status: str, files: IntentFiles | list[str],
+                **rename: list[str]) -> bytes:
+        """The intent record of ``txn`` in state ``status``, serialized.
+
+        A commit's ``files`` are its :data:`IntentFiles`; a ``rename_tree``'s
+        are the paths it moves, and ``rename`` is ``[old_path, new_path]``.
+        """
         return json.dumps({
             "txn": txn.txn_id,
             "writer": self.agent.principal.name,
             "status": status,
             "files": files,
+            **rename,
         }, sort_keys=True).encode()
 
     # ------------------------------------------------------------------ abort
@@ -517,20 +509,21 @@ class TransactionManager:
                        files: list[FileMetadata]) -> None:
         agent = self.agent
         locked = sorted(files, key=agent.locks.lock_name)
+        key, paths = TXN_PREFIX + txn.txn_id, sorted(m.path for m in files)
+
+        def intent(status: str) -> bytes:
+            return self._intent(txn, status, paths, rename=[old_path, new_path])
+
         agent.locks.acquire_set(locked)
         try:
-            payload = json.dumps({
-                "txn": txn.txn_id, "writer": agent.principal.name,
-                "status": "pending", "rename": [old_path, new_path],
-                "files": sorted(m.path for m in files),
-            }, sort_keys=True).encode()
-            agent.coordination.put(TXN_PREFIX + txn.txn_id, payload, agent.session)
-            agent.rename(old_path, new_path)
-            done = json.loads(payload.decode())
-            done["status"] = "committed"
-            agent.coordination.put(TXN_PREFIX + txn.txn_id,
-                                   json.dumps(done, sort_keys=True).encode(),
-                                   agent.session, expected_version=1)
+            agent.coordination.put(key, intent("pending"), agent.session)
+            try:
+                agent.rename(old_path, new_path)
+            except ReproError:
+                # As after a failed commit: the intent says the rename is over.
+                agent.coordination.put(key, intent(ABORTED), agent.session, expected_version=1)
+                raise
+            agent.coordination.put(key, intent(COMMITTED), agent.session, expected_version=1)
             txn.status = COMMITTED
             agent._emit("txn_commit", txn=txn.txn_id, began=txn.began, attempts=1,
                         reads=[], writes=[], renamed_from=old_path,
@@ -551,16 +544,3 @@ class TransactionManager:
                 if child.is_directory:
                     stack.append(child.path)
         return out
-
-    # ---------------------------------------------------------------- context
-
-    @contextlib.contextmanager
-    def transaction(self) -> Iterator[Transaction]:
-        """``with manager.transaction() as txn:`` — commit on success, abort on error."""
-        txn = self.begin()
-        try:
-            yield txn
-        except BaseException:
-            txn.abort(reason="body raised")
-            raise
-        txn.commit()

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import functools
 
 from hypothesis import given, settings, strategies as st
 
@@ -49,35 +50,30 @@ _step = st.one_of(
 )
 
 
+def _write_shared(txn, data: bytes) -> None:
+    """A transaction body: every shared file gets ``data`` and its own path."""
+    for path in SHARED:
+        txn.write(path, data + path.encode())
+
+
 @contextlib.contextmanager
 def _recording_writes():
     """Record every SCFS write, in completion order."""
     #: (unit, record, locator, data, the writing backend)
     written: list[tuple[str, VersionRecord, str, bytes, CloudOfCloudsBackend]] = []
-    write_version = CloudOfCloudsBackend.write_version
     write_versions = CloudOfCloudsBackend.write_versions
-
-    def record(backend, file_id, data, ref):
-        written.append((file_id, VersionRecord.from_locator(ref.locator, ref.digest),
-                        ref.locator, data, backend))
-        return ref
-
-    def recording_write_version(backend, file_id, data, version):
-        return record(backend, file_id, data,
-                      write_version(backend, file_id, data, version=version))
 
     def recording_write_versions(backend, items):
         refs = write_versions(backend, items)
         for (file_id, data, _version), ref in zip(items, refs, strict=True):
-            record(backend, file_id, data, ref)
+            written.append((file_id, VersionRecord.from_locator(ref.locator, ref.digest),
+                            ref.locator, data, backend))
         return refs
 
-    CloudOfCloudsBackend.write_version = recording_write_version
     CloudOfCloudsBackend.write_versions = recording_write_versions
     try:
         yield written
     finally:
-        CloudOfCloudsBackend.write_version = write_version
         CloudOfCloudsBackend.write_versions = write_versions
 
 
@@ -107,7 +103,7 @@ def _run(steps, block_puts) -> None:
                     fs.write_file(path, data + b" (1st)")
                     fs.write_file(path, data + b" (2nd)")
                 elif kind == "txn":
-                    fs.write_files({p: data + p.encode() for p in SHARED})
+                    fs.run_transaction(functools.partial(_write_shared, data=data))
                 elif kind == "collect":
                     fs.collect_garbage()
                 else:

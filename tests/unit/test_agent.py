@@ -1,5 +1,8 @@
 """Unit tests for the SCFS Agent and the POSIX-like file-system façade."""
 
+import ast
+from pathlib import Path
+
 import pytest
 
 from repro.common.errors import (
@@ -609,3 +612,34 @@ class TestConsistencyRetries:
         assert data == b"shared bytes" and not misses
         assert bob.agent.stats.consistency_retries == 3
         assert alice.agent.stats.consistency_retries == 0
+
+
+def _version_emitters(tree: ast.AST) -> list[tuple[str, str]]:
+    """``(enclosing class.function, kind)`` of each ``_emit("upload" | "commit", ...)``."""
+    found = []
+
+    def visit(node: ast.AST, scope: tuple[str, ...]) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, (*scope, child.name))
+                continue
+            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
+                    and child.func.attr == "_emit" and child.args
+                    and isinstance(child.args[0], ast.Constant)
+                    and child.args[0].value in ("upload", "commit")):
+                found.append((".".join(scope), child.args[0].value))
+            visit(child, scope)
+
+    visit(tree, ())
+    return found
+
+
+def test_only_the_publish_step_uploads_and_anchors_a_version():
+    """One commit path: a close and a transaction commit both publish through
+    ``SCFSAgent._publish``, so no second copy of the step can drift apart."""
+    src = Path(__file__).resolve().parents[2] / "src"
+    emitters = [(str(path.relative_to(src)), *emitter)
+                for path in sorted(src.rglob("*.py"))
+                for emitter in _version_emitters(ast.parse(path.read_text()))]
+    assert emitters == [("repro/core/agent.py", "SCFSAgent._publish", "upload"),
+                        ("repro/core/agent.py", "SCFSAgent._publish", "commit")]

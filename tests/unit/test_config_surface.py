@@ -36,7 +36,6 @@ SURFACE = (
     "dispatch.probe_backoff",
     "dispatch.probe_backoff_factor",
     "dispatch.probe_backoff_max",
-    "dispatch.coalesce_instant",
     "quorum.weights",
     "quorum.fault_budget",
     "lock_lease",
@@ -57,7 +56,7 @@ def _settable(config, prefix: str = "") -> list[str]:
 
 def test_the_settable_config_surface_is_the_pinned_one():
     assert tuple(_settable(SCFSConfig())) == SURFACE
-    assert len(SURFACE) == 24
+    assert len(SURFACE) == 23
 
 
 #: The knobs of the dispatch policy that only ``DispatchPolicyConfig`` may declare.

@@ -147,23 +147,24 @@ class TestMove:
         with pytest.raises(ConflictError):
             coordination.set_entry_acl("b", "bob", Permission.NONE, bob_session)
 
-    # One service: a move between partitions is a put and a delete, with no
-    # check of the source (``PartitionedCoordination.move``).
-    @pytest.mark.parametrize("coordination", ["depspace"], indirect=True)
     def test_move_is_conditional_on_both_keys(self, coordination, alice):
+        if isinstance(coordination, PartitionedCoordination):
+            # Every move below crosses partitions.
+            assert {coordination.partition_of(key) for key in ("a", "gone")} == {0}
+            assert {coordination.partition_of(key) for key in ("e", "f")} == {1}
         session = coordination.open_session(alice)
         coordination.put("a", b"1", session)
-        coordination.put("b", b"1", session)
+        coordination.put("e", b"1", session)
         with pytest.raises(ConflictError):
-            coordination.move("a", "c", b"2", session, expected_version=7)
+            coordination.move("a", "f", b"2", session, expected_version=7)
         with pytest.raises(ConflictError):
-            coordination.move("a", "b", b"2", session)  # target must be absent
+            coordination.move("a", "e", b"2", session)  # target must be absent
         with pytest.raises(TupleNotFoundError):
-            coordination.move("missing", "c", b"2", session)
-        assert coordination.list_prefix("", session) == ["a", "b"]
+            coordination.move("gone", "f", b"2", session)
+        assert coordination.list_prefix("", session) == ["a", "e"]
         # Replacing a known target: the version passes both keys' histories.
-        coordination.put("b", b"2", session)
-        assert coordination.move("a", "b", b"3", session, target_version=2).version == 3
+        coordination.put("e", b"2", session)
+        assert coordination.move("a", "e", b"3", session, target_version=2).version == 3
 
     def test_insert_if_absent(self, coordination, alice):
         session = coordination.open_session(alice)

@@ -4,7 +4,8 @@ Bob holds a write grant and has ``/top/f`` open for writing; alice, the
 owner, changes the entry before bob's close lands.  The close anchors its
 version with one ``Update`` of the data fields, so the replicas keep what
 alice did — her grants, her tombstone, her new incarnation of the path — and
-refuse when the path no longer holds bob's file.  A ``setfacl`` is the same
+refuse when the path no longer holds bob's file — a version no anchor holds
+is not committed.  A ``setfacl`` is the same
 step for the grants alone, so a cached snapshot cannot put an older version
 back.  Each case runs with a blocking and a non-blocking close.
 """
@@ -16,6 +17,7 @@ import pytest
 from repro.common.types import Permission
 from repro.core.config import CacheConfig
 from repro.core.deployment import SCFSDeployment
+from repro.scenarios.trace import TraceRecorder
 
 MODES = ["SCFS-CoC-B", "SCFS-CoC-NB"]
 
@@ -71,12 +73,19 @@ def test_an_unlink_made_while_a_writer_has_the_file_open_survives_its_close(vari
 def test_a_close_of_a_dead_incarnation_leaves_the_new_file_alone(variant):
     share = Share(variant)
     handle = share.bob_writes()
+    trace = TraceRecorder()
+    share.bob.agent.events = trace.record
+    dead = share.alice.stat(share.path).file_id
     share.alice.unlink(share.path)
     share.alice.write_file(share.path, b"new", shared=True)
     reborn = share.alice.stat(share.path).file_id
     share.bob_closes(handle)
     assert share.alice.stat(share.path).file_id == reborn
     assert share.alice.read_file(share.path) == b"new"
+    # bob's version was uploaded, but the replicas refused its anchor: it
+    # must not count as committed.
+    assert [event.fields["file_id"] for event in trace.by_kind("upload")] == [dead]
+    assert trace.count("commit") == 0
 
 
 @pytest.mark.parametrize("variant", MODES)

@@ -480,11 +480,10 @@ class TestDispatchConfigPlumbing:
     @pytest.mark.parametrize("knob", [
         {"timeout": 1.0}, {"retries": 1}, {"hedge_delay": 0.25}, {"suspicion_threshold": 3},
         {"probe_backoff": 5.0}, {"probe_backoff_factor": 3.0}, {"probe_backoff_max": 600.0},
-        {"coalesce_instant": True},
     ], ids=lambda knob: next(iter(knob)))
     def test_dispatch_knob_requires_the_cloud_of_clouds_backend(self, knob):
-        # A single cloud has no quorum call to time out, retry, hedge,
-        # coalesce or re-plan around a suspect.
+        # A single cloud has no quorum call to time out, retry, hedge or
+        # re-plan around a suspect.
         with pytest.raises(ConfigurationError):
             SCFSConfig.for_variant("SCFS-AWS-B", dispatch=DispatchPolicyConfig(**knob))
         SCFSConfig.for_variant("SCFS-AWS-B", dispatch=DispatchPolicyConfig())

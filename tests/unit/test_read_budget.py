@@ -79,7 +79,10 @@ def test_cold_read_of_a_transaction_written_file_is_the_same(shared):
     deployment, alice, bob, meter = shared
     alice.write_file("/g", b"second", shared=True)
     alice.setfacl("/g", "bob", Permission.READ)
-    alice.write_files({"/f": b"F by txn", "/g": b"G by txn"})
+    txn = alice.begin_transaction()
+    txn.write("/f", b"F by txn")
+    txn.write("/g", b"G by txn")
+    txn.commit()
     for path, data in (("/f", b"F by txn"), ("/g", b"G by txn")):
         meter.mark()
         assert bob.read_file(path) == data

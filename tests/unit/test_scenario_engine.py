@@ -250,6 +250,21 @@ class TestCheckersCatchViolations:
         found = check_commit_ordering(recorder)
         assert found and "released the write lock" in found[0].message
 
+    @pytest.mark.parametrize("unlinked", [False, True])
+    def test_an_uploaded_version_with_no_commit_needs_an_unlink_first(self, unlinked):
+        """The replicas refuse the anchor of a file id whose path was unlinked
+        (and since recreated, or purged): no commit, and the lock goes back."""
+        recorder = TraceRecorder()
+        recorder.record("close", agent="bob", time=1.0, path="/f", file_id="f1",
+                        digest="d1", version=2, dirty=True)
+        if unlinked:
+            recorder.record("unlink", agent="alice", time=1.2, path="/f", file_id="f1")
+        recorder.record("upload", agent="bob", time=2.0, path="/f", file_id="f1",
+                        digest="d1", version=2, background=True)
+        recorder.record("unlock", agent="bob", time=2.0, lock="filelock:f1")
+        found = check_commit_ordering(recorder)
+        assert (found == []) is unlinked
+
     def test_commit_before_upload_flagged(self):
         recorder = TraceRecorder()
         recorder.record("commit", agent="alice", time=1.0, path="/f",

@@ -7,6 +7,7 @@ import json
 import pytest
 
 from repro.common.errors import (
+    FileExistsErrorFS,
     FileNotFoundErrorFS,
     FileSystemError,
     IsADirectoryErrorFS,
@@ -52,19 +53,29 @@ def shared():
     return _shared_pair()
 
 
+def _write_set(fs, items: dict[str, bytes]) -> None:
+    """Replace the contents of several existing files in one transaction."""
+    def body(txn) -> None:
+        for path, data in sorted(items.items()):
+            txn.write(path, data)
+
+    fs.run_transaction(body)
+
+
 class TestCommit:
-    def test_write_files_is_atomic_and_visible(self, shared):
+    def test_a_write_set_is_atomic_and_visible(self, shared):
         deployment, alice, bob = shared
-        alice.write_files({"/shared/a": b"A2", "/shared/b": b"B2"})
+        _write_set(alice, {"/shared/a": b"A2", "/shared/b": b"B2"})
         assert alice.read_file("/shared/a") == b"A2"
         assert bob.read_file("/shared/a") == b"A2"
         assert bob.read_file("/shared/b") == b"B2"
 
-    def test_context_manager_commits_on_success(self, shared):
+    def test_a_read_modify_write_commits(self, shared):
         _, alice, bob = shared
-        with alice.transaction() as txn:
-            before = txn.read("/shared/a")
-            txn.write("/shared/a", before + b"+more")
+        txn = alice.begin_transaction()
+        before = txn.read("/shared/a")
+        txn.write("/shared/a", before + b"+more")
+        txn.commit()
         assert txn.status == COMMITTED
         assert bob.read_file("/shared/a") == before + b"+more"
 
@@ -121,9 +132,10 @@ class TestCommit:
         handle = alice.open("/shared/a", "w", shared=True)
         alice.write(handle, b"pre-txn")
         alice.close(handle)  # upload still in flight (NB mode)
-        with alice.transaction() as txn:
-            assert txn.read("/shared/a") == b"pre-txn"
-            txn.write("/shared/a", b"post-txn")
+        txn = alice.begin_transaction()
+        assert txn.read("/shared/a") == b"pre-txn"
+        txn.write("/shared/a", b"post-txn")
+        txn.commit()
         assert bob.read_file("/shared/a") == b"post-txn"
 
 
@@ -195,10 +207,16 @@ class TestConflicts:
     def test_body_exception_aborts(self, shared):
         _, alice, _ = shared
         before = alice.read_file("/shared/a")
+        transactions = []
+
+        def body(txn):
+            transactions.append(txn)
+            txn.write("/shared/a", b"doomed")
+            raise RuntimeError("application bug")
+
         with pytest.raises(RuntimeError):
-            with alice.transaction() as txn:
-                txn.write("/shared/a", b"doomed")
-                raise RuntimeError("application bug")
+            alice.run_transaction(body)
+        [txn] = transactions
         assert txn.status == ABORTED
         assert alice.read_file("/shared/a") == before
 
@@ -234,7 +252,7 @@ class TestCommitPoint:
 
     def test_commit_returns_once_the_write_set_is_readable(self, shared):
         deployment, alice, bob = shared
-        alice.write_files({"/shared/a": b"A2" * 100, "/shared/b": b"B2" * 100})
+        _write_set(alice, {"/shared/a": b"A2" * 100, "/shared/b": b"B2" * 100})
         for path in ("/shared/a", "/shared/b"):
             locator = bob.stat(path).locator
             assert deployment.sim.now() >= alice.agent.backend.estimate_readable_at(locator)
@@ -251,7 +269,7 @@ class TestCommitPoint:
         batches = []
         write_numbered = client.write_numbered
         client.write_numbered = lambda items: batches.append(len(items)) or write_numbered(items)
-        alice.write_files({"/shared/a": b"A3", "/shared/b": b"B3"})
+        _write_set(alice, {"/shared/a": b"A3", "/shared/b": b"B3"})
         assert batches == [2]
         assert bob.read_file("/shared/a") == b"A3" and bob.read_file("/shared/b") == b"B3"
 
@@ -259,7 +277,7 @@ class TestCommitPoint:
 class TestFailedUpload:
     """An upload that misses its quorum ends the transaction like any failed commit."""
 
-    @pytest.mark.parametrize("how", ["commit", "context", "run"])
+    @pytest.mark.parametrize("how", ["commit", "run"])
     def test_the_intent_is_aborted_and_the_typed_error_raised(self, shared, how):
         deployment, alice, bob = shared
         events = []
@@ -277,9 +295,6 @@ class TestFailedUpload:
         with pytest.raises(QuorumNotReachedError):
             if how == "run":
                 alice.run_transaction(body)
-            elif how == "context":
-                with alice.transaction() as txn:
-                    body(txn)
             else:
                 body(alice.begin_transaction())
                 transactions[0].commit()
@@ -293,14 +308,14 @@ class TestFailedUpload:
             cloud.failures.clear()
         alice.agent.metadata_cache.clear()
         assert {path: bob.read_file(path) for path in before} == before
-        alice.write_files({"/shared/a": b"after the outage"})
+        _write_set(alice, {"/shared/a": b"after the outage"})
         assert bob.read_file("/shared/a") == b"after the outage"
 
 
 class TestCommitterCache:
     def test_the_committer_rereads_what_it_wrote_without_a_cloud_get(self, shared, cloud_meter):
         deployment, alice, bob = shared
-        alice.write_files({"/shared/a": b"A4" * 2000, "/shared/b": b"B4" * 2000})
+        _write_set(alice, {"/shared/a": b"A4" * 2000, "/shared/b": b"B4" * 2000})
         meter = cloud_meter(deployment.clouds)
         txn = alice.begin_transaction()
         assert txn.read("/shared/a") == b"A4" * 2000
@@ -353,8 +368,9 @@ class TestRetrySnapshot:
 class TestIntentRecords:
     def test_committed_intent_lifecycle(self, shared):
         _, alice, _ = shared
-        with alice.transaction() as txn:
-            txn.write("/shared/a", b"recorded")
+        txn = alice.begin_transaction()
+        txn.write("/shared/a", b"recorded")
+        txn.commit()
         record = _intent(alice, txn.txn_id)
         assert record is not None
         assert record["status"] == "committed"
@@ -402,6 +418,21 @@ class TestRenameTree:
             alice.rename_tree("/shared/dir", "/shared/moved")
         assert alice.exists("/shared/dir/f1")
         bob.agent.locks.release(meta)
+
+    def test_a_failed_rename_tree_aborts_its_intent(self, shared):
+        _, alice, _ = shared
+        alice.mkdir("/shared/dir", shared=True)
+        alice.write_file("/shared/dir/f1", b"one", shared=True)
+        alice.mkdir("/shared/taken", shared=True)
+        alice.agent.sim.drain(1.0)
+        events = []
+        alice.agent.events = lambda kind, **fields: events.append((kind, fields))
+        with pytest.raises(FileExistsErrorFS):
+            alice.rename_tree("/shared/dir", "/shared/taken")
+        [abort] = [fields for kind, fields in events if kind == "txn_abort"]
+        assert _intent(alice, abort["txn"])["status"] == "aborted"
+        assert alice.agent.locks.held == {}
+        assert alice.read_file("/shared/dir/f1") == b"one"
 
     def test_rename_tree_falls_back_without_coordination(self):
         deployment = SCFSDeployment.for_variant("SCFS-CoC-NS", seed=11)

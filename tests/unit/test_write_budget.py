@@ -89,7 +89,10 @@ def test_a_transaction_write_set_is_two_quorum_calls_per_unit_and_no_head_get(
     deployment.drain(3.0)
     n, f = len(deployment.clouds), 1
     meter = cloud_meter(deployment.clouds)
-    fs.write_files({path: b"after " + path.encode() for path in paths})
+    txn = fs.begin_transaction()
+    for path in paths:
+        txn.write(path, b"after " + path.encode())
+    txn.commit()
     assert meter.quorum_calls() == 2 * files
     assert _shape(meter.requests()) == {("put", "block"): files * (n - f),
                                         ("put", "head"): files * n}
