@@ -628,21 +628,26 @@ class SCFSAgent:
         command updates the data fields of every entry — a grant or a
         tombstone set since stays — with ``also`` riding behind.  A refused
         anchor raises ``ConflictError`` and commits none of the versions.
-        ``tags`` label the ``upload`` and ``commit`` events.
+        ``tags`` label the ``upload`` and ``commit`` events.  A close (one
+        write, nothing behind it) takes the one-version calls, the names the
+        layer tracer wraps (ROADMAP 1(j)); a private file's anchor is the PNS.
         """
-        refs = self.storage.push_many_to_cloud(
-            [(meta.file_id, data, version) for meta, data, version, _entry in writes])
+        items = [(meta.file_id, data, version) for meta, data, version, _entry in writes]
+        refs = (self.storage.push_many_to_cloud(items) if also
+                else [self.storage.push_to_cloud(*item) for item in items])
         for (meta, _data, _version, _entry), ref in zip(writes, refs, strict=True):
             meta.point_at(ref.digest, ref.size, ref.locator)
             self._emit("upload", path=meta.path, file_id=meta.file_id, digest=ref.digest,
                        version=meta.data_version, **tags)
             self._propagate_cloud_acls(meta)
-        self.metadata.update_many([(meta, entry) for meta, _data, _version, entry in writes],
-                                  DATA_FIELDS, also=also)
-        # Placement is the file's now, not the open's: a private file's
-        # anchor is the PNS.
-        if self.metadata.is_private(writes[0][0]):
-            self.pns.save()
+        if also:
+            self.metadata.update_many(
+                [(meta, entry) for meta, _data, _version, entry in writes], DATA_FIELDS, also=also)
+        else:
+            [(meta, _data, _version, _entry)] = writes
+            self.metadata.update(meta, DATA_FIELDS)
+            if self.metadata.is_private(meta):  # the file's placement now, not the open's
+                self.pns.save()
         for meta, _data, _version, _entry in writes:
             self._emit("commit", path=meta.path, file_id=meta.file_id, digest=meta.digest,
                        version=meta.data_version, **tags, locator=meta.locator)

@@ -263,8 +263,16 @@ class MetadataService:
         return self._fetched(path, entry)
 
     def update(self, metadata: FileMetadata, fields: Sequence[str]) -> FileMetadata:
-        """:meth:`update_many` of one entry, at whatever version it is."""
-        return self.update_many([(metadata, None)], fields)[0]
+        """:meth:`update_many` of one entry at any version; a private one is merged in the PNS by the same rule."""
+        if self.coordination is not None and not self.is_private(metadata):
+            return self.update_many([(metadata, None)], fields)[0]
+        current = self.pns.get(metadata.path)
+        if current is None or current.file_id != metadata.file_id:
+            self.cache.invalidate(metadata.path)
+            raise ConflictError(f"{metadata.path} does not hold file {metadata.file_id!r}")
+        merged = FileMetadata.from_fields({**current.fields(), **metadata.fields(fields)})
+        self._store(merged, private=True)
+        return merged
 
     def update_cas(self, metadata: FileMetadata, expected_version: int) -> FileMetadata:
         """Anchor the data fields of ``metadata`` iff its entry is still at ``expected_version``."""
@@ -272,31 +280,19 @@ class MetadataService:
 
     def update_many(self, changes: Sequence[tuple[FileMetadata, int | None]],
                     fields: Sequence[str], also: Sequence[Op] = ()) -> list[FileMetadata]:
-        """Set ``fields`` of each entry to its ``metadata``'s values, keeping the rest: one command.
+        """Set ``fields`` of each shared entry to its ``metadata``'s values, keeping the rest: one command.
 
-        Each ``(metadata, expected_version)`` of a shared entry is one
-        ``Update``; the replicas refuse them all (``ConflictError``) when an
-        entry is gone, names another file or is not at ``expected_version``
-        (None: any) — the check that stops a lock-lease usurper and the
-        original holder from both anchoring a version.  ``also`` rides
-        behind: a transaction's intent flip.  A private entry (a close's,
-        alone) is merged in the PNS by the same file-id rule.  Returns, and
-        caches, the merged tuples; a refusal leaves this agent's view of each
-        path what the refusal met.
+        Each ``(metadata, expected_version)`` is one ``Update``; the replicas
+        refuse them all (``ConflictError``) when an entry is gone, names
+        another file or is not at ``expected_version`` (None: any) — the
+        check that stops a lock-lease usurper and the original holder from
+        both anchoring a version.  ``also`` rides behind: a transaction's
+        intent flip.  Returns, and caches, the merged tuples; a refusal
+        leaves this agent's view of each path what the refusal met.
         """
+        steps = [Update(self.entry_key(metadata.path), metadata.file_id,
+                        metadata.fields(fields), version) for metadata, version in changes]
         try:
-            if self.coordination is None or self.is_private(changes[0][0]):
-                [(metadata, _version)] = changes
-                current = self.pns.get(metadata.path)
-                if current is None or current.file_id != metadata.file_id:
-                    raise ConflictError(
-                        f"{metadata.path} does not hold file {metadata.file_id!r}")
-                merged = FileMetadata.from_fields(
-                    {**current.fields(), **metadata.fields(fields)})
-                self._store(merged, private=True)
-                return [merged]
-            steps = [Update(self.entry_key(metadata.path), metadata.file_id,
-                            metadata.fields(fields), version) for metadata, version in changes]
             entries = self.coordination.multi([*steps, *also], self.session)
         except ConflictError as exc:
             for metadata, _version in changes:

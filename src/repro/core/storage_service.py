@@ -103,27 +103,22 @@ class StorageService:
     def push_many_to_cloud(self, items: Sequence[tuple[str, bytes, int]]) -> list[ObjectRef]:
         """Synchronously upload one new version of each file (levels 2/3).
 
-        ``items`` are ``(file_id, data, version)``: a close's one file or a
-        transaction's write set, each numbered by the caller from the anchor
-        (see :meth:`StorageBackend.write_versions`); the backend moves them
-        through the cloud(s) together where it can.
+        ``items`` are ``(file_id, data, version)``, a transaction's write set
+        numbered from the anchor (:meth:`StorageBackend.write_versions`); the
+        backend moves them through the cloud(s) together where it can.
         """
         refs = self.backend.write_versions(items)
         self.bytes_pushed += sum(len(data) for _file_id, data, _version in items)
         return refs
 
     def push_to_cloud(self, file_id: str, data: bytes, version: int) -> ObjectRef:
-        """:meth:`push_many_to_cloud` of one version."""
-        return self.push_many_to_cloud([(file_id, data, version)])[0]
+        """:meth:`push_many_to_cloud` of one version (a close's), through the traced ``write_version``."""
+        ref = self.backend.write_version(file_id, data, version)
+        self.bytes_pushed += len(data)
+        return ref
 
     def push_to_cloud_uncharged(self, file_id: str, data: bytes, version: int) -> ObjectRef:
-        """:meth:`push_to_cloud` as background work.
-
-        No caller in ``src/``: the agent's background commit runs the whole
-        commit under :meth:`Simulation.background`.  Kept only because
-        ``benchmarks/layers/tracer.py`` resolves it by name; it goes with its
-        ``tracer.WRAPPED`` entry (ROADMAP).
-        """
+        """:meth:`push_to_cloud` as background work: no caller, kept for ``tracer.WRAPPED`` (ROADMAP 1(b))."""
         with self.sim.background():
             return self.push_to_cloud(file_id, data, version=version)
 

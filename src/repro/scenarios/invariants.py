@@ -365,8 +365,9 @@ def check_durability(trace: TraceRecorder, deployment) -> list[Violation]:
 def check_commit_ordering(trace: TraceRecorder) -> list[Violation]:
     """Close commits push data before metadata, and unlock only after both.
 
-    An uploaded version of a file id unlinked before the unlock may have no
-    commit: its anchor is refused once the path holds another file or none.
+    A version uploaded after its file id was unlinked may have no commit:
+    operations are atomic on the virtual clock, so the anchor that follows
+    the upload is refused once the path holds another file or none.
     """
     violations: list[Violation] = []
     lost_in_crash = _crash_filter(trace)
@@ -417,7 +418,7 @@ def check_commit_ordering(trace: TraceRecorder) -> list[Violation]:
                 key = (agent, fid, close.get("version"))
                 commit_seq = commit_seqs.get(key)
                 if commit_seq is None and key in uploads \
-                        and unlinked.get(fid, unlock_seq) < unlock_seq:
+                        and unlinked.get(fid, uploads[key]) < uploads[key]:
                     continue  # uploaded, then refused (see the docstring)
                 if commit_seq is None or commit_seq > unlock_seq:
                     violations.append(Violation(

@@ -406,13 +406,7 @@ class TransactionManager:
 
     def _anchor_writes(self, txn: Transaction, current: dict[str, tuple[FileMetadata, int]],
                        files: IntentFiles) -> float:
-        """Publish the write set; returns when all of it is expected readable.
-
-        The commit point is the anchoring command of
-        :meth:`~repro.core.agent.SCFSAgent._publish`: every version CAS and
-        the intent's flip are one command, so the files are all anchored and
-        the intent says so, or nothing changed.
-        """
+        """Publish the write set (steps d-e); returns when all of it is expected readable."""
         agent = self.agent
         now = agent.sim.now()
         writes = []
@@ -494,7 +488,7 @@ class TransactionManager:
             agent.flush_pending(m.path)
         txn = self.begin()
         try:
-            self._rename_locked(txn, old_path, new_path, files)
+            self._rename_locked(txn, meta, new_path, files)
         except LockHeldError as exc:
             self._finish_abort(txn, str(exc))
             raise TransactionConflictError(str(exc)) from exc
@@ -505,9 +499,10 @@ class TransactionManager:
             self._finish_abort(txn, f"rename failed: {exc}")
             raise
 
-    def _rename_locked(self, txn: Transaction, old_path: str, new_path: str,
+    def _rename_locked(self, txn: Transaction, meta: FileMetadata, new_path: str,
                        files: list[FileMetadata]) -> None:
         agent = self.agent
+        old_path = meta.path
         locked = sorted(files, key=agent.locks.lock_name)
         key, paths = TXN_PREFIX + txn.txn_id, sorted(m.path for m in files)
 
@@ -520,8 +515,10 @@ class TransactionManager:
             try:
                 agent.rename(old_path, new_path)
             except ReproError:
-                # As after a failed commit: the intent says the rename is over.
-                agent.coordination.put(key, intent(ABORTED), agent.session, expected_version=1)
+                # The object's own entry moves first: while it is in place
+                # nothing moved, and the intent says the rename is over.
+                if self._holds(old_path, meta.file_id):
+                    agent.coordination.put(key, intent(ABORTED), agent.session, expected_version=1)
                 raise
             agent.coordination.put(key, intent(COMMITTED), agent.session, expected_version=1)
             txn.status = COMMITTED
@@ -530,6 +527,14 @@ class TransactionManager:
                         renamed_to=new_path, files=len(files))
         finally:
             agent.locks.release_set(locked)
+
+    def _holds(self, path: str, file_id: str) -> bool:
+        """True when the anchor of ``path`` is known to still name ``file_id``."""
+        try:
+            found = self.agent.metadata.lookup(path, use_cache=False)
+        except ReproError:
+            return False
+        return found is not None and found.file_id == file_id
 
     def _walk(self, meta: FileMetadata) -> list[FileMetadata]:
         """``meta`` plus (for directories) every live descendant."""

@@ -250,20 +250,23 @@ class TestCheckersCatchViolations:
         found = check_commit_ordering(recorder)
         assert found and "released the write lock" in found[0].message
 
-    @pytest.mark.parametrize("unlinked", [False, True])
+    @pytest.mark.parametrize("unlinked", [None, "before", "after"])
     def test_an_uploaded_version_with_no_commit_needs_an_unlink_first(self, unlinked):
         """The replicas refuse the anchor of a file id whose path was unlinked
-        (and since recreated, or purged): no commit, and the lock goes back."""
+        (and since recreated, or purged) before the upload: no commit, and the
+        lock goes back.  An unlink after the upload excuses nothing."""
         recorder = TraceRecorder()
         recorder.record("close", agent="bob", time=1.0, path="/f", file_id="f1",
                         digest="d1", version=2, dirty=True)
-        if unlinked:
+        if unlinked == "before":
             recorder.record("unlink", agent="alice", time=1.2, path="/f", file_id="f1")
         recorder.record("upload", agent="bob", time=2.0, path="/f", file_id="f1",
                         digest="d1", version=2, background=True)
+        if unlinked == "after":
+            recorder.record("unlink", agent="alice", time=2.0, path="/f", file_id="f1")
         recorder.record("unlock", agent="bob", time=2.0, lock="filelock:f1")
         found = check_commit_ordering(recorder)
-        assert (found == []) is unlinked
+        assert (found == []) is (unlinked == "before")
 
     def test_commit_before_upload_flagged(self):
         recorder = TraceRecorder()

@@ -434,6 +434,26 @@ class TestRenameTree:
         assert alice.agent.locks.held == {}
         assert alice.read_file("/shared/dir/f1") == b"one"
 
+    def test_a_rename_tree_that_failed_half_way_stays_pending(self, shared):
+        """The directory moved, then a descendant's target was taken: the
+        intent must not say that nothing happened."""
+        _, alice, _ = shared
+        alice.mkdir("/shared/dir", shared=True)
+        alice.write_file("/shared/dir/f1", b"one", shared=True)
+        alice.agent.sim.drain(1.0)
+        agent = alice.agent
+        stray = agent.metadata.get("/shared/dir/f1", use_cache=False).renamed("/shared/moved/f1")
+        agent.coordination.put(agent.metadata.entry_key(stray.path), stray.to_bytes(),
+                               agent.session)
+        events = []
+        agent.events = lambda kind, **fields: events.append((kind, fields))
+        with pytest.raises(FileExistsErrorFS):
+            alice.rename_tree("/shared/dir", "/shared/moved")
+        [abort] = [fields for kind, fields in events if kind == "txn_abort"]
+        assert _intent(alice, abort["txn"])["status"] == "pending"
+        assert alice.exists("/shared/moved") and not alice.exists("/shared/dir")
+        assert agent.locks.held == {}
+
     def test_rename_tree_falls_back_without_coordination(self):
         deployment = SCFSDeployment.for_variant("SCFS-CoC-NS", seed=11)
         fs = deployment.create_agent("alice")
