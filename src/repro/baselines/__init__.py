@@ -12,7 +12,7 @@
   file-synchronisation service in the style of Dropbox (monitor + polling +
   central server), used as the comparator of the sharing experiment (Fig. 9).
 
-All baselines expose the same calling surface as
-:class:`~repro.core.filesystem.SCFSFileSystem`, so the benchmark workloads can
+The file-system baselines share SCFS's mount surface,
+:class:`~repro.core.filesystem.FileSystem`, so the benchmark workloads can
 drive any of them interchangeably.
 """

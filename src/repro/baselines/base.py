@@ -1,8 +1,9 @@
 """Common plumbing of the baseline file systems.
 
 Each baseline implements the handle-based calls (open/read/write/fsync/close)
-and inherits the whole-file helpers, so that the benchmark workloads can drive
-SCFS and the baselines through exactly the same code path.
+of :class:`~repro.core.filesystem.FileSystem` and inherits its whole-file
+helpers, so that the benchmark workloads can drive SCFS and the baselines
+through exactly the same code path.
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ from repro.common.errors import (
     InvalidHandleError,
     PermissionDeniedError,
 )
+from repro.core.agent import OpenFlags
+from repro.core.filesystem import FileSystem
 from repro.simenv.environment import Simulation
 from repro.simenv.latency import FUSE_OVERHEAD
 
@@ -32,7 +35,7 @@ class BaselineOpenFile:
     extra: dict = field(default_factory=dict)
 
 
-class BaselineFileSystem(abc.ABC):
+class BaselineFileSystem(FileSystem):
     """Skeleton of a FUSE-based file system used as a comparison point."""
 
     name = "baseline"
@@ -77,16 +80,13 @@ class BaselineFileSystem(abc.ABC):
     # --------------------------------------------------------------- handle API
 
     def open(self, path: str, mode: str = "r", shared: bool = False) -> int:
-        """Open ``path`` with a stdio-style mode string ('r', 'r+', 'w', 'a')."""
+        flags = self.open_flags(mode)
         self._syscall()
-        create = mode in ("w", "a")
-        truncate = mode == "w"
-        writable = mode != "r"
-        buffer = self._load(path, create=create, truncate=truncate)
-        return self._register(path, buffer, writable)
+        buffer = self._load(path, create=OpenFlags.CREATE in flags,
+                            truncate=OpenFlags.TRUNCATE in flags)
+        return self._register(path, buffer, writable=OpenFlags.WRITE in flags)
 
     def read(self, handle: int, size: int = -1, offset: int = 0) -> bytes:
-        """Read from the open file."""
         self._syscall()
         of = self._handle(handle)
         self._charge_read(of, size if size >= 0 else len(of.buffer))
@@ -94,7 +94,6 @@ class BaselineFileSystem(abc.ABC):
         return bytes(of.buffer[offset:end])
 
     def write(self, handle: int, data: bytes, offset: int | None = None) -> int:
-        """Write into the open file."""
         self._syscall()
         of = self._handle(handle)
         if not of.writable:
@@ -109,14 +108,12 @@ class BaselineFileSystem(abc.ABC):
         return len(data)
 
     def fsync(self, handle: int) -> None:
-        """Flush the open file to stable local storage."""
         self._syscall()
         of = self._handle(handle)
         if of.dirty:
             self._sync_local(of)
 
     def truncate(self, handle: int, length: int = 0) -> None:
-        """Truncate the open file."""
         self._syscall()
         of = self._handle(handle)
         if length <= len(of.buffer):
@@ -126,7 +123,6 @@ class BaselineFileSystem(abc.ABC):
         of.dirty = True
 
     def close(self, handle: int) -> None:
-        """Close the open file, persisting it per the baseline's semantics."""
         self._syscall()
         of = self._handles.pop(handle, None)
         if of is None:
@@ -142,29 +138,6 @@ class BaselineFileSystem(abc.ABC):
     def _charge_write(self, of: BaselineOpenFile, size: int) -> None:
         """Extra per-write latency (overridden to model known slow paths)."""
 
-    # --------------------------------------------------------------- whole-file
-
-    def write_file(self, path: str, data: bytes, shared: bool = False) -> None:
-        """Create/replace ``path`` with ``data``."""
-        handle = self.open(path, "w", shared=shared)
-        try:
-            if data:
-                self.write(handle, data)
-        finally:
-            self.close(handle)
-
-    def read_file(self, path: str) -> bytes:
-        """Return the whole contents of ``path``."""
-        handle = self.open(path, "r")
-        try:
-            return self.read(handle)
-        finally:
-            self.close(handle)
-
-    def copy(self, source: str, destination: str) -> None:
-        """Copy a file inside the file system."""
-        self.write_file(destination, self.read_file(source))
-
     # ------------------------------------------------------------------- paths
 
     def mkdir(self, path: str, shared: bool = False) -> None:
@@ -172,17 +145,12 @@ class BaselineFileSystem(abc.ABC):
         self._syscall()
 
     def exists(self, path: str) -> bool:
-        """True when ``path`` exists."""
         self._syscall()
         return self._exists(path)
 
     @abc.abstractmethod
     def _exists(self, path: str) -> bool:
         """Existence check of the concrete baseline."""
-
-    @abc.abstractmethod
-    def unlink(self, path: str) -> None:
-        """Remove a file."""
 
     def unmount(self) -> None:
         """Close any files left open."""

@@ -87,21 +87,11 @@ def _ensure_directory(target: BenchTarget, params: MicroBenchmarkParams,
     uses private sub-directories (``shared=False``).
     """
     directory = params.directory if name is None else f"{params.directory}/{name}"
-    mkdir = getattr(target.fs, "mkdir", None)
-    if mkdir is None:
-        return directory
     if name is not None and not target.fs.exists(params.directory):
-        _make_dir(target, params.directory, shared=True)
+        target.fs.mkdir(params.directory, shared=True)
     if not target.fs.exists(directory):
-        _make_dir(target, directory, shared=shared)
+        target.fs.mkdir(directory, shared=shared)
     return directory
-
-
-def _make_dir(target: BenchTarget, path: str, shared: bool) -> None:
-    try:
-        target.fs.mkdir(path, shared=shared)
-    except TypeError:  # baselines ignore the shared flag entirely
-        target.fs.mkdir(path)
 
 
 # ---------------------------------------------------------------------------

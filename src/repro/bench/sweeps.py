@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from repro.bench.filebench import MicroBenchmarkParams, copy_files, create_files
 from repro.bench.report import Table
 from repro.bench.targets import build_target
-from repro.core.config import CacheConfig
 
 
 @dataclass
@@ -55,10 +54,9 @@ def run_metadata_cache_sweep(expirations: tuple[float, ...] = DEFAULT_EXPIRATION
     params = params or MicroBenchmarkParams()
     result = SweepResult(parameter="metadata_cache_expiration", variant=variant)
     for expiration in expirations:
-        caches = CacheConfig(metadata_expiration=expiration)
-        create_target = build_target(variant, seed=seed, caches=caches)
+        create_target = build_target(variant, seed=seed, metadata_expiration=expiration)
         create_seconds = create_files(create_target, params)
-        copy_target = build_target(variant, seed=seed, caches=caches)
+        copy_target = build_target(variant, seed=seed, metadata_expiration=expiration)
         copy_seconds = copy_files(copy_target, params)
         result.points.append(SweepPoint(expiration, create_seconds, copy_seconds))
     return result

@@ -25,6 +25,7 @@ from repro.baselines.localfs import LocalFS
 from repro.bench.report import Table
 from repro.bench.targets import BenchTarget, build_target
 from repro.common.units import MB
+from repro.core.filesystem import FileSystem
 
 
 #: Default document size: the 1.2 MB used in §4.3 (a 2004-average office file
@@ -59,7 +60,7 @@ def _payload(size: int, seed: int) -> bytes:
 class _DocumentSession:
     """Executes the Figure 7 action script once against one target."""
 
-    def __init__(self, target: BenchTarget, lock_fs, document: str, file_size: int, seed: int):
+    def __init__(self, target: BenchTarget, lock_fs: FileSystem, document: str, file_size: int, seed: int):
         self.target = target
         self.fs = target.fs
         self.lock_fs = lock_fs
@@ -139,9 +140,8 @@ def run_sync_benchmark(target_name: str, file_size: int = DEFAULT_FILE_SIZE,
     target = build_target(target_name, seed=seed, **target_overrides)
     lock_fs = LocalFS(target.sim) if local_locks else target.fs
     document = "/documents/report.odt"
-    mkdir = getattr(target.fs, "mkdir", None)
-    if mkdir is not None and not target.fs.exists("/documents"):
-        mkdir("/documents")
+    if not target.fs.exists("/documents"):
+        target.fs.mkdir("/documents")
     target.fs.write_file(document, _payload(file_size, seed=seed))
     # Let background uploads finish and the objects become visible in the
     # (eventually consistent) clouds before the measured editing session starts.

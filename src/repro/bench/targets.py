@@ -16,6 +16,7 @@ from repro.baselines.s3ql import S3QLLike
 from repro.clouds.providers import make_provider
 from repro.common.types import Principal
 from repro.core.deployment import SCFSDeployment
+from repro.core.filesystem import FileSystem
 from repro.core.modes import VARIANTS
 from repro.simenv.environment import Simulation
 
@@ -38,7 +39,7 @@ class BenchTarget:
     """One system under test, ready to receive a workload."""
 
     name: str
-    fs: object
+    fs: FileSystem
     sim: Simulation
     deployment: SCFSDeployment | None = None
     user: str = "bench-user"
@@ -56,7 +57,7 @@ def build_target(name: str, seed: int = 0, **scfs_overrides) -> BenchTarget:
 
     ``name`` is one of :data:`ALL_TARGET_NAMES`.  ``scfs_overrides`` are extra
     :class:`~repro.core.config.SCFSConfig` fields applied to SCFS variants
-    (e.g. ``private_name_spaces=True`` or a custom ``caches`` config); they are
+    (e.g. ``private_name_spaces=True`` or ``metadata_expiration=0.0``); they are
     ignored for baselines.
     """
     sim = Simulation(seed=seed)

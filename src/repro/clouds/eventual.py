@@ -43,8 +43,8 @@ from repro.simenv.latency import NetworkProfile
 
 
 @dataclass(slots=True)
-class _StoredObject:
-    """Internal record of one object key in the store.
+class StoredObject:
+    """The record of one object key in the store.
 
     ``slots=True`` matters at scale: a primed 10^5-file pool holds ~10^6 of
     these records, and per-instance ``__dict__``s would double their footprint.
@@ -55,7 +55,7 @@ class _StoredObject:
     acl: ObjectACL
     created_at: float
     visible_at: float
-    previous: "_StoredObject | None" = None
+    previous: "StoredObject | None" = None
     #: Start of the not-yet-settled storage-accounting span.  Defaults to the
     #: creation clock — a ``0.0`` default would let byte-seconds accounting
     #: charge an object from simulation start instead of from its creation.
@@ -65,9 +65,9 @@ class _StoredObject:
         if self.stored_since is None:
             self.stored_since = self.created_at
 
-    def visible_version(self, now: float) -> "_StoredObject | None":
+    def visible_version(self, now: float) -> "StoredObject | None":
         """Return the newest version of this key already visible at ``now``."""
-        version: _StoredObject | None = self
+        version: StoredObject | None = self
         while version is not None and version.visible_at > now:
             version = version.previous
         return version
@@ -110,7 +110,7 @@ class EventuallyConsistentStore:
         self.profile = profile or NetworkProfile(name=name)
         self.costs = CostTracker(pricing or StoragePricing())
         self.failures = failures or FailureSchedule()
-        self._objects: dict[str, _StoredObject] = {}
+        self._objects: dict[str, StoredObject] = {}
         #: The keys of ``_objects``, sorted: a LIST walks only its prefix's
         #: range.  Kept by :meth:`install` / ``delete``.
         self._keys = SortedKeys()
@@ -167,7 +167,7 @@ class EventuallyConsistentStore:
                     return True
         return False
 
-    def _check_access(self, obj: _StoredObject, key: str, principal: Principal,
+    def _check_access(self, obj: StoredObject, key: str, principal: Principal,
                       permission: Permission) -> None:
         cid = principal.canonical_id(self.name)
         if obj.acl.allows(cid, permission) or self._policy_allows(key, cid, permission):
@@ -176,7 +176,7 @@ class EventuallyConsistentStore:
             f"{principal.name} ({cid}) lacks {permission} on {key!r} at {self.name}"
         )
 
-    def _settle_storage(self, obj: _StoredObject) -> None:
+    def _settle_storage(self, obj: StoredObject) -> None:
         """Charge storage cost for the time elapsed since the last settlement."""
         now = self.sim.now()
         elapsed = now - obj.stored_since
@@ -206,7 +206,7 @@ class EventuallyConsistentStore:
             stored_data = current.data if current is not None else b""
         if self.failures.is_active(FaultKind.CORRUPTION, now):
             stored_data = self._maybe_corrupt(stored_data)
-        obj = _StoredObject(
+        obj = StoredObject(
             key=key,
             data=stored_data,
             acl=acl,
@@ -288,20 +288,24 @@ class EventuallyConsistentStore:
         self._fail_if_unavailable()
         self._charge(self.profile.metadata_op)
         self.request_log.append(("set_policy", prefix, 0))
-        grants = self._bucket_policies.setdefault(prefix, {})
-        if permission is Permission.NONE:
-            grants.pop(grantee_canonical_id, None)
-        else:
-            grants[grantee_canonical_id] = permission
+        self.install_policy(prefix, grantee_canonical_id, permission)
 
     # --------------------------------------------------------------- helpers
 
-    def install(self, obj: _StoredObject) -> None:
+    def install(self, obj: StoredObject) -> None:
         """Make ``obj`` the current version of its key (``put`` after its
         checks and charges; pool priming directly)."""
         if obj.key not in self._objects:
             self._keys.add(obj.key)
         self._objects[obj.key] = obj
+
+    def install_policy(self, prefix: str, grantee: str, permission: Permission) -> None:
+        """Set ``grantee``'s grant on ``prefix`` (``set_bucket_policy`` after its checks)."""
+        grants = self._bucket_policies.setdefault(prefix, {})
+        if permission is Permission.NONE:
+            grants.pop(grantee, None)
+        else:
+            grants[grantee] = permission
 
     def raw_object(self, key: str) -> bytes | None:
         """Bytes stored under ``key`` exactly as the provider holds them.

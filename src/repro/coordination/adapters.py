@@ -56,16 +56,11 @@ import itertools
 from typing import Sequence
 
 from repro.common.types import Principal
-from repro.coordination.base import CoordinationService, Entry, Op, Session
+from repro.coordination.base import DEFAULT_LEASE, CoordinationService, Entry, Op, Session
 from repro.coordination.entries import Holder
 from repro.coordination.replication import Command, ReplicatedStateMachine
 from repro.simenv.environment import Simulation
 from repro.simenv.latency import LatencyModel
-
-#: Default lease of ephemeral state (locks, sessions).  Long enough for any
-#: single file-system operation, short enough that a crashed client releases
-#: its locks quickly.
-DEFAULT_LEASE = 30.0
 
 
 class DepSpaceCoordination(CoordinationService):

@@ -25,6 +25,11 @@ from repro.common.errors import LockHeldError, TupleNotFoundError
 from repro.common.types import Permission, Principal
 
 
+#: Default lease of ephemeral state (locks, sessions): long enough for any one
+#: file-system operation, short enough that a crashed client's locks lapse soon.
+DEFAULT_LEASE = 30.0
+
+
 @dataclass(frozen=True)
 class Entry:
     """A small, versioned entry stored in the coordination service."""
@@ -33,6 +38,8 @@ class Entry:
     value: bytes
     version: int
     owner: str
+    #: The entry's ACL as the replicas keep it (``entries.dump_acl`` JSON).
+    acl: str = field(default="", compare=False)
 
 
 @dataclass(frozen=True)
@@ -140,7 +147,7 @@ class CoordinationService(abc.ABC):
     # -- sessions -----------------------------------------------------------
 
     @abc.abstractmethod
-    def open_session(self, principal: Principal, lease_seconds: float = 30.0) -> Session:
+    def open_session(self, principal: Principal, lease_seconds: float = DEFAULT_LEASE) -> Session:
         """Open a session for ``principal``; ephemeral state binds to it."""
 
     @abc.abstractmethod

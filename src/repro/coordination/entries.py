@@ -107,7 +107,8 @@ def _allows(stored: Stored, user: str, permission: Permission) -> bool:
 
 
 def _entry(key: str, stored: Stored) -> Entry:
-    return Entry(key=key, value=stored.value, version=stored.version, owner=stored.owner)
+    return Entry(key=key, value=stored.value, version=stored.version, owner=stored.owner,
+                 acl=stored.acl)
 
 
 @functools.lru_cache(maxsize=1024)
@@ -153,7 +154,8 @@ class EntryCommands:
 
     # -- storage --------------------------------------------------------------
 
-    def _entry_write(self, key: str, stored: Stored) -> None:
+    def install(self, key: str, stored: Stored) -> None:
+        """Store ``stored`` under ``key`` (a command's write, after its checks)."""
         self._entries[key] = stored
         self._keys.add(key)
 
@@ -289,7 +291,7 @@ class EntryCommands:
             if stored is None:
                 self._entry_erase(key)
             else:
-                self._entry_write(key, stored)
+                self.install(key, stored)
         for name in takes:
             self._locks[name] = holder
         for name in drops:

@@ -34,7 +34,9 @@ from typing import Callable, Sequence
 from repro.common.errors import ConflictError, ReproError
 from repro.common.types import Principal
 from repro.coordination.adapters import DepSpaceCoordination
-from repro.coordination.base import CoordinationService, Entry, Lock, Move, Op, Session, Unlock
+from repro.coordination.base import (
+    DEFAULT_LEASE, CoordinationService, Entry, Lock, Move, Op, Session, Unlock)
+from repro.coordination.entries import load_acl
 from repro.coordination.replication import invoke_together
 
 
@@ -86,7 +88,7 @@ class PartitionedCoordination(CoordinationService):
     # A session is a client-side record: the one the caller holds goes to
     # every partition, so a lock carries the same holder id wherever it lives.
 
-    def open_session(self, principal: Principal, lease_seconds: float = 30.0) -> Session:
+    def open_session(self, principal: Principal, lease_seconds: float = DEFAULT_LEASE) -> Session:
         return self.services[0].open_session(principal, lease_seconds)
 
     def renew_session(self, session: Session) -> None:
@@ -112,12 +114,13 @@ class PartitionedCoordination(CoordinationService):
         # No atomicity across partitions: read the source (none raises, as on
         # one service), write the new entry, then drop the old one (a crash in
         # between leaves both; never neither).  The new entry belongs to the
-        # mover and starts with an empty ACL.
-        found = self.get(key, session).version
-        if expected_version is not None and found != expected_version:
-            raise ConflictError(
-                f"version mismatch on {key!r}: expected {expected_version}, found {found}")
-        moved = self.put(new_key, value, session, target_version)
+        # mover and carries the source's grants.
+        found = self.get(key, session)
+        if expected_version is not None and found.version != expected_version:
+            raise ConflictError(f"version mismatch on {key!r}: expected {expected_version}, "
+                                f"found {found.version}")
+        moved = self.put(new_key, value, session, target_version,
+                         grants=load_acl(found.acl).grants)
         self.delete(key, session)
         return moved
 

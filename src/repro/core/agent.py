@@ -53,7 +53,7 @@ from repro.common.errors import (
 from repro.common.types import Permission, Principal
 from repro.coordination.base import CoordinationService, Op
 from repro.core.backend import StorageBackend
-from repro.core.cache import MetadataCache, make_disk_cache, make_memory_cache
+from repro.core.cache import DISK_CACHE_BYTES, MEMORY_CACHE_BYTES, MetadataCache, make_disk_cache, make_memory_cache
 from repro.core.config import SCFSConfig
 from repro.core.gc import GarbageCollector
 from repro.core.lock_service import LockService
@@ -166,9 +166,9 @@ class SCFSAgent:
         self.users.register(principal)
 
         # -- local caches ------------------------------------------------------
-        self.memory_cache = make_memory_cache(config.caches.memory_bytes, sim)
-        self.disk_cache = make_disk_cache(config.caches.disk_bytes, sim)
-        self.metadata_cache = MetadataCache(sim, config.caches.metadata_expiration)
+        self.memory_cache = make_memory_cache(MEMORY_CACHE_BYTES, sim)
+        self.disk_cache = make_disk_cache(DISK_CACHE_BYTES, sim)
+        self.metadata_cache = MetadataCache(sim, config.metadata_expiration)
 
         # -- private name space ------------------------------------------------
         self.pns: PrivateNameSpace | None = None

@@ -178,7 +178,8 @@ class SingleCloudBackend(StorageBackend):
         return f"scfs/{file_id}/"
 
     @classmethod
-    def _key(cls, file_id: str, digest: str) -> str:
+    def object_key(cls, file_id: str, digest: str) -> str:
+        """Name of the object holding the version ``digest`` of ``file_id``."""
         return f"{cls._prefix(file_id)}{digest}"
 
     # -- StorageBackend --------------------------------------------------------
@@ -189,7 +190,7 @@ class SingleCloudBackend(StorageBackend):
         refs = []
         for file_id, data, _version in items:
             digest = content_digest(data)
-            self.store.put(self._key(file_id, digest), data, self.principal)
+            self.store.put(self.object_key(file_id, digest), data, self.principal)
             # The key is the digest, so all a reader can be told is when the
             # put landed: the instant its propagation runs from.
             refs.append(ObjectRef(key=file_id, digest=digest, size=len(data),
@@ -197,7 +198,7 @@ class SingleCloudBackend(StorageBackend):
         return refs
 
     def read_version(self, file_id: str, digest: str, locator: str = "") -> bytes:
-        data = self.store.get(self._key(file_id, digest), self.principal)
+        data = self.store.get(self.object_key(file_id, digest), self.principal)
         if content_digest(data) != digest:
             # The provider returned corrupted data for this version; surface it
             # as "not found" so the caller's retry loop can try again (and
@@ -208,7 +209,7 @@ class SingleCloudBackend(StorageBackend):
         return data
 
     def delete_version(self, file_id: str, digest: str, locator: str) -> bool:
-        self.store.delete(self._key(file_id, digest), self.principal)
+        self.store.delete(self.object_key(file_id, digest), self.principal)
         return True
 
     def list_versions(self, file_id: str) -> list[ObjectRef]:

@@ -26,8 +26,14 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Iterator
 
+from repro.common.units import GB, MB
 from repro.simenv.environment import Simulation
 from repro.simenv.latency import DISK_LATENCY, MEMORY_LATENCY, LatencyModel
+
+#: The agent's main-memory cache of open files ("hundreds of MBs", §2.5.1).
+MEMORY_CACHE_BYTES = 256 * MB
+#: The agent's long-term local-disk file cache ("GBs of space", §2.5.1).
+DISK_CACHE_BYTES = 16 * GB
 
 
 class LRUByteCache:

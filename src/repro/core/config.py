@@ -2,8 +2,9 @@
 
 Defaults follow the values used in the paper's evaluation (§4.1): 500 ms
 metadata cache expiration, no private name spaces (worst case, 100 % sharing),
-f = 1 for the CoC backend, memory cache of hundreds of MBs and a disk cache of
-GBs, and a garbage collector keeping the last versions of each file.
+f = 1 for the CoC backend and a garbage collector keeping the last versions of
+each file.  The memory and disk cache sizes no caller sets are constants of
+:mod:`repro.core.cache`.
 
 The ``dispatch`` block is :class:`~repro.clouds.dispatch.DispatchPolicyConfig`,
 defined next to the quorum engine that reads it and re-exported here.
@@ -15,29 +16,11 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from repro.common.errors import ConfigurationError
-from repro.common.units import GB, MB
+from repro.common.units import MB
 from repro.clouds.dispatch import DispatchPolicyConfig
 from repro.clouds.quorums import QuorumSystem, ThresholdQuorumSystem, WeightedQuorumSystem
+from repro.coordination.base import DEFAULT_LEASE
 from repro.core.modes import BackendKind, OperationMode
-
-
-@dataclass(frozen=True)
-class CacheConfig:
-    """Sizes and policies of the SCFS Agent's local caches (§2.5.1)."""
-
-    #: Main-memory LRU cache for open files ("hundreds of MBs").
-    memory_bytes: int = 256 * MB
-    #: Local-disk LRU file cache ("GBs of space", long-term).
-    disk_bytes: int = 16 * GB
-    #: Expiration of the short-lived metadata cache in seconds (paper: 500 ms).
-    metadata_expiration: float = 0.5
-
-    def validate(self) -> None:
-        """Raise :class:`ConfigurationError` on nonsensical sizes."""
-        if self.memory_bytes < 0 or self.disk_bytes < 0:
-            raise ConfigurationError("cache sizes must be non-negative")
-        if self.metadata_expiration < 0:
-            raise ConfigurationError("metadata cache expiration must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -158,7 +141,8 @@ class SCFSConfig:
     private_name_spaces: bool = False
     #: Encrypt file data before it leaves the client (always on for CoC in the paper).
     encrypt_data: bool = True
-    caches: CacheConfig = field(default_factory=CacheConfig)
+    #: Expiration of the short-lived metadata cache in seconds (§2.5.1: 500 ms).
+    metadata_expiration: float = 0.5
     gc: GarbageCollectionPolicy = field(default_factory=GarbageCollectionPolicy)
     #: Quorum dispatch policy (timeouts/retries/hedging) and cloud health
     #: tracking (suspect lists) of this agent's storage backend.
@@ -167,16 +151,20 @@ class SCFSConfig:
     #: quorums by default, weighted ones when weights are given.
     quorum: QuorumConfig = field(default_factory=QuorumConfig)
     #: Lease of coordination-service sessions/locks in seconds.
-    lock_lease: float = 30.0
+    lock_lease: float = DEFAULT_LEASE
 
     def validate(self) -> None:
         """Check cross-field consistency; raise :class:`ConfigurationError` otherwise."""
-        self.caches.validate()
         self.gc.validate()
         self.dispatch.validate()
         self.quorum.validate()
         if self.fault_tolerance < 0:
             raise ConfigurationError("fault tolerance must be non-negative")
+        if self.backend is BackendKind.AWS and self.fault_tolerance != 0:
+            # One store and one DepSpace VM: there is nothing to tolerate with.
+            raise ConfigurationError("the single-cloud backend tolerates no faults (f = 0)")
+        if self.metadata_expiration < 0:
+            raise ConfigurationError("metadata cache expiration must be non-negative")
         if self.quorum.weighted and self.backend is not BackendKind.COC:
             raise ConfigurationError(
                 "weighted quorum systems require the cloud-of-clouds "

@@ -81,15 +81,12 @@ class SCFSDeployment:
     def _build_coordination(self) -> CoordinationService | None:
         if not self.config.mode.uses_coordination:
             return None
-        if self.config.backend is BackendKind.AWS:
-            # One DepSpace instance in a single EC2 VM (no replication, f=0);
-            # the access latency is dominated by the WAN round trip (§4.2).
-            f, base = 0, 0.080
-        else:
-            # Replicated DepSpace across four computing clouds (f=1): the client
-            # waits for a Byzantine quorum, slightly above the single-VM latency.
-            f, base = self.config.fault_tolerance, 0.095
-        services = [DepSpaceCoordination(self.sim, f=f,
+        # SCFS-AWS runs one DepSpace instance in a single EC2 VM (its f is 0):
+        # the access latency is the WAN round trip (§4.2).  SCFS-CoC replicates
+        # DepSpace over 3f+1 computing clouds, and the client waits for a
+        # Byzantine quorum, slightly above the single-VM latency.
+        base = 0.080 if self.config.backend is BackendKind.AWS else 0.095
+        services = [DepSpaceCoordination(self.sim, f=self.config.fault_tolerance,
                                          latency=LatencyModel(base=base, jitter=0.2))
                     for _ in range(self.config.coordination_partitions)]
         if len(services) == 1:

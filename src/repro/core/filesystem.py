@@ -1,11 +1,11 @@
-"""POSIX-like façade over the SCFS Agent.
+"""POSIX-like façade over the SCFS Agent, and the mount surface it shares.
 
 The real SCFS mounts the agent behind FUSE-J; applications then use the
-ordinary file API.  This module provides the equivalent programmatic surface:
-an :class:`SCFSFileSystem` exposes handle-based calls (open/read/write/close/
-fsync) plus the usual path-based operations (mkdir, readdir, rename, unlink,
-stat, setfacl…), and convenience whole-file helpers used by the examples and
-benchmarks.
+ordinary file API.  :class:`FileSystem` is the surface SCFS and the baselines
+share: handle-based calls (open/read/write/fsync/close), mkdir/exists/unlink,
+and whole-file helpers built on them, so a workload drives any mount through
+one code path.  :class:`SCFSFileSystem` adds the agent's other path-based
+operations (readdir, rename, stat, setfacl…) and transactions.
 
 It also encodes Table 1 — the durability level reached by each kind of call
 depending on the configured backend.
@@ -13,8 +13,10 @@ depending on the configured backend.
 
 from __future__ import annotations
 
+import abc
 import enum
 from dataclasses import dataclass
+from typing import ClassVar
 
 from repro.common.types import Permission
 from repro.core.agent import OpenFlags, SCFSAgent
@@ -50,111 +52,62 @@ DURABILITY_TABLE: tuple[DurabilityRow, ...] = (
 )
 
 
-class SCFSFileSystem:
-    """The mounted file system as seen by one user's applications."""
+class FileSystem(abc.ABC):
+    """A mounted file system as a workload drives it: SCFS or a baseline."""
 
-    def __init__(self, agent: SCFSAgent):
-        self.agent = agent
+    #: The stdio-style open modes every mount accepts, as open(2) flags.
+    OPEN_MODES: ClassVar[dict[str, OpenFlags]] = {
+        "r": OpenFlags.READ,
+        "r+": OpenFlags.READ_WRITE,
+        "rw": OpenFlags.READ_WRITE,
+        "w": OpenFlags.READ_WRITE | OpenFlags.CREATE | OpenFlags.TRUNCATE,
+        "a": OpenFlags.READ_WRITE | OpenFlags.CREATE,
+    }
 
-    # -- identity ----------------------------------------------------------------
-
-    @property
-    def user(self) -> str:
-        """Name of the user this mount belongs to."""
-        return self.agent.principal.name
-
-    @property
-    def config(self):
-        """The agent's :class:`~repro.core.config.SCFSConfig`."""
-        return self.agent.config
-
-    @property
-    def sim(self):
-        """The shared simulation environment."""
-        return self.agent.sim
-
-    # -- handle-based calls (the FUSE surface) -------------------------------------
-
-    def open(self, path: str, mode: str = "r", shared: bool = False) -> int:
-        """Open ``path`` with a stdio-style mode string ('r', 'r+', 'w', 'a')."""
-        flags = {
-            "r": OpenFlags.READ,
-            "r+": OpenFlags.READ_WRITE,
-            "rw": OpenFlags.READ_WRITE,
-            "w": OpenFlags.READ_WRITE | OpenFlags.CREATE | OpenFlags.TRUNCATE,
-            "a": OpenFlags.READ_WRITE | OpenFlags.CREATE,
-        }.get(mode)
+    def open_flags(self, mode: str) -> OpenFlags:
+        """The flags of a stdio-style ``mode``; ``ValueError`` on an unknown one."""
+        flags = self.OPEN_MODES.get(mode)
         if flags is None:
             raise ValueError(f"unsupported open mode {mode!r}")
-        return self.agent.open(path, flags, shared=shared)
+        return flags
 
+    @abc.abstractmethod
+    def open(self, path: str, mode: str = "r", shared: bool = False) -> int:
+        """Open ``path`` with a mode of :attr:`OPEN_MODES`; returns a handle."""
+
+    @abc.abstractmethod
     def read(self, handle: int, size: int = -1, offset: int = 0) -> bytes:
-        """Read from an open file."""
-        return self.agent.read(handle, size, offset)
+        """Read from an open file (``size`` -1: to its end)."""
 
+    @abc.abstractmethod
     def write(self, handle: int, data: bytes, offset: int | None = None) -> int:
-        """Write to an open file (level 0 until fsync/close)."""
-        return self.agent.write(handle, data, offset)
+        """Write to an open file (``offset`` None: at its end)."""
 
+    @abc.abstractmethod
     def fsync(self, handle: int) -> None:
-        """Flush an open file to the local disk (level 1)."""
-        self.agent.fsync(handle)
+        """Flush an open file to the local disk."""
 
+    @abc.abstractmethod
     def truncate(self, handle: int, length: int = 0) -> None:
         """Truncate an open file."""
-        self.agent.truncate(handle, length)
 
+    @abc.abstractmethod
     def close(self, handle: int) -> None:
-        """Close an open file (consistency-on-close; level 2/3 in blocking mode)."""
-        self.agent.close(handle)
+        """Close an open file, persisting it per the system's semantics."""
 
-    # -- path-based calls -------------------------------------------------------------
-
+    @abc.abstractmethod
     def mkdir(self, path: str, shared: bool = False) -> None:
         """Create a directory."""
-        self.agent.mkdir(path, shared=shared)
 
-    def rmdir(self, path: str) -> None:
-        """Remove an empty directory."""
-        self.agent.rmdir(path)
-
-    def readdir(self, path: str) -> list[str]:
-        """List the entries of a directory."""
-        return self.agent.readdir(path)
-
-    def stat(self, path: str) -> FileMetadata:
-        """Metadata of a path."""
-        return self.agent.stat(path)
-
+    @abc.abstractmethod
     def exists(self, path: str) -> bool:
         """True when ``path`` exists."""
-        return self.agent.exists(path)
 
+    @abc.abstractmethod
     def unlink(self, path: str) -> None:
         """Remove a file."""
-        self.agent.unlink(path)
 
-    def rename(self, old_path: str, new_path: str) -> None:
-        """Rename a file or directory."""
-        self.agent.rename(old_path, new_path)
-
-    def symlink(self, target: str, link_path: str) -> None:
-        """Create a symbolic link."""
-        self.agent.symlink(target, link_path)
-
-    def readlink(self, path: str) -> str:
-        """Read the target of a symbolic link."""
-        return self.agent.readlink(path)
-
-    def setfacl(self, path: str, username: str, permission: Permission) -> None:
-        """Grant ``permission`` on ``path`` to another user."""
-        self.agent.setfacl(path, username, permission)
-
-    def getfacl(self, path: str) -> dict[str, Permission]:
-        """Return the grants of ``path``."""
-        return self.agent.getfacl(path)
-
-    # -- whole-file helpers -------------------------------------------------------------
+    # -- whole-file helpers ------------------------------------------------------------
 
     def write_file(self, path: str, data: bytes, shared: bool = False) -> None:
         """Create/replace ``path`` with ``data`` (open+write+close)."""
@@ -185,6 +138,96 @@ class SCFSFileSystem:
         """Copy a file within the file system (read whole + write whole)."""
         self.write_file(destination, self.read_file(source))
 
+
+class SCFSFileSystem(FileSystem):
+    """The mounted file system as seen by one user's applications."""
+
+    def __init__(self, agent: SCFSAgent):
+        self.agent = agent
+
+    # -- identity ----------------------------------------------------------------
+
+    @property
+    def user(self) -> str:
+        """Name of the user this mount belongs to."""
+        return self.agent.principal.name
+
+    @property
+    def config(self):
+        """The agent's :class:`~repro.core.config.SCFSConfig`."""
+        return self.agent.config
+
+    @property
+    def sim(self):
+        """The shared simulation environment."""
+        return self.agent.sim
+
+    # -- handle-based calls (the FUSE surface) -------------------------------------
+
+    def open(self, path: str, mode: str = "r", shared: bool = False) -> int:
+        return self.agent.open(path, self.open_flags(mode), shared=shared)
+
+    def read(self, handle: int, size: int = -1, offset: int = 0) -> bytes:
+        return self.agent.read(handle, size, offset)
+
+    def write(self, handle: int, data: bytes, offset: int | None = None) -> int:
+        """Write to an open file (level 0 until fsync/close)."""
+        return self.agent.write(handle, data, offset)
+
+    def fsync(self, handle: int) -> None:
+        """Flush an open file to the local disk (level 1)."""
+        self.agent.fsync(handle)
+
+    def truncate(self, handle: int, length: int = 0) -> None:
+        self.agent.truncate(handle, length)
+
+    def close(self, handle: int) -> None:
+        """Close an open file (consistency-on-close; level 2/3 in blocking mode)."""
+        self.agent.close(handle)
+
+    # -- path-based calls -------------------------------------------------------------
+
+    def mkdir(self, path: str, shared: bool = False) -> None:
+        self.agent.mkdir(path, shared=shared)
+
+    def rmdir(self, path: str) -> None:
+        """Remove an empty directory."""
+        self.agent.rmdir(path)
+
+    def readdir(self, path: str) -> list[str]:
+        """List the entries of a directory."""
+        return self.agent.readdir(path)
+
+    def stat(self, path: str) -> FileMetadata:
+        """Metadata of a path."""
+        return self.agent.stat(path)
+
+    def exists(self, path: str) -> bool:
+        return self.agent.exists(path)
+
+    def unlink(self, path: str) -> None:
+        self.agent.unlink(path)
+
+    def rename(self, old_path: str, new_path: str) -> None:
+        """Rename a file or directory."""
+        self.agent.rename(old_path, new_path)
+
+    def symlink(self, target: str, link_path: str) -> None:
+        """Create a symbolic link."""
+        self.agent.symlink(target, link_path)
+
+    def readlink(self, path: str) -> str:
+        """Read the target of a symbolic link."""
+        return self.agent.readlink(path)
+
+    def setfacl(self, path: str, username: str, permission: Permission) -> None:
+        """Grant ``permission`` on ``path`` to another user."""
+        self.agent.setfacl(path, username, permission)
+
+    def getfacl(self, path: str) -> dict[str, Permission]:
+        """Return the grants of ``path``."""
+        return self.agent.getfacl(path)
+
     # -- transactions ------------------------------------------------------------------
 
     def begin_transaction(self):
@@ -198,8 +241,6 @@ class SCFSFileSystem:
     def rename_tree(self, old_path: str, new_path: str) -> None:
         """Atomically rename a file or a whole directory tree."""
         self.agent.rename_tree(old_path, new_path)
-
-    # -- durability --------------------------------------------------------------------
 
     # -- lifecycle ----------------------------------------------------------------------
 

@@ -124,7 +124,7 @@ from repro.simenv.environment import Simulation
 _BLOCK_HEADER = struct.Struct(">BH")
 
 #: The part of a block key after the unit's prefix: version, plaintext digest,
-#: block index (see :meth:`DepSkyClient._block_key`).
+#: block index (see :meth:`DepSkyClient.block_key`).
 _BLOCK_NAME = re.compile(r"v(\d{8,})-([0-9a-f]{64})-b(\d+)")
 
 #: One cloud's answer to the head read: ``(cloud name, the head it serves)``.
@@ -134,6 +134,11 @@ Head = tuple[str, VersionRecord]
 def _unsent() -> None:
     """The ``send`` of a request that is only ever dry-run."""
     raise AssertionError("a request built for an estimate was sent")
+
+
+def frame_block(share: SecretShare, payload: bytes | memoryview) -> bytes:
+    """One stored block object: header ‖ key share ‖ coded payload."""
+    return b"".join((_BLOCK_HEADER.pack(share.x, len(share.data)), share.data, payload))
 
 
 def block_blob_digest(share: "SecretShare", payload: bytes) -> str:
@@ -308,11 +313,12 @@ class DepSkyClient:
     # ------------------------------------------------------------------ keys
 
     @staticmethod
-    def _meta_key(unit_id: str) -> str:
+    def head_key(unit_id: str) -> str:
+        """Name of the unit's head: its latest :class:`VersionRecord`, rewritten per version."""
         return f"depsky/{unit_id}/metadata"
 
     @staticmethod
-    def _block_key(unit_id: str, version: int, data_digest: str, index: int) -> str:
+    def block_key(unit_id: str, version: int, data_digest: str, index: int) -> str:
         """Name of block ``index`` of one version: written once, never rewritten."""
         return f"depsky/{unit_id}/v{version:08d}-{data_digest}-b{index}"
 
@@ -435,7 +441,7 @@ class DepSkyClient:
         identical heads with zero-cost statistics instead of re-dispatching
         the quorum.
         """
-        key = self._meta_key(unit_id)
+        key = self.head_key(unit_id)
         required = self.quorum.certificate()
         coalesce_key = None
         if self.coalescer is not None:
@@ -615,7 +621,7 @@ class DepSkyClient:
     def _head_put_call(self, unit_id: str, record: VersionRecord) -> QuorumCall:
         """A write's head-put call: the encoded ``record`` to every cloud."""
         head = record.to_bytes()
-        key = self._meta_key(unit_id)
+        key = self.head_key(unit_id)
         return self._call().stage([self._put_request(c, key, head) for c in self.clouds])
 
     @staticmethod
@@ -691,14 +697,13 @@ class DepSkyClient:
 
         def block_put(index: int) -> QuorumRequest:
             cloud = self.clouds[index]
-            key = self._block_key(unit_id, version, data_digest, index)
+            key = self.block_key(unit_id, version, data_digest, index)
             share = share_for(index)
-            prefix = _BLOCK_HEADER.pack(share.x, len(share.data)) + share.data
             row = buffer[index]
 
             def prepare():
                 if blob_cache[index] is None:
-                    blob_cache[index] = b"".join((prefix, row.data))
+                    blob_cache[index] = frame_block(share, row.data)
 
             def send():
                 cloud.put(key, blob_cache[index], self.principal)
@@ -714,7 +719,7 @@ class DepSkyClient:
     def _block_get_request(self, unit_id: str, record: VersionRecord, index: int) -> QuorumRequest:
         """Fetch-and-verify request for block ``index`` of one version."""
         cloud = self.clouds[index]
-        key = self._block_key(unit_id, record.version, record.data_digest, index)
+        key = self.block_key(unit_id, record.version, record.data_digest, index)
 
         def parse(blob: bytes) -> tuple[CodedBlock, SecretShare]:
             if len(blob) < _BLOCK_HEADER.size:
@@ -953,7 +958,7 @@ class DepSkyClient:
             cloud = self.clouds[index]
 
             def send():
-                cloud.delete(self._block_key(unit_id, version, data_digest, index),
+                cloud.delete(self.block_key(unit_id, version, data_digest, index),
                              self.principal)
                 return True
 

@@ -49,7 +49,7 @@ from repro.core.backend import SingleCloudBackend
 from repro.core.modes import BackendKind
 from repro.crypto.hashing import content_digest
 from repro.depsky.dataunit import VersionRecord
-from repro.depsky.protocol import _BLOCK_HEADER, DepSkyClient, preferred_order
+from repro.depsky.protocol import DepSkyClient, preferred_order
 from repro.scenarios.trace import TraceRecorder
 from repro.simenv.failures import FaultKind
 
@@ -265,10 +265,8 @@ def _verified_blocks(clouds, unit_id: str, record: VersionRecord) -> int:
     verified = 0
     for index, cloud in enumerate(preferred_order(clouds)):
         blob = cloud.raw_object(
-            DepSkyClient._block_key(unit_id, record.version, record.data_digest, index))
-        if blob is None or len(blob) < _BLOCK_HEADER.size:
-            continue
-        if index < len(record.block_digests) \
+            DepSkyClient.block_key(unit_id, record.version, record.data_digest, index))
+        if blob is not None and index < len(record.block_digests) \
                 and content_digest(blob) == record.block_digests[index]:
             verified += 1
     return verified
@@ -292,7 +290,7 @@ def check_durability(trace: TraceRecorder, deployment) -> list[Violation]:
     if config.backend is not BackendKind.COC:
         for fid, event in commits.items():
             digest = event.get("digest")
-            blob = clouds[0].raw_object(SingleCloudBackend._key(fid, digest))
+            blob = clouds[0].raw_object(SingleCloudBackend.object_key(fid, digest))
             if blob is None or content_digest(blob) != digest:
                 violations.append(Violation(
                     "durability",

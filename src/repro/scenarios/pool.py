@@ -10,12 +10,12 @@ the metadata entries the SCFS Agent would have anchored, and prefix grants to
 the pseudo-user ``"*"`` make every file world-readable and world-writable.
 
 Interning keeps the footprint flat: every pool file shares one plaintext
-payload, so (with encryption disabled — ``ScenarioSpec.config`` forces
-``encrypt_data=False`` for pooled specs) all files share the *same* coded
-block blobs, DepSky head, digests and ACL objects; only the per-file keys and
-the serialized file metadata (which embeds the file's path and unit id) are
-per-file, the latter produced by substring substitution on a shared template
-instead of re-serializing ~10^5 JSON documents.
+payload, so (with encryption disabled — a pooled spec's ``config`` has
+``encrypt_data=False``) all files share the *same* coded block blobs, DepSky
+head, digests and ACL objects; only the per-file keys and the serialized file
+metadata (which embeds the file's path and unit id) are per-file, the latter
+produced by substring substitution on a shared template instead of
+re-serializing ~10^5 JSON documents.
 
 The primed state is byte-for-byte what the regular write path produces, so
 reads, writes, appends and the invariant checkers treat pool files exactly
@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from repro.common.types import Permission
 from repro.clouds.access_control import ObjectACL
-from repro.clouds.eventual import EventuallyConsistentStore, _StoredObject
+from repro.clouds.eventual import EventuallyConsistentStore, StoredObject
 from repro.coordination.base import CoordinationService, EntryACL
 from repro.coordination.entries import EntryCommands, Stored, dump_acl
 from repro.coordination.partitioned import PartitionedCoordination
@@ -36,7 +36,7 @@ from repro.crypto.erasure import ErasureCoder
 from repro.crypto.hashing import content_digest
 from repro.crypto.secret_sharing import SecretShare
 from repro.depsky.dataunit import VersionRecord
-from repro.depsky.protocol import _BLOCK_HEADER, DepSkyClient, block_blob_digest, preferred_order
+from repro.depsky.protocol import DepSkyClient, block_blob_digest, frame_block, preferred_order
 
 #: Pseudo-user owning every pool file.  It is never registered and never runs
 #: an agent, so ``unlink`` (owner-only in the workload) skips pool files and
@@ -95,9 +95,7 @@ def prime_pool(deployment, spec, recorder=None) -> dict[str, int]:
     data_digest = content_digest(data)
     blocks = ErasureCoder(n=n, k=k).encode(data)
     shares = [SecretShare(x=i + 1, data=b"") for i in range(n)]
-    blobs = [
-        _BLOCK_HEADER.pack(shares[i].x, 0) + blocks[i].payload for i in range(n)
-    ]
+    blobs = [frame_block(shares[i], blocks[i].payload) for i in range(n)]
     block_digests = tuple(
         block_blob_digest(shares[i], blocks[i].payload) for i in range(n)
     )
@@ -127,7 +125,7 @@ def prime_pool(deployment, spec, recorder=None) -> dict[str, int]:
         # World grant on every current and future pool object — overwrites by
         # any agent (new versions, metadata updates) pass the access check via
         # the bucket policy, exactly as ``setfacl`` would have arranged.
-        cloud._bucket_policies.setdefault(POOL_PREFIX, {})["*"] = Permission.READ_WRITE
+        cloud.install_policy(POOL_PREFIX, "*", Permission.READ_WRITE)
 
     # ---- per-file state ----------------------------------------------------
     objects = 0
@@ -137,15 +135,15 @@ def prime_pool(deployment, spec, recorder=None) -> dict[str, int]:
         # The id places the file's lock with its entry, as the agent's do.
         uid = pool_file_id(index) + coordination.lock_home(entry_key)
         uid_bytes = uid.encode()
-        meta_key = DepSkyClient._meta_key(uid)
+        head_key = DepSkyClient.head_key(uid)
         for cloud in clouds:
-            cloud.install(_StoredObject(
-                key=meta_key, data=head, acl=cloud_acls[cloud.name],
+            cloud.install(StoredObject(
+                key=head_key, data=head, acl=cloud_acls[cloud.name],
                 created_at=now, visible_at=now))
         objects += n
         for block_index, cloud in enumerate(holders):
-            block_key = DepSkyClient._block_key(uid, 1, data_digest, block_index)
-            cloud.install(_StoredObject(
+            block_key = DepSkyClient.block_key(uid, 1, data_digest, block_index)
+            cloud.install(StoredObject(
                 key=block_key, data=blobs[block_index],
                 acl=cloud_acls[cloud.name], created_at=now, visible_at=now))
         objects += n - f
@@ -173,7 +171,7 @@ def prime_pool(deployment, spec, recorder=None) -> dict[str, int]:
     # sorted key index grows by appends.
     for key in sorted(entries):
         for replica in _replicas(coordination, key):
-            replica._entry_write(key, entries[key])
+            replica.install(key, entries[key])
 
     stats = {"files": len(spec.shared_files), "cloud_objects": objects,
              "coordination_entries": len(entries)}

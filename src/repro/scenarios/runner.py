@@ -191,14 +191,14 @@ class ScenarioRunner:
                 deployment.agent_for(name).agent.crash()
                 self._crashed[name] = now
                 recorder.record("agent_crash", agent=name, time=now,
-                                lease=self.spec.lock_lease)
+                                lease=self.spec.config.lock_lease)
             else:
                 # Restart = a fresh mount.  The remount happens only after the
                 # crashed session's lock leases ran out (a human restarting a
                 # machine takes longer than a lease), which is the takeover
                 # window the lease-aware mutual-exclusion checker models.
                 crashed_at = self._crashed.pop(name, now)
-                expiry = crashed_at + self.spec.lock_lease + 1.0
+                expiry = crashed_at + self.spec.config.lock_lease + 1.0
                 if deployment.sim.now() < expiry:
                     deployment.sim.advance(expiry - deployment.sim.now())
                 self._wire_agent(deployment, name, recorder)
@@ -395,7 +395,7 @@ class ScenarioRunner:
         spec = self.spec
         self._crashed = {}
         sim = Simulation(seed=spec.seed)
-        deployment = SCFSDeployment(spec.config(), sim=sim)
+        deployment = SCFSDeployment(spec.config, sim=sim)
         recorder = TraceRecorder()
         stats: dict[str, int] = {}
 
@@ -438,8 +438,8 @@ class ScenarioRunner:
             stats["txn_aborts"] = recorder.count("txn_abort")
         fingerprint = recorder.fingerprint()
         violations = check_all(recorder, deployment,
-                               staleness=spec.metadata_expiration,
-                               lock_lease=spec.lock_lease)
+                               staleness=spec.config.metadata_expiration,
+                               lock_lease=spec.config.lock_lease)
         return ScenarioResult(spec=spec, trace=recorder, fingerprint=fingerprint,
                               violations=violations, stats=stats)
 

@@ -24,12 +24,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from repro.core.config import (
-    CacheConfig,
     DispatchPolicyConfig,
     GarbageCollectionPolicy,
     QuorumConfig,
     SCFSConfig,
 )
+from repro.core.modes import VARIANTS
 from repro.simenv.environment import derive_rng
 from repro.simenv.failures import FaultKind
 
@@ -152,18 +152,13 @@ class ScenarioSpec:
 
     seed: int
     mix: str
-    variant: str
     agents: tuple[AgentSpec, ...]
+    #: What every agent mounts with: the variant, dispatch, quorums, lease,
+    #: partitions and the metadata-cache expiration the consistency-on-close
+    #: checker allows as staleness (see :func:`scenario_config`).
+    config: SCFSConfig
     faults: tuple[FaultPhase, ...] = ()
     shared_files: tuple[str, ...] = ()
-    #: Metadata-cache expiration of every agent; the consistency-on-close
-    #: checker allows exactly this much staleness (0.0 asserts the strict
-    #: anchor guarantee).
-    metadata_expiration: float = 0.5
-    #: Dispatch/health knobs (None = plain staged dispatch, no suspicion).
-    dispatch: DispatchPolicyConfig | None = None
-    #: Quorum-system selection (None = the paper's threshold quorums).
-    quorum: QuorumConfig | None = None
     #: How agents interleave: "lockstep" (the classic global-RNG round robin)
     #: or "event-driven" (each agent is a task on the simulation's event heap).
     scheduling: str = "lockstep"
@@ -172,12 +167,12 @@ class ScenarioSpec:
     #: world grants) before the workload starts — the only way a run can hold
     #: 10^5+ files without paying one full write per file up front.
     pooled: bool = False
-    #: Number of coordination-service partitions (§5 scalability extension).
-    partitions: int = 1
-    #: Lock-lease duration every agent mounts with.  The default keeps lease
-    #: expiry out of scope (see :meth:`config`); the crash-restart mix shrinks
-    #: it so a crashed agent's locks actually expire mid-scenario.
-    lock_lease: float = 3600.0
+
+    @property
+    def variant(self) -> str:
+        """The Table 2 variant of :attr:`config`'s mode and backend."""
+        return next(name for name, spec in VARIANTS.items()
+                    if (spec.mode, spec.backend) == (self.config.mode, self.config.backend))
 
     @property
     def total_ops(self) -> int:
@@ -195,46 +190,11 @@ class ScenarioSpec:
         if self.scheduling not in SCHEDULING_MODES:
             raise ValueError(f"unknown scheduling mode {self.scheduling!r}; "
                              f"known modes: {SCHEDULING_MODES}")
-        if self.partitions < 1:
-            raise ValueError("a scenario needs at least one coordination partition")
+        self.config.validate()
         for agent in self.agents:
             agent.mix.validate()
         for phase in self.faults:
             phase.validate()
-
-    def config(self) -> SCFSConfig:
-        """The :class:`SCFSConfig` every agent of this scenario mounts with.
-
-        A long lock lease (the spec default) keeps lease expiry out of scope
-        (DEGRADED windows stretch simulated time far beyond the 30 s default,
-        and lease-based lock stealing would make the mutual-exclusion
-        invariant vacuous); an aggressive GC threshold makes the collector
-        actually run mid-scenario.
-        """
-        overrides = {
-            "lock_lease": self.lock_lease,
-            "caches": CacheConfig(metadata_expiration=self.metadata_expiration),
-            # Pooled scenarios disable automatic collection: the collector's
-            # owned-paths scan is a full namespace listing, which would be the
-            # single super-linear operation of a 10^5-file run.
-            "gc": GarbageCollectionPolicy(enabled=False)
-            if self.pooled
-            else GarbageCollectionPolicy(written_bytes_threshold=256 * 1024,
-                                         versions_to_keep=3),
-            "coordination_partitions": self.partitions,
-        }
-        if self.dispatch is not None:
-            overrides["dispatch"] = self.dispatch
-        if self.quorum is not None:
-            overrides["quorum"] = self.quorum
-        config = SCFSConfig.for_variant(self.variant, **overrides)
-        if self.pooled:
-            # Primed files share one plaintext pool payload; disabling the
-            # per-version random key keeps their coded blocks byte-identical,
-            # so priming can store *one* shared blob per block index.
-            config = replace(config, encrypt_data=False)
-            config.validate()
-        return config
 
     def repro_command(self) -> str:
         """Shell command that reruns exactly this scenario (same trace bytes):
@@ -246,7 +206,8 @@ class ScenarioSpec:
             directories = len({path.split("/")[1] for path in self.shared_files})
             spec = (f"ScenarioSpec.generate_scale({self.seed}, agents={agents}, "
                     f"files={len(self.shared_files)}, ops_per_agent={ops}, "
-                    f"directories={directories}, partitions={self.partitions}, "
+                    f"directories={directories}, "
+                    f"partitions={self.config.coordination_partitions}, "
                     f"mix={self.mix!r})")
             return (
                 'PYTHONPATH=src python -c "'
@@ -293,9 +254,8 @@ class ScenarioSpec:
         # time (and make lease-expiry takeover unobservable).
         lease = 25.0 if mix == "txn-crash-restart" else 3600.0
         spec = cls(
-            seed=seed, mix=mix, variant=variant, agents=agent_specs,
-            faults=faults, shared_files=files, dispatch=dispatch, quorum=quorum,
-            lock_lease=lease,
+            seed=seed, mix=mix, agents=agent_specs, faults=faults, shared_files=files,
+            config=scenario_config(variant, lease, dispatch=dispatch, quorum=quorum),
         )
         spec.validate()
         return spec
@@ -329,13 +289,51 @@ class ScenarioSpec:
             f"/pool-{i % directories}/file-{i}.dat" for i in range(files)
         )
         faults, dispatch, quorum = _faults_for_mix(mix, rng)
+        # The hour-long lease outlives a scale run (hundreds of simulated
+        # seconds), so no lock lapses mid-run.
+        config = scenario_config("SCFS-CoC-NB", 3600.0, partitions=partitions,
+                                 pooled=True, dispatch=dispatch, quorum=quorum)
         spec = cls(
-            seed=seed, mix=mix, variant="SCFS-CoC-NB", agents=agent_specs,
-            faults=faults, shared_files=paths, dispatch=dispatch, quorum=quorum,
-            scheduling="event-driven", pooled=True, partitions=partitions,
+            seed=seed, mix=mix, agents=agent_specs, faults=faults, shared_files=paths,
+            config=config, scheduling="event-driven", pooled=True,
         )
         spec.validate()
         return spec
+
+
+def scenario_config(variant: str, lock_lease: float, partitions: int = 1,
+                    pooled: bool = False, dispatch: DispatchPolicyConfig | None = None,
+                    quorum: QuorumConfig | None = None) -> SCFSConfig:
+    """The :class:`SCFSConfig` every agent of a generated scenario mounts with.
+
+    A long lock lease keeps lease expiry out of scope (DEGRADED windows
+    stretch simulated time far beyond the 30 s default, and lease-based lock
+    stealing would make the mutual-exclusion invariant vacuous); the
+    crash-restart mix shrinks it so a crashed agent's locks expire mid-run.
+    An aggressive GC threshold makes the collector actually run mid-scenario.
+    ``dispatch`` and ``quorum`` left None keep the variant's defaults.
+    """
+    overrides = {
+        "lock_lease": lock_lease,
+        # Pooled scenarios disable automatic collection: the collector's
+        # owned-paths scan is a full namespace listing, which would be the
+        # single super-linear operation of a 10^5-file run.
+        "gc": GarbageCollectionPolicy(enabled=False)
+        if pooled
+        else GarbageCollectionPolicy(written_bytes_threshold=256 * 1024, versions_to_keep=3),
+        "coordination_partitions": partitions,
+    }
+    if dispatch is not None:
+        overrides["dispatch"] = dispatch
+    if quorum is not None:
+        overrides["quorum"] = quorum
+    config = SCFSConfig.for_variant(variant, **overrides)
+    if pooled:
+        # Primed files share one plaintext pool payload; disabling the
+        # per-version random key keeps their coded blocks byte-identical,
+        # so priming can store *one* shared blob per block index.
+        config = replace(config, encrypt_data=False)
+    return config
 
 
 def _two_clouds(rng, n: int = 4) -> tuple[int, int]:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.config import DispatchPolicyConfig
 from repro.scenarios import FAULT_MIXES, ScenarioSpec, run_scenario
 from repro.scenarios.runner import ScenarioRunner
 
@@ -112,16 +113,18 @@ def test_scale_spec_shape() -> None:
     spec = _scale_spec(agents=30, partitions=4)
     assert len(spec.agents) == 30
     assert spec.scheduling == "event-driven"
-    assert spec.pooled and spec.partitions == 4
-    # The fault-free mix leaves the dispatch policy at its default.
-    assert spec.dispatch is None
+    assert spec.pooled and spec.variant == "SCFS-CoC-NB"
     # Generated agent names extend past the fixed roster without collisions.
     names = [a.name for a in spec.agents]
     assert len(set(names)) == 30
-    config = spec.config()
+    config = spec.config
+    # The fault-free mix leaves the dispatch policy at its default.
+    assert config.dispatch == DispatchPolicyConfig()
     assert config.coordination_partitions == 4
     assert config.encrypt_data is False
     assert config.gc.enabled is False
+    # The hour-long lease outlives the run: no lock lapses mid-run.
+    assert config.lock_lease == 3600.0
 
 
 def test_event_driven_mode_differs_from_lockstep_but_both_hold() -> None:

@@ -54,6 +54,12 @@ class TestBaselineCommonBehaviour:
             baseline.write(handle, b"no")
         baseline.close(handle)
 
+    def test_unknown_open_mode_rejected(self, baseline):
+        # The mode table SCFS accepts, nothing more: "x" was read as writable.
+        with pytest.raises(ValueError, match="unsupported open mode"):
+            baseline.open("/f.txt", "x")
+        assert not baseline.exists("/f.txt")
+
     def test_unknown_handle_rejected(self, baseline):
         with pytest.raises(InvalidHandleError):
             baseline.read(1234)

@@ -4,7 +4,7 @@ Every value an operator can set on an agent is a field of
 :class:`~repro.core.config.SCFSConfig` or of a config dataclass nested in it.
 The dotted names below are that surface: a knob added or removed shows up as a
 reviewed edit of :data:`SURFACE`, the way ``BUDGETS`` pins the coordination
-round trips.
+round trips.  A scenario spec carries its agents' config and mirrors none of it.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import dataclasses
 from pathlib import Path
 
 from repro.core.config import SCFSConfig
+from repro.scenarios.spec import ScenarioSpec
 
 SURFACE = (
     "mode",
@@ -22,9 +23,7 @@ SURFACE = (
     "coordination_partitions",
     "private_name_spaces",
     "encrypt_data",
-    "caches.memory_bytes",
-    "caches.disk_bytes",
-    "caches.metadata_expiration",
+    "metadata_expiration",
     "gc.written_bytes_threshold",
     "gc.versions_to_keep",
     "gc.keep_interval_seconds",
@@ -56,7 +55,18 @@ def _settable(config, prefix: str = "") -> list[str]:
 
 def test_the_settable_config_surface_is_the_pinned_one():
     assert tuple(_settable(SCFSConfig())) == SURFACE
-    assert len(SURFACE) == 23
+    assert len(SURFACE) == 21
+
+
+def test_no_scenario_field_repeats_a_config_setting():
+    # A scenario carries the config its agents mount: a second copy of a
+    # setting would have to be mapped back, and could drift from it.
+    settings = {name.rpartition(".")[2] for name in SURFACE}
+    settings |= {field.name for field in dataclasses.fields(SCFSConfig)}
+    fields = {field.name: str(field.type) for field in dataclasses.fields(ScenarioSpec)}
+    assert not settings & set(fields), sorted(settings & set(fields))
+    assert [name for name, kind in fields.items() if "Config" in kind] == ["config"]
+    assert len(fields) == 8
 
 
 #: The knobs of the dispatch policy that only ``DispatchPolicyConfig`` may declare.

@@ -50,7 +50,7 @@ class TestReplica:
     def test_apply_accepts_exactly_its_commands(self, replica):
         assert replica.COMMANDS == {"entry_multi", "entry_list", "close_session"}
         for operation in ("entry_put", "entry_get", "entry_count", "lock_holder", "apply",
-                          "_expire", "_entry_write", "_entries", "not_an_op"):
+                          "_expire", "install", "_entries", "not_an_op"):
             with pytest.raises(ConflictError, match=type(replica).__name__):
                 replica.apply((operation, (0.0,), {}))
 

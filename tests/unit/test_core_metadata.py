@@ -5,7 +5,7 @@ import pytest
 from repro.common.errors import ConfigurationError, FileSystemError
 from repro.common.types import Permission
 from repro.core.cache import LRUByteCache, MetadataCache, make_disk_cache, make_memory_cache
-from repro.core.config import CacheConfig, GarbageCollectionPolicy, SCFSConfig
+from repro.core.config import GarbageCollectionPolicy, SCFSConfig
 from repro.core.metadata import (
     FileMetadata,
     FileType,
@@ -249,7 +249,13 @@ class TestConfig:
 
     def test_bad_cache_config_rejected(self):
         with pytest.raises(ConfigurationError):
-            SCFSConfig(caches=CacheConfig(memory_bytes=-1)).validate()
+            SCFSConfig(metadata_expiration=-1.0).validate()
+
+    def test_the_single_cloud_backend_tolerates_no_faults(self):
+        # One store and one DepSpace VM: an f the deployment would ignore is refused.
+        with pytest.raises(ConfigurationError, match="f = 0"):
+            SCFSConfig(backend=BackendKind.AWS, fault_tolerance=1).validate()
+        SCFSConfig(backend=BackendKind.AWS, fault_tolerance=0).validate()
 
     def test_bad_gc_policy_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -287,7 +287,7 @@ class TestDepSkyClient:
         clouds[0].failures.add(FaultKind.UNAVAILABLE)
         record = client.write("unit", b"z" * 1000)
         puts = [key for kind, key, _ in clouds[-1].request_log if kind == "put"]
-        assert client._block_key("unit", record.version, record.data_digest,
+        assert client.block_key("unit", record.version, record.data_digest,
                                  client.n - 1) in puts
 
     def test_preferred_quorum_skips_last_cloud(self, sim, alice):
@@ -353,7 +353,7 @@ class TestDepSkyClient:
         record = client.write("unit", b"genuine")
         clouds[0].put(f"depsky/unit/v00000009-{'e' * 64}-b0", b"invented", alice)
         sim.advance(3.0)
-        clouds[1].delete(client._block_key("unit", 1, record.data_digest, 1), alice)
+        clouds[1].delete(client.block_key("unit", 1, record.data_digest, 1), alice)
         assert [(v.version, v.data_digest) for v in client.list_versions("unit")] == [
             (1, record.data_digest)]
 
@@ -496,7 +496,7 @@ class TestWriteNumbered:
         client = DepSkyClient(sim, clouds, alice, f=1)
         usurped = hashlib.sha256(b"usurped").hexdigest()
         for index, cloud in enumerate(client.clouds):
-            cloud.put(client._block_key("theirs", 1, usurped, index), b"bob's", bob)
+            cloud.put(client.block_key("theirs", 1, usurped, index), b"bob's", bob)
         sim.advance(3.0)
         with pytest.raises(QuorumNotReachedError, match="data blocks of 'theirs'"):
             client.write_numbered([("mine-a", b"a" * 500, 1), ("theirs", b"usurped", 1),

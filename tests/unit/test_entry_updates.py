@@ -15,7 +15,6 @@ from __future__ import annotations
 import pytest
 
 from repro.common.types import Permission
-from repro.core.config import CacheConfig
 from repro.core.deployment import SCFSDeployment
 from repro.scenarios.trace import TraceRecorder
 
@@ -103,7 +102,7 @@ def test_a_close_after_a_rename_leaves_no_ghost_under_the_old_path(variant):
 @pytest.mark.parametrize("variant", MODES)
 def test_a_setfacl_from_a_cached_snapshot_keeps_the_anchored_version(variant):
     # A blocking close outlasts the 0.5 s a stat is cached by default.
-    share = Share(variant, caches=CacheConfig(metadata_expiration=5.0))
+    share = Share(variant, metadata_expiration=5.0)
     handle = share.bob_writes()
     share.alice.stat(share.path)  # alice's snapshot: v1, cached
     share.bob.close(handle)

@@ -170,6 +170,24 @@ class TestPartitionedDeployment:
         assert bob.read_file("/projects/doc.txt") == b"partitioned metadata"
         assert len(deployment.coordination.services) == 3
 
+    @pytest.mark.parametrize("target", ["/d0", "/d1"], ids=["same-partition", "cross-partition"])
+    def test_a_rename_keeps_the_grantee_access(self, target):
+        deployment = SCFSDeployment.for_variant("SCFS-CoC-B", seed=3, coordination_partitions=4)
+        alice, bob = deployment.create_agent("alice"), deployment.create_agent("bob")
+        for directory in {"/d0", target}:
+            alice.mkdir(directory, shared=True)
+            alice.setfacl(directory, "bob", Permission.READ_WRITE)
+        alice.write_file("/d0/f", b"shared", shared=True)
+        alice.setfacl("/d0/f", "bob", Permission.READ_WRITE)
+        partition_of = deployment.coordination.partition_of
+        assert (partition_of("meta:/d0/f") != partition_of(f"meta:{target}/g")) \
+            == (target == "/d1")
+        alice.rename("/d0/f", f"{target}/g")
+        deployment.drain(2.0)
+        assert bob.read_file(f"{target}/g") == b"shared"
+        bob.write_file(f"{target}/g", b"bob's", shared=True)
+        assert alice.read_file(f"{target}/g") == b"bob's"
+
     def test_partitions_multiply_capacity(self):
         deployment = SCFSDeployment.for_variant("SCFS-AWS-NB", seed=62,
                                                 coordination_partitions=4)

@@ -415,7 +415,7 @@ class TestDegradedBlockHolderEndToEnd:
         meta = reader.stat("/shared.bin")
         record = VersionRecord.from_locator(meta.locator, meta.digest)
         spill = reader.agent.backend.client.clouds[-1]
-        return spill.raw_object(DepSkyClient._block_key(
+        return spill.raw_object(DepSkyClient.block_key(
             meta.file_id, record.version, record.data_digest, 3)) is not None
 
     def test_hedges_spills_over_decodes_and_recovers(self):
@@ -586,10 +586,10 @@ class TestSuspicionStats:
 
 class TestStorageAccountingSinceCreation:
     def test_stored_since_initialized_from_creation_clock(self):
-        from repro.clouds.eventual import _StoredObject
+        from repro.clouds.eventual import StoredObject
         from repro.clouds.access_control import ObjectACL
 
-        obj = _StoredObject(key="k", data=b"x", acl=ObjectACL(owner="o"),
+        obj = StoredObject(key="k", data=b"x", acl=ObjectACL(owner="o"),
                             created_at=100.0, visible_at=100.0)
         assert obj.stored_since == pytest.approx(100.0)
 

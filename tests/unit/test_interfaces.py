@@ -232,3 +232,36 @@ def test_every_package_reexport_is_imported_through_the_package():
                                 for alias in node.names)
     unused = sorted(f"{package}.{name}" for package, name in reexported - imported)
     assert not unused, "re-exports nothing imports through their package:\n" + "\n".join(unused)
+
+
+#: The harness packages: they drive the system through its public surface.
+HARNESS = ("scenarios", "bench")
+
+
+def _foreign_private_names(path: Path, tree: ast.AST, package: str) -> list[str]:
+    """``_``-prefixed names ``tree`` imports from outside ``package``, or reads as an
+    attribute of anything but ``self``/``cls`` or its own package's modules."""
+    own = {alias.asname or alias.name for node in ast.walk(tree)
+           if isinstance(node, ast.ImportFrom) and (node.module or "").startswith(package)
+           for alias in node.names}
+    own |= {node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and not (node.module or "").startswith(package):
+            found += [f"{path.name}:{node.lineno} imports {alias.name}" for alias in node.names
+                      if alias.name.startswith("_")]
+        elif (isinstance(node, ast.Attribute) and node.attr.startswith("_")
+              and not node.attr.startswith("__")
+              and not (isinstance(node.value, ast.Name) and node.value.id in {"self", "cls", *own})):
+            found.append(f"{path.name}:{node.lineno} reads .{node.attr}")
+    return found
+
+
+def test_the_harness_uses_public_names_only():
+    # A checker or a primer that reaches into a private name breaks silently
+    # when the system renames it; the layout it needs is public.
+    found = [name for package in HARNESS
+             for path, tree in _trees("src").items()
+             if path.is_relative_to(ROOT / "src" / "repro" / package)
+             for name in _foreign_private_names(path, tree, f"repro.{package}")]
+    assert not found, "private names the harness reaches:\n" + "\n".join(found)

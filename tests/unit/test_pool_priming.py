@@ -22,7 +22,7 @@ def _spec(files=6, directories=2, partitions=2):
 
 
 def _primed_deployment(spec):
-    deployment = SCFSDeployment(spec.config(), sim=Simulation(seed=spec.seed))
+    deployment = SCFSDeployment(spec.config, sim=Simulation(seed=spec.seed))
     stats = prime_pool(deployment, spec)
     return deployment, stats
 
@@ -83,7 +83,7 @@ class TestPrimePool:
         spec = _spec()
         from dataclasses import replace
 
-        config = replace(spec.config(), encrypt_data=True)
+        config = replace(spec.config, encrypt_data=True)
         deployment = SCFSDeployment(config, sim=Simulation(seed=1))
         with pytest.raises(ValueError, match="encrypt_data"):
             prime_pool(deployment, spec)
@@ -93,7 +93,7 @@ class TestPrimePool:
         spec = _spec()
         from dataclasses import replace
 
-        config = replace(spec.config(), coordination_partitions=partitions)
+        config = replace(spec.config, coordination_partitions=partitions)
         deployment = SCFSDeployment(config, sim=Simulation(seed=1))
         stats = prime_pool(deployment, spec)
         coordination = deployment.coordination

@@ -104,7 +104,7 @@ def test_mounting_a_saved_pns_is_the_same(cloud_meter):
 def test_cold_read_of_a_pool_primed_file_is_the_same(cloud_meter):
     spec = ScenarioSpec.generate_scale(seed=9, agents=2, files=6, ops_per_agent=1,
                                        directories=2, partitions=2)
-    deployment = SCFSDeployment(spec.config(), sim=Simulation(seed=spec.seed))
+    deployment = SCFSDeployment(spec.config, sim=Simulation(seed=spec.seed))
     prime_pool(deployment, spec)
     fs = deployment.create_agent("carol")
     deployment.sim.advance(5.0)
