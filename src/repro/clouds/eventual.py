@@ -13,7 +13,8 @@ stores circa the paper's evaluation:
 * **Latency charging** — every request advances the shared simulated clock by
   the provider's latency model (base + payload/bandwidth), unless the caller
   is background work, as a DepSky quorum call's requests are.
-* **ACL enforcement** — per-object grants keyed by canonical identifiers.
+* **ACL enforcement** — an object is its creator's, keyed by canonical
+  identifier; anyone else needs a bucket policy on a prefix of its key.
 * **Fault injection** — unavailability, corruption, Byzantine responses,
   dropped writes and latency degradation (a DEGRADED window multiplies every
   request's latency, modelling a gray-failing straggler), driven by a
@@ -32,8 +33,7 @@ from repro.common.errors import (
     ObjectNotFoundError,
 )
 from repro.common.sortedkeys import SortedKeys
-from repro.common.types import Permission, Principal
-from repro.clouds.access_control import ObjectACL
+from repro.common.types import ACL, Permission, Principal
 from repro.clouds.accounting import CostTracker
 from repro.clouds.object_store import ObjectListing, ObjectVersion
 from repro.clouds.pricing import StoragePricing
@@ -52,7 +52,8 @@ class StoredObject:
 
     key: str
     data: bytes
-    acl: ObjectACL
+    #: Canonical id of the principal that created the key; overwrites keep it.
+    owner: str
     created_at: float
     visible_at: float
     previous: "StoredObject | None" = None
@@ -79,9 +80,9 @@ class EventuallyConsistentStore:
     The only contract SCFS needs from a storage cloud (§2.1,
     service-agnosticism): on-demand object put/get/delete/list plus
     prefix-level grants.  Every request takes the acting :class:`Principal`
-    and is checked against the object's ACL under that principal's canonical
-    identifier at this provider: SCFS relies on the clouds' own access
-    control, not on the agent (§2.6).
+    and is checked, under that principal's canonical identifier at this
+    provider, against the object's owner and the bucket policies on its key:
+    SCFS relies on the clouds' own access control, not on the agent (§2.6).
 
     Parameters
     ----------
@@ -114,10 +115,10 @@ class EventuallyConsistentStore:
         #: The keys of ``_objects``, sorted: a LIST walks only its prefix's
         #: range.  Kept by :meth:`install` / ``delete``.
         self._keys = SortedKeys()
-        # Bucket policies: prefix -> {canonical_id: Permission}.  They model the
+        # Bucket policies: prefix -> an ACL with no owner.  They model the
         # prefix-level grants commercial clouds offer; SCFS's setfacl uses them
         # so that *future* versions of a shared file inherit the grant.
-        self._bucket_policies: dict[str, dict[str, Permission]] = {}
+        self._bucket_policies: dict[str, ACL] = {}
         self.request_log: list[tuple[str, str, int]] = []
 
     # ------------------------------------------------------------------ util
@@ -159,22 +160,17 @@ class EventuallyConsistentStore:
             return bytes(corrupted)
         return data
 
-    def _policy_allows(self, key: str, canonical_id: str, permission: Permission) -> bool:
-        for prefix, grants in self._bucket_policies.items():
-            if key.startswith(prefix):
-                granted = grants.get(canonical_id, Permission.NONE) | grants.get("*", Permission.NONE)
-                if (granted & permission) == permission:
-                    return True
-        return False
+    def _allows(self, obj: StoredObject, canonical_id: str, permission: Permission) -> bool:
+        """The object's owner, or a bucket policy on a prefix of its key that grants ``permission``."""
+        return canonical_id == obj.owner or any(
+            obj.key.startswith(prefix) and policy.allows(canonical_id, permission)
+            for prefix, policy in self._bucket_policies.items())
 
-    def _check_access(self, obj: StoredObject, key: str, principal: Principal,
-                      permission: Permission) -> None:
+    def _check_access(self, obj: StoredObject, principal: Principal, permission: Permission) -> None:
         cid = principal.canonical_id(self.name)
-        if obj.acl.allows(cid, permission) or self._policy_allows(key, cid, permission):
-            return
-        raise AccessDeniedError(
-            f"{principal.name} ({cid}) lacks {permission} on {key!r} at {self.name}"
-        )
+        if not self._allows(obj, cid, permission):
+            raise AccessDeniedError(
+                f"{principal.name} ({cid}) lacks {permission} on {obj.key!r} at {self.name}")
 
     def _settle_storage(self, obj: StoredObject) -> None:
         """Charge storage cost for the time elapsed since the last settlement."""
@@ -194,11 +190,11 @@ class EventuallyConsistentStore:
         now = self.sim.now()
         current = self._objects.get(key)
         if current is not None:
-            self._check_access(current, key, principal, Permission.WRITE)
+            self._check_access(current, principal, Permission.WRITE)
             self._settle_storage(current)
-            acl = current.acl
+            owner = current.owner
         else:
-            acl = ObjectACL(owner=principal.canonical_id(self.name))
+            owner = principal.canonical_id(self.name)
         stored_data = data
         if self.failures.is_active(FaultKind.DROP_WRITES, now):
             # The provider acknowledges but silently loses the payload: keep
@@ -209,7 +205,7 @@ class EventuallyConsistentStore:
         obj = StoredObject(
             key=key,
             data=stored_data,
-            acl=acl,
+            owner=owner,
             created_at=now,
             visible_at=now + self.profile.propagation_delay,
             previous=current,
@@ -228,7 +224,7 @@ class EventuallyConsistentStore:
         self.costs.record_get(len(payload))
         if visible is None:
             raise ObjectNotFoundError(f"{self.name}: no visible object under key {key!r}")
-        self._check_access(visible, key, principal, Permission.READ)
+        self._check_access(visible, principal, Permission.READ)
         return self._maybe_corrupt(visible.data)
 
     def delete(self, key: str, principal: Principal) -> None:
@@ -239,7 +235,7 @@ class EventuallyConsistentStore:
         obj = self._objects.get(key)
         if obj is None:
             return
-        self._check_access(obj, key, principal, Permission.WRITE)
+        self._check_access(obj, principal, Permission.WRITE)
         self._settle_storage(obj)
         del self._objects[key]
         self._keys.discard(key)
@@ -254,10 +250,7 @@ class EventuallyConsistentStore:
         listing = ObjectListing()
         for key in self._keys.prefixed(prefix):
             visible = self._objects[key].visible_version(now)
-            if visible is None:
-                continue
-            if not (visible.acl.allows(cid, Permission.READ)
-                    or self._policy_allows(key, cid, Permission.READ)):
+            if visible is None or not self._allows(visible, cid, Permission.READ):
                 continue
             listing.entries.append(ObjectVersion(
                 key=key, size=len(visible.data), created_at=visible.created_at))
@@ -269,12 +262,8 @@ class EventuallyConsistentStore:
         self.request_log.append(("exists", key, 0))
         obj = self._objects.get(key)
         visible = obj.visible_version(self.sim.now()) if obj is not None else None
-        if visible is None:
-            return False
-        cid = principal.canonical_id(self.name)
-        return visible.acl.allows(cid, Permission.READ) or self._policy_allows(
-            key, cid, Permission.READ
-        )
+        return visible is not None and self._allows(
+            visible, principal.canonical_id(self.name), Permission.READ)
 
     def set_bucket_policy(self, prefix: str, grantee_canonical_id: str,
                           permission: Permission, principal: Principal) -> None:
@@ -301,11 +290,8 @@ class EventuallyConsistentStore:
 
     def install_policy(self, prefix: str, grantee: str, permission: Permission) -> None:
         """Set ``grantee``'s grant on ``prefix`` (``set_bucket_policy`` after its checks)."""
-        grants = self._bucket_policies.setdefault(prefix, {})
-        if permission is Permission.NONE:
-            grants.pop(grantee, None)
-        else:
-            grants[grantee] = permission
+        policy = self._bucket_policies.get(prefix, ACL())
+        self._bucket_policies[prefix] = policy.with_grant(grantee, permission)
 
     def raw_object(self, key: str) -> bytes | None:
         """Bytes stored under ``key`` exactly as the provider holds them.

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from typing import Mapping
 
 
 class Permission(enum.Flag):
@@ -17,6 +18,37 @@ class Permission(enum.Flag):
     READ = enum.auto()
     WRITE = enum.auto()
     READ_WRITE = READ | WRITE
+
+
+@dataclass(frozen=True)
+class ACL:
+    """Who may do what with one cloud object, coordination entry or file: the one access rule.
+
+    ``owner`` has every permission; anyone else holds what ``grants`` gives
+    them or the pseudo-user ``"*"`` (any authenticated user, as in the
+    world-shared file pools and the per-user registry entries, §2.6).  A
+    bucket policy is an ACL with no owner.  The value never changes —
+    :meth:`with_grant` returns a new one — so one ACL may back many entries.
+    """
+
+    owner: str | None = None
+    grants: Mapping[str, Permission] = field(default_factory=dict)
+
+    def allows(self, who: str, permission: Permission) -> bool:
+        """True if ``who`` holds ``permission``."""
+        if who == self.owner:
+            return True
+        granted = self.grants.get(who, Permission.NONE) | self.grants.get("*", Permission.NONE)
+        return (granted & permission) == permission
+
+    def with_grant(self, who: str, permission: Permission) -> "ACL":
+        """This ACL with ``who``'s grant set to ``permission`` (``Permission.NONE`` revokes)."""
+        grants = dict(self.grants)
+        if permission is Permission.NONE:
+            grants.pop(who, None)
+        else:
+            grants[who] = permission
+        return ACL(self.owner, grants)
 
 
 @dataclass(frozen=True)

@@ -18,11 +18,11 @@ principle.
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Mapping, NamedTuple, Sequence, Union
 
 from repro.common.errors import LockHeldError, TupleNotFoundError
-from repro.common.types import Permission, Principal
+from repro.common.types import ACL, Permission, Principal
 
 
 #: Default lease of ephemeral state (locks, sessions): long enough for any one
@@ -37,9 +37,8 @@ class Entry:
     key: str
     value: bytes
     version: int
-    owner: str
-    #: The entry's ACL as the replicas keep it (``entries.dump_acl`` JSON).
-    acl: str = field(default="", compare=False)
+    #: Who may read and change the entry; its owner is the principal that created it.
+    acl: ACL
 
 
 @dataclass(frozen=True)
@@ -54,26 +53,6 @@ class Session:
     session_id: str
     principal: Principal
     lease_seconds: float
-
-
-@dataclass
-class EntryACL:
-    """Access-control list of one coordination-service entry."""
-
-    owner: str
-    grants: dict[str, Permission] = field(default_factory=dict)
-
-    def allows(self, user: str, permission: Permission) -> bool:
-        """True if ``user`` may perform ``permission`` on the entry.
-
-        The pseudo-user ``"*"`` stands for "any authenticated user"; it is used
-        for entries that must be world-readable inside the file system, such as
-        the per-user canonical-identifier tuples (§2.6).
-        """
-        if user == self.owner:
-            return True
-        granted = self.grants.get(user, Permission.NONE) | self.grants.get("*", Permission.NONE)
-        return (granted & permission) == permission
 
 
 class Lock(NamedTuple):
@@ -176,7 +155,9 @@ class CoordinationService(abc.ABC):
 
         An entry this put creates starts with ``grants`` on its ACL (as
         :meth:`set_entry_acl` would set them, in the same command); an update
-        keeps the ACL the entry has.
+        keeps the ACL the entry has.  A put over a file's tombstone (a JSON
+        value whose ``deleted`` is true) creates the entry anew: the caller
+        owns it, with ``grants``, and the version keeps growing.
         """
         return self._one(Put(key, value, expected_version, grants), session)
 

@@ -34,11 +34,10 @@ from typing import Any, ClassVar, Mapping, NamedTuple, Sequence
 
 from repro.common.errors import ConflictError, LockHeldError, TupleNotFoundError
 from repro.common.sortedkeys import SortedKeys
-from repro.common.types import Permission
+from repro.common.types import ACL, Permission
 from repro.coordination.base import (
     Delete,
     Entry,
-    EntryACL,
     Get,
     Grant,
     Lock,
@@ -51,12 +50,11 @@ from repro.coordination.base import (
 
 
 class Stored(NamedTuple):
-    """One entry as a replica keeps it (``acl`` is :func:`dump_acl` JSON)."""
+    """One entry as a replica keeps it."""
 
-    owner: str
     version: int
     value: bytes
-    acl: str
+    acl: ACL
 
 
 class Holder(NamedTuple):
@@ -78,37 +76,8 @@ class Holder(NamedTuple):
         return self.principal, self.session_id
 
 
-def dump_acl(acl: EntryACL) -> str:
-    """Canonical JSON form of an entry ACL."""
-    return json.dumps(
-        {"owner": acl.owner, "grants": {u: p.value for u, p in acl.grants.items()}},
-        sort_keys=True,
-    )
-
-
-def load_acl(blob: str) -> EntryACL:
-    """Inverse of :func:`dump_acl`."""
-    raw = json.loads(blob)
-    return EntryACL(
-        owner=raw["owner"],
-        grants={u: Permission(v) for u, v in raw.get("grants", {}).items()},
-    )
-
-
-@functools.lru_cache(maxsize=4096)
-def _granted(acl: str, user: str, permission: Permission) -> bool:
-    """ACL verdict for a non-owner.  Cached: every replica checks every command
-    it applies, against the same few ACL strings."""
-    return load_acl(acl).allows(user, permission)
-
-
-def _allows(stored: Stored, user: str, permission: Permission) -> bool:
-    return user == stored.owner or _granted(stored.acl, user, permission)
-
-
 def _entry(key: str, stored: Stored) -> Entry:
-    return Entry(key=key, value=stored.value, version=stored.version, owner=stored.owner,
-                 acl=stored.acl)
+    return Entry(key=key, value=stored.value, version=stored.version, acl=stored.acl)
 
 
 @functools.lru_cache(maxsize=1024)
@@ -122,10 +91,19 @@ def _merged(value: bytes, fields: str) -> tuple[Any, bytes]:
         return None, value
 
 
+@functools.lru_cache(maxsize=1024)
+def _tombstone(value: bytes) -> bool:
+    """True when ``value`` is a JSON object marked ``deleted``; cached, as every replica asks alike."""
+    try:
+        return json.loads(value).get("deleted") is True
+    except (ValueError, AttributeError):
+        return False
+
+
 def _refusal(key: str, stored: Stored | None, user: str, reason: str) -> ConflictError:
     """A refused change of ``key``, carrying the entry it met when ``user`` may read it."""
     return ConflictError(reason, found=_entry(key, stored) if stored is not None
-                         and _allows(stored, user, Permission.READ) else None)
+                         and stored.acl.allows(user, Permission.READ) else None)
 
 
 class EntryCommands:
@@ -177,7 +155,7 @@ class EntryCommands:
             raise _refusal(key, stored, user,
                            f"version mismatch on {key!r}: expected {expected_version}, "
                            f"found {found}")
-        if stored is not None and not _allows(stored, user, Permission.WRITE):
+        if stored is not None and not stored.acl.allows(user, Permission.WRITE):
             raise ConflictError(f"{user} may not change entry {key!r}")
         return stored
 
@@ -191,7 +169,7 @@ class EntryCommands:
         elif op.expected_version is not None and stored.version != op.expected_version:
             reason = (f"version mismatch on {op.key!r}: expected {op.expected_version}, "
                       f"found {stored.version}")
-        elif not _allows(stored, user, Permission.WRITE):
+        elif not stored.acl.allows(user, Permission.WRITE):
             reason = f"{user} may not change entry {op.key!r}"
         else:
             return stored._replace(version=stored.version + 1, value=value)
@@ -201,18 +179,20 @@ class EntryCommands:
                    grants: Mapping[str, Permission] | None) -> Stored:
         """The record a put of ``value`` would leave under ``key`` (checked, not written).
 
-        A created entry starts with ``grants`` on its ACL; an update keeps its ACL.
+        An update keeps the entry's ACL.  A put that creates the entry — over
+        nothing, or over a file's tombstone — makes ``user`` its owner with
+        ``grants`` on its ACL; the version keeps growing across the tombstone.
         """
         stored = self._writable(key, user, expected_version)
-        if stored is None:
-            acl = EntryACL(owner=user, grants=dict(grants or {}))
-            stored = Stored(user, 0, value, dump_acl(acl))
+        if stored is None or _tombstone(stored.value):
+            version = 0 if stored is None else stored.version
+            return Stored(version + 1, value, ACL(user, dict(grants or {})))
         return stored._replace(version=stored.version + 1, value=value)
 
     def _readable(self, key: str, user: str) -> Stored | None:
         """The record under ``key`` once ``user`` may read it (None: absent)."""
         stored = self._entries.get(key)
-        if stored is not None and not _allows(stored, user, Permission.READ):
+        if stored is not None and not stored.acl.allows(user, Permission.READ):
             raise ConflictError(f"{user} may not read entry {key!r}")
         return stored
 
@@ -228,14 +208,10 @@ class EntryCommands:
             stored = self._entries.get(op.key)
             if stored is None:
                 raise TupleNotFoundError(f"no entry under key {op.key!r}")
-            if user != stored.owner:
+            if user != stored.acl.owner:
                 raise ConflictError(f"only the owner may change the ACL of {op.key!r}")
-            acl = load_acl(stored.acl)
-            if op.permission is Permission.NONE:
-                acl.grants.pop(op.user, None)
-            else:
-                acl.grants[op.user] = op.permission
-            return None, [(op.key, stored._replace(version=stored.version + 1, acl=dump_acl(acl)))]
+            acl = stored.acl.with_grant(op.user, op.permission)
+            return None, [(op.key, stored._replace(version=stored.version + 1, acl=acl))]
         if isinstance(op, Move):
             stored = self._writable(op.key, user, op.expected_version)
             if stored is None:
@@ -302,7 +278,7 @@ class EntryCommands:
         """Every entry under ``prefix`` that ``user`` may read, sorted by key."""
         entries = self._entries
         return [_entry(key, stored) for key in self._keys.prefixed(prefix)
-                if _allows(stored := entries[key], user, Permission.READ)]
+                if (stored := entries[key]).acl.allows(user, Permission.READ)]
 
     def close_session(self, session_id: str, user: str, now: float) -> None:
         """Return every lock ``user``'s session ``session_id`` holds, in one command.

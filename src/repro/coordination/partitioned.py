@@ -36,7 +36,6 @@ from repro.common.types import Principal
 from repro.coordination.adapters import DepSpaceCoordination
 from repro.coordination.base import (
     DEFAULT_LEASE, CoordinationService, Entry, Lock, Move, Op, Session, Unlock)
-from repro.coordination.entries import load_acl
 from repro.coordination.replication import invoke_together
 
 
@@ -120,7 +119,7 @@ class PartitionedCoordination(CoordinationService):
             raise ConflictError(f"version mismatch on {key!r}: expected {expected_version}, "
                                 f"found {found.version}")
         moved = self.put(new_key, value, session, target_version,
-                         grants=load_acl(found.acl).grants)
+                         grants=found.acl.grants)
         self.delete(key, session)
         return moved
 

@@ -818,7 +818,10 @@ class SCFSAgent:
             raise IsADirectoryErrorFS(f"is a directory: {path}")
         if not meta.allows(self.principal.name, Permission.WRITE):
             raise PermissionDeniedError(f"cannot remove {path}")
-        self.metadata.mark_deleted(meta)
+        try:
+            self.metadata.mark_deleted(meta)
+        except ConflictError as exc:
+            raise FileNotFoundErrorFS(f"{path} no longer holds this file") from exc
         self._emit("unlink", path=path, file_id=meta.file_id)
 
     def rename(self, old_path: str, new_path: str) -> None:

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Iterable, Mapping
 
 from repro.common.errors import FileSystemError
-from repro.common.types import Permission
+from repro.common.types import ACL, Permission
 
 #: The fields a new data version sets: what a close or a transaction owns of a tuple.
 DATA_FIELDS = ("size", "modified_at", "digest", "data_version", "locator")
@@ -114,23 +114,12 @@ class FileMetadata:
         return bool(self.grants)
 
     def allows(self, user: str, permission: Permission) -> bool:
-        """True if ``user`` may perform ``permission`` on this object.
-
-        A grant to the pseudo-user ``"*"`` applies to any authenticated user
-        (used for world-shared file pools, mirroring
-        :meth:`repro.coordination.base.EntryACL.allows`).
-        """
-        if user == self.owner:
-            return True
-        granted = self.grants.get(user, Permission.NONE) | self.grants.get("*", Permission.NONE)
-        return (granted & permission) == permission
+        """True if ``user`` may perform ``permission`` on this object (:meth:`ACL.allows`)."""
+        return ACL(self.owner, self.grants).allows(user, permission)
 
     def grant(self, user: str, permission: Permission) -> None:
         """Grant (or revoke, with ``Permission.NONE``) access to ``user``."""
-        if permission is Permission.NONE:
-            self.grants.pop(user, None)
-        else:
-            self.grants[user] = permission
+        self.grants = dict(ACL(self.owner, self.grants).with_grant(user, permission).grants)
 
     def touch(self, now: float, size: int | None = None) -> None:
         """Update the modification time (and optionally the size)."""

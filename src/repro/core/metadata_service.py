@@ -312,9 +312,14 @@ class MetadataService:
         self.cache.invalidate(path)
 
     def mark_deleted(self, metadata: FileMetadata) -> None:
-        """Mark a file as deleted without erasing it (recoverable until GC runs)."""
+        """Mark a file as deleted without erasing it (recoverable until GC runs).
+
+        An :meth:`update` of ``deleted`` alone: the tombstone keeps what was
+        anchored since ``metadata`` was read, and is refused
+        (``ConflictError``) when the path no longer holds its file.
+        """
         metadata.deleted = True
-        self._store(metadata, private=self.is_private(metadata))
+        self.update(metadata, ("deleted",))
 
     # ------------------------------------------------------------- directories
 

@@ -12,7 +12,7 @@ the pseudo-user ``"*"`` make every file world-readable and world-writable.
 Interning keeps the footprint flat: every pool file shares one plaintext
 payload, so (with encryption disabled — a pooled spec's ``config`` has
 ``encrypt_data=False``) all files share the *same* coded block blobs, DepSky
-head, digests and ACL objects; only the per-file keys and the serialized file
+head, digests, ACL and owner strings; only the per-file keys and the serialized file
 metadata (which embeds the file's path and unit id) are per-file, the latter
 produced by substring substitution on a shared template instead of
 re-serializing ~10^5 JSON documents.
@@ -24,11 +24,10 @@ like organically created ones.
 
 from __future__ import annotations
 
-from repro.common.types import Permission
-from repro.clouds.access_control import ObjectACL
+from repro.common.types import ACL, Permission
 from repro.clouds.eventual import EventuallyConsistentStore, StoredObject
-from repro.coordination.base import CoordinationService, EntryACL
-from repro.coordination.entries import EntryCommands, Stored, dump_acl
+from repro.coordination.base import CoordinationService
+from repro.coordination.entries import EntryCommands, Stored
 from repro.coordination.partitioned import PartitionedCoordination
 from repro.core.metadata import FileMetadata, FileType
 from repro.core.metadata_service import MetadataService
@@ -112,12 +111,10 @@ def prime_pool(deployment, spec, recorder=None) -> dict[str, int]:
         grants={"*": Permission.READ_WRITE}, locator=record.locator(),
     )
     file_meta_template = proto.to_bytes()
-    acl_json = dump_acl(
-        EntryACL(owner=POOL_OWNER, grants={"*": Permission.READ_WRITE})
-    )
-    # One shared per-cloud object ACL: no store request changes an object's
-    # ACL after its creation, so sharing is safe.
-    cloud_acls = {cloud.name: ObjectACL(owner=f"{POOL_OWNER}@{cloud.name}") for cloud in clouds}
+    # One ACL for every entry and one owner string per cloud for every object:
+    # neither is ever changed in place, so sharing is safe.
+    acl = ACL(POOL_OWNER, {"*": Permission.READ_WRITE})
+    owners = {cloud.name: f"{POOL_OWNER}@{cloud.name}" for cloud in clouds}
     # Preferred-quorum write layout: the i-th cloud of the clients' order
     # stores block i, for the first n - f clouds only (spill-over stays empty).
     holders = preferred_order(clouds)[:n - f]
@@ -138,19 +135,19 @@ def prime_pool(deployment, spec, recorder=None) -> dict[str, int]:
         head_key = DepSkyClient.head_key(uid)
         for cloud in clouds:
             cloud.install(StoredObject(
-                key=head_key, data=head, acl=cloud_acls[cloud.name],
+                key=head_key, data=head, owner=owners[cloud.name],
                 created_at=now, visible_at=now))
         objects += n
         for block_index, cloud in enumerate(holders):
             block_key = DepSkyClient.block_key(uid, 1, data_digest, block_index)
             cloud.install(StoredObject(
                 key=block_key, data=blobs[block_index],
-                acl=cloud_acls[cloud.name], created_at=now, visible_at=now))
+                owner=owners[cloud.name], created_at=now, visible_at=now))
         objects += n - f
         file_blob = file_meta_template.replace(
             b'"/pool-template/file.dat"', b'"' + path.encode() + b'"'
         ).replace(b'"@@UID@@"', b'"' + uid_bytes + b'"')
-        entries[entry_key] = Stored(POOL_OWNER, 1, file_blob, acl_json)
+        entries[entry_key] = Stored(1, file_blob, acl)
 
     # ---- pool directories --------------------------------------------------
     directories = sorted({path.rsplit("/", 1)[0] for path in spec.shared_files})
@@ -162,8 +159,7 @@ def prime_pool(deployment, spec, recorder=None) -> dict[str, int]:
             created_at=now, modified_at=now,
             grants={"*": Permission.READ_WRITE},
         )
-        entries[MetadataService.entry_key(directory)] = Stored(
-            POOL_OWNER, 1, dir_meta.to_bytes(), acl_json)
+        entries[MetadataService.entry_key(directory)] = Stored(1, dir_meta.to_bytes(), acl)
 
     # ---- coordination entries ----------------------------------------------
     # What a replicated ``Put`` step leaves, minus the latency charge.  Every

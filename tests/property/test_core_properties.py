@@ -17,7 +17,7 @@ import json
 import pickle
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
 from repro.clouds.providers import make_cloud_of_clouds, make_provider
@@ -31,7 +31,7 @@ from repro.common.errors import (
 )
 from repro.common.types import Permission, Principal
 from repro.coordination.adapters import DepSpaceCoordination
-from repro.coordination.base import Delete, EntryACL, Grant, Lock, Move, Put, Update
+from repro.coordination.base import Delete, Grant, Lock, Move, Put, Update
 from repro.coordination.entries import EntryCommands, Holder
 from repro.core.backend import CloudOfCloudsBackend, SingleCloudBackend
 from repro.core.cache import LRUByteCache, make_disk_cache, make_memory_cache
@@ -131,8 +131,9 @@ _command = st.tuples(st.sampled_from(USERS), st.lists(_entry_step, min_size=2, m
 
 
 def _value(number: int, position: int) -> bytes:
-    """A stored value: a JSON object naming a file, as metadata tuples do."""
-    return json.dumps({"file_id": f"f{number}.{position}", "n": number}, sort_keys=True).encode()
+    """A stored value: a JSON object naming a file, as metadata tuples do (every third a tombstone)."""
+    return json.dumps({"file_id": f"f{number}.{position}", "n": number, "deleted": number % 3 == 0},
+                      sort_keys=True).encode()
 
 
 def _holder(user: str) -> Holder:
@@ -140,17 +141,27 @@ def _holder(user: str) -> Holder:
 
 
 class _DictModel:
-    """What the replicas' steps must do, over a dict of (owner, version, value, acl) and a lock map."""
+    """What the replicas' steps must do, over a dict of (owner, version, value, grants) and a lock map."""
 
     def __init__(self):
-        self.entries: dict[str, tuple[str, int, bytes, EntryACL]] = {}
+        self.entries: dict[str, tuple[str, int, bytes, dict[str, Permission]]] = {}
         self.locks: dict[str, str] = {}
+
+    @staticmethod
+    def _may(found, user, permission):
+        """The model's own spelling of the rule: the owner, or what grants to ``user`` and to anyone hold."""
+        owner, _version, _value, grants = found
+        held = Permission.NONE
+        for grantee, granted in grants.items():
+            if grantee in (user, "*"):
+                held |= granted
+        return user == owner or held & permission == permission
 
     def _writable(self, key, user, expected):
         found = self.entries.get(key)
         if expected is not None and (found[1] if found else 0) != expected:
             raise ConflictError("version mismatch")
-        if found is not None and not found[3].allows(user, Permission.WRITE):
+        if found is not None and not self._may(found, user, Permission.WRITE):
             raise ConflictError("write denied")
         return found
 
@@ -164,16 +175,19 @@ class _DictModel:
         key = op.key
         if isinstance(op, Put):
             found = self._writable(key, user, op.expected_version)
-            owner, version, acl = (found[0], found[1], found[3]) if found else (
-                user, 0, EntryACL(owner=user))
-            self.entries[key] = (owner, version + 1, op.value, acl)
+            if found is None or json.loads(found[2])["deleted"]:
+                # Over nothing or a tombstone: a new entry, the sender's.
+                owner, grants = user, dict(op.grants or {})
+            else:
+                owner, grants = found[0], found[3]
+            self.entries[key] = (owner, (found[1] if found else 0) + 1, op.value, grants)
         elif isinstance(op, Update):
             found = self.entries.get(key)
             if found is None or json.loads(found[2])["file_id"] != op.file_id:
                 raise ConflictError("another file")
             if op.expected_version is not None and found[1] != op.expected_version:
                 raise ConflictError("version mismatch")
-            if not found[3].allows(user, Permission.WRITE):
+            if not self._may(found, user, Permission.WRITE):
                 raise ConflictError("write denied")
             value = json.dumps({**json.loads(found[2]), **op.fields}, sort_keys=True).encode()
             self.entries[key] = (found[0], found[1] + 1, value, found[3])
@@ -195,12 +209,12 @@ class _DictModel:
                 raise TupleNotFoundError("no entry")
             if user != found[0]:
                 raise ConflictError("not the owner")
-            grants = {u: p for u, p in found[3].grants.items() if u != op.user}
+            grants = {u: p for u, p in found[3].items() if u != op.user}
             if op.permission is not Permission.NONE:
                 grants[op.user] = op.permission
-            self.entries[key] = (found[0], found[1] + 1, found[2], EntryACL(found[0], grants))
+            self.entries[key] = (found[0], found[1] + 1, found[2], grants)
             return None
-        owner, version, value, _acl = self.entries[key]
+        owner, version, value, _grants = self.entries[key]
         return (key, value, version, owner)
 
     def command(self, ops, user):
@@ -217,9 +231,8 @@ class _DictModel:
             raise
 
     def listing(self, prefix, user):
-        return [(key, value, version, owner)
-                for key, (owner, version, value, acl) in sorted(self.entries.items())
-                if key.startswith(prefix) and acl.allows(user, Permission.READ)]
+        return [(key, found[2], found[1], found[0]) for key, found in sorted(self.entries.items())
+                if key.startswith(prefix) and self._may(found, user, Permission.READ)]
 
 
 def _concrete(step, model, number, position):
@@ -252,7 +265,7 @@ def _outcome(call):
 
 
 def _replies(entries):
-    return [None if entry is None else (entry.key, entry.value, entry.version, entry.owner)
+    return [None if entry is None else (entry.key, entry.value, entry.version, entry.acl.owner)
             for entry in entries]
 
 
@@ -263,7 +276,7 @@ def _send(replica, ops, user):
 def _assert_agree(replica, model):
     for prefix in PREFIXES:
         for user in USERS:
-            listed = [(e.key, e.value, e.version, e.owner)
+            listed = [(e.key, e.value, e.version, e.acl.owner)
                       for e in replica.entry_list(prefix, user, 0.0)]
             assert listed == model.listing(prefix, user)
     assert replica.entry_count() == len(model.entries)
@@ -274,6 +287,10 @@ def _assert_agree(replica, model):
 class TestEntryStoreProperties:
     @settings(max_examples=150, deadline=None)
     @given(steps=st.lists(st.tuples(st.sampled_from(USERS), _entry_step), max_size=40))
+    # A grantee re-creates the entry over ann's tombstone (step 0's value): it is now ben's.
+    @example(steps=[("ann", ("put", "meta:/a", None)),
+                    ("ann", ("acl", "meta:/a", "ben", Permission.READ_WRITE)),
+                    ("ben", ("put", "meta:/a", "current"))])
     def test_the_replica_agrees_with_a_dict_model(self, steps):
         """One-step ``entry_multi`` commands: the client's ``put``, ``delete``, ``move``, ..."""
         replica, model = EntryCommands(), _DictModel()

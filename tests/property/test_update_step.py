@@ -95,15 +95,15 @@ def test_an_update_sets_exactly_its_fields_or_leaves_every_replica_alone(case):
         assert [dict(replica._entries) for replica in replicas] == before
         readable = stored is not None and case["caller"] in ("alice", "bob-rw", "bob-read")
         assert refusal.value.found == (
-            Entry(KEY, stored.value, stored.version, stored.owner) if readable else None)
+            Entry(KEY, stored.value, stored.version, stored.acl) if readable else None)
         return
     reply = service.multi([step], caller)[0]
     for replica in replicas:
         entry, = replica.entry_multi([Get(KEY)], "alice", sim.now(), Holder("s", 1.0))
         assert entry == reply
         assert FileMetadata.from_bytes(entry.value) == _replaced(old, new, names)
-        assert (entry.version, entry.owner) == (version + 1, stored.owner)
-        assert replica._entries[KEY].acl == stored.acl
+        assert (entry.version, entry.acl) == (version + 1, stored.acl)
+        assert replica._entries[KEY].acl.owner == "alice"
 
 
 _flip = st.fixed_dictionaries({

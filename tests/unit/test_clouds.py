@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.clouds.access_control import ObjectACL
 from repro.clouds.accounting import CostTracker, UsageBreakdown
 from repro.clouds.eventual import EventuallyConsistentStore
 from repro.clouds.pricing import StoragePricing
@@ -18,32 +17,53 @@ from repro.common.errors import (
     CloudUnavailableError,
     ObjectNotFoundError,
 )
-from repro.common.types import Permission
+from repro.common.types import ACL, Permission
 from repro.common.units import GB, MONTH_SECONDS
 from repro.simenv.environment import derive_rng
 from repro.simenv.failures import FailureSchedule, FaultKind
 from repro.simenv.latency import NetworkProfile
 
 
-class TestObjectACL:
+class TestACL:
     def test_owner_has_full_access(self):
-        acl = ObjectACL(owner="alice")
+        acl = ACL(owner="alice")
         assert acl.allows("alice", Permission.READ_WRITE)
 
     def test_unknown_user_has_no_access(self):
-        assert not ObjectACL(owner="alice").allows("bob", Permission.READ)
+        assert not ACL(owner="alice").allows("bob", Permission.READ)
 
     def test_a_grant_allows_what_it_names_and_no_more(self):
-        acl = ObjectACL(owner="alice", grants={"bob": Permission.READ})
+        acl = ACL(owner="alice", grants={"bob": Permission.READ})
         assert acl.allows("bob", Permission.READ)
         assert not acl.allows("bob", Permission.WRITE)
         assert not acl.allows("carol", Permission.READ)
 
     def test_the_star_grant_covers_every_identity(self):
-        acl = ObjectACL(owner="alice", grants={"*": Permission.READ, "bob": Permission.WRITE})
+        acl = ACL(owner="alice", grants={"*": Permission.READ, "bob": Permission.WRITE})
         assert acl.allows("carol", Permission.READ)
         assert acl.allows("bob", Permission.READ_WRITE)
         assert not acl.allows("carol", Permission.WRITE)
+
+    def test_with_grant_returns_a_new_acl_and_leaves_the_old_one_alone(self):
+        acl = ACL(owner="alice", grants={"bob": Permission.READ})
+        granted = acl.with_grant("bob", Permission.READ_WRITE).with_grant("carol", Permission.READ)
+        assert granted == ACL("alice", {"bob": Permission.READ_WRITE, "carol": Permission.READ})
+        assert acl == ACL("alice", {"bob": Permission.READ})
+        assert list(granted.grants) == ["bob", "carol"]  # a re-grant keeps its place
+
+    def test_with_grant_of_none_revokes(self):
+        acl = ACL(owner="alice", grants={"bob": Permission.READ, "*": Permission.READ})
+        revoked = acl.with_grant("*", Permission.NONE).with_grant("dave", Permission.NONE)
+        assert revoked == ACL("alice", {"bob": Permission.READ})
+        assert not revoked.allows("carol", Permission.READ)
+
+    def test_a_policy_has_no_owner_and_allows_only_its_grants(self):
+        policy = ACL().with_grant("bob", Permission.READ)
+        assert policy.owner is None
+        assert policy.allows("bob", Permission.READ)
+        assert not policy.allows("bob", Permission.WRITE)
+        assert not policy.allows("alice", Permission.READ)
+        assert not ACL().allows("", Permission.READ)
 
 
 class TestPricing:

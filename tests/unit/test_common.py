@@ -1,5 +1,8 @@
 """Unit tests for the shared value objects and helpers."""
 
+import ast
+from pathlib import Path
+
 import pytest
 
 from repro.common.errors import FileSystemError, QuorumNotReachedError
@@ -35,6 +38,27 @@ class TestPrincipal:
 
     def test_principals_are_hashable(self):
         assert {Principal("a"), Principal("a")} == {Principal("a")}
+
+
+def _reads_of_the_grant_to_anyone(root: Path) -> list[str]:
+    """``path:line`` of every ``<grants>.get("*", ...)`` under ``root``."""
+    return [f"{path.relative_to(root).as_posix()}:{node.lineno}"
+            for path in sorted(root.rglob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "get" and node.args
+            and isinstance(node.args[0], ast.Constant) and node.args[0].value == "*"
+            and "grants" in ast.unparse(node.func.value)]
+
+
+def test_only_the_acl_spells_out_the_access_rule():
+    """Clouds, coordination replicas and file metadata decide access through ``ACL.allows``.
+
+    The grant to any user (``"*"``) is read in ``common/types.py`` alone: a
+    second spelling of "the owner, or a grant to the user or to ``*``" fails here.
+    """
+    sites = _reads_of_the_grant_to_anyone(Path(__file__).resolve().parents[2] / "src" / "repro")
+    assert sites and all(site.startswith("common/types.py:") for site in sites), sites
 
 
 class TestObjectRef:

@@ -7,7 +7,7 @@ import pytest
 
 from repro.common.errors import ConflictError, QuorumNotReachedError, TupleNotFoundError
 from repro.common.errors import LockHeldError
-from repro.common.types import Permission
+from repro.common.types import ACL, Permission
 from repro.coordination.adapters import DepSpaceCoordination
 from repro.coordination.base import Delete, Entry, Get, Grant, Lock, Move, Put, Unlock
 from repro.coordination.entries import EntryCommands, Holder
@@ -273,7 +273,7 @@ class TestReplication:
         with sim.background():  # background work draws nothing and waits for nothing
             assert invoke_together([rsm.command("entry_list", "", "alice", 0.0)
                                     for rsm in (rsms[0], rsms[2])]) == [
-                [Entry("k", b"v", 1, "alice")], []]
+                [Entry("k", b"v", 1, ACL("alice"))], []]
         assert sim.now() == start + max(draws) and sim.rng.getstate() == replay.getstate()
 
     def test_invalid_replica_index(self, sim):

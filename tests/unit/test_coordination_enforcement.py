@@ -15,6 +15,7 @@ import pytest
 from repro.common.errors import (
     ConflictError,
     FileExistsErrorFS,
+    FileNotFoundErrorFS,
     PermissionDeniedError,
     ReproError,
     TupleNotFoundError,
@@ -25,7 +26,7 @@ from repro.coordination.base import Delete, Get, Grant, Lock, Move, Put, Unlock
 from repro.coordination.entries import Holder
 from repro.coordination.partitioned import PartitionedCoordination
 from repro.core.deployment import SCFSDeployment
-from repro.core.metadata import FileMetadata, FileType
+from repro.core.metadata import DATA_FIELDS, FileMetadata, FileType
 
 
 @pytest.fixture(params=["depspace", "partitioned"])
@@ -80,7 +81,7 @@ class TestRawCommandsAreChecked:
         with pytest.raises(ConflictError):
             _raw(coordination, sim, [step], "bob")
         entry = coordination.get("k", session)
-        assert (entry.value, entry.version, entry.owner) == (b"alice's", 2, "alice")
+        assert (entry.value, entry.version, entry.acl.owner) == (b"alice's", 2, "alice")
         assert coordination.list_prefix("", session) == ["k"]
 
     def test_raw_read_by_a_stranger_is_refused_and_listings_hide_the_entry(
@@ -139,7 +140,7 @@ class TestMove:
         coordination.put("a", b"v2", alice_session)
         coordination.set_entry_acl("a", "bob", Permission.READ_WRITE, alice_session)
         moved = coordination.move("a", "b", b"v3", bob_session, expected_version=3)
-        assert (moved.key, moved.value, moved.version, moved.owner) == ("b", b"v3", 4, "alice")
+        assert (moved.key, moved.value, moved.version, moved.acl.owner) == ("b", b"v3", 4, "alice")
         with pytest.raises(TupleNotFoundError):
             coordination.get("a", alice_session)
         # bob's grant travelled with the entry; the owner is still alice.
@@ -189,11 +190,12 @@ class TestCreateRacingATombstone:
         return FileMetadata(path="/d/f", file_type=FileType.FILE, owner=owner, file_id=file_id)
 
     def test_sequential_creators_first_wins(self):
+        """The re-created file is its creator's alone: bob's grant died with the old one."""
         _, alice, bob = self._two_agents_and_a_tombstone()
         alice.create(self._new_file("alice", "file-a"), shared=True)
-        with pytest.raises(FileExistsErrorFS):
+        with pytest.raises(PermissionDeniedError):
             bob.create(self._new_file("bob", "file-b"), shared=True)
-        assert bob.get("/d/f", use_cache=False).file_id == "file-a"
+        assert alice.get("/d/f", use_cache=False).file_id == "file-a"
 
     def test_interleaved_creators_leave_exactly_one_live_entry(self, monkeypatch):
         """Both are handed the same tombstone; only one conditional replace can match.
@@ -217,13 +219,102 @@ class TestCreateRacingATombstone:
         commands = deployment.coordination.rsm.commands_executed
         with pytest.raises(FileExistsErrorFS) as lost:
             alice.create(self._new_file("alice", "file-a"), shared=True)
-        assert raced[0].deleted and lost.value.found.file_id == "file-b"
+        # bob's new file is his alone, so alice's refusal carries no witness.
+        assert raced[0].deleted and lost.value.found is None
         # Each creator's refused insert, then its replace at the tombstone's
-        # version (bob's won): neither read the entry, each refusal said what was there.
+        # version (bob's won): neither read the entry.
         assert deployment.coordination.rsm.commands_executed - commands == 4
-        for service in (alice, bob):
-            live = service.get("/d/f", use_cache=False)
-            assert (live.file_id, live.owner, live.deleted) == ("file-b", "bob", False)
+        live = bob.get("/d/f", use_cache=False)
+        assert (live.file_id, live.owner, live.deleted) == ("file-b", "bob", False)
+        with pytest.raises(PermissionDeniedError):
+            alice.get("/d/f", use_cache=False)
+
+
+class TestAFileReCreatedOverATombstoneIsItsCreators:
+    """A ``Put`` over a tombstone creates the entry anew: the deleted file's owner and grants go with it."""
+
+    def _shared(self, *directories, **config):
+        """alice, bob and carol; alice's ``directories`` grant bob READ_WRITE and carol READ."""
+        deployment = SCFSDeployment.for_variant("SCFS-CoC-B", seed=17, **config)
+        agents = [deployment.create_agent(name) for name in ("alice", "bob", "carol")]
+        for directory in directories:
+            agents[0].mkdir(directory, shared=True)
+            agents[0].setfacl(directory, "bob", Permission.READ_WRITE)
+            agents[0].setfacl(directory, "carol", Permission.READ)
+        return deployment, agents
+
+    def test_the_re_creator_owns_the_entry_and_the_old_grants_are_gone(self):
+        deployment, (alice, bob, carol) = self._shared("/shared")
+        alice.write_file("/shared/f", b"alice's", shared=True)
+        alice.setfacl("/shared/f", "bob", Permission.READ_WRITE)
+        alice.setfacl("/shared/f", "carol", Permission.READ)
+        alice.unlink("/shared/f")
+        bob.write_file("/shared/f", b"bob's", shared=True)
+        with pytest.raises(PermissionDeniedError):
+            carol.stat("/shared/f")
+        with pytest.raises(ConflictError):
+            deployment.coordination.set_entry_acl("meta:/shared/f", "alice", Permission.READ_WRITE,
+                                                  alice.agent.session)
+        entry = deployment.coordination.get("meta:/shared/f", bob.agent.session)
+        assert (entry.acl.owner, dict(entry.acl.grants)) == ("bob", {})
+        bob.setfacl("/shared/f", "carol", Permission.READ_WRITE)
+        assert carol.read_file("/shared/f") == b"bob's"
+
+    def test_a_rename_across_partitions_onto_a_tombstone_carries_the_source_grants(self):
+        deployment, (alice, bob, carol) = self._shared("/p", "/r", coordination_partitions=2)
+        coordination = deployment.coordination
+        assert coordination.partition_of("meta:/p/g") != coordination.partition_of("meta:/r/f")
+        alice.write_file("/p/g", b"old", shared=True)
+        alice.setfacl("/p/g", "carol", Permission.READ)
+        alice.unlink("/p/g")
+        alice.write_file("/r/f", b"f", shared=True)
+        alice.setfacl("/r/f", "bob", Permission.READ_WRITE)
+        alice.rename("/r/f", "/p/g")
+        assert bob.read_file("/p/g") == b"f"
+        with pytest.raises(PermissionDeniedError):
+            carol.read_file("/p/g")
+        entry = coordination.get("meta:/p/g", alice.agent.session)
+        assert (entry.acl.owner, dict(entry.acl.grants)) == ("alice", {"bob": Permission.READ_WRITE})
+
+
+class TestUnlinkTombstonesTheAnchoredFile:
+    """An unlink is an ``Update`` of ``deleted``: a cached snapshot never lands on the entry."""
+
+    def _stale_alice(self):
+        deployment = SCFSDeployment.for_variant("SCFS-CoC-NB", seed=17, metadata_expiration=2.0)
+        alice, bob = deployment.create_agent("alice"), deployment.create_agent("bob")
+        alice.mkdir("/shared", shared=True)
+        alice.setfacl("/shared", "bob", Permission.READ_WRITE)
+        alice.write_file("/shared/f", b"alice's", shared=True)
+        alice.setfacl("/shared/f", "bob", Permission.READ_WRITE)
+        deployment.drain(3.0)
+        alice.stat("/shared/f")  # the snapshot her unlink starts from
+        return deployment, alice, bob
+
+    def test_a_stale_unlink_leaves_a_re_created_file_alone(self):
+        deployment, alice, bob = self._stale_alice()
+        old = alice.stat("/shared/f").file_id
+        bob.unlink("/shared/f")
+        bob.write_file("/shared/f", b"bob's", shared=True)
+        with pytest.raises(FileNotFoundErrorFS):
+            alice.unlink("/shared/f")
+        deployment.drain(3.0)
+        live = bob.stat("/shared/f")
+        assert live.file_id != old and not live.deleted
+        assert bob.read_file("/shared/f") == b"bob's"
+
+    def test_a_stale_unlink_keeps_what_was_anchored_since(self):
+        deployment, alice, bob = self._stale_alice()
+        bob.write_file("/shared/f", b"bob's rewrite")
+        bob.agent.flush_pending("/shared/f")
+        anchored = FileMetadata.from_bytes(
+            deployment.coordination.get("meta:/shared/f", bob.agent.session).value)
+        alice.unlink("/shared/f")
+        tombstone = FileMetadata.from_bytes(
+            deployment.coordination.get("meta:/shared/f", bob.agent.session).value)
+        assert tombstone.deleted
+        assert tombstone.fields(DATA_FIELDS) == anchored.fields(DATA_FIELDS)
+        assert tombstone.grants == anchored.grants == {"bob": Permission.READ_WRITE}
 
 
 class TestARefusedVersionCheckSaysWhatIsThere:
@@ -324,7 +415,7 @@ class TestRenameCarriesTheEntry:
         before = alice.agent.metadata.lookup_versioned("/d/f")[1]
         bob.rename("/d/f", "/d/h")
         entry = deployment.coordination.get("meta:/d/h", alice.agent.session)
-        assert entry.owner == "alice" and entry.version == before + 1
+        assert entry.acl.owner == "alice" and entry.version == before + 1
         # Only the entry's owner may change its ACL — still alice, not the renamer.
         alice.setfacl("/d/h", "bob", Permission.READ)
         assert bob.read_file("/d/h") == b"f"
@@ -339,7 +430,7 @@ class TestRenameCarriesTheEntry:
         alice.rename("/d", "/e")
         assert alice.readdir("/e") == ["f"] and not alice.exists("/d")
         moved = deployment.coordination.list_entries("meta:/e/", alice.agent.session)
-        assert {e.key: (e.owner, e.version) for e in moved} == {
+        assert {e.key: (e.acl.owner, e.version) for e in moved} == {
             key.replace("/d/", "/e/"): ("alice", version + 1) for key, version in versions.items()}
         bob.write_file("/e/f", b"still writable")
         assert alice.read_file("/e/f") == b"still writable"

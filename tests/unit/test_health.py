@@ -587,10 +587,8 @@ class TestSuspicionStats:
 class TestStorageAccountingSinceCreation:
     def test_stored_since_initialized_from_creation_clock(self):
         from repro.clouds.eventual import StoredObject
-        from repro.clouds.access_control import ObjectACL
 
-        obj = StoredObject(key="k", data=b"x", acl=ObjectACL(owner="o"),
-                            created_at=100.0, visible_at=100.0)
+        obj = StoredObject(key="k", data=b"x", owner="o", created_at=100.0, visible_at=100.0)
         assert obj.stored_since == pytest.approx(100.0)
 
     def test_byte_seconds_charged_from_creation_not_simulation_start(self):

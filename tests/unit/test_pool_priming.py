@@ -107,4 +107,4 @@ class TestPrimePool:
         assert listed == sorted(f"meta:{path}" for path in spec.shared_files
                                 if path.startswith(f"{directory}/"))
         entry = coordination.get(listed[0], session)
-        assert (entry.owner, entry.version) == (POOL_OWNER, 1)
+        assert (entry.acl.owner, entry.version) == (POOL_OWNER, 1)
