@@ -489,7 +489,8 @@ class SCFSAgent:
         if self.memory_cache.contains(key):
             self.memory_cache.get(key)
         end = len(of.buffer) if size < 0 else min(len(of.buffer), offset + size)
-        data = bytes(of.buffer[offset:end])
+        with memoryview(of.buffer) as view:
+            data = bytes(view[offset:end])
         self._emit("read", path=of.metadata.path, handle=handle, offset=offset,
                    size=len(data))
         return data
@@ -507,8 +508,8 @@ class SCFSAgent:
         of.buffer[offset:offset + len(data)] = data
         of.dirty = True
         # Update the memory cache and the cached metadata (size/mtime), as in
-        # Figure 4's write flow.
-        self.memory_cache.put(self._memory_key(of), bytes(of.buffer))
+        # Figure 4's write flow.  The entry is the buffer itself, not a copy.
+        self.memory_cache.put(self._memory_key(of), of.buffer)
         of.metadata.touch(self.sim.now(), size=len(of.buffer))
         self.metadata_cache.put(of.metadata.path, of.metadata.copy())
         self._emit("write", path=of.metadata.path, handle=handle, offset=offset,

@@ -15,9 +15,16 @@ Three caches exist, each with a distinct role:
   calls of opening a file in an editor); entries expire after a few hundred
   milliseconds (Figure 10(a) studies this expiration time).
 
-Cache entries for file data are keyed by ``(file_id, digest)``: a given key is
-immutable (a new version has a new digest), so cached data can never be stale
-— at worst it is unused.
+The memory and disk caches hold **one version per file**: an entry is keyed by
+the file id and tagged with the version's digest, and a lookup names the
+digest it wants, so a cached version that is not the one asked for is a miss
+and can never be served stale.  Caching a version replaces the file's
+previous one: an agent never reads an older digest of a file whose newer
+version it has cached (its anchor read and its own closes both name the newer
+one), so keeping old versions would only pin their bytes.  An open handle's
+dirty buffer is an entry under its own key (``<file_id>#open``), apart from
+the file's versions.  The simulated disk cache keeps its bytes in RAM, like the
+memory cache: its capacity is the paper's, its latency is a disk's.
 """
 
 from __future__ import annotations
@@ -36,11 +43,20 @@ MEMORY_CACHE_BYTES = 256 * MB
 DISK_CACHE_BYTES = 16 * GB
 
 
+@dataclass
+class _Cached:
+    value: bytes
+    #: ``len(value)`` when stored: a handle's buffer grows after its ``put``.
+    size: int
+    tag: str
+
+
 class LRUByteCache:
-    """A capacity-bounded LRU cache of byte strings.
+    """A capacity-bounded LRU cache of byte strings, one tagged entry per key.
 
     ``latency`` models the cost of one access (memory vs disk); it is charged
-    to the simulated clock on every hit and store.
+    to the simulated clock on every hit and store.  A value is stored by
+    reference, not copied, and charged at the size it had when stored.
     """
 
     def __init__(self, capacity_bytes: int, sim: Simulation,
@@ -51,7 +67,7 @@ class LRUByteCache:
         self.sim = sim
         self.latency = latency
         self.name = name
-        self._entries: OrderedDict[str, bytes] = OrderedDict()
+        self._entries: OrderedDict[str, _Cached] = OrderedDict()
         self._used = 0
         self.hits = 0
         self.misses = 0
@@ -61,54 +77,49 @@ class LRUByteCache:
     def _charge(self, payload: int) -> None:
         self.sim.advance(self.latency.sample(payload))
 
-    def _evict_until_fits(self, incoming: int) -> list[tuple[str, bytes]]:
-        evicted: list[tuple[str, bytes]] = []
-        while self._entries and self._used + incoming > self.capacity_bytes:
-            key, value = self._entries.popitem(last=False)
-            self._used -= len(value)
-            evicted.append((key, value))
-        return evicted
-
     # -- API -------------------------------------------------------------------
 
-    def get(self, key: str) -> bytes | None:
-        """Return the cached value (charging one access latency) or None."""
-        value = self._entries.get(key)
-        if value is None:
+    def get(self, key: str, tag: str = "") -> bytes | None:
+        """Return the value cached under ``key`` with ``tag`` (charging one
+        access latency), or None — also when ``key`` holds another tag."""
+        entry = self._entries.get(key)
+        if entry is None or entry.tag != tag:
             self.misses += 1
             return None
         self._entries.move_to_end(key)
         self.hits += 1
-        self._charge(len(value))
-        return value
+        self._charge(entry.size)
+        return entry.value
 
-    def contains(self, key: str) -> bool:
-        """Membership test without charging latency or touching LRU order."""
-        return key in self._entries
+    def contains(self, key: str, tag: str | None = None) -> bool:
+        """Membership test (of ``tag`` too, unless None) without charging
+        latency or touching LRU order."""
+        entry = self._entries.get(key)
+        return entry is not None and (tag is None or entry.tag == tag)
 
-    def put(self, key: str, value: bytes) -> list[tuple[str, bytes]]:
-        """Store ``value``; returns the entries evicted to make room.
+    def put(self, key: str, value: bytes, tag: str = "") -> None:
+        """Store ``value`` under ``key``, replacing what ``key`` held.
 
-        Values larger than the whole cache are not stored (the paper's caches
-        hold whole files; a file bigger than the memory cache simply stays on
-        disk).
+        Least recently used entries are dropped to make room.  Values larger
+        than the whole cache are not stored (the paper's caches hold whole
+        files; a file bigger than the memory cache simply stays on disk).
         """
-        self._charge(len(value))
-        if len(value) > self.capacity_bytes:
-            return []
-        if key in self._entries:
-            self._used -= len(self._entries[key])
-            del self._entries[key]
-        evicted = self._evict_until_fits(len(value))
-        self._entries[key] = value
-        self._used += len(value)
-        return evicted
+        size = len(value)
+        self._charge(size)
+        self.remove(key)
+        if size > self.capacity_bytes:
+            return
+        while self._entries and self._used + size > self.capacity_bytes:
+            _key, evicted = self._entries.popitem(last=False)
+            self._used -= evicted.size
+        self._entries[key] = _Cached(value, size, tag)
+        self._used += size
 
-    def remove(self, key: str) -> None:
-        """Drop an entry if present (no latency charged)."""
-        value = self._entries.pop(key, None)
-        if value is not None:
-            self._used -= len(value)
+    def remove(self, key: str, tag: str | None = None) -> None:
+        """Drop the entry under ``key`` (only if it holds ``tag``, unless None);
+        no latency is charged."""
+        if self.contains(key, tag):
+            self._used -= self._entries.pop(key).size
 
     def clear(self) -> None:
         """Drop every entry."""

@@ -11,6 +11,13 @@ update is pushed to the cloud (writes are cheap or free), while reads are
 served locally whenever the locally cached version matches the hash anchored
 in the coordination service — saving both latency and the (expensive) outbound
 traffic of a download.
+
+The caches keep **one version per file**: caching a version of a file (a
+cloud or disk read, a close, an fsync) drops the file's previous version from
+both caches, because the next read names the newer digest.  Only the garbage
+collector drops a named version (:meth:`StorageService.forget`).  Both caches
+are simulated: the disk cache's bytes live in RAM too, so a version kept for
+good would cost host memory for good.
 """
 
 from __future__ import annotations
@@ -23,11 +30,6 @@ from repro.core.backend import StorageBackend
 from repro.core.cache import LRUByteCache
 from repro.core.consistency import read_anchored
 from repro.simenv.environment import Simulation
-
-
-def cache_key(file_id: str, digest: str) -> str:
-    """Cache key of one immutable file version."""
-    return f"{file_id}#{digest}"
 
 
 @dataclass
@@ -66,39 +68,38 @@ class StorageService:
         """
         if not digest:
             return ReadOutcome(data=b"", source="memory")
-        key = cache_key(file_id, digest)
-        data = self.memory.get(key)
+        data = self.memory.get(file_id, digest)
         if data is not None:
             return ReadOutcome(data=data, source="memory")
-        data = self.disk.get(key)
+        data = self.disk.get(file_id, digest)
         if data is not None:
             # Promote to the memory cache: the file is being opened.
-            self._cache_in_memory(key, data)
+            self._keep(file_id, digest, data, self.memory)
             return ReadOutcome(data=data, source="disk")
         data = read_anchored(self.sim, self.backend, file_id, digest, locator,
                              on_poll=self.on_poll)
         self.cloud_reads += 1
-        self.disk.put(key, data)
-        self._cache_in_memory(key, data)
+        self._keep(file_id, digest, data, self.disk, self.memory)
         return ReadOutcome(data=data, source="cloud")
 
     # ------------------------------------------------------------------ writes
 
-    def _cache_in_memory(self, key: str, data: bytes) -> None:
-        evicted = self.memory.put(key, data)
-        # Files pushed out of the memory cache spill to the disk cache
-        # (its extension, §2.5.2) instead of being lost.
-        for evicted_key, evicted_data in evicted:
-            if not self.disk.contains(evicted_key):
-                self.disk.put(evicted_key, evicted_data)
+    def _keep(self, file_id: str, digest: str, data: bytes, *caches: LRUByteCache) -> None:
+        """Cache version ``digest`` of ``file_id`` in ``caches`` (in that order),
+        dropping any other version of the file from both caches."""
+        for cache in (self.memory, self.disk):
+            if cache not in caches and not cache.contains(file_id, digest):
+                cache.remove(file_id)
+        for cache in caches:
+            cache.put(file_id, data, digest)
 
     def store_in_memory(self, file_id: str, digest: str, data: bytes) -> None:
-        """Keep an open file's (possibly dirty) data in the memory cache (level 0)."""
-        self._cache_in_memory(cache_key(file_id, digest), data)
+        """Keep a closed version's data in the memory cache (level 0)."""
+        self._keep(file_id, digest, data, self.memory)
 
     def flush_to_disk(self, file_id: str, digest: str, data: bytes) -> None:
         """Write a file's data to the local disk cache (fsync path, level 1)."""
-        self.disk.put(cache_key(file_id, digest), data)
+        self._keep(file_id, digest, data, self.disk)
 
     def push_many_to_cloud(self, items: Sequence[tuple[str, bytes, int]]) -> list[ObjectRef]:
         """Synchronously upload one new version of each file (levels 2/3).
@@ -125,7 +126,8 @@ class StorageService:
     # --------------------------------------------------------------- maintenance
 
     def forget(self, file_id: str, digest: str) -> None:
-        """Drop a version from both local caches (garbage collection support)."""
-        key = cache_key(file_id, digest)
-        self.memory.remove(key)
-        self.disk.remove(key)
+        """Drop a version from both local caches (garbage collection support).
+
+        A cached newer version of the file stays."""
+        self.memory.remove(file_id, digest)
+        self.disk.remove(file_id, digest)

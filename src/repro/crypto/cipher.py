@@ -17,7 +17,9 @@ keystream into a caller-owned ``uint8`` array (e.g. the erasure coder's
 framed payload region) instead of allocating ``bytes`` for the ciphertext,
 the concatenated MAC input, and the final blob — the MAC runs incrementally
 over ``memoryview``-style buffer slices, so a 16 MiB encrypt performs no
-full-payload copy beyond the XOR itself.
+full-payload copy beyond the XOR itself.  The read path's
+:meth:`SymmetricCipher.decrypt` likewise XORs the keystream into the buffer the
+erasure decode joined.
 """
 
 from __future__ import annotations
@@ -72,18 +74,6 @@ def _keystream(key: bytes, nonce: bytes, length: int) -> bytes:
     return hashlib.shake_256(key + nonce).digest(length)
 
 
-def _xor(data: bytes, stream: bytes) -> bytes:
-    """XOR two equal-length byte strings (always vectorised).
-
-    ``np.frombuffer`` views the inputs without copying, so even tiny payloads
-    are cheaper through numpy than a Python byte loop; the cipher sits on the
-    same per-write hot path as the erasure coder (Figure 6, step 2).
-    """
-    a = np.frombuffer(data, dtype=np.uint8)
-    b = np.frombuffer(stream, dtype=np.uint8)
-    return (a ^ b).tobytes()
-
-
 class SymmetricCipher:
     """Authenticated encryption with a single symmetric key."""
 
@@ -130,22 +120,31 @@ class SymmetricCipher:
         self.encrypt_into(plaintext, out, rng)
         return out.tobytes()
 
-    def decrypt(self, blob: bytes) -> bytes:
+    def decrypt(self, blob: bytes | bytearray) -> bytes:
         """Verify and decrypt a blob produced by :meth:`encrypt`.
+
+        A ``bytearray`` is decrypted in place: the caller gives it up (the
+        DepSky read hands over the buffer the erasure decode just joined), so
+        the only file-sized temporaries are the keystream and the returned
+        plaintext, never both at once.  Other blobs are copied first.
 
         Raises ``ValueError`` when the authentication tag does not match
         (tampered or truncated data).
         """
         if len(blob) < NONCE_SIZE + TAG_SIZE:
             raise ValueError("ciphertext too short")
+        if not isinstance(blob, bytearray):
+            blob = bytearray(blob)
+        length = len(blob) - NONCE_SIZE - TAG_SIZE
         view = memoryview(blob)
-        nonce = blob[:NONCE_SIZE]
-        ciphertext = view[NONCE_SIZE:-TAG_SIZE]
-        tag = blob[-TAG_SIZE:]
-        if not verify_hmac(self._mac_key, view[:-TAG_SIZE], tag):
+        nonce = bytes(view[:NONCE_SIZE])
+        if not verify_hmac(self._mac_key, view[:-TAG_SIZE], view[-TAG_SIZE:]):
             raise ValueError("authentication tag mismatch (data tampered or wrong key)")
-        stream = _keystream(self._enc_key, nonce, len(ciphertext))
-        return _xor(ciphertext, stream)
+        ciphertext = np.frombuffer(blob, dtype=np.uint8, count=length, offset=NONCE_SIZE)
+        stream = np.frombuffer(_keystream(self._enc_key, nonce, length), dtype=np.uint8)
+        np.bitwise_xor(ciphertext, stream, out=ciphertext)
+        del stream
+        return bytes(view[NONCE_SIZE:NONCE_SIZE + length])
 
     def overhead(self) -> int:
         """Number of bytes the ciphertext adds over the plaintext."""

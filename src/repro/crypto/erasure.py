@@ -31,8 +31,9 @@ Fast paths
   top.
 * **Systematic decode** — when the ``k`` chosen blocks are exactly the
   systematic ones, decoding is a pure byte concatenation with no field
-  arithmetic at all.  DepSky's preferred-quorum reads hit this path whenever
-  the first ``k`` clouds answer correctly.
+  arithmetic at all: the payload's spans of the blocks are joined once into
+  the result.  DepSky's preferred-quorum reads hit this path whenever the
+  first ``k`` clouds answer correctly.
 * **Decode-matrix cache** — inverted submatrices are cached per
   surviving-block index tuple, so repeated reads under the same failure
   pattern skip the Gauss–Jordan inversion entirely.
@@ -70,7 +71,21 @@ class CodedBlock:
     """One erasure-coded block: its row ``index`` in the code and the payload."""
 
     index: int
-    payload: bytes
+    #: A parsed block's payload is a view of the object it was fetched in.
+    payload: bytes | memoryview
+
+
+def _span(rows: list, start: int, stop: int) -> list[memoryview]:
+    """Views of bytes ``[start, stop)`` of the concatenation of ``rows``."""
+    parts = []
+    offset = 0
+    for row in rows:
+        view = memoryview(row)
+        low, high = max(start - offset, 0), min(stop - offset, len(view))
+        if low < high:
+            parts.append(view[low:high])
+        offset += len(view)
+    return parts
 
 
 @dataclass(frozen=True)
@@ -190,8 +205,12 @@ class ErasureCoder:
             pass
         return buffer
 
-    def decode(self, blocks: list[CodedBlock]) -> bytes:
-        """Rebuild the original data from any ``k`` distinct coded blocks."""
+    def decode(self, blocks: list[CodedBlock]) -> bytearray:
+        """Rebuild the original data from any ``k`` distinct coded blocks.
+
+        The result is a fresh buffer the caller owns (the cipher decrypts it
+        in place); the payload is copied into it once.
+        """
         unique: dict[int, CodedBlock] = {}
         for block in blocks:
             if not 0 <= block.index < self.n:
@@ -207,26 +226,19 @@ class ErasureCoder:
         indices = tuple(b.index for b in chosen)
         if indices == tuple(range(self.k)):
             # Systematic fast path: the data blocks survived, no arithmetic.
-            framed = b"".join(b.payload for b in chosen)
-            magic, length = _HEADER.unpack_from(framed)
-            payload = framed[_HEADER.size:_HEADER.size + length]
+            rows = [b.payload for b in chosen]
         else:
             inverse = self._decode_matrix(indices)
             stacked = np.stack(
                 [np.frombuffer(b.payload, dtype=np.uint8) for b in chosen]
             )
-            data_blocks = gf256.matmul(inverse, stacked)
-            flat = data_blocks.reshape(-1)
-            # Parse the header straight off the array and slice the payload
-            # *before* materialising bytes — only the payload is copied, not
-            # the padded frame.
-            magic, length = _HEADER.unpack_from(flat)
-            payload = flat[_HEADER.size:_HEADER.size + length].tobytes()
+            rows = [gf256.matmul(inverse, stacked).reshape(-1)]
+        magic, length = _HEADER.unpack(b"".join(_span(rows, 0, _HEADER.size)))
         if magic != _MAGIC:
             raise ValueError("decoded data has an invalid header (wrong blocks?)")
-        if len(payload) != length:
+        if _HEADER.size + length > sum(len(row) for row in rows):
             raise ValueError("decoded data is truncated")
-        return payload
+        return bytearray().join(_span(rows, _HEADER.size, _HEADER.size + length))
 
     def _decode_matrix(self, indices: tuple[int, ...]) -> np.ndarray:
         """Inverted decode submatrix for the surviving ``indices`` (cached)."""

@@ -735,7 +735,8 @@ class DepSkyClient:
                 raise IntegrityError(f"block {index} of {unit_id!r} failed its digest check at {cloud.name}")
             x, share_len = _BLOCK_HEADER.unpack_from(blob)
             share_data = blob[_BLOCK_HEADER.size:_BLOCK_HEADER.size + share_len]
-            payload = blob[_BLOCK_HEADER.size + share_len:]
+            # A view, not a copy: the decode copies the payloads once.
+            payload = memoryview(blob)[_BLOCK_HEADER.size + share_len:]
             return CodedBlock(index=index, payload=payload), SecretShare(x=x, data=share_data)
 
         return self._get_request(cloud, key, parse, self._blob_size(record.size))
@@ -822,10 +823,12 @@ class DepSkyClient:
         blocks = [trace.value[0][0] for trace in winners]
         shares = [trace.value[0][1] for trace in winners]
         used = [trace.cloud for trace in winners]
-        payload = self.coder.decode(blocks)
+        decoded = self.coder.decode(blocks)
         if self.encrypt:
             key = combine_secret(shares, self.k)
-            payload = SymmetricCipher(key).decrypt(payload)
+            payload = SymmetricCipher(key).decrypt(decoded)
+        else:
+            payload = bytes(decoded)
         if content_digest(payload) != record.data_digest:
             raise IntegrityError(
                 f"decoded payload of {unit_id!r} v{record.version} does not match its digest"

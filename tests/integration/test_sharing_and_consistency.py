@@ -165,9 +165,12 @@ class TestConsistencyOnClose:
         writer.write_file("/doc.txt", b"second version")
         deployment.drain(2.0)
         # Multi-versioning: the previous version still exists in the cloud(s)
-        # until the garbage collector reclaims it.
-        data = writer.agent.storage.read_version(first.file_id, first.digest)
-        assert data.data == b"first version"
+        # until the garbage collector reclaims it.  Drop any local copy so the
+        # read goes to the cloud, by the locator the anchor named then.
+        storage = writer.agent.storage
+        storage.forget(first.file_id, first.digest)
+        data = storage.read_version(first.file_id, first.digest, first.locator)
+        assert data.source == "cloud" and data.data == b"first version"
 
 
 class TestCrashRecovery:

@@ -68,8 +68,7 @@ class TestLRUCacheProperties:
                 cache.remove(key)
                 model.pop(key, None)
             assert cache._used <= capacity
-            assert cache._used == sum(len(v) for k, v in
-                                           ((k, cache._entries[k]) for k in cache._entries))
+            assert cache._used == sum(len(model[k]) for k in cache.keys())
 
 
 class TestAnchoredReadProperties:

@@ -119,14 +119,34 @@ class TestLRUByteCache:
         cache.put("a", b"12345")
         cache.put("b", b"12345")
         cache.get("a")                      # refresh a; b becomes LRU
-        evicted = cache.put("c", b"12345")
-        assert [key for key, _ in evicted] == ["b"]
-        assert cache.contains("a") and not cache.contains("b")
+        cache.put("c", b"12345")
+        assert list(cache.keys()) == ["a", "c"]
 
     def test_oversized_value_not_stored(self):
         cache = self._cache(capacity=4)
-        assert cache.put("big", b"123456") == []
-        assert not cache.contains("big")
+        cache.put("big", b"123")
+        cache.put("big", b"123456")
+        assert not cache.contains("big") and cache._used == 0
+
+    def test_a_key_holds_one_tagged_value(self):
+        cache = self._cache()
+        cache.put("f", b"old", tag="d1")
+        cache.put("f", b"new", tag="d2")
+        assert cache.get("f", "d1") is None and cache.get("f", "d2") == b"new"
+        assert cache.hits == 1 and cache.misses == 1 and len(cache) == 1
+        cache.remove("f", "d1")
+        assert cache.contains("f", "d2")
+        cache.remove("f", "d2")
+        assert not cache.contains("f") and cache._used == 0
+
+    def test_a_value_is_stored_by_reference_and_charged_at_its_stored_size(self):
+        cache = self._cache()
+        buffer = bytearray(b"1234")
+        cache.put("open", buffer)
+        buffer.extend(b"5678")
+        assert cache.get("open") is buffer and cache._used == 4
+        cache.remove("open")
+        assert cache._used == 0
 
     def test_replacing_key_updates_usage(self):
         cache = self._cache(capacity=10)

@@ -19,7 +19,7 @@ from repro.core.lock_service import LockService
 from repro.core.metadata import DATA_FIELDS, FileMetadata, FileType
 from repro.core.metadata_service import MetadataService
 from repro.core.pns import PrivateNameSpace
-from repro.core.storage_service import StorageService, cache_key
+from repro.core.storage_service import StorageService
 from repro.core.users import UserRegistry
 from repro.crypto.hashing import content_digest
 
@@ -354,13 +354,22 @@ class TestStorageService:
         service = self._service(sim, single_backend)
         assert service.read_version("file-1", "").data == b""
 
-    def test_memory_eviction_spills_to_disk(self, sim, single_backend):
+    def test_a_dirty_open_buffer_never_reaches_the_disk_cache(self, sim, single_backend):
+        # Four 1,000 B versions read through a 3,000 B memory cache evict a
+        # handle's dirty buffer; it is dropped, not spilled to disk under a key
+        # no read looks up.
         service = StorageService(sim, single_backend,
-                                 make_memory_cache(150, sim),
+                                 make_memory_cache(3000, sim),
                                  make_disk_cache(1 << 20, sim))
-        service.store_in_memory("f1", "d1", b"x" * 100)
-        service.store_in_memory("f2", "d2", b"y" * 100)  # evicts f1 from memory
-        assert service.read_version("f1", "d1").source == "disk"
+        buffer = bytearray(b"u" * 1000)
+        service.memory.put("big#open", buffer)
+        for index in range(4):
+            data = bytes([index]) * 1000
+            ref = service.push_to_cloud(f"f{index}", data, version=1)
+            sim.advance(3.0)
+            assert service.read_version(f"f{index}", ref.digest, ref.locator).data == data
+            assert not any(key.endswith("#open") for key in service.disk.keys())
+        assert not service.memory.contains("big#open")
 
     def test_bytes_pushed_counter(self, sim, single_backend):
         service = self._service(sim, single_backend)
@@ -383,9 +392,20 @@ class TestStorageService:
         service = self._service(sim, single_backend)
         service.store_in_memory("f", "d", b"x")
         service.flush_to_disk("f", "d", b"x")
+        service.forget("f", "old")
+        assert service.memory.contains("f", "d") and service.disk.contains("f", "d")
         service.forget("f", "d")
-        key = cache_key("f", "d")
-        assert not service.memory.contains(key) and not service.disk.contains(key)
+        assert not service.memory.contains("f") and not service.disk.contains("f")
+
+    def test_caching_a_version_drops_the_previous_one_from_both_caches(self, sim, single_backend):
+        service = self._service(sim, single_backend)
+        service.flush_to_disk("f", "d1", b"one")
+        service.store_in_memory("f", "d1", b"one")
+        service.flush_to_disk("f", "d2", b"two")      # an fsync of a newer version
+        assert not service.memory.contains("f") and service.disk.contains("f", "d2")
+        assert service.read_version("f", "d2").source == "disk"
+        assert service.memory.contains("f", "d2")
+        assert [list(cache.keys()) for cache in (service.memory, service.disk)] == [["f"], ["f"]]
 
 
 class TestGarbageCollector:
