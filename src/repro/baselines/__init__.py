@@ -13,6 +13,9 @@
   central server), used as the comparator of the sharing experiment (Fig. 9).
 
 The file-system baselines share SCFS's mount surface,
-:class:`~repro.core.filesystem.FileSystem`, so the benchmark workloads can
-drive any of them interchangeably.
+:class:`~repro.core.filesystem.FileSystem`, and its open-file layer (handle
+table, buffer arithmetic, copy rule), so the benchmark workloads can drive any
+of them interchangeably and each call means the same thing on every mount.
+S3FS and S3QL share one single-store base,
+:class:`~repro.baselines.base.SingleStoreFileSystem`.
 """

@@ -1,38 +1,25 @@
 """Common plumbing of the baseline file systems.
 
-Each baseline implements the handle-based calls (open/read/write/fsync/close)
-of :class:`~repro.core.filesystem.FileSystem` and inherits its whole-file
-helpers, so that the benchmark workloads can drive SCFS and the baselines
-through exactly the same code path.
+Each baseline opens its files in the handle layer of
+:mod:`repro.core.filesystem` (the open-file record and handle table SCFS uses)
+and inherits the whole-file helpers of
+:class:`~repro.core.filesystem.FileSystem`, so that the benchmark workloads
+drive SCFS and the baselines through exactly the same code path and every
+call means the same thing on each mount.  A baseline supplies where a file's
+bytes come from at open and go to at close, and what each call costs.
 """
 
 from __future__ import annotations
 
 import abc
-import itertools
-from dataclasses import dataclass, field
+from typing import ClassVar
 
-from repro.common.errors import (
-    FileNotFoundErrorFS,
-    InvalidHandleError,
-    PermissionDeniedError,
-)
-from repro.core.agent import OpenFlags
-from repro.core.filesystem import FileSystem
+from repro.common.errors import FileNotFoundErrorFS
+from repro.common.types import Principal
+from repro.clouds.eventual import EventuallyConsistentStore
+from repro.core.filesystem import FileSystem, HandleTable, OpenFile, OpenFlags
 from repro.simenv.environment import Simulation
-from repro.simenv.latency import FUSE_OVERHEAD
-
-
-@dataclass
-class BaselineOpenFile:
-    """Open-file state shared by the baseline implementations."""
-
-    handle: int
-    path: str
-    buffer: bytearray
-    writable: bool
-    dirty: bool = False
-    extra: dict = field(default_factory=dict)
+from repro.simenv.latency import FUSE_OVERHEAD, MEMORY_LATENCY
 
 
 class BaselineFileSystem(FileSystem):
@@ -42,101 +29,74 @@ class BaselineFileSystem(FileSystem):
 
     def __init__(self, sim: Simulation):
         self.sim = sim
-        self._handles: dict[int, BaselineOpenFile] = {}
-        self._next_handle = itertools.count(3)
+        self._handles: HandleTable[OpenFile] = HandleTable()
 
     # ------------------------------------------------------------------ utils
 
     def _syscall(self) -> None:
         self.sim.advance(FUSE_OVERHEAD.sample(0, self.sim.rng))
 
-    def _handle(self, handle: int) -> BaselineOpenFile:
-        try:
-            return self._handles[handle]
-        except KeyError:
-            raise InvalidHandleError(f"unknown or closed file handle {handle}") from None
-
-    def _register(self, path: str, buffer: bytearray, writable: bool) -> int:
-        handle = next(self._next_handle)
-        self._handles[handle] = BaselineOpenFile(
-            handle=handle, path=path, buffer=buffer, writable=writable
-        )
-        return handle
-
     # ----------------------------------------------------------- abstract hooks
 
     @abc.abstractmethod
-    def _load(self, path: str, create: bool, truncate: bool) -> bytearray:
+    def _load(self, path: str, create: bool, truncate: bool) -> bytes:
         """Fetch the current contents of ``path`` for an open call."""
 
     @abc.abstractmethod
-    def _persist(self, of: BaselineOpenFile) -> None:
+    def _persist(self, path: str, data: bytes) -> None:
         """Persist a dirty open file on close (semantics differ per baseline)."""
 
-    @abc.abstractmethod
-    def _sync_local(self, of: BaselineOpenFile) -> None:
-        """fsync: make the open file durable against a crash."""
+    def _sync_local(self, path: str, data: bytes) -> None:
+        """fsync: make the open file durable against a crash (as a close does)."""
+        self._persist(path, data)
 
     # --------------------------------------------------------------- handle API
 
     def open(self, path: str, mode: str = "r", shared: bool = False) -> int:
         flags = self.open_flags(mode)
         self._syscall()
-        buffer = self._load(path, create=OpenFlags.CREATE in flags,
-                            truncate=OpenFlags.TRUNCATE in flags)
-        return self._register(path, buffer, writable=OpenFlags.WRITE in flags)
+        data = self._load(path, create=OpenFlags.CREATE in flags,
+                          truncate=OpenFlags.TRUNCATE in flags)
+        return self._handles.add(OpenFile(path, flags, data))
 
     def read(self, handle: int, size: int = -1, offset: int = 0) -> bytes:
         self._syscall()
-        of = self._handle(handle)
-        self._charge_read(of, size if size >= 0 else len(of.buffer))
-        end = len(of.buffer) if size < 0 else min(len(of.buffer), offset + size)
-        return bytes(of.buffer[offset:end])
+        of = self._handles[handle]
+        data = of.read(size, offset)
+        self._charge_read(size if size >= 0 else len(of.buffer))
+        return data
 
     def write(self, handle: int, data: bytes, offset: int | None = None) -> int:
         self._syscall()
-        of = self._handle(handle)
-        if not of.writable:
-            raise PermissionDeniedError("file not opened for writing")
-        if offset is None:
-            offset = len(of.buffer)
-        if offset > len(of.buffer):
-            of.buffer.extend(b"\x00" * (offset - len(of.buffer)))
-        of.buffer[offset:offset + len(data)] = data
-        of.dirty = True
-        self._charge_write(of, len(data))
+        self._handles[handle].write(data, offset)
+        self._charge_write(len(data))
         return len(data)
 
     def fsync(self, handle: int) -> None:
         self._syscall()
-        of = self._handle(handle)
+        of = self._handles[handle]
         if of.dirty:
-            self._sync_local(of)
+            self._sync_local(of.path, bytes(of.buffer))
 
     def truncate(self, handle: int, length: int = 0) -> None:
         self._syscall()
-        of = self._handle(handle)
-        if length <= len(of.buffer):
-            del of.buffer[length:]
-        else:
-            of.buffer.extend(b"\x00" * (length - len(of.buffer)))
-        of.dirty = True
+        self._handles[handle].truncate(length)
 
     def close(self, handle: int) -> None:
         self._syscall()
-        of = self._handles.pop(handle, None)
-        if of is None:
-            raise InvalidHandleError(f"unknown or closed file handle {handle}")
-        if of.dirty and of.writable:
-            self._persist(of)
+        of = self._handles.close(handle)
+        if of.dirty:
+            self._persist(of.path, bytes(of.buffer))
 
     # ------------------------------------------------------- latency knobs
 
-    def _charge_read(self, of: BaselineOpenFile, size: int) -> None:
-        """Extra per-read latency (overridden by baselines without memory caches)."""
+    def _charge_read(self, size: int) -> None:
+        """Per-read latency: a main-memory access (overridden by baselines without memory caches)."""
+        self.sim.advance(MEMORY_LATENCY.sample(size, self.sim.rng))
 
-    def _charge_write(self, of: BaselineOpenFile, size: int) -> None:
-        """Extra per-write latency (overridden to model known slow paths)."""
+    def _charge_write(self, size: int) -> None:
+        """Per-write latency: a main-memory access (overridden to model known slow paths)."""
+        self.sim.advance(MEMORY_LATENCY.sample(size, self.sim.rng))
 
     # ------------------------------------------------------------------- paths
 
@@ -159,3 +119,33 @@ class BaselineFileSystem(FileSystem):
 
     def _missing(self, path: str) -> FileNotFoundErrorFS:
         return FileNotFoundErrorFS(f"{self.name}: no such file: {path}")
+
+
+class SingleStoreFileSystem(BaselineFileSystem):
+    """A baseline that keeps each file as one object of one cloud store.
+
+    Objects are keyed ``<prefix><path>``; ``_local`` holds the local copies of
+    files this mount wrote or fetched, which also absorb the store's
+    read-after-write anomaly for freshly created objects.
+    """
+
+    #: Key prefix of this baseline's objects, and its default user's name.
+    prefix: ClassVar[str]
+
+    def __init__(self, sim: Simulation, store: EventuallyConsistentStore,
+                 principal: Principal | None = None):
+        super().__init__(sim)
+        self.store = store
+        self.principal = principal or Principal(f"{self.prefix}-user")
+        self._local: dict[str, bytes] = {}
+
+    def _key(self, path: str) -> str:
+        return f"{self.prefix}{path}"
+
+    def _exists(self, path: str) -> bool:
+        return path in self._local or self.store.exists(self._key(path), self.principal)
+
+    def unlink(self, path: str) -> None:
+        self._syscall()
+        self._local.pop(path, None)
+        self.store.delete(self._key(path), self.principal)

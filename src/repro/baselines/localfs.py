@@ -10,7 +10,7 @@ any cloud.
 
 from __future__ import annotations
 
-from repro.baselines.base import BaselineFileSystem, BaselineOpenFile
+from repro.baselines.base import BaselineFileSystem
 from repro.simenv.environment import Simulation
 from repro.simenv.latency import DISK_LATENCY, MEMORY_LATENCY
 
@@ -26,33 +26,20 @@ class LocalFS(BaselineFileSystem):
 
     # -- hooks -----------------------------------------------------------------
 
-    def _load(self, path: str, create: bool, truncate: bool) -> bytearray:
-        if path not in self._files:
-            if not create:
-                raise self._missing(path)
+    def _load(self, path: str, create: bool, truncate: bool) -> bytes:
+        if path not in self._files and not create:
+            raise self._missing(path)
+        if truncate or path not in self._files:
             self._files[path] = b""
-        if truncate:
-            self._files[path] = b""
-        data = b"" if truncate else self._files[path]
+        data = self._files[path]
         # Opening reads the file from the page cache / disk.
         self.sim.advance(MEMORY_LATENCY.sample(len(data), self.sim.rng))
-        return bytearray(data)
+        return data
 
-    def _persist(self, of: BaselineOpenFile) -> None:
-        # Closing a dirty file writes it back to the local disk.
-        self.sim.advance(DISK_LATENCY.sample(len(of.buffer), self.sim.rng))
-        self._files[of.path] = bytes(of.buffer)
-
-    def _sync_local(self, of: BaselineOpenFile) -> None:
-        self.sim.advance(DISK_LATENCY.sample(len(of.buffer), self.sim.rng))
-        self._files[of.path] = bytes(of.buffer)
-        of.dirty = True  # keep the dirty bit: close still rewrites the final state
-
-    def _charge_read(self, of: BaselineOpenFile, size: int) -> None:
-        self.sim.advance(MEMORY_LATENCY.sample(size, self.sim.rng))
-
-    def _charge_write(self, of: BaselineOpenFile, size: int) -> None:
-        self.sim.advance(MEMORY_LATENCY.sample(size, self.sim.rng))
+    def _persist(self, path: str, data: bytes) -> None:
+        # Closing (or fsyncing) a dirty file writes it back to the local disk.
+        self.sim.advance(DISK_LATENCY.sample(len(data), self.sim.rng))
+        self._files[path] = data
 
     # -- paths ------------------------------------------------------------------
 

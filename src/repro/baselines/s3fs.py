@@ -18,10 +18,7 @@ Concretely, in this reproduction:
 from __future__ import annotations
 
 from repro.common.errors import ObjectNotFoundError
-from repro.common.types import Principal
-from repro.baselines.base import BaselineFileSystem, BaselineOpenFile
-from repro.clouds.eventual import EventuallyConsistentStore
-from repro.simenv.environment import Simulation
+from repro.baselines.base import SingleStoreFileSystem
 from repro.simenv.latency import DISK_LATENCY, LatencyModel
 from repro.common.units import MB
 
@@ -32,27 +29,19 @@ from repro.common.units import MB
 TMPFILE_ACCESS = LatencyModel(base=1.8e-5, bandwidth=100 * MB)
 
 
-class S3FSLike(BaselineFileSystem):
-    """Blocking, cache-less cloud-backed file system over a single store."""
+class S3FSLike(SingleStoreFileSystem):
+    """Blocking, cache-less cloud-backed file system over a single store.
+
+    Its local copies are the temporary files of the objects this mount
+    itself wrote (the real s3fs keeps the uploaded temp file around too).
+    """
 
     name = "S3FS"
-
-    def __init__(self, sim: Simulation, store: EventuallyConsistentStore,
-                 principal: Principal | None = None):
-        super().__init__(sim)
-        self.store = store
-        self.principal = principal or Principal("s3fs-user")
-        # Local temporary copies of the files this mount itself wrote.  They
-        # absorb S3's read-after-write anomaly for freshly created objects
-        # (the real s3fs keeps the uploaded temp file around too).
-        self._local: dict[str, bytes] = {}
-
-    def _key(self, path: str) -> str:
-        return f"s3fs{path}"
+    prefix = "s3fs"
 
     # -- hooks --------------------------------------------------------------------
 
-    def _load(self, path: str, create: bool, truncate: bool) -> bytearray:
+    def _load(self, path: str, create: bool, truncate: bool) -> bytes:
         key = self._key(path)
         try:
             data = b"" if truncate else self.store.get(key, self.principal)
@@ -70,31 +59,17 @@ class S3FSLike(BaselineFileSystem):
             self._local[path] = data
         # The downloaded copy lands in a local temporary file.
         self.sim.advance(DISK_LATENCY.sample(len(data), self.sim.rng))
-        return bytearray(data)
+        return data
 
-    def _persist(self, of: BaselineOpenFile) -> None:
-        # Blocking upload of the whole file.
-        self.store.put(self._key(of.path), bytes(of.buffer), self.principal)
-        self._local[of.path] = bytes(of.buffer)
+    def _persist(self, path: str, data: bytes) -> None:
+        # Blocking upload of the whole file; fsync does the same (there is no
+        # lower durability tier).
+        self.store.put(self._key(path), data, self.principal)
+        self._local[path] = data
 
-    def _sync_local(self, of: BaselineOpenFile) -> None:
-        # fsync pushes to the cloud as well (there is no lower durability tier).
-        self.store.put(self._key(of.path), bytes(of.buffer), self.principal)
-        self._local[of.path] = bytes(of.buffer)
-
-    def _charge_read(self, of: BaselineOpenFile, size: int) -> None:
+    def _charge_read(self, size: int) -> None:
         # No main-memory cache: reads are served from the local temporary file.
         self.sim.advance(TMPFILE_ACCESS.sample(size, self.sim.rng))
 
-    def _charge_write(self, of: BaselineOpenFile, size: int) -> None:
+    def _charge_write(self, size: int) -> None:
         self.sim.advance(TMPFILE_ACCESS.sample(size, self.sim.rng))
-
-    # -- paths -----------------------------------------------------------------------
-
-    def _exists(self, path: str) -> bool:
-        return path in self._local or self.store.exists(self._key(path), self.principal)
-
-    def unlink(self, path: str) -> None:
-        self._syscall()
-        self._local.pop(path, None)
-        self.store.delete(self._key(path), self.principal)

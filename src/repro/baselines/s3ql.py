@@ -16,10 +16,7 @@ modelled explicitly:
 from __future__ import annotations
 
 from repro.common.errors import ObjectNotFoundError
-from repro.common.types import Principal
-from repro.baselines.base import BaselineFileSystem, BaselineOpenFile
-from repro.clouds.eventual import EventuallyConsistentStore
-from repro.simenv.environment import Simulation
+from repro.baselines.base import SingleStoreFileSystem
 from repro.simenv.latency import DISK_LATENCY, MEMORY_LATENCY, LatencyModel
 from repro.common.units import KB
 
@@ -31,28 +28,19 @@ RECOMMENDED_CHUNK = 128 * KB
 SMALL_WRITE_PENALTY = LatencyModel(base=4.5e-4)
 
 
-class S3QLLike(BaselineFileSystem):
+class S3QLLike(SingleStoreFileSystem):
     """Single-user write-back cloud file system with local metadata."""
 
     name = "S3QL"
-
-    def __init__(self, sim: Simulation, store: EventuallyConsistentStore,
-                 principal: Principal | None = None):
-        super().__init__(sim)
-        self.store = store
-        self.principal = principal or Principal("s3ql-user")
-        self._local: dict[str, bytes] = {}
-
-    def _key(self, path: str) -> str:
-        return f"s3ql{path}"
+    prefix = "s3ql"
 
     # -- hooks ---------------------------------------------------------------------
 
-    def _load(self, path: str, create: bool, truncate: bool) -> bytearray:
+    def _load(self, path: str, create: bool, truncate: bool) -> bytes:
         if path in self._local:
             data = b"" if truncate else self._local[path]
             self.sim.advance(MEMORY_LATENCY.sample(len(data), self.sim.rng))
-            return bytearray(data)
+            return data
         # Not cached locally: fall back to the cloud copy (rare for a single user).
         try:
             data = self.store.get(self._key(path), self.principal)
@@ -64,41 +52,26 @@ class S3QLLike(BaselineFileSystem):
             data = b""
         self._local[path] = data
         self.sim.advance(DISK_LATENCY.sample(len(data), self.sim.rng))
-        return bytearray(data)
+        return data
 
-    def _persist(self, of: BaselineOpenFile) -> None:
-        data = bytes(of.buffer)
+    def _persist(self, path: str, data: bytes) -> None:
         # Local write-back: the close is as fast as the local disk...
-        self.sim.advance(DISK_LATENCY.sample(len(data), self.sim.rng))
-        self._local[of.path] = data
+        self._sync_local(path, data)
         # ...and the upload happens later, in the background.
         delay = self.store.profile.object_put.sample(len(data), self.sim.rng)
 
         def upload() -> None:
             with self.sim.background():
-                self.store.put(self._key(of.path), data, self.principal)
+                self.store.put(self._key(path), data, self.principal)
 
-        self.sim.schedule(delay, upload, name=f"s3ql-upload:{of.path}")
+        self.sim.schedule(delay, upload, name=f"s3ql-upload:{path}")
 
-    def _sync_local(self, of: BaselineOpenFile) -> None:
-        self.sim.advance(DISK_LATENCY.sample(len(of.buffer), self.sim.rng))
-        self._local[of.path] = bytes(of.buffer)
+    def _sync_local(self, path: str, data: bytes) -> None:
+        self.sim.advance(DISK_LATENCY.sample(len(data), self.sim.rng))
+        self._local[path] = data
 
-    def _charge_read(self, of: BaselineOpenFile, size: int) -> None:
-        self.sim.advance(MEMORY_LATENCY.sample(size, self.sim.rng))
-
-    def _charge_write(self, of: BaselineOpenFile, size: int) -> None:
+    def _charge_write(self, size: int) -> None:
         if 0 < size < RECOMMENDED_CHUNK:
             self.sim.advance(SMALL_WRITE_PENALTY.sample(0, self.sim.rng))
         else:
-            self.sim.advance(MEMORY_LATENCY.sample(size, self.sim.rng))
-
-    # -- paths -------------------------------------------------------------------------
-
-    def _exists(self, path: str) -> bool:
-        return path in self._local or self.store.exists(self._key(path), self.principal)
-
-    def unlink(self, path: str) -> None:
-        self._syscall()
-        self._local.pop(path, None)
-        self.store.delete(self._key(path), self.principal)
+            super()._charge_write(size)

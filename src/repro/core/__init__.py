@@ -20,7 +20,9 @@ The package mirrors the component structure of §2/§3 of the paper:
 * :mod:`~repro.core.agent` — the SCFS Agent implementing the call flows of
   Figure 4 with consistency-on-close semantics;
 * :mod:`~repro.core.filesystem` — the POSIX-like façade (open/read/write/
-  close/fsync/mkdir/rename/...) applications program against;
+  close/fsync/mkdir/rename/...) applications program against, and the one
+  open-file layer (flags, handle table, buffer arithmetic, copy rule) that
+  the agent and every baseline share;
 * :mod:`~repro.core.deployment` — helpers that assemble complete deployments
   (clouds + coordination + agents) for each Table 2 variant.
 """

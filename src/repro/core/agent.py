@@ -31,9 +31,7 @@ reproduce the shape of the paper's measurements.
 
 from __future__ import annotations
 
-import enum
 import functools
-import itertools
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
@@ -42,7 +40,6 @@ from repro.common.errors import (
     FileExistsErrorFS,
     FileNotFoundErrorFS,
     FileSystemError,
-    InvalidHandleError,
     IsADirectoryErrorFS,
     LockHeldError,
     NotADirectoryErrorFS,
@@ -55,6 +52,7 @@ from repro.coordination.base import CoordinationService, Op
 from repro.core.backend import StorageBackend
 from repro.core.cache import DISK_CACHE_BYTES, MEMORY_CACHE_BYTES, MetadataCache, make_disk_cache, make_memory_cache
 from repro.core.config import SCFSConfig
+from repro.core.filesystem import HandleTable, OpenFile, OpenFlags
 from repro.core.gc import GarbageCollector
 from repro.core.lock_service import LockService
 from repro.core.metadata import DATA_FIELDS, FileMetadata, FileType, normalize_path, parent_path
@@ -69,35 +67,17 @@ from repro.simenv.latency import FUSE_OVERHEAD
 from repro.transactions.manager import Transaction, TransactionManager
 
 
-class OpenFlags(enum.Flag):
-    """Subset of POSIX open(2) flags relevant to SCFS."""
+@dataclass(kw_only=True)
+class AgentOpenFile(OpenFile):
+    """An SCFS handle: the open file plus what its close needs."""
 
-    READ = enum.auto()
-    WRITE = enum.auto()
-    CREATE = enum.auto()
-    TRUNCATE = enum.auto()
-    READ_WRITE = READ | WRITE
-
-
-@dataclass
-class OpenFile:
-    """State of one open file handle (kept in the agent's open-file table)."""
-
-    handle: int
     metadata: FileMetadata
-    flags: OpenFlags
-    buffer: bytearray
-    dirty: bool = False
     locked: bool = False
     private: bool = False
     fsynced_digest: str = ""
     #: The backend's number for the version this close uploads, taken from
     #: the anchor before the close replaced its locator.
     cloud_version: int = 0
-
-    @property
-    def writable(self) -> bool:
-        return bool(self.flags & OpenFlags.WRITE)
 
 
 @dataclass
@@ -141,13 +121,12 @@ class SCFSAgent:
         self.coordination = coordination if config.mode.uses_coordination else None
         self.events = events
         self.stats = AgentStatistics()
-        self._handles: dict[int, OpenFile] = {}
-        self._next_handle = itertools.count(3)  # 0-2 "taken" by stdio, as in POSIX
+        self._handles: HandleTable[AgentOpenFile] = HandleTable()
         #: In-flight background commits (non-blocking and non-sharing modes), in
         #: the order they were scheduled: handle -> (open file, its scheduled
         #: completion, the completion itself).  :meth:`flush_pending` runs them
         #: early, :meth:`crash` cancels them without releasing anything.
-        self._pending_commits: dict[int, tuple[OpenFile, TaskHandle, Callable[[], None]]] = {}
+        self._pending_commits: dict[int, tuple[AgentOpenFile, TaskHandle, Callable[[], None]]] = {}
         #: Per-file completion time of the latest scheduled background upload:
         #: uploads of the same file complete in submission order (a smaller
         #: later version must not overtake and then be clobbered by an earlier
@@ -255,12 +234,6 @@ class SCFSAgent:
         self.stats.syscalls += 1
         self.sim.advance(FUSE_OVERHEAD.sample(0, self.sim.rng))
 
-    def _handle(self, handle: int) -> OpenFile:
-        try:
-            return self._handles[handle]
-        except KeyError:
-            raise InvalidHandleError(f"unknown or closed file handle {handle}") from None
-
     def _require_directory(self, path: str) -> FileMetadata:
         meta = self.metadata.get(path)
         if not meta.is_directory:
@@ -342,11 +315,10 @@ class SCFSAgent:
                 self.locks.release(meta)
             raise
 
-        handle = next(self._next_handle)
-        self._handles[handle] = OpenFile(
-            handle=handle, metadata=meta, flags=flags, buffer=buffer,
-            dirty=dirty, locked=locked, private=private,
-        )
+        handle = self._handles.add(AgentOpenFile(
+            path=path, flags=flags, buffer=buffer, dirty=dirty,
+            metadata=meta, locked=locked, private=private,
+        ))
         # ``served`` marks opens whose buffer was loaded from the anchored
         # version (the digest below) — the events the consistency-on-close
         # invariant checker inspects.  Truncating/creating opens serve nothing.
@@ -467,75 +439,57 @@ class SCFSAgent:
         return pending.metadata.copy() if pending is not None else meta
 
     def _load(self, meta: FileMetadata, flags: OpenFlags,
-              created: bool) -> tuple[bytearray, bool, bool]:
-        """The open file's buffer: ``(buffer, dirty, served from the anchored version)``."""
+              created: bool) -> tuple[bytes, bool, bool]:
+        """The open file's bytes, the cached version itself: ``(data, dirty, served from the anchored version)``."""
         if flags & OpenFlags.TRUNCATE or (created and not meta.digest):
-            return bytearray(), bool(flags & OpenFlags.TRUNCATE) and bool(meta.digest), False
+            return b"", bool(flags & OpenFlags.TRUNCATE) and bool(meta.digest), False
         outcome = self.storage.read_version(meta.file_id, meta.digest, meta.locator)
-        return bytearray(outcome.data), False, True
+        return outcome.data, False, True
 
     # -------------------------------------------------------------- read/write
 
     def read(self, handle: int, size: int = -1, offset: int = 0) -> bytes:
         """Read from the in-memory copy of an open file (durability level 0)."""
         self._syscall()
-        of = self._handle(handle)
-        if not of.flags & OpenFlags.READ:
-            raise PermissionDeniedError("file not opened for reading")
+        of = self._handles[handle]
+        data = of.read(size, offset)
         # A handle's buffer is in the memory cache once a write stored it
         # there; charge one memory access for the copy then.  A clean handle
         # is not looked up: it could only miss.
         key = self._memory_key(of)
         if self.memory_cache.contains(key):
             self.memory_cache.get(key)
-        end = len(of.buffer) if size < 0 else min(len(of.buffer), offset + size)
-        with memoryview(of.buffer) as view:
-            data = bytes(view[offset:end])
-        self._emit("read", path=of.metadata.path, handle=handle, offset=offset,
-                   size=len(data))
+        self._emit("read", path=of.path, handle=handle, offset=offset, size=len(data))
         return data
 
     def write(self, handle: int, data: bytes, offset: int | None = None) -> int:
         """Write into the in-memory copy of an open file (durability level 0)."""
         self._syscall()
-        of = self._handle(handle)
-        if not of.writable:
-            raise PermissionDeniedError("file not opened for writing")
-        if offset is None:
-            offset = len(of.buffer)
-        if offset > len(of.buffer):
-            of.buffer.extend(b"\x00" * (offset - len(of.buffer)))
-        of.buffer[offset:offset + len(data)] = data
-        of.dirty = True
+        of = self._handles[handle]
+        offset = of.write(data, offset)
         # Update the memory cache and the cached metadata (size/mtime), as in
         # Figure 4's write flow.  The entry is the buffer itself, not a copy.
         self.memory_cache.put(self._memory_key(of), of.buffer)
         of.metadata.touch(self.sim.now(), size=len(of.buffer))
         self.metadata_cache.put(of.metadata.path, of.metadata.copy())
-        self._emit("write", path=of.metadata.path, handle=handle, offset=offset,
+        self._emit("write", path=of.path, handle=handle, offset=offset,
                    size=len(data))
         return len(data)
 
     def truncate(self, handle: int, length: int = 0) -> None:
         """Truncate (or extend with zeros) the in-memory copy of an open file."""
         self._syscall()
-        of = self._handle(handle)
-        if not of.writable:
-            raise PermissionDeniedError("file not opened for writing")
-        if length <= len(of.buffer):
-            del of.buffer[length:]
-        else:
-            of.buffer.extend(b"\x00" * (length - len(of.buffer)))
-        of.dirty = True
+        of = self._handles[handle]
+        of.truncate(length)
         of.metadata.touch(self.sim.now(), size=len(of.buffer))
         self.metadata_cache.put(of.metadata.path, of.metadata.copy())
 
-    def _memory_key(self, of: OpenFile) -> str:
+    def _memory_key(self, of: AgentOpenFile) -> str:
         return f"{of.metadata.file_id}#open"
 
-    def _pending_commit_for(self, path: str) -> OpenFile | None:
+    def _pending_commit_for(self, path: str) -> AgentOpenFile | None:
         """The newest in-flight background commit of ``path``, if any."""
-        newest: OpenFile | None = None
+        newest: AgentOpenFile | None = None
         for pending, _task, _run in self._pending_commits.values():
             if pending.metadata.path == path:
                 newest = pending
@@ -546,7 +500,7 @@ class SCFSAgent:
     def fsync(self, handle: int) -> None:
         """Flush an open file to the local disk (durability level 1, Table 1)."""
         self._syscall()
-        of = self._handle(handle)
+        of = self._handles[handle]
         if not of.dirty:
             return
         data = bytes(of.buffer)
@@ -562,9 +516,7 @@ class SCFSAgent:
     def close(self, handle: int) -> None:
         """Close a file, synchronising data and metadata per the current mode."""
         self._syscall()
-        of = self._handles.pop(handle, None)
-        if of is None:
-            raise InvalidHandleError(f"unknown or closed file handle {handle}")
+        of = self._handles.close(handle)
         self.memory_cache.remove(self._memory_key(of))
         if not of.dirty or not of.writable:
             self._emit("close", path=of.metadata.path, file_id=of.metadata.file_id,
@@ -599,7 +551,7 @@ class SCFSAgent:
             self._commit_background(of, data)
         self.gc.maybe_schedule()
 
-    def _commit(self, of: OpenFile, data: bytes, background: bool) -> None:
+    def _commit(self, of: AgentOpenFile, data: bytes, background: bool) -> None:
         """Steps 2-4 of a close: publish the new version, unlock.
 
         The one commit path of every mode.  A background commit is this same
@@ -681,7 +633,7 @@ class SCFSAgent:
             self.backend.set_acl(meta.file_id, grantee, permission)
             self._acl_propagated.add(marker)
 
-    def _commit_background(self, of: OpenFile, data: bytes) -> None:
+    def _commit_background(self, of: AgentOpenFile, data: bytes) -> None:
         """Non-blocking / non-sharing close: upload and metadata update in background."""
         meta = of.metadata
         delay = self.backend.estimate_write_latency(len(data))

@@ -132,8 +132,6 @@ class SCFSConfig:
 
     mode: OperationMode = OperationMode.BLOCKING
     backend: BackendKind = BackendKind.COC
-    #: Number of faulty providers/replicas tolerated by the CoC backend.
-    fault_tolerance: int = 1
     #: Number of independent coordination services the namespace is partitioned
     #: over (the §5 scalability extension; 1 = the paper's base design).
     coordination_partitions: int = 1
@@ -153,16 +151,20 @@ class SCFSConfig:
     #: Lease of coordination-service sessions/locks in seconds.
     lock_lease: float = DEFAULT_LEASE
 
+    @property
+    def fault_tolerance(self) -> int:
+        """Faulty providers/replicas tolerated: f = 1 on the cloud-of-clouds, 0 on one cloud.
+
+        DepSky needs 3f + 1 clouds, so f = 1 is the only value the four CoC
+        providers fit; one store and one DepSpace VM tolerate nothing.
+        """
+        return 1 if self.backend is BackendKind.COC else 0
+
     def validate(self) -> None:
         """Check cross-field consistency; raise :class:`ConfigurationError` otherwise."""
         self.gc.validate()
         self.dispatch.validate()
         self.quorum.validate()
-        if self.fault_tolerance < 0:
-            raise ConfigurationError("fault tolerance must be non-negative")
-        if self.backend is BackendKind.AWS and self.fault_tolerance != 0:
-            # One store and one DepSpace VM: there is nothing to tolerate with.
-            raise ConfigurationError("the single-cloud backend tolerates no faults (f = 0)")
         if self.metadata_expiration < 0:
             raise ConfigurationError("metadata cache expiration must be non-negative")
         if self.quorum.weighted and self.backend is not BackendKind.COC:
@@ -194,7 +196,6 @@ class SCFSConfig:
         config = SCFSConfig(
             mode=spec.mode,
             backend=spec.backend,
-            fault_tolerance=1 if spec.backend is BackendKind.COC else 0,
             encrypt_data=spec.backend is BackendKind.COC,
             private_name_spaces=pns,
             **overrides,

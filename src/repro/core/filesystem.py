@@ -7,6 +7,10 @@ and whole-file helpers built on them, so a workload drives any mount through
 one code path.  :class:`SCFSFileSystem` adds the agent's other path-based
 operations (readdir, rename, stat, setfacl…) and transactions.
 
+Below it sits the one open-file layer every mount uses — the open flags, the
+:class:`OpenFile` record (the only code that changes a handle's bytes) and
+the :class:`HandleTable` — so a call means the same thing on every mount.
+
 It also encodes Table 1 — the durability level reached by each kind of call
 depending on the configured backend.
 """
@@ -15,12 +19,107 @@ from __future__ import annotations
 
 import abc
 import enum
+import itertools
 from dataclasses import dataclass
-from typing import ClassVar
+from typing import TYPE_CHECKING, ClassVar, Generic, TypeVar
 
+from repro.common.errors import InvalidHandleError, PermissionDeniedError
 from repro.common.types import Permission
-from repro.core.agent import OpenFlags, SCFSAgent
 from repro.core.metadata import FileMetadata
+
+if TYPE_CHECKING:
+    from repro.core.agent import SCFSAgent
+
+
+class OpenFlags(enum.Flag):
+    """Subset of POSIX open(2) flags relevant to SCFS."""
+
+    READ = enum.auto()
+    WRITE = enum.auto()
+    CREATE = enum.auto()
+    TRUNCATE = enum.auto()
+    READ_WRITE = READ | WRITE
+
+
+@dataclass
+class OpenFile:
+    """One open file: the bytes a handle sees and what it may do with them.
+
+    The copy rule: a read-only handle references the stored bytes it was
+    opened on (they are immutable to it), and a writable handle copies them
+    once, at open.  ``read`` copies out only the bytes asked for.
+    """
+
+    path: str
+    flags: OpenFlags
+    buffer: bytes | bytearray
+    dirty: bool = False
+    #: Set by the :class:`HandleTable` the file is opened in.
+    handle: int = 0
+
+    def __post_init__(self) -> None:
+        if self.writable:
+            self.buffer = bytearray(self.buffer)
+
+    @property
+    def writable(self) -> bool:
+        return bool(self.flags & OpenFlags.WRITE)
+
+    def read(self, size: int = -1, offset: int = 0) -> bytes:
+        """The ``size`` bytes at ``offset`` (-1: to the end), one copy."""
+        if not self.flags & OpenFlags.READ:
+            raise PermissionDeniedError("file not opened for reading")
+        end = len(self.buffer) if size < 0 else min(len(self.buffer), offset + size)
+        with memoryview(self.buffer) as view:
+            return bytes(view[offset:end])
+
+    def write(self, data: bytes, offset: int | None = None) -> int:
+        """Write ``data`` at ``offset`` (None: at the end), zero-filling a gap; returns the offset."""
+        if offset is None:
+            offset = len(self.buffer)
+        self.truncate(max(offset, len(self.buffer)))
+        self.buffer[offset:offset + len(data)] = data
+        return offset
+
+    def truncate(self, length: int) -> None:
+        """Cut the file to ``length`` bytes, or extend it with zeros."""
+        if not self.writable:
+            raise PermissionDeniedError("file not opened for writing")
+        if length <= len(self.buffer):
+            del self.buffer[length:]
+        else:
+            self.buffer.extend(bytes(length - len(self.buffer)))
+        self.dirty = True
+
+
+F = TypeVar("F", bound=OpenFile)
+
+
+class HandleTable(dict[int, F], Generic[F]):
+    """The open files of one mount by handle.
+
+    Handles count from 3 (0-2 are stdio's, as in POSIX); an unknown or
+    closed one is an :class:`~repro.common.errors.InvalidHandleError`.
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._ids = itertools.count(3)
+
+    def __missing__(self, handle: int) -> F:
+        raise InvalidHandleError(f"unknown or closed file handle {handle}")
+
+    def add(self, of: F) -> int:
+        """Open ``of`` under a new handle and return the handle."""
+        of.handle = next(self._ids)
+        self[of.handle] = of
+        return of.handle
+
+    def close(self, handle: int) -> F:
+        """Remove ``handle`` from the table and return its open file."""
+        of = self[handle]
+        del self[handle]
+        return of
 
 
 class DurabilityLevel(enum.IntEnum):

@@ -1,7 +1,8 @@
 """Memory guards of the agent's caches and of the whole-file paths.
 
 An agent's memory and disk caches keep one version per file, and neither a
-cold read nor a chunked write copies the file more often than it must.
+cold read, a baseline's read nor a chunked write copies the file more often
+than it must.
 ``tracemalloc`` counts Python (and numpy) allocations the same way on every
 host, so the bounds below do not depend on the machine.
 """
@@ -9,9 +10,11 @@ host, so the bounds below do not depend on the machine.
 import random
 import tracemalloc
 
+from repro.baselines.localfs import LocalFS
 from repro.common.types import Permission
 from repro.common.units import MB
 from repro.core.deployment import SCFSDeployment
+from repro.simenv.environment import Simulation
 
 
 def _entries_of(cache, file_id: str) -> list[str]:
@@ -39,7 +42,7 @@ def test_each_agent_caches_one_version_per_file():
             assert cache.contains(anchored.file_id, anchored.digest)
 
 
-def test_a_cold_read_copies_the_file_at_most_three_times():
+def test_a_cold_read_copies_the_file_at_most_twice():
     deployment = SCFSDeployment.for_variant("SCFS-CoC-B", seed=32)
     fs = deployment.create_agent("alice")
     data = random.Random(32).randbytes(4 * MB)
@@ -55,8 +58,26 @@ def test_a_cold_read_copies_the_file_at_most_three_times():
     finally:
         tracemalloc.stop()
     assert read == data
-    # The cached version, the handle's buffer and the bytes handed back.
-    assert (peak - before) / len(data) <= 3.1
+    # The cached version and the bytes handed back: a read-only handle
+    # references the cached version.
+    assert (peak - before) / len(data) <= 2.1
+
+
+def test_a_localfs_read_copies_the_file_once():
+    fs = LocalFS(Simulation(seed=34))
+    data = random.Random(34).randbytes(4 * MB)
+    fs.write_file("/big.bin", data)
+    handle = fs.open("/big.bin", "r")
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        read = fs.read(handle)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    fs.close(handle)
+    assert read == data
+    assert (peak - before) / len(data) <= 1.1
 
 
 def test_an_open_buffer_is_cached_by_reference():

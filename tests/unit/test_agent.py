@@ -18,9 +18,8 @@ from repro.common.errors import (
     QuorumNotReachedError,
 )
 from repro.common.types import Permission
-from repro.core.agent import OpenFlags
 from repro.core.deployment import SCFSDeployment
-from repro.core.filesystem import DURABILITY_TABLE
+from repro.core.filesystem import DURABILITY_TABLE, OpenFlags
 from repro.core.metadata import FileType
 from repro.core.modes import OperationMode
 from repro.simenv.failures import FaultKind

@@ -19,7 +19,6 @@ from repro.scenarios.spec import ScenarioSpec
 SURFACE = (
     "mode",
     "backend",
-    "fault_tolerance",
     "coordination_partitions",
     "private_name_spaces",
     "encrypt_data",
@@ -55,7 +54,7 @@ def _settable(config, prefix: str = "") -> list[str]:
 
 def test_the_settable_config_surface_is_the_pinned_one():
     assert tuple(_settable(SCFSConfig())) == SURFACE
-    assert len(SURFACE) == 21
+    assert len(SURFACE) == 20
 
 
 def test_no_scenario_field_repeats_a_config_setting():

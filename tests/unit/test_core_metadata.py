@@ -272,10 +272,12 @@ class TestConfig:
             SCFSConfig(metadata_expiration=-1.0).validate()
 
     def test_the_single_cloud_backend_tolerates_no_faults(self):
-        # One store and one DepSpace VM: an f the deployment would ignore is refused.
-        with pytest.raises(ConfigurationError, match="f = 0"):
-            SCFSConfig(backend=BackendKind.AWS, fault_tolerance=1).validate()
-        SCFSConfig(backend=BackendKind.AWS, fault_tolerance=0).validate()
+        # f follows the backend: one store and one DepSpace VM tolerate
+        # nothing, and f = 1 is the only value the four CoC providers fit.
+        assert SCFSConfig(backend=BackendKind.AWS).fault_tolerance == 0
+        assert SCFSConfig(backend=BackendKind.COC).fault_tolerance == 1
+        with pytest.raises(TypeError):
+            SCFSConfig(backend=BackendKind.AWS, fault_tolerance=1)
 
     def test_bad_gc_policy_rejected(self):
         with pytest.raises(ConfigurationError):
