@@ -481,6 +481,9 @@ class SCFSAgent:
         self._syscall()
         of = self._handles[handle]
         of.truncate(length)
+        # Re-put the buffer, as ``write`` does: the cache records an entry's
+        # size at ``put``, and the buffer's size just changed.
+        self.memory_cache.put(self._memory_key(of), of.buffer)
         of.metadata.touch(self.sim.now(), size=len(of.buffer))
         self.metadata_cache.put(of.metadata.path, of.metadata.copy())
 

@@ -1,18 +1,19 @@
 """Version records: what DepSky knows about one written version of a data unit.
 
 Each data unit keeps, *in every cloud*, one small *head* object — the
-serialised :class:`VersionRecord` of the latest version: its number, the digest
+encoded :class:`VersionRecord` of the latest version: its number, the digest
 of the plaintext, the digest of each stored block, the payload size and the
-writing principal.  It is constant-size: a write replaces it, never grows it.
-Older versions are found without it — their blocks carry ``(version, digest)``
-in their names (a LIST enumerates them) and the SCFS consistency anchor keeps
-each version's :meth:`~VersionRecord.locator` (§3.2's ``read_matching(hash)``).
+instant its blocks were dispatched.  A head is the version's binary locator
+followed by the raw plaintext digest: 26 + 32·n + 32 bytes (186 B at n = 4),
+whatever the version — a write replaces it, never grows it.  Older versions
+are found without it — their blocks carry ``(version, digest)`` in their names
+(a LIST enumerates them) and the SCFS consistency anchor keeps each version's
+:meth:`~VersionRecord.locator` (§3.2's ``read_matching(hash)``).
 """
 
 from __future__ import annotations
 
 import base64
-import json
 import math
 import struct
 from dataclasses import dataclass
@@ -26,14 +27,22 @@ _LOCATOR_FORMAT = 1
 _DIGEST_BYTES = 32
 
 
+def _raw_digest(digest: str) -> bytes:
+    """The 32 bytes a hex digest spells; ``ValueError`` for anything else."""
+    raw = bytes.fromhex(digest)
+    if len(raw) != _DIGEST_BYTES:
+        raise ValueError(f"not a {_DIGEST_BYTES}-byte digest: {digest!r}")
+    return raw
+
+
 @dataclass(frozen=True)
 class VersionRecord:
     """Metadata of one written version of a data unit.
 
     ``created_at`` is the instant the version's blocks were dispatched to the
     clouds: their propagation to readers runs from it.  A record recovered
-    from a LIST (:meth:`DepSkyClient.list_versions`) has no ``block_digests``
-    and no ``writer``, and its ``size`` is the bytes its blocks occupy.
+    from a LIST (:meth:`DepSkyClient.list_versions`) has no ``block_digests``,
+    and its ``size`` is the bytes its blocks occupy.
     """
 
     version: int
@@ -41,7 +50,30 @@ class VersionRecord:
     size: int
     block_digests: tuple[str, ...]
     created_at: float
-    writer: str
+
+    def _pack(self) -> bytes:
+        """The raw locator: :data:`_LOCATOR_HEAD` ‖ the raw block digests."""
+        head = _LOCATOR_HEAD.pack(_LOCATOR_FORMAT, self.version, self.size,
+                                  self.created_at, len(self.block_digests))
+        return head + b"".join(_raw_digest(digest) for digest in self.block_digests)
+
+    @staticmethod
+    def _unpack(raw: bytes, data_digest: str) -> "VersionRecord":
+        """Parse :meth:`_pack` output, exactly; ``ValueError`` for anything else."""
+        try:
+            tag, version, size, created_at, count = _LOCATOR_HEAD.unpack_from(raw)
+        except struct.error as exc:
+            raise ValueError(f"short version locator: {exc}") from exc
+        digests = raw[_LOCATOR_HEAD.size:]
+        if (tag != _LOCATOR_FORMAT or len(digests) != count * _DIGEST_BYTES
+                or not math.isfinite(created_at)):
+            raise ValueError("malformed version locator")
+        return VersionRecord(
+            version=version, data_digest=data_digest, size=size,
+            block_digests=tuple(digests[i:i + _DIGEST_BYTES].hex()
+                                for i in range(0, len(digests), _DIGEST_BYTES)),
+            created_at=created_at,
+        )
 
     def locator(self) -> str:
         """Everything a reader holding ``data_digest`` needs to fetch this version.
@@ -51,10 +83,7 @@ class VersionRecord:
         anchors this string beside the hash, so a read of the anchored version
         does not consult the clouds' (eventually consistent) head object.
         """
-        head = _LOCATOR_HEAD.pack(_LOCATOR_FORMAT, self.version, self.size,
-                                  self.created_at, len(self.block_digests))
-        digests = b"".join(bytes.fromhex(digest) for digest in self.block_digests)
-        return base64.urlsafe_b64encode(head + digests).decode("ascii")
+        return base64.urlsafe_b64encode(self._pack()).decode("ascii")
 
     @staticmethod
     def from_locator(locator: str, data_digest: str) -> "VersionRecord":
@@ -66,55 +95,23 @@ class VersionRecord:
         """
         try:
             raw = base64.b64decode(locator, altchars=b"-_", validate=True)
-            tag, version, size, created_at, count = _LOCATOR_HEAD.unpack_from(raw)
-        except (ValueError, struct.error) as exc:
+            return VersionRecord._unpack(raw, data_digest)
+        except ValueError as exc:
             raise IntegrityError(f"malformed version locator: {exc}") from exc
-        digests = raw[_LOCATOR_HEAD.size:]
-        if (tag != _LOCATOR_FORMAT or len(digests) != count * _DIGEST_BYTES
-                or not math.isfinite(created_at)):
-            raise IntegrityError("malformed version locator")
-        return VersionRecord(
-            version=version, data_digest=data_digest, size=size,
-            block_digests=tuple(digests[i:i + _DIGEST_BYTES].hex()
-                                for i in range(0, len(digests), _DIGEST_BYTES)),
-            created_at=created_at, writer="",
-        )
-
-    def to_dict(self) -> dict:
-        """Serialise to a JSON-compatible dictionary."""
-        return {
-            "version": self.version,
-            "data_digest": self.data_digest,
-            "size": self.size,
-            "block_digests": list(self.block_digests),
-            "created_at": self.created_at,
-            "writer": self.writer,
-        }
-
-    @staticmethod
-    def from_dict(raw: dict) -> "VersionRecord":
-        """Deserialise from :meth:`to_dict` output."""
-        return VersionRecord(
-            version=int(raw["version"]),
-            data_digest=str(raw["data_digest"]),
-            size=int(raw["size"]),
-            block_digests=tuple(str(digest) for digest in raw["block_digests"]),
-            created_at=float(raw["created_at"]),
-            writer=str(raw["writer"]),
-        )
 
     def to_bytes(self) -> bytes:
-        """Serialise the record as a data unit's head object."""
-        return json.dumps(self.to_dict(), sort_keys=True).encode()
+        """Encode the record as a data unit's head object: raw locator ‖ raw data digest."""
+        return self._pack() + _raw_digest(self.data_digest)
 
     @staticmethod
     def from_bytes(blob: bytes) -> "VersionRecord":
         """Parse a head object read from a cloud.
 
-        Raises ``ValueError`` if the blob is not a version record (e.g.
-        returned by a Byzantine provider).
+        Raises ``ValueError`` if the blob is not exactly an encoded record
+        (e.g. garbage, or a truncated or extended copy returned by a
+        Byzantine provider).
         """
         try:
-            return VersionRecord.from_dict(json.loads(blob.decode()))
-        except (ValueError, KeyError, TypeError, UnicodeDecodeError) as exc:
+            return VersionRecord._unpack(blob[:-_DIGEST_BYTES], blob[-_DIGEST_BYTES:].hex())
+        except ValueError as exc:
             raise ValueError(f"malformed data-unit head: {exc}") from exc

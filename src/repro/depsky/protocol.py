@@ -601,8 +601,7 @@ class DepSkyClient:
         ``created_at``: a real record's sizes, no content."""
         digest = "0" * 64
         return VersionRecord(version=1, data_digest=digest, size=num_bytes,
-                             block_digests=(digest,) * self.n, created_at=created_at,
-                             writer=self.principal.name)
+                             block_digests=(digest,) * self.n, created_at=created_at)
 
     def _block_put_call(self, block_put: Callable[[int], QuorumRequest]) -> QuorumCall:
         """A write's block-put call; ``block_put(i)`` sends block ``i`` to ``clouds[i]``.
@@ -684,7 +683,6 @@ class DepSkyClient:
             size=len(data),
             block_digests=tuple(hasher.hexdigest() for hasher in hashers),
             created_at=self.sim.now(),
-            writer=self.principal.name,
         )
 
         # Each cloud's blob is header ‖ share ‖ its row of the encode buffer.
@@ -942,7 +940,7 @@ class DepSkyClient:
                 versions.append(VersionRecord(
                     version=version, data_digest=data_digest,
                     size=sum(entry.size for _cloud, entry in found), block_digests=(),
-                    created_at=instants[(len(instants) - 1) // 2], writer=""))
+                    created_at=instants[(len(instants) - 1) // 2]))
         return versions
 
     def delete_version(self, unit_id: str, version: int, data_digest: str) -> bool:

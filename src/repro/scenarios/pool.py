@@ -100,7 +100,7 @@ def prime_pool(deployment, spec, recorder=None) -> dict[str, int]:
     )
     record = VersionRecord(
         version=1, data_digest=data_digest, size=len(data),
-        block_digests=block_digests, created_at=now, writer=POOL_OWNER,
+        block_digests=block_digests, created_at=now,
     )
     head = record.to_bytes()
 

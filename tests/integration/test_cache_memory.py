@@ -92,3 +92,17 @@ def test_an_open_buffer_is_cached_by_reference():
         assert cache._used == len(of.buffer) == 1000 * (index + 1)
     fs.close(handle)
     assert cache._used == len(cache.get(of.metadata.file_id, of.metadata.digest))
+
+
+def test_a_truncated_buffer_is_charged_its_new_size():
+    deployment = SCFSDeployment.for_variant("SCFS-CoC-B", seed=3)
+    fs = deployment.create_agent("alice")
+    handle = fs.open("/big.bin", "w")
+    cache = fs.agent.memory_cache
+    fs.write(handle, b"x" * 100_000)
+    assert cache._used == 100_000
+    fs.truncate(handle, 0)
+    assert cache._used == 0
+    fs.truncate(handle, 4096)
+    assert cache._used == 4096
+    fs.close(handle)

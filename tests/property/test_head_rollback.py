@@ -77,7 +77,7 @@ class Liar:
             if self.lie == "inflate":
                 head = VersionRecord.from_bytes(blob)
                 return VersionRecord(head.version + 10**6, "f" * 64, head.size,
-                                     head.block_digests, head.created_at, "mallory").to_bytes()
+                                     head.block_digests, head.created_at).to_bytes()
             return b"\x00garbage" if self.lie == "garbage" else blob
 
         def lying_list(prefix, principal):

@@ -52,16 +52,19 @@ from repro.scenarios.runner import ScenarioRunner
 #: ``Update`` of the grants alone, so the setup's second grant, made from a
 #: snapshot cached before the owner's background commit landed, no longer
 #: puts the tuple back without its locator (every first read then read a head
-#: first).  See docs/determinism-contract.md.
+#: first).  Epoch 15 covers all eight mixes: a DepSky head is the 186-byte
+#: binary locator ‖ data digest instead of ≈ 450 B of JSON, so every head PUT
+#: (and GET) moves fewer bytes and resolves a little sooner.  See
+#: docs/determinism-contract.md.
 GOLDEN_LOCKSTEP = {
-    "fault-free": "2a81fef7244ca0c3b7ea63a7df02529b2f4cbe0baa5759fe19937aca2085dec6",
-    "crash-hang": "57862a3c106cf45025f11b94a868c118574e4c1b849cf6589f1a0d0bfcbeb733",
-    "corrupt-byzantine": "adcfb1f5911b1b594f69506d10d70eca872318d9db26fe0fc4cef1396504182a",
-    "degraded-outage": "81333b5c6076289d94d998de17faa211c8e103e1b6e03bc06e8dfdd9e721fbd0",
-    "weighted-byzantine": "e47835721a1e2b26243481f9d7be35158422da332830d6f02490b82f68050bd6",
-    "txn": "4f80f25976c3f8ae67d0b2abaa42d0b28968df6341e86554b7f74c3ff453e6a5",
-    "txn-crash-restart": "4af4df71bdd4ed067156ea5a0cb9258428c4566ad229861dfb5b1569f97b13d2",
-    "txn-partition": "9c281f49d127767827a95ec345ddc0bee4ba66f5d54149bf5f580a2eb2eab084",
+    "fault-free": "341a7e1ac7dd8bd7c53983a72ab0e8ba9f25def5b2332299fd304c9b5c457b98",
+    "crash-hang": "eda1e6cd961037aca406dc1bf943119223b9b4b3a313db2275aaeb9e19eee218",
+    "corrupt-byzantine": "c9d035ebbceaa5d1e0e081ff48ac11403ca9244c6fa20c5c52763cedab31656b",
+    "degraded-outage": "29336231dff916001c924665f695592990bed7ba9faf824852b9ad5e37ca54fb",
+    "weighted-byzantine": "6a8c38ea281ec501ebf53f0afe550a8c9399a69f8dde4a5f1571d2cd7faf022b",
+    "txn": "62033d22603e7705528cd3d33b89d18040b1667f7b0d9e605d2862ead1213672",
+    "txn-crash-restart": "ae599f9d6d50dc0fa57486e798c2043a94d92ecc20f1d1a27b4c6d290eee7cc4",
+    "txn-partition": "eda4e9b9853e8b03b71de4005a82a4653fb28727b645e6bf35be1ba56f8954f7",
 }
 
 
@@ -82,9 +85,10 @@ def _scale_spec(**overrides) -> ScenarioSpec:
 
 #: Trace fingerprint of ``_scale_spec()``: pooled, partitioned, event-driven —
 #: the one pinned run that goes through pool priming.  Re-pinned in epoch 11,
-#: where its file ids also came to name their entry's partition, and in epoch
-#: 12; an epoch bump re-pins it together with the eight above.
-GOLDEN_POOLED = "37b8f9013c5d0ed5f4a7ff05df01f41168e58c2db41e9f5a0c2f293b369128ef"
+#: where its file ids also came to name their entry's partition, and in epochs
+#: 12 and 15 (pool priming installs the binary head); an epoch bump re-pins it
+#: together with the eight above.
+GOLDEN_POOLED = "00981403d294353920d5626d4d363320b407656ff3c721860e794e4da8ef2545"
 
 
 def test_pooled_fingerprint_is_pinned() -> None:

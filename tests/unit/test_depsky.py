@@ -20,9 +20,14 @@ def make_client(sim, alice, **kwargs):
     return client, client.clouds
 
 
-def _record(version=1, digest="d1", writer="alice"):
+def _hex(label: str) -> str:
+    """A 64-hex digest named by ``label``."""
+    return hashlib.sha256(label.encode()).hexdigest()
+
+
+def _record(version=1, digest=_hex("d1")):
     return VersionRecord(version=version, data_digest=digest, size=10,
-                         block_digests=("a", "b", "c", "d"), created_at=0.0, writer=writer)
+                         block_digests=tuple(_hex(name) for name in "abcd"), created_at=0.0)
 
 
 class TestHead:
@@ -32,25 +37,33 @@ class TestHead:
         assert VersionRecord.from_bytes(_record().to_bytes()) == _record()
 
     @pytest.mark.parametrize("blob", [
-        b"byzantine garbage", b"[]", b"{}", b'{"version": "x"}',
-        b'{"version": 1, "data_digest": "d", "size": 1, "block_digests": 7, '
+        b"byzantine garbage", b"", b"\x02" + _record().to_bytes()[1:],
+        b'{"version": 1, "data_digest": "d", "size": 1, "block_digests": [], '
         b'"created_at": 0, "writer": "w"}'])
     def test_malformed_blob_raises(self, blob):
         with pytest.raises(ValueError):
             VersionRecord.from_bytes(blob)
 
+    def test_a_record_without_raw_digests_has_no_head(self):
+        with pytest.raises(ValueError):
+            _record(digest="d1").to_bytes()
+        with pytest.raises(ValueError):
+            VersionRecord(1, _hex("d1"), 10, ("ab",) * 4, 0.0).to_bytes()
+
     def test_a_parsed_head_is_hashable_whatever_it_held(self):
-        blob = _record().to_bytes().replace(b'"a"', b'["nested"]')
-        assert hash(VersionRecord.from_bytes(blob)) is not None
+        blob = bytearray(_record().to_bytes())
+        blob[30:60] = bytes(range(30))
+        parsed = VersionRecord.from_bytes(bytes(blob))
+        assert hash(parsed) is not None
+        assert all(len(digest) == 64 for digest in parsed.block_digests)
 
     def test_the_head_does_not_grow_with_the_history(self, sim, alice):
         client, clouds = make_client(sim, alice)
-        sizes = []
+        sizes = set()
         for generation in range(12):
             client.write("unit", b"generation %d" % generation)
-            sizes.append(len(clouds[0].raw_object("depsky/unit/metadata")))
-        # Only the decimal rendering of the version and the instant varies.
-        assert max(sizes) - min(sizes) < 24
+            sizes.add(len(clouds[0].raw_object("depsky/unit/metadata")))
+        assert sizes == {26 + 32 * client.n + 32}
         assert VersionRecord.from_bytes(
             clouds[0].raw_object("depsky/unit/metadata")).version == 12
 
@@ -64,7 +77,7 @@ class TestHeadAgreement:
 
     def test_a_record_is_certified_by_f_plus_1_identical_copies(self, sim, alice):
         client, (a, b, c, d) = self._client(sim, alice)
-        new, old = _record(5, "new"), _record(4, "old")
+        new, old = _record(5, _hex("new")), _record(4, _hex("old"))
         assert client._certified_head([(a, new), (b, new), (c, old), (d, old)]) == new
         assert client._certified_head([(a, new), (b, old), (c, old)]) == old
         assert client._certified_head([(a, new), (b, old)]) is None
@@ -72,15 +85,15 @@ class TestHeadAgreement:
 
     def test_the_same_pair_with_other_block_digests_confirms_nothing(self, sim, alice):
         client, (a, b, _c, _d) = self._client(sim, alice)
-        forged = VersionRecord(5, "new", 10, ("x",) * 4, 0.0, "alice")
-        assert client._certified_head([(a, _record(5, "new")), (b, forged)]) is None
+        forged = VersionRecord(5, _hex("new"), 10, (_hex("x"),) * 4, 0.0)
+        assert client._certified_head([(a, _record(5, _hex("new"))), (b, forged)]) is None
 
     def test_the_vouched_version_is_the_f_plus_1_th_highest(self, sim, alice):
         client, (a, b, c, d) = self._client(sim, alice)
-        heads = [(a, _record(10**9, "inflated")), (b, _record(7)), (c, _record(7)),
+        heads = [(a, _record(10**9, _hex("inflated"))), (b, _record(7)), (c, _record(7)),
                  (d, _record(6))]
         assert client._vouched_version(heads) == 7          # not burnt by one cloud
-        heads[0] = (a, _record(1, "rolled back"))
+        heads[0] = (a, _record(1, _hex("rolled back")))
         assert client._vouched_version(heads) == 7          # nor rolled back
         assert client._vouched_version(heads[:1]) == 0
 
@@ -106,7 +119,7 @@ class TestHeadAgreement:
         client, clouds = make_client(sim, alice)
         record = client.write("unit", b"anchored" * 40)
         forged = VersionRecord(record.version, record.data_digest, record.size,
-                               ("0" * 64,) * 4, record.created_at, "mallory")
+                               ("0" * 64,) * 4, record.created_at)
         sim.advance(3.0)
         for cloud in clouds:
             genuine = cloud.raw_object("depsky/unit/metadata")
@@ -519,7 +532,9 @@ class TestWrite:
         block names gained the digest, and again when block *i* moved to the
         *i*-th cloud of the preferred order (faster clouds: an earlier clock,
         so the second record's dispatch instant changed; the RNG state did
-        not)."""
+        not), and again when the head became the binary locator ‖ data digest
+        (186 B instead of ≈ 450 B of JSON: smaller head PUTs, an earlier
+        clock; the RNG state did not change)."""
         sim = Simulation(seed=2024)
         clouds = make_cloud_of_clouds(sim, jitter=0.2)
         client = DepSkyClient(sim, clouds, alice, f=1)
@@ -531,8 +546,8 @@ class TestWrite:
                 blobs.update(key.encode())
                 blobs.update(cloud._objects[key].data)
         assert blobs.hexdigest() == \
-            "ef45feb8fcad40c23d16043ab7b46505eb27a764479f09683af5b1d5e8d8df05"
-        assert sim.now() == 1.2052389799394891
+            "d13acd2f7a7b4a988631480e2cce5d9b56dd83d61e54d186488155d8836efcd9"
+        assert sim.now() == 1.2050461952570992
         assert hashlib.sha256(repr(sim.rng.getstate()).encode()).hexdigest() == \
             "551fc109da49a6eda1d3719d43ee61231a9b1db9168b7f715ee8256ac728ce0e"
 

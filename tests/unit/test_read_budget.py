@@ -10,6 +10,8 @@ providers' ``request_log``.
 
 from __future__ import annotations
 
+import base64
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -204,7 +206,7 @@ def test_a_short_locator_never_disables_the_block_check(unit):
     client: DepSkyClient = backend.client
     record = VersionRecord.from_locator(ref.locator, ref.digest)
     short = VersionRecord(record.version, record.data_digest, record.size,
-                          record.block_digests[:1], record.created_at, "")
+                          record.block_digests[:1], record.created_at)
     with pytest.raises(IntegrityError):
         client.read_matching("unit", ref.digest, record=short)
     with pytest.raises(IntegrityError):
@@ -281,7 +283,7 @@ _RECORDS = st.builds(
     VersionRecord,
     version=st.integers(0, 2**64 - 1), data_digest=_DIGESTS, size=st.integers(0, 2**64 - 1),
     block_digests=st.lists(_DIGESTS, max_size=8).map(tuple),
-    created_at=st.floats(allow_nan=False, allow_infinity=False), writer=st.just(""))
+    created_at=st.floats(allow_nan=False, allow_infinity=False))
 
 
 @settings(max_examples=200, deadline=None)
@@ -302,3 +304,29 @@ def test_garbage_in_integrity_error_out(garbage):
         return
     # The few strings that do parse are locators: they name their own encoding.
     assert record.locator() == garbage
+
+
+@settings(max_examples=200, deadline=None)
+@given(record=_RECORDS)
+def test_head_round_trip(record):
+    head = record.to_bytes()
+    assert len(head) == 26 + 32 * len(record.block_digests) + 32
+    assert head[:-32] == base64.urlsafe_b64decode(record.locator())
+    assert VersionRecord.from_bytes(head) == record
+
+
+@settings(max_examples=200, deadline=None)
+@given(record=_RECORDS, cut=st.integers(1, 64), extra=st.binary(min_size=1, max_size=64))
+def test_a_truncated_extended_or_garbled_head_raises(record, cut, extra):
+    head = record.to_bytes()
+    for blob in (head[:-cut], head + extra, b"byzantine:" + head[::-1]):
+        with pytest.raises(ValueError):
+            VersionRecord.from_bytes(blob)
+
+
+# A head (the locator ‖ a data digest) is not a locator, nor is one of another format.
+@pytest.mark.parametrize("mangle", [lambda raw: raw + bytes(32), lambda raw: b"\x02" + raw[1:]])
+def test_a_bad_locator_raises_integrity_error(mangle):
+    raw = base64.urlsafe_b64decode(VersionRecord(3, "ab" * 32, 10, ("cd" * 32,) * 4, 1.5).locator())
+    with pytest.raises(IntegrityError):
+        VersionRecord.from_locator(base64.urlsafe_b64encode(mangle(raw)).decode(), "")

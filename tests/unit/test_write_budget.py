@@ -22,10 +22,6 @@ from repro.core.config import GarbageCollectionPolicy
 from repro.core.deployment import SCFSDeployment
 from repro.depsky.protocol import DepSkyClient
 
-#: Slack for the head's decimal rendering of a version number and an instant.
-RENDERING = 24
-
-
 def _shape(requests):
     """What a write's requests are, apart from the names: kind, head or block, count."""
     shape: dict[tuple[str, str], int] = {}
@@ -57,12 +53,13 @@ def test_the_200th_write_of_a_unit_costs_what_the_first_did(sim, alice, cloud_me
         down.append(_bytes(requests, "get"))
         sim.advance(3.0)
     # Up: n - f blocks of one payload size and n heads, whatever came before.
-    assert max(up) - min(up) <= n * RENDERING
+    assert max(up) == min(up)
     # Down: nothing the first time (no head yet), then n heads — not n histories.
     assert down[0] == 0
-    assert max(down[1:]) - min(down[1:]) <= n * RENDERING
+    assert max(down[1:]) == min(down[1:])
     head = len(clouds[0].raw_object("depsky/unit/metadata"))
-    assert down[-1] == n * head and head < 600
+    # A head is the binary locator (26-byte header, n raw block digests) ‖ the raw data digest.
+    assert down[-1] == n * head and head == 26 + 32 * n + 32
 
 
 def test_a_numbered_batch_asks_no_cloud_for_a_head(sim, alice, cloud_meter):
