@@ -20,7 +20,10 @@ engine exists to model:
 * with a failed preferred cloud, the charged read latency *strictly exceeds*
   the fault-free systematic read (staged fallback is not free);
 * hedged backup requests beat the DEGRADED straggler, cutting p99 read
-  latency by a wide margin versus plain dispatch.
+  latency by a wide margin versus plain dispatch;
+* fault-free, hedging changes nothing: a hedge fires only once a stage has
+  overrun its healthy bound, so the ``hedged`` policy's reads and writes take
+  exactly what ``plain`` dispatch's take and no request is hedged.
 
 The *outage-recovery* sweep (``test_outage_recovery_sweep``) downs one
 preferred cloud for a bounded window — as a crash (every request fails) and as
@@ -161,6 +164,11 @@ def test_quorum_latency_sweep(run_once, capsys):
     # Fault-free reads are pure preferred-quorum hits for every policy.
     for policy in POLICIES:
         assert results[("fault-free", policy)]["paths"]["coded"] == 0
+    # No hedge fires before a healthy answer could land: fault-free, the
+    # hedged policy sends nothing extra and waits exactly as long as plain.
+    for kind in ("reads", "writes"):
+        assert results[("fault-free", "hedged")][kind] == results[("fault-free", "plain")][kind]
+    assert results[("fault-free", "hedged")]["hedged"] == 0
 
     # Staged fallback is charged: with a failed preferred cloud every read is
     # coded and strictly slower than the fault-free systematic read.
@@ -185,6 +193,8 @@ def test_quorum_latency_sweep(run_once, capsys):
         "onedown_read_p50_s": round(percentile(reads("one-down", "plain"), 50), 4),
         "degraded_plain_read_p99_s": round(plain_p99, 4),
         "degraded_hedged_read_p99_s": round(hedged_p99, 4),
+        "degraded_hedged_write_p50_s": round(
+            percentile(results[("degraded", "hedged")]["writes"], 50), 4),
     })
 
 

@@ -11,16 +11,19 @@ call shape once, instead of each call site hand-rolling a latency list:
 * failures consume time but never occupy quorum slots: the call completes at
   the *m*-th success, not the *m*-th response;
 * requests honour the :class:`DispatchPolicyConfig`'s per-request
-  ``timeout`` and bounded ``retries`` (each retry re-invokes the request at
-  the time the previous attempt resolved);
+  ``timeout`` — never shorter than the request's healthy bound — and bounded
+  ``retries`` (each retry re-invokes the request at the time the previous
+  attempt resolved);
 * *staged fallback*: a call may declare fallback stages (e.g. the parity
   clouds of a preferred-quorum read).  A stage is dispatched only when the
   rounds before it cannot satisfy the quorum, at the time the triggering
   round *ended* (its last request resolved) — fallback work is never free;
 * *hedging*: with ``hedge_delay`` set, the next stage is dispatched early —
-  ``hedge_delay`` after the current stage started — whenever the quorum has
-  not been reached by then, which lets backup requests beat a degraded
-  straggler without waiting for it to fail or time out;
+  ``hedge_delay`` after the current stage started, or later, at the *stage
+  bound* (when the stage's requests, each answering at its healthy bound,
+  would satisfy the quorum) — whenever the quorum has not been reached by
+  then.  Backup requests beat a degraded straggler without waiting for it to
+  fail or time out, and a healthy stage of big requests is never hedged;
 * *health-aware planning*: with a :class:`~repro.clouds.health.CloudHealthTracker`
   attached, suspected clouds are demoted out of their stage (fallback requests
   are promoted in their place) and come back only as *background probes* that
@@ -89,6 +92,11 @@ class QuorumRequest:
 
     ``expected`` returns the deterministic expected latency of one attempt;
     only :meth:`QuorumCall.dry_run` calls it.
+
+    ``bound``, when set, is the request's *healthy bound*: the longest a
+    healthy answer can take (the profile's expectation at the top of its
+    jitter range, no fault degradation).  No deadline of the engine — the
+    per-attempt timeout or a hedge — fires before it.
     """
 
     cloud: str
@@ -102,6 +110,13 @@ class QuorumRequest:
     #: suspicion still reaches the provider whenever the provider permits
     #: (replication must not silently shrink on the say-so of a suspicion).
     mutating: bool = False
+    bound: float | None = None
+
+    def deadline(self, timeout: float | None) -> float | None:
+        """When one attempt is abandoned under ``timeout``: never before its bound."""
+        if timeout is None or self.bound is None:
+            return timeout
+        return max(timeout, self.bound)
 
 
 @dataclass(frozen=True)
@@ -117,17 +132,20 @@ class DispatchPolicyConfig:
     """
 
     #: Abandon any single attempt whose sampled latency exceeds this many
-    #: seconds (it resolves as a timeout exactly ``timeout`` seconds after
-    #: dispatch).  ``None`` waits indefinitely.
+    #: seconds, or the request's healthy bound if that is longer (it resolves
+    #: as a timeout exactly at that deadline after dispatch).  ``None`` waits
+    #: indefinitely.
     timeout: float | None = None
     #: Extra attempts after a failed or timed-out one; each retry re-invokes
     #: ``send`` and re-samples the latency at the previous attempt's
     #: resolution time.
     retries: int = 0
-    #: Dispatch the next fallback stage this many seconds after the current
-    #: stage started whenever the quorum has not been reached by then
-    #: (straggler mitigation).  ``None``: a fallback stage goes out only when
-    #: the rounds before it cannot reach the quorum.
+    #: Dispatch the next fallback stage at least this many seconds after the
+    #: current stage started — and not before the stage bound, when its
+    #: requests answering healthily would have reached the quorum — whenever
+    #: the quorum has not been reached by then (straggler mitigation).
+    #: ``None``: a fallback stage goes out only when the rounds before it
+    #: cannot reach the quorum.
     hedge_delay: float | None = None
     #: Consecutive failures/timeouts that put a cloud on the suspect list
     #: (0 disables health tracking altogether).
@@ -271,6 +289,7 @@ class QuorumCall:
         """Run one request (with retries) and place its resolution on the timeline
         (``dry``: send nothing, every attempt succeeds after ``request.expected()``)."""
         policy = self.policy
+        deadline = request.deadline(policy.timeout)
         now = start
         attempts = 0
         status = RequestStatus.FAILED
@@ -290,11 +309,11 @@ class QuorumCall:
                     result, ok, benign = None, False, isinstance(exc, BENIGN_ERRORS)
                 latency = request.latency(result)
             latency = max(0.0, latency)
-            if policy.timeout is not None and latency > policy.timeout:
+            if deadline is not None and latency > deadline:
                 # The response would arrive, but the client abandons the
                 # attempt at the deadline (the side effect may still have
                 # happened server-side, as with a real slow PUT).
-                now += policy.timeout
+                now += deadline
                 status = RequestStatus.TIMED_OUT
                 ok = False
                 benign = False
@@ -334,6 +353,15 @@ class QuorumCall:
     def _quorum_time(cls, traces: list[RequestTrace], quorum) -> float | None:
         prefix = cls._satisfying_prefix(traces, quorum)
         return prefix[-1].resolved_at if prefix is not None else None
+
+    @classmethod
+    def _stage_bound(cls, requests: list[QuorumRequest], quorum) -> float:
+        """When ``requests``, each answering at its bound, satisfy ``quorum``
+        (stage-relative; 0 when their bounded requests never would)."""
+        answers = [RequestTrace(cloud=r.cloud, stage=0, dispatched_at=0.0, resolved_at=r.bound,
+                                status=RequestStatus.OK)
+                   for r in requests if r.bound is not None]
+        return cls._quorum_time(answers, quorum) or 0.0
 
     def execute(self, required) -> QuorumCallStats:
         """Dispatch the stages and return the call's statistics.
@@ -406,7 +434,10 @@ class QuorumCall:
                         [r.cloud for r in stages[index - 1]]
                     )
                 if hedge_delay is not None:
-                    hedge_at = stage_starts[-1] + hedge_delay
+                    # Hedge stragglers, not big requests: never before the
+                    # previous stage could have answered healthily.
+                    hedge_at = stage_starts[-1] + max(
+                        hedge_delay, self._stage_bound(stages[index - 1], quorum))
                     if (quorum_at is None or quorum_at > hedge_at) and (
                             start is None or hedge_at < start):
                         start, hedged = hedge_at, True

@@ -357,8 +357,9 @@ def expected_latency(store: "EventuallyConsistentStore", kind: str, payload: int
     The one per-cloud expectation every estimate uses: the profile under the
     store's current degradation (no RNG draw), raised to the ``tracker``'s
     latency EWMA once it has ``MIN_SAMPLES`` (a gray failure the profile cannot
-    know), floored at ``timeout`` while the tracker suspects the cloud (the
-    wait a call that insists on it pays).  The tracker is only read.
+    know), floored at the attempt deadline while the tracker suspects the
+    cloud (the wait a call that insists on it pays: ``timeout``, or the
+    request's healthy bound if that is longer).  The tracker is only read.
     """
     expected = store.expected_request_latency(kind, payload)
     record = tracker._clouds.get(store.name) if tracker is not None else None
@@ -367,7 +368,7 @@ def expected_latency(store: "EventuallyConsistentStore", kind: str, payload: int
     if record.ewma_latency is not None and record.samples >= MIN_SAMPLES:
         expected = max(expected, record.ewma_latency)
     if record.suspected and timeout is not None:
-        expected = max(expected, timeout)
+        expected = max(expected, timeout, getattr(store.profile, kind).bound(payload))
     return expected
 
 

@@ -360,7 +360,9 @@ class DepSkyClient:
                  mutating: bool = False) -> QuorumRequest:
         """One ``kind`` request to ``cloud`` moving ``size`` bytes: its latency is
         sampled when sent (unless ``latency`` is given),
-        :func:`~repro.clouds.health.expected_latency` when dry-run.
+        :func:`~repro.clouds.health.expected_latency` when dry-run.  Its
+        healthy bound is the provider profile's, never the fault schedule's
+        or the tracker's: a straggler must overrun it to be hedged.
 
         ``send`` runs as background work: the quorum call waits for its
         requests in parallel and :meth:`_charge` charges that one wait."""
@@ -372,7 +374,8 @@ class DepSkyClient:
         return QuorumRequest(
             cloud=cloud.name, send=send_in_background, prepare=prepare, mutating=mutating,
             latency=latency or (lambda _value: cloud.request_latency(kind, size)),
-            expected=lambda: expected_latency(cloud, kind, size, self.health, self.policy.timeout))
+            expected=lambda: expected_latency(cloud, kind, size, self.health, self.policy.timeout),
+            bound=getattr(cloud.profile, kind).bound(size))
 
     def _get_request(self, cloud: EventuallyConsistentStore, key: str, parse, size: int = 0) -> QuorumRequest:
         """Build a GET request whose response must ``parse`` to count as a success.

@@ -51,6 +51,11 @@ class LatencyModel:
             latency += payload_bytes / self.bandwidth
         return max(latency, 0.0)
 
+    def bound(self, payload_bytes: int = 0) -> float:
+        """The longest one healthy operation moving ``payload_bytes`` can take:
+        :meth:`expected` at the top of the jitter range (no RNG draw)."""
+        return self.expected(payload_bytes) * (1.0 + self.jitter)
+
     def sample(self, payload_bytes: int = 0, rng: random.Random | None = None) -> float:
         """Return the latency in seconds of one operation moving ``payload_bytes``."""
         latency = self.expected(payload_bytes)

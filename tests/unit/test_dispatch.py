@@ -1,5 +1,7 @@
 """Unit tests for the quorum dispatch engine and its DepSky wiring."""
 
+import dataclasses
+
 import pytest
 
 from repro.clouds.dispatch import (
@@ -11,6 +13,7 @@ from repro.clouds.dispatch import (
 from repro.clouds.providers import make_cloud_of_clouds, make_provider
 from repro.common.errors import CloudUnavailableError, QuorumNotReachedError
 from repro.common.types import Principal
+from repro.core.deployment import SCFSDeployment
 from repro.depsky.protocol import DepSkyClient
 from repro.simenv.environment import Simulation
 from repro.simenv.failures import FailureSchedule, FaultKind
@@ -354,6 +357,88 @@ class TestDepSkyDispatchAccounting:
         stats = backend.read_paths
         assert stats.systematic == 1 and stats.coded == 1
         assert [stats.fallback_dispatched for op, stats in tapped if op == "block_get"] == [False, True]
+
+
+def bounded(cloud: str, latencies, bound: float, counter=None):
+    """A synthetic request whose healthy answer takes at most ``bound`` seconds."""
+    return dataclasses.replace(request(cloud, latencies, counter=counter), bound=bound)
+
+
+class TestHealthyBound:
+    """No deadline of the engine fires before a healthy answer could land."""
+
+    #: The dispatch policy of the layer benchmark's ``faulty_1m`` (and README's example).
+    FAULTY = DispatchPolicyConfig(timeout=2.0, retries=1, hedge_delay=0.25, suspicion_threshold=3)
+
+    def test_a_timeout_never_abandons_an_attempt_before_its_bound(self):
+        policy = DispatchPolicyConfig(timeout=2.0)
+        stats = QuorumCall(policy).stage([bounded("big", 2.8, bound=3.0)]).execute(1)
+        assert stats.elapsed == 2.8 and stats.winners[0].attempts == 1
+        stats = QuorumCall(policy).stage([bounded("big", 3.5, bound=3.0)]).execute(1)
+        assert not stats.reached
+        assert stats.traces[0].status is RequestStatus.TIMED_OUT
+        assert stats.traces[0].resolved_at == 3.0
+
+    def test_a_healthy_stage_is_not_hedged_before_its_bound(self):
+        counter: dict[str, int] = {}
+        policy = DispatchPolicyConfig(hedge_delay=0.25)
+        stats = (QuorumCall(policy)
+                 .stage([bounded("a", 0.38, bound=0.4, counter=counter),
+                         bounded("b", 0.2, bound=0.3, counter=counter)])
+                 .stage([bounded("c", 0.1, bound=0.2, counter=counter)])
+                 .execute(2))
+        assert stats.elapsed == 0.38 and stats.hedged == 0
+        assert "c" not in counter
+
+    def test_a_straggler_past_its_bound_is_hedged_at_the_stage_bound(self):
+        policy = DispatchPolicyConfig(hedge_delay=0.25)
+        stats = (QuorumCall(policy)
+                 .stage([bounded("straggler", 3.0, bound=0.4), bounded("b", 0.2, bound=0.3)])
+                 .stage([bounded("c", 0.1, bound=0.2)])
+                 .execute(2))
+        # The stage bound is the second bounded answer: 0.4 s, past the delay.
+        assert stats.stage_started_at == (0.0, 0.4)
+        assert stats.elapsed == pytest.approx(0.5) and stats.hedged == 1
+
+    def test_a_stage_that_cannot_answer_alone_hedges_at_the_delay(self):
+        policy = DispatchPolicyConfig(hedge_delay=0.25)
+        stats = (QuorumCall(policy)
+                 .stage([bounded("a", 3.0, bound=0.4)])
+                 .stage([bounded("b", 0.1, bound=0.2)])
+                 .execute(2))
+        assert stats.stage_started_at == (0.0, 0.25)
+
+    def test_a_healthy_1mib_write_and_read_send_no_extra_request(self):
+        sim = Simulation(seed=5)
+        clouds = make_cloud_of_clouds(sim, jitter=0.1)
+        client = DepSkyClient(sim, clouds, Principal("alice"), f=1, policy=self.FAULTY)
+
+        def block_requests(kind: str) -> int:
+            return sum(1 for cloud in clouds for logged, key, _ in cloud.request_log
+                       if logged == kind and "-b" in key)
+
+        record = client.write("unit", bytes(1 << 20))
+        assert block_requests("put") == client.n - client.f
+        # The first instant k holders serve the version: the slower-propagating
+        # holder is still invisible, and the slower visible one is not hedged.
+        sim.advance(client.readable_at(record) - sim.now())
+        result = client.read_matching("unit", record.data_digest, record=record)
+        assert block_requests("get") == client.k
+        assert result.stats.hedged == 0
+        assert client.health.stats.suspicions == 0
+
+    def test_a_16mib_file_is_written_and_read_back_under_the_faulty_policy(self):
+        # A healthy 8 MiB block PUT or GET takes longer than the 2 s timeout.
+        deployment = SCFSDeployment.for_variant("SCFS-CoC-B", seed=1, dispatch=self.FAULTY)
+        fs = deployment.create_agent("alice")
+        data = bytes(range(256)) * (16 * 4096)
+        fs.write_file("/big.bin", data)
+        deployment.drain(3.0)
+        fs.agent.memory_cache.clear()
+        fs.agent.disk_cache.clear()
+        assert fs.read_file("/big.bin") == data
+        health = fs.agent.backend.health
+        assert health.stats.suspicions == 0 and not health.suspected_clouds()
 
 
 class TestInstantCoalescer:
