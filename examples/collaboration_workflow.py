@@ -57,7 +57,7 @@ def main() -> None:
 
     # Version history: the original version is still stored in the clouds.
     meta = owner.stat("/paper/draft.tex")
-    versions = owner.agent.backend.list_versions(meta.file_id)
+    versions = owner.backend.list_versions(meta.file_id)
     print(f"versions stored in the cloud-of-clouds: {len(versions)}")
 
     # Housekeeping: the owner trims old versions with the garbage collector.

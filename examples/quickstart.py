@@ -54,10 +54,10 @@ def main() -> None:
     victim = preferred_order(deployment.clouds)[0]
     victim.failures.add(FaultKind.UNAVAILABLE)
     print(f"provider {victim.name!r} is now unavailable")
-    alice.agent.memory_cache.clear()
-    alice.agent.disk_cache.clear()     # force a read from the remaining clouds
+    alice.memory_cache.clear()
+    alice.disk_cache.clear()  # force a read from the remaining clouds
     print("alice still reads:", alice.read_file("/projects/design.md").decode().strip(),
-          f"(coded reads: {alice.agent.backend.read_paths.coded})")
+          f"(coded reads: {alice.backend.read_paths.coded})")
 
     # A quick look at what this cost so far (micro-dollars across providers).
     costs = deployment.costs()

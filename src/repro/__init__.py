@@ -31,8 +31,8 @@ Sub-packages
 ``repro.depsky``
     The DepSky cloud-of-clouds storage protocols.
 ``repro.core``
-    SCFS itself: agent, caches, metadata/storage/lock services, PNS, GC,
-    POSIX-like file system façade and deployment helpers.
+    SCFS itself: the agent (the mounted POSIX-like file system), caches,
+    metadata/storage/lock services, PNS, GC and deployment helpers.
 ``repro.baselines``
     S3FS-like, S3QL-like, LocalFS and Dropbox-like comparison systems.
 ``repro.bench``

@@ -109,15 +109,14 @@ def _measure(system: str, operation: str, file_size: int, seed: int = 0) -> Oper
 
     services = getattr(deployment.coordination, "services", [deployment.coordination])
     commands_before = sum(service.rsm.commands_executed for service in services)
-    # Drop local caches so a read actually downloads from the cloud(s).
-    agent = fs.agent
     deployment.reset_costs()
     read_path = "-"
     if operation == "read":
-        agent.memory_cache.clear()
-        agent.disk_cache.clear()
+        # Drop local caches so a read actually downloads from the cloud(s).
+        fs.memory_cache.clear()
+        fs.disk_cache.clear()
         fs.read_file(path)
-        paths = getattr(agent.backend, "read_paths", None)
+        paths = getattr(fs.backend, "read_paths", None)
         if paths is not None and paths.systematic + paths.coded:
             read_path = "systematic" if paths.coded == 0 else "coded"
     elif operation == "write":

@@ -139,11 +139,6 @@ class EventuallyConsistentStore:
         model = getattr(self.profile, kind)
         return model.sample(payload, self.sim.rng) * self.failures.degradation(self.sim.now())
 
-    def expected_request_latency(self, kind: str, payload: int = 0) -> float:
-        """Deterministic expected latency of one ``kind`` request (no RNG draw)."""
-        model = getattr(self.profile, kind)
-        return model.expected(payload) * self.failures.degradation(self.sim.now())
-
     def _fail_if_unavailable(self) -> None:
         if self.failures.is_active(FaultKind.UNAVAILABLE, self.sim.now()):
             raise CloudUnavailableError(f"provider {self.name} is unavailable")

@@ -354,14 +354,16 @@ def expected_latency(store: "EventuallyConsistentStore", kind: str, payload: int
                      timeout: float | None = None) -> float:
     """Expected seconds of one ``kind`` request moving ``payload`` bytes at ``store``.
 
-    The one per-cloud expectation every estimate uses: the profile under the
-    store's current degradation (no RNG draw), raised to the ``tracker``'s
-    latency EWMA once it has ``MIN_SAMPLES`` (a gray failure the profile cannot
-    know), floored at the attempt deadline while the tracker suspects the
-    cloud (the wait a call that insists on it pays: ``timeout``, or the
-    request's healthy bound if that is longer).  The tracker is only read.
+    The one per-cloud expectation every estimate uses: the provider profile's
+    (no RNG draw), raised to the ``tracker``'s latency EWMA once it has
+    ``MIN_SAMPLES`` (a gray failure the profile cannot know), floored at the
+    attempt deadline while the tracker suspects the cloud (the wait a call
+    that insists on it pays: ``timeout``, or the request's healthy bound if
+    that is longer).  It uses only what a client could know: a fault raises
+    it once requests have observed it, never before.  The tracker is only
+    read.
     """
-    expected = store.expected_request_latency(kind, payload)
+    expected = getattr(store.profile, kind).expected(payload)
     record = tracker._clouds.get(store.name) if tracker is not None else None
     if record is None:
         return expected

@@ -10,19 +10,20 @@ The package mirrors the component structure of §2/§3 of the paper:
   algorithm of Figure 3 (:func:`~repro.core.consistency.read_anchored`);
 * :mod:`~repro.core.cache` — memory/disk LRU data caches and the short-lived
   metadata cache;
-* :mod:`~repro.core.metadata` — metadata tuples (files, directories, links,
-  ACLs) and their serialisation;
+* :mod:`~repro.core.metadata` — metadata tuples (files, directories, ACLs)
+  and their serialisation;
 * :mod:`~repro.core.metadata_service`, :mod:`~repro.core.storage_service`,
   :mod:`~repro.core.lock_service` — the three local services of the SCFS Agent
   (§2.5.1);
 * :mod:`~repro.core.pns` — Private Name Spaces (§2.7);
 * :mod:`~repro.core.gc` — the versioned garbage collector (§2.5.3);
-* :mod:`~repro.core.agent` — the SCFS Agent implementing the call flows of
-  Figure 4 with consistency-on-close semantics;
-* :mod:`~repro.core.filesystem` — the POSIX-like façade (open/read/write/
-  close/fsync/mkdir/rename/...) applications program against, and the one
-  open-file layer (flags, handle table, buffer arithmetic, copy rule) that
-  the agent and every baseline share;
+* :mod:`~repro.core.agent` — the SCFS Agent, the mounted file system itself:
+  the POSIX-like calls (open/read/write/close/fsync/mkdir/rename/...)
+  applications program against, with the call flows of Figure 4 and
+  consistency-on-close semantics;
+* :mod:`~repro.core.filesystem` — the mount surface the agent and every
+  baseline share, and its one open-file layer (flags, handle table, buffer
+  arithmetic, copy rule);
 * :mod:`~repro.core.deployment` — helpers that assemble complete deployments
   (clouds + coordination + agents) for each Table 2 variant.
 """

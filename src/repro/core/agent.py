@@ -24,6 +24,9 @@ storage backend, implementing the call flows of Figure 4:
   *non-sharing* mode there is no coordination service at all and both data
   and PNS updates are pushed in the background.
 
+The agent is the mount: a :class:`~repro.core.filesystem.FileSystem`, which
+applications, workloads and the scenario engine call directly.
+
 The agent charges a small FUSE-crossing overhead per call plus the latency of
 whatever storage layers the call actually touches, so that simulated latencies
 reproduce the shape of the paper's measurements.
@@ -52,7 +55,7 @@ from repro.coordination.base import CoordinationService, Op
 from repro.core.backend import StorageBackend
 from repro.core.cache import DISK_CACHE_BYTES, MEMORY_CACHE_BYTES, MetadataCache, make_disk_cache, make_memory_cache
 from repro.core.config import SCFSConfig
-from repro.core.filesystem import HandleTable, OpenFile, OpenFlags
+from repro.core.filesystem import FileSystem, HandleTable, OpenFile, OpenFlags
 from repro.core.gc import GarbageCollector
 from repro.core.lock_service import LockService
 from repro.core.metadata import DATA_FIELDS, FileMetadata, FileType, normalize_path, parent_path
@@ -97,8 +100,8 @@ class AgentStatistics:
 EventSink = Callable[..., Any]
 
 
-class SCFSAgent:
-    """The user-space file-system client mounted at one user's machine."""
+class SCFSAgent(FileSystem):
+    """The user-space file-system client mounted at one user's machine: the mount itself."""
 
     def __init__(
         self,
@@ -173,6 +176,11 @@ class SCFSAgent:
         )
 
         self.mount()
+
+    @property
+    def agent(self) -> SCFSAgent:
+        """The agent itself: what the layer benchmark's ledger reads (ROADMAP item 1)."""
+        return self
 
     # ------------------------------------------------------------------ events
 
@@ -267,8 +275,8 @@ class SCFSAgent:
 
     # ------------------------------------------------------------------- open
 
-    def open(self, path: str, flags: OpenFlags = OpenFlags.READ, shared: bool = False) -> int:
-        """Open (optionally creating) a file and return a handle.
+    def open(self, path: str, mode: str = "r", shared: bool = False) -> int:
+        """Open (optionally creating) a file with a mode of :attr:`OPEN_MODES`; returns a handle.
 
         Look, create (``O_CREAT`` of an absent file), lock and revalidate (a
         write-open of a shared file), load.  ``shared`` forces a newly created
@@ -276,6 +284,7 @@ class SCFSAgent:
         enabled (used to model externally-shared directories and by the
         Figure 10(b) sweep).
         """
+        flags = self.open_flags(mode)
         self._syscall()
         path = normalize_path(path)
         user = self.principal.name
@@ -685,12 +694,6 @@ class SCFSAgent:
             task.cancel()
             run_now()
 
-    def begin_transaction(self) -> Transaction:
-        """Start a multi-file transaction (see :mod:`repro.transactions`)."""
-        if self.transactions is None:
-            raise FileSystemError("transactions require a coordination service")
-        return self.transactions.begin()
-
     def run_transaction(self, body: Callable[[Transaction], Any]) -> Any:
         """Run ``body(txn)`` with commit-conflict retries (bounded backoff)."""
         if self.transactions is None:
@@ -794,24 +797,6 @@ class SCFSAgent:
         # resurrect the old path.
         self.flush_pending(old_path)
         self.metadata.rename(old_path, new_path)
-
-    def symlink(self, target: str, link_path: str) -> None:
-        """Create a symbolic link to ``target`` at ``link_path``."""
-        self._syscall()
-        self._check_parent(link_path)
-        now = self.sim.now()
-        meta = FileMetadata(path=normalize_path(link_path), file_type=FileType.SYMLINK,
-                            owner=self.principal.name, created_at=now, modified_at=now,
-                            link_target=target)
-        self.metadata.create(meta)
-
-    def readlink(self, path: str) -> str:
-        """Return the target of a symbolic link."""
-        self._syscall()
-        meta = self.metadata.get(path)
-        if meta.file_type is not FileType.SYMLINK:
-            raise FileSystemError(f"not a symlink: {path}")
-        return meta.link_target
 
     # -------------------------------------------------------------------- ACLs
 

@@ -2,9 +2,9 @@
 
 A :class:`SCFSDeployment` owns the simulated infrastructure shared by every
 client of one experiment — the storage cloud(s), the coordination service and
-the simulation environment — and hands out mounted :class:`SCFSFileSystem`
-instances for individual users.  Benchmarks and examples use it to build any
-of the six Table 2 variants in a couple of lines::
+the simulation environment — and mounts an :class:`SCFSAgent` for each user.
+Benchmarks and examples use it to build any of the six Table 2 variants in a
+couple of lines::
 
     deployment = SCFSDeployment.for_variant("SCFS-CoC-NB", seed=1)
     alice = deployment.create_agent("alice")
@@ -25,7 +25,6 @@ from repro.coordination.partitioned import PartitionedCoordination
 from repro.core.agent import SCFSAgent
 from repro.core.backend import CloudOfCloudsBackend, SingleCloudBackend, StorageBackend
 from repro.core.config import SCFSConfig
-from repro.core.filesystem import SCFSFileSystem
 from repro.core.modes import BackendKind
 from repro.simenv.environment import Simulation
 from repro.simenv.latency import LatencyModel
@@ -56,7 +55,7 @@ class SCFSDeployment:
         self.sim = sim or Simulation(seed=seed)
         self.clouds: list[EventuallyConsistentStore] = self._build_clouds()
         self.coordination: CoordinationService | None = self._build_coordination()
-        self.filesystems: dict[str, SCFSFileSystem] = {}
+        self.filesystems: dict[str, SCFSAgent] = {}
         #: Always None: no SCFS path reads a DepSky head, so there is nothing
         #: to coalesce.  Kept because the layer benchmark's ledger reads it.
         self.coalescer = None
@@ -114,8 +113,8 @@ class SCFSDeployment:
         )
 
     def create_agent(self, username: str, config: SCFSConfig | None = None,
-                     events=None) -> SCFSFileSystem:
-        """Mount the file system for ``username`` and return its façade.
+                     events=None) -> SCFSAgent:
+        """Mount the file system for ``username`` and return its agent.
 
         ``events`` is an optional :data:`~repro.core.agent.EventSink` receiving
         the agent's operation events (the scenario engine's trace recorder).
@@ -129,11 +128,10 @@ class SCFSDeployment:
             coordination=self.coordination,
             events=events,
         )
-        filesystem = SCFSFileSystem(agent)
-        self.filesystems[username] = filesystem
-        return filesystem
+        self.filesystems[username] = agent
+        return agent
 
-    def agent_for(self, username: str) -> SCFSFileSystem:
+    def agent_for(self, username: str) -> SCFSAgent:
         """Return an already-created mount for ``username``."""
         return self.filesystems[username]
 

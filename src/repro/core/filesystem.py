@@ -1,11 +1,12 @@
-"""POSIX-like façade over the SCFS Agent, and the mount surface it shares.
+"""The mount surface SCFS and the baselines share.
 
 The real SCFS mounts the agent behind FUSE-J; applications then use the
-ordinary file API.  :class:`FileSystem` is the surface SCFS and the baselines
-share: handle-based calls (open/read/write/fsync/close), mkdir/exists/unlink,
-and whole-file helpers built on them, so a workload drives any mount through
-one code path.  :class:`SCFSFileSystem` adds the agent's other path-based
-operations (readdir, rename, stat, setfacl…) and transactions.
+ordinary file API.  :class:`FileSystem` is that API as a workload drives it:
+handle-based calls (open/read/write/fsync/close), mkdir/exists/unlink, and
+whole-file helpers built on them, so a workload drives any mount through one
+code path.  The SCFS Agent (:class:`~repro.core.agent.SCFSAgent`) is such a
+mount itself, and adds its other path-based operations (readdir, rename,
+stat, setfacl…) and transactions.
 
 Below it sits the one open-file layer every mount uses — the open flags, the
 :class:`OpenFile` record (the only code that changes a handle's bytes) and
@@ -21,14 +22,9 @@ import abc
 import enum
 import itertools
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, ClassVar, Generic, TypeVar
+from typing import Any, ClassVar, Generic, TypeVar
 
 from repro.common.errors import InvalidHandleError, PermissionDeniedError
-from repro.common.types import Permission
-from repro.core.metadata import FileMetadata
-
-if TYPE_CHECKING:
-    from repro.core.agent import SCFSAgent
 
 
 class OpenFlags(enum.Flag):
@@ -238,115 +234,14 @@ class FileSystem(abc.ABC):
         self.write_file(destination, self.read_file(source))
 
 
-class SCFSFileSystem(FileSystem):
-    """The mounted file system as seen by one user's applications."""
+def __getattr__(name: str) -> Any:
+    """``SCFSFileSystem``, the old name of the SCFS mount, is the agent.
 
-    def __init__(self, agent: SCFSAgent):
-        self.agent = agent
+    Imported lazily: the agent module imports this one.  The layer benchmark
+    still names it (ROADMAP item 1).
+    """
+    if name == "SCFSFileSystem":
+        from repro.core.agent import SCFSAgent
 
-    # -- identity ----------------------------------------------------------------
-
-    @property
-    def user(self) -> str:
-        """Name of the user this mount belongs to."""
-        return self.agent.principal.name
-
-    @property
-    def config(self):
-        """The agent's :class:`~repro.core.config.SCFSConfig`."""
-        return self.agent.config
-
-    @property
-    def sim(self):
-        """The shared simulation environment."""
-        return self.agent.sim
-
-    # -- handle-based calls (the FUSE surface) -------------------------------------
-
-    def open(self, path: str, mode: str = "r", shared: bool = False) -> int:
-        return self.agent.open(path, self.open_flags(mode), shared=shared)
-
-    def read(self, handle: int, size: int = -1, offset: int = 0) -> bytes:
-        return self.agent.read(handle, size, offset)
-
-    def write(self, handle: int, data: bytes, offset: int | None = None) -> int:
-        """Write to an open file (level 0 until fsync/close)."""
-        return self.agent.write(handle, data, offset)
-
-    def fsync(self, handle: int) -> None:
-        """Flush an open file to the local disk (level 1)."""
-        self.agent.fsync(handle)
-
-    def truncate(self, handle: int, length: int = 0) -> None:
-        self.agent.truncate(handle, length)
-
-    def close(self, handle: int) -> None:
-        """Close an open file (consistency-on-close; level 2/3 in blocking mode)."""
-        self.agent.close(handle)
-
-    # -- path-based calls -------------------------------------------------------------
-
-    def mkdir(self, path: str, shared: bool = False) -> None:
-        self.agent.mkdir(path, shared=shared)
-
-    def rmdir(self, path: str) -> None:
-        """Remove an empty directory."""
-        self.agent.rmdir(path)
-
-    def readdir(self, path: str) -> list[str]:
-        """List the entries of a directory."""
-        return self.agent.readdir(path)
-
-    def stat(self, path: str) -> FileMetadata:
-        """Metadata of a path."""
-        return self.agent.stat(path)
-
-    def exists(self, path: str) -> bool:
-        return self.agent.exists(path)
-
-    def unlink(self, path: str) -> None:
-        self.agent.unlink(path)
-
-    def rename(self, old_path: str, new_path: str) -> None:
-        """Rename a file or directory."""
-        self.agent.rename(old_path, new_path)
-
-    def symlink(self, target: str, link_path: str) -> None:
-        """Create a symbolic link."""
-        self.agent.symlink(target, link_path)
-
-    def readlink(self, path: str) -> str:
-        """Read the target of a symbolic link."""
-        return self.agent.readlink(path)
-
-    def setfacl(self, path: str, username: str, permission: Permission) -> None:
-        """Grant ``permission`` on ``path`` to another user."""
-        self.agent.setfacl(path, username, permission)
-
-    def getfacl(self, path: str) -> dict[str, Permission]:
-        """Return the grants of ``path``."""
-        return self.agent.getfacl(path)
-
-    # -- transactions ------------------------------------------------------------------
-
-    def begin_transaction(self):
-        """Start a multi-file transaction (commit/abort it explicitly)."""
-        return self.agent.begin_transaction()
-
-    def run_transaction(self, body):
-        """Run ``body(txn)`` and commit, retrying conflicts with bounded backoff."""
-        return self.agent.run_transaction(body)
-
-    def rename_tree(self, old_path: str, new_path: str) -> None:
-        """Atomically rename a file or a whole directory tree."""
-        self.agent.rename_tree(old_path, new_path)
-
-    # -- lifecycle ----------------------------------------------------------------------
-
-    def unmount(self) -> None:
-        """Flush open state and unmount."""
-        self.agent.unmount()
-
-    def collect_garbage(self):
-        """Run the garbage collector synchronously."""
-        return self.agent.collect_garbage()
+        return SCFSAgent
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

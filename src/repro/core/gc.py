@@ -104,11 +104,16 @@ class GarbageCollector:
                     report.errors.append(f"{path}: {exc}")
         return report
 
-    def _delete(self, ref: ObjectRef, report: GCReport) -> bool:
-        """Delete one listed version; count it only if the delete got through."""
+    def _delete(self, ref: ObjectRef, report: GCReport, forget: bool = True) -> bool:
+        """Delete one listed version; count it only if the delete got through.
+
+        ``forget`` drops its bytes from the local caches too: not when a kept
+        version has the same bytes.
+        """
         deleted = self.backend.delete_version(ref.key, ref.digest, ref.locator)
         if deleted:
-            self.storage.forget(ref.key, ref.digest)
+            if forget:
+                self.storage.forget(ref.key, ref.digest)
             report.versions_deleted += 1
             report.bytes_reclaimed += ref.size
         else:
@@ -126,22 +131,35 @@ class GarbageCollector:
                 self.metadata.remove(meta.path)
                 report.deleted_files_purged += 1
             return
-        # Keep the current version plus the most recent V-1 others.
-        keep: set[str] = {meta.digest}
-        ordered = [ref for ref in versions if ref.digest != meta.digest]
-        for ref in reversed(ordered):
+        # Keep the current version plus the most recent V-1 others, counted by
+        # listed version: an older version with the current bytes is older.
+        keep = {index for index, ref in enumerate(versions) if self._is_current(ref, meta)}
+        for index in reversed(range(len(versions))):
             if len(keep) >= self.policy.versions_to_keep:
                 break
-            keep.add(ref.digest)
+            keep.add(index)
         # Refined policy (§2.5.3): also keep the newest version of each time
         # bucket (e.g. one version per day/week) for long-term recovery.
         if self.policy.keep_interval_seconds:
             interval = self.policy.keep_interval_seconds
-            newest_per_bucket: dict[int, str] = {}
-            for ref in versions:
+            newest_per_bucket: dict[int, int] = {}
+            for index, ref in enumerate(versions):
                 bucket = int(ref.created_at // interval)
-                newest_per_bucket[bucket] = ref.digest  # versions are ordered oldest-first
+                newest_per_bucket[bucket] = index  # versions are ordered oldest-first
             keep.update(newest_per_bucket.values())
-        for ref in versions:
-            if ref.digest not in keep:
-                self._delete(ref, report)
+        kept = {ref.digest for index, ref in enumerate(versions) if index in keep}
+        for index, ref in enumerate(versions):
+            if index not in keep:
+                self._delete(ref, report, forget=ref.digest not in kept)
+
+    def _is_current(self, ref: ObjectRef, meta) -> bool:
+        """True when ``ref`` is the version the anchor names.
+
+        A backend that lists locators numbers its versions: the same number
+        has the same successor.  Without one there is one object per digest.
+        """
+        same_bytes = ref.digest == meta.digest
+        if not (same_bytes and ref.locator and meta.locator):
+            return same_bytes
+        return (self.backend.version_after(ref.locator, 0)
+                == self.backend.version_after(meta.locator, meta.data_version))

@@ -1,11 +1,11 @@
 """File-system metadata tuples.
 
 Each file system object is represented in the coordination service by a
-metadata tuple containing: the object name, its type (file, directory or
-link), its parent object, the object metadata (size, dates, owner, ACLs…), an
-opaque identifier referencing the file in the storage service and the
-collision-resistant hash of the current version of the file's contents
-(§2.5.1).  The last two fields are exactly the ``(id, hash)`` pair the
+metadata tuple containing: the object name, its type (file or directory; the
+paper's links are not modelled), its parent object, the object metadata
+(size, dates, owner, ACLs…), an opaque identifier referencing the file in the
+storage service and the collision-resistant hash of the current version of
+the file's contents (§2.5.1).  The last two fields are exactly the ``(id, hash)`` pair the
 consistency anchor stores (Figure 3); the storage backend's locator of that
 version (:attr:`~repro.common.types.ObjectRef.locator`) rides with them.
 
@@ -33,7 +33,6 @@ class FileType(enum.Enum):
 
     FILE = "file"
     DIRECTORY = "directory"
-    SYMLINK = "symlink"
 
 
 def normalize_path(path: str) -> str:
@@ -77,8 +76,6 @@ class FileMetadata:
     data_version: int = 0
     #: Access grants beyond the owner: user name -> permission.
     grants: dict[str, Permission] = field(default_factory=dict)
-    #: Symlink target (only for FileType.SYMLINK).
-    link_target: str = ""
     #: Files removed by the user are only marked deleted; the garbage collector
     #: erases them later (§2.5.3), which also enables undelete-style recovery.
     deleted: bool = False
@@ -158,7 +155,6 @@ class FileMetadata:
             "digest": self.digest,
             "data_version": self.data_version,
             "grants": {u: p.value for u, p in self.grants.items()},
-            "link_target": self.link_target,
             "deleted": self.deleted,
             "locator": self.locator,
         }
@@ -190,7 +186,6 @@ class FileMetadata:
             locator=raw.get("locator", ""),
             data_version=int(raw["data_version"]),
             grants={u: Permission(v) for u, v in raw.get("grants", {}).items()},
-            link_target=raw.get("link_target", ""),
             deleted=bool(raw.get("deleted", False)),
         )
 

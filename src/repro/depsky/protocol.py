@@ -461,10 +461,12 @@ class DepSkyClient:
             except ValueError as exc:
                 raise IntegrityError(f"unparseable head copy of {unit_id!r}") from exc
 
-        primary, fallback = self._planned_clouds("object_get", 0, required)
-        call = self._call().stage([self._get_request(c, key, parse) for c in primary])
+        # A head is the same size whatever the version: the bound and the plan include it.
+        size = len(self._shape(0, 0.0).to_bytes())
+        primary, fallback = self._planned_clouds("object_get", size, required)
+        call = self._call().stage([self._get_request(c, key, parse, size) for c in primary])
         if fallback:
-            call.stage([self._get_request(c, key, parse) for c in fallback])
+            call.stage([self._get_request(c, key, parse, size) for c in fallback])
         stats = call.execute(required=required)
         self._tap("meta_read", unit_id, stats)
         heads = tuple((trace.cloud, trace.value[0]) for trace in stats.successes)

@@ -327,11 +327,11 @@ def check_durability(trace: TraceRecorder, deployment) -> list[Violation]:
             ))
             continue
         writer = event.agent
-        filesystem = deployment.filesystems.get(writer)
-        if filesystem is None:
+        agent = deployment.filesystems.get(writer)
+        if agent is None:
             continue
         reader = DepSkyClient(
-            deployment.sim, clouds, filesystem.agent.principal, f=f,
+            deployment.sim, clouds, agent.principal, f=f,
             encrypt=config.encrypt_data,
         )
         try:

@@ -125,8 +125,7 @@ class ScenarioRunner:
 
     def _wire_agent(self, deployment: SCFSDeployment, name: str,
                     recorder: TraceRecorder) -> None:
-        filesystem = deployment.create_agent(name, events=recorder.record)
-        backend = filesystem.agent.backend
+        backend = deployment.create_agent(name, events=recorder.record).backend
         if isinstance(backend, CloudOfCloudsBackend):
             backend.client.on_quorum = recorder.quorum_sink(name, deployment.sim)
         if backend.health is not None:
@@ -188,7 +187,7 @@ class ScenarioRunner:
         elif target_kind == "agent":
             name = agent_name(index)
             if action == "start":
-                deployment.agent_for(name).agent.crash()
+                deployment.agent_for(name).crash()
                 self._crashed[name] = now
                 recorder.record("agent_crash", agent=name, time=now,
                                 lease=self.spec.config.lock_lease)

@@ -126,8 +126,8 @@ class ReadRecord:
 class Transaction:
     """One multi-file transaction: staged writes plus a validated read set.
 
-    Obtained from :meth:`TransactionManager.begin` (or the agent/file-system
-    façades).  Reads are served from the authoritative anchor and recorded;
+    Obtained from :meth:`TransactionManager.begin` (an agent's
+    ``transactions``).  Reads are served from the authoritative anchor and recorded;
     writes stay local until :meth:`commit`.  A transaction is single-use:
     after commit or abort it refuses further operations.
     """

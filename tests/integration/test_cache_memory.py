@@ -37,7 +37,7 @@ def test_each_agent_caches_one_version_per_file():
         assert reader.read_file("/doc.bin") == data
     anchored = writer.stat("/doc.bin")
     for fs in (writer, reader):
-        for cache in (fs.agent.memory_cache, fs.agent.disk_cache):
+        for cache in (fs.memory_cache, fs.disk_cache):
             assert _entries_of(cache, anchored.file_id) == [anchored.file_id]
             assert cache.contains(anchored.file_id, anchored.digest)
 
@@ -48,8 +48,8 @@ def test_a_cold_read_copies_the_file_at_most_twice():
     data = random.Random(32).randbytes(4 * MB)
     fs.write_file("/big.bin", data)
     deployment.drain(2.0)
-    fs.agent.memory_cache.clear()
-    fs.agent.disk_cache.clear()
+    fs.memory_cache.clear()
+    fs.disk_cache.clear()
     tracemalloc.start()
     try:
         before, _ = tracemalloc.get_traced_memory()
@@ -84,8 +84,8 @@ def test_an_open_buffer_is_cached_by_reference():
     deployment = SCFSDeployment.for_variant("SCFS-CoC-B", seed=33)
     fs = deployment.create_agent("alice")
     handle = fs.open("/log.txt", "w")
-    of = fs.agent._handles[handle]
-    cache = fs.agent.memory_cache
+    of = fs._handles[handle]
+    cache = fs.memory_cache
     for index in range(64):
         fs.write(handle, bytes([index]) * 1000)
         assert cache.get(f"{of.metadata.file_id}#open") is of.buffer
@@ -98,7 +98,7 @@ def test_a_truncated_buffer_is_charged_its_new_size():
     deployment = SCFSDeployment.for_variant("SCFS-CoC-B", seed=3)
     fs = deployment.create_agent("alice")
     handle = fs.open("/big.bin", "w")
-    cache = fs.agent.memory_cache
+    cache = fs.memory_cache
     fs.write(handle, b"x" * 100_000)
     assert cache._used == 100_000
     fs.truncate(handle, 0)

@@ -26,8 +26,8 @@ class TestStorageCloudFaults:
         fs.write_file("/durable.txt", b"important data" * 100)
         deployment.drain(2.0)
         deployment.clouds[0].failures.add(FaultKind.UNAVAILABLE)
-        fs.agent.memory_cache.clear()
-        fs.agent.disk_cache.clear()
+        fs.memory_cache.clear()
+        fs.disk_cache.clear()
         assert fs.read_file("/durable.txt") == b"important data" * 100
 
     def test_survives_cloud_outage_during_writes(self, coc):
@@ -35,8 +35,8 @@ class TestStorageCloudFaults:
         deployment.clouds[1].failures.add(FaultKind.UNAVAILABLE)
         fs.write_file("/written-during-outage.txt", b"still stored")
         deployment.drain(2.0)
-        fs.agent.memory_cache.clear()
-        fs.agent.disk_cache.clear()
+        fs.memory_cache.clear()
+        fs.disk_cache.clear()
         assert fs.read_file("/written-during-outage.txt") == b"still stored"
 
     def test_survives_one_byzantine_cloud(self, coc):
@@ -44,8 +44,8 @@ class TestStorageCloudFaults:
         fs.write_file("/integrity.txt", b"must not be corrupted" * 50)
         deployment.drain(2.0)
         deployment.clouds[2].failures.add(FaultKind.BYZANTINE)
-        fs.agent.memory_cache.clear()
-        fs.agent.disk_cache.clear()
+        fs.memory_cache.clear()
+        fs.disk_cache.clear()
         assert fs.read_file("/integrity.txt") == b"must not be corrupted" * 50
 
     def test_survives_one_cloud_dropping_writes(self, coc):
@@ -53,8 +53,8 @@ class TestStorageCloudFaults:
         deployment.clouds[3].failures.add(FaultKind.DROP_WRITES)
         fs.write_file("/dropped.txt", b"ack'd but not stored by one provider")
         deployment.drain(2.0)
-        fs.agent.memory_cache.clear()
-        fs.agent.disk_cache.clear()
+        fs.memory_cache.clear()
+        fs.disk_cache.clear()
         assert fs.read_file("/dropped.txt") == b"ack'd but not stored by one provider"
 
     def test_two_unavailable_clouds_exceed_the_fault_threshold(self, coc):
@@ -70,8 +70,8 @@ class TestStorageCloudFaults:
         fs.write_file("/only-copy.txt", b"x" * 100)
         deployment.drain(2.0)
         deployment.clouds[0].failures.add(FaultKind.UNAVAILABLE)
-        fs.agent.memory_cache.clear()
-        fs.agent.disk_cache.clear()
+        fs.memory_cache.clear()
+        fs.disk_cache.clear()
         with pytest.raises(Exception):
             fs.read_file("/only-copy.txt")
 

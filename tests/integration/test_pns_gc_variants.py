@@ -27,7 +27,7 @@ class TestPrivateNameSpacesIntegration:
         # The background commits send one command each: the PNS tuple's put.
         deployment.drain(5.0)
         commands = deployment.coordination.rsm.commands_executed - commands_before
-        saves = fs.agent.backend.list_versions(fs.agent.pns.unit_id)
+        saves = fs.backend.list_versions(fs.pns.unit_id)
         assert commands == len(saves)
 
     def test_shared_files_still_get_coordination_entries(self):
@@ -43,10 +43,10 @@ class TestPrivateNameSpacesIntegration:
         alice = deployment.create_agent("alice")
         bob = deployment.create_agent("bob")
         alice.write_file("/report.txt", b"was private")
-        assert alice.agent.pns.contains("/report.txt")
+        assert alice.pns.contains("/report.txt")
         before = deployment.coordination_entries()
         alice.setfacl("/report.txt", "bob", Permission.READ)
-        assert not alice.agent.pns.contains("/report.txt")
+        assert not alice.pns.contains("/report.txt")
         assert deployment.coordination_entries() == before + 1
         deployment.drain(2.0)
         assert bob.read_file("/report.txt") == b"was private"
@@ -68,7 +68,7 @@ class TestPrivateNameSpacesIntegration:
         fs = deployment.create_agent("alice")
         for i in range(5):
             fs.write_file(f"/file-{i}.txt", b"x")
-        assert len(fs.agent.pns) == 5
+        assert len(fs.pns) == 5
         assert deployment.coordination is None
 
     def test_coordination_footprint_shrinks_with_pns(self):
@@ -107,7 +107,7 @@ class TestGarbageCollectionIntegration:
         for round_number in range(6):
             fs.write_file("/big.bin", bytes([round_number]) * (16 * KB))
         deployment.drain(2.0)
-        assert gc_runs.count(fs.agent.gc) >= 1
+        assert gc_runs.count(fs.gc) >= 1
 
     def test_gc_keeps_only_v_versions(self):
         deployment = self._deployment(threshold=1 << 30, versions=2)
@@ -118,7 +118,7 @@ class TestGarbageCollectionIntegration:
         report = fs.collect_garbage()
         assert report.versions_deleted == 3
         meta = fs.stat("/doc.txt")
-        remaining = fs.agent.backend.list_versions(meta.file_id)
+        remaining = fs.backend.list_versions(meta.file_id)
         assert len(remaining) == 2
         assert meta.digest in {r.digest for r in remaining}
 
@@ -134,7 +134,7 @@ class TestGarbageCollectionIntegration:
         assert report.deleted_files_purged == 1
         assert deployment.stored_bytes() < stored_before
         assert not fs.exists("/temp.bin")
-        assert fs.agent.backend.list_versions(meta.file_id) == []
+        assert fs.backend.list_versions(meta.file_id) == []
 
     def test_gc_never_touches_other_users_files(self):
         deployment = SCFSDeployment.for_variant("SCFS-AWS-B", seed=45)
@@ -171,8 +171,8 @@ class TestAllVariantsEndToEnd:
         payload = bytes(i % 251 for i in range(512 * 1024))
         fs.write_file("/large.bin", payload)
         deployment.drain(3.0)
-        fs.agent.memory_cache.clear()
-        fs.agent.disk_cache.clear()
+        fs.memory_cache.clear()
+        fs.disk_cache.clear()
         assert fs.read_file("/large.bin") == payload
 
 

@@ -87,7 +87,7 @@ class TestControlledSharing:
         meta = alice.stat("/secret.txt")
         # Eve bypasses her metadata service and talks to the backend directly.
         with pytest.raises(Exception):
-            eve.agent.backend.read_version(meta.file_id, meta.digest)
+            eve.backend.read_version(meta.file_id, meta.digest)
 
 
 class TestConsistencyOnClose:
@@ -167,7 +167,7 @@ class TestConsistencyOnClose:
         # Multi-versioning: the previous version still exists in the cloud(s)
         # until the garbage collector reclaims it.  Drop any local copy so the
         # read goes to the cloud, by the locator the anchor named then.
-        storage = writer.agent.storage
+        storage = writer.storage
         storage.forget(first.file_id, first.digest)
         data = storage.read_version(first.file_id, first.digest, first.locator)
         assert data.source == "cloud" and data.data == b"first version"
@@ -203,6 +203,6 @@ class TestCrashRecovery:
         fs.write_file("/important.txt", b"do not lose me")
         deployment.drain(2.0)
         # Simulate losing the local machine: wipe both local caches.
-        fs.agent.memory_cache.clear()
-        fs.agent.disk_cache.clear()
+        fs.memory_cache.clear()
+        fs.disk_cache.clear()
         assert fs.read_file("/important.txt") == b"do not lose me"

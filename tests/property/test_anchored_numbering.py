@@ -107,7 +107,7 @@ def _run(steps, block_puts) -> None:
                 elif kind == "collect":
                     fs.collect_garbage()
                 else:
-                    fs.agent.crash()
+                    fs.crash()
                     deployment.sim.advance(LEASE + 1.0)
                     mounts[argument] = deployment.create_agent(USERS[argument],
                                                                config=configs[argument])
@@ -132,7 +132,7 @@ def _run(steps, block_puts) -> None:
         anchored: dict[str, tuple[str, str]] = {}
         owner: dict[str, CloudOfCloudsBackend] = {}
         for user, fs in zip(USERS, mounts, strict=True):
-            agent = fs.agent
+            agent = fs
             metas = [agent.metadata.lookup(path, use_cache=False) for path in SHARED]
             metas.append(agent.pns.get(f"/{user}.txt"))
             for meta in metas:

@@ -343,7 +343,7 @@ class TestEntryVersionProperties:
             assert (stored.version, stored.value) == (version, value)
 
 
-class SCFSFileSystemModel(RuleBasedStateMachine):
+class SCFSMountModel(RuleBasedStateMachine):
     """Stateful test: SCFS behaves like a dict of path -> bytes.
 
     Whole-file writes, reads, deletes and renames on a single agent must agree
@@ -415,7 +415,7 @@ class SCFSFileSystemModel(RuleBasedStateMachine):
         assert listed == expected
 
 
-SCFSFileSystemModel.TestCase.settings = settings(
+SCFSMountModel.TestCase.settings = settings(
     max_examples=12, stateful_step_count=20, deadline=None
 )
-TestSCFSAgainstDictModel = SCFSFileSystemModel.TestCase
+TestSCFSAgainstDictModel = SCFSMountModel.TestCase

@@ -141,10 +141,11 @@ def test_history_survives_one_cloud_lying_about_heads_and_listings(faulty, lie, 
         elif kind == "collect" and anchored:
             before = _stored(clouds, faulty)
             current = anchored[-1]
-            meta = SimpleNamespace(file_id=UNIT, digest=current[2].digest, deleted=False, path="/f")
+            meta = SimpleNamespace(file_id=UNIT, digest=current[2].digest, locator=current[2].locator,
+                                   data_version=current[0], deleted=False, path="/f")
             collectors[argument]._collect_file(meta, GCReport())
             deleted = before - _stored(clouds, faulty)
-            others = sorted(pair for pair in before if pair[1] != current[2].digest)
+            others = sorted(pair for pair in before if pair != (current[0], current[2].digest))
             protected = {(current[0], current[2].digest), *others[-(KEEP - 1):]}
             assert not deleted & protected, (deleted, protected)
         elif kind == "read_latest":
@@ -211,7 +212,8 @@ def _numbered_history(faulty: int, lie: str, steps) -> None:
                    if kind == "get" and key == HEAD_KEY)
 
     def meta():
-        return SimpleNamespace(file_id=UNIT, digest=anchor[1], deleted=False, path="/f")
+        return SimpleNamespace(file_id=UNIT, digest=anchor[1], locator=anchor[2],
+                               data_version=data_version, deleted=False, path="/f")
 
     # The anchor: ``(version of the anchored locator, digest, locator, data)``;
     # and what each writer's own floor must be, kept without asking anything.
@@ -252,13 +254,12 @@ def _numbered_history(faulty: int, lie: str, steps) -> None:
         return
     sim.advance(10.0)
     assert writers[1].read_version(UNIT, anchor[1], anchor[2]) == anchor[3]
-    # The collector protects the anchored digest, not a number: with V = 1 it
-    # keeps the anchored version (and older ones of the same bytes) and
-    # reclaims every orphan, also one that shares its number.
+    # The collector protects the anchored version: with V = 1 it keeps that
+    # one alone (an older version of the same bytes goes too) and reclaims
+    # every orphan, also one that shares its number.
     collector(writers[0], 1)._collect_file(meta(), GCReport())
     sim.advance(10.0)
-    left = _stored(clouds, faulty)
-    assert (anchor[0], anchor[1]) in left and {digest for _version, digest in left} == {anchor[1]}
+    assert _stored(clouds, faulty) == {(anchor[0], anchor[1])}
     assert writers[0].read_version(UNIT, anchor[1], anchor[2]) == anchor[3]
 
 

@@ -61,7 +61,7 @@ def test_racing_creators_create_once_and_leave_no_lock(case):
 
     def run(index: int) -> None:
         fs, drawn = mounts[index], case["mounts"][index]
-        fs.agent.metadata_cache.clear()
+        fs.metadata_cache.clear()
         if drawn["parent_cached"]:
             fs.stat("/d")
         try:
@@ -97,7 +97,7 @@ def test_racing_creators_create_once_and_leave_no_lock(case):
     assert len(opens) == outcomes.count("opened")
     assert [event["created"] for event in opens].count(True) == 1
     assert len({event["file_id"] for event in opens}) == 1
-    assert all(fs.agent.locks.held == {} and fs.agent._handles == {}
+    assert all(fs.locks.held == {} and fs._handles == {}
                for fs in mounts)
     taken = sorted({event["lock"] for event in events if event["kind"] == "lock"})
     assert f"filelock:{opens[0]['file_id']}" in taken

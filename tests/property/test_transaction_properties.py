@@ -53,7 +53,7 @@ def _build(agent_count: int, recorder: TraceRecorder):
     for path in FILES:
         owner.write_file(path, b"seed:" + path.encode(), shared=True)
         for other in mounts[1:]:
-            owner.setfacl(path, other.user, Permission.READ_WRITE)
+            owner.setfacl(path, other.principal.name, Permission.READ_WRITE)
     deployment.drain(2.0)
     return deployment, mounts
 
@@ -67,7 +67,7 @@ def _run_program(agent_count: int, steps) -> TraceRecorder:
         window = [path, FILES[(file_index + 1) % len(FILES)]]
         try:
             if kind == "txn":
-                txn = fs.begin_transaction()
+                txn = fs.transactions.begin()
                 # The txn id makes every staged payload globally unique: if
                 # these bytes are ever readable, *this* transaction leaked.
                 staged = {p: f"{txn.txn_id}:{tag}:{p}".encode() for p in window}

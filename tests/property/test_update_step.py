@@ -35,7 +35,7 @@ from repro.simenv.environment import Simulation
 
 KEY = "meta:/d/f"
 #: Field names an ``Update`` may carry (``file_id`` is what it is checked by).
-NAMES = (*DATA_FIELDS, "grants", "deleted", "owner", "created_at", "link_target")
+NAMES = (*DATA_FIELDS, "grants", "deleted", "owner", "created_at")
 
 _text = st.text("abcdef0123456789", max_size=12)
 _grants = st.dictionaries(st.sampled_from(("bob", "carol", "*")),
@@ -44,7 +44,7 @@ _tuple = st.builds(
     FileMetadata, path=st.just("/d/f"), file_type=st.sampled_from(FileType),
     owner=st.sampled_from(("alice", "bob")), size=st.integers(0, 1 << 20),
     created_at=st.floats(0, 1e6), modified_at=st.floats(0, 1e6), file_id=st.just("file-1"),
-    digest=_text, data_version=st.integers(0, 50), grants=_grants, link_target=_text,
+    digest=_text, data_version=st.integers(0, 50), grants=_grants,
     deleted=st.booleans(), locator=_text)
 
 _case = st.fixed_dictionaries({

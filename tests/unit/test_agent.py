@@ -18,8 +18,9 @@ from repro.common.errors import (
     QuorumNotReachedError,
 )
 from repro.common.types import Permission
+from repro.core.agent import SCFSAgent
 from repro.core.deployment import SCFSDeployment
-from repro.core.filesystem import DURABILITY_TABLE, OpenFlags
+from repro.core.filesystem import DURABILITY_TABLE, FileSystem
 from repro.core.metadata import FileType
 from repro.core.modes import OperationMode
 from repro.simenv.failures import FaultKind
@@ -36,6 +37,13 @@ def coc_nb():
 def aws_b():
     deployment = SCFSDeployment.for_variant("SCFS-AWS-B", seed=11)
     return deployment, deployment.create_agent("alice")
+
+
+def test_the_agent_is_the_mount():
+    deployment = SCFSDeployment.for_variant("SCFS-CoC-B", seed=3)
+    fs = deployment.create_agent("alice")
+    assert isinstance(fs, SCFSAgent) and isinstance(fs, FileSystem)
+    assert deployment.agent_for("alice") is fs and deployment.filesystems == {"alice": fs}
 
 
 class TestOpenCloseSemantics:
@@ -67,14 +75,6 @@ class TestOpenCloseSemantics:
         fs.close(handle)
         with pytest.raises(InvalidHandleError):
             fs.close(handle)
-
-    def test_read_requires_read_mode(self, coc_nb):
-        _, fs = coc_nb
-        fs.write_file("/f.txt", b"data")
-        handle = fs.agent.open("/f.txt", OpenFlags.WRITE)
-        with pytest.raises(PermissionDeniedError):
-            fs.agent.read(handle)
-        fs.close(handle)
 
     def test_write_requires_write_mode(self, coc_nb):
         _, fs = coc_nb
@@ -154,7 +154,7 @@ class TestNamespaceOperations:
         with pytest.raises(NotADirectoryErrorFS):
             fs.mkdir("/f.txt/sub")
 
-    @pytest.mark.parametrize("call", ["open", "symlink", "rename", "mkdir"])
+    @pytest.mark.parametrize("call", ["open", "rename", "mkdir"])
     @pytest.mark.parametrize("parent_cached", [True, False])
     def test_nothing_can_be_put_under_a_regular_file(self, call, parent_cached):
         """The one parent check asks for a live *directory* (it asked for existence only).
@@ -169,19 +169,18 @@ class TestNamespaceOperations:
         fs.write_file("/top/g", b"another", shared=True)
         calls = {
             "open": lambda: fs.write_file("/top/f/child", b"x", shared=True),
-            "symlink": lambda: fs.symlink("/top/g", "/top/f/link"),
             "rename": lambda: fs.rename("/top/g", "/top/f/g"),
             "mkdir": lambda: fs.mkdir("/top/f/sub", shared=True),
         }
-        fs.agent.metadata_cache.clear()
+        fs.metadata_cache.clear()
         if parent_cached:
             fs.stat("/top/f")
         with pytest.raises(NotADirectoryErrorFS) as raised:
             calls[call]()
         assert raised.value.errno_name == "ENOTDIR"
         assert fs.readdir("/top") == ["f", "g"]
-        assert deployment.coordination.list_prefix("meta:/top/f/", fs.agent.session) == []
-        assert fs.read_file("/top/f") == b"a file" and fs.agent.locks.held == {}
+        assert deployment.coordination.list_prefix("meta:/top/f/", fs.session) == []
+        assert fs.read_file("/top/f") == b"a file" and fs.locks.held == {}
 
     def test_readdir_of_file_fails(self, coc_nb):
         _, fs = coc_nb
@@ -201,7 +200,7 @@ class TestNamespaceOperations:
         fs.unlink("/f.txt")
         assert not fs.exists("/f.txt")
         # The metadata still exists (marked deleted) until the GC purges it.
-        assert fs.agent.metadata.lookup("/f.txt").deleted
+        assert fs.metadata.lookup("/f.txt").deleted
 
     def test_recreate_after_unlink(self, coc_nb):
         deployment, fs = coc_nb
@@ -244,14 +243,6 @@ class TestNamespaceOperations:
         with pytest.raises(FileExistsErrorFS):
             fs.rename("/a.txt", "/b.txt")
 
-    def test_symlink_and_readlink(self, coc_nb):
-        _, fs = coc_nb
-        fs.write_file("/target.txt", b"content")
-        fs.symlink("/target.txt", "/link")
-        assert fs.readlink("/link") == "/target.txt"
-        with pytest.raises(Exception):
-            fs.readlink("/target.txt")
-
 
 class TestDurabilityAndModes:
     def test_durability_table_matches_paper(self):
@@ -262,7 +253,7 @@ class TestDurabilityAndModes:
         deployment, fs = aws_b
         fs.write_file("/f.txt", b"x" * 10_000)
         # No pending background work: the data is already in the cloud.
-        assert not fs.agent._pending_commits
+        assert not fs._pending_commits
         assert deployment.clouds[0].stored_bytes() >= 10_000
 
     def test_blocking_coc_close_reaches_level3(self):
@@ -270,7 +261,7 @@ class TestDurabilityAndModes:
         deployment = SCFSDeployment.for_variant("SCFS-CoC-B", seed=1)
         fs = deployment.create_agent("alice")
         fs.write_file("/f.txt", b"x" * 10_000)
-        assert not fs.agent._pending_commits
+        assert not fs._pending_commits
         holders = [cloud for cloud in deployment.clouds if cloud.stored_bytes() >= 5_000]
         assert len(holders) >= len(deployment.clouds) - deployment.config.fault_tolerance
 
@@ -280,11 +271,11 @@ class TestDurabilityAndModes:
         deployment = SCFSDeployment.for_variant("SCFS-AWS-B", seed=1)
         fs = deployment.create_agent("alice")
         fs.write_file("/f.txt", b"y" * 10_000)
-        assert not fs.agent._pending_commits
+        assert not fs._pending_commits
         fresh = deployment.create_agent("alice")  # empty memory and disk caches
         deployment.sim.advance(deployment.clouds[0].profile.propagation_delay)
         assert fresh.read_file("/f.txt") == b"y" * 10_000
-        assert fresh.agent.storage.cloud_reads == 1
+        assert fresh.storage.cloud_reads == 1
 
     def test_non_blocking_close_returns_at_level1(self, coc_nb):
         # Level 1: when the close returns, the version is on the local disk
@@ -292,7 +283,7 @@ class TestDurabilityAndModes:
         deployment, fs = coc_nb
         fs.write_file("/f.txt", b"z" * 10_000)
         assert all(cloud.stored_bytes() == 0 for cloud in deployment.clouds)
-        assert len(fs.agent.storage.disk) == 1
+        assert len(fs.storage.disk) == 1
         deployment.drain()
         holders = [cloud for cloud in deployment.clouds if cloud.stored_bytes() >= 5_000]
         assert len(holders) >= len(deployment.clouds) - deployment.config.fault_tolerance
@@ -300,15 +291,15 @@ class TestDurabilityAndModes:
     def test_non_blocking_close_defers_upload(self, coc_nb):
         deployment, fs = coc_nb
         events = []
-        fs.agent.events = lambda kind, **fields: events.append((kind, fields))
+        fs.events = lambda kind, **fields: events.append((kind, fields))
         before = deployment.sim.now()
         fs.write_file("/f.txt", b"x" * 1_000_000)
         foreground = deployment.sim.now() - before
-        assert len(fs.agent._pending_commits) == 1
+        assert len(fs._pending_commits) == 1
         assert not [kind for kind, _ in events if kind == "commit"]
-        assert foreground < fs.agent.backend.estimate_write_latency(1_000_000)
+        assert foreground < fs.backend.estimate_write_latency(1_000_000)
         deployment.drain()
-        assert not fs.agent._pending_commits
+        assert not fs._pending_commits
         assert [fields["background"] for kind, fields in events if kind == "commit"] == [True]
 
     def test_fsync_only_touches_local_disk(self, coc_nb):
@@ -318,7 +309,7 @@ class TestDurabilityAndModes:
         before = [len(cloud.request_log) for cloud in deployment.clouds]
         fs.fsync(handle)
         assert [len(cloud.request_log) for cloud in deployment.clouds] == before
-        assert fs.agent.storage.bytes_pushed == 0
+        assert fs.storage.bytes_pushed == 0
         fs.close(handle)
 
     def test_close_without_modification_does_not_upload(self, coc_nb):
@@ -330,18 +321,18 @@ class TestDurabilityAndModes:
             return [sum(kind == "put" for kind, _key, _size in cloud.request_log)
                     for cloud in deployment.clouds]
 
-        before = (fs.agent.storage.bytes_pushed, puts())
+        before = (fs.storage.bytes_pushed, puts())
         handle = fs.open("/f.txt", "r")
         fs.read(handle)
         fs.close(handle)
-        assert (fs.agent.storage.bytes_pushed, puts()) == before
+        assert (fs.storage.bytes_pushed, puts()) == before
 
     def test_reads_of_unmodified_files_are_local(self, aws_b):
         deployment, fs = aws_b
         fs.write_file("/f.txt", b"cached content")
-        before = fs.agent.storage.cloud_reads
+        before = fs.storage.cloud_reads
         assert fs.read_file("/f.txt") == b"cached content"
-        assert fs.agent.storage.cloud_reads == before  # served from the local cache
+        assert fs.storage.cloud_reads == before  # served from the local cache
 
 
 class TestOneCommitPath:
@@ -356,7 +347,7 @@ class TestOneCommitPath:
         for data in (b"first", b"second version"):
             fs.write_file("/doc.txt", data, shared=True)
             deployment.drain()  # a no-op after a blocking close
-        anchored = fs.agent.metadata.lookup("/doc.txt", use_cache=False)
+        anchored = fs.metadata.lookup("/doc.txt", use_cache=False)
         keys = [sorted(cloud._objects) for cloud in deployment.clouds]
         return events, (anchored.digest, anchored.data_version), keys
 
@@ -389,7 +380,7 @@ class TestOneCommitPath:
         deployment = SCFSDeployment.for_variant("SCFS-CoC-NB", seed=23)
         fs = deployment.create_agent("alice")
         fs.write_file("/doc.txt", b"data", shared=True)
-        (_of, task, complete), = fs.agent._pending_commits.values()
+        (_of, task, complete), = fs._pending_commits.values()
         task.cancel()
         before = deployment.sim.now()
         complete()
@@ -439,9 +430,9 @@ class TestCloudACLPropagation:
         deployment.drain(2.0)
         bob = agents["bob"]
         bob.write_file("/f.txt", b"v2")  # the owner and two further grantees need the grant
-        assert len(bob.agent._acl_propagated) == 3
+        assert len(bob._acl_propagated) == 3
         bob.write_file("/f.txt", b"v3")  # at most once per (file, party)
-        assert len(bob.agent._acl_propagated) == 3
+        assert len(bob._acl_propagated) == 3
         assert agents["carol"].read_file("/f.txt") == b"v3"
 
 
@@ -474,8 +465,8 @@ class TestLockingBetweenClients:
             cloud.failures.add(FaultKind.UNAVAILABLE, start=deployment.sim.now())
         with pytest.raises(QuorumNotReachedError):
             alice.close(handle)
-        assert alice.agent._handles == {}
-        assert alice.agent.locks.held == {}
+        assert alice._handles == {}
+        assert alice.locks.held == {}
         for cloud in deployment.clouds[:2]:
             cloud.failures.clear()  # healed, so that bob's open can fetch v1
         bob_handle = bob.open("/shared.txt", "r+")  # LockHeldError until unmount, before the fix
@@ -495,7 +486,7 @@ class TestLockingBetweenClients:
         # The replicas refuse the anchor: the version stays an orphan, as one
         # of a re-created path does, and the lock goes back all the same.
         bob.close(handle)
-        assert "filelock:" + bob.stat("/shared.txt").file_id not in bob.agent.locks.held
+        assert "filelock:" + bob.stat("/shared.txt").file_id not in bob.locks.held
         alice.close(alice.open("/shared.txt", "r+"))
         assert alice.read_file("/shared.txt") == b"v1"
 
@@ -515,18 +506,18 @@ class TestStatisticsAndLifecycle:
     def test_statistics_track_calls(self, coc_nb):
         _, fs = coc_nb
         events = []
-        fs.agent.events = lambda kind, **fields: events.append(kind)
+        fs.events = lambda kind, **fields: events.append(kind)
         fs.write_file("/f.txt", b"x")
         fs.read_file("/f.txt")
         assert [events.count(kind) for kind in ("open", "close", "write", "read")] == [2, 2, 1, 1]
-        assert fs.agent.stats.syscalls >= 6
+        assert fs.stats.syscalls >= 6
 
     def test_a_read_of_a_clean_handle_looks_up_no_memory_cache_entry(self, coc_nb):
         deployment, fs = coc_nb
         fs.write_file("/f.txt", b"clean")
         deployment.drain()
         handle = fs.open("/f.txt", "r")
-        cache = fs.agent.memory_cache
+        cache = fs.memory_cache
         before = (cache.hits, cache.misses)
         assert fs.read(handle) == b"clean"
         assert (cache.hits, cache.misses) == before
@@ -540,7 +531,7 @@ class TestStatisticsAndLifecycle:
         deployment.drain()
         deployment.create_agent("alice2")
         # alice2 cannot read alice's file (no grant); check via alice's backend instead.
-        assert fs.agent._handles == {}
+        assert fs._handles == {}
 
     def test_nonblocking_unmount_flushes_the_whole_pns_in_the_background(self):
         """Upload *and* anchor put: a dirty PNS costs the unmount no simulated time."""
@@ -551,13 +542,13 @@ class TestStatisticsAndLifecycle:
             fs = deployment.create_agent("alice")
             if dirty:
                 fs.mkdir("/home")  # private: stays in the PNS until the next save
-            assert fs.agent.pns.dirty is dirty
+            assert fs.pns.dirty is dirty
             deployment.coordination.rsm.latency = LatencyModel(base=0.080)  # no jitter
             before = deployment.sim.now()
             fs.unmount()
             cost = deployment.sim.now() - before
             deployment.drain(3.0)
-            saved = fs.agent.backend.list_versions(fs.agent.pns.unit_id)
+            saved = fs.backend.list_versions(fs.pns.unit_id)
             assert len(saved) == (1 if dirty else 0)
             return cost
 
@@ -568,7 +559,7 @@ class TestStatisticsAndLifecycle:
     def test_non_sharing_agent_has_no_coordination(self):
         deployment = SCFSDeployment.for_variant("SCFS-CoC-NS", seed=4)
         fs = deployment.create_agent("alice")
-        assert fs.agent.coordination is None
+        assert fs.coordination is None
         assert deployment.coordination_entries() == 0
         fs.write_file("/f.txt", b"private")
         deployment.drain()
@@ -594,7 +585,7 @@ class TestConsistencyRetries:
         alice.write_file("/f", b"shared bytes", shared=True)
         alice.setfacl("/f", "bob", Permission.READ)
         deployment.drain(3.0)
-        backend, misses = bob.agent.backend, [None] * 3
+        backend, misses = bob.backend, [None] * 3
         fetch = backend.read_version
 
         def not_visible_yet(*args, **kwargs):
@@ -609,8 +600,8 @@ class TestConsistencyRetries:
         else:
             data = bob.run_transaction(lambda txn: txn.read("/f"))
         assert data == b"shared bytes" and not misses
-        assert bob.agent.stats.consistency_retries == 3
-        assert alice.agent.stats.consistency_retries == 0
+        assert bob.stats.consistency_retries == 3
+        assert alice.stats.consistency_retries == 0
 
 
 def _version_emitters(tree: ast.AST) -> list[tuple[str, str]]:

@@ -83,7 +83,7 @@ BUDGETS: dict[str, tuple[int, ...]] = {
     "`close`, dirty, blocking": (2,),
     "background commit of a non-blocking dirty `close`": (2,),
     "a refused `Update`": (1,),
-    "`mkdir` / `symlink`, parent cold · warm": (2, 1),
+    "`mkdir`, parent cold · warm": (2, 1),
     "`unlink`, cold": (2,),
     "`rename` of a file, same directory · other directory, cold": (2, 3),
     "`readdir`, cold · warm, any number of children": (2, 1),
@@ -97,7 +97,7 @@ BUDGETS: dict[str, tuple[int, ...]] = {
 def _intent(fs, txn_id):
     """The intent entry ``txn:<id>`` as the coordination service holds it (None: absent)."""
     try:
-        entry = fs.agent.coordination.get(TXN_PREFIX + txn_id, fs.agent.session)
+        entry = fs.coordination.get(TXN_PREFIX + txn_id, fs.session)
     except TupleNotFoundError:
         return None
     return json.loads(entry.value)
@@ -128,7 +128,7 @@ class Mount:
 
     def lock_partition(self, path: str) -> int:
         """Partition holding the lock of ``path`` (0 on a single service)."""
-        lock = LockService.lock_name(self.fs.agent.metadata.get(path))
+        lock = LockService.lock_name(self.fs.metadata.get(path))
         coordination = self.deployment.coordination
         return coordination.lock_partition(lock) if self.listing > 1 else 0
 
@@ -138,7 +138,7 @@ class Mount:
 
     def cold(self) -> None:
         """Expire the metadata cache (what a pause of >500 ms does)."""
-        self.fs.agent.metadata_cache.clear()
+        self.fs.metadata_cache.clear()
 
     def spent(self, call, *args) -> int:
         """Replicated commands of one call."""
@@ -220,16 +220,15 @@ def test_recreate_over_a_tombstone_is_the_refused_insert_and_the_replace(mount):
         # lookup_versioned, replace).
         (replace,) = BUDGETS["`open(O_CREAT)` over a tombstone (re-create), parent warm"]
         assert mount.spent(mount.fs.open, path, "w", True) == replace
-        assert mount.fs.agent.metadata.get(path).size == 0
+        assert mount.fs.metadata.get(path).size == 0
         assert mount.rides(path)
 
 
-def test_mkdir_and_symlink_are_the_parent_check_and_the_insert(mount):
+def test_mkdir_is_the_parent_check_and_the_insert(mount):
     """One parent read says both "exists" and "is a directory"."""
-    cold, warm = BUDGETS["`mkdir` / `symlink`, parent cold · warm"]
-    for call, args in ((mount.fs.mkdir, ("/top/d", True)), (mount.fs.symlink, ("/top/d", "/top/l"))):
-        mount.cold()
-        assert mount.spent(call, *args) == cold
+    cold, warm = BUDGETS["`mkdir`, parent cold · warm"]
+    mount.cold()
+    assert mount.spent(mount.fs.mkdir, "/top/d", True) == cold
     assert mount.spent(mount.fs.mkdir, "/top/e", True) == warm
 
 
@@ -251,14 +250,14 @@ def test_a_background_commit_is_update_and_unlock(kind):
     handle = mount.fs.open("/top/new", "w", True)
     mount.fs.write(handle, b"payload")
     assert mount.spent(mount.fs.close, handle) == 0
-    assert len(mount.fs.agent._pending_commits) == 1
+    assert len(mount.fs._pending_commits) == 1
     (commit,) = BUDGETS["background commit of a non-blocking dirty `close`"]
-    assert mount.spent(mount.fs.agent.flush_pending, "/top/new") == commit
-    assert not mount.fs.agent._pending_commits
+    assert mount.spent(mount.fs.flush_pending, "/top/new") == commit
+    assert not mount.fs._pending_commits
 
 
 def test_a_refused_update_costs_its_one_command(mount):
-    agent = mount.fs.agent
+    agent = mount.fs
     mount.fs.write_file("/top/f", b"data", shared=True)
     meta, version = agent.metadata.lookup_versioned("/top/f")
     agent.metadata.update_cas(meta, version)
@@ -367,7 +366,7 @@ def test_directory_rename_is_one_move_per_descendant(mount, descendants):
 
 def test_conditional_puts_cost_one_command_each(mount):
     """The transaction manager's intent writes and the one-entry ``Update`` CAS."""
-    agent = mount.fs.agent
+    agent = mount.fs
     mount.fs.write_file("/top/f", b"data", shared=True)
 
     def intent(expected_version):
@@ -392,7 +391,7 @@ def _commit_commands(mount, directory: str, count: int) -> tuple[int, int]:
     """Commands of one commit that reads and rewrites ``count`` files, and its count before the intent rode."""
     mount.make_files(directory, count)
     paths = [f"{directory}/f{index:03d}" for index in range(count)]
-    txn = mount.fs.begin_transaction()
+    txn = mount.fs.transactions.begin()
     _read_and_rewrite(paths)(txn)
     commands = mount.spent(txn.commit)
     assert [mount.fs.read_file(path) for path in paths] == [b"x+"] * count
@@ -436,16 +435,16 @@ def test_a_lock_refused_commit_attempt_writes_no_intent(mount):
     for path in paths:
         mount.fs.setfacl(path, "bob", Permission.READ_WRITE)
     handle = other.open(paths[1], "r+")
-    txn = mount.fs.begin_transaction()
+    txn = mount.fs.transactions.begin()
     _read_and_rewrite(paths)(txn)
-    entries = mount.fs.agent.coordination.entry_count()
+    entries = mount.fs.coordination.entry_count()
     with pytest.raises(TransactionConflictError):
         txn.commit()
     other.close(handle)
     # The refused command was the attempt's only one per partition asked, and
     # it left nothing: no intent, no lock (the next commit takes them all).
     assert _intent(mount.fs, txn.txn_id) is None
-    assert mount.fs.agent.coordination.entry_count() == entries
+    assert mount.fs.coordination.entry_count() == entries
     mount.fs.run_transaction(_read_and_rewrite(paths))
     assert [mount.fs.read_file(path) for path in paths] == [b"x+"] * 3
 
@@ -453,7 +452,7 @@ def test_a_lock_refused_commit_attempt_writes_no_intent(mount):
 def test_a_failed_validation_flips_the_riding_intent_to_aborted(mount):
     mount.make_files("/top/stale", 2)
     paths = [f"/top/stale/f{index:03d}" for index in range(2)]
-    txn = mount.fs.begin_transaction()
+    txn = mount.fs.transactions.begin()
     _read_and_rewrite(paths)(txn)
     mount.fs.write_file(paths[0], b"newer", shared=True)
     with pytest.raises(TransactionConflictError, match="stale read"):
@@ -519,8 +518,8 @@ def test_a_mount_is_one_command_and_registers_a_user_every_user_may_read(mount):
     (cost,) = BUDGETS["mount"]
     assert mount.spent(mount.deployment.create_agent, "bob") == cost
     assert mount.spent(mount.deployment.create_agent, "bob") == cost  # a refresh keeps the ACL
-    carol = mount.deployment.create_agent("carol").agent
-    bob = mount.deployment.agent_for("bob").agent
+    carol = mount.deployment.create_agent("carol")
+    bob = mount.deployment.agent_for("bob")
     assert carol.users.lookup("bob").canonical_ids == bob.principal.canonical_ids
 
 
@@ -545,7 +544,7 @@ def test_a_listing_of_every_partition_is_one_round_trip():
     coordination = deployment.coordination
     assert len({coordination.partition_of(f"meta:/d{index}") for index in range(8)}) > 1
     state, start = deployment.sim.rng.getstate(), deployment.sim.now()
-    listed = coordination.list_entries("meta:/", fs.agent.session)
+    listed = coordination.list_entries("meta:/", fs.session)
     assert {f"meta:/d{index}" for index in range(8)} <= {entry.key for entry in listed}
     assert deployment.sim.now() == start + max(_draws(state, coordination.services))
 

@@ -183,7 +183,7 @@ class TestCreateRacingATombstone:
         alice.write_file("/d/f", b"old", shared=True)
         alice.setfacl("/d/f", "bob", Permission.READ_WRITE)
         alice.unlink("/d/f")
-        return deployment, alice.agent.metadata, bob.agent.metadata
+        return deployment, alice.metadata, bob.metadata
 
     @staticmethod
     def _new_file(owner: str, file_id: str) -> FileMetadata:
@@ -254,8 +254,8 @@ class TestAFileReCreatedOverATombstoneIsItsCreators:
             carol.stat("/shared/f")
         with pytest.raises(ConflictError):
             deployment.coordination.set_entry_acl("meta:/shared/f", "alice", Permission.READ_WRITE,
-                                                  alice.agent.session)
-        entry = deployment.coordination.get("meta:/shared/f", bob.agent.session)
+                                                  alice.session)
+        entry = deployment.coordination.get("meta:/shared/f", bob.session)
         assert (entry.acl.owner, dict(entry.acl.grants)) == ("bob", {})
         bob.setfacl("/shared/f", "carol", Permission.READ_WRITE)
         assert carol.read_file("/shared/f") == b"bob's"
@@ -273,7 +273,7 @@ class TestAFileReCreatedOverATombstoneIsItsCreators:
         assert bob.read_file("/p/g") == b"f"
         with pytest.raises(PermissionDeniedError):
             carol.read_file("/p/g")
-        entry = coordination.get("meta:/p/g", alice.agent.session)
+        entry = coordination.get("meta:/p/g", alice.session)
         assert (entry.acl.owner, dict(entry.acl.grants)) == ("alice", {"bob": Permission.READ_WRITE})
 
 
@@ -306,12 +306,12 @@ class TestUnlinkTombstonesTheAnchoredFile:
     def test_a_stale_unlink_keeps_what_was_anchored_since(self):
         deployment, alice, bob = self._stale_alice()
         bob.write_file("/shared/f", b"bob's rewrite")
-        bob.agent.flush_pending("/shared/f")
+        bob.flush_pending("/shared/f")
         anchored = FileMetadata.from_bytes(
-            deployment.coordination.get("meta:/shared/f", bob.agent.session).value)
+            deployment.coordination.get("meta:/shared/f", bob.session).value)
         alice.unlink("/shared/f")
         tombstone = FileMetadata.from_bytes(
-            deployment.coordination.get("meta:/shared/f", bob.agent.session).value)
+            deployment.coordination.get("meta:/shared/f", bob.session).value)
         assert tombstone.deleted
         assert tombstone.fields(DATA_FIELDS) == anchored.fields(DATA_FIELDS)
         assert tombstone.grants == anchored.grants == {"bob": Permission.READ_WRITE}
@@ -393,7 +393,7 @@ class TestARefusedVersionCheckSaysWhatIsThere:
             bob.open("/d/f", "w", shared=True)
         # Insert first: the refusal without a witness, then the lookup that says why.
         assert deployment.coordination.rsm.commands_executed - commands == (2 if parent_cached else 1)
-        assert bob.agent.locks.held == {} and bob.agent._handles == {}
+        assert bob.locks.held == {} and bob._handles == {}
         assert alice.read_file("/d/f") == b"alice's"
 
 
@@ -412,9 +412,9 @@ class TestRenameCarriesTheEntry:
 
     def test_rename_by_a_grantee_leaves_the_owner_in_charge(self):
         deployment, alice, bob = self._shared_directory()
-        before = alice.agent.metadata.lookup_versioned("/d/f")[1]
+        before = alice.metadata.lookup_versioned("/d/f")[1]
         bob.rename("/d/f", "/d/h")
-        entry = deployment.coordination.get("meta:/d/h", alice.agent.session)
+        entry = deployment.coordination.get("meta:/d/h", alice.session)
         assert entry.acl.owner == "alice" and entry.version == before + 1
         # Only the entry's owner may change its ACL — still alice, not the renamer.
         alice.setfacl("/d/h", "bob", Permission.READ)
@@ -426,10 +426,10 @@ class TestRenameCarriesTheEntry:
         deployment, alice, bob = self._shared_directory()
         alice.unlink("/d/g")  # a tombstone awaiting the collector moves along
         versions = {e.key: e.version
-                    for e in deployment.coordination.list_entries("meta:/d/", alice.agent.session)}
+                    for e in deployment.coordination.list_entries("meta:/d/", alice.session)}
         alice.rename("/d", "/e")
         assert alice.readdir("/e") == ["f"] and not alice.exists("/d")
-        moved = deployment.coordination.list_entries("meta:/e/", alice.agent.session)
+        moved = deployment.coordination.list_entries("meta:/e/", alice.session)
         assert {e.key: (e.acl.owner, e.version) for e in moved} == {
             key.replace("/d/", "/e/"): ("alice", version + 1) for key, version in versions.items()}
         bob.write_file("/e/f", b"still writable")

@@ -30,7 +30,7 @@ class TestDeployment:
         deployment = SCFSDeployment.for_variant("SCFS-AWS-B", seed=1)
         alice = deployment.create_agent("alice")
         bob = deployment.create_agent("bob")
-        assert alice.agent.coordination is bob.agent.coordination
+        assert alice.coordination is bob.coordination
         assert deployment.agent_for("alice") is alice
 
     def test_costs_accumulate_with_usage(self):

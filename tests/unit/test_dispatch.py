@@ -224,13 +224,22 @@ class TestDegradedFaults:
         degraded = sim.now() - healthy
         assert degraded == pytest.approx(5.0 * healthy)
 
-    def test_request_latency_helpers_apply_degradation(self):
+    def test_request_latency_applies_degradation(self):
         sim = Simulation(seed=3)
         store = make_provider(sim, "amazon-s3")
-        expected = store.expected_request_latency("object_get", 1000)
+        expected = store.profile.object_get.expected(1000)
         store.failures.add(FaultKind.DEGRADED, factor=3.0)
-        assert store.expected_request_latency("object_get", 1000) == pytest.approx(3.0 * expected)
         assert store.request_latency("object_get", 1000) == pytest.approx(3.0 * expected)
+
+    def test_an_estimate_knows_no_fault_that_no_request_observed(self):
+        """A dry run reads the profile and what the tracker saw, never the fault schedule."""
+        sim = Simulation(seed=5)
+        policy = DispatchPolicyConfig(timeout=2.0, suspicion_threshold=3)
+        client = DepSkyClient(sim, make_cloud_of_clouds(sim), Principal("alice"), f=1,
+                              policy=policy)
+        healthy = client.expected_read(1 << 20)
+        client.clouds[0].failures.add(FaultKind.DEGRADED, start=sim.now(), factor=8.0)
+        assert client.expected_read(1 << 20) == healthy
 
 
 class TestLatencyEstimates:
@@ -263,6 +272,31 @@ class TestDepSkyDispatchAccounting:
         start = sim.now()
         result = client.read_latest(unit)
         return sim.now() - start, result
+
+    def test_a_healthy_head_get_lands_within_its_bound_and_its_dry_run(self, monkeypatch):
+        """A head GET carries the head's size, so its healthy bound and its
+        dry run include the payload term (jitter 0: nothing else varies)."""
+        sim = Simulation(seed=5)
+        client = DepSkyClient(sim, make_cloud_of_clouds(sim), Principal("alice"), f=1)
+        client.write("unit", b"payload" * 500)
+        sim.advance(3.0)
+        executed = []
+        execute = QuorumCall.execute
+
+        def recorded(call, required):
+            bounds = {r.cloud: r.bound for stage in call._stages for r in stage}
+            dry = call.dry_run(required)
+            stats = execute(call, required)
+            executed.append((bounds, dry, stats))
+            return stats
+
+        monkeypatch.setattr(QuorumCall, "execute", recorded)
+        client.read_latest("unit")
+        bounds, dry, stats = executed[0]  # the head read
+        assert len(stats.successes) == 4
+        for trace in stats.successes:
+            assert trace.resolved_at - trace.dispatched_at <= bounds[trace.cloud]
+        assert dry == stats.charged
 
     def test_fallback_read_charges_more_than_systematic(self):
         # Same seed, same profiles: the only difference is one failed
@@ -434,10 +468,10 @@ class TestHealthyBound:
         data = bytes(range(256)) * (16 * 4096)
         fs.write_file("/big.bin", data)
         deployment.drain(3.0)
-        fs.agent.memory_cache.clear()
-        fs.agent.disk_cache.clear()
+        fs.memory_cache.clear()
+        fs.disk_cache.clear()
         assert fs.read_file("/big.bin") == data
-        health = fs.agent.backend.health
+        health = fs.backend.health
         assert health.stats.suspicions == 0 and not health.suspected_clouds()
 
 

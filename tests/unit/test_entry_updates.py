@@ -46,7 +46,7 @@ class Share:
         self.bob.close(handle)
         self.deployment.drain(3.0)
         for fs in (self.alice, self.bob, self.carol):
-            fs.agent.metadata_cache.clear()
+            fs.metadata_cache.clear()
 
 
 @pytest.mark.parametrize("variant", MODES)
@@ -73,7 +73,7 @@ def test_a_close_of_a_dead_incarnation_leaves_the_new_file_alone(variant):
     share = Share(variant)
     handle = share.bob_writes()
     trace = TraceRecorder()
-    share.bob.agent.events = trace.record
+    share.bob.events = trace.record
     dead = share.alice.stat(share.path).file_id
     share.alice.unlink(share.path)
     share.alice.write_file(share.path, b"new", shared=True)
@@ -93,7 +93,7 @@ def test_a_close_after_a_rename_leaves_no_ghost_under_the_old_path(variant):
     handle = share.bob_writes()
     share.alice.rename("/top/a", "/top/b")
     share.bob_closes(handle)
-    bob = share.bob.agent
+    bob = share.bob
     assert "meta:/top/a" not in bob.coordination.list_prefix("meta:/top/", bob.session)
     assert share.alice.readdir("/top") == ["b"]
     assert share.alice.read_file("/top/b") == b"v1"
@@ -106,10 +106,10 @@ def test_a_setfacl_from_a_cached_snapshot_keeps_the_anchored_version(variant):
     handle = share.bob_writes()
     share.alice.stat(share.path)  # alice's snapshot: v1, cached
     share.bob.close(handle)
-    share.bob.agent.flush_pending(share.path)
-    assert share.alice.agent.metadata.lookup(share.path, remote=False).data_version == 1
+    share.bob.flush_pending(share.path)
+    assert share.alice.metadata.lookup(share.path, remote=False).data_version == 1
     share.alice.setfacl(share.path, "carol", Permission.READ)
     share.deployment.drain(3.0)
-    meta, _version = share.bob.agent.metadata.lookup_versioned(share.path)
+    meta, _version = share.bob.metadata.lookup_versioned(share.path)
     assert meta.data_version == 2
     assert share.carol.read_file(share.path) == b"bob's"

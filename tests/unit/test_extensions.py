@@ -225,7 +225,7 @@ class TestAgeBasedGarbageCollection:
         deployment.sim.advance(5.0)
         report = fs.collect_garbage()
         meta = fs.stat("/journal.txt")
-        remaining = fs.agent.backend.list_versions(meta.file_id)
+        remaining = fs.backend.list_versions(meta.file_id)
         # One survivor per hourly bucket (3) — the last of them is also the
         # current version; everything else was reclaimed.
         assert len(remaining) == 3
@@ -248,4 +248,4 @@ class TestAgeBasedGarbageCollection:
         deployment.sim.advance(5.0)
         fs.collect_garbage()
         meta = fs.stat("/journal.txt")
-        assert len(fs.agent.backend.list_versions(meta.file_id)) == 1
+        assert len(fs.backend.list_versions(meta.file_id)) == 1

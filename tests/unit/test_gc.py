@@ -8,6 +8,7 @@ import pytest
 from repro.common.errors import CloudUnavailableError
 from repro.core.config import GarbageCollectionPolicy
 from repro.core.deployment import SCFSDeployment
+from repro.crypto.hashing import content_digest
 from repro.scenarios.trace import TraceRecorder
 from repro.simenv.failures import FaultKind
 
@@ -25,7 +26,7 @@ class TestActivationPolicy:
     def test_activates_only_past_the_written_bytes_threshold(self, gc_runs):
         deployment = make_deployment(written_bytes_threshold=10_000)
         fs = deployment.create_agent("alice")
-        gc = fs.agent.gc
+        gc = fs.gc
         fs.write_file("/small.txt", b"x" * 100)
         deployment.drain(1.0)
         assert gc_runs.count(gc) == 0  # 100 bytes < W: close did not trigger a run
@@ -40,14 +41,14 @@ class TestActivationPolicy:
         # close() already calls maybe_schedule; once the deferred task ran,
         # the byte counter is rearmed and a second schedule is a no-op.
         deployment.drain(1.0)
-        assert gc_runs.count(fs.agent.gc) >= 1
-        assert fs.agent.gc.maybe_schedule() is False
+        assert gc_runs.count(fs.gc) >= 1
+        assert fs.gc.maybe_schedule() is False
 
     def test_disabled_policy_never_activates(self):
         deployment = make_deployment(enabled=False)
         fs = deployment.create_agent("alice")
         fs.write_file("/data.txt", b"x" * 100_000)
-        assert not fs.agent.gc.should_activate()
+        assert not fs.gc.should_activate()
 
 
 class TestCollection:
@@ -59,11 +60,38 @@ class TestCollection:
             deployment.drain(3.0)
         report = fs.collect_garbage()
         meta = fs.stat("/versioned.txt")
-        refs = fs.agent.backend.list_versions(meta.file_id)
+        refs = fs.backend.list_versions(meta.file_id)
         assert len(refs) == 2
         assert meta.digest in {r.digest for r in refs}
         assert report.versions_deleted == 3
         assert report.bytes_reclaimed > 0
+
+    def test_an_older_version_with_the_current_bytes_counts_against_v(self):
+        deployment = make_deployment(versions_to_keep=2)
+        fs = deployment.create_agent("alice")
+        for data in (b"A", b"B", b"A", b"C"):
+            fs.write_file("/revisited.txt", data * 64)
+            deployment.drain(3.0)
+        report = fs.collect_garbage()
+        meta = fs.stat("/revisited.txt")
+        refs = fs.backend.list_versions(meta.file_id)
+        # v3 (A again) and v4 (C) stay; v1, with v3's bytes, goes with v2.
+        assert [ref.digest for ref in refs] == [content_digest(b"A" * 64), meta.digest]
+        assert report.versions_deleted == 2
+        fs.memory_cache.clear()
+        fs.disk_cache.clear()
+        assert fs.read_file("/revisited.txt") == b"C" * 64
+
+    def test_deleting_an_older_copy_of_the_current_bytes_keeps_them_cached(self):
+        deployment = make_deployment(versions_to_keep=2)
+        fs = deployment.create_agent("alice")
+        for data in (b"A", b"B", b"A"):
+            fs.write_file("/reverted.txt", data * 64)
+            deployment.drain(3.0)
+        assert fs.collect_garbage().versions_deleted == 1
+        reads = fs.storage.cloud_reads
+        assert fs.read_file("/reverted.txt") == b"A" * 64
+        assert fs.storage.cloud_reads == reads
 
     def test_current_version_is_always_kept(self):
         deployment = make_deployment(versions_to_keep=1)
@@ -72,8 +100,8 @@ class TestCollection:
             fs.write_file("/current.txt", b"rev-%d" % i)
             deployment.drain(3.0)
         fs.collect_garbage()
-        fs.agent.memory_cache.clear()
-        fs.agent.disk_cache.clear()
+        fs.memory_cache.clear()
+        fs.disk_cache.clear()
         assert fs.read_file("/current.txt") == b"rev-2"
 
     def test_purges_user_deleted_files(self):
@@ -85,7 +113,7 @@ class TestCollection:
         fs.unlink("/doomed.txt")
         report = fs.collect_garbage()
         assert report.deleted_files_purged == 1
-        assert fs.agent.backend.list_versions(meta.file_id) == []
+        assert fs.backend.list_versions(meta.file_id) == []
         assert not fs.exists("/doomed.txt")
 
     def test_keep_interval_retains_newest_version_per_bucket(self):
@@ -97,7 +125,7 @@ class TestCollection:
             deployment.sim.advance(100.0)  # one version per retention bucket
         fs.collect_garbage()
         meta = fs.stat("/daily.txt")
-        refs = fs.agent.backend.list_versions(meta.file_id)
+        refs = fs.backend.list_versions(meta.file_id)
         # One version per 100 s bucket survives, not just the current one.
         assert len(refs) == 4
 
@@ -121,7 +149,7 @@ class TestCollection:
         def explode(file_id, digest, locator=""):
             raise CloudUnavailableError("provider offline")
 
-        fs.agent.backend.delete_version = explode
+        fs.backend.delete_version = explode
         report = fs.collect_garbage()
         assert report.errors and "provider offline" in report.errors[0]
 
@@ -135,19 +163,19 @@ class TestCollection:
         outage = deployment.sim.now()
         # The versions were listed, then three of four clouds went away: the
         # deletes reach one cloud, no write quorum.
-        listing = fs.agent.backend.list_versions(meta.file_id)
-        fs.agent.backend.list_versions = lambda file_id: listing
+        listing = fs.backend.list_versions(meta.file_id)
+        fs.backend.list_versions = lambda file_id: listing
         for cloud in deployment.clouds[1:]:
             cloud.failures.add(FaultKind.UNAVAILABLE, start=outage, end=outage + 50.0)
         report = fs.collect_garbage()
         assert (report.versions_deleted, report.bytes_reclaimed) == (0, 0)
         assert len(report.errors) == 2 and all("not deleted" in e for e in report.errors)
         # The next pass finds them again by LIST and finishes the job.
-        del fs.agent.backend.list_versions
+        del fs.backend.list_versions
         deployment.sim.advance(60.0)
         report = fs.collect_garbage()
         assert (report.versions_deleted, report.errors) == (2, [])
-        assert [ref.digest for ref in fs.agent.backend.list_versions(meta.file_id)] == [meta.digest]
+        assert [ref.digest for ref in fs.backend.list_versions(meta.file_id)] == [meta.digest]
 
     def test_a_purge_that_could_not_delete_keeps_the_entry_for_the_next_pass(self):
         deployment = make_deployment()
@@ -155,10 +183,10 @@ class TestCollection:
         fs.write_file("/doomed.txt", b"payload" * 50)
         deployment.drain(3.0)
         fs.unlink("/doomed.txt")
-        fs.agent.backend.delete_version = lambda file_id, digest, locator="": False
+        fs.backend.delete_version = lambda file_id, digest, locator="": False
         report = fs.collect_garbage()
         assert (report.deleted_files_purged, report.versions_deleted) == (0, 0)
-        del fs.agent.backend.delete_version
+        del fs.backend.delete_version
         report = fs.collect_garbage()
         assert (report.deleted_files_purged, report.versions_deleted) == (1, 1)
 
@@ -188,7 +216,7 @@ class TestNonBlockingCloseOrdering:
         if variant.endswith("-NB"):
             # close returned before the cloud saw anything.
             assert recorder.count("upload") == 0
-            assert len(fs.agent._pending_commits) == 1
+            assert len(fs._pending_commits) == 1
         deployment.drain(3.0)
         upload = next(recorder.by_kind("upload"))
         commit = next(recorder.by_kind("commit"))

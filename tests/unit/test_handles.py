@@ -46,6 +46,13 @@ def test_a_read_only_handle_references_the_stored_bytes_and_a_writable_one_copie
     assert writer.read() == b"sto"
 
 
+def test_a_write_only_open_file_refuses_a_read():
+    writer = OpenFile("/f", OpenFlags.WRITE, b"data")
+    with pytest.raises(PermissionDeniedError):
+        writer.read()
+    assert writer.write(b"!") == 4 and writer.buffer == b"data!"
+
+
 def test_handles_count_from_three_and_a_closed_one_is_invalid():
     table: HandleTable[OpenFile] = HandleTable()
     first = table.add(OpenFile("/a", OpenFlags.READ, b""))

@@ -409,12 +409,12 @@ class TestDegradedBlockHolderEndToEnd:
         data = deployment.sim.fresh_id("payload").encode() * 2048
         writer.write_file("/shared.bin", data)
         deployment.sim.advance(2.0)  # past every holder's propagation window
-        reader.agent.memory_cache.clear()
-        reader.agent.disk_cache.clear()
+        reader.memory_cache.clear()
+        reader.disk_cache.clear()
         assert reader.read_file("/shared.bin") == data
         meta = reader.stat("/shared.bin")
         record = VersionRecord.from_locator(meta.locator, meta.digest)
-        spill = reader.agent.backend.client.clouds[-1]
+        spill = reader.backend.client.clouds[-1]
         return spill.raw_object(DepSkyClient.block_key(
             meta.file_id, record.version, record.data_digest, 3)) is not None
 
@@ -425,7 +425,7 @@ class TestDegradedBlockHolderEndToEnd:
         writer, reader = deployment.create_agent("writer"), deployment.create_agent("reader")
         writer.write_file("/shared.bin", b"first", shared=True)
         writer.setfacl("/shared.bin", "reader", Permission.READ)
-        backend = reader.agent.backend
+        backend = reader.backend
         first = backend.client.clouds[0]
         paths, health = backend.read_paths, backend.health
         calls = []  # the reader's client only reads: every call is a read's
@@ -505,7 +505,7 @@ class TestDispatchConfigPlumbing:
                                         suspicion_threshold=2)
         deployment = SCFSDeployment.for_variant("SCFS-CoC-B", seed=3, dispatch=dispatch)
         fs = deployment.create_agent("alice")
-        backend = fs.agent.backend
+        backend = fs.backend
         assert isinstance(backend, CloudOfCloudsBackend)
         # Config-driven hedging reaches the DepSky client end-to-end.
         assert backend.client.policy.hedge_delay == pytest.approx(0.3)
@@ -524,16 +524,16 @@ class TestDispatchConfigPlumbing:
         # Past every block's propagation window a read asks the systematic
         # pair first, clouds[0] among them: two cold reads, two failures.
         deployment.sim.advance(3.0)
-        clouds = fs.agent.backend.client.clouds
+        clouds = fs.backend.client.clouds
         clouds[0].failures.add(FaultKind.UNAVAILABLE, start=deployment.sim.now())
         for _ in range(2):
             # Evict local caches so the reads must hit the clouds.
-            fs.agent.memory_cache.clear()
-            fs.agent.disk_cache.clear()
-            fs.agent.metadata_cache.clear()
+            fs.memory_cache.clear()
+            fs.disk_cache.clear()
+            fs.metadata_cache.clear()
             assert fs.read_file("/f.txt") == b"payload" * 400
-        assert fs.agent.backend.health_stats().suspicions >= 1
-        assert fs.agent.backend.health.is_suspected(clouds[0].name)
+        assert fs.backend.health_stats().suspicions >= 1
+        assert fs.backend.health.is_suspected(clouds[0].name)
 
 
     def test_not_yet_visible_polling_does_not_suspect_a_cloud(self):

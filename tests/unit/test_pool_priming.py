@@ -101,7 +101,7 @@ class TestPrimePool:
         for service in getattr(coordination, "services", [coordination]):
             assert len({pickle.dumps(replica) for replica in service.rsm.replicas}) == 1
         # The listing walks the sorted index: every pool file, in key order.
-        session = coordination.open_session(deployment.create_agent("carol").agent.principal)
+        session = coordination.open_session(deployment.create_agent("carol").principal)
         directory = spec.shared_files[0].rsplit("/", 1)[0]
         listed = coordination.list_prefix(f"meta:{directory}/", session)
         assert listed == sorted(f"meta:{path}" for path in spec.shared_files

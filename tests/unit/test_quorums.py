@@ -273,11 +273,11 @@ class TestWeightedDeployment:
         deployment.unmount_all()
 
     def test_only_a_weighted_system_is_planned(self):
-        weighted = self.deployment().create_agent("alice").agent.backend.client
+        weighted = self.deployment().create_agent("alice").backend.client
         assert isinstance(weighted.quorum, WeightedQuorumSystem)
         assert weighted.planner is not None
         threshold = SCFSDeployment.for_variant("SCFS-CoC-B", seed=7).create_agent(
-            "alice").agent.backend.client
+            "alice").backend.client
         assert threshold.quorum == ThresholdQuorumSystem(CLOUDS, 1)
         assert threshold.planner is None
 

@@ -81,7 +81,7 @@ def test_cold_read_of_a_transaction_written_file_is_the_same(shared):
     deployment, alice, bob, meter = shared
     alice.write_file("/g", b"second", shared=True)
     alice.setfacl("/g", "bob", Permission.READ)
-    txn = alice.begin_transaction()
+    txn = alice.transactions.begin()
     txn.write("/f", b"F by txn")
     txn.write("/g", b"G by txn")
     txn.commit()
@@ -100,7 +100,7 @@ def test_mounting_a_saved_pns_is_the_same(cloud_meter):
     meter = cloud_meter(deployment.clouds)
     again = deployment.create_agent("alice")
     assert_one_block_fetch(meter)
-    assert again.agent.pns.contains("/private.txt")
+    assert again.pns.contains("/private.txt")
 
 
 def test_cold_read_of_a_pool_primed_file_is_the_same(cloud_meter):
@@ -122,11 +122,11 @@ def test_a_reader_inside_the_propagation_window_waits_once_and_never_misses(shar
     deployment, alice, bob, meter = shared
     alice.write_file("/f", b"just closed")
     locator = bob.stat("/f").locator
-    readable_at = bob.agent.backend.estimate_readable_at(locator)
+    readable_at = bob.backend.estimate_readable_at(locator)
     assert deployment.sim.now() < readable_at  # close returned inside the window
     attempts = []
-    read_version = bob.agent.backend.read_version
-    bob.agent.backend.read_version = lambda *args: (
+    read_version = bob.backend.read_version
+    bob.backend.read_version = lambda *args: (
         attempts.append(deployment.sim.now()) or read_version(*args))
     meter.mark()
     assert bob.read_file("/f") == b"just closed"
@@ -142,7 +142,7 @@ def test_a_mount_inside_the_propagation_window_of_the_pns_save_loads_it():
     fs.write_file("/private.txt", b"mine")
     fs.unmount()
     again = deployment.create_agent("alice")
-    assert again.agent.pns.contains("/private.txt")  # the mount loaded the saved name space
+    assert again.pns.contains("/private.txt")  # the mount loaded the saved name space
     assert again.read_file("/private.txt") == b"mine"
 
 
@@ -150,7 +150,7 @@ def test_a_wrong_hint_leaves_the_poll_as_the_safety_net(shared):
     deployment, alice, bob, meter = shared
     alice.write_file("/f", b"slower than its profile says")
     # The estimator believes propagation is instant.
-    bob.agent.backend.client.readable_at = lambda record: record.created_at
+    bob.backend.client.readable_at = lambda record: record.created_at
     started = deployment.sim.now()
     assert bob.read_file("/f") == b"slower than its profile says"
     assert deployment.sim.now() - started >= READ_RETRY_INTERVAL
@@ -160,7 +160,7 @@ def test_exhausting_the_retry_limit_raises_a_typed_error(shared):
     deployment, alice, bob, meter = shared
     started = deployment.sim.now()
     with pytest.raises(VersionUnavailableError) as raised:
-        bob.agent.storage.read_version("file-never-written", "ab" * 32)
+        bob.storage.read_version("file-never-written", "ab" * 32)
     error = raised.value
     assert isinstance(error, ObjectNotFoundError)
     assert (error.file_id, error.digest_prefix, error.attempts) == (

@@ -346,10 +346,10 @@ class TestSweepRegressions:
         handle = alice.open("/contended.txt", "w")
         alice.write(handle, b"v3")
         alice.close(handle)
-        lock_name = alice.agent.locks.lock_name(alice.agent.stat("/contended.txt"))
-        assert alice.agent.locks.held.get(lock_name, 0) == 2
+        lock_name = alice.locks.lock_name(alice.stat("/contended.txt"))
+        assert alice.locks.held.get(lock_name, 0) == 2
         deployment.drain(3.0)
-        assert alice.agent.locks.held.get(lock_name, 0) == 0
+        assert alice.locks.held.get(lock_name, 0) == 0
         assert alice.read_file("/contended.txt") == b"v3"
 
     def test_writer_revalidates_metadata_after_taking_the_lock(self):
@@ -380,12 +380,12 @@ class TestSweepRegressions:
         for payload in payloads:
             alice.write_file("/rapid.txt", payload)  # no drain in between
         meta = alice.stat("/rapid.txt")
-        backend = alice.agent.backend
+        backend = alice.backend
         deployment.sim.advance(3.0)  # a LIST shows what has propagated
         versions = [r.version for r in backend.client.list_versions(meta.file_id)]
         assert len(versions) == len(set(versions)) == len(payloads)
-        alice.agent.memory_cache.clear()
-        alice.agent.disk_cache.clear()
+        alice.memory_cache.clear()
+        alice.disk_cache.clear()
         assert alice.read_file("/rapid.txt") == payloads[-1]
 
     def test_gc_never_erases_the_anchored_version(self):
@@ -397,8 +397,8 @@ class TestSweepRegressions:
         for i in range(5):
             alice.write_file("/churn.txt", b"ver-%d" % i)
         alice.collect_garbage()  # runs at the commit instant — worst case
-        alice.agent.memory_cache.clear()
-        alice.agent.disk_cache.clear()
+        alice.memory_cache.clear()
+        alice.disk_cache.clear()
         assert alice.read_file("/churn.txt") == b"ver-4"
 
     def test_corrupted_share_does_not_poison_the_key(self):
@@ -411,8 +411,8 @@ class TestSweepRegressions:
         alice.write_file("/secret.txt", b"sealed" * 100)
         deployment.clouds[0].failures.clear()
         deployment.drain(2.0)
-        alice.agent.memory_cache.clear()
-        alice.agent.disk_cache.clear()
+        alice.memory_cache.clear()
+        alice.disk_cache.clear()
         assert alice.read_file("/secret.txt") == b"sealed" * 100
 
     def test_replica_recovery_transfers_state(self):

@@ -29,7 +29,7 @@ from repro.transactions import ABORTED, COMMITTED, TXN_PREFIX
 def _intent(fs, txn_id):
     """The intent entry ``txn:<id>`` as the coordination service holds it (None: absent)."""
     try:
-        entry = fs.agent.coordination.get(TXN_PREFIX + txn_id, fs.agent.session)
+        entry = fs.coordination.get(TXN_PREFIX + txn_id, fs.session)
     except TupleNotFoundError:
         return None
     return json.loads(entry.value)
@@ -72,7 +72,7 @@ class TestCommit:
 
     def test_a_read_modify_write_commits(self, shared):
         _, alice, bob = shared
-        txn = alice.begin_transaction()
+        txn = alice.transactions.begin()
         before = txn.read("/shared/a")
         txn.write("/shared/a", before + b"+more")
         txn.commit()
@@ -81,7 +81,7 @@ class TestCommit:
 
     def test_reads_your_own_staged_writes(self, shared):
         _, alice, _ = shared
-        txn = alice.begin_transaction()
+        txn = alice.transactions.begin()
         txn.write("/shared/a", b"staged")
         assert txn.read("/shared/a") == b"staged"
         # Nothing visible outside the transaction before commit.
@@ -91,33 +91,33 @@ class TestCommit:
 
     def test_empty_transaction_commits(self, shared):
         _, alice, _ = shared
-        txn = alice.begin_transaction()
+        txn = alice.transactions.begin()
         txn.commit()
         assert txn.status == COMMITTED
 
     def test_read_only_transaction_commits(self, shared):
         _, alice, _ = shared
-        txn = alice.begin_transaction()
+        txn = alice.transactions.begin()
         assert txn.read("/shared/a").startswith(b"v1:")
         txn.commit()
         assert txn.status == COMMITTED
 
     def test_write_to_missing_file_fails(self, shared):
         _, alice, _ = shared
-        txn = alice.begin_transaction()
+        txn = alice.transactions.begin()
         txn.write("/shared/missing", b"data")
         with pytest.raises(FileNotFoundErrorFS):
             txn.commit()
 
     def test_read_of_directory_fails(self, shared):
         _, alice, _ = shared
-        txn = alice.begin_transaction()
+        txn = alice.transactions.begin()
         with pytest.raises(IsADirectoryErrorFS):
             txn.read("/shared")
 
     def test_finished_transaction_refuses_operations(self, shared):
         _, alice, _ = shared
-        txn = alice.begin_transaction()
+        txn = alice.transactions.begin()
         txn.commit()
         with pytest.raises(TransactionError):
             txn.read("/shared/a")
@@ -132,7 +132,7 @@ class TestCommit:
         handle = alice.open("/shared/a", "w", shared=True)
         alice.write(handle, b"pre-txn")
         alice.close(handle)  # upload still in flight (NB mode)
-        txn = alice.begin_transaction()
+        txn = alice.transactions.begin()
         assert txn.read("/shared/a") == b"pre-txn"
         txn.write("/shared/a", b"post-txn")
         txn.commit()
@@ -142,10 +142,10 @@ class TestCommit:
 class TestConflicts:
     def test_stale_read_aborts_commit(self, shared):
         _, alice, bob = shared
-        txn = alice.begin_transaction()
+        txn = alice.transactions.begin()
         txn.read("/shared/a")
         bob.write_file("/shared/a", b"bob won", shared=True)
-        bob.agent.sim.drain(1.0)
+        bob.sim.drain(1.0)
         txn.write("/shared/a", b"alice lost")
         with pytest.raises(TransactionConflictError):
             txn.commit()
@@ -161,7 +161,7 @@ class TestConflicts:
             data = txn.read("/shared/a")
             if len(attempts) == 1:
                 bob.write_file("/shared/a", b"interference", shared=True)
-                bob.agent.sim.drain(1.0)
+                bob.sim.drain(1.0)
             txn.write("/shared/a", data + b"!")
 
         alice.run_transaction(body)
@@ -174,7 +174,7 @@ class TestConflicts:
         def body(txn):
             txn.read("/shared/a")
             bob.write_file("/shared/a", b"always racing", shared=True)
-            bob.agent.sim.drain(1.0)
+            bob.sim.drain(1.0)
             txn.write("/shared/a", b"never lands")
 
         with pytest.raises(TransactionAbortedError):
@@ -183,20 +183,20 @@ class TestConflicts:
 
     def test_held_lock_is_a_conflict(self, shared):
         _, alice, bob = shared
-        meta = bob.agent.metadata.get("/shared/a", use_cache=False)
-        bob.agent.locks.acquire(meta)
-        txn = alice.begin_transaction()
+        meta = bob.metadata.get("/shared/a", use_cache=False)
+        bob.locks.acquire(meta)
+        txn = alice.transactions.begin()
         txn.read("/shared/a")
         txn.write("/shared/a", b"blocked")
         with pytest.raises(TransactionConflictError):
             txn.commit()
-        bob.agent.locks.release(meta)
+        bob.locks.release(meta)
 
     def test_abort_leaves_no_visible_state(self, shared):
         _, alice, bob = shared
         before_a = alice.read_file("/shared/a")
         before_b = alice.read_file("/shared/b")
-        txn = alice.begin_transaction()
+        txn = alice.transactions.begin()
         txn.write("/shared/a", b"partial")
         txn.write("/shared/b", b"partial")
         txn.abort()
@@ -227,26 +227,26 @@ class TestCommitPoint:
         lease allows): the commit point refuses as a whole — the 1st file is
         not anchored either, and the intent says aborted."""
         _, alice, bob = shared
-        storage = alice.agent.storage
+        storage = alice.storage
         upload = storage.push_many_to_cloud
 
         def upload_then_lose_the_race(items):
             refs = upload(items)
-            meta = bob.agent.metadata.get("/shared/b", use_cache=False)
+            meta = bob.metadata.get("/shared/b", use_cache=False)
             # The usurper's anchor: the entry version moves under the lock.
-            bob.agent.metadata.update(meta, DATA_FIELDS)
+            bob.metadata.update(meta, DATA_FIELDS)
             return refs
 
         storage.push_many_to_cloud = upload_then_lose_the_race
         before = {path: alice.read_file(path) for path in ("/shared/a", "/shared/b")}
-        txn = alice.begin_transaction()
+        txn = alice.transactions.begin()
         for path in before:
             txn.write(path, txn.read(path) + b"+txn")
         with pytest.raises(TransactionConflictError, match="version CAS failed"):
             txn.commit()
         assert txn.status == ABORTED
         assert _intent(alice, txn.txn_id)["status"] == "aborted"
-        alice.agent.metadata_cache.clear()
+        alice.metadata_cache.clear()
         assert {path: alice.read_file(path) for path in before} == before
         assert bob.read_file("/shared/a") == before["/shared/a"]
 
@@ -255,7 +255,7 @@ class TestCommitPoint:
         _write_set(alice, {"/shared/a": b"A2" * 100, "/shared/b": b"B2" * 100})
         for path in ("/shared/a", "/shared/b"):
             locator = bob.stat(path).locator
-            assert deployment.sim.now() >= alice.agent.backend.estimate_readable_at(locator)
+            assert deployment.sim.now() >= alice.backend.estimate_readable_at(locator)
         gets = sum(cloud.costs.usage.get_requests for cloud in deployment.clouds)
         started = deployment.sim.now()
         assert bob.read_file("/shared/b") == b"B2" * 100
@@ -265,7 +265,7 @@ class TestCommitPoint:
 
     def test_write_set_is_uploaded_as_one_batch(self, shared):
         _, alice, bob = shared
-        client = alice.agent.backend.client
+        client = alice.backend.client
         batches = []
         write_numbered = client.write_numbered
         client.write_numbered = lambda items: batches.append(len(items)) or write_numbered(items)
@@ -281,7 +281,7 @@ class TestFailedUpload:
     def test_the_intent_is_aborted_and_the_typed_error_raised(self, shared, how):
         deployment, alice, bob = shared
         events = []
-        alice.agent.events = lambda kind, **fields: events.append((kind, fields))
+        alice.events = lambda kind, **fields: events.append((kind, fields))
         before = {path: alice.read_file(path) for path in ("/shared/a", "/shared/b")}
         for cloud in deployment.clouds[:2]:
             cloud.failures.add(FaultKind.UNAVAILABLE, start=deployment.sim.now())
@@ -296,17 +296,17 @@ class TestFailedUpload:
             if how == "run":
                 alice.run_transaction(body)
             else:
-                body(alice.begin_transaction())
+                body(alice.transactions.begin())
                 transactions[0].commit()
         [txn] = transactions  # not a conflict: ``run`` does not retry it
         assert txn.status == ABORTED
         assert _intent(alice, txn.txn_id)["status"] == "aborted"
         [abort] = [fields for kind, fields in events if kind == "txn_abort"]
         assert abort["txn"] == txn.txn_id and "clouds acknowledged" in abort["reason"]
-        assert alice.agent.locks.held == {}
+        assert alice.locks.held == {}
         for cloud in deployment.clouds[:2]:
             cloud.failures.clear()
-        alice.agent.metadata_cache.clear()
+        alice.metadata_cache.clear()
         assert {path: bob.read_file(path) for path in before} == before
         _write_set(alice, {"/shared/a": b"after the outage"})
         assert bob.read_file("/shared/a") == b"after the outage"
@@ -317,7 +317,7 @@ class TestCommitterCache:
         deployment, alice, bob = shared
         _write_set(alice, {"/shared/a": b"A4" * 2000, "/shared/b": b"B4" * 2000})
         meter = cloud_meter(deployment.clouds)
-        txn = alice.begin_transaction()
+        txn = alice.transactions.begin()
         assert txn.read("/shared/a") == b"A4" * 2000
         assert txn.read("/shared/b") == b"B4" * 2000
         txn.commit()
@@ -340,7 +340,7 @@ class TestRetrySnapshot:
             seen.append(data)
             if len(seen) <= 2:  # interfere after the read of attempts 1 and 2
                 bob.write_file("/shared/a", b"bob %d" % len(seen), shared=True)
-                bob.agent.sim.drain(1.0)
+                bob.sim.drain(1.0)
             txn.write("/shared/b", data + b"!")
 
         alice.run_transaction(body)
@@ -368,7 +368,7 @@ class TestRetrySnapshot:
 class TestIntentRecords:
     def test_committed_intent_lifecycle(self, shared):
         _, alice, _ = shared
-        txn = alice.begin_transaction()
+        txn = alice.transactions.begin()
         txn.write("/shared/a", b"recorded")
         txn.commit()
         record = _intent(alice, txn.txn_id)
@@ -381,7 +381,7 @@ class TestIntentRecords:
 
     def test_aborted_transaction_leaves_no_intent(self, shared):
         _, alice, _ = shared
-        txn = alice.begin_transaction()
+        txn = alice.transactions.begin()
         txn.write("/shared/a", b"never intended")
         txn.abort()
         assert _intent(alice, txn.txn_id) is None
@@ -394,7 +394,7 @@ class TestRenameTree:
         alice.mkdir("/shared/dir/sub", shared=True)
         alice.write_file("/shared/dir/f1", b"one", shared=True)
         alice.write_file("/shared/dir/sub/f2", b"two", shared=True)
-        alice.agent.sim.drain(1.0)
+        alice.sim.drain(1.0)
         alice.rename_tree("/shared/dir", "/shared/moved")
         assert not alice.exists("/shared/dir")
         assert alice.read_file("/shared/moved/f1") == b"one"
@@ -411,27 +411,27 @@ class TestRenameTree:
         alice.mkdir("/shared/dir", shared=True)
         alice.write_file("/shared/dir/f1", b"one", shared=True)
         alice.setfacl("/shared/dir/f1", "bob", Permission.READ_WRITE)
-        alice.agent.sim.drain(1.0)
-        meta = bob.agent.metadata.get("/shared/dir/f1", use_cache=False)
-        bob.agent.locks.acquire(meta)
+        alice.sim.drain(1.0)
+        meta = bob.metadata.get("/shared/dir/f1", use_cache=False)
+        bob.locks.acquire(meta)
         with pytest.raises(TransactionConflictError):
             alice.rename_tree("/shared/dir", "/shared/moved")
         assert alice.exists("/shared/dir/f1")
-        bob.agent.locks.release(meta)
+        bob.locks.release(meta)
 
     def test_a_failed_rename_tree_aborts_its_intent(self, shared):
         _, alice, _ = shared
         alice.mkdir("/shared/dir", shared=True)
         alice.write_file("/shared/dir/f1", b"one", shared=True)
         alice.mkdir("/shared/taken", shared=True)
-        alice.agent.sim.drain(1.0)
+        alice.sim.drain(1.0)
         events = []
-        alice.agent.events = lambda kind, **fields: events.append((kind, fields))
+        alice.events = lambda kind, **fields: events.append((kind, fields))
         with pytest.raises(FileExistsErrorFS):
             alice.rename_tree("/shared/dir", "/shared/taken")
         [abort] = [fields for kind, fields in events if kind == "txn_abort"]
         assert _intent(alice, abort["txn"])["status"] == "aborted"
-        assert alice.agent.locks.held == {}
+        assert alice.locks.held == {}
         assert alice.read_file("/shared/dir/f1") == b"one"
 
     def test_a_rename_tree_that_failed_half_way_stays_pending(self, shared):
@@ -440,8 +440,8 @@ class TestRenameTree:
         _, alice, _ = shared
         alice.mkdir("/shared/dir", shared=True)
         alice.write_file("/shared/dir/f1", b"one", shared=True)
-        alice.agent.sim.drain(1.0)
-        agent = alice.agent
+        alice.sim.drain(1.0)
+        agent = alice
         stray = agent.metadata.get("/shared/dir/f1", use_cache=False).renamed("/shared/moved/f1")
         agent.coordination.put(agent.metadata.entry_key(stray.path), stray.to_bytes(),
                                agent.session)
@@ -457,42 +457,42 @@ class TestRenameTree:
     def test_rename_tree_falls_back_without_coordination(self):
         deployment = SCFSDeployment.for_variant("SCFS-CoC-NS", seed=11)
         fs = deployment.create_agent("alice")
-        assert fs.agent.transactions is None
+        assert fs.transactions is None
         fs.write_file("/f", b"data")
         fs.rename_tree("/f", "/g")
         assert fs.read_file("/g") == b"data"
         with pytest.raises(FileSystemError):
-            fs.begin_transaction()
+            fs.run_transaction(lambda txn: None)
 
 
 class TestLeaseExpiry:
     def test_still_held_while_lease_valid(self):
         deployment, alice, _ = _shared_pair(lock_lease=10.0)
-        meta = alice.agent.metadata.get("/shared/a", use_cache=False)
-        alice.agent.locks.acquire(meta)
-        assert alice.agent.locks.still_held(meta)
-        alice.agent.locks.release(meta)
+        meta = alice.metadata.get("/shared/a", use_cache=False)
+        alice.locks.acquire(meta)
+        assert alice.locks.still_held(meta)
+        alice.locks.release(meta)
 
     def test_still_held_false_after_lease_expiry(self):
         deployment, alice, _ = _shared_pair(lock_lease=10.0)
-        meta = alice.agent.metadata.get("/shared/a", use_cache=False)
-        alice.agent.locks.acquire(meta)
+        meta = alice.metadata.get("/shared/a", use_cache=False)
+        alice.locks.acquire(meta)
         deployment.sim.advance(11.0)
         # Local bookkeeping still says held; the service disagrees.
-        assert alice.agent.locks.lock_name(meta) in alice.agent.locks.held
-        assert not alice.agent.locks.still_held(meta)
+        assert alice.locks.lock_name(meta) in alice.locks.held
+        assert not alice.locks.still_held(meta)
 
     def test_other_agent_takes_over_after_expiry(self):
         deployment, alice, bob = _shared_pair(lock_lease=10.0)
-        meta = alice.agent.metadata.get("/shared/a", use_cache=False)
-        alice.agent.locks.acquire(meta)
-        bob_meta = bob.agent.metadata.get("/shared/a", use_cache=False)
+        meta = alice.metadata.get("/shared/a", use_cache=False)
+        alice.locks.acquire(meta)
+        bob_meta = bob.metadata.get("/shared/a", use_cache=False)
         with pytest.raises(LockHeldError):
-            bob.agent.locks.acquire(bob_meta)
+            bob.locks.acquire(bob_meta)
         deployment.sim.advance(11.0)
-        bob.agent.locks.acquire(bob_meta)
-        assert bob.agent.locks.still_held(bob_meta)
-        assert not alice.agent.locks.still_held(meta)
+        bob.locks.acquire(bob_meta)
+        assert bob.locks.still_held(bob_meta)
+        assert not alice.locks.still_held(meta)
 
     def test_crashed_holders_lock_expires_not_leaks(self):
         """A crash never releases locks; the lease does.  The survivor is
@@ -501,7 +501,7 @@ class TestLeaseExpiry:
         handle = alice.open("/shared/a", "w", shared=True)
         alice.write(handle, b"dying words")
         alice.close(handle)  # NB mode: lock held until the background commit
-        alice.agent.crash()
+        alice.crash()
         with pytest.raises(LockHeldError):
             bob.write_file("/shared/a", b"too early", shared=True)
         deployment.sim.advance(11.0)
@@ -513,5 +513,5 @@ class TestLeaseExpiry:
         deployment = SCFSDeployment.for_variant("SCFS-CoC-NS", seed=11)
         fs = deployment.create_agent("alice")
         fs.write_file("/f", b"data")
-        meta = fs.agent.metadata.get("/f", use_cache=False)
-        assert fs.agent.locks.still_held(meta)
+        meta = fs.metadata.get("/f", use_cache=False)
+        assert fs.locks.still_held(meta)

@@ -86,7 +86,7 @@ def test_a_transaction_write_set_is_two_quorum_calls_per_unit_and_no_head_get(
     deployment.drain(3.0)
     n, f = len(deployment.clouds), 1
     meter = cloud_meter(deployment.clouds)
-    txn = fs.begin_transaction()
+    txn = fs.transactions.begin()
     for path in paths:
         txn.write(path, b"after " + path.encode())
     txn.commit()
@@ -139,11 +139,11 @@ def test_a_pns_save_is_numbered_by_its_anchor(cloud_meter):
     deployment.drain(3.0)
     n, f = len(deployment.clouds), 1
     meter = cloud_meter(deployment.clouds)
-    fs.agent.unmount()
+    fs.unmount()
     assert meter.quorum_calls() == 2
     assert _shape(meter.requests()) == _two_put_phases(n, f)
     deployment.drain(3.0)
-    assert len(fs.agent.backend.list_versions(fs.agent.pns.unit_id)) == 2
+    assert len(fs.backend.list_versions(fs.pns.unit_id)) == 2
 
 
 def test_no_block_name_is_ever_put_twice_with_different_bytes(sim, alice, block_puts):
