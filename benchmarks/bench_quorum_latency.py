@@ -49,7 +49,7 @@ import os
 from repro.clouds.dispatch import DispatchPolicyConfig
 from repro.clouds.eventual import EventuallyConsistentStore
 from repro.clouds.pricing import StoragePricing
-from repro.clouds.quorums import WeightedQuorumSystem
+from repro.clouds.quorums import quorum_system
 from repro.common.types import Principal
 from repro.common.units import KB
 from repro.bench.report import percentile, render_table
@@ -370,14 +370,11 @@ def _make_frontier_clouds(sim: Simulation) -> list[EventuallyConsistentStore]:
 def _run_frontier_arm(arm: str, schedule: str, seed: int = 17) -> dict:
     sim = Simulation(seed=seed)
     clouds = _make_frontier_clouds(sim)
-    system = None
-    if arm == "weighted":
-        # A weighted system gets the client's cost × latency planner.
-        system = WeightedQuorumSystem(universe=COC_STORAGE_PROVIDERS,
-                                      weights=FRONTIER_WEIGHTS, fault_budget=1.2)
-        system.validate()
-    elif arm != "threshold":
+    if arm not in ("threshold", "weighted"):
         raise ValueError(f"unknown frontier arm {arm!r}")
+    # A weighted system gets the client's cost × latency planner.
+    system = quorum_system(COC_STORAGE_PROVIDERS, 1,
+                           FRONTIER_WEIGHTS if arm == "weighted" else ())
 
     client = DepSkyClient(sim, clouds, Principal("bench-user"), f=1, policy=SUSPICION,
                           quorum=system)

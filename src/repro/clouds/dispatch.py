@@ -43,6 +43,7 @@ operation builds: this timeline, with expected latencies and nothing sent.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Sequence
 
@@ -163,23 +164,30 @@ class DispatchPolicyConfig:
         return self.suspicion_threshold > 0
 
     def validate(self) -> None:
-        """Raise :class:`ConfigurationError` on nonsensical dispatch knobs."""
-        if self.timeout is not None and self.timeout <= 0:
-            raise ConfigurationError("the per-request timeout must be positive")
+        """Raise :class:`ConfigurationError` on nonsensical dispatch knobs (NaN and infinities too)."""
+        if self.timeout is not None and not _positive(self.timeout):
+            raise ConfigurationError("the per-request timeout must be finite and positive")
         if self.retries < 0:
             raise ConfigurationError("the retry count must be non-negative")
-        if self.hedge_delay is not None and self.hedge_delay <= 0:
-            raise ConfigurationError("the hedge delay must be positive")
+        if self.hedge_delay is not None and not _positive(self.hedge_delay):
+            raise ConfigurationError("the hedge delay must be finite and positive")
         if self.suspicion_threshold < 0:
             raise ConfigurationError("the suspicion threshold must be non-negative")
         if not self.tracks_health:
             return
-        if self.probe_backoff <= 0:
-            raise ConfigurationError("the probe backoff must be positive")
-        if self.probe_backoff_factor < 1.0:
-            raise ConfigurationError("the probe backoff factor must be >= 1")
-        if self.probe_backoff_max < self.probe_backoff:
-            raise ConfigurationError("the probe backoff cap must be >= the initial backoff")
+        if not _positive(self.probe_backoff):
+            raise ConfigurationError("the probe backoff must be finite and positive")
+        if not (math.isfinite(self.probe_backoff_factor) and self.probe_backoff_factor >= 1.0):
+            raise ConfigurationError("the probe backoff factor must be finite and >= 1")
+        if not (math.isfinite(self.probe_backoff_max)
+                and self.probe_backoff_max >= self.probe_backoff):
+            raise ConfigurationError(
+                "the probe backoff cap must be finite and >= the initial backoff")
+
+
+def _positive(value: float) -> bool:
+    """True for a finite value above zero: NaN and infinities are not."""
+    return math.isfinite(value) and value > 0
 
 
 @dataclass

@@ -22,16 +22,18 @@ Two structures are provided:
 
 * :class:`ThresholdQuorumSystem` — the classic uniform system (quorum =
   ``n - f`` responses, certificate = ``f + 1``);
-* :class:`WeightedQuorumSystem` — per-provider trust weights and a *fault
-  budget* ``B`` (any provider set of total weight ≤ ``B`` may misbehave):
-  quorums are the sets of weight strictly above ``(W + B) / 2``, certificates
-  the sets of weight strictly above ``B``.
+* :class:`WeightedQuorumSystem` — per-provider trust weights, any ``f``
+  providers faulty: with ``B`` the weight of the ``f`` heaviest, quorums are
+  the sets of weight strictly above ``(W + B) / 2``, certificates the sets of
+  weight strictly above ``B``.
 
 Each system's :meth:`~QuorumSystem.validate` checks both properties —
 **consistency** (quorum intersections survive every tolerated fault set) and
 **availability** (after any tolerated fault set fails, some quorum remains
 responsive) — so an unsatisfiable configuration is rejected loudly at config
-time instead of wedging every quorum call at runtime.
+time instead of wedging every quorum call at runtime.  :func:`quorum_system`
+builds and validates either one; the config, the cloud-of-clouds backend and
+the benchmarks all go through it.
 
 The dispatch engine itself consumes the weaker :class:`QuorumPredicate`
 protocol (``satisfied_by`` over responder names plus a ``min_size``), of
@@ -43,9 +45,12 @@ byte-identical.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Protocol, Sequence
+
+from repro.common.errors import ConfigurationError
 
 
 class QuorumPredicate(Protocol):
@@ -214,11 +219,13 @@ class ThresholdQuorumSystem(QuorumSystem):
 
 @dataclass(frozen=True)
 class WeightedQuorumSystem(QuorumSystem):
-    """Weighted-majority quorums with a fault *budget* instead of a count.
+    """Weighted-majority quorums tolerating any ``f`` providers.
 
-    Every provider carries a trust weight; any provider set of total weight at
-    most ``fault_budget`` may fail or misbehave simultaneously.  With total
-    weight ``W`` and budget ``B``:
+    Every provider carries a trust weight, and any ``f`` providers may fail or
+    misbehave simultaneously, so the fault *budget* ``B`` is the weight of the
+    ``f`` heaviest: no tolerated fault set weighs more (the fault structure
+    "any f", from which Alpos & Cachin derive generalized quorums).  With
+    total weight ``W``:
 
     * **quorums** are the sets of weight strictly above ``(W + B) / 2`` — any
       two such sets intersect in weight strictly above ``B``, so their
@@ -226,64 +233,72 @@ class WeightedQuorumSystem(QuorumSystem):
       correct provider: the dissemination-quorum consistency condition);
     * **certificates** are the sets of weight strictly above ``B`` — they
       cannot consist entirely of faulty providers;
-    * **availability** demands that the correct providers left by the heaviest
-      tolerated fault set still form a quorum, which (with an exactly
-      achievable budget) reduces to the familiar ``B < W / 3``.
+    * **availability** demands that the providers left by the heaviest fault
+      set, weight ``W - B``, still form a quorum: ``B < W / 3``.
     """
 
     universe: tuple[str, ...]
     #: ``(provider, weight)`` pairs covering the universe exactly.
     weights: tuple[tuple[str, float], ...]
-    fault_budget: float
+    f: int
 
     def _exact_total(self) -> Fraction:
         # Exact arithmetic throughout (see WeightedCountQuorum): the quorum
-        # bar and the subset-sum below compare against strict inequalities,
-        # where float rounding flips borderline-exact configurations.
+        # bar is a strict inequality, where float rounding flips
+        # borderline-exact configurations.
         return sum((Fraction(weight) for _, weight in self.weights),
                    start=Fraction(0))
 
-    def _max_tolerated_weight(self) -> Fraction:
-        """Heaviest achievable fault set: max subset weight within the budget."""
-        budget = Fraction(self.fault_budget)
-        achievable = [Fraction(0)]
-        for _, weight in self.weights:
-            achievable += [total + Fraction(weight) for total in achievable
-                           if total + Fraction(weight) <= budget]
-        return max(achievable)
+    @property
+    def fault_budget(self) -> Fraction:
+        """``B``: the weight of the ``f`` heaviest providers."""
+        heaviest = sorted((Fraction(weight) for _, weight in self.weights), reverse=True)
+        return sum(heaviest[:self.f], start=Fraction(0))
 
     def quorum(self) -> WeightedCountQuorum:
         return WeightedCountQuorum(
             weights=self.weights,
-            threshold_weight=(self._exact_total() + Fraction(self.fault_budget)) / 2)
+            threshold_weight=(self._exact_total() + self.fault_budget) / 2)
 
     def certificate(self) -> WeightedCountQuorum:
-        return WeightedCountQuorum(weights=self.weights,
-                                   threshold_weight=Fraction(self.fault_budget))
+        return WeightedCountQuorum(weights=self.weights, threshold_weight=self.fault_budget)
 
     def validate(self) -> None:
         names = [name for name, _ in self.weights]
         if len(names) != len(set(names)):
             raise ValueError("a provider carries two weights")
         if set(names) != set(self.universe) or len(self.universe) != len(set(self.universe)):
-            raise ValueError("the weight table must cover the universe exactly")
-        if any(weight <= 0 for _, weight in self.weights):
-            raise ValueError("provider weights must be positive")
-        if self.fault_budget < 0:
-            raise ValueError("the fault budget must be non-negative")
-        total = self._exact_total()
-        budget = Fraction(self.fault_budget)
-        if budget >= total:
-            raise ValueError("the fault budget must be below the total weight")
-        # Availability: the providers surviving the heaviest tolerated fault
-        # set must still clear the quorum bar.  With budget B achievable
-        # exactly this is B < W/3; an unachievable budget may be laxer.
-        surviving = total - self._max_tolerated_weight()
-        if surviving <= (total + budget) / 2:
             raise ValueError(
-                f"weighted quorum system is unavailable: after a worst-case "
-                f"fault set only weight {float(surviving):g} of "
-                f"{float(total):g} survives, below the quorum bar "
-                f"{float((total + budget) / 2):g} "
-                f"(the fault budget {self.fault_budget:g} must stay below a "
-                f"third of the total weight)")
+                f"the weight table must cover the universe exactly: it names "
+                f"{sorted(names)}, the universe is {sorted(self.universe)}")
+        if not all(math.isfinite(weight) and weight > 0 for _, weight in self.weights):
+            raise ValueError("provider weights must be finite and positive")
+        if self.f < 0:
+            raise ValueError("the fault threshold f must be non-negative")
+        total, budget = self._exact_total(), self.fault_budget
+        if 3 * budget >= total:
+            raise ValueError(
+                f"weighted quorum system is unavailable: the {self.f} heaviest "
+                f"providers weigh {float(budget):g}, not below a third of the "
+                f"total weight {float(total):g}")
+
+
+def quorum_system(universe: Sequence[str], f: int,
+                  weights: tuple[tuple[str, float], ...] = ()) -> QuorumSystem:
+    """The validated quorum system over ``universe`` tolerating any ``f`` providers.
+
+    DepSky's :class:`ThresholdQuorumSystem` without ``weights``, a
+    :class:`WeightedQuorumSystem` with them.  Raises
+    :class:`~repro.common.errors.ConfigurationError` when the system fails its
+    checks: too few providers, weights naming other providers than
+    ``universe``, or a weighted system the ``f`` heaviest could make
+    unavailable.
+    """
+    names = tuple(universe)
+    system = (WeightedQuorumSystem(names, weights, f) if weights
+              else ThresholdQuorumSystem(names, f))
+    try:
+        system.validate()
+    except ValueError as exc:
+        raise ConfigurationError(str(exc)) from exc
+    return system

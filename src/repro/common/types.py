@@ -84,7 +84,7 @@ class ObjectRef:
     service and ``digest`` the collision-resistant hash of its contents —
     together they are exactly the ``(id, hash)`` pair the consistency-anchor
     algorithm of Figure 3 stores in the coordination service.  ``created_at``
-    (simulated seconds) supports the age-based garbage-collection policies.
+    (simulated seconds) orders a backend's listed versions, oldest first.
 
     ``locator`` travels with the pair: an opaque string minted by the backend
     that wrote the version, telling a reader of the same backend where the

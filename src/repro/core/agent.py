@@ -168,7 +168,7 @@ class SCFSAgent(FileSystem):
         self.storage.on_poll = self._count_poll
         self.locks = LockService(sim, self.coordination, self.session)
         self.locks.on_transition = self._lock_transition
-        self.gc = GarbageCollector(sim, config.gc, self.metadata, self.storage, backend)
+        self.gc = GarbageCollector(sim, config.gc_threshold, self.metadata, self.storage, backend)
 
         # -- transactional commit layer (needs the consistency anchor) ---------
         self.transactions: TransactionManager | None = (

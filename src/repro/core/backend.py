@@ -29,7 +29,8 @@ from repro.common.errors import IntegrityError, ObjectNotFoundError
 from repro.common.types import ObjectRef, Permission, Principal
 from repro.clouds.eventual import EventuallyConsistentStore
 from repro.clouds.health import CloudHealthTracker, HealthStats, expected_latency
-from repro.core.config import DispatchPolicyConfig, QuorumConfig
+from repro.clouds.quorums import quorum_system
+from repro.core.config import DispatchPolicyConfig
 from repro.crypto.hashing import content_digest
 from repro.depsky.dataunit import VersionRecord
 from repro.depsky.protocol import DepSkyClient, DepSkyReadResult
@@ -248,8 +249,8 @@ class CloudOfCloudsBackend(StorageBackend):
     quorum calls read their timeouts, retries and hedging from it and, when
     suspicion is enabled, so does the per-client
     :class:`~repro.clouds.health.CloudHealthTracker` that demotes suspected
-    clouds out of the primary quorum stage.  ``quorum`` is the agent's
-    :class:`~repro.core.config.QuorumConfig`.
+    clouds out of the primary quorum stage.  ``weights`` are the agent's
+    ``SCFSConfig.quorum_weights``: none keeps DepSky's threshold quorums.
     """
 
     def __init__(
@@ -259,7 +260,7 @@ class CloudOfCloudsBackend(StorageBackend):
         principal: Principal,
         *,
         dispatch: DispatchPolicyConfig,
-        quorum: QuorumConfig,
+        weights: tuple[tuple[str, float], ...] = (),
         f: int = 1,
         encrypt: bool = True,
     ):
@@ -267,7 +268,7 @@ class CloudOfCloudsBackend(StorageBackend):
         self.principal = principal
         self.client = DepSkyClient(
             sim, clouds, principal, f=f, encrypt=encrypt, policy=dispatch,
-            quorum=quorum.system_for([c.name for c in clouds], f),
+            quorum=quorum_system([c.name for c in clouds], f, weights),
         )
         #: The client's tracker (``None`` unless ``dispatch`` tracks health).
         self.health: CloudHealthTracker | None = self.client.health
@@ -304,8 +305,7 @@ class CloudOfCloudsBackend(StorageBackend):
         return self.client.delete_version(file_id, version, digest)
 
     def list_versions(self, file_id: str) -> list[ObjectRef]:
-        return [ObjectRef(key=file_id, digest=r.data_digest, size=r.size,
-                          created_at=r.created_at, locator=r.locator())
+        return [ObjectRef(key=file_id, digest=r.data_digest, size=r.size, locator=r.locator())
                 for r in self.client.list_versions(file_id)]
 
     def set_acl(self, file_id: str, grantee: Principal, permission: Permission) -> None:

@@ -108,7 +108,7 @@ class SCFSDeployment:
             return SingleCloudBackend(self.sim, self.clouds[0], principal)
         return CloudOfCloudsBackend(
             self.sim, self.clouds, principal,
-            dispatch=self.config.dispatch, quorum=self.config.quorum,
+            dispatch=self.config.dispatch, weights=self.config.quorum_weights,
             f=self.config.fault_tolerance, encrypt=self.config.encrypt_data,
         )
 

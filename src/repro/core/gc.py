@@ -4,11 +4,12 @@ During normal operation SCFS never deletes data: every ``close`` of a modified
 file creates a *new* version and files removed by the user are merely marked
 deleted in their metadata.  Old versions support recovery, but they cost
 storage money, so each agent runs a garbage collector driven by two
-user-chosen parameters set at mount time:
+parameters:
 
-* ``W`` (``written_bytes_threshold``) — after the agent has written more than
-  W bytes, a collection run is triggered (as a background task);
-* ``V`` (``versions_to_keep``) — only the last V versions of each file are
+* ``W`` (``SCFSConfig.gc_threshold``, set at mount time) — after the agent
+  has written W bytes, a collection run is triggered (as a background task);
+  ``math.inf`` never triggers one;
+* ``V`` (:data:`VERSIONS_TO_KEEP`) — only the last V versions of each file are
   preserved; older versions, and all versions of user-deleted files, are
   removed from the cloud storage and their metadata entries erased.
 
@@ -24,10 +25,12 @@ from dataclasses import dataclass, field
 from repro.common.errors import CloudError, ReproError
 from repro.common.types import ObjectRef
 from repro.core.backend import StorageBackend
-from repro.core.config import GarbageCollectionPolicy
 from repro.core.metadata_service import MetadataService
 from repro.core.storage_service import StorageService
 from repro.simenv.environment import Simulation
+
+#: V: the most recent versions of each file the collector keeps.
+VERSIONS_TO_KEEP = 3
 
 
 @dataclass
@@ -42,34 +45,32 @@ class GCReport:
 
 
 class GarbageCollector:
-    """Per-agent, policy-driven reclamation of old file versions."""
+    """Per-agent reclamation of old file versions, run every ``threshold`` (W) bytes written."""
 
     def __init__(
         self,
         sim: Simulation,
-        policy: GarbageCollectionPolicy,
+        threshold: float,
         metadata_service: MetadataService,
         storage_service: StorageService,
         backend: StorageBackend,
     ):
         self.sim = sim
-        self.policy = policy
+        self.threshold = threshold
         self.metadata = metadata_service
         self.storage = storage_service
         self.backend = backend
         self._bytes_at_last_run = 0
 
-    # ------------------------------------------------------------------ policy
+    # -------------------------------------------------------------- activation
 
     def should_activate(self) -> bool:
-        """True once more than W bytes were written since the last run."""
-        if not self.policy.enabled:
-            return False
+        """True once W bytes were written since the last run (never when W is infinite)."""
         written = self.storage.bytes_pushed - self._bytes_at_last_run
-        return written >= self.policy.written_bytes_threshold
+        return written >= self.threshold
 
     def maybe_schedule(self) -> bool:
-        """Schedule a background collection run if the policy says so.
+        """Schedule a background collection run once W bytes were written.
 
         The run is scheduled as a deferred task (the paper starts it "as a
         separated thread that runs in parallel with the rest of the system").
@@ -135,18 +136,9 @@ class GarbageCollector:
         # listed version: an older version with the current bytes is older.
         keep = {index for index, ref in enumerate(versions) if self._is_current(ref, meta)}
         for index in reversed(range(len(versions))):
-            if len(keep) >= self.policy.versions_to_keep:
+            if len(keep) >= VERSIONS_TO_KEEP:
                 break
             keep.add(index)
-        # Refined policy (§2.5.3): also keep the newest version of each time
-        # bucket (e.g. one version per day/week) for long-term recovery.
-        if self.policy.keep_interval_seconds:
-            interval = self.policy.keep_interval_seconds
-            newest_per_bucket: dict[int, int] = {}
-            for index, ref in enumerate(versions):
-                bucket = int(ref.created_at // interval)
-                newest_per_bucket[bucket] = index  # versions are ordered oldest-first
-            keep.update(newest_per_bucket.values())
         kept = {ref.digest for index, ref in enumerate(versions) if index in keep}
         for index, ref in enumerate(versions):
             if index not in keep:

@@ -13,6 +13,8 @@ from __future__ import annotations
 import argparse
 import sys
 
+from repro.common.errors import ConfigurationError
+from repro.core.modes import VARIANTS
 from repro.scenarios.runner import run_scenario
 from repro.scenarios.spec import FAULT_MIXES
 
@@ -28,14 +30,17 @@ def main(argv: list[str] | None = None) -> int:
                         help="number of concurrent agents (default: 3)")
     parser.add_argument("--ops", type=int, default=10,
                         help="workload operations per agent (default: 10)")
-    parser.add_argument("--variant", default=None,
+    parser.add_argument("--variant", choices=sorted(VARIANTS), default=None,
                         help="force a Table 2 variant (default: seed-derived)")
     parser.add_argument("--dump-trace", action="store_true",
                         help="print the full JSONL trace after the report")
     args = parser.parse_args(argv)
 
-    result = run_scenario(args.seed, mix=args.mix, agents=args.agents,
-                          ops_per_agent=args.ops, variant=args.variant)
+    try:
+        result = run_scenario(args.seed, mix=args.mix, agents=args.agents,
+                              ops_per_agent=args.ops, variant=args.variant)
+    except ConfigurationError as exc:  # e.g. a dispatch-policy mix on SCFS-AWS
+        parser.error(str(exc))
     print(result.report())
     if args.dump_trace:
         print(result.trace.to_jsonl())

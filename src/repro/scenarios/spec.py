@@ -21,14 +21,10 @@ any invariant violation is a bug, not an over-injection.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, field
 
-from repro.core.config import (
-    DispatchPolicyConfig,
-    GarbageCollectionPolicy,
-    QuorumConfig,
-    SCFSConfig,
-)
+from repro.core.config import DispatchPolicyConfig, SCFSConfig
 from repro.core.modes import VARIANTS
 from repro.simenv.environment import derive_rng
 from repro.simenv.failures import FaultKind
@@ -247,7 +243,7 @@ class ScenarioSpec:
             for i in range(agents)
         )
         files = tuple(f"/shared/file-{i}.dat" for i in range(shared_files))
-        faults, dispatch, quorum = _faults_for_mix(mix, rng, agents=agents)
+        faults, dispatch, weights = _faults_for_mix(mix, rng, agents=agents)
         # The crash-restart mix needs the crashed agent's leases to expire
         # within the scenario: a restart remounts only after the lease runs
         # out, so a 1-hour lease would park the run for an hour of simulated
@@ -255,7 +251,7 @@ class ScenarioSpec:
         lease = 25.0 if mix == "txn-crash-restart" else 3600.0
         spec = cls(
             seed=seed, mix=mix, agents=agent_specs, faults=faults, shared_files=files,
-            config=scenario_config(variant, lease, dispatch=dispatch, quorum=quorum),
+            config=scenario_config(variant, lease, dispatch=dispatch, quorum_weights=weights),
         )
         spec.validate()
         return spec
@@ -288,11 +284,11 @@ class ScenarioSpec:
         paths = tuple(
             f"/pool-{i % directories}/file-{i}.dat" for i in range(files)
         )
-        faults, dispatch, quorum = _faults_for_mix(mix, rng)
+        faults, dispatch, weights = _faults_for_mix(mix, rng)
         # The hour-long lease outlives a scale run (hundreds of simulated
         # seconds), so no lock lapses mid-run.
         config = scenario_config("SCFS-CoC-NB", 3600.0, partitions=partitions,
-                                 pooled=True, dispatch=dispatch, quorum=quorum)
+                                 pooled=True, dispatch=dispatch, quorum_weights=weights)
         spec = cls(
             seed=seed, mix=mix, agents=agent_specs, faults=faults, shared_files=paths,
             config=config, scheduling="event-driven", pooled=True,
@@ -303,7 +299,7 @@ class ScenarioSpec:
 
 def scenario_config(variant: str, lock_lease: float, partitions: int = 1,
                     pooled: bool = False, dispatch: DispatchPolicyConfig | None = None,
-                    quorum: QuorumConfig | None = None) -> SCFSConfig:
+                    quorum_weights: tuple[tuple[str, float], ...] = ()) -> SCFSConfig:
     """The :class:`SCFSConfig` every agent of a generated scenario mounts with.
 
     A long lock lease keeps lease expiry out of scope (DEGRADED windows
@@ -311,29 +307,22 @@ def scenario_config(variant: str, lock_lease: float, partitions: int = 1,
     stealing would make the mutual-exclusion invariant vacuous); the
     crash-restart mix shrinks it so a crashed agent's locks expire mid-run.
     An aggressive GC threshold makes the collector actually run mid-scenario.
-    ``dispatch`` and ``quorum`` left None keep the variant's defaults.
+    ``dispatch`` left None keeps the variant's default.
     """
-    overrides = {
-        "lock_lease": lock_lease,
-        # Pooled scenarios disable automatic collection: the collector's
+    overrides = {"gc_threshold": 256 * 1024}
+    if pooled:
+        # Pooled scenarios run no automatic collection: the collector's
         # owned-paths scan is a full namespace listing, which would be the
-        # single super-linear operation of a 10^5-file run.
-        "gc": GarbageCollectionPolicy(enabled=False)
-        if pooled
-        else GarbageCollectionPolicy(written_bytes_threshold=256 * 1024, versions_to_keep=3),
-        "coordination_partitions": partitions,
-    }
+        # single super-linear operation of a 10^5-file run.  Primed files
+        # share one plaintext pool payload; without the per-version random
+        # key their coded blocks are byte-identical, so priming can store
+        # *one* shared blob per block index.
+        overrides = {"gc_threshold": math.inf, "encrypt_data": False}
     if dispatch is not None:
         overrides["dispatch"] = dispatch
-    if quorum is not None:
-        overrides["quorum"] = quorum
-    config = SCFSConfig.for_variant(variant, **overrides)
-    if pooled:
-        # Primed files share one plaintext pool payload; disabling the
-        # per-version random key keeps their coded blocks byte-identical,
-        # so priming can store *one* shared blob per block index.
-        config = replace(config, encrypt_data=False)
-    return config
+    return SCFSConfig.for_variant(variant, lock_lease=lock_lease,
+                                  coordination_partitions=partitions,
+                                  quorum_weights=quorum_weights, **overrides)
 
 
 def _two_clouds(rng, n: int = 4) -> tuple[int, int]:
@@ -355,8 +344,8 @@ _TRACKED_DISPATCH = DispatchPolicyConfig(
 
 def _faults_for_mix(mix: str, rng, agents: int = 3) -> tuple[tuple[FaultPhase, ...],
                                                              DispatchPolicyConfig | None,
-                                                             QuorumConfig | None]:
-    """Build the fault phases (and dispatch/quorum configs) of one named mix.
+                                                             tuple[tuple[str, float], ...]]:
+    """Build the fault phases (and dispatch policy and quorum weights) of one named mix.
 
     Windows of *failing* kinds (unavailable, corruption, byzantine,
     drop-writes, and timed-out hangs) are kept disjoint in op-fraction space
@@ -364,7 +353,7 @@ def _faults_for_mix(mix: str, rng, agents: int = 3) -> tuple[tuple[FaultPhase, .
     DEGRADED windows may overlap anything.
     """
     if mix == "fault-free":
-        return (), None, None
+        return (), None, ()
 
     if mix == "crash-hang":
         crashed, hung = _two_clouds(rng)
@@ -380,7 +369,7 @@ def _faults_for_mix(mix: str, rng, agents: int = 3) -> tuple[tuple[FaultPhase, .
             FaultPhase(f"replica:{replica}", "crash",
                        start_frac=rng.uniform(0.20, 0.40),
                        end_frac=rng.uniform(0.60, 0.80)),
-        ), None, None
+        ), None, ()
 
     if mix == "corrupt-byzantine":
         # One *persistently adversarial* cloud misbehaves in three different
@@ -404,7 +393,7 @@ def _faults_for_mix(mix: str, rng, agents: int = 3) -> tuple[tuple[FaultPhase, .
             FaultPhase(f"replica:{replica}", "byzantine",
                        start_frac=rng.uniform(0.25, 0.45),
                        end_frac=rng.uniform(0.55, 0.75)),
-        ), None, None
+        ), None, ()
 
     if mix == "degraded-outage":
         # Exercise the PR 2/3 dispatch + health stack: per-request timeouts,
@@ -419,14 +408,15 @@ def _faults_for_mix(mix: str, rng, agents: int = 3) -> tuple[tuple[FaultPhase, .
                        start_frac=rng.uniform(0.55, 0.65),
                        end_frac=rng.uniform(0.80, 0.92),
                        factor=rng.uniform(4.0, 8.0)),
-        ), _TRACKED_DISPATCH, None
+        ), _TRACKED_DISPATCH, ()
 
     if mix == "weighted-byzantine":
         # The weighted-quorum mix: the *heaviest* provider turns adversarial.
         # Weights model unequal provider trust (amazon-s3 carries 1.2, the
-        # rest 1.0) with a fault budget of 1.2 — the heavy provider alone may
-        # misbehave, yet no single cloud, however heavy, can certify a version
-        # by itself (the certificate bar sits exactly at the budget).  The
+        # rest 1.0); any f = 1 cloud may fail, so the fault budget is the
+        # heaviest weight, 1.2 — the heavy provider alone may misbehave, yet
+        # no single cloud, however heavy, can certify a version by itself
+        # (the certificate bar sits exactly at the budget).  The
         # adversary corrupts data at rest early and turns fully Byzantine
         # later (disjoint windows, one adversarial cloud: f-budget intact);
         # a light provider gray-fails on top and a coordination replica turns
@@ -434,11 +424,8 @@ def _faults_for_mix(mix: str, rng, agents: int = 3) -> tuple[tuple[FaultPhase, .
         # suspicion tracking and EWMA-fed latency estimates are live.
         light = 1 + rng.randrange(3)
         replica = rng.randrange(4)
-        quorum = QuorumConfig(
-            weights=(("amazon-s3", 1.2), ("google-storage", 1.0),
-                     ("rackspace-files", 1.0), ("windows-azure", 1.0)),
-            fault_budget=1.2,
-        )
+        weights = (("amazon-s3", 1.2), ("google-storage", 1.0),
+                   ("rackspace-files", 1.0), ("windows-azure", 1.0))
         return (
             FaultPhase("cloud:0", FaultKind.CORRUPTION.value,
                        start_frac=rng.uniform(0.10, 0.18),
@@ -453,7 +440,7 @@ def _faults_for_mix(mix: str, rng, agents: int = 3) -> tuple[tuple[FaultPhase, .
             FaultPhase(f"replica:{replica}", "byzantine",
                        start_frac=rng.uniform(0.25, 0.45),
                        end_frac=rng.uniform(0.55, 0.75)),
-        ), _TRACKED_DISPATCH, quorum
+        ), _TRACKED_DISPATCH, weights
 
     if mix == "txn":
         # The baseline transactional mix: concurrent multi-file transactions
@@ -473,7 +460,7 @@ def _faults_for_mix(mix: str, rng, agents: int = 3) -> tuple[tuple[FaultPhase, .
             FaultPhase(f"replica:{replica}", "crash",
                        start_frac=rng.uniform(0.25, 0.40),
                        end_frac=rng.uniform(0.60, 0.75)),
-        ), None, None
+        ), None, ()
 
     if mix == "txn-crash-restart":
         # One agent crashes mid-transaction holding write locks and remounts
@@ -494,7 +481,7 @@ def _faults_for_mix(mix: str, rng, agents: int = 3) -> tuple[tuple[FaultPhase, .
             FaultPhase(f"replica:{replica}", "crash",
                        start_frac=rng.uniform(0.10, 0.18),
                        end_frac=rng.uniform(0.35, 0.50)),
-        ), None, None
+        ), None, ()
 
     if mix == "txn-partition":
         # Nemesis-style coordination partitions: two sequential windows each
@@ -518,6 +505,6 @@ def _faults_for_mix(mix: str, rng, agents: int = 3) -> tuple[tuple[FaultPhase, .
             FaultPhase(f"cloud:{downed}", FaultKind.UNAVAILABLE.value,
                        start_frac=rng.uniform(0.55, 0.62),
                        end_frac=rng.uniform(0.75, 0.88)),
-        ), None, None
+        ), None, ()
 
     raise ValueError(f"unknown fault mix {mix!r}")

@@ -5,7 +5,7 @@ import pytest
 
 from repro.common.types import Permission
 from repro.common.units import KB
-from repro.core.config import GarbageCollectionPolicy, SCFSConfig
+from repro.core.config import SCFSConfig
 from repro.core.deployment import SCFSDeployment
 from repro.core.modes import VARIANTS
 
@@ -93,13 +93,8 @@ class TestPrivateNameSpacesIntegration:
 
 
 class TestGarbageCollectionIntegration:
-    def _deployment(self, threshold=64 * KB, versions=2):
-        config = SCFSConfig.for_variant(
-            "SCFS-AWS-B",
-            gc=GarbageCollectionPolicy(written_bytes_threshold=threshold,
-                                       versions_to_keep=versions),
-        )
-        return SCFSDeployment(config, seed=44)
+    def _deployment(self, threshold=64 * KB):
+        return SCFSDeployment(SCFSConfig.for_variant("SCFS-AWS-B", gc_threshold=threshold), seed=44)
 
     def test_gc_triggers_automatically_after_w_bytes(self, gc_runs):
         deployment = self._deployment(threshold=32 * KB)
@@ -110,16 +105,16 @@ class TestGarbageCollectionIntegration:
         assert gc_runs.count(fs.gc) >= 1
 
     def test_gc_keeps_only_v_versions(self):
-        deployment = self._deployment(threshold=1 << 30, versions=2)
+        deployment = self._deployment(threshold=1 << 30)
         fs = deployment.create_agent("alice")
         for i in range(5):
             fs.write_file("/doc.txt", f"version {i}".encode())
         deployment.sim.advance(2.0)
         report = fs.collect_garbage()
-        assert report.versions_deleted == 3
+        assert report.versions_deleted == 2
         meta = fs.stat("/doc.txt")
         remaining = fs.backend.list_versions(meta.file_id)
-        assert len(remaining) == 2
+        assert len(remaining) == 3
         assert meta.digest in {r.digest for r in remaining}
 
     def test_gc_reclaims_deleted_files_storage_and_metadata(self):

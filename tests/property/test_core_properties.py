@@ -35,7 +35,7 @@ from repro.coordination.base import Delete, Grant, Lock, Move, Put, Update
 from repro.coordination.entries import EntryCommands, Holder
 from repro.core.backend import CloudOfCloudsBackend, SingleCloudBackend
 from repro.core.cache import LRUByteCache, make_disk_cache, make_memory_cache
-from repro.core.config import DispatchPolicyConfig, QuorumConfig
+from repro.core.config import DispatchPolicyConfig
 from repro.core.consistency import anchor_value, split_anchor_value
 from repro.core.storage_service import StorageService
 from repro.core.deployment import SCFSDeployment
@@ -89,7 +89,7 @@ class TestAnchoredReadProperties:
             backend = SingleCloudBackend(sim, make_provider(sim, "amazon-s3"), alice)
         else:
             backend = CloudOfCloudsBackend(sim, make_cloud_of_clouds(sim), alice, f=1,
-                                           dispatch=DispatchPolicyConfig(), quorum=QuorumConfig())
+                                           dispatch=DispatchPolicyConfig())
         anchor: dict[str, str] = {}
         latest: dict[str, bytes] = {}
         for op, object_index, payload in script:

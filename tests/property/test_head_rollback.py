@@ -8,7 +8,7 @@ write's puts are in flight.  Hypothesis draws the faulty cloud, an interleaving
 of two lock-holding writers (each numbers its write from the anchored version,
 as SCFS does), clock advances shorter and longer than the propagation delays,
 changes of what the faulty cloud lies about, collector passes (the real
-``GarbageCollector._collect_file``, V = 2) and ``read_latest`` calls.  Then
+``GarbageCollector._collect_file``, V = 3) and ``read_latest`` calls.  Then
 
 * every anchored version is readable through its locator once propagated, and
   so is the newest other one the collector must keep;
@@ -28,8 +28,10 @@ aborted before its commit point) at the very number the next write takes.
 from __future__ import annotations
 
 from types import SimpleNamespace
+from unittest import mock
 
 import hashlib
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -39,8 +41,9 @@ from repro.clouds.providers import make_cloud_of_clouds
 from repro.common.errors import CloudError, QuorumNotReachedError
 from repro.common.types import Principal
 from repro.core.backend import CloudOfCloudsBackend
-from repro.core.config import DispatchPolicyConfig, GarbageCollectionPolicy, QuorumConfig
-from repro.core.gc import GarbageCollector, GCReport
+from repro.core import gc
+from repro.core.config import DispatchPolicyConfig
+from repro.core.gc import VERSIONS_TO_KEEP as KEEP, GarbageCollector, GCReport
 from repro.depsky.dataunit import VersionRecord
 from repro.depsky.protocol import _BLOCK_NAME, DepSkyClient
 from repro.simenv.environment import Simulation
@@ -48,7 +51,6 @@ from repro.simenv.environment import Simulation
 UNIT = "unit"
 HEAD_KEY = f"depsky/{UNIT}/metadata"
 LIES = ("honest", "rollback", "inflate", "garbage", "hide", "invent")
-KEEP = 2
 
 _step = st.one_of(
     st.tuples(st.just("write"), st.integers(0, 1)),
@@ -110,12 +112,10 @@ def test_history_survives_one_cloud_lying_about_heads_and_listings(faulty, lie, 
     alice = Principal("alice", tuple((cloud.name, f"alice@{cloud.name}") for cloud in clouds))
     liar = Liar(clouds[faulty], lie)
     correct = [cloud for index, cloud in enumerate(clouds) if index != faulty]
-    writers = [CloudOfCloudsBackend(sim, clouds, alice, f=1, dispatch=DispatchPolicyConfig(),
-                                    quorum=QuorumConfig())
+    writers = [CloudOfCloudsBackend(sim, clouds, alice, f=1, dispatch=DispatchPolicyConfig())
                for _ in range(2)]
     collectors = [
-        GarbageCollector(sim, GarbageCollectionPolicy(versions_to_keep=KEEP), None,
-                         SimpleNamespace(forget=lambda *_args: None), backend)
+        GarbageCollector(sim, math.inf, None, SimpleNamespace(forget=lambda *_args: None), backend)
         for backend in writers]
     # Read as background work, so that what the correct clouds serve can be
     # asked at the very instant the read saw it; handed the providers in
@@ -199,13 +199,11 @@ def _numbered_history(faulty: int, lie: str, steps) -> None:
                 put_blobs.setdefault((name, key), set()).add(hashlib.sha256(data).hexdigest())
             return put(key, data, principal)
         cloud.put = recording_put
-    writers = [CloudOfCloudsBackend(sim, clouds, alice, f=1, dispatch=DispatchPolicyConfig(),
-                                    quorum=QuorumConfig())
+    writers = [CloudOfCloudsBackend(sim, clouds, alice, f=1, dispatch=DispatchPolicyConfig())
                for _ in range(2)]
 
-    def collector(backend, keep: int) -> GarbageCollector:
-        return GarbageCollector(sim, GarbageCollectionPolicy(versions_to_keep=keep), None,
-                                SimpleNamespace(forget=lambda *_args: None), backend)
+    def collector(backend) -> GarbageCollector:
+        return GarbageCollector(sim, math.inf, None, SimpleNamespace(forget=lambda *_args: None), backend)
 
     def head_gets() -> int:
         return sum(1 for cloud in clouds for kind, key, _size in cloud.request_log
@@ -247,17 +245,18 @@ def _numbered_history(faulty: int, lie: str, steps) -> None:
         elif kind == "lie":
             liar.lie = argument
         elif kind == "collect" and anchor[0]:
-            collector(writers[argument], KEEP)._collect_file(meta(), GCReport())
+            collector(writers[argument])._collect_file(meta(), GCReport())
             assert (anchor[0], anchor[1]) in _stored(clouds, faulty)
 
     if not anchor[0]:
         return
     sim.advance(10.0)
     assert writers[1].read_version(UNIT, anchor[1], anchor[2]) == anchor[3]
-    # The collector protects the anchored version: with V = 1 it keeps that
-    # one alone (an older version of the same bytes goes too) and reclaims
-    # every orphan, also one that shares its number.
-    collector(writers[0], 1)._collect_file(meta(), GCReport())
+    # The collector protects the anchored version: with V lowered to 1 it
+    # keeps that one alone (an older version of the same bytes goes too) and
+    # reclaims every orphan, also one that shares its number.
+    with mock.patch.object(gc, "VERSIONS_TO_KEEP", 1):
+        collector(writers[0])._collect_file(meta(), GCReport())
     sim.advance(10.0)
     assert _stored(clouds, faulty) == {(anchor[0], anchor[1])}
     assert writers[0].read_version(UNIT, anchor[1], anchor[2]) == anchor[3]

@@ -10,6 +10,8 @@ same four invariant checkers.
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.core.config import DispatchPolicyConfig
@@ -127,7 +129,7 @@ def test_scale_spec_shape() -> None:
     assert config.dispatch == DispatchPolicyConfig()
     assert config.coordination_partitions == 4
     assert config.encrypt_data is False
-    assert config.gc.enabled is False
+    assert config.gc_threshold == math.inf
     # The hour-long lease outlives the run: no lock lapses mid-run.
     assert config.lock_lease == 3600.0
 

@@ -1,7 +1,8 @@
 """The settable configuration surface, pinned.
 
 Every value an operator can set on an agent is a field of
-:class:`~repro.core.config.SCFSConfig` or of a config dataclass nested in it.
+:class:`~repro.core.config.SCFSConfig` or of the one config dataclass nested in
+it, the dispatch policy.
 The dotted names below are that surface: a knob added or removed shows up as a
 reviewed edit of :data:`SURFACE`, the way ``BUDGETS`` pins the coordination
 round trips.  A scenario spec carries its agents' config and mirrors none of it.
@@ -11,9 +12,10 @@ from __future__ import annotations
 
 import ast
 import dataclasses
+import typing
 from pathlib import Path
 
-from repro.core.config import SCFSConfig
+from repro.core.config import DispatchPolicyConfig, SCFSConfig
 from repro.scenarios.spec import ScenarioSpec
 
 SURFACE = (
@@ -23,10 +25,7 @@ SURFACE = (
     "private_name_spaces",
     "encrypt_data",
     "metadata_expiration",
-    "gc.written_bytes_threshold",
-    "gc.versions_to_keep",
-    "gc.keep_interval_seconds",
-    "gc.enabled",
+    "gc_threshold",
     "dispatch.timeout",
     "dispatch.retries",
     "dispatch.hedge_delay",
@@ -34,8 +33,7 @@ SURFACE = (
     "dispatch.probe_backoff",
     "dispatch.probe_backoff_factor",
     "dispatch.probe_backoff_max",
-    "quorum.weights",
-    "quorum.fault_budget",
+    "quorum_weights",
     "lock_lease",
 )
 
@@ -54,7 +52,14 @@ def _settable(config, prefix: str = "") -> list[str]:
 
 def test_the_settable_config_surface_is_the_pinned_one():
     assert tuple(_settable(SCFSConfig())) == SURFACE
-    assert len(SURFACE) == 20
+    assert len(SURFACE) == 16
+
+
+def test_the_dispatch_policy_is_the_only_nested_config():
+    # The GC policy and the quorum block were folded in: no block grows back.
+    hints = typing.get_type_hints(SCFSConfig)
+    assert {name: kind for name, kind in hints.items() if dataclasses.is_dataclass(kind)} == {
+        "dispatch": DispatchPolicyConfig}
 
 
 def test_no_scenario_field_repeats_a_config_setting():

@@ -22,7 +22,7 @@ from repro.common.errors import (
 from repro.common.types import Permission
 from repro.core.backend import CloudOfCloudsBackend, SingleCloudBackend
 from repro.core.cache import make_disk_cache, make_memory_cache
-from repro.core.config import DispatchPolicyConfig, QuorumConfig
+from repro.core.config import DispatchPolicyConfig
 from repro.core.consistency import READ_RETRY_LIMIT, anchor_value, split_anchor_value
 from repro.core.storage_service import StorageService
 from repro.crypto.hashing import content_digest
@@ -37,7 +37,7 @@ def backend(request, sim, alice):
         return SingleCloudBackend(sim, store, alice)
     clouds = make_cloud_of_clouds(sim)
     return CloudOfCloudsBackend(sim, clouds, alice, f=1,
-                                dispatch=DispatchPolicyConfig(), quorum=QuorumConfig())
+                                dispatch=DispatchPolicyConfig())
 
 
 class TestStorageBackends:
@@ -176,7 +176,7 @@ class TestSingleCloudACL:
 class TestCloudOfCloudsOverhead:
     def test_a_delete_removes_only_the_version_its_locator_names(self, sim, alice):
         backend = CloudOfCloudsBackend(sim, make_cloud_of_clouds(sim), alice, f=1,
-                                       dispatch=DispatchPolicyConfig(), quorum=QuorumConfig())
+                                       dispatch=DispatchPolicyConfig())
         first = backend.write_version("file-1", b"same bytes", version=1)
         backend.write_version("file-1", b"same bytes", version=2)
         sim.advance(3.0)
@@ -187,7 +187,7 @@ class TestCloudOfCloudsOverhead:
 
     def test_a_delete_needs_the_listed_locator(self, sim, alice):
         backend = CloudOfCloudsBackend(sim, make_cloud_of_clouds(sim), alice, f=1,
-                                       dispatch=DispatchPolicyConfig(), quorum=QuorumConfig())
+                                       dispatch=DispatchPolicyConfig())
         ref = backend.write_version("file-1", b"bytes", version=1)
         sim.advance(3.0)
         with pytest.raises(TypeError):
@@ -211,7 +211,7 @@ class TestEstimatesAreDryRuns:
     def test_write_estimate_is_what_a_numbered_write_charges(self, sim, alice, size, encrypt, f):
         clouds = _jitter_free_clouds(sim, f)
         backend = CloudOfCloudsBackend(sim, clouds, alice, f=f, encrypt=encrypt,
-                                       dispatch=DispatchPolicyConfig(), quorum=QuorumConfig())
+                                       dispatch=DispatchPolicyConfig())
         estimate = backend.estimate_write_latency(size)
         before = sim.now()
         backend.write_version("file-1", bytes(size), version=1)
@@ -225,7 +225,7 @@ class TestEstimatesAreDryRuns:
     def test_read_estimate_is_what_a_locator_read_charges(self, sim, alice, size, encrypt, f):
         """One quorum round of block GETs — no metadata-object round before it."""
         backend = CloudOfCloudsBackend(sim, _jitter_free_clouds(sim, f), alice, f=f, encrypt=encrypt,
-                                       dispatch=DispatchPolicyConfig(), quorum=QuorumConfig())
+                                       dispatch=DispatchPolicyConfig())
         ref = backend.write_version("file-1", bytes(size), version=1)
         sim.advance(3.0)
         estimate = backend.estimate_read_latency(size)
@@ -239,8 +239,7 @@ def test_write_estimate_demotes_a_suspected_holder_as_the_write_does(sim, alice,
     """A suspected block holder is demoted by the same re-plan in the estimate
     as in the write: the spill-over cloud takes its block, and its price."""
     backend = CloudOfCloudsBackend(sim, make_cloud_of_clouds(sim), alice, f=1,
-                                   dispatch=DispatchPolicyConfig(suspicion_threshold=3),
-                                   quorum=QuorumConfig())
+                                   dispatch=DispatchPolicyConfig(suspicion_threshold=3))
     healthy = backend.estimate_write_latency(size)
     holder = backend.client.clouds[0]
     holder.failures.add(FaultKind.UNAVAILABLE, start=sim.now())
@@ -281,8 +280,7 @@ class TestEwmaLatencyEstimates:
     def test_cloud_of_clouds_estimates_see_gray_slow_providers(self, sim, alice):
         clouds = make_cloud_of_clouds(sim)
         backend = CloudOfCloudsBackend(
-            sim, clouds, alice, f=1, dispatch=DispatchPolicyConfig(suspicion_threshold=3),
-            quorum=QuorumConfig())
+            sim, clouds, alice, f=1, dispatch=DispatchPolicyConfig(suspicion_threshold=3))
         baseline = backend.estimate_read_latency(64 * 1024)
         # Every provider is observed far slower than its profile: the quorum
         # estimate cannot avoid the gray slowness and must rise above it.

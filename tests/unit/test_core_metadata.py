@@ -1,11 +1,13 @@
 """Unit tests for file metadata tuples, caches, configuration and modes."""
 
+import math
+
 import pytest
 
 from repro.common.errors import ConfigurationError, FileSystemError
 from repro.common.types import Permission
 from repro.core.cache import LRUByteCache, MetadataCache, make_disk_cache, make_memory_cache
-from repro.core.config import GarbageCollectionPolicy, SCFSConfig
+from repro.core.config import DispatchPolicyConfig, SCFSConfig
 from repro.core.metadata import (
     FileMetadata,
     FileType,
@@ -248,6 +250,12 @@ class TestMetadataCache:
             MetadataCache(Simulation(), expiration=-1.0)
 
 
+#: Every float the config surface takes, dotted as in ``test_config_surface.SURFACE``.
+FLOAT_KNOBS = ("metadata_expiration", "lock_lease", "gc_threshold", "dispatch.timeout",
+               "dispatch.hedge_delay", "dispatch.probe_backoff", "dispatch.probe_backoff_factor",
+               "dispatch.probe_backoff_max")
+
+
 class TestConfig:
     def test_default_config_is_valid(self):
         SCFSConfig().validate()
@@ -279,11 +287,37 @@ class TestConfig:
         with pytest.raises(TypeError):
             SCFSConfig(backend=BackendKind.AWS, fault_tolerance=1)
 
-    def test_bad_gc_policy_rejected(self):
+    def test_bad_gc_threshold_rejected(self):
         with pytest.raises(ConfigurationError):
-            GarbageCollectionPolicy(versions_to_keep=0).validate()
+            SCFSConfig(gc_threshold=0).validate()
+
+    def test_an_infinite_gc_threshold_is_valid(self):
+        SCFSConfig(gc_threshold=math.inf).validate()
+
+    @pytest.mark.parametrize("knob, value", [
+        (knob, value) for knob in FLOAT_KNOBS for value in (math.nan, math.inf, -math.inf)
+        if (knob, value) != ("gc_threshold", math.inf)  # W = inf: never collect
+    ])
+    def test_every_float_knob_rejects_nan_and_infinities(self, knob, value):
+        # suspicion_threshold = 2: the probe knobs are read (and checked) only with a tracker.
+        dispatch = {"suspicion_threshold": 2}
+        top = {}
+        group, _, name = knob.rpartition(".")
+        (dispatch if group else top)[name] = value
         with pytest.raises(ConfigurationError):
-            GarbageCollectionPolicy(written_bytes_threshold=0).validate()
+            SCFSConfig(dispatch=DispatchPolicyConfig(**dispatch), **top).validate()
+
+    def test_a_coc_variant_takes_encrypt_data_as_an_override(self):
+        plain = SCFSConfig.for_variant("SCFS-CoC-B", encrypt_data=False)
+        assert not plain.encrypt_data and plain.backend is BackendKind.COC
+
+    def test_a_non_sharing_variant_takes_private_name_spaces_as_an_override(self):
+        assert SCFSConfig.for_variant("SCFS-CoC-NS", private_name_spaces=True).private_name_spaces
+        assert SCFSConfig.for_variant("SCFS-CoC-B", private_name_spaces=True).private_name_spaces
+
+    def test_a_non_sharing_variant_without_pns_is_rejected(self):
+        with pytest.raises(ConfigurationError, match="private name spaces"):
+            SCFSConfig.for_variant("SCFS-CoC-NS", private_name_spaces=False)
 
     def test_unknown_variant_rejected(self):
         with pytest.raises(KeyError):

@@ -1,5 +1,7 @@
 """Unit tests for the SCFS Agent's local services: PNS, metadata, locks, storage, GC, users."""
 
+import math
+
 import pytest
 
 from repro.clouds.providers import make_provider
@@ -13,7 +15,6 @@ from repro.common.types import Permission, Principal
 from repro.coordination.adapters import DepSpaceCoordination
 from repro.core.backend import SingleCloudBackend
 from repro.core.cache import MetadataCache, make_disk_cache, make_memory_cache
-from repro.core.config import GarbageCollectionPolicy
 from repro.core.gc import GarbageCollector
 from repro.core.lock_service import LockService
 from repro.core.metadata import DATA_FIELDS, FileMetadata, FileType
@@ -409,15 +410,14 @@ class TestStorageService:
 
 
 class TestGarbageCollector:
-    def _setup(self, sim, coordination, alice, single_backend, policy=None):
+    def _setup(self, sim, coordination, alice, single_backend, threshold=1000):
         session = coordination.open_session(alice)
         cache = MetadataCache(sim, 0.5)
         metadata = MetadataService(sim, alice, cache, coordination=coordination, session=session)
         storage = StorageService(sim, single_backend,
                                  make_memory_cache(1 << 20, sim),
                                  make_disk_cache(1 << 24, sim))
-        policy = policy or GarbageCollectionPolicy(written_bytes_threshold=1000, versions_to_keep=2)
-        collector = GarbageCollector(sim, policy, metadata, storage, single_backend)
+        collector = GarbageCollector(sim, threshold, metadata, storage, single_backend)
         return metadata, storage, collector
 
     def _write_versions(self, metadata, storage, path, payloads):
@@ -435,22 +435,22 @@ class TestGarbageCollector:
 
     def test_old_versions_are_reclaimed(self, sim, coordination, alice, single_backend):
         metadata, storage, collector = self._setup(sim, coordination, alice, single_backend)
-        self._write_versions(metadata, storage, "/doc.txt", [b"v1", b"v2" * 5, b"v3" * 10])
+        self._write_versions(metadata, storage, "/doc.txt",
+                             [b"v1", b"v2" * 5, b"v3" * 10, b"v4" * 20])
         sim.advance(3.0)
         report = collector.run()
         assert report.files_examined == 1
-        assert report.versions_deleted == 1  # keeps current + one older (V=2)
-        assert len(single_backend.list_versions("unit-doc.txt")) == 2
+        assert report.versions_deleted == 1  # keeps current + two older (V = 3)
+        assert len(single_backend.list_versions("unit-doc.txt")) == 3
 
     def test_current_version_always_survives(self, sim, coordination, alice, single_backend):
-        metadata, storage, collector = self._setup(
-            sim, coordination, alice, single_backend,
-            policy=GarbageCollectionPolicy(written_bytes_threshold=1, versions_to_keep=1))
-        meta = self._write_versions(metadata, storage, "/doc.txt", [b"old", b"current"])
+        metadata, storage, collector = self._setup(sim, coordination, alice, single_backend)
+        meta = self._write_versions(metadata, storage, "/doc.txt",
+                                    [b"oldest", b"older", b"old", b"current"])
         sim.advance(3.0)
         collector.run()
         remaining = single_backend.list_versions(meta.file_id)
-        assert [r.digest for r in remaining] == [content_digest(b"current")]
+        assert [r.digest for r in remaining] == [content_digest(v) for v in (b"older", b"old", b"current")]
 
     def test_deleted_files_are_purged_with_metadata(self, sim, coordination, alice, single_backend):
         metadata, storage, collector = self._setup(sim, coordination, alice, single_backend)
@@ -472,10 +472,9 @@ class TestGarbageCollector:
         sim.drain()
         assert gc_runs.count(collector) == 1
 
-    def test_disabled_policy_never_activates(self, sim, coordination, alice, single_backend):
+    def test_an_infinite_threshold_never_activates(self, sim, coordination, alice, single_backend):
         metadata, storage, collector = self._setup(
-            sim, coordination, alice, single_backend,
-            policy=GarbageCollectionPolicy(enabled=False))
+            sim, coordination, alice, single_backend, threshold=math.inf)
         storage.push_to_cloud("f", b"x" * (1 << 20), version=1)
         assert not collector.should_activate()
 

@@ -375,11 +375,10 @@ class TestDepSkyDispatchAccounting:
 
     def test_backend_read_path_stats_accumulate(self):
         from repro.core.backend import CloudOfCloudsBackend
-        from repro.core.config import QuorumConfig
 
         sim = Simulation(seed=5)
         backend = CloudOfCloudsBackend(sim, make_cloud_of_clouds(sim), Principal("alice"),
-                                       dispatch=DispatchPolicyConfig(), quorum=QuorumConfig())
+                                       dispatch=DispatchPolicyConfig())
         clouds = backend.client.clouds
         tapped = []
         backend.client.on_quorum = lambda op, _unit, stats: tapped.append((op, stats))

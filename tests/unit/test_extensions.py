@@ -1,9 +1,5 @@
-"""Unit tests for the extension features beyond the paper's base design.
-
-* namespace-partitioned coordination (the §5 scalability extension);
-* the refined age-based garbage-collection retention policy (§2.5.3 mentions
-  "keep one version per day or week" as a possible policy).
-"""
+"""Unit tests for the extension beyond the paper's base design: the
+namespace-partitioned coordination (the §5 scalability extension)."""
 
 import pytest
 
@@ -14,7 +10,7 @@ from repro.coordination.partitioned import (
     PartitionedCoordination,
     partition_by_top_level_directory,
 )
-from repro.core.config import GarbageCollectionPolicy, SCFSConfig
+from repro.core.config import SCFSConfig
 from repro.core.deployment import SCFSDeployment
 
 
@@ -199,53 +195,3 @@ class TestPartitionedDeployment:
         per_partition = [service.entry_count() for service in deployment.coordination.services]
         assert sum(per_partition) >= 24
         assert max(per_partition) < sum(per_partition)
-
-
-class TestAgeBasedGarbageCollection:
-    def _deployment(self, interval):
-        config = SCFSConfig.for_variant(
-            "SCFS-AWS-B",
-            gc=GarbageCollectionPolicy(written_bytes_threshold=1 << 30, versions_to_keep=1,
-                                       keep_interval_seconds=interval),
-        )
-        return SCFSDeployment(config, seed=63)
-
-    def test_invalid_interval_rejected(self):
-        with pytest.raises(ConfigurationError):
-            GarbageCollectionPolicy(keep_interval_seconds=0).validate()
-
-    def test_keeps_one_version_per_interval_bucket(self):
-        deployment = self._deployment(interval=3600.0)
-        fs = deployment.create_agent("alice")
-        # Three "days" of edits, several versions per day.
-        for day in range(3):
-            for edit in range(3):
-                fs.write_file("/journal.txt", f"day {day} edit {edit}".encode())
-            deployment.sim.advance(3600.0)
-        deployment.sim.advance(5.0)
-        report = fs.collect_garbage()
-        meta = fs.stat("/journal.txt")
-        remaining = fs.backend.list_versions(meta.file_id)
-        # One survivor per hourly bucket (3) — the last of them is also the
-        # current version; everything else was reclaimed.
-        assert len(remaining) == 3
-        assert report.versions_deleted == 6
-        assert meta.digest in {r.digest for r in remaining}
-
-    def test_without_interval_only_recent_versions_survive(self):
-        deployment = SCFSDeployment(
-            SCFSConfig.for_variant(
-                "SCFS-AWS-B",
-                gc=GarbageCollectionPolicy(written_bytes_threshold=1 << 30, versions_to_keep=1),
-            ),
-            seed=64,
-        )
-        fs = deployment.create_agent("alice")
-        for day in range(3):
-            for edit in range(3):
-                fs.write_file("/journal.txt", f"day {day} edit {edit}".encode())
-            deployment.sim.advance(3600.0)
-        deployment.sim.advance(5.0)
-        fs.collect_garbage()
-        meta = fs.stat("/journal.txt")
-        assert len(fs.backend.list_versions(meta.file_id)) == 1

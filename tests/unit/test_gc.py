@@ -3,28 +3,24 @@ close ordering — both previously exercised only through integration flows."""
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.common.errors import CloudUnavailableError
-from repro.core.config import GarbageCollectionPolicy
 from repro.core.deployment import SCFSDeployment
 from repro.crypto.hashing import content_digest
 from repro.scenarios.trace import TraceRecorder
 from repro.simenv.failures import FaultKind
 
 
-def make_deployment(seed=61, variant="SCFS-CoC-B", **gc_overrides):
-    policy = GarbageCollectionPolicy(
-        written_bytes_threshold=gc_overrides.pop("written_bytes_threshold", 4096),
-        versions_to_keep=gc_overrides.pop("versions_to_keep", 2),
-        **gc_overrides,
-    )
-    return SCFSDeployment.for_variant(variant, seed=seed, gc=policy)
+def make_deployment(seed=61, variant="SCFS-CoC-B", gc_threshold=4096):
+    return SCFSDeployment.for_variant(variant, seed=seed, gc_threshold=gc_threshold)
 
 
 class TestActivationPolicy:
-    def test_activates_only_past_the_written_bytes_threshold(self, gc_runs):
-        deployment = make_deployment(written_bytes_threshold=10_000)
+    def test_activates_only_past_the_gc_threshold(self, gc_runs):
+        deployment = make_deployment(gc_threshold=10_000)
         fs = deployment.create_agent("alice")
         gc = fs.gc
         fs.write_file("/small.txt", b"x" * 100)
@@ -44,8 +40,8 @@ class TestActivationPolicy:
         assert gc_runs.count(fs.gc) >= 1
         assert fs.gc.maybe_schedule() is False
 
-    def test_disabled_policy_never_activates(self):
-        deployment = make_deployment(enabled=False)
+    def test_an_infinite_threshold_never_activates(self):
+        deployment = make_deployment(gc_threshold=math.inf)
         fs = deployment.create_agent("alice")
         fs.write_file("/data.txt", b"x" * 100_000)
         assert not fs.gc.should_activate()
@@ -53,7 +49,7 @@ class TestActivationPolicy:
 
 class TestCollection:
     def test_keeps_only_the_last_v_versions(self):
-        deployment = make_deployment(versions_to_keep=2)
+        deployment = make_deployment()
         fs = deployment.create_agent("alice")
         for i in range(5):
             fs.write_file("/versioned.txt", b"generation-%d" % i)
@@ -61,31 +57,32 @@ class TestCollection:
         report = fs.collect_garbage()
         meta = fs.stat("/versioned.txt")
         refs = fs.backend.list_versions(meta.file_id)
-        assert len(refs) == 2
-        assert meta.digest in {r.digest for r in refs}
-        assert report.versions_deleted == 3
+        assert [r.digest for r in refs] == [content_digest(b"generation-%d" % i) for i in (2, 3, 4)]
+        assert refs[-1].digest == meta.digest
+        assert report.versions_deleted == 2
         assert report.bytes_reclaimed > 0
 
-    def test_an_older_version_with_the_current_bytes_counts_against_v(self):
-        deployment = make_deployment(versions_to_keep=2)
+    def test_an_older_version_with_kept_bytes_counts_against_v(self):
+        deployment = make_deployment()
         fs = deployment.create_agent("alice")
-        for data in (b"A", b"B", b"A", b"C"):
+        for data in (b"A", b"B", b"C", b"A", b"D"):
             fs.write_file("/revisited.txt", data * 64)
             deployment.drain(3.0)
         report = fs.collect_garbage()
         meta = fs.stat("/revisited.txt")
         refs = fs.backend.list_versions(meta.file_id)
-        # v3 (A again) and v4 (C) stay; v1, with v3's bytes, goes with v2.
-        assert [ref.digest for ref in refs] == [content_digest(b"A" * 64), meta.digest]
+        # v3 (C), v4 (A again) and v5 (D) stay; v1, with v4's bytes, goes with v2.
+        assert [ref.digest for ref in refs] == [
+            content_digest(b"C" * 64), content_digest(b"A" * 64), meta.digest]
         assert report.versions_deleted == 2
         fs.memory_cache.clear()
         fs.disk_cache.clear()
-        assert fs.read_file("/revisited.txt") == b"C" * 64
+        assert fs.read_file("/revisited.txt") == b"D" * 64
 
     def test_deleting_an_older_copy_of_the_current_bytes_keeps_them_cached(self):
-        deployment = make_deployment(versions_to_keep=2)
+        deployment = make_deployment()
         fs = deployment.create_agent("alice")
-        for data in (b"A", b"B", b"A"):
+        for data in (b"A", b"B", b"C", b"A"):
             fs.write_file("/reverted.txt", data * 64)
             deployment.drain(3.0)
         assert fs.collect_garbage().versions_deleted == 1
@@ -94,15 +91,15 @@ class TestCollection:
         assert fs.storage.cloud_reads == reads
 
     def test_current_version_is_always_kept(self):
-        deployment = make_deployment(versions_to_keep=1)
+        deployment = make_deployment()
         fs = deployment.create_agent("alice")
-        for i in range(3):
+        for i in range(5):
             fs.write_file("/current.txt", b"rev-%d" % i)
             deployment.drain(3.0)
         fs.collect_garbage()
         fs.memory_cache.clear()
         fs.disk_cache.clear()
-        assert fs.read_file("/current.txt") == b"rev-2"
+        assert fs.read_file("/current.txt") == b"rev-4"
 
     def test_purges_user_deleted_files(self):
         deployment = make_deployment()
@@ -116,19 +113,6 @@ class TestCollection:
         assert fs.backend.list_versions(meta.file_id) == []
         assert not fs.exists("/doomed.txt")
 
-    def test_keep_interval_retains_newest_version_per_bucket(self):
-        deployment = make_deployment(versions_to_keep=1, keep_interval_seconds=100.0)
-        fs = deployment.create_agent("alice")
-        for i in range(4):
-            fs.write_file("/daily.txt", b"day-%d" % i)
-            deployment.drain(0.0)
-            deployment.sim.advance(100.0)  # one version per retention bucket
-        fs.collect_garbage()
-        meta = fs.stat("/daily.txt")
-        refs = fs.backend.list_versions(meta.file_id)
-        # One version per 100 s bucket survives, not just the current one.
-        assert len(refs) == 4
-
     def test_only_owned_files_are_collected(self):
         deployment = make_deployment(variant="SCFS-CoC-B")
         alice = deployment.create_agent("alice")
@@ -140,9 +124,9 @@ class TestCollection:
         assert report.files_examined == 1  # only /mine.txt
 
     def test_backend_errors_are_reported_not_raised(self):
-        deployment = make_deployment(versions_to_keep=1)
+        deployment = make_deployment()
         fs = deployment.create_agent("alice")
-        for i in range(3):
+        for i in range(4):
             fs.write_file("/flaky.txt", b"v%d" % i)
             deployment.drain(3.0)
 
@@ -154,9 +138,9 @@ class TestCollection:
         assert report.errors and "provider offline" in report.errors[0]
 
     def test_a_delete_that_missed_its_quorum_is_an_error_not_a_reclaimed_version(self):
-        deployment = make_deployment(versions_to_keep=1)
+        deployment = make_deployment()
         fs = deployment.create_agent("alice")
-        for i in range(3):
+        for i in range(5):
             fs.write_file("/stuck.txt", b"v%d" % i)
             deployment.drain(3.0)
         meta = fs.stat("/stuck.txt")
@@ -175,7 +159,8 @@ class TestCollection:
         deployment.sim.advance(60.0)
         report = fs.collect_garbage()
         assert (report.versions_deleted, report.errors) == (2, [])
-        assert [ref.digest for ref in fs.backend.list_versions(meta.file_id)] == [meta.digest]
+        assert [ref.digest for ref in fs.backend.list_versions(meta.file_id)] == [
+            content_digest(b"v%d" % i) for i in (2, 3, 4)]
 
     def test_a_purge_that_could_not_delete_keeps_the_entry_for_the_next_pass(self):
         deployment = make_deployment()

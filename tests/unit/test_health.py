@@ -15,7 +15,7 @@ from repro.clouds.providers import make_cloud_of_clouds, make_provider
 from repro.common.errors import CloudUnavailableError, ConfigurationError
 from repro.common.types import Permission, Principal
 from repro.core.backend import CloudOfCloudsBackend, SingleCloudBackend
-from repro.core.config import DispatchPolicyConfig, QuorumConfig, SCFSConfig
+from repro.core.config import DispatchPolicyConfig, SCFSConfig
 from repro.core.deployment import SCFSDeployment
 from repro.depsky.dataunit import VersionRecord
 from repro.depsky.protocol import DepSkyClient
@@ -185,8 +185,7 @@ class TestDropSuspects:
         backend = CloudOfCloudsBackend(
             sim, clouds, Principal("alice"),
             dispatch=DispatchPolicyConfig(suspicion_threshold=1),
-            quorum=QuorumConfig(weights=tuple((cloud.name, 1.0) for cloud in clouds),
-                                fault_budget=1.0))
+            weights=tuple((cloud.name, 1.0) for cloud in clouds))
         assert backend.client.planner is not None
         backend.write_version("file", b"payload" * 100, version=1)
         sim.advance(3.0)
@@ -496,7 +495,7 @@ class TestDispatchConfigPlumbing:
             sim = Simulation(seed=1)
             backend = CloudOfCloudsBackend(
                 sim, make_cloud_of_clouds(sim), Principal("alice"),
-                dispatch=DispatchPolicyConfig(suspicion_threshold=threshold), quorum=QuorumConfig())
+                dispatch=DispatchPolicyConfig(suspicion_threshold=threshold))
             assert (backend.health is not None) is tracked
             assert (backend.health_stats() is not None) is tracked
 
@@ -540,7 +539,7 @@ class TestDispatchConfigPlumbing:
         sim = Simulation(seed=1)
         backend = CloudOfCloudsBackend(
             sim, make_cloud_of_clouds(sim), Principal("alice"),
-            dispatch=DispatchPolicyConfig(suspicion_threshold=2), quorum=QuorumConfig())
+            dispatch=DispatchPolicyConfig(suspicion_threshold=2))
         ref = backend.write_version("file", b"data", version=1)
         from repro.common.errors import ObjectNotFoundError, QuorumNotReachedError
 
@@ -568,8 +567,7 @@ class TestSuspicionStats:
         sim = Simulation(seed=5)
         backend = CloudOfCloudsBackend(
             sim, make_cloud_of_clouds(sim), Principal("alice"),
-            dispatch=DispatchPolicyConfig(timeout=1.5, suspicion_threshold=2),
-            quorum=QuorumConfig())
+            dispatch=DispatchPolicyConfig(timeout=1.5, suspicion_threshold=2))
         clouds = backend.client.clouds
         calls = []
         backend.client.on_quorum = lambda _op, _unit, stats: calls.append(stats)

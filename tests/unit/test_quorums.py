@@ -5,10 +5,14 @@
   availability conditions at validation time;
 * the planner picks the cheapest feasible quorum, demotes suspects and
   keeps them when demotion would kill feasibility;
-* the config layer rejects infeasible quorum blocks before any deployment
-  is built, and the deployment threads the system end to end (with a
-  planner exactly when it is weighted).
+* one function builds every system, the fault budget derived as the weight
+  of the f heaviest providers; the config rejects infeasible weights before
+  any deployment is built, and the deployment threads the system end to end
+  (with a planner exactly when it is weighted).
 """
+
+import math
+from fractions import Fraction
 
 import pytest
 
@@ -21,9 +25,10 @@ from repro.clouds.quorums import (
     WeightedQuorumSystem,
     as_quorum,
     minimal_quorums,
+    quorum_system,
 )
 from repro.common.errors import ConfigurationError
-from repro.core.config import QuorumConfig, SCFSConfig
+from repro.core.config import SCFSConfig
 from repro.core.deployment import SCFSDeployment
 
 CLOUDS = ("amazon-s3", "google-storage", "rackspace-files", "windows-azure")
@@ -61,17 +66,16 @@ class TestWeightedCountQuorum:
         assert not quorum.satisfied_by(list(CLOUDS))
 
     def test_weight_arithmetic_is_exact_on_the_bar(self):
-        # Hypothesis-found counterexample: W = 6.6, B = 1.2, quorum bar
-        # (W+B)/2 = 3.9.  Both sets below have true weight exactly 3.9, but
-        # float accumulation (0.5+1.2+1.2+1.0 = 3.9000000000000004) pushed
-        # them over the strict bar — and they intersect only in c1 (weight
-        # 1.2 <= B), which a tolerated fault set can cover entirely.  The
-        # exact-rational comparison must reject both.
+        # Hypothesis-found counterexample: W = 6.6, B = 1.2 (f = 1), quorum
+        # bar (W+B)/2 = 3.9.  Both sets below have true weight exactly 3.9,
+        # but float accumulation (0.5+1.2+1.2+1.0 = 3.9000000000000004)
+        # pushed them over the strict bar — and they intersect only in c1
+        # (weight 1.2 <= B), which a tolerated fault set can cover entirely.
+        # The exact-rational comparison must reject both.
         weights = (("c0", 0.5), ("c1", 1.2), ("c2", 1.2), ("c3", 1.2),
                    ("c4", 0.5), ("c5", 1.0), ("c6", 1.0))
         system = WeightedQuorumSystem(
-            universe=tuple(name for name, _ in weights),
-            weights=weights, fault_budget=1.2)
+            universe=tuple(name for name, _ in weights), weights=weights, f=1)
         system.validate()
         assert not system.satisfied_by(("c0", "c1", "c2", "c5"))
         assert not system.satisfied_by(("c1", "c3", "c4", "c6"))
@@ -114,7 +118,7 @@ class TestThresholdSystem:
 
 class TestWeightedSystem:
     def system(self) -> WeightedQuorumSystem:
-        return WeightedQuorumSystem(universe=CLOUDS, weights=WEIGHTS, fault_budget=1.2)
+        return WeightedQuorumSystem(universe=CLOUDS, weights=WEIGHTS, f=1)
 
     def test_valid_heterogeneous_system(self):
         system = self.system()
@@ -127,29 +131,40 @@ class TestWeightedSystem:
         assert system.certifies(("amazon-s3", "google-storage"))
         assert system.certifies(("google-storage", "rackspace-files"))
 
-    def test_rejects_budget_at_a_third_of_total_weight(self):
+    def test_the_weighted_byzantine_bars_are_exact(self):
+        # The mix's weights at f = 1: the bars the explicit budget 1.2 gave.
+        system = self.system()
+        assert system.quorum().threshold_weight == (Fraction(1.2) + 3 + Fraction(1.2)) / 2
+        assert system.certificate().threshold_weight == Fraction(1.2)
+        assert float(system.quorum().threshold_weight) == 2.7
+
+    @pytest.mark.parametrize("f", [0, 1, 2, 3])
+    def test_the_budget_is_the_weight_of_the_f_heaviest(self, f):
+        weights = (("a", 0.5), ("b", 2.0), ("c", 1.0), ("d", 1.5), ("e", 1.0))
+        system = WeightedQuorumSystem(universe=("a", "b", "c", "d", "e"), weights=weights, f=f)
+        heaviest = sorted((Fraction(w) for _, w in weights), reverse=True)[:f]
+        assert system.fault_budget == sum(heaviest, start=Fraction(0))
+        assert system.certificate().threshold_weight == system.fault_budget
+
+    def test_rejects_a_heaviest_provider_of_a_third_of_the_weight(self):
+        # 1.5 of 4.5: the heaviest cloud alone could leave no quorum.
         with pytest.raises(ValueError, match="unavailable"):
             WeightedQuorumSystem(
-                universe=CLOUDS,
-                weights=(("amazon-s3", 1.5), *WEIGHTS[1:]),
-                fault_budget=1.5,
-            ).validate()
+                universe=CLOUDS, weights=(("amazon-s3", 1.5), *WEIGHTS[1:]), f=1).validate()
 
     def test_rejects_weights_not_covering_universe(self):
         with pytest.raises(ValueError, match="cover the universe"):
-            WeightedQuorumSystem(universe=CLOUDS, weights=WEIGHTS[:3],
-                                 fault_budget=1.0).validate()
+            WeightedQuorumSystem(universe=CLOUDS, weights=WEIGHTS[:3], f=1).validate()
 
-    def test_rejects_non_positive_weights_and_budgets(self):
-        with pytest.raises(ValueError, match="positive"):
+    @pytest.mark.parametrize("weight", [0.0, -1.0, math.inf, math.nan])
+    def test_rejects_weights_that_are_not_finite_and_positive(self, weight):
+        with pytest.raises(ValueError, match="finite and positive"):
             WeightedQuorumSystem(
-                universe=CLOUDS,
-                weights=(("amazon-s3", 0.0), *WEIGHTS[1:]),
-                fault_budget=1.0,
-            ).validate()
+                universe=CLOUDS, weights=(("amazon-s3", weight), *WEIGHTS[1:]), f=1).validate()
+
+    def test_rejects_a_negative_f(self):
         with pytest.raises(ValueError, match="non-negative"):
-            WeightedQuorumSystem(universe=CLOUDS, weights=WEIGHTS,
-                                 fault_budget=-1.0).validate()
+            WeightedQuorumSystem(universe=CLOUDS, weights=WEIGHTS, f=-1).validate()
 
 
 class TestQuorumPlanner:
@@ -204,8 +219,7 @@ class TestQuorumPlanner:
         assert not caplog.records
 
     def test_weighted_predicate_planning(self):
-        system = WeightedQuorumSystem(universe=CLOUDS, weights=WEIGHTS,
-                                      fault_budget=1.2)
+        system = WeightedQuorumSystem(universe=CLOUDS, weights=WEIGHTS, f=1)
         latencies = {"amazon-s3": 0.18, "google-storage": 0.17,
                      "rackspace-files": 0.09, "windows-azure": 0.095}
         costs = dict.fromkeys(CLOUDS, 1.0)
@@ -216,54 +230,40 @@ class TestQuorumPlanner:
         assert "amazon-s3" not in plan.primary
 
 
-class TestQuorumConfig:
-    def test_threshold_default_builds_the_threshold_system(self):
-        config = QuorumConfig()
-        config.validate()
-        assert not config.weighted
-        assert config.system_for(CLOUDS, f=1) == ThresholdQuorumSystem(CLOUDS, 1)
+class TestQuorumSystemBuilder:
+    def test_without_weights_it_builds_the_threshold_system(self):
+        assert quorum_system(CLOUDS, 1) == ThresholdQuorumSystem(CLOUDS, 1)
 
-    def test_a_budget_needs_weights_and_weights_need_a_budget(self):
-        with pytest.raises(ConfigurationError, match="needs per-provider weights"):
-            QuorumConfig(fault_budget=1.2).validate()
-        with pytest.raises(ConfigurationError, match="positive fault budget"):
-            QuorumConfig(weights=WEIGHTS).validate()
+    def test_with_weights_it_builds_the_weighted_system_over_the_universe(self):
+        assert quorum_system(CLOUDS, 1, WEIGHTS) == WeightedQuorumSystem(CLOUDS, WEIGHTS, 1)
 
-    def test_infeasible_weighted_config_rejected_at_config_time(self):
-        config = QuorumConfig(
-            weights=(("amazon-s3", 1.5), *WEIGHTS[1:]),
-            fault_budget=1.5,
-        )
-        with pytest.raises(ConfigurationError, match="unavailable"):
-            config.validate()
+    def test_an_infeasible_system_is_a_configuration_error(self):
+        with pytest.raises(ConfigurationError, match="at least 4"):
+            quorum_system(CLOUDS[:3], 1)
+        with pytest.raises(ConfigurationError, match="cover the universe"):
+            quorum_system(("amazon-s3", "google-storage", "rackspace-files", "elastic-hosts"),
+                          1, WEIGHTS)
 
-    def test_weighted_system_requires_matching_deployment(self):
-        config = QuorumConfig(weights=WEIGHTS, fault_budget=1.2)
-        config.validate()
-        with pytest.raises(ConfigurationError, match="deployment"):
-            config.system_for(("amazon-s3", "google-storage", "rackspace-files",
-                               "elastic-hosts"), f=1)
+    # Weight tables infeasible at f = 1: the heaviest cloud carries a third of
+    # the total weight or more, or a weight is not finite and positive.
+    @pytest.mark.parametrize("weights, message", [
+        ((("amazon-s3", 1.5), *WEIGHTS[1:]), "unavailable"),
+        ((("amazon-s3", 3.0), *WEIGHTS[1:]), "unavailable"),
+        ((("amazon-s3", -1.0), *WEIGHTS[1:]), "finite and positive"),
+        ((("amazon-s3", math.inf), *WEIGHTS[1:]), "finite and positive"),
+    ], ids=["a-third", "half", "negative", "infinite"])
+    def test_infeasible_weights_rejected_at_config_time(self, weights, message):
+        with pytest.raises(ConfigurationError, match=message):
+            SCFSConfig(quorum_weights=weights).validate()
 
-    def test_weighted_system_builds_over_deployment(self):
-        config = QuorumConfig(weights=WEIGHTS, fault_budget=1.2)
-        system = config.system_for(CLOUDS, f=1)
-        assert isinstance(system, WeightedQuorumSystem)
-        assert set(system.universe) == set(CLOUDS)
-
-    def test_quorum_block_requires_coc_backend(self):
+    def test_weights_require_the_coc_backend(self):
         with pytest.raises(ConfigurationError, match="cloud-of-clouds"):
-            SCFSConfig.for_variant(
-                "SCFS-AWS-NB",
-                quorum=QuorumConfig(weights=WEIGHTS, fault_budget=1.2),
-            ).validate()
+            SCFSConfig.for_variant("SCFS-AWS-NB", quorum_weights=WEIGHTS)
 
 
 class TestWeightedDeployment:
     def deployment(self) -> SCFSDeployment:
-        return SCFSDeployment.for_variant(
-            "SCFS-CoC-B", seed=7,
-            quorum=QuorumConfig(weights=WEIGHTS, fault_budget=1.2),
-        )
+        return SCFSDeployment.for_variant("SCFS-CoC-B", seed=7, quorum_weights=WEIGHTS)
 
     def test_end_to_end_write_read_under_weighted_quorums(self):
         deployment = self.deployment()
@@ -291,7 +291,6 @@ class TestWeightedDeployment:
         clouds = make_cloud_of_clouds(sim, CLOUDS)
         system = WeightedQuorumSystem(
             universe=("one", "two", "three", "four"),
-            weights=(("one", 1.0), ("two", 1.0), ("three", 1.0), ("four", 1.0)),
-            fault_budget=1.0)
+            weights=(("one", 1.0), ("two", 1.0), ("three", 1.0), ("four", 1.0)), f=1)
         with pytest.raises(ValueError, match="does not\n?.*match the deployed"):
             DepSkyClient(sim, clouds, Principal(name="alice"), quorum=system)

@@ -24,7 +24,7 @@ from repro.common.errors import (
 )
 from repro.common.types import Permission
 from repro.core.backend import CloudOfCloudsBackend
-from repro.core.config import DispatchPolicyConfig, QuorumConfig
+from repro.core.config import DispatchPolicyConfig
 from repro.core.consistency import READ_RETRY_INTERVAL, READ_RETRY_LIMIT
 from repro.core.deployment import SCFSDeployment
 from repro.depsky.dataunit import VersionRecord
@@ -176,7 +176,7 @@ def test_exhausting_the_retry_limit_raises_a_typed_error(shared):
 def unit(sim, alice):
     """A CoC backend with one propagated version of ``unit``: ``(backend, ref, data)``."""
     backend = CloudOfCloudsBackend(sim, make_cloud_of_clouds(sim), alice, f=1,
-                                   dispatch=DispatchPolicyConfig(), quorum=QuorumConfig())
+                                   dispatch=DispatchPolicyConfig())
     data = bytes(range(256)) * 40
     ref = backend.write_version("unit", data, version=1)
     sim.advance(5.0)
@@ -249,7 +249,7 @@ def test_readable_at_is_the_kth_holders_visibility_instant(unit):
 def test_inside_the_window_no_get_goes_to_a_holder_not_yet_visible(sim, alice, cloud_meter,
                                                                    offset):
     backend = CloudOfCloudsBackend(sim, make_cloud_of_clouds(sim), alice, f=1,
-                                   dispatch=DispatchPolicyConfig(), quorum=QuorumConfig())
+                                   dispatch=DispatchPolicyConfig())
     client = backend.client
     data = bytes(range(256)) * 40
     ref = backend.write_version("unit", data, version=1)

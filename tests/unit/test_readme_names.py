@@ -66,3 +66,12 @@ def test_every_backticked_readme_name_exists():
         if len(token) > 1 and token not in EXTERNAL and token not in known
         and not all(part in known for part in token.split(".")))
     assert not missing, f"README.md names what the repository no longer has: {missing}"
+
+
+#: README's prose budget in bytes: what outgrows it belongs in a module docstring.
+README_BYTES = 25_000
+
+
+def test_readme_stays_under_its_size_budget():
+    size = len((ROOT / "README.md").read_bytes())
+    assert size < README_BYTES, f"README.md is {size} B, the budget is {README_BYTES} B"

@@ -148,6 +148,19 @@ class TestSpecValidation:
             exec(command[3], {})
         assert built == [spec]
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--variant", "SCFS-CoC-X"], "invalid choice: 'SCFS-CoC-X'"),
+        (["--mix", "degraded-outage", "--variant", "SCFS-AWS-B"],
+         "the dispatch policy requires the cloud-of-clouds backend"),
+    ], ids=["unknown-variant", "unbuildable-pair"])
+    def test_a_variant_the_command_cannot_build_is_a_one_line_usage_error(self, argv, message,
+                                                                          capsys):
+        with pytest.raises(SystemExit) as exit_:
+            scenarios_main.main(["--seed", "3", *argv])
+        assert exit_.value.code == 2
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and message in errors[0], errors
+
 
 # ---------------------------------------------------------------------------
 # trace recorder

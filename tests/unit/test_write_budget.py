@@ -18,8 +18,8 @@ from __future__ import annotations
 import pytest
 
 from repro.clouds.providers import make_cloud_of_clouds
-from repro.core.config import GarbageCollectionPolicy
 from repro.core.deployment import SCFSDeployment
+from repro.core.gc import VERSIONS_TO_KEEP
 from repro.depsky.protocol import DepSkyClient
 
 def _shape(requests):
@@ -161,11 +161,9 @@ def test_no_block_name_is_ever_put_twice_with_different_bytes(sim, alice, block_
     assert len(first.list_versions("unit")) == 2 * 20
 
 
-@pytest.mark.parametrize("stored_versions", [3, 9])
+@pytest.mark.parametrize("stored_versions", [4, 9])
 def test_collecting_a_file_is_one_list_per_cloud_plus_the_deletes(stored_versions, cloud_meter):
-    deployment = SCFSDeployment.for_variant(
-        "SCFS-CoC-B", seed=61,
-        gc=GarbageCollectionPolicy(written_bytes_threshold=1 << 30, versions_to_keep=2))
+    deployment = SCFSDeployment.for_variant("SCFS-CoC-B", seed=61, gc_threshold=1 << 30)
     fs = deployment.create_agent("alice")
     for generation in range(stored_versions):
         fs.write_file("/hot.txt", b"generation %d" % generation)
@@ -173,7 +171,7 @@ def test_collecting_a_file_is_one_list_per_cloud_plus_the_deletes(stored_version
     file_id = fs.stat("/hot.txt").file_id
     meter = cloud_meter(deployment.clouds)
     report = fs.collect_garbage()
-    deleted = stored_versions - 2
+    deleted = stored_versions - VERSIONS_TO_KEEP
     assert (report.versions_deleted, report.errors) == (deleted, [])
     assert meter.quorum_calls() == 1 + deleted
     n = len(deployment.clouds)
