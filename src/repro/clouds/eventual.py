@@ -188,6 +188,11 @@ class EventuallyConsistentStore:
             self._check_access(current, principal, Permission.WRITE)
             self._settle_storage(current)
             owner = current.owner
+            # The clock never goes back, so no read reaches below the newest
+            # version visible now: drop the older ones.
+            visible = current.visible_version(now)
+            if visible is not None:
+                visible.previous = None
         else:
             owner = principal.canonical_id(self.name)
         stored_data = data
@@ -299,5 +304,9 @@ class EventuallyConsistentStore:
         return obj.data if obj is not None else None
 
     def stored_bytes(self) -> int:
-        """Total bytes currently stored (all visible and in-flight versions)."""
+        """Bytes of each key's newest version, the ones storage is billed for.
+
+        A superseded version still served inside a propagation window is not
+        counted.
+        """
         return sum(len(o.data) for o in self._objects.values())

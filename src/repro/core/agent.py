@@ -515,7 +515,9 @@ class SCFSAgent(FileSystem):
         of = self._handles[handle]
         if not of.dirty:
             return
-        data = bytes(of.buffer)
+        data = of.snapshot()
+        # The snapshot is now the handle's buffer: its ``#open`` entry follows.
+        self.memory_cache.rebind(self._memory_key(of), data)
         digest = content_digest(data)
         if digest != of.fsynced_digest:
             self.storage.flush_to_disk(of.metadata.file_id, digest, data)
@@ -538,7 +540,7 @@ class SCFSAgent(FileSystem):
                 self.locks.release(of.metadata)
             return
 
-        data = bytes(of.buffer)
+        data = of.snapshot()
         digest = content_digest(data)
         meta = of.metadata
         # Numbered by the anchor: the version after the one it names, so the

@@ -11,6 +11,9 @@ stat, setfacl…) and transactions.
 Below it sits the one open-file layer every mount uses — the open flags, the
 :class:`OpenFile` record (the only code that changes a handle's bytes) and
 the :class:`HandleTable` — so a call means the same thing on every mount.
+A handle's bytes are copy-on-write: it shares the stored immutable version
+until its first in-place change, so a whole-file replace or read makes no
+copy in this layer.
 
 It also encodes Table 1 — the durability level reached by each kind of call
 depending on the configured backend.
@@ -41,9 +44,14 @@ class OpenFlags(enum.Flag):
 class OpenFile:
     """One open file: the bytes a handle sees and what it may do with them.
 
-    The copy rule: a read-only handle references the stored bytes it was
-    opened on (they are immutable to it), and a writable handle copies them
-    once, at open.  ``read`` copies out only the bytes asked for.
+    The copy rule is copy-on-write.  A handle references the immutable stored
+    bytes it was opened on until its first in-place change, which copies them
+    once into a ``bytearray`` the handle owns.  ``truncate(0)`` drops the
+    reference, and a ``write`` at offset 0 of exact ``bytes`` at least as long
+    as the file adopts that object, so a whole-file replace copies nothing.
+    A whole ``read`` of immutable bytes returns them; any other ``read``
+    copies out only the bytes asked for.  :meth:`snapshot` hands out the
+    bytes as immutable and keeps them as the buffer.
     """
 
     path: str
@@ -54,7 +62,9 @@ class OpenFile:
     handle: int = 0
 
     def __post_init__(self) -> None:
-        if self.writable:
+        # Only exact ``bytes`` are immutable: a writable handle copies any
+        # other buffer, which its opener could still change.
+        if self.writable and type(self.buffer) is not bytes:
             self.buffer = bytearray(self.buffer)
 
     @property
@@ -62,10 +72,12 @@ class OpenFile:
         return bool(self.flags & OpenFlags.WRITE)
 
     def read(self, size: int = -1, offset: int = 0) -> bytes:
-        """The ``size`` bytes at ``offset`` (-1: to the end), one copy."""
+        """The ``size`` bytes at ``offset`` (-1: to the end), at most one copy."""
         if not self.flags & OpenFlags.READ:
             raise PermissionDeniedError("file not opened for reading")
         end = len(self.buffer) if size < 0 else min(len(self.buffer), offset + size)
+        if type(self.buffer) is bytes and offset == 0 and end == len(self.buffer):
+            return self.buffer
         with memoryview(self.buffer) as view:
             return bytes(view[offset:end])
 
@@ -73,7 +85,12 @@ class OpenFile:
         """Write ``data`` at ``offset`` (None: at the end), zero-filling a gap; returns the offset."""
         if offset is None:
             offset = len(self.buffer)
+        if offset == 0 and type(data) is bytes and len(data) >= len(self.buffer):
+            self.truncate(0)
+            self.buffer = data
+            return offset
         self.truncate(max(offset, len(self.buffer)))
+        self._own()
         self.buffer[offset:offset + len(data)] = data
         return offset
 
@@ -81,11 +98,30 @@ class OpenFile:
         """Cut the file to ``length`` bytes, or extend it with zeros."""
         if not self.writable:
             raise PermissionDeniedError("file not opened for writing")
-        if length <= len(self.buffer):
-            del self.buffer[length:]
-        else:
-            self.buffer.extend(bytes(length - len(self.buffer)))
         self.dirty = True
+        if length == 0:
+            self.buffer = b""
+        elif length != len(self.buffer):
+            self._own()
+            if length < len(self.buffer):
+                del self.buffer[length:]
+            else:
+                self.buffer[len(self.buffer):] = bytes(length - len(self.buffer))
+
+    def snapshot(self) -> bytes:
+        """The file's bytes as immutable ``bytes``, kept as the buffer.
+
+        No copy while the buffer is immutable; else one, and the next change
+        copies again.
+        """
+        if type(self.buffer) is not bytes:
+            self.buffer = bytes(self.buffer)
+        return self.buffer
+
+    def _own(self) -> None:
+        """Copy immutable bytes into a ``bytearray`` this handle owns."""
+        if type(self.buffer) is bytes:
+            self.buffer = bytearray(self.buffer)
 
 
 F = TypeVar("F", bound=OpenFile)

@@ -1,8 +1,8 @@
 """Memory guards of the agent's caches and of the whole-file paths.
 
 An agent's memory and disk caches keep one version per file, and neither a
-cold read, a baseline's read nor a chunked write copies the file more often
-than it must.
+cold read, a baseline's read, a whole-file replace nor a chunked write copies
+the file more often than it must.
 ``tracemalloc`` counts Python (and numpy) allocations the same way on every
 host, so the bounds below do not depend on the machine.
 """
@@ -58,12 +58,12 @@ def test_a_cold_read_copies_the_file_at_most_twice():
     finally:
         tracemalloc.stop()
     assert read == data
-    # The cached version and the bytes handed back: a read-only handle
-    # references the cached version.
+    # What DepSky decodes and the cached version, which a whole read of the
+    # read-only handle hands back.
     assert (peak - before) / len(data) <= 2.1
 
 
-def test_a_localfs_read_copies_the_file_once():
+def test_a_localfs_read_copies_nothing():
     fs = LocalFS(Simulation(seed=34))
     data = random.Random(34).randbytes(4 * MB)
     fs.write_file("/big.bin", data)
@@ -76,8 +76,34 @@ def test_a_localfs_read_copies_the_file_once():
     finally:
         tracemalloc.stop()
     fs.close(handle)
-    assert read == data
-    assert (peak - before) / len(data) <= 1.1
+    assert read is data
+    assert (peak - before) / len(data) <= 0.1
+
+
+def test_a_replace_copies_nothing_in_the_handle_layer():
+    deployment = SCFSDeployment.for_variant("SCFS-CoC-B", seed=35)
+    fs = deployment.create_agent("alice")
+    rng = random.Random(35)
+    fs.write_file("/big.bin", rng.randbytes(4 * MB))
+    deployment.drain(2.0)
+    data = rng.randbytes(4 * MB)
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        handle = fs.open("/big.bin", "r+")
+        fs.truncate(handle, 0)
+        fs.write(handle, data)
+        _, handle_peak = tracemalloc.get_traced_memory()
+        fs.close(handle)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # The handle references the cached version, drops it, then adopts the
+    # caller's bytes, which the close caches and uploads as they are.
+    assert (handle_peak - before) / len(data) <= 0.1
+    anchored = fs.stat("/big.bin")
+    assert fs.memory_cache.get(anchored.file_id, anchored.digest) is data
+    assert (peak - before) / len(data) <= 3.6
 
 
 def test_an_open_buffer_is_cached_by_reference():
@@ -90,6 +116,10 @@ def test_an_open_buffer_is_cached_by_reference():
         fs.write(handle, bytes([index]) * 1000)
         assert cache.get(f"{of.metadata.file_id}#open") is of.buffer
         assert cache._used == len(of.buffer) == 1000 * (index + 1)
+    fs.fsync(handle)
+    assert type(of.buffer) is bytes and cache.get(f"{of.metadata.file_id}#open") is of.buffer
+    fs.write(handle, b"!")
+    assert cache.get(f"{of.metadata.file_id}#open") is of.buffer
     fs.close(handle)
     assert cache._used == len(cache.get(of.metadata.file_id, of.metadata.digest))
 

@@ -147,6 +147,26 @@ class TestEventuallyConsistentStore:
         sim.advance(60.0)
         assert store.get("k", alice) == b"new"
 
+    def test_an_overwrite_keeps_no_version_below_the_newest_visible_one(self, sim, alice):
+        store = self._store(sim, profile=NetworkProfile(propagation_delay=50.0))
+        store.put("k", b"v0", alice)
+        sim.advance(60.0)
+        for index in range(1, 41):
+            store.put("k", f"v{index}".encode(), alice)
+            assert store.get("k", alice) == f"v{index - 1}".encode()
+            sim.advance(60.0)
+        # Two overwrites inside one window: GETs still see the visible version.
+        store.put("k", b"a", alice)
+        store.put("k", b"b", alice)
+        assert store.get("k", alice) == b"v40"
+        chain, version = [], store._objects["k"]
+        while version is not None:
+            chain.append(version.data)
+            version = version.previous
+        assert chain == [b"b", b"a", b"v40"] and store.stored_bytes() == 1
+        sim.advance(60.0)
+        assert store.get("k", alice) == b"b"
+
     def test_get_charges_latency(self, sim, alice):
         store = self._store(sim)
         store.put("k", b"x" * 1024, alice)

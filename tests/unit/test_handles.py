@@ -33,17 +33,72 @@ def test_a_read_only_handle_refuses_a_truncate(name):
     assert fs.read_file("/f") == b"contents"
 
 
-def test_a_read_only_handle_references_the_stored_bytes_and_a_writable_one_copies_them():
+def test_a_handle_references_the_stored_bytes_until_its_first_change():
     stored = b"stored"
     reader = OpenFile("/f", OpenFlags.READ, stored)
     writer = OpenFile("/f", OpenFlags.READ_WRITE, stored)
-    assert reader.buffer is stored
-    assert writer.buffer == stored and writer.buffer is not stored
+    assert reader.buffer is stored and writer.buffer is stored
+    assert writer.read() is stored and writer.read(3) == b"sto" and not writer.dirty
     assert writer.write(b"!", offset=8) == 8
     assert writer.read() == b"stored\x00\x00!" and writer.dirty
-    assert reader.read(3, offset=2) == b"ore" and stored == b"stored"
+    assert reader.buffer is stored and stored == b"stored"
+    assert reader.read(3, offset=2) == b"ore"
     writer.truncate(3)
     assert writer.read() == b"sto"
+    snapshot = writer.snapshot()
+    assert snapshot == b"sto" and writer.buffer is snapshot and writer.snapshot() is snapshot
+    writer.write(b"p", offset=2)
+    assert writer.read() == b"stp" and snapshot == b"sto"
+    writer.truncate(0)
+    assert writer.buffer == b"" and type(writer.buffer) is bytes
+
+
+def test_a_whole_write_of_bytes_adopts_them_and_any_other_change_copies():
+    stored, replacement = b"stored", b"replaced"
+    writer = OpenFile("/f", OpenFlags.READ_WRITE, stored)
+    assert writer.write(replacement, offset=0) == 0
+    assert writer.buffer is replacement and writer.read() is replacement
+    assert writer.snapshot() is replacement and writer.dirty
+    writer.write(b"R", offset=0)
+    assert writer.read() == b"Replaced" and replacement == b"replaced"
+    # Shorter than the file, past its start, or not exact bytes: one copy.
+    for data, offset in ((b"sto", 0), (b"stored!", 1), (bytearray(b"stored!"), 0),
+                         (memoryview(b"stored!"), 0)):
+        writer = OpenFile("/f", OpenFlags.READ_WRITE, stored)
+        writer.write(data, offset)
+        assert type(writer.buffer) is bytearray and stored == b"stored"
+    opened_on = bytearray(b"stored")
+    writer = OpenFile("/f", OpenFlags.READ_WRITE, opened_on)
+    opened_on[0] = ord("S")
+    assert writer.read() == b"stored"
+
+
+@pytest.mark.parametrize("name", ("SCFS-CoC-B", "LocalFS", "S3FS", "S3QL"))
+def test_a_changed_handle_alters_no_other_holder_of_its_bytes(name):
+    """Neither the stored version, the caller's bytes nor another open handle
+    sees a handle's change, and a bytearray or memoryview write is copied."""
+    target = build_target(name, seed=47)
+    fs = target.fs
+    fs.write_file("/f", b"original")
+    target.drain(3.0)
+    reader, writer, other = fs.open("/f", "r"), fs.open("/f", "r+"), fs.open("/f", "r+")
+    fs.write(writer, b"O", 0)
+    replacement = b"replacement"
+    fs.write(writer, replacement, 0)
+    fs.write(writer, b"R", 0)
+    staged, viewed = bytearray(b"staged bytes"), bytearray(b"viewed bytes!")
+    fs.write(other, staged, 0)
+    staged[:] = b"STAGED BYTES"
+    assert fs.read(other) == b"staged bytes"
+    fs.write(other, memoryview(viewed), 0)
+    viewed[:] = b"VIEWED BYTES!"
+    assert fs.read(other) == b"viewed bytes!"
+    assert fs.read(writer) == b"Replacement" and replacement == b"replacement"
+    assert fs.read(reader) == b"original" and fs.read_file("/f") == b"original"
+    for handle in (reader, other, writer):
+        fs.close(handle)
+    target.drain(3.0)
+    assert fs.read_file("/f") == b"Replacement"
 
 
 def test_a_write_only_open_file_refuses_a_read():
