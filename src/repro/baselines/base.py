@@ -76,7 +76,7 @@ class BaselineFileSystem(FileSystem):
         self._syscall()
         of = self._handles[handle]
         if of.dirty:
-            self._sync_local(of.path, of.snapshot())
+            self._sync_local(of.path, bytes(of.buffer))
 
     def truncate(self, handle: int, length: int = 0) -> None:
         self._syscall()
@@ -86,7 +86,7 @@ class BaselineFileSystem(FileSystem):
         self._syscall()
         of = self._handles.close(handle)
         if of.dirty:
-            self._persist(of.path, of.snapshot())
+            self._persist(of.path, bytes(of.buffer))
 
     # ------------------------------------------------------- latency knobs
 

@@ -515,9 +515,7 @@ class SCFSAgent(FileSystem):
         of = self._handles[handle]
         if not of.dirty:
             return
-        data = of.snapshot()
-        # The snapshot is now the handle's buffer: its ``#open`` entry follows.
-        self.memory_cache.rebind(self._memory_key(of), data)
+        data = bytes(of.buffer)
         digest = content_digest(data)
         if digest != of.fsynced_digest:
             self.storage.flush_to_disk(of.metadata.file_id, digest, data)

@@ -115,14 +115,6 @@ class LRUByteCache:
         self._entries[key] = _Cached(value, size, tag)
         self._used += size
 
-    def rebind(self, key: str, value: bytes) -> None:
-        """Point ``key``'s entry, if any, at ``value``: equal bytes in another
-        object (a handle's snapshot of its buffer).  Nothing is charged and
-        the LRU order stays."""
-        entry = self._entries.get(key)
-        if entry is not None:
-            entry.value = value
-
     def remove(self, key: str, tag: str | None = None) -> None:
         """Drop the entry under ``key`` (only if it holds ``tag``, unless None);
         no latency is charged."""

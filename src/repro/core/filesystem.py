@@ -50,8 +50,9 @@ class OpenFile:
     reference, and a ``write`` at offset 0 of exact ``bytes`` at least as long
     as the file adopts that object, so a whole-file replace copies nothing.
     A whole ``read`` of immutable bytes returns them; any other ``read``
-    copies out only the bytes asked for.  :meth:`snapshot` hands out the
-    bytes as immutable and keeps them as the buffer.
+    copies out only the bytes asked for.  ``bytes(buffer)`` of immutable
+    bytes is the same object, so an ``fsync`` or a close hands them on as they
+    are; :meth:`snapshot` also keeps them as the buffer.
     """
 
     path: str
@@ -111,8 +112,9 @@ class OpenFile:
     def snapshot(self) -> bytes:
         """The file's bytes as immutable ``bytes``, kept as the buffer.
 
-        No copy while the buffer is immutable; else one, and the next change
-        copies again.
+        For a record held past its close (the agent's background commit), so
+        it holds no second, mutable copy.  No copy while the buffer is
+        immutable; else one.
         """
         if type(self.buffer) is not bytes:
             self.buffer = bytes(self.buffer)
