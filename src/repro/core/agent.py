@@ -72,15 +72,21 @@ from repro.transactions.manager import Transaction, TransactionManager
 
 @dataclass(kw_only=True)
 class AgentOpenFile(OpenFile):
-    """An SCFS handle: the open file plus what its close needs."""
+    """An SCFS handle: the open file plus what its close needs.
+
+    A background close keeps the record until its commit lands; its buffer is
+    then the immutable snapshot the close uploads.
+    """
 
     metadata: FileMetadata
     locked: bool = False
-    private: bool = False
     fsynced_digest: str = ""
     #: The backend's number for the version this close uploads, taken from
     #: the anchor before the close replaced its locator.
     cloud_version: int = 0
+    #: A background close's landing instant and the task scheduled to land it.
+    lands_at: float = 0.0
+    landing: TaskHandle | None = None
 
 
 @dataclass
@@ -125,20 +131,12 @@ class SCFSAgent(FileSystem):
         self.events = events
         self.stats = AgentStatistics()
         self._handles: HandleTable[AgentOpenFile] = HandleTable()
-        #: In-flight background commits (non-blocking and non-sharing modes), in
-        #: the order they were scheduled: handle -> (open file, its scheduled
-        #: completion, the completion itself).  :meth:`flush_pending` runs them
-        #: early, :meth:`crash` cancels them without releasing anything.
-        self._pending_commits: dict[int, tuple[AgentOpenFile, TaskHandle, Callable[[], None]]] = {}
-        #: Per-file completion time of the latest scheduled background upload:
-        #: uploads of the same file complete in submission order (a smaller
-        #: later version must not overtake and then be clobbered by an earlier
-        #: bigger one committing its metadata last).
-        self._upload_fronts: dict[str, float] = {}
+        #: In-flight background closes (non-blocking and non-sharing modes) by
+        #: handle, in the order they were made.  :meth:`flush_pending` lands
+        #: them early, :meth:`crash` cancels them without releasing anything.
+        self._pending_commits: dict[int, AgentOpenFile] = {}
         #: (file, user) pairs whose cloud-side ACL this agent already re-applied.
         self._acl_propagated: set[str] = set()
-        self._mounted = False
-        self._crashed = False
 
         # -- the session and registries ---------------------------------------
         # A session exists exactly when a coordination service does.
@@ -175,7 +173,19 @@ class SCFSAgent(FileSystem):
             TransactionManager(self) if self.coordination is not None else None
         )
 
-        self.mount()
+        # -- mount: load the user's PNS, locked against concurrent mounts (§2.7)
+        if self.pns is not None:
+            if self.coordination is not None:
+                # Lock the PNS to avoid inconsistencies caused by two clients
+                # logged in as the same user.
+                self.locks.acquire(FileMetadata(
+                    path=f"/.pns-{principal.name}", file_type=FileType.FILE,
+                    owner=principal.name, file_id=self.pns.unit_id,
+                ))
+            try:
+                self.pns.load()
+            except (FileNotFoundErrorFS, ObjectNotFoundError):
+                pass
 
     @property
     def agent(self) -> SCFSAgent:
@@ -200,28 +210,16 @@ class SCFSAgent(FileSystem):
 
     # ------------------------------------------------------------------ mount
 
-    def mount(self) -> None:
-        """Load the user's PNS and lock it against concurrent mounts (§2.7)."""
-        if self._mounted:
-            return
-        if self.pns is not None:
-            if self.coordination is not None:
-                # Lock the PNS to avoid inconsistencies caused by two clients
-                # logged in as the same user.
-                self.locks.acquire(FileMetadata(
-                    path=f"/.pns-{self.principal.name}", file_type=FileType.FILE,
-                    owner=self.principal.name, file_id=self.pns.unit_id,
-                ))
-            try:
-                self.pns.load()
-            except (FileNotFoundErrorFS, ObjectNotFoundError):
-                pass
-        self._mounted = True
-
     def unmount(self) -> None:
-        """Flush every open file, persist the PNS and release all locks."""
+        """Close every open file, land every in-flight close, persist the PNS, release all locks.
+
+        In that order: a close in flight holds its file's lock until its
+        version is anchored, so giving the locks back (or ending the session
+        that holds them) first would let another writer fork the version.
+        """
         for handle in list(self._handles):
             self.close(handle)
+        self.flush_pending("/")
         if self.pns is not None and self.pns.dirty:
             if self.config.mode.blocks_on_close:
                 self.pns.save()
@@ -233,7 +231,6 @@ class SCFSAgent(FileSystem):
         self.locks.release_all()
         if self.coordination is not None:
             self.coordination.close_session(self.session)
-        self._mounted = False
 
     # ------------------------------------------------------------------ helpers
 
@@ -326,7 +323,7 @@ class SCFSAgent(FileSystem):
 
         handle = self._handles.add(AgentOpenFile(
             path=path, flags=flags, buffer=buffer, dirty=dirty,
-            metadata=meta, locked=locked, private=private,
+            metadata=meta, locked=locked,
         ))
         # ``served`` marks opens whose buffer was loaded from the anchored
         # version (the digest below) — the events the consistency-on-close
@@ -497,15 +494,13 @@ class SCFSAgent(FileSystem):
         self.metadata_cache.put(of.metadata.path, of.metadata.copy())
 
     def _memory_key(self, of: AgentOpenFile) -> str:
-        return f"{of.metadata.file_id}#open"
+        """The memory-cache key of a handle's buffer: one entry per handle."""
+        return f"{of.handle}#open"
 
     def _pending_commit_for(self, path: str) -> AgentOpenFile | None:
         """The newest in-flight background commit of ``path``, if any."""
-        newest: AgentOpenFile | None = None
-        for pending, _task, _run in self._pending_commits.values():
-            if pending.metadata.path == path:
-                newest = pending
-        return newest
+        return next((of for of in reversed(self._pending_commits.values())
+                     if of.metadata.path == path), None)
 
     # ------------------------------------------------------------------- fsync
 
@@ -558,13 +553,13 @@ class SCFSAgent(FileSystem):
         self.storage.store_in_memory(meta.file_id, digest, data)
 
         if self.config.mode is OperationMode.BLOCKING:
-            self._commit(of, data, background=False)
+            self._commit(of, background=False)
         else:
-            self._commit_background(of, data)
+            self._commit_background(of)
         self.gc.maybe_schedule()
 
-    def _commit(self, of: AgentOpenFile, data: bytes, background: bool) -> None:
-        """Steps 2-4 of a close: publish the new version, unlock.
+    def _commit(self, of: AgentOpenFile, background: bool) -> None:
+        """Steps 2-4 of a close: publish the snapshot the close took, unlock.
 
         The one commit path of every mode.  A background commit is this same
         call made later, under :meth:`Simulation.background`; ``background``
@@ -574,7 +569,7 @@ class SCFSAgent(FileSystem):
         """
         meta = of.metadata
         try:
-            self._publish([(meta, data, of.cloud_version, None)], background=background)
+            self._publish([(meta, of.buffer, of.cloud_version, None)], background=background)
         except ConflictError:
             meta.deleted = True
         finally:
@@ -645,30 +640,32 @@ class SCFSAgent(FileSystem):
             self.backend.set_acl(meta.file_id, grantee, permission)
             self._acl_propagated.add(marker)
 
-    def _commit_background(self, of: AgentOpenFile, data: bytes) -> None:
-        """Non-blocking / non-sharing close: upload and metadata update in background."""
+    def _commit_background(self, of: AgentOpenFile) -> None:
+        """Non-blocking / non-sharing close: upload and metadata update in background.
+
+        The close lands after the backend's estimate of its upload, and no
+        earlier than the latest in-flight close of the same file: a smaller
+        later version must not overtake an earlier bigger one and then be
+        clobbered by its anchor.
+        """
         meta = of.metadata
-        delay = self.backend.estimate_write_latency(len(data))
-        completion = self.sim.now() + delay
-        front = self._upload_fronts.get(meta.file_id, 0.0)
-        if completion < front:
-            completion = front
-        self._upload_fronts[meta.file_id] = completion
-        delay = completion - self.sim.now()
+        of.lands_at = max([self.sim.now() + self.backend.estimate_write_latency(len(of.buffer))]
+                          + [pending.lands_at for pending in self._pending_commits.values()
+                             if pending.metadata.file_id == meta.file_id])
         # The local caches already hold the new version, so the *local* user
         # immediately observes its own update; remote visibility (metadata in
         # the coordination service) only happens when the upload completes.
         self.metadata_cache.put(meta.path, meta.copy())
+        of.landing = self.sim.schedule(of.lands_at - self.sim.now(),
+                                       functools.partial(self._land, of),
+                                       name=f"upload:{meta.path}")
+        self._pending_commits[of.handle] = of
 
-        def complete() -> None:
-            self._pending_commits.pop(of.handle, None)
-            if self._crashed:
-                return
-            with self.sim.background():
-                self._commit(of, data, background=True)
-
-        task = self.sim.schedule(delay, complete, name=f"upload:{meta.path}")
-        self._pending_commits[of.handle] = (of, task, complete)
+    def _land(self, of: AgentOpenFile) -> None:
+        """Land an in-flight close (at its instant, or at a flush): its commit, as background work."""
+        del self._pending_commits[of.handle]
+        with self.sim.background():
+            self._commit(of, background=True)
 
     # ------------------------------------------------------------ transactions
 
@@ -678,21 +675,20 @@ class SCFSAgent(FileSystem):
         The transactional layer calls this before touching a file: a pending
         non-blocking close would otherwise anchor its version *after* the
         transaction's CAS with an unconditional update, clobbering it.
-        :meth:`rename` calls it before it moves anything.  Completing the upload
+        :meth:`rename` calls it before it moves anything, :meth:`unmount` (on
+        ``/``) before it gives the locks back.  Completing the upload
         early just means "it finished by now" — the flush point is itself a
         deterministic function of the schedule, so replay determinism is
         preserved.
         """
         path = normalize_path(path)
         prefix = path.rstrip("/") + "/"
-        for handle in [handle for handle, (of, _task, _run) in self._pending_commits.items()
-                       if of.metadata.path == path or of.metadata.path.startswith(prefix)]:
-            entry = self._pending_commits.pop(handle, None)
-            if entry is None:
-                continue
-            _of, task, run_now = entry
-            task.cancel()
-            run_now()
+        for of in [of for of in self._pending_commits.values()
+                   if of.metadata.path == path or of.metadata.path.startswith(prefix)]:
+            # One landing may move the clock past another's own deadline.
+            if of.handle in self._pending_commits:
+                of.landing.cancel()
+                self._land(of)
 
     def run_transaction(self, body: Callable[[Transaction], Any]) -> Any:
         """Run ``body(txn)`` with commit-conflict retries (bounded backoff)."""
@@ -724,12 +720,10 @@ class SCFSAgent(FileSystem):
         time expire on their own when their lease runs out, which is exactly
         the takeover window the crash/restart scenarios exercise.
         """
-        self._crashed = True
-        for _of, task, _run in self._pending_commits.values():
-            task.cancel()
+        for of in self._pending_commits.values():
+            of.landing.cancel()
         self._pending_commits.clear()
         self._handles.clear()
-        self._mounted = False
 
     # -------------------------------------------------------------- namespace
 

@@ -22,9 +22,10 @@ and can never be served stale.  Caching a version replaces the file's
 previous one: an agent never reads an older digest of a file whose newer
 version it has cached (its anchor read and its own closes both name the newer
 one), so keeping old versions would only pin their bytes.  An open handle's
-dirty buffer is an entry under its own key (``<file_id>#open``), apart from
-the file's versions.  The simulated disk cache keeps its bytes in RAM, like the
-memory cache: its capacity is the paper's, its latency is a disk's.
+dirty buffer is an entry under the handle's own key (``<handle>#open``), apart
+from the file's versions, so two writable handles of one file hold two
+entries.  The simulated disk cache keeps its bytes in RAM, like the memory
+cache: its capacity is the paper's, its latency is a disk's.
 """
 
 from __future__ import annotations

@@ -114,13 +114,30 @@ def test_an_open_buffer_is_cached_by_reference():
     cache = fs.memory_cache
     for index in range(64):
         fs.write(handle, bytes([index]) * 1000)
-        assert cache.get(f"{of.metadata.file_id}#open") is of.buffer
+        assert cache.get(fs._memory_key(of)) is of.buffer
         assert cache._used == len(of.buffer) == 1000 * (index + 1)
     buffer = of.buffer
     fs.fsync(handle)
-    assert of.buffer is buffer and cache.get(f"{of.metadata.file_id}#open") is buffer
+    assert of.buffer is buffer and cache.get(fs._memory_key(of)) is buffer
     fs.close(handle)
     assert cache._used == len(cache.get(of.metadata.file_id, of.metadata.digest))
+
+
+def test_two_writable_handles_of_one_file_keep_two_entries():
+    deployment = SCFSDeployment.for_variant("SCFS-CoC-B", seed=3)
+    fs = deployment.create_agent("alice")
+    fs.write_file("/f", b"")
+    a, b = fs.open("/f", "r+"), fs.open("/f", "r+")
+    cache = fs.memory_cache
+    fs.write(a, b"a" * 5_000)
+    fs.write(b, b"b" * 7_000)
+    assert cache._used == 12_000
+    fs.close(b)
+    # b's entry became the closed version; a's buffer is still cached.
+    of = fs._handles[a]
+    assert cache.get(fs._memory_key(of)) is of.buffer
+    assert cache._used == 12_000
+    fs.close(a)
 
 
 def test_a_truncated_buffer_is_charged_its_new_size():

@@ -23,6 +23,8 @@ from repro.core.deployment import SCFSDeployment
 from repro.core.filesystem import DURABILITY_TABLE, FileSystem
 from repro.core.metadata import FileType
 from repro.core.modes import OperationMode
+from repro.scenarios.invariants import check_all
+from repro.scenarios.trace import TraceRecorder
 from repro.simenv.failures import FaultKind
 from repro.simenv.latency import LatencyModel
 
@@ -380,12 +382,77 @@ class TestOneCommitPath:
         deployment = SCFSDeployment.for_variant("SCFS-CoC-NB", seed=23)
         fs = deployment.create_agent("alice")
         fs.write_file("/doc.txt", b"data", shared=True)
-        (_of, task, complete), = fs._pending_commits.values()
-        task.cancel()
+        assert len(fs._pending_commits) == 1
         before = deployment.sim.now()
-        complete()
+        fs.flush_pending("/doc.txt")
         assert deployment.sim.now() == before
         assert not deployment.sim.in_background
+        assert not fs._pending_commits
+        assert fs.metadata.lookup("/doc.txt", use_cache=False).data_version == 1
+
+
+class TestInFlightCloses:
+    """A background close holds its file's lock until its version is anchored."""
+
+    def test_unmount_lands_a_close_in_flight_before_giving_its_lock_back(self):
+        deployment = SCFSDeployment.for_variant("SCFS-CoC-NB", seed=3)
+        trace = TraceRecorder()
+        alice = deployment.create_agent("alice", events=trace.record)
+        bob = deployment.create_agent("bob", events=trace.record)
+        alice.write_file("/f", b"v1", shared=True)
+        alice.setfacl("/f", "bob", Permission.READ_WRITE)
+        deployment.drain()
+        alice.write_file("/f", b"v2 from alice")
+        alice.unmount()
+        handle = bob.open("/f", "r+")
+        bob.write(handle, b"bob")
+        bob.close(handle)
+        deployment.drain(5.0)
+        assert check_all(trace, deployment, lock_lease=deployment.config.lock_lease) == []
+        assert bob.read_file("/f") == b"v2 from alicebob"
+        assert bob.stat("/f").data_version == 3
+
+    def test_a_flushed_close_does_not_hold_back_a_later_one(self):
+        deployment = SCFSDeployment.for_variant("SCFS-CoC-NB", seed=3)
+        events = []
+        fs = deployment.create_agent(
+            "alice", events=lambda kind, **fields: events.append((kind, fields["time"])))
+        fs.write_file("/f", b"x" * (4 << 20))
+        fs.flush_pending("/f")
+        fs.write_file("/f", b"y")
+        deployment.drain()
+        closes = [time for kind, time in events if kind == "close"]
+        commits = [time for kind, time in events if kind == "commit"]
+        # The 4 MiB close landed at the flush: the 1-byte close waits for its
+        # own upload only, not for the flushed one's old deadline.
+        assert commits[1] == pytest.approx(
+            closes[1] + fs.backend.estimate_write_latency(1), abs=0.01)
+
+    def test_a_later_close_of_a_file_lands_after_an_earlier_one(self):
+        deployment = SCFSDeployment.for_variant("SCFS-CoC-NB", seed=3)
+        commits = []
+        fs = deployment.create_agent("alice", events=lambda kind, **fields: commits.append(
+            (fields["time"], fields["version"])) if kind == "commit" else None)
+        fs.write_file("/f", b"x" * (4 << 20))
+        fs.write_file("/f", b"y")
+        deployment.drain()
+        (big, first), (small, second) = commits
+        assert (first, second) == (1, 2) and small == big
+        assert fs.read_file("/f") == b"y"
+
+    def test_a_crashed_agents_close_in_flight_never_uploads_or_anchors(self):
+        deployment = SCFSDeployment.for_variant("SCFS-CoC-NB", seed=3)
+        events = []
+        fs = deployment.create_agent(
+            "alice", events=lambda kind, **fields: events.append(kind))
+        fs.write_file("/f", b"lost", shared=True)
+        assert fs._pending_commits
+        fs.crash()
+        deployment.drain(60.0)
+        assert "upload" not in events and "commit" not in events
+        assert all(cloud.stored_bytes() == 0 for cloud in deployment.clouds)
+        restarted = deployment.create_agent("alice")
+        assert restarted.metadata.lookup("/f", use_cache=False).data_version == 0
 
 
 class TestACLs:
