@@ -35,7 +35,6 @@ class ModuleContext:
     """Everything a rule runner needs about one parsed module."""
 
     path: str
-    source: str
     tree: ast.Module
     sim_visible: bool
     pragmas: PragmaTable
@@ -62,7 +61,7 @@ def _build_context(path: Path, source: str) -> ModuleContext:
     pragmas = PragmaTable(source, str(path))
     sim_visible = pragmas.sim_visible_override \
         if pragmas.sim_visible_override is not None else _is_sim_visible(path)
-    ctx = ModuleContext(path=str(path), source=source, tree=tree,
+    ctx = ModuleContext(path=str(path), tree=tree,
                         sim_visible=sim_visible, pragmas=pragmas)
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):

@@ -35,7 +35,6 @@ class SweepPoint:
 class SweepResult:
     """A full sweep (Figure 10(a) or 10(b))."""
 
-    parameter: str
     variant: str
     points: list[SweepPoint] = field(default_factory=list)
 
@@ -52,7 +51,7 @@ def run_metadata_cache_sweep(expirations: tuple[float, ...] = DEFAULT_EXPIRATION
                              params: MicroBenchmarkParams | None = None) -> SweepResult:
     """Figure 10(a): create/copy latency vs metadata-cache expiration time."""
     params = params or MicroBenchmarkParams()
-    result = SweepResult(parameter="metadata_cache_expiration", variant=variant)
+    result = SweepResult(variant=variant)
     for expiration in expirations:
         create_target = build_target(variant, seed=seed, metadata_expiration=expiration)
         create_seconds = create_files(create_target, params)
@@ -67,7 +66,7 @@ def run_pns_sweep(sharing_percentages: tuple[int, ...] = DEFAULT_SHARING_PERCENT
                   params: MicroBenchmarkParams | None = None) -> SweepResult:
     """Figure 10(b): create/copy latency vs percentage of shared files (with PNS)."""
     params = params or MicroBenchmarkParams()
-    result = SweepResult(parameter="shared_files_percent", variant=variant)
+    result = SweepResult(variant=variant)
     for percent in sharing_percentages:
         fraction = percent / 100.0
         create_target = build_target(variant, seed=seed, private_name_spaces=True)

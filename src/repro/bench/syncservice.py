@@ -19,7 +19,7 @@ the paper shows makes the blocking variants usable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.baselines.localfs import LocalFS
 from repro.bench.report import Table
@@ -38,12 +38,9 @@ class SyncBenchmarkResult:
     """Average latency (simulated seconds) of each benchmark action."""
 
     target: str
-    local_locks: bool
     open_latency: float
     save_latency: float
     close_latency: float
-    runs: int = 1
-    per_run: list[tuple[float, float, float]] = field(default_factory=list)
 
     @property
     def total(self) -> float:
@@ -170,11 +167,8 @@ def run_sync_benchmark(target_name: str, file_size: int = DEFAULT_FILE_SIZE,
     open_avg = sum(r[0] for r in per_run) / runs
     save_avg = sum(r[1] for r in per_run) / runs
     close_avg = sum(r[2] for r in per_run) / runs
-    return SyncBenchmarkResult(
-        target=target_name, local_locks=local_locks,
-        open_latency=open_avg, save_latency=save_avg, close_latency=close_avg,
-        runs=runs, per_run=per_run,
-    )
+    return SyncBenchmarkResult(target=target_name, open_latency=open_avg,
+                               save_latency=save_avg, close_latency=close_avg)
 
 
 #: Figure 8's systems: the non-blocking ones (8a), then the blocking ones (8b).

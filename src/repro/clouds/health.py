@@ -376,16 +376,12 @@ def expected_latency(store: "EventuallyConsistentStore", kind: str, payload: int
 
 @dataclass(frozen=True)
 class QuorumPlan:
-    """One planned quorum: the chosen primary stage and its expected economics."""
+    """One planned quorum: the primary stage and the fallback stage."""
 
     #: Clouds of the cheapest feasible quorum, in candidate order (stage 0).
     primary: tuple[str, ...]
     #: Remaining candidates, dispatched only as a fallback stage.
     fallback: tuple[str, ...]
-    #: Expected completion latency of the primary stage (max member estimate).
-    expected_latency: float
-    #: Expected request cost of dispatching the primary stage.
-    expected_cost: float
 
 
 class QuorumPlanner:
@@ -416,11 +412,13 @@ class QuorumPlanner:
 
     def plan(self, candidates: Sequence[str], required, kind: str,
              payload: int) -> QuorumPlan:
-        """Pick the cheapest feasible quorum among ``candidates``.
+        """Split ``candidates`` into the cheapest feasible quorum and the rest.
 
         ``required`` is a response count or quorum predicate; ``kind`` and
         ``payload`` parameterize the per-cloud latency/cost estimators
-        (``"object_get"`` with the expected transfer size, etc.).
+        (``"object_get"`` with the expected transfer size, etc.).  A minimal
+        quorum scores its cost sum × its slowest member's latency; the lowest
+        score is the primary stage.
         """
         quorum = as_quorum(required)
         names = list(candidates)
@@ -431,27 +429,16 @@ class QuorumPlanner:
         latency = {cloud: self.latency_of(cloud, kind, payload) for cloud in pool}
         cost = {cloud: self.cost_of(cloud, kind, payload) for cloud in pool}
 
-        best: tuple | None = None
-        for members in minimal_quorums(pool, quorum):
-            stage_latency = max(latency[cloud] for cloud in members)
-            stage_cost = sum(cost[cloud] for cloud in members)
-            score = (stage_cost * stage_latency, stage_latency, members)
-            if best is None or score < best[0]:
-                best = (score, members, stage_latency, stage_cost)
+        def score(members: tuple[str, ...]) -> tuple[float, float, tuple[str, ...]]:
+            slowest = max(latency[cloud] for cloud in members)
+            return (sum(cost[cloud] for cloud in members) * slowest, slowest, members)
 
+        best = min(map(score, minimal_quorums(pool, quorum)), default=None)
         if best is None:
             # Even the full pool cannot satisfy the predicate (the config
             # validator should have rejected this); dispatch everything so
             # the engine reports the failure with complete evidence.
-            chosen = tuple(names)
-            stage_latency = max((self.latency_of(c, kind, payload) for c in chosen),
-                                default=0.0)
-            stage_cost = sum(self.cost_of(c, kind, payload) for c in chosen)
-            return QuorumPlan(primary=chosen, fallback=(),
-                              expected_latency=stage_latency, expected_cost=stage_cost)
-        _, members, stage_latency, stage_cost = best
-        chosen = set(members)
-        primary = tuple(cloud for cloud in names if cloud in chosen)
-        fallback = tuple(cloud for cloud in names if cloud not in chosen)
-        return QuorumPlan(primary=primary, fallback=fallback,
-                          expected_latency=stage_latency, expected_cost=stage_cost)
+            return QuorumPlan(primary=tuple(names), fallback=())
+        chosen = set(best[2])
+        return QuorumPlan(primary=tuple(cloud for cloud in names if cloud in chosen),
+                          fallback=tuple(cloud for cloud in names if cloud not in chosen))

@@ -449,8 +449,7 @@ class SCFSAgent(FileSystem):
         """The open file's bytes, the cached version itself: ``(data, dirty, served from the anchored version)``."""
         if flags & OpenFlags.TRUNCATE or (created and not meta.digest):
             return b"", bool(flags & OpenFlags.TRUNCATE) and bool(meta.digest), False
-        outcome = self.storage.read_version(meta.file_id, meta.digest, meta.locator)
-        return outcome.data, False, True
+        return self.storage.read_version(meta.file_id, meta.digest, meta.locator), False, True
 
     # -------------------------------------------------------------- read/write
 

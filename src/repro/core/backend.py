@@ -90,16 +90,18 @@ class StorageBackend(abc.ABC):
         return data_version + 1
 
     @abc.abstractmethod
-    def read_version(self, file_id: str, digest: str, locator: str = "") -> bytes:
+    def read_version(self, file_id: str, digest: str, locator: str) -> bytes:
         """Return the version of ``file_id`` whose content hash is ``digest``.
 
-        ``locator`` is the one this backend minted when it wrote the version
-        (empty when the caller has none).  Raises
-        :class:`~repro.common.errors.ObjectNotFoundError` when the version is
-        not (yet) visible — the caller implements the retry loop of Figure 3
-        (step r2, :func:`repro.core.consistency.read_anchored`) — and
-        :class:`~repro.common.errors.IntegrityError` for a locator this
-        backend cannot have minted.
+        ``locator`` is the one this backend minted when it wrote the version,
+        as the anchor holds it.  A cloud-of-clouds reads the one version it
+        names and raises :class:`~repro.common.errors.IntegrityError` for a
+        locator it cannot have minted, an empty one included; one cloud keys
+        versions by digest and ignores it.  Raises
+        :class:`~repro.common.errors.ObjectNotFoundError` or
+        :class:`~repro.common.errors.QuorumNotReachedError` when the version
+        is not (yet) visible — the caller implements the retry loop of
+        Figure 3 (step r2, :func:`repro.core.consistency.read_anchored`).
         """
 
     @abc.abstractmethod
@@ -198,7 +200,7 @@ class SingleCloudBackend(StorageBackend):
                                   locator=repr(self.sim.now())))
         return refs
 
-    def read_version(self, file_id: str, digest: str, locator: str = "") -> bytes:
+    def read_version(self, file_id: str, digest: str, locator: str) -> bytes:
         data = self.store.get(self.object_key(file_id, digest), self.principal)
         if content_digest(data) != digest:
             # The provider returned corrupted data for this version; surface it
@@ -293,9 +295,9 @@ class CloudOfCloudsBackend(StorageBackend):
         return ObjectRef(key=file_id, digest=record.data_digest, size=record.size,
                          locator=record.locator())
 
-    def read_version(self, file_id: str, digest: str, locator: str = "") -> bytes:
-        record = VersionRecord.from_locator(locator, digest) if locator else None
-        result = self.client.read_matching(file_id, digest, record=record)
+    def read_version(self, file_id: str, digest: str, locator: str) -> bytes:
+        result = self.client.read_matching(
+            file_id, digest, VersionRecord.from_locator(locator, digest))
         self.read_paths.record(result)
         return result.data
 

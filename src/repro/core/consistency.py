@@ -56,7 +56,7 @@ def split_anchor_value(value: str) -> tuple[str, str]:
 
 
 def read_anchored(sim: Simulation, backend: StorageBackend, object_id: str, digest: str,
-                  locator: str = "", on_poll: Callable[[], None] | None = None) -> bytes:
+                  locator: str, on_poll: Callable[[], None] | None = None) -> bytes:
     """Step r2: ``do v ← SS.read(id|h) while v = null``, waiting before polling.
 
     The anchored hash can be ahead of the (eventually consistent) storage

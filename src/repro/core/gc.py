@@ -37,10 +37,7 @@ VERSIONS_TO_KEEP = 3
 class GCReport:
     """Summary of one garbage-collection run."""
 
-    files_examined: int = 0
     versions_deleted: int = 0
-    bytes_reclaimed: int = 0
-    deleted_files_purged: int = 0
     errors: list[str] = field(default_factory=list)
 
 
@@ -98,7 +95,6 @@ class GarbageCollector:
                 meta = self.metadata.lookup(path, use_cache=False)
                 if meta is None or not meta.is_file or not meta.file_id:
                     continue
-                report.files_examined += 1
                 try:
                     self._collect_file(meta, report)
                 except (CloudError, ReproError) as exc:
@@ -116,7 +112,6 @@ class GarbageCollector:
             if forget:
                 self.storage.forget(ref.key, ref.digest)
             report.versions_deleted += 1
-            report.bytes_reclaimed += ref.size
         else:
             report.errors.append(
                 f"{ref.key}: version {ref.digest[:12]}… not deleted (no write quorum)")
@@ -130,7 +125,6 @@ class GarbageCollector:
             # finds both again.
             if all([self._delete(ref, report) for ref in versions]):
                 self.metadata.remove(meta.path)
-                report.deleted_files_purged += 1
             return
         # Keep the current version plus the most recent V-1 others, counted by
         # listed version: an older version with the current bytes is older.

@@ -22,7 +22,6 @@ good would cost host memory for good.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from repro.common.types import ObjectRef
@@ -30,14 +29,6 @@ from repro.core.backend import StorageBackend
 from repro.core.cache import LRUByteCache
 from repro.core.consistency import read_anchored
 from repro.simenv.environment import Simulation
-
-
-@dataclass
-class ReadOutcome:
-    """Where a read was satisfied from; used by tests and benchmark reports."""
-
-    data: bytes
-    source: str  # "memory", "disk" or "cloud"
 
 
 class StorageService:
@@ -57,30 +48,32 @@ class StorageService:
 
     # ------------------------------------------------------------------ reads
 
-    def read_version(self, file_id: str, digest: str, locator: str = "") -> ReadOutcome:
-        """Return the data of one file version, reading locally when possible.
+    def read_version(self, file_id: str, digest: str, locator: str) -> bytes:
+        """Return the bytes of one file version, reading locally when possible.
 
-        Resolution order: memory cache → disk cache → cloud backend.  The
-        cloud path is step r2 of the consistency-anchor read (Figure 3,
+        Resolution order: memory cache → disk cache → cloud backend; the
+        tier that served it shows in the caches' ``hits`` and in
+        :attr:`cloud_reads`.  The cloud path is step r2 of the
+        consistency-anchor read (Figure 3,
         :func:`~repro.core.consistency.read_anchored`) because the anchored
         hash can be visible before the data has propagated in an eventually
         consistent cloud; ``locator`` is what the anchor holds beside the hash.
         """
         if not digest:
-            return ReadOutcome(data=b"", source="memory")
+            return b""
         data = self.memory.get(file_id, digest)
         if data is not None:
-            return ReadOutcome(data=data, source="memory")
+            return data
         data = self.disk.get(file_id, digest)
         if data is not None:
             # Promote to the memory cache: the file is being opened.
             self._keep(file_id, digest, data, self.memory)
-            return ReadOutcome(data=data, source="disk")
+            return data
         data = read_anchored(self.sim, self.backend, file_id, digest, locator,
                              on_poll=self.on_poll)
         self.cloud_reads += 1
         self._keep(file_id, digest, data, self.disk, self.memory)
-        return ReadOutcome(data=data, source="cloud")
+        return data
 
     # ------------------------------------------------------------------ writes
 

@@ -90,16 +90,15 @@ def _span(rows: list, start: int, stop: int) -> list[memoryview]:
 
 @dataclass(frozen=True)
 class StripeView:
-    """One encoded column stripe: ``blocks[:, start:stop]`` of the buffer.
+    """One encoded column stripe: the buffer's columns ``start`` to ``start + width``.
 
-    ``blocks`` is an ``(n, stop - start)`` uint8 view — rows ``0..k-1`` are
+    ``blocks`` is their ``(n, width)`` uint8 view — rows ``0..k-1`` are
     the framed payload columns, rows ``k..n-1`` the freshly computed parity.
     Views alias the encode buffer; consume them before the next stripe if the
     buffer is reused.
     """
 
     start: int
-    stop: int
     blocks: np.ndarray
 
 
@@ -185,10 +184,9 @@ class ErasureCoder:
             if parity_rows is not None:
                 gf256.matmul(self._parity_matrix, data_rows[:, start:stop],
                              out=parity_rows[:, start:stop])
-            yield StripeView(start=start, stop=stop,
-                             blocks=buffer[:, start:stop])
+            yield StripeView(start=start, blocks=buffer[:, start:stop])
         if block_len == 0:
-            yield StripeView(start=0, stop=0, blocks=buffer)
+            yield StripeView(start=0, blocks=buffer)
 
     def encode_into(self, data: bytes,
                     stripe_bytes: int = DEFAULT_STRIPE_BYTES) -> np.ndarray:

@@ -80,7 +80,7 @@ import hashlib
 import math
 import re
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
@@ -190,8 +190,7 @@ class DepSkyReadResult:
     ``path`` records which decode path served the read: ``"systematic"`` when
     the ``k`` systematic blocks were fetched from the preferred clouds (decode
     is a pure concatenation), ``"coded"`` when at least one parity block had
-    to be fetched and a cached decode matrix was applied.  ``block_indices``
-    lists the erasure-code rows actually used, in row order.  ``stats``
+    to be fetched and a cached decode matrix was applied.  ``stats``
     carries the dispatch-engine statistics of the block-fetch quorum call
     (per-cloud outcome, per-stage wait, winner set); the head read's, when
     there is one, reach :attr:`DepSkyClient.on_quorum` as ``meta_read``.
@@ -199,9 +198,7 @@ class DepSkyReadResult:
 
     data: bytes
     record: VersionRecord
-    clouds_used: list[str] = field(default_factory=list)
     path: str = "systematic"
-    block_indices: tuple[int, ...] = ()
     stats: QuorumCallStats | None = None
 
 
@@ -825,7 +822,6 @@ class DepSkyClient:
         winners = sorted(stats.winners, key=lambda trace: trace.value[0][0].index)
         blocks = [trace.value[0][0] for trace in winners]
         shares = [trace.value[0][1] for trace in winners]
-        used = [trace.cloud for trace in winners]
         decoded = self.coder.decode(blocks)
         if self.encrypt:
             key = combine_secret(shares, self.k)
@@ -836,10 +832,8 @@ class DepSkyClient:
             raise IntegrityError(
                 f"decoded payload of {unit_id!r} v{record.version} does not match its digest"
             )
-        indices = tuple(b.index for b in blocks)
-        path = "systematic" if all(i < self.k for i in indices) else "coded"
-        return DepSkyReadResult(data=payload, record=record, clouds_used=used,
-                                path=path, block_indices=indices, stats=stats)
+        path = "systematic" if all(b.index < self.k for b in blocks) else "coded"
+        return DepSkyReadResult(data=payload, record=record, path=path, stats=stats)
 
     def read_latest(self, unit_id: str) -> DepSkyReadResult:
         """Read the most recent version of ``unit_id`` (classic DepSky read).
@@ -859,17 +853,9 @@ class DepSkyClient:
                             key=lambda record: -record.version)
         if certified is not None:
             candidates.append(certified)
-        return self._assemble_first(unit_id, candidates,
-                                    f"data unit {unit_id!r} has no visible version")
-
-    def _assemble_first(self, unit_id: str, candidates, none: str) -> DepSkyReadResult:
-        """The first of ``candidates`` whose blocks assemble and verify.
-
-        An uncertified record proves itself that way or not at all: a forged
-        one finds no ``k`` blocks matching its digests.  Raises the last
-        failure, or :class:`ObjectNotFoundError` (``none``) without candidates.
-        """
-        failure: Exception = ObjectNotFoundError(none)
+        # An uncertified record proves itself by assembling or not at all: a
+        # forged one finds no ``k`` blocks matching its digests.
+        failure: Exception = ObjectNotFoundError(f"data unit {unit_id!r} has no visible version")
         for record in candidates:
             try:
                 return self._assemble(unit_id, record)
@@ -878,29 +864,19 @@ class DepSkyClient:
         raise failure
 
     def read_matching(self, unit_id: str, digest: str,
-                      record: VersionRecord | None = None) -> DepSkyReadResult:
+                      record: VersionRecord) -> DepSkyReadResult:
         """Read the version of ``unit_id`` whose plaintext digest is ``digest``.
 
-        This is the operation added to DepSky for SCFS (§3.2): the digest comes
-        from the consistency anchor.  When the anchor also hands over the
-        version's ``record`` (see :meth:`VersionRecord.locator`) the read is the
-        block fetch alone: one quorum call, ``k`` GETs.
-
-        Without a record the version must be the one the heads name: a head
-        carrying the anchored digest whose blocks assemble is self-verifying,
-        so a single copy suffices (a lagging majority may not show it yet
-        while one up-to-date cloud already does).  Raises
-        :class:`ObjectNotFoundError` when no head names it (yet, or any more)
-        — the caller retries, implementing the ``do ... while`` loop of
-        Figure 3.
+        This is the operation added to DepSky for SCFS (§3.2): the consistency
+        anchor hands over the digest and the version's ``record`` (see
+        :meth:`VersionRecord.locator`), so the read is the block fetch alone:
+        one quorum call, ``k`` GETs, no head read.  Raises
+        :class:`IntegrityError` when ``record`` does not describe an
+        ``n``-block version with ``digest``, and
+        :class:`QuorumNotReachedError` while fewer than ``k`` verified blocks
+        are visible — the caller retries, implementing the ``do ... while``
+        loop of Figure 3.
         """
-        if record is None:
-            heads, meta_stats = self._read_heads(unit_id)
-            self._charge(meta_stats)
-            return self._assemble_first(
-                unit_id, dict.fromkeys(head for _cloud, head in heads
-                                       if head.data_digest == digest),
-                f"no cloud's head of {unit_id!r} names a version with digest {digest[:12]}…")
         if record.data_digest != digest or len(record.block_digests) != self.n:
             raise IntegrityError(
                 f"the record handed over for {unit_id!r} does not describe a "

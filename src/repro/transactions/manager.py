@@ -179,7 +179,7 @@ class Transaction:
             raise IsADirectoryErrorFS(f"is a directory: {path}")
         data = b""
         if meta.digest:
-            data = agent.storage.read_version(meta.file_id, meta.digest, meta.locator).data
+            data = agent.storage.read_version(meta.file_id, meta.digest, meta.locator)
         self._reads[path] = ReadRecord(path=path, file_id=meta.file_id,
                                        version=meta.data_version, digest=meta.digest)
         self._read_data[path] = data

@@ -126,7 +126,7 @@ class TestGarbageCollectionIntegration:
         deployment.sim.advance(2.0)
         stored_before = deployment.stored_bytes()
         report = fs.collect_garbage()
-        assert report.deleted_files_purged == 1
+        assert report.versions_deleted == 1
         assert deployment.stored_bytes() < stored_before
         assert not fs.exists("/temp.bin")
         assert fs.backend.list_versions(meta.file_id) == []
@@ -135,12 +135,14 @@ class TestGarbageCollectionIntegration:
         deployment = SCFSDeployment.for_variant("SCFS-AWS-B", seed=45)
         alice = deployment.create_agent("alice")
         bob = deployment.create_agent("bob")
-        alice.write_file("/mine.txt", b"alice v1", shared=True)
-        alice.write_file("/mine.txt", b"alice v2")
+        for i in range(5):
+            alice.write_file("/mine.txt", b"alice v%d" % i, shared=True)
         bob.write_file("/bobs.txt", b"bob v1", shared=True)
         deployment.sim.advance(2.0)
         report = bob.collect_garbage()
-        assert report.files_examined == 1  # only bob's file
+        # Alice's file has two versions past V, but bob's collector never lists it.
+        assert (report.versions_deleted, report.errors) == (0, [])
+        assert len(alice.backend.list_versions(alice.stat("/mine.txt").file_id)) == 5
 
 
 class TestAllVariantsEndToEnd:

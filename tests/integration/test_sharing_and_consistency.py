@@ -7,7 +7,12 @@ the simulated providers.
 
 import pytest
 
-from repro.common.errors import LockHeldError, PermissionDeniedError
+from repro.common.errors import (
+    AccessDeniedError,
+    LockHeldError,
+    PermissionDeniedError,
+    QuorumNotReachedError,
+)
 from repro.common.types import Permission
 from repro.core.deployment import SCFSDeployment
 
@@ -85,9 +90,10 @@ class TestControlledSharing:
         alice.write_file("/secret.txt", b"classified", shared=True)
         deployment.drain(2.0)
         meta = alice.stat("/secret.txt")
-        # Eve bypasses her metadata service and talks to the backend directly.
-        with pytest.raises(Exception):
-            eve.backend.read_version(meta.file_id, meta.digest)
+        # Eve bypasses her metadata service and talks to the backend directly:
+        # one cloud denies her, and no k clouds of a cloud-of-clouds serve her.
+        with pytest.raises((AccessDeniedError, QuorumNotReachedError)):
+            eve.backend.read_version(meta.file_id, meta.digest, meta.locator)
 
 
 class TestConsistencyOnClose:
@@ -169,8 +175,9 @@ class TestConsistencyOnClose:
         # read goes to the cloud, by the locator the anchor named then.
         storage = writer.storage
         storage.forget(first.file_id, first.digest)
-        data = storage.read_version(first.file_id, first.digest, first.locator)
-        assert data.source == "cloud" and data.data == b"first version"
+        reads = storage.cloud_reads
+        assert storage.read_version(first.file_id, first.digest, first.locator) == b"first version"
+        assert storage.cloud_reads == reads + 1
 
 
 class TestCrashRecovery:

@@ -102,7 +102,7 @@ class TestAnchoredReadProperties:
                 reader = StorageService(sim, backend, make_memory_cache(1 << 16, sim),
                                         make_disk_cache(1 << 16, sim))
                 digest, locator = split_anchor_value(anchor[object_id])
-                assert reader.read_version(object_id, digest, locator).data == latest[object_id]
+                assert reader.read_version(object_id, digest, locator) == latest[object_id]
 
 
 #: Keys with sibling boundaries (``meta:/a/b`` vs ``meta:/a/b2``: a prefix

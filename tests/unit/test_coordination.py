@@ -276,6 +276,25 @@ class TestReplication:
                 [Entry("k", b"v", 1, ACL("alice"))], []]
         assert sim.now() == start + max(draws) and sim.rng.getstate() == replay.getstate()
 
+    def test_a_lone_command_applies_after_its_wait_and_joint_commands_before_theirs(self, sim):
+        # ``invoke`` waits out its round trip, running the tasks due in it,
+        # then applies; ``invoke_together`` applies every command, then waits.
+        rsms = [ReplicatedStateMachine(sim, f=1) for _ in range(2)]
+        seen = []
+
+        def look_up(*keys):
+            sim.schedule(0.01, lambda: seen.append(sum(
+                _value(rsm.reference_replica(), key, "alice") is not None
+                for rsm, key in zip(rsms, keys))))
+
+        look_up("a")
+        rsms[0].invoke(*_command(Put("a", b"v")))
+        assert seen == [0] and _value(rsms[0].reference_replica(), "a", "alice") == b"v"
+        look_up("b", "c")
+        invoke_together([rsms[0].command(*_command(Put("b", b"v"))),
+                         rsms[1].command(*_command(Put("c", b"v")))])
+        assert seen == [0, 2]
+
     def test_invalid_replica_index(self, sim):
         rsm = ReplicatedStateMachine(sim, f=1)
         with pytest.raises(IndexError):

@@ -52,7 +52,7 @@ class TestStorageBackends:
         data = b"versioned data" * 20
         ref = backend.write_version("file-1", data, version=1)
         sim.advance(3.0)
-        assert backend.read_version("file-1", ref.digest) == data
+        assert backend.read_version("file-1", ref.digest, ref.locator) == data
 
     def test_old_versions_remain_readable(self, backend, sim):
         first = backend.write_version("file-1", b"one", version=1)
@@ -65,8 +65,8 @@ class TestStorageBackends:
 
     def test_read_before_propagation_raises(self, backend):
         ref = backend.write_version("file-1", b"fresh", version=1)
-        with pytest.raises(ObjectNotFoundError):
-            backend.read_version("file-1", ref.digest)
+        with pytest.raises((ObjectNotFoundError, QuorumNotReachedError)):
+            backend.read_version("file-1", ref.digest, ref.locator)
 
     def test_a_version_is_readable_from_the_time_its_locator_estimates(self, backend, sim):
         first = backend.write_version("file-1", b"fresh", version=1)
@@ -154,7 +154,7 @@ class TestSingleCloudACL:
         ref = backend.write_version("file-1", b"v2", version=2)
         sim.advance(3.0)
         reader = SingleCloudBackend(sim, store, bob)
-        assert reader.read_version("file-1", ref.digest) == b"v2"
+        assert reader.read_version("file-1", ref.digest, ref.locator) == b"v2"
 
     def test_storage_overhead_is_one(self, sim, alice):
         store = make_provider(sim, "amazon-s3")
@@ -170,7 +170,7 @@ class TestSingleCloudACL:
         key = f"scfs/file-1/{ref.digest}"
         store._objects[key].data = b"tampered"
         with pytest.raises(ObjectNotFoundError):
-            backend.read_version("file-1", ref.digest)
+            backend.read_version("file-1", ref.digest, ref.locator)
 
 
 class TestCloudOfCloudsOverhead:
@@ -193,6 +193,17 @@ class TestCloudOfCloudsOverhead:
         with pytest.raises(TypeError):
             backend.delete_version("file-1", ref.digest)
         assert [r.digest for r in backend.list_versions("file-1")] == [ref.digest]
+
+    def test_a_read_without_a_locator_is_an_integrity_error(self, sim, alice):
+        # The anchor hands over the locator; there is no head read to fall back on.
+        clouds = make_cloud_of_clouds(sim)
+        backend = CloudOfCloudsBackend(sim, clouds, alice, f=1, dispatch=DispatchPolicyConfig())
+        ref = backend.write_version("file-1", b"bytes", version=1)
+        sim.advance(3.0)
+        logged = [len(cloud.request_log) for cloud in clouds]
+        with pytest.raises(IntegrityError):
+            backend.read_version("file-1", ref.digest, "")
+        assert [len(cloud.request_log) for cloud in clouds] == logged
 
 def _jitter_free_clouds(sim, f):
     """``3f + 1`` jitter-free clouds: the four provider profiles, repeated under fresh names."""
@@ -324,9 +335,9 @@ class TestAnchoredRead:
                                  make_disk_cache(1 << 24, sim))
         if polls is not None:
             service.on_poll = lambda: polls.append(sim.now())
-        outcome = service.read_version(object_id, *split_anchor_value(anchor[object_id]))  # r1, r2
-        assert outcome.source == "cloud"
-        return outcome.data
+        data = service.read_version(object_id, *split_anchor_value(anchor[object_id]))  # r1, r2
+        assert service.cloud_reads == 1
+        return data
 
     def test_a_cold_read_returns_the_latest_anchored_write(self, backend, sim):
         anchor = {}
@@ -362,7 +373,8 @@ class TestAnchoredRead:
             for cloud in _clouds(backend):
                 _serve_stale(cloud, gets=math.inf)
         else:
-            anchor["obj"] = content_digest(b"never stored")
+            # A well-formed anchor whose version was stored under another object.
+            anchor["obj"] = anchor_value(backend.write_version("elsewhere", b"never stored", 1))
         polls = []
         with pytest.raises(VersionUnavailableError) as raised:
             self._read(sim, backend, anchor, "obj", polls)

@@ -321,25 +321,31 @@ class TestStorageService:
                               make_memory_cache(1 << 20, sim),
                               make_disk_cache(1 << 24, sim))
 
+    @staticmethod
+    def _served(service):
+        """The read counters of each tier: ``(memory hits, disk hits, cloud reads)``."""
+        return service.memory.hits, service.disk.hits, service.cloud_reads
+
     def test_push_then_read_comes_from_memory(self, sim, single_backend):
         service = self._service(sim, single_backend)
         data = b"hello" * 100
         ref = service.push_to_cloud("file-1", data, version=1)
         service.store_in_memory("file-1", ref.digest, data)
-        outcome = service.read_version("file-1", ref.digest)
-        assert outcome.source == "memory" and outcome.data == data
+        assert service.read_version("file-1", ref.digest, ref.locator) == data
+        assert self._served(service) == (1, 0, 0)
 
     def test_read_falls_back_to_disk_then_cloud(self, sim, single_backend):
         service = self._service(sim, single_backend)
         data = b"content" * 50
         ref = service.push_to_cloud("file-1", data, version=1)
         service.flush_to_disk("file-1", ref.digest, data)
-        assert service.read_version("file-1", ref.digest).source == "disk"
+        assert service.read_version("file-1", ref.digest, ref.locator) == data
+        assert self._served(service) == (0, 1, 0)
 
         other = self._service(sim, single_backend)
         sim.advance(3.0)
-        outcome = other.read_version("file-1", ref.digest)
-        assert outcome.source == "cloud" and outcome.data == data
+        assert other.read_version("file-1", ref.digest, ref.locator) == data
+        assert self._served(other) == (0, 0, 1)
 
     def test_cloud_read_waits_for_propagation(self, sim, single_backend):
         service = self._service(sim, single_backend)
@@ -347,13 +353,13 @@ class TestStorageService:
         with sim.background():
             ref = single_backend.write_version("file-1", data, version=1)
         start = sim.now()
-        outcome = service.read_version("file-1", ref.digest)
-        assert outcome.data == data
+        assert service.read_version("file-1", ref.digest, ref.locator) == data
         assert sim.now() > start  # had to poll at least once
 
     def test_empty_digest_means_empty_file(self, sim, single_backend):
         service = self._service(sim, single_backend)
-        assert service.read_version("file-1", "").data == b""
+        assert service.read_version("file-1", "", "") == b""
+        assert self._served(service) == (0, 0, 0)
 
     def test_a_dirty_open_buffer_never_reaches_the_disk_cache(self, sim, single_backend):
         # Four 1,000 B versions read through a 3,000 B memory cache evict a
@@ -368,7 +374,7 @@ class TestStorageService:
             data = bytes([index]) * 1000
             ref = service.push_to_cloud(f"f{index}", data, version=1)
             sim.advance(3.0)
-            assert service.read_version(f"f{index}", ref.digest, ref.locator).data == data
+            assert service.read_version(f"f{index}", ref.digest, ref.locator) == data
             assert not any(key.endswith("#open") for key in service.disk.keys())
         assert not service.memory.contains("big#open")
 
@@ -387,7 +393,7 @@ class TestStorageService:
         assert service.bytes_pushed == 8
         sim.advance(3.0)
         assert [len(single_backend.list_versions(file_id)) for file_id in "fg"] == [1, 1]
-        assert single_backend.read_version("g", refs[1].digest) == b"123"
+        assert single_backend.read_version("g", refs[1].digest, refs[1].locator) == b"123"
 
     def test_forget_drops_cached_version(self, sim, single_backend):
         service = self._service(sim, single_backend)
@@ -404,7 +410,8 @@ class TestStorageService:
         service.store_in_memory("f", "d1", b"one")
         service.flush_to_disk("f", "d2", b"two")      # an fsync of a newer version
         assert not service.memory.contains("f") and service.disk.contains("f", "d2")
-        assert service.read_version("f", "d2").source == "disk"
+        assert service.read_version("f", "d2", "") == b"two"
+        assert self._served(service) == (0, 1, 0)
         assert service.memory.contains("f", "d2")
         assert [list(cache.keys()) for cache in (service.memory, service.disk)] == [["f"], ["f"]]
 
@@ -439,8 +446,8 @@ class TestGarbageCollector:
                              [b"v1", b"v2" * 5, b"v3" * 10, b"v4" * 20])
         sim.advance(3.0)
         report = collector.run()
-        assert report.files_examined == 1
         assert report.versions_deleted == 1  # keeps current + two older (V = 3)
+        assert report.errors == []
         assert len(single_backend.list_versions("unit-doc.txt")) == 3
 
     def test_current_version_always_survives(self, sim, coordination, alice, single_backend):
@@ -458,7 +465,7 @@ class TestGarbageCollector:
         metadata.mark_deleted(meta)
         sim.advance(3.0)
         report = collector.run()
-        assert report.deleted_files_purged == 1
+        assert report.versions_deleted == 1
         assert single_backend.list_versions(meta.file_id) == []
         assert metadata.lookup("/gone.txt", use_cache=False) is None
 

@@ -335,9 +335,10 @@ class TestStreamingEncode:
         reference = coder.encode_into(data)
         stripes = self._stripes(coder, data, stripe_bytes=1000)
         assert stripes[0].start == 0
-        assert stripes[-1].stop == reference.shape[1]
+        last = stripes[-1]
+        assert last.start + last.blocks.shape[1] == reference.shape[1]
         for before, after in zip(stripes, stripes[1:], strict=False):
-            assert before.stop == after.start
+            assert before.start + before.blocks.shape[1] == after.start
         rebuilt = np.concatenate([s.blocks for s in stripes], axis=1)
         assert np.array_equal(rebuilt, reference)
 

@@ -125,7 +125,6 @@ class TestHeadAgreement:
             genuine = cloud.raw_object("depsky/unit/metadata")
             cloud.put("depsky/unit/metadata", forged.to_bytes(), alice)
             sim.advance(3.0)
-            assert client.read_matching("unit", record.data_digest).data == b"anchored" * 40
             assert client.read_latest("unit").data == b"anchored" * 40
             cloud.put("depsky/unit/metadata", genuine, alice)
 
@@ -159,9 +158,9 @@ class TestDepSkyClient:
         data = b"dependable storage" * 100
         record = client.write("unit", data)
         sim.advance(3.0)
-        result = client.read_matching("unit", record.data_digest)
+        result = client.read_matching("unit", record.data_digest, record)
         assert result.data == data
-        assert len(result.clouds_used) == client.k
+        assert len(result.stats.winner_clouds) == client.k
 
     def test_read_latest_returns_newest_version(self, sim, alice):
         client, _ = make_client(sim, alice)
@@ -179,25 +178,14 @@ class TestDepSkyClient:
         client.write("unit", b"version two")
         sim.advance(3.0)
         # The heads name the latest version only: an older one is read through
-        # its record (SCFS anchors it), found by LIST, or not at all.
+        # its record (SCFS anchors it).
         assert client.read_matching("unit", first.data_digest, record=first).data == \
             b"version one"
-        with pytest.raises(ObjectNotFoundError):
-            client.read_matching("unit", first.data_digest)
 
     def test_read_unknown_unit_raises(self, sim, alice):
         client, _ = make_client(sim, alice)
         with pytest.raises(ObjectNotFoundError):
             client.read_latest("ghost")
-        with pytest.raises(ObjectNotFoundError):
-            client.read_matching("ghost", "digest")
-
-    def test_read_not_yet_visible_digest_raises(self, sim, alice):
-        client, _ = make_client(sim, alice)
-        record = client.write("unit", b"data")
-        sim.advance(3.0)
-        with pytest.raises(ObjectNotFoundError):
-            client.read_matching("unit", "digest-that-does-not-exist" + record.data_digest[:8])
 
     def test_write_charges_quorum_latency(self, sim, alice):
         client, _ = make_client(sim, alice)
@@ -217,7 +205,7 @@ class TestDepSkyClient:
         data = b"still available" * 50
         record = client.write("unit", data)
         sim.advance(3.0)
-        assert client.read_matching("unit", record.data_digest).data == data
+        assert client.read_matching("unit", record.data_digest, record).data == data
 
     def test_tolerates_one_byzantine_cloud_on_read(self, sim, alice):
         client, clouds = make_client(sim, alice)
@@ -225,9 +213,9 @@ class TestDepSkyClient:
         record = client.write("unit", data)
         sim.advance(3.0)
         clouds[0].failures.add(FaultKind.BYZANTINE)
-        result = client.read_matching("unit", record.data_digest)
+        result = client.read_matching("unit", record.data_digest, record)
         assert result.data == data
-        assert clouds[0].name not in result.clouds_used
+        assert clouds[0].name not in result.stats.winner_clouds
 
     def test_healthy_read_takes_systematic_path(self, sim, alice):
         client, clouds = make_client(sim, alice)
@@ -237,8 +225,7 @@ class TestDepSkyClient:
         result = client.read_latest("unit")
         assert result.data == data
         assert result.path == "systematic"
-        assert result.block_indices == tuple(range(client.k))
-        assert result.clouds_used == [c.name for c in clouds[: client.k]]
+        assert sorted(result.stats.winner_clouds) == sorted(c.name for c in clouds[: client.k])
 
     def test_read_latest_falls_back_to_coded_blocks(self, sim, alice):
         """Regression: with exactly n - k systematic clouds failed, the read
@@ -256,11 +243,8 @@ class TestDepSkyClient:
         result = client.read_latest("unit")
         assert result.data == data
         assert result.path == "coded"
-        assert result.block_indices == (2, 3)
-        # clouds_used reflects the fallback: only non-failed, parity-holding clouds.
-        assert result.clouds_used == [c.name for c in clouds[failed:]]
-        for cloud in clouds[:failed]:
-            assert cloud.name not in result.clouds_used
+        # The winners are the fallback: the parity holders, no failed cloud.
+        assert sorted(result.stats.winner_clouds) == sorted(c.name for c in clouds[failed:])
 
     def test_single_failed_preferred_cloud_uses_spillover_block(self, sim, alice):
         client, clouds = make_client(sim, alice)
@@ -271,8 +255,8 @@ class TestDepSkyClient:
         result = client.read_latest("unit")
         assert result.data == data
         assert result.path == "coded"
-        assert result.block_indices == (1, 2)
-        assert clouds[0].name not in result.clouds_used
+        # Blocks 1 and 2: the second systematic holder and the first parity one.
+        assert sorted(result.stats.winner_clouds) == sorted(c.name for c in clouds[1:3])
 
     def test_two_unavailable_clouds_block_writes(self, sim, alice):
         client, clouds = make_client(sim, alice)
@@ -324,7 +308,7 @@ class TestDepSkyClient:
         data = b"public data" * 20
         record = client.write("unit", data)
         sim.advance(3.0)
-        assert client.read_matching("unit", record.data_digest).data == data
+        assert client.read_matching("unit", record.data_digest, record).data == data
 
     def test_confidentiality_no_single_cloud_holds_plaintext(self, sim, alice):
         client, clouds = make_client(sim, alice)
@@ -407,7 +391,7 @@ class TestDepSkyClient:
         client.set_acl("unit", bob_full, Permission.READ)
         sim.advance(3.0)
         reader = DepSkyClient(sim, clouds, bob_full, f=1)
-        assert reader.read_matching("unit", record.data_digest).data == b"shared data" * 30
+        assert reader.read_matching("unit", record.data_digest, record).data == b"shared data" * 30
 
     def test_acl_grant_covers_future_versions(self, sim, alice, bob):
         client, clouds = make_client(sim, alice)
@@ -417,7 +401,7 @@ class TestDepSkyClient:
         record = client.write("unit", b"v2 new version")
         sim.advance(3.0)
         reader = DepSkyClient(sim, clouds, bob_full, f=1)
-        assert reader.read_matching("unit", record.data_digest).data == b"v2 new version"
+        assert reader.read_matching("unit", record.data_digest, record).data == b"v2 new version"
 
 
 class TestPreferredOrder:
@@ -454,7 +438,7 @@ class TestPreferredOrder:
             reader = DepSkyClient(sim, [clouds[i] for i in order], alice, f=1)
             result = reader.read_matching("unit", record.data_digest, record=record)
             assert result.data == b"read me" * 100 and result.path == "systematic"
-            assert result.clouds_used == ["rackspace-files", "windows-azure"]
+            assert sorted(result.stats.winner_clouds) == ["rackspace-files", "windows-azure"]
 
 
 def _elapsed(sim, operation) -> float:
@@ -479,7 +463,7 @@ class TestWriteNumbered:
         assert batch == single > 0
         many_sim.advance(3.0)
         for index, record in enumerate(records):
-            assert many.read_matching(f"unit-{index}", record.data_digest).data == data
+            assert many.read_matching(f"unit-{index}", record.data_digest, record).data == data
 
     def test_each_phase_is_charged_once_at_its_slowest_member(self, sim, alice):
         client, _ = make_client(sim, alice)

@@ -558,7 +558,7 @@ class TestDispatchConfigPlumbing:
         store.failures.add(FaultKind.UNAVAILABLE, start=sim.now())
         for _ in range(2):
             with pytest.raises(CloudUnavailableError):
-                backend.read_version("file", ref.digest)
+                backend.read_version("file", ref.digest, ref.locator)
         assert backend.health is None and backend.health_stats() is None
 
 
@@ -574,10 +574,11 @@ class TestSuspicionStats:
         ref = backend.write_version("file", b"f" * 400, version=1)
         sim.advance(3.0)
         clouds[0].failures.add(FaultKind.UNAVAILABLE, start=sim.now())
-        backend.read_version("file", ref.digest)  # builds the suspicion
-        backend.read_version("file", ref.digest)  # demoted read
+        for _ in range(2):  # one block call each: two failures build the suspicion
+            backend.read_version("file", ref.digest, ref.locator)
+        backend.read_version("file", ref.digest, ref.locator)  # demoted read
         stats = backend.health.stats
-        assert stats.demoted_requests >= 2  # metadata + block call demotions
+        assert stats.suspicions == 1 and stats.demoted_requests >= 1
         assert stats.demoted_requests == sum(len(call.demoted) for call in calls)
         assert stats.probes == sum(call.probes for call in calls)
 

@@ -24,6 +24,11 @@ already has one.  The fourth check fails on every name a
 ``from <package> import <name>`` in ``src/``, ``benchmarks/``, ``examples/``
 or ``tests/`` imports through that package; importing a submodule of the
 package is not a re-export.
+
+A record field that nothing reads is a fact kept for no one.  The fifth
+check fails on every field of a ``@dataclass`` in ``src/repro`` (``ClassVar``
+fields aside) that no code in those trees reads, by the counters' rule.
+NamedTuples are not checked: callers unpack them by position.
 """
 
 from __future__ import annotations
@@ -200,6 +205,33 @@ def test_every_counter_in_src_is_read_outside_tests():
     unread = sorted(f"{path.relative_to(ROOT)}: {name}" for name, path in counters.items()
                     if name not in read)
     assert not unread, "counters that only tests read:\n" + "\n".join(unread)
+
+
+def _dataclass_fields(tree: ast.AST) -> list[tuple[str, str]]:
+    """``(class, field)`` of every ``@dataclass`` in ``tree``, ``ClassVar`` fields aside."""
+    def named(node: ast.expr, name: str) -> bool:
+        node = node.func if isinstance(node, ast.Call) else node
+        node = node.value if isinstance(node, ast.Subscript) else node
+        return name in (getattr(node, "id", None), getattr(node, "attr", None))
+
+    return [(cls.name, statement.target.id) for cls in ast.walk(tree)
+            if isinstance(cls, ast.ClassDef)
+            and any(named(decorator, "dataclass") for decorator in cls.decorator_list)
+            for statement in cls.body
+            if isinstance(statement, ast.AnnAssign) and isinstance(statement.target, ast.Name)
+            and not named(statement.annotation, "ClassVar")]
+
+
+def test_every_dataclass_field_in_src_is_read_outside_tests():
+    trees = _trees(*CALLER_TREES)
+    fields = [(path, cls, name) for path, tree in trees.items()
+              if path.is_relative_to(ROOT / "src" / "repro")
+              for cls, name in _dataclass_fields(tree)]
+    assert len(fields) > 200
+    read = set().union(*(_reads(tree) for tree in trees.values()))
+    unread = [f"{path.relative_to(ROOT)}: {cls}.{name}" for path, cls, name in fields
+              if name not in read]
+    assert not unread, "dataclass fields that only tests read:\n" + "\n".join(unread)
 
 
 def test_every_package_reexport_is_imported_through_the_package():

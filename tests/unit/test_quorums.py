@@ -183,7 +183,6 @@ class TestQuorumPlanner:
         plan = self.planner(latencies, costs).plan(CLOUDS, 2, "object_get", 0)
         assert set(plan.primary) == {"rackspace-files", "windows-azure"}
         assert set(plan.fallback) == {"amazon-s3", "google-storage"}
-        assert plan.expected_latency == pytest.approx(0.095)
 
     def test_primary_preserves_candidate_order(self):
         latencies = dict.fromkeys(CLOUDS, 0.1)

@@ -158,9 +158,11 @@ def test_a_wrong_hint_leaves_the_poll_as_the_safety_net(shared):
 
 def test_exhausting_the_retry_limit_raises_a_typed_error(shared):
     deployment, alice, bob, meter = shared
+    # A well-formed locator, but no version of this file was ever written.
+    locator = alice.stat("/f").locator
     started = deployment.sim.now()
     with pytest.raises(VersionUnavailableError) as raised:
-        bob.storage.read_version("file-never-written", "ab" * 32)
+        bob.storage.read_version("file-never-written", "ab" * 32, locator)
     error = raised.value
     assert isinstance(error, ObjectNotFoundError)
     assert (error.file_id, error.digest_prefix, error.attempts) == (
@@ -191,12 +193,12 @@ def test_a_bad_systematic_block_under_the_locator_falls_back_to_parity(unit, fau
     assert (backend.read_paths.coded, backend.read_paths.systematic) == (1, 0)
 
 
-def test_a_failed_read_matching_bills_exactly_n_gets(unit):
+def test_a_failed_read_latest_bills_exactly_n_gets(unit):
     backend, _ref, _data = unit
     clouds = backend.client.clouds
     logged = [len(cloud.request_log) for cloud in clouds]
     with pytest.raises(ObjectNotFoundError):
-        backend.client.read_matching("unit", "00" * 32)
+        backend.client.read_latest("ghost")
     new = [entry for cloud, start in zip(clouds, logged) for entry in cloud.request_log[start:]]
     assert [kind for kind, _key, _size in new] == ["get"] * backend.client.n
 
