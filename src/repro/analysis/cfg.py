@@ -62,9 +62,6 @@ class LockFlow:
 
     def __init__(self, classify: CallClassifier) -> None:
         self._classify = classify
-        #: Keys released anywhere during the most recent :meth:`walk_body`
-        #: call *at the current recursion level* (loop approximation input).
-        self.released_keys: set[str] = set()
 
     # ------------------------------------------------------------------ entry
 
@@ -251,7 +248,6 @@ class LockFlow:
             elif action == "release_all":
                 released |= mutable
                 mutable.clear()
-        self.released_keys |= released
         return frozenset(mutable), released
 
     @staticmethod

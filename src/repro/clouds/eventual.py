@@ -119,7 +119,6 @@ class EventuallyConsistentStore:
         # prefix-level grants commercial clouds offer; SCFS's setfacl uses them
         # so that *future* versions of a shared file inherit the grant.
         self._bucket_policies: dict[str, ACL] = {}
-        self.request_log: list[tuple[str, str, int]] = []
 
     # ------------------------------------------------------------------ util
 
@@ -180,7 +179,6 @@ class EventuallyConsistentStore:
     def put(self, key: str, data: bytes, principal: Principal) -> ObjectVersion:
         self._fail_if_unavailable()
         self._charge(self.profile.object_put, len(data))
-        self.request_log.append(("put", key, len(data)))
         self.costs.record_put(len(data))
         now = self.sim.now()
         current = self._objects.get(key)
@@ -220,7 +218,6 @@ class EventuallyConsistentStore:
         visible = obj.visible_version(self.sim.now()) if obj is not None else None
         payload = visible.data if visible is not None else b""
         self._charge(self.profile.object_get, len(payload))
-        self.request_log.append(("get", key, len(payload)))
         self.costs.record_get(len(payload))
         if visible is None:
             raise ObjectNotFoundError(f"{self.name}: no visible object under key {key!r}")
@@ -230,7 +227,6 @@ class EventuallyConsistentStore:
     def delete(self, key: str, principal: Principal) -> None:
         self._fail_if_unavailable()
         self._charge(self.profile.object_delete)
-        self.request_log.append(("delete", key, 0))
         self.costs.record_delete()
         obj = self._objects.get(key)
         if obj is None:
@@ -243,7 +239,6 @@ class EventuallyConsistentStore:
     def list_keys(self, prefix: str, principal: Principal) -> ObjectListing:
         self._fail_if_unavailable()
         self._charge(self.profile.object_list)
-        self.request_log.append(("list", prefix, 0))
         self.costs.record_list()
         now = self.sim.now()
         cid = principal.canonical_id(self.name)
@@ -259,7 +254,6 @@ class EventuallyConsistentStore:
     def exists(self, key: str, principal: Principal) -> bool:
         self._fail_if_unavailable()
         self._charge(self.profile.metadata_op)
-        self.request_log.append(("exists", key, 0))
         obj = self._objects.get(key)
         visible = obj.visible_version(self.sim.now()) if obj is not None else None
         return visible is not None and self._allows(
@@ -276,7 +270,6 @@ class EventuallyConsistentStore:
         """
         self._fail_if_unavailable()
         self._charge(self.profile.metadata_op)
-        self.request_log.append(("set_policy", prefix, 0))
         self.install_policy(prefix, grantee_canonical_id, permission)
 
     # --------------------------------------------------------------- helpers

@@ -53,9 +53,7 @@ class VersionUnavailableError(ObjectNotFoundError):
             f"version {digest[:12]}… of {file_id!r} is still unreadable after "
             f"{attempts} attempts over {waited:.1f} simulated seconds")
         self.file_id = file_id
-        self.digest_prefix = digest[:12]
         self.attempts = attempts
-        self.waited = waited
 
 
 class AccessDeniedError(CloudError):
@@ -137,11 +135,6 @@ class TransactionAbortedError(TransactionError):
 
 class QuorumNotReachedError(ReproError):
     """Fewer than the required number of replicas/clouds answered."""
-
-    def __init__(self, message: str, responses: int = 0, required: int = 0):
-        super().__init__(message)
-        self.responses = responses
-        self.required = required
 
 
 # ---------------------------------------------------------------------------

@@ -41,8 +41,8 @@ is one command whatever its number of steps, all or nothing: a lock set taken
 or returned, a set of entries read, a set of entries conditionally replaced
 or updated field by field — or a lock set taken *and* the entries it guards
 read or inserted.  A transaction commit is three commands for any number of
-files: ``{lock set, validating reads, pending intent}``, ``{Update of every
-written entry, intent flip}`` and the lock set's release.
+files: ``{lock set, validating reads, intent}``, ``{Update of every
+written entry, intent deletion}`` and the lock set's release.
 
 The ``*_command`` builders hand out the command of ``close_session``,
 ``list_entries`` and ``multi`` unsent, so a namespace-partitioned service can
@@ -116,9 +116,6 @@ class DepSpaceCoordination(CoordinationService):
                                 holder=holder)
 
     # -- introspection ------------------------------------------------------
-
-    def lock_holder(self, name: str) -> str | None:
-        return self.rsm.reference_replica().lock_holder(name, self.sim.now())
 
     def entry_count(self) -> int:
         return self.rsm.reference_replica().entry_count()

@@ -253,10 +253,6 @@ class CoordinationService(abc.ABC):
         """
         self.multi([Unlock(name)], session)
 
-    @abc.abstractmethod
-    def lock_holder(self, name: str) -> str | None:
-        """Session id currently holding ``name`` (None when free); test helper."""
-
     # -- introspection -------------------------------------------------------
 
     @abc.abstractmethod

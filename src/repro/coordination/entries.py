@@ -296,12 +296,6 @@ class EntryCommands:
         """Number of stored entries (introspection, not a replicated command)."""
         return len(self._entries)
 
-    def lock_holder(self, name: str, now: float) -> str | None:
-        """Session id holding the unexpired lock ``name`` (None: free)."""
-        self._expire(now)
-        held = self._locks.get(name)
-        return None if held is None else held.session_id
-
     def apply(self, command: tuple[str, tuple[Any, ...], dict[str, Any]]) -> Any:
         """Dispatch a replicated command (see :class:`ReplicatedStateMachine`): one of :attr:`COMMANDS`."""
         operation, args, kwargs = command

@@ -143,7 +143,7 @@ class PartitionedCoordination(CoordinationService):
         Among the entry steps the partition of the *last* goes after every
         other, so a caller that ends them with the step recording the outcome
         (the transaction commit ends its first command with the ``pending``
-        intent and its commit point with the intent's flip to ``committed``)
+        intent and its commit point with the intent's deletion)
         knows that step applied only once every other partition accepted.
 
         Commands that need not wait for one another go out together and cost
@@ -201,11 +201,6 @@ class PartitionedCoordination(CoordinationService):
             for position, answer in zip(positions, replies, strict=True):
                 results[position] = answer
         return results
-
-    # -- locking --------------------------------------------------------------------
-
-    def lock_holder(self, name: str) -> str | None:
-        return self.services[self.lock_partition(name)].lock_holder(name)
 
     # -- introspection ----------------------------------------------------------------
 

@@ -149,10 +149,7 @@ class ReplicatedStateMachine:
         correct = self.correct_replicas
         if len(correct) < self.quorum_size():
             raise QuorumNotReachedError(
-                f"only {len(correct)} correct replicas, quorum of {self.quorum_size()} required",
-                responses=len(correct),
-                required=self.quorum_size(),
-            )
+                f"only {len(correct)} correct replicas, quorum of {self.quorum_size()} required")
         return correct
 
     def _round_trip(self) -> float | None:
@@ -176,7 +173,7 @@ class ReplicatedStateMachine:
         """Return one correct replica, for read-only introspection by tests."""
         correct = self.correct_replicas
         if not correct:
-            raise QuorumNotReachedError("no correct replica available", 0, 1)
+            raise QuorumNotReachedError("no correct replica available")
         return self.replicas[correct[0]]
 
 

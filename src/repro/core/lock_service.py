@@ -58,6 +58,10 @@ class LockService:
         #: let another client grab the lock while e.g. a second open of the same
         #: file — or a pending non-blocking commit — was still writing.)
         self.held: dict[str, int] = {}
+        #: Lock name -> when this agent's take of it lapses: the time of the
+        #: command that took it plus the session's lease, the deadline that
+        #: command stamps on its holder.  A re-entrant take keeps the first.
+        self.lapses: dict[str, float] = {}
 
     @staticmethod
     def lock_name(metadata: FileMetadata) -> str:
@@ -104,7 +108,9 @@ class LockService:
         agent may release one acquisition of it meanwhile — counted after,
         that release would hand back a lock this call then claims to hold.
         The names taken from the service are counted once the command
-        succeeded, and one ``lock`` transition fires per name taken.  A
+        succeeded, with the lapse of a lease counted from the call (a later
+        command of a partitioned service lapses later on its replicas), and
+        one ``lock`` transition fires per name taken.  A
         refusal takes no name and fires no ``lock`` transition; it rolls each
         re-entrant count back through :meth:`_release`, which returns (and
         fires ``unlock`` for) a lock whose other acquisition was released
@@ -122,6 +128,7 @@ class LockService:
         for name in reentrant:
             self.held[name] += 1
         steps = [Lock(name) for name in fresh]
+        lapse = self.sim.now() + self.session.lease_seconds
         try:
             if send is not None:
                 send(steps)
@@ -136,6 +143,7 @@ class LockService:
             raise
         for name in fresh:
             self.held[name] = self.held.get(name, 0) + 1
+            self.lapses.setdefault(name, lapse)
         self._transitions("lock", fresh)
         return True
 
@@ -171,6 +179,7 @@ class LockService:
             self.held[name] -= 1
             if self.held[name] == 0:
                 del self.held[name]
+                del self.lapses[name]
         self._transitions("unlock", returned)
 
     def _transitions(self, kind: str, names: Sequence[str]) -> None:
@@ -179,16 +188,17 @@ class LockService:
                 self.on_transition(kind, name)
 
     def still_held(self, metadata: FileMetadata) -> bool:
-        """True when the coordination service still shows this agent as holder.
+        """True while this agent holds the lock on ``metadata`` and its lease has not lapsed.
 
         DepSpace times a lock's lease from its take: a holder that stays busy
         past ``lease_seconds`` loses the lock silently while its own ``held``
-        count still names it.
+        count still names it.  The lapse is the one this agent counted at the
+        take, no later than the replicas' own, so the check sends nothing.
         Commit paths re-check here before irreversible steps, turning a stolen
-        lock into a clean abort instead of a version fork.  Always True with locking disabled (nothing
-        can be stolen without a lock service).
+        lock into a clean abort instead of a version fork.  Always True with
+        locking disabled (nothing can be stolen without a lock service).
         """
         if self.coordination is None:
             return True
-        name = self.lock_name(metadata)
-        return name in self.held and self.coordination.lock_holder(name) == self.session.session_id
+        lapse = self.lapses.get(self.lock_name(metadata))
+        return lapse is not None and self.sim.now() < lapse

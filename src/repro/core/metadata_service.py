@@ -145,7 +145,7 @@ class MetadataService:
         snapshot — what the transactional commit validates under its locks,
         which ride in the same command as ``also`` (the lock service's
         ``Lock`` steps: the snapshot is then taken with the locks granted).
-        ``then`` rides behind the reads — the commit's ``pending`` intent: a
+        ``then`` rides behind the reads — the commit's intent: a
         partitioned service sends the partition of a command's last entry step
         after every other, so the intent is written only once every lock was
         granted and every read accepted.
@@ -287,7 +287,7 @@ class MetadataService:
         another file or is not at ``expected_version`` (None: any) — the
         check that stops a lock-lease usurper and the original holder from
         both anchoring a version.  ``also`` rides behind: a transaction's
-        intent flip.  Returns, and caches, the merged tuples; a refusal
+        intent's deletion.  Returns, and caches, the merged tuples; a refusal
         leaves this agent's view of each path what the refusal met.
         """
         steps = [Update(self.entry_key(metadata.path), metadata.file_id,

@@ -108,7 +108,6 @@ from repro.clouds.health import CloudHealthTracker, QuorumPlanner, expected_late
 from repro.clouds.eventual import EventuallyConsistentStore
 from repro.clouds.object_store import ObjectVersion
 from repro.clouds.quorums import (
-    QuorumPredicate,
     QuorumSystem,
     ThresholdQuorumSystem,
     WeightedQuorumSystem,
@@ -565,7 +564,7 @@ class DepSkyClient:
             put_stats = block_puts.execute(required=required_acks)
             self._tap("block_put", unit_id, put_stats)
             block_stats.append(put_stats)
-        self._require_acks(unit_ids, block_stats, required_acks, "data blocks")
+        self._require_acks(unit_ids, block_stats, "data blocks")
         self._charge(*block_stats)
 
         head_stats: list[QuorumCallStats] = []
@@ -573,7 +572,7 @@ class DepSkyClient:
             head_put_stats = self._head_put_call(unit_id, record).execute(required=required_acks)
             self._tap("meta_put", unit_id, head_put_stats)
             head_stats.append(head_put_stats)
-        self._require_acks(unit_ids, head_stats, required_acks, "head")
+        self._require_acks(unit_ids, head_stats, "head")
         self._charge(*head_stats)
         for unit_id, record in zip(unit_ids, records, strict=True):
             self._floor[unit_id] = record.version
@@ -626,15 +625,12 @@ class DepSkyClient:
         return self._call().stage([self._put_request(c, key, head) for c in self.clouds])
 
     @staticmethod
-    def _require_acks(unit_ids: list[str], stats: list[QuorumCallStats],
-                      required: QuorumPredicate, what: str) -> None:
+    def _require_acks(unit_ids: list[str], stats: list[QuorumCallStats], what: str) -> None:
         """Raise for the first unit whose ``what`` put missed its write quorum."""
         for unit_id, call in zip(unit_ids, stats, strict=True):
             if not call.reached:
                 raise QuorumNotReachedError(
-                    f"only {len(call.successes)} clouds acknowledged the {what} of {unit_id!r}",
-                    responses=len(call.successes), required=required.min_size,
-                )
+                    f"only {len(call.successes)} clouds acknowledged the {what} of {unit_id!r}")
 
     def _stage_version(self, unit_id: str, version: int,
                        data: bytes) -> tuple[VersionRecord, QuorumCall]:
@@ -815,9 +811,7 @@ class DepSkyClient:
         self._charge(stats)
         if not stats.reached:
             raise QuorumNotReachedError(
-                f"could not gather {self.k} valid blocks of {unit_id!r} v{record.version}",
-                responses=len(stats.successes), required=self.k,
-            )
+                f"could not gather {self.k} valid blocks of {unit_id!r} v{record.version}")
         # Winners land in completion order; decode and report in row order.
         winners = sorted(stats.winners, key=lambda trace: trace.value[0][0].index)
         blocks = [trace.value[0][0] for trace in winners]

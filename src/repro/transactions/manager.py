@@ -17,19 +17,19 @@ BFT-transaction designs (Basil, arXiv:2109.12443):
       by lock name, as one all-or-nothing lock set, and
    b. in the same command (the lock rides in the command it guards) re-read
       every entry of the union, and
-   c. still in the same command write the **intent record** (``txn:<id>``,
-      ``pending``), its file list built from the read records: a refused lock
-      leaves no intent.  Validate every read against the snapshot, taken
-      under the locks; from here on whatever ends the attempt flips the
-      intent to ``aborted``;
+   c. still in the same command write the **intent record** (``txn:<id>``),
+      its file list built from the read records: a refused lock leaves no
+      intent.  Validate every read against the snapshot, taken under the
+      locks; from here on whatever ends the attempt deletes the intent;
    d. upload the new data versions to the cloud(s), the whole write set
       moving through the DepSky put phases together.  Each version is
       numbered by the anchor just validated — the one after the version the
       entry's locator names — so no cloud is asked for its head first;
    e. the **commit point**: one command holding an ``Update`` of every
       written entry's data fields at the entry version validated *and* the
-      intent's flip to ``committed`` — every file is anchored and the intent
-      says so, or nothing changed.  Steps d and e are the agent's one publish
+      intent's deletion — every file is anchored and the intent is gone, or
+      nothing changed.  An intent that stays names a commit in flight, or one
+      whose committer died.  Steps d and e are the agent's one publish
       step (:meth:`~repro.core.agent.SCFSAgent._publish`), the one a close
       takes for its single file;
    f. release the lock set, and keep the written bytes in the local caches
@@ -83,7 +83,7 @@ from repro.common.errors import (
     TransactionConflictError,
     TransactionError,
 )
-from repro.coordination.base import Put
+from repro.coordination.base import Delete, Put
 from repro.core.metadata import FileMetadata, FileType, normalize_path
 from repro.crypto.hashing import content_digest
 
@@ -100,7 +100,7 @@ Snapshot = dict[str, tuple[FileMetadata, int] | None]
 #: Prefix of transaction intent records in the coordination service.
 TXN_PREFIX = "txn:"
 
-#: Lifecycle states of a transaction (mirrored in the intent record).
+#: Lifecycle states of a transaction.
 ACTIVE, COMMITTED, ABORTED = "active", "committed", "aborted"
 
 #: Commit attempts of :meth:`TransactionManager.run` (first try included)
@@ -327,8 +327,7 @@ class TransactionManager:
             [path, file_id, version, version + 1, content_digest(txn._writes[path])]
             for path, (file_id, version) in sorted(seen.items()) if path in txn._writes]
         key = TXN_PREFIX + txn.txn_id
-        intent = [Put(key, self._intent(txn, "pending", files),
-                      expected_version=0)] if files else []
+        intent = [Put(key, self._intent(txn, files), expected_version=0)] if files else []
         found: Snapshot = {}
         agent.locks.acquire_set(locked, lambda also: found.update(
             agent.metadata.lookup_many_versioned(paths, also=also, then=intent)))
@@ -342,11 +341,10 @@ class TransactionManager:
                             f"lock lease on {meta.path} expired during commit")
                 readable_at = self._anchor_writes(txn, current, files) if files else 0.0
             except ReproError:
-                # Whatever ended the attempt, the intent is still the pending
-                # one (the commit point applies its flip last, or nothing).
+                # Whatever ended the attempt, the intent is still there (the
+                # commit point deletes it last, or changes nothing).
                 if files:
-                    agent.coordination.put(key, self._intent(txn, ABORTED, files),
-                                           agent.session, expected_version=1)
+                    agent.coordination.delete(key, agent.session)
                 raise
             txn.status = COMMITTED
             self._emit_commit(txn)
@@ -423,9 +421,7 @@ class TransactionManager:
                            agent.backend.version_after(meta.locator, meta.data_version),
                            entry_version))
         try:
-            agent._publish(writes, also=[Put(TXN_PREFIX + txn.txn_id,
-                                             self._intent(txn, COMMITTED, files),
-                                             expected_version=1)],
+            agent._publish(writes, also=[Delete(TXN_PREFIX + txn.txn_id)],
                            background=False, txn=txn.txn_id)
         except ConflictError as exc:
             # Unreachable while the locks hold (validated entry versions
@@ -438,9 +434,9 @@ class TransactionManager:
         return max(agent.backend.estimate_readable_at(meta.locator)
                    for meta, _data, _version, _entry in writes)
 
-    def _intent(self, txn: Transaction, status: str, files: IntentFiles | list[str],
+    def _intent(self, txn: Transaction, files: IntentFiles | list[str],
                 **rename: list[str]) -> bytes:
-        """The intent record of ``txn`` in state ``status``, serialized.
+        """The intent record of ``txn``, serialized.
 
         A commit's ``files`` are its :data:`IntentFiles`; a ``rename_tree``'s
         are the paths it moves, and ``rename`` is ``[old_path, new_path]``.
@@ -448,7 +444,6 @@ class TransactionManager:
         return json.dumps({
             "txn": txn.txn_id,
             "writer": self.agent.principal.name,
-            "status": status,
             "files": files,
             **rename,
         }, sort_keys=True).encode()
@@ -476,9 +471,10 @@ class TransactionManager:
         Every *file* under the tree is locked first, as one lock set (lock
         names are keyed by file id, so they survive the rename), an intent
         record marks the operation, and the namespace move itself is one
-        listing plus one conditional move per entry.  Concurrent closes of the
-        moved files are excluded by the locks, so no background commit can
-        resurrect the old path half-way through.
+        listing plus one conditional move per entry; the intent is deleted
+        once the rename is done, or failed before moving anything.  Concurrent
+        closes of the moved files are excluded by the locks, so no background
+        commit can resurrect the old path half-way through.
         """
         agent = self.agent
         old_path, new_path = normalize_path(old_path), normalize_path(new_path)
@@ -505,22 +501,19 @@ class TransactionManager:
         old_path = meta.path
         locked = sorted(files, key=agent.locks.lock_name)
         key, paths = TXN_PREFIX + txn.txn_id, sorted(m.path for m in files)
-
-        def intent(status: str) -> bytes:
-            return self._intent(txn, status, paths, rename=[old_path, new_path])
-
         agent.locks.acquire_set(locked)
         try:
-            agent.coordination.put(key, intent("pending"), agent.session)
+            agent.coordination.put(key, self._intent(txn, paths, rename=[old_path, new_path]),
+                                   agent.session)
             try:
                 agent.rename(old_path, new_path)
             except ReproError:
                 # The object's own entry moves first: while it is in place
-                # nothing moved, and the intent says the rename is over.
+                # nothing moved, and the rename is over.
                 if self._holds(old_path, meta.file_id):
-                    agent.coordination.put(key, intent(ABORTED), agent.session, expected_version=1)
+                    agent.coordination.delete(key, agent.session)
                 raise
-            agent.coordination.put(key, intent(COMMITTED), agent.session, expected_version=1)
+            agent.coordination.delete(key, agent.session)
             txn.status = COMMITTED
             agent._emit("txn_commit", txn=txn.txn_id, began=txn.began, attempts=1,
                         reads=[], writes=[], renamed_from=old_path,

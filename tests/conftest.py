@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import hashlib
 
@@ -9,7 +10,10 @@ import pytest
 
 from repro.clouds.dispatch import QuorumCall
 from repro.clouds.eventual import EventuallyConsistentStore
+from repro.common.errors import CloudUnavailableError, ReproError
 from repro.common.types import Principal
+from repro.coordination.adapters import DepSpaceCoordination
+from repro.coordination.partitioned import PartitionedCoordination
 from repro.core.gc import GarbageCollector
 from repro.simenv.environment import Simulation
 
@@ -40,15 +44,67 @@ def bob() -> Principal:
     return Principal(name="bob", canonical_ids=(("amazon-s3", "bob@amazon-s3"),))
 
 
+def lock_holder(coordination, name: str, now: float | None = None) -> str | None:
+    """The session id holding the lock ``name`` unlapsed (None: free); changes nothing.
+
+    ``coordination`` is a service, read at the simulated now in the lock table
+    of the reference replica of the partition the lock lives on, or one
+    replica (``EntryCommands``), read at ``now``.
+    """
+    if isinstance(coordination, PartitionedCoordination):
+        coordination = coordination.services[coordination.lock_partition(name)]
+    if isinstance(coordination, DepSpaceCoordination):
+        now, coordination = coordination.sim.now(), coordination.rsm.reference_replica()
+    held = coordination._locks.get(name)
+    return held.session_id if held is not None and now < held.deadline else None
+
+
+#: The request methods of a store, and the kind each request is listed as.
+REQUEST_KINDS = {"put": "put", "get": "get", "delete": "delete", "list_keys": "list",
+                 "exists": "exists", "set_bucket_policy": "set_policy"}
+
+
+def _serving(monkeypatch) -> dict:
+    served = collections.defaultdict(list)
+    for method, kind in REQUEST_KINDS.items():
+        def wrapped(store, key, *args, _call=getattr(EventuallyConsistentStore, method),
+                    _kind=kind):
+            size = len(args[0]) if _kind == "put" else 0
+            try:
+                result = _call(store, key, *args)
+            except CloudUnavailableError:
+                raise
+            except ReproError:
+                served[store].append((_kind, key, size))
+                raise
+            served[store].append((_kind, key, len(result) if _kind == "get" else size))
+            return result
+
+        monkeypatch.setattr(EventuallyConsistentStore, method, wrapped)
+    return served
+
+
+@pytest.fixture
+def cloud_requests(monkeypatch) -> dict:
+    """``cloud_requests[store]``: ``(kind, key, size)`` of each request ``store`` served in the test.
+
+    Wraps the stores' request methods for the test.  ``size`` is what a put
+    sends or a get returns, 0 otherwise (a ``("get", key, 0)`` is a billed
+    not-found); a request refused as unavailable was not served.
+    """
+    return _serving(monkeypatch)
+
+
 class CloudMeter:
     """Quorum calls executed and cloud requests served, deployment-wide, since ``mark()``.
 
-    Counted below DepSky: at ``QuorumCall.execute`` and in the providers'
-    ``request_log`` (the read and write budget tests).
+    Counted below DepSky: at ``QuorumCall.execute`` and in the stores'
+    request methods (the read and write budget tests).
     """
 
     def __init__(self, clouds, monkeypatch):
         self.clouds = clouds
+        self.served = _serving(monkeypatch)
         self.calls = 0
         execute = QuorumCall.execute
 
@@ -61,7 +117,7 @@ class CloudMeter:
 
     def mark(self) -> None:
         self._calls = self.calls
-        self._logged = [len(cloud.request_log) for cloud in self.clouds]
+        self._logged = [len(self.served[cloud]) for cloud in self.clouds]
 
     def quorum_calls(self) -> int:
         return self.calls - self._calls
@@ -69,12 +125,12 @@ class CloudMeter:
     def requests(self, kind: str | None = None) -> list[tuple[str, str, int]]:
         """``(kind, key, bytes)`` of every request (of ``kind``) since the mark."""
         return [entry for cloud, start in zip(self.clouds, self._logged)
-                for entry in cloud.request_log[start:] if kind in (None, entry[0])]
+                for entry in self.served[cloud][start:] if kind in (None, entry[0])]
 
     def asked(self, kind: str) -> list[str]:
         """Names of the clouds sent a ``kind`` request since the mark, in meter order."""
         return [cloud.name for cloud, start in zip(self.clouds, self._logged)
-                if any(entry[0] == kind for entry in cloud.request_log[start:])]
+                if any(entry[0] == kind for entry in self.served[cloud][start:])]
 
 
 @pytest.fixture

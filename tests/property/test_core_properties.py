@@ -41,6 +41,8 @@ from repro.core.storage_service import StorageService
 from repro.core.deployment import SCFSDeployment
 from repro.simenv.environment import Simulation
 
+from conftest import lock_holder
+
 
 class TestLRUCacheProperties:
     @settings(max_examples=60, deadline=None)
@@ -280,7 +282,7 @@ def _assert_agree(replica, model):
             assert listed == model.listing(prefix, user)
     assert replica.entry_count() == len(model.entries)
     for name in LOCKS:
-        assert replica.lock_holder(name, 0.0) == model.locks.get(name)
+        assert lock_holder(replica, name, 0.0) == model.locks.get(name)
 
 
 class TestEntryStoreProperties:

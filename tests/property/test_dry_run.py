@@ -13,7 +13,7 @@ succeeds: a GET of a stored object, published to a coalescer.  Then:
 
 * ``dry_run()`` equals ``execute(required).charged`` exactly;
 * the dry run sent nothing and left everything as it found it: the RNG (a
-  jittered GET draws), the stores' request logs and costs, the tracker's
+  jittered GET draws), the stores' billed requests, the tracker's
   counters, records and transitions, and the coalescer.
 """
 
@@ -89,7 +89,7 @@ def _state(sim, clouds, tracker, transitions, coalescer) -> tuple:
     """Everything a dry run must leave as it found it."""
     return (
         sim.rng.getstate(),
-        [(list(cloud.request_log), dataclasses.replace(cloud.costs.usage)) for cloud in clouds],
+        [dataclasses.replace(cloud.costs.usage) for cloud in clouds],
         dataclasses.replace(tracker.stats),
         sorted(dataclasses.astuple(record) for record in tracker._clouds.values()),
         list(transitions),

@@ -193,12 +193,18 @@ def _numbered_history(faulty: int, lie: str, steps) -> None:
     alice = Principal("alice", tuple((cloud.name, f"alice@{cloud.name}") for cloud in clouds))
     liar = Liar(clouds[faulty], lie)
     put_blobs: dict[tuple[str, str], set[str]] = {}
+    head_asked: list[str] = []
     for cloud in clouds:
         def recording_put(key, data, principal, put=cloud.put, name=cloud.name):
             if key != HEAD_KEY:  # the head is the one object a write replaces
                 put_blobs.setdefault((name, key), set()).add(hashlib.sha256(data).hexdigest())
             return put(key, data, principal)
-        cloud.put = recording_put
+
+        def recording_get(key, principal, get=cloud.get, name=cloud.name):
+            if key == HEAD_KEY:
+                head_asked.append(name)
+            return get(key, principal)
+        cloud.put, cloud.get = recording_put, recording_get
     writers = [CloudOfCloudsBackend(sim, clouds, alice, f=1, dispatch=DispatchPolicyConfig())
                for _ in range(2)]
 
@@ -206,8 +212,7 @@ def _numbered_history(faulty: int, lie: str, steps) -> None:
         return GarbageCollector(sim, math.inf, None, SimpleNamespace(forget=lambda *_args: None), backend)
 
     def head_gets() -> int:
-        return sum(1 for cloud in clouds for kind, key, _size in cloud.request_log
-                   if kind == "get" and key == HEAD_KEY)
+        return len(head_asked)
 
     def meta():
         return SimpleNamespace(file_id=UNIT, digest=anchor[1], locator=anchor[2],

@@ -30,6 +30,8 @@ from repro.coordination.adapters import DepSpaceCoordination
 from repro.coordination.base import Lock
 from repro.simenv.environment import Simulation
 
+from conftest import lock_holder
+
 NAMES = tuple(f"filelock:f{index}" for index in range(8))
 
 _case = st.fixed_dictionaries({
@@ -62,7 +64,7 @@ def _script(case: dict, coordination, services, sim: Simulation) -> None:
             coordination.multi([Lock(name) for name in names], session)
 
     def holders() -> list[str | None]:
-        return [coordination.lock_holder(name) for name in NAMES]
+        return [lock_holder(coordination, name) for name in NAMES]
 
     expected = [alice.session_id if name in mine else bob.session_id if name in theirs
                 else None for name in NAMES]

@@ -29,6 +29,8 @@ from hypothesis import given, settings, strategies as st
 from repro.common.errors import LockHeldError
 from repro.core.deployment import SCFSDeployment
 
+from conftest import lock_holder
+
 SERVICES = {
     "depspace": {},
     "partitioned": {"coordination_partitions": 2},
@@ -101,4 +103,4 @@ def test_racing_creators_create_once_and_leave_no_lock(case):
                for fs in mounts)
     taken = sorted({event["lock"] for event in events if event["kind"] == "lock"})
     assert f"filelock:{opens[0]['file_id']}" in taken
-    assert [name for name in taken if deployment.coordination.lock_holder(name) is not None] == []
+    assert [name for name in taken if lock_holder(deployment.coordination, name) is not None] == []

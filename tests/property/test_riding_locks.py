@@ -45,6 +45,8 @@ from repro.core.metadata import FileMetadata, FileType
 from repro.core.metadata_service import MetadataService
 from repro.simenv.environment import Simulation
 
+from conftest import lock_holder
+
 FILES = tuple(f"f{index}" for index in range(4))
 PRIVATE = "meta:/d/private"  # bob's: alice may neither read nor write it
 
@@ -135,7 +137,7 @@ def test_refused_riding_command_leaves_locks_entries_and_bookkeeping_alone(case)
     for file_id in FILES:
         owner = alice if file_id in held_before else bob if (
             refusal == "held" and file_id == victim) else None
-        assert service.lock_holder(_lock(file_id)) == (owner and owner.session_id), file_id
+        assert lock_holder(service, _lock(file_id)) == (owner and owner.session_id), file_id
     partition = getattr(service, "partition_of", lambda key: 0)
     for file_id in FILES:
         if refusal == "held" or partition(_key(file_id)) == partition(refusing):
@@ -166,7 +168,7 @@ def test_accepted_riding_command_settles_counts_and_applies_every_step(case):
     locks.release_set(wanted)
     assert sorted(locks.held) == sorted(map(_lock, case["held"]))
     for file_id in FILES:
-        holder = service.lock_holder(_lock(file_id))
+        holder = lock_holder(service, _lock(file_id))
         assert holder == (alice.session_id if file_id in case["held"] else None)
 
 
@@ -262,7 +264,7 @@ def test_riding_command_keeps_every_count_with_the_service(case):
         hold = (name in case["held"]) - (name in pending) + (name in wanted and not refused)
         lock = LockService.lock_name(metas[name])
         assert locks.held.get(lock, 0) == hold, name
-        mine = service.lock_holder(lock) == alice.session_id
+        mine = lock_holder(service, lock) == alice.session_id
         assert mine == (hold > 0) == (lock in taken), name
         if count:  # at home, wherever the entry went since
             assert service.lock_partition(lock) == routes[f"meta:/d/{name}"] % count

@@ -304,13 +304,13 @@ class TestDurabilityAndModes:
         assert not fs._pending_commits
         assert [fields["background"] for kind, fields in events if kind == "commit"] == [True]
 
-    def test_fsync_only_touches_local_disk(self, coc_nb):
+    def test_fsync_only_touches_local_disk(self, coc_nb, cloud_requests):
         deployment, fs = coc_nb
         handle = fs.open("/f.txt", "w")
         fs.write(handle, b"dirty data")
-        before = [len(cloud.request_log) for cloud in deployment.clouds]
+        before = [len(cloud_requests[cloud]) for cloud in deployment.clouds]
         fs.fsync(handle)
-        assert [len(cloud.request_log) for cloud in deployment.clouds] == before
+        assert [len(cloud_requests[cloud]) for cloud in deployment.clouds] == before
         assert fs.storage.bytes_pushed == 0
         fs.close(handle)
 
@@ -320,8 +320,7 @@ class TestDurabilityAndModes:
         deployment.drain()
 
         def puts():
-            return [sum(kind == "put" for kind, _key, _size in cloud.request_log)
-                    for cloud in deployment.clouds]
+            return [cloud.costs.usage.put_requests for cloud in deployment.clouds]
 
         before = (fs.storage.bytes_pushed, puts())
         handle = fs.open("/f.txt", "r")

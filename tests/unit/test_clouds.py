@@ -226,7 +226,7 @@ class TestEventuallyConsistentStore:
         assert [e.created_at for e in listing.entries] == [first.created_at, second.created_at]
         assert second.created_at >= first.created_at + 5.0
         # One billed LIST, nothing per key.
-        assert [kind for kind, _key, _size in store.request_log].count("list") == 1
+        assert store.costs.usage.list_requests == 1
 
     def test_the_key_index_lists_what_a_sorted_scan_would(self, sim, alice):
         store = self._store(sim)

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.common.errors import FileSystemError, QuorumNotReachedError
+from repro.common.errors import FileSystemError
 from repro.common.types import ObjectRef, Permission, Principal
 from repro.common.units import GB, KB, MB, micro_dollars
 
@@ -75,9 +75,5 @@ class TestUnits:
 
 
 class TestErrors:
-    def test_quorum_error_carries_counts(self):
-        err = QuorumNotReachedError("too few", responses=2, required=3)
-        assert err.responses == 2 and err.required == 3
-
     def test_filesystem_errors_have_errno_names(self):
         assert FileSystemError.errno_name == "EIO"

@@ -16,6 +16,8 @@ from repro.coordination.replication import ReplicatedStateMachine, invoke_togeth
 from repro.core.lock_service import LockService
 from repro.core.metadata import FileMetadata, FileType
 
+from conftest import lock_holder
+
 
 def _multi(replica, steps, user="alice", now=0.0, session="s1", deadline=None):
     """One ``entry_multi`` of ``steps`` for ``user``'s session (deadline: ``now`` + a 10 s lease)."""
@@ -59,14 +61,14 @@ class TestReplica:
         with pytest.raises(LockHeldError):
             _take(replica, ["f"], 1.0, session="s2")
         _multi(replica, [Unlock("f")], "bob", 1.0, session="s2", deadline=11.0)
-        assert replica.lock_holder("f", 1.0) == "s1"
+        assert lock_holder(replica, "f", 1.0) == "s1"
         _multi(replica, [Unlock("f")], "alice", 1.0)
-        assert replica.lock_holder("f", 1.0) is None
+        assert lock_holder(replica, "f", 1.0) is None
 
     def test_a_refused_multi_takes_no_lock(self, replica):
         with pytest.raises(ConflictError):
             _multi(replica, [Lock("l"), Put("k", b"x", 5)])
-        assert replica.lock_holder("l", 0.0) is None and replica.entry_count() == 0
+        assert lock_holder(replica, "l", 0.0) is None and replica.entry_count() == 0
 
     def test_grants_apply_when_a_put_creates_the_entry_only(self, replica):
         _multi(replica, [Put("k", b"v1", grants={"*": Permission.READ})])
@@ -94,10 +96,10 @@ class TestReplica:
     def test_a_lock_taken_now_lapses_ten_seconds_on(self, replica):
         """Take at 0: the lease ends at 10."""
         _take(replica, ["f"], 0.0)
-        assert replica.lock_holder("f", 9.99) == "s1"
-        assert replica.lock_holder("f", 10.0) is None
+        assert lock_holder(replica, "f", 9.99) == "s1"
+        assert lock_holder(replica, "f", 10.0) is None
         _take(replica, ["f"], 10.0, session="s2", deadline=20.0)
-        assert replica.lock_holder("f", 10.0) == "s2"
+        assert lock_holder(replica, "f", 10.0) == "s2"
 
     def test_listing_visits_only_its_prefix_sorted(self, replica):
         _multi(replica, [Put(key, key.encode()) for key in (
@@ -153,9 +155,9 @@ class TestDepSpaceLeases:
         space = EntryCommands()
         _take(space, ["a"], 0.0)
         _take(space, ["b"], 5.0)  # stamped by its own command: 5 + 10
-        assert space.lock_holder("a", 12.0) is None
-        assert space.lock_holder("b", 12.0) == "s1"
-        assert space.lock_holder("b", 15.0) is None
+        assert lock_holder(space, "a", 12.0) is None
+        assert lock_holder(space, "b", 12.0) == "s1"
+        assert lock_holder(space, "b", 15.0) is None
 
     def test_closing_a_session_returns_all_its_locks_in_one_command(self):
         space = EntryCommands()
@@ -163,23 +165,23 @@ class TestDepSpaceLeases:
         _take(space, ["b"], 1.0)
         _take(space, ["z"], 1.0, session="s2")
         space.close_session("s1", "alice", 2.0)
-        assert [space.lock_holder(name, 2.0) for name in "abcz"] == [None, None, None, "s2"]
+        assert [lock_holder(space, name, 2.0) for name in "abcz"] == [None, None, None, "s2"]
 
     def test_no_later_command_of_the_session_extends_a_lease(self):
         space = EntryCommands()
         _take(space, ["a"], 0.0)
         _multi(space, [], now=5.0)  # a heartbeat: no step at all, its own deadline 15
         _multi(space, [Put("k", b"v")], now=8.0)
-        assert space.lock_holder("a", 9.99) == "s1"
-        assert space.lock_holder("a", 10.0) is None
+        assert lock_holder(space, "a", 9.99) == "s1"
+        assert lock_holder(space, "a", 10.0) is None
 
     def test_a_heartbeat_after_a_lapse_does_not_bring_the_lock_back(self):
         space = EntryCommands()
         _take(space, ["a"], 0.0)
         _multi(space, [], now=11.0)  # nothing read the lock in between
-        assert space.lock_holder("a", 12.0) is None
+        assert lock_holder(space, "a", 12.0) is None
         _take(space, ["b"], 12.0)
-        assert [space.lock_holder(name, 13.0) for name in "ab"] == [None, "s1"]
+        assert [lock_holder(space, name, 13.0) for name in "ab"] == [None, "s1"]
 
     def test_a_refused_take_leaves_the_sessions_leases_as_they_were(self):
         space = EntryCommands()
@@ -187,8 +189,8 @@ class TestDepSpaceLeases:
         _take(space, ["z"], 0.0, session="s2", deadline=50.0)
         with pytest.raises(LockHeldError):
             _take(space, ["b", "z"], 5.0)
-        assert [space.lock_holder(name, 9.0) for name in "abz"] == ["s1", None, "s2"]
-        assert space.lock_holder("a", 10.0) is None
+        assert [lock_holder(space, name, 9.0) for name in "abz"] == ["s1", None, "s2"]
+        assert lock_holder(space, "a", 10.0) is None
 
     def test_closing_a_session_leaves_a_lapsed_lock_to_its_new_holder(self):
         space = EntryCommands()
@@ -196,7 +198,7 @@ class TestDepSpaceLeases:
         _take(space, ["b"], 5.0)
         _take(space, ["a"], 11.0, session="s2")  # "a" lapsed at 10 and was taken again
         space.close_session("s1", "alice", 11.0)
-        assert [space.lock_holder(name, 11.0) for name in "ab"] == ["s2", None]
+        assert [lock_holder(space, name, 11.0) for name in "ab"] == ["s2", None]
 
 
 def _command(*steps):
@@ -396,7 +398,7 @@ class TestCoordinationAdapters:
         s2 = coordination.open_session(bob)
         coordination.try_lock("file-1", s1)
         coordination.unlock("file-1", s2)
-        assert coordination.lock_holder("file-1") == s1.session_id
+        assert lock_holder(coordination, "file-1") == s1.session_id
 
     def test_close_session_releases_locks(self, coordination, alice, bob):
         s1 = coordination.open_session(alice)
@@ -413,7 +415,7 @@ class TestCoordinationAdapters:
         before = _commands(coordination)
         coordination.close_session(s1)
         assert _commands(coordination) - before == len(_services(coordination))
-        assert [coordination.lock_holder(name) for name in "abc"] == [None, None, s2.session_id]
+        assert [lock_holder(coordination, name) for name in "abc"] == [None, None, s2.session_id]
 
     def test_entry_count(self, coordination, alice):
         session = coordination.open_session(alice)
@@ -490,7 +492,7 @@ class TestMultiCommand:
             coordination.multi([Lock("L1"), Lock("L2"), Lock("L3")], s1)
         assert refused.value.lock == "L2"
         assert _replica_states(coordination) == before
-        assert [coordination.lock_holder(name) for name in ("L1", "L2", "L3")] == [
+        assert [lock_holder(coordination, name) for name in ("L1", "L2", "L3")] == [
             None, s2.session_id, None]
 
     def test_lock_set_is_taken_and_returned_together(self, coordination, alice, bob):
@@ -499,7 +501,7 @@ class TestMultiCommand:
         assert not coordination.try_lock("L1", s2) and not coordination.try_lock("L2", s2)
         # Returning a lock someone else holds (or nobody does) changes nothing.
         coordination.multi([Unlock("L1"), Unlock("L2")], s2)
-        assert coordination.lock_holder("L1") == s1.session_id
+        assert lock_holder(coordination, "L1") == s1.session_id
         coordination.multi([Unlock("L1"), Unlock("L2"), Unlock("never-taken")], s1)
         assert coordination.try_lock("L1", s2) and coordination.try_lock("L2", s2)
 
@@ -509,7 +511,7 @@ class TestMultiCommand:
         coordination.multi([Lock("L1"), Lock("L2")], s1)
         sim.advance(6.0)
         coordination.multi([Lock("L1"), Lock("L2")], s2)
-        assert coordination.lock_holder("L2") == s2.session_id
+        assert lock_holder(coordination, "L2") == s2.session_id
 
 
 class TestPartitionedMultiCommand:
@@ -562,14 +564,14 @@ class TestPartitionedMultiCommand:
         coordination = PartitionedCoordination(services, lambda key, n: int(key[-1]) % n)
         session = coordination.open_session(alice)
         coordination.multi([Lock("a0"), Lock("b1")], session)
-        assert [coordination.lock_holder(name) for name in ("a0", "b1")] == [session.session_id] * 2
+        assert [lock_holder(coordination, name) for name in ("a0", "b1")] == [session.session_id] * 2
         commands, now = [service.rsm.commands_executed for service in services], sim.now()
         coordination.renew_session(session)
         assert [service.rsm.commands_executed for service in services] == [c + 1 for c in commands]
         assert sim.now() == now  # background work
         coordination.close_session(session)
         assert [service.rsm.commands_executed for service in services] == [c + 2 for c in commands]
-        assert [coordination.lock_holder(name) for name in ("a0", "b1")] == [None, None]
+        assert [lock_holder(coordination, name) for name in ("a0", "b1")] == [None, None]
         assert coordination.try_lock("b1", coordination.open_session(bob))
 
     def test_a_refused_lock_set_leaves_nothing_held_on_any_partition(self, sim, alice, bob):
@@ -579,8 +581,8 @@ class TestPartitionedMultiCommand:
         with pytest.raises(LockHeldError) as refused:
             coordination.multi([Lock("a0"), Lock("b1"), Lock("c0")], s1)
         assert refused.value.lock == "b1"
-        assert coordination.lock_holder("a0") is None and coordination.lock_holder("c0") is None
-        assert coordination.lock_holder("b1") == s2.session_id
+        assert lock_holder(coordination, "a0") is None and lock_holder(coordination, "c0") is None
+        assert lock_holder(coordination, "b1") == s2.session_id
 
 
 class TestDepSpaceLockExpiry:
@@ -624,7 +626,7 @@ class TestDepSpaceLockExpiry:
         service.renew_session(s1)
         service.put("k", b"v", s1)
         sim.advance(1.5)
-        assert service.lock_holder("f") is None
+        assert lock_holder(service, "f") is None
         assert service.try_lock("f", service.open_session(bob))
 
 
@@ -653,7 +655,7 @@ class TestLockService:
         assert locks.acquire(_file("L")) and locks.acquire(_file("L"))
         assert locks.held == {"filelock:L": 2}
         locks.release(_file("L"))
-        assert service.lock_holder("filelock:L") == locks.session.session_id
+        assert lock_holder(service, "filelock:L") == locks.session.session_id
 
     def test_acquire_conflict_is_refused_at_once(self, sim, alice, bob):
         """§2.5.2: a held lock fails the open at once.
@@ -674,7 +676,7 @@ class TestLockService:
             waiter.acquire(_file("L"))
         assert service.rsm.commands_executed == commands + 1
         assert sim.now() == refused_at and sim.rng.getstate() == replay.getstate()
-        assert not waiter.still_held(_file("L")) and service.lock_holder("filelock:L") == s1.session_id
+        assert not waiter.still_held(_file("L")) and lock_holder(service, "filelock:L") == s1.session_id
 
     def test_acquire_set_is_all_or_none_and_reentrant(self, sim, alice, bob):
         locks, service = self._locks(sim, alice)
@@ -685,7 +687,7 @@ class TestLockService:
         with pytest.raises(LockHeldError) as refused:
             locks.acquire_set([l1, l2, l3])
         assert refused.value.lock == "filelock:L3"
-        assert locks.held == {"filelock:L1": 1} and service.lock_holder("filelock:L2") is None
+        assert locks.held == {"filelock:L1": 1} and lock_holder(service, "filelock:L2") is None
         other.release(l3)
         commands = service.rsm.commands_executed
         transitions = []
@@ -697,9 +699,9 @@ class TestLockService:
         locks.release_set([l1, l2, l3])
         assert transitions[2:] == [("unlock", "filelock:L2"), ("unlock", "filelock:L3")]
         assert service.rsm.commands_executed == commands + 2
-        assert locks.held == {"filelock:L1": 1} and service.lock_holder("filelock:L1") is not None
+        assert locks.held == {"filelock:L1": 1} and lock_holder(service, "filelock:L1") is not None
         locks.release_set([l1, _file("unheld")])
-        assert service.lock_holder("filelock:L1") is None
+        assert lock_holder(service, "filelock:L1") is None
 
     def test_a_release_inside_the_riding_command_keeps_the_reentrant_hold(self, coordination, sim, alice):
         """A background commit's release that comes due while ``send`` is out.
@@ -713,7 +715,7 @@ class TestLockService:
         sent = []
         assert locks.acquire(_file("L"), lambda steps: sent.append(steps) or sim.advance(0.05))
         assert sent == [[]]  # a re-entrant hold sends no Lock step
-        assert service.lock_holder("filelock:L") == locks.session.session_id
+        assert lock_holder(service, "filelock:L") == locks.session.session_id
         assert locks.held == {"filelock:L": 1}
 
     def test_a_refused_riding_command_rolls_the_reentrant_count_back(self, coordination, sim, alice):
@@ -727,7 +729,7 @@ class TestLockService:
 
         with pytest.raises(LockHeldError):
             locks.acquire(_file("L"), refused)
-        assert locks.held == {"filelock:L": 1} and service.lock_holder("filelock:L") is not None
+        assert locks.held == {"filelock:L": 1} and lock_holder(service, "filelock:L") is not None
         assert transitions == []
         # The other acquisition was released while the command was out: the
         # roll-back is the last one, and it hands the lock back.
@@ -739,7 +741,7 @@ class TestLockService:
 
         with pytest.raises(LockHeldError):
             locks.acquire(_file("L"), released_then_refused)
-        assert locks.held == {} and service.lock_holder("filelock:L") is None
+        assert locks.held == {} and lock_holder(service, "filelock:L") is None
         assert transitions == [("unlock", "filelock:L")]
 
     def test_a_failed_unlock_command_leaves_the_counts_as_they_were(self, coordination, sim, alice):
@@ -748,7 +750,7 @@ class TestLockService:
         locks.acquire(_file("L2"))
 
         def unreachable(ops, session):
-            raise QuorumNotReachedError("the replicas are down", responses=0, required=1)
+            raise QuorumNotReachedError("the replicas are down")
 
         service.multi = unreachable
         with pytest.raises(QuorumNotReachedError):
@@ -762,7 +764,7 @@ class TestLockService:
         locks.acquire(_file("L2"))
         locks.release_all()
         assert locks.held == {}
-        assert service.lock_holder("filelock:L1") is None and service.lock_holder("filelock:L2") is None
+        assert lock_holder(service, "filelock:L1") is None and lock_holder(service, "filelock:L2") is None
 
     def test_releasing_an_unheld_lock_sends_no_command(self, coordination, sim, alice):
         locks, service = self._locks(sim, alice, coordination)
@@ -783,4 +785,4 @@ class TestLockService:
         assert locks.held == {"filelock:L": 1}
         assert _commands(service) == commands + 1
         locks.release_set([new, old])
-        assert locks.held == {} and service.lock_holder("filelock:L") is None
+        assert locks.held == {} and lock_holder(service, "filelock:L") is None

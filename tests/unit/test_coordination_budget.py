@@ -62,6 +62,8 @@ from repro.core.metadata import FileMetadata, FileType
 from repro.core.metadata_service import MetadataService
 from repro.transactions import TXN_PREFIX
 
+from conftest import lock_holder
+
 #: Coordination layouts: the Table 2 backend each runs on and its config overrides.
 #: On SCFS-AWS the one service is unreplicated (f=0, one VM); the budgets count
 #: commands, not replicas, so they are the same there.
@@ -395,7 +397,7 @@ def _commit_commands(mount, directory: str, count: int) -> tuple[int, int]:
     _read_and_rewrite(paths)(txn)
     commands = mount.spent(txn.commit)
     assert [mount.fs.read_file(path) for path in paths] == [b"x+"] * count
-    assert _intent(mount.fs, txn.txn_id)["status"] == "committed"
+    assert _intent(mount.fs, txn.txn_id) is None
     # Lock set and its release: one command per partition the lock names fall
     # on; the validating reads: one (every entry lives under /top); the
     # pending intent; the commit point: the entries' partition and the intent's.
@@ -410,7 +412,7 @@ def _commit_commands(mount, directory: str, count: int) -> tuple[int, int]:
 
 
 def test_transaction_commit_is_constant_in_the_size_of_its_sets(mount):
-    """{Lock set + validating reads + pending intent}, {every version CAS + intent flip}, release.
+    """{Lock set + validating reads + intent}, {every version CAS + intent deletion}, release.
 
     The read set already names the lock of every file and says everything the
     intent record does, so nothing is read before the locks are taken, the
@@ -449,16 +451,17 @@ def test_a_lock_refused_commit_attempt_writes_no_intent(mount):
     assert [mount.fs.read_file(path) for path in paths] == [b"x+"] * 3
 
 
-def test_a_failed_validation_flips_the_riding_intent_to_aborted(mount):
+def test_a_failed_validation_deletes_the_riding_intent(mount):
     mount.make_files("/top/stale", 2)
     paths = [f"/top/stale/f{index:03d}" for index in range(2)]
     txn = mount.fs.transactions.begin()
     _read_and_rewrite(paths)(txn)
     mount.fs.write_file(paths[0], b"newer", shared=True)
+    entries = mount.fs.coordination.entry_count()
     with pytest.raises(TransactionConflictError, match="stale read"):
         txn.commit()
-    record = _intent(mount.fs, txn.txn_id)
-    assert record["status"] == "aborted" and [f[0] for f in record["files"]] == paths
+    assert _intent(mount.fs, txn.txn_id) is None
+    assert mount.fs.coordination.entry_count() == entries
     assert mount.fs.read_file(paths[1]) == b"x"
 
 
@@ -487,8 +490,8 @@ def test_a_retry_attempt_reads_its_files_with_one_command(mount, count):
     assert mount.fs.read_file(paths[0]) == b"y+"
     assert all(mount.fs.read_file(path) == b"x+" for path in paths[1:])
     if mount.listing == 1:
-        # The failed commit ({locks, snapshot, intent}, the intent's flip to
-        # aborted, the release), the retry's snapshot, its 3-command commit.
+        # The failed commit ({locks, snapshot, intent}, the intent's
+        # deletion, the release), the retry's snapshot, its 3-command commit.
         assert since_interference == 3 + 1 + 3
 
 
@@ -564,7 +567,7 @@ def test_releasing_every_lock_is_one_command_per_partition_and_one_round_trip(si
     locks.release_all()
     assert sum(service.rsm.commands_executed for service in services) - commands == partitions
     assert sim.now() == start + max(_draws(state, services))
-    assert locks.held == {} and [coordination.lock_holder(LockService.lock_name(meta))
+    assert locks.held == {} and [lock_holder(coordination, LockService.lock_name(meta))
                                  for meta in files] == [None] * 3
 
 

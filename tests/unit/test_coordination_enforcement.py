@@ -28,6 +28,8 @@ from repro.coordination.partitioned import PartitionedCoordination
 from repro.core.deployment import SCFSDeployment
 from repro.core.metadata import DATA_FIELDS, FileMetadata, FileType
 
+from conftest import lock_holder
+
 
 @pytest.fixture(params=["depspace", "partitioned"])
 def coordination(request, sim):
@@ -98,9 +100,9 @@ class TestRawCommandsAreChecked:
         session = coordination.open_session(alice)
         assert coordination.try_lock("f", session)
         _raw(coordination, sim, [Unlock("f")], "bob", session_id=session.session_id, key="f")
-        assert coordination.lock_holder("f") == session.session_id
+        assert lock_holder(coordination, "f") == session.session_id
         coordination.unlock("f", session)
-        assert coordination.lock_holder("f") is None
+        assert lock_holder(coordination, "f") is None
 
     def test_a_raw_close_of_another_principals_session_changes_nothing(
             self, coordination, sim, alice):
@@ -108,9 +110,9 @@ class TestRawCommandsAreChecked:
         coordination.multi([Lock("f"), Lock("g")], session)
         for rsm in _rsms(coordination):
             rsm.invoke("close_session", session.session_id, "bob", sim.now())
-        assert [coordination.lock_holder(name) for name in "fg"] == [session.session_id] * 2
+        assert [lock_holder(coordination, name) for name in "fg"] == [session.session_id] * 2
         coordination.close_session(session)
-        assert [coordination.lock_holder(name) for name in "fg"] == [None, None]
+        assert [lock_holder(coordination, name) for name in "fg"] == [None, None]
 
     def test_a_move_may_not_land_on_an_entry_the_mover_cannot_write(
             self, coordination, alice, bob):
@@ -342,7 +344,7 @@ class TestARefusedVersionCheckSaysWhatIsThere:
                 refused()
             assert refusal.value.found == coordination.get("k", session)
         assert coordination.get("other", session).value == b"o"
-        assert coordination.lock_holder("l") is None
+        assert lock_holder(coordination, "l") is None
 
     def test_no_witness_without_read_permission(self, coordination, alice, bob):
         session, stranger = self._entry(coordination, alice), coordination.open_session(bob)

@@ -194,16 +194,16 @@ class TestCloudOfCloudsOverhead:
             backend.delete_version("file-1", ref.digest)
         assert [r.digest for r in backend.list_versions("file-1")] == [ref.digest]
 
-    def test_a_read_without_a_locator_is_an_integrity_error(self, sim, alice):
+    def test_a_read_without_a_locator_is_an_integrity_error(self, sim, alice, cloud_requests):
         # The anchor hands over the locator; there is no head read to fall back on.
         clouds = make_cloud_of_clouds(sim)
         backend = CloudOfCloudsBackend(sim, clouds, alice, f=1, dispatch=DispatchPolicyConfig())
         ref = backend.write_version("file-1", b"bytes", version=1)
         sim.advance(3.0)
-        logged = [len(cloud.request_log) for cloud in clouds]
+        logged = [len(cloud_requests[cloud]) for cloud in clouds]
         with pytest.raises(IntegrityError):
             backend.read_version("file-1", ref.digest, "")
-        assert [len(cloud.request_log) for cloud in clouds] == logged
+        assert [len(cloud_requests[cloud]) for cloud in clouds] == logged
 
 def _jitter_free_clouds(sim, f):
     """``3f + 1`` jitter-free clouds: the four provider profiles, repeated under fresh names."""
@@ -219,7 +219,7 @@ class TestEstimatesAreDryRuns:
     """An estimate is a dry run of the calls the operation sends, so with no
     jitter it is what the operation charges: the same stages, the same bytes."""
 
-    def test_write_estimate_is_what_a_numbered_write_charges(self, sim, alice, size, encrypt, f):
+    def test_write_estimate_is_what_a_numbered_write_charges(self, sim, alice, size, encrypt, f, cloud_requests):
         clouds = _jitter_free_clouds(sim, f)
         backend = CloudOfCloudsBackend(sim, clouds, alice, f=f, encrypt=encrypt,
                                        dispatch=DispatchPolicyConfig())
@@ -229,7 +229,7 @@ class TestEstimatesAreDryRuns:
         # (The estimate's stand-in head may differ from the real one by a few
         # digits: a byte is well under a microsecond at these bandwidths.)
         assert abs(estimate - (sim.now() - before)) <= 1e-5
-        blocks = {n for cloud in clouds for kind, key, n in cloud.request_log
+        blocks = {n for cloud in clouds for kind, key, n in cloud_requests[cloud]
                   if kind == "put" and not key.endswith("/metadata")}
         assert blocks == {backend.client._blob_size(size)}
 

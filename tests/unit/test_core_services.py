@@ -24,6 +24,8 @@ from repro.core.storage_service import StorageService
 from repro.core.users import UserRegistry
 from repro.crypto.hashing import content_digest
 
+from conftest import lock_holder
+
 
 @pytest.fixture
 def single_backend(sim, alice):
@@ -289,7 +291,7 @@ class TestLockService:
         service.acquire_set([old, new])
         service.release_set([old, new])
         assert service.still_held(old)
-        assert coordination.lock_holder("filelock:f1") == session.session_id
+        assert lock_holder(coordination, "filelock:f1") == session.session_id
 
     def test_refused_lock_set_holds_nothing_and_names_the_file(
             self, sim, coordination, alice, bob):
@@ -303,7 +305,7 @@ class TestLockService:
             mine.acquire_set([a, b, c])
         assert transitions == []
         assert not any(mine.still_held(meta) for meta in (a, b, c))
-        assert coordination.lock_holder("filelock:fa") is None
+        assert lock_holder(coordination, "filelock:fa") is None
         LockService(sim, None, None).acquire_set([a, b])  # disabled: a no-op
 
     def test_release_all(self, sim, coordination, alice):

@@ -278,21 +278,21 @@ class TestDepSkyClient:
         assert not client._certifies([first] * client.k)
         assert client._certifies([first, second, first])
 
-    def test_a_down_holder_spills_its_block_over_to_the_last_cloud(self, sim, alice):
+    def test_a_down_holder_spills_its_block_over_to_the_last_cloud(self, sim, alice, cloud_requests):
         """The one way the last cloud comes to store a data block."""
         client, clouds = make_client(sim, alice)
         clouds[0].failures.add(FaultKind.UNAVAILABLE)
         record = client.write("unit", b"z" * 1000)
-        puts = [key for kind, key, _ in clouds[-1].request_log if kind == "put"]
+        puts = [key for kind, key, _ in cloud_requests[clouds[-1]] if kind == "put"]
         assert client.block_key("unit", record.version, record.data_digest,
                                  client.n - 1) in puts
 
-    def test_preferred_quorum_skips_last_cloud(self, sim, alice):
+    def test_preferred_quorum_skips_last_cloud(self, sim, alice, cloud_requests):
         client, clouds = make_client(sim, alice)
         client.write("unit", b"z" * 1000)
         # The fourth cloud receives only the head, no data block.
         last = clouds[-1]
-        keys = [key for kind, key, _ in last.request_log if kind == "put"]
+        keys = [key for kind, key, _ in cloud_requests[last] if kind == "put"]
         assert all(key.endswith("/metadata") for key in keys)
 
     def test_storage_overhead_about_one_and_a_half(self, sim, alice):
@@ -333,15 +333,15 @@ class TestDepSkyClient:
             client.read_matching("unit", second.data_digest, record=second)
         assert client.list_versions("ghost") == []
 
-    def test_list_versions_is_one_billed_list_per_cloud_and_nothing_else(self, sim, alice):
+    def test_list_versions_is_one_billed_list_per_cloud_and_nothing_else(self, sim, alice, cloud_requests):
         client, clouds = make_client(sim, alice)
         client.write("unit", b"one")
         sim.advance(3.0)
-        logged = [len(cloud.request_log) for cloud in clouds]
+        logged = [len(cloud_requests[cloud]) for cloud in clouds]
         lists = [cloud.costs.usage.list_requests for cloud in clouds]
         client.list_versions("unit")
         for cloud, start, before in zip(clouds, logged, lists):
-            assert cloud.request_log[start:] == [("list", "depsky/unit/", 0)]
+            assert cloud_requests[cloud][start:] == [("list", "depsky/unit/", 0)]
             assert cloud.costs.usage.list_requests == before + 1
 
     def test_a_version_one_cloud_invents_is_not_listed_and_one_it_hides_still_is(
@@ -354,16 +354,16 @@ class TestDepSkyClient:
         assert [(v.version, v.data_digest) for v in client.list_versions("unit")] == [
             (1, record.data_digest)]
 
-    def test_delete_version_is_block_deletes_only(self, sim, alice):
+    def test_delete_version_is_block_deletes_only(self, sim, alice, cloud_requests):
         client, clouds = make_client(sim, alice)
         first = client.write("unit", b"one")
         sim.advance(3.0)
         client.write("unit", b"two")
         sim.advance(3.0)
-        logged = [len(cloud.request_log) for cloud in clouds]
+        logged = [len(cloud_requests[cloud]) for cloud in clouds]
         assert client.delete_version("unit", first.version, first.data_digest) is True
         for cloud, start in zip(clouds, logged):
-            assert [kind for kind, _key, _size in cloud.request_log[start:]] == ["delete"]
+            assert [kind for kind, _key, _size in cloud_requests[cloud][start:]] == ["delete"]
         assert [v.version for v in client.list_versions("unit")] == [2]
         with pytest.raises(QuorumNotReachedError):
             client.read_matching("unit", first.data_digest, record=first)

@@ -358,12 +358,12 @@ class TestDepSkyDispatchAccounting:
         assert (head_op, block_op) == ("meta_read", "block_get")
         assert head_stats.required == client.k and block_stats is result.stats
 
-    def test_write_spillover_uses_fallback_stage(self):
+    def test_write_spillover_uses_fallback_stage(self, cloud_requests):
         sim, clouds, client = self._client()
         clouds[0].failures.add(FaultKind.UNAVAILABLE)
         client.write("unit", b"spill" * 200)
         # The fourth cloud received a data block via the fallback stage.
-        assert any("-b3" in key for kind, key, _ in clouds[3].request_log if kind == "put")
+        assert any("-b3" in key for kind, key, _ in cloud_requests[clouds[3]] if kind == "put")
 
     def test_write_quorum_failure_still_raises(self):
         sim, clouds, client = self._client()
@@ -440,13 +440,13 @@ class TestHealthyBound:
                  .execute(2))
         assert stats.stage_started_at == (0.0, 0.25)
 
-    def test_a_healthy_1mib_write_and_read_send_no_extra_request(self):
+    def test_a_healthy_1mib_write_and_read_send_no_extra_request(self, cloud_requests):
         sim = Simulation(seed=5)
         clouds = make_cloud_of_clouds(sim, jitter=0.1)
         client = DepSkyClient(sim, clouds, Principal("alice"), f=1, policy=self.FAULTY)
 
         def block_requests(kind: str) -> int:
-            return sum(1 for cloud in clouds for logged, key, _ in cloud.request_log
+            return sum(1 for cloud in clouds for logged, key, _ in cloud_requests[cloud]
                        if logged == kind and "-b" in key)
 
         record = client.write("unit", bytes(1 << 20))

@@ -13,6 +13,8 @@ from repro.coordination.partitioned import (
 from repro.core.config import SCFSConfig
 from repro.core.deployment import SCFSDeployment
 
+from conftest import lock_holder
+
 
 def _partitioned(sim, partitions=3):
     services = [DepSpaceCoordination(sim, f=0) for _ in range(partitions)]
@@ -71,7 +73,7 @@ class TestPartitionedCoordination:
         s2 = coordination.open_session(bob)
         assert coordination.try_lock("filelock:file-1", s1)
         assert not coordination.try_lock("filelock:file-1", s2)
-        assert coordination.lock_holder("filelock:file-1") is not None
+        assert lock_holder(coordination, "filelock:file-1") is not None
         coordination.close_session(s1)
         assert coordination.try_lock("filelock:file-1", s2)
 
@@ -83,7 +85,7 @@ class TestPartitionedCoordination:
         assert len({coordination.partition_of(name) for name in names}) > 1
         for name in names:
             assert coordination.try_lock(name, session)
-            assert coordination.lock_holder(name) == session.session_id
+            assert lock_holder(coordination, name) == session.session_id
 
     def test_a_lock_name_with_a_home_lives_on_that_partition(self, sim, alice, bob):
         coordination = _partitioned(sim, partitions=3)
@@ -99,8 +101,8 @@ class TestPartitionedCoordination:
             "meta:/a@2", 3)
         session = coordination.open_session(alice)
         assert coordination.try_lock("filelock:file-9@2", session)
-        assert coordination.services[2].lock_holder("filelock:file-9@2") is not None
-        assert coordination.lock_holder("filelock:file-9@2") == session.session_id
+        assert lock_holder(coordination.services[2], "filelock:file-9@2") is not None
+        assert lock_holder(coordination, "filelock:file-9@2") == session.session_id
         assert not coordination.try_lock("filelock:file-9@2", coordination.open_session(bob))
         assert DepSpaceCoordination(sim, f=0).lock_home(keys[0]) == ""
 

@@ -359,7 +359,7 @@ class TestDepSkySuspicionEndToEnd:
         assert health.stats.suspicions == 0
         assert all(not health.is_suspected(c.name) for c in clouds)
 
-    def test_suspected_cloud_still_receives_background_writes(self):
+    def test_suspected_cloud_still_receives_background_writes(self, cloud_requests):
         # Replication must not silently shrink: a PUT at a suspected cloud is
         # dispatched in the background, so a *hanging* (slow but functional)
         # provider still stores the new version server-side.
@@ -377,11 +377,11 @@ class TestDepSkySuspicionEndToEnd:
         # ...yet its background PUT attempts still stored block 0 and the
         # new head server-side (timeout abandons the wait, not the side effect).
         assert any(kind == "put" and "/v00000002-" in key and key.endswith("-b0")
-                   for kind, key, _ in clouds[0].request_log)
+                   for kind, key, _ in cloud_requests[clouds[0]])
         head = clouds[0].raw_object("depsky/unit/metadata")
         assert VersionRecord.from_bytes(head).version == 2
 
-    def test_writes_spill_over_without_waiting_for_suspected_cloud(self):
+    def test_writes_spill_over_without_waiting_for_suspected_cloud(self, cloud_requests):
         sim, clouds, client, health = self._client()
         client.write("warmup", b"x" * 400)
         sim.advance(3.0)
@@ -392,9 +392,9 @@ class TestDepSkySuspicionEndToEnd:
         assert record.version == 1
         # The suspected cloud received no block PUT; the fourth cloud did.
         assert not any(kind == "put" and "unit" in key
-                       for kind, key, _ in clouds[0].request_log)
+                       for kind, key, _ in cloud_requests[clouds[0]])
         assert any(kind == "put" and "-b3" in key
-                   for kind, key, _ in clouds[3].request_log)
+                   for kind, key, _ in cloud_requests[clouds[3]])
 
 
 class TestDegradedBlockHolderEndToEnd:

@@ -29,6 +29,13 @@ A record field that nothing reads is a fact kept for no one.  The fifth
 check fails on every field of a ``@dataclass`` in ``src/repro`` (``ClassVar``
 fields aside) that no code in those trees reads, by the counters' rule.
 NamedTuples are not checked: callers unpack them by position.
+
+State that nothing reads is memory held for no one.  The sixth check fails on
+every attribute a class in ``src/repro`` keeps — assigns as ``self.<name>`` —
+that no code in those trees reads, by the same rule, where a load that only
+grows the attribute is not a read: the receiver of an ``append``, ``add``,
+``extend``, ``update``, ``setdefault`` or ``insert`` call, or the container of
+an item assignment (an ``|=`` stores, it does not load).
 """
 
 from __future__ import annotations
@@ -232,6 +239,46 @@ def test_every_dataclass_field_in_src_is_read_outside_tests():
     unread = [f"{path.relative_to(ROOT)}: {cls}.{name}" for path, cls, name in fields
               if name not in read]
     assert not unread, "dataclass fields that only tests read:\n" + "\n".join(unread)
+
+
+#: Calls that only grow the container they are called on.
+GROWERS = frozenset({"append", "add", "extend", "update", "setdefault", "insert"})
+
+
+def _kept(tree: ast.AST) -> list[tuple[str, str]]:
+    """``(class, name)`` of every ``self.<name>`` a method of a class in ``tree`` assigns."""
+    return sorted({(cls.name, target.attr) for cls in ast.walk(tree)
+                   if isinstance(cls, ast.ClassDef)
+                   for node in ast.walk(cls) if isinstance(node, (ast.Assign, ast.AnnAssign))
+                   for root in (node.targets if isinstance(node, ast.Assign) else [node.target])
+                   for target in ast.walk(root)
+                   if isinstance(target, ast.Attribute) and isinstance(target.ctx, ast.Store)
+                   and isinstance(target.value, ast.Name) and target.value.id == "self"})
+
+
+def _true_reads(tree: ast.AST) -> set[str]:
+    """:func:`_reads` of ``tree`` without the loads that only grow what they load."""
+    growing = {id(node.func.value) for node in ast.walk(tree)
+               if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+               and node.func.attr in GROWERS}
+    growing |= {id(node.value) for node in ast.walk(tree)
+                if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store)}
+    return ({node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+             and isinstance(node.ctx, ast.Load) and id(node) not in growing}
+            | {node.value for node in ast.walk(tree)
+               if isinstance(node, ast.Constant) and isinstance(node.value, str)})
+
+
+def test_every_attribute_a_src_class_keeps_is_read_outside_tests():
+    trees = _trees(*CALLER_TREES)
+    kept = [(path, cls, name) for path, tree in trees.items()
+            if path.is_relative_to(ROOT / "src" / "repro")
+            for cls, name in _kept(tree)]
+    assert len(kept) > 200
+    read = set().union(*(_true_reads(tree) for tree in trees.values()))
+    unread = [f"{path.relative_to(ROOT)}: {cls}.{name}" for path, cls, name in kept
+              if name not in read]
+    assert not unread, "attributes that only tests read:\n" + "\n".join(unread)
 
 
 def test_every_package_reexport_is_imported_through_the_package():

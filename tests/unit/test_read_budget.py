@@ -5,7 +5,7 @@ so a cold read is the block fetch alone: one DepSky quorum call and ``k`` GETs,
 whichever commit path anchored the version — and a reader that arrives before
 the clouds show the version waits for it once instead of polling.  These tests
 pin that budget, counted below DepSky: at ``QuorumCall.execute`` and in the
-providers' ``request_log``.
+stores' request methods.
 """
 
 from __future__ import annotations
@@ -165,10 +165,9 @@ def test_exhausting_the_retry_limit_raises_a_typed_error(shared):
         bob.storage.read_version("file-never-written", "ab" * 32, locator)
     error = raised.value
     assert isinstance(error, ObjectNotFoundError)
-    assert (error.file_id, error.digest_prefix, error.attempts) == (
-        "file-never-written", "ab" * 6, READ_RETRY_LIMIT + 1)
-    assert error.waited == pytest.approx(deployment.sim.now() - started)
-    assert error.waited >= READ_RETRY_LIMIT * READ_RETRY_INTERVAL
+    assert (error.file_id, error.attempts) == ("file-never-written", READ_RETRY_LIMIT + 1)
+    assert "ab" * 6 in str(error)
+    assert deployment.sim.now() - started >= READ_RETRY_LIMIT * READ_RETRY_INTERVAL
 
 
 # ------------------------------------------------------------------ below the anchor
@@ -193,13 +192,13 @@ def test_a_bad_systematic_block_under_the_locator_falls_back_to_parity(unit, fau
     assert (backend.read_paths.coded, backend.read_paths.systematic) == (1, 0)
 
 
-def test_a_failed_read_latest_bills_exactly_n_gets(unit):
+def test_a_failed_read_latest_bills_exactly_n_gets(unit, cloud_requests):
     backend, _ref, _data = unit
     clouds = backend.client.clouds
-    logged = [len(cloud.request_log) for cloud in clouds]
+    logged = [len(cloud_requests[cloud]) for cloud in clouds]
     with pytest.raises(ObjectNotFoundError):
         backend.client.read_latest("ghost")
-    new = [entry for cloud, start in zip(clouds, logged) for entry in cloud.request_log[start:]]
+    new = [entry for cloud, start in zip(clouds, logged) for entry in cloud_requests[cloud][start:]]
     assert [kind for kind, _key, _size in new] == ["get"] * backend.client.n
 
 

@@ -225,7 +225,7 @@ class TestCommitPoint:
     def test_lost_version_cas_anchors_no_file_of_the_set(self, shared):
         """A usurper anchors the 2nd file after validation (what a stolen
         lease allows): the commit point refuses as a whole — the 1st file is
-        not anchored either, and the intent says aborted."""
+        not anchored either, and the intent is gone."""
         _, alice, bob = shared
         storage = alice.storage
         upload = storage.push_many_to_cloud
@@ -245,7 +245,7 @@ class TestCommitPoint:
         with pytest.raises(TransactionConflictError, match="version CAS failed"):
             txn.commit()
         assert txn.status == ABORTED
-        assert _intent(alice, txn.txn_id)["status"] == "aborted"
+        assert _intent(alice, txn.txn_id) is None
         alice.metadata_cache.clear()
         assert {path: alice.read_file(path) for path in before} == before
         assert bob.read_file("/shared/a") == before["/shared/a"]
@@ -278,7 +278,7 @@ class TestFailedUpload:
     """An upload that misses its quorum ends the transaction like any failed commit."""
 
     @pytest.mark.parametrize("how", ["commit", "run"])
-    def test_the_intent_is_aborted_and_the_typed_error_raised(self, shared, how):
+    def test_the_intent_is_deleted_and_the_typed_error_raised(self, shared, how):
         deployment, alice, bob = shared
         events = []
         alice.events = lambda kind, **fields: events.append((kind, fields))
@@ -300,7 +300,7 @@ class TestFailedUpload:
                 transactions[0].commit()
         [txn] = transactions  # not a conflict: ``run`` does not retry it
         assert txn.status == ABORTED
-        assert _intent(alice, txn.txn_id)["status"] == "aborted"
+        assert _intent(alice, txn.txn_id) is None
         [abort] = [fields for kind, fields in events if kind == "txn_abort"]
         assert abort["txn"] == txn.txn_id and "clouds acknowledged" in abort["reason"]
         assert alice.locks.held == {}
@@ -366,18 +366,42 @@ class TestRetrySnapshot:
 
 
 class TestIntentRecords:
-    def test_committed_intent_lifecycle(self, shared):
+    def test_the_intent_lives_from_the_locks_to_the_commit_point(self, shared):
         _, alice, _ = shared
         txn = alice.transactions.begin()
         txn.write("/shared/a", b"recorded")
+        in_flight = []
+        upload = alice.storage.push_many_to_cloud
+        alice.storage.push_many_to_cloud = lambda items: (
+            in_flight.append(_intent(alice, txn.txn_id)) or upload(items))
         txn.commit()
-        record = _intent(alice, txn.txn_id)
-        assert record is not None
-        assert record["status"] == "committed"
-        assert record["writer"] == "alice"
+        [record] = in_flight
+        assert record["writer"] == "alice" and "status" not in record
         assert [f[0] for f in record["files"]] == ["/shared/a"]
         old_version, new_version = record["files"][0][2], record["files"][0][3]
         assert new_version == old_version + 1
+        assert _intent(alice, txn.txn_id) is None
+
+    def test_finished_attempts_leave_the_entry_count_as_they_found_it(self):
+        """16 transactions commit and 4 are refused at the lock, while bob
+        holds a file open for writing: no attempt leaves an intent behind."""
+        deployment, alice, bob = _shared_pair("SCFS-CoC-B")
+        before = deployment.coordination.entry_count()
+        outcomes = []
+        for attempt in range(20):
+            handle = bob.open("/shared/b", "r+") if attempt % 5 == 4 else None
+            txn = alice.transactions.begin()
+            for path in ("/shared/a", "/shared/b"):
+                txn.write(path, txn.read(path) + b"+")
+            try:
+                txn.commit()
+            except TransactionConflictError:
+                pass
+            outcomes.append(txn.status)
+            if handle is not None:
+                bob.close(handle)
+        assert outcomes.count(COMMITTED) == 16 and outcomes.count(ABORTED) == 4
+        assert deployment.coordination.entry_count() == before
 
     def test_aborted_transaction_leaves_no_intent(self, shared):
         _, alice, _ = shared
@@ -402,7 +426,11 @@ class TestRenameTree:
 
     def test_rename_tree_on_a_plain_file(self, shared):
         _, alice, _ = shared
+        events = []
+        alice.events = lambda kind, **fields: events.append((kind, fields))
         alice.rename_tree("/shared/a", "/shared/renamed")
+        [commit] = [fields for kind, fields in events if kind == "txn_commit"]
+        assert _intent(alice, commit["txn"]) is None
         assert not alice.exists("/shared/a")
         assert alice.read_file("/shared/renamed").startswith(b"v1:")
 
@@ -419,7 +447,7 @@ class TestRenameTree:
         assert alice.exists("/shared/dir/f1")
         bob.locks.release(meta)
 
-    def test_a_failed_rename_tree_aborts_its_intent(self, shared):
+    def test_a_failed_rename_tree_deletes_its_intent(self, shared):
         _, alice, _ = shared
         alice.mkdir("/shared/dir", shared=True)
         alice.write_file("/shared/dir/f1", b"one", shared=True)
@@ -430,13 +458,13 @@ class TestRenameTree:
         with pytest.raises(FileExistsErrorFS):
             alice.rename_tree("/shared/dir", "/shared/taken")
         [abort] = [fields for kind, fields in events if kind == "txn_abort"]
-        assert _intent(alice, abort["txn"])["status"] == "aborted"
+        assert _intent(alice, abort["txn"]) is None
         assert alice.locks.held == {}
         assert alice.read_file("/shared/dir/f1") == b"one"
 
     def test_a_rename_tree_that_failed_half_way_stays_pending(self, shared):
         """The directory moved, then a descendant's target was taken: the
-        intent must not say that nothing happened."""
+        intent stays, since something happened."""
         _, alice, _ = shared
         alice.mkdir("/shared/dir", shared=True)
         alice.write_file("/shared/dir/f1", b"one", shared=True)
@@ -450,7 +478,7 @@ class TestRenameTree:
         with pytest.raises(FileExistsErrorFS):
             alice.rename_tree("/shared/dir", "/shared/moved")
         [abort] = [fields for kind, fields in events if kind == "txn_abort"]
-        assert _intent(alice, abort["txn"])["status"] == "pending"
+        assert _intent(alice, abort["txn"])["rename"] == ["/shared/dir", "/shared/moved"]
         assert alice.exists("/shared/moved") and not alice.exists("/shared/dir")
         assert agent.locks.held == {}
 
@@ -480,6 +508,22 @@ class TestLeaseExpiry:
         deployment.sim.advance(11.0)
         # Local bookkeeping still says held; the service disagrees.
         assert alice.locks.lock_name(meta) in alice.locks.held
+        assert not alice.locks.still_held(meta)
+
+    def test_still_held_asks_no_replica(self):
+        """The lapse is counted by the taker: with every coordination replica
+        crashed the check still answers, True until the lease lapses."""
+        deployment, alice, _ = _shared_pair(lock_lease=10.0)
+        meta = alice.metadata.get("/shared/a", use_cache=False)
+        lapse = deployment.sim.now() + 10.0
+        alice.locks.acquire(meta)
+        rsm = deployment.coordination.rsm
+        for index in range(rsm.n):
+            rsm.crash_replica(index)
+        assert alice.locks.still_held(meta)
+        deployment.sim.advance_to(lapse - 1e-6)
+        assert alice.locks.still_held(meta)
+        deployment.sim.advance_to(lapse)
         assert not alice.locks.still_held(meta)
 
     def test_other_agent_takes_over_after_expiry(self):

@@ -10,7 +10,7 @@ its consistency anchor — a close (blocking or in the background), a PNS save
 and a transaction commit alike — so it sends no head GET at all: two quorum
 calls per unit.  These tests pin that budget,
 counted below DepSky like ``test_read_budget.py``: at ``QuorumCall.execute``
-and in the providers' ``request_log``.
+and at the stores' request methods.
 """
 
 from __future__ import annotations
