@@ -306,10 +306,11 @@ def scenario_config(variant: str, lock_lease: float, partitions: int = 1,
     stretch simulated time far beyond the 30 s default, and lease-based lock
     stealing would make the mutual-exclusion invariant vacuous); the
     crash-restart mix shrinks it so a crashed agent's locks expire mid-run.
-    An aggressive GC threshold makes the collector actually run mid-scenario.
+    An 8 KiB GC threshold makes the collector run mid-scenario (an agent of
+    a 25-op run pushes at most about 85 KB, so 256 KiB never triggered it).
     ``dispatch`` left None keeps the variant's default.
     """
-    overrides = {"gc_threshold": 256 * 1024}
+    overrides = {"gc_threshold": 8 * 1024}
     if pooled:
         # Pooled scenarios run no automatic collection: the collector's
         # owned-paths scan is a full namespace listing, which would be the

@@ -70,6 +70,13 @@ def test_sweep_is_not_vacuous() -> None:
     assert any(e.get("served") for e in result.trace.by_kind("open"))
 
 
+def test_the_collector_runs_mid_scenario() -> None:
+    """W is small enough that a fault-free 25-op run deletes old versions."""
+    result = run_scenario(1, mix="fault-free", agents=AGENTS, ops_per_agent=25)
+    assert result.ok, "\n" + result.report()
+    assert any(e.get("op") == "block_delete" for e in result.trace.by_kind("quorum"))
+
+
 def test_a_riding_reentrant_lock_outlives_its_own_pending_commit() -> None:
     """Seed 16 of crash-hang at 25 ops, which the default sweep does not reach.
 

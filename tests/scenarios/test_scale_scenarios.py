@@ -58,16 +58,19 @@ from repro.scenarios.runner import ScenarioRunner
 #: binary locator ‖ data digest instead of ≈ 450 B of JSON, so every head PUT
 #: (and GET) moves fewer bytes and resolves a little sooner.  Epoch 16 moved
 #: ``weighted-byzantine`` only: its planner no longer knows a gray failure
-#: before any request observed it.  See docs/determinism-contract.md.
+#: before any request observed it.  Epoch 17 covers all eight mixes: the
+#: mixes collect at W = 8 KiB instead of 256 KiB, which no run reached, so
+#: each of these runs deletes old versions (LIST and block DELETE quorum
+#: calls, their draws and their billing).  See docs/determinism-contract.md.
 GOLDEN_LOCKSTEP = {
-    "fault-free": "341a7e1ac7dd8bd7c53983a72ab0e8ba9f25def5b2332299fd304c9b5c457b98",
-    "crash-hang": "eda1e6cd961037aca406dc1bf943119223b9b4b3a313db2275aaeb9e19eee218",
-    "corrupt-byzantine": "c9d035ebbceaa5d1e0e081ff48ac11403ca9244c6fa20c5c52763cedab31656b",
-    "degraded-outage": "29336231dff916001c924665f695592990bed7ba9faf824852b9ad5e37ca54fb",
-    "weighted-byzantine": "d5de76b552f03005220b4ee5444968bad194f4947cbd02861014cd0718eb6efe",
-    "txn": "62033d22603e7705528cd3d33b89d18040b1667f7b0d9e605d2862ead1213672",
-    "txn-crash-restart": "ae599f9d6d50dc0fa57486e798c2043a94d92ecc20f1d1a27b4c6d290eee7cc4",
-    "txn-partition": "eda4e9b9853e8b03b71de4005a82a4653fb28727b645e6bf35be1ba56f8954f7",
+    "fault-free": "2a15cf8e699f5cdfe644ae1fc8f78b3e88ee3fe467926fac88d758050da16635",
+    "crash-hang": "722fc22403b2e2873c2d885ee2f1058a5f66e424888d4adba1e73e3d50a415ea",
+    "corrupt-byzantine": "56d736f4aa6f26a5e7c5acda64b80aacfa00f98ee36cc8d745d63673a7df38ff",
+    "degraded-outage": "17e4b244f9118b1767cc7cb20d23a3554e61de3b179d0ea8e5a1bc5c6d9b535b",
+    "weighted-byzantine": "d2e35170c26a0f82951ce2081134122db710cdf03c9e861d72e3ab19958036b1",
+    "txn": "3f5392d52170d1bddab5f2c23e15a2b6102dd408d0780c8558ef11fd180d53bb",
+    "txn-crash-restart": "c9c9236243db640654f49425c117780efbe054fd3038a2ad331df0aa9cce136a",
+    "txn-partition": "3b942e7cae6a53d2edf547a478f3a6ccb8df55fa9f7ad7a7b7e7bc70b0e1e51c",
 }
 
 
