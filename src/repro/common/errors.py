@@ -105,6 +105,10 @@ class ConflictError(CoordinationError):
         self.found = found
 
 
+class EntryDeniedError(ConflictError):
+    """The entry's ACL denies the caller's principal the access a step needs (EACCES)."""
+
+
 class LockHeldError(CoordinationError):
     """The lock is already held by another session.
 

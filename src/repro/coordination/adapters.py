@@ -15,7 +15,7 @@ a step they refuse on a version check carries what it met
 (``ConflictError.found``: the entry when the caller may READ it, else
 ``None``), so the refusal answers the ``get`` a caller would send next.
 
-A replica answers two entry commands and its session verbs, nothing else:
+A replica answers two commands, nothing else:
 
 ==================================  =========================================
 client call                         replicated command
@@ -23,8 +23,8 @@ client call                         replicated command
 ``multi``                           ``entry_multi``: its steps, in order
 ``put`` / ``get`` / ``delete`` /    ``entry_multi`` of one step: ``Put`` /
 ``set_entry_acl`` / ``move`` /      ``Get`` / ``Delete`` / ``Grant`` /
-``try_lock`` / ``unlock``           ``Move`` / ``Lock`` / ``Unlock``
-``list_entries`` / ``list_prefix``  ``entry_list``
+``try_lock`` / ``unlock`` /         ``Move`` / ``Lock`` / ``Unlock`` /
+``list_entries`` / ``list_prefix``  ``List``
 ``close_session``                   ``close_session`` (every lock the session holds)
 ``renew_session``                   ``entry_multi`` of no step (background)
 ``open_session``                    none
@@ -36,7 +36,7 @@ stamped with ``lease_seconds`` from the command's time: a lock lives that long
 from the command that took it.
 
 The one-step calls are :class:`~repro.coordination.base.CoordinationService`'s
-own; this client supplies sessions, ``list_entries`` and ``multi``.  ``multi``
+own; this client supplies sessions and ``multi``.  ``multi``
 is one command whatever its number of steps, all or nothing: a lock set taken
 or returned, a set of entries read, a set of entries conditionally replaced
 or updated field by field — or a lock set taken *and* the entries it guards
@@ -44,8 +44,8 @@ read or inserted.  A transaction commit is three commands for any number of
 files: ``{lock set, validating reads, intent}``, ``{Update of every
 written entry, intent deletion}`` and the lock set's release.
 
-The ``*_command`` builders hand out the command of ``close_session``,
-``list_entries`` and ``multi`` unsent, so a namespace-partitioned service can
+The ``*_command`` builders hand out the command of ``close_session`` and
+``multi`` unsent, so a namespace-partitioned service can
 send one to every partition together
 (:func:`~repro.coordination.replication.invoke_together`).
 """
@@ -53,10 +53,10 @@ send one to every partition together
 from __future__ import annotations
 
 import itertools
-from typing import Sequence
+from typing import Any, Sequence
 
 from repro.common.types import Principal
-from repro.coordination.base import DEFAULT_LEASE, CoordinationService, Entry, Op, Session
+from repro.coordination.base import DEFAULT_LEASE, CoordinationService, Op, Session
 from repro.coordination.entries import Holder
 from repro.coordination.replication import Command, ReplicatedStateMachine
 from repro.simenv.environment import Simulation
@@ -98,14 +98,7 @@ class DepSpaceCoordination(CoordinationService):
 
     # -- entries ------------------------------------------------------------
 
-    def list_entries(self, prefix: str, session: Session) -> list[Entry]:
-        return self.list_command(prefix, session).invoke()
-
-    def list_command(self, prefix: str, session: Session) -> Command:
-        """The command of :meth:`list_entries`."""
-        return self.rsm.command("entry_list", prefix, session.principal.name, self.sim.now())
-
-    def multi(self, ops: Sequence[Op], session: Session) -> list[Entry | None]:
+    def multi(self, ops: Sequence[Op], session: Session) -> list[Any]:
         return self.multi_command(ops, session).invoke()
 
     def multi_command(self, ops: Sequence[Op], session: Session) -> Command:

@@ -55,10 +55,39 @@ class Session:
     lease_seconds: float
 
 
+#: Prefix of the lock that guards one file for writing.
+FILE_LOCK_PREFIX = "filelock:"
+
+
+def file_lock(file_id: str) -> str:
+    """Name of the write lock of the file ``file_id``: the one rule, for clients and replicas."""
+    return FILE_LOCK_PREFIX + file_id
+
+
+def lock_home_of(name: str) -> str:
+    """The home a lock name ends with, ``@<partition>`` (empty: none; see ``lock_home``)."""
+    _, at, home = name.rpartition("@")
+    return at + home if at and home.isdigit() else ""
+
+
 class Lock(NamedTuple):
     """Multi-command step: take the ephemeral lock ``name`` for the session."""
 
     name: str
+
+
+class LockFile(NamedTuple):
+    """Multi-command step: take the lock of the file the entry under ``key`` names.
+
+    The replica reads the name off the stored entry, :func:`file_lock` of its
+    ``file_id``, and takes it when the entry is a live file the caller may
+    WRITE and the name's home (:func:`lock_home_of`) is ``home``, where the
+    caller's service holds it (:meth:`CoordinationService.lock_home`; empty:
+    any); anything else takes nothing.
+    """
+
+    key: str
+    home: str = ""
 
 
 class Unlock(NamedTuple):
@@ -71,6 +100,12 @@ class Get(NamedTuple):
     """Multi-command step: read the entry under ``key`` (``None`` when absent)."""
 
     key: str
+
+
+class List(NamedTuple):
+    """Multi-command step: every entry under ``prefix`` the caller may READ, sorted by key."""
+
+    prefix: str
 
 
 class Put(NamedTuple):
@@ -106,18 +141,18 @@ class Grant(NamedTuple):
 
 
 class Move(NamedTuple):
-    """Multi-command step: move ``key`` to ``new_key`` with ``value`` (arguments as in ``move``)."""
+    """Multi-command step: move ``key`` to ``new_key``, setting ``fields`` (arguments as in ``move``)."""
 
     key: str
     new_key: str
-    value: bytes
+    fields: Mapping[str, Any] | None = None
     expected_version: int | None = None
     target_version: int = 0
 
 
 #: One step of :meth:`CoordinationService.multi`.  The first field of every
-#: step is the lock name or entry key it is routed by.
-Op = Union[Lock, Unlock, Get, Put, Update, Delete, Grant, Move]
+#: step is the lock name, entry key or key prefix it is routed by.
+Op = Union[Lock, LockFile, Unlock, Get, List, Put, Update, Delete, Grant, Move]
 
 
 class CoordinationService(abc.ABC):
@@ -169,32 +204,36 @@ class CoordinationService(abc.ABC):
         """Remove the entry under ``key`` (idempotent)."""
         self.multi([Delete(key)], session)
 
-    @abc.abstractmethod
     def list_entries(self, prefix: str, session: Session) -> list[Entry]:
         """Entries under ``prefix`` the session principal may read, whole, sorted by key."""
+        return self.multi([List(prefix)], session)[0]
 
     def list_prefix(self, prefix: str, session: Session) -> list[str]:
         """List keys starting with ``prefix`` readable by the session principal."""
         return [entry.key for entry in self.list_entries(prefix, session)]
 
-    def move(self, key: str, new_key: str, value: bytes, session: Session,
+    def move(self, key: str, new_key: str, fields: Mapping[str, Any] | None, session: Session,
              expected_version: int | None = None, target_version: int = 0) -> Entry:
-        """Move the entry under ``key`` to ``new_key``, storing ``value`` there.
+        """Move the entry under ``key`` to ``new_key``, setting ``fields`` in its JSON object.
 
         One replicated command when one service holds both keys; owner and ACL
-        travel with the entry.  ``expected_version`` guards the source,
-        ``target_version`` says what ``new_key`` must hold (0: nothing).  Raises
-        ``TupleNotFoundError`` without a source, ``ConflictError`` on a version
-        mismatch or when WRITE is denied on either key.
+        travel with the entry, and ``fields`` (None: none) merge into the
+        stored value as an ``Update``'s do.  ``expected_version`` guards the
+        source, ``target_version`` says what ``new_key`` must hold (0:
+        nothing).  Raises ``TupleNotFoundError`` without a source (a file's
+        tombstone is none unless ``expected_version`` names it),
+        ``ConflictError`` on a version mismatch or on fields for a value that
+        is no JSON object, and :class:`~repro.common.errors.EntryDeniedError`
+        when WRITE is denied on either key.
         """
-        return self._one(Move(key, new_key, value, expected_version, target_version), session)
+        return self._one(Move(key, new_key, fields, expected_version, target_version), session)
 
     def set_entry_acl(self, key: str, user: str, permission: Permission,
                       session: Session) -> None:
         """Grant ``permission`` on ``key`` to ``user`` (owner only)."""
         self.multi([Grant(key, user, permission)], session)
 
-    def _one(self, op: Op, session: Session) -> Entry:
+    def _one(self, op: Get | Put | Move, session: Session) -> Entry:
         """The entry the one-step :meth:`multi` of ``op`` answers (``TupleNotFoundError``: none)."""
         entry = self.multi([op], session)[0]
         if entry is None:
@@ -204,29 +243,34 @@ class CoordinationService(abc.ABC):
     # -- several steps, one round trip -----------------------------------------
 
     @abc.abstractmethod
-    def multi(self, ops: Sequence[Op], session: Session) -> list[Entry | None]:
+    def multi(self, ops: Sequence[Op], session: Session) -> list[Any]:
         """Apply ``ops`` all or nothing, as one replicated command.
 
         Every step is checked before any is applied: a :class:`Lock` whose name
         is held raises :class:`~repro.common.errors.LockHeldError` (its
-        ``lock`` attribute names it), a :class:`Put` whose ``expected_version``
+        ``lock`` attribute names it), as does a :class:`LockFile` whose file's
+        lock another session holds; a :class:`Put` whose ``expected_version``
         mismatches or whose entry denies WRITE — or an :class:`Update` whose
         entry also is gone or names another file — raises ``ConflictError``, a
         :class:`Get` that is denied READ raises ``ConflictError``, and a
         :class:`Delete`, :class:`Grant` or :class:`Move` is checked as
         :meth:`delete`, :meth:`set_entry_acl` or :meth:`move` is — and then
         nothing has changed.  A refused version check or ``Update`` carries
-        ``found`` as in :meth:`put`.  Returns one result per step: the entry
-        for a ``Get`` (``None`` when absent), ``Put``, ``Update`` and ``Move``
-        (the moved entry), ``None`` for the others.  A command may change each
-        key and each lock at most once; a ``Move`` changes both its keys.
+        ``found`` as in :meth:`put`; a denied access is an
+        :class:`~repro.common.errors.EntryDeniedError`.  Returns one result
+        per step: the entry for a ``Get`` (``None`` when absent), ``Put``,
+        ``Update`` and ``Move`` (the moved entry), the entries of a ``List``,
+        the name a ``LockFile`` took (``None``: none), ``None`` for the
+        others.  A command may change each key and each lock at most once; a
+        ``Move`` changes both its keys.
         """
 
     def lock_home(self, key: str) -> str:
         """Suffix of an id whose lock names should live with the entry ``key``.
 
-        A lock name ending with it is held where ``key`` is, so a ``Lock``
-        riding with a step on ``key`` is one command.  Empty on one service,
+        A lock name ending with it is held where ``key`` is, so a ``Lock`` (or
+        a :class:`LockFile` of ``key``) riding with a step on ``key`` is one
+        command.  Empty on one service,
         which holds every lock and entry; a partitioned one names the
         partition of ``key``.
         """

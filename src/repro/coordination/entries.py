@@ -14,12 +14,14 @@ crashed client's locks are released without it (§2.5.1).  The trigger the
 paper added to DepSpace for an efficient ``rename`` (§3.2) is the ``Move``
 step of ``entry_multi``.
 
-A replica answers three commands: ``entry_list``, ``close_session`` and
-``entry_multi``, whose steps (:data:`~repro.coordination.base.Op`) read,
-create, replace, update, delete, move or re-grant entries and take or return
-locks — all or nothing, in one command whatever its size.  Every check
-precedes every mutation, so a command that raises leaves the replica untouched
-and all correct replicas stay identical.
+A replica answers two commands: ``close_session`` and ``entry_multi``, whose
+steps (:data:`~repro.coordination.base.Op`) read or list, create, replace,
+update, delete, move or re-grant entries and take or return locks — all or
+nothing, in one command whatever its size.  What a client would otherwise
+fetch first, the replica works out from the stored entry: a ``Move`` merges
+its fields into the value it moves, and a ``LockFile`` takes the lock of the
+file the entry names.  Every check precedes every mutation, so a command that
+raises leaves the replica untouched and all correct replicas stay identical.
 
 A session is the pair of the principal that sent the command (``user``) and
 the session id it names: a lock, an unlock or a close acts on the caller's
@@ -32,7 +34,8 @@ import functools
 import json
 from typing import Any, ClassVar, Mapping, NamedTuple, Sequence
 
-from repro.common.errors import ConflictError, LockHeldError, TupleNotFoundError
+from repro.common.errors import (
+    ConflictError, EntryDeniedError, LockHeldError, TupleNotFoundError)
 from repro.common.sortedkeys import SortedKeys
 from repro.common.types import ACL, Permission
 from repro.coordination.base import (
@@ -40,12 +43,16 @@ from repro.coordination.base import (
     Entry,
     Get,
     Grant,
+    List,
     Lock,
+    LockFile,
     Move,
     Op,
     Put,
     Unlock,
     Update,
+    file_lock,
+    lock_home_of,
 )
 
 
@@ -81,18 +88,37 @@ def _entry(key: str, stored: Stored) -> Entry:
 
 
 @functools.lru_cache(maxsize=1024)
-def _merged(value: bytes, fields: str) -> tuple[Any, bytes]:
-    """``(file id, value with the JSON fields set)``; cached, as every replica merges alike."""
+def _merged(value: bytes, fields: str) -> tuple[Any, bytes | None]:
+    """``(file id, value with the JSON fields set)``; ``(None, None)`` for no JSON object.
+
+    Cached, as every replica merges alike.
+    """
     try:
         current = json.loads(value)
-        return current["file_id"], json.dumps({**current, **json.loads(fields)},
-                                              sort_keys=True).encode()
-    except (ValueError, TypeError, KeyError):
-        return None, value
+        merged = json.dumps({**current, **json.loads(fields)}, sort_keys=True).encode()
+    except (ValueError, TypeError):
+        return None, None
+    return current.get("file_id"), merged
+
+
+def with_fields(value: bytes, fields: Mapping[str, Any]) -> bytes | None:
+    """``value`` with ``fields`` set in its JSON object (None: no JSON object): how steps merge."""
+    return _merged(value, json.dumps(fields, sort_keys=True))[1]
 
 
 @functools.lru_cache(maxsize=1024)
-def _tombstone(value: bytes) -> bool:
+def _live_file(value: bytes) -> str | None:
+    """The file id a live file's entry value names (None: no file, or its tombstone)."""
+    try:
+        current = json.loads(value)
+        live = current.get("type") == "file" and current.get("deleted") is not True
+    except (ValueError, AttributeError):
+        return None
+    return (current.get("file_id") or None) if live else None
+
+
+@functools.lru_cache(maxsize=1024)
+def is_tombstone(value: bytes) -> bool:
     """True when ``value`` is a JSON object marked ``deleted``; cached, as every replica asks alike."""
     try:
         return json.loads(value).get("deleted") is True
@@ -100,10 +126,11 @@ def _tombstone(value: bytes) -> bool:
         return False
 
 
-def _refusal(key: str, stored: Stored | None, user: str, reason: str) -> ConflictError:
+def _refusal(key: str, stored: Stored | None, user: str, reason: str,
+             kind: type[ConflictError] = ConflictError) -> ConflictError:
     """A refused change of ``key``, carrying the entry it met when ``user`` may read it."""
-    return ConflictError(reason, found=_entry(key, stored) if stored is not None
-                         and stored.acl.allows(user, Permission.READ) else None)
+    return kind(reason, found=_entry(key, stored) if stored is not None
+                and stored.acl.allows(user, Permission.READ) else None)
 
 
 class EntryCommands:
@@ -115,7 +142,7 @@ class EntryCommands:
     """
 
     #: The replicated commands :meth:`apply` dispatches.
-    COMMANDS: ClassVar[frozenset[str]] = frozenset({"entry_multi", "entry_list", "close_session"})
+    COMMANDS: ClassVar[frozenset[str]] = frozenset({"entry_multi", "close_session"})
 
     def __init__(self) -> None:
         self._entries: dict[str, Stored] = {}
@@ -156,7 +183,7 @@ class EntryCommands:
                            f"version mismatch on {key!r}: expected {expected_version}, "
                            f"found {found}")
         if stored is not None and not stored.acl.allows(user, Permission.WRITE):
-            raise ConflictError(f"{user} may not change entry {key!r}")
+            raise EntryDeniedError(f"{user} may not change entry {key!r}")
         return stored
 
     def _updated(self, op: Update, user: str) -> Stored:
@@ -164,13 +191,14 @@ class EntryCommands:
         stored = self._entries.get(op.key)
         file_id, value = (None, b"") if stored is None else _merged(
             stored.value, json.dumps(op.fields, sort_keys=True))
-        if stored is None or file_id != op.file_id:
+        if stored is None or value is None or file_id != op.file_id:
             reason = f"{op.key!r} does not hold file {op.file_id!r}"
         elif op.expected_version is not None and stored.version != op.expected_version:
             reason = (f"version mismatch on {op.key!r}: expected {op.expected_version}, "
                       f"found {stored.version}")
         elif not stored.acl.allows(user, Permission.WRITE):
-            reason = f"{user} may not change entry {op.key!r}"
+            raise _refusal(op.key, stored, user, f"{user} may not change entry {op.key!r}",
+                           EntryDeniedError)
         else:
             return stored._replace(version=stored.version + 1, value=value)
         raise _refusal(op.key, stored, user, reason)
@@ -184,7 +212,7 @@ class EntryCommands:
         ``grants`` on its ACL; the version keeps growing across the tombstone.
         """
         stored = self._writable(key, user, expected_version)
-        if stored is None or _tombstone(stored.value):
+        if stored is None or is_tombstone(stored.value):
             version = 0 if stored is None else stored.version
             return Stored(version + 1, value, ACL(user, dict(grants or {})))
         return stored._replace(version=stored.version + 1, value=value)
@@ -193,15 +221,19 @@ class EntryCommands:
         """The record under ``key`` once ``user`` may read it (None: absent)."""
         stored = self._entries.get(key)
         if stored is not None and not stored.acl.allows(user, Permission.READ):
-            raise ConflictError(f"{user} may not read entry {key!r}")
+            raise EntryDeniedError(f"{user} may not read entry {key!r}")
         return stored
 
-    def _step(self, op: Get | Put | Update | Delete | Grant | Move,
-              user: str) -> tuple[Entry | None, list[tuple[str, Stored | None]]]:
+    def _step(self, op: Get | List | Put | Update | Delete | Grant | Move,
+              user: str) -> tuple[Any, list[tuple[str, Stored | None]]]:
         """``(result, records it leaves)`` of the entry step ``op``, checked, not applied (None: erased)."""
         if isinstance(op, Get):
             found = self._readable(op.key, user)
             return (None if found is None else _entry(op.key, found)), []
+        if isinstance(op, List):
+            entries = self._entries
+            return [_entry(key, stored) for key in self._keys.prefixed(op.prefix)
+                    if (stored := entries[key]).acl.allows(user, Permission.READ)], []
         if isinstance(op, Delete):
             return None, [] if self._writable(op.key, user, None) is None else [(op.key, None)]
         if isinstance(op, Grant):
@@ -209,60 +241,80 @@ class EntryCommands:
             if stored is None:
                 raise TupleNotFoundError(f"no entry under key {op.key!r}")
             if user != stored.acl.owner:
-                raise ConflictError(f"only the owner may change the ACL of {op.key!r}")
+                raise EntryDeniedError(f"only the owner may change the ACL of {op.key!r}")
             acl = stored.acl.with_grant(op.user, op.permission)
             return None, [(op.key, stored._replace(version=stored.version + 1, acl=acl))]
         if isinstance(op, Move):
-            stored = self._writable(op.key, user, op.expected_version)
-            if stored is None:
+            stored = self._entries.get(op.key)
+            if stored is None or op.expected_version is None and is_tombstone(stored.value):
                 raise TupleNotFoundError(f"no entry under key {op.key!r}")
+            self._writable(op.key, user, op.expected_version)
             self._writable(op.new_key, user, op.target_version)
+            value = stored.value if op.fields is None else with_fields(stored.value, op.fields)
+            if value is None:
+                raise ConflictError(f"{op.key!r} holds no JSON object to set fields in")
             # Owner and ACL travel; the version passes both keys' histories, so
             # no version token seen under either key can match again.
             moved = stored._replace(version=max(stored.version, op.target_version) + 1,
-                                    value=op.value)
+                                    value=value)
             return _entry(op.new_key, moved), [(op.key, None), (op.new_key, moved)]
         stored = self._updated(op, user) if isinstance(op, Update) else self._successor(
             op.key, op.value, user, op.expected_version, op.grants)
         return _entry(op.key, stored), [(op.key, stored)]
 
     def entry_multi(self, ops: Sequence[Op], user: str, now: float,
-                    holder: Holder) -> list[Entry | None]:
+                    holder: Holder) -> list[Any]:
         """Apply ``ops`` all or nothing; one result per step (see ``CoordinationService.multi``).
 
         ``holder`` names the session of ``user`` that lock steps act for.  A
         :class:`Lock` on a name anyone holds refuses the whole command with
-        ``LockHeldError``; an :class:`Unlock` of a name that session does not
-        hold (expired, taken over, another principal's) changes nothing,
-        which is benign for a release.
+        ``LockHeldError``, and so does a :class:`LockFile` whose file's lock
+        another session holds (of one this session holds it takes nothing);
+        an :class:`Unlock` of a name that session does not hold (expired,
+        taken over, another principal's) changes nothing, which is benign for
+        a release.
         """
         # Checks run against the state before the command, so a second change
         # of one key (or one lock) would pass a check the first invalidates.
-        changed = [(isinstance(op, (Lock, Unlock)), key) for op in ops if not isinstance(op, Get)
+        changed = [(isinstance(op, (Lock, Unlock)), key) for op in ops
+                   if not isinstance(op, (Get, List, LockFile))
                    for key in (op[:2] if isinstance(op, Move) else op[:1])]
         if len(set(changed)) != len(changed):
             raise ConflictError("a multi-command may change each key and each lock only once")
         self._expire(now)
         holder = holder._replace(principal=user)
-        results: list[Entry | None] = []
+        results: list[Any] = []
         writes: list[tuple[str, Stored | None]] = []
+        names = [key for is_lock, key in changed if is_lock]
         takes: list[str] = []
         drops: list[str] = []
         for op in ops:
-            if not isinstance(op, (Lock, Unlock)):
+            if isinstance(op, LockFile):
+                name = self._file_lock(op, user)
+                held = None if name is None else self._locks.get(name)
+                if held is not None and held.session != holder.session:
+                    raise LockHeldError(f"lock {name!r} is held by another client", lock=name)
+                taken = name if name is not None and held is None else None
+                if taken is not None:
+                    names.append(taken)
+                    takes.append(taken)
+                results.append(taken)
+            elif not isinstance(op, (Lock, Unlock)):
                 result, records = self._step(op, user)
                 results.append(result)
                 writes += records
-                continue
-            held = self._locks.get(op.name)
-            if isinstance(op, Lock):
-                if held is not None:
-                    raise LockHeldError(f"lock {op.name!r} is held by another client",
-                                        lock=op.name)
-                takes.append(op.name)
-            elif held is not None and held.session == holder.session:
-                drops.append(op.name)
-            results.append(None)
+            else:
+                held = self._locks.get(op.name)
+                if isinstance(op, Lock):
+                    if held is not None:
+                        raise LockHeldError(f"lock {op.name!r} is held by another client",
+                                            lock=op.name)
+                    takes.append(op.name)
+                elif held is not None and held.session == holder.session:
+                    drops.append(op.name)
+                results.append(None)
+        if len(set(names)) != len(names):  # a LockFile's lock, named by its entry
+            raise ConflictError("a multi-command may change each key and each lock only once")
         for key, stored in writes:
             if stored is None:
                 self._entry_erase(key)
@@ -274,11 +326,20 @@ class EntryCommands:
             del self._locks[name]
         return results
 
-    def entry_list(self, prefix: str, user: str, now: float) -> list[Entry]:
-        """Every entry under ``prefix`` that ``user`` may read, sorted by key."""
-        entries = self._entries
-        return [_entry(key, stored) for key in self._keys.prefixed(prefix)
-                if (stored := entries[key]).acl.allows(user, Permission.READ)]
+    def _file_lock(self, op: LockFile, user: str) -> str | None:
+        """The lock ``op`` asks for: that of the live file its entry names, homed where ``op`` says.
+
+        None when the entry is absent, a tombstone or no file, denies ``user``
+        WRITE, or names a lock whose home is another service's.
+        """
+        stored = self._entries.get(op.key)
+        if stored is None or not stored.acl.allows(user, Permission.WRITE):
+            return None
+        file_id = _live_file(stored.value)
+        if file_id is None:
+            return None
+        name = file_lock(file_id)
+        return name if not op.home or lock_home_of(name) == op.home else None
 
     def close_session(self, session_id: str, user: str, now: float) -> None:
         """Return every lock ``user``'s session ``session_id`` holds, in one command.

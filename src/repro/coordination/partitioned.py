@@ -12,16 +12,18 @@ Because the SCFS Agent's metadata keys embed the file path, partitioning by
 the top-level directory (the default) spreads different users' or projects'
 subtrees across independent replicated services, multiplying the metadata
 capacity and halving (or better) the load per service.  Operations that span
-partitions — a ``list_entries`` with a short prefix, closing or renewing a
-session, returning locks that live on several partitions — send their
-per-partition commands together
+partitions — a ``List`` step (with the ``Get`` steps riding along), closing
+or renewing a session, returning locks that live on several partitions — send
+their per-partition commands together
 (:func:`~repro.coordination.replication.invoke_together`): they cost the
 client one round trip, the slowest partition's, not one per partition.
 
 A lock name may carry a *home*: a trailing ``@<partition>`` (the file ids the
 agent mints end with :meth:`PartitionedCoordination.lock_home` of the entry
 they are created under).  Such a lock lives on that partition, so it rides in
-one command with its entry; a rename to another partition leaves it at home.
+one command with its entry (a ``LockFile`` goes to the entry's partition and
+takes the lock only when its home is that one); a rename to another partition
+leaves it at home.
 Lock names without a home, and entry keys always, go by the partitioning
 function.  Both are pure functions of the name: every client routes alike.
 """
@@ -29,13 +31,15 @@ function.  Both are pure functions of the name: every client routes alike.
 from __future__ import annotations
 
 import hashlib
-from typing import Callable, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
-from repro.common.errors import ConflictError, ReproError
+from repro.common.errors import ConflictError, ReproError, TupleNotFoundError
 from repro.common.types import Principal
 from repro.coordination.adapters import DepSpaceCoordination
 from repro.coordination.base import (
-    DEFAULT_LEASE, CoordinationService, Entry, Lock, Move, Op, Session, Unlock)
+    DEFAULT_LEASE, CoordinationService, Entry, Get, List, Lock, LockFile, Move, Op, Session,
+    Unlock, lock_home_of)
+from repro.coordination.entries import is_tombstone, with_fields
 from repro.coordination.replication import invoke_together
 
 
@@ -74,9 +78,9 @@ class PartitionedCoordination(CoordinationService):
 
     def lock_partition(self, name: str) -> int:
         """Index of the partition holding the lock ``name``: the home its ``@<p>`` names, if any."""
-        _, at, home = name.rpartition("@")
-        if at and home.isdigit():
-            return int(home) % len(self.services)
+        home = lock_home_of(name)
+        if home:
+            return int(home[1:]) % len(self.services)
         return self.partition_of(name)
 
     def lock_home(self, key: str) -> str:
@@ -100,30 +104,53 @@ class PartitionedCoordination(CoordinationService):
 
     # -- entries ------------------------------------------------------------------
 
-    def list_entries(self, prefix: str, session: Session) -> list[Entry]:
-        listings = invoke_together([service.list_command(prefix, session)
-                                    for service in self.services])
-        return sorted((entry for listing in listings for entry in listing),
-                      key=lambda entry: entry.key)
-
-    def move(self, key: str, new_key: str, value: bytes, session: Session,
+    def move(self, key: str, new_key: str, fields: Mapping[str, Any] | None, session: Session,
              expected_version: int | None = None, target_version: int = 0) -> Entry:
         if self.partition_of(key) == self.partition_of(new_key):
-            return super().move(key, new_key, value, session, expected_version, target_version)
-        # No atomicity across partitions: read the source (none raises, as on
-        # one service), write the new entry, then drop the old one (a crash in
-        # between leaves both; never neither).  The new entry belongs to the
-        # mover and carries the source's grants.
+            return super().move(key, new_key, fields, session, expected_version, target_version)
+        # No atomicity across partitions: read the source (none, or a tombstone
+        # its version does not name, raises, as on one service), write the new
+        # entry, then drop the old one (a crash in between leaves both; never
+        # neither).  The new entry belongs to the mover and carries the
+        # source's grants.
         found = self.get(key, session)
+        if expected_version is None and is_tombstone(found.value):
+            raise TupleNotFoundError(f"no entry under key {key!r}")
         if expected_version is not None and found.version != expected_version:
             raise ConflictError(f"version mismatch on {key!r}: expected {expected_version}, "
                                 f"found {found.version}")
+        value = found.value if fields is None else with_fields(found.value, fields)
+        if value is None:
+            raise ConflictError(f"{key!r} holds no JSON object to set fields in")
         moved = self.put(new_key, value, session, target_version,
                          grants=found.acl.grants)
         self.delete(key, session)
         return moved
 
-    def multi(self, ops: Sequence[Op], session: Session) -> list[Entry | None]:
+    def _read_everywhere(self, ops: Sequence[Op], session: Session) -> list[Any]:
+        """A multi of ``Get`` and ``List`` steps: one command per partition, all sent together.
+
+        Each partition gets the ``Get`` steps of its keys and every ``List``;
+        a ``List`` answers the sorted union of what the partitions listed.
+        """
+        if not all(isinstance(op, (Get, List)) for op in ops):
+            raise ValueError("a List rides only with Get steps on a partitioned service")
+        sends = [[position for position, op in enumerate(ops)
+                  if isinstance(op, List) or self.partition_of(op.key) == index]
+                 for index in range(len(self.services))]
+        answers = invoke_together([service.multi_command([ops[p] for p in positions], session)
+                                   for service, positions in zip(self.services, sends)])
+        results: list[Any] = [[] if isinstance(op, List) else None for op in ops]
+        for positions, replies in zip(sends, answers, strict=True):
+            for position, answer in zip(positions, replies, strict=True):
+                if isinstance(ops[position], List):
+                    results[position] += answer
+                elif answer is not None:
+                    results[position] = answer
+        return [sorted(result, key=lambda entry: entry.key) if isinstance(op, List) else result
+                for op, result in zip(ops, results)]
+
+    def multi(self, ops: Sequence[Op], session: Session) -> list[Any]:
         """One command per partition and phase touched: locks, then entries, then unlocks.
 
         Atomic per partition only (the caveat ``move`` has): when a later
@@ -148,14 +175,21 @@ class PartitionedCoordination(CoordinationService):
 
         Commands that need not wait for one another go out together and cost
         one round trip: the unlock-only commands that end the sequence, and
-        the hand-back of the locks a refused command leaves granted.
+        the hand-back of the locks a refused command leaves granted.  A
+        ``LockFile`` is a lock step on its entry's partition.  A ``List``
+        reads every partition: it rides with ``Get`` steps only, and the
+        partitions' commands all go out together.
         """
+        if any(isinstance(op, List) for op in ops):
+            return self._read_everywhere(ops, session)
         locks: dict[int, list[int]] = {}
         entries: dict[int, list[int]] = {}
         unlocks: dict[int, list[int]] = {}
         final = None
         for position, op in enumerate(ops):
-            if isinstance(op, (Lock, Unlock)):
+            if isinstance(op, LockFile):
+                index, phase = self.partition_of(op.key), locks
+            elif isinstance(op, (Lock, Unlock)):
                 index = self.lock_partition(op.name)
                 phase = locks if isinstance(op, Lock) else unlocks
             else:
@@ -182,12 +216,15 @@ class PartitionedCoordination(CoordinationService):
             together -= 1
         sends = [(self.services[index], [ops[position] for position in positions])
                  for index, positions in commands]
-        answers: list[list[Entry | None]] = []
+        answers: list[list[Any]] = []
         granted: list[tuple[DepSpaceCoordination, list[Op]]] = []
         try:
             for service, steps in sends[:together]:
                 answers.append(service.multi(steps, session))
-                taken: list[Op] = [Unlock(op.name) for op in steps if isinstance(op, Lock)]
+                taken: list[Op] = [
+                    Unlock(op.name if isinstance(op, Lock) else answer)
+                    for op, answer in zip(steps, answers[-1])
+                    if isinstance(op, Lock) or isinstance(op, LockFile) and answer is not None]
                 if taken:
                     granted.append((service, taken))
             answers += invoke_together([service.multi_command(steps, session)
@@ -196,7 +233,7 @@ class PartitionedCoordination(CoordinationService):
             invoke_together([service.multi_command(handed_back, session)
                              for service, handed_back in granted])
             raise
-        results: list[Entry | None] = [None] * len(ops)
+        results: list[Any] = [None] * len(ops)
         for (_, positions), replies in zip(commands, answers, strict=True):
             for position, answer in zip(positions, replies, strict=True):
                 results[position] = answer

@@ -8,9 +8,9 @@ storage backend, implementing the call flows of Figure 4:
   sends the insert-if-absent *first* where it can tell locally that nothing
   else would be sent, and a refusal says what is there), optionally lock
   the file when opening for writing — the lock rides in the command that
-  re-reads the entry under it — then bring the file data into the local
-  caches (from the cloud only when the locally cached copy does not match the
-  anchored hash);
+  reads the entry under it, and the replicas name it from that entry — then
+  bring the file data into the local caches (from the cloud only when the
+  locally cached copy does not match the anchored hash);
 * ``write``/``read`` — operate purely on the main-memory copy of the open file
   (durability level 0);
 * ``fsync`` — flush the open file to the local disk cache (level 1);
@@ -51,13 +51,13 @@ from repro.common.errors import (
     PermissionDeniedError,
 )
 from repro.common.types import Permission, Principal
-from repro.coordination.base import CoordinationService, Op
+from repro.coordination.base import CoordinationService, Op, lock_home_of
 from repro.core.backend import StorageBackend
 from repro.core.cache import DISK_CACHE_BYTES, MEMORY_CACHE_BYTES, MetadataCache, make_disk_cache, make_memory_cache
 from repro.core.config import SCFSConfig
 from repro.core.filesystem import FileSystem, HandleTable, OpenFile, OpenFlags
 from repro.core.gc import GarbageCollector
-from repro.core.lock_service import LockService
+from repro.core.lock_service import FileLock, LockService
 from repro.core.metadata import DATA_FIELDS, FileMetadata, FileType, normalize_path, parent_path
 from repro.core.metadata_service import MetadataService
 from repro.core.modes import OperationMode
@@ -79,7 +79,8 @@ class AgentOpenFile(OpenFile):
     """
 
     metadata: FileMetadata
-    locked: bool = False
+    #: The write lock this handle owns; its close releases it.
+    lock: FileLock | None = None
     fsynced_digest: str = ""
     #: The backend's number for the version this close uploads, taken from
     #: the anchor before the close replaced its locator.
@@ -284,47 +285,37 @@ class SCFSAgent(FileSystem):
         flags = self.open_flags(mode)
         self._syscall()
         path = normalize_path(path)
-        user = self.principal.name
         wants_write = bool(flags & (OpenFlags.WRITE | OpenFlags.TRUNCATE))
         began = self.sim.now()
 
-        meta, fresh = self._look(path, flags, shared)
-        created = meta is None or meta.deleted
-        if created:
-            if not flags & OpenFlags.CREATE:
-                raise FileNotFoundErrorFS(f"no such file: {path}")
-            meta, created = self._create(path, shared, fresh, wants_write)
-        if created:
-            private = self.metadata.creates_privately(meta, shared)
-        else:
-            meta = self._newest(path, meta)
-            private = self.metadata.is_private(meta)
-        if meta.is_directory:
-            raise IsADirectoryErrorFS(f"is a directory: {path}")
-
-        needed = Permission.WRITE if wants_write else Permission.READ
-        if not meta.allows(user, needed):
-            raise PermissionDeniedError(f"{user} lacks {needed} permission on {path}")
-
-        # Lock shared files opened for writing; failure surfaces as an error
-        # (write-write conflicts are prevented rather than merged, §2.5.1).
-        locked = wants_write and not private and self.locks.enabled
-        if locked and not created:
-            meta = self._lock_and_revalidate(path, meta)
+        # This agent's in-flight close of the file, taken before anything is
+        # sent: a close landing during the open's command cannot hide it.
+        pending = self._pending_commit_for(path)
+        meta, fresh, lock = self._look(path, flags, shared, wants_write, pending)
         try:
+            created = meta is None or meta.deleted
+            if created:
+                if not flags & OpenFlags.CREATE:
+                    raise FileNotFoundErrorFS(f"no such file: {path}")
+                meta, created, lock = self._create(path, shared, fresh, wants_write)
+            private = (self.metadata.creates_privately(meta, shared) if created
+                       else self.metadata.is_private(meta))
+            self._refuse_open(path, meta, wants_write)
+            # Lock shared files opened for writing; failure surfaces as an error
+            # (write-write conflicts are prevented rather than merged, §2.5.1).
+            if wants_write and not private and self.locks.enabled and lock is None:
+                meta, lock = self._lock_and_revalidate(path, meta, reread=pending is None)
             buffer, dirty, served = self._load(meta, flags, created)
         except Exception:
             # The handle never materialises, so no close() could ever release
             # the lock: give it back before surfacing the error (a leak here
             # would block every other writer until this agent unmounts).
-            if locked:
-                self.locks.release(meta)
+            if lock is not None:
+                lock.release()
             raise
 
         handle = self._handles.add(AgentOpenFile(
-            path=path, flags=flags, buffer=buffer, dirty=dirty,
-            metadata=meta, locked=locked,
-        ))
+            path=path, flags=flags, buffer=buffer, dirty=dirty, metadata=meta, lock=lock))
         # ``served`` marks opens whose buffer was loaded from the anchored
         # version (the digest below) — the events the consistency-on-close
         # invariant checker inspects.  Truncating/creating opens serve nothing.
@@ -334,19 +325,38 @@ class SCFSAgent(FileSystem):
         # snapshot, not the fetch completion.
         self._emit("open", path=path, file_id=meta.file_id, digest=meta.digest,
                    version=meta.data_version, served=served, write=wants_write,
-                   created=created, locked=locked, handle=handle, began=began)
+                   created=created, locked=lock is not None, handle=handle, began=began)
         return handle
 
-    def _look(self, path: str, flags: OpenFlags,
-              shared: bool) -> tuple[FileMetadata | None, FileMetadata | None]:
-        """The open's first look: ``(what is known of path, the file a create would make)``.
+    def _refuse_open(self, path: str, meta: FileMetadata | None, wants_write: bool) -> None:
+        """Raise what an open of ``path`` holding ``meta`` meets: ENOENT, EISDIR or EACCES."""
+        if meta is None or meta.deleted:
+            raise FileNotFoundErrorFS(f"no such file: {path}")
+        if meta.is_directory:
+            raise IsADirectoryErrorFS(f"is a directory: {path}")
+        needed = Permission.WRITE if wants_write else Permission.READ
+        if not meta.allows(self.principal.name, needed):
+            raise PermissionDeniedError(f"{self.principal.name} lacks {needed} permission on {path}")
 
-        The cache is fine for this look: it only decides existence,
+    def _look(self, path: str, flags: OpenFlags, shared: bool, wants_write: bool,
+              pending: AgentOpenFile | None
+              ) -> tuple[FileMetadata | None, FileMetadata | None, FileLock | None]:
+        """The open's first look: ``(what is known of path, the file a create would make, its lock)``.
+
+        When this agent has a close of ``path`` in flight (``pending``) and
+        the look finds its file, the close's metadata is the answer: its
+        version is newer than anything the anchor knows yet, so the open reads
+        its own writes and bases a new version on it, and the close holds the
+        file's lock, which the open then takes re-entrantly.
+
+        Otherwise the cache is fine for this look: it only decides existence,
         permissions and the lock name.  Writers must base the new version on
         the *latest anchored* metadata — the cache may lag a concurrent close
         by up to its expiration and the write lock alone does not refresh it —
-        but that authoritative read rides with the lock
-        (:meth:`_lock_and_revalidate`), so it is not paid twice here.
+        but that authoritative read rides with the lock, so it is not paid
+        twice.  A write-open whose lock can ride (:meth:`_lock_rides`) sends
+        its look with it, ``[LockFile, Get]``: the replicas take the lock of
+        the file the entry names, whatever the cache said.
 
         The new file is made here when nothing held here says the file exists
         and its parent is known *here* to be a live directory (asking for it
@@ -357,14 +367,24 @@ class SCFSAgent(FileSystem):
         insert-if-absent gives by itself, and a refusal says what is there.
         """
         meta = self.metadata.lookup(path, remote=False)
+        if pending is not None:
+            if meta is None:
+                meta = self.metadata.lookup(path, use_cache=False)
+            if meta is not None and not meta.deleted and meta.file_id == pending.metadata.file_id:
+                meta = pending.metadata.copy()
+            return meta, None, None
         fresh: FileMetadata | None = None
         if ((meta is None or meta.deleted) and flags & OpenFlags.CREATE
-                and self._pending_commit_for(path) is None
                 and self._check_parent(path, remote=False)):
             fresh = self._new_file(path)
-        if meta is None and not self._inserts_first(fresh, shared):
+        if self._inserts_first(fresh, shared):
+            return meta, fresh, None
+        if wants_write and self.locks.enabled and self._lock_rides(path, meta):
+            meta, lock = self._lock_with_look(path)
+            return meta, fresh, lock
+        if meta is None:
             meta = self.metadata.lookup(path, use_cache=False)
-        return meta, fresh
+        return meta, fresh, None
 
     def _inserts_first(self, fresh: FileMetadata | None, shared: bool) -> bool:
         """True when creating ``fresh`` sends its insert before anything else.
@@ -375,13 +395,13 @@ class SCFSAgent(FileSystem):
         return fresh is not None and not self.metadata.creates_privately(fresh, shared)
 
     def _create(self, path: str, shared: bool, fresh: FileMetadata | None,
-                wants_write: bool) -> tuple[FileMetadata, bool]:
-        """Create ``path`` for an ``O_CREAT`` open: ``(its metadata, whether this open created it)``.
+                wants_write: bool) -> tuple[FileMetadata, bool, FileLock | None]:
+        """Create ``path`` for an ``O_CREAT`` open: ``(its metadata, whether this open created it, its lock)``.
 
         The lock of a file created for writing rides in the command that
         inserts its entry: one coordination round trip, not two.  A live
         object met by the insert (sent first, or a concurrent creator won) is
-        what the open opens instead.
+        what the open opens instead, not locked yet.
         """
         if not self._inserts_first(fresh, shared):
             self._check_parent(path)
@@ -390,59 +410,102 @@ class SCFSAgent(FileSystem):
         try:
             if wants_write and not self.metadata.creates_privately(meta, shared) \
                     and self.locks.enabled:
-                self.locks.acquire(meta, insert)
-            else:
-                insert()
+                return meta, True, self.locks.hold(meta, insert)
+            insert()
         except FileExistsErrorFS as exc:
             if exc.found is None:
                 raise
-            return exc.found, False
-        return meta, True
+            return exc.found, False, None
+        return meta, True, None
 
-    def _lock_and_revalidate(self, path: str, meta: FileMetadata) -> FileMetadata:
-        """Write-lock an existing shared file and re-read its entry under the lock.
+    def _lock_rides(self, path: str, meta: FileMetadata | None) -> bool:
+        """True when a write-open of ``path`` sends its lock with its look (a ``LockFile``).
 
-        One coordination command, ``[Lock, Get]``: the lock rides with the
-        re-read it guards.  The snapshot that decided the open may be stale
-        — the previous holder's in-flight commit may land while the lock is
-        taken — and writing on top of it would fork the version history (a
-        lost update despite mutual exclusion).  The lock is the serialization
-        point, so the anchored entry is read by the command that grants it.
-        A re-entrant hold sends the re-read alone.
+        So it does when nothing held here says what is there, or when a live
+        shared file the caller may write is, whose lock lives with its entry
+        and is not held here.  A known lock homed on another partition, or
+        held here already, is taken by name (:meth:`_lock_and_revalidate`).
         """
-        found: dict[str, tuple[FileMetadata, int] | None] = {}
+        if meta is None:
+            return self.metadata.may_be_shared(path)
+        if not self._lockable(meta):
+            return False
+        name = self.locks.lock_name(meta)
+        return name not in self.locks.held and lock_home_of(name) == self.coordination.lock_home(
+            self.metadata.entry_key(path))
 
-        def reread(steps: Sequence[Op]) -> None:
-            found.update(self.metadata.lookup_many_versioned([path], also=steps))
+    def _lock_with_look(self, path: str) -> tuple[FileMetadata | None, FileLock | None]:
+        """``[LockFile, Get]`` of ``path``, one command: what its entry holds, and the lock taken.
+
+        The replicas take the lock of the live file the entry names, so a
+        write-open racing an unlink and re-create locks the file it reads.
+        They take nothing for an absent, deleted or directory path, nor for
+        one the caller may not write: the open then raises with no lock held.
+        A live file whose lock the command did not take — homed on another
+        partition, or held here already — is locked by name.
+        """
+        found: list[FileMetadata | None] = []
+
+        def look(step: Op) -> str | None:
+            meta, answer = self.metadata.lookup_locking(path, step)
+            found.append(meta)
+            return answer
 
         try:
-            # repro: allow[LCK001] -- ownership hand-off: the lock lives with the handle, close() releases it
-            self.locks.acquire(meta, reread)
+            name = self.locks.acquire_file(self.metadata.entry_key(path), look)
         except LockHeldError:
             self.stats.lock_conflicts += 1
             raise
-        latest = found[path]
-        if latest is not None and not latest[0].deleted:
-            refreshed = latest[0]
-            if refreshed.file_id != meta.file_id:
-                # The path was deleted and recreated while this open was in
-                # flight: the lock taken above guards the old incarnation's
-                # id, so move it to the current one.
-                self.locks.release(meta)
-                self.locks.acquire(refreshed)
-            meta = refreshed
-        return self._newest(path, meta)
+        [meta] = found
+        if name is not None:
+            return meta, FileLock(self.locks, meta)
+        if meta is None or not self._lockable(meta):
+            return meta, None
+        return self._lock_and_revalidate(path, meta, reread=False)
 
-    def _newest(self, path: str, meta: FileMetadata) -> FileMetadata:
-        """``meta``, or the metadata of this agent's in-flight commit of ``path``.
+    def _lockable(self, meta: FileMetadata) -> bool:
+        """True when ``meta`` is a live shared file the caller may open for writing."""
+        return (not meta.deleted and meta.is_file and not self.metadata.is_private(meta)
+                and meta.allows(self.principal.name, Permission.WRITE))
 
-        A non-blocking commit may still be in flight: its version is newer
-        than anything the anchor knows yet, and this agent must read its own
-        writes (and must not base a new version on the pre-upload state,
-        which would lose the pending update).
+    def _lock_and_revalidate(self, path: str, meta: FileMetadata,
+                             reread: bool = True) -> tuple[FileMetadata, FileLock]:
+        """Write-lock the shared file ``meta`` by its lock's name, re-reading its entry under the lock.
+
+        One coordination command, ``[Lock, Get]``, where lock and entry share
+        a partition: the lock rides with the re-read it guards.  The snapshot
+        that decided the open may be stale — the previous holder's in-flight
+        commit may land while the lock is taken — and writing on top of it
+        would fork the version history (a lost update despite mutual
+        exclusion).  The lock is the serialization point, so the anchored
+        entry is read by the command that grants it.  A re-entrant hold sends
+        the re-read alone, and nothing when ``meta`` is not stale (``reread``
+        off): this open's own read, or this agent's in-flight close.
         """
-        pending = self._pending_commit_for(path)
-        return pending.metadata.copy() if pending is not None else meta
+        found: dict[str, tuple[FileMetadata, int] | None] = {}
+
+        def look(steps: Sequence[Op]) -> None:
+            if steps or reread:
+                found.update(self.metadata.lookup_many_versioned([path], also=steps))
+
+        try:
+            lock = self.locks.hold(meta, look)
+        except LockHeldError:
+            self.stats.lock_conflicts += 1
+            raise
+        latest = found.get(path)
+        if latest is None or latest[0].deleted:
+            return meta, lock
+        if latest[0].file_id == meta.file_id:
+            return latest[0], lock
+        # The path was deleted and re-created while this open was in flight:
+        # the lock taken above guards the old incarnation's id.
+        lock.release()
+        current, lock = self._lock_with_look(path)
+        if lock is None:
+            self._refuse_open(path, current, wants_write=True)
+            raise FileNotFoundErrorFS(f"{path} changed while it was being opened")
+        return current, lock
 
     def _load(self, meta: FileMetadata, flags: OpenFlags,
               created: bool) -> tuple[bytes, bool, bool]:
@@ -528,8 +591,8 @@ class SCFSAgent(FileSystem):
             self._emit("close", path=of.metadata.path, file_id=of.metadata.file_id,
                        handle=handle, dirty=False, digest=of.metadata.digest,
                        version=of.metadata.data_version)
-            if of.locked:
-                self.locks.release(of.metadata)
+            if of.lock is not None:
+                of.lock.release()
             return
 
         data = of.snapshot()
@@ -574,8 +637,8 @@ class SCFSAgent(FileSystem):
         finally:
             # Also when the upload or the update raised: the handle is gone, so
             # a lock kept here would block every other writer until unmount.
-            if of.locked:
-                self.locks.release(meta)
+            if of.lock is not None:
+                of.lock.release()
 
     def _publish(self, writes: Sequence[tuple[FileMetadata, bytes, int, int | None]],
                  also: Sequence[Op] = (), **tags: Any) -> None:
@@ -675,16 +738,18 @@ class SCFSAgent(FileSystem):
         non-blocking close would otherwise anchor its version *after* the
         transaction's CAS with an unconditional update, clobbering it.
         :meth:`rename` calls it before it moves anything, :meth:`unmount` (on
-        ``/``) before it gives the locks back.  Completing the upload
-        early just means "it finished by now" — the flush point is itself a
-        deterministic function of the schedule, so replay determinism is
-        preserved.
+        ``/``) before it gives the locks back.  The caller waits for each
+        upload: the clock moves to the close's landing instant, where its
+        scheduled landing runs (or, when the caller is itself a task running,
+        which runs no other, the landing is run there).
         """
         path = normalize_path(path)
         prefix = path.rstrip("/") + "/"
         for of in [of for of in self._pending_commits.values()
                    if of.metadata.path == path or of.metadata.path.startswith(prefix)]:
-            # One landing may move the clock past another's own deadline.
+            # One landing may move the clock past another's own instant.
+            if of.handle in self._pending_commits:
+                self.sim.advance_to(max(self.sim.now(), of.lands_at))
             if of.handle in self._pending_commits:
                 of.landing.cancel()
                 self._land(of)
@@ -747,9 +812,8 @@ class SCFSAgent(FileSystem):
         self.metadata.remove(path)
 
     def readdir(self, path: str) -> list[str]:
-        """List the names of the entries of a directory."""
+        """List the names of the entries of a directory (its check rides with the listing)."""
         self._syscall()
-        self._require_directory(path)
         return [m.name for m in self.metadata.list_children(path)]
 
     def stat(self, path: str) -> FileMetadata:

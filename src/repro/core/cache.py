@@ -32,7 +32,6 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Iterator
 
 from repro.common.units import GB, MB
 from repro.simenv.environment import Simulation
@@ -127,13 +126,6 @@ class LRUByteCache:
         self._entries.clear()
         self._used = 0
 
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def keys(self) -> Iterator[str]:
-        """Iterate over cached keys, least recently used first."""
-        return iter(self._entries.keys())
-
 
 def make_memory_cache(capacity_bytes: int, sim: Simulation) -> LRUByteCache:
     """The main-memory open-file cache (durability level 0)."""
@@ -200,10 +192,3 @@ class MetadataCache:
     def invalidate(self, key: str) -> None:
         """Drop one entry (called after local updates to keep the cache coherent)."""
         self._entries.pop(key, None)
-
-    def clear(self) -> None:
-        """Drop every entry."""
-        self._entries.clear()
-
-    def __len__(self) -> int:
-        return len(self._entries)

@@ -267,10 +267,6 @@ class FileSystem(abc.ABC):
         finally:
             self.close(handle)
 
-    def copy(self, source: str, destination: str) -> None:
-        """Copy a file within the file system (read whole + write whole)."""
-        self.write_file(destination, self.read_file(source))
-
 
 def __getattr__(name: str) -> Any:
     """``SCFSFileSystem``, the old name of the SCFS mount, is the agent.

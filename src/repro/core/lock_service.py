@@ -11,8 +11,9 @@ recipes for locking using the coordination service of choice" (§2.5.1).  The
 only strict requirement is that lock entries are *ephemeral*: if a client
 crashes while holding a lock, the lease expires and the file unlocks
 automatically.  DepSpace satisfies this with a lease per lock, so the recipe
-here only adds re-entrant bookkeeping on top of the service's ``Lock`` and
-``Unlock`` steps.
+here only adds re-entrant bookkeeping on top of the service's ``Lock``,
+``LockFile`` and ``Unlock`` steps.  A write-open's lock is a :class:`FileLock`
+its handle owns, and the handle's ``close`` releases it.
 In the non-sharing mode there is no coordination service and therefore no
 locking (a single user by definition cannot conflict with itself across agents
 sharing nothing).
@@ -20,16 +21,28 @@ sharing nothing).
 
 from __future__ import annotations
 
-from typing import Callable, Sequence, cast
+from typing import Callable, NamedTuple, Sequence, cast
 
 from repro.common.errors import LockHeldError
-from repro.coordination.base import CoordinationService, Lock, Op, Session, Unlock
+from repro.coordination.base import (
+    CoordinationService, Lock, LockFile, Op, Session, Unlock, file_lock)
 from repro.core.metadata import FileMetadata
 from repro.simenv.environment import Simulation
 
 #: The command lock steps ride in: called once with the steps (possibly none),
 #: it sends them inside its own ``multi`` and raises iff that command was refused.
 Carrier = Callable[[Sequence[Op]], object]
+
+
+class FileLock(NamedTuple):
+    """One acquisition of a file's write lock, released by whoever holds the object."""
+
+    locks: LockService
+    metadata: FileMetadata
+
+    def release(self) -> None:
+        """Give this acquisition back (:meth:`LockService.release`)."""
+        self.locks.release(self.metadata)
 
 
 class LockService:
@@ -71,7 +84,7 @@ class LockService:
         partition of the entry it was created under, and the lock lives there
         for the file's whole life.
         """
-        return f"filelock:{metadata.file_id or metadata.path}"
+        return file_lock(metadata.file_id or metadata.path)
 
     @property
     def enabled(self) -> bool:
@@ -90,6 +103,44 @@ class LockService:
     def release(self, metadata: FileMetadata) -> None:
         """Release the write lock on ``metadata``: the one-file case of :meth:`release_set`."""
         self.release_set([metadata])
+
+    def hold(self, metadata: FileMetadata, send: Carrier | None = None) -> FileLock:
+        """:meth:`acquire` ``metadata``'s lock, handed out as the :class:`FileLock` its owner releases."""
+        self.acquire(metadata, send)
+        return FileLock(self, metadata)
+
+    def acquire_file(self, key: str, send: Callable[[LockFile], str | None]) -> str | None:
+        """Lock the file the entry under ``key`` names, its name read off the entry by the replica.
+
+        ``send`` is called once with the :class:`LockFile` step, sends it in
+        its own ``multi`` and returns the step's answer: the name the
+        replica took, or None when it took nothing — no live file the
+        principal may write is there, its lock's home is another partition,
+        or this session holds it already.  A name taken is counted as
+        :meth:`acquire_set` counts one, and returned.  A lock another session
+        holds refuses the command with :class:`LockHeldError`.
+        """
+        lapse = self.sim.now() + self.session.lease_seconds
+        try:
+            name = send(LockFile(key, self.coordination.lock_home(key)))
+        except LockHeldError as exc:
+            raise LockHeldError(f"{key} is locked for writing by another client",
+                                lock=exc.lock) from exc
+        if name is not None:
+            self._taken([name], lapse)
+        return name
+
+    def _taken(self, names: Sequence[str], lapse: float) -> None:
+        """Count one acquisition of each of ``names``, which the service just granted.
+
+        A name held here already (its lease lapsed at the replicas, which
+        granted it again) keeps its first lapse and fires no transition.
+        """
+        fresh = [name for name in names if name not in self.held]
+        for name in names:
+            self.held[name] = self.held.get(name, 0) + 1
+            self.lapses.setdefault(name, lapse)
+        self._transitions("lock", fresh)
 
     def acquire_set(self, metadatas: Sequence[FileMetadata],
                     send: Carrier | None = None) -> bool:
@@ -141,10 +192,7 @@ class LockService:
                     f"{paths.get(exc.lock, exc.lock)} is locked for writing by another client",
                     lock=exc.lock) from exc
             raise
-        for name in fresh:
-            self.held[name] = self.held.get(name, 0) + 1
-            self.lapses.setdefault(name, lapse)
-        self._transitions("lock", fresh)
+        self._taken(fresh, lapse)
         return True
 
     def release_set(self, metadatas: Sequence[FileMetadata]) -> None:

@@ -17,17 +17,20 @@ file data (§2.4).
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Any, Callable, Sequence, TypeVar
 
 from repro.common.errors import (
     ConflictError,
+    EntryDeniedError,
     FileExistsErrorFS,
     FileNotFoundErrorFS,
+    NotADirectoryErrorFS,
     PermissionDeniedError,
     TupleNotFoundError,
 )
 from repro.common.types import Permission, Principal
-from repro.coordination.base import CoordinationService, Entry, Get, Op, Put, Session, Update
+from repro.coordination.base import (
+    CoordinationService, Entry, Get, List, Op, Put, Session, Update)
 from repro.core.cache import MetadataCache
 from repro.core.metadata import DATA_FIELDS, FileMetadata, FileType, normalize_path, parent_path
 from repro.core.pns import PrivateNameSpace
@@ -35,6 +38,8 @@ from repro.simenv.environment import Simulation
 
 #: Prefix of file-system metadata entries in the coordination service.
 META_PREFIX = "meta:"
+
+T = TypeVar("T")
 
 
 class MetadataService:
@@ -135,6 +140,24 @@ class MetadataService:
         if self.pns is not None and self.pns.contains(path):
             return None
         return self._fetch(path)
+
+    def lookup_locking(self, path: str, lock: Op) -> tuple[FileMetadata | None, Any]:
+        """The shared entry of ``path`` read with ``lock`` riding in front: one command.
+
+        Returns the metadata (None: absent) and the lock step's answer.
+        """
+        path = normalize_path(path)
+        try:
+            answer, entry = self.coordination.multi([lock, Get(self.entry_key(path))],
+                                                    self.session)
+        except EntryDeniedError as exc:
+            raise PermissionDeniedError(str(exc)) from exc
+        return (None if entry is None else self._fetched(path, entry)[0]), answer
+
+    def may_be_shared(self, path: str) -> bool:
+        """False when what this agent holds says ``path`` has no shared entry to read."""
+        return (path != "/" and self.coordination is not None
+                and not self._under_private_directory(path))
 
     def lookup_many_versioned(self, wanted: Sequence[str], also: Sequence[Op] = (),
                               then: Sequence[Op] = ()
@@ -238,22 +261,25 @@ class MetadataService:
         existing = self.pns.get(path) if self.pns is not None else None
         return existing is not None and not existing.deleted
 
-    def _claim(self, path: str, attempt: Callable[[int], object]) -> None:
-        """Take the entry of ``path`` with ``attempt(version_it_must_hold)``.
+    def _claim(self, path: str, attempt: Callable[[int], T]) -> T:
+        """Take the entry of ``path`` with ``attempt(version_it_must_hold)``; its result.
 
         The service's insert-if-absent is the existence check: ``attempt(0)``
         succeeds in one command when nothing is there.  When the key is taken
         the refusal says by what (the entry is read only when it does not): a
         live object is EEXIST, a ``deleted`` tombstone awaiting the garbage
-        collector is replaced at exactly the version met.
+        collector is replaced at exactly the version met.  A denied access is
+        no answer about ``path``: it re-raises at once.
         """
         try:
-            attempt(0)
+            return attempt(0)
+        except EntryDeniedError:
+            raise
         except ConflictError as exc:
             found = self._witness(path, exc) or self.lookup_versioned(path)
             if found is not None and not found[0].deleted:
                 raise FileExistsErrorFS(f"file exists: {path}", found=found[0]) from exc
-            attempt(found[1] if found is not None else 0)
+            return attempt(found[1] if found is not None else 0)
 
     def _witness(self, path: str, refusal: ConflictError) -> tuple[FileMetadata, int] | None:
         """What ``refusal`` met under the entry of ``path`` (cached), if it says."""
@@ -324,63 +350,100 @@ class MetadataService:
     # ------------------------------------------------------------- directories
 
     def list_children(self, directory: str) -> list[FileMetadata]:
-        """Metadata of every live child of ``directory`` (shared and private)."""
+        """Metadata of every live child of ``directory`` (shared and private).
+
+        ``directory`` must be a live directory the caller may read (ENOENT,
+        ENOTDIR, EACCES otherwise).  One command: the listing, with the
+        directory's own read riding in front unless this agent holds it.
+        """
         directory = normalize_path(directory)
+        meta = self.lookup(directory, remote=False)
+        entries: list[Entry] = []
+        if meta is None and self.may_be_shared(directory):
+            try:
+                found, entries = self.coordination.multi(
+                    [Get(self.entry_key(directory)), List(self._prefix(directory))], self.session)
+            except EntryDeniedError as exc:
+                raise PermissionDeniedError(str(exc)) from exc
+            meta = None if found is None else self._fetched(directory, found)[0]
+        elif meta is not None and self.coordination is not None:
+            entries = self._entries_under(directory)
+        if meta is None or meta.deleted:
+            raise FileNotFoundErrorFS(f"no such file or directory: {directory}")
+        if not meta.is_directory:
+            raise NotADirectoryErrorFS(f"not a directory: {directory}")
         children: dict[str, FileMetadata] = {}
-        if self.coordination is not None:
-            for entry in self._entries_under(directory):
-                path = entry.key[len(META_PREFIX):]
-                if parent_path(path) != directory:
-                    continue
-                meta = FileMetadata.from_bytes(entry.value)
-                if not meta.deleted:
-                    children[path] = meta
+        for entry in entries:
+            path = entry.key[len(META_PREFIX):]
+            if parent_path(path) != directory:
+                continue
+            child = FileMetadata.from_bytes(entry.value)
+            if not child.deleted:
+                children[path] = child
         if self.pns is not None:
-            for meta in self.pns.children_of(directory):
-                if not meta.deleted:
-                    children.setdefault(meta.path, meta)
+            for child in self.pns.children_of(directory):
+                if not child.deleted:
+                    children.setdefault(child.path, child)
         return [children[p] for p in sorted(children)]
+
+    @staticmethod
+    def _prefix(directory: str) -> str:
+        """The key prefix of every shared entry strictly below ``directory``."""
+        # It keeps its trailing slash (``entry_key`` would normalise it away):
+        # without it, ``/a/b`` would also match its sibling ``/a/b2``.
+        return META_PREFIX + (directory if directory.endswith("/") else directory + "/")
 
     def _entries_under(self, directory: str) -> list[Entry]:
         """One listing of every shared entry strictly below ``directory``."""
-        # The prefix keeps its trailing slash (``entry_key`` would normalise it
-        # away): without it, ``/a/b`` would also match its sibling ``/a/b2``.
-        prefix = META_PREFIX + (directory if directory.endswith("/") else directory + "/")
-        return self.coordination.list_entries(prefix, self.session)
+        return self.coordination.list_entries(self._prefix(directory), self.session)
 
     # ------------------------------------------------------------------ rename
 
     def rename(self, old_path: str, new_path: str) -> FileMetadata:
-        """Move a metadata entry (and, for directories, all its descendants)."""
+        """Move a metadata entry (and, for directories, all its descendants).
+
+        A shared entry moves by one ``Move`` that names no version: the
+        replicas refuse it when nothing live is there (ENOENT), when the
+        caller may not write it (EACCES) or when a live object holds the
+        target (EEXIST), and otherwise set its ``path`` where it is stored.
+        """
         old_path, new_path = normalize_path(old_path), normalize_path(new_path)
-        meta = self.get(old_path)
-        if not meta.allows(self.principal.name, Permission.WRITE):
-            raise PermissionDeniedError(f"{self.principal.name} may not rename {old_path}")
-        private = self.is_private(meta)
         # A shared target is checked by the move itself (see ``_claim``).
-        if self._taken_privately(new_path) or (private and self.exists(new_path)):
+        if self._taken_privately(new_path):
             raise FileExistsErrorFS(f"file exists: {new_path}")
-        renamed = meta.renamed(new_path)
-        # The object's own entry goes before a directory's descendants: a
-        # taken target fails the rename before anything has moved.
-        if private:
+        private = self.pns is not None and self.pns.contains(old_path)
+        if self.may_be_shared(old_path) and not private:
+            try:
+                renamed = self._move(old_path, new_path)
+            except TupleNotFoundError as exc:
+                raise FileNotFoundErrorFS(f"no such file or directory: {old_path}") from exc
+            except EntryDeniedError as exc:
+                raise PermissionDeniedError(
+                    f"{self.principal.name} may not rename {old_path}") from exc
+        else:
+            meta = self.get(old_path)
+            if not meta.allows(self.principal.name, Permission.WRITE):
+                raise PermissionDeniedError(f"{self.principal.name} may not rename {old_path}")
+            if self.exists(new_path):
+                raise FileExistsErrorFS(f"file exists: {new_path}")
+            renamed = meta.renamed(new_path)
             self.remove(old_path)
             self._store(renamed, private=True)
-        else:
-            self._move(old_path, renamed)
-        if meta.is_directory:
+        # The object's own entry goes before a directory's descendants: a
+        # taken target fails the rename before anything has moved.
+        if renamed.is_directory:
             self._rename_descendants(old_path, new_path)
         return renamed
 
-    def _move(self, old_path: str, renamed: FileMetadata,
-              expected_version: int | None = None) -> None:
-        """Move one shared entry to ``renamed.path`` (owner, ACL and version travel)."""
-        old_key, new_key = self.entry_key(old_path), self.entry_key(renamed.path)
-        blob = renamed.to_bytes()
-        self._claim(renamed.path, lambda version: self.coordination.move(
-            old_key, new_key, blob, self.session, expected_version, target_version=version))
+    def _move(self, old_path: str, new_path: str,
+              expected_version: int | None = None) -> FileMetadata:
+        """Move one shared entry to ``new_path`` (owner, ACL and version travel); what it holds there."""
+        old_key, new_key = self.entry_key(old_path), self.entry_key(new_path)
+        moved = self._claim(new_path, lambda version: self.coordination.move(
+            old_key, new_key, {"path": new_path}, self.session, expected_version,
+            target_version=version))
         self.cache.invalidate(old_path)
-        self.cache.put(renamed.path, renamed.copy())
+        return self._fetched(new_path, moved)[0]
 
     def _rename_descendants(self, old_dir: str, new_dir: str) -> None:
         old_prefix = old_dir if old_dir.endswith("/") else old_dir + "/"
@@ -393,13 +456,12 @@ class MetadataService:
                 self.cache.invalidate(path)
         if self.coordination is None:
             return
-        # One listing, then one conditional move per descendant: each is moved
-        # at exactly the version listed, so a concurrent update is not lost.
+        # One listing, then one conditional move per descendant (a tombstone
+        # too: its version names it): each is moved at exactly the version
+        # listed, so a concurrent update is not lost.
         for entry in self._entries_under(old_dir):
             path = entry.key[len(META_PREFIX):]
-            moved = FileMetadata.from_bytes(entry.value).renamed(
-                new_prefix + path[len(old_prefix):])
-            self._move(path, moved, expected_version=entry.version)
+            self._move(path, new_prefix + path[len(old_prefix):], expected_version=entry.version)
 
     # --------------------------------------------------------------------- ACLs
 

@@ -45,6 +45,7 @@ import math
 from dataclasses import dataclass
 
 from repro.common.errors import IntegrityError, ReproError
+from repro.coordination.base import FILE_LOCK_PREFIX
 from repro.core.backend import SingleCloudBackend
 from repro.core.modes import BackendKind
 from repro.crypto.hashing import content_digest
@@ -387,8 +388,8 @@ def check_commit_ordering(trace: TraceRecorder) -> list[Violation]:
             closes.setdefault((event.agent, event.get("file_id")), []).append(event)
         elif event.kind == "unlock":
             name = event.get("lock", "")
-            if name.startswith("filelock:"):
-                fid = name[len("filelock:"):]
+            if name.startswith(FILE_LOCK_PREFIX):
+                fid = name[len(FILE_LOCK_PREFIX):]
                 unlocks.setdefault((event.agent, fid), []).append(event.seq)
 
     for key, commit_seq in commit_seqs.items():

@@ -48,11 +48,6 @@ class TaskHandle:
         self._task = task
 
     @property
-    def when(self) -> float:
-        """Simulated time at which the task is due."""
-        return self._task.when
-
-    @property
     def name(self) -> str:
         """Human-readable task name (used in debugging and tests)."""
         return self._task.name
@@ -60,10 +55,6 @@ class TaskHandle:
     def cancel(self) -> None:
         """Prevent the task from running if it has not run yet."""
         self._task.cancelled = True
-
-    @property
-    def cancelled(self) -> bool:
-        return self._task.cancelled
 
 
 class Simulation:

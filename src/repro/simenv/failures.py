@@ -83,10 +83,6 @@ class FailureSchedule:
         """Remove all scheduled faults."""
         self.windows.clear()
 
-    def active(self, now: float) -> set[FaultKind]:
-        """Return the set of fault kinds active at simulated time ``now``."""
-        return {w.kind for w in self.windows if w.active_at(now)}
-
     def is_active(self, kind: FaultKind, now: float) -> bool:
         """True if ``kind`` is active at ``now``."""
         return any(w.kind is kind and w.active_at(now) for w in self.windows)

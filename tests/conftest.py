@@ -16,6 +16,7 @@ from repro.coordination.adapters import DepSpaceCoordination
 from repro.coordination.partitioned import PartitionedCoordination
 from repro.core.gc import GarbageCollector
 from repro.simenv.environment import Simulation
+from repro.simenv.failures import FaultKind
 
 
 @pytest.fixture
@@ -42,6 +43,16 @@ def alice() -> Principal:
 def bob() -> Principal:
     """A second test principal."""
     return Principal(name="bob", canonical_ids=(("amazon-s3", "bob@amazon-s3"),))
+
+
+def active_faults(schedule, now: float) -> set:
+    """The fault kinds ``schedule`` has active at ``now``."""
+    return {kind for kind in FaultKind if schedule.is_active(kind, now)}
+
+
+def expire_metadata(fs) -> None:
+    """Drop every metadata-cache entry of ``fs``: what a pause past the expiration does, clock aside."""
+    fs.metadata_cache._entries.clear()
 
 
 def lock_holder(coordination, name: str, now: float | None = None) -> str | None:

@@ -18,7 +18,7 @@ from repro.simenv.environment import Simulation
 
 
 def _entries_of(cache, file_id: str) -> list[str]:
-    return [key for key in cache.keys() if key.startswith(file_id)]
+    return [key for key in cache._entries if key.startswith(file_id)]
 
 
 def test_each_agent_caches_one_version_per_file():

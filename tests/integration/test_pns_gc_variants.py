@@ -153,7 +153,7 @@ class TestAllVariantsEndToEnd:
         fs.mkdir("/work")
         fs.write_file("/work/a.txt", b"alpha")
         fs.write_file("/work/b.txt", b"beta")
-        fs.copy("/work/a.txt", "/work/c.txt")
+        fs.write_file("/work/c.txt", fs.read_file("/work/a.txt"))
         fs.rename("/work/b.txt", "/work/renamed.txt")
         fs.unlink("/work/a.txt")
         deployment.drain(2.0)

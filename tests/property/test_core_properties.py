@@ -23,6 +23,7 @@ from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, ru
 from repro.clouds.providers import make_cloud_of_clouds, make_provider
 from repro.common.errors import (
     ConflictError,
+    EntryDeniedError,
     FileExistsErrorFS,
     FileNotFoundErrorFS,
     LockHeldError,
@@ -31,7 +32,7 @@ from repro.common.errors import (
 )
 from repro.common.types import Permission, Principal
 from repro.coordination.adapters import DepSpaceCoordination
-from repro.coordination.base import Delete, Grant, Lock, Move, Put, Update
+from repro.coordination.base import Delete, Grant, List, Lock, Move, Put, Update
 from repro.coordination.entries import EntryCommands, Holder
 from repro.core.backend import CloudOfCloudsBackend, SingleCloudBackend
 from repro.core.cache import LRUByteCache, make_disk_cache, make_memory_cache
@@ -70,7 +71,7 @@ class TestLRUCacheProperties:
                 cache.remove(key)
                 model.pop(key, None)
             assert cache._used <= capacity
-            assert cache._used == sum(len(model[k]) for k in cache.keys())
+            assert cache._used == sum(len(model[k]) for k in cache._entries)
 
 
 class TestAnchoredReadProperties:
@@ -163,7 +164,7 @@ class _DictModel:
         if expected is not None and (found[1] if found else 0) != expected:
             raise ConflictError("version mismatch")
         if found is not None and not self._may(found, user, Permission.WRITE):
-            raise ConflictError("write denied")
+            raise EntryDeniedError("write denied")
         return found
 
     def _step(self, op, user):
@@ -189,7 +190,7 @@ class _DictModel:
             if op.expected_version is not None and found[1] != op.expected_version:
                 raise ConflictError("version mismatch")
             if not self._may(found, user, Permission.WRITE):
-                raise ConflictError("write denied")
+                raise EntryDeniedError("write denied")
             value = json.dumps({**json.loads(found[2]), **op.fields}, sort_keys=True).encode()
             self.entries[key] = (found[0], found[1] + 1, value, found[3])
         elif isinstance(op, Delete):
@@ -197,19 +198,21 @@ class _DictModel:
                 del self.entries[key]
             return None
         elif isinstance(op, Move):
-            found = self._writable(key, user, None)
-            if found is None:
+            found = self.entries.get(key)
+            if found is None or json.loads(found[2])["deleted"]:  # no version names a tombstone
                 raise TupleNotFoundError("no source")
+            self._writable(key, user, None)
             self._writable(op.new_key, user, op.target_version)
             del self.entries[key]
             key = op.new_key
-            self.entries[key] = (found[0], max(found[1], op.target_version) + 1, op.value, found[3])
+            value = json.dumps({**json.loads(found[2]), **op.fields}, sort_keys=True).encode()
+            self.entries[key] = (found[0], max(found[1], op.target_version) + 1, value, found[3])
         else:
             found = self.entries.get(key)
             if found is None:
                 raise TupleNotFoundError("no entry")
             if user != found[0]:
-                raise ConflictError("not the owner")
+                raise EntryDeniedError("not the owner")
             grants = {u: p for u, p in found[3].items() if u != op.user}
             if op.permission is not Permission.NONE:
                 grants[op.user] = op.permission
@@ -252,7 +255,7 @@ def _concrete(step, model, number, position):
     if kind == "delete":
         return Delete(key)
     if kind == "move":
-        return Move(key, step[2], _value(number, position), target_version=version(step[2], step[3]))
+        return Move(key, step[2], {"n": number}, target_version=version(step[2], step[3]))
     if kind == "acl":
         return Grant(key, step[2], step[3])
     return Lock(key)
@@ -277,8 +280,8 @@ def _send(replica, ops, user):
 def _assert_agree(replica, model):
     for prefix in PREFIXES:
         for user in USERS:
-            listed = [(e.key, e.value, e.version, e.acl.owner)
-                      for e in replica.entry_list(prefix, user, 0.0)]
+            [entries] = replica.entry_multi([List(prefix)], user, 0.0, holder=_holder(user))
+            listed = [(e.key, e.value, e.version, e.acl.owner) for e in entries]
             assert listed == model.listing(prefix, user)
     assert replica.entry_count() == len(model.entries)
     for name in LOCKS:

@@ -15,6 +15,8 @@ from hypothesis import given, strategies as st
 
 from repro.simenv.failures import FailureSchedule, FaultKind, FaultWindow
 
+from conftest import active_faults
+
 _KINDS = st.sampled_from(list(FaultKind))
 _TIMES = st.floats(min_value=0.0, max_value=1e6, allow_nan=False,
                    allow_infinity=False)
@@ -45,7 +47,7 @@ def schedules(draw):
 @given(schedules(), _TIMES)
 def test_active_set_is_the_union_of_covering_windows(schedule, now):
     expected = {w.kind for w in schedule.windows if w.start <= now < w.end}
-    assert schedule.active(now) == expected
+    assert active_faults(schedule, now) == expected
     for kind in FaultKind:
         assert schedule.is_active(kind, now) == (kind in expected)
 
@@ -63,7 +65,7 @@ def test_overlapping_degraded_windows_compound_multiplicatively(schedule, now):
 def test_clear_removes_everything(schedule):
     schedule.clear()
     assert schedule.windows == []
-    assert schedule.active(0.0) == set()
+    assert active_faults(schedule, 0.0) == set()
     assert schedule.degradation(0.0) == 1.0
 
 
@@ -107,7 +109,7 @@ def test_active_set_is_constant_between_transitions(schedule):
         quarter = now + (nxt - now) * 0.25
         mid = now + (nxt - now) * 0.5
         if quarter != now and quarter != nxt and mid != nxt:
-            assert schedule.active(quarter) == schedule.active(mid)
+            assert active_faults(schedule, quarter) == active_faults(schedule, mid)
         now = nxt
 
 

@@ -29,7 +29,7 @@ from hypothesis import given, settings, strategies as st
 from repro.common.errors import LockHeldError
 from repro.core.deployment import SCFSDeployment
 
-from conftest import lock_holder
+from conftest import expire_metadata, lock_holder
 
 SERVICES = {
     "depspace": {},
@@ -63,7 +63,7 @@ def test_racing_creators_create_once_and_leave_no_lock(case):
 
     def run(index: int) -> None:
         fs, drawn = mounts[index], case["mounts"][index]
-        fs.metadata_cache.clear()
+        expire_metadata(fs)
         if drawn["parent_cached"]:
             fs.stat("/d")
         try:

@@ -234,7 +234,7 @@ def test_riding_command_keeps_every_count_with_the_service(case):
         if renamed is not None:
             routes[f"meta:/e/{name}"] = renamed
             meta = meta.renamed(f"/e/{name}")
-            service.move(f"meta:/d/{name}", f"meta:/e/{name}", b"v1", alice)
+            service.move(f"meta:/d/{name}", f"meta:/e/{name}", None, alice)
         metas[name] = meta
 
     locks = LockService(sim, service, alice)

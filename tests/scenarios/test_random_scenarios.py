@@ -23,6 +23,7 @@ import os
 
 import pytest
 
+from repro.coordination.replication import ReplicatedStateMachine
 from repro.scenarios import FAULT_MIXES, ScenarioSpec, run_scenario
 
 SEEDS = range(1, 1 + int(os.environ.get("SCENARIO_SEEDS", "25")))
@@ -86,6 +87,31 @@ def test_a_riding_reentrant_lock_outlives_its_own_pending_commit() -> None:
     release; another writer took it, and both anchored the same version.
     """
     result = run_scenario(16, mix="crash-hang", agents=AGENTS, ops_per_agent=25)
+    assert result.ok, "\n" + result.report()
+
+
+def _invoke_at_send(rsm, operation, *args, **kwargs):
+    """``ReplicatedStateMachine.invoke`` applying its command before the wait, not after it."""
+    correct = rsm._quorum()
+    wait = rsm._round_trip()
+    try:
+        return rsm._apply(correct, (operation, args, kwargs))
+    finally:
+        if wait is not None:
+            rsm.sim.advance(wait)
+
+
+@pytest.mark.parametrize("mix", ["fault-free", "corrupt-byzantine", "degraded-outage"])
+def test_a_write_open_bases_its_version_on_its_agents_close_in_flight(monkeypatch, mix) -> None:
+    """Seed 5 at 25 ops with every command applied at send.
+
+    An agent write-opens a file while its own close of it is in flight, and
+    that close anchors its version during the open's command.  An open that
+    looked for the close only after the command's reply based its write on
+    the version before it, and the next close anchored that version twice.
+    """
+    monkeypatch.setattr(ReplicatedStateMachine, "invoke", _invoke_at_send)
+    result = run_scenario(5, mix=mix, ops_per_agent=25)
     assert result.ok, "\n" + result.report()
 
 

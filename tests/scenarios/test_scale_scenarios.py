@@ -61,16 +61,18 @@ from repro.scenarios.runner import ScenarioRunner
 #: before any request observed it.  Epoch 17 covers all eight mixes: the
 #: mixes collect at W = 8 KiB instead of 256 KiB, which no run reached, so
 #: each of these runs deletes old versions (LIST and block DELETE quorum
-#: calls, their draws and their billing).  See docs/determinism-contract.md.
+#: calls, their draws and their billing).  Epoch 18 covers all eight mixes: a
+#: cold write-open sends its lock with its look, one command where it sent
+#: two, so every later draw shifts.  See docs/determinism-contract.md.
 GOLDEN_LOCKSTEP = {
-    "fault-free": "2a15cf8e699f5cdfe644ae1fc8f78b3e88ee3fe467926fac88d758050da16635",
-    "crash-hang": "722fc22403b2e2873c2d885ee2f1058a5f66e424888d4adba1e73e3d50a415ea",
-    "corrupt-byzantine": "56d736f4aa6f26a5e7c5acda64b80aacfa00f98ee36cc8d745d63673a7df38ff",
-    "degraded-outage": "17e4b244f9118b1767cc7cb20d23a3554e61de3b179d0ea8e5a1bc5c6d9b535b",
-    "weighted-byzantine": "d2e35170c26a0f82951ce2081134122db710cdf03c9e861d72e3ab19958036b1",
-    "txn": "3f5392d52170d1bddab5f2c23e15a2b6102dd408d0780c8558ef11fd180d53bb",
-    "txn-crash-restart": "c9c9236243db640654f49425c117780efbe054fd3038a2ad331df0aa9cce136a",
-    "txn-partition": "3b942e7cae6a53d2edf547a478f3a6ccb8df55fa9f7ad7a7b7e7bc70b0e1e51c",
+    "fault-free": "700a6eeeb9b9064bd70ddfdd783ae1c881cd256019579142d71830e73e084e47",
+    "crash-hang": "c1200c046abea55d388d7bf8162aaf0ec29070eb992e981780f50accf99a31e4",
+    "corrupt-byzantine": "590b0d0418255f0c16c6216c2184002eba2c292a1da194caa5d668ca3e163e43",
+    "degraded-outage": "4f05bc107ef118503294ddfa28abe7d837144f83148c9451e93b9b61335ea308",
+    "weighted-byzantine": "e3dbdfc5e6a7659515812245ee03b3705d6b9885b72e5771d47053bf26e050ce",
+    "txn": "72d4661b95b92638543346d55fc28e95485601e3e86ea9e5fe5da49887dac172",
+    "txn-crash-restart": "917f012a1e819ce46b49ad088b1997fa65e2c40f6a3ddc83145b3012689f4e87",
+    "txn-partition": "2913591d7cd4a5489d23c8f02200843579e7488186f6800ca5b9be1936d8420b",
 }
 
 
@@ -92,9 +94,9 @@ def _scale_spec(**overrides) -> ScenarioSpec:
 #: Trace fingerprint of ``_scale_spec()``: pooled, partitioned, event-driven —
 #: the one pinned run that goes through pool priming.  Re-pinned in epoch 11,
 #: where its file ids also came to name their entry's partition, and in epochs
-#: 12 and 15 (pool priming installs the binary head); an epoch bump re-pins it
-#: together with the eight above.
-GOLDEN_POOLED = "00981403d294353920d5626d4d363320b407656ff3c721860e794e4da8ef2545"
+#: 12 and 15 (pool priming installs the binary head) and 18 (its cold
+#: write-opens); an epoch bump re-pins it together with the eight above.
+GOLDEN_POOLED = "b90c3b3746a1802449b92f81f143ba35084d995375358dd757e33b08dccc2380"
 
 
 def test_pooled_fingerprint_is_pinned() -> None:

@@ -28,6 +28,8 @@ from repro.scenarios.trace import TraceRecorder
 from repro.simenv.failures import FaultKind
 from repro.simenv.latency import LatencyModel
 
+from conftest import expire_metadata
+
 
 @pytest.fixture
 def coc_nb():
@@ -174,7 +176,7 @@ class TestNamespaceOperations:
             "rename": lambda: fs.rename("/top/g", "/top/f/g"),
             "mkdir": lambda: fs.mkdir("/top/f/sub", shared=True),
         }
-        fs.metadata_cache.clear()
+        expire_metadata(fs)
         if parent_cached:
             fs.stat("/top/f")
         with pytest.raises(NotADirectoryErrorFS) as raised:
@@ -285,7 +287,7 @@ class TestDurabilityAndModes:
         deployment, fs = coc_nb
         fs.write_file("/f.txt", b"z" * 10_000)
         assert all(cloud.stored_bytes() == 0 for cloud in deployment.clouds)
-        assert len(fs.storage.disk) == 1
+        assert len(fs.storage.disk._entries) == 1
         deployment.drain()
         holders = [cloud for cloud in deployment.clouds if cloud.stored_bytes() >= 5_000]
         assert len(holders) >= len(deployment.clouds) - deployment.config.fault_tolerance
@@ -377,14 +379,15 @@ class TestOneCommitPath:
         assert name.startswith("filelock:")
         assert locks == [("lock", name), ("unlock", name)] * 2
 
-    def test_background_commit_charges_nothing(self):
+    def test_background_commit_charges_nothing_past_its_upload(self):
+        """A flush waits for the close's upload; the commit after it is background work."""
         deployment = SCFSDeployment.for_variant("SCFS-CoC-NB", seed=23)
         fs = deployment.create_agent("alice")
         fs.write_file("/doc.txt", b"data", shared=True)
-        assert len(fs._pending_commits) == 1
-        before = deployment.sim.now()
+        [pending] = fs._pending_commits.values()
+        assert deployment.sim.now() < pending.lands_at
         fs.flush_pending("/doc.txt")
-        assert deployment.sim.now() == before
+        assert deployment.sim.now() == pending.lands_at
         assert not deployment.sim.in_background
         assert not fs._pending_commits
         assert fs.metadata.lookup("/doc.txt", use_cache=False).data_version == 1
@@ -417,13 +420,15 @@ class TestInFlightCloses:
         fs = deployment.create_agent(
             "alice", events=lambda kind, **fields: events.append((kind, fields["time"])))
         fs.write_file("/f", b"x" * (4 << 20))
+        [flushed] = fs._pending_commits.values()
         fs.flush_pending("/f")
         fs.write_file("/f", b"y")
         deployment.drain()
         closes = [time for kind, time in events if kind == "close"]
         commits = [time for kind, time in events if kind == "commit"]
-        # The 4 MiB close landed at the flush: the 1-byte close waits for its
-        # own upload only, not for the flushed one's old deadline.
+        # The flush waited for the 4 MiB close's upload, which landed at its
+        # own instant; the 1-byte close waits for its own upload only.
+        assert commits[0] == flushed.lands_at > closes[0] + 1.0
         assert commits[1] == pytest.approx(
             closes[1] + fs.backend.estimate_write_latency(1), abs=0.01)
 

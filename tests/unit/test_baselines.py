@@ -64,10 +64,10 @@ class TestBaselineCommonBehaviour:
         with pytest.raises(InvalidHandleError):
             baseline.read(1234)
 
-    def test_copy(self, baseline, sim):
+    def test_a_copy_is_a_whole_read_and_a_whole_write(self, baseline, sim):
         baseline.write_file("/src", b"payload")
         sim.drain(3.0)
-        baseline.copy("/src", "/dst")
+        baseline.write_file("/dst", baseline.read_file("/src"))
         sim.drain(3.0)
         assert baseline.read_file("/dst") == b"payload"
 

@@ -9,7 +9,7 @@ from repro.common.errors import ConflictError, QuorumNotReachedError, TupleNotFo
 from repro.common.errors import LockHeldError
 from repro.common.types import ACL, Permission
 from repro.coordination.adapters import DepSpaceCoordination
-from repro.coordination.base import Delete, Entry, Get, Grant, Lock, Move, Put, Unlock
+from repro.coordination.base import Delete, Entry, Get, Grant, List, Lock, Move, Put, Unlock
 from repro.coordination.entries import EntryCommands, Holder
 from repro.coordination.partitioned import PartitionedCoordination
 from repro.coordination.replication import ReplicatedStateMachine, invoke_together
@@ -31,6 +31,11 @@ def _take(replica, names, now, session="s1", deadline=None):
                   deadline=deadline)
 
 
+def _list(replica, prefix, user="alice"):
+    """The entries a ``List`` step shows ``user`` under ``prefix``."""
+    return _multi(replica, [List(prefix)], user)[0]
+
+
 def _value(replica, key, user):
     """The value a ``Get`` step shows ``user`` under ``key`` (None: absent)."""
     entry, = _multi(replica, [Get(key)], user)
@@ -47,11 +52,12 @@ class TestReplica:
     def test_apply_dispatches_commands(self, replica):
         holder = Holder("s1", 10.0)
         replica.apply(("entry_multi", ((Put("k", b"v"),), "alice", 0.0), {"holder": holder}))
-        assert [e.value for e in replica.apply(("entry_list", ("k", "alice", 0.0), {}))] == [b"v"]
+        listed, = replica.apply(("entry_multi", ((List("k"),), "alice", 0.0), {"holder": holder}))
+        assert [e.value for e in listed] == [b"v"]
 
     def test_apply_accepts_exactly_its_commands(self, replica):
-        assert replica.COMMANDS == {"entry_multi", "entry_list", "close_session"}
-        for operation in ("entry_put", "entry_get", "entry_count", "lock_holder", "apply",
+        assert replica.COMMANDS == {"entry_multi", "close_session"}
+        for operation in ("entry_put", "entry_get", "entry_list", "entry_count", "lock_holder", "apply",
                           "_expire", "install", "_entries", "not_an_op"):
             with pytest.raises(ConflictError, match=type(replica).__name__):
                 replica.apply((operation, (0.0,), {}))
@@ -104,48 +110,49 @@ class TestReplica:
     def test_listing_visits_only_its_prefix_sorted(self, replica):
         _multi(replica, [Put(key, key.encode()) for key in (
             "meta:/a/b2", "meta:/a/b/c", "meta:/a/b", "meta:/a%2F", "meta:/a/b/%", "meta:/ab")])
-        listed = [entry.key for entry in replica.entry_list("meta:/a/b/", "alice", 0.0)]
+        listed = [entry.key for entry in _list(replica, "meta:/a/b/")]
         assert listed == ["meta:/a/b/%", "meta:/a/b/c"]
-        listed = [entry.key for entry in replica.entry_list("meta:/a/b", "alice", 0.0)]
+        listed = [entry.key for entry in _list(replica, "meta:/a/b")]
         assert listed == ["meta:/a/b", "meta:/a/b/%", "meta:/a/b/c", "meta:/a/b2"]
-        listed = [entry.key for entry in replica.entry_list("meta:/a%", "alice", 0.0)]
+        listed = [entry.key for entry in _list(replica, "meta:/a%")]
         assert listed == ["meta:/a%2F"]
-        assert replica.entry_list("meta:/a/b", "bob", 0.0) == []  # nothing granted to bob
+        assert _list(replica, "meta:/a/b", "bob") == []  # nothing granted to bob
         assert replica.entry_count() == 6
 
     def test_a_move_reindexes_the_entry(self, replica):
-        _multi(replica, [Put("meta:/d/x", b"x")])
-        moved, = _multi(replica, [Move("meta:/d/x", "meta:/e/x", b"moved")])
-        assert (moved.key, moved.value, moved.version) == ("meta:/e/x", b"moved", 2)
-        assert replica.entry_list("meta:/d/", "alice", 0.0) == []
-        assert [e.key for e in replica.entry_list("meta:/e/", "alice", 0.0)] == ["meta:/e/x"]
+        _multi(replica, [Put("meta:/d/x", b'{"n": 1, "path": "/d/x"}')])
+        moved, = _multi(replica, [Move("meta:/d/x", "meta:/e/x", {"path": "/e/x"})])
+        assert (moved.key, moved.value, moved.version) == (
+            "meta:/e/x", b'{"n": 1, "path": "/e/x"}', 2)
+        assert _list(replica, "meta:/d/") == []
+        assert [e.key for e in _list(replica, "meta:/e/")] == ["meta:/e/x"]
         assert _multi(replica, [Delete("meta:/e/x"), Delete("meta:/never")]) == [None, None]
         assert replica.entry_count() == 0 and _value(replica, "meta:/e/x", "alice") is None
 
     def test_a_move_changes_both_its_keys_once(self, replica):
         _multi(replica, [Put("a", b"1"), Put("b", b"1")])
-        for steps in ([Move("a", "a", b"2", target_version=1)],
-                      [Move("a", "c", b"2"), Put("c", b"3")],
-                      [Move("a", "c", b"2"), Delete("a")]):
+        for steps in ([Move("a", "a", target_version=1)],
+                      [Move("a", "c"), Put("c", b"3")],
+                      [Move("a", "c"), Delete("a")]):
             with pytest.raises(ConflictError, match="only once"):
                 _multi(replica, steps)
-        assert [e.key for e in replica.entry_list("", "alice", 0.0)] == ["a", "b"]
+        assert [e.key for e in _list(replica, "")] == ["a", "b"]
 
     def test_checks_of_every_step_precede_every_change(self, replica):
         _multi(replica, [Put("a", b"1"), Put("b", b"1")])
         _multi(replica, [Put("theirs", b"t")], "bob")
         before = pickle.dumps(replica)
         for steps, refusal in (
-                ([Delete("a"), Move("b", "c", b"2"), Grant("theirs", "alice", Permission.READ)],
+                ([Delete("a"), Move("b", "c"), Grant("theirs", "alice", Permission.READ)],
                  ConflictError),
-                ([Grant("a", "bob", Permission.READ), Move("missing", "d", b"2")],
+                ([Grant("a", "bob", Permission.READ), Move("missing", "d")],
                  TupleNotFoundError),
                 ([Delete("b"), Grant("gone", "bob", Permission.READ)], TupleNotFoundError),
-                ([Move("a", "c", b"2"), Delete("theirs")], ConflictError)):
+                ([Move("a", "c"), Delete("theirs")], ConflictError)):
             with pytest.raises(refusal):
                 _multi(replica, steps)
             assert pickle.dumps(replica) == before
-        assert _multi(replica, [Delete("a"), Move("b", "c", b"2"), Lock("l")])[1].version == 2
+        assert _multi(replica, [Delete("a"), Move("b", "c"), Lock("l")])[1].version == 2
 
 
 class TestDepSpaceLeases:
@@ -273,9 +280,9 @@ class TestReplication:
         draws = [rsm.latency.sample(0, replay) for rsm in (rsms[0], rsms[2])]
         assert sim.now() == start + max(draws) and sim.rng.getstate() == replay.getstate()
         with sim.background():  # background work draws nothing and waits for nothing
-            assert invoke_together([rsm.command("entry_list", "", "alice", 0.0)
+            assert invoke_together([rsm.command(*_command(List("")))
                                     for rsm in (rsms[0], rsms[2])]) == [
-                [Entry("k", b"v", 1, ACL("alice"))], []]
+                [[Entry("k", b"v", 1, ACL("alice"))]], [[]]]
         assert sim.now() == start + max(draws) and sim.rng.getstate() == replay.getstate()
 
     def test_a_lone_command_applies_after_its_wait_and_joint_commands_before_theirs(self, sim):
@@ -548,11 +555,11 @@ class TestPartitionedMultiCommand:
         session = coordination.open_session(alice)
         coordination.put("a0", b"x", session)
         with pytest.raises(ValueError, match="spans partitions"):
-            coordination.multi([Move("a0", "b1", b"y")], session)
+            coordination.multi([Move("a0", "b1")], session)
         assert [service.rsm.commands_executed for service in services] == [1, 0]
-        assert coordination.move("a0", "c0", b"y", session).version == 2  # one command
+        assert coordination.move("a0", "c0", None, session).version == 2  # one command
         assert [service.rsm.commands_executed for service in services] == [2, 0]
-        moved = coordination.move("c0", "b1", b"z", session, expected_version=2)
+        moved = coordination.move("c0", "b1", None, session, expected_version=2)
         assert (moved.key, moved.version) == ("b1", 1)  # get, put and delete
         assert [service.rsm.commands_executed for service in services] == [4, 1]
         assert coordination.list_prefix("", session) == ["b1"]

@@ -52,7 +52,16 @@ from pathlib import Path
 
 import pytest
 
-from repro.common.errors import ConflictError, TransactionConflictError, TupleNotFoundError
+from repro.common.errors import (
+    ConflictError,
+    FileExistsErrorFS,
+    FileNotFoundErrorFS,
+    IsADirectoryErrorFS,
+    NotADirectoryErrorFS,
+    PermissionDeniedError,
+    TransactionConflictError,
+    TupleNotFoundError,
+)
 from repro.common.types import Permission, Principal
 from repro.coordination import PartitionedCoordination
 from repro.coordination.adapters import DepSpaceCoordination
@@ -62,7 +71,7 @@ from repro.core.metadata import FileMetadata, FileType
 from repro.core.metadata_service import MetadataService
 from repro.transactions import TXN_PREFIX
 
-from conftest import lock_holder
+from conftest import expire_metadata, lock_holder
 
 #: Coordination layouts: the Table 2 backend each runs on and its config overrides.
 #: On SCFS-AWS the one service is unreplicated (f=0, one VM); the budgets count
@@ -79,17 +88,17 @@ BUDGETS: dict[str, tuple[int, ...]] = {
     "`stat` / `exists`, cold · warm": (1, 0),
     "`open(O_CREAT)` of a new shared file, parent warm · cold": (1, 3),
     "`open(O_CREAT)` over a tombstone (re-create), parent warm": (2,),
-    "`open(O_CREAT)` of an existing shared file, cold · warm": (2, 1),
-    "`open` for writing of an existing shared file, cold · warm · re-entrant": (2, 1, 1),
+    "`open(O_CREAT)` of an existing shared file, cold with parent warm · cold, warm": (2, 1, 1),
+    "`open` for writing of an existing shared file, cold · warm · re-entrant": (1, 1, 1),
     "`close`, clean, of a file open for writing (the unlock)": (1,),
     "`close`, dirty, blocking": (2,),
     "background commit of a non-blocking dirty `close`": (2,),
     "a refused `Update`": (1,),
     "`mkdir`, parent cold · warm": (2, 1),
     "`unlink`, cold": (2,),
-    "`rename` of a file, same directory · other directory, cold": (2, 3),
-    "`readdir`, cold · warm, any number of children": (2, 1),
-    "`rename` of a directory with N descendants, cold (+ N)": (3,),
+    "`rename` of a file, same directory · other directory, cold": (1, 2),
+    "`readdir`, cold · warm, any number of children": (1, 1),
+    "`rename` of a directory with N descendants, cold (+ N)": (2,),
     "commit of a transaction, any number of files": (3,),
     "`setfacl` of a shared file, warm": (2,),
     "mount": (1,),
@@ -140,7 +149,7 @@ class Mount:
 
     def cold(self) -> None:
         """Expire the metadata cache (what a pause of >500 ms does)."""
-        self.fs.metadata_cache.clear()
+        expire_metadata(self.fs)
 
     def spent(self, call, *args) -> int:
         """Replicated commands of one call."""
@@ -194,7 +203,9 @@ def test_create_open_with_a_cold_parent_looks_first(mount):
 
 
 def test_o_creat_open_of_an_existing_file_costs_what_a_write_open_does(mount):
-    cold, warm = BUDGETS["`open(O_CREAT)` of an existing shared file, cold · warm"]
+    parent_warm, parent_cold, warm = BUDGETS[
+        "`open(O_CREAT)` of an existing shared file, cold with parent warm · cold, warm"]
+    write_open = BUDGETS["`open` for writing of an existing shared file, cold · warm · re-entrant"]
     (unlock,) = BUDGETS["`close`, clean, of a file open for writing (the unlock)"]
     mount.fs.write_file("/top/f", b"data", shared=True)
 
@@ -203,11 +214,11 @@ def test_o_creat_open_of_an_existing_file_costs_what_a_write_open_does(mount):
 
     mount.cold()
     mount.fs.stat("/top")  # cold entry, warm parent: the refused insert is the first look,
-    assert mount.spent(opened) == cold + unlock  # then {lock, re-read under it}
-    mount.cold()  # cold entry, cold parent: lookup, {lock, re-read}
-    assert mount.spent(opened) == cold + unlock
+    assert mount.spent(opened) == parent_warm + unlock  # then {lock, re-read under it}
+    mount.cold()  # cold entry, cold parent: {lock of the file the entry names, read}
+    assert mount.spent(opened) == parent_cold + unlock == write_open[0] + unlock
     mount.fs.stat("/top/f")  # warm entry: served by the cache, whatever the parent
-    assert mount.spent(opened) == warm + unlock
+    assert mount.spent(opened) == warm + unlock == write_open[1] + unlock
 
 
 def test_recreate_over_a_tombstone_is_the_refused_insert_and_the_replace(mount):
@@ -281,7 +292,7 @@ def test_setfacl_of_a_shared_file_is_an_update_of_the_grants_and_the_entry_acl(m
     assert mount.spent(mount.fs.setfacl, "/top/f", "bob", Permission.READ_WRITE) == cost
 
 
-def _write_open_budget(mount, path: str, apart: int) -> None:
+def _write_open_budget(mount, path: str, costs: tuple[int, int, int]) -> None:
     """Cold, clean close, warm, re-entrant: what a write-open of ``path`` costs."""
     handle = None
 
@@ -289,29 +300,30 @@ def _write_open_budget(mount, path: str, apart: int) -> None:
         nonlocal handle
         handle = mount.fs.open(path, "r+")
 
-    cold, warm, reentrant = BUDGETS[
-        "`open` for writing of an existing shared file, cold · warm · re-entrant"]
+    cold, warm, reentrant = costs
     (unlock,) = BUDGETS["`close`, clean, of a file open for writing (the unlock)"]
-    mount.cold()  # first look, then {lock, authoritative re-read under the lock}
-    assert mount.spent(opened) == cold + apart
+    mount.cold()  # {lock of the file the entry names, the entry}: the look is the re-read
+    assert mount.spent(opened) == cold
     assert mount.spent(mount.fs.close, handle) == unlock  # clean: the unlock alone
-    mount.fs.stat(path)  # warm: the first look is served by the cache
-    assert mount.spent(opened) == warm + apart
+    mount.fs.stat(path)  # warm: the lock rides with the re-read, whatever the cache said
+    assert mount.spent(opened) == warm
     assert mount.spent(opened) == reentrant  # re-entrant hold: the re-read alone
 
 
 def test_write_open_of_an_existing_shared_file_is_lock_and_revalidation(mount):
-    """The lock rides with the re-read: 2 cold, 1 warm where it was 3 and 2."""
+    """The replicas name the lock from the entry: 1 cold, 1 warm where it was 2 and 1."""
     mount.fs.write_file("/top/f", b"data", shared=True)
     assert mount.rides("/top/f")
-    _write_open_budget(mount, "/top/f", apart=0)
+    _write_open_budget(mount, "/top/f", BUDGETS[
+        "`open` for writing of an existing shared file, cold · warm · re-entrant"])
 
 
 def test_a_lock_left_at_home_by_a_rename_costs_what_it_did(mount):
     """A rename to another partition leaves the lock on the entry's old one.
 
     Lock and re-read are then one command each — 3 cold, 2 warm, what every
-    write-open cost before the lock rode with the re-read — and never more.
+    write-open cost before the lock rode with the re-read — and never more:
+    cold, the entry's command takes no lock homed elsewhere, and names it.
     On one service nothing can be apart.
     """
     mount.fs.write_file("/top/f", b"data", shared=True)
@@ -322,7 +334,8 @@ def test_a_lock_left_at_home_by_a_rename_costs_what_it_did(mount):
     mount.fs.rename("/top/f", f"{away}/f")
     apart = 1 - mount.rides(f"{away}/f")
     assert apart == (mount.listing > 1)
-    _write_open_budget(mount, f"{away}/f", apart)
+    costs = BUDGETS["`open` for writing of an existing shared file, cold · warm · re-entrant"]
+    _write_open_budget(mount, f"{away}/f", (3, 2, 1) if apart else costs)
 
 
 def test_unlink_is_lookup_and_tombstone(mount):
@@ -332,7 +345,7 @@ def test_unlink_is_lookup_and_tombstone(mount):
     assert mount.spent(mount.fs.unlink, "/top/f") == cost
 
 
-def test_file_rename_is_lookup_and_one_move(mount):
+def test_file_rename_is_one_move(mount):
     same, other = BUDGETS["`rename` of a file, same directory · other directory, cold"]
     mount.make_files("/top/other", 0)
     mount.fs.write_file("/top/f", b"data", shared=True)
@@ -345,7 +358,7 @@ def test_file_rename_is_lookup_and_one_move(mount):
 
 @pytest.mark.parametrize("children", [1, 10, 100])
 def test_readdir_does_not_depend_on_the_child_count(mount, children):
-    # The directory's own lookup (cold only), one listing: one command per partition.
+    # One listing, one command per partition; cold, the directory's read rides in front.
     cold, warm = BUDGETS["`readdir`, cold · warm, any number of children"]
     mount.make_files("/top/d", children)
     mount.cold()
@@ -360,10 +373,104 @@ def test_directory_rename_is_one_move_per_descendant(mount, descendants):
     (base,) = BUDGETS["`rename` of a directory with N descendants, cold (+ N)"]
     mount.make_files("/top/d", descendants)
     mount.cold()
-    # lookup, move of the directory entry, one listing, one move per descendant
+    # move of the directory entry, one listing, one move per descendant
     assert mount.spent(mount.fs.rename, "/top/d", "/top/e") == descendants + base - 1 + mount.listing
     assert len(mount.fs.readdir("/top/e")) == descendants
     assert not mount.fs.exists("/top/d")
+
+
+def test_a_directory_rename_moves_every_descendant(mount):
+    """Nested directories too: each descendant lands under the new name, nothing stays."""
+    mount.make_files("/top/d", 2)
+    mount.make_files("/top/d/sub", 2)
+    mount.cold()
+    mount.fs.rename("/top/d", "/top/e")
+    assert mount.fs.readdir("/top/e") == ["f000", "f001", "sub"]
+    assert mount.fs.readdir("/top/e/sub") == ["f000", "f001"]
+    assert mount.fs.read_file("/top/e/sub/f001") == b"x"
+    listed = mount.deployment.coordination.list_entries("meta:/top/", mount.fs.session)
+    assert not [entry.key for entry in listed if entry.key.startswith("meta:/top/d")]
+
+
+def test_a_rename_onto_a_live_target_is_eexist_in_one_command_and_moves_nothing(mount):
+    mount.fs.write_file("/top/f", b"source", shared=True)
+    mount.fs.write_file("/top/g", b"target", shared=True)
+    mount.cold()
+    commands = mount.commands()
+    with pytest.raises(FileExistsErrorFS):
+        mount.fs.rename("/top/f", "/top/g")
+    assert mount.commands() - commands == 1  # the refused Move says what holds the target
+    assert (mount.fs.read_file("/top/f"), mount.fs.read_file("/top/g")) == (b"source", b"target")
+
+
+def test_a_refused_rename_keeps_its_type_in_one_command_and_moves_nothing(mount):
+    bob = mount.deployment.create_agent("bob")
+    mount.fs.setfacl("/top", "bob", Permission.READ_WRITE)
+    mount.fs.write_file("/top/f", b"alice's", shared=True)
+    mount.fs.setfacl("/top/f", "bob", Permission.READ)
+    mount.fs.write_file("/top/gone", b"data", shared=True)
+    mount.fs.unlink("/top/gone")
+    for agent, source, refusal in ((mount.fs, "/top/none", FileNotFoundErrorFS),
+                                   (mount.fs, "/top/gone", FileNotFoundErrorFS),
+                                   (bob, "/top/f", PermissionDeniedError)):
+        expire_metadata(agent)
+        commands = mount.commands()
+        with pytest.raises(refusal):
+            agent.rename(source, "/top/moved")
+        assert mount.commands() - commands == 1
+    assert not mount.fs.exists("/top/moved") and mount.fs.read_file("/top/f") == b"alice's"
+
+
+def test_readdir_of_a_file_is_enotdir_in_its_one_round(mount):
+    mount.fs.write_file("/top/f", b"data", shared=True)
+    mount.cold()
+    commands = mount.commands()
+    with pytest.raises(NotADirectoryErrorFS):
+        mount.fs.readdir("/top/f")
+    assert mount.commands() - commands == mount.listing
+    with pytest.raises(FileNotFoundErrorFS):
+        mount.fs.readdir("/top/none")
+
+
+def test_a_cold_write_open_that_fails_is_one_command_and_holds_no_lock(mount):
+    """Absent, deleted or a directory: the replicas take no lock, so none is handed back."""
+    mount.fs.write_file("/top/gone", b"data", shared=True)
+    gone = mount.fs.stat("/top/gone").file_id
+    mount.fs.unlink("/top/gone")
+    mount.fs.mkdir("/top/d", shared=True)
+    for path, refusal in (("/top/none", FileNotFoundErrorFS), ("/top/gone", FileNotFoundErrorFS),
+                          ("/top/d", IsADirectoryErrorFS)):
+        mount.cold()
+        commands = mount.commands()
+        with pytest.raises(refusal):
+            mount.fs.open(path, "r+")
+        assert mount.commands() - commands == 1
+        assert mount.fs.locks.held == {} and not mount.fs._handles
+    assert lock_holder(mount.deployment.coordination, f"filelock:{gone}") is None
+
+
+def test_a_write_open_racing_an_unlink_and_re_create_locks_the_current_file(mount):
+    """The replicas name the lock from the entry the command reads, whatever the cache says."""
+    bob = mount.deployment.create_agent("bob")
+    mount.fs.setfacl("/top", "bob", Permission.READ_WRITE)
+    mount.fs.write_file("/top/f", b"old", shared=True)
+    mount.fs.setfacl("/top/f", "bob", Permission.READ_WRITE)
+    old = mount.fs.stat("/top/f").file_id  # warm: the cache names the old file
+
+    def replace() -> None:  # runs inside the open's round trip
+        bob.unlink("/top/f")
+        bob.write_file("/top/f", b"new", shared=True)
+        bob.setfacl("/top/f", "alice", Permission.READ_WRITE)
+
+    transitions: list[tuple[str, str]] = []
+    mount.fs.locks.on_transition = lambda kind, name: transitions.append((kind, name))
+    mount.deployment.sim.schedule(0.01, replace)
+    handle = mount.fs.open("/top/f", "r+")
+    current = bob.stat("/top/f").file_id
+    assert current != old and mount.fs.read(handle) == b"new"
+    assert transitions == [("lock", f"filelock:{current}")]
+    assert lock_holder(mount.deployment.coordination, f"filelock:{current}") == \
+        mount.fs.session.session_id
 
 
 def test_conditional_puts_cost_one_command_each(mount):

@@ -22,7 +22,7 @@ from repro.common.errors import (
 )
 from repro.common.types import Permission
 from repro.coordination.adapters import DepSpaceCoordination
-from repro.coordination.base import Delete, Get, Grant, Lock, Move, Put, Unlock
+from repro.coordination.base import Delete, Get, Grant, List, Lock, Move, Put, Unlock
 from repro.coordination.entries import Holder
 from repro.coordination.partitioned import PartitionedCoordination
 from repro.core.deployment import SCFSDeployment
@@ -76,7 +76,7 @@ class TestRawCommandsAreChecked:
         Put("k", b"evil"),
         Delete("k"),
         Grant("k", "bob", Permission.READ_WRITE),
-        Move("k", "stolen", b"evil"),
+        Move("k", "stolen"),
     ])
     def test_raw_mutation_by_a_reader_is_refused(self, coordination, sim, alice, step):
         session = self._entry(coordination, alice)
@@ -92,8 +92,9 @@ class TestRawCommandsAreChecked:
         with pytest.raises(ConflictError):
             _raw(coordination, sim, [Get("k")], "mallory")
         for user, listed in (("mallory", []), ("bob", ["k"])):
-            assert [entry.key for rsm in _rsms(coordination)
-                    for entry in rsm.invoke("entry_list", "", user, sim.now())] == listed
+            holder = Holder("s", deadline=sim.now() + 30.0)
+            assert [entry.key for rsm in _rsms(coordination) for entry in rsm.invoke(
+                "entry_multi", (List(""),), user, sim.now(), holder)[0]] == listed
 
     def test_a_raw_unlock_naming_another_principals_session_changes_nothing(
             self, coordination, sim, alice):
@@ -120,7 +121,7 @@ class TestRawCommandsAreChecked:
         bob_session = coordination.open_session(bob)
         coordination.put("mine", b"bob's", bob_session)
         with pytest.raises(ConflictError):
-            coordination.move("mine", "k", b"clobber", bob_session, target_version=2)
+            coordination.move("mine", "k", None, bob_session, target_version=2)
         assert coordination.get("k", alice_session).value == b"alice's"
         assert coordination.get("mine", bob_session).value == b"bob's"
 
@@ -138,11 +139,12 @@ class TestMove:
     def test_move_keeps_owner_and_acl_and_raises_the_version(self, coordination, alice, bob):
         alice_session = coordination.open_session(alice)
         bob_session = coordination.open_session(bob)
-        coordination.put("a", b"v1", alice_session)
-        coordination.put("a", b"v2", alice_session)
+        coordination.put("a", b'{"v": 1}', alice_session)
+        coordination.put("a", b'{"v": 2}', alice_session)
         coordination.set_entry_acl("a", "bob", Permission.READ_WRITE, alice_session)
-        moved = coordination.move("a", "b", b"v3", bob_session, expected_version=3)
-        assert (moved.key, moved.value, moved.version, moved.acl.owner) == ("b", b"v3", 4, "alice")
+        moved = coordination.move("a", "b", {"v": 3}, bob_session, expected_version=3)
+        assert (moved.key, moved.value, moved.version, moved.acl.owner) == (
+            "b", b'{"v": 3}', 4, "alice")
         with pytest.raises(TupleNotFoundError):
             coordination.get("a", alice_session)
         # bob's grant travelled with the entry; the owner is still alice.
@@ -159,15 +161,15 @@ class TestMove:
         coordination.put("a", b"1", session)
         coordination.put("e", b"1", session)
         with pytest.raises(ConflictError):
-            coordination.move("a", "f", b"2", session, expected_version=7)
+            coordination.move("a", "f", None, session, expected_version=7)
         with pytest.raises(ConflictError):
-            coordination.move("a", "e", b"2", session)  # target must be absent
+            coordination.move("a", "e", None, session)  # target must be absent
         with pytest.raises(TupleNotFoundError):
-            coordination.move("gone", "f", b"2", session)
+            coordination.move("gone", "f", None, session)
         assert coordination.list_prefix("", session) == ["a", "e"]
         # Replacing a known target: the version passes both keys' histories.
         coordination.put("e", b"2", session)
-        assert coordination.move("a", "e", b"3", session, target_version=2).version == 3
+        assert coordination.move("a", "e", None, session, target_version=2).version == 3
 
     def test_insert_if_absent(self, coordination, alice):
         session = coordination.open_session(alice)
@@ -337,8 +339,8 @@ class TestARefusedVersionCheckSaysWhatIsThere:
             lambda: coordination.put("k", b"x", session, expected_version=0),
             lambda: coordination.put("k", b"x", session, expected_version=1),
             lambda: coordination.multi([Put("other", b"x"), Put("k", b"x", 0), Lock("l")], session),
-            lambda: coordination.move("other", "k", b"x", session),
-            lambda: coordination.move("other", "k", b"x", session, target_version=7),
+            lambda: coordination.move("other", "k", None, session),
+            lambda: coordination.move("other", "k", None, session, target_version=7),
         ):
             with pytest.raises(ConflictError) as refusal:
                 refused()
@@ -377,7 +379,7 @@ class TestARefusedVersionCheckSaysWhatIsThere:
             with pytest.raises(ConflictError):
                 coordination.multi([Put("k", b"x", 0), Lock("l")], caller)
             with pytest.raises(ConflictError):
-                coordination.move("other", "k", b"x", caller)
+                coordination.move("other", "k", None, caller)
         assert _replica_states(coordination) == before
 
     @pytest.mark.parametrize("parent_cached", [True, False])

@@ -122,7 +122,7 @@ class TestLRUByteCache:
         cache.put("b", b"12345")
         cache.get("a")                      # refresh a; b becomes LRU
         cache.put("c", b"12345")
-        assert list(cache.keys()) == ["a", "c"]
+        assert list(cache._entries) == ["a", "c"]
 
     def test_oversized_value_not_stored(self):
         cache = self._cache(capacity=4)
@@ -135,7 +135,7 @@ class TestLRUByteCache:
         cache.put("f", b"old", tag="d1")
         cache.put("f", b"new", tag="d2")
         assert cache.get("f", "d1") is None and cache.get("f", "d2") == b"new"
-        assert cache.hits == 1 and cache.misses == 1 and len(cache) == 1
+        assert cache.hits == 1 and cache.misses == 1 and list(cache._entries) == ["f"]
         cache.remove("f", "d1")
         assert cache.contains("f", "d2")
         cache.remove("f", "d2")
@@ -163,7 +163,7 @@ class TestLRUByteCache:
         assert not cache.contains("a")
         cache.put("b", b"2")
         cache.clear()
-        assert len(cache) == 0 and cache._used == 0
+        assert not cache._entries and cache._used == 0
 
     def test_access_charges_latency(self):
         sim = Simulation()
@@ -214,12 +214,12 @@ class TestMetadataCache:
         assert cache.hits == 1 and cache.misses == 1
 
     def test_paths_never_asked_for_again_do_not_accumulate(self):
-        """``len`` stays bounded by the entries younger than ``expiration``."""
+        """The entries kept stay bounded by those younger than ``expiration``."""
         sim = Simulation()
         cache = MetadataCache(sim, expiration=0.5)
         for index in range(1000):  # one created file every 0.2 s, none looked up again
             cache.put(f"/d/f{index:04d}", index)
-            assert len(cache) <= 3
+            assert len(cache._entries) <= 3
             sim.advance(0.2)
         assert cache.get("/d/f0999") == 999 and cache.get("/d/f0996") is None
 
@@ -232,7 +232,7 @@ class TestMetadataCache:
         cache.put("old", 2)  # moves behind "kept" in stored order
         sim.advance(0.2)
         cache.put("new", 1)  # "kept" (0.6 s) goes, "old" (0.2 s) stays
-        assert len(cache) == 2
+        assert len(cache._entries) == 2
         assert (cache.get("old"), cache.get("kept"), cache.get("new")) == (2, None, 1)
         assert (cache.hits, cache.misses) == (2, 1)
 
@@ -243,7 +243,7 @@ class TestMetadataCache:
         cache.put("edge", 1)
         sim.advance(0.5)
         cache.put("other", 1)
-        assert len(cache) == 2 and cache.get("edge") == 1
+        assert len(cache._entries) == 2 and cache.get("edge") == 1
 
     def test_negative_expiration_rejected(self):
         with pytest.raises(ValueError):

@@ -10,6 +10,7 @@ from repro.common.errors import (
     FileExistsErrorFS,
     FileNotFoundErrorFS,
     LockHeldError,
+    NotADirectoryErrorFS,
 )
 from repro.common.types import Permission, Principal
 from repro.coordination.adapters import DepSpaceCoordination
@@ -170,10 +171,29 @@ class TestMetadataService:
     def test_list_children_merges_shared_and_private(self, sim, coordination, alice, single_backend):
         pns = PrivateNameSpace("alice", single_backend)
         service = self._service(sim, coordination, alice, pns=pns)
+        service.create(FileMetadata(path="/d", file_type=FileType.DIRECTORY, owner="alice"),
+                       shared=True)
         service.create(_file_meta("/d/shared.txt"), shared=True)
         service.create(_file_meta("/d/private.txt", file_id="file-2"))
         names = [m.name for m in service.list_children("/d")]
         assert names == ["private.txt", "shared.txt"]
+
+    def test_list_children_reads_its_directory_in_the_listing_command(self, sim, coordination,
+                                                                      alice):
+        service = self._service(sim, coordination, alice)
+        service.create(FileMetadata(path="/d", file_type=FileType.DIRECTORY, owner="alice"),
+                       shared=True)
+        service.create(_file_meta("/d/f.txt"), shared=True)
+        for path, refusal in (("/d/f.txt", NotADirectoryErrorFS), ("/e", FileNotFoundErrorFS),
+                              ("/d", None)):
+            service.cache.invalidate(path)
+            before = coordination.rsm.commands_executed
+            if refusal is None:
+                assert [m.name for m in service.list_children(path)] == ["f.txt"]
+            else:
+                with pytest.raises(refusal):
+                    service.list_children(path)
+            assert coordination.rsm.commands_executed == before + 1
 
     def test_private_files_avoid_coordination(self, sim, coordination, alice, single_backend):
         pns = PrivateNameSpace("alice", single_backend)
@@ -377,7 +397,7 @@ class TestStorageService:
             ref = service.push_to_cloud(f"f{index}", data, version=1)
             sim.advance(3.0)
             assert service.read_version(f"f{index}", ref.digest, ref.locator) == data
-            assert not any(key.endswith("#open") for key in service.disk.keys())
+            assert not any(key.endswith("#open") for key in service.disk._entries)
         assert not service.memory.contains("big#open")
 
     def test_bytes_pushed_counter(self, sim, single_backend):
@@ -415,7 +435,7 @@ class TestStorageService:
         assert service.read_version("f", "d2", "") == b"two"
         assert self._served(service) == (0, 1, 0)
         assert service.memory.contains("f", "d2")
-        assert [list(cache.keys()) for cache in (service.memory, service.disk)] == [["f"], ["f"]]
+        assert [list(cache._entries) for cache in (service.memory, service.disk)] == [["f"], ["f"]]
 
 
 class TestGarbageCollector:

@@ -18,6 +18,8 @@ from repro.common.types import Permission
 from repro.core.deployment import SCFSDeployment
 from repro.scenarios.trace import TraceRecorder
 
+from conftest import expire_metadata
+
 MODES = ["SCFS-CoC-B", "SCFS-CoC-NB"]
 
 
@@ -46,7 +48,7 @@ class Share:
         self.bob.close(handle)
         self.deployment.drain(3.0)
         for fs in (self.alice, self.bob, self.carol):
-            fs.metadata_cache.clear()
+            expire_metadata(fs)
 
 
 @pytest.mark.parametrize("variant", MODES)

@@ -109,16 +109,17 @@ class TestPartitionedCoordination:
     def test_move_within_and_across_partitions(self, sim, alice):
         coordination = _partitioned(sim, partitions=4)
         session = coordination.open_session(alice)
-        coordination.put("meta:/a/1", b"old", session)
+        coordination.put("meta:/a/1", b'{"at": "old"}', session)
         other = next(f"meta:/t{i}/1" for i in range(64)
                      if coordination.partition_of(f"meta:/t{i}/1")
                      != coordination.partition_of("meta:/a/1"))
-        assert coordination.move("meta:/a/1", "meta:/a/2", b"new", session).version == 2
+        assert coordination.move("meta:/a/1", "meta:/a/2", {"at": "new"}, session).version == 2
         with pytest.raises(ConflictError):
-            coordination.move("meta:/a/2", other, b"far", session, expected_version=1)
-        assert coordination.move("meta:/a/2", other, b"far", session, expected_version=2).version == 1
+            coordination.move("meta:/a/2", other, {"at": "far"}, session, expected_version=1)
+        assert coordination.move("meta:/a/2", other, {"at": "far"}, session,
+                                 expected_version=2).version == 1
         assert [e.key for e in coordination.list_entries("meta:/", session)] == [other]
-        assert coordination.get(other, session).value == b"far"
+        assert coordination.get(other, session).value == b'{"at": "far"}'
 
     def test_entry_acl_applies_on_the_owning_partition(self, sim, alice, bob):
         coordination = _partitioned(sim)

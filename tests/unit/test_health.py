@@ -22,6 +22,8 @@ from repro.depsky.protocol import DepSkyClient
 from repro.simenv.environment import Simulation
 from repro.simenv.failures import FailureSchedule, FaultKind
 
+from conftest import expire_metadata
+
 
 def request(cloud: str, latency: float = 1.0, fail: bool = False, counter: dict | None = None):
     """Synthetic quorum request with a fixed latency."""
@@ -529,7 +531,7 @@ class TestDispatchConfigPlumbing:
             # Evict local caches so the reads must hit the clouds.
             fs.memory_cache.clear()
             fs.disk_cache.clear()
-            fs.metadata_cache.clear()
+            expire_metadata(fs)
             assert fs.read_file("/f.txt") == b"payload" * 400
         assert fs.backend.health_stats().suspicions >= 1
         assert fs.backend.health.is_suspected(clouds[0].name)

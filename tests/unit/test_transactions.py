@@ -25,6 +25,8 @@ from repro.core.metadata import DATA_FIELDS
 from repro.simenv.failures import FaultKind
 from repro.transactions import ABORTED, COMMITTED, TXN_PREFIX
 
+from conftest import expire_metadata
+
 
 def _intent(fs, txn_id):
     """The intent entry ``txn:<id>`` as the coordination service holds it (None: absent)."""
@@ -246,7 +248,7 @@ class TestCommitPoint:
             txn.commit()
         assert txn.status == ABORTED
         assert _intent(alice, txn.txn_id) is None
-        alice.metadata_cache.clear()
+        expire_metadata(alice)
         assert {path: alice.read_file(path) for path in before} == before
         assert bob.read_file("/shared/a") == before["/shared/a"]
 
@@ -306,7 +308,7 @@ class TestFailedUpload:
         assert alice.locks.held == {}
         for cloud in deployment.clouds[:2]:
             cloud.failures.clear()
-        alice.metadata_cache.clear()
+        expire_metadata(alice)
         assert {path: bob.read_file(path) for path in before} == before
         _write_set(alice, {"/shared/a": b"after the outage"})
         assert bob.read_file("/shared/a") == b"after the outage"
