@@ -1,13 +1,12 @@
 """Discrete-event scale-out sweep: 1000+ agents against a 10^5-file namespace.
 
-The scenario engine's scale path (PR 6) combines three mechanisms:
+The scenario engine's scale path (PR 6) combines two mechanisms:
 
 * the heap-based discrete-event scheduler interleaves per-agent steps instead
   of lockstep rounds (``ScenarioSpec.scheduling = "event-driven"``);
 * the namespace is primed through :func:`repro.scenarios.pool.prime_pool`
   (interned metadata templates + shared coded blocks) instead of one DepSky
-  write per file;
-* metadata/PNS tuples are sharded over partitioned coordination services.
+  write per file, into one coordination service.
 
 This harness sweeps the agent count at a fixed primed namespace, runs every
 cell under all four trace invariant checkers, and asserts *sub-linear*
@@ -48,7 +47,6 @@ SEED = 17
 AGENT_SWEEP = ((50, 5), (100, 5), (200, 5)) if FAST else ((250, 20), (500, 20), (1000, 20))
 FILES = 5_000 if FAST else 100_000
 DIRECTORIES = 32
-PARTITIONS = 4
 BURST_READERS = 500 if FAST else 2_000
 
 
@@ -59,8 +57,7 @@ def _peak_rss_mb() -> float:
 
 def _run_cell(agents: int, ops: int) -> dict:
     spec = ScenarioSpec.generate_scale(
-        seed=SEED, agents=agents, files=FILES, ops_per_agent=ops,
-        directories=DIRECTORIES, partitions=PARTITIONS)
+        seed=SEED, agents=agents, files=FILES, ops_per_agent=ops, directories=DIRECTORIES)
     start = time.perf_counter()
     result = ScenarioRunner(spec).run()
     wall = time.perf_counter() - start
@@ -85,9 +82,8 @@ def test_agent_scale_sweep(run_once, capsys):
     with capsys.disabled():
         print()
         print(render_table(
-            f"Agent scale sweep ({MODE}: {FILES} pooled files, "
-            f"{PARTITIONS} coordination partitions, all invariant checkers on; "
-            f"peak RSS {peak_rss:.0f} MiB)",
+            f"Agent scale sweep ({MODE}: {FILES} pooled files, one coordination "
+            f"service, all invariant checkers on; peak RSS {peak_rss:.0f} MiB)",
             ["agents", "ops", "wall s", "ms/op", "trace events", "quorum calls"],
             rows, float_format="{:.3f}"))
 

@@ -23,12 +23,11 @@ AST/CFG rule families:
 * **cost charging** (``CHG``) — no per-object ``charge_latency`` flag; a
   layer charges unless its caller runs under ``Simulation.background()``.
 
-Run it with ``python -m repro.analysis <paths> [--format=json]``.  A finding
-is silenced only by an inline pragma carrying a justification::
-
-    value = time.time()  # repro: allow[DET001] -- host profiling, not sim time
-
-A pragma without a justification is itself an error (``PRG001``).
+Run it with ``python -m repro.analysis <paths> [--format=json]``.  No comment
+silences a finding: a false positive is fixed in the rule, and a true one in
+the code.  A file directive, ``# repro: sim-visible`` or ``# repro:
+not-sim-visible`` near its top, overrides the path-based classification of
+what runs inside a simulation (the fixture corpus uses it).
 """
 
 from __future__ import annotations

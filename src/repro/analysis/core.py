@@ -1,14 +1,14 @@
-"""The analysis driver: file walking, module context, pragma filtering."""
+"""The analysis driver: file walking, module context, sim-visibility."""
 
 from __future__ import annotations
 
 import ast
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterator
 
 from repro.analysis.findings import Finding
-from repro.analysis.pragmas import PragmaTable
 from repro.analysis.registry import SIM_VISIBLE_ONLY, rule_runners
 
 #: ``repro`` sub-packages whose code executes inside a simulation (and whose
@@ -21,8 +21,18 @@ SIM_VISIBLE_SUBPACKAGES: frozenset[str] = frozenset({
 })
 
 
-def _is_sim_visible(path: Path) -> bool:
-    """Path-based classification: is this module simulation-visible?"""
+#: ``# repro: sim-visible`` or ``# repro: not-sim-visible`` in the first
+#: :data:`_DIRECTIVE_WINDOW` lines of a file (the fixture corpus uses them).
+_DIRECTIVE_RE = re.compile(r"#\s*repro:\s*(?P<flag>(?:not-)?sim-visible)\s*$")
+_DIRECTIVE_WINDOW = 25
+
+
+def _is_sim_visible(path: Path, source: str) -> bool:
+    """Is this module simulation-visible?  A file directive, else its path, says."""
+    flags = [match.group("flag") for text in source.splitlines()[:_DIRECTIVE_WINDOW]
+             if (match := _DIRECTIVE_RE.search(text)) is not None]
+    if flags:
+        return flags[-1] == "sim-visible"
     parts = path.parts
     for index, part in enumerate(parts):
         if part == "repro" and index + 1 < len(parts):
@@ -37,7 +47,6 @@ class ModuleContext:
     path: str
     tree: ast.Module
     sim_visible: bool
-    pragmas: PragmaTable
     #: ``local name -> module path`` from ``import x[.y] [as z]``.
     module_aliases: dict[str, str] = field(default_factory=dict)
     #: ``local name -> (module, attr)`` from ``from m import attr [as z]``.
@@ -58,11 +67,7 @@ class ModuleContext:
 
 def _build_context(path: Path, source: str) -> ModuleContext:
     tree = ast.parse(source, filename=str(path))
-    pragmas = PragmaTable(source, str(path))
-    sim_visible = pragmas.sim_visible_override \
-        if pragmas.sim_visible_override is not None else _is_sim_visible(path)
-    ctx = ModuleContext(path=str(path), tree=tree,
-                        sim_visible=sim_visible, pragmas=pragmas)
+    ctx = ModuleContext(path=str(path), tree=tree, sim_visible=_is_sim_visible(path, source))
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             for alias in node.names:
@@ -90,10 +95,7 @@ def _run_rules(ctx: ModuleContext) -> list[Finding]:
         for finding in runner(ctx):
             if finding.rule in SIM_VISIBLE_ONLY and not ctx.sim_visible:
                 continue
-            if ctx.pragmas.suppresses(finding.rule, finding.line):
-                continue
             findings.append(finding)
-    findings.extend(ctx.pragmas.unjustified())
     return sorted(findings)
 
 

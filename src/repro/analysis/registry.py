@@ -37,7 +37,6 @@ RULE_DOCS: dict[str, str] = {
     "EXC002": "no broad `except Exception/BaseException` that swallows (never "
               "re-raises) in sim-visible code; ReproError subclasses carry protocol "
               "outcomes that dispatch/commit paths must not eat",
-    "PRG001": "every `# repro: allow[...]` pragma carries a `-- justification`",
 }
 
 #: Rule ids that only apply to sim-visible modules.
@@ -45,7 +44,7 @@ SIM_VISIBLE_ONLY: frozenset[str] = frozenset(
     {"DET001", "DET002", "DET003", "DET004", "EXC002"}
 )
 
-#: All enforceable rule ids (PRG001 is emitted by the driver, not a family).
+#: All enforceable rule ids.
 ALL_RULES: tuple[str, ...] = tuple(sorted(RULE_DOCS))
 
 RuleRunner = Callable[["ModuleContext"], "list[Finding]"]

@@ -14,8 +14,8 @@ strict-2PL commit deadlock-free: any loop whose body acquires locks must
 iterate a ``sorted(...)`` expression (or a name assigned from one).
 
 The lock-set calls count like their one-lock forms: ``acquire_set(locks)``
-acquires (and ``LCK002`` wants ``locks`` sorted — a partitioned service takes
-the set partition by partition; a literal of at most one lock is in order),
+acquires (and ``LCK002`` wants ``locks`` sorted; a literal of at most one
+lock is in order),
 ``release_set(locks)`` releases.  So do the riding forms, whose second
 argument is the metadata command the ``Lock`` steps travel in:
 ``acquire(meta, send)`` and ``acquire_set(locks, send)`` acquire.

@@ -75,7 +75,7 @@ class BaselineFileSystem(FileSystem):
     def fsync(self, handle: int) -> None:
         self._syscall()
         of = self._handles[handle]
-        if of.dirty:
+        if of.dirty and not of.unlinked:
             self._sync_local(of.path, bytes(of.buffer))
 
     def truncate(self, handle: int, length: int = 0) -> None:
@@ -85,7 +85,7 @@ class BaselineFileSystem(FileSystem):
     def close(self, handle: int) -> None:
         self._syscall()
         of = self._handles.close(handle)
-        if of.dirty:
+        if of.dirty and not of.unlinked:
             self._persist(of.path, bytes(of.buffer))
 
     # ------------------------------------------------------- latency knobs

@@ -51,4 +51,9 @@ class LocalFS(BaselineFileSystem):
         if path not in self._files:
             raise self._missing(path)
         del self._files[path]
+        # POSIX unlink-while-open: the name goes now, and a handle open on it
+        # keeps its bytes without bringing the name back.
+        for of in self._handles.values():
+            if of.path == path:
+                of.unlinked = True
         self.sim.advance(DISK_LATENCY.sample(0, self.sim.rng))

@@ -71,7 +71,6 @@ class OperationCost:
     """Measured cost (in micro-dollars) of one read or write of a given size."""
 
     system: str
-    operation: str
     file_size: int
     storage_cost: float
     coordination_cost: float
@@ -107,8 +106,8 @@ def _measure(system: str, operation: str, file_size: int, seed: int = 0) -> Oper
     fs.write_file(path, data, shared=True)
     deployment.drain(2.0)
 
-    services = getattr(deployment.coordination, "services", [deployment.coordination])
-    commands_before = sum(service.rsm.commands_executed for service in services)
+    rsm = deployment.coordination.rsm
+    commands_before = rsm.commands_executed
     deployment.reset_costs()
     read_path = "-"
     if operation == "read":
@@ -126,12 +125,12 @@ def _measure(system: str, operation: str, file_size: int, seed: int = 0) -> Oper
         raise ValueError(f"unknown operation {operation!r}")
     costs = deployment.costs()
     # Every replicated command the operation sent is one billed access.
-    accesses = sum(service.rsm.commands_executed for service in services) - commands_before
+    accesses = rsm.commands_executed - commands_before
     # Storage (per-GB-month) charges are excluded here: Figure 11(b) prices the
     # *operation*, Figure 11(c) prices keeping the data.
     storage_side = costs.request_cost + costs.traffic_cost
     return OperationCost(
-        system=system, operation=operation, file_size=file_size,
+        system=system, file_size=file_size,
         storage_cost=micro_dollars(storage_side),
         coordination_cost=micro_dollars(_coordination_cost(max(accesses, 1))),
         read_path=read_path,

@@ -13,12 +13,8 @@ DepSpace:
 * :mod:`~repro.coordination.replication` — a simulated Byzantine (3f+1)
   state-machine replication layer with quorum availability checks;
 * :mod:`~repro.coordination.base`/:mod:`~repro.coordination.adapters` — the
-  thin ``CoordinationService`` wrapper interface the SCFS Agent programs
-  against, and its client of a replicated DepSpace;
-* :mod:`~repro.coordination.partitioned` — the interface's second
-  implementation, routing a namespace across several such services.
+  steps of a command, and ``DepSpaceCoordination``, the thin wrapper of a
+  replicated DepSpace that the SCFS Agent programs against.
+
+One service holds the whole namespace, as in the paper's evaluation.
 """
-
-from repro.coordination.partitioned import PartitionedCoordination
-
-__all__ = ["PartitionedCoordination"]

@@ -52,7 +52,6 @@ from repro.coordination.base import (
     Unlock,
     Update,
     file_lock,
-    lock_home_of,
 )
 
 
@@ -264,7 +263,7 @@ class EntryCommands:
 
     def entry_multi(self, ops: Sequence[Op], user: str, now: float,
                     holder: Holder) -> list[Any]:
-        """Apply ``ops`` all or nothing; one result per step (see ``CoordinationService.multi``).
+        """Apply ``ops`` all or nothing; one result per step (see ``DepSpaceCoordination.multi``).
 
         ``holder`` names the session of ``user`` that lock steps act for.  A
         :class:`Lock` on a name anyone holds refuses the whole command with
@@ -327,10 +326,10 @@ class EntryCommands:
         return results
 
     def _file_lock(self, op: LockFile, user: str) -> str | None:
-        """The lock ``op`` asks for: that of the live file its entry names, homed where ``op`` says.
+        """The lock ``op`` asks for: that of the live file its entry names.
 
-        None when the entry is absent, a tombstone or no file, denies ``user``
-        WRITE, or names a lock whose home is another service's.
+        None when the entry is absent, a tombstone or no file, or denies
+        ``user`` WRITE.
         """
         stored = self._entries.get(op.key)
         if stored is None or not stored.acl.allows(user, Permission.WRITE):
@@ -338,8 +337,7 @@ class EntryCommands:
         file_id = _live_file(stored.value)
         if file_id is None:
             return None
-        name = file_lock(file_id)
-        return name if not op.home or lock_home_of(name) == op.home else None
+        return file_lock(file_id)
 
     def close_session(self, session_id: str, user: str, now: float) -> None:
         """Return every lock ``user``'s session ``session_id`` holds, in one command.

@@ -16,11 +16,7 @@ a replicated service:
 * each invocation charges the client one coordination-access latency
   (60–100 ms in the paper, §4.2) to the simulated clock — unless it is
   background work (:meth:`Simulation.background`), which neither waits nor
-  draws a latency sample;
-* independent commands to several replicated services
-  (:func:`invoke_together`, the partitions of a namespace-partitioned
-  service) go out at once and charge the client the slowest one's latency,
-  the way DepSky charges its parallel quorum calls.
+  draws a latency sample.  A command takes effect once its wait is over.
 
 The goal is not to reproduce the internals of BFT-SMaRt, but to provide a
 substrate with the same failure and latency envelope that SCFS assumes.
@@ -29,9 +25,9 @@ substrate with the same failure and latency envelope that SCFS assumes.
 from __future__ import annotations
 
 import copy
-from typing import Any, NamedTuple, Sequence
+from typing import Any
 
-from repro.common.errors import QuorumNotReachedError, ReproError
+from repro.common.errors import QuorumNotReachedError
 from repro.coordination.entries import EntryCommands
 from repro.simenv.environment import Simulation
 from repro.simenv.latency import LatencyModel
@@ -132,37 +128,20 @@ class ReplicatedStateMachine:
         """Execute ``operation`` on the replicated state machine.
 
         Raises :class:`QuorumNotReachedError` when too many replicas are faulty
-        for the protocol to make progress.
+        for the protocol to make progress.  The caller waits one round trip
+        (nothing, and no latency draw, for background work), and then the
+        command is applied.
         """
-        correct = self._quorum()
-        wait = self._round_trip()
-        if wait is not None:
-            self.sim.advance(wait)
-        return self._apply(correct, (operation, args, kwargs))
-
-    def command(self, operation: str, *args: Any, **kwargs: Any) -> Command:
-        """``operation`` addressed to this state machine, not sent yet (see :func:`invoke_together`)."""
-        return Command(self, operation, args, kwargs)
-
-    def _quorum(self) -> list[int]:
-        """The correct replicas, once there are enough of them to make progress."""
         correct = self.correct_replicas
         if len(correct) < self.quorum_size():
             raise QuorumNotReachedError(
                 f"only {len(correct)} correct replicas, quorum of {self.quorum_size()} required")
-        return correct
-
-    def _round_trip(self) -> float | None:
-        """The latency one command makes its caller wait (None: background work, no draw)."""
-        if self.sim.in_background:
-            return None
-        return self.latency.sample(0, self.sim.rng)
-
-    def _apply(self, correct: list[int], command: tuple[str, tuple, dict]) -> Any:
+        if not self.sim.in_background:
+            self.sim.advance(self.latency.sample(0, self.sim.rng))
         # Counted before it is applied: a command the replicas reject (a failed
         # CAS, a denied write) made the round trip all the same.
         self.commands_executed += 1
-        results = [self.replicas[i].apply(command) for i in correct]
+        results = [self.replicas[i].apply((operation, args, kwargs)) for i in correct]
         # All correct replicas are deterministic, so their results agree; we
         # return the first one.  Byzantine replicas never receive the command
         # (their state is considered corrupted), matching the voting filter a
@@ -175,49 +154,3 @@ class ReplicatedStateMachine:
         if not correct:
             raise QuorumNotReachedError("no correct replica available")
         return self.replicas[correct[0]]
-
-
-class Command(NamedTuple):
-    """One replicated command and the state machine it goes to."""
-
-    rsm: ReplicatedStateMachine
-    operation: str
-    args: tuple[Any, ...]
-    kwargs: dict[str, Any]
-
-    def invoke(self) -> Any:
-        """Send this command on its own (:meth:`ReplicatedStateMachine.invoke`)."""
-        return self.rsm.invoke(self.operation, *self.args, **self.kwargs)
-
-
-def invoke_together(commands: Sequence[Command]) -> list[Any]:
-    """Send independent commands to their state machines at once; their results, in order.
-
-    The caller waits for the slowest round trip, not for the sum of them:
-    each command's quorum is checked and its latency drawn in order — the
-    draws a loop of ``invoke`` would make — and applied, and then the clock
-    advances once, by the largest draw.  Background work draws nothing and
-    waits for nothing.  Every command is attempted; the first to fail (no
-    quorum, or refused by its replicas) raises once all of them have run.
-    One command alone is a plain ``invoke``.
-    """
-    if len(commands) == 1:
-        return [commands[0].invoke()]
-    results: list[Any] = []
-    waits: list[float] = []
-    failure: ReproError | None = None
-    for rsm, operation, args, kwargs in commands:
-        try:
-            correct = rsm._quorum()
-            wait = rsm._round_trip()
-            if wait is not None:
-                waits.append(wait)
-            results.append(rsm._apply(correct, (operation, args, kwargs)))
-        except ReproError as exc:
-            failure = failure or exc
-            results.append(None)
-    if waits:
-        commands[0].rsm.sim.advance(max(waits))
-    if failure is not None:
-        raise failure
-    return results

@@ -51,7 +51,8 @@ from repro.common.errors import (
     PermissionDeniedError,
 )
 from repro.common.types import Permission, Principal
-from repro.coordination.base import CoordinationService, Op, lock_home_of
+from repro.coordination.adapters import DepSpaceCoordination
+from repro.coordination.base import Op
 from repro.core.backend import StorageBackend
 from repro.core.cache import DISK_CACHE_BYTES, MEMORY_CACHE_BYTES, MetadataCache, make_disk_cache, make_memory_cache
 from repro.core.config import SCFSConfig
@@ -116,7 +117,7 @@ class SCFSAgent(FileSystem):
         config: SCFSConfig,
         principal: Principal,
         backend: StorageBackend,
-        coordination: CoordinationService | None = None,
+        coordination: DepSpaceCoordination | None = None,
         events: EventSink | None = None,
     ):
         config.validate()
@@ -262,13 +263,11 @@ class SCFSAgent(FileSystem):
         raise NotADirectoryErrorFS(f"not a directory: {parent_path(path)}")
 
     def _new_file(self, path: str) -> FileMetadata:
-        """A new file at ``path``; its id places its lock with its entry, for life."""
+        """A new file at ``path``, under a fresh id that names its lock for life."""
         now = self.sim.now()
-        home = "" if self.coordination is None else self.coordination.lock_home(
-            self.metadata.entry_key(path))
         return FileMetadata(
             path=path, file_type=FileType.FILE, owner=self.principal.name,
-            created_at=now, modified_at=now, file_id=self.sim.fresh_id("file") + home,
+            created_at=now, modified_at=now, file_id=self.sim.fresh_id("file"),
         )
 
     # ------------------------------------------------------------------- open
@@ -390,7 +389,7 @@ class SCFSAgent(FileSystem):
         """True when creating ``fresh`` sends its insert before anything else.
 
         Its entry goes to the coordination service, and entry and lock
-        travel in one command: its id places its lock with its entry.
+        travel in one command.
         """
         return fresh is not None and not self.metadata.creates_privately(fresh, shared)
 
@@ -422,17 +421,12 @@ class SCFSAgent(FileSystem):
         """True when a write-open of ``path`` sends its lock with its look (a ``LockFile``).
 
         So it does when nothing held here says what is there, or when a live
-        shared file the caller may write is, whose lock lives with its entry
-        and is not held here.  A known lock homed on another partition, or
-        held here already, is taken by name (:meth:`_lock_and_revalidate`).
+        shared file the caller may write is, whose lock is not held here.  A
+        lock held here already is taken by name (:meth:`_lock_and_revalidate`).
         """
         if meta is None:
             return self.metadata.may_be_shared(path)
-        if not self._lockable(meta):
-            return False
-        name = self.locks.lock_name(meta)
-        return name not in self.locks.held and lock_home_of(name) == self.coordination.lock_home(
-            self.metadata.entry_key(path))
+        return self._lockable(meta) and self.locks.lock_name(meta) not in self.locks.held
 
     def _lock_with_look(self, path: str) -> tuple[FileMetadata | None, FileLock | None]:
         """``[LockFile, Get]`` of ``path``, one command: what its entry holds, and the lock taken.
@@ -441,8 +435,8 @@ class SCFSAgent(FileSystem):
         write-open racing an unlink and re-create locks the file it reads.
         They take nothing for an absent, deleted or directory path, nor for
         one the caller may not write: the open then raises with no lock held.
-        A live file whose lock the command did not take — homed on another
-        partition, or held here already — is locked by name.
+        A live file whose lock the command did not take — held here already —
+        is locked by name.
         """
         found: list[FileMetadata | None] = []
 
@@ -472,9 +466,8 @@ class SCFSAgent(FileSystem):
                              reread: bool = True) -> tuple[FileMetadata, FileLock]:
         """Write-lock the shared file ``meta`` by its lock's name, re-reading its entry under the lock.
 
-        One coordination command, ``[Lock, Get]``, where lock and entry share
-        a partition: the lock rides with the re-read it guards.  The snapshot
-        that decided the open may be stale — the previous holder's in-flight
+        One coordination command, ``[Lock, Get]``: the lock rides with the
+        re-read it guards.  The snapshot that decided the open may be stale — the previous holder's in-flight
         commit may land while the lock is taken — and writing on top of it
         would fork the version history (a lost update despite mutual
         exclusion).  The lock is the serialization point, so the anchored
@@ -641,30 +634,32 @@ class SCFSAgent(FileSystem):
                 of.lock.release()
 
     def _publish(self, writes: Sequence[tuple[FileMetadata, bytes, int, int | None]],
-                 also: Sequence[Op] = (), **tags: Any) -> None:
+                 **tags: Any) -> None:
         """Upload each write's version, then anchor them all (Figure 3, steps w2-w3).
 
         Each write is ``(metadata, data, cloud version, entry version)``: the
         cloud version is :meth:`StorageBackend.version_after` of the anchor,
         the entry version what its ``Update`` must find (None: any).  One
         command updates the data fields of every entry — a grant or a
-        tombstone set since stays — with ``also`` riding behind.  A refused
-        anchor raises ``ConflictError`` and commits none of the versions.
-        ``tags`` label the ``upload`` and ``commit`` events.  A close (one
-        write, nothing behind it) takes the one-version calls, the names the
-        layer tracer wraps (ROADMAP 1(j)); a private file's anchor is the PNS.
+        tombstone set since stays.  A refused anchor raises ``ConflictError``
+        and commits none of the versions.  ``tags`` label the ``upload`` and
+        ``commit`` events.  A transaction's write set (tagged ``txn``) moves
+        through the batch calls at its entry versions; a close's one write
+        takes the one-version calls, the names the layer tracer wraps (ROADMAP
+        1(j)), and a private file's anchor is the PNS.
         """
+        transaction = "txn" in tags
         items = [(meta.file_id, data, version) for meta, data, version, _entry in writes]
-        refs = (self.storage.push_many_to_cloud(items) if also
+        refs = (self.storage.push_many_to_cloud(items) if transaction
                 else [self.storage.push_to_cloud(*item) for item in items])
         for (meta, _data, _version, _entry), ref in zip(writes, refs, strict=True):
             meta.point_at(ref.digest, ref.size, ref.locator)
             self._emit("upload", path=meta.path, file_id=meta.file_id, digest=ref.digest,
                        version=meta.data_version, **tags)
             self._propagate_cloud_acls(meta)
-        if also:
+        if transaction:
             self.metadata.update_many(
-                [(meta, entry) for meta, _data, _version, entry in writes], DATA_FIELDS, also=also)
+                [(meta, entry) for meta, _data, _version, entry in writes], DATA_FIELDS)
         else:
             [(meta, _data, _version, _entry)] = writes
             self.metadata.update(meta, DATA_FIELDS)
@@ -763,10 +758,10 @@ class SCFSAgent(FileSystem):
     def rename_tree(self, old_path: str, new_path: str) -> None:
         """Atomically rename a file or a whole directory tree.
 
-        With a coordination service this is a locked, intent-logged
-        transaction (no concurrent close can resurrect the old path half-way
-        through); without one (non-sharing mode) the plain single-agent
-        rename is already atomic.
+        With a coordination service this runs under the lock set of every
+        file in the tree (no concurrent close can resurrect the old path
+        half-way through); without one (non-sharing mode) the plain
+        single-agent rename is already atomic.
         """
         if self.transactions is None:
             self.rename(old_path, new_path)
@@ -838,6 +833,12 @@ class SCFSAgent(FileSystem):
             self.metadata.mark_deleted(meta)
         except ConflictError as exc:
             raise FileNotFoundErrorFS(f"{path} no longer holds this file") from exc
+        # POSIX unlink-while-open: the name goes now, and a handle open on the
+        # file keeps its bytes.  What the handle caches, and its close, carry
+        # the tombstone, so neither brings the name back.
+        for of in self._handles.values():
+            if of.metadata.file_id == meta.file_id:
+                of.metadata.deleted = True
         self._emit("unlink", path=path, file_id=meta.file_id)
 
     def rename(self, old_path: str, new_path: str) -> None:

@@ -32,9 +32,6 @@ class SCFSConfig:
 
     mode: OperationMode = OperationMode.BLOCKING
     backend: BackendKind = BackendKind.COC
-    #: Number of independent coordination services the namespace is partitioned
-    #: over (the §5 scalability extension; 1 = the paper's base design).
-    coordination_partitions: int = 1
     #: Enable Private Name Spaces for files not shared with other users (§2.7).
     private_name_spaces: bool = False
     #: Encrypt file data before it leaves the client (always on for CoC in the paper).
@@ -81,8 +78,6 @@ class SCFSConfig:
             # checks them against the deployment's own.
             quorum_system(tuple(name for name, _ in self.quorum_weights),
                           self.fault_tolerance, self.quorum_weights)
-        if self.coordination_partitions < 1:
-            raise ConfigurationError("at least one coordination partition is required")
         if self.mode is OperationMode.NON_SHARING and not self.private_name_spaces:
             # The non-sharing mode stores *all* metadata in the PNS by definition.
             raise ConfigurationError("the non-sharing mode requires private name spaces")

@@ -20,8 +20,6 @@ from repro.clouds.accounting import UsageBreakdown
 from repro.clouds.eventual import EventuallyConsistentStore
 from repro.clouds.providers import COC_STORAGE_PROVIDERS, make_cloud_of_clouds, make_provider
 from repro.coordination.adapters import DepSpaceCoordination
-from repro.coordination.base import CoordinationService
-from repro.coordination.partitioned import PartitionedCoordination
 from repro.core.agent import SCFSAgent
 from repro.core.backend import CloudOfCloudsBackend, SingleCloudBackend, StorageBackend
 from repro.core.config import SCFSConfig
@@ -54,7 +52,7 @@ class SCFSDeployment:
         self.config = config
         self.sim = sim or Simulation(seed=seed)
         self.clouds: list[EventuallyConsistentStore] = self._build_clouds()
-        self.coordination: CoordinationService | None = self._build_coordination()
+        self.coordination: DepSpaceCoordination | None = self._build_coordination()
         self.filesystems: dict[str, SCFSAgent] = {}
         #: Always None: no SCFS path reads a DepSky head, so there is nothing
         #: to coalesce.  Kept because the layer benchmark's ledger reads it.
@@ -77,7 +75,7 @@ class SCFSDeployment:
         # charges quorum latencies itself.
         return make_cloud_of_clouds(self.sim, COC_STORAGE_PROVIDERS)
 
-    def _build_coordination(self) -> CoordinationService | None:
+    def _build_coordination(self) -> DepSpaceCoordination | None:
         if not self.config.mode.uses_coordination:
             return None
         # SCFS-AWS runs one DepSpace instance in a single EC2 VM (its f is 0):
@@ -85,14 +83,8 @@ class SCFSDeployment:
         # DepSpace over 3f+1 computing clouds, and the client waits for a
         # Byzantine quorum, slightly above the single-VM latency.
         base = 0.080 if self.config.backend is BackendKind.AWS else 0.095
-        services = [DepSpaceCoordination(self.sim, f=self.config.fault_tolerance,
-                                         latency=LatencyModel(base=base, jitter=0.2))
-                    for _ in range(self.config.coordination_partitions)]
-        if len(services) == 1:
-            return services[0]
-        # The §5 scalability extension: partition the namespace over several
-        # independent coordination services.
-        return PartitionedCoordination(services)
+        return DepSpaceCoordination(self.sim, f=self.config.fault_tolerance,
+                                    latency=LatencyModel(base=base, jitter=0.2))
 
     # ------------------------------------------------------------------- agents
 

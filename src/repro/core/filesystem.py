@@ -61,6 +61,9 @@ class OpenFile:
     dirty: bool = False
     #: Set by the :class:`HandleTable` the file is opened in.
     handle: int = 0
+    #: The path was unlinked while this handle was open (a baseline's mark):
+    #: the handle keeps its bytes, and its fsync or close brings no name back.
+    unlinked: bool = False
 
     def __post_init__(self) -> None:
         # Only exact ``bytes`` are immutable: a writable handle copies any

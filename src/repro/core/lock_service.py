@@ -24,8 +24,8 @@ from __future__ import annotations
 from typing import Callable, NamedTuple, Sequence, cast
 
 from repro.common.errors import LockHeldError
-from repro.coordination.base import (
-    CoordinationService, Lock, LockFile, Op, Session, Unlock, file_lock)
+from repro.coordination.adapters import DepSpaceCoordination
+from repro.coordination.base import Lock, LockFile, Op, Session, Unlock, file_lock
 from repro.core.metadata import FileMetadata
 from repro.simenv.environment import Simulation
 
@@ -51,7 +51,7 @@ class LockService:
     def __init__(
         self,
         sim: Simulation,
-        coordination: CoordinationService | None,
+        coordination: DepSpaceCoordination | None,
         session: Session | None,
     ):
         self.sim = sim
@@ -78,12 +78,7 @@ class LockService:
 
     @staticmethod
     def lock_name(metadata: FileMetadata) -> str:
-        """Name of the lock protecting one file (keyed by its storage id).
-
-        An id minted with :meth:`CoordinationService.lock_home` ends with the
-        partition of the entry it was created under, and the lock lives there
-        for the file's whole life.
-        """
+        """Name of the lock protecting one file (keyed by its storage id, which renames keep)."""
         return file_lock(metadata.file_id or metadata.path)
 
     @property
@@ -115,14 +110,14 @@ class LockService:
         ``send`` is called once with the :class:`LockFile` step, sends it in
         its own ``multi`` and returns the step's answer: the name the
         replica took, or None when it took nothing — no live file the
-        principal may write is there, its lock's home is another partition,
-        or this session holds it already.  A name taken is counted as
-        :meth:`acquire_set` counts one, and returned.  A lock another session
-        holds refuses the command with :class:`LockHeldError`.
+        principal may write is there, or this session holds it already.  A
+        name taken is counted as :meth:`acquire_set` counts one, and
+        returned.  A lock another session holds refuses the command with
+        :class:`LockHeldError`.
         """
         lapse = self.sim.now() + self.session.lease_seconds
         try:
-            name = send(LockFile(key, self.coordination.lock_home(key)))
+            name = send(LockFile(key))
         except LockHeldError as exc:
             raise LockHeldError(f"{key} is locked for writing by another client",
                                 lock=exc.lock) from exc
@@ -159,13 +154,13 @@ class LockService:
         agent may release one acquisition of it meanwhile — counted after,
         that release would hand back a lock this call then claims to hold.
         The names taken from the service are counted once the command
-        succeeded, with the lapse of a lease counted from the call (a later
-        command of a partitioned service lapses later on its replicas), and
-        one ``lock`` transition fires per name taken.  A
-        refusal takes no name and fires no ``lock`` transition; it rolls each
-        re-entrant count back through :meth:`_release`, which returns (and
-        fires ``unlock`` for) a lock whose other acquisition was released
-        meanwhile, and a :class:`LockHeldError` names the contended file.
+        succeeded, with the lapse of a lease counted from the call (no later
+        than the replicas' own), and one ``lock`` transition fires per name
+        taken.  A refusal takes no name and fires no ``lock`` transition; it
+        rolls each re-entrant count back through :meth:`_release`, which
+        returns (and fires ``unlock`` for) a lock whose other acquisition was
+        released meanwhile, and a :class:`LockHeldError` names the contended
+        file.
         """
         if self.coordination is None:
             if send is not None:

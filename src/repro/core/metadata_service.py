@@ -29,8 +29,8 @@ from repro.common.errors import (
     TupleNotFoundError,
 )
 from repro.common.types import Permission, Principal
-from repro.coordination.base import (
-    CoordinationService, Entry, Get, List, Op, Put, Session, Update)
+from repro.coordination.adapters import DepSpaceCoordination
+from repro.coordination.base import Entry, Get, List, Op, Put, Session, Update
 from repro.core.cache import MetadataCache
 from repro.core.metadata import DATA_FIELDS, FileMetadata, FileType, normalize_path, parent_path
 from repro.core.pns import PrivateNameSpace
@@ -50,7 +50,7 @@ class MetadataService:
         sim: Simulation,
         principal: Principal,
         cache: MetadataCache,
-        coordination: CoordinationService | None = None,
+        coordination: DepSpaceCoordination | None = None,
         session: Session | None = None,
         pns: PrivateNameSpace | None = None,
     ):
@@ -159,8 +159,7 @@ class MetadataService:
         return (path != "/" and self.coordination is not None
                 and not self._under_private_directory(path))
 
-    def lookup_many_versioned(self, wanted: Sequence[str], also: Sequence[Op] = (),
-                              then: Sequence[Op] = ()
+    def lookup_many_versioned(self, wanted: Sequence[str], also: Sequence[Op] = ()
                               ) -> dict[str, tuple[FileMetadata, int] | None]:
         """:meth:`lookup_versioned` of every path in ``wanted``, in one coordination read.
 
@@ -168,20 +167,16 @@ class MetadataService:
         snapshot — what the transactional commit validates under its locks,
         which ride in the same command as ``also`` (the lock service's
         ``Lock`` steps: the snapshot is then taken with the locks granted).
-        ``then`` rides behind the reads — the commit's intent: a
-        partitioned service sends the partition of a command's last entry step
-        after every other, so the intent is written only once every lock was
-        granted and every read accepted.
         """
         found: dict[str, tuple[FileMetadata, int] | None] = {
             normalize_path(path): None for path in wanted}
         shared = [path for path in found if self.pns is None or not self.pns.contains(path)]
-        if self.coordination is None or not (shared or also or then):
+        if self.coordination is None or not (shared or also):
             return found
         try:
             entries = self.coordination.multi(
-                [*also, *(Get(self.entry_key(path)) for path in shared), *then],
-                self.session)[len(also):len(also) + len(shared)]
+                [*also, *(Get(self.entry_key(path)) for path in shared)],
+                self.session)[len(also):]
         except ConflictError as exc:
             raise PermissionDeniedError(str(exc)) from exc
         for path, entry in zip(shared, entries, strict=True):
@@ -305,21 +300,20 @@ class MetadataService:
         return self.update_many([(metadata, expected_version)], DATA_FIELDS)[0]
 
     def update_many(self, changes: Sequence[tuple[FileMetadata, int | None]],
-                    fields: Sequence[str], also: Sequence[Op] = ()) -> list[FileMetadata]:
+                    fields: Sequence[str]) -> list[FileMetadata]:
         """Set ``fields`` of each shared entry to its ``metadata``'s values, keeping the rest: one command.
 
         Each ``(metadata, expected_version)`` is one ``Update``; the replicas
         refuse them all (``ConflictError``) when an entry is gone, names
         another file or is not at ``expected_version`` (None: any) — the
         check that stops a lock-lease usurper and the original holder from
-        both anchoring a version.  ``also`` rides behind: a transaction's
-        intent's deletion.  Returns, and caches, the merged tuples; a refusal
-        leaves this agent's view of each path what the refusal met.
+        both anchoring a version.  Returns, and caches, the merged tuples; a
+        refusal leaves this agent's view of each path what the refusal met.
         """
         steps = [Update(self.entry_key(metadata.path), metadata.file_id,
                         metadata.fields(fields), version) for metadata, version in changes]
         try:
-            entries = self.coordination.multi([*steps, *also], self.session)
+            entries = self.coordination.multi(steps, self.session)
         except ConflictError as exc:
             for metadata, _version in changes:
                 if self._witness(metadata.path, exc) is None:

@@ -14,7 +14,8 @@ import json
 
 from repro.common.errors import FileNotFoundErrorFS, TupleNotFoundError
 from repro.common.types import Permission, Principal
-from repro.coordination.base import CoordinationService, Session
+from repro.coordination.adapters import DepSpaceCoordination
+from repro.coordination.base import Session
 
 _USER_PREFIX = "user/"
 
@@ -22,7 +23,7 @@ _USER_PREFIX = "user/"
 class UserRegistry:
     """Read/write access to the per-user canonical-identifier tuples."""
 
-    def __init__(self, coordination: CoordinationService | None, session: Session | None):
+    def __init__(self, coordination: DepSpaceCoordination | None, session: Session | None):
         self.coordination = coordination
         self.session = session
         self._local: dict[str, Principal] = {}

@@ -26,9 +26,7 @@ from __future__ import annotations
 
 from repro.common.types import ACL, Permission
 from repro.clouds.eventual import EventuallyConsistentStore, StoredObject
-from repro.coordination.base import CoordinationService
-from repro.coordination.entries import EntryCommands, Stored
-from repro.coordination.partitioned import PartitionedCoordination
+from repro.coordination.entries import Stored
 from repro.core.metadata import FileMetadata, FileType
 from repro.core.metadata_service import MetadataService
 from repro.crypto.erasure import ErasureCoder
@@ -58,14 +56,6 @@ def pool_file_id(index: int) -> str:
     ids, so files created organically during a pooled run never collide.
     """
     return f"pool-{index:08d}"
-
-
-def _replicas(coordination: CoordinationService, key: str) -> list[EntryCommands]:
-    """The coordination replicas holding ``key`` (all replicas of its partition)."""
-    service = coordination
-    if isinstance(service, PartitionedCoordination):
-        service = service.services[service.partition_of(key)]
-    return service.rsm.replicas
 
 
 def prime_pool(deployment, spec, recorder=None) -> dict[str, int]:
@@ -129,8 +119,7 @@ def prime_pool(deployment, spec, recorder=None) -> dict[str, int]:
     entries: dict[str, Stored] = {}
     for index, path in enumerate(spec.shared_files):
         entry_key = MetadataService.entry_key(path)
-        # The id places the file's lock with its entry, as the agent's do.
-        uid = pool_file_id(index) + coordination.lock_home(entry_key)
+        uid = pool_file_id(index)
         uid_bytes = uid.encode()
         head_key = DepSkyClient.head_key(uid)
         for cloud in clouds:
@@ -166,7 +155,7 @@ def prime_pool(deployment, spec, recorder=None) -> dict[str, int]:
     # replica gets the same (immutable) record, and in key order, so that its
     # sorted key index grows by appends.
     for key in sorted(entries):
-        for replica in _replicas(coordination, key):
+        for replica in coordination.rsm.replicas:
             replica.install(key, entries[key])
 
     stats = {"files": len(spec.shared_files), "cloud_objects": objects,

@@ -47,7 +47,6 @@ from repro.common.errors import (
     TransactionConflictError,
 )
 from repro.common.types import Permission
-from repro.coordination.partitioned import PartitionedCoordination
 from repro.core.backend import CloudOfCloudsBackend
 from repro.core.deployment import SCFSDeployment
 from repro.scenarios.invariants import Violation, check_all
@@ -204,20 +203,15 @@ class ScenarioRunner:
                 recorder.record("agent_restart", agent=name,
                                 time=deployment.sim.now(), crashed_at=crashed_at)
         else:
-            # Each partition is its own 3f+1 service: replica i of every one
-            # is faulted, and each stays within its f.
-            coordination = deployment.coordination
-            services = (coordination.services
-                        if isinstance(coordination, PartitionedCoordination) else [coordination])
-            for rsm in (service.rsm for service in services):
-                if action != "start":
-                    rsm.recover_replica(index)
-                elif phase.kind == "crash":
-                    rsm.crash_replica(index)
-                elif phase.kind == "partition":
-                    rsm.partition_replica(index)
-                else:
-                    rsm.make_byzantine(index)
+            rsm = deployment.coordination.rsm
+            if action != "start":
+                rsm.recover_replica(index)
+            elif phase.kind == "crash":
+                rsm.crash_replica(index)
+            elif phase.kind == "partition":
+                rsm.partition_replica(index)
+            else:
+                rsm.make_byzantine(index)
         if action == "start":
             recorder.record("fault_start", time=now, target=phase.target,
                             fault=phase.kind, factor=phase.factor)

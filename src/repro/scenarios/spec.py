@@ -149,9 +149,9 @@ class ScenarioSpec:
     seed: int
     mix: str
     agents: tuple[AgentSpec, ...]
-    #: What every agent mounts with: the variant, dispatch, quorums, lease,
-    #: partitions and the metadata-cache expiration the consistency-on-close
-    #: checker allows as staleness (see :func:`scenario_config`).
+    #: What every agent mounts with: the variant, dispatch, quorums, lease
+    #: and the metadata-cache expiration the consistency-on-close checker
+    #: allows as staleness (see :func:`scenario_config`).
     config: SCFSConfig
     faults: tuple[FaultPhase, ...] = ()
     shared_files: tuple[str, ...] = ()
@@ -202,9 +202,7 @@ class ScenarioSpec:
             directories = len({path.split("/")[1] for path in self.shared_files})
             spec = (f"ScenarioSpec.generate_scale({self.seed}, agents={agents}, "
                     f"files={len(self.shared_files)}, ops_per_agent={ops}, "
-                    f"directories={directories}, "
-                    f"partitions={self.config.coordination_partitions}, "
-                    f"mix={self.mix!r})")
+                    f"directories={directories}, mix={self.mix!r})")
             return (
                 'PYTHONPATH=src python -c "'
                 "from repro.scenarios.runner import ScenarioRunner; "
@@ -259,15 +257,16 @@ class ScenarioSpec:
     @classmethod
     def generate_scale(cls, seed: int, agents: int = 1000, files: int = 100_000,
                        ops_per_agent: int = 20, directories: int = 32,
-                       partitions: int = 4, mix: str = "fault-free") -> "ScenarioSpec":
+                       mix: str = "fault-free", partitions: int = 1) -> "ScenarioSpec":
         """A pooled, event-driven spec sized for the 1000+-agent scale sweep.
 
-        The shared files live under ``directories`` top-level pool directories
-        so that :func:`~repro.coordination.partitioned.partition_by_top_level_directory`
-        spreads their metadata across the coordination partitions.  The
-        workload touches existing files only (read/stat/write/append): file
-        churn is what the regular mixes cover, scale is about many agents and
-        a huge primed namespace.
+        The shared files live under ``directories`` top-level pool
+        directories.  The workload touches existing files only
+        (read/stat/write/append): file churn is what the regular mixes cover,
+        scale is about many agents and a huge primed namespace.  One
+        coordination service holds the namespace; ``partitions`` is accepted
+        and ignored, for the layer benchmark that still passes it (ROADMAP
+        item 1(m)).
         """
         if agents < 1 or files < 1 or directories < 1:
             raise ValueError("scale scenarios need at least one agent, file and directory")
@@ -287,8 +286,8 @@ class ScenarioSpec:
         faults, dispatch, weights = _faults_for_mix(mix, rng)
         # The hour-long lease outlives a scale run (hundreds of simulated
         # seconds), so no lock lapses mid-run.
-        config = scenario_config("SCFS-CoC-NB", 3600.0, partitions=partitions,
-                                 pooled=True, dispatch=dispatch, quorum_weights=weights)
+        config = scenario_config("SCFS-CoC-NB", 3600.0, pooled=True, dispatch=dispatch,
+                                 quorum_weights=weights)
         spec = cls(
             seed=seed, mix=mix, agents=agent_specs, faults=faults, shared_files=paths,
             config=config, scheduling="event-driven", pooled=True,
@@ -297,8 +296,8 @@ class ScenarioSpec:
         return spec
 
 
-def scenario_config(variant: str, lock_lease: float, partitions: int = 1,
-                    pooled: bool = False, dispatch: DispatchPolicyConfig | None = None,
+def scenario_config(variant: str, lock_lease: float, pooled: bool = False,
+                    dispatch: DispatchPolicyConfig | None = None,
                     quorum_weights: tuple[tuple[str, float], ...] = ()) -> SCFSConfig:
     """The :class:`SCFSConfig` every agent of a generated scenario mounts with.
 
@@ -322,7 +321,6 @@ def scenario_config(variant: str, lock_lease: float, partitions: int = 1,
     if dispatch is not None:
         overrides["dispatch"] = dispatch
     return SCFSConfig.for_variant(variant, lock_lease=lock_lease,
-                                  coordination_partitions=partitions,
                                   quorum_weights=quorum_weights, **overrides)
 
 

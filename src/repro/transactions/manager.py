@@ -3,8 +3,8 @@
 SCFS (§2.4) gives per-file consistency-on-close; the sync workloads of the
 paper's Figure 8 imply *multi-file* atomicity — rename trees, batched commits
 — that plain close() cannot provide.  This layer adds it on top of the
-existing primitives, following the intent-record pattern of leaderless
-BFT-transaction designs (Basil, arXiv:2109.12443):
+existing primitives: optimistic execution, then a lock set, validation and
+one atomic commit point on the one coordination service:
 
 1. **Optimistic execution** — :meth:`Transaction.read` records the
    ``(file_id, data_version, digest)`` it served; :meth:`Transaction.write`
@@ -16,22 +16,18 @@ BFT-transaction designs (Basil, arXiv:2109.12443):
    a. take the write locks of the *union* of the read and write sets, sorted
       by lock name, as one all-or-nothing lock set, and
    b. in the same command (the lock rides in the command it guards) re-read
-      every entry of the union, and
-   c. still in the same command write the **intent record** (``txn:<id>``),
-      its file list built from the read records: a refused lock leaves no
-      intent.  Validate every read against the snapshot, taken under the
-      locks; from here on whatever ends the attempt deletes the intent;
+      every entry of the union;
+   c. validate every read, and the version each write is based on, against
+      that snapshot, taken under the locks;
    d. upload the new data versions to the cloud(s), the whole write set
       moving through the DepSky put phases together.  Each version is
       numbered by the anchor just validated — the one after the version the
       entry's locator names — so no cloud is asked for its head first;
    e. the **commit point**: one command holding an ``Update`` of every
-      written entry's data fields at the entry version validated *and* the
-      intent's deletion — every file is anchored and the intent is gone, or
-      nothing changed.  An intent that stays names a commit in flight, or one
-      whose committer died.  Steps d and e are the agent's one publish
-      step (:meth:`~repro.core.agent.SCFSAgent._publish`), the one a close
-      takes for its single file;
+      written entry's data fields at the entry version validated — every
+      file is anchored, or nothing changed.  Steps d and e are the agent's
+      one publish step (:meth:`~repro.core.agent.SCFSAgent._publish`), the
+      one a close takes for its single file;
    f. release the lock set, and keep the written bytes in the local caches
       under their new versions (the committer's next read of them is local);
    g. return once the uploaded versions are expected to be readable
@@ -58,8 +54,6 @@ holder's commit point fails as a whole instead of forking the version
 history — a crash or a lost lease can no longer leave a transaction anchored
 on some of its files only.  Aborts before the commit point leave zero visible
 state (uploaded-but-unanchored blocks are invisible and garbage-collectable).
-With ``coordination_partitions > 1`` each of these commands is one command per
-partition touched and atomic per partition only.
 
 The trace events (``txn_begin`` / ``txn_commit`` / ``txn_abort``, plus the
 per-file ``upload``/``commit`` events tagged with the transaction id) are the
@@ -69,7 +63,6 @@ raw material of the history-based serializability checker in
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable
 
@@ -83,22 +76,17 @@ from repro.common.errors import (
     TransactionConflictError,
     TransactionError,
 )
-from repro.coordination.base import Delete, Put
 from repro.core.metadata import FileMetadata, FileType, normalize_path
 from repro.crypto.hashing import content_digest
 
 if TYPE_CHECKING:
     from repro.core.agent import SCFSAgent
 
-#: The ``files`` of an intent record, one per written path:
-#: ``[path, file_id, data_version before, data_version after, new digest]``.
-IntentFiles = list[list[Any]]
-
 #: One authoritative read of some paths (``lookup_many_versioned``).
 Snapshot = dict[str, tuple[FileMetadata, int] | None]
 
-#: Prefix of transaction intent records in the coordination service.
-TXN_PREFIX = "txn:"
+#: What each write of a commit is based on: ``(path, file_id, data_version)``.
+Bases = list[tuple[str, str, int]]
 
 #: Lifecycle states of a transaction.
 ACTIVE, COMMITTED, ABORTED = "active", "committed", "aborted"
@@ -318,34 +306,24 @@ class TransactionManager:
                                       file_id=file_id)
                          for path, (file_id, _version) in seen.items()),
                         key=agent.locks.lock_name)
-        # What is known before the locks is all the intent record says, so it
-        # rides with them, behind the validation snapshot: the snapshot is
-        # taken by the command that grants the locks — competing writers are
-        # excluded and what it read is what the CAS will see — and a refused
-        # lock leaves no intent.  A read-only transaction writes none.
-        files: IntentFiles = [
-            [path, file_id, version, version + 1, content_digest(txn._writes[path])]
-            for path, (file_id, version) in sorted(seen.items()) if path in txn._writes]
-        key = TXN_PREFIX + txn.txn_id
-        intent = [Put(key, self._intent(txn, files), expected_version=0)] if files else []
+        # Each write is based on the version known before the locks.  The
+        # validation snapshot is taken by the command that grants the locks:
+        # competing writers are excluded, and what it read is what the CAS
+        # will see.
+        bases: Bases = [(path, file_id, version)
+                        for path, (file_id, version) in sorted(seen.items())
+                        if path in txn._writes]
         found: Snapshot = {}
         agent.locks.acquire_set(locked, lambda also: found.update(
-            agent.metadata.lookup_many_versioned(paths, also=also, then=intent)))
+            agent.metadata.lookup_many_versioned(paths, also=also)))
         try:
-            try:
-                current = self._checked(txn, paths, found)
-                self._validate(txn, current, files)
-                for meta in locked:
-                    if not agent.locks.still_held(meta):
-                        raise TransactionConflictError(
-                            f"lock lease on {meta.path} expired during commit")
-                readable_at = self._anchor_writes(txn, current, files) if files else 0.0
-            except ReproError:
-                # Whatever ended the attempt, the intent is still there (the
-                # commit point deletes it last, or changes nothing).
-                if files:
-                    agent.coordination.delete(key, agent.session)
-                raise
+            current = self._checked(txn, paths, found)
+            self._validate(txn, current, bases)
+            for meta in locked:
+                if not agent.locks.still_held(meta):
+                    raise TransactionConflictError(
+                        f"lock lease on {meta.path} expired during commit")
+            readable_at = self._anchor_writes(txn, current, bases) if bases else 0.0
             txn.status = COMMITTED
             self._emit_commit(txn)
         finally:
@@ -383,8 +361,8 @@ class TransactionManager:
         return current
 
     def _validate(self, txn: Transaction, current: dict[str, tuple[FileMetadata, int]],
-                  files: IntentFiles) -> None:
-        """Every read, and every line of the intent, against the snapshot under the locks."""
+                  bases: Bases) -> None:
+        """Every read, and the base of every write, against the snapshot under the locks."""
         for path, record in txn._reads.items():
             meta = current[path][0]
             if (meta.file_id != record.file_id
@@ -393,36 +371,35 @@ class TransactionManager:
                 raise TransactionConflictError(
                     f"stale read of {path}: saw version {record.version}, "
                     f"anchor has {meta.data_version}")
-        # A write-only path was looked up before the locks: the intent must
-        # not name a version that was replaced in between.
-        for path, file_id, version, _new_version, _digest in files:
+        # A write-only path was looked up before the locks: its write must
+        # not be based on a version that was replaced in between.
+        for path, file_id, version in bases:
             meta = current[path][0]
             if (meta.file_id, meta.data_version) != (file_id, version):
                 raise TransactionConflictError(
-                    f"{path} changed before its lock was granted: the intent says "
-                    f"version {version}, anchor has {meta.data_version}")
+                    f"{path} changed before its lock was granted: the write is based "
+                    f"on version {version}, anchor has {meta.data_version}")
 
     def _anchor_writes(self, txn: Transaction, current: dict[str, tuple[FileMetadata, int]],
-                       files: IntentFiles) -> float:
+                       bases: Bases) -> float:
         """Publish the write set (steps d-e); returns when all of it is expected readable."""
         agent = self.agent
         now = agent.sim.now()
         writes = []
-        for path, _file_id, _version, new_version, digest in files:
+        for path, _file_id, version in bases:
             meta, entry_version = current[path]
             data = txn._writes[path]
             new_meta = meta.copy()
-            new_meta.point_at(digest, len(data))
+            new_meta.point_at(content_digest(data), len(data))
             new_meta.modified_at = now
-            new_meta.data_version = new_version
+            new_meta.data_version = version + 1
             # Numbered by the anchor: the validated entry is, under the
             # locks, the latest version there is.
             writes.append((new_meta, data,
                            agent.backend.version_after(meta.locator, meta.data_version),
                            entry_version))
         try:
-            agent._publish(writes, also=[Delete(TXN_PREFIX + txn.txn_id)],
-                           background=False, txn=txn.txn_id)
+            agent._publish(writes, background=False, txn=txn.txn_id)
         except ConflictError as exc:
             # Unreachable while the locks hold (validated entry versions
             # cannot move), so reaching it means the lease protection
@@ -433,20 +410,6 @@ class TransactionManager:
         agent.gc.maybe_schedule()
         return max(agent.backend.estimate_readable_at(meta.locator)
                    for meta, _data, _version, _entry in writes)
-
-    def _intent(self, txn: Transaction, files: IntentFiles | list[str],
-                **rename: list[str]) -> bytes:
-        """The intent record of ``txn``, serialized.
-
-        A commit's ``files`` are its :data:`IntentFiles`; a ``rename_tree``'s
-        are the paths it moves, and ``rename`` is ``[old_path, new_path]``.
-        """
-        return json.dumps({
-            "txn": txn.txn_id,
-            "writer": self.agent.principal.name,
-            "files": files,
-            **rename,
-        }, sort_keys=True).encode()
 
     # ------------------------------------------------------------------ abort
 
@@ -469,12 +432,11 @@ class TransactionManager:
         """Atomically rename ``old_path`` (a file or a whole directory tree).
 
         Every *file* under the tree is locked first, as one lock set (lock
-        names are keyed by file id, so they survive the rename), an intent
-        record marks the operation, and the namespace move itself is one
-        listing plus one conditional move per entry; the intent is deleted
-        once the rename is done, or failed before moving anything.  Concurrent
-        closes of the moved files are excluded by the locks, so no background
-        commit can resurrect the old path half-way through.
+        names are keyed by file id, so they survive the rename), and the
+        namespace move itself is one listing plus one conditional move per
+        entry.  Concurrent closes of the moved files are excluded by the
+        locks, so no background commit can resurrect the old path half-way
+        through.
         """
         agent = self.agent
         old_path, new_path = normalize_path(old_path), normalize_path(new_path)
@@ -500,34 +462,15 @@ class TransactionManager:
         agent = self.agent
         old_path = meta.path
         locked = sorted(files, key=agent.locks.lock_name)
-        key, paths = TXN_PREFIX + txn.txn_id, sorted(m.path for m in files)
         agent.locks.acquire_set(locked)
         try:
-            agent.coordination.put(key, self._intent(txn, paths, rename=[old_path, new_path]),
-                                   agent.session)
-            try:
-                agent.rename(old_path, new_path)
-            except ReproError:
-                # The object's own entry moves first: while it is in place
-                # nothing moved, and the rename is over.
-                if self._holds(old_path, meta.file_id):
-                    agent.coordination.delete(key, agent.session)
-                raise
-            agent.coordination.delete(key, agent.session)
+            agent.rename(old_path, new_path)
             txn.status = COMMITTED
             agent._emit("txn_commit", txn=txn.txn_id, began=txn.began, attempts=1,
                         reads=[], writes=[], renamed_from=old_path,
                         renamed_to=new_path, files=len(files))
         finally:
             agent.locks.release_set(locked)
-
-    def _holds(self, path: str, file_id: str) -> bool:
-        """True when the anchor of ``path`` is known to still name ``file_id``."""
-        try:
-            found = self.agent.metadata.lookup(path, use_cache=False)
-        except ReproError:
-            return False
-        return found is not None and found.file_id == file_id
 
     def _walk(self, meta: FileMetadata) -> list[FileMetadata]:
         """``meta`` plus (for directories) every live descendant."""

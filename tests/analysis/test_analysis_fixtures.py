@@ -16,7 +16,7 @@ import pytest
 from repro.analysis import analyze_source
 
 FIXTURES = Path(__file__).parent / "fixtures"
-FAMILIES = ("determinism", "locks", "traceschema", "exceptions", "pragmas", "charging")
+FAMILIES = ("determinism", "locks", "traceschema", "exceptions", "charging")
 
 _EXPECT_RE = re.compile(
     r"#\s*expect:\s*(?P<rules>[A-Z]{3}\d{3}(?:\s*,\s*[A-Z]{3}\d{3})*)\s*$"
@@ -44,12 +44,11 @@ GOOD = sorted(FIXTURES.rglob("good_*.py"))
 
 def test_corpus_covers_every_family():
     assert {p.parent.name for p in BAD + GOOD} == set(FAMILIES)
-    for family in ("determinism", "locks", "traceschema", "exceptions", "charging"):
+    for family in FAMILIES:
         bad = list((FIXTURES / family).glob("bad_*.py"))
         good = list((FIXTURES / family).glob("good_*.py"))
         assert len(bad) >= 2, f"{family}: need >= 2 flagged fixtures"
-        assert len(good) >= 2 or family == "pragmas", \
-            f"{family}: need >= 2 passing fixtures"
+        assert len(good) >= 2, f"{family}: need >= 2 passing fixtures"
 
 
 @pytest.mark.parametrize("fixture", BAD, ids=_fixture_id)

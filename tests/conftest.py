@@ -13,7 +13,6 @@ from repro.clouds.eventual import EventuallyConsistentStore
 from repro.common.errors import CloudUnavailableError, ReproError
 from repro.common.types import Principal
 from repro.coordination.adapters import DepSpaceCoordination
-from repro.coordination.partitioned import PartitionedCoordination
 from repro.core.gc import GarbageCollector
 from repro.simenv.environment import Simulation
 from repro.simenv.failures import FaultKind
@@ -59,11 +58,9 @@ def lock_holder(coordination, name: str, now: float | None = None) -> str | None
     """The session id holding the lock ``name`` unlapsed (None: free); changes nothing.
 
     ``coordination`` is a service, read at the simulated now in the lock table
-    of the reference replica of the partition the lock lives on, or one
-    replica (``EntryCommands``), read at ``now``.
+    of its reference replica, or one replica (``EntryCommands``), read at
+    ``now``.
     """
-    if isinstance(coordination, PartitionedCoordination):
-        coordination = coordination.services[coordination.lock_partition(name)]
     if isinstance(coordination, DepSpaceCoordination):
         now, coordination = coordination.sim.now(), coordination.rsm.reference_replica()
     held = coordination._locks.get(name)

@@ -173,24 +173,13 @@ class TestAllVariantsEndToEnd:
         assert fs.read_file("/large.bin") == payload
 
 
-class TestPartitionedDeployment:
-    """The §5 extension end to end: the namespace over two coordination services."""
-
-    def test_sharing_works_with_partitioned_coordination(self):
-        deployment = SCFSDeployment.for_variant("SCFS-AWS-B", seed=48, coordination_partitions=2)
-        alice = deployment.create_agent("alice")
-        bob = deployment.create_agent("bob")
-        alice.write_file("/shared.txt", b"via two partitions", shared=True)
-        alice.setfacl("/shared.txt", "bob", Permission.READ)
-        deployment.drain(2.0)
-        assert bob.read_file("/shared.txt") == b"via two partitions"
-
+class TestWriteLocks:
     @pytest.mark.parametrize("variant, pause", [("SCFS-AWS-B", 0.0), ("SCFS-CoC-B", 60.0)])
-    def test_partitioned_locks_prevent_write_write_conflicts(self, variant, pause):
+    def test_locks_prevent_write_write_conflicts(self, variant, pause):
         """Also two lock leases after mount: a lock's lease counts from its take."""
         from repro.common.errors import LockHeldError
 
-        deployment = SCFSDeployment.for_variant(variant, seed=49, coordination_partitions=2)
+        deployment = SCFSDeployment.for_variant(variant, seed=49)
         alice = deployment.create_agent("alice")
         bob = deployment.create_agent("bob")
         alice.write_file("/f.txt", b"v", shared=True)

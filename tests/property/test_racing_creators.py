@@ -2,14 +2,13 @@
 
 ``open(O_CREAT)`` sends the insert-if-absent first where it can and looks
 first where it cannot; either way the insert is the existence check, and a
-refusal says what is there.  Hypothesis draws the coordination service (one
-DepSpace or two partitions of it), two or three mounts of one user, for each
-its mode, whether the parent directory is in its metadata cache (insert
+refusal says what is there.  Hypothesis draws two or three mounts of one
+user, for each its mode, whether the parent directory is in its metadata cache (insert
 first) or not (look first), whether it writes, and —
 the race — before which replicated command of the calls already under way each
 later mount's whole ``open … close`` runs: an interleaving at the command
-level, between a lookup and the insert it licensed, between a ``Lock`` and the
-``Put`` it guards on another partition, between an update and its unlock.
+level, between a lookup and the insert it licensed, between an update and its
+unlock.
 Afterwards
 
 * exactly one ``open`` event says ``created``, every other successful open
@@ -31,10 +30,6 @@ from repro.core.deployment import SCFSDeployment
 
 from conftest import expire_metadata, lock_holder
 
-SERVICES = {
-    "depspace": {},
-    "partitioned": {"coordination_partitions": 2},
-}
 PATH = "/d/contended"
 
 _mount = st.fixed_dictionaries({
@@ -43,7 +38,6 @@ _mount = st.fixed_dictionaries({
     "writes": st.booleans(),
 })
 _case = st.fixed_dictionaries({
-    "service": st.sampled_from(sorted(SERVICES)),
     "mounts": st.lists(_mount, min_size=2, max_size=3),
     # The replicated command (counted from the first open) each later mount cuts in before.
     "cuts": st.lists(st.integers(0, 7), min_size=2, max_size=2, unique=True),
@@ -53,12 +47,11 @@ _case = st.fixed_dictionaries({
 @settings(max_examples=120, deadline=None)
 @given(case=_case)
 def test_racing_creators_create_once_and_leave_no_lock(case):
-    deployment = SCFSDeployment.for_variant("SCFS-CoC-B", seed=3, **SERVICES[case["service"]])
+    deployment = SCFSDeployment.for_variant("SCFS-CoC-B", seed=3)
     events: list[dict] = []
     mounts = [deployment.create_agent("alice", events=lambda kind, **fields: events.append(
         {"kind": kind, **fields})) for _ in case["mounts"]]
     mounts[0].mkdir("/d", shared=True)
-    services = getattr(deployment.coordination, "services", [deployment.coordination])
     outcomes: list[str] = []
 
     def run(index: int) -> None:
@@ -80,13 +73,15 @@ def test_racing_creators_create_once_and_leave_no_lock(case):
     # whole, right before the command its cut names (else after everyone else).
     waiting = dict(zip(case["cuts"], range(1, len(mounts)), strict=False))
     sent = itertools.count()
-    for service in services:
-        def invoke(*args, _invoke=service.rsm.invoke, **kwargs):
-            cutting_in = waiting.pop(next(sent), None)
-            if cutting_in is not None:
-                run(cutting_in)
-            return _invoke(*args, **kwargs)
-        service.rsm.invoke = invoke
+    rsm = deployment.coordination.rsm
+
+    def invoke(*args, _invoke=rsm.invoke, **kwargs):
+        cutting_in = waiting.pop(next(sent), None)
+        if cutting_in is not None:
+            run(cutting_in)
+        return _invoke(*args, **kwargs)
+
+    rsm.invoke = invoke
     run(0)
     never_cut_in = sorted(waiting.values())
     waiting.clear()

@@ -4,28 +4,25 @@ A lock rides in the metadata command it guards (``LockService.acquire(meta,
 send)`` / ``acquire_set(metas, send)``): one ``multi`` carries the ``Lock``
 steps together with the ``Get``/``Put`` steps of the caller.  The service
 keeps the mirror-image promise for a command that ends with ``Unlock`` steps.
-Hypothesis draws a partition layout (which partition every lock name and every
-entry key falls on, 1-3 partitions, or one plain service), a step mix (which
-locks are wanted, which are already held re-entrantly, which entries are read
-or conditionally replaced) and one reason for the command to be refused — a
-wanted lock held by someone else, a failed ``expected_version``, a denied READ
-— and asserts that afterwards
+Hypothesis draws a step mix (which locks are wanted, which are already held
+re-entrantly, which entries are read or conditionally replaced) and one reason
+for the command to be refused — a wanted lock held by someone else, a failed
+``expected_version``, a denied READ — and asserts that afterwards
 
 * the caller holds no lock it did not hold before (and still holds those),
 * ``LockService.held`` and the ``on_transition`` history are unchanged,
-* no entry changed on the partition that refused — nor anywhere at all when a
-  *lock* was refused: a ``Get``/``Put`` never executes before every ``Lock``
+* no entry changed: a ``Get``/``Put`` never executes before every ``Lock``
   it rides with is granted,
 * an ``Unlock`` riding with a refused ``Put`` was not applied: an entry step
   never executes after the ``Unlock`` it rides with.
 
-A third property places every lock the way the agent does — at the home the
-file id names, the partition of the entry it was created under, whatever
-partition a rename moved the entry to since — and lets the release of a held
-lock come due while the riding command is out (a background commit landing
-inside it), accepted or refused, with and without a re-entrant hold: no lock
-is gained or lost, ``held`` agrees with ``lock_holder`` and the ``on_transition``
-history, and no ``Get`` executes before its ``Lock`` is granted.
+A third property names every lock the way the agent does — by the file id,
+whatever path a rename moved the entry to since — and lets the release of a
+held lock come due while the riding command is out (a background commit
+landing inside it), accepted or refused, with and without a re-entrant hold:
+no lock is gained or lost, ``held`` agrees with ``lock_holder`` and the
+``on_transition`` history, and no ``Get`` executes before its ``Lock`` is
+granted.
 """
 
 from __future__ import annotations
@@ -37,7 +34,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.common.errors import ConflictError, LockHeldError
 from repro.common.types import Permission, Principal
-from repro.coordination import PartitionedCoordination
 from repro.coordination.adapters import DepSpaceCoordination
 from repro.coordination.base import Get, Put, Unlock
 from repro.core.lock_service import LockService
@@ -64,11 +60,7 @@ def _key(file_id: str) -> str:
     return f"meta:/d/{file_id}"
 
 
-KEYS = [*map(_lock, FILES), *map(_key, FILES), PRIVATE]
-
 _case = st.fixed_dictionaries({
-    "partitions": st.integers(0, 3),  # 0: one plain (unpartitioned) service
-    "layout": st.lists(st.integers(0, 2), min_size=len(KEYS), max_size=len(KEYS)),
     "held": st.sets(st.sampled_from(FILES)),
     "wanted": st.sets(st.sampled_from(FILES), min_size=1),
     "steps": st.lists(st.sampled_from((None, "get", "put")),
@@ -79,20 +71,11 @@ _case = st.fixed_dictionaries({
 })
 
 
-def _service(sim: Simulation, case: dict):
-    if case["partitions"] == 0:
-        return DepSpaceCoordination(sim, f=0)
-    layout = dict(zip(KEYS, case["layout"], strict=True))
-    return PartitionedCoordination(
-        [DepSpaceCoordination(sim, f=0) for _ in range(case["partitions"])],
-        partition_function=lambda key, partitions: layout[key] % partitions)
-
-
 @settings(max_examples=150, deadline=None)
 @given(case=_case)
 def test_refused_riding_command_leaves_locks_entries_and_bookkeeping_alone(case):
     sim = Simulation(seed=5)
-    service = _service(sim, case)
+    service = DepSpaceCoordination(sim, f=0)
     alice = service.open_session(Principal(name="alice", canonical_ids=()))
     bob = service.open_session(Principal(name="bob", canonical_ids=()))
     for file_id in FILES:
@@ -119,12 +102,8 @@ def test_refused_riding_command_leaves_locks_entries_and_bookkeeping_alone(case)
              if step is not None and not (refusal == "version" and f == victim)]
     if refusal == "version":
         steps.append(Put(_key(victim), b"v2", 7))
-        refusing = _key(victim)
     elif refusal == "denied":
         steps.append(Get(PRIVATE))
-        refusing = PRIVATE
-    else:
-        refusing = _lock(victim)
     held, recorded = dict(locks.held), list(transitions)
     with pytest.raises(LockHeldError if refusal == "held" else ConflictError):
         if acquiring:
@@ -138,18 +117,16 @@ def test_refused_riding_command_leaves_locks_entries_and_bookkeeping_alone(case)
         owner = alice if file_id in held_before else bob if (
             refusal == "held" and file_id == victim) else None
         assert lock_holder(service, _lock(file_id)) == (owner and owner.session_id), file_id
-    partition = getattr(service, "partition_of", lambda key: 0)
     for file_id in FILES:
-        if refusal == "held" or partition(_key(file_id)) == partition(refusing):
-            entry = service.get(_key(file_id), alice)
-            assert (entry.value, entry.version) == (b"v1", 1), file_id
+        entry = service.get(_key(file_id), alice)
+        assert (entry.value, entry.version) == (b"v1", 1), file_id
 
 
 @settings(max_examples=60, deadline=None)
 @given(case=_case)
 def test_accepted_riding_command_settles_counts_and_applies_every_step(case):
     sim = Simulation(seed=5)
-    service = _service(sim, case)
+    service = DepSpaceCoordination(sim, f=0)
     alice = service.open_session(Principal(name="alice", canonical_ids=()))
     for file_id in FILES:
         service.put(_key(file_id), b"v1", alice)
@@ -172,15 +149,12 @@ def test_accepted_riding_command_settles_counts_and_applies_every_step(case):
         assert holder == (alice.session_id if file_id in case["held"] else None)
 
 
-# ---- home-placed locks, re-entrant holds, releases due inside the command ----
+# ---- renamed files, re-entrant holds, releases due inside the command ----
 
-_homed = st.fixed_dictionaries({
-    "partitions": st.integers(0, 3),  # 0: one plain (unpartitioned) service
-    # Partition of each file's entry where it was created, and where it was
-    # renamed to (a rename to another partition leaves its lock at home).
-    "created": st.lists(st.integers(0, 2), min_size=len(FILES), max_size=len(FILES)),
-    "renamed": st.lists(st.one_of(st.none(), st.integers(0, 2)),
-                        min_size=len(FILES), max_size=len(FILES)),
+_renamed = st.fixed_dictionaries({
+    # Which files' entries were renamed since their creation (the lock keeps
+    # the file id's name).
+    "renamed": st.lists(st.booleans(), min_size=len(FILES), max_size=len(FILES)),
     "held": st.sets(st.sampled_from(FILES)),
     "pending": st.sets(st.sampled_from(FILES)),  # held ones whose release comes due
     "wanted": st.sets(st.sampled_from(FILES), min_size=1),
@@ -189,12 +163,11 @@ _homed = st.fixed_dictionaries({
 
 
 class _Recorder:
-    """Each underlying service's *applied* commands, in order, as step kinds."""
+    """The service's *applied* commands, in order, as step kinds."""
 
-    def __init__(self, services) -> None:
+    def __init__(self, service) -> None:
         self.applied: list[set[str]] = []
-        for service in services:
-            service.multi = self._wrap(service.multi)
+        service.multi = self._wrap(service.multi)
 
     def _wrap(self, multi):
         def recorded(ops, session):
@@ -205,34 +178,23 @@ class _Recorder:
 
 
 @settings(max_examples=120, deadline=None)
-@given(case=_homed)
+@given(case=_renamed)
 def test_riding_command_keeps_every_count_with_the_service(case):
     """No lock gained or lost, ``held`` agrees with ``lock_holder``, Gets after Locks.
 
-    Every file's lock is homed on the partition of the entry it was created
-    under; some entries were then moved to another partition.  Some held
-    locks are a background commit's, whose release comes due while the
-    riding command is out.
+    Every file's lock is named by its file id; some entries were then moved
+    to another path.  Some held locks are a background commit's, whose
+    release comes due while the riding command is out.
     """
     sim = Simulation(seed=5)
-    count = case["partitions"]
-    routes: dict[str, int] = {}
-    if count == 0:
-        service = DepSpaceCoordination(sim, f=0)
-        services = [service]
-    else:
-        services = [DepSpaceCoordination(sim, f=0) for _ in range(count)]
-        service = PartitionedCoordination(
-            services, partition_function=lambda key, partitions: routes[key] % partitions)
+    service = DepSpaceCoordination(sim, f=0)
     alice = service.open_session(Principal(name="alice", canonical_ids=()))
     metas: dict[str, FileMetadata] = {}
-    for name, created, renamed in zip(FILES, case["created"], case["renamed"], strict=True):
-        routes[f"meta:/d/{name}"] = created
+    for name, renamed in zip(FILES, case["renamed"], strict=True):
         meta = FileMetadata(path=f"/d/{name}", file_type=FileType.FILE, owner="alice",
-                            file_id=name + service.lock_home(f"meta:/d/{name}"))
+                            file_id=name)
         service.put(MetadataService.entry_key(meta.path), b"v1", alice)
-        if renamed is not None:
-            routes[f"meta:/e/{name}"] = renamed
+        if renamed:
             meta = meta.renamed(f"/e/{name}")
             service.move(f"meta:/d/{name}", f"meta:/e/{name}", None, alice)
         metas[name] = meta
@@ -250,7 +212,7 @@ def test_riding_command_keeps_every_count_with_the_service(case):
         LockService(sim, service, service.open_session(
             Principal(name="bob", canonical_ids=()))).acquire(metas[victims[0]])
 
-    recorder = _Recorder(services)
+    recorder = _Recorder(service)
     paths = [metas[name].path for name in sorted(wanted)]
     reread = functools.partial(_reread, service, alice, paths)
     if refused:
@@ -266,8 +228,6 @@ def test_riding_command_keeps_every_count_with_the_service(case):
         assert locks.held.get(lock, 0) == hold, name
         mine = lock_holder(service, lock) == alice.session_id
         assert mine == (hold > 0) == (lock in taken), name
-        if count:  # at home, wherever the entry went since
-            assert service.lock_partition(lock) == routes[f"meta:/d/{name}"] % count
     gets = [index for index, kinds in enumerate(recorder.applied) if "Get" in kinds]
     grants = [index for index, kinds in enumerate(recorder.applied) if "Lock" in kinds]
     if refused:

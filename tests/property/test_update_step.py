@@ -11,10 +11,6 @@ caller may not WRITE it (with or without READ) — and asserts against a
   one, and the reply is that entry;
 * refused, every replica is untouched and ``ConflictError.found`` carries the
   entry exactly when the caller may READ it.
-
-On a partitioned service, a command of ``Update`` steps spread over the
-partitions followed by a transaction's intent flip applies the flip last:
-the intent says ``committed`` only once every ``Update`` was accepted.
 """
 
 from __future__ import annotations
@@ -26,9 +22,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.common.errors import ConflictError
 from repro.common.types import Permission, Principal
-from repro.coordination import PartitionedCoordination
 from repro.coordination.adapters import DepSpaceCoordination
-from repro.coordination.base import Entry, Get, Put, Update
+from repro.coordination.base import Entry, Get, Update
 from repro.coordination.entries import Holder
 from repro.core.metadata import DATA_FIELDS, FileMetadata, FileType
 from repro.simenv.environment import Simulation
@@ -104,53 +99,3 @@ def test_an_update_sets_exactly_its_fields_or_leaves_every_replica_alone(case):
         assert FileMetadata.from_bytes(entry.value) == _replaced(old, new, names)
         assert (entry.version, entry.acl) == (version + 1, stored.acl)
         assert replica._entries[KEY].acl.owner == "alice"
-
-
-_flip = st.fixed_dictionaries({
-    "partitions": st.integers(1, 3),
-    "layout": st.lists(st.integers(0, 2), min_size=4, max_size=4),  # 3 files + the intent
-    "stale": st.one_of(st.none(), st.integers(0, 2)),  # the file whose Update is refused
-})
-
-
-@settings(max_examples=120, deadline=None)
-@given(case=_flip)
-def test_the_intent_flip_riding_behind_updates_is_applied_last(case):
-    sim = Simulation(seed=5)
-    services = [DepSpaceCoordination(sim, f=0)
-                for _ in range(case["partitions"])]
-    keys = [f"meta:/d/f{index}" for index in range(3)]
-    layout = dict(zip([*keys, "txn:t"], case["layout"], strict=True))
-    service = PartitionedCoordination(
-        services, partition_function=lambda key, partitions: layout[key] % partitions)
-    alice = service.open_session(Principal(name="alice", canonical_ids=()))
-    for index, key in enumerate(keys):
-        meta = FileMetadata(path=key[len("meta:"):], file_type=FileType.FILE,
-                            owner="alice", file_id=f"file-{index}")
-        service.put(key, meta.to_bytes(), alice)
-    service.put("txn:t", b"pending", alice)
-    applied: list[set[str]] = []
-    for underlying in services:
-        underlying.multi = _recorded(underlying.multi, applied)
-
-    steps = [Update(key, f"file-{index}", {"data_version": 1},
-                    7 if index == case["stale"] else 1) for index, key in enumerate(keys)]
-    flip = Put("txn:t", b"committed", expected_version=1)
-    if case["stale"] is not None:
-        with pytest.raises(ConflictError):
-            service.multi([*steps, flip], alice)
-        assert service.get("txn:t", alice).value == b"pending"
-        return
-    service.multi([*steps, flip], alice)
-    assert "txn:t" in applied[-1]
-    assert all("txn:t" not in keys_of for keys_of in applied[:-1])
-    assert sorted(key for keys_of in applied for key in keys_of if key != "txn:t") == keys
-    assert service.get("txn:t", alice).value == b"committed"
-
-
-def _recorded(multi, applied: list[set[str]]):
-    def recorded(ops, session):
-        answers = multi(ops, session)
-        applied.append({op[0] for op in ops})
-        return answers
-    return recorded

@@ -23,6 +23,7 @@ import os
 
 import pytest
 
+from repro.common.errors import QuorumNotReachedError
 from repro.coordination.replication import ReplicatedStateMachine
 from repro.scenarios import FAULT_MIXES, ScenarioSpec, run_scenario
 
@@ -92,10 +93,13 @@ def test_a_riding_reentrant_lock_outlives_its_own_pending_commit() -> None:
 
 def _invoke_at_send(rsm, operation, *args, **kwargs):
     """``ReplicatedStateMachine.invoke`` applying its command before the wait, not after it."""
-    correct = rsm._quorum()
-    wait = rsm._round_trip()
+    correct = rsm.correct_replicas
+    if len(correct) < rsm.quorum_size():
+        raise QuorumNotReachedError(f"only {len(correct)} correct replicas")
+    wait = None if rsm.sim.in_background else rsm.latency.sample(0, rsm.sim.rng)
+    rsm.commands_executed += 1
     try:
-        return rsm._apply(correct, (operation, args, kwargs))
+        return [rsm.replicas[i].apply((operation, args, kwargs)) for i in correct][0]
     finally:
         if wait is not None:
             rsm.sim.advance(wait)

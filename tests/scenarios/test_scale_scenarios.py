@@ -63,7 +63,10 @@ from repro.scenarios.runner import ScenarioRunner
 #: each of these runs deletes old versions (LIST and block DELETE quorum
 #: calls, their draws and their billing).  Epoch 18 covers all eight mixes: a
 #: cold write-open sends its lock with its look, one command where it sent
-#: two, so every later draw shifts.  See docs/determinism-contract.md.
+#: two, so every later draw shifts.  Epoch 19 moved ``txn-crash-restart``
+#: and ``txn-partition`` only: a commit attempt that fails after its locks
+#: no longer deletes an intent record, one command (and its draw) fewer.  See
+#: docs/determinism-contract.md.
 GOLDEN_LOCKSTEP = {
     "fault-free": "700a6eeeb9b9064bd70ddfdd783ae1c881cd256019579142d71830e73e084e47",
     "crash-hang": "c1200c046abea55d388d7bf8162aaf0ec29070eb992e981780f50accf99a31e4",
@@ -71,8 +74,8 @@ GOLDEN_LOCKSTEP = {
     "degraded-outage": "4f05bc107ef118503294ddfa28abe7d837144f83148c9451e93b9b61335ea308",
     "weighted-byzantine": "e3dbdfc5e6a7659515812245ee03b3705d6b9885b72e5771d47053bf26e050ce",
     "txn": "72d4661b95b92638543346d55fc28e95485601e3e86ea9e5fe5da49887dac172",
-    "txn-crash-restart": "917f012a1e819ce46b49ad088b1997fa65e2c40f6a3ddc83145b3012689f4e87",
-    "txn-partition": "2913591d7cd4a5489d23c8f02200843579e7488186f6800ca5b9be1936d8420b",
+    "txn-crash-restart": "bc40f03c98825b185fd741f0fe6579738bc541f8f71273eef22cc50645f870a2",
+    "txn-partition": "15fecf8ea6bb08f5d8a32d1ffb9eb49c31579bc6e22e34ff3b7a20277de6aa4b",
 }
 
 
@@ -85,18 +88,19 @@ def test_lockstep_fingerprints_are_pinned(mix: str) -> None:
 
 
 def _scale_spec(**overrides) -> ScenarioSpec:
-    defaults = dict(seed=23, agents=20, files=200, ops_per_agent=4,
-                    directories=8, partitions=2)
+    defaults = dict(seed=23, agents=20, files=200, ops_per_agent=4, directories=8)
     defaults.update(overrides)
     return ScenarioSpec.generate_scale(**defaults)
 
 
-#: Trace fingerprint of ``_scale_spec()``: pooled, partitioned, event-driven —
-#: the one pinned run that goes through pool priming.  Re-pinned in epoch 11,
-#: where its file ids also came to name their entry's partition, and in epochs
-#: 12 and 15 (pool priming installs the binary head) and 18 (its cold
-#: write-opens); an epoch bump re-pins it together with the eight above.
-GOLDEN_POOLED = "b90c3b3746a1802449b92f81f143ba35084d995375358dd757e33b08dccc2380"
+#: Trace fingerprint of ``_scale_spec()``: pooled, event-driven — the one
+#: pinned run that goes through pool priming.  Re-pinned in epoch 11, where
+#: its file ids also came to name their entry's partition, in epochs 12 and 15
+#: (pool priming installs the binary head) and 18 (its cold write-opens), and
+#: in epoch 19, where one coordination service replaced its two partitions
+#: (the run a 1-partition spec made before); an epoch bump re-pins it
+#: together with the eight above.
+GOLDEN_POOLED = "2cbdedf8ba8348e0e4f27e1040d56cbde39f0df6a26a3f47533dc9a254ea83d2"
 
 
 def test_pooled_fingerprint_is_pinned() -> None:
@@ -122,7 +126,7 @@ def test_pooled_scale_run_upholds_all_invariants() -> None:
 
 
 def test_scale_spec_shape() -> None:
-    spec = _scale_spec(agents=30, partitions=4)
+    spec = _scale_spec(agents=30)
     assert len(spec.agents) == 30
     assert spec.scheduling == "event-driven"
     assert spec.pooled and spec.variant == "SCFS-CoC-NB"
@@ -132,7 +136,6 @@ def test_scale_spec_shape() -> None:
     config = spec.config
     # The fault-free mix leaves the dispatch policy at its default.
     assert config.dispatch == DispatchPolicyConfig()
-    assert config.coordination_partitions == 4
     assert config.encrypt_data is False
     assert config.gc_threshold == math.inf
     # The hour-long lease outlives the run: no lock lapses mid-run.
@@ -161,6 +164,6 @@ def test_scale_spec_rejects_bad_sizing() -> None:
 
 @pytest.mark.parametrize("mix", FAULT_MIXES)
 def test_pooled_run_upholds_all_invariants_under_every_fault_mix(mix: str) -> None:
-    """A ``replica:i`` phase faults replica *i* of every partition's service."""
+    """A ``replica:i`` phase faults replica *i* of the coordination service."""
     result = ScenarioRunner(_scale_spec(mix=mix)).run()
     assert result.ok, "\n" + result.report()

@@ -21,7 +21,6 @@ from repro.scenarios.spec import ScenarioSpec
 SURFACE = (
     "mode",
     "backend",
-    "coordination_partitions",
     "private_name_spaces",
     "encrypt_data",
     "metadata_expiration",
@@ -52,7 +51,7 @@ def _settable(config, prefix: str = "") -> list[str]:
 
 def test_the_settable_config_surface_is_the_pinned_one():
     assert tuple(_settable(SCFSConfig())) == SURFACE
-    assert len(SURFACE) == 16
+    assert len(SURFACE) == 15
 
 
 def test_the_dispatch_policy_is_the_only_nested_config():

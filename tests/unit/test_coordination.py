@@ -7,12 +7,11 @@ import pytest
 
 from repro.common.errors import ConflictError, QuorumNotReachedError, TupleNotFoundError
 from repro.common.errors import LockHeldError
-from repro.common.types import ACL, Permission
+from repro.common.types import Permission
 from repro.coordination.adapters import DepSpaceCoordination
-from repro.coordination.base import Delete, Entry, Get, Grant, List, Lock, Move, Put, Unlock
+from repro.coordination.base import Delete, Get, Grant, List, Lock, Move, Put, Unlock
 from repro.coordination.entries import EntryCommands, Holder
-from repro.coordination.partitioned import PartitionedCoordination
-from repro.coordination.replication import ReplicatedStateMachine, invoke_together
+from repro.coordination.replication import ReplicatedStateMachine
 from repro.core.lock_service import LockService
 from repro.core.metadata import FileMetadata, FileType
 
@@ -262,47 +261,14 @@ class TestReplication:
         assert rsm.invoke(*_command(Put("k", b"w")))[0].version == 2
         assert _value(rsm.replicas[0], "k", "alice") == b"w"
 
-    def test_invoke_together_runs_every_command_and_charges_the_slowest(self, sim):
-        rsms = [ReplicatedStateMachine(sim, f=1) for _ in range(3)]
-        rsms[1].crash_replica(0)
-        rsms[1].crash_replica(1)
-        state, start = sim.rng.getstate(), sim.now()
-        # No quorum on the second, the third refuses its grant: the first
-        # failure raises, once every command ran.
-        with pytest.raises(QuorumNotReachedError):
-            invoke_together([rsms[0].command(*_command(Put("k", b"v"))),
-                             rsms[1].command(*_command(Put("k", b"v"))),
-                             rsms[2].command(*_command(Grant("k", "bob", Permission.READ)))])
-        assert [rsm.commands_executed for rsm in rsms] == [1, 0, 1]
-        assert _value(rsms[0].reference_replica(), "k", "alice") == b"v"
-        replay = random.Random()
-        replay.setstate(state)
-        draws = [rsm.latency.sample(0, replay) for rsm in (rsms[0], rsms[2])]
-        assert sim.now() == start + max(draws) and sim.rng.getstate() == replay.getstate()
-        with sim.background():  # background work draws nothing and waits for nothing
-            assert invoke_together([rsm.command(*_command(List("")))
-                                    for rsm in (rsms[0], rsms[2])]) == [
-                [[Entry("k", b"v", 1, ACL("alice"))]], [[]]]
-        assert sim.now() == start + max(draws) and sim.rng.getstate() == replay.getstate()
-
-    def test_a_lone_command_applies_after_its_wait_and_joint_commands_before_theirs(self, sim):
+    def test_a_command_applies_after_its_wait(self, sim):
         # ``invoke`` waits out its round trip, running the tasks due in it,
-        # then applies; ``invoke_together`` applies every command, then waits.
-        rsms = [ReplicatedStateMachine(sim, f=1) for _ in range(2)]
+        # then applies.
+        rsm = ReplicatedStateMachine(sim, f=1)
         seen = []
-
-        def look_up(*keys):
-            sim.schedule(0.01, lambda: seen.append(sum(
-                _value(rsm.reference_replica(), key, "alice") is not None
-                for rsm, key in zip(rsms, keys))))
-
-        look_up("a")
-        rsms[0].invoke(*_command(Put("a", b"v")))
-        assert seen == [0] and _value(rsms[0].reference_replica(), "a", "alice") == b"v"
-        look_up("b", "c")
-        invoke_together([rsms[0].command(*_command(Put("b", b"v"))),
-                         rsms[1].command(*_command(Put("c", b"v")))])
-        assert seen == [0, 2]
+        sim.schedule(0.01, lambda: seen.append(_value(rsm.reference_replica(), "a", "alice")))
+        rsm.invoke(*_command(Put("a", b"v")))
+        assert seen == [None] and _value(rsm.reference_replica(), "a", "alice") == b"v"
 
     def test_invalid_replica_index(self, sim):
         rsm = ReplicatedStateMachine(sim, f=1)
@@ -310,23 +276,15 @@ class TestReplication:
             rsm.crash_replica(10)
 
 
-@pytest.fixture(params=["depspace", "partitioned"])
-def coordination(request, sim):
-    """The interface's two implementations: one replicated DepSpace (f=1), or
-    two of them with the namespace partitioned by top-level directory."""
-    if request.param == "depspace":
-        return DepSpaceCoordination(sim, f=1)
-    return PartitionedCoordination([DepSpaceCoordination(sim, f=1) for _ in range(2)])
-
-
-def _services(coordination) -> list[DepSpaceCoordination]:
-    """The replicated services behind ``coordination`` (itself, when it is one)."""
-    return getattr(coordination, "services", [coordination])
+@pytest.fixture
+def coordination(sim):
+    """One replicated DepSpace (f=1)."""
+    return DepSpaceCoordination(sim, f=1)
 
 
 def _commands(coordination) -> int:
-    """Replicated commands executed so far, summed over every partition."""
-    return sum(service.rsm.commands_executed for service in _services(coordination))
+    """Replicated commands executed so far."""
+    return coordination.rsm.commands_executed
 
 
 class TestCoordinationAdapters:
@@ -415,13 +373,13 @@ class TestCoordinationAdapters:
         assert coordination.try_lock("file-1", s2)
 
     def test_close_session_costs(self, coordination, alice, bob):
-        """One command per partition, whatever the session holds."""
+        """One command, whatever the session holds."""
         s1, s2 = coordination.open_session(alice), coordination.open_session(bob)
         coordination.multi([Lock("a"), Lock("b")], s1)
         coordination.try_lock("c", s2)
         before = _commands(coordination)
         coordination.close_session(s1)
-        assert _commands(coordination) - before == len(_services(coordination))
+        assert _commands(coordination) - before == 1
         assert [lock_holder(coordination, name) for name in "abc"] == [None, None, s2.session_id]
 
     def test_entry_count(self, coordination, alice):
@@ -433,10 +391,9 @@ class TestCoordinationAdapters:
         assert coordination.entry_count() == before + 2
 
 
-def _replica_states(coordination) -> list[list[bytes]]:
-    """Every replica's whole state, serialized (the replicas are plain objects), per service."""
-    return [[pickle.dumps(replica) for replica in service.rsm.replicas]
-            for service in _services(coordination)]
+def _replica_states(coordination) -> list[bytes]:
+    """Every replica's whole state, serialized (the replicas are plain objects)."""
+    return [pickle.dumps(replica) for replica in coordination.rsm.replicas]
 
 
 class TestMultiCommand:
@@ -446,7 +403,6 @@ class TestMultiCommand:
         session = coordination.open_session(alice)
         coordination.put("meta:/a", b"a1", session)
         before = _commands(coordination)
-        # Every key under one top-level directory: one partition when partitioned.
         results = coordination.multi(
             [Get("meta:/a"), Get("meta:/a/missing"), Put("meta:/a", b"a2", 1),
              Put("meta:/a/b", b"b1", 0)], session)
@@ -470,14 +426,14 @@ class TestMultiCommand:
                 [Put("meta:/a", b"v2", 1), Put("meta:/b", b"v2", 1), Put("meta:/c", b"v2", 1),
                  Put("txn:t1", b"committed", 1)], session)
         assert _replica_states(coordination) == before
-        assert all(len(set(states)) == 1 for states in before)  # and each service's replicas agree
+        assert len(set(before)) == 1  # and the replicas agree
         assert coordination.get("meta:/a", session).value == b"v1"
         assert coordination.get("txn:t1", session).value == b"pending"
 
     def test_a_put_the_acl_denies_refuses_the_command(self, coordination, alice, bob):
         owner, other = coordination.open_session(alice), coordination.open_session(bob)
         coordination.put("meta:/a", b"alice's", owner)
-        with pytest.raises(ConflictError):  # one top-level directory: one partition
+        with pytest.raises(ConflictError):
             coordination.multi([Put("meta:/a/new", b"x", 0), Put("meta:/a", b"bob's")], other)
         with pytest.raises(ConflictError):
             coordination.multi([Get("meta:/a")], other)
@@ -521,77 +477,6 @@ class TestMultiCommand:
         assert lock_holder(coordination, "L2") == s2.session_id
 
 
-class TestPartitionedMultiCommand:
-    def _two_partitions(self, sim):
-        services = [DepSpaceCoordination(sim, f=0) for _ in range(2)]
-        # Route by the key's last character: "…0" to partition 0, "…1" to partition 1.
-        return PartitionedCoordination(services, lambda key, n: int(key[-1]) % n), services
-
-    def test_one_command_per_partition_touched_results_in_step_order(self, sim, alice):
-        coordination, services = self._two_partitions(sim)
-        session = coordination.open_session(alice)
-        results = coordination.multi(
-            [Put("k1", b"one", 0), Put("k0", b"zero", 0), Get("k1"), Put("j0", b"j", 0)], session)
-        assert [r and r.key for r in results] == ["k1", "k0", None, "j0"]
-        assert [service.rsm.commands_executed for service in services] == [1, 1]
-        coordination.multi([Get("k0"), Get("j0")], session)
-        assert [service.rsm.commands_executed for service in services] == [2, 1]
-
-    def test_the_last_steps_partition_goes_last(self, sim, alice):
-        """A commit point ends with the intent's flip: when another partition
-        refuses its CAS, the flip (on a lower-index partition) has not applied."""
-        coordination, _ = self._two_partitions(sim)
-        session = coordination.open_session(alice)
-        coordination.multi([Put("file1", b"v1", 0), Put("intent0", b"pending", 0)], session)
-        with pytest.raises(ConflictError):
-            coordination.multi(
-                [Put("file1", b"v2", 7), Put("intent0", b"committed", 1)], session)
-        assert coordination.get("intent0", session).value == b"pending"
-        coordination.multi([Put("file1", b"v2", 1), Put("intent0", b"committed", 1)], session)
-        assert coordination.get("intent0", session).value == b"committed"
-
-    def test_a_move_step_keeps_to_one_partition(self, sim, alice):
-        coordination, services = self._two_partitions(sim)
-        session = coordination.open_session(alice)
-        coordination.put("a0", b"x", session)
-        with pytest.raises(ValueError, match="spans partitions"):
-            coordination.multi([Move("a0", "b1")], session)
-        assert [service.rsm.commands_executed for service in services] == [1, 0]
-        assert coordination.move("a0", "c0", None, session).version == 2  # one command
-        assert [service.rsm.commands_executed for service in services] == [2, 0]
-        moved = coordination.move("c0", "b1", None, session, expected_version=2)
-        assert (moved.key, moved.version) == ("b1", 1)  # get, put and delete
-        assert [service.rsm.commands_executed for service in services] == [4, 1]
-        assert coordination.list_prefix("", session) == ["b1"]
-
-    @pytest.mark.parametrize("partitions", [2, 3])
-    def test_one_session_holds_locks_on_every_partition(self, sim, alice, bob, partitions):
-        """The caller's session goes to every partition: one holder id, one close, one heartbeat each."""
-        services = [DepSpaceCoordination(sim, f=1) for _ in range(partitions)]
-        coordination = PartitionedCoordination(services, lambda key, n: int(key[-1]) % n)
-        session = coordination.open_session(alice)
-        coordination.multi([Lock("a0"), Lock("b1")], session)
-        assert [lock_holder(coordination, name) for name in ("a0", "b1")] == [session.session_id] * 2
-        commands, now = [service.rsm.commands_executed for service in services], sim.now()
-        coordination.renew_session(session)
-        assert [service.rsm.commands_executed for service in services] == [c + 1 for c in commands]
-        assert sim.now() == now  # background work
-        coordination.close_session(session)
-        assert [service.rsm.commands_executed for service in services] == [c + 2 for c in commands]
-        assert [lock_holder(coordination, name) for name in ("a0", "b1")] == [None, None]
-        assert coordination.try_lock("b1", coordination.open_session(bob))
-
-    def test_a_refused_lock_set_leaves_nothing_held_on_any_partition(self, sim, alice, bob):
-        coordination, _ = self._two_partitions(sim)
-        s1, s2 = coordination.open_session(alice), coordination.open_session(bob)
-        assert coordination.try_lock("b1", s2)
-        with pytest.raises(LockHeldError) as refused:
-            coordination.multi([Lock("a0"), Lock("b1"), Lock("c0")], s1)
-        assert refused.value.lock == "b1"
-        assert lock_holder(coordination, "a0") is None and lock_holder(coordination, "c0") is None
-        assert lock_holder(coordination, "b1") == s2.session_id
-
-
 class TestDepSpaceLockExpiry:
     def test_crashed_client_lock_expires_with_lease(self, coordination, sim, alice, bob):
         service = coordination
@@ -612,8 +497,8 @@ class TestDepSpaceLockExpiry:
         before, commands = sim.now(), _commands(service)
         service.renew_session(session)
         assert sim.now() == before  # the heartbeat itself is never charged
-        # An entry_multi of no step, on every partition.
-        assert _commands(service) == commands + len(_services(service))
+        # An entry_multi of no step.
+        assert _commands(service) == commands + 1
         assert not sim.in_background
         service.put("k", b"v", session)
         assert sim.now() > before  # ...and the foreground still is
@@ -644,7 +529,6 @@ def _file(file_id: str) -> FileMetadata:
 
 
 class TestLockService:
-    """Cases that take ``coordination`` run on one service and on a partitioned one."""
 
     def _locks(self, sim, alice, service=None):
         service = DepSpaceCoordination(sim, f=0) if service is None else service

@@ -3,34 +3,20 @@
 Every coordination access costs the user 60-100 ms, so the number of
 replicated commands a system call issues *is* its metadata latency.  These
 tests pin that number — counted at ``ReplicatedStateMachine.commands_executed``,
-below every adapter — for one service, for SCFS-AWS's unreplicated one (f=0,
-one VM) and for a 2-partition deployment, which is also what
-``bench/costs.py`` prices as "accesses per op".
-
-A prefix listing fans out to every partition, so a call that lists costs
-``partitions`` commands for it; every other intent is exactly one.  Commands
-to several partitions that need not wait for one another — a listing's, an
-unmount's session close, a release of locks living on several partitions —
-go out together: one round trip, the slowest partition's.
+below every adapter — for the replicated service and for SCFS-AWS's
+unreplicated one (f=0, one VM), which is also what ``bench/costs.py`` prices
+as "accesses per op".
 
 A mount is one command: the user's canonical ids, created readable by every
-user.  An unmount is one command per partition: the session's close, which
-returns every lock the session holds there.
+user.  An unmount is one command: the session's close, which returns every
+lock the session holds.
 
 A lock rides in the metadata command it guards: the insert of a create-open,
 the re-read under the lock of a write-open of an existing file, the validation
-snapshot of a transaction commit — which also carries the commit's ``pending``
-intent, so one command stands in front of a transaction's upload.  On one
-service that is one command where there were two (three, for the commit).
-Only the unlock of a dirty close stays a command of its own: it comes after
-the upload (pinned below; CHANGES.md, PR 16, says why).
-
-A partitioned deployment pays one command per partition, so a lock rides only
-where it shares a partition with the entry.  A file's id names the partition
-of the entry it was created under (``CoordinationService.lock_home``), and its
-lock lives there for the file's whole life: every new file's lock rides.  A
-rename to another partition leaves the lock at home; there lock and re-read
-are two commands, as they were before the fold, and never more.
+snapshot of a transaction commit, so one command stands in front of a
+transaction's upload.  That is one command where there were two (three, for
+the commit).  Only the unlock of a dirty close stays a command of its own: it
+comes after the upload (pinned below; CHANGES.md, PR 16, says why).
 
 A refused insert says what is there (PR 17), so ``open(O_CREAT)`` sends the
 insert *first* — no lookup before it — whenever nothing the agent holds says
@@ -39,14 +25,13 @@ entry goes to the coordination service: a create-open with a warm parent is
 one command, a re-create over a tombstone two.  With a cold parent the open
 looks first.
 
-``BUDGETS`` holds every pinned number once, for one service; the tests assert
-against it, and README's round-trip table must list exactly its rows.
+``BUDGETS`` holds every pinned number once; the tests assert against it, and
+README's round-trip table must list exactly its rows.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 import random
 from pathlib import Path
 
@@ -60,29 +45,21 @@ from repro.common.errors import (
     NotADirectoryErrorFS,
     PermissionDeniedError,
     TransactionConflictError,
-    TupleNotFoundError,
 )
 from repro.common.types import Permission, Principal
-from repro.coordination import PartitionedCoordination
 from repro.coordination.adapters import DepSpaceCoordination
 from repro.core.deployment import SCFSDeployment
 from repro.core.lock_service import LockService
 from repro.core.metadata import FileMetadata, FileType
-from repro.core.metadata_service import MetadataService
-from repro.transactions import TXN_PREFIX
 
 from conftest import expire_metadata, lock_holder
 
 #: Coordination layouts: the Table 2 backend each runs on and its config overrides.
 #: On SCFS-AWS the one service is unreplicated (f=0, one VM); the budgets count
 #: commands, not replicas, so they are the same there.
-KINDS = {
-    "depspace": ("CoC", {}),
-    "partitioned": ("CoC", {"coordination_partitions": 2}),
-    "single-vm": ("AWS", {}),
-}
+KINDS = {"depspace": "CoC", "single-vm": "AWS"}
 
-#: Replicated commands per call on one service (README's round-trip table).  A
+#: Replicated commands per call (README's round-trip table).  A
 #: row's numbers are its cases in order, e.g. cold · warm.
 BUDGETS: dict[str, tuple[int, ...]] = {
     "`stat` / `exists`, cold · warm": (1, 0),
@@ -105,47 +82,16 @@ BUDGETS: dict[str, tuple[int, ...]] = {
 }
 
 
-def _intent(fs, txn_id):
-    """The intent entry ``txn:<id>`` as the coordination service holds it (None: absent)."""
-    try:
-        entry = fs.coordination.get(TXN_PREFIX + txn_id, fs.session)
-    except TupleNotFoundError:
-        return None
-    return json.loads(entry.value)
-
-
 class Mount:
     """One mount plus the two meters the budgets compare."""
 
     def __init__(self, kind: str, close: str = "B"):
-        backend, overrides = KINDS[kind]
-        self.deployment = SCFSDeployment.for_variant(f"SCFS-{backend}-{close}", seed=5,
-                                                     **overrides)
+        self.deployment = SCFSDeployment.for_variant(f"SCFS-{KINDS[kind]}-{close}", seed=5)
         self.fs = self.deployment.create_agent("alice")
-        coordination = self.deployment.coordination
-        self.services = getattr(coordination, "services", [coordination])
-        #: Commands one prefix listing costs (it fans out to every partition).
-        self.listing = len(self.services)
-        # Everything lives under one top-level directory: one partition.
         self.fs.mkdir("/top", shared=True)
 
     def commands(self) -> int:
-        return sum(service.rsm.commands_executed for service in self.services)
-
-    def partition(self, key: str) -> int:
-        """Partition holding the entry ``key`` (0 on a single service)."""
-        coordination = self.deployment.coordination
-        return coordination.partition_of(key) if self.listing > 1 else 0
-
-    def lock_partition(self, path: str) -> int:
-        """Partition holding the lock of ``path`` (0 on a single service)."""
-        lock = LockService.lock_name(self.fs.metadata.get(path))
-        coordination = self.deployment.coordination
-        return coordination.lock_partition(lock) if self.listing > 1 else 0
-
-    def rides(self, path: str) -> int:
-        """1 when the lock of ``path`` shares a partition with its entry (always, on one service)."""
-        return int(self.lock_partition(path) == self.partition(MetadataService.entry_key(path)))
+        return self.deployment.coordination.rsm.commands_executed
 
     def cold(self) -> None:
         """Expire the metadata cache (what a pause of >500 ms does)."""
@@ -181,15 +127,13 @@ def test_stat_and_exists_cost_one_command_cold_and_none_warm(mount):
 
 
 def test_create_open_with_a_warm_parent_is_the_insert_alone(mount):
-    for index in range(8):  # ids that hashed to two partitions, all placed at home
+    for index in range(8):
         path = f"/top/new{index}"
         mount.cold()
         mount.fs.stat("/top")  # the VFS resolved the parent on the way here
-        # {insert-if-absent, lock} sent first, 1 where it was 2: the new id
-        # places the lock on the entry's partition.
+        # {insert-if-absent, lock} sent first, 1 where it was 2.
         warm = BUDGETS["`open(O_CREAT)` of a new shared file, parent warm · cold"][0]
         assert mount.spent(mount.fs.open, path, "w", True) == warm
-        assert mount.rides(path)
 
 
 def test_create_open_with_a_cold_parent_looks_first(mount):
@@ -234,7 +178,6 @@ def test_recreate_over_a_tombstone_is_the_refused_insert_and_the_replace(mount):
         (replace,) = BUDGETS["`open(O_CREAT)` over a tombstone (re-create), parent warm"]
         assert mount.spent(mount.fs.open, path, "w", True) == replace
         assert mount.fs.metadata.get(path).size == 0
-        assert mount.rides(path)
 
 
 def test_mkdir_is_the_parent_check_and_the_insert(mount):
@@ -313,29 +256,17 @@ def _write_open_budget(mount, path: str, costs: tuple[int, int, int]) -> None:
 def test_write_open_of_an_existing_shared_file_is_lock_and_revalidation(mount):
     """The replicas name the lock from the entry: 1 cold, 1 warm where it was 2 and 1."""
     mount.fs.write_file("/top/f", b"data", shared=True)
-    assert mount.rides("/top/f")
     _write_open_budget(mount, "/top/f", BUDGETS[
         "`open` for writing of an existing shared file, cold · warm · re-entrant"])
 
 
-def test_a_lock_left_at_home_by_a_rename_costs_what_it_did(mount):
-    """A rename to another partition leaves the lock on the entry's old one.
-
-    Lock and re-read are then one command each — 3 cold, 2 warm, what every
-    write-open cost before the lock rode with the re-read — and never more:
-    cold, the entry's command takes no lock homed elsewhere, and names it.
-    On one service nothing can be apart.
-    """
+def test_a_renamed_file_is_write_opened_at_the_same_cost(mount):
+    """The lock is named by the file id, which a rename keeps: it still rides."""
     mount.fs.write_file("/top/f", b"data", shared=True)
-    away = next(f"/away{index}" for index in range(64)
-                if mount.listing == 1 or mount.partition(f"meta:/away{index}")
-                != mount.partition("meta:/top"))
-    mount.fs.mkdir(away, shared=True)
-    mount.fs.rename("/top/f", f"{away}/f")
-    apart = 1 - mount.rides(f"{away}/f")
-    assert apart == (mount.listing > 1)
-    costs = BUDGETS["`open` for writing of an existing shared file, cold · warm · re-entrant"]
-    _write_open_budget(mount, f"{away}/f", (3, 2, 1) if apart else costs)
+    mount.fs.mkdir("/away", shared=True)
+    mount.fs.rename("/top/f", "/away/f")
+    _write_open_budget(mount, "/away/f", BUDGETS[
+        "`open` for writing of an existing shared file, cold · warm · re-entrant"])
 
 
 def test_unlink_is_lookup_and_tombstone(mount):
@@ -358,14 +289,14 @@ def test_file_rename_is_one_move(mount):
 
 @pytest.mark.parametrize("children", [1, 10, 100])
 def test_readdir_does_not_depend_on_the_child_count(mount, children):
-    # One listing, one command per partition; cold, the directory's read rides in front.
+    # One listing; cold, the directory's read rides in front.
     cold, warm = BUDGETS["`readdir`, cold · warm, any number of children"]
     mount.make_files("/top/d", children)
     mount.cold()
-    assert mount.spent(mount.fs.readdir, "/top/d") == cold - 1 + mount.listing
+    assert mount.spent(mount.fs.readdir, "/top/d") == cold
     assert len(mount.fs.readdir("/top/d")) == children
     mount.fs.stat("/top/d")
-    assert mount.spent(mount.fs.readdir, "/top/d") == warm - 1 + mount.listing <= 2
+    assert mount.spent(mount.fs.readdir, "/top/d") == warm
 
 
 @pytest.mark.parametrize("descendants", [0, 3, 12])
@@ -374,7 +305,7 @@ def test_directory_rename_is_one_move_per_descendant(mount, descendants):
     mount.make_files("/top/d", descendants)
     mount.cold()
     # move of the directory entry, one listing, one move per descendant
-    assert mount.spent(mount.fs.rename, "/top/d", "/top/e") == descendants + base - 1 + mount.listing
+    assert mount.spent(mount.fs.rename, "/top/d", "/top/e") == descendants + base
     assert len(mount.fs.readdir("/top/e")) == descendants
     assert not mount.fs.exists("/top/d")
 
@@ -427,7 +358,7 @@ def test_readdir_of_a_file_is_enotdir_in_its_one_round(mount):
     commands = mount.commands()
     with pytest.raises(NotADirectoryErrorFS):
         mount.fs.readdir("/top/f")
-    assert mount.commands() - commands == mount.listing
+    assert mount.commands() - commands == 1
     with pytest.raises(FileNotFoundErrorFS):
         mount.fs.readdir("/top/none")
 
@@ -474,16 +405,15 @@ def test_a_write_open_racing_an_unlink_and_re_create_locks_the_current_file(moun
 
 
 def test_conditional_puts_cost_one_command_each(mount):
-    """The transaction manager's intent writes and the one-entry ``Update`` CAS."""
+    """A plain and a conditional put, and the one-entry ``Update`` CAS."""
     agent = mount.fs
     mount.fs.write_file("/top/f", b"data", shared=True)
 
-    def intent(expected_version):
-        agent.coordination.put("txn:probe", b"{}", agent.session,
-                               expected_version=expected_version)
+    def put(expected_version):
+        agent.coordination.put("probe", b"{}", agent.session, expected_version=expected_version)
 
-    assert mount.spent(intent, None) == 1
-    assert mount.spent(intent, 1) == 1
+    assert mount.spent(put, None) == 1
+    assert mount.spent(put, 1) == 1
     meta, version = agent.metadata.lookup_versioned("/top/f")
     assert mount.spent(agent.metadata.update_cas, meta, version) == 1
     assert agent.metadata.lookup_versioned("/top/f")[1] == version + 1
@@ -496,48 +426,31 @@ def _read_and_rewrite(paths):
     return body
 
 
-def _commit_commands(mount, directory: str, count: int) -> tuple[int, int]:
-    """Commands of one commit that reads and rewrites ``count`` files, and its count before the intent rode."""
+def _commit_commands(mount, directory: str, count: int) -> int:
+    """Commands of one commit that reads and rewrites ``count`` files."""
     mount.make_files(directory, count)
     paths = [f"{directory}/f{index:03d}" for index in range(count)]
     txn = mount.fs.transactions.begin()
     _read_and_rewrite(paths)(txn)
     commands = mount.spent(txn.commit)
     assert [mount.fs.read_file(path) for path in paths] == [b"x+"] * count
-    assert _intent(mount.fs, txn.txn_id) is None
-    # Lock set and its release: one command per partition the lock names fall
-    # on; the validating reads: one (every entry lives under /top); the
-    # pending intent; the commit point: the entries' partition and the intent's.
-    locks = {mount.lock_partition(path) for path in paths}
-    entries = mount.partition(MetadataService.entry_key(directory))
-    intent = mount.partition("txn:" + txn.txn_id)
-    before = len(locks) + 1 - (entries in locks) + 1 + len({entries, intent}) + len(locks)
-    # The intent rides behind the reads: no command of its own where it shares
-    # their partition; on another one it is that partition's command, as before.
-    assert commands == before - (entries == intent)
-    return commands, before
+    return commands
 
 
 def test_transaction_commit_is_constant_in_the_size_of_its_sets(mount):
-    """{Lock set + validating reads + intent}, {every version CAS + intent deletion}, release.
+    """{Lock set + validating reads}, {every version CAS}, release.
 
-    The read set already names the lock of every file and says everything the
-    intent record does, so nothing is read before the locks are taken, the
-    snapshot the reads are validated against is taken by the command that
-    grants them, and the intent is written by it too.  On one service that is
-    three commands for any number of files — one before the upload — where
-    there were four; a partitioned deployment pays each of them once per
-    partition its keys and lock names fall on — never more than before.
+    The read set already names the lock of every file, so nothing is read
+    before the locks are taken, and the snapshot the reads are validated
+    against is taken by the command that grants them.  That is three
+    commands for any number of files — one before the upload.
     """
-    spent = [_commit_commands(mount, f"/top/t{count}", count) for count in (1, 3, 8)]
-    if mount.listing == 1:
-        (commit,) = BUDGETS["commit of a transaction, any number of files"]
-        assert spent == [(commit, commit + 1)] * 3
-    else:
-        assert all(commands <= before <= 4 * mount.listing for commands, before in spent)
+    (commit,) = BUDGETS["commit of a transaction, any number of files"]
+    assert [_commit_commands(mount, f"/top/t{count}", count) for count in (1, 3, 8)] == [
+        commit] * 3
 
 
-def test_a_lock_refused_commit_attempt_writes_no_intent(mount):
+def test_a_lock_refused_commit_attempt_leaves_nothing(mount):
     mount.make_files("/top/held", 3)
     paths = [f"/top/held/f{index:03d}" for index in range(3)]
     other = mount.deployment.create_agent("bob")
@@ -550,24 +463,26 @@ def test_a_lock_refused_commit_attempt_writes_no_intent(mount):
     with pytest.raises(TransactionConflictError):
         txn.commit()
     other.close(handle)
-    # The refused command was the attempt's only one per partition asked, and
-    # it left nothing: no intent, no lock (the next commit takes them all).
-    assert _intent(mount.fs, txn.txn_id) is None
+    # The refused command was the attempt's only one, and it left nothing: no
+    # entry, no lock (the next commit takes them all).
     assert mount.fs.coordination.entry_count() == entries
     mount.fs.run_transaction(_read_and_rewrite(paths))
     assert [mount.fs.read_file(path) for path in paths] == [b"x+"] * 3
 
 
-def test_a_failed_validation_deletes_the_riding_intent(mount):
+def test_a_failed_validation_is_the_lock_command_and_the_release(mount):
     mount.make_files("/top/stale", 2)
     paths = [f"/top/stale/f{index:03d}" for index in range(2)]
     txn = mount.fs.transactions.begin()
     _read_and_rewrite(paths)(txn)
     mount.fs.write_file(paths[0], b"newer", shared=True)
     entries = mount.fs.coordination.entry_count()
-    with pytest.raises(TransactionConflictError, match="stale read"):
-        txn.commit()
-    assert _intent(mount.fs, txn.txn_id) is None
+
+    def refused() -> None:
+        with pytest.raises(TransactionConflictError, match="stale read"):
+            txn.commit()
+
+    assert mount.spent(refused) == 2
     assert mount.fs.coordination.entry_count() == entries
     assert mount.fs.read_file(paths[1]) == b"x"
 
@@ -596,10 +511,9 @@ def test_a_retry_attempt_reads_its_files_with_one_command(mount, count):
     assert reads == [count, 0]
     assert mount.fs.read_file(paths[0]) == b"y+"
     assert all(mount.fs.read_file(path) == b"x+" for path in paths[1:])
-    if mount.listing == 1:
-        # The failed commit ({locks, snapshot, intent}, the intent's
-        # deletion, the release), the retry's snapshot, its 3-command commit.
-        assert since_interference == 3 + 1 + 3
+    # The failed commit ({locks, snapshot}, the release), the retry's
+    # snapshot, its 3-command commit.
+    assert since_interference == 2 + 1 + 3
 
 
 def test_rename_tree_locks_its_files_in_two_commands_whatever_their_number(mount):
@@ -612,15 +526,15 @@ def test_rename_tree_locks_its_files_in_two_commands_whatever_their_number(mount
 
     grown = commands("/top/many", 9) - commands("/top/few", 2)
     # One conditional move per extra file; taking and returning the lock set is
-    # one command each (per partition the lock names fall on), not one per file.
-    assert 7 <= grown <= 7 + 2 * (mount.listing - 1)
+    # one command each, not one per file.
+    assert grown == 7
 
 
-def _draws(state, services) -> list[float]:
-    """The latency one command to each of ``services`` draws, in order, from RNG ``state``."""
+def _draw(state, service) -> float:
+    """The latency one command to ``service`` draws from RNG ``state``."""
     rng = random.Random()
     rng.setstate(state)
-    return [service.rsm.latency.sample(0, rng) for service in services]
+    return service.rsm.latency.sample(0, rng)
 
 
 def test_a_mount_is_one_command_and_registers_a_user_every_user_may_read(mount):
@@ -633,48 +547,31 @@ def test_a_mount_is_one_command_and_registers_a_user_every_user_may_read(mount):
     assert carol.users.lookup("bob").canonical_ids == bob.principal.canonical_ids
 
 
-def test_an_unmount_closes_every_partition_in_one_round_trip():
-    deployment = SCFSDeployment.for_variant("SCFS-CoC-B", seed=5, coordination_partitions=4)
+def test_an_unmount_is_one_command_and_one_round_trip():
+    deployment = SCFSDeployment.for_variant("SCFS-CoC-B", seed=5)
     fs = deployment.create_agent("alice")
-    services = deployment.coordination.services
-    commands = sum(service.rsm.commands_executed for service in services)
+    service = deployment.coordination
+    commands = service.rsm.commands_executed
     state, start = deployment.sim.rng.getstate(), deployment.sim.now()
     fs.unmount()
-    assert sum(service.rsm.commands_executed for service in services) - commands == 4
-    # Charged the slowest close (<= 0.095 s x 1.2), not the four of them (~0.38 s).
-    slowest = max(_draws(state, services))
-    assert deployment.sim.now() == start + slowest and slowest <= 0.114
+    assert service.rsm.commands_executed - commands == 1
+    assert deployment.sim.now() == start + _draw(state, service)
 
 
-def test_a_listing_of_every_partition_is_one_round_trip():
-    deployment = SCFSDeployment.for_variant("SCFS-CoC-B", seed=5, coordination_partitions=4)
-    fs = deployment.create_agent("alice")
-    for index in range(8):
-        fs.mkdir(f"/d{index}", shared=True)
-    coordination = deployment.coordination
-    assert len({coordination.partition_of(f"meta:/d{index}") for index in range(8)}) > 1
-    state, start = deployment.sim.rng.getstate(), deployment.sim.now()
-    listed = coordination.list_entries("meta:/", fs.session)
-    assert {f"meta:/d{index}" for index in range(8)} <= {entry.key for entry in listed}
-    assert deployment.sim.now() == start + max(_draws(state, coordination.services))
-
-
-@pytest.mark.parametrize("partitions", [1, 3])
-def test_releasing_every_lock_is_one_command_per_partition_and_one_round_trip(sim, partitions):
-    services = [DepSpaceCoordination(sim, f=0) for _ in range(partitions)]
-    coordination = PartitionedCoordination(services, lambda key, n: int(key[-1]) % n)
-    session = coordination.open_session(Principal(name="alice", canonical_ids=()))
-    locks = LockService(sim, coordination, session)
+def test_releasing_every_lock_is_one_command(sim):
+    service = DepSpaceCoordination(sim, f=0)
+    session = service.open_session(Principal(name="alice", canonical_ids=()))
+    locks = LockService(sim, service, session)
     files = [FileMetadata(path=f"/f{index}", file_type=FileType.FILE, owner="alice",
                           file_id=str(index)) for index in range(3)]
     locks.acquire_set(files)
     locks.acquire(files[1])  # a re-entrant hold: collapsed, not one more command
-    commands = sum(service.rsm.commands_executed for service in services)
+    commands = service.rsm.commands_executed
     state, start = sim.rng.getstate(), sim.now()
     locks.release_all()
-    assert sum(service.rsm.commands_executed for service in services) - commands == partitions
-    assert sim.now() == start + max(_draws(state, services))
-    assert locks.held == {} and [lock_holder(coordination, LockService.lock_name(meta))
+    assert service.rsm.commands_executed - commands == 1
+    assert sim.now() == start + _draw(state, service)
+    assert locks.held == {} and [lock_holder(service, LockService.lock_name(meta))
                                  for meta in files] == [None] * 3
 
 

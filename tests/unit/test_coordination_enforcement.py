@@ -24,43 +24,27 @@ from repro.common.types import Permission
 from repro.coordination.adapters import DepSpaceCoordination
 from repro.coordination.base import Delete, Get, Grant, List, Lock, Move, Put, Unlock
 from repro.coordination.entries import Holder
-from repro.coordination.partitioned import PartitionedCoordination
 from repro.core.deployment import SCFSDeployment
 from repro.core.metadata import DATA_FIELDS, FileMetadata, FileType
 
 from conftest import lock_holder
 
 
-@pytest.fixture(params=["depspace", "partitioned"])
-def coordination(request, sim):
-    """One replicated DepSpace (f=1), or two partitioned by top-level directory."""
-    if request.param == "depspace":
-        return DepSpaceCoordination(sim, f=1)
-    return PartitionedCoordination([DepSpaceCoordination(sim, f=1) for _ in range(2)])
+@pytest.fixture
+def coordination(sim):
+    """One replicated DepSpace (f=1)."""
+    return DepSpaceCoordination(sim, f=1)
 
 
-def _rsms(coordination):
-    """The replicated state machine of every partition (one on a single service)."""
-    return [service.rsm for service in getattr(coordination, "services", [coordination])]
+def _replica_states(coordination) -> list[bytes]:
+    """Every replica's whole state, serialized."""
+    return [pickle.dumps(replica) for replica in coordination.rsm.replicas]
 
 
-def _rsm(coordination, key):
-    """The replicated state machine that holds ``key`` (an entry, or a lock without a home)."""
-    if isinstance(coordination, PartitionedCoordination):
-        return coordination.services[coordination.partition_of(key)].rsm
-    return coordination.rsm
-
-
-def _replica_states(coordination) -> list[list[bytes]]:
-    """Every replica's whole state, serialized, per partition."""
-    return [[pickle.dumps(replica) for replica in rsm.replicas] for rsm in _rsms(coordination)]
-
-
-def _raw(coordination, sim, steps, user, session_id="raw", key="k"):
-    """``user`` sends ``entry_multi`` of ``steps`` itself, naming any session it likes,
-    to the replicas that hold ``key``."""
+def _raw(coordination, sim, steps, user, session_id="raw"):
+    """``user`` sends ``entry_multi`` of ``steps`` itself, naming any session it likes."""
     holder = Holder(session_id, deadline=sim.now() + 30.0)
-    return _rsm(coordination, key).invoke("entry_multi", tuple(steps), user, sim.now(), holder)
+    return coordination.rsm.invoke("entry_multi", tuple(steps), user, sim.now(), holder)
 
 
 class TestRawCommandsAreChecked:
@@ -93,14 +77,14 @@ class TestRawCommandsAreChecked:
             _raw(coordination, sim, [Get("k")], "mallory")
         for user, listed in (("mallory", []), ("bob", ["k"])):
             holder = Holder("s", deadline=sim.now() + 30.0)
-            assert [entry.key for rsm in _rsms(coordination) for entry in rsm.invoke(
+            assert [entry.key for entry in coordination.rsm.invoke(
                 "entry_multi", (List(""),), user, sim.now(), holder)[0]] == listed
 
     def test_a_raw_unlock_naming_another_principals_session_changes_nothing(
             self, coordination, sim, alice):
         session = coordination.open_session(alice)
         assert coordination.try_lock("f", session)
-        _raw(coordination, sim, [Unlock("f")], "bob", session_id=session.session_id, key="f")
+        _raw(coordination, sim, [Unlock("f")], "bob", session_id=session.session_id)
         assert lock_holder(coordination, "f") == session.session_id
         coordination.unlock("f", session)
         assert lock_holder(coordination, "f") is None
@@ -109,8 +93,7 @@ class TestRawCommandsAreChecked:
             self, coordination, sim, alice):
         session = coordination.open_session(alice)
         coordination.multi([Lock("f"), Lock("g")], session)
-        for rsm in _rsms(coordination):
-            rsm.invoke("close_session", session.session_id, "bob", sim.now())
+        coordination.rsm.invoke("close_session", session.session_id, "bob", sim.now())
         assert [lock_holder(coordination, name) for name in "fg"] == [session.session_id] * 2
         coordination.close_session(session)
         assert [lock_holder(coordination, name) for name in "fg"] == [None, None]
@@ -132,7 +115,7 @@ class TestRawCommandsAreChecked:
         with pytest.raises(ConflictError):
             _raw(coordination, sim, [Put("k", b"evil")], "bob")
         assert _replica_states(coordination) == before
-        assert all(len(set(replicas)) == 1 for replicas in before)
+        assert len(set(before)) == 1
 
 
 class TestMove:
@@ -153,10 +136,6 @@ class TestMove:
             coordination.set_entry_acl("b", "bob", Permission.NONE, bob_session)
 
     def test_move_is_conditional_on_both_keys(self, coordination, alice):
-        if isinstance(coordination, PartitionedCoordination):
-            # Every move below crosses partitions.
-            assert {coordination.partition_of(key) for key in ("a", "gone")} == {0}
-            assert {coordination.partition_of(key) for key in ("e", "f")} == {1}
         session = coordination.open_session(alice)
         coordination.put("a", b"1", session)
         coordination.put("e", b"1", session)
@@ -264,10 +243,9 @@ class TestAFileReCreatedOverATombstoneIsItsCreators:
         bob.setfacl("/shared/f", "carol", Permission.READ_WRITE)
         assert carol.read_file("/shared/f") == b"bob's"
 
-    def test_a_rename_across_partitions_onto_a_tombstone_carries_the_source_grants(self):
-        deployment, (alice, bob, carol) = self._shared("/p", "/r", coordination_partitions=2)
+    def test_a_rename_onto_a_tombstone_carries_the_source_grants(self):
+        deployment, (alice, bob, carol) = self._shared("/p", "/r")
         coordination = deployment.coordination
-        assert coordination.partition_of("meta:/p/g") != coordination.partition_of("meta:/r/f")
         alice.write_file("/p/g", b"old", shared=True)
         alice.setfacl("/p/g", "carol", Permission.READ)
         alice.unlink("/p/g")
@@ -331,8 +309,6 @@ class TestARefusedVersionCheckSaysWhatIsThere:
         coordination.put("other", b"o", session)
         return session
 
-    # One service: a multi across partitions is atomic per partition only.
-    @pytest.mark.parametrize("coordination", ["depspace"], indirect=True)
     def test_the_witness_is_what_get_would_return(self, coordination, alice):
         session = self._entry(coordination, alice)
         for refused in (
@@ -374,7 +350,7 @@ class TestARefusedVersionCheckSaysWhatIsThere:
         session, stranger = self._entry(coordination, alice), coordination.open_session(bob)
         coordination.multi([Lock("held")], session)
         before = _replica_states(coordination)
-        assert all(len(set(replicas)) == 1 for replicas in before)
+        assert len(set(before)) == 1
         for caller in (session, stranger):
             with pytest.raises(ConflictError):
                 coordination.multi([Put("k", b"x", 0), Lock("l")], caller)

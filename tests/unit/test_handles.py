@@ -101,6 +101,23 @@ def test_a_changed_handle_alters_no_other_holder_of_its_bytes(name):
     assert fs.read_file("/f") == b"Replacement"
 
 
+@pytest.mark.parametrize("name", ("SCFS-CoC-B", "SCFS-CoC-NB", "SCFS-AWS-NB", "LocalFS"))
+def test_a_close_after_unlink_brings_no_name_back(name):
+    """POSIX unlink-while-open: the name goes at the unlink, the open handle
+    keeps its bytes, and neither its close nor the commit it queues re-creates
+    the name — before or after the background work drains."""
+    target = build_target(name, seed=48)
+    fs = target.fs
+    handle = fs.open("/b", "w")
+    fs.write(handle, b"hello")
+    fs.unlink("/b")
+    assert not fs.exists("/b")
+    fs.close(handle)
+    assert not fs.exists("/b")
+    target.drain(3.0)
+    assert not fs.exists("/b")
+
+
 def test_a_write_only_open_file_refuses_a_read():
     writer = OpenFile("/f", OpenFlags.WRITE, b"data")
     with pytest.raises(PermissionDeniedError):

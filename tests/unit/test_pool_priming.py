@@ -7,18 +7,15 @@ import pickle
 
 import pytest
 
-from repro.core.lock_service import LockService
-from repro.core.metadata_service import MetadataService
 from repro.scenarios.pool import POOL_OWNER, POOL_PAYLOAD, pool_file_id, prime_pool
 from repro.scenarios.spec import ScenarioSpec
 from repro.core.deployment import SCFSDeployment
 from repro.simenv.environment import Simulation
 
 
-def _spec(files=6, directories=2, partitions=2):
+def _spec(files=6, directories=2):
     return ScenarioSpec.generate_scale(
-        seed=9, agents=2, files=files, ops_per_agent=1,
-        directories=directories, partitions=partitions)
+        seed=9, agents=2, files=files, ops_per_agent=1, directories=directories)
 
 
 def _primed_deployment(spec):
@@ -63,16 +60,6 @@ class TestPrimePool:
         assert reader.read(handle) == b"overwritten by dave"
         reader.close(handle)
 
-    def test_pool_ids_place_their_locks_with_their_entries(self):
-        spec = _spec(files=8, directories=4, partitions=2)
-        deployment, _ = _primed_deployment(spec)
-        fs = deployment.create_agent("carol")
-        coordination = deployment.coordination
-        for path in spec.shared_files:
-            lock = LockService.lock_name(fs.stat(path))
-            assert coordination.lock_partition(lock) == coordination.partition_of(
-                MetadataService.entry_key(path))
-
     def test_pool_ids_do_not_collide_with_fresh_ids(self):
         sim = Simulation(seed=3)
         fresh = {sim.fresh_id("file") for _ in range(100)}
@@ -88,18 +75,13 @@ class TestPrimePool:
         with pytest.raises(ValueError, match="encrypt_data"):
             prime_pool(deployment, spec)
 
-    @pytest.mark.parametrize("partitions", [1, 2])
-    def test_priming_installs_what_a_replicated_put_leaves(self, partitions):
+    def test_priming_installs_what_a_replicated_put_leaves(self):
         spec = _spec()
-        from dataclasses import replace
-
-        config = replace(spec.config, coordination_partitions=partitions)
-        deployment = SCFSDeployment(config, sim=Simulation(seed=1))
+        deployment = SCFSDeployment(spec.config, sim=Simulation(seed=1))
         stats = prime_pool(deployment, spec)
         coordination = deployment.coordination
         assert coordination.entry_count() == stats["coordination_entries"]
-        for service in getattr(coordination, "services", [coordination]):
-            assert len({pickle.dumps(replica) for replica in service.rsm.replicas}) == 1
+        assert len({pickle.dumps(replica) for replica in coordination.rsm.replicas}) == 1
         # The listing walks the sorted index: every pool file, in key order.
         session = coordination.open_session(deployment.create_agent("carol").principal)
         directory = spec.shared_files[0].rsplit("/", 1)[0]

@@ -125,7 +125,7 @@ class TestSpecValidation:
 
     @pytest.mark.parametrize("spec", [
         ScenarioSpec.generate(99, mix="degraded-outage", agents=2, ops_per_agent=5),
-        ScenarioSpec.generate_scale(7, agents=20, files=1000, ops_per_agent=12, partitions=4),
+        ScenarioSpec.generate_scale(7, agents=20, files=1000, ops_per_agent=12),
     ], ids=["generate", "generate_scale"])
     def test_repro_command_rebuilds_the_spec_that_printed_it(self, spec, monkeypatch):
         built = []

@@ -1,23 +1,28 @@
-"""Every callable the layer benchmark's tracer wraps still exists in ``repro``.
+"""What the layer benchmark pins of ``repro`` by name still resolves.
 
 ``benchmarks/layers/tracer.py`` wraps its ``WRAPPED`` table by name for a
-traced pass, so a deleted or renamed method breaks the benchmark, not an
-import.  This test reads the table (without writing anything under
-``benchmarks/``) and resolves each ``(owner, attribute)`` the way the tracer
-does, so the tier-1 suite notices the breakage.
+traced pass, and ``benchmarks/layers/workloads.py`` builds its ``scale_200``
+spec with keyword arguments, so a deleted or renamed method, class or keyword
+breaks the benchmark, not an import.  These tests read both files (without
+writing anything under ``benchmarks/``) and check each name the way the
+benchmark uses it, so the tier-1 suite notices the breakage.
 """
 
 from __future__ import annotations
 
+import ast
 import importlib.util
+import inspect
 import sys
 from pathlib import Path
 
-TRACER = Path(__file__).resolve().parents[2] / "benchmarks" / "layers" / "tracer.py"
+from repro.scenarios.spec import ScenarioSpec
+
+LAYERS = Path(__file__).resolve().parents[2] / "benchmarks" / "layers"
 
 
 def _load_tracer():
-    spec = importlib.util.spec_from_file_location("layers_tracer", TRACER)
+    spec = importlib.util.spec_from_file_location("layers_tracer", LAYERS / "tracer.py")
     module = importlib.util.module_from_spec(spec)
     writes_bytecode, sys.dont_write_bytecode = sys.dont_write_bytecode, True
     try:
@@ -32,6 +37,33 @@ def test_every_traced_name_resolves():
     wrapped = [(owner, attr) for owners in tracer.WRAPPED.values()
                for owner, attrs in owners for attr in attrs]
     assert len(wrapped) > 100
-    missing = [f"{owner}.{attr}" for owner, attr in wrapped
-               if not callable(getattr(tracer._resolve(owner), attr, None))]
+    missing = []
+    for owner, attr in wrapped:
+        try:
+            resolved = tracer._resolve(owner)
+        except (ImportError, AttributeError):
+            missing.append(owner)
+            continue
+        if not callable(getattr(resolved, attr, None)):
+            missing.append(f"{owner}.{attr}")
     assert missing == []
+
+
+def test_no_two_traced_owners_are_one_class():
+    """Wrapping one class twice would record every call of it as two spans."""
+    tracer = _load_tracer()
+    owners = [path for owners in tracer.WRAPPED.values() for path, _attrs in owners]
+    resolved = [tracer._resolve(path) for path in owners]
+    assert len({id(owner) for owner in resolved}) == len(owners)
+
+
+def test_generate_scale_binds_what_the_layer_workloads_pass():
+    tree = ast.parse((LAYERS / "workloads.py").read_text())
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Attribute) and node.func.attr == "generate_scale"]
+    assert calls
+    signature = inspect.signature(ScenarioSpec.generate_scale)
+    for call in calls:
+        keywords = [keyword.arg for keyword in call.keywords]
+        assert None not in keywords  # no ``**`` the check could not see through
+        signature.bind(*call.args, **dict.fromkeys(keywords))

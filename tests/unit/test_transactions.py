@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import json
-
 import pytest
 
 from repro.common.errors import (
@@ -16,25 +14,15 @@ from repro.common.errors import (
     TransactionAbortedError,
     TransactionConflictError,
     TransactionError,
-    TupleNotFoundError,
 )
 from repro.common.types import Permission
 from repro.core.consistency import READ_RETRY_INTERVAL
 from repro.core.deployment import SCFSDeployment
 from repro.core.metadata import DATA_FIELDS
 from repro.simenv.failures import FaultKind
-from repro.transactions import ABORTED, COMMITTED, TXN_PREFIX
+from repro.transactions import ABORTED, COMMITTED
 
 from conftest import expire_metadata
-
-
-def _intent(fs, txn_id):
-    """The intent entry ``txn:<id>`` as the coordination service holds it (None: absent)."""
-    try:
-        entry = fs.coordination.get(TXN_PREFIX + txn_id, fs.session)
-    except TupleNotFoundError:
-        return None
-    return json.loads(entry.value)
 
 
 def _shared_pair(variant: str = "SCFS-CoC-NB", **overrides):
@@ -227,7 +215,7 @@ class TestCommitPoint:
     def test_lost_version_cas_anchors_no_file_of_the_set(self, shared):
         """A usurper anchors the 2nd file after validation (what a stolen
         lease allows): the commit point refuses as a whole — the 1st file is
-        not anchored either, and the intent is gone."""
+        not anchored either."""
         _, alice, bob = shared
         storage = alice.storage
         upload = storage.push_many_to_cloud
@@ -247,7 +235,6 @@ class TestCommitPoint:
         with pytest.raises(TransactionConflictError, match="version CAS failed"):
             txn.commit()
         assert txn.status == ABORTED
-        assert _intent(alice, txn.txn_id) is None
         expire_metadata(alice)
         assert {path: alice.read_file(path) for path in before} == before
         assert bob.read_file("/shared/a") == before["/shared/a"]
@@ -280,7 +267,7 @@ class TestFailedUpload:
     """An upload that misses its quorum ends the transaction like any failed commit."""
 
     @pytest.mark.parametrize("how", ["commit", "run"])
-    def test_the_intent_is_deleted_and_the_typed_error_raised(self, shared, how):
+    def test_the_typed_error_is_raised_and_no_lock_is_held(self, shared, how):
         deployment, alice, bob = shared
         events = []
         alice.events = lambda kind, **fields: events.append((kind, fields))
@@ -302,7 +289,6 @@ class TestFailedUpload:
                 transactions[0].commit()
         [txn] = transactions  # not a conflict: ``run`` does not retry it
         assert txn.status == ABORTED
-        assert _intent(alice, txn.txn_id) is None
         [abort] = [fields for kind, fields in events if kind == "txn_abort"]
         assert abort["txn"] == txn.txn_id and "clouds acknowledged" in abort["reason"]
         assert alice.locks.held == {}
@@ -367,26 +353,10 @@ class TestRetrySnapshot:
         assert len(attempts) == 2 and alice.read_file("/shared/b").startswith(b"v1:")
 
 
-class TestIntentRecords:
-    def test_the_intent_lives_from_the_locks_to_the_commit_point(self, shared):
-        _, alice, _ = shared
-        txn = alice.transactions.begin()
-        txn.write("/shared/a", b"recorded")
-        in_flight = []
-        upload = alice.storage.push_many_to_cloud
-        alice.storage.push_many_to_cloud = lambda items: (
-            in_flight.append(_intent(alice, txn.txn_id)) or upload(items))
-        txn.commit()
-        [record] = in_flight
-        assert record["writer"] == "alice" and "status" not in record
-        assert [f[0] for f in record["files"]] == ["/shared/a"]
-        old_version, new_version = record["files"][0][2], record["files"][0][3]
-        assert new_version == old_version + 1
-        assert _intent(alice, txn.txn_id) is None
-
+class TestFinishedAttempts:
     def test_finished_attempts_leave_the_entry_count_as_they_found_it(self):
         """16 transactions commit and 4 are refused at the lock, while bob
-        holds a file open for writing: no attempt leaves an intent behind."""
+        holds a file open for writing: no attempt leaves an entry behind."""
         deployment, alice, bob = _shared_pair("SCFS-CoC-B")
         before = deployment.coordination.entry_count()
         outcomes = []
@@ -404,13 +374,6 @@ class TestIntentRecords:
                 bob.close(handle)
         assert outcomes.count(COMMITTED) == 16 and outcomes.count(ABORTED) == 4
         assert deployment.coordination.entry_count() == before
-
-    def test_aborted_transaction_leaves_no_intent(self, shared):
-        _, alice, _ = shared
-        txn = alice.transactions.begin()
-        txn.write("/shared/a", b"never intended")
-        txn.abort()
-        assert _intent(alice, txn.txn_id) is None
 
 
 class TestRenameTree:
@@ -432,7 +395,7 @@ class TestRenameTree:
         alice.events = lambda kind, **fields: events.append((kind, fields))
         alice.rename_tree("/shared/a", "/shared/renamed")
         [commit] = [fields for kind, fields in events if kind == "txn_commit"]
-        assert _intent(alice, commit["txn"]) is None
+        assert commit["renamed_to"] == "/shared/renamed" and alice.locks.held == {}
         assert not alice.exists("/shared/a")
         assert alice.read_file("/shared/renamed").startswith(b"v1:")
 
@@ -449,7 +412,7 @@ class TestRenameTree:
         assert alice.exists("/shared/dir/f1")
         bob.locks.release(meta)
 
-    def test_a_failed_rename_tree_deletes_its_intent(self, shared):
+    def test_a_failed_rename_tree_is_aborted_and_holds_no_lock(self, shared):
         _, alice, _ = shared
         alice.mkdir("/shared/dir", shared=True)
         alice.write_file("/shared/dir/f1", b"one", shared=True)
@@ -460,13 +423,14 @@ class TestRenameTree:
         with pytest.raises(FileExistsErrorFS):
             alice.rename_tree("/shared/dir", "/shared/taken")
         [abort] = [fields for kind, fields in events if kind == "txn_abort"]
-        assert _intent(alice, abort["txn"]) is None
+        assert "rename failed" in abort["reason"]
         assert alice.locks.held == {}
         assert alice.read_file("/shared/dir/f1") == b"one"
 
-    def test_a_rename_tree_that_failed_half_way_stays_pending(self, shared):
+    def test_a_rename_tree_that_failed_half_way_is_aborted_where_it_stopped(self, shared):
         """The directory moved, then a descendant's target was taken: the
-        intent stays, since something happened."""
+        attempt is aborted with the directory moved and no lock held (a
+        ``rename_tree`` that is one command would leave no half-way state)."""
         _, alice, _ = shared
         alice.mkdir("/shared/dir", shared=True)
         alice.write_file("/shared/dir/f1", b"one", shared=True)
@@ -480,7 +444,7 @@ class TestRenameTree:
         with pytest.raises(FileExistsErrorFS):
             alice.rename_tree("/shared/dir", "/shared/moved")
         [abort] = [fields for kind, fields in events if kind == "txn_abort"]
-        assert _intent(alice, abort["txn"])["rename"] == ["/shared/dir", "/shared/moved"]
+        assert "rename failed" in abort["reason"]
         assert alice.exists("/shared/moved") and not alice.exists("/shared/dir")
         assert agent.locks.held == {}
 
