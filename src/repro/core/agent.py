@@ -532,7 +532,7 @@ class SCFSAgent(FileSystem):
         # Figure 4's write flow.  The entry is the buffer itself, not a copy.
         self.memory_cache.put(self._memory_key(of), of.buffer)
         of.metadata.touch(self.sim.now(), size=len(of.buffer))
-        self.metadata_cache.put(of.metadata.path, of.metadata.copy())
+        self._cache_metadata(of)
         self._emit("write", path=of.path, handle=handle, offset=offset,
                    size=len(data))
         return len(data)
@@ -546,16 +546,28 @@ class SCFSAgent(FileSystem):
         # size at ``put``, and the buffer's size just changed.
         self.memory_cache.put(self._memory_key(of), of.buffer)
         of.metadata.touch(self.sim.now(), size=len(of.buffer))
-        self.metadata_cache.put(of.metadata.path, of.metadata.copy())
+        self._cache_metadata(of)
+
+    def _cache_metadata(self, of: AgentOpenFile) -> None:
+        """Cache a handle's metadata under its path, unless its file was unlinked.
+
+        The unlink cached the file's tombstone, and the path may hold a new
+        file since: an unlinked handle's write or close must hide neither.
+        """
+        if not of.metadata.deleted:
+            self.metadata_cache.put(of.metadata.path, of.metadata.copy())
 
     def _memory_key(self, of: AgentOpenFile) -> str:
         """The memory-cache key of a handle's buffer: one entry per handle."""
         return f"{of.handle}#open"
 
     def _pending_commit_for(self, path: str) -> AgentOpenFile | None:
-        """The newest in-flight background commit of ``path``, if any."""
+        """The newest in-flight background commit of the file at ``path``, if any.
+
+        An unlinked file's close is not: the path names no file, or a new one.
+        """
         return next((of for of in reversed(self._pending_commits.values())
-                     if of.metadata.path == path), None)
+                     if of.metadata.path == path and not of.metadata.deleted), None)
 
     # ------------------------------------------------------------------- fsync
 
@@ -712,7 +724,7 @@ class SCFSAgent(FileSystem):
         # The local caches already hold the new version, so the *local* user
         # immediately observes its own update; remote visibility (metadata in
         # the coordination service) only happens when the upload completes.
-        self.metadata_cache.put(meta.path, meta.copy())
+        self._cache_metadata(of)
         of.landing = self.sim.schedule(of.lands_at - self.sim.now(),
                                        functools.partial(self._land, of),
                                        name=f"upload:{meta.path}")
@@ -834,8 +846,9 @@ class SCFSAgent(FileSystem):
         except ConflictError as exc:
             raise FileNotFoundErrorFS(f"{path} no longer holds this file") from exc
         # POSIX unlink-while-open: the name goes now, and a handle open on the
-        # file keeps its bytes.  What the handle caches, and its close, carry
-        # the tombstone, so neither brings the name back.
+        # file keeps its bytes.  The handle caches nothing under the path
+        # since, and its close carries the tombstone, so neither brings the
+        # name back or hides a file re-created there.
         for of in self._handles.values():
             if of.metadata.file_id == meta.file_id:
                 of.metadata.deleted = True

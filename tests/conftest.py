@@ -24,6 +24,13 @@ def sim() -> Simulation:
     return Simulation(seed=1234)
 
 
+@pytest.fixture(params=["depspace", "single-vm"])
+def coordination(request, sim):
+    """The service as each Table 2 backend deploys it: replicated DepSpace
+    (f=1, four replicas) on SCFS-CoC, one unreplicated VM (f=0) on SCFS-AWS."""
+    return DepSpaceCoordination(sim, f=1 if request.param == "depspace" else 0)
+
+
 @pytest.fixture
 def alice() -> Principal:
     """A test principal with canonical ids for the four CoC providers."""

@@ -276,12 +276,6 @@ class TestReplication:
             rsm.crash_replica(10)
 
 
-@pytest.fixture
-def coordination(sim):
-    """One replicated DepSpace (f=1)."""
-    return DepSpaceCoordination(sim, f=1)
-
-
 def _commands(coordination) -> int:
     """Replicated commands executed so far."""
     return coordination.rsm.commands_executed

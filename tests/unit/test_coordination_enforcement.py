@@ -21,19 +21,12 @@ from repro.common.errors import (
     TupleNotFoundError,
 )
 from repro.common.types import Permission
-from repro.coordination.adapters import DepSpaceCoordination
 from repro.coordination.base import Delete, Get, Grant, List, Lock, Move, Put, Unlock
 from repro.coordination.entries import Holder
 from repro.core.deployment import SCFSDeployment
 from repro.core.metadata import DATA_FIELDS, FileMetadata, FileType
 
 from conftest import lock_holder
-
-
-@pytest.fixture
-def coordination(sim):
-    """One replicated DepSpace (f=1)."""
-    return DepSpaceCoordination(sim, f=1)
 
 
 def _replica_states(coordination) -> list[bytes]:

@@ -13,7 +13,6 @@ from repro.common.errors import (
     NotADirectoryErrorFS,
 )
 from repro.common.types import Permission, Principal
-from repro.coordination.adapters import DepSpaceCoordination
 from repro.core.backend import SingleCloudBackend
 from repro.core.cache import MetadataCache, make_disk_cache, make_memory_cache
 from repro.core.gc import GarbageCollector
@@ -32,11 +31,6 @@ from conftest import lock_holder
 def single_backend(sim, alice):
     store = make_provider(sim, "amazon-s3")
     return SingleCloudBackend(sim, store, alice)
-
-
-@pytest.fixture
-def coordination(sim):
-    return DepSpaceCoordination(sim, f=0)
 
 
 def _file_meta(path="/f.txt", owner="alice", **kwargs):

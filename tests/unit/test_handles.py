@@ -101,7 +101,12 @@ def test_a_changed_handle_alters_no_other_holder_of_its_bytes(name):
     assert fs.read_file("/f") == b"Replacement"
 
 
-@pytest.mark.parametrize("name", ("SCFS-CoC-B", "SCFS-CoC-NB", "SCFS-AWS-NB", "LocalFS"))
+#: The mounts whose close of an unlinked file brings no name back: every
+#: SCFS variant and LocalFS.  S3FS and S3QL write a dirty handle back by path.
+UNLINK_MOUNTS = ("SCFS-CoC-B", "SCFS-CoC-NB", "SCFS-AWS-B", "SCFS-AWS-NB", "LocalFS")
+
+
+@pytest.mark.parametrize("name", UNLINK_MOUNTS)
 def test_a_close_after_unlink_brings_no_name_back(name):
     """POSIX unlink-while-open: the name goes at the unlink, the open handle
     keeps its bytes, and neither its close nor the commit it queues re-creates
@@ -116,6 +121,43 @@ def test_a_close_after_unlink_brings_no_name_back(name):
     assert not fs.exists("/b")
     target.drain(3.0)
     assert not fs.exists("/b")
+
+
+@pytest.mark.parametrize("name", UNLINK_MOUNTS)
+def test_an_unlinked_handle_hides_no_file_re_created_at_its_path(name):
+    """After the unlink the path may name a new file: the old handle's writes,
+    its close and the commit it queues neither hide nor overwrite it, and the
+    new file opens for writing while that commit is in flight."""
+    target = build_target(name, seed=48)
+    fs = target.fs
+    handle = fs.open("/b", "w")
+    fs.write(handle, b"hello")
+    fs.unlink("/b")
+    fs.write_file("/b", b"new")
+    fs.write(handle, b", world")
+    assert fs.read_file("/b") == b"new"
+    fs.close(handle)
+    assert fs.read_file("/b") == b"new"
+    writer = fs.open("/b", "r+")
+    fs.write(writer, b"N", 0)
+    fs.close(writer)
+    target.drain(3.0)
+    assert fs.read_file("/b") == b"New"
+
+
+@pytest.mark.parametrize("name", MOUNTS + ("SCFS-CoC-NB", "SCFS-AWS-NB"))
+def test_an_unlinked_handle_reads_and_changes_its_own_bytes(name):
+    target = build_target(name, seed=49)
+    fs = target.fs
+    fs.write_file("/f", b"stored")
+    target.drain(3.0)
+    handle = fs.open("/f", "r+")
+    fs.unlink("/f")
+    assert fs.read(handle) == b"stored" and not fs.exists("/f")
+    fs.write(handle, b"S", 0)
+    fs.truncate(handle, 4)
+    assert fs.read(handle) == b"Stor" and not fs.exists("/f")
+    fs.close(handle)
 
 
 def test_a_write_only_open_file_refuses_a_read():

@@ -5,7 +5,9 @@ traced pass, and ``benchmarks/layers/workloads.py`` builds its ``scale_200``
 spec with keyword arguments, so a deleted or renamed method, class or keyword
 breaks the benchmark, not an import.  These tests read both files (without
 writing anything under ``benchmarks/``) and check each name the way the
-benchmark uses it, so the tier-1 suite notices the breakage.
+benchmark uses it, so the tier-1 suite notices the breakage.  A close must
+also still publish through the names the tracer wraps, or a traced pass
+would show no upload or anchor under it.
 """
 
 from __future__ import annotations
@@ -16,6 +18,9 @@ import inspect
 import sys
 from pathlib import Path
 
+import pytest
+
+from repro.core.deployment import SCFSDeployment
 from repro.scenarios.spec import ScenarioSpec
 
 LAYERS = Path(__file__).resolve().parents[2] / "benchmarks" / "layers"
@@ -67,3 +72,33 @@ def test_generate_scale_binds_what_the_layer_workloads_pass():
         keywords = [keyword.arg for keyword in call.keywords]
         assert None not in keywords  # no ``**`` the check could not see through
         signature.bind(*call.args, **dict.fromkeys(keywords))
+
+
+@pytest.mark.parametrize("variant", ["SCFS-CoC-B", "SCFS-CoC-NB", "SCFS-AWS-B", "SCFS-AWS-NB"])
+def test_a_close_publishes_through_the_traced_calls_and_a_transaction_in_a_batch(variant):
+    """A close's one version goes through ``push_to_cloud`` and ``update``,
+    names the tracer wraps, so a traced close shows its upload and anchor; a
+    transaction's write set goes through the batch calls."""
+    deployment = SCFSDeployment.for_variant(variant, seed=3)
+    fs = deployment.create_agent("alice")
+    fs.mkdir("/d", shared=True)
+    fs.write_file("/d/g", b"g", shared=True)
+    fs.flush_pending("/")
+    calls = []
+    for owner, name in ((fs.storage, "push_to_cloud"), (fs.storage, "push_many_to_cloud"),
+                        (fs.metadata, "update"), (fs.metadata, "update_many")):
+        method = getattr(owner, name)
+        setattr(owner, name, lambda *a, _call=method, _name=name, **k:
+                calls.append(_name) or _call(*a, **k))
+    fs.write_file("/d/f", b"one", shared=True)
+    fs.flush_pending("/")
+    assert calls == ["push_to_cloud", "update", "update_many"]
+    calls.clear()
+
+    def body(txn) -> None:
+        txn.write("/d/f", b"two")
+        txn.write("/d/g", b"three")
+
+    fs.run_transaction(body)
+    assert calls == ["push_many_to_cloud", "update_many"]
+    assert (fs.read_file("/d/f"), fs.read_file("/d/g")) == (b"two", b"three")

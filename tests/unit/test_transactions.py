@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.common.errors import (
+    CloudUnavailableError,
     FileExistsErrorFS,
     FileNotFoundErrorFS,
     FileSystemError,
@@ -19,6 +20,7 @@ from repro.common.types import Permission
 from repro.core.consistency import READ_RETRY_INTERVAL
 from repro.core.deployment import SCFSDeployment
 from repro.core.metadata import DATA_FIELDS
+from repro.core.modes import BackendKind
 from repro.simenv.failures import FaultKind
 from repro.transactions import ABORTED, COMMITTED
 
@@ -38,8 +40,16 @@ def _shared_pair(variant: str = "SCFS-CoC-NB", **overrides):
     return deployment, alice, bob
 
 
+@pytest.fixture(params=["SCFS-CoC-NB", "SCFS-AWS-NB"])
+def shared(request):
+    """The pair on each coordination service a sharing mount deploys: the
+    replicated DepSpace of SCFS-CoC and the one VM of SCFS-AWS."""
+    return _shared_pair(request.param)
+
+
 @pytest.fixture
-def shared():
+def coc_shared():
+    """The pair on SCFS-CoC-NB: for what only a quorum of clouds shows."""
     return _shared_pair()
 
 
@@ -239,8 +249,8 @@ class TestCommitPoint:
         assert {path: alice.read_file(path) for path in before} == before
         assert bob.read_file("/shared/a") == before["/shared/a"]
 
-    def test_commit_returns_once_the_write_set_is_readable(self, shared):
-        deployment, alice, bob = shared
+    def test_commit_returns_once_the_write_set_is_readable(self, coc_shared):
+        deployment, alice, bob = coc_shared
         _write_set(alice, {"/shared/a": b"A2" * 100, "/shared/b": b"B2" * 100})
         for path in ("/shared/a", "/shared/b"):
             locator = bob.stat(path).locator
@@ -252,8 +262,8 @@ class TestCommitPoint:
         assert deployment.sim.now() - started < READ_RETRY_INTERVAL
         assert sum(cloud.costs.usage.get_requests for cloud in deployment.clouds) == gets + 2
 
-    def test_write_set_is_uploaded_as_one_batch(self, shared):
-        _, alice, bob = shared
+    def test_write_set_is_uploaded_as_one_batch(self, coc_shared):
+        _, alice, bob = coc_shared
         client = alice.backend.client
         batches = []
         write_numbered = client.write_numbered
@@ -264,11 +274,18 @@ class TestCommitPoint:
 
 
 class TestFailedUpload:
-    """An upload that misses its quorum ends the transaction like any failed commit."""
+    """An upload that misses its quorum, or finds its one cloud down, ends the
+    transaction like any failed commit."""
+
+    #: What the upload raises with the first two clouds out, and a mark of
+    #: the abort's reason: no quorum of the four clouds, or no cloud at all.
+    FAILURE = {BackendKind.COC: (QuorumNotReachedError, "clouds acknowledged"),
+               BackendKind.AWS: (CloudUnavailableError, "is unavailable")}
 
     @pytest.mark.parametrize("how", ["commit", "run"])
     def test_the_typed_error_is_raised_and_no_lock_is_held(self, shared, how):
         deployment, alice, bob = shared
+        error, reason = self.FAILURE[deployment.config.backend]
         events = []
         alice.events = lambda kind, **fields: events.append((kind, fields))
         before = {path: alice.read_file(path) for path in ("/shared/a", "/shared/b")}
@@ -281,7 +298,7 @@ class TestFailedUpload:
             for path in before:
                 txn.write(path, txn.read(path) + b"+txn")
 
-        with pytest.raises(QuorumNotReachedError):
+        with pytest.raises(error):
             if how == "run":
                 alice.run_transaction(body)
             else:
@@ -290,7 +307,7 @@ class TestFailedUpload:
         [txn] = transactions  # not a conflict: ``run`` does not retry it
         assert txn.status == ABORTED
         [abort] = [fields for kind, fields in events if kind == "txn_abort"]
-        assert abort["txn"] == txn.txn_id and "clouds acknowledged" in abort["reason"]
+        assert abort["txn"] == txn.txn_id and reason in abort["reason"]
         assert alice.locks.held == {}
         for cloud in deployment.clouds[:2]:
             cloud.failures.clear()
@@ -301,8 +318,8 @@ class TestFailedUpload:
 
 
 class TestCommitterCache:
-    def test_the_committer_rereads_what_it_wrote_without_a_cloud_get(self, shared, cloud_meter):
-        deployment, alice, bob = shared
+    def test_the_committer_rereads_what_it_wrote_without_a_cloud_get(self, coc_shared, cloud_meter):
+        deployment, alice, bob = coc_shared
         _write_set(alice, {"/shared/a": b"A4" * 2000, "/shared/b": b"B4" * 2000})
         meter = cloud_meter(deployment.clouds)
         txn = alice.transactions.begin()
