@@ -186,6 +186,18 @@ class DirectoryNotEmptyError(FileSystemError):
     errno_name = "ENOTEMPTY"
 
 
+class InvalidMoveError(FileSystemError):
+    """A directory renamed into its own subtree (EINVAL)."""
+
+    errno_name = "EINVAL"
+
+
+class CrossDeviceError(FileSystemError):
+    """A private directory renamed with shared entries below it, which live elsewhere (EXDEV)."""
+
+    errno_name = "EXDEV"
+
+
 class PermissionDeniedError(FileSystemError):
     """The caller lacks permission for the operation (EACCES)."""
 

@@ -22,9 +22,9 @@ client call                         replicated command
 ==================================  =========================================
 ``multi``                           ``entry_multi``: its steps, in order
 ``put`` / ``get`` / ``delete`` /    ``entry_multi`` of one step: ``Put`` /
-``set_entry_acl`` / ``move`` /      ``Get`` / ``Delete`` / ``Grant`` /
-``try_lock`` / ``unlock`` /         ``Move`` / ``Lock`` / ``Unlock`` /
-``list_entries`` / ``list_prefix``  ``List``
+``set_entry_acl`` / ``try_lock`` /  ``Get`` / ``Delete`` / ``Grant`` /
+``unlock`` / ``list_entries`` /     ``Lock`` / ``Unlock`` / ``List``
+``list_prefix``
 ``close_session``                   ``close_session`` (every lock the session holds)
 ``renew_session``                   ``entry_multi`` of no step (background)
 ``open_session``                    none
@@ -52,7 +52,7 @@ from typing import Any, Mapping, Sequence
 from repro.common.errors import LockHeldError, TupleNotFoundError
 from repro.common.types import Permission, Principal
 from repro.coordination.base import (
-    DEFAULT_LEASE, Delete, Entry, Get, Grant, List, Lock, Move, Op, Put, Session, Unlock)
+    DEFAULT_LEASE, Delete, Entry, Get, Grant, List, Lock, Op, Put, Session, Unlock)
 from repro.coordination.entries import Holder
 from repro.coordination.replication import ReplicatedStateMachine
 from repro.simenv.environment import Simulation
@@ -131,28 +131,12 @@ class DepSpaceCoordination:
         """List keys starting with ``prefix`` readable by the session principal."""
         return [entry.key for entry in self.list_entries(prefix, session)]
 
-    def move(self, key: str, new_key: str, fields: Mapping[str, Any] | None, session: Session,
-             expected_version: int | None = None, target_version: int = 0) -> Entry:
-        """Move the entry under ``key`` to ``new_key``, setting ``fields`` in its JSON object.
-
-        One replicated command; owner and ACL travel with the entry, and
-        ``fields`` (None: none) merge into the stored value as an ``Update``'s
-        do.  ``expected_version`` guards the
-        source, ``target_version`` says what ``new_key`` must hold (0:
-        nothing).  Raises ``TupleNotFoundError`` without a source (a file's
-        tombstone is none unless ``expected_version`` names it),
-        ``ConflictError`` on a version mismatch or on fields for a value that
-        is no JSON object, and :class:`~repro.common.errors.EntryDeniedError`
-        when WRITE is denied on either key.
-        """
-        return self._one(Move(key, new_key, fields, expected_version, target_version), session)
-
     def set_entry_acl(self, key: str, user: str, permission: Permission,
                       session: Session) -> None:
         """Grant ``permission`` on ``key`` to ``user`` (owner only)."""
         self.multi([Grant(key, user, permission)], session)
 
-    def _one(self, op: Get | Put | Move, session: Session) -> Entry:
+    def _one(self, op: Get | Put, session: Session) -> Entry:
         """The entry the one-step :meth:`multi` of ``op`` answers (``TupleNotFoundError``: none)."""
         entry = self.multi([op], session)[0]
         if entry is None:
@@ -167,13 +151,13 @@ class DepSpaceCoordination:
         Every step is checked before any is applied: a :class:`Lock` whose name
         is held raises :class:`~repro.common.errors.LockHeldError` (its
         ``lock`` attribute names it), as does a :class:`LockFile` whose file's
-        lock another session holds; a :class:`Put` whose ``expected_version``
-        mismatches or whose entry denies WRITE — or an :class:`Update` whose
-        entry also is gone or names another file — raises ``ConflictError``, a
-        :class:`Get` that is denied READ raises ``ConflictError``, and a
-        :class:`Delete`, :class:`Grant` or :class:`Move` is checked as
-        :meth:`delete`, :meth:`set_entry_acl` or :meth:`move` is — and then
-        nothing has changed.  A refused version check or ``Update`` carries
+        lock another session holds and an :class:`Unheld` over such a file; a
+        :class:`Put` whose ``expected_version`` mismatches or whose entry
+        denies WRITE — or an :class:`Update` whose entry also is gone or names
+        another file — raises ``ConflictError``, a :class:`Get` that is denied
+        READ raises ``ConflictError``, and a :class:`Delete`, :class:`Grant`
+        or :class:`Move` is checked as :mod:`~repro.coordination.entries`
+        says — and then nothing has changed.  A refused version check or ``Update`` carries
         ``found`` as in :meth:`put`; a denied access is an
         :class:`~repro.common.errors.EntryDeniedError`.  Returns one result
         per step: the entry for a ``Get`` (``None`` when absent), ``Put``,

@@ -114,9 +114,13 @@ class Update(NamedTuple):
 
 
 class Delete(NamedTuple):
-    """Multi-command step: remove ``key`` (nothing when absent; WRITE needed when present)."""
+    """Multi-command step: remove ``key`` (nothing when absent; WRITE needed when present).
+
+    With ``directory`` (an ``rmdir``) it must be a directory with nothing live below it.
+    """
 
     key: str
+    directory: bool = False
 
 
 class Grant(NamedTuple):
@@ -128,14 +132,22 @@ class Grant(NamedTuple):
 
 
 class Move(NamedTuple):
-    """Multi-command step: move ``key`` to ``new_key``, setting ``fields`` (arguments as in ``move``)."""
+    """Multi-command step: move ``key`` (a directory with all below it) to ``new_key``, setting ``fields``.
+
+    ``target_version`` says what ``new_key`` must hold (0: nothing).
+    """
 
     key: str
     new_key: str
     fields: Mapping[str, Any] | None = None
-    expected_version: int | None = None
     target_version: int = 0
 
 
+class Unheld(NamedTuple):
+    """Multi-command step: refuse while another session locks a live file at or below ``key`` (takes none)."""
+
+    key: str
+
+
 #: One step of :meth:`~repro.coordination.adapters.DepSpaceCoordination.multi`.
-Op = Union[Lock, LockFile, Unlock, Get, List, Put, Update, Delete, Grant, Move]
+Op = Union[Lock, LockFile, Unlock, Unheld, Get, List, Put, Update, Delete, Grant, Move]

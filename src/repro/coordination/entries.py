@@ -12,7 +12,7 @@ listing visits only the keys under its prefix) and one lock table.  Each lock
 is a *timed tuple* that lapses a lease after the command that took it, so a
 crashed client's locks are released without it (§2.5.1).  The trigger the
 paper added to DepSpace for an efficient ``rename`` (§3.2) is the ``Move``
-step of ``entry_multi``.
+step of ``entry_multi``: a directory moves with every entry below it.
 
 A replica answers two commands: ``close_session`` and ``entry_multi``, whose
 steps (:data:`~repro.coordination.base.Op`) read or list, create, replace,
@@ -22,6 +22,7 @@ fetch first, the replica works out from the stored entry: a ``Move`` merges
 its fields into the value it moves, and a ``LockFile`` takes the lock of the
 file the entry names.  Every check precedes every mutation, so a command that
 raises leaves the replica untouched and all correct replicas stay identical.
+A rule of the namespace tree refuses with its POSIX error (an ``rmdir``: all of them).
 
 A session is the pair of the principal that sent the command (``user``) and
 the session id it names: a lock, an unlock or a close acts on the caller's
@@ -32,10 +33,11 @@ from __future__ import annotations
 
 import functools
 import json
-from typing import Any, ClassVar, Mapping, NamedTuple, Sequence
+from typing import Any, ClassVar, Iterator, Mapping, NamedTuple, Sequence
 
 from repro.common.errors import (
-    ConflictError, EntryDeniedError, LockHeldError, TupleNotFoundError)
+    ConflictError, DirectoryNotEmptyError, EntryDeniedError, FileExistsErrorFS, FileNotFoundErrorFS,
+    InvalidMoveError, LockHeldError, NotADirectoryErrorFS, PermissionDeniedError, TupleNotFoundError)
 from repro.common.sortedkeys import SortedKeys
 from repro.common.types import ACL, Permission
 from repro.coordination.base import (
@@ -49,6 +51,7 @@ from repro.coordination.base import (
     Move,
     Op,
     Put,
+    Unheld,
     Unlock,
     Update,
     file_lock,
@@ -106,23 +109,37 @@ def with_fields(value: bytes, fields: Mapping[str, Any]) -> bytes | None:
 
 
 @functools.lru_cache(maxsize=1024)
-def _live_file(value: bytes) -> str | None:
-    """The file id a live file's entry value names (None: no file, or its tombstone)."""
+def _shape(value: bytes) -> tuple[Any, bool, Any]:
+    """``(type, deleted, file_id)`` of the JSON object ``value``; cached, as every replica asks alike."""
     try:
         current = json.loads(value)
-        live = current.get("type") == "file" and current.get("deleted") is not True
+        return current.get("type"), current.get("deleted") is True, current.get("file_id")
     except (ValueError, AttributeError):
-        return None
-    return (current.get("file_id") or None) if live else None
+        return None, False, None
 
 
-@functools.lru_cache(maxsize=1024)
+def _live_file(value: bytes) -> str | None:
+    """The file id a live file's entry value names (None: no file, or its tombstone)."""
+    kind, deleted, file_id = _shape(value)
+    return (file_id or None) if kind == "file" and not deleted else None
+
+
 def is_tombstone(value: bytes) -> bool:
-    """True when ``value`` is a JSON object marked ``deleted``; cached, as every replica asks alike."""
-    try:
-        return json.loads(value).get("deleted") is True
-    except (ValueError, AttributeError):
-        return False
+    """True when ``value`` is a JSON object marked ``deleted``."""
+    return _shape(value)[1]
+
+
+def _carried(key: str, stored: Stored, target: Stored | None,
+             fields: Mapping[str, Any] | None) -> Stored:
+    """``stored`` moved over ``target`` (None: nothing), with ``fields`` set: owner and ACL travel.
+
+    The version passes both keys' histories, so no token seen under either key matches again.
+    """
+    value = stored.value if fields is None else with_fields(stored.value, fields)
+    if value is None:
+        raise ConflictError(f"{key!r} holds no JSON object to set fields in")
+    return stored._replace(value=value, version=max(
+        stored.version, 0 if target is None else target.version) + 1)
 
 
 def _refusal(key: str, stored: Stored | None, user: str, reason: str,
@@ -234,6 +251,9 @@ class EntryCommands:
             return [_entry(key, stored) for key in self._keys.prefixed(op.prefix)
                     if (stored := entries[key]).acl.allows(user, Permission.READ)], []
         if isinstance(op, Delete):
+            if op.directory:
+                self._check_rmdir(op.key, user)
+                return None, [(op.key, None)]
             return None, [] if self._writable(op.key, user, None) is None else [(op.key, None)]
         if isinstance(op, Grant):
             stored = self._entries.get(op.key)
@@ -245,21 +265,70 @@ class EntryCommands:
             return None, [(op.key, stored._replace(version=stored.version + 1, acl=acl))]
         if isinstance(op, Move):
             stored = self._entries.get(op.key)
-            if stored is None or op.expected_version is None and is_tombstone(stored.value):
+            if stored is None or is_tombstone(stored.value):
                 raise TupleNotFoundError(f"no entry under key {op.key!r}")
-            self._writable(op.key, user, op.expected_version)
-            self._writable(op.new_key, user, op.target_version)
-            value = stored.value if op.fields is None else with_fields(stored.value, op.fields)
-            if value is None:
-                raise ConflictError(f"{op.key!r} holds no JSON object to set fields in")
-            # Owner and ACL travel; the version passes both keys' histories, so
-            # no version token seen under either key can match again.
-            moved = stored._replace(version=max(stored.version, op.target_version) + 1,
-                                    value=value)
-            return _entry(op.new_key, moved), [(op.key, None), (op.new_key, moved)]
+            self._writable(op.key, user, None)
+            target = self._writable(op.new_key, user, op.target_version)
+            moved = _carried(op.key, stored, target, op.fields)
+            records = [(op.key, None), (op.new_key, moved)]
+            if _shape(stored.value)[0] == "directory":
+                records += self._subtree_moves(op, user)
+            return _entry(op.new_key, moved), records
         stored = self._updated(op, user) if isinstance(op, Update) else self._successor(
             op.key, op.value, user, op.expected_version, op.grants)
         return _entry(op.key, stored), [(op.key, stored)]
+
+    def _subtree_moves(self, op: Move, user: str) -> list[tuple[str, Stored | None]]:
+        """The records carrying every entry below the directory ``op`` moves, tombstones too.
+
+        Each key, and a ``path`` that ``op`` sets, gets the suffix it had below
+        ``op.key``.  Refused as a whole for a target inside the directory, a
+        live entry ``user`` may not WRITE or a live entry at a target.  A
+        tombstone moves whoever wrote it: it gives no power, and ``rmdir`` ignores it too.
+        """
+        below = op.key + "/"
+        if op.new_key.startswith(below):
+            raise InvalidMoveError(f"cannot move {op.key!r} inside itself, to {op.new_key!r}")
+        path = (op.fields or {}).get("path")
+        records: list[tuple[str, Stored | None]] = []
+        for key in self._keys.prefixed(below):
+            stored = self._entries[key]
+            if not is_tombstone(stored.value):
+                self._writable(key, user, None)
+            suffix = key[len(op.key):]
+            new_key = op.new_key + suffix
+            target = self._writable(new_key, user, None)
+            if target is not None and not is_tombstone(target.value):
+                raise FileExistsErrorFS(f"{new_key!r} is taken")
+            fields = None if path is None else {"path": path + suffix}
+            records += [(key, None), (new_key, _carried(key, stored, target, fields))]
+        return records
+
+    def _check_rmdir(self, key: str, user: str) -> None:
+        """Allow the ``rmdir`` of ``key`` only for a directory ``user`` may WRITE with nothing live below.
+
+        A live entry below refuses it whoever may read that entry; tombstones stay for the collector.
+        """
+        stored = self._entries.get(key)
+        if stored is None:
+            raise FileNotFoundErrorFS(f"no entry under key {key!r}")
+        if _shape(stored.value)[0] != "directory":
+            raise NotADirectoryErrorFS(f"{key!r} is no directory")
+        if not stored.acl.allows(user, Permission.WRITE):
+            raise PermissionDeniedError(f"{user} may not remove {key!r}")
+        entries = self._entries
+        if any(not is_tombstone(entries[below].value) for below in self._keys.prefixed(key + "/")):
+            raise DirectoryNotEmptyError(f"directory not empty: {key!r}")
+
+    def _check_unheld(self, key: str, holder: Holder) -> None:
+        """Refuse while another session than ``holder``'s locks a live file at or below ``key``."""
+        entries = self._entries
+        for name in (key, *self._keys.prefixed(key + "/")):
+            file_id = _live_file(entries[name].value) if name in entries else None
+            lock = None if file_id is None else file_lock(file_id)
+            held = None if lock is None else self._locks.get(lock)
+            if held is not None and held.session != holder.session:
+                raise LockHeldError(f"lock {lock!r} is held by another client", lock=lock)
 
     def entry_multi(self, ops: Sequence[Op], user: str, now: float,
                     holder: Holder) -> list[Any]:
@@ -268,7 +337,8 @@ class EntryCommands:
         ``holder`` names the session of ``user`` that lock steps act for.  A
         :class:`Lock` on a name anyone holds refuses the whole command with
         ``LockHeldError``, and so does a :class:`LockFile` whose file's lock
-        another session holds (of one this session holds it takes nothing);
+        another session holds (of one this session holds it takes nothing)
+        and an :class:`Unheld` over such a file;
         an :class:`Unlock` of a name that session does not hold (expired,
         taken over, another principal's) changes nothing, which is benign for
         a release.
@@ -276,7 +346,7 @@ class EntryCommands:
         # Checks run against the state before the command, so a second change
         # of one key (or one lock) would pass a check the first invalidates.
         changed = [(isinstance(op, (Lock, Unlock)), key) for op in ops
-                   if not isinstance(op, (Get, List, LockFile))
+                   if not isinstance(op, (Get, List, LockFile, Unheld))
                    for key in (op[:2] if isinstance(op, Move) else op[:1])]
         if len(set(changed)) != len(changed):
             raise ConflictError("a multi-command may change each key and each lock only once")
@@ -298,6 +368,9 @@ class EntryCommands:
                     names.append(taken)
                     takes.append(taken)
                 results.append(taken)
+            elif isinstance(op, Unheld):
+                self._check_unheld(op.key, holder)
+                results.append(None)
             elif not isinstance(op, (Lock, Unlock)):
                 result, records = self._step(op, user)
                 results.append(result)
@@ -312,7 +385,8 @@ class EntryCommands:
                 elif held is not None and held.session == holder.session:
                     drops.append(op.name)
                 results.append(None)
-        if len(set(names)) != len(names):  # a LockFile's lock, named by its entry
+        # A LockFile's lock is named by its entry, a directory's moves by its keys.
+        if len(set(names)) != len(names) or len({key for key, _ in writes}) != len(writes):
             raise ConflictError("a multi-command may change each key and each lock only once")
         for key, stored in writes:
             if stored is None:
@@ -354,6 +428,11 @@ class EntryCommands:
     def entry_count(self) -> int:
         """Number of stored entries (introspection, not a replicated command)."""
         return len(self._entries)
+
+    def values_under(self, prefix: str) -> Iterator[tuple[str, bytes]]:
+        """``(key, value)`` of every entry under ``prefix``, sorted by key (introspection)."""
+        entries = self._entries
+        return ((key, entries[key].value) for key in self._keys.prefixed(prefix))
 
     def apply(self, command: tuple[str, tuple[Any, ...], dict[str, Any]]) -> Any:
         """Dispatch a replicated command (see :class:`ReplicatedStateMachine`): one of :attr:`COMMANDS`."""

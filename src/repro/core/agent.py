@@ -46,7 +46,6 @@ from repro.common.errors import (
     IsADirectoryErrorFS,
     LockHeldError,
     NotADirectoryErrorFS,
-    DirectoryNotEmptyError,
     ObjectNotFoundError,
     PermissionDeniedError,
 )
@@ -240,12 +239,6 @@ class SCFSAgent(FileSystem):
         """Charge the FUSE user-space crossing overhead of one system call."""
         self.stats.syscalls += 1
         self.sim.advance(FUSE_OVERHEAD.sample(0, self.sim.rng))
-
-    def _require_directory(self, path: str) -> FileMetadata:
-        meta = self.metadata.get(path)
-        if not meta.is_directory:
-            raise NotADirectoryErrorFS(f"not a directory: {path}")
-        return meta
 
     def _check_parent(self, path: str, remote: bool = True) -> bool:
         """Require a live directory above ``path`` (ENOENT, ENOTDIR).
@@ -770,15 +763,15 @@ class SCFSAgent(FileSystem):
     def rename_tree(self, old_path: str, new_path: str) -> None:
         """Atomically rename a file or a whole directory tree.
 
-        With a coordination service this runs under the lock set of every
-        file in the tree (no concurrent close can resurrect the old path
-        half-way through); without one (non-sharing mode) the plain
-        single-agent rename is already atomic.
+        With a coordination service the move is refused while another
+        session holds the write lock of a file in the tree (see
+        :meth:`TransactionManager.rename_tree`); without one (non-sharing
+        mode) the plain single-agent rename is already atomic.
         """
         if self.transactions is None:
             self.rename(old_path, new_path)
             return
-        self.transactions.rename_tree(old_path, new_path)
+        self.transactions.rename_tree(*self._moving(old_path, new_path))
 
     # ------------------------------------------------------------------- crash
 
@@ -809,14 +802,9 @@ class SCFSAgent(FileSystem):
         self.metadata.create(meta, shared=shared)
 
     def rmdir(self, path: str) -> None:
-        """Remove an empty directory."""
+        """Remove an empty directory: one command for a shared one, whose checks are the replicas'."""
         self._syscall()
-        meta = self._require_directory(path)
-        if self.metadata.list_children(path):
-            raise DirectoryNotEmptyError(f"directory not empty: {path}")
-        if not meta.allows(self.principal.name, Permission.WRITE):
-            raise PermissionDeniedError(f"cannot remove {path}")
-        self.metadata.remove(path)
+        self.metadata.remove(path, directory=True)
 
     def readdir(self, path: str) -> list[str]:
         """List the names of the entries of a directory (its check rides with the listing)."""
@@ -856,6 +844,10 @@ class SCFSAgent(FileSystem):
 
     def rename(self, old_path: str, new_path: str) -> None:
         """Rename a file or directory."""
+        self.metadata.rename(*self._moving(old_path, new_path))
+
+    def _moving(self, old_path: str, new_path: str) -> tuple[str, str]:
+        """Start a rename: the normalised paths, once the target's parent is checked."""
         self._syscall()
         old_path, new_path = normalize_path(old_path), normalize_path(new_path)
         if parent_path(new_path) != parent_path(old_path):
@@ -863,11 +855,9 @@ class SCFSAgent(FileSystem):
             # metadata service) already proves the parent exists.
             self._check_parent(new_path)
         # This agent's in-flight commits at and below ``old_path`` land first:
-        # one firing between a directory's listing and its conditional moves
-        # would fail the rename half-way, and one landing after it would
-        # resurrect the old path.
+        # one landing after the move would resurrect the old path.
         self.flush_pending(old_path)
-        self.metadata.rename(old_path, new_path)
+        return old_path, new_path
 
     # -------------------------------------------------------------------- ACLs
 

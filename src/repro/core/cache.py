@@ -192,3 +192,8 @@ class MetadataCache:
     def invalidate(self, key: str) -> None:
         """Drop one entry (called after local updates to keep the cache coherent)."""
         self._entries.pop(key, None)
+
+    def invalidate_below(self, prefix: str) -> None:
+        """Drop every entry whose key starts with ``prefix`` (a directory moved away)."""
+        for key in [key for key in self._entries if key.startswith(prefix)]:
+            del self._entries[key]

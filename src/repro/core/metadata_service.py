@@ -21,16 +21,19 @@ from typing import Any, Callable, Sequence, TypeVar
 
 from repro.common.errors import (
     ConflictError,
+    CrossDeviceError,
+    DirectoryNotEmptyError,
     EntryDeniedError,
     FileExistsErrorFS,
     FileNotFoundErrorFS,
+    InvalidMoveError,
     NotADirectoryErrorFS,
     PermissionDeniedError,
     TupleNotFoundError,
 )
 from repro.common.types import Permission, Principal
 from repro.coordination.adapters import DepSpaceCoordination
-from repro.coordination.base import Entry, Get, List, Op, Put, Session, Update
+from repro.coordination.base import Delete, Entry, Get, List, Move, Op, Put, Session, Update
 from repro.core.cache import MetadataCache
 from repro.core.metadata import DATA_FIELDS, FileMetadata, FileType, normalize_path, parent_path
 from repro.core.pns import PrivateNameSpace
@@ -322,13 +325,30 @@ class MetadataService:
         return [self._fetched(metadata.path, entry)[0]
                 for (metadata, _version), entry in zip(changes, entries)]
 
-    def remove(self, path: str) -> None:
-        """Erase a metadata entry (used by rmdir, rename and the garbage collector)."""
+    def remove(self, path: str, directory: bool = False) -> None:
+        """Erase a metadata entry (used by rmdir, rename and the garbage collector).
+
+        With ``directory`` (an ``rmdir``) it must be an empty directory the caller may
+        write: the replicas check a shared one in its ``Delete``, this agent a private one
+        (asking the replicas for shared entries below it) and the private children it
+        alone knows of.
+        """
         path = normalize_path(path)
-        if self.pns is not None and self.pns.contains(path):
+        private = self.pns is not None and self.pns.contains(path)
+        if directory and (private or self.coordination is None):
+            meta = self.get(path)
+            if not meta.is_directory:
+                raise NotADirectoryErrorFS(f"not a directory: {path}")
+            if not meta.allows(self.principal.name, Permission.WRITE):
+                raise PermissionDeniedError(f"{self.principal.name} may not remove {path}")
+        if directory and (self.pns is not None and any(
+                not child.deleted for child in self.pns.children_of(path))
+                or private and self._shares_below(path)):
+            raise DirectoryNotEmptyError(f"directory not empty: {path}")
+        if private:
             self.pns.remove(path)
         elif self.coordination is not None:
-            self.coordination.delete(self.entry_key(path), self.session)
+            self.coordination.multi([Delete(self.entry_key(path), directory)], self.session)
         self.cache.invalidate(path)
 
     def mark_deleted(self, metadata: FileMetadata) -> None:
@@ -351,17 +371,18 @@ class MetadataService:
         directory's own read riding in front unless this agent holds it.
         """
         directory = normalize_path(directory)
+        prefix = self._prefix(directory)
         meta = self.lookup(directory, remote=False)
         entries: list[Entry] = []
         if meta is None and self.may_be_shared(directory):
             try:
                 found, entries = self.coordination.multi(
-                    [Get(self.entry_key(directory)), List(self._prefix(directory))], self.session)
+                    [Get(self.entry_key(directory)), List(prefix)], self.session)
             except EntryDeniedError as exc:
                 raise PermissionDeniedError(str(exc)) from exc
             meta = None if found is None else self._fetched(directory, found)[0]
         elif meta is not None and self.coordination is not None:
-            entries = self._entries_under(directory)
+            entries = self.coordination.list_entries(prefix, self.session)
         if meta is None or meta.deleted:
             raise FileNotFoundErrorFS(f"no such file or directory: {directory}")
         if not meta.is_directory:
@@ -383,79 +404,66 @@ class MetadataService:
     @staticmethod
     def _prefix(directory: str) -> str:
         """The key prefix of every shared entry strictly below ``directory``."""
-        # It keeps its trailing slash (``entry_key`` would normalise it away):
-        # without it, ``/a/b`` would also match its sibling ``/a/b2``.
-        return META_PREFIX + (directory if directory.endswith("/") else directory + "/")
+        # The trailing slash keeps the sibling ``/a/b2`` out of the listing of ``/a/b``.
+        return META_PREFIX + directory.rstrip("/") + "/"
 
-    def _entries_under(self, directory: str) -> list[Entry]:
-        """One listing of every shared entry strictly below ``directory``."""
-        return self.coordination.list_entries(self._prefix(directory), self.session)
+    def _shares_below(self, directory: str) -> bool:
+        """Whether a live shared entry the caller may read lies below ``directory``: one listing.
+
+        A private directory holds one after a shared create or a promotion (§2.7) in it.
+        """
+        return self.coordination is not None and any(
+            not FileMetadata.from_bytes(entry.value).deleted
+            for entry in self.coordination.list_entries(self._prefix(directory), self.session))
 
     # ------------------------------------------------------------------ rename
 
-    def rename(self, old_path: str, new_path: str) -> FileMetadata:
+    def rename(self, old_path: str, new_path: str, also: Sequence[Op] = ()) -> FileMetadata:
         """Move a metadata entry (and, for directories, all its descendants).
 
-        A shared entry moves by one ``Move`` that names no version: the
-        replicas refuse it when nothing live is there (ENOENT), when the
-        caller may not write it (EACCES) or when a live object holds the
-        target (EEXIST), and otherwise set its ``path`` where it is stored.
+        A shared entry moves by one ``Move``, with ``also`` riding in its command: the
+        replicas refuse it (ENOENT, EACCES on it or below it, EEXIST, EINVAL) or set the
+        ``path`` of it and all below it where they are stored.  Private descendants move here;
+        a private directory with a live shared entry below it does not move (EXDEV).
         """
         old_path, new_path = normalize_path(old_path), normalize_path(new_path)
         # A shared target is checked by the move itself (see ``_claim``).
         if self._taken_privately(new_path):
             raise FileExistsErrorFS(f"file exists: {new_path}")
+        below = old_path.rstrip("/") + "/"
         private = self.pns is not None and self.pns.contains(old_path)
         if self.may_be_shared(old_path) and not private:
+            key, new_key = self.entry_key(old_path), self.entry_key(new_path)
             try:
-                renamed = self._move(old_path, new_path)
+                moved = self._claim(new_path, lambda version: self.coordination.multi(
+                    [Move(key, new_key, {"path": new_path}, target_version=version), *also],
+                    self.session)[0])
             except TupleNotFoundError as exc:
                 raise FileNotFoundErrorFS(f"no such file or directory: {old_path}") from exc
             except EntryDeniedError as exc:
                 raise PermissionDeniedError(
                     f"{self.principal.name} may not rename {old_path}") from exc
+            renamed = self._fetched(new_path, moved)[0]
         else:
             meta = self.get(old_path)
             if not meta.allows(self.principal.name, Permission.WRITE):
                 raise PermissionDeniedError(f"{self.principal.name} may not rename {old_path}")
+            if new_path.startswith(below):
+                raise InvalidMoveError(f"cannot move {old_path} inside itself")
             if self.exists(new_path):
                 raise FileExistsErrorFS(f"file exists: {new_path}")
+            if meta.is_directory and self._shares_below(old_path):
+                raise CrossDeviceError(f"shared entries lie below the private {old_path}")
             renamed = meta.renamed(new_path)
             self.remove(old_path)
             self._store(renamed, private=True)
-        # The object's own entry goes before a directory's descendants: a
-        # taken target fails the rename before anything has moved.
-        if renamed.is_directory:
-            self._rename_descendants(old_path, new_path)
-        return renamed
-
-    def _move(self, old_path: str, new_path: str,
-              expected_version: int | None = None) -> FileMetadata:
-        """Move one shared entry to ``new_path`` (owner, ACL and version travel); what it holds there."""
-        old_key, new_key = self.entry_key(old_path), self.entry_key(new_path)
-        moved = self._claim(new_path, lambda version: self.coordination.move(
-            old_key, new_key, {"path": new_path}, self.session, expected_version,
-            target_version=version))
         self.cache.invalidate(old_path)
-        return self._fetched(new_path, moved)[0]
-
-    def _rename_descendants(self, old_dir: str, new_dir: str) -> None:
-        old_prefix = old_dir if old_dir.endswith("/") else old_dir + "/"
-        new_prefix = new_dir if new_dir.endswith("/") else new_dir + "/"
-        if self.pns is not None:
-            for path in [p for p in self.pns.paths() if p.startswith(old_prefix)]:
-                meta = self.pns.remove(path)
-                if meta is not None:
-                    self.pns.put(meta.renamed(new_prefix + path[len(old_prefix):]))
-                self.cache.invalidate(path)
-        if self.coordination is None:
-            return
-        # One listing, then one conditional move per descendant (a tombstone
-        # too: its version names it): each is moved at exactly the version
-        # listed, so a concurrent update is not lost.
-        for entry in self._entries_under(old_dir):
-            path = entry.key[len(META_PREFIX):]
-            self._move(path, new_prefix + path[len(old_prefix):], expected_version=entry.version)
+        if renamed.is_directory:
+            self.cache.invalidate_below(below)
+            if self.pns is not None:
+                for path in [path for path in self.pns.paths() if path.startswith(below)]:
+                    self.pns.put(self.pns.remove(path).renamed(new_path + path[len(old_path):]))
+        return renamed
 
     # --------------------------------------------------------------------- ACLs
 

@@ -28,6 +28,8 @@ checkers correspond to the paper's headline guarantees:
 6. **Version linearizability** (the coordination anchor) — per file, the
    anchored version sequence is strictly increasing and gapless in history
    order: the metadata entry behaves as a linearizable CAS register.
+7. **Namespace tree** — at the end of the run every live shared entry has a
+   live directory above it: shared, in its owner's PNS, or ``/``.
 
 Crash semantics: an ``agent_crash`` event marks everything the agent closed
 but had not committed as legitimately lost (the documented non-blocking data
@@ -41,12 +43,15 @@ simulated clock nor appends to the trace.
 
 from __future__ import annotations
 
+import json
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from repro.common.errors import IntegrityError, ReproError
 from repro.coordination.base import FILE_LOCK_PREFIX
 from repro.core.backend import SingleCloudBackend
+from repro.core.metadata_service import META_PREFIX
 from repro.core.modes import BackendKind
 from repro.crypto.hashing import content_digest
 from repro.depsky.dataunit import VersionRecord
@@ -638,6 +643,48 @@ def check_version_linearizability(trace: TraceRecorder) -> list[Violation]:
 
 
 # ---------------------------------------------------------------------------
+# 7. the namespace tree
+# ---------------------------------------------------------------------------
+
+
+def check_namespace_tree(deployment) -> list[Violation]:
+    """Every live shared entry hangs under a live directory: shared, in its owner's PNS, or ``/``.
+
+    Read from a correct replica, whoever may read each entry.  Keys are
+    sorted, so a directory comes before every entry below it, and an orphan
+    is named alone, not with what lies below it.  An entry is parsed only
+    when something lies below it or its parent is not yet known.
+    """
+    if deployment.coordination is None:
+        return []
+    pairs = list(deployment.coordination.rsm.reference_replica().values_under(META_PREFIX))
+    keys = [key for key, _value in pairs]
+    directories = {"/"}
+    violations: list[Violation] = []
+    for index, (key, value) in enumerate(pairs):
+        path = key[len(META_PREFIX):]
+        parent = path.rpartition("/")[0] or "/"
+        below = bisect_left(keys, key + "/", index + 1)
+        if parent in directories and not (below < len(keys)
+                                           and keys[below].startswith(key + "/")):
+            continue
+        fields = json.loads(value)
+        if fields.get("deleted"):
+            continue
+        if fields.get("type") == "directory":
+            directories.add(path)
+        if parent in directories:
+            continue
+        owner = deployment.filesystems.get(fields.get("owner"))
+        private = owner.pns.get(parent) if owner is not None and owner.pns is not None else None
+        if private is None or private.deleted or not private.is_directory:
+            violations.append(Violation(
+                "namespace-tree", f"live shared entry {path} has no live directory {parent} "
+                "above it"))
+    return violations
+
+
+# ---------------------------------------------------------------------------
 # unexpected errors + entry point
 # ---------------------------------------------------------------------------
 
@@ -657,7 +704,7 @@ def check_unexpected_errors(trace: TraceRecorder) -> list[Violation]:
 def check_all(trace: TraceRecorder, deployment=None,
               staleness: float = 0.0,
               lock_lease: float = math.inf) -> list[Violation]:
-    """Run every checker; ``deployment`` enables the durability ground check.
+    """Run every checker; ``deployment`` enables the ground checks (durability, namespace tree).
 
     ``lock_lease`` is the deployment's lease duration; the mutual-exclusion
     checker allows lock takeovers once the previous holder's lease expired.
@@ -671,4 +718,5 @@ def check_all(trace: TraceRecorder, deployment=None,
     violations += check_unexpected_errors(trace)
     if deployment is not None:
         violations += check_durability(trace, deployment)
+        violations += check_namespace_tree(deployment)
     return violations

@@ -88,7 +88,7 @@ TRACE_SCHEMA: dict[str, frozenset[str]] = {
     # ---- transactions ----
     "txn_begin": frozenset({"txn"}),
     "txn_commit": frozenset({"txn", "began", "attempts", "reads", "writes",
-                             "renamed_from", "renamed_to", "files"}),
+                             "renamed_from", "renamed_to"}),
     "txn_abort": frozenset({"txn", "reason", "reads", "writes"}),
     # ---- cloud backend ----
     "quorum": frozenset({"op", "unit", "required", "charged", "reached",

@@ -76,6 +76,7 @@ from repro.common.errors import (
     TransactionConflictError,
     TransactionError,
 )
+from repro.coordination.base import Unheld
 from repro.core.metadata import FileMetadata, FileType, normalize_path
 from repro.crypto.hashing import content_digest
 
@@ -429,59 +430,24 @@ class TransactionManager:
     # ------------------------------------------------------------ rename_tree
 
     def rename_tree(self, old_path: str, new_path: str) -> None:
-        """Atomically rename ``old_path`` (a file or a whole directory tree).
+        """Atomically rename ``old_path`` (a file or a whole directory tree): one command.
 
-        Every *file* under the tree is locked first, as one lock set (lock
-        names are keyed by file id, so they survive the rename), and the
-        namespace move itself is one listing plus one conditional move per
-        entry.  Concurrent closes of the moved files are excluded by the
-        locks, so no background commit can resurrect the old path half-way
-        through.
+        The ``Move`` carries all of a shared tree or nothing.  Its ``Unheld`` guard refuses
+        it (``TransactionConflictError``) while another session holds the write lock of a
+        file in the tree, whose close could resurrect the old path.  No lock is taken.
+        :meth:`SCFSAgent.rename_tree` hands in normalised paths, the target's parent checked.
         """
         agent = self.agent
-        old_path, new_path = normalize_path(old_path), normalize_path(new_path)
-        meta = agent.metadata.get(old_path, use_cache=False)
-        files = [m for m in self._walk(meta) if m.is_file]
-        for m in files:
-            agent.flush_pending(m.path)
         txn = self.begin()
         try:
-            self._rename_locked(txn, meta, new_path, files)
+            agent.metadata.rename(old_path, new_path,
+                                  also=[Unheld(agent.metadata.entry_key(old_path))])
         except LockHeldError as exc:
             self._finish_abort(txn, str(exc))
             raise TransactionConflictError(str(exc)) from exc
-        except TransactionConflictError as exc:
-            self._finish_abort(txn, str(exc))
-            raise
         except BaseException as exc:
             self._finish_abort(txn, f"rename failed: {exc}")
             raise
-
-    def _rename_locked(self, txn: Transaction, meta: FileMetadata, new_path: str,
-                       files: list[FileMetadata]) -> None:
-        agent = self.agent
-        old_path = meta.path
-        locked = sorted(files, key=agent.locks.lock_name)
-        agent.locks.acquire_set(locked)
-        try:
-            agent.rename(old_path, new_path)
-            txn.status = COMMITTED
-            agent._emit("txn_commit", txn=txn.txn_id, began=txn.began, attempts=1,
-                        reads=[], writes=[], renamed_from=old_path,
-                        renamed_to=new_path, files=len(files))
-        finally:
-            agent.locks.release_set(locked)
-
-    def _walk(self, meta: FileMetadata) -> list[FileMetadata]:
-        """``meta`` plus (for directories) every live descendant."""
-        if not meta.is_directory:
-            return [meta]
-        out = [meta]
-        stack = [meta.path]
-        while stack:
-            directory = stack.pop()
-            for child in self.agent.metadata.list_children(directory):
-                out.append(child)
-                if child.is_directory:
-                    stack.append(child.path)
-        return out
+        txn.status = COMMITTED
+        agent._emit("txn_commit", txn=txn.txn_id, began=txn.began, attempts=1,
+                    reads=[], writes=[], renamed_from=old_path, renamed_to=new_path)

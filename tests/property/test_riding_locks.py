@@ -35,7 +35,7 @@ from hypothesis import given, settings, strategies as st
 from repro.common.errors import ConflictError, LockHeldError
 from repro.common.types import Permission, Principal
 from repro.coordination.adapters import DepSpaceCoordination
-from repro.coordination.base import Get, Put, Unlock
+from repro.coordination.base import Get, Move, Put, Unlock
 from repro.core.lock_service import LockService
 from repro.core.metadata import FileMetadata, FileType
 from repro.core.metadata_service import MetadataService
@@ -196,7 +196,7 @@ def test_riding_command_keeps_every_count_with_the_service(case):
         service.put(MetadataService.entry_key(meta.path), b"v1", alice)
         if renamed:
             meta = meta.renamed(f"/e/{name}")
-            service.move(f"meta:/d/{name}", f"meta:/e/{name}", None, alice)
+            service.multi([Move(f"meta:/d/{name}", f"meta:/e/{name}")], alice)
         metas[name] = meta
 
     locks = LockService(sim, service, alice)

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from repro.common.errors import (
+    CrossDeviceError,
     DirectoryNotEmptyError,
     FileExistsErrorFS,
     FileNotFoundErrorFS,
@@ -21,9 +22,9 @@ from repro.common.types import Permission
 from repro.core.agent import SCFSAgent
 from repro.core.deployment import SCFSDeployment
 from repro.core.filesystem import DURABILITY_TABLE, FileSystem
-from repro.core.metadata import FileType
+from repro.core.metadata import FileMetadata, FileType
 from repro.core.modes import OperationMode
-from repro.scenarios.invariants import check_all
+from repro.scenarios.invariants import check_all, check_namespace_tree
 from repro.scenarios.trace import TraceRecorder
 from repro.simenv.failures import FaultKind
 from repro.simenv.latency import LatencyModel
@@ -151,6 +152,51 @@ class TestNamespaceOperations:
         fs.unlink("/docs/b.txt")
         fs.rmdir("/docs")
         assert not fs.exists("/docs")
+
+    @pytest.mark.parametrize("variant", ["SCFS-CoC-B", "SCFS-AWS-NB"])
+    def test_a_shared_directory_keeps_its_private_children_through_rmdir_and_rename(
+            self, variant):
+        """The replicas know nothing of a private child: the agent checks it,
+        and moves it, itself, with no command."""
+        deployment = SCFSDeployment.for_variant(variant, seed=11, private_name_spaces=True)
+        fs = deployment.create_agent("alice")
+        fs.mkdir("/s", shared=True)
+        fs.write_file("/s/p", b"private")
+        service = deployment.coordination.rsm
+        commands = service.commands_executed
+        with pytest.raises(DirectoryNotEmptyError):
+            fs.rmdir("/s")
+        assert service.commands_executed == commands and fs.exists("/s")
+        fs.rename("/s", "/t")
+        assert fs.read_file("/t/p") == b"private" and not fs.exists("/s/p")
+        assert fs.pns.contains("/t/p")
+        fs.unlink("/t/p")
+        fs.rmdir("/t")
+        assert not fs.exists("/t")
+
+    @pytest.mark.parametrize("variant", ["SCFS-CoC-B", "SCFS-AWS-NB"])
+    def test_a_private_directory_with_a_shared_entry_below_is_neither_removed_nor_moved(
+            self, variant):
+        """The replicas are asked what lies below a private directory: ``rmdir``
+        is ENOTEMPTY, a rename EXDEV, and no shared entry loses its parent."""
+        deployment = SCFSDeployment.for_variant(variant, seed=11, private_name_spaces=True)
+        fs = deployment.create_agent("alice")
+        fs.mkdir("/p")
+        fs.write_file("/p/f", b"shared", shared=True)
+        with pytest.raises(DirectoryNotEmptyError):
+            fs.rmdir("/p")
+        for rename in (fs.rename, fs.rename_tree):
+            with pytest.raises(CrossDeviceError):
+                rename("/p", "/q")
+        assert fs.pns.contains("/p") and not fs.exists("/q")
+        assert check_namespace_tree(deployment) == []
+        # Its owner cannot look it up (ROADMAP 9(c)): a tombstone made from the
+        # replicas' copy holds nothing back.
+        entry = deployment.coordination.get("meta:/p/f", fs.session)
+        fs.metadata.mark_deleted(FileMetadata.from_bytes(entry.value))
+        fs.rename("/p", "/q")
+        fs.rmdir("/q")
+        assert not fs.exists("/q") and check_namespace_tree(deployment) == []
 
     def test_mkdir_under_file_fails(self, coc_nb):
         _, fs = coc_nb

@@ -1,15 +1,27 @@
 """Unit tests for the coordination substrate: the replica state machine, replication, locks."""
 
+import json
 import pickle
 import random
 
 import pytest
 
-from repro.common.errors import ConflictError, QuorumNotReachedError, TupleNotFoundError
-from repro.common.errors import LockHeldError
+from repro.common.errors import (
+    ConflictError,
+    DirectoryNotEmptyError,
+    EntryDeniedError,
+    FileExistsErrorFS,
+    FileNotFoundErrorFS,
+    InvalidMoveError,
+    LockHeldError,
+    NotADirectoryErrorFS,
+    PermissionDeniedError,
+    QuorumNotReachedError,
+    TupleNotFoundError,
+)
 from repro.common.types import Permission
 from repro.coordination.adapters import DepSpaceCoordination
-from repro.coordination.base import Delete, Get, Grant, List, Lock, Move, Put, Unlock
+from repro.coordination.base import Delete, Get, Grant, List, Lock, Move, Put, Unheld, Unlock
 from repro.coordination.entries import EntryCommands, Holder
 from repro.coordination.replication import ReplicatedStateMachine
 from repro.core.lock_service import LockService
@@ -154,8 +166,112 @@ class TestReplica:
         assert _multi(replica, [Delete("a"), Move("b", "c"), Lock("l")])[1].version == 2
 
 
+def _node(path, kind="directory", file_id="", deleted=False):
+    """A metadata value as the agent stores it (the fields the replica reads)."""
+    return json.dumps({"path": path, "type": kind, "file_id": file_id, "deleted": deleted},
+                      sort_keys=True).encode()
+
+
+def _tree(replica):
+    """``/d`` holding the file ``f`` and ``/d/s`` with a tombstone; the sibling ``/d2``."""
+    _multi(replica, [Put("meta:/d", _node("/d")), Put("meta:/d/f", _node("/d/f", "file", "f")),
+                     Put("meta:/d/s", _node("/d/s")),
+                     Put("meta:/d/s/g", _node("/d/s/g", "file", "g", deleted=True)),
+                     Put("meta:/d2", _node("/d2"))])
+
+
+class TestNamespaceTree:
+    """A directory's ``Move``, an ``rmdir``'s ``Delete`` and the ``Unheld`` guard."""
+
+    def test_a_directory_move_carries_every_entry_below_it_and_its_path(self, replica):
+        _tree(replica)
+        versions = {entry.key: entry.version for entry in _list(replica, "meta:/d/")}
+        moved, = _multi(replica, [Move("meta:/d", "meta:/e", {"path": "/e"})])
+        assert json.loads(moved.value)["path"] == "/e"
+        assert {entry.key: (json.loads(entry.value)["path"], entry.version)
+                for entry in _list(replica, "meta:/e/")} == {
+            key.replace("/d/", "/e/"): (key[len("meta:"):].replace("/d/", "/e/"), version + 1)
+            for key, version in versions.items()}
+        assert [entry.key for entry in _list(replica, "meta:/d")] == ["meta:/d2"]
+
+    def test_a_refused_directory_move_changes_nothing(self, replica):
+        _tree(replica)
+        _multi(replica, [Put("meta:/taken/f", _node("/taken/f", "file", "t"))])
+        _multi(replica, [Grant("meta:/d", "bob", Permission.READ_WRITE),
+                         Grant("meta:/d/s", "bob", Permission.READ_WRITE),
+                         Grant("meta:/d/s/g", "bob", Permission.READ_WRITE)])
+        before = pickle.dumps(replica)
+        for user, new_key, refusal in (("alice", "meta:/d/s/in", InvalidMoveError),
+                                       ("alice", "meta:/taken", FileExistsErrorFS),
+                                       ("bob", "meta:/e", EntryDeniedError)):
+            with pytest.raises(refusal):
+                _multi(replica, [Move("meta:/d", new_key, {"path": new_key[5:]})], user)
+            assert pickle.dumps(replica) == before
+        _multi(replica, [Move("meta:/d/s", "meta:/taken/s")], "bob")  # bob may write all of it
+
+    def test_an_rmdir_delete_refuses_all_but_an_empty_directory(self, replica):
+        _tree(replica)
+        before = pickle.dumps(replica)
+        for key, refusal in (("meta:/none", FileNotFoundErrorFS),
+                             ("meta:/d/f", NotADirectoryErrorFS),
+                             ("meta:/d", DirectoryNotEmptyError)):
+            with pytest.raises(refusal):
+                _multi(replica, [Delete(key, directory=True)])
+        with pytest.raises(PermissionDeniedError):
+            _multi(replica, [Delete("meta:/d/s", directory=True)], "bob")
+        assert pickle.dumps(replica) == before
+        _multi(replica, [Delete("meta:/d/s", directory=True)])  # a tombstone below stays
+        assert [entry.key for entry in _list(replica, "meta:/d/")] == ["meta:/d/f", "meta:/d/s/g"]
+        _multi(replica, [Delete("meta:/d")])  # a plain Delete checks no tree
+
+    def test_unheld_refuses_another_sessions_lock_of_a_live_file_below(self, replica):
+        _tree(replica)
+        _take(replica, ["filelock:g"], 0.0, session="s2")  # the tombstone's file: no refusal
+        assert _multi(replica, [Unheld("meta:/d")]) == [None]
+        _take(replica, ["filelock:f"], 0.0)
+        assert _multi(replica, [Unheld("meta:/d"), Unheld("meta:/d/f")]) == [None, None]
+        for key in ("meta:/d", "meta:/d/f"):
+            with pytest.raises(LockHeldError, match="filelock:f"):
+                _multi(replica, [Unheld(key)], session="s2")
+        assert _multi(replica, [Unheld("meta:/d2"), Unheld("meta:/none")], session="s2") == [
+            None, None]
+        assert [lock_holder(replica, name, 0.0) for name in ("filelock:f", "filelock:g")] == [
+            "s1", "s2"]
+
+
 class TestDepSpaceLeases:
     """A DepSpace lock lives for its own lease, counted from its take."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_locks_lapse_at_the_commands_a_scan_of_every_lock_finds(self, seed):
+        """Takes, returns and closes at random times and leases: after every
+        command the lock table holds exactly what dropping each lapsed lock
+        leaves, in take order."""
+        rng = random.Random(seed)
+        replica, model = EntryCommands(), {}
+        now = 0.0
+        for _ in range(400):
+            now += rng.choice([0.0, 0.5, 1.0, 3.0])
+            model = {name: held for name, held in model.items() if now < held.deadline}
+            session = rng.choice(["s1", "s2", "s3"])
+            name = f"l{rng.randrange(6)}"
+            deadline = now + rng.choice([1.0, 2.5, 10.0])
+            action = rng.random()
+            if action < 0.1:
+                replica.close_session(session, "alice", now)
+                model = {n: held for n, held in model.items() if held.session_id != session}
+            elif action < 0.4:
+                _multi(replica, [Unlock(name)], now=now, session=session, deadline=deadline)
+                if name in model and model[name].session_id == session:
+                    del model[name]
+            else:
+                try:
+                    _take(replica, [name], now, session=session, deadline=deadline)
+                except LockHeldError:
+                    assert name in model
+                else:
+                    model[name] = Holder(session, deadline, "alice")
+            assert replica._locks == model and list(replica._locks) == list(model)
 
     def test_each_lock_lapses_a_lease_after_its_own_take(self):
         space = EntryCommands()

@@ -39,8 +39,10 @@ import pytest
 
 from repro.common.errors import (
     ConflictError,
+    DirectoryNotEmptyError,
     FileExistsErrorFS,
     FileNotFoundErrorFS,
+    InvalidMoveError,
     IsADirectoryErrorFS,
     NotADirectoryErrorFS,
     PermissionDeniedError,
@@ -50,7 +52,7 @@ from repro.common.types import Permission, Principal
 from repro.coordination.adapters import DepSpaceCoordination
 from repro.core.deployment import SCFSDeployment
 from repro.core.lock_service import LockService
-from repro.core.metadata import FileMetadata, FileType
+from repro.core.metadata import FileMetadata, FileType, parent_path
 
 from conftest import expire_metadata, lock_holder
 
@@ -72,10 +74,12 @@ BUDGETS: dict[str, tuple[int, ...]] = {
     "background commit of a non-blocking dirty `close`": (2,),
     "a refused `Update`": (1,),
     "`mkdir`, parent cold · warm": (2, 1),
+    "`rmdir` of a shared directory, cold · warm": (1, 1),
     "`unlink`, cold": (2,),
     "`rename` of a file, same directory · other directory, cold": (1, 2),
     "`readdir`, cold · warm, any number of children": (1, 1),
-    "`rename` of a directory with N descendants, cold (+ N)": (2,),
+    "`rename` of a directory with N descendants, cold": (1,),
+    "`rename_tree` of a directory, any number of files, cold · warm": (1, 1),
     "commit of a transaction, any number of files": (3,),
     "`setfacl` of a shared file, warm": (2,),
     "mount": (1,),
@@ -300,14 +304,32 @@ def test_readdir_does_not_depend_on_the_child_count(mount, children):
 
 
 @pytest.mark.parametrize("descendants", [0, 3, 12])
-def test_directory_rename_is_one_move_per_descendant(mount, descendants):
-    (base,) = BUDGETS["`rename` of a directory with N descendants, cold (+ N)"]
+def test_directory_rename_is_one_move_whatever_its_descendants(mount, descendants):
+    (cold,) = BUDGETS["`rename` of a directory with N descendants, cold"]
     mount.make_files("/top/d", descendants)
     mount.cold()
-    # move of the directory entry, one listing, one move per descendant
-    assert mount.spent(mount.fs.rename, "/top/d", "/top/e") == descendants + base
+    # One Move: the replicas carry every entry below the directory with it.
+    assert mount.spent(mount.fs.rename, "/top/d", "/top/e") == cold
     assert len(mount.fs.readdir("/top/e")) == descendants
     assert not mount.fs.exists("/top/d")
+
+
+@pytest.mark.parametrize("tombstones", [0, 3, 12])
+def test_rmdir_is_one_delete_cold_or_warm(mount, tombstones):
+    """The replicas check the directory and what is below it; tombstones stay for the collector."""
+    cold, warm = BUDGETS["`rmdir` of a shared directory, cold · warm"]
+    for name, cost in (("/top/cold", cold), ("/top/warm", warm)):
+        mount.make_files(name, tombstones)
+        for index in range(tombstones):
+            mount.fs.unlink(f"{name}/f{index:03d}")
+        if name == "/top/cold":
+            mount.cold()
+        else:
+            mount.fs.stat(name)
+        assert mount.spent(mount.fs.rmdir, name) == cost
+        assert not mount.fs.exists(name)
+    listed = mount.deployment.coordination.list_entries("meta:/top/cold/", mount.fs.session)
+    assert len(listed) == tombstones
 
 
 def test_a_directory_rename_moves_every_descendant(mount):
@@ -321,6 +343,121 @@ def test_a_directory_rename_moves_every_descendant(mount):
     assert mount.fs.read_file("/top/e/sub/f001") == b"x"
     listed = mount.deployment.coordination.list_entries("meta:/top/", mount.fs.session)
     assert not [entry.key for entry in listed if entry.key.startswith("meta:/top/d")]
+
+
+def _with_bob(mount, directory: str):
+    """``directory`` of alice's that bob may change, and bob's agent."""
+    bob = mount.deployment.create_agent("bob")
+    mount.fs.mkdir(directory, shared=True)
+    mount.fs.setfacl(directory, "bob", Permission.READ_WRITE)
+    return bob
+
+
+def _keys(mount, prefix: str) -> list[str]:
+    """Every key under ``prefix``, whoever may read it (the reference replica's)."""
+    replica = mount.deployment.coordination.rsm.reference_replica()
+    return [key for key, _value in replica.values_under(prefix)]
+
+
+def test_rmdir_over_an_entry_its_caller_may_not_read_is_enotempty(mount):
+    """The replicas see what is below, whatever its ACL: nothing is deleted."""
+    bob = _with_bob(mount, "/top/d")
+    bob.write_file("/top/d/x", b"bob's", shared=True)
+    mount.cold()
+    assert mount.fs.readdir("/top/d") == []  # alice cannot see bob's file
+    with pytest.raises(DirectoryNotEmptyError):
+        mount.fs.rmdir("/top/d")
+    assert _keys(mount, "meta:/top/d") == ["meta:/top/d", "meta:/top/d/x"]
+    assert bob.read_file("/top/d/x") == b"bob's"
+
+
+def test_a_directory_rename_over_an_entry_its_caller_may_not_write_moves_nothing(mount):
+    """Unreadable or readable-only below: EACCES in one command, and nothing moved."""
+    bob = _with_bob(mount, "/top/e")
+    bob.write_file("/top/e/y", b"bob's", shared=True)
+    mount.fs.write_file("/top/e/a1", b"alice's", shared=True)
+    for readable in (False, True):
+        if readable:
+            bob.setfacl("/top/e/y", "alice", Permission.READ)
+        mount.cold()
+        commands = mount.commands()
+        with pytest.raises(PermissionDeniedError):
+            mount.fs.rename("/top/e", "/top/f")
+        assert mount.commands() - commands == 1
+        assert _keys(mount, "meta:/top/") == ["meta:/top/e", "meta:/top/e/a1", "meta:/top/e/y"]
+    assert bob.read_file("/top/e/y") == b"bob's"
+    bob.unlink("/top/e/y")  # its tombstone keeps bob's ACL, and moves along
+    mount.cold()
+    mount.fs.rename("/top/e", "/top/f")
+    assert _keys(mount, "meta:/top/") == ["meta:/top/f", "meta:/top/f/a1", "meta:/top/f/y"]
+    assert mount.fs.readdir("/top/f") == ["a1"]
+
+
+def test_a_directory_moved_into_its_own_subtree_is_einval_and_moves_nothing(mount):
+    mount.make_files("/top/d", 1)
+    mount.cold()
+    mount.fs.stat("/top/d")  # the target's parent is known: the Move is the one command
+    commands = mount.commands()
+    with pytest.raises(InvalidMoveError):
+        mount.fs.rename("/top/d", "/top/d/sub")
+    assert mount.commands() - commands == 1
+    assert _keys(mount, "meta:/top/") == ["meta:/top/d", "meta:/top/d/f000"]
+
+
+def test_rmdir_refusals_keep_their_type_in_one_command_and_delete_nothing(mount):
+    bob = _with_bob(mount, "/top/d")
+    mount.make_files("/top/full", 1)
+    before = _keys(mount, "meta:")
+    for agent, path, refusal in ((mount.fs, "/top/none", FileNotFoundErrorFS),
+                                 (mount.fs, "/top/full/f000", NotADirectoryErrorFS),
+                                 (mount.fs, "/top/full", DirectoryNotEmptyError),
+                                 (bob, "/top/full", PermissionDeniedError)):
+        expire_metadata(agent)
+        commands = mount.commands()
+        with pytest.raises(refusal):
+            agent.rmdir(path)
+        assert mount.commands() - commands == 1
+    assert _keys(mount, "meta:") == before
+
+
+def test_rename_tree_refusals_keep_their_type_and_move_nothing_or_lock_anything(mount):
+    """ENOENT, EEXIST, EINVAL and a descendant's taken target: one command each."""
+    mount.make_files("/top/d", 2)
+    mount.fs.mkdir("/top/taken", shared=True)
+    stray = mount.fs.stat("/top/d/f000").renamed("/top/e/f000")
+    mount.deployment.coordination.put("meta:/top/e/f000", stray.to_bytes(), mount.fs.session)
+    before = _keys(mount, "meta:")
+    for target, refusal in (("/top/taken", FileExistsErrorFS), ("/top/e", FileExistsErrorFS),
+                            ("/top/d/sub", InvalidMoveError)):
+        for source in ("/top/d", "/top/none"):
+            mount.cold()
+            mount.fs.stat(parent_path(target))  # known: the move is the one command
+            commands = mount.commands()
+            with pytest.raises(FileNotFoundErrorFS if source == "/top/none" else refusal):
+                mount.fs.rename_tree(source, target)
+            assert mount.commands() - commands == 1
+            assert _keys(mount, "meta:") == before and mount.fs.locks.held == {}
+
+
+def test_rename_tree_over_a_file_another_session_has_locked_moves_nothing(mount):
+    bob = _with_bob(mount, "/top/d")
+    mount.fs.write_file("/top/d/f", b"alice's", shared=True)
+    mount.fs.setfacl("/top/d/f", "bob", Permission.READ_WRITE)
+    handle = bob.open("/top/d/f", "r+")
+    locked = f"filelock:{mount.fs.stat('/top/d/f').file_id}"
+    for source, target in (("/top/d", "/top/moved"), ("/top/d/f", "/top/d/g")):
+        commands = mount.commands()
+        with pytest.raises(TransactionConflictError):
+            mount.fs.rename_tree(source, target)
+        assert mount.commands() - commands == 1
+        assert _keys(mount, "meta:/top/") == ["meta:/top/d", "meta:/top/d/f"]
+        assert mount.fs.locks.held == {}
+        assert lock_holder(mount.deployment.coordination, locked) == bob.session.session_id
+    bob.close(handle)
+    mine = mount.fs.open("/top/d/f", "r+")
+    mount.fs.rename_tree("/top/d", "/top/moved")  # its own session's lock is no conflict
+    mount.fs.close(mine)
+    assert mount.fs.read_file("/top/moved/f") == b"alice's" and mount.fs.locks.held == {}
 
 
 def test_a_rename_onto_a_live_target_is_eexist_in_one_command_and_moves_nothing(mount):
@@ -516,18 +653,16 @@ def test_a_retry_attempt_reads_its_files_with_one_command(mount, count):
     assert since_interference == 2 + 1 + 3
 
 
-def test_rename_tree_locks_its_files_in_two_commands_whatever_their_number(mount):
-    def commands(directory: str, files: int) -> int:
-        mount.make_files(directory, files)
-        mount.cold()
-        spent = mount.spent(mount.fs.rename_tree, directory, directory + "-moved")
-        assert len(mount.fs.readdir(directory + "-moved")) == files
-        return spent
-
-    grown = commands("/top/many", 9) - commands("/top/few", 2)
-    # One conditional move per extra file; taking and returning the lock set is
-    # one command each, not one per file.
-    assert grown == 7
+@pytest.mark.parametrize("files", [2, 9])
+def test_rename_tree_is_one_command_whatever_its_files(mount, files):
+    """The move and its guard over the files' locks ride in one command; no lock is taken."""
+    cold, warm = BUDGETS["`rename_tree` of a directory, any number of files, cold · warm"]
+    mount.make_files("/top/tree", files)
+    mount.cold()
+    assert mount.spent(mount.fs.rename_tree, "/top/tree", "/top/moved") == cold
+    mount.fs.stat("/top/moved")
+    assert mount.spent(mount.fs.rename_tree, "/top/moved", "/top/back") == warm
+    assert len(mount.fs.readdir("/top/back")) == files and mount.fs.locks.held == {}
 
 
 def _draw(state, service) -> float:

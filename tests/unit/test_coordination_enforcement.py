@@ -34,6 +34,11 @@ def _replica_states(coordination) -> list[bytes]:
     return [pickle.dumps(replica) for replica in coordination.rsm.replicas]
 
 
+def _move(coordination, key, new_key, fields, session, target_version=0):
+    """The entry one ``Move`` step leaves under ``new_key`` (one command)."""
+    return coordination.multi([Move(key, new_key, fields, target_version)], session)[0]
+
+
 def _raw(coordination, sim, steps, user, session_id="raw"):
     """``user`` sends ``entry_multi`` of ``steps`` itself, naming any session it likes."""
     holder = Holder(session_id, deadline=sim.now() + 30.0)
@@ -97,7 +102,7 @@ class TestRawCommandsAreChecked:
         bob_session = coordination.open_session(bob)
         coordination.put("mine", b"bob's", bob_session)
         with pytest.raises(ConflictError):
-            coordination.move("mine", "k", None, bob_session, target_version=2)
+            _move(coordination, "mine", "k", None, bob_session, target_version=2)
         assert coordination.get("k", alice_session).value == b"alice's"
         assert coordination.get("mine", bob_session).value == b"bob's"
 
@@ -118,7 +123,7 @@ class TestMove:
         coordination.put("a", b'{"v": 1}', alice_session)
         coordination.put("a", b'{"v": 2}', alice_session)
         coordination.set_entry_acl("a", "bob", Permission.READ_WRITE, alice_session)
-        moved = coordination.move("a", "b", {"v": 3}, bob_session, expected_version=3)
+        moved = _move(coordination, "a", "b", {"v": 3}, bob_session)
         assert (moved.key, moved.value, moved.version, moved.acl.owner) == (
             "b", b'{"v": 3}', 4, "alice")
         with pytest.raises(TupleNotFoundError):
@@ -128,20 +133,18 @@ class TestMove:
         with pytest.raises(ConflictError):
             coordination.set_entry_acl("b", "bob", Permission.NONE, bob_session)
 
-    def test_move_is_conditional_on_both_keys(self, coordination, alice):
+    def test_move_is_conditional_on_its_target(self, coordination, alice):
         session = coordination.open_session(alice)
         coordination.put("a", b"1", session)
         coordination.put("e", b"1", session)
         with pytest.raises(ConflictError):
-            coordination.move("a", "f", None, session, expected_version=7)
-        with pytest.raises(ConflictError):
-            coordination.move("a", "e", None, session)  # target must be absent
+            _move(coordination, "a", "e", None, session)  # target must be absent
         with pytest.raises(TupleNotFoundError):
-            coordination.move("gone", "f", None, session)
+            _move(coordination, "gone", "f", None, session)
         assert coordination.list_prefix("", session) == ["a", "e"]
         # Replacing a known target: the version passes both keys' histories.
         coordination.put("e", b"2", session)
-        assert coordination.move("a", "e", None, session, target_version=2).version == 3
+        assert _move(coordination, "a", "e", None, session, target_version=2).version == 3
 
     def test_insert_if_absent(self, coordination, alice):
         session = coordination.open_session(alice)
@@ -308,8 +311,8 @@ class TestARefusedVersionCheckSaysWhatIsThere:
             lambda: coordination.put("k", b"x", session, expected_version=0),
             lambda: coordination.put("k", b"x", session, expected_version=1),
             lambda: coordination.multi([Put("other", b"x"), Put("k", b"x", 0), Lock("l")], session),
-            lambda: coordination.move("other", "k", None, session),
-            lambda: coordination.move("other", "k", None, session, target_version=7),
+            lambda: _move(coordination, "other", "k", None, session),
+            lambda: _move(coordination, "other", "k", None, session, target_version=7),
         ):
             with pytest.raises(ConflictError) as refusal:
                 refused()
@@ -348,7 +351,7 @@ class TestARefusedVersionCheckSaysWhatIsThere:
             with pytest.raises(ConflictError):
                 coordination.multi([Put("k", b"x", 0), Lock("l")], caller)
             with pytest.raises(ConflictError):
-                coordination.move("other", "k", None, caller)
+                _move(coordination, "other", "k", None, caller)
         assert _replica_states(coordination) == before
 
     @pytest.mark.parametrize("parent_cached", [True, False])

@@ -145,6 +145,25 @@ def test_an_unlinked_handle_hides_no_file_re_created_at_its_path(name):
     assert fs.read_file("/b") == b"New"
 
 
+@pytest.mark.parametrize("name", ("S3FS", "S3QL"))
+def test_a_single_store_baseline_writes_an_unlinked_handle_back_by_its_path(name):
+    """A modelled quirk of the real tools: the close of a dirty handle writes
+    its bytes to its path, after an unlink too — the name comes back, and a
+    file re-created there is overwritten."""
+    target = build_target(name, seed=48)
+    fs = target.fs
+    for path, recreate in (("/b", False), ("/c", True)):
+        handle = fs.open(path, "w")
+        fs.write(handle, b"hello")
+        fs.unlink(path)
+        assert not fs.exists(path)
+        if recreate:
+            fs.write_file(path, b"new")
+        fs.close(handle)
+        target.drain(3.0)
+        assert fs.read_file(path) == b"hello"
+
+
 @pytest.mark.parametrize("name", MOUNTS + ("SCFS-CoC-NB", "SCFS-AWS-NB"))
 def test_an_unlinked_handle_reads_and_changes_its_own_bytes(name):
     target = build_target(name, seed=49)

@@ -14,10 +14,12 @@ from repro.coordination.entries import Holder
 from repro.coordination.replication import ReplicatedStateMachine
 from repro.core.deployment import SCFSDeployment
 from repro.scenarios.invariants import (
+    check_all,
     check_commit_ordering,
     check_consistency_on_close,
     check_durability,
     check_mutual_exclusion,
+    check_namespace_tree,
     check_unexpected_errors,
 )
 from repro.scenarios import __main__ as scenarios_main
@@ -329,6 +331,29 @@ class TestCheckersCatchViolations:
                     del cloud._objects[key]
         found = check_durability(recorder, deployment)
         assert found and found[0].invariant == "durability"
+
+    @pytest.mark.parametrize("variant", ["SCFS-CoC-B", "SCFS-AWS-NB"])
+    def test_the_namespace_tree_names_an_orphan_and_nothing_below_it(self, variant):
+        """A raw ``Delete`` of a directory entry leaves what an ``rmdir`` that
+        only looked at what its caller may read left: live entries without
+        their parent.  The checker names the topmost one alone."""
+        deployment = SCFSDeployment.for_variant(variant, seed=5, private_name_spaces=True)
+        alice, bob = deployment.create_agent("alice"), deployment.create_agent("bob")
+        alice.mkdir("/d", shared=True)
+        alice.setfacl("/d", "bob", Permission.READ_WRITE)
+        bob.mkdir("/d/sub", shared=True)
+        bob.write_file("/d/sub/x", b"bob's", shared=True)
+        alice.mkdir("/private")  # a shared file in its owner's PNS directory is no orphan
+        alice.write_file("/private/f", b"shared", shared=True)
+        alice.write_file("/gone", b"x", shared=True)
+        alice.unlink("/gone")  # a tombstone needs no parent
+        deployment.drain(2.0)
+        assert check_namespace_tree(deployment) == []
+        deployment.coordination.delete("meta:/d", alice.session)
+        found = check_namespace_tree(deployment)
+        assert [(v.invariant, v.message.split()[3]) for v in found] == [
+            ("namespace-tree", "/d/sub")]
+        assert check_all(TraceRecorder(), deployment) == found
 
 
 # ---------------------------------------------------------------------------

@@ -444,10 +444,9 @@ class TestRenameTree:
         assert alice.locks.held == {}
         assert alice.read_file("/shared/dir/f1") == b"one"
 
-    def test_a_rename_tree_that_failed_half_way_is_aborted_where_it_stopped(self, shared):
-        """The directory moved, then a descendant's target was taken: the
-        attempt is aborted with the directory moved and no lock held (a
-        ``rename_tree`` that is one command would leave no half-way state)."""
+    def test_a_rename_tree_whose_descendant_target_is_taken_moves_nothing(self, shared):
+        """A descendant's target holds a live entry: the one command is
+        refused (EEXIST), the attempt is aborted, and nothing has moved."""
         _, alice, _ = shared
         alice.mkdir("/shared/dir", shared=True)
         alice.write_file("/shared/dir/f1", b"one", shared=True)
@@ -462,7 +461,7 @@ class TestRenameTree:
             alice.rename_tree("/shared/dir", "/shared/moved")
         [abort] = [fields for kind, fields in events if kind == "txn_abort"]
         assert "rename failed" in abort["reason"]
-        assert alice.exists("/shared/moved") and not alice.exists("/shared/dir")
+        assert not alice.exists("/shared/moved") and alice.read_file("/shared/dir/f1") == b"one"
         assert agent.locks.held == {}
 
     def test_rename_tree_falls_back_without_coordination(self):
