@@ -253,7 +253,8 @@ def test_write_pipeline_throughput(run_once, capsys):
     Measures the full Figure 6 write pipeline (key generation, in-place
     encryption, stripewise erasure coding, incremental per-cloud digests,
     quorum dispatch) on an in-memory cloud-of-clouds with latency charging
-    disabled, so wall-clock time is pure pipeline cost.  The acceptance gate
+    disabled, so wall-clock time is pure pipeline cost.  The write is
+    numbered as SCFS numbers a close (``write_numbered``): no head read.  The acceptance gate
     is that the *plain* (DepSky-A) write stays within 2x of bare
     ``ErasureCoder.encode`` — everything the write adds on top of coding
     (framing, digests, blob assembly, dispatch) must cost less than the
@@ -275,7 +276,7 @@ def test_write_pipeline_throughput(run_once, capsys):
             sim = Simulation(seed=7)
             clouds = make_cloud_of_clouds(sim)
             c = DepSkyClient(sim, clouds, Principal("alice"), encrypt=encrypt)
-            c.write("warm", b"w" * 1024)  # warm caches / code paths
+            c.write_numbered([("warm", b"w" * 1024, 1)])  # warm caches / code paths
             return c
 
         # Machine-load drift between separate best-of loops dwarfs the
@@ -291,11 +292,11 @@ def test_write_pipeline_throughput(run_once, capsys):
             encode_s = time.perf_counter() - start
             plain = client(encrypt=False)
             start = time.perf_counter()
-            plain.write("unit", data)
+            plain.write_numbered([("unit", data, 1)])
             plain_s = time.perf_counter() - start
             encrypted = client(encrypt=True)
             start = time.perf_counter()
-            encrypted.write("unit", data)
+            encrypted.write_numbered([("unit", data, 1)])
             encrypted_s = time.perf_counter() - start
             rounds.append((encode_s, plain_s, encrypted_s))
         return rounds

@@ -12,6 +12,13 @@ with the preferred-quorum hit rates:
                         failure): it still answers, so without hedging every
                         read waits for the straggler.
 
+Reads and writes take SCFS's path: a write is numbered by its caller
+(``write_numbered``, as the consistency anchor numbers a close) and a read
+fetches the anchored version (``read_matching`` of its record), so neither
+reads the heads first.  The weighted-quorum frontier sweep keeps the head
+read (``write``/``read_latest``): which clouds its planner asks for the head
+is part of what it measures.
+
 Policies: plain staged dispatch, a per-request timeout with one retry, and
 hedged fallback dispatch.  The assertions pin the behaviours the dispatch
 engine exists to model:
@@ -97,7 +104,7 @@ def _run_scenario(schedule: str, policy: DispatchPolicyConfig, seed: int = 11) -
     # Populate the data units while healthy, then let them propagate and
     # activate the fault schedule for the measured phase.
     payload = bytes((i * 73) % 256 for i in range(PAYLOAD))
-    client.write("unit-read", payload)
+    [record] = client.write_numbered([("unit-read", payload, 1)])
     sim.advance(3.0)
     # The client's first preferred cloud holds systematic block 0.
     _apply_schedule(client.clouds, schedule, start=sim.now())
@@ -107,7 +114,7 @@ def _run_scenario(schedule: str, policy: DispatchPolicyConfig, seed: int = 11) -
     hedged_requests = 0
     for _ in range(READS):
         start = sim.now()
-        result = client.read_latest("unit-read")
+        result = client.read_matching("unit-read", record.data_digest, record)
         read_latencies.append(sim.now() - start)
         paths[result.path] += 1
         if result.stats is not None:
@@ -115,7 +122,7 @@ def _run_scenario(schedule: str, policy: DispatchPolicyConfig, seed: int = 11) -
     write_latencies = []
     for index in range(WRITES):
         start = sim.now()
-        client.write(f"unit-write-{index}", payload)
+        client.write_numbered([(f"unit-write-{index}", payload, 1)])
         write_latencies.append(sim.now() - start)
         sim.advance(0.5)
 
@@ -228,7 +235,7 @@ def _run_outage_scenario(kind: str, suspicion: bool, seed: int = 13) -> dict:
     client = DepSkyClient(sim, clouds, Principal("bench-user"), f=1, policy=policy)
 
     payload = bytes((i * 73) % 256 for i in range(PAYLOAD))
-    client.write("unit-outage", payload)
+    [record] = client.write_numbered([("unit-outage", payload, 1)])
     sim.advance(3.0)
     outage_start = sim.now()
     down = client.clouds[0]  # the first preferred cloud: systematic block 0
@@ -247,7 +254,7 @@ def _run_outage_scenario(kind: str, suspicion: bool, seed: int = 13) -> dict:
     while sim.now() < outage_end + RECOVERY_SECONDS:
         in_outage = sim.now() < outage_end
         start = sim.now()
-        result = client.read_latest("unit-outage")
+        result = client.read_matching("unit-outage", record.data_digest, record)
         elapsed = sim.now() - start
         if in_outage:
             outage_reads.append(elapsed)

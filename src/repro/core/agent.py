@@ -296,7 +296,7 @@ class SCFSAgent(FileSystem):
             # Lock shared files opened for writing; failure surfaces as an error
             # (write-write conflicts are prevented rather than merged, §2.5.1).
             if wants_write and not private and self.locks.enabled and lock is None:
-                meta, lock = self._lock_and_revalidate(path, meta, reread=pending is None)
+                meta, lock = self._lock(path, meta)
             buffer, dirty, served = self._load(meta, flags, created)
         except Exception:
             # The handle never materialises, so no close() could ever release
@@ -346,9 +346,9 @@ class SCFSAgent(FileSystem):
         the *latest anchored* metadata — the cache may lag a concurrent close
         by up to its expiration and the write lock alone does not refresh it —
         but that authoritative read rides with the lock, so it is not paid
-        twice.  A write-open whose lock can ride (:meth:`_lock_rides`) sends
-        its look with it, ``[LockFile, Get]``: the replicas take the lock of
-        the file the entry names, whatever the cache said.
+        twice.  A write-open that may meet a shared file sends its look with
+        its lock, ``[LockFile, Get]``: the replicas take the lock of the file
+        the entry names, whatever the cache said, and none this session holds.
 
         The new file is made here when nothing held here says the file exists
         and its parent is known *here* to be a live directory (asking for it
@@ -371,7 +371,8 @@ class SCFSAgent(FileSystem):
             fresh = self._new_file(path)
         if self._inserts_first(fresh, shared):
             return meta, fresh, None
-        if wants_write and self.locks.enabled and self._lock_rides(path, meta):
+        if wants_write and self.locks.enabled and (
+                self.metadata.may_be_shared(path) if meta is None else self._lockable(meta)):
             meta, lock = self._lock_with_look(path)
             return meta, fresh, lock
         if meta is None:
@@ -410,17 +411,6 @@ class SCFSAgent(FileSystem):
             return exc.found, False, None
         return meta, True, None
 
-    def _lock_rides(self, path: str, meta: FileMetadata | None) -> bool:
-        """True when a write-open of ``path`` sends its lock with its look (a ``LockFile``).
-
-        So it does when nothing held here says what is there, or when a live
-        shared file the caller may write is, whose lock is not held here.  A
-        lock held here already is taken by name (:meth:`_lock_and_revalidate`).
-        """
-        if meta is None:
-            return self.metadata.may_be_shared(path)
-        return self._lockable(meta) and self.locks.lock_name(meta) not in self.locks.held
-
     def _lock_with_look(self, path: str) -> tuple[FileMetadata | None, FileLock | None]:
         """``[LockFile, Get]`` of ``path``, one command: what its entry holds, and the lock taken.
 
@@ -428,8 +418,8 @@ class SCFSAgent(FileSystem):
         write-open racing an unlink and re-create locks the file it reads.
         They take nothing for an absent, deleted or directory path, nor for
         one the caller may not write: the open then raises with no lock held.
-        A live file whose lock the command did not take — held here already —
-        is locked by name.
+        A live file the caller may write whose lock they did not take is one
+        this session holds: its hold is a count (:meth:`LockService.hold`).
         """
         found: list[FileMetadata | None] = []
 
@@ -448,45 +438,22 @@ class SCFSAgent(FileSystem):
             return meta, FileLock(self.locks, meta)
         if meta is None or not self._lockable(meta):
             return meta, None
-        return self._lock_and_revalidate(path, meta, reread=False)
+        return meta, self.locks.hold(meta)
 
     def _lockable(self, meta: FileMetadata) -> bool:
         """True when ``meta`` is a live shared file the caller may open for writing."""
         return (not meta.deleted and meta.is_file and not self.metadata.is_private(meta)
                 and meta.allows(self.principal.name, Permission.WRITE))
 
-    def _lock_and_revalidate(self, path: str, meta: FileMetadata,
-                             reread: bool = True) -> tuple[FileMetadata, FileLock]:
-        """Write-lock the shared file ``meta`` by its lock's name, re-reading its entry under the lock.
+    def _lock(self, path: str, meta: FileMetadata) -> tuple[FileMetadata, FileLock]:
+        """Write-lock the shared file ``meta`` at ``path``: ``(what the open writes on, the lock)``.
 
-        One coordination command, ``[Lock, Get]``: the lock rides with the
-        re-read it guards.  The snapshot that decided the open may be stale — the previous holder's in-flight
-        commit may land while the lock is taken — and writing on top of it
-        would fork the version history (a lost update despite mutual
-        exclusion).  The lock is the serialization point, so the anchored
-        entry is read by the command that grants it.  A re-entrant hold sends
-        the re-read alone, and nothing when ``meta`` is not stale (``reread``
-        off): this open's own read, or this agent's in-flight close.
+        A lock held here already (this agent's in-flight close's, say) is
+        re-entered with a count and no command, and ``meta`` stays.
+        Otherwise the lock rides with the look that re-reads the entry.
         """
-        found: dict[str, tuple[FileMetadata, int] | None] = {}
-
-        def look(steps: Sequence[Op]) -> None:
-            if steps or reread:
-                found.update(self.metadata.lookup_many_versioned([path], also=steps))
-
-        try:
-            lock = self.locks.hold(meta, look)
-        except LockHeldError:
-            self.stats.lock_conflicts += 1
-            raise
-        latest = found.get(path)
-        if latest is None or latest[0].deleted:
-            return meta, lock
-        if latest[0].file_id == meta.file_id:
-            return latest[0], lock
-        # The path was deleted and re-created while this open was in flight:
-        # the lock taken above guards the old incarnation's id.
-        lock.release()
+        if self.locks.lock_name(meta) in self.locks.held:
+            return meta, self.locks.hold(meta)
         current, lock = self._lock_with_look(path)
         if lock is None:
             self._refuse_open(path, current, wants_write=True)

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import Callable, NamedTuple, Sequence, cast
 
-from repro.common.errors import LockHeldError
+from repro.common.errors import LockHeldError, PermissionDeniedError
 from repro.coordination.adapters import DepSpaceCoordination
 from repro.coordination.base import Lock, LockFile, Op, Session, Unlock, file_lock
 from repro.core.metadata import FileMetadata
@@ -100,7 +100,15 @@ class LockService:
         self.release_set([metadata])
 
     def hold(self, metadata: FileMetadata, send: Carrier | None = None) -> FileLock:
-        """:meth:`acquire` ``metadata``'s lock, handed out as the :class:`FileLock` its owner releases."""
+        """:meth:`acquire` ``metadata``'s lock, handed out as the :class:`FileLock` its owner releases.
+
+        Without ``send`` the hold is a count of a lock held here already and
+        sends nothing; a name not held raises ``PermissionDeniedError``.  A
+        write-open's lock rides in the command that reads or inserts its
+        entry, never in a bare ``Lock``.
+        """
+        if send is None and self.lock_name(metadata) not in self.held:
+            raise PermissionDeniedError(f"the write lock of {metadata.path} is not held here")
         self.acquire(metadata, send)
         return FileLock(self, metadata)
 

@@ -23,6 +23,10 @@ landing inside it), accepted or refused, with and without a re-entrant hold:
 no lock is gained or lost, ``held`` agrees with ``lock_holder`` and the
 ``on_transition`` history, and no ``Get`` executes before its ``Lock`` is
 granted.
+
+A write-open never sends a bare ``Lock``: ``LockService.hold`` without a
+riding command counts a lock held already and refuses, sending nothing, one
+that is not.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ import functools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.common.errors import ConflictError, LockHeldError
+from repro.common.errors import ConflictError, LockHeldError, PermissionDeniedError
 from repro.common.types import Permission, Principal
 from repro.coordination.adapters import DepSpaceCoordination
 from repro.coordination.base import Get, Move, Put, Unlock
@@ -238,3 +242,24 @@ def test_riding_command_keeps_every_count_with_the_service(case):
 
 def _reread(service, session, paths, steps) -> None:
     service.multi([*steps, *(Get(MetadataService.entry_key(path)) for path in paths)], session)
+
+
+def test_a_hold_without_a_riding_command_counts_a_held_lock_and_never_sends_a_bare_lock():
+    """A write-open's lock rides in its look or its insert: ``hold(meta)`` alone only counts."""
+    sim = Simulation(seed=5)
+    service = DepSpaceCoordination(sim, f=0)
+    alice = service.open_session(Principal(name="alice", canonical_ids=()))
+    locks = LockService(sim, service, alice)
+    transitions: list[tuple[str, str]] = []
+    locks.on_transition = lambda kind, name: transitions.append((kind, name))
+    recorder = _Recorder(service)
+    with pytest.raises(PermissionDeniedError):
+        locks.hold(_meta("f0"))
+    assert recorder.applied == [] and locks.held == {} and transitions == []
+    assert lock_holder(service, _lock("f0")) is None
+
+    locks.acquire(_meta("f0"))
+    lock = locks.hold(_meta("f0"))
+    assert recorder.applied == [{"Lock"}] and locks.held == {_lock("f0"): 2}
+    lock.release()
+    assert recorder.applied == [{"Lock"}] and lock_holder(service, _lock("f0")) == alice.session_id

@@ -12,7 +12,7 @@ user.  An unmount is one command: the session's close, which returns every
 lock the session holds.
 
 A lock rides in the metadata command it guards: the insert of a create-open,
-the re-read under the lock of a write-open of an existing file, the validation
+the look of a write-open of an existing file (``LockFile``), the validation
 snapshot of a transaction commit, so one command stands in front of a
 transaction's upload.  That is one command where there were two (three, for
 the commit).  Only the unlock of a dirty close stays a command of its own: it
@@ -162,7 +162,7 @@ def test_o_creat_open_of_an_existing_file_costs_what_a_write_open_does(mount):
 
     mount.cold()
     mount.fs.stat("/top")  # cold entry, warm parent: the refused insert is the first look,
-    assert mount.spent(opened) == parent_warm + unlock  # then {lock, re-read under it}
+    assert mount.spent(opened) == parent_warm + unlock  # then {lock the entry names, read}
     mount.cold()  # cold entry, cold parent: {lock of the file the entry names, read}
     assert mount.spent(opened) == parent_cold + unlock == write_open[0] + unlock
     mount.fs.stat("/top/f")  # warm entry: served by the cache, whatever the parent
@@ -254,7 +254,7 @@ def _write_open_budget(mount, path: str, costs: tuple[int, int, int]) -> None:
     assert mount.spent(mount.fs.close, handle) == unlock  # clean: the unlock alone
     mount.fs.stat(path)  # warm: the lock rides with the re-read, whatever the cache said
     assert mount.spent(opened) == warm
-    assert mount.spent(opened) == reentrant  # re-entrant hold: the re-read alone
+    assert mount.spent(opened) == reentrant  # held here: the replicas take nothing, a count
 
 
 def test_write_open_of_an_existing_shared_file_is_lock_and_revalidation(mount):
@@ -539,6 +539,62 @@ def test_a_write_open_racing_an_unlink_and_re_create_locks_the_current_file(moun
     assert transitions == [("lock", f"filelock:{current}")]
     assert lock_holder(mount.deployment.coordination, f"filelock:{current}") == \
         mount.fs.session.session_id
+
+
+def _sent(mount) -> list[list[str]]:
+    """Record the step types of every command the mount sends from now on."""
+    sent: list[list[str]] = []
+    multi = mount.fs.coordination.multi
+
+    def recording(ops, session):
+        sent.append([type(op).__name__ for op in ops])
+        return multi(ops, session)
+
+    mount.fs.coordination.multi = recording
+    return sent
+
+
+def test_a_write_open_over_a_file_re_created_under_an_open_handle_is_one_command(mount):
+    """One ``[LockFile, Get]``: the lock held here names the old file, the replicas lock the new one."""
+    bob = mount.deployment.create_agent("bob")
+    mount.fs.setfacl("/top", "bob", Permission.READ_WRITE)
+    mount.fs.write_file("/top/f", b"old", shared=True)
+    mount.fs.setfacl("/top/f", "bob", Permission.READ_WRITE)
+    first = mount.fs.open("/top/f", "r+")
+    old = mount.fs.stat("/top/f").file_id
+    bob.unlink("/top/f")
+    bob.write_file("/top/f", b"new", shared=True)
+    bob.setfacl("/top/f", "alice", Permission.READ_WRITE)
+    current = bob.stat("/top/f").file_id
+    mount.fs.write(first, b"mine")  # inside the cache window: it names the old file
+    assert mount.fs.metadata.lookup("/top/f", remote=False).file_id == old != current
+
+    sent = _sent(mount)
+    second = mount.fs.open("/top/f", "r+")
+    assert sent == [["LockFile", "Get"]]
+    assert mount.fs.read(second) == b"new"
+    assert sorted(mount.fs.locks.held) == sorted([f"filelock:{old}", f"filelock:{current}"])
+    assert lock_holder(mount.deployment.coordination, f"filelock:{current}") == \
+        mount.fs.session.session_id
+
+
+def test_a_second_write_open_of_a_file_held_open_re_reads_it_and_unlocks_once(mount):
+    """``[LockFile, Get]`` re-reads the entry; the replicas take nothing, the count goes up."""
+    mount.fs.write_file("/top/f", b"data", shared=True)
+    name = f"filelock:{mount.fs.stat('/top/f').file_id}"
+    transitions: list[tuple[str, str]] = []
+    mount.fs.locks.on_transition = lambda kind, lock: transitions.append((kind, lock))
+    first = mount.fs.open("/top/f", "r+")
+    sent = _sent(mount)
+    second = mount.fs.open("/top/f", "r+")
+    assert sent == [["LockFile", "Get"]] and mount.fs.locks.held == {name: 2}
+    mount.fs.close(first)
+    assert len(sent) == 1 and lock_holder(mount.deployment.coordination, name) == \
+        mount.fs.session.session_id
+    mount.fs.close(second)
+    assert sent[1:] == [["Unlock"]] and mount.fs.locks.held == {}
+    assert transitions == [("lock", name), ("unlock", name)]
+    assert lock_holder(mount.deployment.coordination, name) is None
 
 
 def test_conditional_puts_cost_one_command_each(mount):
