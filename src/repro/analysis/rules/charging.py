@@ -1,7 +1,7 @@
 """CHG rule: one cost-charging switch.
 
-``CHG001`` — who waits follows one rule: a layer charges its remote wait
-unless the caller runs it under ``Simulation.background()`` (as a DepSky
+``CHG001`` — who waits follows one rule: a layer charges its wait (remote,
+or a local cache's) unless the caller runs it under ``Simulation.background()`` (as a DepSky
 quorum call runs its per-cloud requests).  A per-object ``charge_latency``
 flag, set at construction or flipped and put back, is the second switch
 that rule replaced, so any binding of that name is flagged: a parameter, a

@@ -14,22 +14,27 @@ storage backend, implementing the call flows of Figure 4:
 * ``write``/``read`` — operate purely on the main-memory copy of the open file
   (durability level 0);
 * ``fsync`` — flush the open file to the local disk cache (level 1);
-* ``close`` — synchronise data and metadata: push the new version to the
-  cloud(s), anchor it with an ``Update`` of the tuple's data fields in the
-  coordination service (or the PNS) — others' grants and tombstones stay, and
-  a path that no longer holds the file refuses — and release the write lock.
-  In the *blocking* mode all of this happens before ``close`` returns; in the
-  *non-blocking* mode the three steps happen in the background, in that
-  order, so mutual exclusion and consistency-on-close are preserved; in the
-  *non-sharing* mode there is no coordination service at all and both data
-  and PNS updates are pushed in the background.
+* ``close`` — synchronise data and metadata: keep the new version in the
+  local caches, push it to the cloud(s), anchor it with an ``Update`` of the
+  tuple's data fields in the coordination service (or the PNS) — others'
+  grants and tombstones stay, and a path that no longer holds the file
+  refuses — and release the write lock.  In the *blocking* mode all of this
+  happens before ``close`` returns, the disk copy beside the upload; in the
+  *non-blocking* mode ``close`` waits for the disk copy only and the other
+  three steps happen in the background, in that order, so mutual exclusion
+  and consistency-on-close are preserved; in the *non-sharing* mode there is
+  no coordination service at all and both data and PNS updates are pushed in
+  the background.
 
 The agent is the mount: a :class:`~repro.core.filesystem.FileSystem`, which
 applications, workloads and the scenario engine call directly.
 
 The agent charges a small FUSE-crossing overhead per call plus the latency of
-whatever storage layers the call actually touches, so that simulated latencies
-reproduce the shape of the paper's measurements.
+whatever storage layers the call actually waits for, so that simulated
+latencies reproduce the shape of the paper's measurements.  A local cache
+write waits only where it is the call's durability point (``fsync``, a
+non-blocking close); a cloud read's cache fill and the disk copy of a
+blocking close or a transaction commit run beside the transfer.
 """
 
 from __future__ import annotations
@@ -575,13 +580,17 @@ class SCFSAgent(FileSystem):
                    size=len(data), blocking=self.config.mode.blocks_on_close)
 
         # Step 1 (all modes): the updated data is copied to the local disk and
-        # kept in the local caches under its new version key.
-        self.storage.flush_to_disk(meta.file_id, digest, data)
-        self.storage.store_in_memory(meta.file_id, digest, data)
-
+        # kept in the memory cache under its new version key.  The disk copy
+        # is a non-blocking close's durability point (level 1), so it waits
+        # for it; a blocking close promises the clouds (level 3) and writes
+        # the copy beside its upload, returning when both are done.
         if self.config.mode is OperationMode.BLOCKING:
+            with self.sim.background():
+                kept_at = self.sim.now() + self.storage.keep_written(meta.file_id, digest, data)
             self._commit(of, background=False)
+            self.sim.advance_to(max(self.sim.now(), kept_at))
         else:
+            self.storage.keep_written(meta.file_id, digest, data)
             self._commit_background(of)
         self.gc.maybe_schedule()
 

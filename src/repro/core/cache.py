@@ -54,9 +54,11 @@ class _Cached:
 class LRUByteCache:
     """A capacity-bounded LRU cache of byte strings, one tagged entry per key.
 
-    ``latency`` models the cost of one access (memory vs disk); it is charged
-    to the simulated clock on every hit and store.  A value is stored by
-    reference, not copied, and charged at the size it had when stored.
+    ``latency`` models the cost of one access (memory vs disk); every hit and
+    store charges it to the simulated clock, unless the caller runs under
+    :meth:`~repro.simenv.environment.Simulation.background` (a cache fill
+    beside a transfer).  A value is stored by reference, not copied, and
+    charged at the size it had when stored.
     """
 
     def __init__(self, capacity_bytes: int, sim: Simulation,
@@ -74,8 +76,12 @@ class LRUByteCache:
 
     # -- internals -----------------------------------------------------------
 
-    def _charge(self, payload: int) -> None:
-        self.sim.advance(self.latency.sample(payload))
+    def _charge(self, payload: int) -> float:
+        """One access moving ``payload`` bytes: its latency, advanced unless in the background."""
+        latency = self.latency.sample(payload)
+        if not self.sim.in_background:
+            self.sim.advance(latency)
+        return latency
 
     # -- API -------------------------------------------------------------------
 
@@ -97,23 +103,25 @@ class LRUByteCache:
         entry = self._entries.get(key)
         return entry is not None and (tag is None or entry.tag == tag)
 
-    def put(self, key: str, value: bytes, tag: str = "") -> None:
-        """Store ``value`` under ``key``, replacing what ``key`` held.
+    def put(self, key: str, value: bytes, tag: str = "") -> float:
+        """Store ``value`` under ``key``, replacing what ``key`` held; returns
+        the access latency (charged unless in the background).
 
         Least recently used entries are dropped to make room.  Values larger
         than the whole cache are not stored (the paper's caches hold whole
         files; a file bigger than the memory cache simply stays on disk).
         """
         size = len(value)
-        self._charge(size)
+        latency = self._charge(size)
         self.remove(key)
         if size > self.capacity_bytes:
-            return
+            return latency
         while self._entries and self._used + size > self.capacity_bytes:
             _key, evicted = self._entries.popitem(last=False)
             self._used -= evicted.size
         self._entries[key] = _Cached(value, size, tag)
         self._used += size
+        return latency
 
     def remove(self, key: str, tag: str | None = None) -> None:
         """Drop the entry under ``key`` (only if it holds ``tag``, unless None);

@@ -14,10 +14,18 @@ traffic of a download.
 
 The caches keep **one version per file**: caching a version of a file (a
 cloud or disk read, a close, an fsync) drops the file's previous version from
-both caches, because the next read names the newer digest.  Only the garbage
-collector drops a named version (:meth:`StorageService.forget`).  Both caches
-are simulated: the disk cache's bytes live in RAM too, so a version kept for
-good would cost host memory for good.
+both caches, because the next read names the newer digest, and a cache that
+holds the version already is not written again.  Only the garbage collector
+drops a named version (:meth:`StorageService.forget`).  Both caches are
+simulated: the disk cache's bytes live in RAM too, so a version kept for good
+would cost host memory for good.
+
+A cache write waits only where it is the caller's durability point (an
+``fsync``, a non-blocking close: level 1).  Elsewhere it runs beside the
+transfer it rides with, as background work: a cloud read returns when its
+blocks verify, and a blocking close or a transaction commit returns once both
+its upload and its cache writes are done (a cache write returns its seconds,
+which the caller adds to the instant the writes began).
 """
 
 from __future__ import annotations
@@ -58,6 +66,8 @@ class StorageService:
         :func:`~repro.core.consistency.read_anchored`) because the anchored
         hash can be visible before the data has propagated in an eventually
         consistent cloud; ``locator`` is what the anchor holds beside the hash.
+        It returns when the blocks verify: the fill of both caches runs beside
+        the transfer, as background work.
         """
         if not digest:
             return b""
@@ -72,27 +82,40 @@ class StorageService:
         data = read_anchored(self.sim, self.backend, file_id, digest, locator,
                              on_poll=self.on_poll)
         self.cloud_reads += 1
-        self._keep(file_id, digest, data, self.disk, self.memory)
+        with self.sim.background():
+            self._keep(file_id, digest, data, self.disk, self.memory)
         return data
 
     # ------------------------------------------------------------------ writes
 
-    def _keep(self, file_id: str, digest: str, data: bytes, *caches: LRUByteCache) -> None:
+    def _keep(self, file_id: str, digest: str, data: bytes, *caches: LRUByteCache) -> float:
         """Cache version ``digest`` of ``file_id`` in ``caches`` (in that order),
-        dropping any other version of the file from both caches."""
+        dropping any other version of the file from both caches; returns the
+        seconds the writes take.  A cache holding the version already is not
+        written again (a close after an ``fsync`` of the same bytes)."""
         for cache in (self.memory, self.disk):
             if cache not in caches and not cache.contains(file_id, digest):
                 cache.remove(file_id)
-        for cache in caches:
-            cache.put(file_id, data, digest)
+        return sum(cache.put(file_id, data, digest) for cache in caches
+                   if not cache.contains(file_id, digest))
 
-    def store_in_memory(self, file_id: str, digest: str, data: bytes) -> None:
-        """Keep a closed version's data in the memory cache (level 0)."""
-        self._keep(file_id, digest, data, self.memory)
+    def store_in_memory(self, file_id: str, digest: str, data: bytes) -> float:
+        """Keep a closed version's data in the memory cache (level 0); returns its seconds."""
+        return self._keep(file_id, digest, data, self.memory)
 
-    def flush_to_disk(self, file_id: str, digest: str, data: bytes) -> None:
-        """Write a file's data to the local disk cache (fsync path, level 1)."""
-        self._keep(file_id, digest, data, self.disk)
+    def flush_to_disk(self, file_id: str, digest: str, data: bytes) -> float:
+        """Write a file's data to the local disk cache (level 1); returns its seconds."""
+        return self._keep(file_id, digest, data, self.disk)
+
+    def keep_written(self, file_id: str, digest: str, data: bytes) -> float:
+        """Keep a version this agent wrote on disk and in memory; returns their seconds.
+
+        Under :meth:`~repro.simenv.environment.Simulation.background` the
+        writes wait for nothing: a blocking close or a commit runs them
+        beside its upload and waits for whichever ends last.
+        """
+        return (self.flush_to_disk(file_id, digest, data)
+                + self.store_in_memory(file_id, digest, data))
 
     def push_many_to_cloud(self, items: Sequence[tuple[str, bytes, int]]) -> list[ObjectRef]:
         """Synchronously upload one new version of each file (levels 2/3).

@@ -129,16 +129,19 @@ class Simulation:
     def background(self) -> Iterator[None]:
         """Run the enclosed calls as background work.
 
-        Who waits follows one rule: a cloud store, a DepSky client and a
-        replicated coordination command charge their remote wait unless
-        :attr:`in_background`.  The agent's close-time work, garbage collection
-        and heartbeats (separate threads in the real agent) run in here, and
-        so do a DepSky quorum call's per-cloud requests: the call waits for
-        them in parallel and charges that one wait itself.  The block changes
-        no RNG draw: a store and a DepSky client sample every request's latency
-        and discard it, a coordination command does not sample at all.
-        Re-entrant.  A deferred task that comes due inside the block is
-        somebody else's work and runs in the foreground.
+        Who waits follows one rule, with no exception: a cloud store, a DepSky
+        client, a replicated coordination command and a local cache charge
+        their wait unless :attr:`in_background`.  The agent's close-time
+        work, garbage collection and heartbeats (separate threads in the real
+        agent) run in here, and so do a DepSky quorum call's per-cloud
+        requests (the call waits for them in parallel and charges that one
+        wait itself) and a cache fill beside a transfer (a cloud read's; a
+        blocking close's or a commit's disk copy, which the caller waits for
+        with its upload).  The block changes no RNG draw: a store and a DepSky
+        client sample every request's latency and discard it, a coordination
+        command does not sample at all, a cache draws nothing.  Re-entrant.  A
+        deferred task that comes due inside the block is somebody else's work
+        and runs in the foreground.
         """
         self._background += 1
         try:

@@ -29,14 +29,16 @@ one atomic commit point on the one coordination service:
       one publish step (:meth:`~repro.core.agent.SCFSAgent._publish`), the
       one a close takes for its single file;
    f. release the lock set, and keep the written bytes in the local caches
-      under their new versions (the committer's next read of them is local);
+      under their new versions (the committer's next read of them is local),
+      a disk write that runs beside the upload of step d;
    g. return once the uploaded versions are expected to be readable
       (:meth:`~repro.core.backend.StorageBackend.estimate_readable_at` of the
-      locators the uploads minted): the clouds acknowledge a put before
-      readers see it, and a reader the caller tells about the commit would
-      otherwise sit out the rest of the propagation window itself.  That
-      instant runs from the block dispatch of step d, so steps e and f are
-      hidden under the wait: what a commit costs is the time *to* step d.
+      locators the uploads minted) and the cache writes are done: the clouds
+      acknowledge a put before readers see it, and a reader the caller tells
+      about the commit would otherwise sit out the rest of the propagation
+      window itself.  That instant runs from the block dispatch of step d, so
+      steps e and f are hidden under the wait: what a commit costs is the
+      time *to* step d.
 3. **Abort/retry** — any conflict (lock held, stale read, lost lease, CAS
    mismatch) raises :class:`~repro.common.errors.TransactionConflictError`;
    :meth:`TransactionManager.run` re-executes the whole transaction body with
@@ -324,6 +326,7 @@ class TransactionManager:
                 if not agent.locks.still_held(meta):
                     raise TransactionConflictError(
                         f"lock lease on {meta.path} expired during commit")
+            uploaded_from = agent.sim.now()
             readable_at = self._anchor_writes(txn, current, bases) if bases else 0.0
             txn.status = COMMITTED
             self._emit_commit(txn)
@@ -331,15 +334,17 @@ class TransactionManager:
             agent.locks.release_set(locked)
         # The committer keeps what it wrote (always write / avoid reading):
         # its next read of these versions is served locally, as after a close.
-        for path, file_id, _version, digest in txn._committed_writes:
-            agent.storage.flush_to_disk(file_id, digest, txn._writes[path])
-            agent.storage.store_in_memory(file_id, digest, txn._writes[path])
+        # The cache writes run beside the upload, done by ``kept_at``.
+        with agent.sim.background():
+            kept_at = uploaded_from + sum(
+                agent.storage.keep_written(file_id, digest, txn._writes[path])
+                for path, file_id, _version, digest in txn._committed_writes)
         # Commit returns once the new versions are expected to be readable,
         # not merely acknowledged: the clouds are eventually consistent, and a
         # reader the caller notifies inside the propagation window would sit
         # out the rest of it (Figure 3, step r2) — so "committed" means
         # "readable".  The locks are already back, so nobody else waits.
-        wait = readable_at - agent.sim.now()
+        wait = max(readable_at, kept_at) - agent.sim.now()
         if wait > 0:
             agent.sim.advance(wait)
 

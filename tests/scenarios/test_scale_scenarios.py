@@ -65,17 +65,20 @@ from repro.scenarios.runner import ScenarioRunner
 #: cold write-open sends its lock with its look, one command where it sent
 #: two, so every later draw shifts.  Epoch 19 moved ``txn-crash-restart``
 #: and ``txn-partition`` only: a commit attempt that fails after its locks
-#: no longer deletes an intent record, one command (and its draw) fewer.  See
-#: docs/determinism-contract.md.
+#: no longer deletes an intent record, one command (and its draw) fewer.
+#: Epoch 20 covers all eight mixes: a close after an ``fsync`` of the same
+#: bytes writes no second disk copy, and a cloud read, a blocking close and a
+#: commit write their caches beside the transfer, so every later timestamp
+#: moves.  See docs/determinism-contract.md.
 GOLDEN_LOCKSTEP = {
-    "fault-free": "700a6eeeb9b9064bd70ddfdd783ae1c881cd256019579142d71830e73e084e47",
-    "crash-hang": "c1200c046abea55d388d7bf8162aaf0ec29070eb992e981780f50accf99a31e4",
-    "corrupt-byzantine": "590b0d0418255f0c16c6216c2184002eba2c292a1da194caa5d668ca3e163e43",
-    "degraded-outage": "4f05bc107ef118503294ddfa28abe7d837144f83148c9451e93b9b61335ea308",
-    "weighted-byzantine": "e3dbdfc5e6a7659515812245ee03b3705d6b9885b72e5771d47053bf26e050ce",
-    "txn": "72d4661b95b92638543346d55fc28e95485601e3e86ea9e5fe5da49887dac172",
-    "txn-crash-restart": "bc40f03c98825b185fd741f0fe6579738bc541f8f71273eef22cc50645f870a2",
-    "txn-partition": "15fecf8ea6bb08f5d8a32d1ffb9eb49c31579bc6e22e34ff3b7a20277de6aa4b",
+    "fault-free": "29ecd9b339b036a00de3a6c600c30944d75736369f5f4313bfe07c808f07f024",
+    "crash-hang": "bf83586df8c8277c601753aabc294d97e256dce48819467ffc5756dad0ef05a8",
+    "corrupt-byzantine": "e671711a5c1407e38b9f6b734d041efdb9e2dc8d7195eb192420d5734d3171d3",
+    "degraded-outage": "fdd9261f4fe2df79ab9255dac25e44508b5bc1f9547094491c3f24cb588908e0",
+    "weighted-byzantine": "6c5a0dda179bcef880813ae66d98db87d2a16e7301c4cd19c7ac062325d697f6",
+    "txn": "1665eb377f2ac044b41022fe9ec17a4bd6730bdce48357ec010a9fd8f71ae5f6",
+    "txn-crash-restart": "e3ae646979f7afb883839cb2f8e34727c88abbc39be0f4add25aad0e7837b4ee",
+    "txn-partition": "1f3a399a02772981b6566e3257c2b95fb1de9d93346320c392c7301643fd8e73",
 }
 
 
@@ -98,9 +101,10 @@ def _scale_spec(**overrides) -> ScenarioSpec:
 #: its file ids also came to name their entry's partition, in epochs 12 and 15
 #: (pool priming installs the binary head) and 18 (its cold write-opens), and
 #: in epoch 19, where one coordination service replaced its two partitions
-#: (the run a 1-partition spec made before); an epoch bump re-pins it
+#: (the run a 1-partition spec made before), and in epoch 20 (its cloud
+#: reads no longer wait for their cache fill); an epoch bump re-pins it
 #: together with the eight above.
-GOLDEN_POOLED = "2cbdedf8ba8348e0e4f27e1040d56cbde39f0df6a26a3f47533dc9a254ea83d2"
+GOLDEN_POOLED = "854b9f1c8501bafda431c3f0bb2712fe12084cf4e08bbaeb8cfe895b8f770b93"
 
 
 def test_pooled_fingerprint_is_pinned() -> None:

@@ -27,7 +27,7 @@ from repro.core.modes import OperationMode
 from repro.scenarios.invariants import check_all, check_namespace_tree
 from repro.scenarios.trace import TraceRecorder
 from repro.simenv.failures import FaultKind
-from repro.simenv.latency import LatencyModel
+from repro.simenv.latency import DISK_LATENCY, FUSE_OVERHEAD, MEMORY_LATENCY, LatencyModel
 
 from conftest import expire_metadata
 
@@ -326,6 +326,77 @@ class TestDurabilityAndModes:
         deployment.sim.advance(deployment.clouds[0].profile.propagation_delay)
         assert fresh.read_file("/f.txt") == b"y" * 10_000
         assert fresh.storage.cloud_reads == 1
+
+    def test_a_blocking_close_writes_its_disk_copy_beside_its_upload(self, monkeypatch):
+        # Level 3 is the promise, so the disk copy costs the close nothing:
+        # max(disk copy, upload) + Update + Unlock.
+        deployment = SCFSDeployment.for_variant("SCFS-CoC-B", seed=11)
+        sim, fs = deployment.sim, deployment.create_agent("alice")
+        fs.write_file("/f", b"before", shared=True)
+        deployment.drain(3.0)
+        data = b"d" * (4 << 20)
+        handle = fs.open("/f", "w")
+        fs.write(handle, data)
+        uploads, commands = [], []
+        fs.backend.client.on_quorum = lambda _op, _unit, stats: uploads.append(stats.charged)
+        invoke = deployment.coordination.rsm.invoke
+
+        def timed(*args, **kwargs):
+            before = sim.now()
+            try:
+                return invoke(*args, **kwargs)
+            finally:
+                commands.append(sim.now() - before)
+
+        monkeypatch.setattr(deployment.coordination.rsm, "invoke", timed)
+        started = sim.now()
+        fs.close(handle)
+        disk = DISK_LATENCY.sample(len(data))
+        assert len(uploads) == 2 and len(commands) == 2  # two put phases; Update, Unlock
+        assert disk < sum(uploads)
+        assert sim.now() - started == pytest.approx(
+            FUSE_OVERHEAD.sample() + max(disk, sum(uploads)) + sum(commands), abs=1e-9)
+        assert fs.disk_cache.contains(fs.stat("/f").file_id)
+
+    def test_a_blocking_close_returns_no_sooner_than_its_disk_copy(self):
+        deployment = SCFSDeployment.for_variant("SCFS-CoC-B", seed=11)
+        sim, fs = deployment.sim, deployment.create_agent("alice")
+        fs.disk_cache.latency = LatencyModel(base=30.0)  # a disk slower than the upload
+        handle = fs.open("/f", "w")
+        fs.write(handle, b"d" * 4096)
+        started = sim.now()
+        fs.close(handle)
+        assert sim.now() - started == pytest.approx(
+            FUSE_OVERHEAD.sample() + 30.0 + MEMORY_LATENCY.sample(4096), abs=1e-9)
+        assert fs.stat("/f").locator  # the commit landed inside the disk write
+
+    def test_a_non_blocking_close_waits_for_its_disk_copy(self, coc_nb):
+        # Level 1 is the promise: the disk copy is what the close waits for.
+        deployment, fs = coc_nb
+        data = b"d" * (4 << 20)
+        handle = fs.open("/f", "w")
+        fs.write(handle, data)
+        started = deployment.sim.now()
+        fs.close(handle)
+        assert deployment.sim.now() - started == pytest.approx(
+            FUSE_OVERHEAD.sample() + DISK_LATENCY.sample(len(data))
+            + MEMORY_LATENCY.sample(len(data)), abs=1e-12)
+
+    def test_a_close_after_an_fsync_of_the_same_bytes_writes_the_disk_once(
+            self, coc_nb, monkeypatch):
+        deployment, fs = coc_nb
+        writes = []
+        put = fs.disk_cache.put
+        monkeypatch.setattr(fs.disk_cache, "put",
+                            lambda *args: writes.append(args[0]) or put(*args))
+        handle = fs.open("/f", "w")
+        fs.write(handle, b"d" * (4 << 20))
+        fs.fsync(handle)
+        started = deployment.sim.now()
+        fs.close(handle)
+        assert len(writes) == 1
+        assert deployment.sim.now() - started == pytest.approx(
+            FUSE_OVERHEAD.sample() + MEMORY_LATENCY.sample(4 << 20), abs=1e-12)
 
     def test_non_blocking_close_returns_at_level1(self, coc_nb):
         # Level 1: when the close returns, the version is on the local disk

@@ -115,6 +115,22 @@ def test_cold_read_of_a_pool_primed_file_is_the_same(cloud_meter):
     assert_one_block_fetch(meter)
 
 
+def test_a_cold_read_costs_its_wait_for_readability_and_its_block_fetch(shared):
+    # No disk term: the caches fill beside the transfer, and are full after it.
+    deployment, alice, bob, _meter = shared
+    data = bytes(range(256)) * 4096  # 1 MiB: a disk write of about 11 ms
+    alice.write_file("/f", data)
+    meta = bob.stat("/f")
+    fetches = []
+    bob.backend.client.on_quorum = lambda _op, _unit, stats: fetches.append(stats.charged)
+    readable_at = max(deployment.sim.now(), bob.backend.estimate_readable_at(meta.locator))
+    assert bob.storage.read_version(meta.file_id, meta.digest, meta.locator) == data
+    [fetch] = fetches
+    assert deployment.sim.now() == pytest.approx(readable_at + fetch, abs=1e-9)
+    assert bob.disk_cache.contains(meta.file_id, meta.digest)
+    assert bob.memory_cache.contains(meta.file_id, meta.digest)
+
+
 # ---------------------------------------------------------- the propagation window
 
 

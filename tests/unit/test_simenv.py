@@ -2,12 +2,14 @@
 
 import contextlib
 import functools
+import random
 
 import pytest
 
 from repro.clouds.providers import make_cloud_of_clouds, make_provider
 from repro.common.types import Principal
 from repro.coordination.adapters import DepSpaceCoordination
+from repro.core.cache import make_disk_cache, make_memory_cache
 from repro.depsky.protocol import DepSkyClient
 from repro.simenv.environment import Simulation
 from repro.simenv.failures import FailureSchedule, FaultKind
@@ -241,8 +243,83 @@ class TestSimulation:
         assert order == ["first", "second", "third"]
 
 
+def _rng_copy(sim: Simulation) -> random.Random:
+    """A generator that draws what ``sim.rng`` will draw next, leaving it alone."""
+    copy = random.Random()
+    copy.setstate(sim.rng.getstate())
+    return copy
+
+
+def _cache_access(make):
+    def build(sim):
+        cache = make(1 << 30, sim)
+
+        def access():  # a store, then a hit: two accesses of 64 KiB
+            cache.put("f", b"c" * 65536, "v1")
+            assert cache.get("f", "v1") is not None
+            return 2 * cache.latency.sample(65536)
+        return access
+    return build
+
+
+def _store_put(sim):
+    store = make_provider(sim, "amazon-s3", jitter=0.2)
+
+    def put():
+        sampled = store.profile.object_put.sample(4096, _rng_copy(sim))
+        store.put("key", b"x" * 4096, Principal("alice"))
+        return sampled
+    return put
+
+
+def _quorum_calls(sim):
+    client = DepSkyClient(sim, make_cloud_of_clouds(sim, jitter=0.2), Principal("alice"))
+    waits = []
+    client.on_quorum = lambda _op, _unit, stats: waits.append(stats.charged)
+
+    def write():  # the block-put call, then the head-put call
+        client.write_numbered([("unit", b"x" * 4096, 1)])
+        assert len(waits) == 2
+        return sum(waits)
+    return write
+
+
+def _coordination_command(sim):
+    service = DepSpaceCoordination(sim, f=1)
+    session = service.open_session(Principal("alice"))
+
+    def command():
+        sampled = service.rsm.latency.sample(0, _rng_copy(sim))
+        service.put("k", b"v", session)
+        return sampled
+    return command
+
+
+#: Each layer that charges the clock, built on a simulation: its request
+#: returns the latency the layer sampled for it.
+CHARGING_LAYERS = {
+    "memory cache": _cache_access(make_memory_cache),
+    "disk cache": _cache_access(make_disk_cache),
+    "cloud store": _store_put,
+    "DepSky quorum calls": _quorum_calls,
+    "coordination command": _coordination_command,
+}
+
+
+@pytest.mark.parametrize("layer", CHARGING_LAYERS)
+@pytest.mark.parametrize("background", [False, True], ids=["foreground", "background"])
+def test_every_layer_charges_its_sampled_latency_unless_in_the_background(layer, background):
+    sim = Simulation(seed=3)
+    request = CHARGING_LAYERS[layer](sim)
+    before = sim.now()
+    with sim.background() if background else contextlib.nullcontext():
+        sampled = request()
+    assert sampled > 0
+    assert sim.now() - before == (0.0 if background else pytest.approx(sampled, abs=1e-12))
+
+
 class TestBackground:
-    """``Simulation.background()``: the one switch the three charging layers obey."""
+    """``Simulation.background()``: the one switch every charging layer obeys."""
 
     @staticmethod
     def _coordination(sim):

@@ -22,6 +22,7 @@ from repro.core.deployment import SCFSDeployment
 from repro.core.metadata import DATA_FIELDS
 from repro.core.modes import BackendKind
 from repro.simenv.failures import FaultKind
+from repro.simenv.latency import MEMORY_LATENCY, LatencyModel
 from repro.transactions import ABORTED, COMMITTED
 
 from conftest import expire_metadata
@@ -331,6 +332,20 @@ class TestCommitterCache:
         # Another agent holds nothing of them: its read is the one block fetch.
         assert bob.read_file("/shared/a") == b"A4" * 2000
         assert len(meter.requests("get")) == 2 and meter.quorum_calls() == 1
+
+
+    def test_the_committers_disk_copy_runs_beside_its_upload(self, coc_shared):
+        # A commit returns once its versions are readable and its cache writes
+        # are done, both timed from the upload's dispatch.
+        deployment, alice, _bob = coc_shared
+        sim, data = deployment.sim, {"/shared/a": b"A" * 4096, "/shared/b": b"B" * 4096}
+        alice.disk_cache.latency = LatencyModel(base=30.0)  # a disk slower than propagation
+        dispatched = []
+        alice.backend.client.on_quorum = (
+            lambda op, _unit, _stats: dispatched.append(sim.now()) if op == "block_put" else None)
+        _write_set(alice, data)
+        assert sim.now() == pytest.approx(
+            dispatched[0] + 2 * (30.0 + MEMORY_LATENCY.sample(4096)), abs=1e-9)
 
 
 class TestRetrySnapshot:
