@@ -21,7 +21,9 @@ write pipeline against raw erasure encoding
 2x of the bare ``ErasureCoder.encode`` it is built around).
 
 Set ``CODING_BENCH_FAST=1`` (the CI bench-smoke mode) to trim the sweeps to
-the smallest configurations while keeping every assertion intact.
+the smallest configurations while keeping every assertion intact; fast mode
+records its metrics under ``fast_``-prefixed keys, as ``bench_scale.py``
+does, so CI gates a fast run against fast-mode numbers.
 """
 
 from __future__ import annotations
@@ -38,6 +40,9 @@ from repro.crypto import gf256
 from repro.crypto.erasure import CodedBlock, ErasureCoder
 
 FAST = os.environ.get("CODING_BENCH_FAST", "") == "1"
+#: Trajectory key prefix: fast mode measures other sizes, so its numbers are
+#: kept apart from full mode's and gated against fast-mode numbers only.
+PREFIX = "fast_" if FAST else ""
 
 #: (n, k) sweep; the first entry is the paper's default f=1 configuration.
 CONFIGS: tuple[tuple[int, int], ...] = ((4, 2), (6, 4)) if FAST else ((4, 2), (6, 4), (9, 6))
@@ -132,9 +137,9 @@ def test_coding_throughput_table(run_once, capsys):
     # Trajectory entry: the largest payload of the paper's (4, 2) config.
     headline = max((r for r in rows if r[0] == "(4,2)"), key=lambda r: r[1])
     record_bench("coding", {
-        "encode_mbps_4_2": round(headline[2], 1),
-        "decode_parity_mbps_4_2": round(headline[3], 1),
-        "decode_systematic_mbps_4_2": round(headline[4], 1),
+        f"{PREFIX}encode_mbps_4_2": round(headline[2], 1),
+        f"{PREFIX}decode_parity_mbps_4_2": round(headline[3], 1),
+        f"{PREFIX}decode_systematic_mbps_4_2": round(headline[4], 1),
     })
 
 
@@ -179,8 +184,8 @@ def test_vectorized_beats_scalar_reference(run_once, capsys):
     assert encode_speedup >= 10, f"vectorised encode only {encode_speedup:.1f}x over scalar"
     assert decode_speedup >= 10, f"vectorised decode only {decode_speedup:.1f}x over scalar"
     record_bench("coding", {
-        "encode_speedup_vs_scalar": round(encode_speedup, 1),
-        "decode_speedup_vs_scalar": round(decode_speedup, 1),
+        f"{PREFIX}encode_speedup_vs_scalar": round(encode_speedup, 1),
+        f"{PREFIX}decode_speedup_vs_scalar": round(decode_speedup, 1),
     })
 
 
@@ -242,8 +247,8 @@ def test_nibble_kernel_beats_row_gather(run_once, capsys):
             f"nibble-split kernel lost to row gather at {row[0]}: {row[3]:.2f}x"
     headline = next(r for r in rows if r[0] == "(4,2)")
     record_bench("coding", {
-        "encode_nibble_mbps": round(headline[1], 1),
-        "nibble_speedup_vs_gather": round(headline[3], 2),
+        f"{PREFIX}encode_nibble_mbps": round(headline[1], 1),
+        f"{PREFIX}nibble_speedup_vs_gather": round(headline[3], 2),
     })
 
 
@@ -322,6 +327,6 @@ def test_write_pipeline_throughput(run_once, capsys):
     assert encrypted_ratio <= 4.0, \
         f"encrypted write pipeline is {encrypted_ratio:.2f}x raw encode"
     record_bench("coding", {
-        "write_pipeline_mbps": round(_mbps(size, plain_s), 1),
-        "write_pipeline_ca_mbps": round(_mbps(size, encrypted_s), 1),
+        f"{PREFIX}write_pipeline_mbps": round(_mbps(size, plain_s), 1),
+        f"{PREFIX}write_pipeline_ca_mbps": round(_mbps(size, encrypted_s), 1),
     })

@@ -3,8 +3,8 @@
 The SCFS Agent integrates coordination services "with simple wrappers" (§3.2).
 :class:`DepSpaceCoordination` is that wrapper, and the one interface the
 agent programs against: it maps the operations the agent needs onto a
-replicated DepSpace (:class:`~repro.coordination.entries.EntryCommands` on
-each of 3f+1 Byzantine fault-tolerant replicas).
+replicated DepSpace (:class:`~repro.coordination.entries.EntryCommands`, the
+state its 3f+1 Byzantine fault-tolerant replicas agree on).
 
 Every intent is **one** replicated command, charging one coordination-service
 access of roughly 60–100 ms to the simulated clock (the figure the paper
@@ -196,4 +196,4 @@ class DepSpaceCoordination:
 
     def entry_count(self) -> int:
         """Number of entries currently stored (capacity planning, Figure 11a)."""
-        return self.rsm.reference_replica().entry_count()
+        return self.rsm.state.entry_count()

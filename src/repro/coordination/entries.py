@@ -21,8 +21,8 @@ nothing, in one command whatever its size.  What a client would otherwise
 fetch first, the replica works out from the stored entry: a ``Move`` merges
 its fields into the value it moves, and a ``LockFile`` takes the lock of the
 file the entry names.  Every check precedes every mutation, so a command that
-raises leaves the replica untouched and all correct replicas stay identical.
-A rule of the namespace tree refuses with its POSIX error (an ``rmdir``: all of them).
+raises leaves the state untouched.  A rule of the namespace tree refuses with
+its POSIX error (an ``rmdir``: all of them).
 
 A session is the pair of the principal that sent the command (``user``) and
 the session id it names: a lock, an unlock or a close acts on the caller's
@@ -31,7 +31,6 @@ own sessions only, whatever id it names.
 
 from __future__ import annotations
 
-import functools
 import json
 from typing import Any, ClassVar, Iterator, Mapping, NamedTuple, Sequence
 
@@ -89,12 +88,8 @@ def _entry(key: str, stored: Stored) -> Entry:
     return Entry(key=key, value=stored.value, version=stored.version, acl=stored.acl)
 
 
-@functools.lru_cache(maxsize=1024)
 def _merged(value: bytes, fields: str) -> tuple[Any, bytes | None]:
-    """``(file id, value with the JSON fields set)``; ``(None, None)`` for no JSON object.
-
-    Cached, as every replica merges alike.
-    """
+    """``(file id, value with the JSON fields set)``; ``(None, None)`` for no JSON object."""
     try:
         current = json.loads(value)
         merged = json.dumps({**current, **json.loads(fields)}, sort_keys=True).encode()
@@ -108,9 +103,8 @@ def with_fields(value: bytes, fields: Mapping[str, Any]) -> bytes | None:
     return _merged(value, json.dumps(fields, sort_keys=True))[1]
 
 
-@functools.lru_cache(maxsize=1024)
 def _shape(value: bytes) -> tuple[Any, bool, Any]:
-    """``(type, deleted, file_id)`` of the JSON object ``value``; cached, as every replica asks alike."""
+    """``(type, deleted, file_id)`` of the JSON object ``value``."""
     try:
         current = json.loads(value)
         return current.get("type"), current.get("deleted") is True, current.get("file_id")
@@ -150,7 +144,7 @@ def _refusal(key: str, stored: Stored | None, user: str, reason: str,
 
 
 class EntryCommands:
-    """The commands and state of a coordination replica.
+    """The commands and state of the coordination service: the one state its quorums agree on.
 
     ``user`` is the authenticated principal of the calling session and ``now``
     the time of the request (only lock lifetimes read it).  Entry versions

@@ -5,14 +5,13 @@ tolerate f Byzantine faults, and a command completes once 2f+1 of them answer
 (§3.2).  This module reproduces the *externally observable* behaviour of such
 a replicated service:
 
-* a deterministic DepSpace state machine
-  (:class:`~repro.coordination.entries.EntryCommands`) is instantiated once
-  per replica;
-* every command is applied to all *correct* replicas, keeping them in sync;
-* a command only succeeds while a quorum of replicas is available, otherwise
+* the replicated state is one deterministic DepSpace state machine
+  (:class:`~repro.coordination.entries.EntryCommands`), ``rsm.state``: the
+  correct replicas of a quorum agree on it, so the service stores one copy;
+* which replicas are faulty (crashed, Byzantine or cut off — alike to a
+  client, which gets no vote from them) decides liveness only: a command
+  applies once, and only while 2f+1 of the n replicas are up, otherwise
   :class:`~repro.common.errors.QuorumNotReachedError` is raised;
-* Byzantine replicas may return corrupted answers, which are voted out by the
-  reply quorum (we verify that enough correct replicas agree);
 * each invocation charges the client one coordination-access latency
   (60–100 ms in the paper, §4.2) to the simulated clock — unless it is
   background work (:meth:`Simulation.background`), which neither waits nor
@@ -24,7 +23,6 @@ substrate with the same failure and latency envelope that SCFS assumes.
 
 from __future__ import annotations
 
-import copy
 from typing import Any
 
 from repro.common.errors import QuorumNotReachedError
@@ -34,7 +32,7 @@ from repro.simenv.latency import LatencyModel
 
 
 class ReplicatedStateMachine:
-    """Replicates the DepSpace state machine across ``n = 3f+1`` simulated replicas.
+    """The DepSpace state machine as ``n = 3f+1`` simulated replicas serve it.
 
     Parameters
     ----------
@@ -53,70 +51,28 @@ class ReplicatedStateMachine:
         self.sim = sim
         self.f = f
         self.n = 3 * f + 1
-        self.replicas = [EntryCommands() for _ in range(self.n)]
+        self.state = EntryCommands()
         self.latency = latency or LatencyModel(base=0.080, jitter=0.2)
-        self._crashed: set[int] = set()
-        self._byzantine: set[int] = set()
-        self._partitioned: set[int] = set()
+        #: Indices of the replicas that answer no command.
+        self.faulty: set[int] = set()
         self.commands_executed = 0
 
     # -- fault injection ------------------------------------------------------
 
-    def crash_replica(self, index: int) -> None:
-        """Crash replica ``index`` (it stops answering)."""
-        self._check_index(index)
-        self._crashed.add(index)
-
-    def recover_replica(self, index: int) -> None:
-        """Recover a crashed or Byzantine replica via state transfer.
-
-        A faulty replica missed every command applied while it was out (and a
-        Byzantine one may hold arbitrary state), so simply re-marking it
-        correct would re-admit a *diverged* state machine — and ``invoke``
-        answers from the first correct replica, so a stale recovered replica
-        could serve vanished locks and old metadata.  As in BFT-SMaRt, the
-        recovering replica first installs a snapshot of a correct peer's
-        state; only if no correct peer exists (beyond the fault budget) does
-        it rejoin with the state it has.
-        """
-        if index in self.faulty_replicas:
-            correct = self.correct_replicas
-            if correct:
-                self.replicas[index] = copy.deepcopy(self.replicas[correct[0]])
-        self._crashed.discard(index)
-        self._byzantine.discard(index)
-        self._partitioned.discard(index)
-
-    def make_byzantine(self, index: int) -> None:
-        """Mark replica ``index`` as Byzantine (it may answer arbitrarily)."""
-        self._check_index(index)
-        self._byzantine.add(index)
-
-    def partition_replica(self, index: int) -> None:
-        """Cut replica ``index`` off from the clients (a minority partition).
-
-        To the protocol a partitioned replica is indistinguishable from a
-        crashed one — it receives no commands and contributes no replies —
-        but its *state* is intact: it simply falls behind.  Healing goes
-        through :meth:`recover_replica`, whose state transfer is exactly how
-        a partitioned replica catches up with the commands it missed.
-        """
-        self._check_index(index)
-        self._partitioned.add(index)
-
-    def _check_index(self, index: int) -> None:
+    def fail_replica(self, index: int) -> None:
+        """Take replica ``index`` out: crashed, Byzantine or cut off, it gives no vote."""
         if not 0 <= index < self.n:
             raise IndexError(f"replica index {index} out of range (n={self.n})")
+        self.faulty.add(index)
 
-    @property
-    def faulty_replicas(self) -> set[int]:
-        """Indices of replicas currently crashed, Byzantine or partitioned."""
-        return self._crashed | self._byzantine | self._partitioned
+    def recover_replica(self, index: int) -> None:
+        """Bring replica ``index`` back, holding the state the last quorum built.
 
-    @property
-    def correct_replicas(self) -> list[int]:
-        """Indices of replicas behaving correctly."""
-        return [i for i in range(self.n) if i not in self.faulty_replicas]
+        BFT-SMaRt's state transfer hands a recovering replica its peers'
+        state; here that state is ``rsm.state`` itself, so recovery only
+        restores the replica's vote.
+        """
+        self.faulty.discard(index)
 
     def quorum_size(self) -> int:
         """Replies needed for a command to complete."""
@@ -132,25 +88,13 @@ class ReplicatedStateMachine:
         (nothing, and no latency draw, for background work), and then the
         command is applied.
         """
-        correct = self.correct_replicas
-        if len(correct) < self.quorum_size():
+        up = self.n - len(self.faulty)
+        if up < self.quorum_size():
             raise QuorumNotReachedError(
-                f"only {len(correct)} correct replicas, quorum of {self.quorum_size()} required")
+                f"only {up} correct replicas, quorum of {self.quorum_size()} required")
         if not self.sim.in_background:
             self.sim.advance(self.latency.sample(0, self.sim.rng))
         # Counted before it is applied: a command the replicas reject (a failed
         # CAS, a denied write) made the round trip all the same.
         self.commands_executed += 1
-        results = [self.replicas[i].apply((operation, args, kwargs)) for i in correct]
-        # All correct replicas are deterministic, so their results agree; we
-        # return the first one.  Byzantine replicas never receive the command
-        # (their state is considered corrupted), matching the voting filter a
-        # real BFT client library applies to replies.
-        return results[0]
-
-    def reference_replica(self) -> EntryCommands:
-        """Return one correct replica, for read-only introspection by tests."""
-        correct = self.correct_replicas
-        if not correct:
-            raise QuorumNotReachedError("no correct replica available")
-        return self.replicas[correct[0]]
+        return self.state.apply((operation, args, kwargs))

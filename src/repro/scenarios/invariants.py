@@ -650,14 +650,14 @@ def check_version_linearizability(trace: TraceRecorder) -> list[Violation]:
 def check_namespace_tree(deployment) -> list[Violation]:
     """Every live shared entry hangs under a live directory: shared, in its owner's PNS, or ``/``.
 
-    Read from a correct replica, whoever may read each entry.  Keys are
+    Read from the replicated state, whoever may read each entry.  Keys are
     sorted, so a directory comes before every entry below it, and an orphan
     is named alone, not with what lies below it.  An entry is parsed only
     when something lies below it or its parent is not yet known.
     """
     if deployment.coordination is None:
         return []
-    pairs = list(deployment.coordination.rsm.reference_replica().values_under(META_PREFIX))
+    pairs = list(deployment.coordination.rsm.state.values_under(META_PREFIX))
     keys = [key for key, _value in pairs]
     directories = {"/"}
     violations: list[Violation] = []

@@ -151,12 +151,10 @@ def prime_pool(deployment, spec, recorder=None) -> dict[str, int]:
         entries[MetadataService.entry_key(directory)] = Stored(1, dir_meta.to_bytes(), acl)
 
     # ---- coordination entries ----------------------------------------------
-    # What a replicated ``Put`` step leaves, minus the latency charge.  Every
-    # replica gets the same (immutable) record, and in key order, so that its
-    # sorted key index grows by appends.
+    # What a replicated ``Put`` step leaves, minus the latency charge, in key
+    # order, so that the sorted key index grows by appends.
     for key in sorted(entries):
-        for replica in coordination.rsm.replicas:
-            replica.install(key, entries[key])
+        coordination.rsm.state.install(key, entries[key])
 
     stats = {"files": len(spec.shared_files), "cloud_objects": objects,
              "coordination_entries": len(entries)}

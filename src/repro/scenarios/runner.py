@@ -204,14 +204,10 @@ class ScenarioRunner:
                                 time=deployment.sim.now(), crashed_at=crashed_at)
         else:
             rsm = deployment.coordination.rsm
-            if action != "start":
-                rsm.recover_replica(index)
-            elif phase.kind == "crash":
-                rsm.crash_replica(index)
-            elif phase.kind == "partition":
-                rsm.partition_replica(index)
+            if action == "start":
+                rsm.fail_replica(index)
             else:
-                rsm.make_byzantine(index)
+                rsm.recover_replica(index)
         if action == "start":
             recorder.record("fault_start", time=now, target=phase.target,
                             fault=phase.kind, factor=phase.factor)

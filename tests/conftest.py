@@ -65,11 +65,11 @@ def lock_holder(coordination, name: str, now: float | None = None) -> str | None
     """The session id holding the lock ``name`` unlapsed (None: free); changes nothing.
 
     ``coordination`` is a service, read at the simulated now in the lock table
-    of its reference replica, or one replica (``EntryCommands``), read at
+    of its replicated state, or one state machine (``EntryCommands``), read at
     ``now``.
     """
     if isinstance(coordination, DepSpaceCoordination):
-        now, coordination = coordination.sim.now(), coordination.rsm.reference_replica()
+        now, coordination = coordination.sim.now(), coordination.rsm.state
     held = coordination._locks.get(name)
     return held.session_id if held is not None and now < held.deadline else None
 

@@ -73,9 +73,9 @@ def test_an_update_sets_exactly_its_fields_or_leaves_every_replica_alone(case):
         grant = {"bob-rw": Permission.READ_WRITE, "bob-read": Permission.READ}.get(case["caller"])
         if grant is not None:
             service.set_entry_acl(KEY, "bob", grant, alice)
-    replicas = service.rsm.replicas
-    before = [dict(replica._entries) for replica in replicas]
-    stored = before[0].get(KEY)
+    state = service.rsm.state
+    before = dict(state._entries)
+    stored = before.get(KEY)
     version = stored.version if stored is not None else 0
     caller = alice if case["caller"] == "alice" else bob
     expected = {"none": None, "current": version, "stale": version + 1}[case["expected"]]
@@ -87,15 +87,14 @@ def test_an_update_sets_exactly_its_fields_or_leaves_every_replica_alone(case):
     if refused:
         with pytest.raises(ConflictError) as refusal:
             service.multi([step], caller)
-        assert [dict(replica._entries) for replica in replicas] == before
+        assert state._entries == before
         readable = stored is not None and case["caller"] in ("alice", "bob-rw", "bob-read")
         assert refusal.value.found == (
             Entry(KEY, stored.value, stored.version, stored.acl) if readable else None)
         return
     reply = service.multi([step], caller)[0]
-    for replica in replicas:
-        entry, = replica.entry_multi([Get(KEY)], "alice", sim.now(), Holder("s", 1.0))
-        assert entry == reply
-        assert FileMetadata.from_bytes(entry.value) == _replaced(old, new, names)
-        assert (entry.version, entry.acl) == (version + 1, stored.acl)
-        assert replica._entries[KEY].acl.owner == "alice"
+    entry, = state.entry_multi([Get(KEY)], "alice", sim.now(), Holder("s", 1.0))
+    assert entry == reply
+    assert FileMetadata.from_bytes(entry.value) == _replaced(old, new, names)
+    assert (entry.version, entry.acl) == (version + 1, stored.acl)
+    assert state._entries[KEY].acl.owner == "alice"

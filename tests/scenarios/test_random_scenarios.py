@@ -93,13 +93,12 @@ def test_a_riding_reentrant_lock_outlives_its_own_pending_commit() -> None:
 
 def _invoke_at_send(rsm, operation, *args, **kwargs):
     """``ReplicatedStateMachine.invoke`` applying its command before the wait, not after it."""
-    correct = rsm.correct_replicas
-    if len(correct) < rsm.quorum_size():
-        raise QuorumNotReachedError(f"only {len(correct)} correct replicas")
+    if rsm.n - len(rsm.faulty) < rsm.quorum_size():
+        raise QuorumNotReachedError(f"only {rsm.n - len(rsm.faulty)} correct replicas")
     wait = None if rsm.sim.in_background else rsm.latency.sample(0, rsm.sim.rng)
     rsm.commands_executed += 1
     try:
-        return [rsm.replicas[i].apply((operation, args, kwargs)) for i in correct][0]
+        return rsm.state.apply((operation, args, kwargs))
     finally:
         if wait is not None:
             rsm.sim.advance(wait)

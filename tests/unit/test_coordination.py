@@ -25,7 +25,11 @@ from repro.coordination.base import Delete, Get, Grant, List, Lock, Move, Put, U
 from repro.coordination.entries import EntryCommands, Holder
 from repro.coordination.replication import ReplicatedStateMachine
 from repro.core.lock_service import LockService
+from repro.core.deployment import SCFSDeployment
 from repro.core.metadata import FileMetadata, FileType
+from repro.scenarios.runner import ScenarioRunner
+from repro.scenarios.spec import FaultPhase, ScenarioSpec
+from repro.scenarios.trace import TraceRecorder
 
 from conftest import lock_holder
 
@@ -335,12 +339,6 @@ class TestReplication:
         with pytest.raises(ValueError):
             ReplicatedStateMachine(sim, f=-1)
 
-    def test_invoke_keeps_replicas_in_sync(self, sim):
-        rsm = ReplicatedStateMachine(sim, f=1)
-        rsm.invoke(*_command(Put("k", b"v")))
-        for index in rsm.correct_replicas:
-            assert _value(rsm.replicas[index], "k", "alice") == b"v"
-
     def test_invoke_charges_latency(self, sim):
         rsm = ReplicatedStateMachine(sim, f=1)
         rsm.invoke(*_command(Put("k", b"v")))
@@ -350,46 +348,79 @@ class TestReplication:
     def test_tolerates_f_crashes(self, sim, f):
         rsm = ReplicatedStateMachine(sim, f=f)
         for index in range(f):
-            rsm.crash_replica(index)
+            rsm.fail_replica(index)
         rsm.invoke(*_command(Put("k", b"v")))
-        assert _value(rsm.reference_replica(), "k", "alice") == b"v"
+        assert _value(rsm.state, "k", "alice") == b"v"
 
     @pytest.mark.parametrize("f", [1, 2])
     def test_too_many_crashes_block_progress(self, sim, f):
         rsm = ReplicatedStateMachine(sim, f=f)
         for index in range(f + 1):
-            rsm.crash_replica(index)
+            rsm.fail_replica(index)
         with pytest.raises(QuorumNotReachedError):
             rsm.invoke(*_command(Put("k", b"v")))
-
-    def test_byzantine_replicas_do_not_block_below_threshold(self, sim):
-        rsm = ReplicatedStateMachine(sim, f=1)
-        rsm.make_byzantine(2)
-        rsm.invoke(*_command(Put("k", b"v")))
-        assert rsm.commands_executed == 1
+        assert rsm.commands_executed == 0 and rsm.state.entry_count() == 0
 
     def test_recover_replica_restores_quorum_and_state(self, sim):
         rsm = ReplicatedStateMachine(sim, f=1)
-        rsm.crash_replica(0)
+        rsm.fail_replica(0)
         rsm.invoke(*_command(Put("k", b"v")))
-        rsm.crash_replica(1)
+        rsm.fail_replica(1)
         rsm.recover_replica(0)
         assert rsm.invoke(*_command(Put("k", b"w")))[0].version == 2
-        assert _value(rsm.replicas[0], "k", "alice") == b"w"
+        assert _value(rsm.state, "k", "alice") == b"w"
+
+    def test_recovery_never_rolls_back_what_a_quorum_acknowledged(self, sim, alice):
+        """A replica that was out while a quorum wrote comes back to that write.
+
+        Recovery that copied the first replica marked correct copied the
+        stale one here, and ``get`` read ``v1`` again.
+        """
+        service = DepSpaceCoordination(sim, f=1)
+        session = service.open_session(alice)
+        service.put("k", b"v1", session)
+        service.rsm.fail_replica(0)
+        service.put("k", b"v2", session)  # acknowledged by replicas 1-3
+        for index in (1, 2, 3):
+            service.rsm.fail_replica(index)
+        for index in (0, 1, 2):
+            service.rsm.recover_replica(index)
+        assert service.get("k", session).value == b"v2"
+
+    @pytest.mark.parametrize("kind", ["crash", "byzantine", "partition"])
+    def test_each_replica_fault_kind_blocks_at_f_plus_one_and_recovers(self, kind, alice):
+        """A scenario's replica fault phase of any kind takes the replica's vote away."""
+        spec = ScenarioSpec.generate(7)
+        runner, recorder = ScenarioRunner(spec), TraceRecorder()
+        deployment = SCFSDeployment.for_variant(spec.variant, seed=7)
+        service = deployment.coordination
+        session = service.open_session(alice)
+        phases = [FaultPhase(f"replica:{index}", kind, 0.0, 1.0) for index in range(2)]
+        service.put("k", b"v1", session)
+        runner._apply_fault(deployment, recorder, "start", phases[0], {})
+        service.put("k", b"v2", session)  # the last quorum: replicas 1-3
+        runner._apply_fault(deployment, recorder, "start", phases[1], {})
+        with pytest.raises(QuorumNotReachedError):
+            service.put("k", b"v3", session)
+        runner._apply_fault(deployment, recorder, "end", phases[0], {})
+        assert service.get("k", session).value == b"v2"
+        assert service.put("k", b"v3", session).version == 3
+        assert [(event.kind, event.fields["fault"]) for event in recorder.events] == [
+            ("fault_start", kind), ("fault_start", kind), ("fault_end", kind)]
 
     def test_a_command_applies_after_its_wait(self, sim):
         # ``invoke`` waits out its round trip, running the tasks due in it,
         # then applies.
         rsm = ReplicatedStateMachine(sim, f=1)
         seen = []
-        sim.schedule(0.01, lambda: seen.append(_value(rsm.reference_replica(), "a", "alice")))
+        sim.schedule(0.01, lambda: seen.append(_value(rsm.state, "a", "alice")))
         rsm.invoke(*_command(Put("a", b"v")))
-        assert seen == [None] and _value(rsm.reference_replica(), "a", "alice") == b"v"
+        assert seen == [None] and _value(rsm.state, "a", "alice") == b"v"
 
     def test_invalid_replica_index(self, sim):
         rsm = ReplicatedStateMachine(sim, f=1)
         with pytest.raises(IndexError):
-            rsm.crash_replica(10)
+            rsm.fail_replica(10)
 
 
 def _commands(coordination) -> int:
@@ -501,9 +532,9 @@ class TestCoordinationAdapters:
         assert coordination.entry_count() == before + 2
 
 
-def _replica_states(coordination) -> list[bytes]:
-    """Every replica's whole state, serialized (the replicas are plain objects)."""
-    return [pickle.dumps(replica) for replica in coordination.rsm.replicas]
+def _state(coordination) -> bytes:
+    """The service's whole replicated state, serialized (a plain object)."""
+    return pickle.dumps(coordination.rsm.state)
 
 
 class TestMultiCommand:
@@ -530,13 +561,12 @@ class TestMultiCommand:
             coordination.put(key, b"v1", session)
         coordination.put("meta:/b", b"usurper", session)  # now at version 2
         coordination.put("txn:t1", b"pending", session)
-        before = _replica_states(coordination)
+        before = _state(coordination)
         with pytest.raises(ConflictError, match="meta:/b"):
             coordination.multi(
                 [Put("meta:/a", b"v2", 1), Put("meta:/b", b"v2", 1), Put("meta:/c", b"v2", 1),
                  Put("txn:t1", b"committed", 1)], session)
-        assert _replica_states(coordination) == before
-        assert len(set(before)) == 1  # and the replicas agree
+        assert _state(coordination) == before
         assert coordination.get("meta:/a", session).value == b"v1"
         assert coordination.get("txn:t1", session).value == b"pending"
 
@@ -560,11 +590,11 @@ class TestMultiCommand:
     def test_a_lock_set_with_one_name_held_acquires_none(self, coordination, alice, bob):
         s1, s2 = coordination.open_session(alice), coordination.open_session(bob)
         assert coordination.try_lock("L2", s2)
-        before = _replica_states(coordination)
+        before = _state(coordination)
         with pytest.raises(LockHeldError) as refused:
             coordination.multi([Lock("L1"), Lock("L2"), Lock("L3")], s1)
         assert refused.value.lock == "L2"
-        assert _replica_states(coordination) == before
+        assert _state(coordination) == before
         assert [lock_holder(coordination, name) for name in ("L1", "L2", "L3")] == [
             None, s2.session_id, None]
 

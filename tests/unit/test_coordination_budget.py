@@ -354,9 +354,9 @@ def _with_bob(mount, directory: str):
 
 
 def _keys(mount, prefix: str) -> list[str]:
-    """Every key under ``prefix``, whoever may read it (the reference replica's)."""
-    replica = mount.deployment.coordination.rsm.reference_replica()
-    return [key for key, _value in replica.values_under(prefix)]
+    """Every key under ``prefix``, whoever may read it (the replicated state's)."""
+    state = mount.deployment.coordination.rsm.state
+    return [key for key, _value in state.values_under(prefix)]
 
 
 def test_rmdir_over_an_entry_its_caller_may_not_read_is_enotempty(mount):

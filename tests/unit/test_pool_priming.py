@@ -3,8 +3,6 @@ like organically written ones."""
 
 from __future__ import annotations
 
-import pickle
-
 import pytest
 
 from repro.scenarios.pool import POOL_OWNER, POOL_PAYLOAD, pool_file_id, prime_pool
@@ -81,7 +79,8 @@ class TestPrimePool:
         stats = prime_pool(deployment, spec)
         coordination = deployment.coordination
         assert coordination.entry_count() == stats["coordination_entries"]
-        assert len({pickle.dumps(replica) for replica in coordination.rsm.replicas}) == 1
+        state = coordination.rsm.state
+        assert list(state._keys.prefixed("")) == sorted(state._entries)  # index and map agree
         # The listing walks the sorted index: every pool file, in key order.
         session = coordination.open_session(deployment.create_agent("carol").principal)
         directory = spec.shared_files[0].rsplit("/", 1)[0]

@@ -454,13 +454,12 @@ class TestSweepRegressions:
         assert alice.read_file("/secret.txt") == b"sealed" * 100
 
     def test_replica_recovery_transfers_state(self):
-        """BFT regression: a replica that missed commands while crashed must
-        not rejoin with stale state (invoke answers from the first correct
-        replica, which recovery makes the recovered one)."""
+        """BFT regression: a replica that missed commands while crashed
+        rejoins with the state the quorum built meanwhile, not its own."""
         sim = Simulation(seed=47)
         rsm = ReplicatedStateMachine(sim, f=1)
         holder = Holder("s1", deadline=30.0)
-        rsm.crash_replica(0)
+        rsm.fail_replica(0)
         rsm.invoke("entry_multi", (Put("k", b"committed-during-crash"),), "alice", 0.0, holder)
         rsm.recover_replica(0)
         entry, = rsm.invoke("entry_multi", (Get("k"),), "alice", 0.0, holder)

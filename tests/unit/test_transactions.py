@@ -516,7 +516,7 @@ class TestLeaseExpiry:
         alice.locks.acquire(meta)
         rsm = deployment.coordination.rsm
         for index in range(rsm.n):
-            rsm.crash_replica(index)
+            rsm.fail_replica(index)
         assert alice.locks.still_held(meta)
         deployment.sim.advance_to(lapse - 1e-6)
         assert alice.locks.still_held(meta)
