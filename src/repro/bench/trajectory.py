@@ -29,11 +29,11 @@ Environment knobs
 Command line
 ------------
 ``python -m repro.bench.trajectory gate BENCH_scale.json --tol metric=0.5``
-compares the last entry against the previous one: each ``--tol`` metric is
-lower-is-better and may grow by at most the given fraction (``0.5`` = +50 %),
-while each ``--floor`` metric is higher-is-better and may *drop* by at most
-the given fraction (``--floor encode_mbps_4_2=0.2`` fails when throughput
-falls below 80 % of the baseline).  Exit status 1 on violation.
+compares the last entry against the newest earlier one recording each metric:
+each ``--tol`` metric is lower-is-better and may grow by at most the given
+fraction (``0.5`` = +50 %), while each ``--floor`` metric is higher-is-better
+and may *drop* by at most the given fraction (``--floor encode_mbps_4_2=0.2``
+fails below 80 % of the baseline).  Exit status 1 on violation.
 """
 
 from __future__ import annotations
@@ -127,28 +127,32 @@ def gate(entries: list[dict[str, Any]],
     ``floors`` maps a higher-is-better metric (e.g. a throughput) to its
     maximum allowed fractional *drop* (``0.2`` fails when it falls below
     80 % of the baseline).  Returns ``(report_lines, violations)`` — an
-    empty violation list means the gate passes.  With fewer than two
-    entries, or when a gated metric is missing from either side, the metric
-    is reported as ungated rather than failed (a new metric needs one PR to
-    seed its baseline).
+    empty violation list means the gate passes.  A metric's baseline is the
+    newest earlier entry recording it, so a row measured in another mode does
+    not switch the gate off; with none the metric is ungated (it seeds its
+    baseline), and a last entry that lacks a baselined metric fails.
     """
     report: list[str] = []
     violations: list[str] = []
     if len(entries) < 2:
         report.append("gate: fewer than two entries recorded — nothing to compare")
         return report, violations
-    baseline, current = entries[-2], entries[-1]
-    report.append(f"gate: PR {current['pr']} vs baseline PR {baseline['pr']}")
+    current = entries[-1]
+    report.append(f"gate: PR {current['pr']} vs the newest earlier entry with each metric")
     bounds = [(metric, tolerance, "ceiling")
               for metric, tolerance in sorted(tolerances.items())]
     bounds += [(metric, fraction, "floor")
                for metric, fraction in sorted((floors or {}).items())]
     for metric, fraction, kind in bounds:
-        before = baseline["metrics"].get(metric)
+        baseline = next((entry for entry in reversed(entries[:-1])
+                         if metric in entry["metrics"]), None)
         after = current["metrics"].get(metric)
-        if before is None or after is None:
-            report.append(f"  {metric}: missing on one side — ungated "
-                          f"(baseline={before!r}, current={after!r})")
+        if baseline is None:
+            report.append(f"  {metric}: no earlier entry records it — ungated")
+            continue
+        before = baseline["metrics"][metric]
+        if after is None:
+            violations.append(f"{metric}: PR {baseline['pr']} records it, PR {current['pr']} not")
             continue
         if kind == "ceiling":
             limit = before * (1.0 + fraction)
@@ -163,7 +167,7 @@ def gate(entries: list[dict[str, Any]],
             fail_text = (f"{metric} regressed: {after:g} < floor {limit:g} "
                          f"(baseline {before:g} -{fraction:.0%})")
         status = "REGRESSION" if violated else "ok"
-        report.append(f"  {metric}: {before:g} -> {after:g} "
+        report.append(f"  {metric}: {before:g} (PR {baseline['pr']}) -> {after:g} "
                       f"({bound_text}) {status}")
         if violated:
             violations.append(fail_text)

@@ -114,7 +114,8 @@ class FaultPhase:
     ``target`` is ``"cloud:<index>"``, ``"replica:<index>"`` or
     ``"agent:<index>"``.  For clouds, ``kind`` is a
     :class:`~repro.simenv.failures.FaultKind` value; for replicas it is
-    ``"crash"``, ``"byzantine"`` or ``"partition"``; for agents it is
+    ``"crash"``, ``"byzantine"`` or ``"partition"``, a trace label only (each
+    takes the replica's vote away until the phase ends); for agents it is
     ``"crash"`` (the phase end is the restart — a fresh mount after the
     crashed agent's lock leases expired).  The phase starts before the op at
     ``start_frac * total_ops`` and ends before the op at
@@ -418,8 +419,8 @@ def _faults_for_mix(mix: str, rng, agents: int = 3) -> tuple[tuple[FaultPhase, .
         # (the certificate bar sits exactly at the budget).  The
         # adversary corrupts data at rest early and turns fully Byzantine
         # later (disjoint windows, one adversarial cloud: f-budget intact);
-        # a light provider gray-fails on top and a coordination replica turns
-        # Byzantine, so the weighted certificates are exercised while both
+        # a light provider gray-fails on top and a coordination replica loses
+        # its vote, so the weighted certificates are exercised while both
         # suspicion tracking and EWMA-fed latency estimates are live.
         light = 1 + rng.randrange(3)
         replica = rng.randrange(4)
@@ -486,8 +487,8 @@ def _faults_for_mix(mix: str, rng, agents: int = 3) -> tuple[tuple[FaultPhase, .
         # Nemesis-style coordination partitions: two sequential windows each
         # cut one (different) replica off from the clients — a minority
         # partition of the n = 4, f = 1 ensemble, so the 3-replica quorum
-        # stays reachable and commits keep linearizing.  Healing is state
-        # transfer from the quorum.  A cloud outage overlaps the second
+        # stays reachable and commits keep linearizing.  Healing gives the
+        # replica its vote back.  A cloud outage overlaps the second
         # window to stack storage-side and coordination-side degradation.
         first = rng.randrange(4)
         second = rng.randrange(3)

@@ -361,6 +361,12 @@ class TestReplication:
             rsm.invoke(*_command(Put("k", b"v")))
         assert rsm.commands_executed == 0 and rsm.state.entry_count() == 0
 
+    def test_byzantine_replicas_do_not_block_below_threshold(self, sim):
+        rsm = ReplicatedStateMachine(sim, f=1)
+        rsm.fail_replica(2)
+        rsm.invoke(*_command(Put("k", b"v")))
+        assert rsm.commands_executed == 1
+
     def test_recover_replica_restores_quorum_and_state(self, sim):
         rsm = ReplicatedStateMachine(sim, f=1)
         rsm.fail_replica(0)

@@ -96,6 +96,19 @@ class TestGate:
         _, violations = trajectory.gate(entries, {"wall_ms": 0.5})
         assert violations == []
 
+    def test_a_row_without_the_metric_does_not_switch_the_gate_off(self):
+        # A checked-in full-mode row carries no fast_ keys: the candidate is
+        # gated against the newest row that does.
+        entries = _entries({"fast_mbps": 100.0}, {"mbps": 300.0}, {"fast_mbps": 50.0})
+        report, violations = trajectory.gate(entries, {}, {"fast_mbps": 0.2})
+        assert len(violations) == 1 and "fast_mbps" in violations[0]
+        assert any("(PR 1)" in line for line in report)
+
+    def test_a_last_entry_without_a_baselined_metric_fails(self):
+        _, violations = trajectory.gate(
+            _entries({"mbps": 100.0}, {"other": 1.0}), {}, {"mbps": 0.2})
+        assert violations == ["mbps: PR 1 records it, PR 2 not"]
+
 
 class TestFloorGate:
     """Higher-is-better metrics gated by maximum allowed drop."""
