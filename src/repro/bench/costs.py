@@ -106,8 +106,8 @@ def _measure(system: str, operation: str, file_size: int, seed: int = 0) -> Oper
     fs.write_file(path, data, shared=True)
     deployment.drain(2.0)
 
-    rsm = deployment.coordination.rsm
-    commands_before = rsm.commands_executed
+    service = deployment.coordination
+    commands_before = service.commands_executed
     deployment.reset_costs()
     read_path = "-"
     if operation == "read":
@@ -125,7 +125,7 @@ def _measure(system: str, operation: str, file_size: int, seed: int = 0) -> Oper
         raise ValueError(f"unknown operation {operation!r}")
     costs = deployment.costs()
     # Every replicated command the operation sent is one billed access.
-    accesses = rsm.commands_executed - commands_before
+    accesses = service.commands_executed - commands_before
     # Storage (per-GB-month) charges are excluded here: Figure 11(b) prices the
     # *operation*, Figure 11(c) prices keeping the data.
     storage_side = costs.request_cost + costs.traffic_cost

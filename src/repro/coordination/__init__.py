@@ -10,11 +10,9 @@ DepSpace:
   entries with a sorted key index, one lock table whose locks lapse a lease
   after their take, and every command SCFS sends (create-vs-update, ACLs,
   versions, lock sets);
-* :mod:`~repro.coordination.replication` — a simulated Byzantine (3f+1)
-  state-machine replication layer with quorum availability checks;
 * :mod:`~repro.coordination.base`/:mod:`~repro.coordination.adapters` — the
-  steps of a command, and ``DepSpaceCoordination``, the thin wrapper of a
-  replicated DepSpace that the SCFS Agent programs against.
+  steps of a command, and ``DepSpaceCoordination``, the replicated DepSpace
+  (one state, 3f+1 replicas and their quorum) that the SCFS Agent programs against.
 
 One service holds the whole namespace, as in the paper's evaluation.
 """

@@ -2,16 +2,18 @@
 
 The SCFS Agent integrates coordination services "with simple wrappers" (§3.2).
 :class:`DepSpaceCoordination` is that wrapper, and the one interface the
-agent programs against: it maps the operations the agent needs onto a
-replicated DepSpace (:class:`~repro.coordination.entries.EntryCommands`, the
-state its 3f+1 Byzantine fault-tolerant replicas agree on).
+agent programs against.  It holds the ``state`` its 3f+1 Byzantine
+fault-tolerant replicas agree on (an :class:`~repro.coordination.entries.EntryCommands`)
+and the ``faulty`` ones, which give no vote.  A command applies once, while
+the replicas up form a quorum of :func:`~repro.clouds.quorums.quorum_system`.
 
-Every intent is **one** replicated command, charging one coordination-service
-access of roughly 60–100 ms to the simulated clock (the figure the paper
-measured, §4.2).  What decides the outcome — create-vs-update, the entry ACL,
-``expected_version``, whose session a lock belongs to — is checked by the
-replicas (:mod:`repro.coordination.entries`), never by this client-side code;
-a step they refuse on a version check carries what it met
+Every intent is **one** replicated command (:meth:`DepSpaceCoordination.invoke`),
+charging one coordination-service access of roughly 60–100 ms to the
+simulated clock (the figure the paper measured, §4.2), and taking effect once
+that wait is over.  What decides the outcome — create-vs-update, the entry
+ACL, ``expected_version``, whose session a lock belongs to — is checked by
+the replicas (:mod:`repro.coordination.entries`), never by this client-side
+code; a step they refuse on a version check carries what it met
 (``ConflictError.found``: the entry when the caller may READ it, else
 ``None``), so the refusal answers the ``get`` a caller would send next.
 
@@ -49,12 +51,12 @@ from __future__ import annotations
 import itertools
 from typing import Any, Mapping, Sequence
 
-from repro.common.errors import LockHeldError, TupleNotFoundError
+from repro.clouds.quorums import quorum_system
+from repro.common.errors import LockHeldError, QuorumNotReachedError, TupleNotFoundError
 from repro.common.types import Permission, Principal
 from repro.coordination.base import (
     DEFAULT_LEASE, Delete, Entry, Get, Grant, List, Lock, Op, Put, Session, Unlock)
-from repro.coordination.entries import Holder
-from repro.coordination.replication import ReplicatedStateMachine
+from repro.coordination.entries import EntryCommands, Holder
 from repro.simenv.environment import Simulation
 from repro.simenv.latency import LatencyModel
 
@@ -70,8 +72,44 @@ class DepSpaceCoordination:
 
     def __init__(self, sim: Simulation, f: int = 1, latency: LatencyModel | None = None):
         self.sim = sim
-        self.rsm = ReplicatedStateMachine(sim, f=f, latency=latency)
+        #: The replicas ``replica-0`` … ``replica-3f`` and their quorums (f < 0: ``ConfigurationError``).
+        self.replicas = quorum_system([f"replica-{i}" for i in range(3 * f + 1)], f)
+        self.state = EntryCommands()
+        #: Client-observed latency of one command (80 ms, §4.2, by default).
+        self.latency = latency or LatencyModel(base=0.080, jitter=0.2)
+        #: Indices of the replicas that answer no command.
+        self.faulty: set[int] = set()
+        self.commands_executed = 0
         self._session_ids = itertools.count()
+
+    # -- the replicas ---------------------------------------------------------
+
+    def fail_replica(self, index: int) -> None:
+        """Take replica ``index`` out: crashed, Byzantine or cut off, it gives no vote."""
+        if not 0 <= index < len(self.replicas.universe):
+            raise IndexError(f"no replica {index} of {len(self.replicas.universe)}")
+        self.faulty.add(index)
+
+    def recover_replica(self, index: int) -> None:
+        """Bring replica ``index`` back: state transfer hands it ``state``, so only its vote returns."""
+        self.faulty.discard(index)
+
+    def invoke(self, operation: str, *args: Any, **kwargs: Any) -> Any:
+        """Send one raw command (of ``EntryCommands.COMMANDS``): the client's one channel.
+
+        The caller waits one round trip (background work: no wait, no draw),
+        then the command applies; ``QuorumNotReachedError`` while too few replicas are up.
+        """
+        up = [name for index, name in enumerate(self.replicas.universe)
+              if index not in self.faulty]
+        if not self.replicas.satisfied_by(up):
+            raise QuorumNotReachedError(f"only {len(up)} correct replicas, too few for a quorum")
+        if not self.sim.in_background:
+            self.sim.advance(self.latency.sample(0, self.sim.rng))
+        # Counted before it is applied: a command the replicas reject (a failed
+        # CAS, a denied write) made the round trip all the same.
+        self.commands_executed += 1
+        return self.state.apply((operation, args, kwargs))
 
     # -- sessions -----------------------------------------------------------
 
@@ -88,8 +126,8 @@ class DepSpaceCoordination:
 
     def close_session(self, session: Session) -> None:
         """Close the session: one command returning every lock the session holds."""
-        self.rsm.invoke("close_session", session.session_id, session.principal.name,
-                        self.sim.now())
+        self.invoke("close_session", session.session_id, session.principal.name,
+                    self.sim.now())
 
     # -- entries: one-step commands ---------------------------------------------
 
@@ -168,8 +206,8 @@ class DepSpaceCoordination:
         """
         now = self.sim.now()
         holder = Holder(session.session_id, now + session.lease_seconds)
-        return self.rsm.invoke("entry_multi", tuple(ops), session.principal.name, now,
-                               holder=holder)
+        return self.invoke("entry_multi", tuple(ops), session.principal.name, now,
+                           holder=holder)
 
     # -- locking ------------------------------------------------------------
 
@@ -191,9 +229,3 @@ class DepSpaceCoordination:
         both are benign for an unlock.
         """
         self.multi([Unlock(name)], session)
-
-    # -- introspection ------------------------------------------------------
-
-    def entry_count(self) -> int:
-        """Number of entries currently stored (capacity planning, Figure 11a)."""
-        return self.rsm.state.entry_count()

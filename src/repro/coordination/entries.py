@@ -2,7 +2,7 @@
 
 DepSpace [Bessani et al., EuroSys'08] is the Byzantine fault-tolerant
 coordination service of the paper's prototype, replicated over 3f+1 replicas
-(:class:`~repro.coordination.replication.ReplicatedStateMachine`).  The SCFS
+(:class:`~repro.coordination.adapters.DepSpaceCoordination`).  The SCFS
 Agent is untrusted (§2.6), so everything that decides whether an entry may
 change — create-vs-update, the ACL check, the ``expected_version``
 comparison, the version bump — runs *inside* the replicated state machine, as
@@ -429,7 +429,7 @@ class EntryCommands:
         return ((key, entries[key].value) for key in self._keys.prefixed(prefix))
 
     def apply(self, command: tuple[str, tuple[Any, ...], dict[str, Any]]) -> Any:
-        """Dispatch a replicated command (see :class:`ReplicatedStateMachine`): one of :attr:`COMMANDS`."""
+        """Dispatch a replicated command (``DepSpaceCoordination.invoke``): one of :attr:`COMMANDS`."""
         operation, args, kwargs = command
         if operation not in self.COMMANDS:
             raise ConflictError(f"unknown {type(self).__name__} operation {operation!r}")

@@ -163,4 +163,4 @@ class SCFSDeployment:
 
     def coordination_entries(self) -> int:
         """Number of entries in the coordination service (0 without one)."""
-        return self.coordination.entry_count() if self.coordination is not None else 0
+        return self.coordination.state.entry_count() if self.coordination is not None else 0

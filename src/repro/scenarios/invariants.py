@@ -657,7 +657,7 @@ def check_namespace_tree(deployment) -> list[Violation]:
     """
     if deployment.coordination is None:
         return []
-    pairs = list(deployment.coordination.rsm.state.values_under(META_PREFIX))
+    pairs = list(deployment.coordination.state.values_under(META_PREFIX))
     keys = [key for key, _value in pairs]
     directories = {"/"}
     violations: list[Violation] = []

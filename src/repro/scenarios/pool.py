@@ -154,7 +154,7 @@ def prime_pool(deployment, spec, recorder=None) -> dict[str, int]:
     # What a replicated ``Put`` step leaves, minus the latency charge, in key
     # order, so that the sorted key index grows by appends.
     for key in sorted(entries):
-        coordination.rsm.state.install(key, entries[key])
+        coordination.state.install(key, entries[key])
 
     stats = {"files": len(spec.shared_files), "cloud_objects": objects,
              "coordination_entries": len(entries)}

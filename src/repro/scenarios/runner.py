@@ -203,11 +203,11 @@ class ScenarioRunner:
                 recorder.record("agent_restart", agent=name,
                                 time=deployment.sim.now(), crashed_at=crashed_at)
         else:
-            rsm = deployment.coordination.rsm
+            service = deployment.coordination
             if action == "start":
-                rsm.fail_replica(index)
+                service.fail_replica(index)
             else:
-                rsm.recover_replica(index)
+                service.recover_replica(index)
         if action == "start":
             recorder.record("fault_start", time=now, target=phase.target,
                             fault=phase.kind, factor=phase.factor)

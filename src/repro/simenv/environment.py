@@ -23,10 +23,14 @@ from typing import Any, Callable, Iterator
 def derive_rng(seed: int, label: str) -> random.Random:
     """Derive an independent, reproducible RNG stream from ``(seed, label)``.
 
-    Forked streams decouple unrelated consumers of randomness: workload
-    generation, fault-schedule generation and latency jitter each get their own
-    stream, so adding a draw to one never perturbs the others — the property
-    the scenario engine's seed-replay guarantee rests on.
+    Forked streams decouple the scenario engine's consumers of randomness:
+    workload and fault-schedule generation, each agent's op choices, the
+    interleaving and think times each get their own stream, so adding a draw
+    to one never perturbs the others.  Latency jitter does not: every latency
+    draw (FUSE crossings, coordination round trips, cloud requests) and all
+    DepSky key material come from the one ``Simulation.rng``, so one draw more
+    or less re-deals every later one.  ROADMAP item 31 gives each agent and
+    purpose its own stream.
     """
     digest = hashlib.sha256(f"{seed}:{label}".encode()).digest()
     return random.Random(int.from_bytes(digest[:8], "big"))

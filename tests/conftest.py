@@ -69,7 +69,7 @@ def lock_holder(coordination, name: str, now: float | None = None) -> str | None
     ``now``.
     """
     if isinstance(coordination, DepSpaceCoordination):
-        now, coordination = coordination.sim.now(), coordination.rsm.state
+        now, coordination = coordination.sim.now(), coordination.state
     held = coordination._locks.get(name)
     return held.session_id if held is not None and now < held.deadline else None
 

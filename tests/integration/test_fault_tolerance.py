@@ -79,32 +79,32 @@ class TestStorageCloudFaults:
 class TestCoordinationFaults:
     def test_coordination_survives_one_replica_crash(self, coc):
         deployment, fs = coc
-        deployment.coordination.rsm.fail_replica(0)
+        deployment.coordination.fail_replica(0)
         fs.write_file("/still-works.txt", b"metadata service is replicated", shared=True)
         deployment.drain(2.0)
         assert fs.read_file("/still-works.txt") == b"metadata service is replicated"
 
     def test_coordination_survives_one_byzantine_replica(self, coc):
         deployment, fs = coc
-        deployment.coordination.rsm.fail_replica(1)
+        deployment.coordination.fail_replica(1)
         fs.write_file("/bft.txt", b"byzantine fault tolerant", shared=True)
         deployment.drain(2.0)
         assert fs.read_file("/bft.txt") == b"byzantine fault tolerant"
 
     def test_too_many_replica_crashes_block_metadata_operations(self, coc):
         deployment, fs = coc
-        rsm = deployment.coordination.rsm
-        rsm.fail_replica(0)
-        rsm.fail_replica(1)
+        service = deployment.coordination
+        service.fail_replica(0)
+        service.fail_replica(1)
         with pytest.raises(QuorumNotReachedError):
             fs.write_file("/blocked.txt", b"x", shared=True)
 
     def test_replica_recovery_restores_service(self, coc):
         deployment, fs = coc
-        rsm = deployment.coordination.rsm
-        rsm.fail_replica(0)
-        rsm.fail_replica(1)
-        rsm.recover_replica(0)
+        service = deployment.coordination
+        service.fail_replica(0)
+        service.fail_replica(1)
+        service.recover_replica(0)
         fs.write_file("/recovered.txt", b"back in business", shared=True)
         deployment.drain(2.0)
         assert fs.read_file("/recovered.txt") == b"back in business"

@@ -19,14 +19,14 @@ class TestPrivateNameSpacesIntegration:
         fs = deployment.create_agent("alice")
         fs.mkdir("/home")
         entries_before = deployment.coordination_entries()
-        commands_before = deployment.coordination.rsm.commands_executed
+        commands_before = deployment.coordination.commands_executed
         for i in range(10):
             fs.write_file(f"/home/note-{i}.txt", b"private note")
         assert deployment.coordination_entries() == entries_before
-        assert deployment.coordination.rsm.commands_executed == commands_before
+        assert deployment.coordination.commands_executed == commands_before
         # The background commits send one command each: the PNS tuple's put.
         deployment.drain(5.0)
-        commands = deployment.coordination.rsm.commands_executed - commands_before
+        commands = deployment.coordination.commands_executed - commands_before
         saves = fs.backend.list_versions(fs.pns.unit_id)
         assert commands == len(saves)
 

@@ -69,19 +69,19 @@ def test_racing_creators_create_once_and_leave_no_lock(case):
             fs.write(handle, f"mount {index}".encode())
         fs.close(handle)
 
-    # Every replicated command passes ``rsm.invoke``: a later mount's calls run,
+    # Every replicated command passes ``invoke``: a later mount's calls run,
     # whole, right before the command its cut names (else after everyone else).
     waiting = dict(zip(case["cuts"], range(1, len(mounts)), strict=False))
     sent = itertools.count()
-    rsm = deployment.coordination.rsm
+    service = deployment.coordination
 
-    def invoke(*args, _invoke=rsm.invoke, **kwargs):
+    def invoke(*args, _invoke=service.invoke, **kwargs):
         cutting_in = waiting.pop(next(sent), None)
         if cutting_in is not None:
             run(cutting_in)
         return _invoke(*args, **kwargs)
 
-    rsm.invoke = invoke
+    service.invoke = invoke
     run(0)
     never_cut_in = sorted(waiting.values())
     waiting.clear()

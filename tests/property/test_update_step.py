@@ -73,7 +73,7 @@ def test_an_update_sets_exactly_its_fields_or_leaves_every_replica_alone(case):
         grant = {"bob-rw": Permission.READ_WRITE, "bob-read": Permission.READ}.get(case["caller"])
         if grant is not None:
             service.set_entry_acl(KEY, "bob", grant, alice)
-    state = service.rsm.state
+    state = service.state
     before = dict(state._entries)
     stored = before.get(KEY)
     version = stored.version if stored is not None else 0

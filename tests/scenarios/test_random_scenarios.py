@@ -24,7 +24,7 @@ import os
 import pytest
 
 from repro.common.errors import QuorumNotReachedError
-from repro.coordination.replication import ReplicatedStateMachine
+from repro.coordination.adapters import DepSpaceCoordination
 from repro.scenarios import FAULT_MIXES, ScenarioSpec, run_scenario
 
 SEEDS = range(1, 1 + int(os.environ.get("SCENARIO_SEEDS", "25")))
@@ -91,17 +91,19 @@ def test_a_riding_reentrant_lock_outlives_its_own_pending_commit() -> None:
     assert result.ok, "\n" + result.report()
 
 
-def _invoke_at_send(rsm, operation, *args, **kwargs):
-    """``ReplicatedStateMachine.invoke`` applying its command before the wait, not after it."""
-    if rsm.n - len(rsm.faulty) < rsm.quorum_size():
-        raise QuorumNotReachedError(f"only {rsm.n - len(rsm.faulty)} correct replicas")
-    wait = None if rsm.sim.in_background else rsm.latency.sample(0, rsm.sim.rng)
-    rsm.commands_executed += 1
+def _invoke_at_send(service, operation, *args, **kwargs):
+    """``DepSpaceCoordination.invoke`` applying its command before the wait, not after it."""
+    up = [name for index, name in enumerate(service.replicas.universe)
+          if index not in service.faulty]
+    if not service.replicas.satisfied_by(up):
+        raise QuorumNotReachedError(f"only {len(up)} correct replicas")
+    wait = None if service.sim.in_background else service.latency.sample(0, service.sim.rng)
+    service.commands_executed += 1
     try:
-        return rsm.state.apply((operation, args, kwargs))
+        return service.state.apply((operation, args, kwargs))
     finally:
         if wait is not None:
-            rsm.sim.advance(wait)
+            service.sim.advance(wait)
 
 
 @pytest.mark.parametrize("mix", ["fault-free", "corrupt-byzantine", "degraded-outage"])
@@ -113,7 +115,7 @@ def test_a_write_open_bases_its_version_on_its_agents_close_in_flight(monkeypatc
     looked for the close only after the command's reply based its write on
     the version before it, and the next close anchored that version twice.
     """
-    monkeypatch.setattr(ReplicatedStateMachine, "invoke", _invoke_at_send)
+    monkeypatch.setattr(DepSpaceCoordination, "invoke", _invoke_at_send)
     result = run_scenario(5, mix=mix, ops_per_agent=25)
     assert result.ok, "\n" + result.report()
 

@@ -162,7 +162,7 @@ class TestNamespaceOperations:
         fs = deployment.create_agent("alice")
         fs.mkdir("/s", shared=True)
         fs.write_file("/s/p", b"private")
-        service = deployment.coordination.rsm
+        service = deployment.coordination
         commands = service.commands_executed
         with pytest.raises(DirectoryNotEmptyError):
             fs.rmdir("/s")
@@ -339,7 +339,7 @@ class TestDurabilityAndModes:
         fs.write(handle, data)
         uploads, commands = [], []
         fs.backend.client.on_quorum = lambda _op, _unit, stats: uploads.append(stats.charged)
-        invoke = deployment.coordination.rsm.invoke
+        invoke = deployment.coordination.invoke
 
         def timed(*args, **kwargs):
             before = sim.now()
@@ -348,7 +348,7 @@ class TestDurabilityAndModes:
             finally:
                 commands.append(sim.now() - before)
 
-        monkeypatch.setattr(deployment.coordination.rsm, "invoke", timed)
+        monkeypatch.setattr(deployment.coordination, "invoke", timed)
         started = sim.now()
         fs.close(handle)
         disk = DISK_LATENCY.sample(len(data))
@@ -731,7 +731,7 @@ class TestStatisticsAndLifecycle:
             if dirty:
                 fs.mkdir("/home")  # private: stays in the PNS until the next save
             assert fs.pns.dirty is dirty
-            deployment.coordination.rsm.latency = LatencyModel(base=0.080)  # no jitter
+            deployment.coordination.latency = LatencyModel(base=0.080)  # no jitter
             before = deployment.sim.now()
             fs.unmount()
             cost = deployment.sim.now() - before

@@ -7,6 +7,7 @@ import random
 import pytest
 
 from repro.common.errors import (
+    ConfigurationError,
     ConflictError,
     DirectoryNotEmptyError,
     EntryDeniedError,
@@ -23,7 +24,6 @@ from repro.common.types import Permission
 from repro.coordination.adapters import DepSpaceCoordination
 from repro.coordination.base import Delete, Get, Grant, List, Lock, Move, Put, Unheld, Unlock
 from repro.coordination.entries import EntryCommands, Holder
-from repro.coordination.replication import ReplicatedStateMachine
 from repro.core.lock_service import LockService
 from repro.core.deployment import SCFSDeployment
 from repro.core.metadata import FileMetadata, FileType
@@ -328,53 +328,69 @@ class TestDepSpaceLeases:
 
 
 def _command(*steps):
-    """``rsm.invoke`` / ``rsm.command`` arguments of alice's ``entry_multi`` of ``steps``."""
+    """``invoke`` arguments of alice's ``entry_multi`` of ``steps``."""
     return ("entry_multi", steps, "alice", 0.0, Holder("s1", 10.0))
 
 
+#: ``(f, n, quorum)``: SCFS-AWS's one DepSpace VM, SCFS-CoC's four replicas, and seven.
+REPLICA_COUNTS = [(0, 1, 1), (1, 4, 3), (2, 7, 5)]
+
+
 class TestReplication:
-    def test_replica_counts(self, sim):
-        assert [ReplicatedStateMachine(sim, f=f).n for f in (0, 1, 2)] == [1, 4, 7]
-        assert [ReplicatedStateMachine(sim, f=f).quorum_size() for f in (0, 1, 2)] == [1, 3, 5]
-        with pytest.raises(ValueError):
-            ReplicatedStateMachine(sim, f=-1)
+    @pytest.mark.parametrize("f, n, quorum", REPLICA_COUNTS)
+    def test_replica_counts(self, sim, f, n, quorum):
+        service = DepSpaceCoordination(sim, f=f)
+        assert len(service.replicas.universe) == n
+        assert service.replicas.quorum().min_size == quorum
+
+    def test_a_negative_fault_threshold_is_refused(self, sim):
+        with pytest.raises(ConfigurationError):
+            DepSpaceCoordination(sim, f=-1)
 
     def test_invoke_charges_latency(self, sim):
-        rsm = ReplicatedStateMachine(sim, f=1)
-        rsm.invoke(*_command(Put("k", b"v")))
+        service = DepSpaceCoordination(sim, f=1)
+        service.invoke(*_command(Put("k", b"v")))
         assert sim.now() > 0.0
 
-    @pytest.mark.parametrize("f", [1, 2])
+    @pytest.mark.parametrize("f", [0, 1, 2])
     def test_tolerates_f_crashes(self, sim, f):
-        rsm = ReplicatedStateMachine(sim, f=f)
+        service = DepSpaceCoordination(sim, f=f)
         for index in range(f):
-            rsm.fail_replica(index)
-        rsm.invoke(*_command(Put("k", b"v")))
-        assert _value(rsm.state, "k", "alice") == b"v"
+            service.fail_replica(index)
+        service.invoke(*_command(Put("k", b"v")))
+        assert _value(service.state, "k", "alice") == b"v"
 
-    @pytest.mark.parametrize("f", [1, 2])
+    @pytest.mark.parametrize("f", [0, 1, 2])
     def test_too_many_crashes_block_progress(self, sim, f):
-        rsm = ReplicatedStateMachine(sim, f=f)
+        """With f + 1 replicas out no command runs: at f = 0, the one VM's crash."""
+        service = DepSpaceCoordination(sim, f=f)
         for index in range(f + 1):
-            rsm.fail_replica(index)
+            service.fail_replica(index)
         with pytest.raises(QuorumNotReachedError):
-            rsm.invoke(*_command(Put("k", b"v")))
-        assert rsm.commands_executed == 0 and rsm.state.entry_count() == 0
+            service.invoke(*_command(Put("k", b"v")))
+        with pytest.raises(QuorumNotReachedError):
+            service.invoke("close_session", "s1", "alice", 0.0)
+        assert service.commands_executed == 0 and service.state.entry_count() == 0
+        assert sim.now() == 0.0
 
     def test_byzantine_replicas_do_not_block_below_threshold(self, sim):
-        rsm = ReplicatedStateMachine(sim, f=1)
-        rsm.fail_replica(2)
-        rsm.invoke(*_command(Put("k", b"v")))
-        assert rsm.commands_executed == 1
+        service = DepSpaceCoordination(sim, f=1)
+        service.fail_replica(2)
+        service.invoke(*_command(Put("k", b"v")))
+        assert service.commands_executed == 1
 
-    def test_recover_replica_restores_quorum_and_state(self, sim):
-        rsm = ReplicatedStateMachine(sim, f=1)
-        rsm.fail_replica(0)
-        rsm.invoke(*_command(Put("k", b"v")))
-        rsm.fail_replica(1)
-        rsm.recover_replica(0)
-        assert rsm.invoke(*_command(Put("k", b"w")))[0].version == 2
-        assert _value(rsm.state, "k", "alice") == b"w"
+    @pytest.mark.parametrize("f", [0, 1, 2])
+    def test_recover_replica_restores_quorum_and_state(self, sim, f):
+        service = DepSpaceCoordination(sim, f=f)
+        for index in range(f):
+            service.fail_replica(index)
+        service.invoke(*_command(Put("k", b"v")))
+        service.fail_replica(f)
+        with pytest.raises(QuorumNotReachedError):
+            service.invoke(*_command(Put("k", b"w")))
+        service.recover_replica(0)
+        assert service.invoke(*_command(Put("k", b"w")))[0].version == 2
+        assert _value(service.state, "k", "alice") == b"w"
 
     def test_recovery_never_rolls_back_what_a_quorum_acknowledged(self, sim, alice):
         """A replica that was out while a quorum wrote comes back to that write.
@@ -385,12 +401,12 @@ class TestReplication:
         service = DepSpaceCoordination(sim, f=1)
         session = service.open_session(alice)
         service.put("k", b"v1", session)
-        service.rsm.fail_replica(0)
+        service.fail_replica(0)
         service.put("k", b"v2", session)  # acknowledged by replicas 1-3
         for index in (1, 2, 3):
-            service.rsm.fail_replica(index)
+            service.fail_replica(index)
         for index in (0, 1, 2):
-            service.rsm.recover_replica(index)
+            service.recover_replica(index)
         assert service.get("k", session).value == b"v2"
 
     @pytest.mark.parametrize("kind", ["crash", "byzantine", "partition"])
@@ -417,21 +433,24 @@ class TestReplication:
     def test_a_command_applies_after_its_wait(self, sim):
         # ``invoke`` waits out its round trip, running the tasks due in it,
         # then applies.
-        rsm = ReplicatedStateMachine(sim, f=1)
+        service = DepSpaceCoordination(sim, f=1)
         seen = []
-        sim.schedule(0.01, lambda: seen.append(_value(rsm.state, "a", "alice")))
-        rsm.invoke(*_command(Put("a", b"v")))
-        assert seen == [None] and _value(rsm.state, "a", "alice") == b"v"
+        sim.schedule(0.01, lambda: seen.append(_value(service.state, "a", "alice")))
+        service.invoke(*_command(Put("a", b"v")))
+        assert seen == [None] and _value(service.state, "a", "alice") == b"v"
 
-    def test_invalid_replica_index(self, sim):
-        rsm = ReplicatedStateMachine(sim, f=1)
-        with pytest.raises(IndexError):
-            rsm.fail_replica(10)
+    @pytest.mark.parametrize("f, n, _quorum", REPLICA_COUNTS)
+    def test_invalid_replica_index(self, sim, f, n, _quorum):
+        service = DepSpaceCoordination(sim, f=f)
+        for index in (-1, n, 10):
+            with pytest.raises(IndexError):
+                service.fail_replica(index)
+        assert not service.faulty
 
 
 def _commands(coordination) -> int:
     """Replicated commands executed so far."""
-    return coordination.rsm.commands_executed
+    return coordination.commands_executed
 
 
 class TestCoordinationAdapters:
@@ -531,16 +550,16 @@ class TestCoordinationAdapters:
 
     def test_entry_count(self, coordination, alice):
         session = coordination.open_session(alice)
-        before = coordination.entry_count()
+        before = coordination.state.entry_count()
         coordination.put("k1", b"x" * 100, session)
         coordination.put("k2", b"y" * 100, session)
         coordination.put("k1", b"z", session)
-        assert coordination.entry_count() == before + 2
+        assert coordination.state.entry_count() == before + 2
 
 
 def _state(coordination) -> bytes:
     """The service's whole replicated state, serialized (a plain object)."""
-    return pickle.dumps(coordination.rsm.state)
+    return pickle.dumps(coordination.state)
 
 
 class TestMultiCommand:
@@ -708,10 +727,10 @@ class TestLockService:
         holder.acquire(_file("L"))
         replay = random.Random()
         replay.setstate(sim.rng.getstate())
-        commands, refused_at = service.rsm.commands_executed, sim.now() + service.rsm.latency.sample(0, replay)
+        commands, refused_at = service.commands_executed, sim.now() + service.latency.sample(0, replay)
         with pytest.raises(LockHeldError, match="/L is locked"):
             waiter.acquire(_file("L"))
-        assert service.rsm.commands_executed == commands + 1
+        assert service.commands_executed == commands + 1
         assert sim.now() == refused_at and sim.rng.getstate() == replay.getstate()
         assert not waiter.still_held(_file("L")) and lock_holder(service, "filelock:L") == s1.session_id
 
@@ -726,16 +745,16 @@ class TestLockService:
         assert refused.value.lock == "filelock:L3"
         assert locks.held == {"filelock:L1": 1} and lock_holder(service, "filelock:L2") is None
         other.release(l3)
-        commands = service.rsm.commands_executed
+        commands = service.commands_executed
         transitions = []
         locks.on_transition = lambda kind, name: transitions.append((kind, name))
         assert locks.acquire_set([l1, l2, l3])  # L1 only gains a count
         assert transitions == [("lock", "filelock:L2"), ("lock", "filelock:L3")]
-        assert service.rsm.commands_executed == commands + 1
+        assert service.commands_executed == commands + 1
         assert locks.held == {"filelock:L1": 2, "filelock:L2": 1, "filelock:L3": 1}
         locks.release_set([l1, l2, l3])
         assert transitions[2:] == [("unlock", "filelock:L2"), ("unlock", "filelock:L3")]
-        assert service.rsm.commands_executed == commands + 2
+        assert service.commands_executed == commands + 2
         assert locks.held == {"filelock:L1": 1} and lock_holder(service, "filelock:L1") is not None
         locks.release_set([l1, _file("unheld")])
         assert lock_holder(service, "filelock:L1") is None

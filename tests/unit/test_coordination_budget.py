@@ -2,8 +2,8 @@
 
 Every coordination access costs the user 60-100 ms, so the number of
 replicated commands a system call issues *is* its metadata latency.  These
-tests pin that number — counted at ``ReplicatedStateMachine.commands_executed``,
-below every adapter — for the replicated service and for SCFS-AWS's
+tests pin that number — counted at ``DepSpaceCoordination.commands_executed``,
+where every call's raw command is sent — for the replicated service and for SCFS-AWS's
 unreplicated one (f=0, one VM), which is also what ``bench/costs.py`` prices
 as "accesses per op".
 
@@ -95,7 +95,7 @@ class Mount:
         self.fs.mkdir("/top", shared=True)
 
     def commands(self) -> int:
-        return self.deployment.coordination.rsm.commands_executed
+        return self.deployment.coordination.commands_executed
 
     def cold(self) -> None:
         """Expire the metadata cache (what a pause of >500 ms does)."""
@@ -355,7 +355,7 @@ def _with_bob(mount, directory: str):
 
 def _keys(mount, prefix: str) -> list[str]:
     """Every key under ``prefix``, whoever may read it (the replicated state's)."""
-    state = mount.deployment.coordination.rsm.state
+    state = mount.deployment.coordination.state
     return [key for key, _value in state.values_under(prefix)]
 
 
@@ -652,13 +652,13 @@ def test_a_lock_refused_commit_attempt_leaves_nothing(mount):
     handle = other.open(paths[1], "r+")
     txn = mount.fs.transactions.begin()
     _read_and_rewrite(paths)(txn)
-    entries = mount.fs.coordination.entry_count()
+    entries = mount.fs.coordination.state.entry_count()
     with pytest.raises(TransactionConflictError):
         txn.commit()
     other.close(handle)
     # The refused command was the attempt's only one, and it left nothing: no
     # entry, no lock (the next commit takes them all).
-    assert mount.fs.coordination.entry_count() == entries
+    assert mount.fs.coordination.state.entry_count() == entries
     mount.fs.run_transaction(_read_and_rewrite(paths))
     assert [mount.fs.read_file(path) for path in paths] == [b"x+"] * 3
 
@@ -669,14 +669,14 @@ def test_a_failed_validation_is_the_lock_command_and_the_release(mount):
     txn = mount.fs.transactions.begin()
     _read_and_rewrite(paths)(txn)
     mount.fs.write_file(paths[0], b"newer", shared=True)
-    entries = mount.fs.coordination.entry_count()
+    entries = mount.fs.coordination.state.entry_count()
 
     def refused() -> None:
         with pytest.raises(TransactionConflictError, match="stale read"):
             txn.commit()
 
     assert mount.spent(refused) == 2
-    assert mount.fs.coordination.entry_count() == entries
+    assert mount.fs.coordination.state.entry_count() == entries
     assert mount.fs.read_file(paths[1]) == b"x"
 
 
@@ -725,7 +725,7 @@ def _draw(state, service) -> float:
     """The latency one command to ``service`` draws from RNG ``state``."""
     rng = random.Random()
     rng.setstate(state)
-    return service.rsm.latency.sample(0, rng)
+    return service.latency.sample(0, rng)
 
 
 def test_a_mount_is_one_command_and_registers_a_user_every_user_may_read(mount):
@@ -742,10 +742,10 @@ def test_an_unmount_is_one_command_and_one_round_trip():
     deployment = SCFSDeployment.for_variant("SCFS-CoC-B", seed=5)
     fs = deployment.create_agent("alice")
     service = deployment.coordination
-    commands = service.rsm.commands_executed
+    commands = service.commands_executed
     state, start = deployment.sim.rng.getstate(), deployment.sim.now()
     fs.unmount()
-    assert service.rsm.commands_executed - commands == 1
+    assert service.commands_executed - commands == 1
     assert deployment.sim.now() == start + _draw(state, service)
 
 
@@ -757,10 +757,10 @@ def test_releasing_every_lock_is_one_command(sim):
                           file_id=str(index)) for index in range(3)]
     locks.acquire_set(files)
     locks.acquire(files[1])  # a re-entrant hold: collapsed, not one more command
-    commands = service.rsm.commands_executed
+    commands = service.commands_executed
     state, start = sim.rng.getstate(), sim.now()
     locks.release_all()
-    assert service.rsm.commands_executed - commands == 1
+    assert service.commands_executed - commands == 1
     assert sim.now() == start + _draw(state, service)
     assert locks.held == {} and [lock_holder(service, LockService.lock_name(meta))
                                  for meta in files] == [None] * 3

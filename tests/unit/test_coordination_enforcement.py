@@ -2,8 +2,8 @@
 
 The SCFS Agent is untrusted (§2.6): nothing on the client side of the
 replicated state machine decides whether an entry may change.  These tests
-talk to the state machine directly (``rsm.invoke``), the way a client that
-skipped the adapter would.
+send raw commands (``DepSpaceCoordination.invoke``), the way a client that
+skipped the wrapper's calls would.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from conftest import lock_holder
 
 def _state(coordination) -> bytes:
     """The service's whole replicated state, serialized."""
-    return pickle.dumps(coordination.rsm.state)
+    return pickle.dumps(coordination.state)
 
 
 def _move(coordination, key, new_key, fields, session, target_version=0):
@@ -42,7 +42,7 @@ def _move(coordination, key, new_key, fields, session, target_version=0):
 def _raw(coordination, sim, steps, user, session_id="raw"):
     """``user`` sends ``entry_multi`` of ``steps`` itself, naming any session it likes."""
     holder = Holder(session_id, deadline=sim.now() + 30.0)
-    return coordination.rsm.invoke("entry_multi", tuple(steps), user, sim.now(), holder)
+    return coordination.invoke("entry_multi", tuple(steps), user, sim.now(), holder)
 
 
 class TestRawCommandsAreChecked:
@@ -75,7 +75,7 @@ class TestRawCommandsAreChecked:
             _raw(coordination, sim, [Get("k")], "mallory")
         for user, listed in (("mallory", []), ("bob", ["k"])):
             holder = Holder("s", deadline=sim.now() + 30.0)
-            assert [entry.key for entry in coordination.rsm.invoke(
+            assert [entry.key for entry in coordination.invoke(
                 "entry_multi", (List(""),), user, sim.now(), holder)[0]] == listed
 
     def test_a_raw_unlock_naming_another_principals_session_changes_nothing(
@@ -91,7 +91,7 @@ class TestRawCommandsAreChecked:
             self, coordination, sim, alice):
         session = coordination.open_session(alice)
         coordination.multi([Lock("f"), Lock("g")], session)
-        coordination.rsm.invoke("close_session", session.session_id, "bob", sim.now())
+        coordination.invoke("close_session", session.session_id, "bob", sim.now())
         assert [lock_holder(coordination, name) for name in "fg"] == [session.session_id] * 2
         coordination.close_session(session)
         assert [lock_holder(coordination, name) for name in "fg"] == [None, None]
@@ -194,14 +194,14 @@ class TestCreateRacingATombstone:
                 raise
 
         monkeypatch.setattr(deployment.coordination, "multi", lose_the_race_after_the_first_refusal)
-        commands = deployment.coordination.rsm.commands_executed
+        commands = deployment.coordination.commands_executed
         with pytest.raises(FileExistsErrorFS) as lost:
             alice.create(self._new_file("alice", "file-a"), shared=True)
         # bob's new file is his alone, so alice's refusal carries no witness.
         assert raced[0].deleted and lost.value.found is None
         # Each creator's refused insert, then its replace at the tombstone's
         # version (bob's won): neither read the entry.
-        assert deployment.coordination.rsm.commands_executed - commands == 4
+        assert deployment.coordination.commands_executed - commands == 4
         live = bob.get("/d/f", use_cache=False)
         assert (live.file_id, live.owner, live.deleted) == ("file-b", "bob", False)
         with pytest.raises(PermissionDeniedError):
@@ -362,11 +362,11 @@ class TestARefusedVersionCheckSaysWhatIsThere:
         alice.write_file("/d/f", b"alice's", shared=True)
         if parent_cached:
             bob.stat("/d")
-        commands = deployment.coordination.rsm.commands_executed
+        commands = deployment.coordination.commands_executed
         with pytest.raises(PermissionDeniedError):
             bob.open("/d/f", "w", shared=True)
         # Insert first: the refusal without a witness, then the lookup that says why.
-        assert deployment.coordination.rsm.commands_executed - commands == (2 if parent_cached else 1)
+        assert deployment.coordination.commands_executed - commands == (2 if parent_cached else 1)
         assert bob.locks.held == {} and bob._handles == {}
         assert alice.read_file("/d/f") == b"alice's"
 

@@ -132,18 +132,18 @@ class TestMetadataService:
     def test_cache_serves_repeated_lookups(self, sim, coordination, alice):
         service = self._service(sim, coordination, alice)
         service.create(_file_meta("/x.txt"))
-        before = coordination.rsm.commands_executed
+        before = coordination.commands_executed
         service.get("/x.txt")
         service.get("/x.txt")
-        assert coordination.rsm.commands_executed == before  # both served from cache
+        assert coordination.commands_executed == before  # both served from cache
 
     def test_cache_expiration_forces_coordination_access(self, sim, coordination, alice):
         service = self._service(sim, coordination, alice, expiration=0.1)
         service.create(_file_meta("/x.txt"))
         sim.advance(1.0)
-        before = coordination.rsm.commands_executed
+        before = coordination.commands_executed
         service.get("/x.txt")
-        assert coordination.rsm.commands_executed == before + 1
+        assert coordination.commands_executed == before + 1
 
     def test_update_requires_write_permission(self, sim, coordination, alice, bob):
         """The replicas judge: bob's entry refuses alice's update, and nothing changes."""
@@ -181,24 +181,24 @@ class TestMetadataService:
         for path, refusal in (("/d/f.txt", NotADirectoryErrorFS), ("/e", FileNotFoundErrorFS),
                               ("/d", None)):
             service.cache.invalidate(path)
-            before = coordination.rsm.commands_executed
+            before = coordination.commands_executed
             if refusal is None:
                 assert [m.name for m in service.list_children(path)] == ["f.txt"]
             else:
                 with pytest.raises(refusal):
                     service.list_children(path)
-            assert coordination.rsm.commands_executed == before + 1
+            assert coordination.commands_executed == before + 1
 
     def test_private_files_avoid_coordination(self, sim, coordination, alice, single_backend):
         pns = PrivateNameSpace("alice", single_backend)
         service = self._service(sim, coordination, alice, pns=pns)
         service.create(_file_meta("/home/private.txt"))
-        before = coordination.rsm.commands_executed
+        before = coordination.commands_executed
         service.get("/home/private.txt", use_cache=False)
         meta = service.get("/home/private.txt", use_cache=False)
         meta.size = 10
         service.update(meta, DATA_FIELDS)
-        assert coordination.rsm.commands_executed == before
+        assert coordination.commands_executed == before
 
     def test_promote_to_shared_moves_entry_out_of_pns(self, sim, coordination, alice, single_backend):
         pns = PrivateNameSpace("alice", single_backend)
@@ -286,10 +286,10 @@ class TestLockService:
         service.on_transition = lambda kind, name: transitions.append((kind, name))
         a, b, c = (_file_meta(f"/{n}", file_id=f"f{n}") for n in "abc")
         service.acquire(b)  # e.g. a handle this agent holds open for writing
-        commands = coordination.rsm.commands_executed
+        commands = coordination.commands_executed
         service.acquire_set([a, b, c])
         service.release_set([a, b, c])
-        assert coordination.rsm.commands_executed == commands + 2
+        assert coordination.commands_executed == commands + 2
         assert transitions == [("lock", "filelock:fb"), ("lock", "filelock:fa"),
                                ("lock", "filelock:fc"), ("unlock", "filelock:fa"),
                                ("unlock", "filelock:fc")]

@@ -78,8 +78,8 @@ class TestPrimePool:
         deployment = SCFSDeployment(spec.config, sim=Simulation(seed=1))
         stats = prime_pool(deployment, spec)
         coordination = deployment.coordination
-        assert coordination.entry_count() == stats["coordination_entries"]
-        state = coordination.rsm.state
+        state = coordination.state
+        assert state.entry_count() == stats["coordination_entries"]
         assert list(state._keys.prefixed("")) == sorted(state._entries)  # index and map agree
         # The listing walks the sorted index: every pool file, in key order.
         session = coordination.open_session(deployment.create_agent("carol").principal)

@@ -11,7 +11,7 @@ import pytest
 from repro.common.types import Permission
 from repro.coordination.base import Get, Put
 from repro.coordination.entries import Holder
-from repro.coordination.replication import ReplicatedStateMachine
+from repro.coordination.adapters import DepSpaceCoordination
 from repro.core.deployment import SCFSDeployment
 from repro.scenarios.invariants import (
     check_all,
@@ -457,12 +457,12 @@ class TestSweepRegressions:
         """BFT regression: a replica that missed commands while crashed
         rejoins with the state the quorum built meanwhile, not its own."""
         sim = Simulation(seed=47)
-        rsm = ReplicatedStateMachine(sim, f=1)
+        service = DepSpaceCoordination(sim, f=1)
         holder = Holder("s1", deadline=30.0)
-        rsm.fail_replica(0)
-        rsm.invoke("entry_multi", (Put("k", b"committed-during-crash"),), "alice", 0.0, holder)
-        rsm.recover_replica(0)
-        entry, = rsm.invoke("entry_multi", (Get("k"),), "alice", 0.0, holder)
+        service.fail_replica(0)
+        service.invoke("entry_multi", (Put("k", b"committed-during-crash"),), "alice", 0.0, holder)
+        service.recover_replica(0)
+        entry, = service.invoke("entry_multi", (Get("k"),), "alice", 0.0, holder)
         assert entry.value == b"committed-during-crash"
 
     def test_scenario_runner_smoke(self):

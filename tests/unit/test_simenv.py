@@ -289,7 +289,7 @@ def _coordination_command(sim):
     session = service.open_session(Principal("alice"))
 
     def command():
-        sampled = service.rsm.latency.sample(0, _rng_copy(sim))
+        sampled = service.latency.sample(0, _rng_copy(sim))
         service.put("k", b"v", session)
         return sampled
     return command

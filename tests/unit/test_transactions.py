@@ -390,7 +390,7 @@ class TestFinishedAttempts:
         """16 transactions commit and 4 are refused at the lock, while bob
         holds a file open for writing: no attempt leaves an entry behind."""
         deployment, alice, bob = _shared_pair("SCFS-CoC-B")
-        before = deployment.coordination.entry_count()
+        before = deployment.coordination.state.entry_count()
         outcomes = []
         for attempt in range(20):
             handle = bob.open("/shared/b", "r+") if attempt % 5 == 4 else None
@@ -405,7 +405,7 @@ class TestFinishedAttempts:
             if handle is not None:
                 bob.close(handle)
         assert outcomes.count(COMMITTED) == 16 and outcomes.count(ABORTED) == 4
-        assert deployment.coordination.entry_count() == before
+        assert deployment.coordination.state.entry_count() == before
 
 
 class TestRenameTree:
@@ -514,9 +514,9 @@ class TestLeaseExpiry:
         meta = alice.metadata.get("/shared/a", use_cache=False)
         lapse = deployment.sim.now() + 10.0
         alice.locks.acquire(meta)
-        rsm = deployment.coordination.rsm
-        for index in range(rsm.n):
-            rsm.fail_replica(index)
+        service = deployment.coordination
+        for index in range(len(service.replicas.universe)):
+            service.fail_replica(index)
         assert alice.locks.still_held(meta)
         deployment.sim.advance_to(lapse - 1e-6)
         assert alice.locks.still_held(meta)
