@@ -113,7 +113,8 @@ class LockHeldError(CoordinationError):
     """The lock is already held by another session.
 
     ``lock`` is the contended lock's name when the raiser knows it (a refused
-    lock set names the one lock that was taken), else empty.
+    ``Lock``, ``LockFile`` or ``Unheld`` step names the lock another session
+    holds), else empty.
     """
 
     def __init__(self, message: str, lock: str = ""):

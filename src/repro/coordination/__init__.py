@@ -9,7 +9,7 @@ DepSpace:
 * :mod:`~repro.coordination.entries` — the replica state machine: one map of
   entries with a sorted key index, one lock table whose locks lapse a lease
   after their take, and every command SCFS sends (create-vs-update, ACLs,
-  versions, lock sets);
+  versions, locks and the guards that take none);
 * :mod:`~repro.coordination.base`/:mod:`~repro.coordination.adapters` — the
   steps of a command, and ``DepSpaceCoordination``, the replicated DepSpace
   (one state, 3f+1 replicas and their quorum) that the SCFS Agent programs against.

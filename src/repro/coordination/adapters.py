@@ -38,12 +38,12 @@ stamped with ``lease_seconds`` from the command's time: a lock lives that long
 from the command that took it.
 
 The one-step calls are ``multi`` of one step.  ``multi`` is one command
-whatever its number of steps, all or nothing: a lock set taken or returned, a
-set of entries read, a set of entries conditionally replaced or updated field
-by field — or a lock set taken *and* the entries it guards read or inserted.
-A transaction commit is three commands for any number of files: ``{lock set,
-validating reads}``, ``{Update of every written entry}`` and the lock set's
-release.
+whatever its number of steps, all or nothing: locks taken or returned, a set
+of entries read or checked, a set of entries conditionally replaced or updated
+field by field — or a lock taken *and* the entry it guards read or inserted.
+A transaction commit is two commands for any number of files, and takes no
+lock: ``{Unheld guards, validating reads}`` and ``{Unheld guards, Check of
+every entry only read, Update of every written entry}``.
 """
 
 from __future__ import annotations
@@ -74,6 +74,8 @@ class DepSpaceCoordination:
         self.sim = sim
         #: The replicas ``replica-0`` … ``replica-3f`` and their quorums (f < 0: ``ConfigurationError``).
         self.replicas = quorum_system([f"replica-{i}" for i in range(3 * f + 1)], f)
+        #: The replicas are fixed, so their quorum predicate is taken once.
+        self._quorum = self.replicas.quorum()
         self.state = EntryCommands()
         #: Client-observed latency of one command (80 ms, §4.2, by default).
         self.latency = latency or LatencyModel(base=0.080, jitter=0.2)
@@ -100,9 +102,9 @@ class DepSpaceCoordination:
         The caller waits one round trip (background work: no wait, no draw),
         then the command applies; ``QuorumNotReachedError`` while too few replicas are up.
         """
-        up = [name for index, name in enumerate(self.replicas.universe)
-              if index not in self.faulty]
-        if not self.replicas.satisfied_by(up):
+        up = self.replicas.universe if not self.faulty else [
+            name for index, name in enumerate(self.replicas.universe) if index not in self.faulty]
+        if not self._quorum.satisfied_by(up):
             raise QuorumNotReachedError(f"only {len(up)} correct replicas, too few for a quorum")
         if not self.sim.in_background:
             self.sim.advance(self.latency.sample(0, self.sim.rng))

@@ -149,5 +149,12 @@ class Unheld(NamedTuple):
     key: str
 
 
+class Check(NamedTuple):
+    """Multi-command step: refuse unless the caller may read ``key`` and it is at ``version`` (changes none)."""
+
+    key: str
+    version: int
+
+
 #: One step of :meth:`~repro.coordination.adapters.DepSpaceCoordination.multi`.
-Op = Union[Lock, LockFile, Unlock, Unheld, Get, List, Put, Update, Delete, Grant, Move]
+Op = Union[Lock, LockFile, Unlock, Unheld, Check, Get, List, Put, Update, Delete, Grant, Move]

@@ -15,9 +15,9 @@ paper added to DepSpace for an efficient ``rename`` (§3.2) is the ``Move``
 step of ``entry_multi``: a directory moves with every entry below it.
 
 A replica answers two commands: ``close_session`` and ``entry_multi``, whose
-steps (:data:`~repro.coordination.base.Op`) read or list, create, replace,
-update, delete, move or re-grant entries and take or return locks — all or
-nothing, in one command whatever its size.  What a client would otherwise
+steps (:data:`~repro.coordination.base.Op`) read, check or list, create,
+replace, update, delete, move or re-grant entries and take or return locks —
+all or nothing, in one command whatever its size.  What a client would otherwise
 fetch first, the replica works out from the stored entry: a ``Move`` merges
 its fields into the value it moves, and a ``LockFile`` takes the lock of the
 file the entry names.  Every check precedes every mutation, so a command that
@@ -40,6 +40,7 @@ from repro.common.errors import (
 from repro.common.sortedkeys import SortedKeys
 from repro.common.types import ACL, Permission
 from repro.coordination.base import (
+    Check,
     Delete,
     Entry,
     Get,
@@ -234,12 +235,19 @@ class EntryCommands:
             raise EntryDeniedError(f"{user} may not read entry {key!r}")
         return stored
 
-    def _step(self, op: Get | List | Put | Update | Delete | Grant | Move,
+    def _step(self, op: Get | Check | List | Put | Update | Delete | Grant | Move,
               user: str) -> tuple[Any, list[tuple[str, Stored | None]]]:
         """``(result, records it leaves)`` of the entry step ``op``, checked, not applied (None: erased)."""
         if isinstance(op, Get):
             found = self._readable(op.key, user)
             return (None if found is None else _entry(op.key, found)), []
+        if isinstance(op, Check):
+            found = self._readable(op.key, user)
+            if found is None or found.version != op.version:
+                raise _refusal(op.key, found, user,
+                               f"version mismatch on {op.key!r}: expected {op.version}, "
+                               f"found {0 if found is None else found.version}")
+            return None, []
         if isinstance(op, List):
             entries = self._entries
             return [_entry(key, stored) for key in self._keys.prefixed(op.prefix)
@@ -332,7 +340,8 @@ class EntryCommands:
         :class:`Lock` on a name anyone holds refuses the whole command with
         ``LockHeldError``, and so does a :class:`LockFile` whose file's lock
         another session holds (of one this session holds it takes nothing)
-        and an :class:`Unheld` over such a file;
+        and an :class:`Unheld` over such a file; a :class:`Check` of an entry
+        that is not readable at its version refuses it with ``ConflictError``;
         an :class:`Unlock` of a name that session does not hold (expired,
         taken over, another principal's) changes nothing, which is benign for
         a release.
@@ -340,7 +349,7 @@ class EntryCommands:
         # Checks run against the state before the command, so a second change
         # of one key (or one lock) would pass a check the first invalidates.
         changed = [(isinstance(op, (Lock, Unlock)), key) for op in ops
-                   if not isinstance(op, (Get, List, LockFile, Unheld))
+                   if not isinstance(op, (Get, Check, List, LockFile, Unheld))
                    for key in (op[:2] if isinstance(op, Move) else op[:1])]
         if len(set(changed)) != len(changed):
             raise ConflictError("a multi-command may change each key and each lock only once")

@@ -615,15 +615,16 @@ class SCFSAgent(FileSystem):
                 of.lock.release()
 
     def _publish(self, writes: Sequence[tuple[FileMetadata, bytes, int, int | None]],
-                 **tags: Any) -> None:
+                 also: Sequence[Op] = (), **tags: Any) -> None:
         """Upload each write's version, then anchor them all (Figure 3, steps w2-w3).
 
         Each write is ``(metadata, data, cloud version, entry version)``: the
         cloud version is :meth:`StorageBackend.version_after` of the anchor,
         the entry version what its ``Update`` must find (None: any).  One
         command updates the data fields of every entry — a grant or a
-        tombstone set since stays.  A refused anchor raises ``ConflictError``
-        and commits none of the versions.  ``tags`` label the ``upload`` and
+        tombstone set since stays — behind a transaction's guard steps
+        ``also``.  A refused anchor raises ``ConflictError`` (``LockHeldError``:
+        a guard) and commits none of the versions.  ``tags`` label the ``upload`` and
         ``commit`` events.  A transaction's write set (tagged ``txn``) moves
         through the batch calls at its entry versions; a close's one write
         takes the one-version calls, the names the layer tracer wraps (ROADMAP
@@ -640,7 +641,7 @@ class SCFSAgent(FileSystem):
             self._propagate_cloud_acls(meta)
         if transaction:
             self.metadata.update_many(
-                [(meta, entry) for meta, _data, _version, entry in writes], DATA_FIELDS)
+                [(meta, entry) for meta, _data, _version, entry in writes], DATA_FIELDS, also)
         else:
             [(meta, _data, _version, _entry)] = writes
             self.metadata.update(meta, DATA_FIELDS)

@@ -87,17 +87,49 @@ class LockService:
         return self.coordination is not None
 
     def acquire(self, metadata: FileMetadata, send: Carrier | None = None) -> bool:
-        """Lock ``metadata`` for writing: the one-file case of :meth:`acquire_set`.
+        """Lock ``metadata`` for writing, in one coordination command.
 
-        A lock another client holds refuses it at once with
-        :class:`LockHeldError`, which the file system surfaces as an
-        open-for-writing error (§2.5.2); nothing waits or retries.
+        The lock rides in the command it guards: ``send``, when given, is
+        called once with the ``Lock`` step (none when the lock is re-entrant)
+        to put in its own ``multi``, and must raise iff that command was
+        refused; without it the step goes alone.  A disabled lock service sends
+        no step and returns False.  A re-entrant take is counted *before* the
+        command, since a background commit of this agent may release the other
+        acquisition while ``send`` advances the clock; a refusal rolls it back
+        through :meth:`_release`.  A lock taken is counted once the command
+        succeeded, with its lease's lapse counted from the call.  A lock
+        another client holds refuses it at once with a :class:`LockHeldError`
+        naming the file (§2.5.2); nothing waits or retries.
         """
-        return self.acquire_set([metadata], send)
+        if self.coordination is None:
+            if send is not None:
+                send(())
+            return False
+        name = self.lock_name(metadata)
+        reentrant = name in self.held
+        if reentrant:
+            self.held[name] += 1
+        steps = [] if reentrant else [Lock(name)]
+        lapse = self.sim.now() + self.session.lease_seconds
+        try:
+            if send is not None:
+                send(steps)
+            elif steps:
+                self.coordination.multi(steps, self.session)
+        except BaseException as exc:
+            if reentrant:
+                self._release([name])
+            if isinstance(exc, LockHeldError):
+                raise LockHeldError(f"{metadata.path} is locked for writing by another client",
+                                    lock=exc.lock) from exc
+            raise
+        if not reentrant:
+            self._taken(name, lapse)
+        return True
 
     def release(self, metadata: FileMetadata) -> None:
-        """Release the write lock on ``metadata``: the one-file case of :meth:`release_set`."""
-        self.release_set([metadata])
+        """Release one acquisition of the write lock on ``metadata`` (none held: nothing sent)."""
+        self._release([self.lock_name(metadata)])
 
     def hold(self, metadata: FileMetadata, send: Carrier | None = None) -> FileLock:
         """:meth:`acquire` ``metadata``'s lock, handed out as the :class:`FileLock` its owner releases.
@@ -119,7 +151,7 @@ class LockService:
         its own ``multi`` and returns the step's answer: the name the
         replica took, or None when it took nothing — no live file the
         principal may write is there, or this session holds it already.  A
-        name taken is counted as :meth:`acquire_set` counts one, and
+        name taken is counted as :meth:`acquire` counts one, and
         returned.  A lock another session holds refuses the command with
         :class:`LockHeldError`.
         """
@@ -130,80 +162,20 @@ class LockService:
             raise LockHeldError(f"{key} is locked for writing by another client",
                                 lock=exc.lock) from exc
         if name is not None:
-            self._taken([name], lapse)
+            self._taken(name, lapse)
         return name
 
-    def _taken(self, names: Sequence[str], lapse: float) -> None:
-        """Count one acquisition of each of ``names``, which the service just granted.
+    def _taken(self, name: str, lapse: float) -> None:
+        """Count one acquisition of ``name``, which the service just granted.
 
         A name held here already (its lease lapsed at the replicas, which
         granted it again) keeps its first lapse and fires no transition.
         """
-        fresh = [name for name in names if name not in self.held]
-        for name in names:
-            self.held[name] = self.held.get(name, 0) + 1
-            self.lapses.setdefault(name, lapse)
-        self._transitions("lock", fresh)
-
-    def acquire_set(self, metadatas: Sequence[FileMetadata],
-                    send: Carrier | None = None) -> bool:
-        """Lock every file of ``metadatas`` or none, in one coordination command.
-
-        The transactional commit takes its whole (sorted) lock set this way.
-        The lock rides in the command it guards: ``send``, when given, is the
-        metadata command to run under the locks — it is called once with the
-        ``Lock`` steps to put in its own ``multi`` (none when every lock is
-        re-entrant) and must raise iff that command was refused; without it
-        the steps go alone.  A disabled lock service sends no step and returns
-        False (callers need no special-casing of the non-sharing mode).
-
-        A re-entrant name is counted *before* the command: nothing can refuse
-        it, and ``send`` advances the clock, so a background commit of this
-        agent may release one acquisition of it meanwhile — counted after,
-        that release would hand back a lock this call then claims to hold.
-        The names taken from the service are counted once the command
-        succeeded, with the lapse of a lease counted from the call (no later
-        than the replicas' own), and one ``lock`` transition fires per name
-        taken.  A refusal takes no name and fires no ``lock`` transition; it
-        rolls each re-entrant count back through :meth:`_release`, which
-        returns (and fires ``unlock`` for) a lock whose other acquisition was
-        released meanwhile, and a :class:`LockHeldError` names the contended
-        file.
-        """
-        if self.coordination is None:
-            if send is not None:
-                send(())
-            return False
-        # Two paths of a set may share a lock (the names survive renames):
-        # the set takes, and :meth:`release_set` returns, that lock once.
-        paths = {self.lock_name(metadata): metadata.path for metadata in metadatas}
-        fresh = [name for name in sorted(paths) if name not in self.held]
-        reentrant = [name for name in sorted(paths) if name in self.held]
-        for name in reentrant:
-            self.held[name] += 1
-        steps = [Lock(name) for name in fresh]
-        lapse = self.sim.now() + self.session.lease_seconds
-        try:
-            if send is not None:
-                send(steps)
-            elif steps:
-                self.coordination.multi(steps, self.session)
-        except BaseException as exc:
-            self._release(reentrant)
-            if isinstance(exc, LockHeldError):
-                raise LockHeldError(
-                    f"{paths.get(exc.lock, exc.lock)} is locked for writing by another client",
-                    lock=exc.lock) from exc
-            raise
-        self._taken(fresh, lapse)
-        return True
-
-    def release_set(self, metadatas: Sequence[FileMetadata]) -> None:
-        """Release what :meth:`acquire_set` of the same files took, in one command.
-
-        Names not held are skipped.
-        """
-        self._release(sorted({self.lock_name(m) for m in metadatas}))
+        fresh = name not in self.held
+        self.held[name] = self.held.get(name, 0) + 1
+        self.lapses.setdefault(name, lapse)
+        if fresh:
+            self._transitions("lock", [name])
 
     def release_all(self) -> None:
         """Release every lock held by this agent (unmount path).
@@ -245,8 +217,7 @@ class LockService:
         past ``lease_seconds`` loses the lock silently while its own ``held``
         count still names it.  The lapse is the one this agent counted at the
         take, no later than the replicas' own, so the check sends nothing.
-        Commit paths re-check here before irreversible steps, turning a stolen
-        lock into a clean abort instead of a version fork.  Always True with
+        Only the layer benchmark's tracer calls this.  Always True with
         locking disabled (nothing can be stolen without a lock service).
         """
         if self.coordination is None:

@@ -167,9 +167,9 @@ class MetadataService:
         """:meth:`lookup_versioned` of every path in ``wanted``, in one coordination read.
 
         The entries are read by one command, so they are one consistent
-        snapshot — what the transactional commit validates under its locks,
-        which ride in the same command as ``also`` (the lock service's
-        ``Lock`` steps: the snapshot is then taken with the locks granted).
+        snapshot — what a transaction commit validates its reads against and
+        bases its writes on, with its ``Unheld`` guards riding in front as
+        ``also``.
         """
         found: dict[str, tuple[FileMetadata, int] | None] = {
             normalize_path(path): None for path in wanted}
@@ -303,20 +303,21 @@ class MetadataService:
         return self.update_many([(metadata, expected_version)], DATA_FIELDS)[0]
 
     def update_many(self, changes: Sequence[tuple[FileMetadata, int | None]],
-                    fields: Sequence[str]) -> list[FileMetadata]:
+                    fields: Sequence[str], also: Sequence[Op] = ()) -> list[FileMetadata]:
         """Set ``fields`` of each shared entry to its ``metadata``'s values, keeping the rest: one command.
 
-        Each ``(metadata, expected_version)`` is one ``Update``; the replicas
-        refuse them all (``ConflictError``) when an entry is gone, names
-        another file or is not at ``expected_version`` (None: any) — the
-        check that stops a lock-lease usurper and the original holder from
-        both anchoring a version.  Returns, and caches, the merged tuples; a
-        refusal leaves this agent's view of each path what the refusal met.
+        Each ``(metadata, expected_version)`` is one ``Update``, behind the
+        guard steps ``also``; the replicas refuse them all with
+        ``ConflictError`` when an entry is gone, names another file or is not
+        at ``expected_version`` (None: any), or a ``Check`` fails, and with
+        ``LockHeldError`` when an ``Unheld`` does.  Returns, and caches, the
+        merged tuples; a refusal leaves this agent's view of each path what
+        the refusal met.
         """
         steps = [Update(self.entry_key(metadata.path), metadata.file_id,
                         metadata.fields(fields), version) for metadata, version in changes]
         try:
-            entries = self.coordination.multi(steps, self.session)
+            entries = self.coordination.multi([*also, *steps], self.session)[len(also):]
         except ConflictError as exc:
             for metadata, _version in changes:
                 if self._witness(metadata.path, exc) is None:

@@ -463,11 +463,11 @@ def _faults_for_mix(mix: str, rng, agents: int = 3) -> tuple[tuple[FaultPhase, .
         ), None, ()
 
     if mix == "txn-crash-restart":
-        # One agent crashes mid-transaction holding write locks and remounts
-        # after its leases expired; the survivors' commits must take over the
-        # expired locks without ever forking a version.  No DEGRADED window:
-        # its simulated-time stretch would dwarf the 25 s lease and make the
-        # crash/lease timeline meaningless.
+        # One agent crashes holding its write-opens' locks, which refuse the
+        # survivors' commits of those files (a commit takes none) until their
+        # leases lapse, and remounts after that.  No version may fork.  No
+        # DEGRADED window: its simulated-time stretch would dwarf the 25 s
+        # lease and make the crash/lease timeline meaningless.
         victim = rng.randrange(agents)
         downed = rng.randrange(4)
         replica = rng.randrange(4)

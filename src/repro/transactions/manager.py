@@ -3,44 +3,48 @@
 SCFS (§2.4) gives per-file consistency-on-close; the sync workloads of the
 paper's Figure 8 imply *multi-file* atomicity — rename trees, batched commits
 — that plain close() cannot provide.  This layer adds it on top of the
-existing primitives: optimistic execution, then a lock set, validation and
-one atomic commit point on the one coordination service:
+existing primitives: optimistic execution, then client-side validation and
+one guarded commit point on the one coordination service, holding no lock
+(Basil's optimistic commit, arXiv:2109.12443):
 
 1. **Optimistic execution** — :meth:`Transaction.read` records the
    ``(file_id, data_version, digest)`` it served; :meth:`Transaction.write`
    only stages bytes locally.  Nothing is visible to other agents yet.
-2. **Commit** (:meth:`TransactionManager.commit`) — three coordination
-   commands and two rounds of uploads, whatever the size of the sets, and
-   only the first command stands in front of the upload:
+2. **Commit** (:meth:`TransactionManager.commit`) — two coordination
+   commands and one round of uploads, whatever the size of the sets (one
+   command for a read-only transaction):
 
-   a. take the write locks of the *union* of the read and write sets, sorted
-      by lock name, as one all-or-nothing lock set, and
-   b. in the same command (the lock rides in the command it guards) re-read
-      every entry of the union;
-   c. validate every read, and the version each write is based on, against
-      that snapshot, taken under the locks;
-   d. upload the new data versions to the cloud(s), the whole write set
+   a. the **snapshot**: one command reads every entry of the read∪write
+      union behind an ``Unheld`` guard per written file, so a file another
+      writer holds open refuses the attempt before anything is uploaded;
+   b. validate every read against the snapshot; each write is based on the
+      entry the snapshot read;
+   c. upload the new data versions to the cloud(s), the whole write set
       moving through the DepSky put phases together.  Each version is
-      numbered by the anchor just validated — the one after the version the
+      numbered by the snapshot's anchor — the one after the version the
       entry's locator names — so no cloud is asked for its head first;
-   e. the **commit point**: one command holding an ``Update`` of every
-      written entry's data fields at the entry version validated — every
-      file is anchored, or nothing changed.  Steps d and e are the agent's
-      one publish step (:meth:`~repro.core.agent.SCFSAgent._publish`), the
-      one a close takes for its single file;
-   f. release the lock set, and keep the written bytes in the local caches
-      under their new versions (the committer's next read of them is local),
-      a disk write that runs beside the upload of step d;
-   g. return once the uploaded versions are expected to be readable
+   d. the **commit point**: one command of ``Unheld`` per written file,
+      ``Check`` per file only read, and an ``Update`` of every written
+      entry's data fields at its snapshot version — every file is
+      anchored, or nothing changed.  The guards are needed because other
+      agents' opens, closes and steps run while the upload waits.  Steps c
+      and d are the agent's one publish step
+      (:meth:`~repro.core.agent.SCFSAgent._publish`), the one a close takes
+      for its single file;
+   e. keep the written bytes in the local caches under their new versions
+      (the committer's next read of them is local), a disk write that runs
+      beside the upload of step c;
+   f. return once the uploaded versions are expected to be readable
       (:meth:`~repro.core.backend.StorageBackend.estimate_readable_at` of the
       locators the uploads minted) and the cache writes are done: the clouds
       acknowledge a put before readers see it, and a reader the caller tells
       about the commit would otherwise sit out the rest of the propagation
-      window itself.  That instant runs from the block dispatch of step d, so
-      steps e and f are hidden under the wait: what a commit costs is the
-      time *to* step d.
-3. **Abort/retry** — any conflict (lock held, stale read, lost lease, CAS
-   mismatch) raises :class:`~repro.common.errors.TransactionConflictError`;
+      window itself.  That instant runs from the block dispatch of step c, so
+      step d is hidden under the wait: what a commit costs is the time *to*
+      step c.
+3. **Abort/retry** — any conflict (a written file held open, a stale read, a
+   refused commit point) raises
+   :class:`~repro.common.errors.TransactionConflictError`;
    :meth:`TransactionManager.run` re-executes the whole transaction body with
    bounded exponential backoff before giving up with
    :class:`~repro.common.errors.TransactionAbortedError`.  A retry knows the
@@ -49,13 +53,11 @@ one atomic commit point on the one coordination service:
    failure of a commit attempt (a missing file, an upload that misses its
    quorum) ends the transaction the same way and re-raises as it is.
 
-The locks serialize commits, the validation makes the serialization order
-match the reads, and the CAS is defence in depth against lock-lease expiry: a
-usurper that stole an expired lock bumps the entry version, so the original
-holder's commit point fails as a whole instead of forking the version
-history — a crash or a lost lease can no longer leave a transaction anchored
-on some of its files only.  Aborts before the commit point leave zero visible
-state (uploaded-but-unanchored blocks are invisible and garbage-collectable).
+The service applies each command atomically and once, so the commit point
+serializes commits: when it applies, every read and every written entry is at
+the version the snapshot validated, and no other writer holds a written file
+open.  An abort leaves zero visible state (uploaded-but-unanchored blocks are
+invisible and garbage-collectable).
 
 The trace events (``txn_begin`` / ``txn_commit`` / ``txn_abort``, plus the
 per-file ``upload``/``commit`` events tagged with the transaction id) are the
@@ -78,8 +80,8 @@ from repro.common.errors import (
     TransactionConflictError,
     TransactionError,
 )
-from repro.coordination.base import Unheld
-from repro.core.metadata import FileMetadata, FileType, normalize_path
+from repro.coordination.base import Check, Op, Unheld
+from repro.core.metadata import FileMetadata, normalize_path
 from repro.crypto.hashing import content_digest
 
 if TYPE_CHECKING:
@@ -87,9 +89,6 @@ if TYPE_CHECKING:
 
 #: One authoritative read of some paths (``lookup_many_versioned``).
 Snapshot = dict[str, tuple[FileMetadata, int] | None]
-
-#: What each write of a commit is based on: ``(path, file_id, data_version)``.
-Bases = list[tuple[str, str, int]]
 
 #: Lifecycle states of a transaction.
 ACTIVE, COMMITTED, ABORTED = "active", "committed", "aborted"
@@ -135,7 +134,7 @@ class Transaction:
         #: What a retry (:meth:`TransactionManager.run`) re-read of the paths
         #: the failed attempt touched: :meth:`read` takes its metadata from
         #: here.  It may be stale by the time of the read — so may any read;
-        #: the validation under the commit's locks covers both.
+        #: the commit validates both against its own snapshot.
         self._snapshot: Snapshot = {}
         #: ``[path, file_id, version, digest]`` of each anchored write, filled
         #: by the commit (the write set as the serializability checker sees it).
@@ -148,7 +147,7 @@ class Transaction:
             raise TransactionError(f"transaction {self.txn_id} is {self.status}")
 
     def read(self, path: str) -> bytes:
-        """Read ``path`` within this transaction (repeatable, reads-your-writes)."""
+        """Read ``path`` within this transaction (repeatable, reads-your-writes; validated at commit)."""
         self._require_active()
         path = normalize_path(path)
         if path in self._writes:
@@ -279,7 +278,7 @@ class TransactionManager:
             self._emit_commit(txn)
             return
         try:
-            self._commit_locked(txn)
+            self._validate_and_anchor(txn)
         except LockHeldError as exc:
             self._finish_abort(txn, str(exc))
             raise TransactionConflictError(str(exc)) from exc
@@ -287,51 +286,22 @@ class TransactionManager:
             self._finish_abort(txn, str(exc))
             raise
 
-    def _commit_locked(self, txn: Transaction) -> None:
+    def _validate_and_anchor(self, txn: Transaction) -> None:
         agent = self.agent
         paths = sorted(set(txn._reads) | set(txn._writes))
         for path in paths:
             agent.flush_pending(path)
-        # A lock is named by the file id, which the read set already holds;
-        # only write-only paths need a look at the anchor before locking.  (A
-        # path recreated since the read has a new id: validation, below and
-        # under the locks, then aborts the attempt.)
-        seen = {path: (record.file_id, record.version) for path, record in txn._reads.items()}
-        write_only = [p for p in paths if p not in seen]
-        unread = self._checked(txn, write_only,
-                               agent.metadata.lookup_many_versioned(write_only))
-        seen.update((path, (meta.file_id, meta.data_version))
-                    for path, (meta, _version) in unread.items())
-        # Strict two-phase locking over the read∪write union, taken as one
-        # all-or-nothing set in global lock-name order (the names are stable
-        # across renames, so every committer sorts identically).
-        locked = sorted((FileMetadata(path=path, file_type=FileType.FILE, owner="",
-                                      file_id=file_id)
-                         for path, (file_id, _version) in seen.items()),
-                        key=agent.locks.lock_name)
-        # Each write is based on the version known before the locks.  The
-        # validation snapshot is taken by the command that grants the locks:
-        # competing writers are excluded, and what it read is what the CAS
-        # will see.
-        bases: Bases = [(path, file_id, version)
-                        for path, (file_id, version) in sorted(seen.items())
-                        if path in txn._writes]
-        found: Snapshot = {}
-        agent.locks.acquire_set(locked, lambda also: found.update(
-            agent.metadata.lookup_many_versioned(paths, also=also)))
-        try:
-            current = self._checked(txn, paths, found)
-            self._validate(txn, current, bases)
-            for meta in locked:
-                if not agent.locks.still_held(meta):
-                    raise TransactionConflictError(
-                        f"lock lease on {meta.path} expired during commit")
-            uploaded_from = agent.sim.now()
-            readable_at = self._anchor_writes(txn, current, bases) if bases else 0.0
-            txn.status = COMMITTED
-            self._emit_commit(txn)
-        finally:
-            agent.locks.release_set(locked)
+        unheld = [Unheld(agent.metadata.entry_key(path)) for path in txn.write_set]
+        current = self._validated(txn, paths,
+                                  agent.metadata.lookup_many_versioned(paths, also=unheld))
+        uploaded_from = agent.sim.now()
+        readable_at = 0.0
+        if txn._writes:
+            only_read = [Check(agent.metadata.entry_key(path), current[path][1])
+                         for path in sorted(txn._reads) if path not in txn._writes]
+            readable_at = self._anchor_writes(txn, current, [*unheld, *only_read])
+        txn.status = COMMITTED
+        self._emit_commit(txn)
         # The committer keeps what it wrote (always write / avoid reading):
         # its next read of these versions is served locally, as after a close.
         # The cache writes run beside the upload, done by ``kept_at``.
@@ -343,17 +313,14 @@ class TransactionManager:
         # not merely acknowledged: the clouds are eventually consistent, and a
         # reader the caller notifies inside the propagation window would sit
         # out the rest of it (Figure 3, step r2) — so "committed" means
-        # "readable".  The locks are already back, so nobody else waits.
+        # "readable".
         wait = max(readable_at, kept_at) - agent.sim.now()
         if wait > 0:
             agent.sim.advance(wait)
 
-    def _checked(self, txn: Transaction, paths: list[str], found: Snapshot,
-                 ) -> dict[str, tuple[FileMetadata, int]]:
-        """``found`` (one authoritative read of ``paths``) as the lock/CAS set.
-
-        Every path must be a live file at the anchor, or the attempt is over.
-        """
+    def _validated(self, txn: Transaction, paths: list[str], found: Snapshot,
+                   ) -> dict[str, tuple[FileMetadata, int]]:
+        """``found``, the commit's snapshot of ``paths``, once every path is a live file and every read current."""
         current: dict[str, tuple[FileMetadata, int]] = {}
         for path in paths:
             pair = found[path]
@@ -361,56 +328,39 @@ class TransactionManager:
                 if path in txn._writes and path not in txn._reads:
                     raise FileNotFoundErrorFS(f"no such file: {path}")
                 raise TransactionConflictError(f"{path} disappeared mid-transaction")
-            if pair[0].is_directory:
+            meta, record = pair[0], txn._reads.get(path)
+            if meta.is_directory:
                 raise IsADirectoryErrorFS(f"is a directory: {path}")
-            current[path] = pair
-        return current
-
-    def _validate(self, txn: Transaction, current: dict[str, tuple[FileMetadata, int]],
-                  bases: Bases) -> None:
-        """Every read, and the base of every write, against the snapshot under the locks."""
-        for path, record in txn._reads.items():
-            meta = current[path][0]
-            if (meta.file_id != record.file_id
-                    or meta.data_version != record.version
-                    or meta.digest != record.digest):
+            if record is not None and (meta.file_id, meta.data_version, meta.digest) != (
+                    record.file_id, record.version, record.digest):
                 raise TransactionConflictError(
                     f"stale read of {path}: saw version {record.version}, "
                     f"anchor has {meta.data_version}")
-        # A write-only path was looked up before the locks: its write must
-        # not be based on a version that was replaced in between.
-        for path, file_id, version in bases:
-            meta = current[path][0]
-            if (meta.file_id, meta.data_version) != (file_id, version):
-                raise TransactionConflictError(
-                    f"{path} changed before its lock was granted: the write is based "
-                    f"on version {version}, anchor has {meta.data_version}")
+            current[path] = pair
+        return current
 
     def _anchor_writes(self, txn: Transaction, current: dict[str, tuple[FileMetadata, int]],
-                       bases: Bases) -> float:
-        """Publish the write set (steps d-e); returns when all of it is expected readable."""
+                       guards: list[Op]) -> float:
+        """Publish the write set behind ``guards`` (steps c-d); returns when all of it is expected readable."""
         agent = self.agent
         now = agent.sim.now()
         writes = []
-        for path, _file_id, version in bases:
+        for path in txn.write_set:
             meta, entry_version = current[path]
             data = txn._writes[path]
             new_meta = meta.copy()
             new_meta.point_at(content_digest(data), len(data))
             new_meta.modified_at = now
-            new_meta.data_version = version + 1
-            # Numbered by the anchor: the validated entry is, under the
-            # locks, the latest version there is.
+            new_meta.data_version = meta.data_version + 1
             writes.append((new_meta, data,
                            agent.backend.version_after(meta.locator, meta.data_version),
                            entry_version))
         try:
-            agent._publish(writes, background=False, txn=txn.txn_id)
+            agent._publish(writes, guards, background=False, txn=txn.txn_id)
         except ConflictError as exc:
-            # Unreachable while the locks hold (validated entry versions
-            # cannot move), so reaching it means the lease protection
-            # failed — the caller records the abort loudly.
-            raise TransactionConflictError(f"version CAS failed: {exc}") from exc
+            # An entry moved since the snapshot: the versions just uploaded
+            # stay unanchored, for the collector.
+            raise TransactionConflictError(f"commit point refused: {exc}") from exc
         txn._committed_writes.extend([meta.path, meta.file_id, meta.data_version, meta.digest]
                                      for meta, _data, _version, _entry in writes)
         agent.gc.maybe_schedule()

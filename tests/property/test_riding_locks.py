@@ -1,13 +1,13 @@
 """Property: a refused riding command changes nothing the caller could trip over.
 
 A lock rides in the metadata command it guards (``LockService.acquire(meta,
-send)`` / ``acquire_set(metas, send)``): one ``multi`` carries the ``Lock``
-steps together with the ``Get``/``Put`` steps of the caller.  The service
-keeps the mirror-image promise for a command that ends with ``Unlock`` steps.
-Hypothesis draws a step mix (which locks are wanted, which are already held
-re-entrantly, which entries are read or conditionally replaced) and one reason
-for the command to be refused — a wanted lock held by someone else, a failed
-``expected_version``, a denied READ — and asserts that afterwards
+send)``): one ``multi`` carries the ``Lock`` step together with the
+``Get``/``Put`` steps of the caller.  The service keeps the mirror-image
+promise for a command that ends with ``Unlock`` steps.  Hypothesis draws a
+step mix (which lock is wanted, which are already held re-entrantly, which
+locks are returned, which entries are read or conditionally replaced) and one
+reason for the command to be refused — the wanted lock held by someone else,
+a failed ``expected_version``, a denied READ — and asserts that afterwards
 
 * the caller holds no lock it did not hold before (and still holds those),
 * ``LockService.held`` and the ``on_transition`` history are unchanged,
@@ -16,7 +16,7 @@ for the command to be refused — a wanted lock held by someone else, a failed
 * an ``Unlock`` riding with a refused ``Put`` was not applied: an entry step
   never executes after the ``Unlock`` it rides with.
 
-A third property names every lock the way the agent does — by the file id,
+A third property names the lock the way the agent does — by the file id,
 whatever path a rename moved the entry to since — and lets the release of a
 held lock come due while the riding command is out (a background commit
 landing inside it), accepted or refused, with and without a re-entrant hold:
@@ -66,12 +66,12 @@ def _key(file_id: str) -> str:
 
 _case = st.fixed_dictionaries({
     "held": st.sets(st.sampled_from(FILES)),
-    "wanted": st.sets(st.sampled_from(FILES), min_size=1),
+    "wanted": st.sets(st.sampled_from(FILES), min_size=1),  # the locks a release returns
     "steps": st.lists(st.sampled_from((None, "get", "put")),
                       min_size=len(FILES), max_size=len(FILES)),
     "direction": st.sampled_from(("acquire", "release")),
     "refusal": st.sampled_from(("held", "version", "denied")),
-    "victim": st.sampled_from(FILES),
+    "victim": st.sampled_from(FILES),  # the lock an acquisition wants, the refused step's file
 })
 
 
@@ -92,13 +92,14 @@ def test_refused_riding_command_leaves_locks_entries_and_bookkeeping_alone(case)
     locks.on_transition = lambda kind, name: transitions.append((kind, name))
     acquiring = case["direction"] == "acquire"
     wanted, victim, refusal = sorted(case["wanted"]), case["victim"], case["refusal"]
-    # A release returns locks the caller holds; an acquisition may find some held.
+    # A release returns locks the caller holds; an acquisition, of the
+    # victim's lock, may find it held.
     held_before = sorted(case["held"] | (set() if acquiring else set(wanted)))
-    locks.acquire_set([_meta(file_id) for file_id in held_before])
+    for file_id in held_before:
+        locks.acquire(_meta(file_id))
     if refusal == "held":
         if not acquiring or victim in held_before:
             return  # only a lock the caller wants and lacks can be refused
-        wanted = sorted({*wanted, victim})
         LockService(sim, service, bob).acquire(_meta(victim))
 
     steps = [Get(_key(f)) if step == "get" else Put(_key(f), b"v2", 1)
@@ -111,8 +112,7 @@ def test_refused_riding_command_leaves_locks_entries_and_bookkeeping_alone(case)
     held, recorded = dict(locks.held), list(transitions)
     with pytest.raises(LockHeldError if refusal == "held" else ConflictError):
         if acquiring:
-            locks.acquire_set([_meta(file_id) for file_id in wanted],
-                              lambda also: service.multi([*also, *steps], alice))
+            locks.acquire(_meta(victim), lambda also: service.multi([*also, *steps], alice))
         else:
             service.multi([*steps, *(Unlock(_lock(file_id)) for file_id in wanted)], alice)
 
@@ -135,18 +135,19 @@ def test_accepted_riding_command_settles_counts_and_applies_every_step(case):
     for file_id in FILES:
         service.put(_key(file_id), b"v1", alice)
     locks = LockService(sim, service, alice)
-    wanted = [_meta(file_id) for file_id in sorted(case["wanted"])]
-    locks.acquire_set([_meta(file_id) for file_id in sorted(case["held"])])
+    wanted = case["victim"]
+    for file_id in sorted(case["held"]):
+        locks.acquire(_meta(file_id))
     steps = [Get(_key(f)) if step == "get" else Put(_key(f), b"v2", 1)
              for f, step in zip(FILES, case["steps"], strict=True) if step is not None]
     answers: list = []
-    locks.acquire_set(wanted, lambda also: answers.extend(
+    locks.acquire(_meta(wanted), lambda also: answers.extend(
         service.multi([*also, *steps], alice)[len(also):]))
     assert [a.version for a in answers] == [1 if isinstance(s, Get) else 2 for s in steps]
     assert locks.held == {
-        _lock(f): (f in case["held"]) + (f in case["wanted"])
-        for f in sorted(case["held"] | case["wanted"])}
-    locks.release_set(wanted)
+        _lock(f): (f in case["held"]) + (f == wanted)
+        for f in sorted(case["held"] | {wanted})}
+    locks.release(_meta(wanted))
     assert sorted(locks.held) == sorted(map(_lock, case["held"]))
     for file_id in FILES:
         holder = lock_holder(service, _lock(file_id))
@@ -161,7 +162,7 @@ _renamed = st.fixed_dictionaries({
     "renamed": st.lists(st.booleans(), min_size=len(FILES), max_size=len(FILES)),
     "held": st.sets(st.sampled_from(FILES)),
     "pending": st.sets(st.sampled_from(FILES)),  # held ones whose release comes due
-    "wanted": st.sets(st.sampled_from(FILES), min_size=1),
+    "wanted": st.sampled_from(FILES),
     "refused": st.booleans(),
 })
 
@@ -207,27 +208,26 @@ def test_riding_command_keeps_every_count_with_the_service(case):
     taken: set[str] = set()
     locks.on_transition = lambda kind, name: (taken.add if kind == "lock" else taken.discard)(name)
     held, pending, wanted = sorted(case["held"]), case["pending"] & case["held"], case["wanted"]
-    locks.acquire_set([metas[name] for name in held])
+    for name in held:
+        locks.acquire(metas[name])
     for name in sorted(pending):  # the acquisition a background commit holds
         sim.schedule(0.001, functools.partial(locks.release, metas[name]))
-    victims = sorted(wanted - case["held"])
-    refused = case["refused"] and bool(victims)
+    refused = case["refused"] and wanted not in case["held"]
     if refused:
         LockService(sim, service, service.open_session(
-            Principal(name="bob", canonical_ids=()))).acquire(metas[victims[0]])
+            Principal(name="bob", canonical_ids=()))).acquire(metas[wanted])
 
     recorder = _Recorder(service)
-    paths = [metas[name].path for name in sorted(wanted)]
-    reread = functools.partial(_reread, service, alice, paths)
+    reread = functools.partial(_reread, service, alice, [metas[wanted].path])
     if refused:
         with pytest.raises(LockHeldError):
-            locks.acquire_set([metas[name] for name in sorted(wanted)], reread)
+            locks.acquire(metas[wanted], reread)
     else:
-        locks.acquire_set([metas[name] for name in sorted(wanted)], reread)
+        locks.acquire(metas[wanted], reread)
     assert sim.step() is False  # every release came due inside the command
 
     for name in FILES:
-        hold = (name in case["held"]) - (name in pending) + (name in wanted and not refused)
+        hold = (name in case["held"]) - (name in pending) + (name == wanted and not refused)
         lock = LockService.lock_name(metas[name])
         assert locks.held.get(lock, 0) == hold, name
         mine = lock_holder(service, lock) == alice.session_id

@@ -69,16 +69,18 @@ from repro.scenarios.runner import ScenarioRunner
 #: Epoch 20 covers all eight mixes: a close after an ``fsync`` of the same
 #: bytes writes no second disk copy, and a cloud read, a blocking close and a
 #: commit write their caches beside the transfer, so every later timestamp
-#: moves.  See docs/determinism-contract.md.
+#: moves.  Epoch 21 moved the three ``txn`` mixes only: a transaction commit
+#: takes no lock set, so it sends one command (and draws one latency) fewer.
+#: See docs/determinism-contract.md.
 GOLDEN_LOCKSTEP = {
     "fault-free": "29ecd9b339b036a00de3a6c600c30944d75736369f5f4313bfe07c808f07f024",
     "crash-hang": "bf83586df8c8277c601753aabc294d97e256dce48819467ffc5756dad0ef05a8",
     "corrupt-byzantine": "e671711a5c1407e38b9f6b734d041efdb9e2dc8d7195eb192420d5734d3171d3",
     "degraded-outage": "fdd9261f4fe2df79ab9255dac25e44508b5bc1f9547094491c3f24cb588908e0",
     "weighted-byzantine": "6c5a0dda179bcef880813ae66d98db87d2a16e7301c4cd19c7ac062325d697f6",
-    "txn": "1665eb377f2ac044b41022fe9ec17a4bd6730bdce48357ec010a9fd8f71ae5f6",
-    "txn-crash-restart": "e3ae646979f7afb883839cb2f8e34727c88abbc39be0f4add25aad0e7837b4ee",
-    "txn-partition": "1f3a399a02772981b6566e3257c2b95fb1de9d93346320c392c7301643fd8e73",
+    "txn": "2f0f59a5231e24de50ad00f521e3ffed66a6fee020286db7d73f8ec7b7bb6ad2",
+    "txn-crash-restart": "b74b0e75f8320bebecf322a7331792dd99a5aa44d3f0400a96f8b948017d893d",
+    "txn-partition": "4beca3449a708764040b909996b0e70b6d3343aee5bc1d7cd657c4671da6274c",
 }
 
 

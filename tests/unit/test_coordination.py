@@ -22,7 +22,8 @@ from repro.common.errors import (
 )
 from repro.common.types import Permission
 from repro.coordination.adapters import DepSpaceCoordination
-from repro.coordination.base import Delete, Get, Grant, List, Lock, Move, Put, Unheld, Unlock
+from repro.coordination.base import (
+    Check, Delete, Get, Grant, List, Lock, Move, Put, Unheld, Unlock, Update)
 from repro.coordination.entries import EntryCommands, Holder
 from repro.core.lock_service import LockService
 from repro.core.deployment import SCFSDeployment
@@ -241,6 +242,36 @@ class TestNamespaceTree:
             None, None]
         assert [lock_holder(replica, name, 0.0) for name in ("filelock:f", "filelock:g")] == [
             "s1", "s2"]
+
+
+class TestCheck:
+    """The ``Check`` step a transaction's commit point sends for each file it only read."""
+
+    def test_check_refuses_unless_the_entry_is_readable_at_its_version(self, replica):
+        _multi(replica, [Put("meta:/f", _node("/f", "file", "f")),
+                         Put("meta:/p", _node("/p", "file", "p"))])
+        _multi(replica, [Grant("meta:/f", "bob", Permission.READ),
+                         Grant("meta:/p", "bob", Permission.NONE)])
+        before = pickle.dumps(replica)
+        assert _multi(replica, [Check("meta:/f", 2)]) == [None]
+        assert _multi(replica, [Check("meta:/f", 2)], "bob") == [None]
+        with pytest.raises(ConflictError, match="expected 1, found 2") as stale:
+            _multi(replica, [Check("meta:/f", 1)])
+        assert stale.value.found.version == 2
+        with pytest.raises(ConflictError, match="found 0"):
+            _multi(replica, [Check("meta:/none", 0)])
+        with pytest.raises(EntryDeniedError):
+            _multi(replica, [Check("meta:/p", 2)], "bob")
+        assert pickle.dumps(replica) == before
+
+    def test_a_check_changes_no_key_and_refuses_its_whole_command(self, replica):
+        _multi(replica, [Put("meta:/f", _node("/f", "file", "f")),
+                         Put("meta:/g", _node("/g", "file", "g"))])
+        fields = {"size": 1}
+        _multi(replica, [Check("meta:/f", 1), Update("meta:/f", "f", fields, 1)])
+        with pytest.raises(ConflictError):
+            _multi(replica, [Check("meta:/g", 7), Update("meta:/f", "f", fields, 2)])
+        assert [entry.version for entry in _list(replica, "meta:/")] == [2, 1]
 
 
 class TestDepSpaceLeases:
@@ -734,30 +765,34 @@ class TestLockService:
         assert sim.now() == refused_at and sim.rng.getstate() == replay.getstate()
         assert not waiter.still_held(_file("L")) and lock_holder(service, "filelock:L") == s1.session_id
 
-    def test_acquire_set_is_all_or_none_and_reentrant(self, sim, alice, bob):
+    def test_a_refused_acquire_takes_nothing_and_a_reentrant_one_sends_nothing(self, sim, alice, bob):
         locks, service = self._locks(sim, alice)
         other = LockService(sim, service, service.open_session(bob))
-        l1, l2, l3 = _file("L1"), _file("L2"), _file("L3")
-        other.acquire(l3)
+        l1, l2 = _file("L1"), _file("L2")
+        other.acquire(l2)
         locks.acquire(l1)
         with pytest.raises(LockHeldError) as refused:
-            locks.acquire_set([l1, l2, l3])
-        assert refused.value.lock == "filelock:L3"
-        assert locks.held == {"filelock:L1": 1} and lock_holder(service, "filelock:L2") is None
-        other.release(l3)
+            locks.acquire(l2)
+        assert refused.value.lock == "filelock:L2"
+        assert locks.held == {"filelock:L1": 1} and lock_holder(service, "filelock:L2") == (
+            other.session.session_id)
+        other.release(l2)
         commands = service.commands_executed
         transitions = []
         locks.on_transition = lambda kind, name: transitions.append((kind, name))
-        assert locks.acquire_set([l1, l2, l3])  # L1 only gains a count
-        assert transitions == [("lock", "filelock:L2"), ("lock", "filelock:L3")]
+        assert locks.acquire(l1) and locks.acquire(l2)  # L1 only gains a count
+        assert transitions == [("lock", "filelock:L2")]
         assert service.commands_executed == commands + 1
-        assert locks.held == {"filelock:L1": 2, "filelock:L2": 1, "filelock:L3": 1}
-        locks.release_set([l1, l2, l3])
-        assert transitions[2:] == [("unlock", "filelock:L2"), ("unlock", "filelock:L3")]
+        assert locks.held == {"filelock:L1": 2, "filelock:L2": 1}
+        locks.release(l1)
+        locks.release(l2)
+        assert transitions[1:] == [("unlock", "filelock:L2")]
         assert service.commands_executed == commands + 2
         assert locks.held == {"filelock:L1": 1} and lock_holder(service, "filelock:L1") is not None
-        locks.release_set([l1, _file("unheld")])
+        locks.release(l1)
+        locks.release(_file("unheld"))
         assert lock_holder(service, "filelock:L1") is None
+        assert service.commands_executed == commands + 3
 
     def test_a_release_inside_the_riding_command_keeps_the_reentrant_hold(self, coordination, sim, alice):
         """A background commit's release that comes due while ``send`` is out.
@@ -802,7 +837,8 @@ class TestLockService:
 
     def test_a_failed_unlock_command_leaves_the_counts_as_they_were(self, coordination, sim, alice):
         locks, service = self._locks(sim, alice, coordination)
-        locks.acquire_set([_file("L1"), _file("L2")])
+        locks.acquire(_file("L1"))
+        locks.acquire(_file("L2"))
         locks.acquire(_file("L2"))
 
         def unreachable(ops, session):
@@ -810,8 +846,12 @@ class TestLockService:
 
         service.multi = unreachable
         with pytest.raises(QuorumNotReachedError):
-            locks.release_set([_file("L1"), _file("L2")])
+            locks.release(_file("L1"))
         assert locks.held == {"filelock:L1": 1, "filelock:L2": 2}
+        locks.release(_file("L2"))  # a re-entrant count: nothing to send
+        with pytest.raises(QuorumNotReachedError):
+            locks.release(_file("L2"))
+        assert locks.held == {"filelock:L1": 1, "filelock:L2": 1}
 
     def test_release_all(self, coordination, sim, alice):
         locks, service = self._locks(sim, alice, coordination)
@@ -837,8 +877,10 @@ class TestLockService:
         old = FileMetadata(path="/old", file_type=FileType.FILE, owner="alice", file_id="L")
         new = FileMetadata(path="/new", file_type=FileType.FILE, owner="alice", file_id="L")
         commands = _commands(service)
-        assert locks.acquire_set([old, new])
-        assert locks.held == {"filelock:L": 1}
+        assert locks.acquire(old) and locks.acquire(new)
+        assert locks.held == {"filelock:L": 2}
         assert _commands(service) == commands + 1
-        locks.release_set([new, old])
+        locks.release(new)
+        assert lock_holder(service, "filelock:L") == locks.session.session_id
+        locks.release(old)
         assert locks.held == {} and lock_holder(service, "filelock:L") is None

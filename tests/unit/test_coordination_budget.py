@@ -12,11 +12,11 @@ user.  An unmount is one command: the session's close, which returns every
 lock the session holds.
 
 A lock rides in the metadata command it guards: the insert of a create-open,
-the look of a write-open of an existing file (``LockFile``), the validation
-snapshot of a transaction commit, so one command stands in front of a
-transaction's upload.  That is one command where there were two (three, for
-the commit).  Only the unlock of a dirty close stays a command of its own: it
-comes after the upload (pinned below; CHANGES.md, PR 16, says why).
+the look of a write-open of an existing file (``LockFile``).  That is one
+command where there were two.  Only the unlock of a dirty close stays a
+command of its own: it comes after the upload (pinned below; CHANGES.md,
+PR 16, says why).  A transaction commit takes no lock: one guarded snapshot
+stands in front of its upload, one guarded commit point after it.
 
 A refused insert says what is there (PR 17), so ``open(O_CREAT)`` sends the
 insert *first* — no lookup before it — whenever nothing the agent holds says
@@ -80,7 +80,8 @@ BUDGETS: dict[str, tuple[int, ...]] = {
     "`readdir`, cold · warm, any number of children": (1, 1),
     "`rename` of a directory with N descendants, cold": (1,),
     "`rename_tree` of a directory, any number of files, cold · warm": (1, 1),
-    "commit of a transaction, any number of files": (3,),
+    "commit of a transaction, any number of files": (2,),
+    "commit of a read-only transaction": (1,),
     "`setfacl` of a shared file, warm": (2,),
     "mount": (1,),
 }
@@ -631,16 +632,25 @@ def _commit_commands(mount, directory: str, count: int) -> int:
 
 
 def test_transaction_commit_is_constant_in_the_size_of_its_sets(mount):
-    """{Lock set + validating reads}, {every version CAS}, release.
+    """{Unheld guards + validating reads}, {guards, Checks, every version CAS}.
 
-    The read set already names the lock of every file, so nothing is read
-    before the locks are taken, and the snapshot the reads are validated
-    against is taken by the command that grants them.  That is three
-    commands for any number of files — one before the upload.
+    That is two commands for any number of files — one before the upload —
+    and no lock taken or returned.
     """
     (commit,) = BUDGETS["commit of a transaction, any number of files"]
     assert [_commit_commands(mount, f"/top/t{count}", count) for count in (1, 3, 8)] == [
         commit] * 3
+    assert mount.fs.locks.held == {}
+
+
+def test_a_read_only_commit_is_its_snapshot(mount):
+    """A transaction that writes nothing is committed by the snapshot it validates against."""
+    (commit,) = BUDGETS["commit of a read-only transaction"]
+    mount.make_files("/top/ro", 3)
+    txn = mount.fs.transactions.begin()
+    for index in range(3):
+        txn.read(f"/top/ro/f{index:03d}")
+    assert mount.spent(txn.commit) == commit
 
 
 def test_a_lock_refused_commit_attempt_leaves_nothing(mount):
@@ -653,17 +663,21 @@ def test_a_lock_refused_commit_attempt_leaves_nothing(mount):
     txn = mount.fs.transactions.begin()
     _read_and_rewrite(paths)(txn)
     entries = mount.fs.coordination.state.entry_count()
-    with pytest.raises(TransactionConflictError):
-        txn.commit()
+
+    def refused() -> None:
+        with pytest.raises(TransactionConflictError):
+            txn.commit()
+
+    assert mount.spent(refused) == 1
     other.close(handle)
-    # The refused command was the attempt's only one, and it left nothing: no
-    # entry, no lock (the next commit takes them all).
+    # The refused snapshot was the attempt's only command, and it left
+    # nothing: no entry, no lock.
     assert mount.fs.coordination.state.entry_count() == entries
     mount.fs.run_transaction(_read_and_rewrite(paths))
     assert [mount.fs.read_file(path) for path in paths] == [b"x+"] * 3
 
 
-def test_a_failed_validation_is_the_lock_command_and_the_release(mount):
+def test_a_failed_validation_is_the_snapshot_alone(mount):
     mount.make_files("/top/stale", 2)
     paths = [f"/top/stale/f{index:03d}" for index in range(2)]
     txn = mount.fs.transactions.begin()
@@ -675,7 +689,7 @@ def test_a_failed_validation_is_the_lock_command_and_the_release(mount):
         with pytest.raises(TransactionConflictError, match="stale read"):
             txn.commit()
 
-    assert mount.spent(refused) == 2
+    assert mount.spent(refused) == 1
     assert mount.fs.coordination.state.entry_count() == entries
     assert mount.fs.read_file(paths[1]) == b"x"
 
@@ -704,9 +718,8 @@ def test_a_retry_attempt_reads_its_files_with_one_command(mount, count):
     assert reads == [count, 0]
     assert mount.fs.read_file(paths[0]) == b"y+"
     assert all(mount.fs.read_file(path) == b"x+" for path in paths[1:])
-    # The failed commit ({locks, snapshot}, the release), the retry's
-    # snapshot, its 3-command commit.
-    assert since_interference == 2 + 1 + 3
+    # The failed commit's snapshot, the retry's snapshot, its 2-command commit.
+    assert since_interference == 1 + 1 + 2
 
 
 @pytest.mark.parametrize("files", [2, 9])
@@ -755,7 +768,8 @@ def test_releasing_every_lock_is_one_command(sim):
     locks = LockService(sim, service, session)
     files = [FileMetadata(path=f"/f{index}", file_type=FileType.FILE, owner="alice",
                           file_id=str(index)) for index in range(3)]
-    locks.acquire_set(files)
+    for meta in files:
+        locks.acquire(meta)
     locks.acquire(files[1])  # a re-entrant hold: collapsed, not one more command
     commands = service.commands_executed
     state, start = sim.rng.getstate(), sim.now()

@@ -279,48 +279,47 @@ class TestLockService:
         with pytest.raises(LockHeldError):
             second.acquire(meta)
 
-    def test_lock_set_fires_one_transition_per_name_taken_or_returned(
-            self, sim, coordination, alice):
+    def test_a_lock_fires_one_transition_per_take_or_return(self, sim, coordination, alice):
         service = LockService(sim, coordination, coordination.open_session(alice))
         transitions = []
         service.on_transition = lambda kind, name: transitions.append((kind, name))
         a, b, c = (_file_meta(f"/{n}", file_id=f"f{n}") for n in "abc")
         service.acquire(b)  # e.g. a handle this agent holds open for writing
         commands = coordination.commands_executed
-        service.acquire_set([a, b, c])
-        service.release_set([a, b, c])
-        assert coordination.commands_executed == commands + 2
+        for meta in (a, b, c):
+            service.acquire(meta)
+        for meta in (a, b, c):
+            service.release(meta)
+        assert coordination.commands_executed == commands + 4
         assert transitions == [("lock", "filelock:fb"), ("lock", "filelock:fa"),
                                ("lock", "filelock:fc"), ("unlock", "filelock:fa"),
                                ("unlock", "filelock:fc")]
         assert service.still_held(b) and not service.still_held(a) and not service.still_held(c)
 
-    def test_lock_set_with_two_paths_of_one_file_returns_what_it_took(
-            self, sim, coordination, alice):
+    def test_two_paths_of_one_file_share_its_lock(self, sim, coordination, alice):
         session = coordination.open_session(alice)
         service = LockService(sim, coordination, session)
         # One file seen under two paths (read as /a, renamed to /b since).
         old, new = _file_meta("/a", file_id="f1"), _file_meta("/b", file_id="f1")
         service.acquire(old)  # an open write handle of this agent
-        service.acquire_set([old, new])
-        service.release_set([old, new])
+        service.acquire(new)
+        service.release(new)
         assert service.still_held(old)
         assert lock_holder(coordination, "filelock:f1") == session.session_id
 
-    def test_refused_lock_set_holds_nothing_and_names_the_file(
-            self, sim, coordination, alice, bob):
+    def test_a_refused_lock_holds_nothing_and_names_the_file(self, sim, coordination, alice, bob):
         mine = LockService(sim, coordination, coordination.open_session(alice))
         theirs = LockService(sim, coordination, coordination.open_session(bob))
         transitions = []
         mine.on_transition = lambda kind, name: transitions.append((kind, name))
-        a, b, c = (_file_meta(f"/dir/{n}", file_id=f"f{n}") for n in "abc")
+        a, b = (_file_meta(f"/dir/{n}", file_id=f"f{n}") for n in "ab")
         theirs.acquire(b)
         with pytest.raises(LockHeldError, match="/dir/b is locked"):
-            mine.acquire_set([a, b, c])
-        assert transitions == []
-        assert not any(mine.still_held(meta) for meta in (a, b, c))
+            mine.acquire(b)
+        assert transitions == [] and mine.held == {}
+        assert not mine.still_held(b)
         assert lock_holder(coordination, "filelock:fa") is None
-        LockService(sim, None, None).acquire_set([a, b])  # disabled: a no-op
+        assert LockService(sim, None, None).acquire(a) is False  # disabled: a no-op
 
     def test_release_all(self, sim, coordination, alice):
         session = coordination.open_session(alice)

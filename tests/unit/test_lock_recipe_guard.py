@@ -6,8 +6,9 @@ sends its ``Lock`` in the insert, and a lock held here already is a count
 through ``lookup_many_versioned(..., also=...)`` — would take the lock of the
 file the cache names, not the one the entry names.  These checks fail when
 ``SCFSAgent`` passes a riding command to ``locks.hold`` anywhere but
-``_create``, and when anything but ``TransactionManager`` (whose lock set
-rides with its validation snapshot) reads entries with steps riding along.
+``_create``, and when anything but ``TransactionManager`` (whose ``Unheld``
+guards ride with its validation snapshot; it takes no lock) reads entries
+with steps riding along.
 """
 
 from __future__ import annotations

@@ -25,7 +25,7 @@ from repro.simenv.failures import FaultKind
 from repro.simenv.latency import MEMORY_LATENCY, LatencyModel
 from repro.transactions import ABORTED, COMMITTED
 
-from conftest import expire_metadata
+from conftest import expire_metadata, lock_holder
 
 
 def _shared_pair(variant: str = "SCFS-CoC-NB", **overrides):
@@ -224,9 +224,8 @@ class TestConflicts:
 
 class TestCommitPoint:
     def test_lost_version_cas_anchors_no_file_of_the_set(self, shared):
-        """A usurper anchors the 2nd file after validation (what a stolen
-        lease allows): the commit point refuses as a whole — the 1st file is
-        not anchored either."""
+        """Another agent anchors the 2nd file after validation: the commit
+        point refuses as a whole — the 1st file is not anchored either."""
         _, alice, bob = shared
         storage = alice.storage
         upload = storage.push_many_to_cloud
@@ -234,7 +233,7 @@ class TestCommitPoint:
         def upload_then_lose_the_race(items):
             refs = upload(items)
             meta = bob.metadata.get("/shared/b", use_cache=False)
-            # The usurper's anchor: the entry version moves under the lock.
+            # bob's anchor: the entry version moves during the upload.
             bob.metadata.update(meta, DATA_FIELDS)
             return refs
 
@@ -243,7 +242,7 @@ class TestCommitPoint:
         txn = alice.transactions.begin()
         for path in before:
             txn.write(path, txn.read(path) + b"+txn")
-        with pytest.raises(TransactionConflictError, match="version CAS failed"):
+        with pytest.raises(TransactionConflictError, match="commit point refused"):
             txn.commit()
         assert txn.status == ABORTED
         expire_metadata(alice)
@@ -272,6 +271,111 @@ class TestCommitPoint:
         _write_set(alice, {"/shared/a": b"A3", "/shared/b": b"B3"})
         assert batches == [2]
         assert bob.read_file("/shared/a") == b"A3" and bob.read_file("/shared/b") == b"B3"
+
+
+class TestCommitRefusals:
+    """Each refusal of a commit: the typed error, no entry changed, no lock held.
+
+    The snapshot refuses a written file another agent holds open; the commit
+    point refuses one write-opened, a read-only entry rewritten (``Check``)
+    or a written entry rewritten (the ``Update`` CAS) during the upload.
+    """
+
+    PATHS = ("/shared/a", "/shared/b")
+
+    @pytest.fixture(params=["SCFS-CoC-B", "SCFS-AWS-B"])
+    def blocking(self, request):
+        """The pair with blocking closes: another agent's write is anchored when it returns."""
+        return _shared_pair(request.param)
+
+    @staticmethod
+    def _entries(deployment, agent):
+        return deployment.coordination.list_entries("meta:/shared/", agent.session)
+
+    @staticmethod
+    def _during_the_upload(deployment, agent, interfere):
+        """Run ``interfere`` as a task that comes due while ``agent``'s commit uploads."""
+        uploads = []
+        upload = agent.storage.push_many_to_cloud
+
+        def scheduled(items):
+            uploads.append(items)
+            deployment.sim.schedule(1e-6, interfere)
+            return upload(items)
+
+        agent.storage.push_many_to_cloud = scheduled
+        return uploads
+
+    def _refused(self, deployment, alice, txn, match, expected) -> int:
+        """Commit ``txn``, refused; ``expected`` holds the one listing the attempt leaves.
+
+        Returns the commands sent while the attempt ran.
+        """
+        commands = deployment.coordination.commands_executed
+        with pytest.raises(TransactionConflictError, match=match):
+            txn.commit()
+        commands = deployment.coordination.commands_executed - commands
+        assert txn.status == ABORTED
+        assert [self._entries(deployment, alice)] == expected
+        assert alice.locks.held == {}
+        assert all(lock_holder(deployment.coordination, alice.locks.lock_name(
+            alice.metadata.get(path, use_cache=False))) != alice.session.session_id
+            for path in self.PATHS)
+        return commands
+
+    @staticmethod
+    def _rewrite_both(alice):
+        txn = alice.transactions.begin()
+        for path in TestCommitRefusals.PATHS:
+            txn.write(path, txn.read(path) + b"+txn")
+        return txn
+
+    def test_a_written_file_held_open_refuses_the_snapshot_before_any_upload(self, shared):
+        deployment, alice, bob = shared
+        handle = bob.open("/shared/b", "r+")
+        uploads = self._during_the_upload(deployment, alice, lambda: None)
+        txn = self._rewrite_both(alice)
+        assert self._refused(deployment, alice, txn, "held by another client",
+                             [self._entries(deployment, alice)]) == 1
+        assert uploads == []
+        bob.close(handle)
+
+    def test_a_write_open_during_the_upload_refuses_the_commit_point(self, shared):
+        deployment, alice, bob = shared
+        handles = []
+        uploads = self._during_the_upload(
+            deployment, alice, lambda: handles.append(bob.open("/shared/b", "r+")))
+        txn = self._rewrite_both(alice)
+        self._refused(deployment, alice, txn, "held by another client",
+                      [self._entries(deployment, alice)])
+        assert len(uploads) == 1 and len(handles) == 1
+        bob.close(handles[0])
+        expire_metadata(alice)
+        assert [alice.read_file(path) for path in self.PATHS] == [
+            b"v1:" + path.encode() for path in self.PATHS]
+
+    def test_a_read_only_entry_rewritten_during_the_upload_refuses_the_commit_point(
+            self, blocking):
+        deployment, alice, bob = blocking
+        rewritten = []
+        self._during_the_upload(deployment, alice, lambda: (
+            bob.write_file("/shared/a", b"bob", shared=True),
+            rewritten.append(self._entries(deployment, alice))))
+        txn = alice.transactions.begin()
+        txn.write("/shared/b", txn.read("/shared/a") + txn.read("/shared/b"))
+        self._refused(deployment, alice, txn, "commit point refused", rewritten)
+        assert alice.read_file("/shared/b") == b"v1:/shared/b"
+
+    def test_a_written_entry_rewritten_during_the_upload_refuses_the_commit_point(
+            self, blocking):
+        deployment, alice, bob = blocking
+        rewritten = []
+        self._during_the_upload(deployment, alice, lambda: (
+            bob.write_file("/shared/b", b"bob", shared=True),
+            rewritten.append(self._entries(deployment, alice))))
+        txn = self._rewrite_both(alice)
+        self._refused(deployment, alice, txn, "commit point refused", rewritten)
+        assert [alice.read_file(path) for path in self.PATHS] == [b"v1:/shared/a", b"bob"]
 
 
 class TestFailedUpload:
@@ -351,7 +455,7 @@ class TestCommitterCache:
 class TestRetrySnapshot:
     def test_a_retry_serves_its_reads_from_one_snapshot_and_still_validates(self, shared):
         """The snapshot may be stale by the time the body reads it: validation
-        under the locks catches that, and the third attempt sees the newest."""
+        against the commit's snapshot catches that, and the third attempt sees the newest."""
         _, alice, bob = shared
         seen = []
 
@@ -387,8 +491,8 @@ class TestRetrySnapshot:
 
 class TestFinishedAttempts:
     def test_finished_attempts_leave_the_entry_count_as_they_found_it(self):
-        """16 transactions commit and 4 are refused at the lock, while bob
-        holds a file open for writing: no attempt leaves an entry behind."""
+        """16 transactions commit and 4 are refused by the snapshot's guard,
+        while bob holds a file open for writing: no attempt leaves an entry behind."""
         deployment, alice, bob = _shared_pair("SCFS-CoC-B")
         before = deployment.coordination.state.entry_count()
         outcomes = []
