@@ -102,8 +102,7 @@ class DepSpaceCoordination:
         The caller waits one round trip (background work: no wait, no draw),
         then the command applies; ``QuorumNotReachedError`` while too few replicas are up.
         """
-        up = self.replicas.universe if not self.faulty else [
-            name for index, name in enumerate(self.replicas.universe) if index not in self.faulty]
+        up = [name for index, name in enumerate(self.replicas.universe) if index not in self.faulty]
         if not self._quorum.satisfied_by(up):
             raise QuorumNotReachedError(f"only {len(up)} correct replicas, too few for a quorum")
         if not self.sim.in_background:
@@ -195,7 +194,8 @@ class DepSpaceCoordination:
         :class:`Put` whose ``expected_version`` mismatches or whose entry
         denies WRITE — or an :class:`Update` whose entry also is gone or names
         another file — raises ``ConflictError``, a :class:`Get` that is denied
-        READ raises ``ConflictError``, and a :class:`Delete`, :class:`Grant`
+        READ raises ``ConflictError``, a :class:`Check` whose entry is not
+        readable at its version raises ``ConflictError``, and a :class:`Delete`, :class:`Grant`
         or :class:`Move` is checked as :mod:`~repro.coordination.entries`
         says — and then nothing has changed.  A refused version check or ``Update`` carries
         ``found`` as in :meth:`put`; a denied access is an

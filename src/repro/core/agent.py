@@ -623,7 +623,7 @@ class SCFSAgent(FileSystem):
         the entry version what its ``Update`` must find (None: any).  One
         command updates the data fields of every entry — a grant or a
         tombstone set since stays — behind a transaction's guard steps
-        ``also``.  A refused anchor raises ``ConflictError`` (``LockHeldError``:
+        ``also`` (``ValueError`` for a close's write).  A refused anchor raises ``ConflictError`` (``LockHeldError``:
         a guard) and commits none of the versions.  ``tags`` label the ``upload`` and
         ``commit`` events.  A transaction's write set (tagged ``txn``) moves
         through the batch calls at its entry versions; a close's one write
@@ -631,6 +631,8 @@ class SCFSAgent(FileSystem):
         1(j)), and a private file's anchor is the PNS.
         """
         transaction = "txn" in tags
+        if also and not transaction:
+            raise ValueError("guard steps ride only in a transaction's anchor")
         items = [(meta.file_id, data, version) for meta, data, version, _entry in writes]
         refs = (self.storage.push_many_to_cloud(items) if transaction
                 else [self.storage.push_to_cloud(*item) for item in items])

@@ -524,9 +524,10 @@ class DepSkyClient:
         """Write ``version`` of each of several (distinct) data units together.
 
         ``items`` are ``(unit_id, data, version)``; the number comes from a
-        caller that holds the unit's lock and has just validated the
-        consistency anchor — the version after the one the anchored locator
-        names — so no cloud is asked what the latest version is.  Only this
+        caller whose anchor validates it (a close holds the unit's lock; a
+        transaction's commit point checks the entry version) — the version
+        after the one the anchored locator names — so no cloud is asked what
+        the latest version is.  Only this
         client's own floor can raise it (a number it already spent on an
         upload that was never anchored).  The units move through the two put
         phases in lockstep: every block-put quorum call, then every head-put

@@ -608,8 +608,9 @@ def check_serializability(trace: TraceRecorder) -> list[Violation]:
 def check_version_linearizability(trace: TraceRecorder) -> list[Violation]:
     """Per file, the anchored version sequence is a linearizable counter.
 
-    Every commit bumps the entry by exactly one on top of the version it
-    observed under the write lock, so the history order of the ``commit``
+    Every commit bumps the entry by exactly one on top of the version its
+    anchor validates (a close holds the write lock; a transaction's commit
+    point checks the entry version), so the history order of the ``commit``
     events must show each file's versions strictly increasing and gapless
     (from whatever version the file first anchored).  A duplicate or
     regression is a fork (two commits anchored over the same base); a gap

@@ -11,7 +11,7 @@ one guarded commit point on the one coordination service, holding no lock
    ``(file_id, data_version, digest)`` it served; :meth:`Transaction.write`
    only stages bytes locally.  Nothing is visible to other agents yet.
 2. **Commit** (:meth:`TransactionManager.commit`) — two coordination
-   commands and one round of uploads, whatever the size of the sets (one
+   commands and two rounds of uploads, whatever the size of the sets (one
    command for a read-only transaction):
 
    a. the **snapshot**: one command reads every entry of the read∪write

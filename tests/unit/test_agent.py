@@ -19,6 +19,7 @@ from repro.common.errors import (
     QuorumNotReachedError,
 )
 from repro.common.types import Permission
+from repro.coordination.base import Unheld
 from repro.core.agent import SCFSAgent
 from repro.core.deployment import SCFSDeployment
 from repro.core.filesystem import DURABILITY_TABLE, FileSystem
@@ -821,3 +822,19 @@ def test_only_the_publish_step_uploads_and_anchors_a_version():
                 for emitter in _version_emitters(ast.parse(path.read_text()))]
     assert emitters == [("repro/core/agent.py", "SCFSAgent._publish", "upload"),
                         ("repro/core/agent.py", "SCFSAgent._publish", "commit")]
+
+
+def test_guard_steps_ride_only_in_a_transactions_anchor(coc_nb):
+    """A close's anchor is a one-file ``update``, which carries no guard step:
+    ``_publish`` refuses guards for it before uploading anything."""
+    _deployment, fs = coc_nb
+    fs.mkdir("/d", shared=True)
+    fs.write_file("/d/f", b"one", shared=True)
+    fs.flush_pending("/")
+    meta = fs.metadata.lookup("/d/f")
+    pushed = fs.storage.bytes_pushed
+    with pytest.raises(ValueError, match="guard steps"):
+        fs._publish([(meta, b"two", meta.data_version + 1, None)],
+                    also=[Unheld(fs.metadata.entry_key("/d/f"))])
+    assert fs.storage.bytes_pushed == pushed
+    assert fs.read_file("/d/f") == b"one"
